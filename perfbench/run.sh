@@ -5,5 +5,5 @@
 # The last line of standard output is the JSON result.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-dune build --root . --display quiet ./perfbench/xbench.exe 1>&2
+dune build --root . --cache=disabled --display quiet ./perfbench/xbench.exe 1>&2
 exec ./_build/default/perfbench/xbench.exe "$@"
