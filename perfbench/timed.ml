@@ -125,12 +125,13 @@ let metrics ~streams ~setup_s r =
     [ m "setup_s" "s" setup_s;
       m "throughput_rps" "req/s" (float_of_int t.completed /. r.wall_s);
       m "read_p50_ms" "ms" (q reads 0.50);
-      m "read_p95_ms" "ms" (q reads 0.95);
+      m "read_p90_ms" "ms" (q reads 0.90);
       m "alloc_kw_per_req" "kwords" (r.minor_words /. n /. 1e3);
       m "peak_rss_mb" "MB" r.peak_rss_mb ]
   in
   let extra =
-    [ m "read_p99_ms" "ms" (q reads 0.99);
+    [ m "read_p95_ms" "ms" (q reads 0.95);
+      m "read_p99_ms" "ms" (q reads 0.99);
       m "read_samples" "count" (float_of_int (Array.length reads)) ]
     @ (if Array.length writes > 0 then
          [ m "write_p50_ms" "ms" (q writes 0.50);
