@@ -42,9 +42,6 @@ type ctx = {
   file : string;
   file_bytes : float;
   mutable spines : int list;  (** rebuilt-spine size of every commit *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable skipped : int;  (** elements inside pruned subtrees *)
 }
 
 (* The commit hook, as the service's: repair every cached plan's and
@@ -87,10 +84,7 @@ let create ~file ~schema ~views root =
       views = View_store.create ();
       file;
       file_bytes = float_of_int (Unix.stat file).Unix.st_size;
-      spines = [];
-      hits = 0;
-      misses = 0;
-      skipped = 0 }
+      spines = [] }
   in
   Doc_store.subscribe ctx.store (on_event ctx);
   (match Doc_store.register ctx.store ~name:Workload.doc ~file ?schema root with
@@ -114,11 +108,8 @@ exception Refused of Service.response
 let resolve ctx query =
   match Spans.span s_snapshot (fun () -> Doc_store.snapshot ctx.store Workload.doc) with
   | None -> raise (Refused (error Service.Unknown_document "no document"))
-  | Some (root, dinfo, sizes) ->
-    let plan, outcome = Spans.span s_lookup (fun () -> Plan_cache.find_or_compile ctx.cache query) in
-    (match outcome with
-    | Plan_cache.Hit -> ctx.hits <- ctx.hits + 1
-    | Plan_cache.Miss -> ctx.misses <- ctx.misses + 1);
+  | Some (root, dinfo, _) ->
+    let plan, _ = Spans.span s_lookup (fun () -> Plan_cache.find_or_compile ctx.cache query) in
     let skip =
       match Option.bind dinfo.Doc_store.schema Schema.find with
       | None -> None
@@ -127,19 +118,7 @@ let resolve ctx query =
         if Schema.statically_empty product then
           raise (Refused (error Service.Statically_empty "statically empty"))
         else if Schema.skip_count product = 0 then None
-        else
-          (* the service's oracle also sizes every pruned subtree *)
-          Some
-            (fun e ->
-              Schema.skippable product (Node.sym e)
-              && begin
-                (match sizes with
-                | Some tbl ->
-                  ctx.skipped <-
-                    ctx.skipped + Option.value ~default:0 (Hashtbl.find_opt tbl (Node.id e))
-                | None -> ());
-                true
-              end)
+        else Some (fun e -> Schema.skippable product (Node.sym e))
     in
     (root, dinfo, plan, skip)
 
@@ -246,10 +225,7 @@ let streamed emit body =
        { bytes = totals.Serialize.Sink.bytes; chunks = totals.Serialize.Sink.chunks })
 
 let ingest ctx query emit =
-  let plan, outcome = Spans.span s_lookup (fun () -> Plan_cache.find_or_compile ctx.cache query) in
-  (match outcome with
-  | Plan_cache.Hit -> ctx.hits <- ctx.hits + 1
-  | Plan_cache.Miss -> ctx.misses <- ctx.misses + 1);
+  let plan, _ = Spans.span s_lookup (fun () -> Plan_cache.find_or_compile ctx.cache query) in
   let update = plan.Plan_cache.query.Core.Transform_ast.update in
   let nfa =
     Spans.span s_nfa (fun () ->
