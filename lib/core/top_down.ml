@@ -71,6 +71,95 @@ let run ?checkp ?skip nfa update root =
       raise (Transform_ast.Invalid_update "update replaces the document element with a non-element")
   end
 
+(* ---------------- counting ----------------
+
+   The same walk once more, returning only the result's element count:
+   the input's count plus the updates' effect, summed where [make_go]
+   would rebuild.  Shared subtrees (skipped or with an empty state set)
+   add nothing and are never entered; a deleted or replaced subtree
+   costs one [size] call. *)
+
+let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
+  let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
+  let size = match size with Some f -> f | None -> fun e -> Node.element_count (Node.Element e) in
+  let added =
+    match update with
+    | Transform_ast.Insert (_, enew) | Transform_ast.Insert_first (_, enew)
+    | Transform_ast.Replace (_, enew) ->
+      Node.element_count enew
+    | Transform_ast.Delete _ | Transform_ast.Rename _ -> 0
+  in
+  let rec go (e : Node.element) states =
+    if skip e then begin
+      Stats.share ();
+      0
+    end
+    else begin
+      Stats.visit ();
+      let states' =
+        Selecting_nfa.next nfa ~checkp:(fun s -> checkp s e) states (Node.sym e)
+      in
+      if Selecting_nfa.set_is_empty states' then begin
+        Stats.share ();
+        0
+      end
+      else delta e states'
+    end
+  and delta e states' =
+    match update, Selecting_nfa.accepts_set nfa states' with
+    | Transform_ast.Delete _, true -> -size e
+    | Transform_ast.Replace _, true -> added - size e
+    | (Transform_ast.Insert _ | Transform_ast.Insert_first _), true -> kids e states' + added
+    | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
+      | Transform_ast.Delete _ | Transform_ast.Replace _), _ ->
+      kids e states'
+  and kids e states' =
+    List.fold_left
+      (fun acc -> function
+        | Node.Element c -> acc + go c states'
+        | Node.Text _ | Node.Comment _ | Node.Pi _ -> acc)
+      0 (Node.children e)
+  in
+  (* the structural checks [run] applies to the document element *)
+  let check_root () =
+    match update with
+    | Transform_ast.Delete _ ->
+      raise (Transform_ast.Invalid_update "update deletes the document element")
+    | Transform_ast.Replace (_, (Node.Text _ | Node.Comment _ | Node.Pi _)) ->
+      raise
+        (Transform_ast.Invalid_update "update replaces the document element with a non-element")
+    | Transform_ast.Replace (_, Node.Element _) | Transform_ast.Insert _
+    | Transform_ast.Insert_first _ | Transform_ast.Rename _ ->
+      ()
+  in
+  if not (Semantics.ctx_holds nfa root) then elements
+  else if Selecting_nfa.selects_context nfa then begin
+    check_root ();
+    match update with
+    | Transform_ast.Replace _ -> added
+    | Transform_ast.Insert _ | Transform_ast.Insert_first _ -> elements + added
+    | Transform_ast.Delete _ | Transform_ast.Rename _ -> elements
+  end
+  else if skip root then begin
+    Stats.share ();
+    elements
+  end
+  else begin
+    Stats.visit ();
+    let states' =
+      Selecting_nfa.next nfa ~checkp:(fun s -> checkp s root)
+        (Selecting_nfa.start nfa) (Node.sym root)
+    in
+    if Selecting_nfa.set_is_empty states' then begin
+      Stats.share ();
+      elements
+    end
+    else begin
+      if Selecting_nfa.accepts_set nfa states' then check_root ();
+      elements + delta root states'
+    end
+  end
+
 let transform_at ?checkp nfa update ~states (e : Node.element) : Node.t list =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
   let go = make_go ~checkp nfa update in

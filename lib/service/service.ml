@@ -171,6 +171,17 @@ type pruning = {
   skip : Xut_xml.Node.element -> bool;  (* counting oracle for DOM engines *)
 }
 
+(* The element count of the subtree at [e]: O(1) from the binding's size
+   table when it has one, a walk of the subtree otherwise. *)
+let size_of sizes e =
+  let whole () = Xut_xml.Node.element_count (Xut_xml.Node.Element e) in
+  match sizes with
+  | Some tbl ->
+    (match Hashtbl.find_opt tbl (Xut_xml.Node.id e) with
+    | Some n -> n
+    | None -> whole ())
+  | None -> whole ()
+
 (* The product of [nfa] with the binding's schema, or [None] when the
    document has no (live) schema or the product can prune nothing. *)
 let pruning_for ~metrics (dinfo : Doc_store.info) sizes products nfa =
@@ -187,18 +198,9 @@ let pruning_for ~metrics (dinfo : Doc_store.info) sizes products nfa =
         && not (Xut_schema.Schema.statically_empty product)
       then None
       else begin
-        let size_of e =
-          let whole () = Xut_xml.Node.element_count (Xut_xml.Node.Element e) in
-          match sizes with
-          | Some tbl ->
-            (match Hashtbl.find_opt tbl (Xut_xml.Node.id e) with
-            | Some n -> n
-            | None -> whole ())
-          | None -> whole ()
-        in
         let skip e =
           if Xut_schema.Schema.skippable product (Xut_xml.Node.sym e) then begin
-            Metrics.add_skipped metrics ~subtrees:1 ~nodes:(size_of e);
+            Metrics.add_skipped metrics ~subtrees:1 ~nodes:(size_of sizes e);
             true
           end
           else false
@@ -220,21 +222,40 @@ let admit ~metrics (dinfo : Doc_store.info) pruning =
          (Option.value ~default:"?" dinfo.Doc_store.schema))
   | _ -> Stdlib.Ok ()
 
+(* The qualifier oracle of the two walk engines: TD-BU reuses the
+   memoized bottom-up annotation of the stored document, GENTOP ([None])
+   evaluates qualifiers directly. *)
+let walk_checkp ?skip (plan : Plan_cache.plan) engine root =
+  match (engine : Engine.algo) with
+  | Engine.Td_bu ->
+    let table = Plan_cache.annotation ?skip plan root in
+    Some (Xut_automata.Annotator.checkp table plan.Plan_cache.nfa)
+  | _ -> None
+
 (* Engines that consume the selecting NFA take the precompiled one from
-   the plan; TD-BU additionally reuses the memoized bottom-up annotation
-   of the stored document.  The others (Naive, snapshot copy, reference,
-   SAX) only need the parsed AST. *)
+   the plan.  The others (Naive, snapshot copy, reference, SAX) only need
+   the parsed AST. *)
 let run_plan ?pruning (plan : Plan_cache.plan) engine root =
   let update = plan.Plan_cache.query.Transform_ast.update in
   let skip = Option.map (fun p -> p.skip) pruning in
   match (engine : Engine.algo) with
-  | Engine.Gentop -> Top_down.run ?skip plan.Plan_cache.nfa update root
-  | Engine.Td_bu ->
-    let table = Plan_cache.annotation ?skip plan root in
-    Top_down.run
-      ~checkp:(Xut_automata.Annotator.checkp table plan.Plan_cache.nfa)
-      ?skip plan.Plan_cache.nfa update root
+  | Engine.Gentop | Engine.Td_bu ->
+    Top_down.run ?checkp:(walk_checkp ?skip plan engine root) ?skip plan.Plan_cache.nfa update
+      root
   | other -> Engine.transform other update root
+
+(* COUNT without materialization: the walk engines answer with
+   {!Top_down.count} — the snapshot's element count plus the update's
+   effect, deleted subtrees sized from the binding's table — under the
+   same oracles as [run_plan]; the other engines count the tree they
+   build. *)
+let count_plan ?pruning ~elements ~sizes (plan : Plan_cache.plan) engine root =
+  match (engine : Engine.algo) with
+  | Engine.Gentop | Engine.Td_bu ->
+    let skip = Option.map (fun p -> p.skip) pruning in
+    Top_down.count ?checkp:(walk_checkp ?skip plan engine root) ?skip ~size:(size_of sizes)
+      ~elements plan.Plan_cache.nfa plan.Plan_cache.query.Transform_ast.update root
+  | _ -> Xut_xml.Node.element_count (Xut_xml.Node.Element (run_plan ?pruning plan engine root))
 
 (* The zero-materialization counterpart of [run_plan]: the engines that
    can emit the result as events drive the serializer sink directly (no
@@ -246,12 +267,9 @@ let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink 
   let events = Xut_xml.Serialize.Sink.event sink in
   let skip = Option.map (fun p -> p.skip) pruning in
   match (engine : Engine.algo) with
-  | Engine.Gentop -> Top_down.stream ?skip plan.Plan_cache.nfa update root events
-  | Engine.Td_bu ->
-    let table = Plan_cache.annotation ?skip plan root in
-    Top_down.stream
-      ~checkp:(Xut_automata.Annotator.checkp table plan.Plan_cache.nfa)
-      ?skip plan.Plan_cache.nfa update root events
+  | Engine.Gentop | Engine.Td_bu ->
+    Top_down.stream ?checkp:(walk_checkp ?skip plan engine root) ?skip plan.Plan_cache.nfa
+      update root events
   | Engine.Two_pass_sax ->
     (* same front end as [Sax_transform.transform]: the SAX passes need
        the NFA built from the raw path.  The skip-set is a property of
@@ -272,7 +290,11 @@ let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink 
       ~nodes:stats.Sax_transform.skipped_elements
   | other -> Xut_xml.Serialize.Sink.element sink (Engine.transform other update root)
 
-let evaluate ~store ~cache ~metrics ~doc ~engine ~query =
+(* The head every Doc-target TRANSFORM, COUNT and result stream shares:
+   snapshot, plan lookup (hit/miss counted), schema pruning and the
+   admission check, then [exec] over the snapshot.  An exception out of
+   [exec] is an [Eval_error]. *)
+let evaluate ~store ~cache ~metrics ~doc ~query exec =
   match Doc_store.snapshot store doc with
   | None -> Stdlib.Error (error Unknown_document "no document %S (LOAD it first)" doc)
   | Some (root, dinfo, sizes) -> begin
@@ -290,7 +312,7 @@ let evaluate ~store ~cache ~metrics ~doc ~engine ~query =
       match admit ~metrics dinfo pruning with
       | Stdlib.Error e -> Stdlib.Error e
       | Stdlib.Ok () ->
-        (match run_plan ?pruning plan engine root with
+        (match exec ~pruning ~dinfo ~sizes plan root with
         | out -> Stdlib.Ok out
         | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
         | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e)))
@@ -569,7 +591,8 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
     if Doc_store.evict store name then Ok (Doc_unloaded { name })
     else error Unknown_document "no document %S" name
   | Transform { target = Doc doc; engine; query } -> begin
-    match evaluate ~store ~cache ~metrics ~doc ~engine ~query with
+    let run ~pruning ~dinfo:_ ~sizes:_ plan root = run_plan ?pruning plan engine root in
+    match evaluate ~store ~cache ~metrics ~doc ~query run with
     | Stdlib.Ok out -> Ok (Tree (Xut_xml.Serialize.element_to_string out))
     | Stdlib.Error e -> e
   end
@@ -579,9 +602,11 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
     | Stdlib.Error e -> e
   end
   | Count { target = Doc doc; engine; query } -> begin
-    match evaluate ~store ~cache ~metrics ~doc ~engine ~query with
-    | Stdlib.Ok out ->
-      Ok (Element_count (Xut_xml.Node.element_count (Xut_xml.Node.Element out)))
+    let count ~pruning ~(dinfo : Doc_store.info) ~sizes plan root =
+      count_plan ?pruning ~elements:dinfo.Doc_store.elements ~sizes plan engine root
+    in
+    match evaluate ~store ~cache ~metrics ~doc ~query count with
+    | Stdlib.Ok n -> Ok (Element_count n)
     | Stdlib.Error e -> e
   end
   | Count { target = View name; engine; query } -> begin
@@ -636,44 +661,27 @@ let handle_streaming ~store ~cache ~metrics { emit; chunk_size } = function
   | Transform { target = View _; _ } ->
     error Bad_request "streaming a view target is not supported"
   | Transform { target = Doc doc; engine; query } -> begin
-    match Doc_store.snapshot store doc with
-    | None -> error Unknown_document "no document %S (LOAD it first)" doc
-    | Some (root, dinfo, sizes) -> begin
-      match Plan_cache.find_or_compile cache query with
-      | exception Transform_parser.Parse_error msg -> error Query_parse_error "%s" msg
-      | exception e -> error Query_parse_error "%s" (Printexc.to_string e)
-      | plan, outcome -> begin
-        (match outcome with
-        | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
-        | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
-        let pruning =
-          pruning_for ~metrics dinfo sizes plan.Plan_cache.products plan.Plan_cache.nfa
-        in
-        match admit ~metrics dinfo pruning with
-        | Stdlib.Error e -> e
-        | Stdlib.Ok () -> begin
-          Metrics.stream_started metrics;
-          let sink =
-            Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
-                Metrics.stream_chunk metrics (String.length chunk);
-                emit chunk)
-          in
-          match run_plan_stream ~metrics ?pruning plan engine root sink with
-          | () ->
-            let totals = Xut_xml.Serialize.Sink.close sink in
-            Ok
-              (Stream_done
-                 { bytes = totals.Xut_xml.Serialize.Sink.bytes;
-                   chunks = totals.Xut_xml.Serialize.Sink.chunks
-                 })
-          | exception e ->
-            Xut_xml.Serialize.Sink.abort sink;
-            (match e with
-            | Failure msg -> error Eval_error "%s" msg
-            | e -> error Eval_error "%s" (Printexc.to_string e))
-        end
-      end
-    end
+    let stream ~pruning ~dinfo:_ ~sizes:_ plan root =
+      Metrics.stream_started metrics;
+      let sink =
+        Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
+            Metrics.stream_chunk metrics (String.length chunk);
+            emit chunk)
+      in
+      (match run_plan_stream ~metrics ?pruning plan engine root sink with
+      | () -> ()
+      | exception e ->
+        Xut_xml.Serialize.Sink.abort sink;
+        raise e);
+      let totals = Xut_xml.Serialize.Sink.close sink in
+      Stream_done
+        { bytes = totals.Xut_xml.Serialize.Sink.bytes;
+          chunks = totals.Xut_xml.Serialize.Sink.chunks
+        }
+    in
+    match evaluate ~store ~cache ~metrics ~doc ~query stream with
+    | Stdlib.Ok totals -> Ok totals
+    | Stdlib.Error e -> e
   end
   | Load _ | Unload _ | Count _ | Apply _ | Commit _ | Defview _ | Undefview _ | Listviews
   | Stats | Batch _ ->

@@ -215,6 +215,28 @@ let prop_stream_equals_materialized =
       in
       List.for_all (fun drive -> stream_to_string drive = expected) drivers)
 
+(* ---- counting walk: count = element count of the materialized result ---- *)
+
+let prop_count_equals_materialized =
+  QCheck2.Test.make ~name:"counting walk = element count of the result" ~count
+    QCheck2.Gen.(pair gen_root gen_update)
+    (fun (root, update) ->
+      let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+      let elements = Node.element_count (Node.Element root) in
+      let outcome count =
+        match count () with n -> Ok n | exception Transform_ast.Invalid_update _ -> Error `Invalid
+      in
+      let expected =
+        outcome (fun () ->
+            Node.element_count (Node.Element (Engine.transform Engine.Reference update root)))
+      in
+      let table = Xut_automata.Annotator.annotate nfa root in
+      outcome (fun () -> Top_down.count ~elements nfa update root) = expected
+      && outcome (fun () ->
+             Top_down.count ~checkp:(Xut_automata.Annotator.checkp table nfa) ~elements nfa
+               update root)
+         = expected)
+
 let prop_serialize_roundtrip =
   QCheck2.Test.make ~name:"parse(serialize(t)) = t" ~count gen_root (fun root ->
       let s = Serialize.element_to_string root in
@@ -306,6 +328,7 @@ let suite =
       prop_nfa_equals_eval;
       prop_annotator_equals_direct;
       prop_stream_equals_materialized;
+      prop_count_equals_materialized;
       prop_serialize_roundtrip;
       prop_path_print_parse;
       prop_update_print_parse;

@@ -85,7 +85,9 @@ let test_long_path_exceeds_bitset () =
 (* The soundness claim, checked both on the TD-BU oracle path (skip
    threaded through the annotator AND the top-down walk) and on the
    GENTOP direct path: with the skip oracle the output tree serializes
-   identically, so COUNT agrees too. *)
+   identically, so COUNT agrees too — and the counting walk, pruned and
+   sizing deleted subtrees from the validation's size table, gives the
+   same count as the unpruned walk and as the materialized result. *)
 let equivalent path_s root =
   let q = Core.Transform_parser.parse (delete_q path_s) in
   let upd = q.Core.Transform_ast.update in
@@ -99,9 +101,18 @@ let equivalent path_s root =
   let out1 = Core.Top_down.run ~checkp:(Annotator.checkp t1 nfa) ~skip nfa upd root in
   let g0 = Core.Top_down.run ~checkp:(Core.Top_down.direct_checkp nfa) nfa upd root in
   let g1 = Core.Top_down.run ~checkp:(Core.Top_down.direct_checkp nfa) ~skip nfa upd root in
+  let sizes = Result.get_ok (Schema.validate (site ()) root) in
+  let size e = Hashtbl.find sizes (Xut_xml.Node.id e) in
+  let elements = Xut_xml.Node.element_count (Xut_xml.Node.Element root) in
+  let n0 = Core.Top_down.count ~checkp:(Annotator.checkp t0 nfa) ~elements nfa upd root in
+  let n1 =
+    Core.Top_down.count ~checkp:(Annotator.checkp t1 nfa) ~skip ~size ~elements nfa upd root
+  in
+  let ng = Core.Top_down.count ~skip ~size ~elements nfa upd root in
+  let out_count = Xut_xml.Node.element_count (Xut_xml.Node.Element out0) in
   s out0 = s out1 && s g0 = s g1 && s out0 = s g0
-  && Xut_xml.Node.element_count (Xut_xml.Node.Element out0)
-     = Xut_xml.Node.element_count (Xut_xml.Node.Element out1)
+  && out_count = Xut_xml.Node.element_count (Xut_xml.Node.Element out1)
+  && n0 = out_count && n1 = out_count && ng = out_count
 
 let equivalence_paths =
   [ u7_path;

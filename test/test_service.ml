@@ -909,6 +909,106 @@ let test_view_invalidation_graph () =
           | Service.Error { code = Service.Unknown_document; _ } -> ()
           | _ -> Alcotest.fail "w without its base must answer unknown-document"))
 
+(* ---- COUNT without materialization ---- *)
+
+(* TD-BU and GENTOP answer a Doc COUNT from the snapshot's stored
+   element count plus the update's effect, so that stored count must
+   follow every COMMIT — including one that drops the schema binding and
+   with it the size table.  Each COUNT must equal the element count of
+   the same engine's TRANSFORM reply and move the skip counters by
+   exactly as much; a materializing engine must agree too. *)
+let test_count_tracks_commits () =
+  Xut_xmark.Site_schema.register ();
+  let path = Filename.temp_file "xut_service_test" ".xml" in
+  Xut_xmark.Generator.to_file ~factor:0.001 path;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_service (fun svc ->
+          (match
+             Service.call svc
+               (Service.Load
+                  { name = "d"; file = path;
+                    schema = Some Xut_xmark.Site_schema.bench_schema_name })
+           with
+          | Service.Ok (Service.Doc_loaded { schema = Some _; _ }) -> ()
+          | _ -> Alcotest.fail "LOAD ... SCHEMA");
+          let transform u = {|transform copy $a := doc("d") modify do |} ^ u ^ {| return $a|} in
+          let queries =
+            List.map transform
+              [ "delete $a/site/regions//item/mailbox";
+                "delete $a//xut_bench_promo";
+                "delete $a/site/open_auctions/open_auction[bidder/increase > 5]/annotation";
+                "insert <n><m/></n> into $a/site/people/person";
+                "insert <n/> as first into $a/site/open_auctions/open_auction";
+                "replace $a/site/catgraph/edge with <e><f/><g/></e>";
+                "rename $a//keyword as kw" ]
+          in
+          let m = Service.metrics svc in
+          let skipped () = (Metrics.skipped_subtrees m, Metrics.skipped_nodes m) in
+          let moved f =
+            let s0, n0 = skipped () in
+            let r = f () in
+            let s1, n1 = skipped () in
+            (r, (s1 - s0, n1 - n0))
+          in
+          let call_tree engine query =
+            match Service.call svc (Service.Transform { target = Service.Doc "d"; engine; query }) with
+            | Service.Ok (Service.Tree s) ->
+              Xut_xml.Node.element_count (Xut_xml.Node.Element (Xut_xml.Dom.parse_string s))
+            | _ -> Alcotest.fail ("TRANSFORM " ^ query)
+          in
+          let call_count engine query =
+            match Service.call svc (Service.Count { target = Service.Doc "d"; engine; query }) with
+            | Service.Ok (Service.Element_count n) -> n
+            | _ -> Alcotest.fail ("COUNT " ^ query)
+          in
+          let check_counts stage =
+            List.iter
+              (fun query ->
+                let label what = Printf.sprintf "%s, %s: %s" stage what query in
+                List.iter
+                  (fun engine ->
+                    let name = Core.Engine.name engine in
+                    (* warm the plan and TD-BU's annotation memo, whose
+                       first build also consults the skip oracle *)
+                    ignore (call_tree engine query);
+                    let expected, t_moved = moved (fun () -> call_tree engine query) in
+                    let n, c_moved = moved (fun () -> call_count engine query) in
+                    Alcotest.(check int) (label (name ^ " COUNT = TRANSFORM count")) expected n;
+                    Alcotest.(check (pair int int))
+                      (label (name ^ " skip counters move alike"))
+                      t_moved c_moved)
+                  [ Core.Engine.Td_bu; Core.Engine.Gentop; Core.Engine.Naive ])
+              queries
+          in
+          let commit u =
+            match Service.call svc (Service.Commit { doc = "d"; query = u }) with
+            | Service.Ok (Service.Committed _) -> ()
+            | _ -> Alcotest.fail ("COMMIT " ^ u)
+          in
+          let bound () =
+            match Doc_store.info (Service.store svc) "d" with
+            | Some info -> info.Doc_store.schema
+            | None -> Alcotest.fail "document vanished"
+          in
+          let marker = "<xut_bench_promo>p</xut_bench_promo>" in
+          check_counts "loaded";
+          commit ("insert " ^ marker ^ " into $a/site/open_auctions/open_auction");
+          check_counts "marker in";
+          commit "delete $a//xut_bench_promo";
+          check_counts "marker out";
+          commit ("insert " ^ marker ^ " as first into $a/site/open_auctions/open_auction");
+          check_counts "marker in again";
+          Alcotest.(check bool) "conforming commits keep the binding" true (bound () <> None);
+          Alcotest.(check bool) "pruning took part" true (Metrics.skipped_subtrees m > 0);
+          commit "insert <bogus>1</bogus> into $a/site";
+          Alcotest.(check bool) "nonconforming commit drops the binding" true
+            (bound () = None);
+          check_counts "schema dropped";
+          commit "delete $a//bogus";
+          check_counts "schemaless commit"))
+
 let test_metrics_histogram () =
   let m = Metrics.create () in
   (* 90 fast requests, 10 slow ones *)
@@ -953,6 +1053,7 @@ let suite =
     Alcotest.test_case "service: reload replaces and invalidates" `Quick
       test_service_reload_replaces;
     Alcotest.test_case "service: batch requests" `Quick test_service_batch;
+    Alcotest.test_case "service: COUNT tracks commits" `Quick test_count_tracks_commits;
     Alcotest.test_case "service: render_response compatibility" `Quick
       test_render_response_compat;
     Alcotest.test_case "service: streamed transform" `Quick test_transform_stream;
