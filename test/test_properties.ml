@@ -328,7 +328,6 @@ let suite =
       prop_nfa_equals_eval;
       prop_annotator_equals_direct;
       prop_stream_equals_materialized;
-      prop_count_equals_materialized;
       prop_serialize_roundtrip;
       prop_path_print_parse;
       prop_update_print_parse;
@@ -415,4 +414,5 @@ let prop_xquery_print_parse =
         in
         eval_repr e = eval_repr e2)
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest prop_xquery_print_parse ]
+let suite =
+  suite @ List.map QCheck_alcotest.to_alcotest [ prop_xquery_print_parse; prop_count_equals_materialized ]
