@@ -51,8 +51,7 @@ type t
 val create : capacity:int -> t
 (** LRU cache holding at most [capacity] plans (and, separately, at most
     [capacity] composed plans).  [capacity = 0] disables caching: every
-    lookup compiles and nothing is stored (the [bench-serve] cache-off
-    mode). *)
+    lookup compiles and nothing is stored. *)
 
 type outcome = Hit | Miss
 

@@ -257,6 +257,22 @@ let count_plan ?pruning ~elements ~sizes (plan : Plan_cache.plan) engine root =
       ~elements plan.Plan_cache.nfa plan.Plan_cache.query.Transform_ast.update root
   | _ -> Xut_xml.Node.element_count (Xut_xml.Node.Element (run_plan ?pruning plan engine root))
 
+(* The SAX passes need the NFA built from the raw path, as in
+   [Sax_transform.transform]; the plan's own NFA is built from the
+   normalized one. *)
+let sax_nfa (plan : Plan_cache.plan) =
+  Xut_automata.Selecting_nfa.of_path
+    (Transform_ast.path plan.Plan_cache.query.Transform_ast.update)
+
+(* The SAX engine consumes the skip-set by symbol and reports exact skip
+   counts in its run stats. *)
+let sym_skip pruning =
+  Option.map (fun p sym -> Xut_schema.Schema.skippable p.product sym) pruning
+
+let count_sax_skips ~metrics (stats : Sax_transform.run_stats) =
+  Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
+    ~nodes:stats.Sax_transform.skipped_elements
+
 (* The zero-materialization counterpart of [run_plan]: the engines that
    can emit the result as events drive the serializer sink directly (no
    output tree, no monolithic string); the rest materialize their tree
@@ -271,53 +287,75 @@ let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink 
     Top_down.stream ?checkp:(walk_checkp ?skip plan engine root) ?skip plan.Plan_cache.nfa
       update root events
   | Engine.Two_pass_sax ->
-    (* same front end as [Sax_transform.transform]: the SAX passes need
-       the NFA built from the raw path.  The skip-set is a property of
-       the query's semantics under the schema, so it holds for this NFA
-       too; the SAX engine consumes it by symbol and reports exact
-       skip counts in its run stats. *)
-    let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-    let sym_skip =
-      Option.map
-        (fun p sym -> Xut_schema.Schema.skippable p.product sym)
-        pruning
-    in
-    let stats =
-      Sax_transform.run ?skip:sym_skip nfa update
-        ~source:(Xut_xml.Sax.events_of_tree root) ~sink:events
-    in
-    Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
-      ~nodes:stats.Sax_transform.skipped_elements
+    (* The skip-set is a property of the query's semantics under the
+       schema, so it holds for the SAX NFA too. *)
+    count_sax_skips ~metrics
+      (Sax_transform.run ?skip:(sym_skip pruning) (sax_nfa plan) update
+         ~source:(Xut_xml.Sax.events_of_tree root) ~sink:events)
   | other -> Xut_xml.Serialize.Sink.element sink (Engine.transform other update root)
 
-(* The head every Doc-target TRANSFORM, COUNT and result stream shares:
-   snapshot, plan lookup (hit/miss counted), schema pruning and the
-   admission check, then [exec] over the snapshot.  An exception out of
-   [exec] is an [Eval_error]. *)
+(* The cached plan for [query], the lookup counted as a hit or a miss. *)
+let lookup_plan ~cache ~metrics query =
+  match Plan_cache.find_or_compile cache query with
+  | exception Transform_parser.Parse_error msg ->
+    Stdlib.Error (error Query_parse_error "%s" msg)
+  | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
+  | plan, outcome ->
+    (match outcome with
+    | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
+    | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
+    Stdlib.Ok plan
+
+(* An exception out of a run, as the [Eval_error] reply. *)
+let eval_error = function
+  | Xut_xml.Sax.Parse_error { line; col; msg } ->
+    error Eval_error "parse error at %d:%d: %s" line col msg
+  | Failure msg | Sys_error msg -> error Eval_error "%s" msg
+  | e -> error Eval_error "%s" (Printexc.to_string e)
+
+(* The head every Doc-target TRANSFORM, COUNT, result stream and ingest
+   shares: snapshot, plan lookup, schema pruning and the admission
+   check, then [exec] over the snapshot. *)
 let evaluate ~store ~cache ~metrics ~doc ~query exec =
   match Doc_store.snapshot store doc with
-  | None -> Stdlib.Error (error Unknown_document "no document %S (LOAD it first)" doc)
+  | None -> error Unknown_document "no document %S (LOAD it first)" doc
   | Some (root, dinfo, sizes) -> begin
-    match Plan_cache.find_or_compile cache query with
-    | exception Transform_parser.Parse_error msg ->
-      Stdlib.Error (error Query_parse_error "%s" msg)
-    | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
-    | plan, outcome -> begin
-      (match outcome with
-      | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
-      | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
+    match lookup_plan ~cache ~metrics query with
+    | Stdlib.Error e -> e
+    | Stdlib.Ok plan -> begin
       let pruning =
         pruning_for ~metrics dinfo sizes plan.Plan_cache.products plan.Plan_cache.nfa
       in
       match admit ~metrics dinfo pruning with
-      | Stdlib.Error e -> Stdlib.Error e
+      | Stdlib.Error e -> e
       | Stdlib.Ok () ->
         (match exec ~pruning ~dinfo ~sizes plan root with
-        | out -> Stdlib.Ok out
-        | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
-        | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e)))
+        | payload -> Ok payload
+        | exception e -> eval_error e)
     end
   end
+
+(* A streamed reply: [body] writes the result into a fresh chunked sink
+   whose chunks go to [emit] as they fill; the reply carries only the
+   totals.  A failure aborts the sink and propagates. *)
+let stream_to ~metrics { emit; chunk_size } body =
+  Metrics.stream_started metrics;
+  let sink =
+    Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
+        Metrics.stream_chunk metrics (String.length chunk);
+        emit chunk)
+  in
+  (match body sink with
+  | () -> ()
+  | exception e ->
+    Xut_xml.Serialize.Sink.abort sink;
+    raise e);
+  let totals = Xut_xml.Serialize.Sink.close sink in
+  Stream_done
+    {
+      bytes = totals.Xut_xml.Serialize.Sink.bytes;
+      chunks = totals.Xut_xml.Serialize.Sink.chunks;
+    }
 
 (* ---------------- stored-view serving ---------------- *)
 
@@ -591,10 +629,10 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
     if Doc_store.evict store name then Ok (Doc_unloaded { name })
     else error Unknown_document "no document %S" name
   | Transform { target = Doc doc; engine; query } -> begin
-    let run ~pruning ~dinfo:_ ~sizes:_ plan root = run_plan ?pruning plan engine root in
-    match evaluate ~store ~cache ~metrics ~doc ~query run with
-    | Stdlib.Ok out -> Ok (Tree (Xut_xml.Serialize.element_to_string out))
-    | Stdlib.Error e -> e
+    let run ~pruning ~dinfo:_ ~sizes:_ plan root =
+      Tree (Xut_xml.Serialize.element_to_string (run_plan ?pruning plan engine root))
+    in
+    evaluate ~store ~cache ~metrics ~doc ~query run
   end
   | Transform { target = View name; engine; query } -> begin
     match evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query with
@@ -603,11 +641,10 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
   end
   | Count { target = Doc doc; engine; query } -> begin
     let count ~pruning ~(dinfo : Doc_store.info) ~sizes plan root =
-      count_plan ?pruning ~elements:dinfo.Doc_store.elements ~sizes plan engine root
+      Element_count
+        (count_plan ?pruning ~elements:dinfo.Doc_store.elements ~sizes plan engine root)
     in
-    match evaluate ~store ~cache ~metrics ~doc ~query count with
-    | Stdlib.Ok n -> Ok (Element_count n)
-    | Stdlib.Error e -> e
+    evaluate ~store ~cache ~metrics ~doc ~query count
   end
   | Count { target = View name; engine; query } -> begin
     match evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query with
@@ -657,32 +694,14 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
    out is reported as an [Error] response — transports turn that into a
    mid-stream error frame, in-process callers see partial output
    followed by the error. *)
-let handle_streaming ~store ~cache ~metrics { emit; chunk_size } = function
+let handle_streaming ~store ~cache ~metrics params = function
   | Transform { target = View _; _ } ->
     error Bad_request "streaming a view target is not supported"
-  | Transform { target = Doc doc; engine; query } -> begin
+  | Transform { target = Doc doc; engine; query } ->
     let stream ~pruning ~dinfo:_ ~sizes:_ plan root =
-      Metrics.stream_started metrics;
-      let sink =
-        Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
-            Metrics.stream_chunk metrics (String.length chunk);
-            emit chunk)
-      in
-      (match run_plan_stream ~metrics ?pruning plan engine root sink with
-      | () -> ()
-      | exception e ->
-        Xut_xml.Serialize.Sink.abort sink;
-        raise e);
-      let totals = Xut_xml.Serialize.Sink.close sink in
-      Stream_done
-        { bytes = totals.Xut_xml.Serialize.Sink.bytes;
-          chunks = totals.Xut_xml.Serialize.Sink.chunks
-        }
+      stream_to ~metrics params (run_plan_stream ~metrics ?pruning plan engine root)
     in
-    match evaluate ~store ~cache ~metrics ~doc ~query stream with
-    | Stdlib.Ok totals -> Ok totals
-    | Stdlib.Error e -> e
-  end
+    evaluate ~store ~cache ~metrics ~doc ~query stream
   | Load _ | Unload _ | Count _ | Apply _ | Commit _ | Defview _ | Undefview _ | Listviews
   | Stats | Batch _ ->
     error Bad_request "only TRANSFORM can stream"
@@ -707,82 +726,44 @@ let handle_streaming ~store ~cache ~metrics { emit; chunk_size } = function
    - everything else (context qualifiers; qualifier-bearing plans over a
      stored document, whose tree already exists) uses the tree and
      streams only the output via [run_plan_stream]. *)
-let handle_ingest ~store ~cache ~metrics { emit; chunk_size } ~source ~query =
-  match Plan_cache.find_or_compile cache query with
-  | exception Transform_parser.Parse_error msg -> error Query_parse_error "%s" msg
-  | exception e -> error Query_parse_error "%s" (Printexc.to_string e)
-  | plan, outcome -> begin
-    (match outcome with
-    | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
-    | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
-    let update = plan.Plan_cache.query.Transform_ast.update in
-    (* the SAX passes need the NFA built from the raw path, exactly as
-       in [run_plan_stream]'s SAX arm *)
-    let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-    let streamed body =
-      Metrics.stream_started metrics;
-      let sink =
-        Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
-            Metrics.stream_chunk metrics (String.length chunk);
-            emit chunk)
-      in
-      match body sink with
-      | () ->
-        let totals = Xut_xml.Serialize.Sink.close sink in
-        Ok
-          (Stream_done
-             { bytes = totals.Xut_xml.Serialize.Sink.bytes;
-               chunks = totals.Xut_xml.Serialize.Sink.chunks
-             })
-      | exception e ->
-        Xut_xml.Serialize.Sink.abort sink;
-        (match e with
-        | Xut_xml.Sax.Parse_error { line; col; msg } ->
-          error Eval_error "parse error at %d:%d: %s" line col msg
-        | Sys_error msg -> error Eval_error "%s" msg
-        | Failure msg -> error Eval_error "%s" msg
-        | e -> error Eval_error "%s" (Printexc.to_string e))
-    in
-    let count_sax_skips (stats : Sax_transform.run_stats) =
-      Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
-        ~nodes:stats.Sax_transform.skipped_elements
-    in
-    match source with
-    | From_doc doc -> begin
-      match Doc_store.snapshot store doc with
-      | None -> error Unknown_document "no document %S (LOAD it first)" doc
-      | Some (root, dinfo, sizes) -> begin
-        let pruning =
-          pruning_for ~metrics dinfo sizes plan.Plan_cache.products plan.Plan_cache.nfa
-        in
-        match admit ~metrics dinfo pruning with
-        | Stdlib.Error e -> e
-        | Stdlib.Ok () ->
-          if Sax_transform.one_pass nfa then begin
-            Metrics.incr_streams_fused metrics;
-            let sym_skip =
-              Option.map (fun p sym -> Xut_schema.Schema.skippable p.product sym) pruning
-            in
-            streamed (fun sink ->
-                count_sax_skips
-                  (Sax_transform.run_once ?skip:sym_skip nfa update
-                     ~source:(Xut_xml.Sax.events_of_tree root)
-                     ~sink:(Xut_xml.Serialize.Sink.event sink)))
-          end
-          else begin
-            Metrics.incr_stream_fallbacks metrics;
-            streamed (fun sink -> run_plan_stream ~metrics ?pruning plan Engine.Gentop root sink)
-          end
+let handle_ingest ~store ~cache ~metrics params ~source ~query =
+  match source with
+  | From_doc doc ->
+    let ingest ~pruning ~dinfo:_ ~sizes:_ (plan : Plan_cache.plan) root =
+      let nfa = sax_nfa plan in
+      if Sax_transform.one_pass nfa then begin
+        Metrics.incr_streams_fused metrics;
+        stream_to ~metrics params (fun sink ->
+            count_sax_skips ~metrics
+              (Sax_transform.run_once ?skip:(sym_skip pruning) nfa
+                 plan.Plan_cache.query.Transform_ast.update
+                 ~source:(Xut_xml.Sax.events_of_tree root)
+                 ~sink:(Xut_xml.Serialize.Sink.event sink)))
       end
-    end
-    | From_file path ->
+      else begin
+        Metrics.incr_stream_fallbacks metrics;
+        stream_to ~metrics params (run_plan_stream ~metrics ?pruning plan Engine.Gentop root)
+      end
+    in
+    evaluate ~store ~cache ~metrics ~doc ~query ingest
+  | From_file path -> begin
+    match lookup_plan ~cache ~metrics query with
+    | Stdlib.Error e -> e
+    | Stdlib.Ok plan ->
+      let update = plan.Plan_cache.query.Transform_ast.update in
+      let nfa = sax_nfa plan in
+      let source h = Xut_xml.Sax.parse_file path h in
+      let streamed body =
+        match stream_to ~metrics params body with
+        | payload -> Ok payload
+        | exception e -> eval_error e
+      in
       if not (Sys.file_exists path) then error Eval_error "no such file %S" path
       else if Sax_transform.one_pass nfa then begin
         Metrics.incr_streams_fused metrics;
         streamed (fun sink ->
-            count_sax_skips
-              (Sax_transform.run_once nfa update
-                 ~source:(fun h -> Xut_xml.Sax.parse_file path h)
+            count_sax_skips ~metrics
+              (Sax_transform.run_once nfa update ~source
                  ~sink:(Xut_xml.Serialize.Sink.event sink)))
       end
       else begin
@@ -790,14 +771,12 @@ let handle_ingest ~store ~cache ~metrics { emit; chunk_size } ~source ~query =
         match Xut_automata.Selecting_nfa.ctx_qual nfa with
         | Xut_xpath.Ast.Q_true ->
           streamed (fun sink ->
-              count_sax_skips
-                (Sax_transform.run nfa update
-                   ~source:(fun h -> Xut_xml.Sax.parse_file path h)
+              count_sax_skips ~metrics
+                (Sax_transform.run nfa update ~source
                    ~sink:(Xut_xml.Serialize.Sink.event sink)))
         | _ ->
           streamed (fun sink ->
-              let root = Xut_xml.Dom.parse_file path in
-              run_plan_stream ~metrics plan Engine.Gentop root sink)
+              run_plan_stream ~metrics plan Engine.Gentop (Xut_xml.Dom.parse_file path) sink)
       end
   end
 

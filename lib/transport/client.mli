@@ -1,6 +1,5 @@
 (** Blocking client for the binary socket protocol — the library under
-    [xut client], the transport tests, and the socket mode of
-    [xut bench-serve].
+    [xut client], the transport tests and perfbench.
 
     Requests are framed with fresh ids starting at 1; the server may
     complete them out of order.  {!call} is the simple synchronous

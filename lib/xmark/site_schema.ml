@@ -12,7 +12,7 @@ let leaf n = (n, Schema.Empty)
 let region r = (r, Schema.Star (Schema.Elem "item"))
 
 (* [extra] widens selected productions — the bench variant allows its
-   marker element wherever `bench-serve --write-depth` can insert it. *)
+   marker element along the write spine. *)
 let decls ~extra =
   let open Schema in
   let e n = Elem n in
@@ -75,8 +75,8 @@ let build ~name ~extra ~extra_decls =
 
 let schema = lazy (build ~name:schema_name ~extra:(fun _ -> []) ~extra_decls:[])
 
-(* The bench marker element may land under any `bench-serve
-   --write-depth` target (document element .. description). *)
+(* The write marker may land under any element of the spine from the
+   document element down to description. *)
 let bench_marker = "xut_bench_promo"
 
 let bench_schema =

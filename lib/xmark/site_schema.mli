@@ -8,10 +8,13 @@ val schema_name : string
 (** ["xmark"]. *)
 
 val bench_schema_name : string
-(** ["xmark-bench"]: {!schema} widened so the [bench-serve] marker
-    element ({!bench_marker}) is allowed under every [--write-depth]
-    insertion target — the variant the schema-enabled write benches
-    load, keeping pruning alive across marker commits. *)
+(** ["xmark-bench"]: {!schema} widened so the write marker element
+    ({!bench_marker}) is allowed under every element of the
+    [site/open_auctions/open_auction/annotation/description] spine.
+    perfbench's [mixed_rw] commits that marker under every
+    [open_auction]; a document loaded under this variant keeps its
+    binding, and so its pruning, across such commits (the service and
+    schema tests exercise exactly that). *)
 
 val bench_marker : string
 (** ["xut_bench_promo"]. *)

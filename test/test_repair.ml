@@ -252,6 +252,8 @@ let test_readers_race_repair () =
   with_doc_file mix_xml (fun path ->
       with_service ~domains:4 (fun svc ->
           load_doc svc path;
+          let generation () = (Option.get (Doc_store.info (Service.store svc) "d")).generation in
+          let gen0 = generation () in
           let readers = ref [] in
           for k = 1 to 12 do
             for _ = 1 to 3 do
@@ -281,10 +283,15 @@ let test_readers_race_repair () =
             !readers;
           let m = Service.metrics svc in
           Alcotest.(check int) "all commits effective" 12 (Metrics.commits m);
+          Alcotest.(check int) "generation in lockstep with commits" 12 (generation () - gen0);
           Alcotest.(check bool) "commits were served by repairs" true
             (Metrics.annotation_repairs m > 0);
           Alcotest.(check int) "no repair fell back to eviction" 0
-            (Metrics.repair_fallbacks m)))
+            (Metrics.repair_fallbacks m);
+          (* repaired tables of departed roots stay addressable for
+             in-flight readers until the per-plan LRU ages them out *)
+          Alcotest.(check bool) "annotation tables bounded by the per-plan LRU" true
+            ((Service.cache_stats svc).annotation_entries <= 8)))
 
 (* A root-replacing commit through the service must take the fallback
    path: the table is evicted (counted as an invalidation), reads keep

@@ -627,6 +627,14 @@ let test_transform_ingest () =
            with
           | Service.Error { code = Service.Query_parse_error; _ } -> ()
           | _ -> Alcotest.fail "query-parse-error code");
+          (* a stored-document ingest resolves the document first, as a
+             Doc TRANSFORM does *)
+          (match
+             Service.transform_ingest svc ~source:(Service.From_doc "nope") ~query:"nonsense"
+               (fun _ -> Alcotest.fail "no chunks for an unknown document")
+           with
+          | Service.Error { code = Service.Unknown_document; _ } -> ()
+          | _ -> Alcotest.fail "unknown-document before query-parse-error");
           (* malformed input failing mid-parse: the fused pipeline has
              already emitted chunks when the parser trips *)
           let bad = Filename.temp_file "xut_service_bad" ".xml" in
@@ -1002,6 +1010,9 @@ let test_count_tracks_commits () =
           check_counts "marker in again";
           Alcotest.(check bool) "conforming commits keep the binding" true (bound () <> None);
           Alcotest.(check bool) "pruning took part" true (Metrics.skipped_subtrees m > 0);
+          Alcotest.(check bool) "marker commits repaired the pruned tables" true
+            (Metrics.annotation_repairs m > 0);
+          Alcotest.(check int) "no repair fell back to eviction" 0 (Metrics.repair_fallbacks m);
           commit "insert <bogus>1</bogus> into $a/site";
           Alcotest.(check bool) "nonconforming commit drops the binding" true
             (bound () = None);
