@@ -5,6 +5,8 @@
     It handles prologs, comments, processing instructions, CDATA sections,
     DOCTYPE declarations (skipped), the five predefined entities and
     numeric character references, and both attribute quote styles.
+    A character reference must name a Unicode scalar value other than
+    U+0000, and a NUL byte anywhere in the input is an error.
 
     Whitespace-only text between elements is dropped unless [keep_ws] is
     set: the XMark-style data handled here is data-oriented, and dropping

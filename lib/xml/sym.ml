@@ -73,23 +73,55 @@ let with_name (t : table) s =
 
 let find s = probe (Atomic.get table) s
 
+(* First sighting: insert under the mutex. *)
+let insert s =
+  Mutex.lock mu;
+  let v =
+    (* somebody may have inserted it while we were acquiring the lock *)
+    match probe (Atomic.get table) s with
+    | -1 ->
+      let t = Atomic.get table in
+      Atomic.set table (with_name t s);
+      t.count
+    | v -> v
+  in
+  Mutex.unlock mu;
+  v
+
 let intern s =
   incr intern_calls;
   match probe (Atomic.get table) s with
-  | -1 ->
-    Mutex.lock mu;
-    let v =
-      (* somebody may have inserted it while we were acquiring the lock *)
-      match probe (Atomic.get table) s with
-      | -1 ->
-        let t = Atomic.get table in
-        Atomic.set table (with_name t s);
-        t.count
-      | v -> v
-    in
-    Mutex.unlock mu;
-    v
+  | -1 -> insert s
   | v -> v
+
+(* Allocation-free probe for a name held in [b.[off .. off+len-1]]: the
+   hash loop keeps its accumulator in a register and the probe loop is a
+   top-level function, so a hit builds neither a string nor a closure. *)
+let hash_sub b off len =
+  let h = ref 0x811c9dc5 in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land max_int
+  done;
+  !h
+
+let rec equal_sub k b off len i =
+  i >= len || (String.unsafe_get k i = Bytes.unsafe_get b (off + i) && equal_sub k b off len (i + 1))
+
+let rec probe_sub t h b off len i =
+  let j = (h + i) land t.mask in
+  let k = t.keys.(j) in
+  if k == absent || (String.length k = len && equal_sub k b off len 0) then k
+  else probe_sub t h b off len (i + 1)
+
+let intern_sub b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Sym.intern_sub";
+  incr intern_calls;
+  let k = probe_sub (Atomic.get table) (hash_sub b off len) b off len 0 in
+  if k != absent then k
+  else begin
+    let v = insert (Bytes.sub_string b off len) in
+    (Atomic.get table).names.(v)
+  end
 
 let name v =
   let t = Atomic.get table in

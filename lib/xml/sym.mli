@@ -22,6 +22,18 @@ val intern : string -> t
 (** [intern s] returns the symbol of [s], allocating a fresh one on first
     sight.  Lock-free when [s] is already known. *)
 
+val intern_sub : bytes -> int -> int -> string
+(** [intern_sub b off len] interns the name held in bytes
+    [off .. off + len - 1] of [b] and returns its canonical string, the
+    one {!name} returns for its symbol.  Every call for the same name
+    returns the same physical string, so a parser can hand it out as
+    the element name instead of copying the bytes.  When the name is
+    already known the lookup allocates nothing (no string, no option,
+    no closure) and takes no lock; only a first sighting copies the
+    bytes and inserts them as {!intern} does.  Counts as one {!intern}
+    call.
+    @raise Invalid_argument if the range is not inside [b]. *)
+
 val find : string -> t
 (** Like {!intern} but returns {!none} instead of allocating when [s] has
     never been interned (never takes the mutex). *)

@@ -111,6 +111,248 @@ let prop_chunked_equals_string =
               && List.for_all2 Sax.equal_event expected got)
             [ 1; 2; 3; 7; 64 ]))
 
+(* ---- The window scanner, its per-character fallback and lazy positions ---- *)
+
+let chunk_sizes = [ 1; 2; 3; 7; 64 ]
+
+(* Events, or the parse error's position and message. *)
+let outcome parse =
+  let acc = ref [] in
+  match parse (fun ev -> acc := ev :: !acc) with
+  | () -> Ok (List.rev !acc)
+  | exception Sax.Parse_error { line; col; msg } -> Error (line, col, msg)
+
+(* The of_string outcome, and whether every chunked reader agrees with it. *)
+let outcomes_agree ?keep_ws text =
+  let expected = outcome (Sax.parse_string ?keep_ws text) in
+  let agree =
+    with_temp_doc text (fun tmp ->
+        List.for_all
+          (fun chunk_size ->
+            outcome (fun h ->
+                In_channel.with_open_bin tmp (fun ic ->
+                    Sax.parse_reader ?keep_ws (Reader.of_channel ~chunk_size ic) h))
+            = expected)
+          chunk_sizes)
+  in
+  (expected, agree)
+
+(* Documents that put every token kind across a refill: element and
+   attribute names longer than the largest chunk, references in text and
+   in both quote styles, whitespace-only runs, comments, PIs and CDATA. *)
+let gen_token_doc =
+  let open QCheck2.Gen in
+  let long c = String.make 90 c in
+  let element_name = oneofl [ "a"; "item"; "x_y.z-9"; "ns:el"; long 'n'; "L" ^ long 'm' ] in
+  let attr_name =
+    map2
+      (fun c rest -> String.make 1 c ^ rest)
+      (oneofl [ 'a'; '_'; 'k' ])
+      (string_size ~gen:(oneofl [ 'a'; 'z'; '0'; '-'; '.'; ':' ]) (int_range 0 80))
+  in
+  let attr_value =
+    let* quote = oneofl [ '"'; '\'' ] in
+    let other = if quote = '"' then "'" else "\"" in
+    let+ parts =
+      list_size (int_range 0 5)
+        (oneofl [ "v"; " "; "&amp;"; "&#x42;"; "&#233;"; "&apos;"; "&quot;"; "&lt;"; other; long 'v' ])
+    in
+    Printf.sprintf "%c%s%c" quote (String.concat "" parts) quote
+  in
+  let concat_of pieces = map (String.concat "") (list_size (int_range 1 5) (oneofl pieces)) in
+  let text =
+    concat_of
+      [ "word"; " "; "&amp;"; "&lt;"; "&gt;"; "&#x41;"; "&#65;"; "&#x1F600;"; "\n"; "caf\xc3\xa9"; long 't' ]
+  in
+  let ws = string_size ~gen:(oneofl [ ' '; '\n'; '\t'; '\r' ]) (int_range 1 80) in
+  let comment = map (Printf.sprintf "<!--%s-->") (concat_of [ "c"; "- "; "\n"; "<&"; long 'k' ]) in
+  let pi =
+    map2 (Printf.sprintf "<?%s %s?>")
+      (oneofl [ "pi"; "p" ^ long 'p' ])
+      (concat_of [ "d"; " "; "\n"; "<&>"; long 'q' ])
+  in
+  let cdata = map (Printf.sprintf "<![CDATA[%s]]>") (concat_of [ "x"; "<"; "&amp;"; "]"; "\n"; long 'c' ]) in
+  let element =
+    fix (fun self depth ->
+        let* name = element_name in
+        let* attrs = list_size (int_range 0 3) (pair attr_name attr_value) in
+        let* pad = oneofl [ ""; " "; "\n\t" ] in
+        let attrs = String.concat "" (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k v) attrs) in
+        let child = if depth = 0 then oneof [ text; ws ] else oneof [ self (depth - 1); text; ws; comment; pi; cdata ] in
+        let* children = list_size (int_range 0 4) child in
+        let* self_close = bool in
+        if children = [] && self_close then return (Printf.sprintf "<%s%s%s/>" name attrs pad)
+        else return (Printf.sprintf "<%s%s%s>%s</%s%s>" name attrs pad (String.concat "" children) name pad))
+  in
+  let* prolog =
+    oneofl [ ""; "<?xml version=\"1.0\"?>\n"; "<!DOCTYPE site [<!ELEMENT site ANY>]>\n"; "<!-- head -->\n" ]
+  in
+  let* root = int_range 0 3 >>= element in
+  let+ tail = oneofl [ ""; "\n"; "\n<!-- tail -->\n"; "<?done?>" ] in
+  prolog ^ root ^ tail
+
+let prop_token_doc_chunks =
+  QCheck2.Test.make ~name:"window scanner: every token kind across a refill" ~count:150
+    ~print:(fun s -> s) gen_token_doc (fun text ->
+      List.for_all
+        (fun keep_ws ->
+          match outcomes_agree ~keep_ws text with
+          | Ok _, agree -> agree
+          | Error (l, c, m), _ -> QCheck2.Test.fail_reportf "generated document fails at %d:%d: %s" l c m)
+        [ false; true ])
+
+(* [s] with [extra] inserted after every occurrence of [needle]. *)
+let insert_after needle extra s =
+  let b = Buffer.create (2 * String.length s) in
+  let k = String.length needle in
+  let i = ref 0 in
+  while !i < String.length s do
+    if !i + k <= String.length s && String.sub s !i k = needle then begin
+      Buffer.add_string b needle;
+      Buffer.add_string b extra;
+      i := !i + k
+    end
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* Multi-line XMark text with references, a comment, a PI and CDATA in
+   every <text>, so mutations land in every kind of token. *)
+let multiline_xmark =
+  lazy
+    (let doc = Xut_xmark.Generator.generate ~seed:7L ~factor:0.0005 () in
+     "<?xml version=\"1.0\"?>\n"
+     ^ insert_after "<text>" "&amp;&#x41;<!-- c\n --><?pi a\nb?><![CDATA[x<y\n]]>"
+         (Serialize.element_to_string ~indent:1 doc))
+
+let gen_mutation =
+  let open QCheck2.Gen in
+  delay @@ fun () ->
+  let text = Lazy.force multiline_xmark in
+  let n = String.length text in
+  let bytes = oneofl [ '\000'; '<'; '>'; '&'; '#'; ';'; '"'; '\''; '\n'; '/'; '='; 'x'; '!'; '?'; ']'; '-'; '\xff' ] in
+  oneof
+    [ map (fun i -> String.sub text 0 i) (int_range 0 n);
+      map2
+        (fun i c ->
+          let b = Bytes.of_string text in
+          Bytes.set b i c;
+          Bytes.to_string b)
+        (int_range 0 (n - 1)) bytes ]
+
+let prop_error_positions_chunks =
+  QCheck2.Test.make ~name:"parse errors: line/col/msg equal for any chunk size" ~count:120
+    gen_mutation (fun text -> snd (outcomes_agree text))
+
+(* Fuzz: malformed input of any shape may only raise Parse_error (or, for
+   Dom, report a missing document element). *)
+let only_parse_errors text =
+  let survives f =
+    match f () with
+    | () -> true
+    | exception Sax.Parse_error _ -> true
+    | exception Dom.No_document_element -> true
+  in
+  survives (fun () -> Sax.parse_string text ignore) && survives (fun () -> ignore (Dom.parse_string text))
+
+let gen_hostile =
+  let open QCheck2.Gen in
+  let piece =
+    oneof
+      [ oneofl
+          [ "<"; ">"; "</"; "/>"; "a"; "b"; "="; "\""; "'"; " "; "\n"; "&"; "&#"; "&#x"; ";"; "9"; "F";
+            "amp"; "\000"; "<!--"; "-->"; "<![CDATA["; "]]>"; "<?"; "?>"; "<!DOCTYPE"; "["; "]";
+            "&#99999999999999999999999;"; "&#x110000000;"; "&#0;"; "&#xD800;"; "<a>"; "</a>" ];
+        map (String.make 1) char ]
+  in
+  let random = map (String.concat "") (list_size (int_range 0 60) piece) in
+  delay @@ fun () ->
+  let text = Lazy.force multiline_xmark in
+  let spliced =
+    map2
+      (fun i p -> String.sub text 0 i ^ p ^ String.sub text i (String.length text - i))
+      (int_range 0 (String.length text)) random
+  in
+  oneof [ random; string_size (int_range 0 200); gen_mutation; spliced ]
+
+let prop_fuzz_only_parse_errors =
+  QCheck2.Test.make ~name:"fuzz: Sax/Dom raise only Parse_error" ~count:400 gen_hostile only_parse_errors
+
+let parse_error text =
+  match Sax.parse_string text ignore with
+  | () -> Alcotest.failf "%S should not parse" text
+  | exception Sax.Parse_error { line; col; msg } -> (line, col, msg)
+
+let check_error_at text (line, col) =
+  let l, c, msg = parse_error text in
+  Alcotest.(check (pair int int)) (Printf.sprintf "%S: %s" text msg) (line, col) (l, c);
+  match Dom.parse_string text with
+  | _ -> Alcotest.failf "Dom accepted %S" text
+  | exception Sax.Parse_error _ -> ()
+
+let test_char_ref_range () =
+  (* errors point at the reference's '&' *)
+  List.iter
+    (fun (text, pos) -> check_error_at text pos)
+    [ ("<a>&#99999999999999999999999;</a>", (1, 4));
+      ("<a>&#x110000000;</a>", (1, 4));
+      ("<a>&#x110000;</a>", (1, 4));
+      ("<a>\n  &#0;</a>", (2, 3));
+      ("<a>&#xD800;</a>", (1, 4));
+      ("<a>&#xdfff;</a>", (1, 4));
+      ("<a b='x&#x110000;'/>", (1, 8)) ];
+  List.iter
+    (fun (text, expected) ->
+      match Dom.parse_string text with
+      | e -> Alcotest.(check string) text expected (Node.text_content e)
+      | exception Sax.Parse_error { msg; _ } -> Alcotest.failf "%S: %s" text msg)
+    [ ("<a>&#x10FFFF;</a>", "\xf4\x8f\xbf\xbf");
+      ("<a>&#xD7FF;&#xE000;</a>", "\xed\x9f\xbf\xee\x80\x80");
+      ("<a>&#x0000000041;&#0000066;</a>", "AB") ]
+
+let test_nul_rejected () =
+  List.iter
+    (fun (text, pos) -> check_error_at text pos)
+    [ ("<a>\000</a>", (1, 4));
+      ("<a>x\ny\000</a>", (2, 2));
+      ("<a b=\"\000\"/>", (1, 7));
+      ("<a b='&amp;\000'/>", (1, 12));
+      ("<a><!--\000--></a>", (1, 8));
+      ("<a><![CDATA[\000]]></a>", (1, 13)) ]
+
+let test_close_tag_in_place () =
+  List.iter
+    (fun (text, msg) ->
+      let _, _, got = parse_error text in
+      Alcotest.(check string) text msg got)
+    [ ("<a></ab>", "mismatched tags: <a> closed by </ab>");
+      ("<ab></a>", "mismatched tags: <ab> closed by </a>");
+      ("<ab></ba>", "mismatched tags: <ab> closed by </ba>");
+      ("<a><b></a></b>", "mismatched tags: <b> closed by </a>");
+      ("<a/></a>", "closing tag </a> with no open element") ]
+
+let test_intern_sub () =
+  let b = Bytes.of_string "xx<sym-sub-test>yy" in
+  let s = Sym.intern_sub b 3 12 in
+  Alcotest.(check string) "name" "sym-sub-test" s;
+  Alcotest.(check bool) "the interned string" true (s == Sym.name (Sym.intern "sym-sub-test"));
+  Alcotest.(check bool) "stable" true (Sym.intern_sub b 3 12 == s);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Sym.intern_sub b 3 12))
+  done;
+  (* only Gc.minor_words' own boxed floats *)
+  Alcotest.(check bool) "a hit allocates nothing" true (Gc.minor_words () -. before < 100.);
+  Alcotest.check_raises "range" (Invalid_argument "Sym.intern_sub") (fun () ->
+      ignore (Sym.intern_sub b 10 20));
+  Sax.parse_string "<sym-sub-test><sym-sub-test/></sym-sub-test>" (function
+    | Sax.Start_element (n, _) | Sax.End_element n ->
+      Alcotest.(check bool) "event names are the interned string" true (n == s)
+    | _ -> ())
+
 let suite =
   [ Alcotest.test_case "reader basics" `Quick test_reader_basics;
     QCheck_alcotest.to_alcotest prop_chunked_equals_string;
@@ -118,4 +360,11 @@ let suite =
     Alcotest.test_case "chunked xmark document" `Quick test_chunked_xmark;
     Alcotest.test_case "error position" `Quick test_error_position;
     Alcotest.test_case "streaming transform, 16-byte chunks" `Quick
-      test_streaming_transform_tiny_chunks ]
+      test_streaming_transform_tiny_chunks;
+    QCheck_alcotest.to_alcotest prop_token_doc_chunks;
+    QCheck_alcotest.to_alcotest prop_error_positions_chunks;
+    QCheck_alcotest.to_alcotest prop_fuzz_only_parse_errors;
+    Alcotest.test_case "character references out of range" `Quick test_char_ref_range;
+    Alcotest.test_case "NUL bytes rejected" `Quick test_nul_rejected;
+    Alcotest.test_case "Sym.intern_sub" `Quick test_intern_sub;
+    Alcotest.test_case "closing tags compared in place" `Quick test_close_tag_in_place ]
