@@ -320,8 +320,8 @@ let socket_serve_loop svc addr max_conns read_timeout max_frame =
 let serve_cmd =
   let run domains cache_capacity queue_capacity socket_opt tcp_opt max_conns read_timeout
       max_frame_mib =
-    if domains < 1 || cache_capacity < 0 || queue_capacity < 1 then begin
-      Printf.eprintf "xut serve: need --domains >= 1, --cache >= 0, --queue >= 1\n";
+    if domains < 1 || cache_capacity < 1 || queue_capacity < 1 then begin
+      Printf.eprintf "xut serve: need --domains >= 1, --cache >= 1, --queue >= 1\n";
       exit 2
     end;
     let addr_opt =
@@ -353,7 +353,7 @@ let serve_cmd =
   in
   let cache =
     Arg.(value & opt int 128
-         & info [ "cache" ] ~docv:"N" ~doc:"Plan-cache capacity (0 disables).")
+         & info [ "cache" ] ~docv:"N" ~doc:"Plan-cache capacity.")
   in
   let queue =
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc:"Request-queue capacity.")

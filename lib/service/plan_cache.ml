@@ -31,7 +31,7 @@ let product plan schema = Product_memo.get plan.products schema plan.nfa
    the minimum.  The scan is O(capacity) but runs only on insertion into
    a full cache, and plan caches are small (tens of entries). *)
 
-type entry = { plan : plan; mutable last_used : int }
+type 'a entry = { value : 'a; mutable last_used : int }
 
 (* A composed plan for a (view chain, user query) pair.  [deps] names
    everything the entry depends on: the chain's base document and every
@@ -40,33 +40,25 @@ type entry = { plan : plan; mutable last_used : int }
    outside the fragment stays outside it until a view on the chain is
    redefined, and recomputing the failure per request would defeat the
    cache exactly where serving falls back to materialization. *)
-type composed_entry = {
-  result : (Core.Composition.composed, string) result;
-  deps : string list;
-  mutable c_last_used : int;
-}
+type composed = { result : (Core.Composition.composed, string) result; deps : string list }
 
 type t = {
   capacity : int;
   mu : Mutex.t;
-  tbl : (string, entry) Hashtbl.t;
-  ctbl : (string, composed_entry) Hashtbl.t;
+  tbl : (string, plan entry) Hashtbl.t;
+  ctbl : (string, composed entry) Hashtbl.t;
   mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
 }
 
 let create ~capacity =
-  if capacity < 0 then invalid_arg "Plan_cache.create: negative capacity";
+  if capacity < 1 then invalid_arg "Plan_cache.create: capacity must be at least 1";
   {
     capacity;
     mu = Mutex.create ();
     tbl = Hashtbl.create (max 16 capacity);
     ctbl = Hashtbl.create (max 16 capacity);
     clock = 0;
-    hits = 0;
-    misses = 0;
     evictions = 0;
   }
 
@@ -78,94 +70,56 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let evict_lru t =
+let evict_lru t tbl =
   let victim =
     Hashtbl.fold
       (fun key e acc ->
         match acc with
         | Some (_, stamp) when stamp <= e.last_used -> acc
         | _ -> Some (key, e.last_used))
-      t.tbl None
+      tbl None
   in
-  match victim with
-  | Some (key, _) ->
-    Hashtbl.remove t.tbl key;
-    t.evictions <- t.evictions + 1
-  | None -> ()
+  Option.iter
+    (fun (key, _) ->
+      Hashtbl.remove tbl key;
+      t.evictions <- t.evictions + 1)
+    victim
 
 type outcome = Hit | Miss
 
-(* Compilation is single-flight when caching is enabled: a miss compiles
-   while still holding the cache mutex, so concurrent requests for the
-   same uncached query block briefly and then hit the fresh entry rather
-   than compiling (and counting a miss) once per domain.  Compilation is
-   pure CPU work in the microsecond range, so holding the lock across it
-   is cheaper than duplicate compiles.  With caching disabled
-   (capacity = 0) every request compiles outside any lock, preserving
-   parallel compile throughput for cache-off benchmarking. *)
-let find_or_compile t source =
-  if t.capacity = 0 then begin
-    locked t (fun () -> t.misses <- t.misses + 1);
-    (compile source, Miss)
-  end
-  else
-    locked t (fun () ->
-        match Hashtbl.find_opt t.tbl source with
-        | Some e ->
-          e.last_used <- tick t;
-          t.hits <- t.hits + 1;
-          (e.plan, Hit)
-        | None ->
-          t.misses <- t.misses + 1;
-          let plan = compile source in
-          if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-          Hashtbl.replace t.tbl source { plan; last_used = tick t };
-          (plan, Miss))
+(* Lookups are single-flight: a miss runs [make] while still holding the
+   cache mutex, so concurrent requests for the same uncached key block
+   briefly and then hit the fresh entry rather than compiling (and
+   counting a miss) once per domain.  Compiling and composing are pure
+   CPU work in the microsecond range, so holding the lock across them is
+   cheaper than duplicate work.  [make] may raise; nothing is stored
+   then. *)
+let find_or_add t tbl key make =
+  locked t (fun () ->
+      match Hashtbl.find_opt tbl key with
+      | Some e ->
+        e.last_used <- tick t;
+        (e.value, Hit)
+      | None ->
+        let value = make () in
+        if Hashtbl.length tbl >= t.capacity then evict_lru t tbl;
+        Hashtbl.replace tbl key { value; last_used = tick t };
+        (value, Miss))
 
-let evict_lru_composed t =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, stamp) when stamp <= e.c_last_used -> acc
-        | _ -> Some (key, e.c_last_used))
-      t.ctbl None
-  in
-  match victim with
-  | Some (key, _) ->
-    Hashtbl.remove t.ctbl key;
-    t.evictions <- t.evictions + 1
-  | None -> ()
+let find_or_compile t source = find_or_add t t.tbl source (fun () -> compile source)
 
-(* Same single-flight discipline as [find_or_compile]: composing is
-   static NFA simulation over the query's steps, microseconds of pure
-   CPU.  [key] must capture everything the compose output depends on —
-   the serving layer uses the chain signature (base name plus every
-   view's name@generation) and the query text. *)
+(* [key] must capture everything the compose output depends on — the
+   serving layer uses the chain signature (base name plus every view's
+   name@generation) and the query text. *)
 let find_or_compose t ~key ~deps f =
-  if t.capacity = 0 then begin
-    locked t (fun () -> t.misses <- t.misses + 1);
-    (f (), Miss)
-  end
-  else
-    locked t (fun () ->
-        match Hashtbl.find_opt t.ctbl key with
-        | Some e ->
-          e.c_last_used <- tick t;
-          t.hits <- t.hits + 1;
-          (e.result, Hit)
-        | None ->
-          t.misses <- t.misses + 1;
-          let result = f () in
-          if Hashtbl.length t.ctbl >= t.capacity then evict_lru_composed t;
-          Hashtbl.replace t.ctbl key { result; deps; c_last_used = tick t };
-          (result, Miss))
+  let c, outcome = find_or_add t t.ctbl key (fun () -> { result = f (); deps }) in
+  (c.result, outcome)
 
 let invalidate_composed t ~dep =
   locked t (fun () ->
       let victims =
         Hashtbl.fold
-          (fun key e acc -> if List.mem dep e.deps then key :: acc else acc)
+          (fun key e acc -> if List.mem dep e.value.deps then key :: acc else acc)
           t.ctbl []
       in
       List.iter (Hashtbl.remove t.ctbl) victims;
@@ -175,7 +129,7 @@ let composed_entries t = locked t (fun () -> Hashtbl.length t.ctbl)
 
 (* Snapshot the cached plans, then walk them outside the cache mutex:
    per-plan annotation mutexes never nest inside it. *)
-let plans t = locked t (fun () -> Hashtbl.fold (fun _ e acc -> e.plan :: acc) t.tbl [])
+let plans t = locked t (fun () -> Hashtbl.fold (fun _ e acc -> e.value :: acc) t.tbl [])
 
 let invalidate t ~root_id =
   List.fold_left
@@ -213,8 +167,6 @@ let annotation_entries t =
   List.fold_left (fun n plan -> n + Annotation_memo.count plan.annotations) 0 (plans t)
 
 type stats = {
-  hits : int;
-  misses : int;
   evictions : int;
   entries : int;
   capacity : int;
@@ -226,8 +178,6 @@ let stats t =
   let annotation_entries = annotation_entries t in
   locked t (fun () ->
       {
-        hits = t.hits;
-        misses = t.misses;
         evictions = t.evictions;
         entries = Hashtbl.length t.tbl;
         capacity = t.capacity;

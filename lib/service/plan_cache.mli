@@ -50,8 +50,8 @@ type t
 
 val create : capacity:int -> t
 (** LRU cache holding at most [capacity] plans (and, separately, at most
-    [capacity] composed plans).  [capacity = 0] disables caching: every
-    lookup compiles and nothing is stored. *)
+    [capacity] composed plans).
+    @raise Invalid_argument when [capacity < 1]. *)
 
 type outcome = Hit | Miss
 
@@ -122,8 +122,6 @@ val annotation_entries : t -> int
     with load/unload churn. *)
 
 type stats = {
-  hits : int;
-  misses : int;
   evictions : int;
   entries : int;
   capacity : int;

@@ -840,9 +840,9 @@ let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_
           ~fallbacks:totals.Plan_cache.fallbacks
           ~recomputed:totals.Plan_cache.recomputed_nodes
           ~reused:totals.Plan_cache.reused_nodes;
-        Metrics.add_invalidations metrics totals.Plan_cache.fallbacks
+        Metrics.add_doc_invalidations metrics totals.Plan_cache.fallbacks
       | None ->
-        Metrics.add_invalidations metrics
+        Metrics.add_doc_invalidations metrics
           (Plan_cache.invalidate cache ~root_id:ev.Doc_store.root_id));
       let view_churn = ref 0 in
       List.iter

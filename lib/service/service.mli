@@ -165,14 +165,14 @@ type t
 val create :
   ?domains:int -> ?cache_capacity:int -> ?queue_capacity:int -> ?store_shards:int -> unit -> t
 (** Start a service.  Defaults: [domains = 1] (single worker, the CLI
-    serve default), [cache_capacity = 128] plans ([0] disables the
-    cache), [queue_capacity = 64] pending requests (backpressure
+    serve default), [cache_capacity = 128] plans (at least 1),
+    [queue_capacity = 64] pending requests (backpressure
     threshold), [store_shards = 8] document-store shards.
 
     The service subscribes itself to the store's lifecycle events: an
     [UNLOAD], reload or [COMMIT] evicts exactly the departing tree's
     annotation tables from every cached plan and counts them in
-    {!Metrics.invalidations} ([doc_invalidations] in STATS).  The same
+    {!Metrics.doc_invalidations}.  The same
     event walks the view-dependency graph (view → base document, view →
     parent view): dependent views' annotation memos are repaired (commit
     with a usable spine diff) or evicted, an [UNLOAD]/reload also drops

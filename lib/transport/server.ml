@@ -60,14 +60,17 @@ let write_all fd s =
   in
   go 0
 
-(* Write one whole frame under the connection's write lock; returns
-   whether the client got it. *)
+(* Count one whole frame, then write it; returns whether the client got
+   it.  Counted before the bytes go out: a client that has read the reply
+   must be able to rely on the counter already reflecting it. *)
+let send t fd s =
+  Metrics.frame_out (Service.metrics t.svc) (String.length s);
+  write_all fd s
+
+(* [send] under the connection's write lock. *)
 let write_raw t conn s =
   Mutex.lock conn.wmu;
-  (* counted before the bytes go out: a client that has read the reply
-     must be able to rely on the counter already reflecting it *)
-  Metrics.frame_out (Service.metrics t.svc) (String.length s);
-  let ok = write_all conn.fd s in
+  let ok = send t conn.fd s in
   Mutex.unlock conn.wmu;
   ok
 
@@ -256,7 +259,7 @@ let accept_loop t =
           if active >= t.cfg.max_connections then begin
             Metrics.conn_rejected m;
             ignore
-              (write_all fd
+              (send t fd
                  (Wire.Binary.response_frame ~id:0L
                     (error_response Service.Overloaded
                        (Printf.sprintf "connection limit reached (%d active)" active))));
@@ -288,7 +291,7 @@ let accept_loop t =
               (* could not spawn a reader: give the client a BUSY *)
               Hashtbl.remove t.conns key;
               ignore
-                (write_all fd
+                (send t fd
                    (Wire.Binary.response_frame ~id:0L
                       (error_response Service.Overloaded "out of threads")));
               (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -43,10 +43,15 @@ let test_cache_hit_miss () =
   let p2, o2 = Plan_cache.find_or_compile c q_del_prices in
   Alcotest.(check bool) "second lookup hits" true (o2 = Plan_cache.Hit);
   Alcotest.(check bool) "hit returns the same plan" true (p1 == p2);
+  (* composed plans live in their own table under the same discipline *)
+  let compose () = Stdlib.Error "outside the fragment" in
+  let _, o3 = Plan_cache.find_or_compose c ~key:q_del_prices ~deps:[ "d" ] compose in
+  Alcotest.(check bool) "first composed lookup misses" true (o3 = Plan_cache.Miss);
+  let _, o4 = Plan_cache.find_or_compose c ~key:q_del_prices ~deps:[ "d" ] compose in
+  Alcotest.(check bool) "second composed lookup hits" true (o4 = Plan_cache.Hit);
   let s = Plan_cache.stats c in
-  Alcotest.(check int) "hits" 1 s.Plan_cache.hits;
-  Alcotest.(check int) "misses" 1 s.Plan_cache.misses;
-  Alcotest.(check int) "entries" 1 s.Plan_cache.entries
+  Alcotest.(check int) "entries" 1 s.Plan_cache.entries;
+  Alcotest.(check int) "composed entries" 1 s.Plan_cache.composed_entries
 
 let test_cache_lru_eviction () =
   let c = Plan_cache.create ~capacity:2 in
@@ -62,13 +67,6 @@ let test_cache_lru_eviction () =
   Alcotest.(check bool) "recently-used entry survived" true (o = Plan_cache.Hit);
   let _, o = Plan_cache.find_or_compile c q_del_prices in
   Alcotest.(check bool) "LRU entry was evicted" true (o = Plan_cache.Miss)
-
-let test_cache_disabled () =
-  let c = Plan_cache.create ~capacity:0 in
-  ignore (Plan_cache.find_or_compile c q_del_prices);
-  let _, o = Plan_cache.find_or_compile c q_del_prices in
-  Alcotest.(check bool) "capacity 0 never hits" true (o = Plan_cache.Miss);
-  Alcotest.(check int) "capacity 0 stores nothing" 0 (Plan_cache.stats c).Plan_cache.entries
 
 let test_cache_bad_query () =
   let c = Plan_cache.create ~capacity:4 in
@@ -441,7 +439,7 @@ let test_service_lifecycle_invalidation () =
           Alcotest.(check int) "unload evicted exactly the doc's table" 0
             (Service.cache_stats svc).Plan_cache.annotation_entries;
           Alcotest.(check int) "invalidation counted in the metrics" 1
-            (Metrics.invalidations (Service.metrics svc));
+            (Metrics.doc_invalidations (Service.metrics svc));
           Alcotest.(check int) "the compiled plan itself survived" 1
             (Service.cache_stats svc).Plan_cache.entries;
           (match Service.call svc Service.Stats with
@@ -476,7 +474,7 @@ let test_service_reload_replaces () =
           | Service.Ok _ -> Alcotest.fail "LOAD over a live name must report reloaded=true"
           | Service.Error { message; _ } -> Alcotest.fail message);
           Alcotest.(check int) "old tree's table invalidated" 1
-            (Metrics.invalidations (Service.metrics svc));
+            (Metrics.doc_invalidations (Service.metrics svc));
           Alcotest.(check string) "reloaded content transforms byte-identically" before
             (transform ())))
 
@@ -1020,6 +1018,137 @@ let test_count_tracks_commits () =
           commit "delete $a//bogus";
           check_counts "schemaless commit"))
 
+(* ---- golden STATS ---- *)
+
+(* The STATS keys, in order, up to the plan-cache line: CI greps them and
+   operators read them, so a metrics refactor must keep them
+   byte-for-byte. *)
+let stats_keys =
+  [ "requests"; "errors"; "cache_hits"; "cache_misses"; "queue_depth"; "queue_depth_max";
+    "latency_count"; "latency_p50_ms"; "latency_p95_ms"; "latency_max_ms"; "conns_accepted";
+    "conns_active"; "conns_rejected"; "frames_in"; "frames_out"; "frames_malformed";
+    "bytes_in"; "bytes_out"; "streams"; "stream_chunks"; "stream_bytes"; "streams_fused";
+    "stream_fallbacks"; "schema_bindings_dropped"; "doc_invalidations";
+    "annotation_repairs"; "repair_fallbacks"; "repair_recomputed_nodes";
+    "repair_reused_nodes"; "view_defs"; "view_hits"; "composed_plans";
+    "view_invalidations"; "compose_fallbacks"; "skipped_subtrees"; "skipped_nodes";
+    "statically_empty_rejections"; "schema_products"; "commits"; "commit_conflicts";
+    "commit_noops"; "pending_primitives_count"; "pending_primitives_p50";
+    "pending_primitives_p95"; "pending_primitives_max"; "serialize_pool_hits";
+    "serialize_pool_misses"; "nfa_memo_hits"; "nfa_memo_misses"; "nfa_memo_hit_rate";
+    "sym_symbols"; "sym_interns" ]
+
+(* [(key, value)] of every metric line, stopping after [sym_interns]. *)
+let stats_lines dump =
+  let rec take = function
+    | [] -> []
+    | l :: rest ->
+      let kv =
+        match String.index_opt l ' ' with
+        | Some i -> (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
+        | None -> (l, "")
+      in
+      if fst kv = "sym_interns" then [ kv ] else kv :: take rest
+  in
+  take (String.split_on_char '\n' dump)
+
+(* Check every per-service key against [expected] (keys it omits must be
+   0), skipping the [varying] keys and the process-wide lines. *)
+let check_stats label ?(varying = []) lines expected =
+  let process_wide = [ "serialize_pool_"; "nfa_memo_"; "sym_" ] in
+  List.iter
+    (fun key ->
+      if not (List.mem key varying || List.exists (fun prefix -> String.starts_with ~prefix key) process_wide)
+      then
+        Alcotest.(check (option string)) (label ^ ": " ^ key)
+          (Some (Option.value ~default:"0" (List.assoc_opt key expected)))
+          (List.assoc_opt key lines))
+    stats_keys
+
+(* A fixed script on a fresh service: LOAD under SCHEMA xmark, a td-bu
+   TRANSFORM, a statically-empty COUNT, an effective and a no-op COMMIT,
+   DEFVIEW and one view read.  The key list is asserted exactly, the
+   deterministic per-service counters by value (latencies and the
+   process-wide memo/pool/symbol lines vary run to run).  Then
+   [Metrics.reset]: counters and histograms go to 0, the gauges survive
+   and the high-water mark restarts at the live depth. *)
+let test_golden_stats () =
+  Xut_xmark.Site_schema.register ();
+  let path = Filename.temp_file "xut_service_test" ".xml" in
+  Xut_xmark.Generator.to_file ~factor:0.001 path;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_service (fun svc ->
+          let call what req =
+            match Service.call svc req with
+            | Service.Ok r -> r
+            | Service.Error { message; _ } -> Alcotest.fail (what ^ ": " ^ message)
+          in
+          let transform u = {|transform copy $a := doc("d") modify do |} ^ u ^ {| return $a|} in
+          ignore
+            (call "LOAD"
+               (Service.Load
+                  { name = "d"; file = path; schema = Some Xut_xmark.Site_schema.schema_name }));
+          ignore
+            (call "TRANSFORM"
+               (Service.Transform
+                  { target = Service.Doc "d"; engine = Core.Engine.Td_bu;
+                    query =
+                      transform
+                        "delete $a/site/open_auctions/open_auction[bidder/increase > 5]/annotation"
+                  }));
+          (match
+             Service.call svc
+               (Service.Count
+                  { target = Service.Doc "d"; engine = Core.Engine.Td_bu;
+                    query = transform "delete $a/site/people//bidder" })
+           with
+          | Service.Error { code = Service.Statically_empty; _ } -> ()
+          | _ -> Alcotest.fail "COUNT of a statically-empty query must be rejected");
+          ignore (call "COMMIT" (Service.Commit { doc = "d"; query = "delete $a//mailbox" }));
+          ignore (call "no-op COMMIT" (Service.Commit { doc = "d"; query = "delete $a//mailbox" }));
+          ignore
+            (call "DEFVIEW"
+               (Service.Defview { name = "v"; query = transform "delete $a//description" }));
+          ignore
+            (call "TRANSFORM VIEW"
+               (Service.Transform
+                  { target = Service.View "v"; engine = Core.Engine.Td_bu;
+                    query = "for $x in site/people/person return $x/name" }));
+          let dump =
+            match call "STATS" Service.Stats with
+            | Service.Stats_dump d -> d
+            | _ -> Alcotest.fail "STATS must answer with a Stats_dump"
+          in
+          let lines = stats_lines dump in
+          Alcotest.(check (list string)) "STATS keys, in order" stats_keys (List.map fst lines);
+          check_stats "after the script" lines
+            ~varying:[ "latency_p50_ms"; "latency_p95_ms"; "latency_max_ms" ]
+            [ ("requests", "8"); ("errors", "1"); ("cache_misses", "2"); ("queue_depth_max", "1");
+              ("latency_count", "7"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
+              ("view_defs", "1"); ("view_hits", "1"); ("composed_plans", "1");
+              ("skipped_subtrees", "353"); ("skipped_nodes", "2604");
+              ("statically_empty_rejections", "1"); ("schema_products", "3"); ("commits", "1");
+              ("commit_noops", "1"); ("pending_primitives_count", "1");
+              ("pending_primitives_p50", "4"); ("pending_primitives_p95", "4");
+              ("pending_primitives_max", "7") ];
+          (* one open connection and a queue at depth 1 after a high-water
+             mark of 2, then reset *)
+          let m = Service.metrics svc in
+          Metrics.conn_accepted m;
+          Metrics.queue_enter m;
+          Metrics.queue_enter m;
+          Metrics.queue_leave m;
+          Metrics.reset m;
+          let lines = stats_lines (Metrics.dump m) in
+          Alcotest.(check (list string)) "reset keeps the keys" stats_keys (List.map fst lines);
+          check_stats "after reset" lines
+            [ ("conns_active", "1"); ("queue_depth", "1"); ("queue_depth_max", "1");
+              ("latency_p50_ms", "0.000"); ("latency_p95_ms", "0.000"); ("latency_max_ms", "0.000") ];
+          Metrics.queue_leave m;
+          Metrics.conn_closed m))
+
 let test_metrics_histogram () =
   let m = Metrics.create () in
   (* 90 fast requests, 10 slow ones *)
@@ -1045,7 +1174,6 @@ let suite =
   [
     Alcotest.test_case "plan cache: miss then hit" `Quick test_cache_hit_miss;
     Alcotest.test_case "plan cache: LRU eviction" `Quick test_cache_lru_eviction;
-    Alcotest.test_case "plan cache: capacity 0 disables" `Quick test_cache_disabled;
     Alcotest.test_case "plan cache: failures not cached" `Quick test_cache_bad_query;
     Alcotest.test_case "plan cache: per-doc annotation LRU" `Quick test_annotation_lru_per_doc;
     Alcotest.test_case "plan cache: per-doc invalidation" `Quick test_cache_invalidate_per_doc;
@@ -1077,4 +1205,5 @@ let suite =
     Alcotest.test_case "views: definition-time rejection" `Quick test_view_definition_errors;
     Alcotest.test_case "views: dependency-graph invalidation" `Quick
       test_view_invalidation_graph;
+    Alcotest.test_case "metrics: golden STATS and reset" `Quick test_golden_stats;
   ]

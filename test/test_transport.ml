@@ -675,6 +675,13 @@ let test_busy_rejection () =
             ~finally:(fun () -> Client.close cli1)
             (fun () ->
               load_over cli1 doc;
+              let m = Service.metrics svc in
+              let frames0 = Metrics.frames_out m and bytes0 = Metrics.bytes_out m in
+              let busy =
+                Wire.Binary.response_frame ~id:0L
+                  (Service.Error
+                     { code = Service.Overloaded; message = "connection limit reached (1 active)" })
+              in
               (* the slot is taken: the next client gets one BUSY frame *)
               let cli2 = Client.connect (Addr.Unix_socket sock) in
               (match Client.call cli2 Service.Stats with
@@ -686,7 +693,11 @@ let test_busy_rejection () =
                 ());
               Client.close cli2;
               Alcotest.(check bool) "rejection counted" true
-                (eventually (fun () -> Metrics.conns_rejected (Service.metrics svc) = 1));
+                (eventually (fun () -> Metrics.conns_rejected m = 1));
+              Alcotest.(check bool) "the BUSY frame counted as one frame out" true
+                (eventually (fun () ->
+                     Metrics.frames_out m = frames0 + 1
+                     && Metrics.bytes_out m = bytes0 + String.length busy));
               (* the first connection is unaffected *)
               match
                 Client.call cli1

@@ -295,8 +295,8 @@ let test_commit_swaps () =
             (tree_of svc identity_query);
           let m = Service.metrics svc in
           Alcotest.(check int) "one commit counted" 1 (Metrics.commits m);
-          Alcotest.(check int) "pending histogram recorded it" 1 (Metrics.pending_count m);
-          Alcotest.(check int) "pending max" 2 (Metrics.pending_max m)))
+          Alcotest.(check int) "pending histogram recorded it" 1 (Metrics.pending_primitives_count m);
+          Alcotest.(check int) "pending max" 2 (Metrics.pending_primitives_max m)))
 
 let test_commit_conflict_rejected () =
   with_doc_file (fun path ->
