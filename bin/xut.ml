@@ -268,11 +268,25 @@ let xmark_cmd =
 
 (* ---------------- serve ---------------- *)
 
-let ingest_source_of_line = function
-  | `Doc name -> Xut_service.Service.From_doc name
-  | `File path -> Xut_service.Service.From_file path
+(* A streamed reply on stdout: the chunks were printed raw as they
+   arrived ([print_string] is the consumer), and a completed payload
+   ends with a newline.  With [~completion] (the stdin protocol) the
+   newline always comes and [print_reply] then prints the terminal
+   response on its own line; without it ([xut client]) only an error is
+   printed. *)
+let print_stream_reply ~completion print_reply resp =
+  let finished =
+    match resp with
+    | Xut_service.Service.Ok (Xut_service.Service.Stream_done _) -> true
+    | _ -> false
+  in
+  if completion || finished then print_newline ();
+  if completion || not finished then print_reply resp
 
 let stdin_serve_loop svc =
+  let print_reply resp =
+    Printf.printf "%s\n%!" (Xut_transport.Wire.Line.render_response resp)
+  in
   let rec loop () =
     match In_channel.input_line stdin with
     | None -> ()
@@ -280,18 +294,10 @@ let stdin_serve_loop svc =
     | Some line ->
       (match Xut_transport.Wire.Line.decode_incoming line with
       | Error msg -> Printf.printf "ERR %s\n%!" msg
-      | Ok (Xut_transport.Wire.Line.Plain req) ->
-        let resp = Xut_service.Service.call svc req in
-        Printf.printf "%s\n%!" (Xut_transport.Wire.Line.render_response resp)
-      | Ok (Xut_transport.Wire.Line.Stream_ingest { source; query }) ->
-        (* streamed ingest on the line protocol: raw chunks to stdout as
-           they arrive, then the rendered completion on its own line *)
-        let resp =
-          Xut_service.Service.transform_ingest svc
-            ~source:(ingest_source_of_line source) ~query print_string
-        in
-        print_newline ();
-        Printf.printf "%s\n%!" (Xut_transport.Wire.Line.render_response resp));
+      | Ok (Xut_transport.Wire.Line.Plain req) -> print_reply (Xut_service.Service.call svc req)
+      | Ok (Xut_transport.Wire.Line.Stream sr) ->
+        print_stream_reply ~completion:true print_reply
+          (Xut_service.Service.await (Xut_service.Service.submit_stream svc sr print_string)));
       loop ()
   in
   loop ()
@@ -396,6 +402,11 @@ let client_cmd =
       Printf.eprintf "xut client: --batch and --stream do not combine\n";
       exit 2
     end;
+    if chunk_size < 1 || chunk_size > Xut_transport.Wire.Binary.max_chunk_size then begin
+      Printf.eprintf "xut client: need 1 <= --chunk-size <= %d\n"
+        Xut_transport.Wire.Binary.max_chunk_size;
+      exit 2
+    end;
     let addr =
       match (socket_opt, tcp_opt) with
       | Some _, Some _ | None, None ->
@@ -462,53 +473,25 @@ let client_cmd =
       (match resp with Xut_service.Service.Error _ -> failed := true | _ -> ());
       print_endline (Xut_transport.Wire.Line.render_response resp)
     in
-    (* A streamed TRANSFORM writes raw result bytes to stdout as the
-       chunk frames arrive (plus a final newline), instead of buffering
-       the whole document in a response frame. *)
-    let stream_one req =
-      match req with
-      | Xut_service.Service.Transform { target = Xut_service.Service.Doc doc; engine; query }
-        -> begin
-        match
-          Xut_transport.Client.transform_stream cli ~doc ~engine ~query ~chunk_size
-            (fun chunk -> print_string chunk)
-        with
-        | Xut_service.Service.Ok (Xut_service.Service.Stream_done _) ->
-          print_newline ();
-          flush stdout
-        | other ->
-          flush stdout;
-          print_resp other
-      end
-      | _ ->
+    (* A streamed TRANSFORM (--stream) or a TRANSFORM-STREAM line writes
+       raw result bytes to stdout as the chunk frames arrive, instead of
+       buffering the whole document in a response frame. *)
+    let stream_one sr =
+      print_stream_reply ~completion:false print_resp
+        (Xut_transport.Client.stream cli { sr with Xut_service.Service.chunk_size } print_string)
+    in
+    let run_one = function
+      | Xut_transport.Wire.Line.Stream sr -> stream_one sr
+      | Xut_transport.Wire.Line.Plain
+          (Xut_service.Service.Transform { target = Xut_service.Service.Doc doc; engine; query })
+        when stream ->
+        stream_one
+          { source = Xut_service.Service.From_doc doc; engine = Some engine; query; chunk_size }
+      | Xut_transport.Wire.Line.Plain _ when stream ->
         Printf.eprintf
           "xut client: --stream applies only to document-targeted TRANSFORM requests\n";
         failed := true
-    in
-    (* TRANSFORM-STREAM lines are inherently streaming (fused server-side
-       ingest, protocol v2), whatever the --stream flag says. *)
-    let ingest_one { Xut_transport.Wire.Line.source; query } =
-      let source =
-        match source with
-        | `Doc name -> Xut_transport.Wire.Binary.Ingest_doc name
-        | `File path -> Xut_transport.Wire.Binary.Ingest_file path
-      in
-      match
-        Xut_transport.Client.transform_ingest cli ~source ~query ~chunk_size
-          (fun chunk -> print_string chunk)
-      with
-      | Xut_service.Service.Ok (Xut_service.Service.Stream_done _) ->
-        print_newline ();
-        flush stdout
-      | other ->
-        flush stdout;
-        print_resp other
-    in
-    let run_one = function
-      | Xut_transport.Wire.Line.Plain req ->
-        if stream then stream_one req
-        else print_resp (Xut_transport.Client.call cli req)
-      | Xut_transport.Wire.Line.Stream_ingest ingest -> ingest_one ingest
+      | Xut_transport.Wire.Line.Plain req -> print_resp (Xut_transport.Client.call cli req)
     in
     (try
        if batch then
@@ -516,7 +499,7 @@ let client_cmd =
            List.map
              (function
                | Xut_transport.Wire.Line.Plain req -> req
-               | Xut_transport.Wire.Line.Stream_ingest _ ->
+               | Xut_transport.Wire.Line.Stream _ ->
                  Printf.eprintf "xut client: TRANSFORM-STREAM cannot ride in a BATCH frame\n";
                  exit 2)
              parsed
@@ -553,7 +536,8 @@ let client_cmd =
   let chunk_size =
     Arg.(value & opt int Xut_service.Service.default_chunk_size
          & info [ "chunk-size" ] ~docv:"BYTES"
-             ~doc:"Requested stream chunk size (with --stream).")
+             ~doc:"Requested stream chunk size (with --stream or TRANSFORM-STREAM), at most \
+                   8 MiB.")
   in
   let timeout =
     Arg.(value & opt float 30.

@@ -130,20 +130,23 @@ and render_payload = function
            | Stdlib.Error e -> "ERR " ^ e)
          rs)
 
-(* What a worker actually dequeues: the request, plus — for the
-   streaming result path — the consumer its chunks go to.  The stream
-   half never crosses the wire (transports decode their own stream
-   framing and supply [emit]); [request] stays pure data. *)
-type stream_params = { emit : string -> unit; chunk_size : int }
-
-(* Where a streamed-ingest transform reads from: a stored document, or
-   a server-side file that is never materialized as a tree. *)
+(* A streamed transform reads a stored document or a server-side file
+   that is never materialized as a tree.  [engine = Some e] streams the
+   result of engine [e] over a stored document; [None] lets the service
+   pick the cheapest tier (fused, two-parse, materialized). *)
 type stream_source = From_doc of string | From_file of string
 
-type job =
-  | Plain_job of request
-  | Stream_job of request * stream_params
-  | Ingest_job of { source : stream_source; query : string; params : stream_params }
+type stream_request = {
+  source : stream_source;
+  engine : Engine.algo option;
+  query : string;
+  chunk_size : int;
+}
+
+(* What a worker actually dequeues: a plain request, or a streamed one
+   with the consumer its chunks go to.  [emit] never crosses the wire
+   (transports decode their own stream framing and supply it). *)
+type job = Plain_job of request | Stream_job of stream_request * (string -> unit)
 
 type t = {
   store : Doc_store.t;
@@ -182,32 +185,32 @@ let size_of sizes e =
     | None -> whole ())
   | None -> whole ()
 
+(* The product of [nfa] with the schema named [schema] (memoized in
+   [products]), or [None] when there is no (registered) schema. *)
+let schema_product ~metrics schema products nfa =
+  match Option.bind schema Xut_schema.Schema.find with
+  | None -> None
+  | Some schema ->
+    let product, built = Product_memo.get products schema nfa in
+    if built then Metrics.incr_schema_products metrics;
+    Some product
+
 (* The product of [nfa] with the binding's schema, or [None] when the
    document has no (live) schema or the product can prune nothing. *)
 let pruning_for ~metrics (dinfo : Doc_store.info) sizes products nfa =
-  match dinfo.Doc_store.schema with
-  | None -> None
-  | Some sname -> begin
-    match Xut_schema.Schema.find sname with
-    | None -> None
-    | Some schema ->
-      let product, built = Product_memo.get products schema nfa in
-      if built then Metrics.incr_schema_products metrics;
-      if
-        Xut_schema.Schema.skip_count product = 0
-        && not (Xut_schema.Schema.statically_empty product)
-      then None
-      else begin
-        let skip e =
-          if Xut_schema.Schema.skippable product (Xut_xml.Node.sym e) then begin
-            Metrics.add_skipped metrics ~subtrees:1 ~nodes:(size_of sizes e);
-            true
-          end
-          else false
-        in
-        Some { product; skip }
+  match schema_product ~metrics dinfo.Doc_store.schema products nfa with
+  | Some product
+    when Xut_schema.Schema.skip_count product > 0 || Xut_schema.Schema.statically_empty product
+    ->
+    let skip e =
+      if Xut_schema.Schema.skippable product (Xut_xml.Node.sym e) then begin
+        Metrics.add_skipped metrics ~subtrees:1 ~nodes:(size_of sizes e);
+        true
       end
-  end
+      else false
+    in
+    Some { product; skip }
+  | _ -> None
 
 (* The admission check: a Doc-target Transform/Count whose product is
    statically empty can never select anything in any document conforming
@@ -232,17 +235,18 @@ let walk_checkp ?skip (plan : Plan_cache.plan) engine root =
     Some (Xut_automata.Annotator.checkp table plan.Plan_cache.nfa)
   | _ -> None
 
-(* Engines that consume the selecting NFA take the precompiled one from
-   the plan.  The others (Naive, snapshot copy, reference, SAX) only need
-   the parsed AST. *)
-let run_plan ?pruning (plan : Plan_cache.plan) engine root =
-  let update = plan.Plan_cache.query.Transform_ast.update in
-  let skip = Option.map (fun p -> p.skip) pruning in
-  match (engine : Engine.algo) with
-  | Engine.Gentop | Engine.Td_bu ->
-    Top_down.run ?checkp:(walk_checkp ?skip plan engine root) ?skip plan.Plan_cache.nfa update
-      root
+(* Engines that consume the selecting NFA take the precompiled [nfa]
+   and the optional oracles.  The others (Naive, snapshot copy,
+   reference, SAX) only need the parsed AST. *)
+let transform_with ?checkp ?skip nfa update (engine : Engine.algo) root =
+  match engine with
+  | Engine.Gentop | Engine.Td_bu -> Top_down.run ?checkp ?skip nfa update root
   | other -> Engine.transform other update root
+
+let run_plan ?pruning (plan : Plan_cache.plan) engine root =
+  let skip = Option.map (fun p -> p.skip) pruning in
+  transform_with ?checkp:(walk_checkp ?skip plan engine root) ?skip plan.Plan_cache.nfa
+    plan.Plan_cache.query.Transform_ast.update engine root
 
 (* COUNT without materialization: the walk engines answer with
    {!Top_down.count} — the snapshot's element count plus the update's
@@ -294,13 +298,19 @@ let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink 
          ~source:(Xut_xml.Sax.events_of_tree root) ~sink:events)
   | other -> Xut_xml.Serialize.Sink.element sink (Engine.transform other update root)
 
-(* The cached plan for [query], the lookup counted as a hit or a miss. *)
-let lookup_plan ~cache ~metrics query =
-  match Plan_cache.find_or_compile cache query with
-  | exception Transform_parser.Parse_error msg ->
+(* [parse query], a failure as the [Query_parse_error] reply. *)
+let parsed parse query =
+  match parse query with
+  | v -> Stdlib.Ok v
+  | exception (Transform_parser.Parse_error msg | Xut_xquery.Xq_parser.Parse_error msg) ->
     Stdlib.Error (error Query_parse_error "%s" msg)
   | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
-  | plan, outcome ->
+
+(* The cached plan for [query], the lookup counted as a hit or a miss. *)
+let lookup_plan ~cache ~metrics query =
+  match parsed (Plan_cache.find_or_compile cache) query with
+  | Stdlib.Error e -> Stdlib.Error e
+  | Stdlib.Ok (plan, outcome) ->
     (match outcome with
     | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
     | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
@@ -312,6 +322,11 @@ let eval_error = function
     error Eval_error "parse error at %d:%d: %s" line col msg
   | Failure msg | Sys_error msg -> error Eval_error "%s" msg
   | e -> error Eval_error "%s" (Printexc.to_string e)
+
+(* [f ()], an exception as the [Eval_error] reply: as a result, and as
+   the response of a payload. *)
+let evaluated f = match f () with v -> Stdlib.Ok v | exception e -> Stdlib.Error (eval_error e)
+let reply f = match f () with payload -> Ok payload | exception e -> eval_error e
 
 (* The head every Doc-target TRANSFORM, COUNT, result stream and ingest
    shares: snapshot, plan lookup, schema pruning and the admission
@@ -328,17 +343,14 @@ let evaluate ~store ~cache ~metrics ~doc ~query exec =
       in
       match admit ~metrics dinfo pruning with
       | Stdlib.Error e -> e
-      | Stdlib.Ok () ->
-        (match exec ~pruning ~dinfo ~sizes plan root with
-        | payload -> Ok payload
-        | exception e -> eval_error e)
+      | Stdlib.Ok () -> reply (fun () -> exec ~pruning ~dinfo ~sizes plan root)
     end
   end
 
 (* A streamed reply: [body] writes the result into a fresh chunked sink
    whose chunks go to [emit] as they fill; the reply carries only the
    totals.  A failure aborts the sink and propagates. *)
-let stream_to ~metrics { emit; chunk_size } body =
+let stream_to ~metrics ~emit ~chunk_size body =
   Metrics.stream_started metrics;
   let sink =
     Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
@@ -387,14 +399,14 @@ let count_value (v : Xut_xquery.Xq_value.t) =
    where no memo can help. *)
 let materialize_chain ~engine (levels : View_store.view list) root =
   let apply_level i t (v : View_store.view) =
-    match (engine : Engine.algo) with
-    | Engine.Td_bu when i = 0 ->
-      let table = Annotation_memo.find v.View_store.memo v.View_store.nfa t in
-      Top_down.run
-        ~checkp:(Xut_automata.Annotator.checkp table v.View_store.nfa)
-        v.View_store.nfa v.View_store.update t
-    | Engine.Gentop | Engine.Td_bu -> Top_down.run v.View_store.nfa v.View_store.update t
-    | other -> Engine.transform other v.View_store.update t
+    let checkp =
+      match (engine : Engine.algo) with
+      | Engine.Td_bu when i = 0 ->
+        let table = Annotation_memo.find v.View_store.memo v.View_store.nfa t in
+        Some (Xut_automata.Annotator.checkp table v.View_store.nfa)
+      | _ -> None
+    in
+    transform_with ?checkp v.View_store.nfa v.View_store.update engine t
   in
   List.fold_left (fun (i, t) v -> (i + 1, apply_level i t v)) (0, root) levels |> snd
 
@@ -408,28 +420,16 @@ let evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query =
         (error Unknown_document "no document %S (base of view %S; LOAD it first)"
            chain.View_store.base name)
     | Some (root, base_info, base_sizes) -> begin
-      match Xut_xquery.Xq_parser.parse_expr query with
-      | exception Xut_xquery.Xq_parser.Parse_error msg ->
-        Stdlib.Error (error Query_parse_error "%s" msg)
-      | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
-      | expr -> begin
+      match parsed Xut_xquery.Xq_parser.parse_expr query with
+      | Stdlib.Error e -> Stdlib.Error e
+      | Stdlib.Ok expr -> begin
         let levels = chain.View_store.levels in
         let updates = List.map (fun (v : View_store.view) -> v.View_store.update) levels in
         let fallback () =
           Metrics.incr_compose_fallbacks metrics;
-          match materialize_chain ~engine levels root with
-          | materialized -> begin
-            match
-              Xut_xquery.Xq_eval.eval_expr
-                (Xut_xquery.Xq_eval.env ~context:materialized ())
-                expr
-            with
-            | v -> Stdlib.Ok v
-            | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
-            | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e))
-          end
-          | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
-          | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e))
+          evaluated (fun () ->
+              let materialized = materialize_chain ~engine levels root in
+              Xut_xquery.Xq_eval.eval_expr (Xut_xquery.Xq_eval.env ~context:materialized ()) expr)
         in
         match User_query.of_expr expr with
         | Stdlib.Error _ ->
@@ -447,7 +447,6 @@ let evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query =
                 Composition.compose_stack updates uq)
           in
           match composed with
-          | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e))
           | Stdlib.Error _ -> fallback ()
           | Stdlib.Ok c -> begin
             if outcome = Plan_cache.Miss then Metrics.incr_composed_plans metrics;
@@ -473,10 +472,7 @@ let evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query =
                 Some (Xut_automata.Annotator.checkp table inner.View_store.nfa)
               | _ -> None
             in
-            match Composition.run_composed ?oracle c ~doc:root with
-            | v -> Stdlib.Ok v
-            | exception Failure msg -> Stdlib.Error (error Eval_error "%s" msg)
-            | exception e -> Stdlib.Error (error Eval_error "%s" (Printexc.to_string e))
+            evaluated (fun () -> Composition.run_composed ?oracle c ~doc:root)
           end
         end
       end
@@ -528,18 +524,11 @@ let view_infos views =
    updates into a pending list with snapshot semantics
    ({!Xut_update.Apply}); APPLY stops at the dry-run report, COMMIT
    materializes and swaps under {!Doc_store.commit}. *)
-let parse_updates query =
-  match Transform_parser.parse_updates query with
-  | updates -> Stdlib.Ok updates
-  | exception Transform_parser.Parse_error msg ->
-    Stdlib.Error (error Query_parse_error "%s" msg)
-  | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
-
 let conflict_strings report =
   List.map Xut_update.Pending.render_conflict report.Xut_update.Apply.conflicts
 
 let handle_apply ~store ~doc ~query =
-  match parse_updates query with
+  match parsed Transform_parser.parse_updates query with
   | Stdlib.Error e -> e
   | Stdlib.Ok updates -> begin
     match Doc_store.find store doc with
@@ -560,7 +549,7 @@ let handle_apply ~store ~doc ~query =
   end
 
 let handle_commit ~store ~metrics ~doc ~query =
-  match parse_updates query with
+  match parsed Transform_parser.parse_updates query with
   | Stdlib.Error e -> e
   | Stdlib.Ok updates -> begin
     let result =
@@ -689,27 +678,18 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
         (Batch_results
            (List.map (handle ~store ~cache ~views ~metrics ~depth:(depth + 1)) reqs))
 
-(* Streaming evaluation: chunks go to [emit] as they fill; the response
-   carries only the totals.  An engine failure after chunks have gone
-   out is reported as an [Error] response — transports turn that into a
+(* ---------------- streamed transforms ----------------
+
+   One path for every streamed reply: chunks go to [emit] as they fill,
+   the response carries only the totals.  A failure after chunks have
+   gone out is an [Error] response — transports turn that into a
    mid-stream error frame, in-process callers see partial output
-   followed by the error. *)
-let handle_streaming ~store ~cache ~metrics params = function
-  | Transform { target = View _; _ } ->
-    error Bad_request "streaming a view target is not supported"
-  | Transform { target = Doc doc; engine; query } ->
-    let stream ~pruning ~dinfo:_ ~sizes:_ plan root =
-      stream_to ~metrics params (run_plan_stream ~metrics ?pruning plan engine root)
-    in
-    evaluate ~store ~cache ~metrics ~doc ~query stream
-  | Load _ | Unload _ | Count _ | Apply _ | Commit _ | Defview _ | Undefview _ | Listviews
-  | Stats | Batch _ ->
-    error Bad_request "only TRANSFORM can stream"
+   followed by the error.
 
-(* ---------------- streamed ingest ----------------
-
-   TRANSFORM-STREAM: transform a source without materializing the input
-   as a tree, when the plan admits it.  The classifier is
+   [engine = Some e] is the result stream of a stored document: engine
+   [e] writes into the sink ([run_plan_stream]).  [engine = None]
+   (TRANSFORM-STREAM) transforms the source without materializing the
+   input as a tree, when the plan admits it.  The classifier is
    {!Sax_transform.one_pass}: a plan with no qualifiers anywhere (no
    context qualifier, no qualifier-bearing NFA state) never consults the
    bottom-up truth table, so the top-down pass alone over a single
@@ -726,58 +706,53 @@ let handle_streaming ~store ~cache ~metrics params = function
    - everything else (context qualifiers; qualifier-bearing plans over a
      stored document, whose tree already exists) uses the tree and
      streams only the output via [run_plan_stream]. *)
-let handle_ingest ~store ~cache ~metrics params ~source ~query =
-  match source with
-  | From_doc doc ->
-    let ingest ~pruning ~dinfo:_ ~sizes:_ (plan : Plan_cache.plan) root =
-      let nfa = sax_nfa plan in
-      if Sax_transform.one_pass nfa then begin
-        Metrics.incr_streams_fused metrics;
-        stream_to ~metrics params (fun sink ->
-            count_sax_skips ~metrics
-              (Sax_transform.run_once ?skip:(sym_skip pruning) nfa
-                 plan.Plan_cache.query.Transform_ast.update
-                 ~source:(Xut_xml.Sax.events_of_tree root)
-                 ~sink:(Xut_xml.Serialize.Sink.event sink)))
-      end
-      else begin
-        Metrics.incr_stream_fallbacks metrics;
-        stream_to ~metrics params (run_plan_stream ~metrics ?pruning plan Engine.Gentop root)
-      end
+let handle_stream ~store ~cache ~metrics emit { source; engine; query; chunk_size } =
+  let stream body = stream_to ~metrics ~emit ~chunk_size body in
+  let fused ?skip nfa (plan : Plan_cache.plan) events =
+    Metrics.incr_streams_fused metrics;
+    stream (fun sink ->
+        count_sax_skips ~metrics
+          (Sax_transform.run_once ?skip nfa plan.Plan_cache.query.Transform_ast.update
+             ~source:events ~sink:(Xut_xml.Serialize.Sink.event sink)))
+  in
+  match (source, engine) with
+  | From_doc doc, _ ->
+    let run ~pruning ~dinfo:_ ~sizes:_ plan root =
+      match engine with
+      | Some engine -> stream (run_plan_stream ~metrics ?pruning plan engine root)
+      | None ->
+        let nfa = sax_nfa plan in
+        if Sax_transform.one_pass nfa then
+          fused ?skip:(sym_skip pruning) nfa plan (Xut_xml.Sax.events_of_tree root)
+        else begin
+          Metrics.incr_stream_fallbacks metrics;
+          stream (run_plan_stream ~metrics ?pruning plan Engine.Gentop root)
+        end
     in
-    evaluate ~store ~cache ~metrics ~doc ~query ingest
-  | From_file path -> begin
+    evaluate ~store ~cache ~metrics ~doc ~query run
+  | From_file _, Some _ ->
+    error Bad_request "a result stream with an engine needs a stored document"
+  | From_file path, None -> begin
     match lookup_plan ~cache ~metrics query with
     | Stdlib.Error e -> e
+    | Stdlib.Ok _ when not (Sys.file_exists path) -> error Eval_error "no such file %S" path
     | Stdlib.Ok plan ->
-      let update = plan.Plan_cache.query.Transform_ast.update in
       let nfa = sax_nfa plan in
       let source h = Xut_xml.Sax.parse_file path h in
-      let streamed body =
-        match stream_to ~metrics params body with
-        | payload -> Ok payload
-        | exception e -> eval_error e
-      in
-      if not (Sys.file_exists path) then error Eval_error "no such file %S" path
-      else if Sax_transform.one_pass nfa then begin
-        Metrics.incr_streams_fused metrics;
-        streamed (fun sink ->
-            count_sax_skips ~metrics
-              (Sax_transform.run_once nfa update ~source
-                 ~sink:(Xut_xml.Serialize.Sink.event sink)))
-      end
-      else begin
-        Metrics.incr_stream_fallbacks metrics;
-        match Xut_automata.Selecting_nfa.ctx_qual nfa with
-        | Xut_xpath.Ast.Q_true ->
-          streamed (fun sink ->
-              count_sax_skips ~metrics
-                (Sax_transform.run nfa update ~source
-                   ~sink:(Xut_xml.Serialize.Sink.event sink)))
-        | _ ->
-          streamed (fun sink ->
-              run_plan_stream ~metrics plan Engine.Gentop (Xut_xml.Dom.parse_file path) sink)
-      end
+      reply (fun () ->
+          if Sax_transform.one_pass nfa then fused nfa plan source
+          else begin
+            Metrics.incr_stream_fallbacks metrics;
+            match Xut_automata.Selecting_nfa.ctx_qual nfa with
+            | Xut_xpath.Ast.Q_true ->
+              stream (fun sink ->
+                  count_sax_skips ~metrics
+                    (Sax_transform.run nfa plan.Plan_cache.query.Transform_ast.update ~source
+                       ~sink:(Xut_xml.Serialize.Sink.event sink)))
+            | _ ->
+              stream (fun sink ->
+                  run_plan_stream ~metrics plan Engine.Gentop (Xut_xml.Dom.parse_file path) sink)
+          end)
   end
 
 let rec count_errors = function
@@ -813,19 +788,10 @@ let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_
          repaired table equals the unpruned one — repair_fallbacks stays
          0 with pruning on. *)
       let skip_against nfa products =
-        match ev.Doc_store.schema with
-        | None -> None
-        | Some sname -> begin
-          match Xut_schema.Schema.find sname with
-          | None -> None
-          | Some schema ->
-            let product, built = Product_memo.get products schema nfa in
-            if built then Metrics.incr_schema_products metrics;
-            if Xut_schema.Schema.skip_count product = 0 then None
-            else
-              Some
-                (fun e -> Xut_schema.Schema.skippable product (Xut_xml.Node.sym e))
-        end
+        match schema_product ~metrics ev.Doc_store.schema products nfa with
+        | Some product when Xut_schema.Schema.skip_count product > 0 ->
+          Some (fun e -> Xut_schema.Schema.skippable product (Xut_xml.Node.sym e))
+        | _ -> None
       in
       (match ev.Doc_store.repair with
       | Some hint ->
@@ -878,9 +844,7 @@ let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_
     let resp =
       match job with
       | Plain_job req -> handle ~store ~cache ~views ~metrics ~depth:0 req
-      | Stream_job (req, sp) -> handle_streaming ~store ~cache ~metrics sp req
-      | Ingest_job { source; query; params } ->
-        handle_ingest ~store ~cache ~metrics params ~source ~query
+      | Stream_job (sr, emit) -> handle_stream ~store ~cache ~metrics emit sr
     in
     Metrics.record_latency metrics (Unix.gettimeofday () -. t0);
     for _ = 1 to count_errors resp do
@@ -911,15 +875,7 @@ let submit_job t job =
 
 let submit t req = submit_job t (Plain_job req)
 
-let submit_stream t ~doc ~engine ~query ?(chunk_size = default_chunk_size) emit =
-  submit_job t
-    (Stream_job
-       ( Transform { target = Doc doc; engine; query },
-         { emit; chunk_size = max 1 chunk_size } ))
-
-let submit_ingest t ~source ~query ?(chunk_size = default_chunk_size) emit =
-  submit_job t
-    (Ingest_job { source; query; params = { emit; chunk_size = max 1 chunk_size } })
+let submit_stream t sr emit = submit_job t (Stream_job (sr, emit))
 
 let flatten = function
   | Stdlib.Ok r -> r
@@ -935,11 +891,12 @@ let peek = function
 
 let call t req = await (submit t req)
 
-let transform_stream t ~doc ~engine ~query ?chunk_size emit =
-  await (submit_stream t ~doc ~engine ~query ?chunk_size emit)
+let transform_stream t ~doc ~engine ~query ?(chunk_size = default_chunk_size) emit =
+  await (submit_stream t { source = From_doc doc; engine = Some engine; query; chunk_size } emit)
 
-let transform_ingest t ~source ~query ?chunk_size emit =
-  await (submit_ingest t ~source ~query ?chunk_size emit)
+let transform_ingest t ~source ~query ?(chunk_size = default_chunk_size) emit =
+  await (submit_stream t { source; engine = None; query; chunk_size } emit)
+
 let metrics t = t.metrics
 let cache_stats t = Plan_cache.stats t.cache
 let store t = t.store

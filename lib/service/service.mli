@@ -137,7 +137,7 @@ type payload =
   | Batch_results of response list
       (** One response per [Batch] item, in request order. *)
   | Stream_done of { bytes : int; chunks : int }
-      (** Completion of a streamed [Transform] ({!transform_stream}):
+      (** Completion of a streamed transform ({!submit_stream}):
           the payload bytes went to the consumer chunk by chunk, so the
           response carries only the totals. *)
 
@@ -200,29 +200,54 @@ val peek : future -> response option
 val call : t -> request -> response
 (** Synchronous round trip. *)
 
-(** {2 Streaming results}
+(** {2 Streamed transforms}
 
-    The zero-materialization result path: a [Transform] whose serialized
-    result is handed to a caller-supplied consumer in chunks as the
-    engine produces it, instead of being returned as one [Tree] string.
-    The streaming engines (GENTOP, TD-BU, twoPassSAX) emit events
-    straight into the serializer sink — no output tree, no monolithic
-    string; the others materialize their tree and stream its
-    serialization.  The byte concatenation of the chunks is exactly the
-    [Tree] payload the plain [Transform] would have produced. *)
+    One request shape for every streamed reply.  The serialized result
+    is handed to a caller-supplied consumer in chunks as it is produced,
+    instead of being returned as one [Tree] string; the byte
+    concatenation of the chunks is exactly the [Tree] payload the plain
+    [Transform] would have produced.
+
+    - [engine = Some e] streams engine [e]'s result over a stored
+      document ([From_doc]).  The streaming engines (GENTOP, TD-BU,
+      twoPassSAX) emit events straight into the serializer sink — no
+      output tree, no monolithic string; the others materialize their
+      tree and stream its serialization.
+    - [engine = None] ([TRANSFORM-STREAM]) is the constant-memory
+      {e input} path: the source is driven through the SAX transform
+      straight into the sink, never materialized as a tree, when the
+      plan admits it.  The classifier is {!Core.Sax_transform.one_pass}:
+      plans with no qualifiers anywhere run fused in one forward pass
+      with O(depth) memory ({!Metrics.streams_fused}).  Other shapes
+      fall back automatically with byte-identical output
+      ({!Metrics.stream_fallbacks}): a [From_file] plan with a trivial
+      context qualifier runs the two-parse SAX algorithm (two reads of
+      the file, a truth table, still no tree); anything else uses a tree
+      (the stored one, or a one-off parse of the file) and streams only
+      the output.
+
+    A [From_doc] stream goes through the same head as a Doc
+    [Transform] (snapshot, plan lookup, schema pruning, admission). *)
 
 val default_chunk_size : int
 (** {!Xut_xml.Serialize.Sink.default_chunk_size} (64 KiB). *)
 
-val submit_stream :
-  t ->
-  doc:string ->
-  engine:Core.Engine.algo ->
-  query:string ->
-  ?chunk_size:int ->
-  (string -> unit) ->
-  future
-(** Enqueue a streaming transform.  [emit] runs on the worker domain,
+(** Input of a streamed transform: a stored document, or a server-side
+    file path. *)
+type stream_source = From_doc of string | From_file of string
+
+type stream_request = {
+  source : stream_source;
+  engine : Core.Engine.algo option;
+      (** [Some e]: engine [e]'s result stream; needs a [From_doc]
+          source (a [From_file] one is a [Bad_request]).  [None]: the
+          automatic fused / two-parse / materialized tiers. *)
+  query : string;
+  chunk_size : int;  (** target chunk size in bytes; values below 1 count as 1 *)
+}
+
+val submit_stream : t -> stream_request -> (string -> unit) -> future
+(** Enqueue a streamed transform.  [emit] runs on the worker domain,
     once per chunk, strictly before the future resolves; it must be
     quick or the worker stalls (transports write the chunk frame here).
     If [emit] raises, or the engine fails after chunks have gone out,
@@ -236,38 +261,9 @@ val transform_stream :
   ?chunk_size:int ->
   (string -> unit) ->
   response
-(** Synchronous {!submit_stream}: [Ok (Stream_done _)] after the last
-    chunk, or an [Error]. *)
-
-(** {2 Streamed ingest}
-
-    The constant-memory {e input} path ([TRANSFORM-STREAM]): the source
-    is driven through the SAX transform straight into the chunked sink,
-    never materializing the input as a tree — when the plan admits it.
-    The classifier is {!Core.Sax_transform.one_pass}: plans with no
-    qualifiers anywhere run fused in one forward pass with O(depth)
-    memory ({!Metrics.streams_fused}).  Other shapes fall back
-    automatically with byte-identical output
-    ({!Metrics.stream_fallbacks}): a [From_file] plan with a trivial
-    context qualifier runs the two-parse SAX algorithm (two reads of
-    the file, a truth table, still no tree); anything else uses a tree
-    (the stored one, or a one-off parse of the file) and streams only
-    the output. *)
-
-(** Input of a streamed-ingest transform: a stored document, or a
-    server-side file path. *)
-type stream_source = From_doc of string | From_file of string
-
-val submit_ingest :
-  t ->
-  source:stream_source ->
-  query:string ->
-  ?chunk_size:int ->
-  (string -> unit) ->
-  future
-(** Enqueue a streamed-ingest transform; [emit] contract as in
-    {!submit_stream}.  No engine argument: the streaming SAX machinery
-    is the engine, the fallback is automatic. *)
+(** Synchronous result stream of a stored document ([engine = Some
+    engine]): [Ok (Stream_done _)] after the last chunk, or an
+    [Error]. *)
 
 val transform_ingest :
   t ->
@@ -276,7 +272,7 @@ val transform_ingest :
   ?chunk_size:int ->
   (string -> unit) ->
   response
-(** Synchronous {!submit_ingest}. *)
+(** Synchronous streamed ingest ([engine = None]). *)
 
 val metrics : t -> Metrics.t
 val cache_stats : t -> Plan_cache.stats

@@ -159,9 +159,9 @@ let call_batch t reqs =
   | Service.Ok (Service.Batch_results rs) -> rs
   | other -> [ other ]
 
-(* Shared reply loop of the two streaming request shapes: consume the
-   Stream_begin / chunks / terminal frame of request [id], stashing
-   completions of other pipelined requests. *)
+(* The reply loop of a stream request: consume the Stream_begin /
+   chunks / terminal frame of request [id], stashing completions of
+   other pipelined requests. *)
 let stream_reply t ~id on_chunk =
   let rec wait () =
     let hdr, payload = read_raw_frame t in
@@ -197,18 +197,17 @@ let stream_reply t ~id on_chunk =
   in
   wait ()
 
-let transform_stream t ~doc ~engine ~query ?(chunk_size = Service.default_chunk_size) on_chunk =
+let stream t sr on_chunk =
   check_alive t;
   let id = t.next_id in
   t.next_id <- Int64.add id 1L;
-  write_all t
-    (Wire.Binary.stream_request_frame ~id { Wire.Binary.doc; engine; query; chunk_size });
+  write_all t (Wire.Binary.stream_frame ~id sr);
   stream_reply t ~id on_chunk
 
+let transform_stream t ~doc ~engine ~query ?(chunk_size = Service.default_chunk_size) on_chunk =
+  stream t
+    { Service.source = Service.From_doc doc; engine = Some engine; query; chunk_size }
+    on_chunk
+
 let transform_ingest t ~source ~query ?(chunk_size = Service.default_chunk_size) on_chunk =
-  check_alive t;
-  let id = t.next_id in
-  t.next_id <- Int64.add id 1L;
-  write_all t
-    (Wire.Binary.ingest_request_frame ~id { Wire.Binary.source; query; chunk_size });
-  stream_reply t ~id on_chunk
+  stream t (Wire.Binary.of_ingest_request { source; query; chunk_size }) on_chunk

@@ -56,14 +56,7 @@ val call_batch : t -> Service.request list -> Service.response list
     responses.  A non-batch reply (e.g. a BUSY notice or an error for
     the batch itself) is returned as a single-element list. *)
 
-val transform_stream :
-  t ->
-  doc:string ->
-  engine:Core.Engine.algo ->
-  query:string ->
-  ?chunk_size:int ->
-  (string -> unit) ->
-  Service.response
+val stream : t -> Service.stream_request -> (string -> unit) -> Service.response
 (** Streamed transform (protocol v2): send one stream request, call
     [on_chunk] with each [Stream_chunk] payload as it arrives, and
     return [Ok (Stream_done _)] on [Stream_end] or [Error _] on
@@ -72,7 +65,17 @@ val transform_stream :
     whatever [on_chunk] saw).  A plain response frame in place of the
     stream (a server that rejects the request, or a BUSY notice) is
     returned as-is.  Do not pipeline other requests while a stream is
-    being read. *)
+    being read.  Raises [Invalid_argument] as {!Wire.Binary.encode_stream}. *)
+
+val transform_stream :
+  t ->
+  doc:string ->
+  engine:Core.Engine.algo ->
+  query:string ->
+  ?chunk_size:int ->
+  (string -> unit) ->
+  Service.response
+(** {!stream} of a stored document's result under [engine] (tag 7). *)
 
 val transform_ingest :
   t ->
@@ -81,9 +84,7 @@ val transform_ingest :
   ?chunk_size:int ->
   (string -> unit) ->
   Service.response
-(** Streamed-ingest transform ([TRANSFORM-STREAM], protocol v2): like
-    {!transform_stream} but over an ingest source — a stored document
-    ([Ingest_doc]) or a server-side file ([Ingest_file]) driven through
-    the server's fused SAX pipeline without materializing a tree.  No
-    engine argument; unstreamable plans fall back server-side with
-    byte-identical output. *)
+(** {!stream} with [engine = None] ([TRANSFORM-STREAM], tag 16): a
+    stored document ([Ingest_doc]) or a server-side file
+    ([Ingest_file]), the tier chosen server-side with byte-identical
+    output. *)

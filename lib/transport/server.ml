@@ -112,46 +112,13 @@ let dispatch t conn ~version ~id req =
    the worker domain as the serializer sink fills, and the completion
    thread finishes the exchange with STREAM_END or — if the engine
    failed after chunks went out — STREAM_ERROR. *)
-let dispatch_stream t conn ~id (sr : Wire.Binary.stream_request) =
+let dispatch_stream t conn ~id sr =
   ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id));
   let emit chunk =
     if not (write_raw t conn (Wire.Binary.stream_chunk_frame ~id chunk)) then
       failwith "client disconnected mid-stream"
   in
-  let fut =
-    Service.submit_stream t.svc ~doc:sr.Wire.Binary.doc ~engine:sr.Wire.Binary.engine
-      ~query:sr.Wire.Binary.query ~chunk_size:sr.Wire.Binary.chunk_size emit
-  in
-  spawn_completion conn (fun () ->
-      let final =
-        match Service.await fut with
-        | Service.Ok (Service.Stream_done { bytes; chunks }) ->
-          Wire.Binary.stream_end_frame ~id ~bytes ~chunks
-        | Service.Error { code; message } -> Wire.Binary.stream_error_frame ~id ~code message
-        | Service.Ok _ ->
-          Wire.Binary.stream_error_frame ~id ~code:Service.Eval_error
-            "stream produced a non-stream response"
-      in
-      ignore (write_raw t conn final))
-
-(* A streamed-ingest transform: same reply discipline as
-   [dispatch_stream], different request shape (source instead of
-   doc+engine). *)
-let dispatch_ingest t conn ~id (ir : Wire.Binary.ingest_request) =
-  ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id));
-  let emit chunk =
-    if not (write_raw t conn (Wire.Binary.stream_chunk_frame ~id chunk)) then
-      failwith "client disconnected mid-stream"
-  in
-  let source =
-    match ir.Wire.Binary.source with
-    | Wire.Binary.Ingest_doc d -> Service.From_doc d
-    | Wire.Binary.Ingest_file p -> Service.From_file p
-  in
-  let fut =
-    Service.submit_ingest t.svc ~source ~query:ir.Wire.Binary.query
-      ~chunk_size:ir.Wire.Binary.chunk_size emit
-  in
+  let fut = Service.submit_stream t.svc sr emit in
   spawn_completion conn (fun () ->
       let final =
         match Service.await fut with
@@ -200,9 +167,6 @@ let serve_conn t conn =
             loop ()
           | Ok (Wire.Binary.Stream sr) ->
             dispatch_stream t conn ~id sr;
-            loop ()
-          | Ok (Wire.Binary.Ingest ir) ->
-            dispatch_ingest t conn ~id ir;
             loop ()
         end
       end

@@ -96,8 +96,7 @@ module Line = struct
             (LOAD|UNLOAD|TRANSFORM|TRANSFORM-STREAM|COUNT|APPLY|COMMIT|DEFVIEW|UNDEFVIEW|LISTVIEWS|STATS)"
            v)
 
-  type ingest = { source : [ `Doc of string | `File of string ]; query : string }
-  type incoming = Plain of Service.request | Stream_ingest of ingest
+  type incoming = Plain of Service.request | Stream of Service.stream_request
 
   (* TRANSFORM-STREAM [DOC] <name> <query> — streamed ingest of a stored
      document; TRANSFORM-STREAM FILE <path> <query> — of a file, never
@@ -115,69 +114,22 @@ module Line = struct
         match name with
         | "FILE" -> (
           match split2 rest' with
-          | path, rest'' when path <> "" -> (Some (`File path), rest'')
+          | path, rest'' when path <> "" -> (Some (Service.From_file path), rest'')
           | _ -> (None, rest'))
         | "DOC" -> (
           match split2 rest' with
-          | dname, rest'' when dname <> "" -> (Some (`Doc dname), rest'')
+          | dname, rest'' when dname <> "" -> (Some (Service.From_doc dname), rest'')
           | _ -> (None, rest'))
         | "" -> (None, rest')
-        | name -> (Some (`Doc name), rest')
+        | name -> (Some (Service.From_doc name), rest')
       in
       match source with
-      | Some source when rest' <> "" -> Ok (Stream_ingest { source; query = rest' })
+      | Some source when rest' <> "" ->
+        Ok
+          (Stream
+             { source; engine = None; query = rest'; chunk_size = Service.default_chunk_size })
       | _ -> Error usage
     end
-
-  let plain_word s =
-    s <> "" && not (String.exists (fun c -> c = ' ' || c = '\n' || c = '\r' || c = '\t') s)
-
-  let one_line s = not (String.exists (fun c -> c = '\n' || c = '\r') s)
-
-  let encode_targeted verb target engine query =
-    let name, prefix =
-      match target with
-      | Service.Doc name ->
-        (* the DOC keyword disambiguates document names that would
-           otherwise read as a keyword *)
-        (name, if name = "VIEW" || name = "DOC" then "DOC " else "")
-      | Service.View name -> (name, "VIEW ")
-    in
-    if plain_word name && one_line query then
-      Ok (Printf.sprintf "%s %s%s %s %s" verb prefix name (Core.Engine.name engine) query)
-    else Error (Printf.sprintf "%s with a multi-line query is not expressible on one line" verb)
-
-  let encode_request = function
-    | Service.Load { name; file; schema } ->
-      let schema_ok = match schema with None -> true | Some s -> plain_word s in
-      if plain_word name && plain_word file && schema_ok then
-        Ok
-          (match schema with
-          | None -> Printf.sprintf "LOAD %s %s" name file
-          | Some s -> Printf.sprintf "LOAD %s %s SCHEMA %s" name file s)
-      else Error "LOAD name/file/schema with whitespace is not expressible on one line"
-    | Service.Unload { name } ->
-      if plain_word name then Ok ("UNLOAD " ^ name)
-      else Error "UNLOAD name with whitespace is not expressible on one line"
-    | Service.Transform { target; engine; query } ->
-      encode_targeted "TRANSFORM" target engine query
-    | Service.Count { target; engine; query } -> encode_targeted "COUNT" target engine query
-    | Service.Apply { doc; query } ->
-      if plain_word doc && one_line query then Ok (Printf.sprintf "APPLY %s %s" doc query)
-      else Error "APPLY with a multi-line query is not expressible on one line"
-    | Service.Commit { doc; query } ->
-      if plain_word doc && one_line query then Ok (Printf.sprintf "COMMIT %s %s" doc query)
-      else Error "COMMIT with a multi-line query is not expressible on one line"
-    | Service.Defview { name; query } ->
-      if plain_word name && one_line query then
-        Ok (Printf.sprintf "DEFVIEW %s := %s" name query)
-      else Error "DEFVIEW with a multi-line definition is not expressible on one line"
-    | Service.Undefview { name } ->
-      if plain_word name then Ok ("UNDEFVIEW " ^ name)
-      else Error "UNDEFVIEW name with whitespace is not expressible on one line"
-    | Service.Listviews -> Ok "LISTVIEWS"
-    | Service.Stats -> Ok "STATS"
-    | Service.Batch _ -> Error "batches exist only in the binary protocol"
 
   let render_response resp =
     match resp with
@@ -621,16 +573,22 @@ module Binary = struct
   let decode_request s = decode_with get_request s
   let decode_response s = decode_with get_response s
 
-  (* ---- streaming requests (protocol v2) ----
+  (* ---- streamed transforms (protocol v2) ----
 
-     A stream request is NOT a [Service.request] constructor: the
+     A streamed transform is NOT a [Service.request] constructor: the
      service's request type stays pure data shared with the line
      protocol, while streaming exists only where there is somewhere for
-     the chunks to go.  On the wire it gets its own payload tag (7),
-     valid only at the top level of a v2 Request frame — never inside a
-     batch. *)
+     the chunks to go.  On the wire it has two payload tags, valid only
+     at the top level of a v2 Request frame — never inside a batch: 7, a
+     stored document's result stream under a named engine, and 16, a
+     streamed ingest of a stored document (source byte 1) or a
+     server-side file (2) with the tier left to the service.  Both
+     decode to one [Service.stream_request] and get the same reply:
+     Stream_begin / Stream_chunk* / Stream_end or Stream_error. *)
 
-  let stream_request_tag = 7
+  (* A sink flush may overshoot the chunk size by one event; half a
+     frame leaves room for that within the peer's frame limit. *)
+  let max_chunk_size = default_max_frame / 2
 
   type stream_request = {
     doc : string;
@@ -638,13 +596,6 @@ module Binary = struct
     query : string;
     chunk_size : int;
   }
-
-  (* A streamed-ingest request (tag 16, v2) transforms its source — a
-     stored document or a server-side file — through the fused SAX
-     pipeline, never materializing a tree.  Same reply discipline as
-     tag 7: Stream_begin / Stream_chunk* / Stream_end or Stream_error. *)
-
-  let ingest_request_tag = 16
 
   type ingest_source = Ingest_doc of string | Ingest_file of string
 
@@ -654,68 +605,65 @@ module Binary = struct
     chunk_size : int;
   }
 
-  type incoming =
-    | Plain of Service.request
-    | Stream of stream_request
-    | Ingest of ingest_request
+  type incoming = Plain of Service.request | Stream of Service.stream_request
 
-  let encode_stream_request { doc; engine; query; chunk_size } =
+  let encode_stream ({ source; engine; query; chunk_size } : Service.stream_request) =
     let b = Buffer.create 128 in
-    put_u8 b stream_request_tag;
-    put_str b doc;
-    put_str b (Core.Engine.name engine);
-    put_str b query;
-    put_u32 b chunk_size;
-    Buffer.contents b
-
-  let get_stream_request c =
-    (match get_u8 c with
-    | t when t = stream_request_tag -> ()
-    | t -> raise (Malformed (Printf.sprintf "not a stream request (tag %d)" t)));
-    let doc = get_str c in
-    let engine = get_engine c in
-    let query = get_str c in
-    let chunk_size = get_u32 c in
-    if chunk_size = 0 then raise (Malformed "stream chunk_size must be positive");
-    { doc; engine; query; chunk_size }
-
-  let encode_ingest_request ({ source; query; chunk_size } : ingest_request) =
-    let b = Buffer.create 128 in
-    put_u8 b ingest_request_tag;
-    (match source with
-    | Ingest_doc d ->
+    (match (source, engine) with
+    | Service.From_doc doc, Some engine ->
+      put_u8 b 7;
+      put_str b doc;
+      put_str b (Core.Engine.name engine)
+    | Service.From_doc doc, None ->
+      put_u8 b 16;
       put_u8 b 1;
-      put_str b d
-    | Ingest_file p ->
+      put_str b doc
+    | Service.From_file path, None ->
+      put_u8 b 16;
       put_u8 b 2;
-      put_str b p);
+      put_str b path
+    | Service.From_file _, Some _ ->
+      invalid_arg "Wire.Binary.encode_stream: an engine stream needs a stored document");
     put_str b query;
     put_u32 b chunk_size;
     Buffer.contents b
 
-  let get_ingest_request c : ingest_request =
-    (match get_u8 c with
-    | t when t = ingest_request_tag -> ()
-    | t -> raise (Malformed (Printf.sprintf "not an ingest request (tag %d)" t)));
-    let source =
+  let get_stream c : Service.stream_request =
+    let source, engine =
       match get_u8 c with
-      | 1 -> Ingest_doc (get_str c)
-      | 2 -> Ingest_file (get_str c)
-      | b -> raise (Malformed (Printf.sprintf "unknown ingest source %d" b))
+      | 7 ->
+        let doc = get_str c in
+        (Service.From_doc doc, Some (get_engine c))
+      | 16 -> begin
+        match get_u8 c with
+        | 1 -> (Service.From_doc (get_str c), None)
+        | 2 -> (Service.From_file (get_str c), None)
+        | b -> raise (Malformed (Printf.sprintf "unknown ingest source %d" b))
+      end
+      | t -> raise (Malformed (Printf.sprintf "not a stream request (tag %d)" t))
     in
     let query = get_str c in
     let chunk_size = get_u32 c in
     if chunk_size = 0 then raise (Malformed "stream chunk_size must be positive");
-    { source; query; chunk_size }
+    if chunk_size > max_chunk_size then
+      raise
+        (Malformed
+           (Printf.sprintf "stream chunk_size %d exceeds the maximum %d" chunk_size
+              max_chunk_size));
+    { source; engine; query; chunk_size }
+
+  let of_ingest_request ({ source; query; chunk_size } : ingest_request) =
+    let source =
+      match source with Ingest_doc d -> Service.From_doc d | Ingest_file p -> Service.From_file p
+    in
+    { Service.source; engine = None; query; chunk_size }
 
   let decode_incoming ~version s =
-    if s <> "" && Char.code s.[0] = stream_request_tag then
-      if version < 2 then Error "stream requests need protocol version 2"
-      else Result.map (fun sr -> Stream sr) (decode_with get_stream_request s)
-    else if s <> "" && Char.code s.[0] = ingest_request_tag then
-      if version < 2 then Error "streamed-ingest requests need protocol version 2"
-      else Result.map (fun ir -> Ingest ir) (decode_with get_ingest_request s)
-    else Result.map (fun r -> Plain r) (decode_with get_request s)
+    match if s = "" then 0 else Char.code s.[0] with
+    | 7 when version < 2 -> Error "stream requests need protocol version 2"
+    | 16 when version < 2 -> Error "streamed-ingest requests need protocol version 2"
+    | 7 | 16 -> Result.map (fun sr -> Stream sr) (decode_with get_stream s)
+    | _ -> Result.map (fun r -> Plain r) (decode_with get_request s)
 
   (* ---- invalidation notices (protocol v2) ----
 
@@ -818,8 +766,13 @@ module Binary = struct
   let response_frame ?(version = 1) ~id resp =
     frame ~version ~kind:Response ~id (encode_response resp)
 
-  let stream_request_frame ~id sr = frame ~kind:Request ~id (encode_stream_request sr)
-  let ingest_request_frame ~id ir = frame ~kind:Request ~id (encode_ingest_request ir)
+  let stream_frame ~id sr = frame ~kind:Request ~id (encode_stream sr)
+
+  let stream_request_frame ~id ({ doc; engine; query; chunk_size } : stream_request) =
+    stream_frame ~id
+      { Service.source = Service.From_doc doc; engine = Some engine; query; chunk_size }
+
+  let ingest_request_frame ~id ir = stream_frame ~id (of_ingest_request ir)
   let stream_begin_frame ~id = frame ~kind:Stream_begin ~id ""
   let stream_chunk_frame ~id chunk = frame ~kind:Stream_chunk ~id chunk
 

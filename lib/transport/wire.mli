@@ -41,29 +41,21 @@ module Line : sig
       DEFVIEW's [:=] is optional on input and always printed on
       output. *)
 
-  type ingest = { source : [ `Doc of string | `File of string ]; query : string }
-  (** A streamed-ingest request of the line protocol:
-      [TRANSFORM-STREAM [DOC] <name> <query>] transforms a stored
-      document, [TRANSFORM-STREAM FILE <path> <query>] a (server-side)
-      file, through the fused SAX pipeline without materializing a
-      tree.  No engine word — the streaming machinery is the engine,
-      with automatic byte-identical fallback for unstreamable shapes.
+  type incoming = Plain of Service.request | Stream of Service.stream_request
+  (** One line of the stdin protocol: a plain request, or a streamed
+      ingest.  [TRANSFORM-STREAM [DOC] <name> <query>] transforms a
+      stored document, [TRANSFORM-STREAM FILE <path> <query>] a
+      (server-side) file, without materializing the input as a tree.  No
+      engine word: the [Service.stream_request] has [engine = None], so
+      the service picks the tier with byte-identical fallback for
+      unstreamable shapes, and [chunk_size = Service.default_chunk_size].
       As with TRANSFORM, the [DOC] keyword keeps documents literally
       named ["FILE"]/["DOC"] addressable. *)
-
-  type incoming = Plain of Service.request | Stream_ingest of ingest
 
   val decode_incoming : string -> (incoming, string) result
   (** Parse one line of the stdin protocol including the streaming
       verb.  {!decode_request} alone rejects [TRANSFORM-STREAM] (a
       stream is not a [Service.request]). *)
-
-  val encode_request : Service.request -> (string, string) result
-  (** Render a request back to one line.  [Error _] when the request is
-      not expressible in the line protocol: a [Batch], a name
-      containing whitespace, or a query containing a newline.
-      Doc-targeted TRANSFORM/COUNT on a document named ["VIEW"] or
-      ["DOC"] renders with the explicit [DOC] keyword. *)
 
   val render_response : Service.response -> string
   (** The reply text of the stdin protocol: ["OK <payload>"],
@@ -126,7 +118,18 @@ module Binary : sig
   val encode_response : Service.response -> string
   val decode_response : string -> (Service.response, string) result
 
-  (** {2 Streaming requests (v2)} *)
+  (** {2 Streamed transforms (v2)}
+
+      A {!Service.stream_request} travels under one of two payload
+      tags: 7 when [engine = Some _] (a stored document's result
+      stream), 16 when [engine = None] (a streamed ingest of a stored
+      document or a server-side file).  Replies use the [Stream_*]
+      frames either way. *)
+
+  val max_chunk_size : int
+  (** [default_max_frame / 2] (8 MiB): the largest [chunk_size] a
+      stream request may carry, so a chunk frame — at most one event
+      past the chunk size — fits the peer's frame limit. *)
 
   type stream_request = {
     doc : string;
@@ -134,6 +137,7 @@ module Binary : sig
     query : string;
     chunk_size : int;
   }
+  (** The tag-7 fields: [{ source = From_doc doc; engine = Some engine; _ }]. *)
 
   type ingest_source = Ingest_doc of string | Ingest_file of string
 
@@ -142,26 +146,24 @@ module Binary : sig
     query : string;
     chunk_size : int;
   }
-  (** A streamed-ingest request (payload tag 16, v2): transform a stored
-      document or a server-side file through the fused SAX pipeline,
-      never materializing a tree.  Replies use the same [Stream_*]
-      frames as tag 7. *)
+  (** The tag-16 fields: [engine = None]. *)
+
+  val of_ingest_request : ingest_request -> Service.stream_request
 
   (** What a server reads out of a Request frame: a plain service
-      request, a stream request (payload tag 7, v2 frames only), or a
-      streamed-ingest request (payload tag 16, v2 frames only). *)
-  type incoming =
-    | Plain of Service.request
-    | Stream of stream_request
-    | Ingest of ingest_request
+      request, or a streamed transform (payload tag 7 or 16, v2 frames
+      only). *)
+  type incoming = Plain of Service.request | Stream of Service.stream_request
 
-  val encode_stream_request : stream_request -> string
-  val encode_ingest_request : ingest_request -> string
+  val encode_stream : Service.stream_request -> string
+  (** The tag-7 or tag-16 payload.  Raises [Invalid_argument] for a
+      [From_file] source with an engine, which no tag expresses. *)
 
   val decode_incoming : version:int -> string -> (incoming, string) result
   (** Decode a Request-frame payload given the frame-header version.
-      A stream or ingest request in a v1 frame is an [Error _]; either
-      tag nested anywhere inside a batch is malformed. *)
+      A stream request in a v1 frame is an [Error _], as is a
+      [chunk_size] of 0 or above {!max_chunk_size}; either stream tag
+      nested anywhere inside a batch is malformed. *)
 
   (** {2 Invalidation notices (v2)}
 
@@ -215,6 +217,7 @@ module Binary : sig
 
   val request_frame : ?version:int -> id:int64 -> Service.request -> string
   val response_frame : ?version:int -> id:int64 -> Service.response -> string
+  val stream_frame : id:int64 -> Service.stream_request -> string
   val stream_request_frame : id:int64 -> stream_request -> string
   val ingest_request_frame : id:int64 -> ingest_request -> string
   val stream_begin_frame : id:int64 -> string

@@ -655,6 +655,50 @@ let test_transform_ingest () =
                 Alcotest.(check bool) "chunks flowed before the parse error" true (!got > 0)
               | _ -> Alcotest.fail "mid-parse failure must end in an error")))
 
+(* ---- a consumer failing mid-stream ---- *)
+
+(* [emit] raises on its second chunk.  Each streamed path — the td-bu
+   result stream, the fused stored-document ingest and the fused file
+   ingest — must answer [Eval_error], count exactly one error, and leave
+   the service serving plain requests byte-identically. *)
+let test_stream_consumer_failure () =
+  with_doc_file (fun path ->
+      with_service (fun svc ->
+          load_doc svc path;
+          let m = Service.metrics svc in
+          let fail_on_second () =
+            let n = ref 0 in
+            fun _ ->
+              incr n;
+              if !n = 2 then failwith "consumer gone"
+          in
+          List.iter
+            (fun (what, run) ->
+              let errors = Metrics.errors m in
+              (match run (fail_on_second ()) with
+              | Service.Error { code = Service.Eval_error; _ } -> ()
+              | _ -> Alcotest.fail (what ^ ": a failing consumer must end in eval-error"));
+              Alcotest.(check int) (what ^ ": one error counted") (errors + 1) (Metrics.errors m);
+              match
+                Service.call svc
+                  (Service.Transform
+                     { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q_del_prices })
+              with
+              | Service.Ok (Service.Tree s) ->
+                Alcotest.(check string) (what ^ ": served afterwards")
+                  (reference_answer Core.Engine.Td_bu q_del_prices) s
+              | _ -> Alcotest.fail (what ^ ": the next TRANSFORM must be served"))
+            [ ( "td-bu result stream",
+                Service.transform_stream svc ~doc:"d" ~engine:Core.Engine.Td_bu
+                  ~query:q_del_prices ~chunk_size:32 );
+              ( "fused doc ingest",
+                Service.transform_ingest svc ~source:(Service.From_doc "d") ~query:q_del_prices
+                  ~chunk_size:32 );
+              ( "fused file ingest",
+                Service.transform_ingest svc ~source:(Service.From_file path)
+                  ~query:q_del_prices ~chunk_size:32 ) ];
+          Alcotest.(check int) "both ingests ran fused" 2 (Metrics.streams_fused m)))
+
 (* ---- stored views ---- *)
 
 (* Mirror of the service's result rendering, so expectations are
@@ -1067,7 +1111,8 @@ let check_stats label ?(varying = []) lines expected =
 
 (* A fixed script on a fresh service: LOAD under SCHEMA xmark, a td-bu
    TRANSFORM, a statically-empty COUNT, an effective and a no-op COMMIT,
-   DEFVIEW and one view read.  The key list is asserted exactly, the
+   DEFVIEW, one view read, a result stream and one ingest per tier plus a
+   statically-empty one.  The key list is asserted exactly, the
    deterministic per-service counters by value (latencies and the
    process-wide memo/pool/symbol lines vary run to run).  Then
    [Metrics.reset]: counters and histograms go to 0, the gauges survive
@@ -1116,6 +1161,36 @@ let test_golden_stats () =
                (Service.Transform
                   { target = Service.View "v"; engine = Core.Engine.Td_bu;
                     query = "for $x in site/people/person return $x/name" }));
+          (* the streamed paths: a td-bu result stream, then ingests that
+             take each tier — fused (qualifier-free, stored doc),
+             materialized (qualifier, stored doc), two-parse (U7, file) —
+             and one the schema rejects at admission *)
+          let stream what run =
+            match run ignore with
+            | Service.Ok (Service.Stream_done _) -> ()
+            | Service.Ok _ -> Alcotest.fail (what ^ ": expected Stream_done")
+            | Service.Error { message; _ } -> Alcotest.fail (what ^ ": " ^ message)
+          in
+          let u4 = transform "delete $a/site/regions//item" in
+          stream "td-bu result stream"
+            (Service.transform_stream svc ~doc:"d" ~engine:Core.Engine.Td_bu ~query:u4);
+          stream "fused doc ingest"
+            (Service.transform_ingest svc ~source:(Service.From_doc "d") ~query:u4);
+          stream "materialized doc ingest"
+            (Service.transform_ingest svc ~source:(Service.From_doc "d")
+               ~query:(transform "delete $a/site/people/person[profile/age > 20]"));
+          stream "two-parse file ingest"
+            (Service.transform_ingest svc ~source:(Service.From_file path)
+               ~query:
+                 (transform
+                    "delete $a/site/open_auctions/open_auction[bidder/increase > 5]/annotation[happiness < 20]/description//text"));
+          (match
+             Service.transform_ingest svc ~source:(Service.From_doc "d")
+               ~query:(transform "delete $a/site/people//bidder")
+               (fun _ -> Alcotest.fail "no chunks for a statically-empty ingest")
+           with
+          | Service.Error { code = Service.Statically_empty; _ } -> ()
+          | _ -> Alcotest.fail "a statically-empty ingest must be rejected");
           let dump =
             match call "STATS" Service.Stats with
             | Service.Stats_dump d -> d
@@ -1125,11 +1200,13 @@ let test_golden_stats () =
           Alcotest.(check (list string)) "STATS keys, in order" stats_keys (List.map fst lines);
           check_stats "after the script" lines
             ~varying:[ "latency_p50_ms"; "latency_p95_ms"; "latency_max_ms" ]
-            [ ("requests", "8"); ("errors", "1"); ("cache_misses", "2"); ("queue_depth_max", "1");
-              ("latency_count", "7"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
+            [ ("requests", "13"); ("errors", "2"); ("cache_hits", "2"); ("cache_misses", "5");
+              ("queue_depth_max", "1"); ("latency_count", "12"); ("streams", "4");
+              ("stream_chunks", "4"); ("stream_bytes", "163240"); ("streams_fused", "1");
+              ("stream_fallbacks", "2"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
               ("view_defs", "1"); ("view_hits", "1"); ("composed_plans", "1");
-              ("skipped_subtrees", "353"); ("skipped_nodes", "2604");
-              ("statically_empty_rejections", "1"); ("schema_products", "3"); ("commits", "1");
+              ("skipped_subtrees", "368"); ("skipped_nodes", "6038");
+              ("statically_empty_rejections", "2"); ("schema_products", "5"); ("commits", "1");
               ("commit_noops", "1"); ("pending_primitives_count", "1");
               ("pending_primitives_p50", "4"); ("pending_primitives_p95", "4");
               ("pending_primitives_max", "7") ];
@@ -1206,4 +1283,6 @@ let suite =
     Alcotest.test_case "views: dependency-graph invalidation" `Quick
       test_view_invalidation_graph;
     Alcotest.test_case "metrics: golden STATS and reset" `Quick test_golden_stats;
+    Alcotest.test_case "service: stream consumer fails mid-stream" `Quick
+      test_stream_consumer_failure;
   ]

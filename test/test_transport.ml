@@ -173,54 +173,37 @@ let test_line_protocol () =
       | Error _ -> ())
     [ ""; "LOAD d"; "TRANSFORM d"; "TRANSFORM d bogus-engine q"; "APPLY d"; "COMMIT d";
       "FROBNICATE x"; "TRANSFORM VIEW v"; "DEFVIEW v"; "UNDEFVIEW" ];
-  (* encode/decode round trips for representable requests *)
+  (* literal lines decode to the expected requests *)
   List.iter
-    (fun req ->
-      match Wire.Line.encode_request req with
-      | Error e -> Alcotest.fail e
-      | Ok line ->
-        Alcotest.(check bool) "line round trip" true (Wire.Line.decode_request line = Ok req))
+    (fun (line, req) ->
+      Alcotest.(check bool) ("decodes: " ^ line) true (Wire.Line.decode_request line = Ok req))
     [
-      Service.Count { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q_del_prices };
-      Service.Apply { doc = "d"; query = "delete $a//price" };
-      Service.Commit { doc = "d"; query = "(delete $a//price, rename $a/site as x)" };
-      Service.Transform
-        { target = Service.View "v"; engine = Core.Engine.Td_bu;
-          query = "for $x in a/b return $x" };
-      Service.Count
-        { target = Service.View "v"; engine = Core.Engine.Gentop;
-          query = "for $x in a/b return $x" };
-      Service.Defview { name = "v"; query = q_del_prices };
-      Service.Undefview { name = "v" };
-      Service.Listviews;
+      ( "COUNT d TD-BU " ^ q_del_prices,
+        Service.Count { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q_del_prices }
+      );
+      ("APPLY d delete $a//price", Service.Apply { doc = "d"; query = "delete $a//price" });
+      ( "COMMIT d (delete $a//price, rename $a/site as x)",
+        Service.Commit { doc = "d"; query = "(delete $a//price, rename $a/site as x)" } );
+      ( "TRANSFORM VIEW v TD-BU for $x in a/b return $x",
+        Service.Transform
+          { target = Service.View "v"; engine = Core.Engine.Td_bu;
+            query = "for $x in a/b return $x" } );
+      ( "COUNT VIEW v GENTOP for $x in a/b return $x",
+        Service.Count
+          { target = Service.View "v"; engine = Core.Engine.Gentop;
+            query = "for $x in a/b return $x" } );
+      ("DEFVIEW v := " ^ q_del_prices, Service.Defview { name = "v"; query = q_del_prices });
+      ("UNDEFVIEW v", Service.Undefview { name = "v" });
+      ("LISTVIEWS", Service.Listviews);
     ];
-  (* the line protocol's blind spots: exactly what the binary frames fix *)
-  (match
-     Wire.Line.encode_request
-       (Service.Transform { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = "a\nb" })
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a multi-line query must not be expressible on one line");
-  (* a document literally named VIEW (or DOC) rides the explicit DOC
-     keyword and round-trips *)
-  (match
-     Wire.Line.encode_request
-       (Service.Transform { target = Service.Doc "VIEW"; engine = Core.Engine.Td_bu; query = "q" })
-   with
-  | Ok line -> begin
-    Alcotest.(check string) "doc named VIEW takes the DOC keyword" "TRANSFORM DOC VIEW TD-BU q"
-      line;
-    match Wire.Line.decode_request line with
-    | Ok (Service.Transform { target = Service.Doc "VIEW"; _ }) -> ()
-    | _ -> Alcotest.fail "TRANSFORM DOC VIEW must decode back to the document target"
-  end
-  | Error e -> Alcotest.fail ("a document named VIEW must be expressible via DOC: " ^ e));
-  (match Wire.Line.decode_request "COUNT DOC DOC td-bu q" with
+  (* a document literally named VIEW (or DOC) is addressed through the
+     explicit DOC keyword *)
+  (match Wire.Line.decode_request "TRANSFORM DOC VIEW TD-BU q" with
+  | Ok (Service.Transform { target = Service.Doc "VIEW"; _ }) -> ()
+  | _ -> Alcotest.fail "TRANSFORM DOC VIEW must address the document named VIEW");
+  match Wire.Line.decode_request "COUNT DOC DOC td-bu q" with
   | Ok (Service.Count { target = Service.Doc "DOC"; _ }) -> ()
-  | _ -> Alcotest.fail "COUNT DOC DOC must address the document named DOC");
-  match Wire.Line.encode_request (Service.Batch [ Service.Stats ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a batch must not be expressible on one line"
+  | _ -> Alcotest.fail "COUNT DOC DOC must address the document named DOC"
 
 (* ---- binary codec: qcheck round trip ---- *)
 
@@ -727,16 +710,22 @@ let test_stream_frame_codecs () =
   | Ok (Service.Eval_error, "boom > mid") -> ()
   | _ -> Alcotest.fail "stream-error round trip");
   let sr =
-    { Wire.Binary.doc = "d"; engine = Core.Engine.Gentop; query = "q\nwith newline";
-      chunk_size = 512 }
+    { Service.source = Service.From_doc "d"; engine = Some Core.Engine.Gentop;
+      query = "q\nwith newline"; chunk_size = 512 }
   in
-  (match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream_request sr) with
+  (match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream sr) with
   | Ok (Wire.Binary.Stream sr') ->
     Alcotest.(check bool) "stream request round trips" true (sr' = sr)
   | _ -> Alcotest.fail "stream request must decode in a v2 frame");
-  (match Wire.Binary.decode_incoming ~version:1 (Wire.Binary.encode_stream_request sr) with
+  (match Wire.Binary.decode_incoming ~version:1 (Wire.Binary.encode_stream sr) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a stream request in a v1 frame must be rejected");
+  (* the tag-7 record frames to the same payload *)
+  Alcotest.(check string) "stream_request_frame = stream_frame"
+    (Wire.Binary.stream_frame ~id:3L sr)
+    (Wire.Binary.stream_request_frame ~id:3L
+       { Wire.Binary.doc = "d"; engine = Core.Engine.Gentop; query = "q\nwith newline";
+         chunk_size = 512 });
   match
     Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_request Service.Stats)
   with
@@ -848,9 +837,9 @@ let test_v1_client_fallback () =
               | _ -> Alcotest.fail "LOAD through a v1 frame");
               (* stream-request payload inside a v1 frame: bad-request *)
               let sp =
-                Wire.Binary.encode_stream_request
-                  { Wire.Binary.doc = "d"; engine = Core.Engine.Td_bu; query = q_del_prices;
-                    chunk_size = 64 }
+                Wire.Binary.encode_stream
+                  { Service.source = Service.From_doc "d"; engine = Some Core.Engine.Td_bu;
+                    query = q_del_prices; chunk_size = 64 }
               in
               raw_write fd
                 (Bytes.to_string
@@ -1188,13 +1177,17 @@ let test_ingest_codec () =
   (* line syntax: bare name and DOC-keyword forms address the store,
      FILE addresses a server-side path *)
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM d transform q" with
-  | Ok (Wire.Line.Stream_ingest { source = `Doc "d"; query = "transform q" }) -> ()
+  | Ok
+      (Wire.Line.Stream
+        { source = Service.From_doc "d"; engine = None; query = "transform q"; chunk_size })
+    ->
+    Alcotest.(check int) "default chunk size" Service.default_chunk_size chunk_size
   | _ -> Alcotest.fail "bare-name ingest parse");
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM DOC FILE transform q" with
-  | Ok (Wire.Line.Stream_ingest { source = `Doc "FILE"; query = _ }) -> ()
+  | Ok (Wire.Line.Stream { source = Service.From_doc "FILE"; engine = None; _ }) -> ()
   | _ -> Alcotest.fail "DOC keyword keeps \"FILE\" addressable as a name");
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM FILE /tmp/x.xml transform q" with
-  | Ok (Wire.Line.Stream_ingest { source = `File "/tmp/x.xml"; query = _ }) -> ()
+  | Ok (Wire.Line.Stream { source = Service.From_file "/tmp/x.xml"; engine = None; _ }) -> ()
   | _ -> Alcotest.fail "FILE ingest parse");
   (match Wire.Line.decode_incoming "STATS" with
   | Ok (Wire.Line.Plain Service.Stats) -> ()
@@ -1212,11 +1205,11 @@ let test_ingest_codec () =
   (* binary codec round trips, both source shapes *)
   List.iter
     (fun ir ->
-      match
-        Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_ingest_request ir)
-      with
-      | Ok (Wire.Binary.Ingest ir') ->
-        Alcotest.(check bool) "ingest request round trips" true (ir' = ir)
+      let sr = Wire.Binary.of_ingest_request ir in
+      Alcotest.(check bool) "ingest leaves the tier to the service" true (sr.engine = None);
+      match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream sr) with
+      | Ok (Wire.Binary.Stream sr') ->
+        Alcotest.(check bool) "ingest request round trips" true (sr' = sr)
       | Ok _ -> Alcotest.fail "wrong incoming shape"
       | Error e -> Alcotest.fail e)
     [
@@ -1228,8 +1221,8 @@ let test_ingest_codec () =
   (* a v1 peer gets a clean error, not a misparse *)
   (match
      Wire.Binary.decode_incoming ~version:1
-       (Wire.Binary.encode_ingest_request
-          { Wire.Binary.source = Wire.Binary.Ingest_doc "d"; query = "q"; chunk_size = 64 })
+       (Wire.Binary.encode_stream
+          { Service.source = Service.From_doc "d"; engine = None; query = "q"; chunk_size = 64 })
    with
   | Error msg ->
     Alcotest.(check bool) "v1 rejection names the version" true
@@ -1321,8 +1314,8 @@ let test_ingest_v1_rejected () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           let p =
-            Wire.Binary.encode_ingest_request
-              { Wire.Binary.source = Wire.Binary.Ingest_doc "d"; query = q_del_prices;
+            Wire.Binary.encode_stream
+              { Service.source = Service.From_doc "d"; engine = None; query = q_del_prices;
                 chunk_size = 64 }
           in
           raw_write fd
@@ -1509,6 +1502,55 @@ let test_client_dead_after_midframe_timeout () =
       (* close after kill is a no-op, not a double-close *)
       Client.close cli)
 
+(* ---- the stream chunk_size bound ---- *)
+
+(* Both stream tags decode a chunk_size of exactly
+   [Wire.Binary.max_chunk_size] and reject one byte more. *)
+let test_chunk_size_bound () =
+  let bound = Wire.Binary.max_chunk_size in
+  Alcotest.(check int) "half the default frame limit" (Wire.Binary.default_max_frame / 2) bound;
+  List.iter
+    (fun (what, engine, source) ->
+      let sr chunk_size = { Service.source; engine; query = q_del_prices; chunk_size } in
+      (match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream (sr bound)) with
+      | Ok (Wire.Binary.Stream sr') ->
+        Alcotest.(check int) (what ^ ": decodes at the bound") bound sr'.chunk_size
+      | _ -> Alcotest.fail (what ^ ": must decode at the bound"));
+      match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream (sr (bound + 1))) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (what ^ ": must be rejected past the bound"))
+    [ ("tag 7", Some Core.Engine.Td_bu, Service.From_doc "d");
+      ("tag 16 doc", None, Service.From_doc "d");
+      ("tag 16 file", None, Service.From_file "/tmp/x.xml") ]
+
+(* Over a socket, an over-bound chunk_size is a bad-request reply and the
+   same connection then streams at the bound. *)
+let test_chunk_size_bound_over_socket () =
+  with_doc_file (fun doc ->
+      with_server (fun _svc sock ->
+          let cli = Client.connect (Addr.Unix_socket sock) in
+          Fun.protect
+            ~finally:(fun () -> Client.close cli)
+            (fun () ->
+              load_over cli doc;
+              let sr chunk_size =
+                { Service.source = Service.From_doc "d"; engine = None; query = q_del_prices;
+                  chunk_size }
+              in
+              (match
+                 Client.stream cli
+                   (sr (Wire.Binary.max_chunk_size + 1))
+                   (fun _ -> Alcotest.fail "no chunks for a rejected request")
+               with
+              | Service.Error { code = Service.Bad_request; _ } -> ()
+              | _ -> Alcotest.fail "an over-bound chunk_size must answer bad-request");
+              let buf = Buffer.create 256 in
+              match Client.stream cli (sr Wire.Binary.max_chunk_size) (Buffer.add_string buf) with
+              | Service.Ok (Service.Stream_done { chunks = 1; _ }) ->
+                Alcotest.(check string) "the connection still streams"
+                  (reference_answer Core.Engine.Gentop q_del_prices) (Buffer.contents buf)
+              | _ -> Alcotest.fail "a stream at the bound must be served")))
+
 let suite =
   [
     Alcotest.test_case "wire: line protocol" `Quick test_line_protocol;
@@ -1548,4 +1590,7 @@ let suite =
       test_schema_drop_notice;
     Alcotest.test_case "client: dead after mid-frame timeout" `Quick
       test_client_dead_after_midframe_timeout;
+    Alcotest.test_case "wire: stream chunk_size bound" `Quick test_chunk_size_bound;
+    Alcotest.test_case "socket: over-bound chunk_size keeps the connection" `Quick
+      test_chunk_size_bound_over_socket;
   ]
