@@ -63,8 +63,10 @@ let tests () =
 
 let qualifier_heavy = [ "U2"; "U3"; "U7"; "U8"; "U9"; "U10" ]
 
-let tdbu_ns_per_node ~factor ~reps =
-  let root = Xut_xmark.Generator.generate ~factor () in
+(* [prepare nfa update root] returns the run to time for one query; each
+   is warmed once outside the clock (filling transition memos the way a
+   cached plan in the service layer would). *)
+let ns_per_node root ~reps prepare =
   let nodes = Xut_xml.Node.element_count (Xut_xml.Node.Element root) in
   let queries =
     List.filter (fun u -> List.mem u.Workloads.name qualifier_heavy) Workloads.all
@@ -73,15 +75,28 @@ let tdbu_ns_per_node ~factor ~reps =
     (fun u ->
       let update = Workloads.delete_of u in
       let nfa = Xut_automata.Selecting_nfa.of_path (Xut_xpath.Parser.parse u.Workloads.path) in
-      (* one warmup run outside the clock (fills transition memos the way
-         a cached plan in the service layer would) *)
-      ignore (Sys.opaque_identity (Core.Two_pass.run nfa update root));
-      let dt =
-        Timing.measure ~reps (fun () ->
-            ignore (Sys.opaque_identity (Core.Two_pass.run nfa update root)))
-      in
+      let run = prepare nfa update root in
+      run ();
+      let dt = Timing.measure ~reps run in
       (u.Workloads.name, dt *. 1e9 /. float_of_int nodes))
     queries
+
+let tdbu_ns_per_node root ~reps =
+  ns_per_node root ~reps (fun nfa update root () ->
+      ignore (Sys.opaque_identity (Core.Two_pass.run nfa update root)))
+
+(* A warm TD-BU result stream: the memoized annotation is built outside
+   the clock, as the plan cache holds it; timed are the walk and the
+   chunked sink serializing its shared-output tree. *)
+let result_stream_ns_per_node root ~reps =
+  ns_per_node root ~reps (fun nfa update root ->
+      let checkp =
+        Xut_automata.Annotator.checkp (Xut_automata.Annotator.annotate nfa root) nfa
+      in
+      fun () ->
+        let sink = Xut_xml.Serialize.Sink.create (fun _ -> ()) in
+        Xut_xml.Serialize.Sink.element sink (Core.Top_down.run ~checkp nfa update root);
+        ignore (Sys.opaque_identity (Xut_xml.Serialize.Sink.close sink)))
 
 (* ---- annotator ns/node A/B: schema skip-sets on vs off ----------------
 
@@ -95,14 +110,13 @@ let tdbu_ns_per_node ~factor ~reps =
 let annotator_queries =
   [ ("selective", p1); ("broad", "/site//date") ]
 
-let annotator_ab ~factor ~reps =
+let annotator_ab root ~reps =
   Xut_xmark.Site_schema.register ();
   let schema =
     match Xut_schema.Schema.find Xut_xmark.Site_schema.schema_name with
     | Some s -> s
     | None -> assert false
   in
-  let root = Xut_xmark.Generator.generate ~factor () in
   let nodes = Xut_xml.Node.element_count (Xut_xml.Node.Element root) in
   List.map
     (fun (label, path_s) ->
@@ -151,7 +165,17 @@ let iso_date () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
     t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec
 
-let write_json path ~factor ~micro ~tdbu ~annot =
+(* one ["key": { "U2": ns, ... },] member *)
+let ns_rows oc key rows =
+  Printf.fprintf oc "  \"%s\": {\n" key;
+  List.iteri
+    (fun i (name, ns) ->
+      Printf.fprintf oc "    \"%s\": %.2f%s\n" (json_escape name) ns
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  Printf.fprintf oc "  },\n"
+
+let write_json path ~factor ~micro ~tdbu ~stream ~annot =
   Out_channel.with_open_text path (fun oc ->
       output_string oc "{\n";
       Printf.fprintf oc "  \"bench\": \"micro\",\n";
@@ -168,13 +192,8 @@ let write_json path ~factor ~micro ~tdbu ~annot =
             (if i = List.length micro - 1 then "" else ","))
         micro;
       Printf.fprintf oc "  },\n";
-      Printf.fprintf oc "  \"tdbu_ns_per_node\": {\n";
-      List.iteri
-        (fun i (name, ns) ->
-          Printf.fprintf oc "    \"%s\": %.2f%s\n" (json_escape name) ns
-            (if i = List.length tdbu - 1 then "" else ","))
-        tdbu;
-      Printf.fprintf oc "  },\n";
+      ns_rows oc "tdbu_ns_per_node" tdbu;
+      ns_rows oc "result_stream_ns_per_node" stream;
       Printf.fprintf oc "  \"annotator_ns_per_node\": [\n";
       List.iteri
         (fun i (label, skips, off, on) ->
@@ -218,16 +237,22 @@ let run ?json ?(quick = false) ?(tdbu_only = false) () =
   end;
   let factor = if quick then 0.0005 else 0.002 in
   let reps = if quick then 3 else 5 in
-  Printf.printf "\n== TD-BU ns/node (XMark f=%g, qualifier-heavy queries) ==\n" factor;
-  let tdbu = tdbu_ns_per_node ~factor ~reps in
-  List.iter (fun (name, ns) -> Printf.printf "  %-6s %10.2f ns/node\n" name ns) tdbu;
-  let mean =
-    List.fold_left (fun acc (_, ns) -> acc +. ns) 0. tdbu
-    /. float_of_int (max 1 (List.length tdbu))
+  let root = Xut_xmark.Generator.generate ~factor () in
+  let print_rows title rows =
+    Printf.printf "\n== %s (XMark f=%g, qualifier-heavy queries) ==\n" title factor;
+    List.iter (fun (name, ns) -> Printf.printf "  %-6s %10.2f ns/node\n" name ns) rows;
+    let mean =
+      List.fold_left (fun acc (_, ns) -> acc +. ns) 0. rows
+      /. float_of_int (max 1 (List.length rows))
+    in
+    Printf.printf "  %-6s %10.2f ns/node\n" "mean" mean
   in
-  Printf.printf "  %-6s %10.2f ns/node\n" "mean" mean;
+  let tdbu = tdbu_ns_per_node root ~reps in
+  print_rows "TD-BU ns/node" tdbu;
+  let stream = result_stream_ns_per_node root ~reps in
+  print_rows "TD-BU result stream ns/node, warm annotation" stream;
   Printf.printf "\n== Annotator ns/node, schema skip-sets off vs on (XMark f=%g) ==\n" factor;
-  let annot = annotator_ab ~factor ~reps in
+  let annot = annotator_ab root ~reps in
   List.iter
     (fun (label, skips, off, on) ->
       Printf.printf "  %-10s skip_set=%-3d off %8.2f ns/node   on %8.2f ns/node  (%.2fx)\n"
@@ -235,5 +260,5 @@ let run ?json ?(quick = false) ?(tdbu_only = false) () =
         (if on > 0. then off /. on else 0.))
     annot;
   match json with
-  | Some path -> write_json path ~factor ~micro:(List.rev !micro_results) ~tdbu ~annot
+  | Some path -> write_json path ~factor ~micro:(List.rev !micro_results) ~tdbu ~stream ~annot
   | None -> ()

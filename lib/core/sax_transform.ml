@@ -57,40 +57,43 @@ let pass1 ~sskip nfa source truth =
         incr skip;
         if !schema_mode then incr skipped_elements
       end
-      else if sskip (Sym.intern name) then begin
-        (* schema skip-set: seed-free below, so no truth entry the second
-           pass could ask for originates here *)
-        skip := 1;
-        schema_mode := true;
-        incr skipped_subtrees;
-        incr skipped_elements
-      end
       else begin
-        let parent_states, parent_candidates =
-          match !stack with
-          | [] -> Selecting_nfa.start nfa, []
-          | f :: _ -> f.states, f.candidates
-        in
-        let states = Selecting_nfa.next_unchecked nfa parent_states (Sym.intern name) in
-        let kid_seeds =
-          List.filter (fun p -> not (Lq.label_blocked lq p name)) parent_candidates
-        in
-        let top_quals =
-          let qs = Selecting_nfa.set_inter states (Selecting_nfa.qual_states nfa) in
-          if Selecting_nfa.set_is_empty qs then []
-          else Selecting_nfa.set_fold (fun s acc -> Selecting_nfa.state_lq nfa s :: acc) qs []
-        in
-        let all_seeds = List.sort_uniq compare (kid_seeds @ top_quals) in
-        if Selecting_nfa.set_is_empty states && all_seeds = [] then skip := 1
+        let sym = Sym.intern name in
+        if sskip sym then begin
+          (* schema skip-set: seed-free below, so no truth entry the second
+             pass could ask for originates here *)
+          skip := 1;
+          schema_mode := true;
+          incr skipped_subtrees;
+          incr skipped_elements
+        end
         else begin
-          let candidates =
-            if all_seeds = [] then [] else snd (Annotator.expand lq ~name all_seeds)
+          let parent_states, parent_candidates =
+            match !stack with
+            | [] -> Selecting_nfa.start nfa, []
+            | f :: _ -> f.states, f.candidates
           in
-          stack :=
-            { states; all_seeds; candidates; csat = Array.make nlq false;
-              text = Buffer.create 16; attrs; name; seq = !seq }
-            :: !stack;
-          max_depth := max !max_depth (List.length !stack)
+          let states = Selecting_nfa.next_unchecked nfa parent_states sym in
+          let kid_seeds =
+            List.filter (fun p -> not (Lq.label_blocked lq p name)) parent_candidates
+          in
+          let top_quals =
+            let qs = Selecting_nfa.set_inter states (Selecting_nfa.qual_states nfa) in
+            if Selecting_nfa.set_is_empty qs then []
+            else Selecting_nfa.set_fold (fun s acc -> Selecting_nfa.state_lq nfa s :: acc) qs []
+          in
+          let all_seeds = List.sort_uniq compare (kid_seeds @ top_quals) in
+          if Selecting_nfa.set_is_empty states && all_seeds = [] then skip := 1
+          else begin
+            let candidates =
+              if all_seeds = [] then [] else snd (Annotator.expand lq ~name all_seeds)
+            in
+            stack :=
+              { states; all_seeds; candidates; csat = Array.make nlq false;
+                text = Buffer.create 16; attrs; name; seq = !seq }
+              :: !stack;
+            max_depth := max !max_depth (List.length !stack)
+          end
         end
       end
     | Sax.Characters t -> (
@@ -132,18 +135,6 @@ let pass1 ~sskip nfa source truth =
 
 type p2_frame = { fstates : Selecting_nfa.set; out_name : string; matched : bool }
 
-let emit_node sink node =
-  let rec go = function
-    | Node.Element e ->
-      sink (Sax.Start_element (Node.name e, Node.attrs e));
-      List.iter go (Node.children e);
-      sink (Sax.End_element (Node.name e))
-    | Node.Text s -> sink (Sax.Characters s)
-    | Node.Comment s -> sink (Sax.Comment_event s)
-    | Node.Pi (t, c) -> sink (Sax.Pi_event (t, c))
-  in
-  go node
-
 let pass2 ~sskip nfa update source truth sink =
   let root_matched = Selecting_nfa.selects_context nfa in
   let stack : p2_frame list ref = ref [] in
@@ -176,52 +167,55 @@ let pass2 ~sskip nfa update source truth sink =
         incr verbatim_elements;
         sink (Sax.Start_element (name, attrs))
       end
-      else if sskip (Sym.intern name) then begin
-        if !stack = [] then produced_root := true;
-        sink (Sax.Start_element (name, attrs));
-        verbatim := 1;
-        incr verbatim_subtrees;
-        incr verbatim_elements
-      end
       else begin
-        let at_root = !stack = [] in
-        let parent_states =
-          match !stack with [] -> Selecting_nfa.start nfa | f :: _ -> f.fstates
-        in
-        let checkp s = Truth.get truth !seq (Selecting_nfa.state_lq nfa s) in
-        let fstates = Selecting_nfa.next nfa ~checkp parent_states (Sym.intern name) in
-        let matched = Selecting_nfa.accepts_set nfa fstates || (at_root && root_matched) in
-        let push out_name =
-          if at_root then produced_root := true;
-          stack := { fstates; out_name; matched } :: !stack;
-          max_depth := max !max_depth (List.length !stack)
-        in
-        match update, matched with
-        | Transform_ast.Delete _, true ->
-          if at_root then
-            raise (Transform_ast.Invalid_update "update deletes the document element");
-          skip := 1
-        | Transform_ast.Replace (_, enew), true ->
-          (match enew, at_root with
-          | Node.Element _, _ | _, false -> ()
-          | (Node.Text _ | Node.Comment _ | Node.Pi _), true ->
-            raise
-              (Transform_ast.Invalid_update
-                 "update replaces the document element with a non-element"));
-          if at_root then produced_root := true;
-          emit_node sink enew;
-          skip := 1
-        | Transform_ast.Rename (_, l), true ->
-          sink (Sax.Start_element (l, attrs));
-          push l
-        | Transform_ast.Insert_first (_, enew), true ->
+        let sym = Sym.intern name in
+        if sskip sym then begin
+          if !stack = [] then produced_root := true;
           sink (Sax.Start_element (name, attrs));
-          emit_node sink enew;
-          push name
-        | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
-          | Transform_ast.Replace _ | Transform_ast.Rename _), _ ->
-          sink (Sax.Start_element (name, attrs));
-          push name
+          verbatim := 1;
+          incr verbatim_subtrees;
+          incr verbatim_elements
+        end
+        else begin
+          let at_root = !stack = [] in
+          let parent_states =
+            match !stack with [] -> Selecting_nfa.start nfa | f :: _ -> f.fstates
+          in
+          let checkp s = Truth.get truth !seq (Selecting_nfa.state_lq nfa s) in
+          let fstates = Selecting_nfa.next nfa ~checkp parent_states sym in
+          let matched = Selecting_nfa.accepts_set nfa fstates || (at_root && root_matched) in
+          let push out_name =
+            if at_root then produced_root := true;
+            stack := { fstates; out_name; matched } :: !stack;
+            max_depth := max !max_depth (List.length !stack)
+          in
+          match update, matched with
+          | Transform_ast.Delete _, true ->
+            if at_root then
+              raise (Transform_ast.Invalid_update "update deletes the document element");
+            skip := 1
+          | Transform_ast.Replace (_, enew), true ->
+            (match enew, at_root with
+            | Node.Element _, _ | _, false -> ()
+            | (Node.Text _ | Node.Comment _ | Node.Pi _), true ->
+              raise
+                (Transform_ast.Invalid_update
+                   "update replaces the document element with a non-element"));
+            if at_root then produced_root := true;
+            Sax.events_of_node enew sink;
+            skip := 1
+          | Transform_ast.Rename (_, l), true ->
+            sink (Sax.Start_element (l, attrs));
+            push l
+          | Transform_ast.Insert_first (_, enew), true ->
+            sink (Sax.Start_element (name, attrs));
+            Sax.events_of_node enew sink;
+            push name
+          | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
+            | Transform_ast.Replace _ | Transform_ast.Rename _), _ ->
+            sink (Sax.Start_element (name, attrs));
+            push name
+        end
       end
     | Sax.End_element _ as ev ->
       if !skip > 0 then decr skip
@@ -235,7 +229,7 @@ let pass2 ~sskip nfa update source truth sink =
         | f :: rest ->
           stack := rest;
           (match update, f.matched with
-          | Transform_ast.Insert (_, enew), true -> emit_node sink enew
+          | Transform_ast.Insert (_, enew), true -> Sax.events_of_node enew sink
           | _ -> ());
           sink (Sax.End_element f.out_name)
       end

@@ -14,6 +14,12 @@ let apply_matched update (e : Node.element) ~(kids : Node.t list) : Node.t list 
   | Transform_ast.Rename (_, l) ->
     [ Node.Element (Node.element ~attrs:(Node.attrs e) l kids) ]
 
+let document_element = function
+  | [ Node.Element e ] -> e
+  | [] -> raise (Transform_ast.Invalid_update "update deletes the document element")
+  | [ _ ] | _ :: _ ->
+    raise (Transform_ast.Invalid_update "update replaces the document element with a non-element")
+
 let rebuild ~mem update root =
   let rec node n =
     match n with
@@ -23,11 +29,7 @@ let rebuild ~mem update root =
       else [ Node.Element (Node.element ~attrs:(Node.attrs e) (Node.name e) kids) ]
     | Node.Text _ | Node.Comment _ | Node.Pi _ -> [ n ]
   in
-  match node (Node.Element root) with
-  | [ Node.Element e ] -> e
-  | [] -> raise (Transform_ast.Invalid_update "update deletes the document element")
-  | [ _ ] | _ :: _ ->
-    raise (Transform_ast.Invalid_update "update replaces the document element with a non-element")
+  document_element (node (Node.Element root))
 
 let apply update root =
   let selected = Eval.select_doc root (Transform_ast.path update) in
@@ -42,9 +44,4 @@ let ctx_holds nfa root =
     Eval.check_qual doc q
 
 let apply_at_root update root =
-  let kids = Node.children root in
-  match apply_matched update root ~kids with
-  | [ Node.Element e ] -> e
-  | [] -> raise (Transform_ast.Invalid_update "update deletes the document element")
-  | [ _ ] | _ :: _ ->
-    raise (Transform_ast.Invalid_update "update replaces the document element with a non-element")
+  document_element (apply_matched update root ~kids:(Node.children root))

@@ -14,6 +14,11 @@ val apply_matched :
 (** The node(s) a selected element becomes, given its already-processed
     children. *)
 
+val document_element : Node.t list -> Node.element
+(** The document element a transformed document element became.
+    @raise Transform_ast.Invalid_update when the forest is empty (the
+    update deleted it) or is not a single element. *)
+
 val rebuild :
   mem:(Node.element -> bool) -> Transform_ast.update -> Node.element -> Node.element
 (** Full-copy rebuild applying the update at every element selected by

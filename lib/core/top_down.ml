@@ -5,26 +5,50 @@ type checkp = int -> Node.element -> bool
 
 let direct_checkp nfa s n = Xut_xpath.Eval.check_qual n (Selecting_nfa.state_qual nfa s)
 
-(* Rebuild element [e] from processed children, preserving physical
-   sharing (and skipping the copy) when nothing below changed. *)
-let rebuild_elem e kids =
-  let unchanged =
-    List.length kids = List.length (Node.children e)
-    && List.for_all2 (fun a b -> a == b) kids (Node.children e)
-  in
-  if unchanged then Node.Element e
-  else begin
-    Stats.copy ();
-    Node.Element (Node.element ~attrs:(Node.attrs e) (Node.name e) kids)
-  end
+(* What the walk makes of one node: the node itself, shared as it is,
+   or the forest that takes its place (empty when it is deleted). *)
+type step = Same | Changed of Node.t list
 
+(* The children of a node after [go c states] on each element child, or
+   [None] when every one comes back [Same] — then nothing is allocated.
+   Iterative over the siblings: [scan] to the first changed child
+   (its position, its forest and the siblings after it), then rebuild
+   the list from there, so a wide node costs no stack. *)
+let rec scan go states i = function
+  | [] -> None
+  | Node.Element c :: rest -> (
+    match go c states with
+    | Same -> scan go states (i + 1) rest
+    | Changed out -> Some (i, out, rest))
+  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> scan go states (i + 1) rest
+
+let rec rev_prefix i cs acc =
+  match cs with c :: cs when i > 0 -> rev_prefix (i - 1) cs (c :: acc) | _ -> acc
+
+let rec finish go states acc = function
+  | [] -> List.rev acc
+  | (Node.Element c as n) :: rest -> (
+    match go c states with
+    | Same -> finish go states (n :: acc) rest
+    | Changed out -> finish go states (List.rev_append out acc) rest)
+  | ((Node.Text _ | Node.Comment _ | Node.Pi _) as n) :: rest -> finish go states (n :: acc) rest
+
+let rebuild_children go states children =
+  match scan go states 0 children with
+  | None -> None
+  | Some (i, out, rest) ->
+    Some (finish go states (List.rev_append out (rev_prefix i children [])) rest)
+
+(* [go e states] is the walk at [e] reached with [states]; [at e states']
+   the work at [e] once its own state set [states'] is settled and
+   non-empty — shared with [transform_at], which settles it differently. *)
 let make_go ~checkp ?(skip = fun _ -> false) nfa update =
-  let rec go (e : Node.element) states : Node.t list =
+  let rec go (e : Node.element) states =
     if skip e then begin
       (* schema skip-set: no configuration at or below this symbol can
          accept, so the subtree is shared without running a transition *)
       Stats.share ();
-      [ Node.Element e ]
+      Same
     end
     else begin
       Stats.visit ();
@@ -33,42 +57,40 @@ let make_go ~checkp ?(skip = fun _ -> false) nfa update =
       in
       if Selecting_nfa.set_is_empty states' then begin
         Stats.share ();
-        [ Node.Element e ]
+        Same
       end
-      else begin
-        let matched = Selecting_nfa.accepts_set nfa states' in
-        match update, matched with
-        | Transform_ast.Delete _, true -> []
-        | Transform_ast.Replace (_, enew), true ->
-          Stats.copy ();
-          [ Node.refresh_ids enew ]
-        | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
-          | Transform_ast.Delete _ | Transform_ast.Replace _), _ ->
-          let kids =
-            List.concat_map
-              (function
-                | Node.Element c -> go c states'
-                | (Node.Text _ | Node.Comment _ | Node.Pi _) as other -> [ other ])
-              (Node.children e)
-          in
-          if matched then Semantics.apply_matched update e ~kids
-          else [ rebuild_elem e kids ]
-      end
+      else at e states'
     end
+  and at e states' =
+    match update, Selecting_nfa.accepts_set nfa states' with
+    | Transform_ast.Delete _, true -> Changed []
+    | Transform_ast.Replace (_, enew), true ->
+      Stats.copy ();
+      Changed [ Node.refresh_ids enew ]
+    | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _), true ->
+      let kids =
+        Option.value (rebuild_children go states' (Node.children e)) ~default:(Node.children e)
+      in
+      Changed (Semantics.apply_matched update e ~kids)
+    | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
+      | Transform_ast.Delete _ | Transform_ast.Replace _), false -> (
+      match rebuild_children go states' (Node.children e) with
+      | None -> Same
+      | Some kids ->
+        Stats.copy ();
+        Changed [ Node.Element (Node.with_children e kids) ])
   in
-  go
+  (go, at)
 
 let run ?checkp ?skip nfa update root =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
   if not (Semantics.ctx_holds nfa root) then root
   else if Selecting_nfa.selects_context nfa then Semantics.apply_at_root update root
   else begin
-    let go = make_go ~checkp ?skip nfa update in
+    let go, _ = make_go ~checkp ?skip nfa update in
     match go root (Selecting_nfa.start nfa) with
-    | [ Node.Element e ] -> e
-    | [] -> raise (Transform_ast.Invalid_update "update deletes the document element")
-    | [ _ ] | _ :: _ ->
-      raise (Transform_ast.Invalid_update "update replaces the document element with a non-element")
+    | Same -> root
+    | Changed out -> Semantics.document_element out
   end
 
 (* ---------------- counting ----------------
@@ -162,7 +184,6 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
 
 let transform_at ?checkp nfa update ~states (e : Node.element) : Node.t list =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  let go = make_go ~checkp nfa update in
   (* [states] comes from the static delta' simulation of the Compose
      Method: label consistency and qualifiers have not been checked yet,
      so settle both at [e] before deciding anything. *)
@@ -177,152 +198,13 @@ let transform_at ?checkp nfa update ~states (e : Node.element) : Node.t list =
            else acc)
          states [])
   in
+  let _, at = make_go ~checkp nfa update in
   if Selecting_nfa.set_is_empty alive then [ Node.Element e ]
-  else begin
-    let matched = Selecting_nfa.accepts_set nfa alive in
-    match update, matched with
-    | Transform_ast.Delete _, true -> []
-    | Transform_ast.Replace (_, enew), true -> [ Node.refresh_ids enew ]
-    | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
-      | Transform_ast.Delete _ | Transform_ast.Replace _), _ ->
-      let kids =
-        List.concat_map
-          (function
-            | Node.Element c -> go c alive
-            | (Node.Text _ | Node.Comment _ | Node.Pi _) as other -> [ other ])
-          (Node.children e)
-      in
-      if matched then Semantics.apply_matched update e ~kids
-      else [ rebuild_elem e kids ]
-  end
+  else match at e alive with Same -> [ Node.Element e ] | Changed out -> out
 
 let transform update root =
   let nfa = Selecting_nfa.of_path (Transform_ast.path update) in
   run nfa update root
 
-(* ---------------- streaming emission ----------------
-
-   The same top-down walk, but instead of rebuilding a result tree the
-   output is pushed to a SAX sink as it is decided.  Untouched subtrees
-   (empty state set) and inserted/replacement subtrees are emitted
-   whole; everything else is a start-tag, the transformed children, an
-   end-tag.  Mirrors [make_go] + [Semantics.apply_matched] arm for arm,
-   so the byte stream a serializer sink produces is exactly the
-   serialization of [run]'s result. *)
-
-let emit_tree sink node =
-  let rec go = function
-    | Node.Element e ->
-      sink (Sax.Start_element (Node.name e, Node.attrs e));
-      List.iter go (Node.children e);
-      sink (Sax.End_element (Node.name e))
-    | Node.Text s -> sink (Sax.Characters s)
-    | Node.Comment s -> sink (Sax.Comment_event s)
-    | Node.Pi (t, c) -> sink (Sax.Pi_event (t, c))
-  in
-  go node
-
-let stream ?checkp ?(skip = fun _ -> false) nfa update root sink =
-  let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  if not (Semantics.ctx_holds nfa root) then emit_tree sink (Node.Element root)
-  else if Selecting_nfa.selects_context nfa then
-    emit_tree sink (Node.Element (Semantics.apply_at_root update root))
-  else begin
-    let rec go (e : Node.element) states =
-      if skip e then begin
-        Stats.share ();
-        emit_tree sink (Node.Element e)
-      end
-      else begin
-      Stats.visit ();
-      let states' =
-        Selecting_nfa.next nfa ~checkp:(fun s -> checkp s e) states (Node.sym e)
-      in
-      if Selecting_nfa.set_is_empty states' then begin
-        Stats.share ();
-        emit_tree sink (Node.Element e)
-      end
-      else begin
-        let matched = Selecting_nfa.accepts_set nfa states' in
-        match update, matched with
-        | Transform_ast.Delete _, true -> ()
-        | Transform_ast.Replace (_, enew), true -> emit_tree sink enew
-        | Transform_ast.Rename (_, l), true ->
-          sink (Sax.Start_element (l, Node.attrs e));
-          kids e states';
-          sink (Sax.End_element l)
-        | Transform_ast.Insert (_, enew), true ->
-          sink (Sax.Start_element (Node.name e, Node.attrs e));
-          kids e states';
-          emit_tree sink enew;
-          sink (Sax.End_element (Node.name e))
-        | Transform_ast.Insert_first (_, enew), true ->
-          sink (Sax.Start_element (Node.name e, Node.attrs e));
-          emit_tree sink enew;
-          kids e states';
-          sink (Sax.End_element (Node.name e))
-        | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
-          | Transform_ast.Replace _ | Transform_ast.Rename _), false ->
-          sink (Sax.Start_element (Node.name e, Node.attrs e));
-          kids e states';
-          sink (Sax.End_element (Node.name e))
-      end
-      end
-    and kids e states' =
-      List.iter
-        (function
-          | Node.Element c -> go c states'
-          | (Node.Text _ | Node.Comment _ | Node.Pi _) as other -> emit_tree sink other)
-        (Node.children e)
-    in
-    (* the document element needs the structural checks [run] applies to
-       [go]'s result list — settled here before anything is emitted *)
-    if skip root then begin
-      Stats.share ();
-      emit_tree sink (Node.Element root)
-    end
-    else begin
-    Stats.visit ();
-    let states' =
-      Selecting_nfa.next nfa ~checkp:(fun s -> checkp s root)
-        (Selecting_nfa.start nfa) (Node.sym root)
-    in
-    if Selecting_nfa.set_is_empty states' then begin
-      Stats.share ();
-      emit_tree sink (Node.Element root)
-    end
-    else begin
-      let matched = Selecting_nfa.accepts_set nfa states' in
-      match update, matched with
-      | Transform_ast.Delete _, true ->
-        raise (Transform_ast.Invalid_update "update deletes the document element")
-      | Transform_ast.Replace (_, enew), true -> begin
-        match enew with
-        | Node.Element _ -> emit_tree sink enew
-        | Node.Text _ | Node.Comment _ | Node.Pi _ ->
-          raise
-            (Transform_ast.Invalid_update
-               "update replaces the document element with a non-element")
-      end
-      | Transform_ast.Rename (_, l), true ->
-        sink (Sax.Start_element (l, Node.attrs root));
-        kids root states';
-        sink (Sax.End_element l)
-      | Transform_ast.Insert (_, enew), true ->
-        sink (Sax.Start_element (Node.name root, Node.attrs root));
-        kids root states';
-        emit_tree sink enew;
-        sink (Sax.End_element (Node.name root))
-      | Transform_ast.Insert_first (_, enew), true ->
-        sink (Sax.Start_element (Node.name root, Node.attrs root));
-        emit_tree sink enew;
-        kids root states';
-        sink (Sax.End_element (Node.name root))
-      | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
-        | Transform_ast.Replace _ | Transform_ast.Rename _), false ->
-        sink (Sax.Start_element (Node.name root, Node.attrs root));
-        kids root states';
-        sink (Sax.End_element (Node.name root))
-    end
-    end
-  end
+let stream ?checkp ?skip nfa update root sink =
+  Sax.events_of_node (Node.Element (run ?checkp ?skip nfa update root)) sink

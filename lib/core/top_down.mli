@@ -6,7 +6,10 @@ open Xut_automata
     A single top-down pass runs the selecting NFA while rebuilding the
     tree; subtrees where the state set empties are returned {e shared},
     without inspection — the pruning that separates this method from the
-    Naive one.  Qualifier checking is pluggable: the default consults the
+    Naive one.  Only the spine above each change is rebuilt: a node none
+    of whose children changed is returned physically, with nothing
+    allocated, so an update that selects nothing returns the input
+    root itself.  Qualifier checking is pluggable: the default consults the
     direct evaluator at each node (the GENTOP configuration, where the
     "host engine" evaluates qualifiers natively); the Two-pass method
     passes the O(1) oracle from {!Xut_automata.Annotator} instead. *)
@@ -43,16 +46,14 @@ val stream :
   Node.element ->
   (Sax.event -> unit) ->
   unit
-(** The same walk as {!run}, but the result is pushed to a SAX sink as
-    it is decided instead of being rebuilt as a tree: untouched subtrees
-    (empty state set) and inserted/replacement subtrees are replayed
-    whole, matched nodes get their update applied in event space.  Fed
-    into {!Xut_xml.Serialize.Sink} this is the zero-materialization
-    result path: the byte stream equals the serialization of {!run}'s
-    result, with no output tree and no monolithic output string.
-    @raise Transform_ast.Invalid_update as {!run} — before any event of
-    the offending construct is emitted at the root, but possibly after
-    earlier output (the mid-stream error case transports must carry). *)
+(** {!run}, then its result replayed as SAX events
+    ({!Xut_xml.Sax.events_of_node}, no document start/end): the bytes a
+    {!Xut_xml.Serialize.Sink} makes of them are exactly the
+    serialization of {!run}'s result.  A replay path for tools that
+    consume events; the service serializes {!run}'s tree instead,
+    putting shared subtrees whole.
+    @raise Transform_ast.Invalid_update as {!run} — before any event is
+    emitted, never mid-stream. *)
 
 val count :
   ?checkp:checkp ->

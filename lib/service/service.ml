@@ -277,26 +277,20 @@ let count_sax_skips ~metrics (stats : Sax_transform.run_stats) =
   Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
     ~nodes:stats.Sax_transform.skipped_elements
 
-(* The zero-materialization counterpart of [run_plan]: the engines that
-   can emit the result as events drive the serializer sink directly (no
-   output tree, no monolithic string); the rest materialize their tree
-   and hand it to the sink whole, still getting chunking, the pooled
-   buffer and the escape fast path. *)
+(* [run_plan] into a serializer sink.  twoPassSAX emits its result as
+   events.  Every other engine hands its result tree to the sink, which
+   writes each subtree whole; for the walk engines that tree shares all
+   but the rebuilt spine with the snapshot. *)
 let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink =
-  let update = plan.Plan_cache.query.Transform_ast.update in
-  let events = Xut_xml.Serialize.Sink.event sink in
-  let skip = Option.map (fun p -> p.skip) pruning in
   match (engine : Engine.algo) with
-  | Engine.Gentop | Engine.Td_bu ->
-    Top_down.stream ?checkp:(walk_checkp ?skip plan engine root) ?skip plan.Plan_cache.nfa
-      update root events
   | Engine.Two_pass_sax ->
     (* The skip-set is a property of the query's semantics under the
        schema, so it holds for the SAX NFA too. *)
     count_sax_skips ~metrics
-      (Sax_transform.run ?skip:(sym_skip pruning) (sax_nfa plan) update
-         ~source:(Xut_xml.Sax.events_of_tree root) ~sink:events)
-  | other -> Xut_xml.Serialize.Sink.element sink (Engine.transform other update root)
+      (Sax_transform.run ?skip:(sym_skip pruning) (sax_nfa plan)
+         plan.Plan_cache.query.Transform_ast.update ~source:(Xut_xml.Sax.events_of_tree root)
+         ~sink:(Xut_xml.Serialize.Sink.event sink))
+  | _ -> Xut_xml.Serialize.Sink.element sink (run_plan ?pruning plan engine root)
 
 (* [parse query], a failure as the [Query_parse_error] reply. *)
 let parsed parse query =

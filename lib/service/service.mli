@@ -209,10 +209,12 @@ val call : t -> request -> response
     [Transform] would have produced.
 
     - [engine = Some e] streams engine [e]'s result over a stored
-      document ([From_doc]).  The streaming engines (GENTOP, TD-BU,
-      twoPassSAX) emit events straight into the serializer sink — no
-      output tree, no monolithic string; the others materialize their
-      tree and stream its serialization.
+      document ([From_doc]), with no monolithic string.  twoPassSAX
+      emits events straight into the serializer sink; the others hand
+      their result tree to it.  For the walk engines (GENTOP, TD-BU)
+      that tree is topDown's shared output: only the spine above each
+      change is built, and shared subtrees are serialized whole.  An
+      update the document element cannot take fails before any chunk.
     - [engine = None] ([TRANSFORM-STREAM]) is the constant-memory
       {e input} path: the source is driven through the SAX transform
       straight into the sink, never materialized as a tree, when the

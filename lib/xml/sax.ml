@@ -411,7 +411,7 @@ let parse_file ?keep_ws path handler =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> parse_channel ?keep_ws ic handler)
 
-let events_of_tree root handler =
+let events_of_node node handler =
   let rec emit = function
     | Node.Element e ->
       handler (Start_element (Node.name e, Node.attrs e));
@@ -421,6 +421,9 @@ let events_of_tree root handler =
     | Node.Comment s -> handler (Comment_event s)
     | Node.Pi (t, c) -> handler (Pi_event (t, c))
   in
+  emit node
+
+let events_of_tree root handler =
   handler Start_document;
-  emit (Node.Element root);
+  events_of_node (Node.Element root) handler;
   handler End_document

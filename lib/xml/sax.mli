@@ -41,6 +41,10 @@ val parse_channel : ?keep_ws:bool -> in_channel -> (event -> unit) -> unit
 
 val parse_file : ?keep_ws:bool -> string -> (event -> unit) -> unit
 
+val events_of_node : Node.t -> (event -> unit) -> unit
+(** Replay the subtree at a node as SAX events, in document order,
+    without document start/end events. *)
+
 val events_of_tree : Node.element -> (event -> unit) -> unit
 (** Replay a DOM tree as a SAX event stream (used to run the streaming
     algorithms on in-memory documents without re-serializing). *)

@@ -215,6 +215,96 @@ let prop_stream_equals_materialized =
       in
       List.for_all (fun drive -> stream_to_string drive = expected) drivers)
 
+(* ---- topDown shares its input: only the spine above a match is new ---- *)
+
+(* Every element of [run]'s output that carries an input id is that input
+   element itself (a rebuilt node gets a fresh id); an update that
+   selects nothing rebuilds nothing and returns the root itself. *)
+let prop_run_shares_input =
+  QCheck2.Test.make ~name:"topDown output shares every untouched input element" ~count
+    QCheck2.Gen.(pair gen_root gen_update)
+    (fun (root, update) ->
+      let path = Transform_ast.path update in
+      let nfa = Xut_automata.Selecting_nfa.of_path path in
+      let input = Hashtbl.create 64 in
+      Node.iter_elements (fun e -> Hashtbl.replace input (Node.id e) e) root;
+      let selects_nothing = Eval.select_doc root path = [] in
+      let shares checkp =
+        Stats.reset ();
+        match Top_down.run ?checkp nfa update root with
+        | exception Transform_ast.Invalid_update _ -> not selects_nothing
+        | out ->
+          let copied = (Stats.read ()).Stats.copied in
+          Node.fold_elements
+            (fun ok e ->
+              ok
+              &&
+              match Hashtbl.find_opt input (Node.id e) with
+              | Some e_in -> e == e_in
+              | None -> true)
+            true out
+          && ((not selects_nothing) || (out == root && copied = 0))
+      in
+      let table = Xut_automata.Annotator.annotate nfa root in
+      shares None && shares (Some (Xut_automata.Annotator.checkp table nfa)))
+
+(* ---- a wide document: no stack depth per sibling ---- *)
+
+(* 10^5 siblings under the document element, the last one distinct: one
+   update changes every other child, one only the last.  The walk, the
+   counting walk and a service result stream all equal the reference. *)
+let test_wide_document () =
+  let n = 100_000 in
+  let kids =
+    List.init n (fun i ->
+        if i = n - 1 then Node.elem "d" [ Node.text "last" ]
+        else if i mod 2 = 0 then Node.elem "a" [ Node.elem "b" [ Node.text "x" ] ]
+        else Node.elem "c" [])
+  in
+  let root = Node.element "r" kids in
+  let elements = Node.element_count (Node.Element root) in
+  let file = Filename.temp_file "xut_wide" ".xml" in
+  Out_channel.with_open_bin file (fun oc ->
+      Out_channel.output_string oc (Serialize.element_to_string root));
+  let svc = Xut_service.Service.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Xut_service.Service.shutdown svc;
+      Sys.remove file)
+    (fun () ->
+      (match
+         Xut_service.Service.call svc
+           (Xut_service.Service.Load { name = "w"; file; schema = None })
+       with
+      | Xut_service.Service.Ok _ -> ()
+      | Xut_service.Service.Error { message; _ } -> Alcotest.fail message);
+      List.iter
+        (fun (label, update, query) ->
+          let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+          let expected = Engine.transform Engine.Reference update root in
+          let expected_s = Serialize.element_to_string expected in
+          Alcotest.(check string) (label ^ ": run") expected_s
+            (Serialize.element_to_string (Top_down.run nfa update root));
+          Alcotest.(check int) (label ^ ": count")
+            (Node.element_count (Node.Element expected))
+            (Top_down.count ~elements nfa update root);
+          let buf = Buffer.create (String.length expected_s) in
+          match
+            Xut_service.Service.transform_stream svc ~doc:"w" ~engine:Engine.Td_bu ~query
+              (Buffer.add_string buf)
+          with
+          | Xut_service.Service.Ok (Xut_service.Service.Stream_done _) ->
+            Alcotest.(check string) (label ^ ": td-bu result stream") expected_s
+              (Buffer.contents buf)
+          | Xut_service.Service.Ok _ -> Alcotest.fail "expected Stream_done"
+          | Xut_service.Service.Error { message; _ } -> Alcotest.fail message)
+        [ ( "every other child",
+            Transform_ast.Delete (Parser.parse "r/a/b"),
+            {|transform copy $a := doc("w") modify do delete $a/r/a/b return $a|} );
+          ( "last child only",
+            Transform_ast.Rename (Parser.parse "r/d", "z"),
+            {|transform copy $a := doc("w") modify do rename $a/r/d as z return $a|} ) ])
+
 (* ---- counting walk: count = element count of the materialized result ---- *)
 
 let prop_count_equals_materialized =
@@ -415,4 +505,7 @@ let prop_xquery_print_parse =
         eval_repr e = eval_repr e2)
 
 let suite =
-  suite @ List.map QCheck_alcotest.to_alcotest [ prop_xquery_print_parse; prop_count_equals_materialized ]
+  suite
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_xquery_print_parse; prop_count_equals_materialized; prop_run_shares_input ]
+  @ [ Alcotest.test_case "wide document: run, count, result stream" `Quick test_wide_document ]

@@ -248,6 +248,59 @@ let test_skip_metrics_and_answers () =
             (Metrics.skipped_nodes m > Metrics.skipped_subtrees m);
           Alcotest.(check bool) "a product was built" true (Metrics.schema_products m > 0)))
 
+(* Fig. 11, U1-U10. *)
+let fig11 =
+  [ "/site/people/person";
+    "/site/people/person[@id = \"person10\"]";
+    "/site/people/person[profile/age > 20]";
+    "/site/regions//item";
+    "/site//description";
+    "/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist\
+     /listitem/text/emph/keyword";
+    u7_path;
+    "/site/open_auctions/open_auction[initial > 10 and reserve > 50]/bidder";
+    "/site/regions//item[location = \"United States\"]";
+    "/site//open_auctions/open_auction[not(@id = \"open_auction2\")]/bidder[increase > 10]" ]
+
+(* Result streams under pruning: each streamed engine over the
+   schema-bound doc prunes something and sends the same bytes as a
+   TRANSFORM of the schemaless binding of the same file. *)
+let test_result_streams_pruned () =
+  with_xmark_file (fun path ->
+      with_service (fun svc ->
+          ignore (load svc ~schema:"xmark" "d" path);
+          ignore (load svc "plain" path);
+          let m = Service.metrics svc in
+          List.iteri
+            (fun i p ->
+              List.iter
+                (fun engine ->
+                  let label = Printf.sprintf "U%d %s" (i + 1) (Core.Engine.name engine) in
+                  let expected =
+                    match
+                      Service.call svc
+                        (Service.Transform
+                           { target = Service.Doc "plain"; engine; query = delete_q ~doc:"plain" p })
+                    with
+                    | Service.Ok (Service.Tree s) -> s
+                    | _ -> Alcotest.fail (label ^ ": TRANSFORM")
+                  in
+                  let skipped = Metrics.skipped_subtrees m in
+                  let buf = Buffer.create (String.length expected) in
+                  (match
+                     Service.transform_stream svc ~doc:"d" ~engine ~query:(delete_q p)
+                       ~chunk_size:512 (Buffer.add_string buf)
+                   with
+                  | Service.Ok (Service.Stream_done _) -> ()
+                  | Service.Ok _ -> Alcotest.fail (label ^ ": expected Stream_done")
+                  | Service.Error { message; _ } -> Alcotest.fail (label ^ ": " ^ message));
+                  Alcotest.(check string) (label ^ ": stream = schemaless TRANSFORM") expected
+                    (Buffer.contents buf);
+                  Alcotest.(check bool) (label ^ ": subtrees skipped") true
+                    (Metrics.skipped_subtrees m > skipped))
+                Core.Engine.[ Gentop; Td_bu; Two_pass_sax ])
+            fig11))
+
 let test_view_chain_equivalence () =
   with_xmark_file (fun path ->
       with_service (fun svc ->
@@ -393,6 +446,8 @@ let suite =
       test_statically_empty_rejection;
     Alcotest.test_case "service: skip metrics + pruned answers" `Quick
       test_skip_metrics_and_answers;
+    Alcotest.test_case "service: result streams under pruning (U1-U10)" `Quick
+      test_result_streams_pruned;
     Alcotest.test_case "service: composed views agree under pruning" `Quick
       test_view_chain_equivalence;
     Alcotest.test_case "socket: statically-empty over the wire" `Quick
