@@ -297,7 +297,7 @@ let stdin_serve_loop svc =
       | Ok (Xut_transport.Wire.Line.Plain req) -> print_reply (Xut_service.Service.call svc req)
       | Ok (Xut_transport.Wire.Line.Stream sr) ->
         print_stream_reply ~completion:true print_reply
-          (Xut_service.Service.await (Xut_service.Service.submit_stream svc sr print_string)));
+          (Xut_service.Service.call_stream svc sr print_string));
       loop ()
   in
   loop ()

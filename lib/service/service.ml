@@ -592,7 +592,7 @@ let handle_commit ~store ~metrics ~doc ~query =
 
 (* [depth] guards against nested batches; every arm returns a
    [response], so a worker can only die to a runtime error (and even
-   that the pool turns into an [Error] future). *)
+   that the pool turns into an [Error] reply). *)
 let rec handle ~store ~cache ~views ~metrics ~depth = function
   | Load { name; file; schema } -> begin
     match Doc_store.load_file store ~name ?schema file with
@@ -856,40 +856,33 @@ let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_
 
 (* The pool's own error channel ([('b, string) result]) only fires when
    an exception escapes the handler — the handler catches everything it
-   expects, so this is the backstop mapping, plus the shut-down case. *)
-type future =
-  | Ready of response
-  | Pending of (response, string) Stdlib.result Worker_pool.future
-
-let submit_job t job =
-  match Worker_pool.submit t.pool job with
-  | fut -> Pending fut
-  | exception Invalid_argument _ ->
-    Ready (error Overloaded "service is shut down")
-
-let submit t req = submit_job t (Plain_job req)
-
-let submit_stream t sr emit = submit_job t (Stream_job (sr, emit))
-
+   expects, so this is the backstop mapping. *)
 let flatten = function
   | Stdlib.Ok r -> r
   | Stdlib.Error msg -> error Eval_error "%s" msg
 
-let await = function
-  | Ready r -> r
-  | Pending fut -> flatten (Worker_pool.await fut)
+let shut_down () = error Overloaded "service is shut down"
 
-let peek = function
-  | Ready r -> Some r
-  | Pending fut -> Option.map flatten (Worker_pool.peek fut)
+let submit_job t job reply =
+  match Worker_pool.submit t.pool job (fun r -> reply (flatten r)) with
+  | () -> ()
+  | exception Invalid_argument _ -> reply (shut_down ())
 
-let call t req = await (submit t req)
+let call_job t job =
+  match Worker_pool.call t.pool job with
+  | r -> flatten r
+  | exception Invalid_argument _ -> shut_down ()
+
+let submit t req reply = submit_job t (Plain_job req) reply
+let submit_stream t sr emit reply = submit_job t (Stream_job (sr, emit)) reply
+let call t req = call_job t (Plain_job req)
+let call_stream t sr emit = call_job t (Stream_job (sr, emit))
 
 let transform_stream t ~doc ~engine ~query ?(chunk_size = default_chunk_size) emit =
-  await (submit_stream t { source = From_doc doc; engine = Some engine; query; chunk_size } emit)
+  call_stream t { source = From_doc doc; engine = Some engine; query; chunk_size } emit
 
 let transform_ingest t ~source ~query ?(chunk_size = default_chunk_size) emit =
-  await (submit_stream t { source; engine = None; query; chunk_size } emit)
+  call_stream t { source; engine = None; query; chunk_size } emit
 
 let metrics t = t.metrics
 let cache_stats t = Plan_cache.stats t.cache

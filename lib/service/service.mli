@@ -73,7 +73,7 @@ type request =
   | Batch of request list
       (** Execute the sub-requests in order on one worker and reply
           with one {!Batch_results} holding a response per item — one
-          frame in, one frame out, amortizing queue/future (and wire)
+          frame in, one frame out, amortizing queue hand-off (and wire)
           overhead for small-document traffic.  Batches must not nest:
           a [Batch] inside a [Batch] is answered with [Bad_request]. *)
 
@@ -182,20 +182,15 @@ val create :
     document content, so a re-query after commit reuses the cached
     composition over the new snapshot. *)
 
-type future
-
-val submit : t -> request -> future
-(** Asynchronous entry: enqueue, return a future.  Blocks when the
-    queue is full.  After {!shutdown}, returns a future already
-    fulfilled with an [Overloaded] error. *)
-
-val await : future -> response
-(** Block until the request has been served.  A handler can not kill
-    its worker: any outcome, including an escaped exception, arrives
-    here as a [response]. *)
-
-val peek : future -> response option
-(** Non-blocking: [None] while the request is still pending. *)
+val submit : t -> request -> (response -> unit) -> unit
+(** Asynchronous entry: [submit t req reply] enqueues [req], blocking
+    while the queue is full, and returns.  [reply] runs once with the
+    response, on the worker domain that served it (possibly before
+    [submit] returns); keep it short, it holds that worker.  A handler
+    can not kill its worker: any outcome, including an escaped
+    exception, arrives as a [response], and an exception out of [reply]
+    is dropped.  After {!shutdown}, [reply] receives an [Overloaded]
+    error at once, before [submit] returns. *)
 
 val call : t -> request -> response
 (** Synchronous round trip. *)
@@ -248,12 +243,17 @@ type stream_request = {
   chunk_size : int;  (** target chunk size in bytes; values below 1 count as 1 *)
 }
 
-val submit_stream : t -> stream_request -> (string -> unit) -> future
-(** Enqueue a streamed transform.  [emit] runs on the worker domain,
-    once per chunk, strictly before the future resolves; it must be
-    quick or the worker stalls (transports write the chunk frame here).
-    If [emit] raises, or the engine fails after chunks have gone out,
-    the future resolves to an [Error] — the mid-stream error case. *)
+val submit_stream : t -> stream_request -> (string -> unit) -> (response -> unit) -> unit
+(** [submit_stream t sr emit reply] enqueues a streamed transform.
+    [emit] runs on the worker domain, once per chunk, strictly before
+    [reply]; it must be quick or the worker stalls (transports write the
+    chunk frame here).  [reply] then gets the completion as {!submit}'s
+    does.  If [emit] raises, or the engine fails after chunks have gone
+    out, [reply] gets an [Error] — the mid-stream error case. *)
+
+val call_stream : t -> stream_request -> (string -> unit) -> response
+(** Synchronous {!submit_stream}: [Ok (Stream_done _)] after the last
+    chunk, or an [Error]. *)
 
 val transform_stream :
   t ->

@@ -1,10 +1,4 @@
-type 'r future = {
-  fmu : Mutex.t;
-  fcond : Condition.t;
-  mutable value : 'r option;
-}
-
-type ('a, 'b) cell = { arg : 'a; future : ('b, string) result future }
+type ('a, 'b) cell = { arg : 'a; reply : ('b, string) result -> unit }
 
 type ('a, 'b) t = {
   mu : Mutex.t;
@@ -14,35 +8,9 @@ type ('a, 'b) t = {
   capacity : int;
   mutable closed : bool;
   mutable workers : unit Domain.t list;
-  n_domains : int;
   on_enqueue : unit -> unit;
   on_dequeue : unit -> unit;
 }
-
-let fulfil fut value =
-  Mutex.lock fut.fmu;
-  fut.value <- Some value;
-  Condition.broadcast fut.fcond;
-  Mutex.unlock fut.fmu
-
-let await fut =
-  Mutex.lock fut.fmu;
-  let rec wait () =
-    match fut.value with
-    | Some v ->
-      Mutex.unlock fut.fmu;
-      v
-    | None ->
-      Condition.wait fut.fcond fut.fmu;
-      wait ()
-  in
-  wait ()
-
-let peek fut =
-  Mutex.lock fut.fmu;
-  let v = fut.value in
-  Mutex.unlock fut.fmu;
-  v
 
 let worker_loop t f =
   let rec loop () =
@@ -61,14 +29,15 @@ let worker_loop t f =
       Condition.signal t.not_full;
       Mutex.unlock t.mu;
       (* Failure isolation: any exception from f becomes this request's
-         error response; the worker itself never dies. *)
+         error reply, and one out of the reply itself is dropped; the
+         worker never dies. *)
       let result =
         match f cell.arg with
         | v -> Ok v
         | exception Failure msg -> Error msg
         | exception e -> Error (Printexc.to_string e)
       in
-      fulfil cell.future result;
+      (try cell.reply result with _ -> ());
       loop ()
     end
   in
@@ -86,7 +55,6 @@ let create ?(on_enqueue = Fun.id) ?(on_dequeue = Fun.id) ~domains ~queue_capacit
       capacity = queue_capacity;
       closed = false;
       workers = [];
-      n_domains = domains;
       on_enqueue;
       on_dequeue;
     }
@@ -94,8 +62,7 @@ let create ?(on_enqueue = Fun.id) ?(on_dequeue = Fun.id) ~domains ~queue_capacit
   t.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> worker_loop t f));
   t
 
-let submit t arg =
-  let future = { fmu = Mutex.create (); fcond = Condition.create (); value = None } in
+let submit t arg reply =
   Mutex.lock t.mu;
   while Queue.length t.queue >= t.capacity && not t.closed do
     Condition.wait t.not_full t.mu
@@ -104,15 +71,24 @@ let submit t arg =
     Mutex.unlock t.mu;
     invalid_arg "Worker_pool.submit: pool is shut down"
   end;
-  Queue.push { arg; future } t.queue;
+  Queue.push { arg; reply } t.queue;
   t.on_enqueue ();
   Condition.signal t.not_empty;
-  Mutex.unlock t.mu;
-  future
+  Mutex.unlock t.mu
 
-let call t arg = await (submit t arg)
-
-let domains t = t.n_domains
+let call t arg =
+  let mu = Mutex.create () and served = Condition.create () and result = ref None in
+  submit t arg (fun r ->
+      Mutex.lock mu;
+      result := Some r;
+      Condition.signal served;
+      Mutex.unlock mu);
+  Mutex.lock mu;
+  while Option.is_none !result do
+    Condition.wait served mu
+  done;
+  Mutex.unlock mu;
+  Option.get !result
 
 let shutdown t =
   Mutex.lock t.mu;

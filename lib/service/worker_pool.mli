@@ -1,21 +1,20 @@
 (** Domain-based worker pool with a bounded request queue.
 
     [create ~domains ~queue_capacity f] spawns [domains] OCaml 5 domains
-    that each loop: dequeue a request, run [f] on it, fulfil the
-    request's future.  The queue is a mutex/condvar bounded buffer:
-    {!submit} blocks once [queue_capacity] requests are waiting, which
-    is the backpressure that keeps a closed-loop client from swamping
-    the pool.
+    that each loop: dequeue a request, run [f] on it, hand the result to
+    the reply function the request was submitted with.  The reply runs
+    on the worker domain, so the caller's completion work (a transport
+    writing its response frame) happens there too, with no extra thread.
+    The queue is a mutex/condvar bounded buffer: {!submit} blocks once
+    [queue_capacity] requests are waiting, which is the backpressure
+    that keeps a closed-loop client from swamping the pool.
 
-    Failure isolation: [f] raising rejects that request's future with
-    the exception message — the worker survives and keeps serving.
-    Nothing can kill a worker short of the runtime itself dying. *)
+    Failure isolation: [f] raising turns into an [Error] reply carrying
+    the exception message, and an exception out of the reply function
+    itself is dropped — the worker survives and keeps serving.  Nothing
+    can kill a worker short of the runtime itself dying. *)
 
 type ('a, 'b) t
-
-type 'r future
-(** A pending result of type ['r]; for this pool's requests,
-    [('b, string) result future]. *)
 
 val create :
   ?on_enqueue:(unit -> unit) ->
@@ -28,20 +27,15 @@ val create :
     request enters/leaves the queue (the service wires queue-depth
     metrics through them; they must not block). *)
 
-val submit : ('a, 'b) t -> 'a -> ('b, string) result future
-(** Enqueue a request, blocking while the queue is full.
-    @raise Invalid_argument after {!shutdown}. *)
-
-val await : 'r future -> 'r
-(** Block until the request has been served. *)
-
-val peek : 'r future -> 'r option
-(** Non-blocking: [None] while the request is still pending. *)
+val submit : ('a, 'b) t -> 'a -> (('b, string) result -> unit) -> unit
+(** [submit pool arg reply] enqueues [arg], blocking while the queue is
+    full.  [reply] is called exactly once, on the worker domain, after
+    [f arg] returns or raises; it may run before [submit] returns.
+    @raise Invalid_argument after {!shutdown} ([reply] is not called). *)
 
 val call : ('a, 'b) t -> 'a -> ('b, string) result
-(** [submit] then [await]: synchronous round trip. *)
-
-val domains : ('a, 'b) t -> int
+(** Synchronous round trip: [submit], then wait for the reply.
+    @raise Invalid_argument after {!shutdown}. *)
 
 val shutdown : ('a, 'b) t -> unit
 (** Stop accepting requests, drain the queue, join every worker.

@@ -12,6 +12,9 @@ let default_config =
 type conn = {
   fd : Unix.file_descr;
   wmu : Mutex.t;  (* serializes frame writes (responses interleave) *)
+  mutable failed : bool;
+      (* a frame write failed part-way: the byte stream is torn, so the
+         socket is shut down and every later write fails at once *)
   cmu : Mutex.t;
   drained : Condition.t;
   mutable in_flight : int;  (* submitted requests whose response is not yet written *)
@@ -67,10 +70,17 @@ let send t fd s =
   Metrics.frame_out (Service.metrics t.svc) (String.length s);
   write_all fd s
 
-(* [send] under the connection's write lock. *)
+(* [send] under the connection's write lock.  The first failed write
+   may have left part of a frame on the wire, and no later frame could
+   be parsed after it, so it shuts the connection down: the reader sees
+   EOF and the client sees the torn frame end in EOF. *)
 let write_raw t conn s =
   Mutex.lock conn.wmu;
-  let ok = send t conn.fd s in
+  let ok = (not conn.failed) && send t conn.fd s in
+  if not (ok || conn.failed) then begin
+    conn.failed <- true;
+    try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+  end;
   Mutex.unlock conn.wmu;
   ok
 
@@ -81,47 +91,45 @@ let write_frame ?version t conn ~id resp =
 
 let error_response code message = Service.Error { code; message }
 
-(* ---- per-request completion ---- *)
+(* ---- dispatch ---- *)
 
-let track_in_flight conn =
+(* Count a request in flight before it is submitted, and hand the pool a
+   reply function that runs [complete] on the worker domain, then
+   uncounts it: [conn_main] closes the socket only once every submitted
+   request's final frame has been written. *)
+let submit_tracked conn submit complete =
   Mutex.lock conn.cmu;
   conn.in_flight <- conn.in_flight + 1;
-  Mutex.unlock conn.cmu
+  Mutex.unlock conn.cmu;
+  submit (fun resp ->
+      Fun.protect
+        (fun () -> complete resp)
+        ~finally:(fun () ->
+          Mutex.lock conn.cmu;
+          conn.in_flight <- conn.in_flight - 1;
+          if conn.in_flight = 0 then Condition.broadcast conn.drained;
+          Mutex.unlock conn.cmu))
 
-let spawn_completion conn complete =
-  track_in_flight conn;
-  let complete () =
-    complete ();
-    Mutex.lock conn.cmu;
-    conn.in_flight <- conn.in_flight - 1;
-    if conn.in_flight = 0 then Condition.broadcast conn.drained;
-    Mutex.unlock conn.cmu
-  in
-  match Thread.create complete () with
-  | (_ : Thread.t) -> ()
-  | exception _ -> complete () (* out of threads: finish synchronously *)
-
+(* submit blocks when the pool queue is full: backpressure lands on
+   this connection's reader, which stops consuming frames. *)
 let dispatch t conn ~version ~id req =
-  (* submit blocks when the pool queue is full: backpressure lands on
-     this connection's reader, which stops consuming frames. *)
-  let fut = Service.submit t.svc req in
-  spawn_completion conn (fun () -> ignore (write_frame ~version t conn ~id (Service.await fut)))
+  submit_tracked conn (Service.submit t.svc req) (fun resp ->
+      ignore (write_frame ~version t conn ~id resp))
 
 (* A streamed transform: STREAM_BEGIN goes out before the request is
    queued (so it precedes every chunk), chunk frames are written from
-   the worker domain as the serializer sink fills, and the completion
-   thread finishes the exchange with STREAM_END or — if the engine
-   failed after chunks went out — STREAM_ERROR. *)
+   the worker domain as the serializer sink fills, and the same worker
+   finishes the exchange with STREAM_END or — if the engine failed
+   after chunks went out — STREAM_ERROR. *)
 let dispatch_stream t conn ~id sr =
   ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id));
   let emit chunk =
     if not (write_raw t conn (Wire.Binary.stream_chunk_frame ~id chunk)) then
       failwith "client disconnected mid-stream"
   in
-  let fut = Service.submit_stream t.svc sr emit in
-  spawn_completion conn (fun () ->
+  submit_tracked conn (Service.submit_stream t.svc sr emit) (fun resp ->
       let final =
-        match Service.await fut with
+        match resp with
         | Service.Ok (Service.Stream_done { bytes; chunks }) ->
           Wire.Binary.stream_end_frame ~id ~bytes ~chunks
         | Service.Error { code; message } -> Wire.Binary.stream_error_frame ~id ~code message
@@ -239,6 +247,7 @@ let accept_loop t =
               {
                 fd;
                 wmu = Mutex.create ();
+                failed = false;
                 cmu = Mutex.create ();
                 drained = Condition.create ();
                 in_flight = 0;

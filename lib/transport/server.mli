@@ -1,14 +1,21 @@
 (** TCP / Unix-socket front end over {!Xut_service.Service}.
 
-    One accept thread plus one reader thread per connection; each
-    decoded request is dispatched through [Service.submit] (the
-    existing domain worker pool), and a per-request completion thread
-    writes the framed response back under the connection's write lock —
+    One accept thread plus one reader thread per connection, and no
+    other threads: each decoded request is dispatched through
+    [Service.submit] (the domain worker pool), and the worker that
+    served it writes the framed response back under the connection's
+    write lock, as it already writes stream chunks and notices —
     responses may complete out of order, which is fine because frames
-    carry the request id.
+    carry the request id.  A reply the client does not read therefore
+    holds its worker until the write times out (see below).
 
     Robustness over features:
     - a per-connection read timeout closes idle or stalled clients;
+      the same timeout bounds each socket write;
+    - the first frame write that fails (a client that stopped reading
+      past the timeout, or disconnected) shuts the connection down:
+      part of that frame may be on the wire, so no later frame is
+      written after it and the client sees the torn frame end in EOF;
     - frames above [max_frame], bad magic and unsupported versions get
       a [Bad_request] error frame and a connection close (the stream
       can no longer be trusted); a well-framed but undecodable payload

@@ -63,3 +63,29 @@ let pnames doc path =
          match Xut_xpath.Eval.select e (parse_path "pname") with
          | n :: _ -> Node.text_content n
          | [] -> "?")
+
+(* Replies of callback-style submissions ([Service.submit],
+   [Worker_pool.submit]): [expect ()] is the reply function for one more
+   request, and [all ()] waits until every expected reply has arrived
+   and returns them in [expect] order (failing after [timeout] seconds,
+   so a lost reply fails the test instead of hanging it). *)
+let replies () =
+  let mu = Mutex.create () and slots = ref [] in
+  let expect () =
+    let slot = ref None in
+    Mutex.protect mu (fun () -> slots := slot :: !slots);
+    fun v -> Mutex.protect mu (fun () -> slot := Some v)
+  in
+  let all ?(timeout = 30.) () =
+    let deadline = Unix.gettimeofday () +. timeout in
+    let rec wait () =
+      match Mutex.protect mu (fun () -> List.map ( ! ) !slots) with
+      | got when List.for_all Option.is_some got -> List.rev_map Option.get got
+      | _ when Unix.gettimeofday () > deadline -> Alcotest.fail "a submitted request never replied"
+      | _ ->
+        Thread.delay 0.001;
+        wait ()
+    in
+    wait ()
+  in
+  (expect, all)

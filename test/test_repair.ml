@@ -254,14 +254,13 @@ let test_readers_race_repair () =
           load_doc svc path;
           let generation () = (Option.get (Doc_store.info (Service.store svc) "d")).generation in
           let gen0 = generation () in
-          let readers = ref [] in
+          let expect, all = Fixtures.replies () in
           for k = 1 to 12 do
             for _ = 1 to 3 do
-              readers :=
-                Service.submit svc
-                  (Service.Transform
-                     { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = read_query })
-                :: !readers
+              Service.submit svc
+                (Service.Transform
+                   { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = read_query })
+                (expect ())
             done;
             let q =
               Printf.sprintf
@@ -273,14 +272,13 @@ let test_readers_race_repair () =
             | _ -> Alcotest.fail "commit failed"
           done;
           List.iter
-            (fun fut ->
-              match Service.await fut with
+            (function
               | Service.Ok (Service.Tree s) ->
                 let m1 = Option.get (value_between s "<m1><v>" "</v></m1>") in
                 let m2 = Option.get (value_between s "<m2><v>" "</v></m2>") in
                 Alcotest.(check string) "no torn snapshot" m1 m2
               | _ -> Alcotest.fail "reader failed")
-            !readers;
+            (all ());
           let m = Service.metrics svc in
           Alcotest.(check int) "all commits effective" 12 (Metrics.commits m);
           Alcotest.(check int) "generation in lockstep with commits" 12 (generation () - gen0);

@@ -331,23 +331,25 @@ let test_service_concurrent_4_domains () =
           let expected =
             List.map (fun q -> reference_answer Core.Engine.Td_bu q) queries
           in
-          let futures =
+          let expect, all = Fixtures.replies () in
+          let which =
             List.init 60 (fun i ->
                 let q = List.nth queries (i mod 3) in
-                ( i mod 3,
-                  Service.submit svc
-                    (Service.Transform { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q }) ))
+                Service.submit svc
+                  (Service.Transform { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q })
+                  (expect ());
+                i mod 3)
           in
-          List.iter
-            (fun (which, fut) ->
-              match Service.await fut with
+          List.iter2
+            (fun which resp ->
+              match resp with
               | Service.Ok (Service.Tree payload) ->
                 Alcotest.(check string)
                   "parallel output byte-identical to single-threaded run"
                   (List.nth expected which) payload
               | Service.Ok _ -> Alcotest.fail "TRANSFORM must answer with a Tree"
               | Service.Error { message; _ } -> Alcotest.fail message)
-            futures;
+            which (all ());
           let m = Service.metrics svc in
           Alcotest.(check int) "no errors" 0 (Metrics.errors m);
           Alcotest.(check bool) "cache hit on repeats" true (Metrics.cache_hits m >= 57)))
@@ -482,14 +484,14 @@ let test_service_reload_replaces () =
 
 let test_pool_parallel_sum () =
   let pool = Worker_pool.create ~domains:4 ~queue_capacity:8 (fun n -> n * n) in
-  let futures = List.init 100 (fun i -> Worker_pool.submit pool i) in
+  let expect, all = Fixtures.replies () in
+  List.iter (fun i -> Worker_pool.submit pool i (expect ())) (List.init 100 Fun.id);
   let total =
     List.fold_left
-      (fun acc fut ->
-        match Worker_pool.await fut with
+      (fun acc -> function
         | Ok v -> acc + v
         | Error e -> Alcotest.fail e)
-      0 futures
+      0 (all ())
   in
   Worker_pool.shutdown pool;
   Alcotest.(check int) "all 100 squares served" 328350 total
@@ -505,8 +507,43 @@ let test_pool_failure_isolation () =
   (match Worker_pool.call pool 41 with
   | Ok v -> Alcotest.(check int) "workers survive a raise" 42 v
   | Error e -> Alcotest.fail e);
+  (* A raising reply is dropped.  One per worker: if a raise killed its
+     worker, each of the two workers would take one and die, and the
+     requests after them would never be served. *)
+  let raised = Atomic.make 0 in
+  for i = 1 to 2 do
+    Worker_pool.submit pool i (fun _ ->
+        Atomic.incr raised;
+        failwith "reply raised")
+  done;
+  let expect, all = Fixtures.replies () in
+  List.iter (fun i -> Worker_pool.submit pool i (expect ())) [ 10; 20; 30 ];
+  (match all ~timeout:10. () with
+  | [ Ok 11; Ok 21; Ok 31 ] -> ()
+  | _ -> Alcotest.fail "workers survive a raising reply");
   Worker_pool.shutdown pool;
+  Alcotest.(check int) "both raising replies ran" 2 (Atomic.get raised);
   Worker_pool.shutdown pool (* idempotent *)
+
+(* After shutdown every entry answers Overloaded, and the callback ones
+   do so before they return. *)
+let test_submit_after_shutdown () =
+  let svc = Service.create () in
+  Service.shutdown svc;
+  let overloaded label = function
+    | Some (Service.Error { code = Service.Overloaded; _ }) -> ()
+    | _ -> Alcotest.fail (label ^ ": no Overloaded reply")
+  in
+  let got = ref None in
+  Service.submit svc Service.Stats (fun r -> got := Some r);
+  overloaded "submit replied before returning" !got;
+  let got = ref None in
+  Service.submit_stream svc
+    { Service.source = Service.From_doc "d"; engine = None; query = q_del_prices; chunk_size = 64 }
+    (fun _ -> Alcotest.fail "a refused stream emits no chunk")
+    (fun r -> got := Some r);
+  overloaded "submit_stream replied before returning" !got;
+  overloaded "call" (Some (Service.call svc Service.Stats))
 
 (* ---- streaming result path ---- *)
 
@@ -1277,6 +1314,7 @@ let suite =
       test_transform_ingest;
     Alcotest.test_case "pool: parallel fan-out" `Quick test_pool_parallel_sum;
     Alcotest.test_case "pool: failure isolation" `Quick test_pool_failure_isolation;
+    Alcotest.test_case "service: submit after shutdown" `Quick test_submit_after_shutdown;
     Alcotest.test_case "metrics: histogram and queue depth" `Quick test_metrics_histogram;
     Alcotest.test_case "views: define, query, list, undefine" `Quick test_view_define_and_query;
     Alcotest.test_case "views: definition-time rejection" `Quick test_view_definition_errors;

@@ -73,20 +73,25 @@ let raw_write fd s =
   in
   go 0
 
-let raw_read_all ?(timeout = 5.) fd =
+(* Every byte a raw client gets until the server closes or [timeout]
+   passes; [true] when the read ended in EOF. *)
+let raw_read ?(timeout = 5.) fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
   let rec go () =
     match Unix.read fd chunk 0 4096 with
-    | 0 -> ()
+    | 0 -> true
     | n ->
       Buffer.add_subbytes buf chunk 0 n;
       go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNRESET), _, _) -> ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
   in
-  go ();
-  Buffer.contents buf
+  let eof = go () in
+  (Buffer.contents buf, eof)
+
+let raw_read_all ?timeout fd = fst (raw_read ?timeout fd)
 
 (* Decode the single error frame a misbehaving client is sent. *)
 let decode_error_frame bytes =
@@ -1551,6 +1556,125 @@ let test_chunk_size_bound_over_socket () =
                   (reference_answer Core.Engine.Gentop q_del_prices) (Buffer.contents buf)
               | _ -> Alcotest.fail "a stream at the bound must be served")))
 
+(* ---- replies the client does not read at once ---- *)
+
+(* A document file of [n] filler elements (37 bytes each). *)
+let with_wide_doc n f =
+  let path = Filename.temp_file "xut_transport_test" ".xml" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "<r>";
+      for i = 1 to n do
+        Out_channel.output_string oc (Printf.sprintf "<b>%030d</b>" i)
+      done;
+      Out_channel.output_string oc "</r>");
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* An identity transform of a wide document: it has no price. *)
+let wide_query name =
+  Printf.sprintf {|transform copy $a := doc("%s") modify do delete $a//price return $a|} name
+
+(* The whole frames at the front of [bytes], and the length of the
+   incomplete tail after them. *)
+let split_frames bytes =
+  let hs = Wire.Binary.header_size in
+  let rec go off acc =
+    let rest = String.length bytes - off in
+    if rest < hs then (List.rev acc, rest)
+    else
+      match Wire.Binary.decode_header (Bytes.of_string (String.sub bytes off hs)) with
+      | Error msg -> Alcotest.fail ("frame header: " ^ msg)
+      | Ok h when rest < hs + h.Wire.Binary.length -> (List.rev acc, rest)
+      | Ok h ->
+        go (off + hs + h.Wire.Binary.length)
+          ((h, String.sub bytes (off + hs) h.Wire.Binary.length) :: acc)
+  in
+  go 0 []
+
+(* A reply the client does not read times its write out part-way
+   through the frame.  The server must shut the connection down there:
+   a frame written after the torn one would parse as its payload. *)
+let test_torn_frame_closes_connection () =
+  let read_timeout = 0.3 in
+  with_doc_file (fun doc ->
+      with_wide_doc 40_000 (fun wide ->
+          with_server
+            ~config:{ Server.default_config with Server.read_timeout }
+            (fun svc sock ->
+              let cli = Client.connect (Addr.Unix_socket sock) in
+              (match Client.call cli (Service.Load { name = "big"; file = wide; schema = None }) with
+              | Service.Ok (Service.Doc_loaded _) -> ()
+              | _ -> Alcotest.fail "LOAD big");
+              Client.close cli;
+              let transform =
+                Service.Transform
+                  { target = Service.Doc "big"; engine = Core.Engine.Td_bu; query = wide_query "big" }
+              in
+              let full =
+                match Service.call svc transform with
+                | Service.Ok (Service.Tree _) as r -> Wire.Binary.response_frame ~id:1L r
+                | _ -> Alcotest.fail "in-process TRANSFORM"
+              in
+              let fd = raw_connect sock in
+              raw_write fd (Wire.Binary.request_frame ~id:1L transform);
+              (* keep asking without reading, past several write timeouts;
+                 once the server has shut the socket these writes fail *)
+              for i = 2 to 16 do
+                Thread.delay 0.1;
+                try
+                  raw_write fd
+                    (Wire.Binary.request_frame ~id:(Int64.of_int i)
+                       (Service.Count
+                          { target = Service.Doc "big"; engine = Core.Engine.Td_bu;
+                            query = wide_query "big" }))
+                with Unix.Unix_error _ -> ()
+              done;
+              (* the worker that wrote the reply is free again: a new
+                 connection is served within a few read timeouts *)
+              let t0 = Unix.gettimeofday () in
+              assert_still_serving sock doc;
+              Alcotest.(check bool) "another client served promptly" true
+                (Unix.gettimeofday () -. t0 < 4. *. read_timeout);
+              let got, eof = raw_read fd in
+              Unix.close fd;
+              Alcotest.(check bool) "the connection ends in EOF" true eof;
+              Alcotest.(check bool) "the reply frame was torn" true
+                (String.length got < String.length full);
+              Alcotest.(check bool) "nothing follows the torn frame" true
+                (got = String.sub full 0 (String.length got)))))
+
+(* A client that pipelines requests and half-closes still gets every
+   reply: the server stops reading at EOF but closes only after each
+   submitted request's reply is written. *)
+let test_pipelined_drain_before_close () =
+  with_wide_doc 2_000 (fun wide ->
+      with_server (fun _ sock ->
+          let fd = raw_connect sock in
+          raw_write fd
+            (Wire.Binary.request_frame ~id:1L (Service.Load { name = "w"; file = wide; schema = None }));
+          for i = 2 to 12 do
+            raw_write fd
+              (Wire.Binary.request_frame ~id:(Int64.of_int i)
+                 (Service.Transform
+                    { target = Service.Doc "w"; engine = Core.Engine.Td_bu; query = wide_query "w" }))
+          done;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let got, eof = raw_read fd in
+          Unix.close fd;
+          Alcotest.(check bool) "EOF after the replies" true eof;
+          let frames, tail = split_frames got in
+          Alcotest.(check int) "no partial frame" 0 tail;
+          let ids = List.map (fun (h, _) -> h.Wire.Binary.id) frames in
+          Alcotest.(check (list int64)) "one reply per request id"
+            (List.init 12 (fun i -> Int64.of_int (i + 1)))
+            (List.sort compare ids);
+          List.iter
+            (fun (h, payload) ->
+              match Wire.Binary.decode_response payload with
+              | Ok (Service.Ok (Service.Doc_loaded _)) when h.Wire.Binary.id = 1L -> ()
+              | Ok (Service.Ok (Service.Tree _)) when h.Wire.Binary.id > 1L -> ()
+              | _ -> Alcotest.fail "a pipelined request was answered wrongly")
+            frames))
+
 let suite =
   [
     Alcotest.test_case "wire: line protocol" `Quick test_line_protocol;
@@ -1593,4 +1717,8 @@ let suite =
     Alcotest.test_case "wire: stream chunk_size bound" `Quick test_chunk_size_bound;
     Alcotest.test_case "socket: over-bound chunk_size keeps the connection" `Quick
       test_chunk_size_bound_over_socket;
+    Alcotest.test_case "socket: torn reply frame closes the connection" `Quick
+      test_torn_frame_closes_connection;
+    Alcotest.test_case "socket: pipelined replies drain before close" `Quick
+      test_pipelined_drain_before_close;
   ]

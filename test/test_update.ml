@@ -375,15 +375,14 @@ let test_interleaved_readers () =
   with_doc_file ~xml:mix_xml (fun path ->
       with_service ~domains:4 (fun svc ->
           load_doc svc path;
-          let readers = ref [] in
+          let expect, all = Fixtures.replies () in
           for k = 1 to 12 do
             (* several reads in flight around every commit *)
             for _ = 1 to 3 do
-              readers :=
-                Service.submit svc
-                  (Service.Transform
-                     { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = identity_query })
-                :: !readers
+              Service.submit svc
+                (Service.Transform
+                   { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = identity_query })
+                (expect ())
             done;
             let q =
               Printf.sprintf "(replace $a/root/m1 with <m1>%d</m1>, replace $a/root/m2 with <m2>%d</m2>)"
@@ -395,14 +394,13 @@ let test_interleaved_readers () =
             | _ -> Alcotest.fail "commit failed"
           done;
           List.iter
-            (fun fut ->
-              match Service.await fut with
+            (function
               | Service.Ok (Service.Tree s) ->
                   let m1 = Option.get (value_between s "<m1>" "</m1>") in
                   let m2 = Option.get (value_between s "<m2>" "</m2>") in
                   Alcotest.(check string) "no torn snapshot" m1 m2
               | _ -> Alcotest.fail "reader failed")
-            !readers;
+            (all ());
           Alcotest.(check int) "all commits effective" 12
             (Metrics.commits (Service.metrics svc))))
 
