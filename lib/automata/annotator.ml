@@ -45,6 +45,35 @@ let top_quals nfa states' =
   if Selecting_nfa.set_is_empty qs then []
   else Selecting_nfa.set_fold (fun s acc -> Selecting_nfa.state_lq nfa s :: acc) qs []
 
+(* The seeds to evaluate at a node: the parent's (sorted and unique, as
+   [expand]'s candidates are) plus its own states' qualifiers. *)
+let seeds_at nfa states' seeds =
+  match top_quals nfa states' with [] -> seeds | qs -> List.sort_uniq compare (seeds @ qs)
+
+let kid_seeds lq candidates (c : Node.element) =
+  List.filter (fun p -> not (Lq.label_blocked lq p (Node.name c))) candidates
+
+let iter_kids f (e : Node.element) =
+  List.iter
+    (function Node.Element c -> f c | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+    (Node.children e)
+
+let entry tbl id = Hashtbl.find_opt tbl.sat id
+
+(* [e]'s entry, from its children's entries already in [tbl]. *)
+let record tbl (e : Node.element) all_seeds =
+  let csat i =
+    List.exists
+      (function
+        | Node.Element c -> (
+          match entry tbl (Node.id c) with Some arr -> arr.(i) | None -> false)
+        | Node.Text _ | Node.Comment _ | Node.Pi _ -> false)
+      (Node.children e)
+  in
+  Hashtbl.replace tbl.sat (Node.id e)
+    (Lq.eval_at tbl.lq ~name:(Node.name e) ~attrs:(Node.attrs e) ~text:(Node.text_content e)
+       ~csat ~wanted:all_seeds)
+
 (* The bottomUp recursion, writing entries into [tbl].  [states] is the
    state set before consuming [e]'s symbol and [seeds] the LQ indices the
    parent demands here; both are functions of the ancestor names only, so
@@ -59,34 +88,18 @@ let rec annotate_subtree ~skip nfa tbl written (e : Node.element)
        — the table is identical with or without the visit *)
   else begin
   let lq = tbl.lq in
-  let name = Node.name e in
   let states' = Selecting_nfa.next_unchecked nfa states (Node.sym e) in
-  let all_seeds = List.sort_uniq compare (seeds @ top_quals nfa states') in
+  let all_seeds = seeds_at nfa states' seeds in
   if Selecting_nfa.set_is_empty states' && all_seeds = [] then ()
   else begin
-    let candidates = if all_seeds = [] then [] else snd (expand lq ~name all_seeds) in
-    let kids = Node.child_elements e in
-    List.iter
-      (fun c ->
-        let kid_seeds =
-          List.filter (fun p -> not (Lq.label_blocked lq p (Node.name c))) candidates
-        in
-        annotate_subtree ~skip nfa tbl written c states' kid_seeds)
-      kids;
+    let candidates =
+      if all_seeds = [] then [] else snd (expand lq ~name:(Node.name e) all_seeds)
+    in
+    iter_kids
+      (fun c -> annotate_subtree ~skip nfa tbl written c states' (kid_seeds lq candidates c))
+      e;
     if all_seeds <> [] then begin
-      let csat i =
-        List.exists
-          (fun c ->
-            match Hashtbl.find_opt tbl.sat (Node.id c) with
-            | Some arr -> arr.(i)
-            | None -> false)
-          kids
-      in
-      let sat =
-        Lq.eval_at lq ~name ~attrs:(Node.attrs e) ~text:(Node.text_content e) ~csat
-          ~wanted:all_seeds
-      in
-      Hashtbl.replace tbl.sat (Node.id e) sat;
+      record tbl e all_seeds;
       incr written
     end
   end
@@ -100,16 +113,104 @@ let annotate ?(skip = fun _ -> false) nfa root =
 
 type repair_stats = { recomputed : int; reused : int; dropped : int }
 
+(* Same text children, physically, in the same order: the two elements'
+   [Node.text_content] agree. *)
+let rec same_text a b =
+  match (a, b) with
+  | (Node.Element _ | Node.Comment _ | Node.Pi _) :: a, b
+  | a, (Node.Element _ | Node.Comment _ | Node.Pi _) :: b ->
+    same_text a b
+  | Node.Text x :: a, Node.Text y :: b -> x == y && same_text a b
+  | [], [] -> true
+  | Node.Text _ :: _, [] | [], Node.Text _ :: _ -> false
+
+(* Sort [e]'s children against [oe]'s in one ordered pass.
+   [Apply.materialize] keeps the old order: each new child is the old
+   child itself ([shared]), a rebuild of the old child the spine map
+   names ([rebuilt]), or inserted/replacement content ([fresh]); old
+   children passed over are [departed].  Matching the head of the old
+   list settles every shared or rebuilt child of an insert; an index of
+   the remaining old ids is built only when a child does not match it
+   (fresh content, or a deletion before it). *)
+let align spine (oe : Node.element) (e : Node.element) ~shared ~rebuilt ~fresh ~departed =
+  let olds = ref (Node.children oe) in
+  let rec at_head id =
+    match !olds with
+    | Node.Element oc :: _ -> Node.id oc = id
+    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest ->
+      olds := rest;
+      at_head id
+    | [] -> false
+  in
+  (* ids of the old children not yet consumed, built on first need *)
+  let index = ref None in
+  let old_ids () =
+    match !index with
+    | Some ix -> ix
+    | None ->
+      let ix = Hashtbl.create 16 in
+      List.iter
+        (function
+          | Node.Element oc -> Hashtbl.replace ix (Node.id oc) ()
+          | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+        !olds;
+      index := Some ix;
+      ix
+  in
+  let remaining id = at_head id || (!olds <> [] && Hashtbl.mem (old_ids ()) id) in
+  (* consume old children up to and including [id], which [remaining]
+     vouched for *)
+  let rec take id =
+    match !olds with
+    | [] -> ()
+    | n :: rest -> (
+      olds := rest;
+      match n with
+      | Node.Element oc ->
+        (match !index with Some ix -> Hashtbl.remove ix (Node.id oc) | None -> ());
+        if Node.id oc <> id then begin
+          departed oc;
+          take id
+        end
+      | Node.Text _ | Node.Comment _ | Node.Pi _ -> take id)
+  in
+  iter_kids
+    (fun c ->
+      let id = Node.id c in
+      if at_head id then begin
+        take id;
+        shared c
+      end
+      else
+        match Hashtbl.find_opt spine id with
+        | Some oc when remaining (Node.id oc) ->
+          take (Node.id oc);
+          rebuilt oc c
+        | _ ->
+          if remaining id then begin
+            take id;
+            shared c
+          end
+          else fresh c)
+    e;
+  List.iter
+    (function Node.Element oc -> departed oc | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+    !olds
+
 (* Incremental repair after a commit: the new tree shares every untouched
    subtree with the old one (same element ids), and entries are
    subtree-local, so the old entries for shared subtrees are still valid
-   wherever the demand reaching them is unchanged.  We copy the whole old
-   table (a flat id -> array copy, no tree traversal and no qualifier
+   wherever the demand reaching them is unchanged.  We copy the old table
+   (a flat id -> array copy, no tree traversal and no qualifier
    evaluation), then walk the rebuilt spine pairing each fresh element
-   with its old counterpart, recomputing entries only for fresh elements
-   and for shared subtrees whose demanded (state set, seed set) changed
-   (a rename on the spine above them), and dropping entries whose ids
-   left the tree. *)
+   with its old counterpart.  Work stays on the spine and its direct
+   children: a shared child under a spine pair that propagates the same
+   demand as its old counterpart is cut off without a look; fresh
+   elements are annotated; a shared subtree whose demand changed (a
+   rename above it) is re-annotated; a spine element evaluated from the
+   same inputs as its old counterpart takes over the old entry; and
+   stale entries are scrubbed by replaying the old run's walk, which
+   visits exactly the nodes it wrote and stops where it pruned. *)
 let repair ?(skip = fun _ -> false) nfa ~old_table ~spine new_root =
   match Hashtbl.find_opt spine (Node.id new_root) with
   | None -> None (* degenerate diff: the document element was replaced *)
@@ -118,7 +219,12 @@ let repair ?(skip = fun _ -> false) nfa ~old_table ~spine new_root =
     if not (has_any_qual nfa) then
       Some ({ sat = Hashtbl.create 16; lq }, { recomputed = 0; reused = 0; dropped = 0 })
     else begin
-      let tbl = { sat = Hashtbl.copy old_table.sat; lq } in
+      (* [rebuild], not [copy]: [copy]'s [Array.map] seeds the new
+         bucket array with the copy of bucket 0, a young block, and the
+         runtime answers a young initial value for an array too large
+         for the minor heap (over 256 buckets) with a forced minor
+         collection. *)
+      let tbl = { sat = Hashtbl.rebuild old_table.sat; lq } in
       let recomputed = ref 0 and dropped = ref 0 in
       let drop id =
         if Hashtbl.mem tbl.sat id then begin
@@ -126,100 +232,106 @@ let repair ?(skip = fun _ -> false) nfa ~old_table ~spine new_root =
           incr dropped
         end
       in
-      (* Forget everything the old run knew about a departed (or
-         demand-invalidated) subtree. *)
-      let scrub oe = Node.iter_elements (fun x -> drop (Node.id x)) oe in
+      (* The old run's walk over an old subtree it reached with demand
+         (states, seeds), dropping what it wrote. *)
+      let rec scrub oe states seeds =
+        let states' = Selecting_nfa.next_unchecked nfa states (Node.sym oe) in
+        let all_seeds = seeds_at nfa states' seeds in
+        if not (Selecting_nfa.set_is_empty states' && all_seeds = []) then begin
+          drop (Node.id oe);
+          let candidates =
+            if all_seeds = [] then [] else snd (expand lq ~name:(Node.name oe) all_seeds)
+          in
+          iter_kids (fun c -> scrub c states' (kid_seeds lq candidates c)) oe
+        end
+      in
       (* Schema pruning reaches repair only through [fresh] (the same
          entry point a from-scratch run uses), so pruned and unpruned
          repairs produce the same table: skipped subtrees are exactly
          those a fresh run writes nothing under. *)
       let fresh e states seeds = annotate_subtree ~skip nfa tbl recomputed e states seeds in
-      (* [oe]/[e] are counterparts: physically the same node (shared
-         subtree) or an old spine element and its fresh rebuild.  The two
+      (* A shared node reached with the old and the new demand: its
+         entries stand iff both runs enter it in the same configuration. *)
+      let reuse e old_states states old_seeds seeds =
+        let states' = Selecting_nfa.next_unchecked nfa states (Node.sym e) in
+        let old_states' = Selecting_nfa.next_unchecked nfa old_states (Node.sym e) in
+        if
+          not
+            (Selecting_nfa.set_equal states' old_states'
+            && seeds_at nfa states' seeds = seeds_at nfa old_states' old_seeds)
+        then begin
+          scrub e old_states old_seeds;
+          fresh e states seeds
+        end
+      in
+      (* [oe] is an old spine element and [e] its fresh rebuild; the two
          (states, seeds) pairs are the demands the old and new runs
-         propagate to them; they diverge only below a renamed spine
+         propagate to them, which diverge only below a renamed spine
          node. *)
       let rec pair oe e old_states states old_seeds seeds =
-        let name = Node.name e and old_name = Node.name oe in
+        drop (Node.id oe) (* [oe]'s id left the tree with it *);
+        let same_name = String.equal (Node.name oe) (Node.name e) in
         let states' = Selecting_nfa.next_unchecked nfa states (Node.sym e) in
         let old_states' = Selecting_nfa.next_unchecked nfa old_states (Node.sym oe) in
-        let all_seeds = List.sort_uniq compare (seeds @ top_quals nfa states') in
-        let old_all_seeds = List.sort_uniq compare (old_seeds @ top_quals nfa old_states') in
-        if e == oe then begin
-          (* Shared subtree: the copied entries are exactly what a fresh
-             run would compute iff the demand here is unchanged. *)
-          if Selecting_nfa.set_equal states' old_states' && all_seeds = old_all_seeds then ()
-          else begin
-            scrub oe;
-            fresh e states seeds
-          end
+        let all_seeds = seeds_at nfa states' seeds in
+        let old_all_seeds = seeds_at nfa old_states' old_seeds in
+        let old_pruned = Selecting_nfa.set_is_empty old_states' && old_all_seeds = [] in
+        let candidates =
+          if all_seeds = [] then [] else snd (expand lq ~name:(Node.name e) all_seeds)
+        in
+        let old_candidates =
+          if same_name && old_all_seeds = all_seeds then candidates
+          else if old_all_seeds = [] then []
+          else snd (expand lq ~name:(Node.name oe) old_all_seeds)
+        in
+        let departed oc = scrub oc old_states' (kid_seeds lq old_candidates oc) in
+        if Selecting_nfa.set_is_empty states' && all_seeds = [] then begin
+          (* The fresh run prunes here: whatever the old run wrote below
+             [oe] must go (shared children included — they are in the
+             new tree, unneeded); if it pruned here too, it wrote
+             nothing. *)
+          if not old_pruned then iter_kids departed oe
         end
         else begin
-          (* Spine pair: [oe]'s id left the tree with it. *)
-          drop (Node.id oe);
-          if Selecting_nfa.set_is_empty states' && all_seeds = [] then
-            (* The fresh run prunes here: nothing below [e] is annotated,
-               so whatever the old run wrote below [oe] must go (shared
-               children included — they are in the new tree, unneeded). *)
-            List.iter scrub (Node.child_elements oe)
-          else begin
-            let candidates =
-              if all_seeds = [] then [] else snd (expand lq ~name all_seeds)
-            in
-            let old_candidates =
-              if old_all_seeds = [] then []
-              else snd (expand lq ~name:old_name old_all_seeds)
-            in
-            let kid_seeds cs n =
-              List.filter (fun p -> not (Lq.label_blocked lq p n)) cs
-            in
-            let old_kids = Node.child_elements oe in
-            let old_by_id = Hashtbl.create (max 4 (List.length old_kids)) in
-            List.iter (fun oc -> Hashtbl.replace old_by_id (Node.id oc) oc) old_kids;
-            let surviving = Hashtbl.create 8 in
-            let kids = Node.child_elements e in
-            List.iter
-              (fun c ->
-                let cname = Node.name c in
-                if Hashtbl.mem old_by_id (Node.id c) then begin
-                  (* same node in both trees *)
-                  Hashtbl.replace surviving (Node.id c) ();
-                  pair c c old_states' states'
-                    (kid_seeds old_candidates cname)
-                    (kid_seeds candidates cname)
-                end
-                else
-                  match Hashtbl.find_opt spine (Node.id c) with
-                  | Some oc when Hashtbl.mem old_by_id (Node.id oc) ->
-                    (* rebuilt spine child *)
-                    Hashtbl.replace surviving (Node.id oc) ();
-                    pair oc c old_states' states'
-                      (kid_seeds old_candidates (Node.name oc))
-                      (kid_seeds candidates cname)
-                  | _ ->
-                    (* inserted or replacement content: all-fresh ids *)
-                    fresh c states' (kid_seeds candidates cname))
-              kids;
-            (* old children with no counterpart were deleted or replaced *)
-            List.iter
-              (fun oc -> if not (Hashtbl.mem surviving (Node.id oc)) then scrub oc)
-              old_kids;
-            if all_seeds <> [] then begin
-              let csat i =
-                List.exists
-                  (fun c ->
-                    match Hashtbl.find_opt tbl.sat (Node.id c) with
-                    | Some arr -> arr.(i)
-                    | None -> false)
-                  kids
-              in
-              let sat =
-                Lq.eval_at lq ~name ~attrs:(Node.attrs e) ~text:(Node.text_content e)
-                  ~csat ~wanted:all_seeds
-              in
-              Hashtbl.replace tbl.sat (Node.id e) sat;
-              incr recomputed
-            end
+          (* Every child's demand is a function of (states', candidates)
+             and its own label, so when both match the old side's, the
+             shared children's entries all stand. *)
+          let cut_off =
+            Selecting_nfa.set_equal states' old_states' && candidates = old_candidates
+          in
+          (* [e] evaluates exactly as [oe] did — same seeds, label,
+             attributes and text — until some child's entry changes *)
+          let same_eval =
+            ref
+              (same_name && old_all_seeds = all_seeds
+              && Node.attrs oe == Node.attrs e
+              && same_text (Node.children oe) (Node.children e))
+          in
+          let changed old_id id =
+            if entry old_table old_id <> entry tbl id then same_eval := false
+          in
+          align spine oe e
+            ~departed:(fun oc ->
+              departed oc;
+              if Hashtbl.mem old_table.sat (Node.id oc) then same_eval := false)
+            ~shared:(fun c ->
+              if not cut_off then begin
+                reuse c old_states' states' (kid_seeds lq old_candidates c)
+                  (kid_seeds lq candidates c);
+                changed (Node.id c) (Node.id c)
+              end)
+            ~rebuilt:(fun oc c ->
+              pair oc c old_states' states' (kid_seeds lq old_candidates oc)
+                (kid_seeds lq candidates c);
+              changed (Node.id oc) (Node.id c))
+            ~fresh:(fun c ->
+              fresh c states' (kid_seeds lq candidates c);
+              if Hashtbl.mem tbl.sat (Node.id c) then same_eval := false);
+          if all_seeds <> [] then begin
+            (match entry old_table (Node.id oe) with
+            | Some sat when !same_eval -> Hashtbl.replace tbl.sat (Node.id e) sat
+            | _ -> record tbl e all_seeds);
+            incr recomputed
           end
         end
       in
@@ -233,8 +345,7 @@ let repair ?(skip = fun _ -> false) nfa ~old_table ~spine new_root =
           } )
     end
 
-let sat tbl n i =
-  match Hashtbl.find_opt tbl.sat (Node.id n) with Some arr -> arr.(i) | None -> false
+let sat tbl n i = match entry tbl (Node.id n) with Some arr -> arr.(i) | None -> false
 
 let checkp tbl nfa s n = sat tbl n (Selecting_nfa.state_lq nfa s)
 

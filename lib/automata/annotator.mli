@@ -31,7 +31,7 @@ val annotate : ?skip:(Node.element -> bool) -> Selecting_nfa.t -> Node.element -
     is identical with or without the oracle, just cheaper to build. *)
 
 type repair_stats = {
-  recomputed : int;  (** entries evaluated afresh (spine + new material) *)
+  recomputed : int;  (** entries written for fresh ids (spine + new material) *)
   reused : int;      (** entries carried over from the old table *)
   dropped : int;     (** stale old entries removed (departed subtrees) *)
 }
@@ -47,10 +47,13 @@ val repair :
     spine element's id in the post-commit tree to the pre-commit element
     it replaced ({!Xut_update.Apply.materialize}'s diff).  Because
     entries are subtree-local and untouched subtrees keep their ids, the
-    result is entry-for-entry equal to [annotate nfa new_root] at
-    O(old-table copy + spine + changed material) cost, recursing into a
-    shared subtree only when the demand reaching it changed (e.g. a
-    rename above it).  [None] when the diff is degenerate — the new root
+    result is entry-for-entry equal to [annotate nfa new_root].  The
+    cost is one copy of the old table plus O(spine nodes + their
+    children + fresh material + the old entries it drops): a shared
+    child of a spine node is passed over unvisited unless the demand
+    reaching it changed (e.g. a rename above it), in which case its
+    subtree is re-annotated, and stale entries are found by replaying
+    the old run's walk only where that run wrote.  [None] when the diff is degenerate — the new root
     is not a rebuild of the old one (document element replaced) — and
     the caller must fall back to a full [annotate].  The old table is
     never mutated: concurrent readers of the pre-commit snapshot keep

@@ -219,7 +219,7 @@ let revalidated (info : info) root' spine old_sizes =
     end
   end
 
-let commit t ~name f =
+let commit ?delta t ~name f =
   let sh = shard_of t name in
   let departed = ref None in
   let outcome =
@@ -235,10 +235,15 @@ let commit t ~name f =
           | Ok (Some (root', spine), a) ->
             let generation = Atomic.fetch_and_add t.generations 1 + 1 in
             let schema', sizes', dropped = revalidated info root' spine sizes in
+            let elements =
+              match delta with
+              | Some delta -> info.elements + delta a
+              | None -> Node.element_count (Node.Element root')
+            in
             let info' =
               {
                 info with
-                elements = Node.element_count (Node.Element root');
+                elements;
                 generation;
                 schema = schema';
               }

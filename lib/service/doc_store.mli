@@ -150,6 +150,7 @@ type ('a, 'e) commit_result =
   | No_document     (** the name is not bound *)
 
 val commit :
+  ?delta:('a -> int) ->
   t ->
   name:string ->
   (info ->
@@ -160,7 +161,10 @@ val commit :
     under the shard's writer lock but outside its reader lock — and, on
     [Ok (Some (root', spine), a)], swaps [root'] in under a fresh
     store-wide generation, keeping the old binding's [file] as
-    provenance.  The [Committed] event (old root's id, new generation,
+    provenance.  [delta a], when given, is the swap's element-count
+    change (e.g. {!Xut_update.Apply.diff}'s [element_delta]), so the new
+    binding's [elements] costs nothing; without it the new tree is
+    counted in full.  The [Committed] event (old root's id, new generation,
     and a {!repair_hint} when [f] supplied the rebuilt-spine map) fires
     after all locks are released.  [f] must not re-enter the store's
     write operations for the same shard. *)

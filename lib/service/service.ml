@@ -547,21 +547,19 @@ let handle_commit ~store ~metrics ~doc ~query =
   | Stdlib.Error e -> e
   | Stdlib.Ok updates -> begin
     let result =
-      Doc_store.commit store ~name:doc (fun _info root ->
+      Doc_store.commit ~delta:snd store ~name:doc (fun _info root ->
           match Xut_update.Apply.run updates root with
-          | Stdlib.Ok (report, materialized) ->
-            let swap =
-              Option.map
-                (fun (root', diff) -> (root', Some diff.Xut_update.Apply.spine))
-                materialized
-            in
-            Stdlib.Ok (swap, report)
+          | Stdlib.Ok (report, None) -> Stdlib.Ok (None, (report, 0))
+          | Stdlib.Ok (report, Some (root', diff)) ->
+            Stdlib.Ok
+              ( Some (root', Some diff.Xut_update.Apply.spine),
+                (report, diff.Xut_update.Apply.element_delta) )
           | Stdlib.Error report -> Stdlib.Error (`Conflict report)
           | exception Xut_update.Apply.Invalid msg -> Stdlib.Error (`Invalid msg)
           | exception e -> Stdlib.Error (`Invalid (Printexc.to_string e)))
     in
     match result with
-    | Doc_store.Swapped (info, report) ->
+    | Doc_store.Swapped (info, (report, _)) ->
       Metrics.commit_recorded metrics ~primitives:report.Xut_update.Apply.primitives;
       Ok
         (Committed
@@ -572,7 +570,7 @@ let handle_commit ~store ~metrics ~doc ~query =
              elements = info.Doc_store.elements;
              generation = info.Doc_store.generation;
            })
-    | Doc_store.Unchanged (info, report) ->
+    | Doc_store.Unchanged (info, (report, _)) ->
       Metrics.commit_noop metrics;
       Ok
         (Committed

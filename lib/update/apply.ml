@@ -40,7 +40,7 @@ let stage updates root =
   let nz = Pending.normalize (resolve updates root) in
   (report_of nz, nz)
 
-type diff = { spine : (int, Node.element) Hashtbl.t }
+type diff = { spine : (int, Node.element) Hashtbl.t; element_delta : int }
 
 (* One pass over the snapshot.  Inserted/replacement content is deep
    copied with fresh ids per target (several targets may share one
@@ -50,16 +50,23 @@ type diff = { spine : (int, Node.element) Hashtbl.t }
    below" signal.  Every rebuilt spine element is recorded in the diff
    as [fresh id -> the element it replaced] — the map downstream
    annotation repair walks; replacements and insertions are {e not}
-   spine (their ids pair with nothing in the old tree). *)
+   spine (their ids pair with nothing in the old tree).  The element
+   delta is counted over the departed and the fresh subtrees only. *)
 let materialize (nz : Pending.normalized) root =
   if nz.Pending.primitives = 0 then None
   else begin
     let spine = Hashtbl.create 64 in
+    let delta = ref 0 in
     let rebuilt old_e new_e =
       Hashtbl.replace spine (Node.id new_e) old_e;
       new_e
     in
-    let refresh = Node.refresh_ids in
+    let refresh n =
+      let n' = Node.refresh_ids n in
+      delta := !delta + Node.element_count n';
+      n'
+    in
+    let departed e = delta := !delta - Node.element_count (Node.Element e) in
     (* [Same] (an immediate) signals an untouched subtree, so the walk over
        the unchanged bulk of the snapshot allocates nothing; a changed
        child list shares its unchanged suffix with the old tree.  A commit
@@ -69,8 +76,12 @@ let materialize (nz : Pending.normalized) root =
       | Node.Text _ | Node.Comment _ | Node.Pi _ -> `Same
       | Node.Element e -> begin
         match Hashtbl.find_opt nz.Pending.table (Node.id e) with
-        | Some Pending.Dead -> `Gone
-        | Some (Pending.Swap r) -> `One (refresh r)
+        | Some Pending.Dead ->
+          departed e;
+          `Gone
+        | Some (Pending.Swap r) ->
+          departed e;
+          `One (refresh r)
         | Some (Pending.Edit { rename; firsts; lasts }) ->
           (* the node survives: its own subtree may still hold targets *)
           let kids = Option.value (children e) ~default:(Node.children e) in
@@ -106,7 +117,7 @@ let materialize (nz : Pending.normalized) root =
     in
     match node (Node.Element root) with
     | `Same -> None
-    | `One (Node.Element e) -> Some (e, { spine })
+    | `One (Node.Element e) -> Some (e, { spine; element_delta = !delta })
     | `Gone -> raise (Invalid "update deletes the document element")
     | `One _ -> raise (Invalid "update replaces the document element with a non-element")
   end

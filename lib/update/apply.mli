@@ -42,7 +42,13 @@ val stage : Core.Transform_ast.update list -> Node.element -> report * Pending.n
 (** [resolve] + {!Pending.normalize}: the dry-run ([APPLY]) entry point.
     No tree is built. *)
 
-type diff = { spine : (int, Node.element) Hashtbl.t }
+type diff = {
+  spine : (int, Node.element) Hashtbl.t;
+  element_delta : int;
+      (** elements of the inserted and replacement copies minus those of
+          the deleted and replaced subtrees: the new tree's element
+          count is the old one's plus this *)
+}
 (** The commit's touched-spine summary: each rebuilt spine element's
     {e fresh} id mapped to the pre-commit element it replaced.  Inserted
     and replacement subtrees are absent (nothing in the old tree pairs

@@ -65,6 +65,11 @@ let prop_repair_compounds =
       let nfa = Selecting_nfa.of_path path in
       let root = ref root0 in
       let table = ref (Annotator.annotate nfa root0) in
+      (* the diff's element delta is the commit's exact count change *)
+      let delta_ok root' (diff : Apply.diff) =
+        diff.Apply.element_delta
+        = Node.element_count (Node.Element root') - Node.element_count (Node.Element !root)
+      in
       List.for_all
         (fun u ->
           match Apply.run [ u ] !root with
@@ -73,9 +78,10 @@ let prop_repair_compounds =
           | Ok (_, Some (root', diff)) when not (Hashtbl.mem diff.Apply.spine (Node.id root'))
             ->
             (* root replaced: restart the chain from a fresh annotation *)
+            let ok = delta_ok root' diff in
             root := root';
             table := Annotator.annotate nfa root';
-            true
+            ok
           | Ok (_, Some (root', diff)) -> begin
             (* each round repairs the previous round's repaired table,
                so stale-entry leaks accumulate and surface as a count
@@ -84,7 +90,7 @@ let prop_repair_compounds =
             | None -> false
             | Some (repaired, _) ->
               let fresh = Annotator.annotate nfa root' in
-              let ok = tables_equivalent nfa repaired fresh root' in
+              let ok = tables_equivalent nfa repaired fresh root' && delta_ok root' diff in
               root := root';
               table := repaired;
               ok
@@ -155,6 +161,137 @@ let test_repair_wide_nfa () =
       end
       | _ -> Alcotest.failf "commit %d did not materialize" i)
     commits
+
+(* ---- XMark-shaped commits: the cut-off at real fan-out ---- *)
+
+let marker_in =
+  "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction"
+let marker_out = "delete $a//xut_bench_promo"
+
+(* Every Fig. 11 plan, repaired across compounding commits on an XMark
+   document and checked against from-scratch annotation after each: the
+   marker insert/delete pair of the mixed read/write workload (a spine
+   through every open_auction, shared siblings below each), a rename of
+   one open_auction, and renames of open_auctions away and back, which
+   change the demand above shared children. *)
+let test_repair_xmark_commits () =
+  let root0 = Xut_xmark.Generator.generate ~seed:1L ~factor:0.002 () in
+  let nfas =
+    List.map
+      (fun p -> (Plan_cache.compile (Test_schema.delete_q p)).Plan_cache.nfa)
+      Test_schema.fig11
+  in
+  let commits =
+    [ marker_in; marker_out; marker_in; marker_out;
+      {|rename $a/site/open_auctions/open_auction[@id = "open_auction1"] as open_auctionx|};
+      marker_in;
+      "rename $a/site/open_auctions as x";
+      "insert <xut_bench_promo>q</xut_bench_promo> into $a/site/x/open_auction";
+      "rename $a/site/x as open_auctions";
+      marker_out;
+      (* entries of every open_auction change under U7, U8 and U10 *)
+      "delete $a/site/open_auctions/open_auction/initial";
+      "insert <bidder><increase>99</increase></bidder> into $a/site/open_auctions/open_auction" ]
+  in
+  let root = ref root0 and tables = ref (List.map (fun nfa -> Annotator.annotate nfa root0) nfas) in
+  List.iteri
+    (fun i q ->
+      match Apply.run (updates q) !root with
+      | Ok (_, Some (root', diff)) ->
+        tables :=
+          List.mapi
+            (fun u (nfa, table) ->
+              match Annotator.repair nfa ~old_table:table ~spine:diff.Apply.spine root' with
+              | None -> Alcotest.failf "commit %d: repair unexpectedly degenerate" i
+              | Some (repaired, _) ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "commit %d (%s): U%d repaired = annotated" i q (u + 1))
+                  true
+                  (tables_equivalent nfa repaired (Annotator.annotate nfa root') root');
+                repaired)
+            (List.combine nfas !tables);
+        root := root'
+      | _ -> Alcotest.failf "commit %d (%s) did not materialize" i q)
+    commits
+
+(* ---- repair work is bounded by the spine ---- *)
+
+(* 10 people and 1000 open_auctions of 101 elements each. *)
+let wide_doc () =
+  let auction i =
+    Node.elem
+      ~attrs:[ ("id", Printf.sprintf "a%d" i) ]
+      "open_auction"
+      (List.init 50 (fun _ -> Node.elem "bidder" [ Node.elem "increase" [ Node.text "3" ] ]))
+  in
+  let person i = Node.elem ~attrs:[ ("id", Printf.sprintf "p%d" i) ] "person" [] in
+  Node.element "site"
+    [ Node.elem "people" (List.init 10 person); Node.elem "open_auctions" (List.init 1000 auction) ]
+
+(* Spine nodes plus the element children of spine nodes, in the new tree. *)
+let rec spine_extent spine e =
+  List.fold_left
+    (fun n c ->
+      match c with
+      | Node.Element c when Hashtbl.mem spine (Node.id c) -> n + spine_extent spine c
+      | Node.Element _ -> n + 1
+      | Node.Text _ | Node.Comment _ | Node.Pi _ -> n)
+    1 (Node.children e)
+
+(* One leaf inserted under one of the 1000 auctions: 3 spine nodes with
+   ~1050 children between them.  The bound on repair's allocation: a
+   few hundred words per spine node (demand sets, candidates, the node's
+   entry), 2 per child of a spine node (a shared child is a comparison,
+   not a visit), and one bucket cell per old-table entry (the copy).  A
+   walk that pairs the 999 shared siblings (a qualifier at open_auction)
+   or scrubs the ~10^5 elements below open_auctions (a plan whose states
+   die there) exceeds it many times over. *)
+let test_repair_bounded_by_spine () =
+  let root = wide_doc () in
+  let commit = {|insert <leaf/> into $a/site/open_auctions/open_auction[@id = "a500"]|} in
+  let root', diff =
+    match Apply.run (updates commit) root with
+    | Ok (_, Some r) -> r
+    | _ -> Alcotest.fail "commit did not materialize"
+  in
+  let spine = Hashtbl.length diff.Apply.spine in
+  let children = spine_extent diff.Apply.spine root' - spine in
+  List.iter
+    (fun path ->
+      let nfa = Selecting_nfa.of_path (Xut_xpath.Parser.parse path) in
+      let old_table = Annotator.annotate nfa root in
+      let bound = (512 * spine) + (2 * children) + (8 * Annotator.annotated_count old_table) in
+      let before = Gc.minor_words () in
+      let repaired = Annotator.repair nfa ~old_table ~spine:diff.Apply.spine root' in
+      let words = int_of_float (Gc.minor_words () -. before) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d minor words <= %d" path words bound)
+        true (words <= bound);
+      match repaired with
+      | Some (repaired, _) ->
+        Alcotest.(check bool) (path ^ ": repaired = annotated") true
+          (tables_equivalent nfa repaired (Annotator.annotate nfa root') root')
+      | None -> Alcotest.fail "repair unexpectedly degenerate")
+    [ {|site/people/person[@id = "p1"]|}; {|site/open_auctions/open_auction[@id = "a7"]/bidder|} ]
+
+(* A spine node whose qualifier reads its own text: text inserted
+   through the API (the query syntax only inserts elements) must make
+   repair evaluate the node afresh rather than keep its old entry. *)
+let test_repair_text_edit () =
+  let root = Dom.parse_string "<site><items><item><price>1</price></item></items></site>" in
+  let nfa = Selecting_nfa.of_path (Xut_xpath.Parser.parse "site/items/item[price > 5]") in
+  let old_table = Annotator.annotate nfa root in
+  let insert =
+    Core.Transform_ast.Insert (Xut_xpath.Parser.parse "site/items/item/price", Node.text "9")
+  in
+  match Apply.run [ insert ] root with
+  | Ok (_, Some (root', diff)) -> (
+    match Annotator.repair nfa ~old_table ~spine:diff.Apply.spine root' with
+    | Some (repaired, _) ->
+      Alcotest.(check bool) "price 19 > 5 after repair" true
+        (tables_equivalent nfa repaired (Annotator.annotate nfa root') root')
+    | None -> Alcotest.fail "repair unexpectedly degenerate")
+  | _ -> Alcotest.fail "text insert did not materialize"
 
 (* ---- degenerate diff: document element replaced ---- *)
 
@@ -333,4 +470,7 @@ let suite =
     Alcotest.test_case "readers race commit+repair" `Quick test_readers_race_repair;
     Alcotest.test_case "service fallback on root replacement" `Quick
       test_service_fallback_on_root_swap;
+    Alcotest.test_case "repair across XMark-shaped commits" `Quick test_repair_xmark_commits;
+    Alcotest.test_case "repair work bounded by the spine" `Quick test_repair_bounded_by_spine;
+    Alcotest.test_case "repair re-evaluates a text edit" `Quick test_repair_text_edit;
   ]

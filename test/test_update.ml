@@ -207,6 +207,7 @@ let single_update_pool =
     "insert <tag>new</tag> into $a/site/items";
     "insert <head/> as first into $a/site/people";
     "replace $a/site/items/item/price with <price>0</price>";
+    "replace $a/site/people/person with <person><name>C</name></person>";
     "delete $a/site/absent";
   ]
 
@@ -406,7 +407,8 @@ let test_interleaved_readers () =
 
 (* COMMIT then an identity TRANSFORM is byte-identical to the original
    TRANSFORM of the same update — the materialized write agrees with the
-   read path. *)
+   read path — and the element count the COMMIT reports (derived from
+   the diff, not recounted) is the new tree's. *)
 let test_qcheck_commit_vs_transform =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"COMMIT then identity TRANSFORM matches TRANSFORM" ~count:25
@@ -419,10 +421,17 @@ let test_qcheck_commit_vs_transform =
                    Printf.sprintf {|transform copy $a := doc("d") modify do %s return $a|} q
                  in
                  let read_reply = tree_of svc full in
-                 (match Service.call svc (Service.Commit { doc = "d"; query = q }) with
-                 | Service.Ok (Service.Committed _) -> ()
-                 | _ -> Alcotest.fail "commit failed");
-                 String.equal read_reply (tree_of svc identity_query)))))
+                 let elements =
+                   match Service.call svc (Service.Commit { doc = "d"; query = q }) with
+                   | Service.Ok (Service.Committed { elements; _ }) -> elements
+                   | _ -> Alcotest.fail "commit failed"
+                 in
+                 let store = Service.store svc in
+                 let root' = Option.get (Doc_store.find store "d") in
+                 let count = Node.element_count (Node.Element root') in
+                 elements = count
+                 && (Option.get (Doc_store.info store "d")).Doc_store.elements = count
+                 && String.equal read_reply (tree_of svc identity_query)))))
 
 let suite =
   [
