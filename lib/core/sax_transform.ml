@@ -48,6 +48,9 @@ let pass1 ~sskip nfa source truth =
   let schema_mode = ref false in
   let skipped_subtrees = ref 0 and skipped_elements = ref 0 in
   let seq = ref (-1) in
+  (* [List.length !stack], kept as a counter: measuring the list on
+     every start-tag made ingest quadratic in nesting depth *)
+  let depth = ref 0 in
   let max_depth = ref 0 in
   let handle = function
     | Sax.Start_document | Sax.End_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
@@ -92,7 +95,8 @@ let pass1 ~sskip nfa source truth =
               { states; all_seeds; candidates; csat = Array.make nlq false;
                 text = Buffer.create 16; attrs; name; seq = !seq }
               :: !stack;
-            max_depth := max !max_depth (List.length !stack)
+            incr depth;
+            if !depth > !max_depth then max_depth := !depth
           end
         end
       end
@@ -109,6 +113,7 @@ let pass1 ~sskip nfa source truth =
         | [] -> ()
         | f :: rest ->
           stack := rest;
+          decr depth;
           if f.all_seeds <> [] then begin
             let sat =
               Lq.eval_at lq ~name:f.name ~attrs:f.attrs ~text:(Buffer.contents f.text)
@@ -143,6 +148,7 @@ let pass2 ~sskip nfa update source truth sink =
      below can match, so the events pass through with no transition run *)
   let verbatim = ref 0 in
   let verbatim_subtrees = ref 0 and verbatim_elements = ref 0 in
+  let depth = ref 0 in  (* [List.length !stack], as in pass 1 *)
   let max_depth = ref 0 in
   let seq = ref (-1) in
   let produced_root = ref false in
@@ -187,7 +193,8 @@ let pass2 ~sskip nfa update source truth sink =
           let push out_name =
             if at_root then produced_root := true;
             stack := { fstates; out_name; matched } :: !stack;
-            max_depth := max !max_depth (List.length !stack)
+            incr depth;
+            if !depth > !max_depth then max_depth := !depth
           in
           match update, matched with
           | Transform_ast.Delete _, true ->
@@ -228,6 +235,7 @@ let pass2 ~sskip nfa update source truth sink =
         | [] -> ()
         | f :: rest ->
           stack := rest;
+          decr depth;
           (match update, f.matched with
           | Transform_ast.Insert (_, enew), true -> Sax.events_of_node enew sink
           | _ -> ());

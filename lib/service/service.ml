@@ -367,16 +367,26 @@ let stream_to ~metrics ~emit ~chunk_size body =
 
 (* Both the composed path and the materializing fallback render their
    answer through this, so the two are byte-identical by construction:
-   one line per result item, serialized. *)
+   one line per result item, serialized, all into one pooled buffer. *)
 let render_value (v : Xut_xquery.Xq_value.t) =
-  String.concat "\n"
-    (List.map
-       (fun item ->
-         match item with
-         | Xut_xquery.Xq_value.N n -> Xut_xml.Serialize.to_string n
-         | Xut_xquery.Xq_value.D e -> Xut_xml.Serialize.element_to_string e
-         | other -> Xut_xquery.Xq_value.string_of_item other)
-       v)
+  let add_item buf = function
+    | Xut_xquery.Xq_value.N n -> Xut_xml.Serialize.to_buffer buf n
+    | Xut_xquery.Xq_value.D e -> Xut_xml.Serialize.to_buffer buf (Xut_xml.Node.Element e)
+    | other -> Buffer.add_string buf (Xut_xquery.Xq_value.string_of_item other)
+  in
+  let rec add_rest buf = function
+    | [] -> ()
+    | item :: rest ->
+      Buffer.add_char buf '\n';
+      add_item buf item;
+      add_rest buf rest
+  in
+  match v with
+  | [] -> ""
+  | item :: rest ->
+    Xut_xml.Serialize.Pool.contents_of (fun buf ->
+        add_item buf item;
+        add_rest buf rest)
 
 let count_value (v : Xut_xquery.Xq_value.t) =
   List.fold_left

@@ -153,6 +153,10 @@ val err_code_name : err_code -> string
 
 val err_code_of_name : string -> err_code option
 
+val render_value : Xut_xquery.Xq_value.t -> string
+(** The payload of a view TRANSFORM: each result item serialized (an
+    atomic one as its string value), items separated by newlines. *)
+
 val render_response : response -> (string, string) Stdlib.result
 (** Compatibility rendering to the flat [(payload, message) result]
     shape of the original stdin protocol: [Ok] payloads become the

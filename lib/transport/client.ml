@@ -11,12 +11,26 @@ type t = {
          fails fast — reuse would misparse the next header *)
   stash : (int64, Service.response) Hashtbl.t;
   hdr : Bytes.t;
+  prefix : Bytes.t;  (* a string response's tag byte and length *)
   on_notice : (Wire.Binary.notice -> unit) option;
       (* when set, requests are framed at v2 — the notice-channel
          subscription — and id-0 Notice frames are fed here *)
 }
 
-let connect ?(timeout = 30.) ?on_notice addr =
+let of_fd ?(timeout = 30.) ?on_notice fd =
+  if timeout > 0. then Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  {
+    fd;
+    next_id = 1L;
+    dead = false;
+    stash = Hashtbl.create 8;
+    hdr = Bytes.create Wire.Binary.header_size;
+    prefix = Bytes.create Wire.Binary.string_prefix_size;
+    on_notice;
+  }
+
+let connect ?timeout ?on_notice addr =
   let domain =
     match addr with Addr.Unix_socket _ -> Unix.PF_UNIX | Addr.Tcp _ -> Unix.PF_INET
   in
@@ -26,16 +40,7 @@ let connect ?(timeout = 30.) ?on_notice addr =
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e);
-  if timeout > 0. then Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  {
-    fd;
-    next_id = 1L;
-    dead = false;
-    stash = Hashtbl.create 8;
-    hdr = Bytes.create Wire.Binary.header_size;
-    on_notice;
-  }
+  of_fd ?timeout ?on_notice fd
 
 let close t =
   if not t.dead then ( try Unix.close t.fd with Unix.Unix_error _ -> ())
@@ -94,40 +99,67 @@ let send t req =
   write_all t (Wire.Binary.request_frame ~version:(request_version t) ~id req);
   id
 
-(* One frame off the wire, whatever its kind.  Server-push notices (the
-   id-0 Notice frames of the invalidation channel) are consumed here —
-   dispatched to [on_notice] and never surfaced to the callers, so they
-   may arrive interleaved with any response or stream. *)
-let rec read_raw_frame t =
+let read_payload t length =
+  let payload = Bytes.create length in
+  read_exact t ~consumed:Wire.Binary.header_size payload 0 length;
+  Bytes.unsafe_to_string payload
+
+(* The next frame's header, its payload still unread.  Server-push
+   notices (the id-0 Notice frames of the invalidation channel) are
+   consumed here — dispatched to [on_notice] and never surfaced to the
+   callers, so they may arrive interleaved with any response or
+   stream. *)
+let rec read_header t =
   check_alive t;
   read_exact t ~consumed:0 t.hdr 0 Wire.Binary.header_size;
   match Wire.Binary.decode_header t.hdr with
   | Error msg -> raise (Transport_error ("bad frame from server: " ^ msg))
-  | Ok ({ Wire.Binary.length; kind; _ } as hdr) ->
-    let payload = Bytes.create length in
-    read_exact t ~consumed:Wire.Binary.header_size payload 0 length;
-    let payload = Bytes.unsafe_to_string payload in
-    if kind = Wire.Binary.Notice then begin
-      (match Wire.Binary.decode_notice payload with
-      | Error msg -> raise (Transport_error ("bad notice payload: " ^ msg))
-      | Ok n -> ( match t.on_notice with Some f -> f n | None -> ()));
-      read_raw_frame t
-    end
-    else (hdr, payload)
+  | Ok { Wire.Binary.kind = Wire.Binary.Notice; length; _ } ->
+    (match Wire.Binary.decode_notice (read_payload t length) with
+    | Error msg -> raise (Transport_error ("bad notice payload: " ^ msg))
+    | Ok n -> ( match t.on_notice with Some f -> f n | None -> ()));
+    read_header t
+  | Ok hdr -> hdr
 
 let decode_response_exn payload =
   match Wire.Binary.decode_response payload with
   | Error msg -> raise (Transport_error ("bad response payload: " ^ msg))
   | Ok resp -> resp
 
+(* A Response frame's payload.  A tree (or stats dump) is read straight
+   into the string the caller gets: its tag and length first, then
+   exactly that many bytes.  A length that disagrees with the frame's
+   takes the general path, whose decoder rejects it. *)
+let read_response t length =
+  let p = Wire.Binary.string_prefix_size in
+  if length < p then decode_response_exn (read_payload t length)
+  else begin
+    read_exact t ~consumed:Wire.Binary.header_size t.prefix 0 p;
+    let n = Int32.to_int (Bytes.get_int32_be t.prefix 1) in
+    let consumed = Wire.Binary.header_size + p in
+    match Wire.Binary.string_response (Bytes.get_uint8 t.prefix 0) with
+    | Some make when n = length - p ->
+      let s = Bytes.create n in
+      read_exact t ~consumed s 0 n;
+      make (Bytes.unsafe_to_string s)
+    | _ ->
+      let payload = Bytes.create length in
+      Bytes.blit t.prefix 0 payload 0 p;
+      read_exact t ~consumed payload p (length - p);
+      decode_response_exn (Bytes.unsafe_to_string payload)
+  end
+
 let read_frame t =
-  let hdr, payload = read_raw_frame t in
-  match hdr.Wire.Binary.kind with
-  | Wire.Binary.Response -> (hdr.Wire.Binary.id, decode_response_exn payload)
-  | Wire.Binary.Request -> raise (Transport_error "server sent a request frame")
-  | Wire.Binary.Notice -> assert false (* consumed by read_raw_frame *)
+  let { Wire.Binary.kind; id; length; _ } = read_header t in
+  match kind with
+  | Wire.Binary.Response -> (id, read_response t length)
+  | Wire.Binary.Notice -> assert false (* consumed by read_header *)
+  | Wire.Binary.Request ->
+    ignore (read_payload t length);
+    raise (Transport_error "server sent a request frame")
   | Wire.Binary.Stream_begin | Wire.Binary.Stream_chunk | Wire.Binary.Stream_end
   | Wire.Binary.Stream_error ->
+    ignore (read_payload t length);
     raise (Transport_error "unexpected stream frame (no stream in flight)")
 
 let recv t =
@@ -164,33 +196,37 @@ let call_batch t reqs =
    other pipelined requests. *)
 let stream_reply t ~id on_chunk =
   let rec wait () =
-    let hdr, payload = read_raw_frame t in
-    let rid = hdr.Wire.Binary.id in
-    match hdr.Wire.Binary.kind with
+    let { Wire.Binary.kind; id = rid; length; _ } = read_header t in
+    match kind with
     | Wire.Binary.Response when rid = id || rid = 0L ->
       (* a plain response instead of stream frames: the server's
          rejection of the stream request (or a BUSY notice) *)
-      decode_response_exn payload
+      read_response t length
     | Wire.Binary.Response ->
       (* completion of some other pipelined request *)
-      Hashtbl.replace t.stash rid (decode_response_exn payload);
+      Hashtbl.replace t.stash rid (read_response t length);
       wait ()
-    | Wire.Binary.Request -> raise (Transport_error "server sent a request frame")
-    | Wire.Binary.Notice -> assert false (* consumed by read_raw_frame *)
+    | Wire.Binary.Notice -> assert false (* consumed by read_header *)
+    | Wire.Binary.Request ->
+      ignore (read_payload t length);
+      raise (Transport_error "server sent a request frame")
     | _ when rid <> id ->
       (* only one stream can be in flight per connection *)
+      ignore (read_payload t length);
       raise (Transport_error "stream frame for a different request id")
-    | Wire.Binary.Stream_begin -> wait ()
+    | Wire.Binary.Stream_begin ->
+      ignore (read_payload t length);
+      wait ()
     | Wire.Binary.Stream_chunk ->
-      on_chunk payload;
+      on_chunk (read_payload t length);
       wait ()
     | Wire.Binary.Stream_end -> begin
-      match Wire.Binary.decode_stream_end payload with
+      match Wire.Binary.decode_stream_end (read_payload t length) with
       | Error msg -> raise (Transport_error ("bad stream-end payload: " ^ msg))
       | Ok (bytes, chunks) -> Service.Ok (Service.Stream_done { bytes; chunks })
     end
     | Wire.Binary.Stream_error -> begin
-      match Wire.Binary.decode_stream_error payload with
+      match Wire.Binary.decode_stream_error (read_payload t length) with
       | Error msg -> raise (Transport_error ("bad stream-error payload: " ^ msg))
       | Ok (code, message) -> Service.Error { code; message }
     end

@@ -37,6 +37,10 @@ val connect : ?timeout:float -> ?on_notice:(Wire.Binary.notice -> unit) -> Addr.
     and the server never pushes notices at it.
     @raise Unix.Unix_error when the endpoint does not accept. *)
 
+val of_fd : ?timeout:float -> ?on_notice:(Wire.Binary.notice -> unit) -> Unix.file_descr -> t
+(** {!connect} over an already connected stream socket (one end of a
+    [socketpair], say), which the client now owns. *)
+
 val close : t -> unit
 
 val call : t -> Service.request -> Service.response

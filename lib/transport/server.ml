@@ -63,20 +63,30 @@ let write_all fd s =
   in
   go 0
 
+(* A frame goes out as a head and a body, [head ^ body], in two writes:
+   a reply's payload string is written where it lies, never copied into
+   a frame. *)
+let write_parts fd head body = write_all fd head && write_all fd body
+
+let write_response ?version fd ~id resp =
+  let head, body = Wire.Binary.response_parts ?version ~id resp in
+  write_parts fd head body
+
 (* Count one whole frame, then write it; returns whether the client got
    it.  Counted before the bytes go out: a client that has read the reply
    must be able to rely on the counter already reflecting it. *)
-let send t fd s =
-  Metrics.frame_out (Service.metrics t.svc) (String.length s);
-  write_all fd s
+let send t fd head body =
+  Metrics.frame_out (Service.metrics t.svc) (String.length head + String.length body);
+  write_parts fd head body
 
-(* [send] under the connection's write lock.  The first failed write
-   may have left part of a frame on the wire, and no later frame could
-   be parsed after it, so it shuts the connection down: the reader sees
-   EOF and the client sees the torn frame end in EOF. *)
-let write_raw t conn s =
+(* [send] under the connection's write lock, so the two parts of a frame
+   are never split by another frame.  The first failed write may have
+   left part of a frame on the wire, and no later frame could be parsed
+   after it, so it shuts the connection down: the reader sees EOF and
+   the client sees the torn frame end in EOF. *)
+let write_raw t conn head body =
   Mutex.lock conn.wmu;
-  let ok = (not conn.failed) && send t conn.fd s in
+  let ok = (not conn.failed) && send t conn.fd head body in
   if not (ok || conn.failed) then begin
     conn.failed <- true;
     try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
@@ -87,7 +97,8 @@ let write_raw t conn s =
 (* Response frames echo the version of the request frame they answer,
    so a v1 client never reads a header newer than it speaks. *)
 let write_frame ?version t conn ~id resp =
-  write_raw t conn (Wire.Binary.response_frame ?version ~id resp)
+  let head, body = Wire.Binary.response_parts ?version ~id resp in
+  write_raw t conn head body
 
 let error_response code message = Service.Error { code; message }
 
@@ -122,9 +133,9 @@ let dispatch t conn ~version ~id req =
    finishes the exchange with STREAM_END or — if the engine failed
    after chunks went out — STREAM_ERROR. *)
 let dispatch_stream t conn ~id sr =
-  ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id));
+  ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id) "");
   let emit chunk =
-    if not (write_raw t conn (Wire.Binary.stream_chunk_frame ~id chunk)) then
+    if not (write_raw t conn (Wire.Binary.stream_chunk_head ~id chunk) chunk) then
       failwith "client disconnected mid-stream"
   in
   submit_tracked conn (Service.submit_stream t.svc sr emit) (fun resp ->
@@ -137,7 +148,7 @@ let dispatch_stream t conn ~id sr =
           Wire.Binary.stream_error_frame ~id ~code:Service.Eval_error
             "stream produced a non-stream response"
       in
-      ignore (write_raw t conn final))
+      ignore (write_raw t conn final ""))
 
 (* ---- connection reader ---- *)
 
@@ -234,7 +245,8 @@ let accept_loop t =
               (send t fd
                  (Wire.Binary.response_frame ~id:0L
                     (error_response Service.Overloaded
-                       (Printf.sprintf "connection limit reached (%d active)" active))));
+                       (Printf.sprintf "connection limit reached (%d active)" active)))
+                 "");
             try Unix.close fd with Unix.Unix_error _ -> ()
           end
           else begin
@@ -266,7 +278,8 @@ let accept_loop t =
               ignore
                 (send t fd
                    (Wire.Binary.response_frame ~id:0L
-                      (error_response Service.Overloaded "out of threads")));
+                      (error_response Service.Overloaded "out of threads"))
+                   "");
               (try Unix.close fd with Unix.Unix_error _ -> ());
               Metrics.conn_closed m);
             Mutex.unlock t.mu
@@ -341,7 +354,7 @@ let start ?(config = default_config) ~service addr =
         List.iter
           (fun c ->
             if c.peer_version >= 2 then
-              List.iter (fun frame -> ignore (write_raw t c frame)) frames)
+              List.iter (fun frame -> ignore (write_raw t c frame "")) frames)
           conns
       end);
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());

@@ -51,6 +51,13 @@ val start : ?config:config -> service:Service.t -> Addr.t -> t
     a write error, not kill the process).
     @raise Unix.Unix_error when the address cannot be bound. *)
 
+val write_response : ?version:int -> Unix.file_descr -> id:int64 -> Service.response -> bool
+(** Write one response frame to [fd] as connections are answered: the
+    head of {!Wire.Binary.response_parts}, then its body (a tree's
+    string itself, not a copy), so the bytes equal
+    {!Wire.Binary.response_frame}.  [false] when a write failed.  No
+    lock and no metrics: the connection's writer adds both. *)
+
 val address : t -> Addr.t
 (** The bound address, with the actual port for TCP port 0. *)
 

@@ -184,14 +184,17 @@ module Binary = struct
     | '\007' -> Some Notice
     | _ -> None
 
-  let encode_header { version; kind; id; length } =
-    let b = Bytes.create header_size in
+  let set_header b { version; kind; id; length } =
     Bytes.set b 0 magic.[0];
     Bytes.set b 1 magic.[1];
     Bytes.set b 2 (Char.chr (version land 0xff));
     Bytes.set b 3 (kind_byte kind);
     Bytes.set_int64_be b 4 id;
-    Bytes.set_int32_be b 12 (Int32.of_int length);
+    Bytes.set_int32_be b 12 (Int32.of_int length)
+
+  let encode_header h =
+    let b = Bytes.create header_size in
+    set_header b h;
     b
 
   let decode_header ?(max_frame = default_max_frame) b =
@@ -231,6 +234,11 @@ module Binary = struct
   let put_str b s =
     put_u32 b (String.length s);
     Buffer.add_string b s
+
+  (* the response tags whose payload is one length-prefixed string, so
+     a frame can be written, and read, around the string itself *)
+  let tree_tag = 3
+  let stats_tag = 5
 
   let rec put_request b = function
     (* tag 1 is the v1 schemaless load; a load naming a schema gets its
@@ -330,13 +338,13 @@ module Binary = struct
       put_u8 b 2;
       put_str b name
     | Service.Ok (Service.Tree s) ->
-      put_u8 b 3;
+      put_u8 b tree_tag;
       put_str b s
     | Service.Ok (Service.Element_count n) ->
       put_u8 b 4;
       put_u32 b n
     | Service.Ok (Service.Stats_dump s) ->
-      put_u8 b 5;
+      put_u8 b stats_tag;
       put_str b s
     | Service.Error { code; message } ->
       put_u8 b 6;
@@ -573,6 +581,13 @@ module Binary = struct
   let decode_request s = decode_with get_request s
   let decode_response s = decode_with get_response s
 
+  let string_prefix_size = 5
+
+  let string_response tag =
+    if tag = tree_tag then Some (fun s -> Service.Ok (Service.Tree s))
+    else if tag = stats_tag then Some (fun s -> Service.Ok (Service.Stats_dump s))
+    else None
+
   (* ---- streamed transforms (protocol v2) ----
 
      A streamed transform is NOT a [Service.request] constructor: the
@@ -754,17 +769,39 @@ module Binary = struct
      A client opts into the notice channel by framing its requests at
      v2.  Stream and notice frames are inherently v2. *)
 
-  let frame ?(version = protocol_version) ~kind ~id payload =
-    let header = encode_header { version; kind; id; length = String.length payload } in
-    Bytes.unsafe_to_string header ^ payload
+  let frame_head ?(version = protocol_version) ~kind ~id length =
+    Bytes.unsafe_to_string (encode_header { version; kind; id; length })
+
+  let frame ?version ~kind ~id payload =
+    frame_head ?version ~kind ~id (String.length payload) ^ payload
 
   let request_frame ?(version = 1) ~id req = frame ~version ~kind:Request ~id (encode_request req)
 
   let notice_id = 0L
   let notice_frame n = frame ~kind:Notice ~id:notice_id (encode_notice n)
 
-  let response_frame ?(version = 1) ~id resp =
-    frame ~version ~kind:Response ~id (encode_response resp)
+  (* A Tree or Stats_dump reply is split around its string: the header,
+     tag byte and length go in the head, and the body is the string
+     itself, so the server writes the frame without re-encoding it.
+     Any other response is all head. *)
+  let string_response_head ~version ~id tag s =
+    let n = String.length s in
+    let b = Bytes.create (header_size + string_prefix_size) in
+    set_header b { version; kind = Response; id; length = string_prefix_size + n };
+    Bytes.set_uint8 b header_size tag;
+    Bytes.set_int32_be b (header_size + 1) (Int32.of_int n);
+    Bytes.unsafe_to_string b
+
+  let response_parts ?(version = 1) ~id resp =
+    match resp with
+    | Service.Ok (Service.Tree s) -> (string_response_head ~version ~id tree_tag s, s)
+    | Service.Ok (Service.Stats_dump s) -> (string_response_head ~version ~id stats_tag s, s)
+    | resp -> (frame ~version ~kind:Response ~id (encode_response resp), "")
+
+  let response_frame ?version ~id resp =
+    match response_parts ?version ~id resp with
+    | head, "" -> head
+    | head, body -> head ^ body
 
   let stream_frame ~id sr = frame ~kind:Request ~id (encode_stream sr)
 
@@ -774,7 +811,8 @@ module Binary = struct
 
   let ingest_request_frame ~id ir = stream_frame ~id (of_ingest_request ir)
   let stream_begin_frame ~id = frame ~kind:Stream_begin ~id ""
-  let stream_chunk_frame ~id chunk = frame ~kind:Stream_chunk ~id chunk
+  let stream_chunk_head ~id chunk = frame_head ~kind:Stream_chunk ~id (String.length chunk)
+  let stream_chunk_frame ~id chunk = stream_chunk_head ~id chunk ^ chunk
 
   let stream_end_frame ~id ~bytes ~chunks =
     let b = Buffer.create 8 in

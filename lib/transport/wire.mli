@@ -118,6 +118,16 @@ module Binary : sig
   val encode_response : Service.response -> string
   val decode_response : string -> (Service.response, string) result
 
+  val string_prefix_size : int
+  (** 5: the tag byte and 4-byte length in front of the string of a
+      response whose payload is one length-prefixed string. *)
+
+  val string_response : int -> (string -> Service.response) option
+  (** For the response tags whose payload is one length-prefixed string
+      (3 tree, 5 stats-dump), the response that string makes; [None]
+      for every other tag.  Lets a reader land the string directly in
+      its final allocation. *)
+
   (** {2 Streamed transforms (v2)}
 
       A {!Service.stream_request} travels under one of two payload
@@ -217,11 +227,25 @@ module Binary : sig
 
   val request_frame : ?version:int -> id:int64 -> Service.request -> string
   val response_frame : ?version:int -> id:int64 -> Service.response -> string
+
+  val response_parts : ?version:int -> id:int64 -> Service.response -> string * string
+  (** [(head, body)] with [head ^ body = response_frame ?version ~id r].
+      For a tree or stats-dump response, [body] is the response's
+      string itself and [head] the 16-byte header plus the 5-byte
+      tag/length prefix, so a writer sends the payload without copying
+      it; for every other response [body] is [""].
+      {!response_frame} is built from this. *)
+
   val stream_frame : id:int64 -> Service.stream_request -> string
   val stream_request_frame : id:int64 -> stream_request -> string
   val ingest_request_frame : id:int64 -> ingest_request -> string
   val stream_begin_frame : id:int64 -> string
   val stream_chunk_frame : id:int64 -> string -> string
+
+  val stream_chunk_head : id:int64 -> string -> string
+  (** The 16-byte header of [stream_chunk_frame ~id chunk], which is
+      this head followed by [chunk]. *)
+
   val stream_end_frame : id:int64 -> bytes:int -> chunks:int -> string
   val stream_error_frame : id:int64 -> code:Service.err_code -> string -> string
 

@@ -43,20 +43,38 @@ let escape_attr s =
   add_escaped buf ~attr:true s;
   Buffer.contents buf
 
-let add_attrs buf attrs =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_string buf "=\"";
-      add_escaped buf ~attr:true v;
-      Buffer.add_char buf '"')
-    attrs
+(* Attribute and child lists are walked by direct recursion, never
+   through [List.iter]: a partially applied walker is a closure per
+   element, which on a 0.5 MB reply was most of the serializer's
+   allocation. *)
+let rec add_attrs buf = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf k;
+    Buffer.add_string buf "=\"";
+    add_escaped buf ~attr:true v;
+    Buffer.add_char buf '"';
+    add_attrs buf rest
 
-let has_text_child e =
-  List.exists (function Node.Text _ -> true | _ -> false) (Node.children e)
+let rec has_text_child = function
+  | [] -> false
+  | Node.Text _ :: _ -> true
+  | _ :: rest -> has_text_child rest
 
-let rec add_node buf ~indent ~level node =
+let add_spaces buf n =
+  for _ = 1 to n do
+    Buffer.add_char buf ' '
+  done
+
+let no_flush () = ()
+
+(* The one tree walk, behind [to_buffer], [to_string] and [Sink.node].
+   It allocates nothing per node.  Between children it calls [flush]
+   once [buf] holds [limit] bytes: the streaming sink's chunking.
+   Whole-reply callers pass [max_int], so they never flush; nor does
+   indented output, which only whole replies ask for. *)
+let rec add_node buf ~limit ~flush ~indent ~level node =
   match node with
   | Node.Text s -> add_escaped buf ~attr:false s
   | Node.Comment s ->
@@ -69,44 +87,110 @@ let rec add_node buf ~indent ~level node =
     Buffer.add_char buf ' ';
     Buffer.add_string buf c;
     Buffer.add_string buf "?>"
-  | Node.Element e ->
+  | Node.Element e -> (
     Buffer.add_char buf '<';
-    Buffer.add_string buf (Node.name e);
-    add_attrs buf (Node.attrs e);
-    (match Node.children e with
+    Buffer.add_string buf e.Node.name;
+    add_attrs buf e.Node.attrs;
+    match e.Node.children with
     | [] -> Buffer.add_string buf "/>"
     | cs ->
       Buffer.add_char buf '>';
-      let inline =
-        match indent with None -> true | Some _ -> has_text_child e
-      in
-      if inline then List.iter (add_node buf ~indent:None ~level:0) cs
-      else begin
-        let n = Option.get indent in
-        List.iter
-          (fun c ->
-            Buffer.add_char buf '\n';
-            Buffer.add_string buf (String.make ((level + 1) * n) ' ');
-            add_node buf ~indent ~level:(level + 1) c)
-          cs;
+      (match indent with
+      | Some n when not (has_text_child cs) ->
+        (* element-only content: one child per line; mixed content is
+           kept inline, unindented *)
+        add_lines buf ~indent n (level + 1) cs;
         Buffer.add_char buf '\n';
-        Buffer.add_string buf (String.make (level * n) ' ')
-      end;
+        add_spaces buf (level * n)
+      | _ -> add_children buf ~limit ~flush cs);
       Buffer.add_string buf "</";
-      Buffer.add_string buf (Node.name e);
+      Buffer.add_string buf e.Node.name;
       Buffer.add_char buf '>')
 
-let to_buffer ?indent buf node = add_node buf ~indent ~level:0 node
+and add_children buf ~limit ~flush = function
+  | [] -> ()
+  | c :: rest ->
+    add_node buf ~limit ~flush ~indent:None ~level:0 c;
+    if Buffer.length buf >= limit then flush ();
+    add_children buf ~limit ~flush rest
 
-let to_string ?indent node =
-  let buf = Buffer.create 1024 in
-  to_buffer ?indent buf node;
-  Buffer.contents buf
+and add_lines buf ~indent n level = function
+  | [] -> ()
+  | c :: rest ->
+    Buffer.add_char buf '\n';
+    add_spaces buf (level * n);
+    add_node buf ~limit:max_int ~flush:no_flush ~indent ~level c;
+    add_lines buf ~indent n level rest
+
+let to_buffer ?indent buf node =
+  add_node buf ~limit:max_int ~flush:no_flush ~indent ~level:0 node
+
+(* ---------------- buffer pool ---------------- *)
+
+module Pool = struct
+  let initial_size = 65536
+  let max_pooled = 32
+
+  (* a buffer that grew past this (a pathological single token in a
+     sink, or a huge reply) is reset (storage freed) instead of parking
+     megabytes in the pool *)
+  let shrink_above = 4 * 1024 * 1024
+
+  let mu = Mutex.create ()
+  let free : Buffer.t list ref = ref []
+  let free_count = ref 0
+  let hit_count = Atomic.make 0
+  let miss_count = Atomic.make 0
+
+  let acquire () =
+    Mutex.lock mu;
+    match !free with
+    | b :: rest ->
+      free := rest;
+      decr free_count;
+      Mutex.unlock mu;
+      Atomic.incr hit_count;
+      b
+    | [] ->
+      Mutex.unlock mu;
+      Atomic.incr miss_count;
+      Buffer.create initial_size
+
+  let release ?(shrink = false) b =
+    if shrink then Buffer.reset b else Buffer.clear b;
+    Mutex.lock mu;
+    if !free_count < max_pooled then begin
+      free := b :: !free;
+      incr free_count
+    end;
+    Mutex.unlock mu
+
+  let contents_of f =
+    let b = acquire () in
+    match f b with
+    | () ->
+      let s = Buffer.contents b in
+      release ~shrink:(Buffer.length b > shrink_above) b;
+      s
+    | exception e ->
+      release ~shrink:(Buffer.length b > shrink_above) b;
+      raise e
+
+  let hits () = Atomic.get hit_count
+  let misses () = Atomic.get miss_count
+  let stats () = (Atomic.get hit_count, Atomic.get miss_count)
+end
+
+(* Whole replies serialize into a pooled buffer, already grown by
+   earlier replies, and are copied out once. *)
+let to_string ?indent node = Pool.contents_of (fun buf -> to_buffer ?indent buf node)
 
 let element_to_string ?indent e = to_string ?indent (Node.Element e)
 
 let document_to_string ?indent e =
-  "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n" ^ element_to_string ?indent e
+  Pool.contents_of (fun buf ->
+      Buffer.add_string buf "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+      to_buffer ?indent buf (Node.Element e))
 
 let to_channel ?indent oc e =
   let buf = Buffer.create 65536 in
@@ -147,50 +231,6 @@ let channel_event_sink oc =
       Buffer.clear buf
     end
 
-(* ---------------- buffer pool ---------------- *)
-
-module Pool = struct
-  let initial_size = 65536
-  let max_pooled = 32
-
-  (* a sink that accumulated pathological single tokens is reset
-     (storage freed) instead of parking megabytes in the pool *)
-  let shrink_above = 4 * 1024 * 1024
-
-  let mu = Mutex.create ()
-  let free : Buffer.t list ref = ref []
-  let free_count = ref 0
-  let hit_count = Atomic.make 0
-  let miss_count = Atomic.make 0
-
-  let acquire () =
-    Mutex.lock mu;
-    match !free with
-    | b :: rest ->
-      free := rest;
-      decr free_count;
-      Mutex.unlock mu;
-      Atomic.incr hit_count;
-      b
-    | [] ->
-      Mutex.unlock mu;
-      Atomic.incr miss_count;
-      Buffer.create initial_size
-
-  let release ?(shrink = false) b =
-    if shrink then Buffer.reset b else Buffer.clear b;
-    Mutex.lock mu;
-    if !free_count < max_pooled then begin
-      free := b :: !free;
-      incr free_count
-    end;
-    Mutex.unlock mu
-
-  let hits () = Atomic.get hit_count
-  let misses () = Atomic.get miss_count
-  let stats () = (Atomic.get hit_count, Atomic.get miss_count)
-end
-
 (* ---------------- streaming sink ---------------- *)
 
 module Sink = struct
@@ -202,6 +242,9 @@ module Sink = struct
     buf : Buffer.t;
     chunk_size : int;
     emit : string -> unit;
+    flush_now : unit -> unit;
+        (* [flush] of this sink, built once so the tree walk can flush
+           between children without a closure per call *)
     (* a start-tag has been written up to its attributes; the closing
        [>] (or [/>]) is decided by the next event, which is what makes
        the stream byte-identical to [to_string] on empty elements *)
@@ -211,18 +254,6 @@ module Sink = struct
     mutable peak_chunk : int;
     mutable live : bool;
   }
-
-  let create ?(chunk_size = default_chunk_size) emit =
-    {
-      buf = Pool.acquire ();
-      chunk_size = max 1 chunk_size;
-      emit;
-      open_tag = false;
-      bytes = 0;
-      chunks = 0;
-      peak_chunk = 0;
-      live = true;
-    }
 
   let flush t =
     let len = Buffer.length t.buf in
@@ -234,6 +265,24 @@ module Sink = struct
       if len > t.peak_chunk then t.peak_chunk <- len;
       t.emit s
     end
+
+  let create ?(chunk_size = default_chunk_size) emit =
+    let buf = Pool.acquire () in
+    let chunk_size = max 1 chunk_size in
+    let rec t =
+      {
+        buf;
+        chunk_size;
+        emit;
+        flush_now = (fun () -> flush t);
+        open_tag = false;
+        bytes = 0;
+        chunks = 0;
+        peak_chunk = 0;
+        live = true;
+      }
+    in
+    t
 
   let maybe_flush t = if Buffer.length t.buf >= t.chunk_size then flush t
 
@@ -283,41 +332,11 @@ module Sink = struct
       end;
       maybe_flush t
 
-  (* whole-subtree emission: same bytes as [add_node ~indent:None], with
-     flush checks between children so chunking stays fine-grained *)
-  let rec put t node =
-    match node with
-    | Node.Text s -> add_escaped t.buf ~attr:false s
-    | Node.Comment s ->
-      Buffer.add_string t.buf "<!--";
-      Buffer.add_string t.buf s;
-      Buffer.add_string t.buf "-->"
-    | Node.Pi (tgt, c) ->
-      Buffer.add_string t.buf "<?";
-      Buffer.add_string t.buf tgt;
-      Buffer.add_char t.buf ' ';
-      Buffer.add_string t.buf c;
-      Buffer.add_string t.buf "?>"
-    | Node.Element e ->
-      Buffer.add_char t.buf '<';
-      Buffer.add_string t.buf (Node.name e);
-      add_attrs t.buf (Node.attrs e);
-      (match Node.children e with
-      | [] -> Buffer.add_string t.buf "/>"
-      | cs ->
-        Buffer.add_char t.buf '>';
-        List.iter
-          (fun c ->
-            put t c;
-            maybe_flush t)
-          cs;
-        Buffer.add_string t.buf "</";
-        Buffer.add_string t.buf (Node.name e);
-        Buffer.add_char t.buf '>')
-
+  (* whole-subtree emission: the [to_string] walk, flushing between
+     children so chunking stays fine-grained *)
   let node t n =
     seal t;
-    put t n;
+    add_node t.buf ~limit:t.chunk_size ~flush:t.flush_now ~indent:None ~level:0 n;
     maybe_flush t
 
   let element t e = node t (Node.Element e)

@@ -14,6 +14,8 @@ val to_buffer : ?indent:int -> Buffer.t -> Node.t -> unit
     (mixed content is kept inline). *)
 
 val to_string : ?indent:int -> Node.t -> string
+(** Serialized into a pooled buffer ({!Pool.contents_of}), so the one
+    copy is the returned string.  The walk allocates nothing per node. *)
 
 val element_to_string : ?indent:int -> Node.element -> string
 
@@ -48,6 +50,15 @@ module Pool : sig
   (** Return a buffer to the pool (dropped silently when the pool is
       full).  [~shrink:true] frees its storage first — used when the
       buffer grew pathologically large. *)
+
+  val shrink_above : int
+  (** 4 MiB: a buffer that held more than this is released with
+      [~shrink:true]. *)
+
+  val contents_of : (Buffer.t -> unit) -> string
+  (** [contents_of f] runs [f] on an acquired buffer and returns what
+      it wrote, releasing the buffer (shrunk above {!shrink_above})
+      even when [f] raises.  The whole-reply serializers use it. *)
 
   val hits : unit -> int
   val misses : unit -> int

@@ -120,6 +120,33 @@ let test_deep_nesting_stack_safety () =
         (Node.equal_element expected (Engine.transform algo u doc)))
     engines
 
+(* Both SAX passes track their stack depth with a counter (a list length
+   per start-tag made them quadratic in depth).  A 20 000-deep chain
+   through the two-pass [run] (a qualifier plan) and the fused
+   [run_once] (a qualifier-free one): the peak is the chain's depth,
+   and the streamed bytes equal the materialized td-bu result. *)
+let test_sax_deep_chain () =
+  let depth = 20_000 in
+  (* root, then d elements, then the x leaf: [depth] elements deep *)
+  let rec chain n acc = if n = 0 then acc else chain (n - 1) (Node.elem "d" [ acc ]) in
+  let doc = Node.element "root" [ chain (depth - 2) (Node.elem "x" [ Node.text "t" ]) ] in
+  let check name runner update =
+    let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+    let out = Buffer.create (16 * depth) in
+    let stats =
+      runner nfa update ~source:(Sax.events_of_tree doc) ~sink:(Serialize.event_sink out)
+    in
+    Alcotest.(check int) (name ^ ": max_stack_depth") depth
+      stats.Sax_transform.max_stack_depth;
+    Alcotest.(check bool) (name ^ ": streamed = materialized") true
+      (Buffer.contents out
+      = Serialize.element_to_string (Engine.transform Engine.Td_bu update doc))
+  in
+  check "run" (fun nfa u ~source ~sink -> Sax_transform.run nfa u ~source ~sink)
+    (Transform_ast.Rename (parse_path "//d[x]", "e"));
+  check "run_once" (fun nfa u ~source ~sink -> Sax_transform.run_once nfa u ~source ~sink)
+    (Transform_ast.Rename (parse_path "//x", "y"))
+
 let test_two_pass_sax_rejects_ctx_quals () =
   let u = Transform_ast.Delete (parse_path ".[db]/db/part") in
   match Engine.transform Engine.Two_pass_sax u (Fixtures.parts_doc ()) with
@@ -164,4 +191,5 @@ let suite =
     Alcotest.test_case "2000-deep nesting" `Quick test_deep_nesting_stack_safety;
     Alcotest.test_case "streaming rejects ctx quals" `Quick test_two_pass_sax_rejects_ctx_quals;
     Alcotest.test_case "invalid queries rejected" `Quick test_invalid_queries_rejected;
-    Alcotest.test_case "truncated file rejected" `Quick test_truncated_file_rejected ]
+    Alcotest.test_case "truncated file rejected" `Quick test_truncated_file_rejected;
+    Alcotest.test_case "20000-deep SAX passes" `Quick test_sax_deep_chain ]

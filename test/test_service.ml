@@ -1284,6 +1284,46 @@ let test_metrics_histogram () =
   Alcotest.(check int) "queue depth" 1 (Metrics.queue_depth m);
   Alcotest.(check int) "high-water mark" 2 (Metrics.max_queue_depth m)
 
+(* A view reply renders every item into one pooled buffer; the bytes
+   must be those of rendering each item on its own and joining the
+   strings with newlines. *)
+let joined_render v =
+  String.concat "\n"
+    (List.map
+       (function
+         | Xut_xquery.Xq_value.N n -> Xut_xml.Serialize.to_string n
+         | Xut_xquery.Xq_value.D e -> Xut_xml.Serialize.element_to_string e
+         | other -> Xut_xquery.Xq_value.string_of_item other)
+       v)
+
+let gen_item =
+  let open QCheck2.Gen in
+  let atomic = oneofa [| "x"; "a<b&c"; ""; "12" |] in
+  frequency
+    [ (3, map (fun t -> Xut_xquery.Xq_value.N t) Test_properties.gen_tree);
+      (2, map (fun e -> Xut_xquery.Xq_value.D e) Test_properties.gen_root);
+      (1, map (fun s -> Xut_xquery.Xq_value.S s) atomic);
+      (1, map2 (fun k v -> Xut_xquery.Xq_value.A (k, v)) (oneofa [| "id"; "k" |]) atomic);
+      (1, map (fun f -> Xut_xquery.Xq_value.F f) (oneofa [| 0.; 1.5; 42.; -3. |]));
+      (1, map (fun b -> Xut_xquery.Xq_value.B b) bool) ]
+
+let prop_render_value =
+  QCheck2.Test.make ~name:"render_value = items rendered one by one, joined by newlines"
+    ~count:200
+    QCheck2.Gen.(list_size (int_range 0 6) gen_item)
+    (fun v -> Service.render_value v = joined_render v)
+
+let test_render_value_edges () =
+  Alcotest.(check string) "empty sequence" "" (Service.render_value []);
+  let e = Xut_xml.Dom.parse_string "<a x=\"1\"><b>t</b><c/></a>" in
+  List.iter
+    (fun v -> Alcotest.(check string) "single item" (joined_render v) (Service.render_value v))
+    [ [ Xut_xquery.Xq_value.D e ]; [ Xut_xquery.Xq_value.N (Xut_xml.Node.Element e) ];
+      [ Xut_xquery.Xq_value.N (Xut_xml.Node.text "a&b") ]; [ Xut_xquery.Xq_value.S "" ];
+      [ Xut_xquery.Xq_value.F 2. ] ];
+  Alcotest.(check string) "empty strings keep their separators" "\n\n"
+    (Service.render_value Xut_xquery.Xq_value.[ S ""; S ""; S "" ])
+
 let suite =
   [
     Alcotest.test_case "plan cache: miss then hit" `Quick test_cache_hit_miss;
@@ -1323,4 +1363,6 @@ let suite =
     Alcotest.test_case "metrics: golden STATS and reset" `Quick test_golden_stats;
     Alcotest.test_case "service: stream consumer fails mid-stream" `Quick
       test_stream_consumer_failure;
+    QCheck_alcotest.to_alcotest prop_render_value;
+    Alcotest.test_case "service: render_value edge sequences" `Quick test_render_value_edges;
   ]

@@ -1675,6 +1675,147 @@ let test_pipelined_drain_before_close () =
               | _ -> Alcotest.fail "a pipelined request was answered wrongly")
             frames))
 
+(* ---- reply frames written around their payload ---- *)
+
+(* [write fd] runs on its own thread against one end of a socketpair
+   (a large frame outgrows the socket buffer) and closes that end;
+   [read fd] runs here against the other. *)
+let over_socketpair write read =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        Fun.protect ~finally:(fun () -> Unix.close a) (fun () -> ignore (write a : bool)))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join writer;
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () -> read b)
+
+(* What the server's reply writer puts on the wire for [resp]. *)
+let server_bytes ?version ~id resp =
+  over_socketpair (fun fd -> Server.write_response ?version fd ~id resp) raw_read_all
+
+(* What a client reads back from the server's reply writer. *)
+let client_reads ?version ~id resp =
+  over_socketpair
+    (fun fd -> Server.write_response ?version fd ~id resp)
+    (fun fd -> Client.recv (Client.of_fd ~timeout:5. fd))
+
+(* Golden frames, written out by hand from DESIGN.md's "Frame layout":
+   "XU", version, kind 2 (response), 8-byte id, 4-byte payload length;
+   then tag 3 (tree) or 5 (stats dump) and a 4-byte string length. *)
+let big_tree = String.make (Xut_xml.Serialize.Pool.shrink_above + 1) 'x'
+
+let golden_responses =
+  [ ( "tree, v1",
+      1,
+      7L,
+      Service.Ok (Service.Tree "<a/>"),
+      "XU\001\002\000\000\000\000\000\000\000\007\000\000\000\009\003\000\000\000\004<a/>" );
+    ( "tree, v2",
+      2,
+      258L,
+      Service.Ok (Service.Tree "<a/>"),
+      "XU\002\002\000\000\000\000\000\000\001\002\000\000\000\009\003\000\000\000\004<a/>" );
+    ( "empty tree",
+      1,
+      1L,
+      Service.Ok (Service.Tree ""),
+      "XU\001\002\000\000\000\000\000\000\000\001\000\000\000\005\003\000\000\000\000" );
+    ( "trees in a batch",
+      1,
+      3L,
+      Service.Ok (Service.Batch_results [ Service.Ok (Service.Tree "<a/>"); Service.Ok (Service.Tree "") ]),
+      "XU\001\002\000\000\000\000\000\000\000\003\000\000\000\019\007\000\000\000\002"
+      ^ "\003\000\000\000\004<a/>\003\000\000\000\000" );
+    ( "stats dump",
+      2,
+      2L,
+      Service.Ok (Service.Stats_dump "s=1"),
+      "XU\002\002\000\000\000\000\000\000\000\002\000\000\000\008\005\000\000\000\003s=1" );
+    ( "tree above Pool.shrink_above",
+      2,
+      9L,
+      Service.Ok (Service.Tree big_tree),
+      "XU\002\002\000\000\000\000\000\000\000\009\000\064\000\006\003\000\064\000\001" ^ big_tree )
+  ]
+
+let test_golden_frames () =
+  List.iter
+    (fun (name, version, id, resp, golden) ->
+      let same what got =
+        (* no Alcotest diff of a 4 MiB string *)
+        if got <> golden then Alcotest.failf "%s: %s differs from the golden frame" name what
+      in
+      same "response_frame" (Wire.Binary.response_frame ~version ~id resp);
+      same "response_parts"
+        (let head, body = Wire.Binary.response_parts ~version ~id resp in
+         head ^ body);
+      same "the server's bytes" (server_bytes ~version ~id resp);
+      match client_reads ~version ~id resp with
+      | id', resp' when id' = id && resp' = resp -> ()
+      | _ -> Alcotest.failf "%s: the client read back a different response" name)
+    golden_responses;
+  let golden_chunk = "XU\002\004\000\000\000\000\000\000\000\005\000\000\000\005chunk" in
+  Alcotest.(check string) "stream_chunk_frame" golden_chunk
+    (Wire.Binary.stream_chunk_frame ~id:5L "chunk");
+  Alcotest.(check string) "stream_chunk_head ^ chunk" golden_chunk
+    (Wire.Binary.stream_chunk_head ~id:5L "chunk" ^ "chunk")
+
+let prop_tree_reply_bytes =
+  QCheck2.Test.make ~count:60
+    ~name:"server's tree reply bytes = response_frame, and the client reads the tree back"
+    QCheck2.Gen.(
+      triple Test_properties.gen_root
+        (map Int64.of_int (int_range 1 (1 lsl 40)))
+        (int_range Wire.Binary.min_protocol_version Wire.Binary.protocol_version))
+    (fun (doc, id, version) ->
+      let resp = Service.Ok (Service.Tree (Xut_xml.Serialize.element_to_string doc)) in
+      server_bytes ~version ~id resp = Wire.Binary.response_frame ~version ~id resp
+      && client_reads ~version ~id resp = (id, resp))
+
+(* The server dies part-way through a 3 MB tree reply: the client
+   raises, and never hands out a short string. *)
+let test_tree_reply_torn_mid_body () =
+  let tree = String.init 3_000_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let frame = Wire.Binary.response_frame ~id:4L (Service.Ok (Service.Tree tree)) in
+  List.iter
+    (fun cut ->
+      match
+        over_socketpair
+          (fun fd ->
+            raw_write fd (String.sub frame 0 cut);
+            true)
+          (fun fd -> Client.recv (Client.of_fd ~timeout:5. fd))
+      with
+      | exception Client.Transport_error _ -> ()
+      | _, Service.Ok (Service.Tree s) ->
+        Alcotest.failf "cut at %d: a %d-byte tree came back" cut (String.length s)
+      | _ -> Alcotest.failf "cut at %d: a response came back" cut)
+    [ Wire.Binary.header_size + 2; Wire.Binary.header_size + 5; 1_500_000; String.length frame - 1 ]
+
+(* A string length that disagrees with the frame length is a transport
+   error, and the frame is consumed whole: the next reply still reads. *)
+let test_tree_length_mismatch () =
+  let bad = "XU\001\002\000\000\000\000\000\000\000\001\000\000\000\009\003\000\000\000\003<a/>" in
+  let good = Wire.Binary.response_frame ~id:2L (Service.Ok (Service.Tree "<b/>")) in
+  over_socketpair
+    (fun fd ->
+      raw_write fd (bad ^ good);
+      true)
+    (fun fd ->
+      let cli = Client.of_fd ~timeout:5. fd in
+      (match Client.recv cli with
+      | exception Client.Transport_error _ -> ()
+      | _ -> Alcotest.fail "a mismatched tree length must be a transport error");
+      match Client.recv cli with
+      | 2L, Service.Ok (Service.Tree "<b/>") -> ()
+      | _ -> Alcotest.fail "the next frame must still read")
+
 let suite =
   [
     Alcotest.test_case "wire: line protocol" `Quick test_line_protocol;
@@ -1721,4 +1862,8 @@ let suite =
       test_torn_frame_closes_connection;
     Alcotest.test_case "socket: pipelined replies drain before close" `Quick
       test_pipelined_drain_before_close;
+    Alcotest.test_case "wire: golden reply frames" `Quick test_golden_frames;
+    QCheck_alcotest.to_alcotest prop_tree_reply_bytes;
+    Alcotest.test_case "client: tree reply torn mid-body" `Quick test_tree_reply_torn_mid_body;
+    Alcotest.test_case "client: tree length mismatch" `Quick test_tree_length_mismatch;
   ]

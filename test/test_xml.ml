@@ -101,6 +101,70 @@ let test_indent () =
   let e = Dom.parse_string "<a><b>t</b></a>" in
   check_str "indented" "<a>\n  <b>t</b>\n</a>" (Serialize.element_to_string ~indent:2 e)
 
+(* The serializer's layout, pinned byte for byte: attribute escapes,
+   empty elements, comments, PIs, element-only content broken into
+   indented lines and mixed content kept inline. *)
+let test_indent_layout () =
+  let e =
+    Node.element ~attrs:[ ("k", "a\"<&>'") ] "root"
+      [ Node.elem "empty" [];
+        Node.elem "list"
+          [ Node.elem "i" [ Node.text "1 < 2" ]; Node.comment " c "; Node.elem "j" [ Node.elem "deep" [] ] ];
+        Node.elem "mixed" [ Node.text "t&"; Node.elem "b" [ Node.elem "c" [] ]; Node.text "u" ];
+        Node.pi "pi" "x=1" ]
+  in
+  let flat =
+    "<root k=\"a&quot;&lt;&amp;&gt;'\"><empty/><list><i>1 &lt; 2</i><!-- c --><j><deep/></j></list><mixed>t&amp;<b><c/></b>u</mixed><?pi x=1?></root>"
+  in
+  check_str "no indent" flat (Serialize.element_to_string e);
+  check_str "indent 0"
+    "<root k=\"a&quot;&lt;&amp;&gt;'\">\n<empty/>\n<list>\n<i>1 &lt; 2</i>\n<!-- c -->\n<j>\n<deep/>\n</j>\n</list>\n<mixed>t&amp;<b><c/></b>u</mixed>\n<?pi x=1?>\n</root>"
+    (Serialize.element_to_string ~indent:0 e);
+  check_str "indent 3"
+    "<root k=\"a&quot;&lt;&amp;&gt;'\">\n   <empty/>\n   <list>\n      <i>1 &lt; 2</i>\n      <!-- c -->\n      <j>\n         <deep/>\n      </j>\n   </list>\n   <mixed>t&amp;<b><c/></b>u</mixed>\n   <?pi x=1?>\n</root>"
+    (Serialize.element_to_string ~indent:3 e);
+  check_str "document, indent 1"
+    "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<root k=\"a&quot;&lt;&amp;&gt;'\">\n <empty/>\n <list>\n  <i>1 &lt; 2</i>\n  <!-- c -->\n  <j>\n   <deep/>\n  </j>\n </list>\n <mixed>t&amp;<b><c/></b>u</mixed>\n <?pi x=1?>\n</root>"
+    (Serialize.document_to_string ~indent:1 e);
+  (* the sink walks the same tree: any chunking concatenates to it *)
+  List.iter
+    (fun chunk_size ->
+      let buf = Buffer.create 64 in
+      let sink = Serialize.Sink.create ~chunk_size (Buffer.add_string buf) in
+      Serialize.Sink.element sink e;
+      ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
+      check_str (Printf.sprintf "sink, chunk_size %d" chunk_size) flat (Buffer.contents buf))
+    [ 1; 7; 65536 ]
+
+(* The tree walk allocates nothing per node: the minor words of one
+   whole serialization stay under one small constant on an XMark tree
+   and on one ten times larger.  (The reply bytes themselves are above
+   the minor-heap size limit and go straight to the major heap.)  A walk
+   that builds a closure per element allocates ~10 words per element:
+   ~35 kw and ~340 kw here. *)
+let test_serializer_allocation () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let bound = 2048. in
+  List.iter
+    (fun factor ->
+      let doc = Xut_xmark.Generator.generate ~factor () in
+      ignore (Serialize.element_to_string doc : string) (* warm the pool *);
+      let words = minor_words (fun () -> ignore (Serialize.element_to_string doc : string)) in
+      if words >= bound then
+        Alcotest.failf "element_to_string at f=%g: %.0f minor words (bound %.0f)" factor words
+          bound;
+      let bytes = ref 0 in
+      let sink = Serialize.Sink.create (fun s -> bytes := !bytes + String.length s) in
+      let words = minor_words (fun () -> Serialize.Sink.element sink doc) in
+      ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
+      if words >= bound then
+        Alcotest.failf "Sink.element at f=%g: %.0f minor words (bound %.0f)" factor words bound)
+    [ 0.002; 0.02 ]
+
 let test_node_ops () =
   let e = Dom.parse_string Fixtures.parts_doc_text in
   check_int "element count" 35 (Node.element_count (Node.Element e));
@@ -139,4 +203,7 @@ let suite =
     Alcotest.test_case "indent" `Quick test_indent;
     Alcotest.test_case "node ops" `Quick test_node_ops;
     Alcotest.test_case "refresh ids" `Quick test_refresh_ids;
-    Alcotest.test_case "event sink" `Quick test_event_sink ]
+    Alcotest.test_case "event sink" `Quick test_event_sink;
+    Alcotest.test_case "indent layout" `Quick test_indent_layout;
+    Alcotest.test_case "serializer allocates O(1) minor words" `Quick
+      test_serializer_allocation ]
