@@ -98,6 +98,37 @@ let result_stream_ns_per_node root ~reps =
         Xut_xml.Serialize.Sink.element sink (Core.Top_down.run ~checkp nfa update root);
         ignore (Sys.opaque_identity (Xut_xml.Serialize.Sink.close sink)))
 
+(* ---- composed view read: a depth-2 view chain over XMark ---------------
+
+   The served shape of a stored-view read: two stored deletes composed
+   with a user FLWOR by [Composition.compose_stack], run with the
+   level-0 annotation oracle built outside the clock (the annotation
+   memo holds it in the service).  Reports the result count, time per
+   read and minor words per read. *)
+
+let view_chain = [ "site/regions//item/mailbox"; "site/people/person/watches" ]
+let view_query = "for $x in site/people/person return $x/name"
+
+let composed_view_read root ~reps =
+  let paths = List.map Xut_xpath.Parser.parse view_chain in
+  let updates = List.map (fun p -> Core.Transform_ast.Delete p) paths in
+  let c =
+    match Core.Composition.compose_stack updates (Core.User_query.parse view_query) with
+    | Ok c -> c
+    | Error m -> failwith ("composed view read: " ^ m)
+  in
+  let nfa0 = Xut_automata.Selecting_nfa.of_path (List.hd paths) in
+  let oracle = Xut_automata.Annotator.checkp (Xut_automata.Annotator.annotate nfa0 root) nfa0 in
+  let read () = Core.Composition.run_composed ~oracle c ~doc:root in
+  let results = List.length (read ()) in
+  let dt = Timing.measure ~reps read in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (read ()))
+  done;
+  let kw = (Gc.minor_words () -. w0) /. float_of_int reps /. 1e3 in
+  (results, dt *. 1e6, kw)
+
 (* ---- annotator ns/node A/B: schema skip-sets on vs off ----------------
 
    The bottom-up annotation pass over XMark, with and without the
@@ -175,7 +206,7 @@ let ns_rows oc key rows =
     rows;
   Printf.fprintf oc "  },\n"
 
-let write_json path ~factor ~micro ~tdbu ~stream ~annot =
+let write_json path ~factor ~micro ~tdbu ~stream ~annot ~view =
   Out_channel.with_open_text path (fun oc ->
       output_string oc "{\n";
       Printf.fprintf oc "  \"bench\": \"micro\",\n";
@@ -194,6 +225,12 @@ let write_json path ~factor ~micro ~tdbu ~stream ~annot =
       Printf.fprintf oc "  },\n";
       ns_rows oc "tdbu_ns_per_node" tdbu;
       ns_rows oc "result_stream_ns_per_node" stream;
+      (let results, us, kw = view in
+       Printf.fprintf oc
+         "  \"composed_view_read\": { \"chain\": \"%s\", \"query\": \"%s\", \"results\": %d, \
+          \"us_per_read\": %.1f, \"kw_per_read\": %.2f },\n"
+         (json_escape (String.concat " ; " view_chain))
+         (json_escape view_query) results us kw);
       Printf.fprintf oc "  \"annotator_ns_per_node\": [\n";
       List.iteri
         (fun i (label, skips, off, on) ->
@@ -251,6 +288,13 @@ let run ?json ?(quick = false) ?(tdbu_only = false) () =
   print_rows "TD-BU ns/node" tdbu;
   let stream = result_stream_ns_per_node root ~reps in
   print_rows "TD-BU result stream ns/node, warm annotation" stream;
+  let view = composed_view_read root ~reps:(10 * reps) in
+  (let results, us, kw = view in
+   Printf.printf
+     "\n== Composed view read (depth-2 chain, XMark f=%g) ==\n\
+     \  %d results  %8.1f us/read  %8.2f kw/read  (%.0f words/result)\n"
+     factor results us kw
+     (kw *. 1e3 /. float_of_int (max 1 results)));
   Printf.printf "\n== Annotator ns/node, schema skip-sets off vs on (XMark f=%g) ==\n" factor;
   let annot = annotator_ab root ~reps in
   List.iter
@@ -260,5 +304,5 @@ let run ?json ?(quick = false) ?(tdbu_only = false) () =
         (if on > 0. then off /. on else 0.))
     annot;
   match json with
-  | Some path -> write_json path ~factor ~micro:(List.rev !micro_results) ~tdbu ~stream ~annot
+  | Some path -> write_json path ~factor ~micro:(List.rev !micro_results) ~tdbu ~stream ~annot ~view
   | None -> ()

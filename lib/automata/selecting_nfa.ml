@@ -45,9 +45,17 @@ let wide_blend_into dst src =
     i := !i + 8
   done
 
-let wide_is_empty a =
-  let rec go i = i >= Bytes.length a || (Bytes.get_int64_ne a i = 0L && go (i + 8)) in
-  go 0
+(* top-level loops, not local closures: the emptiness and overlap tests
+   run on every transition and must not allocate *)
+let rec wide_zero_from a i =
+  i >= Bytes.length a || (Bytes.get_int64_ne a i = 0L && wide_zero_from a (i + 8))
+
+let wide_is_empty a = wide_zero_from a 0
+
+let rec wide_meet_from a b i =
+  i < Bytes.length a
+  && (Int64.logand (Bytes.get_int64_ne a i) (Bytes.get_int64_ne b i) <> 0L
+     || wide_meet_from a b (i + 8))
 
 let mismatch () = invalid_arg "Selecting_nfa: sets of different automata"
 
@@ -72,6 +80,13 @@ let set_inter a b =
   match a, b with
   | Bits x, Bits y -> Bits (x land y)
   | Wide x, Wide y -> Wide (wide_binop Int64.logand x y)
+  | (Bits _ | Wide _), _ -> mismatch ()
+
+(* [set_inter a b] is non-empty, without building the intersection *)
+let set_intersects a b =
+  match a, b with
+  | Bits x, Bits y -> x land y <> 0
+  | Wide x, Wide y -> wide_meet_from x y 0
   | (Bits _ | Wide _), _ -> mismatch ()
 
 let set_diff a b =
@@ -125,11 +140,17 @@ type memo_entry = {
   e_closed_nq : set;  (* closure (raw minus qualifier states) *)
 }
 
+(* the empty slot (compared physically): slots hold entries directly, so
+   neither a probe nor a store wraps one in an option *)
+let no_entry =
+  let z = Bits 0 in
+  { e_sym = -3; e_key = z; e_raw = z; e_qual_raw = z; e_closed = z; e_closed_nq = z }
+
 let memo_slots = 512 (* power of two *)
 let memo_probes = 3
 
 type memo = {
-  mutable slots : memo_entry option array;
+  mutable slots : memo_entry array;
   (* [||] until the first store: keeps [of_norm] cheap for throwaway
      automata; the table is only paid for once transitions run.  Two
      domains racing on the first store may each install an array and one
@@ -326,25 +347,26 @@ let close_set t s =
     done;
     Wide c
 
+(* the entry for [(s, sym)] among the [memo_probes] slots from [h], or
+   [no_entry]; a top-level loop, so a hit allocates nothing *)
+let rec memo_find slots h s sym i =
+  if i >= memo_probes then no_entry
+  else
+    let e = Array.unsafe_get slots ((h + i) land (memo_slots - 1)) in
+    if e.e_sym = sym && set_equal e.e_key s then e else memo_find slots h s sym (i + 1)
+
 (* memoized transition pieces for [(s, sym)] *)
 let transition t s sym =
   let m = t.memo in
   let h = memo_hash s sym in
   let slots = m.slots in
-  let rec probe i =
-    if i >= memo_probes then None
-    else
-      let j = (h + i) land (memo_slots - 1) in
-      match slots.(j) with
-      | Some e when e.e_sym = sym && set_equal e.e_key s -> Some e
-      | _ -> probe (i + 1)
-  in
-  match (if Array.length slots = 0 then None else probe 0) with
-  | Some e ->
+  let e = if Array.length slots = 0 then no_entry else memo_find slots h s sym 0 in
+  if e != no_entry then begin
     m.hits <- m.hits + 1;
     incr g_hits;
     e
-  | None ->
+  end
+  else begin
     m.misses <- m.misses + 1;
     incr g_misses;
     let raw = raw_targets t s sym in
@@ -354,19 +376,20 @@ let transition t s sym =
     in
     let slots =
       if Array.length m.slots = 0 then begin
-        let a = Array.make memo_slots None in
+        let a = Array.make memo_slots no_entry in
         m.slots <- a;
         a
       end
       else m.slots
     in
     let rec store i =
-      if i >= memo_probes then slots.(h land (memo_slots - 1)) <- Some e
-      else if slots.(j_of i) = None then slots.(j_of i) <- Some e
+      if i >= memo_probes then slots.(h land (memo_slots - 1)) <- e
+      else if slots.(j_of i) == no_entry then slots.(j_of i) <- e
       else store (i + 1)
     and j_of i = (h + i) land (memo_slots - 1) in
     store 0;
     e
+  end
 
 let next_unchecked t s sym = (transition t s sym).e_closed
 

@@ -74,6 +74,10 @@ val set_mem : set -> int -> bool
 val set_equal : set -> set -> bool
 val set_union : set -> set -> set
 val set_inter : set -> set -> set
+
+val set_intersects : set -> set -> bool
+(** [not (set_is_empty (set_inter a b))], without allocating. *)
+
 val set_diff : set -> set -> set
 
 val set_fold : (int -> 'a -> 'a) -> set -> 'a -> 'a
@@ -94,7 +98,8 @@ val next : t -> checkp:(int -> bool) -> set -> Xut_xml.Sym.t -> set
     say whether the qualifier of state [s] holds at the node being
     entered; states whose qualifier fails are dropped before the closure.
     The qualifier-independent parts of the transition are memoized per
-    automaton. *)
+    automaton; a memo hit allocates nothing, so a transition allocates
+    only the result set of a step that enters qualifier states. *)
 
 val next_unchecked : t -> set -> Xut_xml.Sym.t -> set
 (** Transition ignoring qualifiers (the over-approximation the bottom-up

@@ -733,10 +733,56 @@ let compose update (uq : User_query.t) : (composed, string) result =
 
 type level = { lnfa : Selecting_nfa.t; lupd : Transform_ast.update }
 
+(* The walk's static tests, settled at compose time.  [output_affected]
+   and [qual_affected] are unions over the states of their set argument
+   (accepts_set, closure and the next_on_*_set transitions all
+   distribute over union), so each becomes a mask of the states for
+   which it holds, and the walk only asks whether a level's set meets
+   it. *)
+type masks = {
+  out_masks : Selecting_nfa.set array;
+  (* [j]: level-j states at which level j changes what the user
+     where/return clauses see *)
+  level_quals : Selecting_nfa.set array array array;
+  (* [i].(st).(j), j < i: level-j states at which level j can affect the
+     qualifier of level i's state [st] ([||] for qualifier-free states) *)
+  user_quals : Selecting_nfa.set array array;
+  (* [st].(j): the same for the user NFA's state [st], over every level *)
+}
+
+(* the states [q] of [nfa] for which [pred {q}] holds *)
+let state_mask nfa pred =
+  let one q = Selecting_nfa.set_of_list nfa [ q ] in
+  Selecting_nfa.set_of_list nfa
+    (List.filter (fun q -> pred (one q)) (List.init (Selecting_nfa.size nfa) Fun.id))
+
+let stack_masks (levels : level array) unfa (uq : User_query.t) =
+  let qual_masks upto q =
+    Array.init upto (fun j ->
+        let { lnfa; lupd } = levels.(j) in
+        state_mask lnfa (fun s -> qual_affected lnfa lupd s q))
+  in
+  let per_state nfa upto =
+    Array.init (Selecting_nfa.size nfa) (fun st ->
+        if Selecting_nfa.has_qual nfa st then qual_masks upto (Selecting_nfa.state_qual nfa st)
+        else [||])
+  in
+  {
+    out_masks =
+      Array.map (fun { lnfa; lupd } -> state_mask lnfa (output_affected lnfa lupd uq)) levels;
+    level_quals = Array.mapi (fun i { lnfa; _ } -> per_state lnfa i) levels;
+    user_quals = per_state unfa (Array.length levels);
+  }
+
+(* does level [j]'s set [ls.(j)] meet [masks.(j)] for some [j]? *)
+let rec meets_any (masks : Selecting_nfa.set array) (ls : Selecting_nfa.set array) j =
+  j < Array.length masks
+  && (Selecting_nfa.set_intersects ls.(j) masks.(j) || meets_any masks ls (j + 1))
+
 type stack_rt = {
   levels : level array;  (* innermost (applied first) at index 0 *)
   sunfa : Selecting_nfa.t;  (* the user source path's NFA *)
-  suq : User_query.t;
+  smasks : masks;
   (* (node id, prefix length) -> the node's image through that many
      levels; fresh per evaluation *)
   views : (int * int, Node.t list) Hashtbl.t;
@@ -820,6 +866,7 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
         | other -> [ other ])
       f
   in
+  let { out_masks; level_quals; user_quals } = rt.smasks in
   let rec visit (us : Selecting_nfa.set) (ls : Selecting_nfa.set array) (ce : Node.element) =
     (* transition every level innermost-first; the first match resolves
        the subtree *)
@@ -830,23 +877,13 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
          let { lnfa; lupd = _ } = rt.levels.(i) in
          let checkp st =
            let q = Selecting_nfa.state_qual lnfa st in
-           if q = Ast.Q_true then true
-           else begin
-             let affected = ref false in
-             for j = 0 to i - 1 do
-               if
-                 (not !affected)
-                 && qual_affected rt.levels.(j).lnfa rt.levels.(j).lupd ls'.(j) q
-               then affected := true
-             done;
-             if !affected then
-               match through_view ls' ce i with
-               | [ Node.Element t ] -> Eval.check_qual t q
-               | _ -> false
-             else if i = 0 then
-               match rt.soracle with Some f -> f st ce | None -> Eval.check_qual ce q
-             else Eval.check_qual ce q
-           end
+           if meets_any level_quals.(i).(st) ls' 0 then
+             match through_view ls' ce i with
+             | [ Node.Element t ] -> Eval.check_qual t q
+             | _ -> false
+           else if i = 0 then
+             match rt.soracle with Some f -> f st ce | None -> Eval.check_qual ce q
+           else Eval.check_qual ce q
          in
          let si = Selecting_nfa.next lnfa ~checkp ls.(i) (Node.sym ce) in
          ls'.(i) <- si;
@@ -873,38 +910,23 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
          qualifiers some level could affect are answered on its view *)
       let user_checkp st =
         let q = Selecting_nfa.state_qual unfa st in
-        if q = Ast.Q_true then true
-        else begin
-          let affected = ref false in
-          for j = 0 to n - 1 do
-            if
-              (not !affected) && qual_affected rt.levels.(j).lnfa rt.levels.(j).lupd ls'.(j) q
-            then affected := true
-          done;
-          if !affected then
-            match through_view ls' ce n with
-            | [ Node.Element t ] -> Eval.check_qual t q
-            | _ -> false
-          else Eval.check_qual ce q
-        end
+        if meets_any user_quals.(st) ls' 0 then
+          match through_view ls' ce n with
+          | [ Node.Element t ] -> Eval.check_qual t q
+          | _ -> false
+        else Eval.check_qual ce q
       in
       let uc = Selecting_nfa.next unfa ~checkp:user_checkp us (Node.sym ce) in
       if Selecting_nfa.accepts_set unfa uc then begin
-        let needs_view =
-          let rec any j =
-            j < n
-            && (output_affected rt.levels.(j).lnfa rt.levels.(j).lupd rt.suq ls'.(j)
-               || any (j + 1))
-          in
-          any 0
-        in
-        if needs_view then
+        if meets_any out_masks ls' 0 then
           match through_view ls' ce n with
           | [ Node.Element t ] -> emit (Node.Element t)
           | _ -> ()
         else emit (Node.Element ce)
       end;
-      if not (Selecting_nfa.set_is_empty uc) then
+      (* a child's user set lies within [next_on_any_set uc] on either
+         path, matched or not: where that is empty nothing below emits *)
+      if not (Selecting_nfa.set_is_empty (Selecting_nfa.next_on_any_set unfa uc)) then
         List.iter
           (fun ch -> match ch with Node.Element che -> visit uc ls' che | _ -> ())
           (Node.children ce)
@@ -938,6 +960,7 @@ let compose_stack updates (uq : User_query.t) : (composed, string) result =
       | Ok _chunks ->
         let levels = Array.of_list levels in
         let sunfa = Selecting_nfa.of_path uq.User_query.source in
+        let smasks = stack_masks levels sunfa uq in
         let name = fresh_var "xut:stack" in
         let dvar = fresh_var "d" in
         let xvar = fresh_var "x" in
@@ -954,7 +977,7 @@ let compose_stack updates (uq : User_query.t) : (composed, string) result =
         in
         let make oracle =
           let rt =
-            { levels; sunfa; suq = uq; views = Hashtbl.create 64; soracle = oracle }
+            { levels; sunfa; smasks; views = Hashtbl.create 64; soracle = oracle }
           in
           [
             ( name,

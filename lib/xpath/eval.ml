@@ -19,6 +19,16 @@ let rec descendant_or_self_acc acc e =
   let acc = e :: acc in
   List.fold_left descendant_or_self_acc acc (Node.child_elements e)
 
+(* the children named [l] of the frontier elements, in order: scans the
+   raw child lists, building no intermediate element lists *)
+let label_children l frontier =
+  let rec scan acc = function
+    | [] -> acc
+    | Node.Element c :: rest when String.equal (Node.name c) l -> scan (c :: acc) rest
+    | _ :: rest -> scan acc rest
+  in
+  List.rev (List.fold_left (fun acc e -> scan acc (Node.children e)) [] frontier)
+
 let rec select_from (frontier : Node.element list) (path : Ast.path) : Node.element list =
   match path with
   | [] -> frontier
@@ -26,10 +36,7 @@ let rec select_from (frontier : Node.element list) (path : Ast.path) : Node.elem
     let expanded =
       match nav with
       | Ast.Self -> frontier
-      | Ast.Label l ->
-        List.concat_map
-          (fun e -> List.filter (fun c -> String.equal (Node.name c) l) (Node.child_elements e))
-          frontier
+      | Ast.Label l -> label_children l frontier
       | Ast.Wildcard -> List.concat_map Node.child_elements frontier
       | Ast.Descendant -> (
         (* descendants of a single element are unique by construction *)
@@ -37,7 +44,10 @@ let rec select_from (frontier : Node.element list) (path : Ast.path) : Node.elem
         | [ e ] -> List.rev (descendant_or_self_acc [] e)
         | _ -> dedup (List.concat_map (fun e -> List.rev (descendant_or_self_acc [] e)) frontier))
     in
-    let filtered = List.filter (fun e -> List.for_all (check_qual e) quals) expanded in
+    let filtered =
+      if quals = [] then expanded
+      else List.filter (fun e -> List.for_all (check_qual e) quals) expanded
+    in
     select_from filtered rest
 
 and check_qual (n : Node.element) (q : Ast.qual) : bool =
@@ -97,11 +107,15 @@ let fused_descendant_label frontier dquals l lquals =
   List.rev !acc
 
 let select_general ctx path =
-  let result = dedup (select_from [ ctx ] path) in
-  (* Child-only paths produce document order by construction; after a
-     descendant step, later child steps can emit cousins out of order, so
-     sort by pre-order rank. *)
-  if List.exists (fun (s : Ast.step) -> s.nav = Ast.Descendant) path then begin
+  (* Child-only paths produce distinct elements in document order by
+     construction: element ids are unique within a tree, and each element
+     is reached from its one parent.  After a descendant step the same
+     node can be reached along several routes, and later child steps can
+     emit cousins out of order, so dedup and sort by pre-order rank. *)
+  if not (List.exists (fun (s : Ast.step) -> s.nav = Ast.Descendant) path) then
+    select_from [ ctx ] path
+  else begin
+    let result = dedup (select_from [ ctx ] path) in
     let rank = Hashtbl.create 256 in
     let counter = ref 0 in
     Node.iter_elements
@@ -112,7 +126,6 @@ let select_general ctx path =
     let key e = try Hashtbl.find rank (Node.id e) with Not_found -> max_int in
     List.stable_sort (fun a b -> compare (key a) (key b)) result
   end
-  else result
 
 let select ctx path =
   match split_trailing_desc_label [] path with

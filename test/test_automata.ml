@@ -231,6 +231,42 @@ let test_memo_counts () =
   Alcotest.(check bool) "second transition hits" true (hits >= 1);
   Alcotest.(check bool) "first transition misses" true (misses >= 1)
 
+(* A memo hit allocates nothing: 1000 warm unchecked transitions, and
+   1000 checked ones whose targets carry no qualifier state, on both set
+   representations.  The hit counter still counts every one of them. *)
+let test_memo_hit_allocation () =
+  let check name path label =
+    let nfa = nfa_of path in
+    let s0 = Selecting_nfa.start nfa in
+    let sym = Xut_xml.Sym.intern label in
+    let checkp _ = true in
+    let s1 = Selecting_nfa.next nfa ~checkp s0 sym in
+    Alcotest.(check bool) (name ^ ": the step enters no qualifier state") false
+      (Selecting_nfa.set_intersects s1 (Selecting_nfa.qual_states nfa));
+    ignore (Selecting_nfa.next_unchecked nfa s0 sym);
+    let hits0, _ = Selecting_nfa.memo_stats nfa in
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa s0 sym))
+    done;
+    let mid = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Selecting_nfa.next nfa ~checkp s0 sym))
+    done;
+    let after = Gc.minor_words () in
+    (* only Gc.minor_words' own boxed floats *)
+    Alcotest.(check bool) (name ^ ": next_unchecked hits allocate nothing") true
+      (mid -. before < 100.);
+    Alcotest.(check bool) (name ^ ": next hits allocate nothing") true (after -. mid < 100.);
+    let hits1, _ = Selecting_nfa.memo_stats nfa in
+    Alcotest.(check int) (name ^ ": hits counted") 2000 (hits1 - hits0)
+  in
+  check "inline" "//part[pname = \"keyboard\"]/supplier/price" "db";
+  let wide = "a/" ^ String.concat "/" (List.init 69 (fun _ -> "b")) ^ "[c]" in
+  Alcotest.(check bool) "the wide automaton is Bytes-backed" true
+    (Selecting_nfa.size (nfa_of wide) > 62);
+  check "wide" wide "a"
+
 let suite =
   [ Alcotest.test_case "NFA select = direct eval" `Quick test_nfa_matches_eval;
     Alcotest.test_case "annotated NFA select = direct eval" `Quick test_nfa_annotated_matches_eval;
@@ -244,4 +280,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bitset_small;
     QCheck_alcotest.to_alcotest prop_bitset_wide;
     Alcotest.test_case "interning stable across 4 domains" `Quick test_sym_domains;
-    Alcotest.test_case "transition memo counts" `Quick test_memo_counts ]
+    Alcotest.test_case "transition memo counts" `Quick test_memo_counts;
+    Alcotest.test_case "memo hits allocate nothing" `Quick test_memo_hit_allocation ]

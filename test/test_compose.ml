@@ -432,3 +432,120 @@ let suite =
   @ [ Alcotest.test_case "stack: depth-2 matrix" `Quick test_stack_depth2_matrix;
       Alcotest.test_case "stack: edge depths" `Quick test_stack_edge_depths;
       QCheck_alcotest.to_alcotest prop_stack_random_chains ]
+
+(* --- stacked composition over XMark --- *)
+
+(* XMark-shaped chain levels: deletes, inserts and renames, several
+   with qualifiers, some of which an earlier level can affect *)
+let xmark_levels =
+  [ Transform_ast.Delete (parse_path "site/people/person/watches");
+    Transform_ast.Delete (parse_path "site/regions//item/mailbox");
+    Transform_ast.Delete (parse_path "site/people/person[profile/age > 30]/address");
+    Transform_ast.Delete (parse_path "site/people/person[emailaddress]");
+    Transform_ast.Delete (parse_path "//open_auction[initial > 100]/bidder");
+    Transform_ast.Insert
+      (parse_path "site/people/person[address/country = \"United States\"]",
+       Node.elem "flag" [ Node.text "US" ]);
+    Transform_ast.Insert
+      (parse_path "site/people/person/profile", Node.elem "age" [ Node.text "99" ]);
+    Transform_ast.Insert_first (parse_path "//person[watches]", Node.elem "vip" []);
+    Transform_ast.Rename
+      (parse_path "site/open_auctions/open_auction[bidder/increase > 10]/seller", "vendor");
+    Transform_ast.Rename (parse_path "//watches", "watchlist");
+    Transform_ast.Rename (parse_path "site/people/person[watches]/name", "handle") ]
+
+(* sources ending in a child step (the walk stops below a binding), a
+   wildcard, and behind a '//' (the walk must keep descending) *)
+let xmark_queries =
+  [ "for $x in site/people/person return $x/name";
+    "for $x in site/people/person[watches] return $x/name";
+    "for $x in site/people/person[profile/age > 30] return <p>{$x/name}{$x/address}</p>";
+    "for $x in site/people/person where $x/address/country = \"United States\" return $x";
+    "for $x in site/open_auctions/open_auction[bidder/increase > 10] return $x/seller";
+    "for $x in site/people/* return $x";
+    "for $x in site/people/person/* return $x";
+    "for $x in site//person return $x/name";
+    "for $x in site//vendor return $x";
+    "for $x in site/people//watchlist return $x" ]
+
+let prop_stack_random_xmark =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 10_000)
+        (list_size (int_range 2 3) (oneofl xmark_levels))
+        (oneofl xmark_queries))
+  in
+  let print (seed, updates, q) =
+    Printf.sprintf "seed %d: %s | %s" seed
+      (String.concat " ; " (List.map Transform_ast.update_to_string updates))
+      q
+  in
+  QCheck.Test.make ~count:40 ~name:"compose_stack = naive_stack (random XMark docs and chains)"
+    (QCheck.make ~print gen) (fun (seed, updates, q) ->
+      let doc = Xut_xmark.Generator.generate ~seed:(Int64.of_int seed) ~factor:0.0005 () in
+      let uq = User_query.parse q in
+      let expected = value_repr (Composition.naive_stack updates uq ~doc) in
+      match Composition.compose_stack updates uq with
+      | Error m -> QCheck.Test.fail_reportf "did not compose: %s" m
+      | Ok c -> value_repr (Composition.run_composed c ~doc) = expected)
+
+(* Chains where an earlier level changes what a later level's qualifier
+   sees: the insert supplies the age the delete tests, the rename hides
+   the watches the later steps test for *)
+let test_stack_feeding_chains () =
+  let doc = Xut_xmark.Generator.generate ~seed:3L ~factor:0.0005 () in
+  let chains =
+    [ [ Transform_ast.Insert
+          (parse_path "site/people/person/profile", Node.elem "age" [ Node.text "99" ]);
+        Transform_ast.Delete (parse_path "site/people/person[profile/age > 30]/address") ];
+      [ Transform_ast.Rename (parse_path "//watches", "watchlist");
+        Transform_ast.Rename (parse_path "site/people/person[watches]/name", "handle") ];
+      [ Transform_ast.Delete (parse_path "site/people/person/watches");
+        Transform_ast.Insert_first (parse_path "//person[watches]", Node.elem "vip" []);
+        Transform_ast.Delete (parse_path "site/people/person[vip]/name") ] ]
+  in
+  List.iteri
+    (fun i updates ->
+      List.iter
+        (fun q ->
+          check_stack_equiv ~doc
+            (Printf.sprintf "feeding chain %d | %s" i q)
+            updates (User_query.parse q))
+        xmark_queries)
+    chains
+
+(* The served shape of a view read: two stored deletes under the user
+   FLWOR, run with the level-0 annotation oracle.  Once the plan's
+   transition memos are warm, a read allocates in proportion to its
+   answer, not to the document. *)
+let test_stack_read_allocation () =
+  let doc = Xut_xmark.Generator.generate ~factor:0.002 () in
+  let paths = List.map parse_path [ "site/regions//item/mailbox"; "site/people/person/watches" ] in
+  let updates = List.map (fun p -> Transform_ast.Delete p) paths in
+  let uq = User_query.parse "for $x in site/people/person return $x/name" in
+  let c =
+    match Composition.compose_stack updates uq with
+    | Ok c -> c
+    | Error m -> Alcotest.fail ("did not compose: " ^ m)
+  in
+  let nfa0 = Xut_automata.Selecting_nfa.of_path (List.hd paths) in
+  let oracle =
+    Xut_automata.Annotator.checkp (Xut_automata.Annotator.annotate nfa0 doc) nfa0
+  in
+  Alcotest.(check (list string)) "stack = naive"
+    (value_repr (Composition.naive_stack updates uq ~doc))
+    (value_repr (Composition.run_composed ~oracle c ~doc));
+  let before = Gc.minor_words () in
+  let items = List.length (Composition.run_composed ~oracle c ~doc) in
+  let per_item = (Gc.minor_words () -. before) /. float_of_int (max 1 items) in
+  Alcotest.(check bool) "a result per person" true (items > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per result item (at most 300)" per_item)
+    true (per_item <= 300.)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "stack: earlier levels feed later qualifiers" `Quick
+        test_stack_feeding_chains;
+      QCheck_alcotest.to_alcotest prop_stack_random_xmark;
+      Alcotest.test_case "stack: view read allocates per answer" `Quick test_stack_read_allocation ]

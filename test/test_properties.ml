@@ -411,6 +411,44 @@ let prop_compose_equals_spec =
         | Error _ -> true  (* out of fragment: nothing to check *)
         | Ok c -> value_repr (Composition.run_composed c ~doc:root) = expected))
 
+(* [Eval.select] against a test-local navigator that always removes
+   duplicates and sorts by pre-order rank: pins that child-only paths,
+   which skip both, still answer distinct elements in document order. *)
+let reference_select_ranks ctx (path : Ast.path) =
+  let rec go frontier = function
+    | [] -> frontier
+    | ({ Ast.nav; quals } : Ast.step) :: rest ->
+      let expanded =
+        match nav with
+        | Ast.Self -> frontier
+        | Ast.Label l ->
+          List.concat_map
+            (fun e -> List.filter (fun c -> Node.name c = l) (Node.child_elements e))
+            frontier
+        | Ast.Wildcard -> List.concat_map Node.child_elements frontier
+        | Ast.Descendant -> List.concat_map Node.descendant_or_self frontier
+      in
+      go (List.filter (fun e -> List.for_all (Eval.check_qual e) quals) expanded) rest
+  in
+  let rank = Hashtbl.create 64 in
+  Node.iter_elements (fun e -> Hashtbl.replace rank (Node.id e) (Hashtbl.length rank)) ctx;
+  let ranks = List.map (fun e -> Hashtbl.find rank (Node.id e)) (go [ ctx ] path) in
+  (rank, List.sort_uniq compare ranks)
+
+let gen_select_path : Ast.path QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* path = gen_path in
+  let child_only = List.filter (fun (s : Ast.step) -> s.nav <> Ast.Descendant) path in
+  oneofl [ path; child_only; Ast.step Ast.Self :: child_only ]
+
+let prop_select_equals_reference =
+  QCheck2.Test.make ~name:"Eval.select = dedup + rank-sorted reference" ~count
+    ~print:(fun (_, p) -> Ast.path_to_string p)
+    QCheck2.Gen.(pair gen_root gen_select_path)
+    (fun (root, path) ->
+      let rank, expected = reference_select_ranks root path in
+      List.map (fun e -> Hashtbl.find rank (Node.id e)) (Eval.select root path) = expected)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_engines_agree;
@@ -422,7 +460,8 @@ let suite =
       prop_path_print_parse;
       prop_update_print_parse;
       prop_xquery_rewrite;
-      prop_compose_equals_spec ]
+      prop_compose_equals_spec;
+      prop_select_equals_reference ]
 
 (* ---------------- XQuery printer/parser ---------------- *)
 
