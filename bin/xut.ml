@@ -447,9 +447,10 @@ let client_cmd =
       Printf.eprintf "xut client: nothing to send\n";
       exit 2
     end;
-    (* --notices opts into the v2 invalidation channel: the server pushes
-       an id-0 frame whenever a stored document is unloaded or replaced,
-       printed here as it is consumed (interleaved with replies). *)
+    (* the server pushes an id-0 notice frame to every connection
+       whenever a stored document is unloaded, replaced or committed
+       over; --notices prints each as it is consumed (interleaved with
+       replies), and without it they are dropped *)
     let on_notice =
       if notices then
         Some
@@ -530,8 +531,8 @@ let client_cmd =
     Arg.(value & flag
          & info [ "stream" ]
              ~doc:"Stream TRANSFORM results: the server sends the serialized document as \
-                   chunked frames (protocol v2) written to stdout as they arrive, never \
-                   holding the whole result in one frame.")
+                   chunked frames written to stdout as they arrive, never holding the whole \
+                   result in one frame.")
   in
   let chunk_size =
     Arg.(value & opt int Xut_service.Service.default_chunk_size
@@ -546,9 +547,9 @@ let client_cmd =
   let notices =
     Arg.(value & flag
          & info [ "notices" ]
-             ~doc:"Subscribe to server-push invalidation notices (protocol v2): a NOTICE line \
-                   is printed whenever a stored document is unloaded, replaced or committed \
-                   over while this client is connected.")
+             ~doc:"Print the server's invalidation notices: a NOTICE line whenever a stored \
+                   document is unloaded, replaced or committed over while this client is \
+                   connected.  Without it the client drops them.")
   in
   let requests =
     Arg.(value & pos_all string []

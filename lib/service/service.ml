@@ -762,8 +762,8 @@ let rec count_errors = function
   | Ok (Batch_results rs) -> List.fold_left (fun n r -> n + count_errors r) 0 rs
   | Ok _ -> 0
 
-let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) ?store_shards () =
-  let store = Doc_store.create ?shards:store_shards () in
+let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) () =
+  let store = Doc_store.create () in
   let cache = Plan_cache.create ~capacity:cache_capacity in
   let views = View_store.create () in
   let metrics = Metrics.create () in

@@ -166,12 +166,11 @@ val render_response : response -> (string, string) Stdlib.result
 
 type t
 
-val create :
-  ?domains:int -> ?cache_capacity:int -> ?queue_capacity:int -> ?store_shards:int -> unit -> t
+val create : ?domains:int -> ?cache_capacity:int -> ?queue_capacity:int -> unit -> t
 (** Start a service.  Defaults: [domains = 1] (single worker, the CLI
     serve default), [cache_capacity = 128] plans (at least 1),
     [queue_capacity = 64] pending requests (backpressure
-    threshold), [store_shards = 8] document-store shards.
+    threshold).
 
     The service subscribes itself to the store's lifecycle events: an
     [UNLOAD], reload or [COMMIT] evicts exactly the departing tree's

@@ -12,9 +12,7 @@ type t = {
   stash : (int64, Service.response) Hashtbl.t;
   hdr : Bytes.t;
   prefix : Bytes.t;  (* a string response's tag byte and length *)
-  on_notice : (Wire.Binary.notice -> unit) option;
-      (* when set, requests are framed at v2 — the notice-channel
-         subscription — and id-0 Notice frames are fed here *)
+  on_notice : (Wire.Binary.notice -> unit) option;  (* fed every id-0 Notice frame *)
 }
 
 let of_fd ?(timeout = 30.) ?on_notice fd =
@@ -90,13 +88,11 @@ let rec read_exact t ~consumed buf off len =
     | exception Unix.Unix_error (e, _, _) ->
       kill t ("read failed: " ^ Unix.error_message e)
 
-let request_version t = match t.on_notice with Some _ -> 2 | None -> 1
-
 let send t req =
   check_alive t;
   let id = t.next_id in
   t.next_id <- Int64.add id 1L;
-  write_all t (Wire.Binary.request_frame ~version:(request_version t) ~id req);
+  write_all t (Wire.Binary.request_frame ~id req);
   id
 
 let read_payload t length =

@@ -28,13 +28,12 @@ type t
 val connect : ?timeout:float -> ?on_notice:(Wire.Binary.notice -> unit) -> Addr.t -> t
 (** Connect; [timeout] (default 30 s) bounds every read.
 
-    [on_notice] subscribes this connection to the server's invalidation
-    notices (protocol v2): requests are then framed at v2 — the
-    subscription signal — and every id-0 [Notice] frame (a stored
-    document was unloaded or replaced) invokes the callback from
-    whichever read is in progress, without disturbing the response it
-    was waiting for.  Without [on_notice] the client speaks v1 frames
-    and the server never pushes notices at it.
+    The server pushes its invalidation notices to every connection:
+    each id-0 [Notice] frame (a stored document was unloaded, replaced
+    or committed over) is consumed by whichever read is in progress,
+    without disturbing the response it was waiting for, and handed to
+    the [on_notice] callback.  Without [on_notice] notices are read and
+    dropped.  The callback changes nothing the client sends.
     @raise Unix.Unix_error when the endpoint does not accept. *)
 
 val of_fd : ?timeout:float -> ?on_notice:(Wire.Binary.notice -> unit) -> Unix.file_descr -> t

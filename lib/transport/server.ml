@@ -18,9 +18,6 @@ type conn = {
   cmu : Mutex.t;
   drained : Condition.t;
   mutable in_flight : int;  (* submitted requests whose response is not yet written *)
-  mutable peer_version : int;
-      (* highest protocol version seen in this peer's request frames;
-         >= 2 opts the connection into id-0 invalidation notices *)
 }
 
 type t = {
@@ -68,8 +65,8 @@ let write_all fd s =
    a frame. *)
 let write_parts fd head body = write_all fd head && write_all fd body
 
-let write_response ?version fd ~id resp =
-  let head, body = Wire.Binary.response_parts ?version ~id resp in
+let write_response fd ~id resp =
+  let head, body = Wire.Binary.response_parts ~id resp in
   write_parts fd head body
 
 (* Count one whole frame, then write it; returns whether the client got
@@ -94,10 +91,8 @@ let write_raw t conn head body =
   Mutex.unlock conn.wmu;
   ok
 
-(* Response frames echo the version of the request frame they answer,
-   so a v1 client never reads a header newer than it speaks. *)
-let write_frame ?version t conn ~id resp =
-  let head, body = Wire.Binary.response_parts ?version ~id resp in
+let write_frame t conn ~id resp =
+  let head, body = Wire.Binary.response_parts ~id resp in
   write_raw t conn head body
 
 let error_response code message = Service.Error { code; message }
@@ -123,9 +118,9 @@ let submit_tracked conn submit complete =
 
 (* submit blocks when the pool queue is full: backpressure lands on
    this connection's reader, which stops consuming frames. *)
-let dispatch t conn ~version ~id req =
+let dispatch t conn ~id req =
   submit_tracked conn (Service.submit t.svc req) (fun resp ->
-      ignore (write_frame ~version t conn ~id resp))
+      ignore (write_frame t conn ~id resp))
 
 (* A streamed transform: STREAM_BEGIN goes out before the request is
    queued (so it precedes every chunk), chunk frames are written from
@@ -166,7 +161,6 @@ let serve_conn t conn =
         Metrics.frame_malformed m;
         ignore (write_frame t conn ~id:0L (error_response Service.Bad_request msg))
       | Ok { Wire.Binary.kind = Wire.Binary.Request; version; id; length } -> begin
-        if version > conn.peer_version then conn.peer_version <- version;
         let payload = Bytes.create length in
         match read_exact conn.fd payload 0 length with
         | Eof | Stalled ->
@@ -179,21 +173,21 @@ let serve_conn t conn =
             (* well-framed but undecodable: the framing is still in
                sync, so answer and keep serving this connection *)
             Metrics.frame_malformed m;
-            ignore (write_frame ~version t conn ~id (error_response Service.Bad_request msg));
+            ignore (write_frame t conn ~id (error_response Service.Bad_request msg));
             loop ()
           | Ok (Wire.Binary.Plain req) ->
-            dispatch t conn ~version ~id req;
+            dispatch t conn ~id req;
             loop ()
           | Ok (Wire.Binary.Stream sr) ->
             dispatch_stream t conn ~id sr;
             loop ()
         end
       end
-      | Ok { Wire.Binary.version; id; _ } ->
+      | Ok { Wire.Binary.id; _ } ->
         (* Response or Stream_* from a client: never valid *)
         Metrics.frame_malformed m;
         ignore
-          (write_frame ~version t conn ~id
+          (write_frame t conn ~id
              (error_response Service.Bad_request "clients must send request frames"))
     end
   in
@@ -263,7 +257,6 @@ let accept_loop t =
                 cmu = Mutex.create ();
                 drained = Condition.create ();
                 in_flight = 0;
-                peer_version = 1;
               }
             in
             Mutex.lock t.mu;
@@ -335,12 +328,12 @@ let start ?(config = default_config) ~service addr =
       accept_thread = None;
     }
   in
-  (* Push invalidation notices: on every UNLOAD/reload the service's
-     lifecycle event fans out, as one id-0 Notice frame, to every
-     connection whose peer has spoken v2.  The event fires after the
-     service's own cache eviction, so a client acting on the notice
-     re-reads fresh state.  Runs on the worker thread doing the
-     LOAD/UNLOAD; a dead connection just fails its write. *)
+  (* Push invalidation notices: on every UNLOAD/reload/COMMIT the
+     service's lifecycle event fans out, as id-0 Notice frames, to every
+     connection.  The event fires after the service's own cache
+     eviction, so a client acting on the notice re-reads fresh state.
+     Runs on the worker thread doing the LOAD/UNLOAD/COMMIT; a dead
+     connection just fails its write. *)
   Service.on_invalidate service (fun ev ->
       if not t.stopping then begin
         (* usually one frame; two when a commit also dropped the
@@ -351,11 +344,7 @@ let start ?(config = default_config) ~service addr =
         Mutex.lock t.mu;
         let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
         Mutex.unlock t.mu;
-        List.iter
-          (fun c ->
-            if c.peer_version >= 2 then
-              List.iter (fun frame -> ignore (write_raw t c frame "")) frames)
-          conns
+        List.iter (fun c -> List.iter (fun frame -> ignore (write_raw t c frame "")) frames) conns
       end);
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   t

@@ -27,6 +27,11 @@
     - {!stop} stops accepting, stops reading, waits for every in-flight
       request's response to be written, then closes and joins.
 
+    Every document UNLOAD, reload and COMMIT is pushed to every live
+    connection as id-0 [Notice] frames ({!Wire.Binary.notice_frame});
+    whether to act on them is the client's choice (see
+    {!Client.connect}'s [on_notice]).
+
     Frame and connection counters are recorded in the service's
     {!Xut_service.Metrics}, so [STATS] reports the whole path. *)
 
@@ -51,7 +56,7 @@ val start : ?config:config -> service:Service.t -> Addr.t -> t
     a write error, not kill the process).
     @raise Unix.Unix_error when the address cannot be bound. *)
 
-val write_response : ?version:int -> Unix.file_descr -> id:int64 -> Service.response -> bool
+val write_response : Unix.file_descr -> id:int64 -> Service.response -> bool
 (** Write one response frame to [fd] as connections are answered: the
     head of {!Wire.Binary.response_parts}, then its body (a tree's
     string itself, not a copy), so the bytes equal

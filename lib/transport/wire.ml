@@ -149,7 +149,6 @@ end
 
 module Binary = struct
   let protocol_version = 2
-  let min_protocol_version = 1
   let magic = "XU"
   let header_size = 16
   let default_max_frame = 16 * 1024 * 1024
@@ -204,25 +203,19 @@ module Binary = struct
       Error "bad magic (not an xut frame)"
     else begin
       let version = Char.code (Bytes.get b 2) in
-      if version < min_protocol_version || version > protocol_version then
+      if version <> protocol_version then
         Error
-          (Printf.sprintf "unsupported protocol version %d (this side speaks %d-%d)" version
-             min_protocol_version protocol_version)
+          (Printf.sprintf "unsupported protocol version %d (this side speaks %d)" version
+             protocol_version)
       else begin
         match kind_of_byte (Bytes.get b 3) with
         | None -> Error (Printf.sprintf "bad frame kind 0x%02x" (Char.code (Bytes.get b 3)))
         | Some kind ->
-          if version < 2 && kind <> Request && kind <> Response then
-            Error
-              (Printf.sprintf "frame kind 0x%02x needs protocol version 2"
-                 (Char.code (Bytes.get b 3)))
-          else begin
-            let id = Bytes.get_int64_be b 4 in
-            let length = Int32.to_int (Bytes.get_int32_be b 12) in
-            if length < 0 || length > max_frame then
-              Error (Printf.sprintf "oversized frame (%d bytes > max %d)" length max_frame)
-            else Ok { version; kind; id; length }
-          end
+          let id = Bytes.get_int64_be b 4 in
+          let length = Int32.to_int (Bytes.get_int32_be b 12) in
+          if length < 0 || length > max_frame then
+            Error (Printf.sprintf "oversized frame (%d bytes > max %d)" length max_frame)
+          else Ok { version; kind; id; length }
       end
     end
 
@@ -241,9 +234,6 @@ module Binary = struct
   let stats_tag = 5
 
   let rec put_request b = function
-    (* tag 1 is the v1 schemaless load; a load naming a schema gets its
-       own tag (15) so a v1 peer rejects rather than silently drops the
-       schema *)
     | Service.Load { name; file; schema = None } ->
       put_u8 b 1;
       put_str b name;
@@ -257,8 +247,6 @@ module Binary = struct
       put_u8 b 2;
       put_str b name
     | Service.Transform { target; engine; query } ->
-      (* tag 3 is the v1 doc-addressed transform; view targets get their
-         own tag so a v1 peer rejects rather than misreads them *)
       let tag, name = match target with Service.Doc d -> (3, d) | Service.View v -> (10, v) in
       put_u8 b tag;
       put_str b name;
@@ -317,8 +305,6 @@ module Binary = struct
     | _ -> None
 
   let rec put_response b = function
-    (* tag 1 is the v1 schemaless Doc_loaded; a schema-bound load is
-       acknowledged with its own tag (14) carrying the schema name *)
     | Service.Ok (Service.Doc_loaded { name; elements; reloaded; generation; schema = None })
       ->
       put_u8 b 1;
@@ -588,13 +574,13 @@ module Binary = struct
     else if tag = stats_tag then Some (fun s -> Service.Ok (Service.Stats_dump s))
     else None
 
-  (* ---- streamed transforms (protocol v2) ----
+  (* ---- streamed transforms ----
 
      A streamed transform is NOT a [Service.request] constructor: the
      service's request type stays pure data shared with the line
      protocol, while streaming exists only where there is somewhere for
      the chunks to go.  On the wire it has two payload tags, valid only
-     at the top level of a v2 Request frame — never inside a batch: 7, a
+     at the top level of a Request frame — never inside a batch: 7, a
      stored document's result stream under a named engine, and 16, a
      streamed ingest of a stored document (source byte 1) or a
      server-side file (2) with the tier left to the service.  Both
@@ -673,22 +659,19 @@ module Binary = struct
     in
     { Service.source; engine = None; query; chunk_size }
 
-  let decode_incoming ~version s =
+  let decode_incoming ~version:_ s =
     match if s = "" then 0 else Char.code s.[0] with
-    | 7 when version < 2 -> Error "stream requests need protocol version 2"
-    | 16 when version < 2 -> Error "streamed-ingest requests need protocol version 2"
     | 7 | 16 -> Result.map (fun sr -> Stream sr) (decode_with get_stream s)
     | _ -> Result.map (fun r -> Plain r) (decode_with get_request s)
 
-  (* ---- invalidation notices (protocol v2) ----
+  (* ---- invalidation notices ----
 
      Server-push frames on the reserved id-0 notice channel: a stored
      document was unloaded, replaced by a reload, committed, or lost its
-     schema binding at a commit.  Sent only to peers that have spoken v2
-     on the connection — a v1 peer never sees a frame kind it cannot
-     parse.  The reason is a wire-local type (not {!Doc_store.reason}):
-     [Schema_dropped] is an extra notice riding on a commit event, not a
-     store lifecycle transition of its own. *)
+     schema binding at a commit.  Sent to every connection.  The reason
+     is a wire-local type (not {!Doc_store.reason}): [Schema_dropped] is
+     an extra notice riding on a commit event, not a store lifecycle
+     transition of its own. *)
 
   type notice_reason = Unloaded | Replaced | Committed | Schema_dropped
 
@@ -760,22 +743,13 @@ module Binary = struct
       | Schema_dropped -> "schema-dropped")
       doc generation
 
-  (* ---- frame builders ----
+  (* ---- frame builders: every frame carries [protocol_version] ---- *)
 
-     Plain requests and their responses are framed at the lowest version
-     that can express them, so a v2 client interoperates with a v1
-     server and a v2 server echoes a v1 client's version back (the
-     client-side header check never sees a version newer than it sent).
-     A client opts into the notice channel by framing its requests at
-     v2.  Stream and notice frames are inherently v2. *)
+  let frame_head ~kind ~id length =
+    Bytes.unsafe_to_string (encode_header { version = protocol_version; kind; id; length })
 
-  let frame_head ?(version = protocol_version) ~kind ~id length =
-    Bytes.unsafe_to_string (encode_header { version; kind; id; length })
-
-  let frame ?version ~kind ~id payload =
-    frame_head ?version ~kind ~id (String.length payload) ^ payload
-
-  let request_frame ?(version = 1) ~id req = frame ~version ~kind:Request ~id (encode_request req)
+  let frame ~kind ~id payload = frame_head ~kind ~id (String.length payload) ^ payload
+  let request_frame ~id req = frame ~kind:Request ~id (encode_request req)
 
   let notice_id = 0L
   let notice_frame n = frame ~kind:Notice ~id:notice_id (encode_notice n)
@@ -784,22 +758,23 @@ module Binary = struct
      tag byte and length go in the head, and the body is the string
      itself, so the server writes the frame without re-encoding it.
      Any other response is all head. *)
-  let string_response_head ~version ~id tag s =
+  let string_response_head ~id tag s =
     let n = String.length s in
     let b = Bytes.create (header_size + string_prefix_size) in
-    set_header b { version; kind = Response; id; length = string_prefix_size + n };
+    set_header b
+      { version = protocol_version; kind = Response; id; length = string_prefix_size + n };
     Bytes.set_uint8 b header_size tag;
     Bytes.set_int32_be b (header_size + 1) (Int32.of_int n);
     Bytes.unsafe_to_string b
 
-  let response_parts ?(version = 1) ~id resp =
+  let response_parts ~id resp =
     match resp with
-    | Service.Ok (Service.Tree s) -> (string_response_head ~version ~id tree_tag s, s)
-    | Service.Ok (Service.Stats_dump s) -> (string_response_head ~version ~id stats_tag s, s)
-    | resp -> (frame ~version ~kind:Response ~id (encode_response resp), "")
+    | Service.Ok (Service.Tree s) -> (string_response_head ~id tree_tag s, s)
+    | Service.Ok (Service.Stats_dump s) -> (string_response_head ~id stats_tag s, s)
+    | resp -> (frame ~kind:Response ~id (encode_response resp), "")
 
-  let response_frame ?version ~id resp =
-    match response_parts ?version ~id resp with
+  let response_frame ~id resp =
+    match response_parts ~id resp with
     | head, "" -> head
     | head, body -> head ^ body
 

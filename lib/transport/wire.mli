@@ -7,8 +7,8 @@
       expressible (that limitation is why the socket transport exists).
     - {!Binary}: the length-prefixed framing of the socket transport —
       every request is expressible, frames carry a request id so
-      responses may complete out of order, and a version byte leaves
-      room for protocol evolution.
+      responses may complete out of order, and a version byte (always
+      {!Binary.protocol_version}) leaves room for protocol evolution.
 
     Both decoders are total: malformed input is an [Error _], never an
     exception. *)
@@ -65,12 +65,8 @@ end
 
 module Binary : sig
   val protocol_version : int
-  (** This codec speaks versions {!min_protocol_version} through 2.
-      Version 2 adds the streamed-result frames; version-1 frames are
-      still accepted and answered in kind. *)
-
-  val min_protocol_version : int
-  (** 1. *)
+  (** 2: the one version this codec speaks.  Every frame it builds
+      carries it, and {!decode_header} rejects any other. *)
 
   val magic : string
   (** Two bytes, ["XU"]. *)
@@ -82,14 +78,14 @@ module Binary : sig
   val default_max_frame : int
   (** 16 MiB. *)
 
-  (** Frame kinds.  [Request]/[Response] are the v1 round trip; the
-      [Stream_*] kinds (v2) carry one streamed transform result:
+  (** Frame kinds.  [Request]/[Response] are the plain round trip; the
+      [Stream_*] kinds carry one streamed transform result:
       [Stream_begin] (empty payload), any number of [Stream_chunk]
       frames whose payload is raw result bytes, then exactly one of
       [Stream_end] (totals) or [Stream_error] (code + message, the
       mid-stream failure frame).  All frames of one stream share the
-      request id.  [Notice] (v2) is the server-push invalidation frame
-      on the reserved id-0 channel. *)
+      request id.  [Notice] is the server-push invalidation frame on
+      the reserved id-0 channel. *)
   type kind =
     | Request
     | Response
@@ -104,9 +100,9 @@ module Binary : sig
   val encode_header : header -> Bytes.t
 
   val decode_header : ?max_frame:int -> Bytes.t -> (header, string) result
-  (** Validates magic, version, kind and payload length (rejecting
-      anything above [max_frame], default {!default_max_frame}).
-      Stream kinds in a version-1 header are rejected. *)
+  (** Validates magic, version (exactly {!protocol_version}), kind and
+      payload length (rejecting anything above [max_frame], default
+      {!default_max_frame}). *)
 
   (** {2 Payload codecs}
 
@@ -128,7 +124,7 @@ module Binary : sig
       for every other tag.  Lets a reader land the string directly in
       its final allocation. *)
 
-  (** {2 Streamed transforms (v2)}
+  (** {2 Streamed transforms}
 
       A {!Service.stream_request} travels under one of two payload
       tags: 7 when [engine = Some _] (a stored document's result
@@ -161,8 +157,7 @@ module Binary : sig
   val of_ingest_request : ingest_request -> Service.stream_request
 
   (** What a server reads out of a Request frame: a plain service
-      request, or a streamed transform (payload tag 7 or 16, v2 frames
-      only). *)
+      request, or a streamed transform (payload tag 7 or 16). *)
   type incoming = Plain of Service.request | Stream of Service.stream_request
 
   val encode_stream : Service.stream_request -> string
@@ -170,19 +165,19 @@ module Binary : sig
       [From_file] source with an engine, which no tag expresses. *)
 
   val decode_incoming : version:int -> string -> (incoming, string) result
-  (** Decode a Request-frame payload given the frame-header version.
-      A stream request in a v1 frame is an [Error _], as is a
-      [chunk_size] of 0 or above {!max_chunk_size}; either stream tag
-      nested anywhere inside a batch is malformed. *)
+  (** Decode a Request-frame payload.  The [version] argument is
+      ignored: {!decode_header} has already checked it, and the label
+      stays only because the serving benchmark (perfbench) passes it.  A
+      [chunk_size] of 0 or above {!max_chunk_size} is an [Error _];
+      either stream tag nested anywhere inside a batch is malformed. *)
 
-  (** {2 Invalidation notices (v2)}
+  (** {2 Invalidation notices}
 
       Server-push frames on the reserved id-0 channel telling connected
       clients that a stored document was unloaded, replaced or committed
       over — or that a commit cost the document its schema binding.  The
-      server sends them only to connections that have spoken v2 — a v1
-      peer never sees the frame kind (and so stays blind to commits and
-      schema drops). *)
+      server sends them to every connection; a client that does not
+      want them drops them. *)
 
   (** Wire-local reason (not {!Doc_store.reason}): [Schema_dropped] is
       an extra notice riding on a [Committed] event whose revalidation
@@ -218,18 +213,13 @@ module Binary : sig
 
   (** {2 Whole frames}
 
-      Plain requests and responses are framed at version 1 (the lowest
-      version that can express them), so new clients interoperate with
-      old servers; [response_frame ?version] lets the server echo the
-      request frame's version, and [request_frame ~version:2] is how a
-      client subscribes to the notice channel.  Stream and notice
-      frames are always version 2. *)
+      Every frame is built at {!protocol_version}. *)
 
-  val request_frame : ?version:int -> id:int64 -> Service.request -> string
-  val response_frame : ?version:int -> id:int64 -> Service.response -> string
+  val request_frame : id:int64 -> Service.request -> string
+  val response_frame : id:int64 -> Service.response -> string
 
-  val response_parts : ?version:int -> id:int64 -> Service.response -> string * string
-  (** [(head, body)] with [head ^ body = response_frame ?version ~id r].
+  val response_parts : id:int64 -> Service.response -> string * string
+  (** [(head, body)] with [head ^ body = response_frame ~id r].
       For a tree or stats-dump response, [body] is the response's
       string itself and [head] the 16-byte header plus the 5-byte
       tag/length prefix, so a writer sends the payload without copying

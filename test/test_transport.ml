@@ -350,15 +350,10 @@ let test_header_validation () =
       && String.split_on_char ' ' msg |> List.exists (fun w -> w = "version"))
   | Ok _ -> Alcotest.fail "a future protocol version must be rejected");
   (match Wire.Binary.decode_header (mk ~version:1 ()) with
-  | Ok { Wire.Binary.version = 1; _ } -> ()
-  | _ -> Alcotest.fail "a v1 request header must still be accepted");
-  (let h =
-     Wire.Binary.encode_header
-       { Wire.Binary.version = 1; kind = Wire.Binary.Stream_chunk; id = 9L; length = 0 }
-   in
-   match Wire.Binary.decode_header h with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "a stream kind in a v1 header must be rejected");
+  | Error msg ->
+    Alcotest.(check bool) "v1 error names the version" true
+      (String.split_on_char ' ' msg |> List.exists (fun w -> w = "version"))
+  | Ok _ -> Alcotest.fail "a v1 header must be rejected");
   (match Wire.Binary.decode_header ~max_frame:1024 (mk ~length:2048 ()) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a frame above max_frame must be rejected");
@@ -721,10 +716,7 @@ let test_stream_frame_codecs () =
   (match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream sr) with
   | Ok (Wire.Binary.Stream sr') ->
     Alcotest.(check bool) "stream request round trips" true (sr' = sr)
-  | _ -> Alcotest.fail "stream request must decode in a v2 frame");
-  (match Wire.Binary.decode_incoming ~version:1 (Wire.Binary.encode_stream sr) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a stream request in a v1 frame must be rejected");
+  | _ -> Alcotest.fail "stream request must decode");
   (* the tag-7 record frames to the same payload *)
   Alcotest.(check string) "stream_request_frame = stream_frame"
     (Wire.Binary.stream_frame ~id:3L sr)
@@ -735,7 +727,7 @@ let test_stream_frame_codecs () =
     Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_request Service.Stats)
   with
   | Ok (Wire.Binary.Plain Service.Stats) -> ()
-  | _ -> Alcotest.fail "plain requests must still decode from v2 frames"
+  | _ -> Alcotest.fail "plain requests must still decode"
 
 let test_stream_over_socket () =
   with_doc_file (fun doc ->
@@ -795,72 +787,43 @@ let test_stream_unknown_document () =
             Alcotest.(check int) "no chunks before the error" 0 !chunks
           | _ -> Alcotest.fail "streaming an unknown document must fail with its code"))
 
-(* A v1 client against the v2 server: plain frames keep working, and the
-   replies echo version 1 so the old client's header check accepts them;
-   a stream request smuggled into a v1 frame is rejected. *)
-let test_v1_client_fallback () =
-  with_doc_file (fun doc ->
-      with_server (fun _svc sock ->
-          let fd = raw_connect sock in
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
-              let read_one () =
-                let hdr = Bytes.create Wire.Binary.header_size in
-                let rec go off len =
-                  if len > 0 then begin
-                    let n = Unix.read fd hdr off len in
-                    if n = 0 then Alcotest.fail "connection closed";
-                    go (off + n) (len - n)
-                  end
-                in
-                go 0 Wire.Binary.header_size;
-                match Wire.Binary.decode_header hdr with
-                | Error msg -> Alcotest.fail ("reply header: " ^ msg)
-                | Ok h ->
-                  let p = Bytes.create h.Wire.Binary.length in
-                  let rec go off len =
-                    if len > 0 then begin
-                      let n = Unix.read fd p off len in
-                      if n = 0 then Alcotest.fail "truncated reply";
-                      go (off + n) (len - n)
-                    end
-                  in
-                  go 0 h.Wire.Binary.length;
-                  (h, Bytes.to_string p)
-              in
-              (* request_frame emits version-1 frames: exactly what an
-                 old client would send *)
-              raw_write fd
-                (Wire.Binary.request_frame ~id:21L
-                   (Service.Load { name = "d"; file = doc; schema = None }));
-              let h, payload = read_one () in
-              Alcotest.(check int) "reply echoes version 1" 1 h.Wire.Binary.version;
-              (match Wire.Binary.decode_response payload with
-              | Ok (Service.Ok (Service.Doc_loaded _)) -> ()
-              | _ -> Alcotest.fail "LOAD through a v1 frame");
-              (* stream-request payload inside a v1 frame: bad-request *)
-              let sp =
-                Wire.Binary.encode_stream
-                  { Service.source = Service.From_doc "d"; engine = Some Core.Engine.Td_bu;
-                    query = q_del_prices; chunk_size = 64 }
-              in
-              raw_write fd
-                (Bytes.to_string
-                   (Wire.Binary.encode_header
-                      { Wire.Binary.version = 1; kind = Wire.Binary.Request; id = 22L;
-                        length = String.length sp })
-                ^ sp);
-              let h2, payload2 = read_one () in
-              Alcotest.(check int) "rejection echoes version 1" 1 h2.Wire.Binary.version;
-              match Wire.Binary.decode_response payload2 with
-              | Ok (Service.Error { code = Service.Bad_request; message }) ->
-                Alcotest.(check bool) "names the version requirement" true
-                  (String.split_on_char ' ' message |> List.exists (fun w -> w = "version"))
-              | _ -> Alcotest.fail "v1-framed stream request must answer bad-request")))
+(* The server speaks protocol version 2 only: a version-1 header,
+   whatever its payload, gets one bad-request frame at id 0 naming the
+   version, then the connection closes (the byte stream after a header
+   it cannot read is not trusted), and counts in [frames_malformed]. *)
+let check_v1_refused payload =
+  with_server (fun svc sock ->
+      let fd = raw_connect sock in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          raw_write fd
+            (Bytes.to_string
+               (Wire.Binary.encode_header
+                  { Wire.Binary.version = 1; kind = Wire.Binary.Request; id = 21L;
+                    length = String.length payload })
+            ^ payload);
+          let reply, eof = raw_read fd in
+          Alcotest.(check bool) "the server closes the connection" true eof;
+          match decode_error_frame reply with
+          | 0L, Service.Error { code = Service.Bad_request; message } ->
+            Alcotest.(check bool) "names the version" true
+              (String.split_on_char ' ' message |> List.exists (fun w -> w = "version"))
+          | _ -> Alcotest.fail "a v1 frame must answer bad-request at id 0");
+      Alcotest.(check int) "counted malformed" 1
+        (Metrics.frames_malformed (Service.metrics svc)))
 
-(* ---- invalidation notices (protocol v2) ---- *)
+(* A v1 client has no fallback: its plain request is refused. *)
+let test_v1_client_refused () = check_v1_refused (Wire.Binary.encode_request Service.Stats)
+
+(* A tag-16 ingest payload in a v1 frame is refused the same way. *)
+let test_ingest_v1_rejected () =
+  check_v1_refused
+    (Wire.Binary.encode_stream
+       { Service.source = Service.From_doc "d"; engine = None; query = q_del_prices;
+         chunk_size = 64 })
+
+(* ---- invalidation notices ---- *)
 
 let test_notice_codec () =
   List.iter
@@ -892,7 +855,7 @@ let test_notice_codec () =
    with
   | Ok { Wire.Binary.kind = Wire.Binary.Notice; id = 0L; version = 2; _ } -> ()
   | _ -> Alcotest.fail "notice frames carry kind Notice, id 0, version 2");
-  (* a Notice kind in a v1 header is rejected, like the stream kinds *)
+  (* a v1 header is rejected whatever its kind *)
   match
     Wire.Binary.decode_header
       (Wire.Binary.encode_header
@@ -901,12 +864,13 @@ let test_notice_codec () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a Notice kind in a v1 header must be rejected"
 
-(* Server-push delivery: a subscribed (v2) client hears about UNLOAD and
-   reload on the id-0 channel; a plain (v1) client never sees the frame.
-   Ordering is deterministic: the store fires events synchronously on
-   the worker before the triggering request's response is written, so
-   the notice precedes the UNLOAD/LOAD reply on every subscribed
-   connection. *)
+(* Server-push delivery: a subscribed client hears about UNLOAD and
+   reload on the id-0 channel; a plain client reads and drops the same
+   frames.  Ordering is deterministic: the store fires events
+   synchronously on the worker before the triggering request's response
+   is written, so the notice precedes the UNLOAD/LOAD reply on every
+   connection, and [sub] connects first, so the server has accepted it
+   before it accepts (and so serves) [plain]. *)
 let test_notice_over_socket () =
   with_doc_file (fun doc ->
       with_server (fun _svc sock ->
@@ -921,10 +885,6 @@ let test_notice_over_socket () =
               Client.close sub;
               Client.close plain)
             (fun () ->
-              (* one request each, so the server learns both versions *)
-              (match Client.call sub Service.Stats with
-              | Service.Ok (Service.Stats_dump _) -> ()
-              | _ -> Alcotest.fail "STATS on the subscribed client");
               load_over plain doc;
               Alcotest.(check bool) "a fresh LOAD pushes no notice" true (!notices = []);
               (* reload: the plain client LOADs over the live name *)
@@ -951,15 +911,49 @@ let test_notice_over_socket () =
                   (Printf.sprintf "expected [replaced; unloaded], got %d notice(s): %s"
                      (List.length l)
                      (String.concat "; " (List.map Wire.Binary.render_notice l))));
-              (* the v1 client saw only its responses: its next round trip
-                 still works, which it would not if a Notice frame (a kind
-                 its header check rejects) had been pushed at it *)
+              (* the plain client dropped the same notices: its next
+                 round trip still gets its own reply *)
               match Client.call plain Service.Stats with
               | Service.Ok (Service.Stats_dump _) -> ()
-              | _ -> Alcotest.fail "the v1 client must be unaffected by notices")))
+              | _ -> Alcotest.fail "the plain client must be unaffected by notices")))
+
+(* Notices reach a connection from its first byte: a subscriber that
+   has sent nothing still hears about a reload and a COMMIT, and its
+   first call returns its own reply after both notices. *)
+let test_notice_from_first_byte () =
+  with_doc_file (fun doc ->
+      with_server (fun _svc sock ->
+          let notices = ref [] in
+          (* connected before [writer], so accepted before it is served *)
+          let sub =
+            Client.connect ~on_notice:(fun n -> notices := n :: !notices)
+              (Addr.Unix_socket sock)
+          in
+          let writer = Client.connect (Addr.Unix_socket sock) in
+          Fun.protect
+            ~finally:(fun () ->
+              Client.close sub;
+              Client.close writer)
+            (fun () ->
+              load_over writer doc;
+              load_over writer doc;
+              (match Client.call writer (Service.Commit { doc = "d"; query = "delete $a//price" }) with
+              | Service.Ok (Service.Committed _) -> ()
+              | _ -> Alcotest.fail "COMMIT over the socket");
+              (match Client.call sub Service.Stats with
+              | Service.Ok (Service.Stats_dump _) -> ()
+              | _ -> Alcotest.fail "the subscriber's first call must return its own reply");
+              match List.rev !notices with
+              | [ { Wire.Binary.doc = "d"; reason = Wire.Binary.Replaced; generation = g1 };
+                  { Wire.Binary.doc = "d"; reason = Wire.Binary.Committed; generation = g2 } ] ->
+                Alcotest.(check int) "the commit follows the reload" (g1 + 1) g2
+              | l ->
+                Alcotest.failf "expected [replaced; committed], got %d notice(s): %s"
+                  (List.length l)
+                  (String.concat "; " (List.map Wire.Binary.render_notice l)))))
 
 (* The write path over the socket: APPLY dry-runs, COMMIT swaps and
-   pushes a [committed] notice to subscribed (v2) clients, a conflicting
+   pushes a [committed] notice to every connection, a conflicting
    list comes back as the [conflict] error code. *)
 let test_commit_over_socket () =
   with_doc_file (fun doc ->
@@ -1223,16 +1217,6 @@ let test_ingest_codec () =
       { Wire.Binary.source = Wire.Binary.Ingest_file "/tmp/some file.xml";
         query = "transform q"; chunk_size = 65536 };
     ];
-  (* a v1 peer gets a clean error, not a misparse *)
-  (match
-     Wire.Binary.decode_incoming ~version:1
-       (Wire.Binary.encode_stream
-          { Service.source = Service.From_doc "d"; engine = None; query = "q"; chunk_size = 64 })
-   with
-  | Error msg ->
-    Alcotest.(check bool) "v1 rejection names the version" true
-      (String.split_on_char ' ' msg |> List.exists (fun w -> w = "version"))
-  | Ok _ -> Alcotest.fail "ingest payloads must be v2-only");
   (* schema-dropped notices: reason byte 4 round trips and renders *)
   let n = { Wire.Binary.doc = "d"; reason = Wire.Binary.Schema_dropped; generation = 9 } in
   (match Wire.Binary.decode_notice (Wire.Binary.encode_notice n) with
@@ -1308,46 +1292,6 @@ let test_ingest_over_socket () =
               with
               | Service.Error { code = Service.Eval_error; _ } -> ()
               | _ -> Alcotest.fail "missing-file code")))
-
-(* A v1-framed ingest payload is answered with a clean bad-request
-   naming the version requirement, exactly like v1-framed stream
-   requests. *)
-let test_ingest_v1_rejected () =
-  with_server (fun _svc sock ->
-      let fd = raw_connect sock in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let p =
-            Wire.Binary.encode_stream
-              { Service.source = Service.From_doc "d"; engine = None; query = q_del_prices;
-                chunk_size = 64 }
-          in
-          raw_write fd
-            (Bytes.to_string
-               (Wire.Binary.encode_header
-                  { Wire.Binary.version = 1; kind = Wire.Binary.Request; id = 31L;
-                    length = String.length p })
-            ^ p);
-          let hdr = Bytes.create Wire.Binary.header_size in
-          let rec read_exact b off len =
-            if len > 0 then begin
-              let n = Unix.read fd b off len in
-              if n > 0 then read_exact b (off + n) (len - n)
-            end
-          in
-          read_exact hdr 0 Wire.Binary.header_size;
-          match Wire.Binary.decode_header hdr with
-          | Ok { Wire.Binary.version = 1; id = 31L; length; _ } -> begin
-            let pl = Bytes.create length in
-            read_exact pl 0 length;
-            match Wire.Binary.decode_response (Bytes.unsafe_to_string pl) with
-            | Ok (Service.Error { code = Service.Bad_request; message }) ->
-              Alcotest.(check bool) "names the version requirement" true
-                (String.split_on_char ' ' message |> List.exists (fun w -> w = "version"))
-            | _ -> Alcotest.fail "v1-framed ingest must answer bad-request"
-          end
-          | _ -> Alcotest.fail "rejection must echo a v1 response header"))
 
 (* Malformed input failing MID-parse, over the real socket: the fused
    pipeline has already shipped chunks when the parser trips, so the
@@ -1696,13 +1640,13 @@ let over_socketpair write read =
     (fun () -> read b)
 
 (* What the server's reply writer puts on the wire for [resp]. *)
-let server_bytes ?version ~id resp =
-  over_socketpair (fun fd -> Server.write_response ?version fd ~id resp) raw_read_all
+let server_bytes ~id resp =
+  over_socketpair (fun fd -> Server.write_response fd ~id resp) raw_read_all
 
 (* What a client reads back from the server's reply writer. *)
-let client_reads ?version ~id resp =
+let client_reads ~id resp =
   over_socketpair
-    (fun fd -> Server.write_response ?version fd ~id resp)
+    (fun fd -> Server.write_response fd ~id resp)
     (fun fd -> Client.recv (Client.of_fd ~timeout:5. fd))
 
 (* Golden frames, written out by hand from DESIGN.md's "Frame layout":
@@ -1711,34 +1655,24 @@ let client_reads ?version ~id resp =
 let big_tree = String.make (Xut_xml.Serialize.Pool.shrink_above + 1) 'x'
 
 let golden_responses =
-  [ ( "tree, v1",
-      1,
-      7L,
-      Service.Ok (Service.Tree "<a/>"),
-      "XU\001\002\000\000\000\000\000\000\000\007\000\000\000\009\003\000\000\000\004<a/>" );
-    ( "tree, v2",
-      2,
+  [ ( "tree",
       258L,
       Service.Ok (Service.Tree "<a/>"),
       "XU\002\002\000\000\000\000\000\000\001\002\000\000\000\009\003\000\000\000\004<a/>" );
     ( "empty tree",
-      1,
       1L,
       Service.Ok (Service.Tree ""),
-      "XU\001\002\000\000\000\000\000\000\000\001\000\000\000\005\003\000\000\000\000" );
+      "XU\002\002\000\000\000\000\000\000\000\001\000\000\000\005\003\000\000\000\000" );
     ( "trees in a batch",
-      1,
       3L,
       Service.Ok (Service.Batch_results [ Service.Ok (Service.Tree "<a/>"); Service.Ok (Service.Tree "") ]),
-      "XU\001\002\000\000\000\000\000\000\000\003\000\000\000\019\007\000\000\000\002"
+      "XU\002\002\000\000\000\000\000\000\000\003\000\000\000\019\007\000\000\000\002"
       ^ "\003\000\000\000\004<a/>\003\000\000\000\000" );
     ( "stats dump",
-      2,
       2L,
       Service.Ok (Service.Stats_dump "s=1"),
       "XU\002\002\000\000\000\000\000\000\000\002\000\000\000\008\005\000\000\000\003s=1" );
     ( "tree above Pool.shrink_above",
-      2,
       9L,
       Service.Ok (Service.Tree big_tree),
       "XU\002\002\000\000\000\000\000\000\000\009\000\064\000\006\003\000\064\000\001" ^ big_tree )
@@ -1746,17 +1680,17 @@ let golden_responses =
 
 let test_golden_frames () =
   List.iter
-    (fun (name, version, id, resp, golden) ->
+    (fun (name, id, resp, golden) ->
       let same what got =
         (* no Alcotest diff of a 4 MiB string *)
         if got <> golden then Alcotest.failf "%s: %s differs from the golden frame" name what
       in
-      same "response_frame" (Wire.Binary.response_frame ~version ~id resp);
+      same "response_frame" (Wire.Binary.response_frame ~id resp);
       same "response_parts"
-        (let head, body = Wire.Binary.response_parts ~version ~id resp in
+        (let head, body = Wire.Binary.response_parts ~id resp in
          head ^ body);
-      same "the server's bytes" (server_bytes ~version ~id resp);
-      match client_reads ~version ~id resp with
+      same "the server's bytes" (server_bytes ~id resp);
+      match client_reads ~id resp with
       | id', resp' when id' = id && resp' = resp -> ()
       | _ -> Alcotest.failf "%s: the client read back a different response" name)
     golden_responses;
@@ -1769,14 +1703,11 @@ let test_golden_frames () =
 let prop_tree_reply_bytes =
   QCheck2.Test.make ~count:60
     ~name:"server's tree reply bytes = response_frame, and the client reads the tree back"
-    QCheck2.Gen.(
-      triple Test_properties.gen_root
-        (map Int64.of_int (int_range 1 (1 lsl 40)))
-        (int_range Wire.Binary.min_protocol_version Wire.Binary.protocol_version))
-    (fun (doc, id, version) ->
+    QCheck2.Gen.(pair Test_properties.gen_root (map Int64.of_int (int_range 1 (1 lsl 40))))
+    (fun (doc, id) ->
       let resp = Service.Ok (Service.Tree (Xut_xml.Serialize.element_to_string doc)) in
-      server_bytes ~version ~id resp = Wire.Binary.response_frame ~version ~id resp
-      && client_reads ~version ~id resp = (id, resp))
+      server_bytes ~id resp = Wire.Binary.response_frame ~id resp
+      && client_reads ~id resp = (id, resp))
 
 (* The server dies part-way through a 3 MB tree reply: the client
    raises, and never hands out a short string. *)
@@ -1801,7 +1732,7 @@ let test_tree_reply_torn_mid_body () =
 (* A string length that disagrees with the frame length is a transport
    error, and the frame is consumed whole: the next reply still reads. *)
 let test_tree_length_mismatch () =
-  let bad = "XU\001\002\000\000\000\000\000\000\000\001\000\000\000\009\003\000\000\000\003<a/>" in
+  let bad = "XU\002\002\000\000\000\000\000\000\000\001\000\000\000\009\003\000\000\000\003<a/>" in
   let good = Wire.Binary.response_frame ~id:2L (Service.Ok (Service.Tree "<b/>")) in
   over_socketpair
     (fun fd ->
@@ -1837,9 +1768,13 @@ let suite =
     Alcotest.test_case "wire: stream frame codecs" `Quick test_stream_frame_codecs;
     Alcotest.test_case "socket: streamed transform reassembles" `Quick test_stream_over_socket;
     Alcotest.test_case "socket: stream error before chunks" `Quick test_stream_unknown_document;
-    Alcotest.test_case "socket: v1 client fallback" `Quick test_v1_client_fallback;
+    Alcotest.test_case "socket: v1 client fallback" `Quick test_v1_client_refused;
+    Alcotest.test_case "socket: v1-framed ingest rejected cleanly" `Quick
+      test_ingest_v1_rejected;
     Alcotest.test_case "wire: notice codec" `Quick test_notice_codec;
     Alcotest.test_case "socket: invalidation notices" `Quick test_notice_over_socket;
+    Alcotest.test_case "socket: notices before any request" `Quick
+      test_notice_from_first_byte;
     Alcotest.test_case "socket: APPLY/COMMIT write path" `Quick test_commit_over_socket;
     Alcotest.test_case "socket: mid-stream error frame" `Quick test_mid_stream_error;
     Alcotest.test_case "tcp: round trip on an ephemeral port" `Quick test_tcp_roundtrip;
@@ -1847,8 +1782,6 @@ let suite =
     Alcotest.test_case "wire: ingest codecs (line + binary + notices)" `Quick
       test_ingest_codec;
     Alcotest.test_case "socket: streamed ingest reassembles" `Quick test_ingest_over_socket;
-    Alcotest.test_case "socket: v1-framed ingest rejected cleanly" `Quick
-      test_ingest_v1_rejected;
     Alcotest.test_case "socket: malformed input mid-parse" `Quick
       test_ingest_malformed_midparse;
     Alcotest.test_case "socket: schema-dropped notice on commit" `Quick
