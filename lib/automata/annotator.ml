@@ -32,14 +32,8 @@ let expand lq ~name seeds =
   List.iter activate seeds;
   (active, List.sort_uniq compare !child_candidates)
 
-let has_any_qual nfa =
-  let any = ref false in
-  for i = 0 to Selecting_nfa.size nfa - 1 do
-    if Selecting_nfa.has_qual nfa i then any := true
-  done;
-  !any
+let has_any_qual nfa = not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa))
 
-(* LQ indices demanded by the qualifiers of the states just entered. *)
 let top_quals nfa states' =
   let qs = Selecting_nfa.set_inter states' (Selecting_nfa.qual_states nfa) in
   if Selecting_nfa.set_is_empty qs then []

@@ -22,6 +22,12 @@ val expand : Xut_xpath.Lq.t -> name:string -> int list -> bool array * int list
     child-seed candidates (the [*/p] and [//p] expressions reachable).
     Shared with the SAX variant of the pass (Section 6). *)
 
+val top_quals : Selecting_nfa.t -> Selecting_nfa.set -> int list
+(** [top_quals nfa states'] = the LQ indices of the qualifiers of the
+    states in [states'] that carry one: the seeds a node entered with
+    [states'] demands for itself, on top of those its parent passes
+    down.  Shared with the SAX pass and the schema product. *)
+
 val annotate : ?skip:(Node.element -> bool) -> Selecting_nfa.t -> Node.element -> table
 (** Run the pass from the document element, with the start set of the
     NFA (the root's label is consumed by the first transition, matching

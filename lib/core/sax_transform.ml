@@ -80,12 +80,9 @@ let pass1 ~sskip nfa source truth =
           let kid_seeds =
             List.filter (fun p -> not (Lq.label_blocked lq p name)) parent_candidates
           in
-          let top_quals =
-            let qs = Selecting_nfa.set_inter states (Selecting_nfa.qual_states nfa) in
-            if Selecting_nfa.set_is_empty qs then []
-            else Selecting_nfa.set_fold (fun s acc -> Selecting_nfa.state_lq nfa s :: acc) qs []
+          let all_seeds =
+            List.sort_uniq compare (kid_seeds @ Annotator.top_quals nfa states)
           in
-          let all_seeds = List.sort_uniq compare (kid_seeds @ top_quals) in
           if Selecting_nfa.set_is_empty states && all_seeds = [] then skip := 1
           else begin
             let candidates =

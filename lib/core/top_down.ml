@@ -5,8 +5,6 @@ type checkp = int -> Node.element -> bool
 
 let direct_checkp nfa s n = Xut_xpath.Eval.check_qual n (Selecting_nfa.state_qual nfa s)
 
-(* What the walk makes of one node: the node itself, shared as it is,
-   or the forest that takes its place (empty when it is deleted). *)
 type step = Same | Changed of Node.t list
 
 (* The children of a node after [go c states] on each element child, or

@@ -14,6 +14,20 @@ open Xut_automata
     "host engine" evaluates qualifiers natively); the Two-pass method
     passes the O(1) oracle from {!Xut_automata.Annotator} instead. *)
 
+(** What the walk makes of one node: the node itself, shared as it is,
+    or the forest that takes its place (empty when it is deleted). *)
+type step = Same | Changed of Node.t list
+
+val rebuild_children :
+  (Node.element -> 'a -> step) -> 'a -> Node.t list -> Node.t list option
+(** [rebuild_children go states children]: the child list after
+    [go c states] on each element child [c], or [None] when every call
+    answers [Same] — then nothing is allocated.  The list is rebuilt
+    only from the first changed child on, iteratively over the
+    siblings, so a wide node costs no stack.  This is the one spine
+    rebuild step: {!run} and {!transform_at} pass the NFA walk as [go],
+    [Xut_update.Apply.materialize] a lookup in the pending table. *)
+
 type checkp = int -> Node.element -> bool
 (** [checkp s n]: does the qualifier of NFA state [s] hold at [n]? *)
 

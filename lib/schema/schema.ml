@@ -228,11 +228,6 @@ type product = {
 
 let config_cap = 4096
 
-let top_quals nfa states' =
-  let qs = Selecting_nfa.set_inter states' (Selecting_nfa.qual_states nfa) in
-  if Selecting_nfa.set_is_empty qs then []
-  else Selecting_nfa.set_fold (fun s acc -> Selecting_nfa.state_lq nfa s :: acc) qs []
-
 let no_pruning ~capped ~configs =
   {
     p_empty = false;
@@ -256,7 +251,7 @@ let product t nfa =
       if Hashtbl.length nodes >= config_cap then capped := true
       else begin
         let states' = Selecting_nfa.next_unchecked nfa states sym in
-        let all_seeds = List.sort_uniq compare (seeds @ top_quals nfa states') in
+        let all_seeds = List.sort_uniq compare (seeds @ Annotator.top_quals nfa states') in
         let dead = Selecting_nfa.set_is_empty states' && all_seeds = [] in
         let accepting = (not dead) && Selecting_nfa.accepts_set nfa states' in
         let hot = accepting || all_seeds <> [] in

@@ -1,10 +1,8 @@
-open Xut_xpath
 open Xut_automata
 
 type plan = {
   source : string;
   query : Core.Transform_ast.t;
-  norm : Norm.t;
   nfa : Selecting_nfa.t;
   annotations : Annotation_memo.t;
   products : Product_memo.t;
@@ -12,12 +10,10 @@ type plan = {
 
 let compile source =
   let query = Core.Transform_parser.parse source in
-  let norm = Norm.steps (Core.Transform_ast.path query.Core.Transform_ast.update) in
-  let nfa = Selecting_nfa.of_norm norm in
+  let nfa = Selecting_nfa.of_path (Core.Transform_ast.path query.Core.Transform_ast.update) in
   {
     source;
     query;
-    norm;
     nfa;
     annotations = Annotation_memo.create ();
     products = Product_memo.create ();

@@ -1,24 +1,24 @@
-open Xut_xpath
 open Xut_automata
 
 (** LRU cache of compiled transform-query plans, keyed by query text,
     plus composed (view chain × user query) plans keyed by chain
     signature.
 
-    A plan bundles everything the front end produces — parsed AST,
-    normalized embedded path, selecting NFA — so a cache hit goes
-    straight to engine execution.  On XMark-scale documents the front
-    end is microseconds while evaluation is milliseconds; the cache
-    matters because a serving workload repeats a small set of queries
-    (the Fig. 11 workloads, security views, canned what-ifs) over large
-    documents, and because it also deduplicates the per-query allocation
-    churn across millions of requests. *)
+    A plan bundles everything the front end produces — parsed AST and
+    selecting NFA — so a cache hit goes straight to engine execution.
+    On XMark-scale documents the front end is microseconds while
+    evaluation is milliseconds; the cache matters because a serving
+    workload repeats a small set of queries (the Fig. 11 workloads,
+    security views, canned what-ifs) over large documents, and because
+    it also deduplicates the per-query allocation churn across millions
+    of requests. *)
 
 type plan = {
   source : string;                 (** the exact query text (cache key) *)
   query : Core.Transform_ast.t;
-  norm : Norm.t;                   (** normal form of the embedded path *)
-  nfa : Selecting_nfa.t;           (** selecting NFA built from [norm] *)
+  nfa : Selecting_nfa.t;
+      (** selecting NFA of the embedded path; every engine runs this
+          one, the SAX passes included *)
   annotations : Annotation_memo.t;
       (** per-plan memo of TD-BU annotation tables, keyed by doc root *)
   products : Product_memo.t;

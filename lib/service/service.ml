@@ -261,13 +261,6 @@ let count_plan ?pruning ~elements ~sizes (plan : Plan_cache.plan) engine root =
       ~elements plan.Plan_cache.nfa plan.Plan_cache.query.Transform_ast.update root
   | _ -> Xut_xml.Node.element_count (Xut_xml.Node.Element (run_plan ?pruning plan engine root))
 
-(* The SAX passes need the NFA built from the raw path, as in
-   [Sax_transform.transform]; the plan's own NFA is built from the
-   normalized one. *)
-let sax_nfa (plan : Plan_cache.plan) =
-  Xut_automata.Selecting_nfa.of_path
-    (Transform_ast.path plan.Plan_cache.query.Transform_ast.update)
-
 (* The SAX engine consumes the skip-set by symbol and reports exact skip
    counts in its run stats. *)
 let sym_skip pruning =
@@ -284,10 +277,10 @@ let count_sax_skips ~metrics (stats : Sax_transform.run_stats) =
 let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink =
   match (engine : Engine.algo) with
   | Engine.Two_pass_sax ->
-    (* The skip-set is a property of the query's semantics under the
-       schema, so it holds for the SAX NFA too. *)
+    (* The skip-set comes from the plan's NFA, which the SAX passes
+       run as well. *)
     count_sax_skips ~metrics
-      (Sax_transform.run ?skip:(sym_skip pruning) (sax_nfa plan)
+      (Sax_transform.run ?skip:(sym_skip pruning) plan.Plan_cache.nfa
          plan.Plan_cache.query.Transform_ast.update ~source:(Xut_xml.Sax.events_of_tree root)
          ~sink:(Xut_xml.Serialize.Sink.event sink))
   | _ -> Xut_xml.Serialize.Sink.element sink (run_plan ?pruning plan engine root)
@@ -723,7 +716,7 @@ let handle_stream ~store ~cache ~metrics emit { source; engine; query; chunk_siz
       match engine with
       | Some engine -> stream (run_plan_stream ~metrics ?pruning plan engine root)
       | None ->
-        let nfa = sax_nfa plan in
+        let nfa = plan.Plan_cache.nfa in
         if Sax_transform.one_pass nfa then
           fused ?skip:(sym_skip pruning) nfa plan (Xut_xml.Sax.events_of_tree root)
         else begin
@@ -739,7 +732,7 @@ let handle_stream ~store ~cache ~metrics emit { source; engine; query; chunk_siz
     | Stdlib.Error e -> e
     | Stdlib.Ok _ when not (Sys.file_exists path) -> error Eval_error "no such file %S" path
     | Stdlib.Ok plan ->
-      let nfa = sax_nfa plan in
+      let nfa = plan.Plan_cache.nfa in
       let source h = Xut_xml.Sax.parse_file path h in
       reply (fun () ->
           if Sax_transform.one_pass nfa then fused nfa plan source

@@ -11,7 +11,9 @@ open Xut_xml
     each touched node.  Elements on that spine get fresh {!Node.id}s
     (so downstream caches keyed by node id can tell the two trees
     apart — the root id {e always} changes when anything changes);
-    untouched subtrees are physically the same values.
+    untouched subtrees are physically the same values.  The rebuild is
+    topDown's own step, {!Core.Top_down.rebuild_children}, driven by the
+    pending table instead of an NFA.
 
     Snapshot semantics: with several updates in one [modify do (...)],
     every path is resolved against the {e original} tree — unlike
@@ -62,6 +64,9 @@ val materialize : Pending.normalized -> Node.element -> (Node.element * diff) op
     empty (nothing selected): the tree is unchanged and {e no new root
     exists} — callers must not treat this as a new version.  [Some
     (root', diff)] shares untouched subtrees with [root] physically.
+    The walk visits every element (one pending-table probe each) but
+    allocates only for rebuilt spine nodes, their diff entries and the
+    fresh copies.
     Primitives targeting nodes inside a deleted or replaced subtree are
     subsumed (never applied), matching the reference engine's rebuild.
 

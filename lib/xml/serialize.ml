@@ -197,40 +197,6 @@ let to_channel ?indent oc e =
   to_buffer ?indent buf (Node.Element e);
   Buffer.output_buffer oc buf
 
-let add_event buf = function
-  | Sax.Start_document | Sax.End_document -> ()
-  | Sax.Start_element (name, attrs) ->
-    Buffer.add_char buf '<';
-    Buffer.add_string buf name;
-    add_attrs buf attrs;
-    Buffer.add_char buf '>'
-  | Sax.Characters s -> add_escaped buf ~attr:false s
-  | Sax.Comment_event s ->
-    Buffer.add_string buf "<!--";
-    Buffer.add_string buf s;
-    Buffer.add_string buf "-->"
-  | Sax.Pi_event (t, c) ->
-    Buffer.add_string buf "<?";
-    Buffer.add_string buf t;
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf c;
-    Buffer.add_string buf "?>"
-  | Sax.End_element name ->
-    Buffer.add_string buf "</";
-    Buffer.add_string buf name;
-    Buffer.add_char buf '>'
-
-let event_sink buf event = add_event buf event
-
-let channel_event_sink oc =
-  let buf = Buffer.create 65536 in
-  fun event ->
-    add_event buf event;
-    if Buffer.length buf > 32768 || event = Sax.End_document then begin
-      Buffer.output_buffer oc buf;
-      Buffer.clear buf
-    end
-
 (* ---------------- streaming sink ---------------- *)
 
 module Sink = struct
@@ -266,9 +232,7 @@ module Sink = struct
       t.emit s
     end
 
-  let create ?(chunk_size = default_chunk_size) emit =
-    let buf = Pool.acquire () in
-    let chunk_size = max 1 chunk_size in
+  let make buf ~chunk_size emit =
     let rec t =
       {
         buf;
@@ -283,6 +247,9 @@ module Sink = struct
       }
     in
     t
+
+  let create ?(chunk_size = default_chunk_size) emit =
+    make (Pool.acquire ()) ~chunk_size:(max 1 chunk_size) emit
 
   let maybe_flush t = if Buffer.length t.buf >= t.chunk_size then flush t
 
@@ -357,3 +324,7 @@ module Sink = struct
       Pool.release ~shrink:(t.peak_chunk > Pool.shrink_above) t.buf
     end
 end
+
+(* The sink's event writer straight into the caller's buffer: a chunk
+   size no buffer reaches, so nothing is ever flushed or emitted. *)
+let event_sink buf = Sink.event (Sink.make buf ~chunk_size:max_int ignore)

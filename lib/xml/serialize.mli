@@ -24,16 +24,6 @@ val document_to_string : ?indent:int -> Node.element -> string
 
 val to_channel : ?indent:int -> out_channel -> Node.element -> unit
 
-(** {2 Streaming sinks}
-
-    Event handlers that serialize a SAX stream as it arrives; the
-    output of the streaming transform algorithm (Section 6) is exposed
-    this way so results never need to be materialized as trees. *)
-
-val event_sink : Buffer.t -> Sax.event -> unit
-
-val channel_event_sink : out_channel -> Sax.event -> unit
-
 (** {2 Buffer pool}
 
     Serialization scratch buffers, reused across requests so a serving
@@ -110,3 +100,12 @@ module Sink : sig
   (** Drop any buffered bytes (nothing more is emitted) and release the
       buffer — the error path. *)
 end
+
+val event_sink : Buffer.t -> Sax.event -> unit
+(** [event_sink buf] is a SAX handler that appends the serialization of
+    the events it receives to [buf] — {!Sink.event} writing straight
+    into [buf], never flushing.  The bytes of a whole element stream
+    are exactly [to_string] of that element, empty elements
+    self-closing; the [>] of a start-tag is written only once the next
+    event arrives.  Apply it once per stream: the handler carries that
+    pending-tag state. *)

@@ -232,21 +232,28 @@ let test_query_roundtrip_print () =
   Alcotest.(check string) "stable print" printed (Transform_ast.to_string q2)
 
 let test_sax_file_roundtrip () =
-  (* transform_file must agree with the in-memory engines *)
-  let root = doc () in
-  let tmp = Filename.temp_file "xut" ".xml" in
-  Out_channel.with_open_bin tmp (fun oc -> Serialize.to_channel oc root);
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      let u = Transform_ast.Delete (parse_path "//supplier[country = \"A\"]/price") in
-      let buf = Buffer.create 1024 in
-      let stats = Sax_transform.transform_file u ~src:tmp ~out:buf in
-      let out = Dom.parse_string (Buffer.contents buf) in
-      let expected = Engine.transform Engine.Reference u root in
-      Alcotest.(check bool) "file = reference" true (Node.equal_element expected out);
-      Alcotest.(check bool) "stack bounded by depth" true
-        (stats.Sax_transform.max_stack_depth <= Node.depth (Node.Element root)))
+  (* transform_file must agree with the in-memory engines, byte for
+     byte: empty elements self-close as in every other engine's output *)
+  let check name root u =
+    let tmp = Filename.temp_file "xut" ".xml" in
+    Out_channel.with_open_bin tmp (fun oc -> Serialize.to_channel oc root);
+    Fun.protect
+      ~finally:(fun () -> Sys.remove tmp)
+      (fun () ->
+        let buf = Buffer.create 1024 in
+        let stats = Sax_transform.transform_file u ~src:tmp ~out:buf in
+        let expected = Engine.transform Engine.Reference u root in
+        Alcotest.(check bool) (name ^ ": file = reference") true
+          (Node.equal_element expected (Dom.parse_string (Buffer.contents buf)));
+        Alcotest.(check string) (name ^ ": bytes = reference bytes")
+          (Serialize.element_to_string expected) (Buffer.contents buf);
+        Alcotest.(check bool) (name ^ ": stack bounded by depth") true
+          (stats.Sax_transform.max_stack_depth <= Node.depth (Node.Element root)))
+  in
+  check "parts" (doc ()) (Transform_ast.Delete (parse_path "//supplier[country = \"A\"]/price"));
+  check "empty elements"
+    (Dom.parse_string "<r><e/><p><k>1</k></p><p><k>2</k><e/></p><q></q></r>")
+    (Transform_ast.Delete (parse_path "//p[k = \"1\"]/k"))
 
 let suite =
   [ Alcotest.test_case "all engines agree with reference" `Quick test_engines_agree;

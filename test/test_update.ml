@@ -433,6 +433,38 @@ let test_qcheck_commit_vs_transform =
                  && (Option.get (Doc_store.info store "d")).Doc_store.elements = count
                  && String.equal read_reply (tree_of svc identity_query)))))
 
+(* The materialize walk allocates along the rebuilt spine only: the
+   marker insert/delete pair of the mixed read/write workload on XMark
+   f=0.01 (a spine through every open_auction of ~14.7k elements) costs
+   a bounded number of minor words per spine node, fresh content and the
+   spine map included — a closure or list cell per visited element
+   exceeds the bound many times over. *)
+let test_materialize_alloc_bounded_by_spine () =
+  let commit root q =
+    let report, nz = Apply.stage (updates q) root in
+    Alcotest.(check int) (q ^ ": no conflicts") 0 (List.length report.Apply.conflicts);
+    let before = Gc.minor_words () in
+    let result = Apply.materialize nz root in
+    let words = int_of_float (Gc.minor_words () -. before) in
+    match result with
+    | None -> Alcotest.failf "%s: nothing materialized" q
+    | Some (root', diff) ->
+      let spine = Hashtbl.length diff.Apply.spine in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d minor words <= 256 * %d spine nodes" q words spine)
+        true
+        (words <= 256 * spine);
+      Alcotest.(check string) (q ^ ": = reference")
+        (ser (Core.Engine.transform Core.Engine.Reference (List.hd (updates q)) root))
+        (ser root');
+      root'
+  in
+  let root = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
+  let root =
+    commit root "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction"
+  in
+  ignore (commit root "delete $a//xut_bench_promo")
+
 let suite =
   [
     Alcotest.test_case "delete absorbs everything" `Quick test_delete_absorbs;
@@ -453,4 +485,6 @@ let suite =
     Alcotest.test_case "snapshot isolation across commit" `Quick test_snapshot_isolation;
     Alcotest.test_case "interleaved readers see whole snapshots" `Quick test_interleaved_readers;
     test_qcheck_commit_vs_transform;
+    Alcotest.test_case "materialize allocates per spine node" `Quick
+      test_materialize_alloc_bounded_by_spine;
   ]

@@ -184,7 +184,13 @@ let test_refresh_ids () =
 let test_event_sink () =
   let buf = Buffer.create 64 in
   Sax.parse_string "<a><b>t</b></a>" (Serialize.event_sink buf);
-  check_str "streamed serialization" "<a><b>t</b></a>" (Buffer.contents buf)
+  check_str "streamed serialization" "<a><b>t</b></a>" (Buffer.contents buf);
+  (* empty elements self-close, as in the tree serializer *)
+  let src = "<a><b/><c></c><d x=\"1\"/><e>t<f/></e></a>" in
+  let buf = Buffer.create 64 in
+  Sax.parse_string src (Serialize.event_sink buf);
+  check_str "empty elements" (Serialize.element_to_string (Dom.parse_string src))
+    (Buffer.contents buf)
 
 let suite =
   [ Alcotest.test_case "parse simple" `Quick test_parse_simple;
