@@ -324,10 +324,9 @@ let socket_serve_loop svc addr max_conns read_timeout max_frame =
   Xut_transport.Server.stop server
 
 let serve_cmd =
-  let run domains cache_capacity queue_capacity socket_opt tcp_opt max_conns read_timeout
-      max_frame_mib =
-    if domains < 1 || cache_capacity < 1 || queue_capacity < 1 then begin
-      Printf.eprintf "xut serve: need --domains >= 1, --cache >= 1, --queue >= 1\n";
+  let run domains socket_opt tcp_opt max_conns read_timeout max_frame_mib =
+    if domains < 1 then begin
+      Printf.eprintf "xut serve: need --domains >= 1\n";
       exit 2
     end;
     let addr_opt =
@@ -339,12 +338,8 @@ let serve_cmd =
       | None, Some port -> Some (Xut_transport.Addr.Tcp { host = "0.0.0.0"; port })
       | None, None -> None
     in
-    let svc =
-      Xut_service.Service.create ~domains ~cache_capacity ~queue_capacity ()
-    in
-    Printf.eprintf "xut serve: %d domain%s, plan cache %d, queue %d\n%!" domains
-      (if domains = 1 then "" else "s")
-      cache_capacity queue_capacity;
+    let svc = Xut_service.Service.create ~domains () in
+    Printf.eprintf "xut serve: %d domain%s\n%!" domains (if domains = 1 then "" else "s");
     (match addr_opt with
     | Some addr ->
       socket_serve_loop svc addr max_conns read_timeout (max_frame_mib * 1024 * 1024)
@@ -356,13 +351,6 @@ let serve_cmd =
   in
   let domains =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.")
-  in
-  let cache =
-    Arg.(value & opt int 128
-         & info [ "cache" ] ~docv:"N" ~doc:"Plan-cache capacity.")
-  in
-  let queue =
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc:"Request-queue capacity.")
   in
   let socket_opt =
     Arg.(value & opt (some string) None
@@ -391,8 +379,7 @@ let serve_cmd =
        ~doc:"Serve transform queries: stdin line protocol by default, or the framed binary \
              protocol on a Unix socket (--socket) / TCP port (--tcp).")
     Term.(
-      const run $ domains $ cache $ queue $ socket_opt $ tcp_opt $ max_conns $ read_timeout
-      $ max_frame)
+      const run $ domains $ socket_opt $ tcp_opt $ max_conns $ read_timeout $ max_frame)
 
 (* ---------------- client ---------------- *)
 

@@ -61,9 +61,6 @@ let mismatch () = invalid_arg "Selecting_nfa: sets of different automata"
 
 let set_is_empty = function Bits b -> b = 0 | Wide w -> wide_is_empty w
 
-let set_mem s i =
-  match s with Bits b -> b land (1 lsl i) <> 0 | Wide w -> wmem w i
-
 let set_equal a b =
   match a, b with
   | Bits x, Bits y -> x = y
@@ -190,7 +187,6 @@ type t = {
   eps_wide : Bytes.t array;  (* same, wide repr ([||] when small) *)
   quals : set;             (* states with a non-trivial qualifier *)
   start : set;
-  empty : set;
   memo : memo;
 }
 
@@ -262,9 +258,8 @@ let of_norm (norm : Norm.t) =
   let start =
     if small then Bits eps_bits.(0) else Wide (Bytes.copy eps_wide.(0))
   in
-  let empty = if small then Bits 0 else Wide (wide_zero nwords) in
   { states; lq = Lq.freeze b; ctx_qual; true_idx; n; small; nwords; enter_sym; self_loop;
-    eps_bits; eps_wide; quals; start; empty; memo = memo_create () }
+    eps_bits; eps_wide; quals; start; memo = memo_create () }
 
 let of_path p = of_norm (Norm.steps p)
 
@@ -279,7 +274,6 @@ let ctx_qual t = t.ctx_qual
 let selects_context t = t.n = 1
 
 let start t = t.start
-let empty_set t = t.empty
 let qual_states t = t.quals
 
 let set_of_list t l =

@@ -63,14 +63,11 @@ type set
 val start : t -> set
 (** Epsilon-closure of the start state. *)
 
-val empty_set : t -> set
-
 val set_of_list : t -> int list -> set
 val set_to_list : set -> int list
 (** Ascending. *)
 
 val set_is_empty : set -> bool
-val set_mem : set -> int -> bool
 val set_equal : set -> set -> bool
 val set_union : set -> set -> set
 val set_inter : set -> set -> set

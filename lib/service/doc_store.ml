@@ -30,54 +30,43 @@ type event = {
    holding a snapshot keep a consistent table. *)
 type entry = { root : Node.element; einfo : info; sizes : (int, int) Hashtbl.t option }
 
-(* [cmu] serializes writers (commit/register/evict) per shard so a
-   commit's read-evaluate-swap is atomic with respect to every other
-   binding change; [mu] alone still protects readers, which never block
-   on a commit in progress.  Lock order: cmu before mu. *)
-type shard = {
+(* [cmu] serializes writers (commit/register/evict) so a commit's
+   read-evaluate-swap is atomic with respect to every other binding
+   change; [mu] alone still protects readers, which never block on a
+   commit in progress.  Lock order: cmu before mu. *)
+type t = {
   mu : Mutex.t;
   cmu : Mutex.t;
   tbl : (string, entry) Hashtbl.t;
-}
-
-type t = {
-  shards : shard array;
   generations : int Atomic.t;
   lmu : Mutex.t;  (* guards [listeners] only; never held while firing *)
   mutable listeners : (event -> unit) list;
 }
 
-let default_shards = 8
-
-let create ?(shards = default_shards) () =
-  if shards < 1 then invalid_arg "Doc_store.create: need at least one shard";
+let create () =
   {
-    shards =
-      Array.init shards (fun _ ->
-          { mu = Mutex.create (); cmu = Mutex.create (); tbl = Hashtbl.create 16 });
+    mu = Mutex.create ();
+    cmu = Mutex.create ();
+    tbl = Hashtbl.create 16;
     generations = Atomic.make 0;
     lmu = Mutex.create ();
     listeners = [];
   }
 
-let shard_count t = Array.length t.shards
+let locked t f =
+  Mutex.lock t.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let shard_of t name = t.shards.(Hashtbl.hash name mod Array.length t.shards)
-
-let locked sh f =
-  Mutex.lock sh.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.mu) f
-
-let as_writer sh f =
-  Mutex.lock sh.cmu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.cmu) f
+let as_writer t f =
+  Mutex.lock t.cmu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.cmu) f
 
 let subscribe t f =
   Mutex.lock t.lmu;
   t.listeners <- t.listeners @ [ f ];
   Mutex.unlock t.lmu
 
-(* Fired outside every shard lock, so a listener may freely re-enter the
+(* Fired outside both table locks, so a listener may freely re-enter the
    store (or take other locks: the plan cache, a connection's write
    mutex) without inversion. *)
 let fire t event =
@@ -111,12 +100,11 @@ let register t ~name ?file ?schema root =
     let info =
       { name; file; elements = Node.element_count (Node.Element root); generation; schema }
     in
-    let sh = shard_of t name in
     let previous =
-      as_writer sh (fun () ->
-          locked sh (fun () ->
-              let prev = Hashtbl.find_opt sh.tbl name in
-              Hashtbl.replace sh.tbl name { root; einfo = info; sizes };
+      as_writer t (fun () ->
+          locked t (fun () ->
+              let prev = Hashtbl.find_opt t.tbl name in
+              Hashtbl.replace t.tbl name { root; einfo = info; sizes };
               prev))
     in
     (match previous with
@@ -144,29 +132,23 @@ let load_file t ~name ?schema path =
     Error (Printf.sprintf "no document element in %s" path)
 
 let find t name =
-  let sh = shard_of t name in
-  locked sh (fun () ->
-      Option.map (fun e -> e.root) (Hashtbl.find_opt sh.tbl name))
+  locked t (fun () -> Option.map (fun e -> e.root) (Hashtbl.find_opt t.tbl name))
 
 let info t name =
-  let sh = shard_of t name in
-  locked sh (fun () ->
-      Option.map (fun e -> e.einfo) (Hashtbl.find_opt sh.tbl name))
+  locked t (fun () -> Option.map (fun e -> e.einfo) (Hashtbl.find_opt t.tbl name))
 
 let snapshot t name =
-  let sh = shard_of t name in
-  locked sh (fun () ->
-      Option.map (fun e -> (e.root, e.einfo, e.sizes)) (Hashtbl.find_opt sh.tbl name))
+  locked t (fun () ->
+      Option.map (fun e -> (e.root, e.einfo, e.sizes)) (Hashtbl.find_opt t.tbl name))
 
 let evict t name =
-  let sh = shard_of t name in
   let removed =
-    as_writer sh (fun () ->
-        locked sh (fun () ->
-            match Hashtbl.find_opt sh.tbl name with
+    as_writer t (fun () ->
+        locked t (fun () ->
+            match Hashtbl.find_opt t.tbl name with
             | None -> None
             | Some entry ->
-              Hashtbl.remove sh.tbl name;
+              Hashtbl.remove t.tbl name;
               Some entry))
   in
   match removed with
@@ -220,11 +202,10 @@ let revalidated (info : info) root' spine old_sizes =
   end
 
 let commit ?delta t ~name f =
-  let sh = shard_of t name in
   let departed = ref None in
   let outcome =
-    as_writer sh (fun () ->
-        match locked sh (fun () -> Hashtbl.find_opt sh.tbl name) with
+    as_writer t (fun () ->
+        match locked t (fun () -> Hashtbl.find_opt t.tbl name) with
         | None -> No_document
         | Some { root; einfo = info; sizes } -> begin
           (* [f] runs under the writer lock only: readers proceed against
@@ -248,8 +229,8 @@ let commit ?delta t ~name f =
                 schema = schema';
               }
             in
-            locked sh (fun () ->
-                Hashtbl.replace sh.tbl name { root = root'; einfo = info'; sizes = sizes' });
+            locked t (fun () ->
+                Hashtbl.replace t.tbl name { root = root'; einfo = info'; sizes = sizes' });
             departed :=
               Some
                 ( Node.id root,
@@ -274,7 +255,5 @@ let commit ?delta t ~name f =
   outcome
 
 let names t =
-  Array.to_list t.shards
-  |> List.concat_map (fun sh ->
-         locked sh (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) sh.tbl []))
+  locked t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
   |> List.sort String.compare

@@ -1,18 +1,18 @@
 open Xut_xml
 
-(** Named store of parsed documents, sharded and generation-stamped.
+(** Named store of parsed documents, generation-stamped.
 
     A document is parsed once — [LOAD] in the service protocol — and the
     resulting immutable {!Node.element} is handed out to every request
     that names it.  Because transform queries never mutate their input
     (the whole point of the paper), concurrent workers can evaluate
     against the same stored tree with no copying and no locking beyond
-    the owning shard's table lock.
+    one short table lookup.
 
-    The table is split over N shards keyed by a hash of the document
-    name, each with its own mutex, so concurrent lookups of different
-    documents do not serialize on one table lock (the multi-document
-    serving workload).
+    The store is one table behind two locks: a writer lock serializing
+    every binding change ({!register}, {!evict}, {!commit}) and a reader
+    lock held only across a table read or write, so lookups never wait
+    on a commit in progress.
 
     Every successful {!register} (a [LOAD], whether fresh or a reload)
     stamps the entry with a store-wide monotone {b generation}, making
@@ -75,16 +75,12 @@ type event = {
 
 type t
 
-val create : ?shards:int -> unit -> t
-(** [shards] defaults to 8; 1 gives the unsharded store (observably
-    identical, just one lock). *)
-
-val shard_count : t -> int
+val create : unit -> t
 
 val subscribe : t -> (event -> unit) -> unit
 (** Register a lifecycle listener.  Listeners run synchronously on the
     thread performing the {!evict}/{!register}, in subscription order,
-    {e outside} every shard lock — re-entering the store from a listener
+    {e outside} both table locks — re-entering the store from a listener
     is safe. *)
 
 val register :
@@ -130,7 +126,7 @@ val names : t -> string list
     A commit derives a new tree from the current binding and swaps it in
     atomically: read the root, evaluate, replace — serialized against
     every other binding change ({!register}, {!evict}, other commits) on
-    a per-shard writer lock, so no concurrent write is lost.  Readers
+    the store's writer lock, so no concurrent write is lost.  Readers
     never wait on a commit in progress: {!find} keeps returning the old
     root until the instant of the swap, and requests already holding the
     old root keep a consistent snapshot (trees are immutable — MVCC by
@@ -158,7 +154,7 @@ val commit :
   ((Node.element * (int, Node.element) Hashtbl.t option) option * 'a, 'e) result) ->
   ('a, 'e) commit_result
 (** [commit t ~name f] calls [f info root] on the current binding —
-    under the shard's writer lock but outside its reader lock — and, on
+    under the store's writer lock but outside its reader lock — and, on
     [Ok (Some (root', spine), a)], swaps [root'] in under a fresh
     store-wide generation, keeping the old binding's [file] as
     provenance.  [delta a], when given, is the swap's element-count
@@ -167,4 +163,4 @@ val commit :
     counted in full.  The [Committed] event (old root's id, new generation,
     and a {!repair_hint} when [f] supplied the rebuilt-spine map) fires
     after all locks are released.  [f] must not re-enter the store's
-    write operations for the same shard. *)
+    write operations. *)

@@ -180,8 +180,3 @@ let stats t =
         annotation_entries;
         composed_entries = Hashtbl.length t.ctbl;
       })
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      Hashtbl.reset t.ctbl)

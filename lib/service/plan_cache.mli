@@ -130,4 +130,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val clear : t -> unit

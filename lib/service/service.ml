@@ -65,17 +65,6 @@ let err_code_name = function
   | View_compose_error -> "view-compose-error"
   | Statically_empty -> "statically-empty"
 
-let err_code_of_name = function
-  | "unknown-document" -> Some Unknown_document
-  | "query-parse-error" -> Some Query_parse_error
-  | "eval-error" -> Some Eval_error
-  | "conflict" -> Some Conflict
-  | "overloaded" -> Some Overloaded
-  | "bad-request" -> Some Bad_request
-  | "view-compose-error" -> Some View_compose_error
-  | "statically-empty" -> Some Statically_empty
-  | _ -> None
-
 let error code fmt = Printf.ksprintf (fun message -> Error { code; message }) fmt
 
 let rec render_response = function
@@ -225,14 +214,16 @@ let admit ~metrics (dinfo : Doc_store.info) pruning =
          (Option.value ~default:"?" dinfo.Doc_store.schema))
   | _ -> Stdlib.Ok ()
 
+let skip_of pruning = Option.map (fun p -> p.skip) pruning
+
 (* The qualifier oracle of the two walk engines: TD-BU reuses the
-   memoized bottom-up annotation of the stored document, GENTOP ([None])
-   evaluates qualifiers directly. *)
-let walk_checkp ?skip (plan : Plan_cache.plan) engine root =
-  match (engine : Engine.algo) with
+   bottom-up annotation of the stored tree [root] for [nfa], memoized in
+   [memo] (a plan's, or a view's for its innermost level); GENTOP
+   ([None]) evaluates qualifiers directly. *)
+let memo_checkp ?skip memo nfa (engine : Engine.algo) root =
+  match engine with
   | Engine.Td_bu ->
-    let table = Plan_cache.annotation ?skip plan root in
-    Some (Xut_automata.Annotator.checkp table plan.Plan_cache.nfa)
+    Some (Xut_automata.Annotator.checkp (Annotation_memo.find ?skip memo nfa root) nfa)
   | _ -> None
 
 (* Engines that consume the selecting NFA take the precompiled [nfa]
@@ -244,9 +235,9 @@ let transform_with ?checkp ?skip nfa update (engine : Engine.algo) root =
   | other -> Engine.transform other update root
 
 let run_plan ?pruning (plan : Plan_cache.plan) engine root =
-  let skip = Option.map (fun p -> p.skip) pruning in
-  transform_with ?checkp:(walk_checkp ?skip plan engine root) ?skip plan.Plan_cache.nfa
-    plan.Plan_cache.query.Transform_ast.update engine root
+  let skip = skip_of pruning and nfa = plan.Plan_cache.nfa in
+  let checkp = memo_checkp ?skip plan.Plan_cache.annotations nfa engine root in
+  transform_with ?checkp ?skip nfa plan.Plan_cache.query.Transform_ast.update engine root
 
 (* COUNT without materialization: the walk engines answer with
    {!Top_down.count} — the snapshot's element count plus the update's
@@ -256,9 +247,10 @@ let run_plan ?pruning (plan : Plan_cache.plan) engine root =
 let count_plan ?pruning ~elements ~sizes (plan : Plan_cache.plan) engine root =
   match (engine : Engine.algo) with
   | Engine.Gentop | Engine.Td_bu ->
-    let skip = Option.map (fun p -> p.skip) pruning in
-    Top_down.count ?checkp:(walk_checkp ?skip plan engine root) ?skip ~size:(size_of sizes)
-      ~elements plan.Plan_cache.nfa plan.Plan_cache.query.Transform_ast.update root
+    let skip = skip_of pruning and nfa = plan.Plan_cache.nfa in
+    let checkp = memo_checkp ?skip plan.Plan_cache.annotations nfa engine root in
+    Top_down.count ?checkp ?skip ~size:(size_of sizes) ~elements nfa
+      plan.Plan_cache.query.Transform_ast.update root
   | _ -> Xut_xml.Node.element_count (Xut_xml.Node.Element (run_plan ?pruning plan engine root))
 
 (* The SAX engine consumes the skip-set by symbol and reports exact skip
@@ -395,17 +387,14 @@ let count_value (v : Xut_xquery.Xq_value.t) =
    annotation oracle; the outer levels run over freshly built trees
    where no memo can help. *)
 let materialize_chain ~engine (levels : View_store.view list) root =
-  let apply_level i t (v : View_store.view) =
-    let checkp =
-      match (engine : Engine.algo) with
-      | Engine.Td_bu when i = 0 ->
-        let table = Annotation_memo.find v.View_store.memo v.View_store.nfa t in
-        Some (Xut_automata.Annotator.checkp table v.View_store.nfa)
-      | _ -> None
-    in
+  let level checkp t (v : View_store.view) =
     transform_with ?checkp v.View_store.nfa v.View_store.update engine t
   in
-  List.fold_left (fun (i, t) v -> (i + 1, apply_level i t v)) (0, root) levels |> snd
+  match levels with
+  | [] -> root
+  | inner :: outer ->
+    let checkp = memo_checkp inner.View_store.memo inner.View_store.nfa engine root in
+    List.fold_left (level None) (level checkp root inner) outer
 
 let evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query =
   match View_store.resolve views name with
@@ -456,17 +445,12 @@ let evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query =
             let oracle =
               match (engine : Engine.algo), levels with
               | Engine.Td_bu, (inner : View_store.view) :: _ ->
-                let skip =
-                  Option.map
-                    (fun p -> p.skip)
-                    (pruning_for ~metrics base_info base_sizes inner.View_store.products
-                       inner.View_store.nfa)
+                let pruning =
+                  pruning_for ~metrics base_info base_sizes inner.View_store.products
+                    inner.View_store.nfa
                 in
-                let table =
-                  Annotation_memo.find ?skip inner.View_store.memo inner.View_store.nfa
-                    root
-                in
-                Some (Xut_automata.Annotator.checkp table inner.View_store.nfa)
+                memo_checkp ?skip:(skip_of pruning) inner.View_store.memo inner.View_store.nfa
+                  engine root
               | _ -> None
             in
             evaluated (fun () -> Composition.run_composed ?oracle c ~doc:root)
@@ -561,29 +545,24 @@ let handle_commit ~store ~metrics ~doc ~query =
           | exception Xut_update.Apply.Invalid msg -> Stdlib.Error (`Invalid msg)
           | exception e -> Stdlib.Error (`Invalid (Printexc.to_string e)))
     in
+    let committed (info : Doc_store.info) (report : Xut_update.Apply.report) =
+      Ok
+        (Committed
+           {
+             doc;
+             primitives = report.Xut_update.Apply.primitives;
+             collapsed = report.Xut_update.Apply.collapsed;
+             elements = info.Doc_store.elements;
+             generation = info.Doc_store.generation;
+           })
+    in
     match result with
     | Doc_store.Swapped (info, (report, _)) ->
       Metrics.commit_recorded metrics ~primitives:report.Xut_update.Apply.primitives;
-      Ok
-        (Committed
-           {
-             doc;
-             primitives = report.Xut_update.Apply.primitives;
-             collapsed = report.Xut_update.Apply.collapsed;
-             elements = info.Doc_store.elements;
-             generation = info.Doc_store.generation;
-           })
+      committed info report
     | Doc_store.Unchanged (info, (report, _)) ->
       Metrics.commit_noop metrics;
-      Ok
-        (Committed
-           {
-             doc;
-             primitives = report.Xut_update.Apply.primitives;
-             collapsed = report.Xut_update.Apply.collapsed;
-             elements = info.Doc_store.elements;
-             generation = info.Doc_store.generation;
-           })
+      committed info report
     | Doc_store.Rejected (`Conflict report) ->
       Metrics.commit_conflict metrics;
       error Conflict "%s" (String.concat "; " (conflict_strings report))
@@ -755,9 +734,14 @@ let rec count_errors = function
   | Ok (Batch_results rs) -> List.fold_left (fun n r -> n + count_errors r) 0 rs
   | Ok _ -> 0
 
-let create ?(domains = 1) ?(cache_capacity = 128) ?(queue_capacity = 64) () =
+(* Cached plans (and, separately, composed plans) and requests waiting
+   for a worker. *)
+let plan_capacity = 128
+let queue_capacity = 64
+
+let create ?(domains = 1) () =
   let store = Doc_store.create () in
-  let cache = Plan_cache.create ~capacity:cache_capacity in
+  let cache = Plan_cache.create ~capacity:plan_capacity in
   let views = View_store.create () in
   let metrics = Metrics.create () in
   (* The lifecycle hook: a document leaving the store (UNLOAD, or the
@@ -888,7 +872,6 @@ let transform_ingest t ~source ~query ?(chunk_size = default_chunk_size) emit =
 let metrics t = t.metrics
 let cache_stats t = Plan_cache.stats t.cache
 let store t = t.store
-let views t = t.views
 
 (* Subscribers added here run after the service's own plan-cache hook,
    so by the time a transport broadcasts a notice the stale tables are

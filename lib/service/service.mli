@@ -151,8 +151,6 @@ val err_code_name : err_code -> string
     "view-compose-error", "statically-empty"), used by the line protocol
     and logs. *)
 
-val err_code_of_name : string -> err_code option
-
 val render_value : Xut_xquery.Xq_value.t -> string
 (** The payload of a view TRANSFORM: each result item serialized (an
     atomic one as its string value), items separated by newlines. *)
@@ -166,11 +164,11 @@ val render_response : response -> (string, string) Stdlib.result
 
 type t
 
-val create : ?domains:int -> ?cache_capacity:int -> ?queue_capacity:int -> unit -> t
-(** Start a service.  Defaults: [domains = 1] (single worker, the CLI
-    serve default), [cache_capacity = 128] plans (at least 1),
-    [queue_capacity = 64] pending requests (backpressure
-    threshold).
+val create : ?domains:int -> unit -> t
+(** Start a service with [domains] workers (default 1, the CLI serve
+    default).  Capacities are fixed: the plan cache holds 128 plans (and
+    128 composed plans), and {!submit} blocks once 64 requests are
+    waiting for a worker (backpressure).
 
     The service subscribes itself to the store's lifecycle events: an
     [UNLOAD], reload or [COMMIT] evicts exactly the departing tree's
@@ -282,7 +280,6 @@ val transform_ingest :
 val metrics : t -> Metrics.t
 val cache_stats : t -> Plan_cache.stats
 val store : t -> Doc_store.t
-val views : t -> View_store.t
 
 val on_invalidate : t -> (Doc_store.event -> unit) -> unit
 (** Subscribe to document-lifecycle events (unload / reload / commit),

@@ -98,21 +98,20 @@ let names t =
    and surfaces as Unknown_document at serving time. *)
 type chain = { base : string; levels : view list }
 
+(* The chain ending at [v], walked down its bases with the lock held.
+   The [seen] guard is unreachable while [define] rejects cycles; it
+   terminates the walk anyway. *)
+let chain_views t (v : view) =
+  let rec walk seen (v : view) levels =
+    let seen = v.name :: seen and levels = v :: levels in
+    match Hashtbl.find_opt t.tbl v.base with
+    | Some parent when not (List.mem v.base seen) -> walk seen parent levels
+    | _ -> { base = v.base; levels }
+  in
+  walk [] v []
+
 let resolve t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl name with
-      | None -> None
-      | Some v ->
-        let rec walk seen (v : view) acc =
-          if List.mem v.base seen then
-            (* unreachable while [define] guards cycles; terminate anyway *)
-            Some { base = v.base; levels = v :: acc }
-          else
-            match Hashtbl.find_opt t.tbl v.base with
-            | Some parent -> walk (v.name :: seen) parent (v :: acc)
-            | None -> Some { base = v.base; levels = v :: acc }
-        in
-        walk [] v [])
+  locked t (fun () -> Option.map (chain_views t) (Hashtbl.find_opt t.tbl name))
 
 let depth t name =
   match resolve t name with Some c -> List.length c.levels | None -> 0
@@ -121,20 +120,14 @@ let depth t name =
    including [name] itself when it is a view: the reverse reachability
    the invalidation walk needs. *)
 let dependents t name =
+  let through (c : chain) =
+    String.equal c.base name
+    || List.exists (fun (l : view) -> String.equal l.name name) c.levels
+  in
   locked t (fun () ->
-      let depends_on (v : view) =
-        let rec walk seen (v : view) =
-          String.equal v.base name
-          ||
-          if List.mem v.base seen then false
-          else
-            match Hashtbl.find_opt t.tbl v.base with
-            | Some parent -> walk (v.base :: seen) parent
-            | None -> false
-        in
-        String.equal v.name name || walk [] v
-      in
-      Hashtbl.fold (fun n v acc -> if depends_on v then n :: acc else acc) t.tbl [])
+      Hashtbl.fold
+        (fun n v acc -> if through (chain_views t v) then n :: acc else acc)
+        t.tbl [])
   |> List.sort String.compare
 
 (* The cache key material for a composed plan over this chain: the base

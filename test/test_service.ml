@@ -129,7 +129,7 @@ let test_store_load_evict () =
       Alcotest.(check bool) "evicting again is false" false (Doc_store.evict store "d"))
 
 let test_store_reload_generations () =
-  let store = Doc_store.create ~shards:4 () in
+  let store = Doc_store.create () in
   let events = ref [] in
   Doc_store.subscribe store (fun ev ->
       events := (ev.Doc_store.name, ev.Doc_store.reason, ev.Doc_store.generation) :: !events);
@@ -162,9 +162,13 @@ let test_store_reload_generations () =
   ignore (Doc_store.evict store "d");
   Alcotest.(check bool) "no event for a missed evict" true (!events = [])
 
-(* The sharded store must be observably identical to the single-shard
-   one: same generations, same reload flags, same listings, same event
-   stream, for any interleaving of load/evict/find. *)
+module Smap = Map.Make (String)
+
+(* The store against a model that maps each bound name to its
+   generation: reload flags, strictly increasing generations, find/info,
+   the sorted listing and the exact event stream, for any interleaving
+   of load/evict/find.  (The name is the one the property had when it
+   compared a lock-striped store with a single-table one.) *)
 let test_store_shard_equivalence =
   let names = [| "alpha"; "beta"; "gamma"; "delta"; "epsilon" |] in
   let gen_op =
@@ -187,37 +191,50 @@ let test_store_shard_equivalence =
       QCheck.Gen.(list_size (int_bound 40) gen_op)
   in
   let prop ops =
-    let s1 = Doc_store.create ~shards:1 () in
-    let s4 = Doc_store.create ~shards:4 () in
-    let ev1 = ref [] and ev4 = ref [] in
-    let log evs ev =
-      evs := (ev.Doc_store.name, ev.Doc_store.reason, ev.Doc_store.generation) :: !evs
-    in
-    Doc_store.subscribe s1 (log ev1);
-    Doc_store.subscribe s4 (log ev4);
-    let obs_info =
-      Option.map (fun (i : Doc_store.info) ->
-          (i.Doc_store.name, i.Doc_store.elements, i.Doc_store.generation))
-    in
-    let step acc op =
-      acc
+    let store = Doc_store.create () in
+    let events = ref [] in
+    Doc_store.subscribe store (fun ev ->
+        events := (ev.Doc_store.name, ev.Doc_store.reason, ev.Doc_store.generation) :: !events);
+    (* model: bound name -> generation; the last generation issued; the
+       events the store must have published, newest first *)
+    let model = ref Smap.empty and last = ref 0 and expected = ref [] in
+    let step ok op =
+      ok
       &&
-      match op with
-      | `Load i ->
-        let tree () = Xut_xml.Node.element names.(i) [ Xut_xml.Node.elem "c" [] ] in
-        let i1, r1 = Result.get_ok (Doc_store.register s1 ~name:names.(i) (tree ())) in
-        let i4, r4 = Result.get_ok (Doc_store.register s4 ~name:names.(i) (tree ())) in
-        r1 = r4
-        && i1.Doc_store.generation = i4.Doc_store.generation
-        && i1.Doc_store.elements = i4.Doc_store.elements
-      | `Evict i -> Doc_store.evict s1 names.(i) = Doc_store.evict s4 names.(i)
-      | `Find i ->
-        (Doc_store.find s1 names.(i) = None) = (Doc_store.find s4 names.(i) = None)
-        && obs_info (Doc_store.info s1 names.(i)) = obs_info (Doc_store.info s4 names.(i))
+      let agrees =
+        match op with
+        | `Load i ->
+          let name = names.(i) in
+          let tree = Xut_xml.Node.element name [ Xut_xml.Node.elem "c" [] ] in
+          let info, reloaded = Result.get_ok (Doc_store.register store ~name tree) in
+          let g = info.Doc_store.generation in
+          let fresh = g > !last in
+          last := g;
+          if reloaded then expected := (name, Doc_store.Replaced, g) :: !expected;
+          let was_bound = Smap.mem name !model in
+          model := Smap.add name g !model;
+          fresh && reloaded = was_bound && info.Doc_store.name = name
+          && info.Doc_store.elements = 2
+        | `Evict i ->
+          let name = names.(i) in
+          let bound = Smap.find_opt name !model in
+          Option.iter (fun g -> expected := (name, Doc_store.Unloaded, g) :: !expected) bound;
+          model := Smap.remove name !model;
+          Doc_store.evict store name = (bound <> None)
+        | `Find i ->
+          let name = names.(i) in
+          let bound = Smap.find_opt name !model in
+          (Doc_store.find store name <> None) = (bound <> None)
+          && Option.map
+               (fun (i : Doc_store.info) ->
+                 (i.Doc_store.name, i.Doc_store.elements, i.Doc_store.generation))
+               (Doc_store.info store name)
+             = Option.map (fun g -> (name, 2, g)) bound
+      in
+      agrees && !events = !expected
     in
     List.fold_left step true ops
-    && Doc_store.names s1 = Doc_store.names s4
-    && !ev1 = !ev4
+    && Doc_store.names store = List.map fst (Smap.bindings !model)
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"sharded store = single-shard store" ~count:200 arb prop)
@@ -238,8 +255,8 @@ let test_store_bad_input () =
 
 (* ---- service ---- *)
 
-let with_service ?(domains = 1) ?(cache_capacity = 128) f =
-  let svc = Service.create ~domains ~cache_capacity () in
+let with_service ?(domains = 1) f =
+  let svc = Service.create ~domains () in
   Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> f svc)
 
 let load_doc svc path =
@@ -414,7 +431,7 @@ let test_service_stats_and_unload () =
           | Service.Error { code; _ } ->
             Alcotest.fail ("wrong error code: " ^ Service.err_code_name code)))
 
-(* The lifecycle guarantee of the sharded store: UNLOAD (or a reload)
+(* The lifecycle guarantee of the store: UNLOAD (or a reload)
    takes exactly the departing document's annotation tables with it —
    counted in the metrics, visible in STATS, never a whole-memo wipe —
    and a reload of identical content transforms byte-identically. *)
@@ -848,6 +865,80 @@ let test_view_define_and_query () =
           with
           | Service.Error { code = Service.Unknown_document; _ } -> ()
           | _ -> Alcotest.fail "an undefined view must answer unknown-document"))
+
+(* [defs] applied level by level with the reference engine, then
+   [query] evaluated as plain XQuery over the result. *)
+let reference_view_value ~base defs query =
+  let materialized =
+    List.fold_left
+      (fun t d ->
+        Core.Engine.transform Core.Engine.Reference
+          (Core.Transform_parser.parse d).Core.Transform_ast.update t)
+      base defs
+  in
+  Xut_xquery.Xq_eval.eval_expr
+    (Xut_xquery.Xq_eval.env ~context:materialized ())
+    (Xut_xquery.Xq_parser.parse_expr query)
+
+(* Reads outside the composable user fragment take the materializing
+   fallback.  Each reply equals the reference chain, counts one
+   fallback, and a COMMIT on the base shows up in the next read. *)
+let test_view_fallback () =
+  with_doc_file (fun path ->
+      with_service (fun svc ->
+          load_doc svc path;
+          ignore (defview svc "v1" v1_def);
+          ignore (defview svc "v2" v2_def);
+          let m = Service.metrics svc in
+          let count_q = "count(site/items/product)" in
+          let if_q =
+            "if (count(site/items/product) > 1) then site/items/product/name \
+             else site/people/person/name"
+          in
+          let read ~base engine query =
+            let label = Core.Engine.name engine ^ " " ^ query in
+            let fallbacks = Metrics.compose_fallbacks m in
+            let reply =
+              match
+                Service.call svc
+                  (Service.Transform { target = Service.View "v2"; engine; query })
+              with
+              | Service.Ok (Service.Tree payload) -> payload
+              | Service.Ok _ -> Alcotest.fail "TRANSFORM VIEW must answer with a Tree"
+              | Service.Error { message; _ } -> Alcotest.fail message
+            in
+            Alcotest.(check string) (label ^ " = reference chain")
+              (view_render (reference_view_value ~base [ v1_def; v2_def ] query))
+              reply;
+            Alcotest.(check int) (label ^ ": one fallback") (fallbacks + 1)
+              (Metrics.compose_fallbacks m);
+            reply
+          in
+          let read_all base =
+            List.concat_map
+              (fun engine -> List.map (read ~base engine) [ count_q; if_q ])
+              [ Core.Engine.Td_bu; Core.Engine.Gentop ]
+          in
+          let before = read_all (Xut_xml.Dom.parse_string doc_xml) in
+          Alcotest.(check (list string)) "two products, their names"
+            [ "2"; "<name>kettle</name>\n<name>lamp</name>" ]
+            (List.filteri (fun i _ -> i < 2) before);
+          let commit_q = {|delete $a/site/items/item[name = "lamp"]|} in
+          (match Service.call svc (Service.Commit { doc = "d"; query = commit_q }) with
+          | Service.Ok (Service.Committed { primitives = 1; _ }) -> ()
+          | _ -> Alcotest.fail "COMMIT on the base");
+          let committed =
+            Core.Engine.transform Core.Engine.Reference
+              (Core.Transform_parser.parse
+                 ({|transform copy $a := doc("d") modify do |} ^ commit_q ^ " return $a"))
+                .Core.Transform_ast.update
+              (Xut_xml.Dom.parse_string doc_xml)
+          in
+          let after = read_all committed in
+          Alcotest.(check (list string)) "the commit shows: one product, people's names"
+            [ "1"; "<name>Alice</name>\n<name>Bob</name>\n<name>Carol</name>" ]
+            (List.filteri (fun i _ -> i < 2) after);
+          Alcotest.(check int) "no read was composed" 0 (Metrics.view_hits m)))
 
 let test_view_definition_errors () =
   with_doc_file (fun path ->
@@ -1358,6 +1449,7 @@ let suite =
     Alcotest.test_case "metrics: histogram and queue depth" `Quick test_metrics_histogram;
     Alcotest.test_case "views: define, query, list, undefine" `Quick test_view_define_and_query;
     Alcotest.test_case "views: definition-time rejection" `Quick test_view_definition_errors;
+    Alcotest.test_case "views: materializing fallback" `Quick test_view_fallback;
     Alcotest.test_case "views: dependency-graph invalidation" `Quick
       test_view_invalidation_graph;
     Alcotest.test_case "metrics: golden STATS and reset" `Quick test_golden_stats;
