@@ -122,6 +122,17 @@ let transform_cmd =
     (Cmd.info "transform" ~doc:"Evaluate a transform query (update syntax) without touching the store.")
     Term.(const run $ query_pos $ doc_arg $ engine_arg $ indent_arg $ stats $ stream)
 
+(* One line per item of a query answer: nodes serialized, atoms as text. *)
+let print_value v =
+  List.iter
+    (fun item ->
+      print_endline
+        (match item with
+        | Xut_xquery.Xq_value.N n -> Xut_xml.Serialize.to_string n
+        | Xut_xquery.Xq_value.D e -> Xut_xml.Serialize.element_to_string e
+        | other -> Xut_xquery.Xq_value.string_of_item other))
+    v
+
 (* ---------------- compose ---------------- *)
 
 let compose_cmd =
@@ -134,32 +145,17 @@ let compose_cmd =
         print_endline "-- composed query (xut:* are runtime topDown helpers) --";
         print_endline (Composition.to_string composed)
       end;
-      (match doc_opt with
-      | Some path ->
-        let root = load_doc path in
-        let v =
-          if naive_flag then Composition.naive q.Transform_ast.update user ~doc:root
-          else Composition.run_composed composed ~doc:root
-        in
-        List.iter
-          (fun item ->
-            match item with
-            | Xut_xquery.Xq_value.N n -> print_endline (Xut_xml.Serialize.to_string n)
-            | other -> print_endline (Xut_xquery.Xq_value.string_of_item other))
-          v
-      | None -> ())
-    | Error reason ->
-      Printf.eprintf "not statically composable (%s); falling back to naive composition\n" reason;
       Option.iter
         (fun path ->
           let root = load_doc path in
-          let v = Composition.naive q.Transform_ast.update user ~doc:root in
-          List.iter
-            (fun item ->
-              match item with
-              | Xut_xquery.Xq_value.N n -> print_endline (Xut_xml.Serialize.to_string n)
-              | other -> print_endline (Xut_xquery.Xq_value.string_of_item other))
-            v)
+          print_value
+            (if naive_flag then Composition.naive q.Transform_ast.update user ~doc:root
+             else Composition.run_composed composed ~doc:root))
+        doc_opt
+    | Error reason ->
+      Printf.eprintf "not statically composable (%s); falling back to naive composition\n" reason;
+      Option.iter
+        (fun path -> print_value (Composition.naive q.Transform_ast.update user ~doc:(load_doc path)))
         doc_opt);
     0
   in
@@ -207,14 +203,7 @@ let query_cmd =
   let run query doc =
     let root = load_doc doc in
     let env = Xut_xquery.Xq_eval.env ~context:root ~docs:[ ("doc", root) ] () in
-    let v = Xut_xquery.Xq_eval.run_query env (read_query query) in
-    List.iter
-      (fun item ->
-        match item with
-        | Xut_xquery.Xq_value.N n -> print_endline (Xut_xml.Serialize.to_string n)
-        | Xut_xquery.Xq_value.D e -> print_endline (Xut_xml.Serialize.element_to_string e)
-        | other -> print_endline (Xut_xquery.Xq_value.string_of_item other))
-      v;
+    print_value (Xut_xquery.Xq_eval.run_query env (read_query query));
     0
   in
   Cmd.v
@@ -224,28 +213,9 @@ let query_cmd =
 (* ---------------- xmark ---------------- *)
 
 let xmark_cmd =
-  let run factor seed output stream =
-    if stream then begin
-      (* SAX generator mode: the document goes out as an event stream
-         through the chunked serializer — same bytes as the default
-         writer, and "-" sends them to stdout (e.g. to pipe into a
-         TRANSFORM-STREAM FILE fifo). *)
-      let write oc =
-        let sink = Xut_xml.Serialize.Sink.create (output_string oc) in
-        Xut_xmark.Generator.events ~seed:(Int64.of_int seed) ~factor
-          (Xut_xml.Serialize.Sink.event sink);
-        ignore (Xut_xml.Serialize.Sink.close sink)
-      in
-      if output = "-" then write stdout
-      else begin
-        Out_channel.with_open_bin output write;
-        Printf.printf "wrote %s (factor %g, streamed)\n" output factor
-      end
-    end
-    else begin
-      Xut_xmark.Generator.to_file ~seed:(Int64.of_int seed) ~factor output;
-      Printf.printf "wrote %s (factor %g)\n" output factor
-    end;
+  let run factor seed output =
+    Xut_xmark.Generator.to_file ~seed:(Int64.of_int seed) ~factor output;
+    if output <> "-" then Printf.printf "wrote %s (factor %g)\n" output factor;
     0
   in
   let factor =
@@ -254,17 +224,11 @@ let xmark_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.") in
   let output =
     Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"Output path (\"-\" for stdout with --stream).")
-  in
-  let stream =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Emit the document as a SAX event stream through the chunked serializer \
-                   (byte-identical to the default writer); FILE may be \"-\" for stdout.")
+         & info [] ~docv:"FILE" ~doc:"Output path (\"-\" for stdout).")
   in
   Cmd.v
     (Cmd.info "xmark" ~doc:"Generate an XMark-style auction document.")
-    Term.(const run $ factor $ seed $ output $ stream)
+    Term.(const run $ factor $ seed $ output)
 
 (* ---------------- serve ---------------- *)
 

@@ -15,9 +15,7 @@ type composed = {
   native_count : int;
 }
 
-let expr c = c.expr
 let native_count c = c.native_count
-let natives c = c.make None
 
 (* ---------------- static simulation (delta', Section 4) ---------------- *)
 
@@ -196,13 +194,13 @@ let transformed_view rt states e =
     ts
 
 (* Do the chunk's user qualifiers hold for this binding, as seen on
-   Qt(T)?  [view] materializes the transformed subtree on demand. *)
-let quals_hold rt states quals (e : Node.element) =
-  let lazy_view = lazy (transformed_view rt states e) in
+   Qt(T)?  [view] is the binding's transformed view, forced only for a
+   qualifier the update can affect. *)
+let quals_hold rt states quals view (e : Node.element) =
   List.for_all
     (fun q ->
       if qual_affected rt.nfa rt.update states q then
-        match Lazy.force lazy_view with
+        match Lazy.force view with
         | [ Node.Element t ] -> Eval.check_qual t q
         | _ -> false
       else Eval.check_qual e q)
@@ -211,8 +209,8 @@ let quals_hold rt states quals (e : Node.element) =
 let chunk_matches (c : chunk) name =
   match c.nav with Norm.N_label l -> String.equal l name | Norm.N_wild -> true | Norm.N_desc -> false
 
-(* Collect candidates inside a constant (inserted) subtree: no states,
-   qualifiers evaluated directly. *)
+(* Collect candidates below [root] where the update no longer applies
+   (constant content, or no live state): qualifiers evaluated directly. *)
 let scan_const_tree (c : chunk) (quals_ok : Node.element -> bool) (root : Node.element) emit =
   let rec go e =
     List.iter
@@ -223,6 +221,26 @@ let scan_const_tree (c : chunk) (quals_ok : Node.element -> bool) (root : Node.e
   in
   go root
 
+(* The user NFA [unfa] alone over constant (already transformed) content:
+   [user_const] walks the children of [nd], whose set is [uc];
+   [user_enter_const] first steps into [nd] itself. *)
+let rec user_const unfa emit uc nd =
+  match nd with
+  | Node.Element e -> List.iter (user_enter_const unfa emit uc) (Node.children e)
+  | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
+
+and user_enter_const unfa emit uc nd =
+  match nd with
+  | Node.Element te ->
+    let uct =
+      Selecting_nfa.next unfa
+        ~checkp:(fun s -> Eval.check_qual te (Selecting_nfa.state_qual unfa s))
+        uc (Node.sym te)
+    in
+    if Selecting_nfa.accepts_set unfa uct then emit nd;
+    if not (Selecting_nfa.set_is_empty uct) then user_const unfa emit uct nd
+  | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
+
 (* Where a nav native finds the exact state set of its anchor: a static
    hint (sound until the first '//' chunk, with anchor qualifiers checked
    at run time) or the table filled by an upstream native. *)
@@ -232,6 +250,10 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
   let out = ref [] in
   let emit n = out := Xq_value.N n :: !out in
   let const_quals_ok child = List.for_all (fun q -> Eval.check_qual child q) c.quals in
+  let scan e = scan_const_tree c const_quals_ok e emit in
+  let scan_forest =
+    List.iter (function Node.Element te -> scan te | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+  in
   (* could the update's new content itself supply bindings for this chunk? *)
   let update_content_can_bind =
     match rt.update with
@@ -262,18 +284,7 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
          only when something is actually emitted from it — qualifiers
          the update cannot affect filter first *)
       let lazy_ts = lazy (transformed_view rt sc child) in
-      let binding =
-        is_candidate
-        && List.for_all
-             (fun q ->
-               if qual_affected rt.nfa rt.update sc q then
-                 match Lazy.force lazy_ts with
-                 | [ Node.Element t ] -> Eval.check_qual t q
-                 | _ -> false
-               else Eval.check_qual child q)
-             c.quals
-      in
-      if binding then
+      if is_candidate && quals_hold rt sc c.quals lazy_ts child then
         List.iter
           (fun t -> match t with Node.Element _ -> emit t | _ -> ())
           (Lazy.force lazy_ts);
@@ -281,13 +292,7 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
          materialized (or when the new content could itself bind),
          otherwise from the original subtree *)
       if c.desc then
-        if Lazy.is_val lazy_ts || update_content_can_bind then
-          List.iter
-            (fun t ->
-              match t with
-              | Node.Element te -> scan_const_tree c const_quals_ok te emit
-              | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-            (Lazy.force lazy_ts)
+        if Lazy.is_val lazy_ts || update_content_can_bind then scan_forest (Lazy.force lazy_ts)
         else List.iter (visit sc) (Node.child_elements child)
     | (Transform_ast.Replace _ | Transform_ast.Rename _), true ->
       (* labels change: candidacy and qualifiers are judged on the
@@ -300,67 +305,34 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
             if chunk_matches c (Node.name te) && const_quals_ok te then emit t
           | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
         ts;
-      if c.desc then
-        List.iter
-          (fun t ->
-            match t with
-            | Node.Element te -> scan_const_tree c const_quals_ok te emit
-            | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-          ts
+      if c.desc then scan_forest ts
     | (Transform_ast.Delete _ | Transform_ast.Insert _ | Transform_ast.Insert_first _
       | Transform_ast.Replace _ | Transform_ast.Rename _), false ->
-      if is_candidate && quals_hold rt sc c.quals child then begin
+      if is_candidate && quals_hold rt sc c.quals (lazy (transformed_view rt sc child)) child
+      then begin
         if Selecting_nfa.accepts_set rt.nfa (below rt.nfa sc) || not (Selecting_nfa.set_is_empty sc)
         then Hashtbl.replace rt.state_tbl (Node.id child) sc;
         emit (Node.Element child)
       end;
       if c.desc && not (Selecting_nfa.set_is_empty sc) then
         List.iter (visit sc) (Node.child_elements child)
-      else if c.desc then plain_descend child
-  and plain_descend e =
-    (* no live states below: pure navigation *)
-    List.iter
-      (fun child ->
-        if chunk_matches c (Node.name child) && const_quals_ok child then
-          emit (Node.Element child);
-        plain_descend child)
-      (Node.child_elements e)
-  in
-  let plain_children e =
-    List.iter
-      (fun child ->
-        if chunk_matches c (Node.name child) && const_quals_ok child then
-          emit (Node.Element child))
-      (Node.child_elements e)
-  in
-  let from_states e states =
-    (* static hints have unchecked labels/qualifiers: settle them at the
-       anchor *)
-    let alive =
-      Selecting_nfa.set_of_list rt.nfa
-        (Selecting_nfa.set_fold
-           (fun s acc ->
-             if
-               Selecting_nfa.consistent_at_sym rt.nfa s (Node.sym e)
-               && ((not (Selecting_nfa.has_qual rt.nfa s)) || checkp_direct rt s e)
-             then s :: acc
-             else acc)
-           states [])
-    in
-    if Selecting_nfa.set_is_empty alive then if c.desc then plain_descend e else plain_children e
-    else List.iter (visit alive) (Node.child_elements e)
+      else if c.desc then scan child
   in
   (match anchor with
   | Xq_value.D root -> visit (Selecting_nfa.start rt.nfa) root
   | Xq_value.N (Node.Element e) -> (
     match src with
-    | Src_hint states -> from_states e states
+    | Src_hint states ->
+      let alive = Top_down.settle ~checkp:(checkp_direct rt) rt.nfa states e in
+      (* without live states below the anchor it is pure navigation *)
+      if Selecting_nfa.set_is_empty alive then scan e
+      else List.iter (visit alive) (Node.child_elements e)
     | Src_table -> (
       match Hashtbl.find_opt rt.state_tbl (Node.id e) with
       | Some s -> List.iter (visit s) (Node.child_elements e)
       | None ->
         (* already transformed (or out of reach): pure navigation *)
-        if c.desc then plain_descend e else plain_children e))
+        scan e))
   | Xq_value.N _ | Xq_value.A _ | Xq_value.S _ | Xq_value.F _ | Xq_value.B _ ->
     raise (Xq_value.Type_error "navigation over a non-element"));
   List.rev !out
@@ -375,25 +347,6 @@ let pipe_chunks rt (chunks : chunk list) (start_states : Selecting_nfa.set optio
     (root_children : Node.t list) emit =
   let suffix_path = List.concat_map (fun c -> chunk_path c ~quals:c.quals) chunks in
   let unfa = Selecting_nfa.of_path suffix_path in
-  (* walk inside already-transformed (constant) content: user NFA only *)
-  let rec walk_const uc node =
-    match node with
-    | Node.Element e ->
-      List.iter
-        (fun child ->
-          match child with
-          | Node.Element ce ->
-            let uc' =
-              Selecting_nfa.next unfa
-                ~checkp:(fun s -> Eval.check_qual ce (Selecting_nfa.state_qual unfa s))
-                uc (Node.sym ce)
-            in
-            if Selecting_nfa.accepts_set unfa uc' then emit (Node.Element ce);
-            if not (Selecting_nfa.set_is_empty uc') then walk_const uc' child
-          | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-        (Node.children e)
-    | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
-  in
   let rec walk ustates sstates (children : Node.t list) =
     List.iter
       (fun child ->
@@ -418,17 +371,7 @@ let pipe_chunks rt (chunks : chunk list) (start_states : Selecting_nfa.set optio
             (* the node's label changes: run the user NFA against the
                transformed view (which is all that exists on Qt(T)) *)
             List.iter
-              (fun t ->
-                match t with
-                | Node.Element te ->
-                  let uct =
-                    Selecting_nfa.next unfa
-                      ~checkp:(fun s -> Eval.check_qual te (Selecting_nfa.state_qual unfa s))
-                      ustates (Node.sym te)
-                  in
-                  if Selecting_nfa.accepts_set unfa uct then emit t;
-                  if not (Selecting_nfa.set_is_empty uct) then walk_const uct t
-                | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+              (user_enter_const unfa emit ustates)
               (transformed_view rt (Option.get sc) ce)
           | _ ->
             let user_checkp s =
@@ -451,7 +394,7 @@ let pipe_chunks rt (chunks : chunk list) (start_states : Selecting_nfa.set optio
               if not (Selecting_nfa.set_is_empty uc) then begin
                 let ts = transformed_view rt (Option.get sc) ce in
                 if Selecting_nfa.accepts_set unfa uc then List.iter emit ts;
-                List.iter (walk_const uc) ts
+                List.iter (user_const unfa emit uc) ts
               end
             end
             else begin
@@ -496,17 +439,7 @@ let native_of_spec rt name = function
         let states =
           match src with
           | Src_hint s ->
-            let alive =
-              Selecting_nfa.set_of_list rt.nfa
-                (Selecting_nfa.set_fold
-                   (fun st acc ->
-                     if
-                       Selecting_nfa.consistent_at_sym rt.nfa st (Node.sym e)
-                       && ((not (Selecting_nfa.has_qual rt.nfa st)) || checkp_direct rt st e)
-                     then st :: acc
-                     else acc)
-                   s [])
-            in
+            let alive = Top_down.settle ~checkp:(checkp_direct rt) rt.nfa s e in
             if Selecting_nfa.set_is_empty alive then None else Some alive
           | Src_table -> Hashtbl.find_opt rt.state_tbl (Node.id e)
         in
@@ -562,20 +495,6 @@ let check_update update =
         Error "context qualifier in the update path"
       else if Selecting_nfa.selects_context nfa then Error "update selects the document element"
       else Ok nfa
-
-let where_of_conds xvar (conds : User_query.cond list) =
-  let mapped =
-    List.map
-      (fun ({ User_query.left; op; right } : User_query.cond) ->
-        Xq_ast.Cmp
-          ( User_query.cmp_to_xq op,
-            User_query.operand_to_expr xvar left,
-            User_query.operand_to_expr xvar right ))
-      conds
-  in
-  match mapped with
-  | [] -> None
-  | w :: ws -> Some (List.fold_left (fun acc c -> Xq_ast.And (acc, c)) w ws)
 
 let compose update (uq : User_query.t) : (composed, string) result =
   match check_update update with
@@ -697,7 +616,7 @@ let compose update (uq : User_query.t) : (composed, string) result =
           end
           else xvar
       in
-      let where = where_of_conds xvar uq.User_query.conds in
+      let where = User_query.where_expr xvar uq.User_query.conds in
       let ret = User_query.template_to_expr xvar uq.User_query.template in
       let expr = Xq_ast.Flwor (List.rev !clauses, where, ret) in
       let specs = !specs in
@@ -819,35 +738,6 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
         f
     end
   in
-  (* user NFA over constant (fully materialized) content *)
-  let rec user_const uc (e : Node.element) =
-    List.iter
-      (fun child ->
-        match child with
-        | Node.Element ce ->
-          let uc' =
-            Selecting_nfa.next unfa
-              ~checkp:(fun s -> Eval.check_qual ce (Selecting_nfa.state_qual unfa s))
-              uc (Node.sym ce)
-          in
-          if Selecting_nfa.accepts_set unfa uc' then emit (Node.Element ce);
-          if not (Selecting_nfa.set_is_empty uc') then user_const uc' ce
-        | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-      (Node.children e)
-  in
-  (* transition the user NFA INTO a materialized forest root *)
-  let user_enter_const uc nd =
-    match nd with
-    | Node.Element te ->
-      let uct =
-        Selecting_nfa.next unfa
-          ~checkp:(fun s -> Eval.check_qual te (Selecting_nfa.state_qual unfa s))
-          uc (Node.sym te)
-      in
-      if Selecting_nfa.accepts_set unfa uct then emit nd;
-      if not (Selecting_nfa.set_is_empty uct) then user_const uct te
-    | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
-  in
   (* resolve level [j] over a materialized forest standing where the
      current node stood ([pls] = the parent's level-j set); the forest is
      V_{j-1} content, so direct qualifier checks are exact *)
@@ -903,7 +793,7 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
         | other -> other
       in
       let rec outer j f = if j >= n then f else outer (j + 1) (resolve_level j ls.(j) f) in
-      List.iter (user_enter_const us) (outer (i + 1) f0)
+      List.iter (user_enter_const unfa emit us) (outer (i + 1) f0)
     end
     else begin
       (* unmatched everywhere: the node survives with its label; user
@@ -964,7 +854,7 @@ let compose_stack updates (uq : User_query.t) : (composed, string) result =
         let name = fresh_var "xut:stack" in
         let dvar = fresh_var "d" in
         let xvar = fresh_var "x" in
-        let where = where_of_conds xvar uq.User_query.conds in
+        let where = User_query.where_expr xvar uq.User_query.conds in
         let ret = User_query.template_to_expr xvar uq.User_query.template in
         let expr =
           Xq_ast.Flwor
@@ -994,13 +884,11 @@ let run_composed ?oracle c ~doc =
   let env = Xq_eval.env ~context:doc ~natives:(c.make oracle) () in
   Xq_eval.eval_expr env c.expr
 
-let naive ?(algo = Engine.Gentop) update uq ~doc =
-  let transformed = Engine.transform algo update doc in
-  User_query.run uq ~doc:transformed
-
 let naive_stack ?(algo = Engine.Gentop) updates uq ~doc =
   let transformed = List.fold_left (fun t u -> Engine.transform algo u t) doc updates in
   User_query.run uq ~doc:transformed
+
+let naive ?algo update uq ~doc = naive_stack ?algo [ update ] uq ~doc
 
 let run update uq ~doc =
   match compose update uq with

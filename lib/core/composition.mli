@@ -32,14 +32,9 @@ type composed
 (** A compiled composition: the rewritten expression plus a factory for
     its runtime natives. *)
 
-val expr : composed -> Xq_ast.expr
-
 val native_count : composed -> int
 (** How many runtime helpers the composed expression references (0 when
     the update provably cannot touch the query's data). *)
-
-val natives : composed -> (string * (Xq_value.t list -> Xq_value.t)) list
-(** One fresh instantiation of the runtime helpers (no oracle). *)
 
 val check_update : Transform_ast.update -> (Selecting_nfa.t, string) result
 (** The update-side fragment check shared with view definition time:
@@ -72,9 +67,9 @@ val run : Transform_ast.update -> User_query.t -> doc:Node.element -> Xq_value.t
 (** Compose if possible, otherwise fall back to {!naive}. *)
 
 val naive : ?algo:Engine.algo -> Transform_ast.update -> User_query.t -> doc:Node.element -> Xq_value.t
-(** The Naive Composition Method: evaluate the transform query first
-    (with GENTOP by default, as in Section 7.2), then the user query on
-    the materialized result. *)
+(** The Naive Composition Method, {!naive_stack} of the one update:
+    evaluate the transform query first (with GENTOP by default, as in
+    Section 7.2), then the user query on the materialized result. *)
 
 val naive_stack :
   ?algo:Engine.algo -> Transform_ast.update list -> User_query.t -> doc:Node.element -> Xq_value.t

@@ -29,11 +29,8 @@ let view_of ?(algo = Engine.Td_bu) t ~doc = Sequence.run algo (to_transform t) ~
 
 let answer t uq ~doc =
   match to_updates t with
-  | [ u ] -> (
-    match Composition.compose u uq with
-    | Ok c -> Composition.run_composed c ~doc
-    | Error _ -> User_query.run uq ~doc:(view_of t ~doc))
-  | _ -> User_query.run uq ~doc:(view_of t ~doc)
+  | [ u ] -> Composition.run u uq ~doc
+  | us -> Composition.naive_stack ~algo:Engine.Td_bu us uq ~doc
 
 let permitted t path ~doc =
   let p = Xut_xpath.Parser.parse path in

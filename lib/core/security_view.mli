@@ -38,9 +38,10 @@ val view_of : ?algo:Engine.algo -> t -> doc:Node.element -> Node.element
 (** The document as this user group sees it (computed, not stored). *)
 
 val answer : t -> User_query.t -> doc:Node.element -> Xq_value.t
-(** Answer a user query through the view: composed into a single query
-    over the stored document when the policy is a single composable
-    rule, otherwise evaluated against a per-query view. *)
+(** Answer a user query through the view: a single-rule policy goes
+    through {!Composition.run} (one composed query over the stored
+    document when the rule is in the fragment), any other through
+    {!Composition.naive_stack} over a per-query view. *)
 
 val permitted : t -> string -> doc:Node.element -> bool
 (** [permitted p path ~doc]: does the view still expose any node on

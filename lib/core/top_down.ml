@@ -180,22 +180,20 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
     end
   end
 
+let settle ~checkp nfa states (e : Node.element) =
+  Selecting_nfa.set_of_list nfa
+    (Selecting_nfa.set_fold
+       (fun s acc ->
+         if
+           Selecting_nfa.consistent_at_sym nfa s (Node.sym e)
+           && ((not (Selecting_nfa.has_qual nfa s)) || checkp s e)
+         then s :: acc
+         else acc)
+       states [])
+
 let transform_at ?checkp nfa update ~states (e : Node.element) : Node.t list =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  (* [states] comes from the static delta' simulation of the Compose
-     Method: label consistency and qualifiers have not been checked yet,
-     so settle both at [e] before deciding anything. *)
-  let alive =
-    Selecting_nfa.set_of_list nfa
-      (Selecting_nfa.set_fold
-         (fun s acc ->
-           if
-             Selecting_nfa.consistent_at_sym nfa s (Node.sym e)
-             && ((not (Selecting_nfa.has_qual nfa s)) || checkp s e)
-           then s :: acc
-           else acc)
-         states [])
-  in
+  let alive = settle ~checkp nfa states e in
   let _, at = make_go ~checkp nfa update in
   if Selecting_nfa.set_is_empty alive then [ Node.Element e ]
   else match at e alive with Same -> [ Node.Element e ] | Changed out -> out

@@ -97,6 +97,13 @@ val count :
     @raise Transform_ast.Invalid_update exactly where {!run} does: the
     document element deleted or replaced by a non-element. *)
 
+val settle : checkp:checkp -> Selecting_nfa.t -> Selecting_nfa.set -> Node.element -> Selecting_nfa.set
+(** [settle ~checkp nfa states e]: the states of [states] that hold at
+    [e] — those whose label test admits [e]'s name and whose qualifier,
+    if any, [checkp] confirms there.  A state set from the Compose
+    Method's static delta' simulation has checked neither, so every
+    runtime helper settles it at the node it reaches first. *)
+
 val transform_at :
   ?checkp:checkp ->
   Selecting_nfa.t ->
@@ -106,6 +113,6 @@ val transform_at :
   Node.t list
 (** The runtime [topDown(Mp, S, Qt, $z)] helper of the Compose Method
     (Section 4): apply the update at and below a node reached with the
-    statically computed state set [states] (qualifiers are checked here,
-    since delta' cannot).  Returns the transformed forest — empty when a
+    statically computed state set [states], first {!settle}d at the
+    node.  Returns the transformed forest — empty when a
     matched delete erases the node itself. *)

@@ -110,19 +110,18 @@ let rec template_to_expr var = function
   | T_hole (p, None) -> Xq_ast.Path (Xq_ast.Var var, p)
   | T_hole (p, Some a) -> Xq_ast.AttrPath (Xq_ast.Var var, p, a)
 
+let where_expr var = function
+  | [] -> None
+  | c :: cs ->
+    let one { left; op; right } =
+      Xq_ast.Cmp (cmp_to_xq op, operand_to_expr var left, operand_to_expr var right)
+    in
+    Some (List.fold_left (fun acc c -> Xq_ast.And (acc, one c)) (one c) cs)
+
 let to_expr { var; source; conds; template } =
-  let where =
-    match conds with
-    | [] -> None
-    | c :: cs ->
-      let one { left; op; right } =
-        Xq_ast.Cmp (cmp_to_xq op, operand_to_expr var left, operand_to_expr var right)
-      in
-      Some (List.fold_left (fun acc c -> Xq_ast.And (acc, one c)) (one c) cs)
-  in
   Xq_ast.Flwor
     ( [ Xq_ast.For (var, Xq_ast.Path (Xq_ast.Context, source)) ],
-      where,
+      where_expr var conds,
       template_to_expr var template )
 
 let to_string t = Xq_ast.to_string (to_expr t)

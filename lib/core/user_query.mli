@@ -50,6 +50,10 @@ val operand_to_expr : string -> operand -> Xq_ast.expr
 
 val template_to_expr : string -> template -> Xq_ast.expr
 
+val where_expr : string -> cond list -> Xq_ast.expr option
+(** [where_expr var conds]: the where clause over [$var], the
+    conjunction of [conds] in order; [None] when there are none. *)
+
 val to_expr : t -> Xq_ast.expr
 (** Back to a plain XQuery expression (used by the Naive Composition
     method and for printing). *)

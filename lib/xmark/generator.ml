@@ -103,15 +103,6 @@ let item rng ~id ~n_categories =
        el "shipping" [ text "Will ship internationally" ] ]
     @ incategories @ mails)
 
-let regions rng ~n_items ~n_categories =
-  let region_names = [| "africa"; "asia"; "australia"; "europe"; "namerica"; "samerica" |] in
-  let buckets = Array.make (Array.length region_names) [] in
-  for i = n_items - 1 downto 0 do
-    let r = Prng.int rng (Array.length region_names) in
-    buckets.(r) <- item rng ~id:i ~n_categories :: buckets.(r)
-  done;
-  el "regions" (Array.to_list (Array.mapi (fun i name -> el name buckets.(i)) region_names))
-
 let person rng ~id =
   let name = Prng.choose rng Words.first_names ^ " " ^ Prng.choose rng Words.last_names in
   let address =
@@ -147,8 +138,6 @@ let person rng ~id =
     @ (if Prng.bool rng 0.3 then [ leaf "creditcard" (Printf.sprintf "%04d %04d %04d %04d" (Prng.int rng 10000) (Prng.int rng 10000) (Prng.int rng 10000) (Prng.int rng 10000)) ] else [])
     @ profile
     @ [ el "watches" [] ])
-
-let people rng ~n_persons = el "people" (init_list n_persons (fun i -> person rng ~id:i))
 
 let person_ref rng ~n_persons = Printf.sprintf "person%d" (Prng.int rng n_persons)
 
@@ -206,138 +195,96 @@ let catgraph rng ~n_categories =
                ("to", Printf.sprintf "category%d" (Prng.int rng n_categories)) ]
            "edge" []))
 
-let generate ?(seed = 42L) ~factor () =
+(* --- the one document walk ---------------------------------------------- *)
+
+(* What a writer does with the walk.  [open_] and [close] bracket the
+   container elements (the site, the regions and each region, people and
+   the two auction lists); [node] takes every other second-level subtree
+   in document order.  All items are drawn before the first region is
+   written, so each goes through [keep] when drawn and reaches [kept]
+   once its region is open. *)
+type 'k writer = {
+  open_ : string -> unit;
+  close : string -> unit;
+  node : Node.t -> unit;
+  keep : Node.t -> 'k;
+  kept : 'k -> unit;
+}
+
+let region_names = [| "africa"; "asia"; "australia"; "europe"; "namerica"; "samerica" |]
+
+(* The section order, the per-region bucketing of items and the order in
+   which the PRNG is consumed live here and nowhere else. *)
+let sections ?(seed = 42L) ~factor w =
   let rng = Prng.create seed in
   let c = counts ~factor in
-  (* lets force the section order: list literals evaluate right-to-left,
-     and the PRNG threads through construction *)
-  let regions_e = regions rng ~n_items:c.items ~n_categories:c.categories in
-  let categories_e = categories rng ~n_categories:c.categories in
-  let catgraph_e = catgraph rng ~n_categories:c.categories in
-  let people_e = people rng ~n_persons:c.persons in
-  let open_e =
-    el "open_auctions"
-      (init_list c.open_auctions (fun i ->
-           open_auction rng ~id:i ~n_persons:c.persons ~n_items:c.items))
-  in
-  let closed_e =
-    el "closed_auctions"
-      (init_list c.closed_auctions (fun _ ->
-           closed_auction rng ~n_persons:c.persons ~n_items:c.items))
-  in
-  Node.element "site" [ regions_e; categories_e; catgraph_e; people_e; open_e; closed_e ]
-
-let rec node_events h = function
-  | Node.Element e ->
-    h (Sax.Start_element (Node.name e, Node.attrs e));
-    List.iter (node_events h) (Node.children e);
-    h (Sax.End_element (Node.name e))
-  | Node.Text s -> h (Sax.Characters s)
-  | Node.Comment s -> h (Sax.Comment_event s)
-  | Node.Pi (t, c) -> h (Sax.Pi_event (t, c))
-
-let events ?(seed = 42L) ~factor handler =
-  (* Same construction and rng consumption order as {!generate} /
-     {!to_file}, but each second-level subtree is handed to [handler] as
-     events and dropped — the whole document exists only as the event
-     stream (regions still buffer their items per region, as the file
-     writer does). *)
-  let rng = Prng.create seed in
-  let c = counts ~factor in
-  let emit node = node_events handler node in
-  let open_tag name = handler (Sax.Start_element (name, [])) in
-  let close_tag name = handler (Sax.End_element name) in
-  handler Sax.Start_document;
-  open_tag "site";
-  let region_names = [| "africa"; "asia"; "australia"; "europe"; "namerica"; "samerica" |] in
   let buckets = Array.make (Array.length region_names) [] in
   for i = c.items - 1 downto 0 do
     let r = Prng.int rng (Array.length region_names) in
-    buckets.(r) <- item rng ~id:i ~n_categories:c.categories :: buckets.(r)
+    buckets.(r) <- w.keep (item rng ~id:i ~n_categories:c.categories) :: buckets.(r)
   done;
-  open_tag "regions";
-  Array.iteri
-    (fun i name ->
-      open_tag name;
-      List.iter emit buckets.(i);
-      close_tag name)
-    region_names;
-  close_tag "regions";
-  emit (categories rng ~n_categories:c.categories);
-  emit (catgraph rng ~n_categories:c.categories);
-  open_tag "people";
-  for i = 0 to c.persons - 1 do
-    emit (person rng ~id:i)
-  done;
-  close_tag "people";
-  open_tag "open_auctions";
-  for i = 0 to c.open_auctions - 1 do
-    emit (open_auction rng ~id:i ~n_persons:c.persons ~n_items:c.items)
-  done;
-  close_tag "open_auctions";
-  open_tag "closed_auctions";
-  for _ = 1 to c.closed_auctions do
-    emit (closed_auction rng ~n_persons:c.persons ~n_items:c.items)
-  done;
-  close_tag "closed_auctions";
-  close_tag "site";
-  handler Sax.End_document
+  let section name body =
+    w.open_ name;
+    body ();
+    w.close name
+  in
+  section "site" (fun () ->
+      section "regions" (fun () ->
+          Array.iteri
+            (fun i name -> section name (fun () -> List.iter w.kept buckets.(i)))
+            region_names);
+      w.node (categories rng ~n_categories:c.categories);
+      w.node (catgraph rng ~n_categories:c.categories);
+      section "people" (fun () ->
+          for i = 0 to c.persons - 1 do
+            w.node (person rng ~id:i)
+          done);
+      section "open_auctions" (fun () ->
+          for i = 0 to c.open_auctions - 1 do
+            w.node (open_auction rng ~id:i ~n_persons:c.persons ~n_items:c.items)
+          done);
+      section "closed_auctions" (fun () ->
+          for _ = 1 to c.closed_auctions do
+            w.node (closed_auction rng ~n_persons:c.persons ~n_items:c.items)
+          done))
 
-let to_file ?(seed = 42L) ~factor path =
-  (* Streamed: each second-level subtree (item, person, auction, ...) is
-     built, serialized and dropped, so document size is not bounded by
-     memory.  The rng consumption order matches {!generate}, so the file
-     holds the same document. *)
-  let rng = Prng.create seed in
-  let c = counts ~factor in
-  Out_channel.with_open_bin path (fun oc ->
-      let buf = Buffer.create (1 lsl 16) in
-      let flush_buf () =
-        Buffer.output_buffer oc buf;
-        Buffer.clear buf
-      in
-      let emit node =
-        Serialize.to_buffer buf node;
-        if Buffer.length buf > 1 lsl 16 then flush_buf ()
-      in
-      let open_tag name = Buffer.add_string buf ("<" ^ name ^ ">") in
-      let close_tag name = Buffer.add_string buf ("</" ^ name ^ ">") in
-      open_tag "site";
-      (* regions: generate items in one pass, bucketed per region, exactly
-         as [regions] does — region order requires buffering per region,
-         so items are kept per-region as serialized strings *)
-      let region_names = [| "africa"; "asia"; "australia"; "europe"; "namerica"; "samerica" |] in
-      let buckets = Array.make (Array.length region_names) [] in
-      for i = c.items - 1 downto 0 do
-        let r = Prng.int rng (Array.length region_names) in
-        let s = Serialize.to_string (item rng ~id:i ~n_categories:c.categories) in
-        buckets.(r) <- s :: buckets.(r)
-      done;
-      open_tag "regions";
-      Array.iteri
-        (fun i name ->
-          open_tag name;
-          List.iter (fun s -> Buffer.add_string buf s) buckets.(i);
-          flush_buf ();
-          close_tag name)
-        region_names;
-      close_tag "regions";
-      emit (categories rng ~n_categories:c.categories);
-      emit (catgraph rng ~n_categories:c.categories);
-      open_tag "people";
-      for i = 0 to c.persons - 1 do
-        emit (person rng ~id:i)
-      done;
-      close_tag "people";
-      open_tag "open_auctions";
-      for i = 0 to c.open_auctions - 1 do
-        emit (open_auction rng ~id:i ~n_persons:c.persons ~n_items:c.items)
-      done;
-      close_tag "open_auctions";
-      open_tag "closed_auctions";
-      for _ = 1 to c.closed_auctions do
-        emit (closed_auction rng ~n_persons:c.persons ~n_items:c.items)
-      done;
-      close_tag "closed_auctions";
-      close_tag "site";
-      flush_buf ())
+let generate ?seed ~factor () =
+  (* the children of each open container, innermost first, each reversed *)
+  let open_kids = ref [ [] ] in
+  let add n =
+    match !open_kids with kids :: up -> open_kids := (n :: kids) :: up | [] -> assert false
+  in
+  sections ?seed ~factor
+    {
+      open_ = (fun _ -> open_kids := [] :: !open_kids);
+      close =
+        (fun name ->
+          match !open_kids with
+          | kids :: up ->
+            open_kids := up;
+            add (el name (List.rev kids))
+          | [] -> assert false);
+      node = add;
+      keep = Fun.id;
+      kept = add;
+    };
+  match !open_kids with [ [ Node.Element site ] ] -> site | _ -> assert false
+
+let to_file ?seed ~factor path =
+  (* Each subtree is serialized and dropped as soon as it is built; only
+     the region items wait, as strings, for their region to open.  Small
+     chunks keep each flushed copy in the minor heap: 64 KiB ones would
+     pile up on the major heap and add a third to the peak RSS. *)
+  let write oc =
+    let sink = Serialize.Sink.create ~chunk_size:1024 (output_string oc) in
+    sections ?seed ~factor
+      {
+        open_ = (fun name -> Serialize.Sink.event sink (Sax.Start_element (name, [])));
+        close = (fun name -> Serialize.Sink.event sink (Sax.End_element name));
+        node = Serialize.Sink.node sink;
+        keep = Serialize.to_string;
+        kept = Serialize.Sink.markup sink;
+      };
+    ignore (Serialize.Sink.close sink)
+  in
+  if path = "-" then write stdout else Out_channel.with_open_bin path write

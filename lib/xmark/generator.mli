@@ -36,13 +36,11 @@ val generate : ?seed:int64 -> factor:float -> unit -> Node.element
     [seed] (default 42) and [factor]. *)
 
 val to_file : ?seed:int64 -> factor:float -> string -> unit
-(** Generate and serialize to a file (streamed; used to create the large
-    documents of the Fig. 14 experiment without holding the tree). *)
-
-val events : ?seed:int64 -> factor:float -> (Sax.event -> unit) -> unit
-(** Generate as a SAX event stream — [Start_document], the [site]
-    document, [End_document] — without ever materializing the whole
-    tree: each second-level subtree is built, walked and dropped.  Same
-    seed/factor ⇒ the same document as {!generate}/{!to_file} (driving
-    the events through {!Xut_xml.Serialize.Sink} reproduces the
-    {!to_file} bytes).  Backs [xmark --stream]. *)
+(** Serialize the same document to a file (["-"]: to stdout) without
+    holding the tree: each second-level subtree is written and dropped as
+    soon as it is built, and only the region items, which are drawn
+    before the first region is written, are held, as strings.  The bytes
+    are [Serialize.element_to_string (generate ~seed ~factor ())]: both
+    writers run one walk, which alone fixes the section order and the
+    order in which the PRNG is consumed.  Used for the large documents
+    of the Fig. 14 experiment. *)

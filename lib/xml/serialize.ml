@@ -308,6 +308,11 @@ module Sink = struct
 
   let element t e = node t (Node.Element e)
 
+  let markup t s =
+    seal t;
+    Buffer.add_string t.buf s;
+    maybe_flush t
+
   let close t =
     if t.live then begin
       seal t;

@@ -92,6 +92,10 @@ module Sink : sig
 
   val element : t -> Node.element -> unit
 
+  val markup : t -> string -> unit
+  (** Append content that is already serialized (by {!to_string}):
+      written as it is, like {!node} of the tree it came from. *)
+
   val close : t -> totals
   (** Flush the final partial chunk, release the buffer to the pool and
       return the totals.  Idempotent. *)

@@ -455,7 +455,8 @@ let xmark_levels =
     Transform_ast.Rename (parse_path "site/people/person[watches]/name", "handle") ]
 
 (* sources ending in a child step (the walk stops below a binding), a
-   wildcard, and behind a '//' (the walk must keep descending) *)
+   wildcard, and behind a '//' (the walk must keep descending); the two
+   with steps after a '//' run the one-update composer's Pipe native *)
 let xmark_queries =
   [ "for $x in site/people/person return $x/name";
     "for $x in site/people/person[watches] return $x/name";
@@ -466,7 +467,9 @@ let xmark_queries =
     "for $x in site/people/person/* return $x";
     "for $x in site//person return $x/name";
     "for $x in site//vendor return $x";
-    "for $x in site/people//watchlist return $x" ]
+    "for $x in site/people//watchlist return $x";
+    "for $x in site//person/name return $x";
+    "for $x in site//open_auction[bidder]/seller return $x" ]
 
 let prop_stack_random_xmark =
   let gen =
@@ -486,6 +489,22 @@ let prop_stack_random_xmark =
       let uq = User_query.parse q in
       let expected = value_repr (Composition.naive_stack updates uq ~doc) in
       match Composition.compose_stack updates uq with
+      | Error m -> QCheck.Test.fail_reportf "did not compose: %s" m
+      | Ok c -> value_repr (Composition.run_composed c ~doc) = expected)
+
+let prop_compose_random_xmark =
+  let gen =
+    QCheck.Gen.(triple (int_range 1 10_000) (oneofl xmark_levels) (oneofl xmark_queries))
+  in
+  let print (seed, update, q) =
+    Printf.sprintf "seed %d: %s | %s" seed (Transform_ast.update_to_string update) q
+  in
+  QCheck.Test.make ~count:60 ~name:"compose = naive (random XMark docs, one update)"
+    (QCheck.make ~print gen) (fun (seed, update, q) ->
+      let doc = Xut_xmark.Generator.generate ~seed:(Int64.of_int seed) ~factor:0.0005 () in
+      let uq = User_query.parse q in
+      let expected = value_repr (Composition.naive update uq ~doc) in
+      match Composition.compose update uq with
       | Error m -> QCheck.Test.fail_reportf "did not compose: %s" m
       | Ok c -> value_repr (Composition.run_composed c ~doc) = expected)
 
@@ -548,4 +567,5 @@ let suite =
   @ [ Alcotest.test_case "stack: earlier levels feed later qualifiers" `Quick
         test_stack_feeding_chains;
       QCheck_alcotest.to_alcotest prop_stack_random_xmark;
+      QCheck_alcotest.to_alcotest prop_compose_random_xmark;
       Alcotest.test_case "stack: view read allocates per answer" `Quick test_stack_read_allocation ]

@@ -61,6 +61,22 @@ let test_streamed_equals_in_memory () =
       let in_memory = Generator.generate ~factor:0.002 () in
       Alcotest.(check bool) "to_file = generate" true (Node.equal_element streamed in_memory))
 
+(* The file writer and the tree give the same bytes, also where a region
+   draws no item and must self-close like any other empty element. *)
+let test_writers_agree () =
+  let tmp = Filename.temp_file "xmark" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      List.iter
+        (fun (seed, factor) ->
+          Generator.to_file ~seed ~factor tmp;
+          Alcotest.(check string)
+            (Printf.sprintf "seed %Ld, factor %g" seed factor)
+            (Serialize.element_to_string (Generator.generate ~seed ~factor ()))
+            (In_channel.with_open_bin tmp In_channel.input_all))
+        [ (42L, 0.0001); (7L, 0.0001); (42L, 0.002) ])
+
 let test_prng () =
   let r = Prng.create 1L in
   let a = Prng.int r 100 in
@@ -78,4 +94,5 @@ let suite =
     Alcotest.test_case "Fig. 11 selectivity" `Quick test_u_query_selectivity;
     Alcotest.test_case "US location bias" `Quick test_us_location_bias;
     Alcotest.test_case "streamed = in-memory" `Quick test_streamed_equals_in_memory;
+    Alcotest.test_case "writers agree" `Quick test_writers_agree;
     Alcotest.test_case "prng" `Quick test_prng ]
