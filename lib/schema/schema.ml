@@ -151,7 +151,7 @@ let validate_commit t ~spine ~old_sizes new_root =
       (Printf.sprintf "document element %s is not the schema root %s (schema %s)"
          (Node.name new_root) (Sym.name t.s_root) t.s_name)
   else begin
-    let sizes = Hashtbl.copy old_sizes in
+    let sizes = Hashtbl.rebuild old_sizes in
     let scrub oe = Node.iter_elements (fun x -> Hashtbl.remove sizes (Node.id x)) oe in
     let shared_size c =
       match Hashtbl.find_opt sizes (Node.id c) with

@@ -27,8 +27,16 @@ type event = {
    id -> element count below-and-including), backing O(1) skipped-node
    accounting.  The table is never mutated after publication: commits
    derive a fresh copy ({!Xut_schema.Schema.validate_commit}), so readers
-   holding a snapshot keep a consistent table. *)
-type entry = { root : Node.element; einfo : info; sizes : (int, int) Hashtbl.t option }
+   holding a snapshot keep a consistent table.  [image] is the reply
+   image, built by the first serialized read and kept across commits:
+   the ids the new root shares with the old one still name the same
+   bytes. *)
+type entry = {
+  root : Node.element;
+  einfo : info;
+  sizes : (int, int) Hashtbl.t option;
+  image : Serialize.Image.t option Atomic.t;
+}
 
 (* [cmu] serializes writers (commit/register/evict) so a commit's
    read-evaluate-swap is atomic with respect to every other binding
@@ -104,7 +112,7 @@ let register t ~name ?file ?schema root =
       as_writer t (fun () ->
           locked t (fun () ->
               let prev = Hashtbl.find_opt t.tbl name in
-              Hashtbl.replace t.tbl name { root; einfo = info; sizes };
+              Hashtbl.replace t.tbl name { root; einfo = info; sizes; image = Atomic.make None };
               prev))
     in
     (match previous with
@@ -140,6 +148,18 @@ let info t name =
 let snapshot t name =
   locked t (fun () ->
       Option.map (fun e -> (e.root, e.einfo, e.sizes)) (Hashtbl.find_opt t.tbl name))
+
+(* Racing builders build identical images (or, across a commit, images
+   equally valid for both roots); the first to publish wins. *)
+let image t name =
+  match locked t (fun () -> Hashtbl.find_opt t.tbl name) with
+  | None -> None
+  | Some e -> (
+    match Atomic.get e.image with
+    | Some _ as built -> built
+    | None ->
+      let built = Some (Serialize.Image.of_element e.root) in
+      if Atomic.compare_and_set e.image None built then built else Atomic.get e.image)
 
 let evict t name =
   let removed =
@@ -207,7 +227,7 @@ let commit ?delta t ~name f =
     as_writer t (fun () ->
         match locked t (fun () -> Hashtbl.find_opt t.tbl name) with
         | None -> No_document
-        | Some { root; einfo = info; sizes } -> begin
+        | Some { root; einfo = info; sizes; image } -> begin
           (* [f] runs under the writer lock only: readers proceed against
              the current binding while the new tree is built. *)
           match f info root with
@@ -230,7 +250,8 @@ let commit ?delta t ~name f =
               }
             in
             locked t (fun () ->
-                Hashtbl.replace t.tbl name { root = root'; einfo = info'; sizes = sizes' });
+                Hashtbl.replace t.tbl name
+                  { root = root'; einfo = info'; sizes = sizes'; image });
             departed :=
               Some
                 ( Node.id root,

@@ -112,6 +112,16 @@ val snapshot : t -> string -> (Node.element * info * (int, int) Hashtbl.t option
     backing O(1) skipped-node accounting.  The table is immutable once
     published (commits swap in a fresh copy). *)
 
+val image : t -> string -> Serialize.Image.t option
+(** The binding's reply image ({!Serialize.Image}); [None] when the name
+    is not bound.  The first call builds it from the binding's current
+    root and publishes it with a compare-and-set, so racing domains all
+    get a valid image.  A {!commit} carries the image to the new root
+    (the ids it shares with the old root name the same bytes, and its
+    rebuilt spine simply misses); a re-{!register} starts without one,
+    and {!evict} drops it.  It costs one more copy of the document's
+    bytes per binding. *)
+
 val evict : t -> string -> bool
 (** Remove a binding; [false] when the name was not bound.  On removal
     an [Unloaded] event fires before this returns.  In-flight requests

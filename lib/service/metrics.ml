@@ -165,6 +165,8 @@ let () = int_line "pending_primitives_p95" (fun m -> pending_quantile m 0.95)
 let () = int_line "pending_primitives_max" pending_primitives_max
 let () = int_line "serialize_pool_hits" (fun _ -> fst (serialize_pool_stats ()))
 let () = int_line "serialize_pool_misses" (fun _ -> snd (serialize_pool_stats ()))
+let () = int_line "serialize_image_builds" (fun _ -> fst (Xut_xml.Serialize.Image.stats ()))
+let () = int_line "serialize_image_blit_bytes" (fun _ -> snd (Xut_xml.Serialize.Image.stats ()))
 let () = int_line "nfa_memo_hits" (fun _ -> fst (nfa_memo_stats ()))
 let () = int_line "nfa_memo_misses" (fun _ -> snd (nfa_memo_stats ()))
 

@@ -265,8 +265,9 @@ let count_sax_skips ~metrics (stats : Sax_transform.run_stats) =
 (* [run_plan] into a serializer sink.  twoPassSAX emits its result as
    events.  Every other engine hands its result tree to the sink, which
    writes each subtree whole; for the walk engines that tree shares all
-   but the rebuilt spine with the snapshot. *)
-let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink =
+   but the rebuilt spine with the snapshot, which [image] (the stored
+   document's reply image) holds already serialized. *)
+let run_plan_stream ~metrics ?pruning ?image (plan : Plan_cache.plan) engine root sink =
   match (engine : Engine.algo) with
   | Engine.Two_pass_sax ->
     (* The skip-set comes from the plan's NFA, which the SAX passes
@@ -275,7 +276,7 @@ let run_plan_stream ~metrics ?pruning (plan : Plan_cache.plan) engine root sink 
       (Sax_transform.run ?skip:(sym_skip pruning) plan.Plan_cache.nfa
          plan.Plan_cache.query.Transform_ast.update ~source:(Xut_xml.Sax.events_of_tree root)
          ~sink:(Xut_xml.Serialize.Sink.event sink))
-  | _ -> Xut_xml.Serialize.Sink.element sink (run_plan ?pruning plan engine root)
+  | _ -> Xut_xml.Serialize.Sink.element ?image sink (run_plan ?pruning plan engine root)
 
 (* [parse query], a failure as the [Query_parse_error] reply. *)
 let parsed parse query =
@@ -593,7 +594,8 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
     else error Unknown_document "no document %S" name
   | Transform { target = Doc doc; engine; query } -> begin
     let run ~pruning ~dinfo:_ ~sizes:_ plan root =
-      Tree (Xut_xml.Serialize.element_to_string (run_plan ?pruning plan engine root))
+      let image = Doc_store.image store doc in
+      Tree (Xut_xml.Serialize.element_to_string ?image (run_plan ?pruning plan engine root))
     in
     evaluate ~store ~cache ~metrics ~doc ~query run
   end
@@ -692,15 +694,19 @@ let handle_stream ~store ~cache ~metrics emit { source; engine; query; chunk_siz
   match (source, engine) with
   | From_doc doc, _ ->
     let run ~pruning ~dinfo:_ ~sizes:_ plan root =
+      let tree_stream engine =
+        let image = Doc_store.image store doc in
+        stream (run_plan_stream ~metrics ?pruning ?image plan engine root)
+      in
       match engine with
-      | Some engine -> stream (run_plan_stream ~metrics ?pruning plan engine root)
+      | Some engine -> tree_stream engine
       | None ->
         let nfa = plan.Plan_cache.nfa in
         if Sax_transform.one_pass nfa then
           fused ?skip:(sym_skip pruning) nfa plan (Xut_xml.Sax.events_of_tree root)
         else begin
           Metrics.incr_stream_fallbacks metrics;
-          stream (run_plan_stream ~metrics ?pruning plan Engine.Gentop root)
+          tree_stream Engine.Gentop
         end
     in
     evaluate ~store ~cache ~metrics ~doc ~query run

@@ -69,12 +69,60 @@ let add_spaces buf n =
 
 let no_flush () = ()
 
+let add_start_tag buf e =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf e.Node.name;
+  add_attrs buf e.Node.attrs
+
+let add_end_tag buf e =
+  Buffer.add_string buf "</";
+  Buffer.add_string buf e.Node.name;
+  Buffer.add_char buf '>'
+
+(* ---------------- reply image ---------------- *)
+
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* ids are sequential: the identity spreads them over the buckets *)
+  let hash id = id land max_int
+end)
+
+(* [index] maps an element id to the (offset, length) of its bytes in
+   [bytes].  An id names one immutable subtree, and serialization
+   without indentation does not depend on context, so those bytes are
+   that element's serialization in any tree that holds it. *)
+type image = { bytes : string; index : (int * int) Ids.t }
+
+let no_image = { bytes = ""; index = Ids.create 1 }
+let image_builds = Atomic.make 0
+let image_blit_bytes = Atomic.make 0
+
+(* [mem] before [find]: a miss raises nothing and a hit allocates no
+   option; without an image (an empty index) it is one field read *)
+let indexed image id = Ids.length image.index > 0 && Ids.mem image.index id
+
+(* [len] bytes of [s] from [off], split so that [buf] is flushed each
+   time it reaches [limit], as the tree walk would have flushed it. *)
+let rec add_blit buf ~limit ~flush s off len =
+  let room = max 0 (limit - Buffer.length buf) in
+  if len <= room then Buffer.add_substring buf s off len
+  else begin
+    Buffer.add_substring buf s off room;
+    flush ();
+    add_blit buf ~limit ~flush s (off + room) (len - room)
+  end
+
 (* The one tree walk, behind [to_buffer], [to_string] and [Sink.node].
-   It allocates nothing per node.  Between children it calls [flush]
-   once [buf] holds [limit] bytes: the streaming sink's chunking.
-   Whole-reply callers pass [max_int], so they never flush; nor does
-   indented output, which only whole replies ask for. *)
-let rec add_node buf ~limit ~flush ~indent ~level node =
+   It allocates nothing per node.  An element the [image] indexes is
+   copied out of it whole.  Between children it calls [flush] once [buf]
+   holds [limit] bytes: the streaming sink's chunking.  Whole-reply
+   callers pass [max_int], so they never flush; nor does indented
+   output, which only whole replies ask for, and which is walked with
+   [no_image]. *)
+let rec add_node buf ~image ~limit ~flush ~indent ~level node =
   match node with
   | Node.Text s -> add_escaped buf ~attr:false s
   | Node.Comment s ->
@@ -88,42 +136,76 @@ let rec add_node buf ~limit ~flush ~indent ~level node =
     Buffer.add_string buf c;
     Buffer.add_string buf "?>"
   | Node.Element e -> (
-    Buffer.add_char buf '<';
-    Buffer.add_string buf e.Node.name;
-    add_attrs buf e.Node.attrs;
-    match e.Node.children with
-    | [] -> Buffer.add_string buf "/>"
-    | cs ->
-      Buffer.add_char buf '>';
-      (match indent with
-      | Some n when not (has_text_child cs) ->
-        (* element-only content: one child per line; mixed content is
-           kept inline, unindented *)
-        add_lines buf ~indent n (level + 1) cs;
-        Buffer.add_char buf '\n';
-        add_spaces buf (level * n)
-      | _ -> add_children buf ~limit ~flush cs);
-      Buffer.add_string buf "</";
-      Buffer.add_string buf e.Node.name;
-      Buffer.add_char buf '>')
+    if indexed image e.Node.id then begin
+      let off, len = Ids.find image.index e.Node.id in
+      ignore (Atomic.fetch_and_add image_blit_bytes len : int);
+      add_blit buf ~limit ~flush image.bytes off len
+    end
+    else (
+      add_start_tag buf e;
+      match e.Node.children with
+      | [] -> Buffer.add_string buf "/>"
+      | cs ->
+        Buffer.add_char buf '>';
+        (match indent with
+        | Some n when not (has_text_child cs) ->
+          (* element-only content: one child per line; mixed content is
+             kept inline, unindented *)
+          add_lines buf ~indent n (level + 1) cs;
+          Buffer.add_char buf '\n';
+          add_spaces buf (level * n)
+        | _ -> add_children buf ~image ~limit ~flush cs);
+        add_end_tag buf e))
 
-and add_children buf ~limit ~flush = function
+and add_children buf ~image ~limit ~flush = function
   | [] -> ()
   | c :: rest ->
-    add_node buf ~limit ~flush ~indent:None ~level:0 c;
+    add_node buf ~image ~limit ~flush ~indent:None ~level:0 c;
     if Buffer.length buf >= limit then flush ();
-    add_children buf ~limit ~flush rest
+    add_children buf ~image ~limit ~flush rest
 
 and add_lines buf ~indent n level = function
   | [] -> ()
   | c :: rest ->
     Buffer.add_char buf '\n';
     add_spaces buf (level * n);
-    add_node buf ~limit:max_int ~flush:no_flush ~indent ~level c;
+    add_node buf ~image:no_image ~limit:max_int ~flush:no_flush ~indent ~level c;
     add_lines buf ~indent n level rest
 
-let to_buffer ?indent buf node =
-  add_node buf ~limit:max_int ~flush:no_flush ~indent ~level:0 node
+let to_buffer ?indent ?(image = no_image) buf node =
+  let image = match indent with None -> image | Some _ -> no_image in
+  add_node buf ~image ~limit:max_int ~flush:no_flush ~indent ~level:0 node
+
+module Image = struct
+  type t = image
+
+  (* smaller subtrees cost about as much to walk as to look up *)
+  let min_indexed = 64
+
+  (* [add_node]'s unindented walk, recording where each element's bytes
+     start and end *)
+  let of_element root =
+    let buf = Buffer.create 65536 and index = Ids.create 1024 in
+    let rec walk = function
+      | Node.Element e ->
+        let start = Buffer.length buf in
+        add_start_tag buf e;
+        (match e.Node.children with
+        | [] -> Buffer.add_string buf "/>"
+        | cs ->
+          Buffer.add_char buf '>';
+          List.iter walk cs;
+          add_end_tag buf e);
+        let len = Buffer.length buf - start in
+        if len >= min_indexed then Ids.replace index e.Node.id (start, len)
+      | leaf -> to_buffer buf leaf
+    in
+    walk (Node.Element root);
+    Atomic.incr image_builds;
+    { bytes = Buffer.contents buf; index }
+
+  let stats () = (Atomic.get image_builds, Atomic.get image_blit_bytes)
+end
 
 (* ---------------- buffer pool ---------------- *)
 
@@ -183,9 +265,10 @@ end
 
 (* Whole replies serialize into a pooled buffer, already grown by
    earlier replies, and are copied out once. *)
-let to_string ?indent node = Pool.contents_of (fun buf -> to_buffer ?indent buf node)
+let to_string ?indent ?image node =
+  Pool.contents_of (fun buf -> to_buffer ?indent ?image buf node)
 
-let element_to_string ?indent e = to_string ?indent (Node.Element e)
+let element_to_string ?indent ?image e = to_string ?indent ?image (Node.Element e)
 
 let document_to_string ?indent e =
   Pool.contents_of (fun buf ->
@@ -300,13 +383,13 @@ module Sink = struct
       maybe_flush t
 
   (* whole-subtree emission: the [to_string] walk, flushing between
-     children so chunking stays fine-grained *)
-  let node t n =
+     children (and inside a blit) so chunking stays fine-grained *)
+  let node ?(image = no_image) t n =
     seal t;
-    add_node t.buf ~limit:t.chunk_size ~flush:t.flush_now ~indent:None ~level:0 n;
+    add_node t.buf ~image ~limit:t.chunk_size ~flush:t.flush_now ~indent:None ~level:0 n;
     maybe_flush t
 
-  let element t e = node t (Node.Element e)
+  let element ?image t e = node ?image t (Node.Element e)
 
   let markup t s =
     seal t;

@@ -8,16 +8,44 @@ val escape_attr : string -> string
 (** Escape ampersand, less-than, greater-than and double-quote for
     attribute values. *)
 
-val to_buffer : ?indent:int -> Buffer.t -> Node.t -> unit
+(** {2 Reply image}
+
+    A stored document's serialization, kept so replies can copy shared
+    subtrees instead of walking and escaping them again. *)
+
+module Image : sig
+  type t
+
+  val of_element : Node.element -> t
+  (** The unindented serialization of the element (the bytes of
+      {!element_to_string}) and an index from the id of every element
+      whose serialization is at least 64 bytes long (a constant) to the
+      (offset, length) of its bytes.  Element ids are unique and elements immutable
+      ({!Node.with_children} and {!Node.with_name} give a rebuilt
+      element a fresh id), and unindented serialization does not depend
+      on the context, so an indexed id names exactly those bytes in any
+      tree that holds the element: an image stays valid for every tree
+      derived from this one, and for any other tree (where nothing
+      matches). *)
+
+  val stats : unit -> int * int
+  (** [(builds, blit_bytes)], process-wide: images built by
+      {!of_element}, and bytes the serializers copied out of an image. *)
+end
+
+val to_buffer : ?indent:int -> ?image:Image.t -> Buffer.t -> Node.t -> unit
 (** Append the serialization of the node.  With [indent], children are
     placed on their own lines indented by [indent] spaces per level
-    (mixed content is kept inline). *)
+    (mixed content is kept inline).  Without [indent], an element that
+    [image] indexes is copied from it whole (a blit) instead of walked;
+    the bytes are the same.  Indented output never consults [image]. *)
 
-val to_string : ?indent:int -> Node.t -> string
+val to_string : ?indent:int -> ?image:Image.t -> Node.t -> string
 (** Serialized into a pooled buffer ({!Pool.contents_of}), so the one
-    copy is the returned string.  The walk allocates nothing per node. *)
+    copy is the returned string.  The walk allocates nothing per node,
+    nor per copy from [image]. *)
 
-val element_to_string : ?indent:int -> Node.element -> string
+val element_to_string : ?indent:int -> ?image:Image.t -> Node.element -> string
 
 val document_to_string : ?indent:int -> Node.element -> string
 (** Like {!element_to_string}, preceded by an XML declaration. *)
@@ -86,11 +114,14 @@ module Sink : sig
   (** Serialize one SAX event.  [Start_document]/[End_document] are
       ignored. *)
 
-  val node : t -> Node.t -> unit
+  val node : ?image:Image.t -> t -> Node.t -> unit
   (** Serialize a whole subtree (the shared-subtree fast path of the
-      top-down emitters: no per-node event dispatch). *)
+      top-down emitters: no per-node event dispatch), copying the
+      elements [image] indexes out of it as {!to_buffer} does.  A copy
+      longer than the room left in the chunk is written in pieces, a
+      flush after each full chunk, so chunks stay near [chunk_size]. *)
 
-  val element : t -> Node.element -> unit
+  val element : ?image:Image.t -> t -> Node.element -> unit
 
   val markup : t -> string -> unit
   (** Append content that is already serialized (by {!to_string}):

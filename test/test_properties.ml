@@ -327,6 +327,59 @@ let prop_count_equals_materialized =
                update root)
          = expected)
 
+(* ---- reply image: a blit gives the bytes of the walk ---- *)
+
+(* The trees a COMMIT sequence passes through, [root] first: a rejected
+   or empty commit leaves the tree as it is. *)
+let commit_generations root updates =
+  List.rev
+    (List.fold_left
+       (fun gens u ->
+         match Xut_update.Apply.run [ u ] (List.hd gens) with
+         | Ok (_, Some (root', _)) -> root' :: gens
+         | Ok (_, None) | Error _ -> gens
+         | exception Xut_update.Apply.Invalid _ -> gens)
+       [ root ] updates)
+
+(* Every generation, and what the last update as a TRANSFORM makes of
+   it, serialized with an image of the original tree, of an
+   intermediate generation and of an unrelated tree (no hits): as a
+   whole reply and through sinks whose chunks split the blits. *)
+let prop_image_serialization =
+  QCheck2.Test.make ~name:"serialization with a reply image = without" ~count:1000
+    QCheck2.Gen.(triple gen_root (list_size (int_range 1 4) gen_update) gen_root)
+    (fun (root, updates, unrelated) ->
+      let gens = commit_generations root updates in
+      let read = List.nth updates (List.length updates - 1) in
+      let replies =
+        List.filter_map
+          (fun g ->
+            match Engine.transform Engine.Td_bu read g with
+            | out -> Some out
+            | exception Transform_ast.Invalid_update _ -> None)
+          gens
+      in
+      let images =
+        List.map Serialize.Image.of_element
+          [ root; List.nth gens (List.length gens / 2); unrelated ]
+      in
+      let sunk image chunk_size e =
+        let buf = Buffer.create 256 in
+        let sink = Serialize.Sink.create ~chunk_size (Buffer.add_string buf) in
+        Serialize.Sink.element ~image sink e;
+        ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
+        Buffer.contents buf
+      in
+      List.for_all
+        (fun e ->
+          let expected = Serialize.element_to_string e in
+          List.for_all
+            (fun image ->
+              Serialize.element_to_string ~image e = expected
+              && List.for_all (fun n -> sunk image n e = expected) [ 1; 7; 65536 ])
+            images)
+        (gens @ replies))
+
 let prop_serialize_roundtrip =
   QCheck2.Test.make ~name:"parse(serialize(t)) = t" ~count gen_root (fun root ->
       let s = Serialize.element_to_string root in
@@ -546,5 +599,8 @@ let prop_xquery_print_parse =
 let suite =
   suite
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_xquery_print_parse; prop_count_equals_materialized; prop_run_shares_input ]
+      [ prop_xquery_print_parse;
+        prop_count_equals_materialized;
+        prop_run_shares_input;
+        prop_image_serialization ]
   @ [ Alcotest.test_case "wide document: run, count, result stream" `Quick test_wide_document ]

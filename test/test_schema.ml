@@ -432,6 +432,33 @@ let test_commit_schema_drop () =
           Alcotest.(check int) "counter unchanged" 1
             (Metrics.schema_bindings_dropped (Service.metrics svc))))
 
+(* The size table a schema-bound COMMIT derives incrementally
+   ({!Schema.validate_commit}, from a rebuilt copy of the old table) is
+   the table a fresh validation of the new root builds. *)
+let test_commit_sizes_equal_fresh () =
+  with_xmark_file (fun path ->
+      with_service (fun svc ->
+          ignore (load svc ~schema:Xut_xmark.Site_schema.bench_schema_name "d" path);
+          let schema = Option.get (Schema.find Xut_xmark.Site_schema.bench_schema_name) in
+          let bindings tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+          List.iter
+            (fun q ->
+              (match Service.call svc (Service.Commit { doc = "d"; query = q }) with
+              | Service.Ok (Service.Committed { primitives; _ }) when primitives > 0 -> ()
+              | _ -> Alcotest.fail ("COMMIT: " ^ q));
+              match Doc_store.snapshot (Service.store svc) "d" with
+              | Some (root, _, Some sizes) -> (
+                match Schema.validate schema root with
+                | Ok fresh ->
+                  Alcotest.(check (list (pair int int))) ("sizes after " ^ q) (bindings fresh)
+                    (bindings sizes)
+                | Error msg -> Alcotest.fail msg)
+              | _ -> Alcotest.fail ("binding lost its schema after " ^ q))
+            [ "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction";
+              "delete $a//xut_bench_promo";
+              "insert <xut_bench_promo>p</xut_bench_promo> as first into $a";
+              "delete $a/site/regions//item/mailbox" ]))
+
 let suite =
   [ Alcotest.test_case "validate: generated XMark conforms" `Quick test_validate_generated;
     Alcotest.test_case "validate: nonconforming trees rejected" `Quick test_validate_reject;
@@ -452,5 +479,7 @@ let suite =
       test_view_chain_equivalence;
     Alcotest.test_case "socket: statically-empty over the wire" `Quick
       test_socket_statically_empty;
+    Alcotest.test_case "service: COMMIT sizes = fresh validation" `Quick
+      test_commit_sizes_equal_fresh;
     Alcotest.test_case "service: nonconforming COMMIT drops the binding loudly" `Quick
       test_commit_schema_drop ]

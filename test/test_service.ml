@@ -1190,6 +1190,84 @@ let test_count_tracks_commits () =
           commit "delete $a//bogus";
           check_counts "schemaless commit"))
 
+(* ---- reply image ---- *)
+
+(* Doc TRANSFORM replies and td-bu result streams copy shared subtrees
+   out of the binding's reply image.  Across LOAD, two COMMITs (the
+   image built at the first read is carried to each new root) and a
+   reload of different content under the same name (a fresh image),
+   every reply must equal the reference engine's tree serialized
+   without an image, and the blits must have happened. *)
+let test_reply_image_lifecycle () =
+  let file seed =
+    let path = Filename.temp_file "xut_service_image" ".xml" in
+    Xut_xmark.Generator.to_file ~seed ~factor:0.002 path;
+    path
+  in
+  let first = file 1L and second = file 2L in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ first; second ])
+    (fun () ->
+      with_service (fun svc ->
+          let transform u = {|transform copy $a := doc("d") modify do |} ^ u ^ {| return $a|} in
+          let queries =
+            List.map transform
+              [ "delete $a//price"; "rename $a/site/people/person as p";
+                "insert <n/> into $a/site/open_auctions/open_auction[bidder]" ]
+          in
+          let state = ref (Xut_xml.Dom.parse_file first) in
+          let load path =
+            match Service.call svc (Service.Load { name = "d"; file = path; schema = None }) with
+            | Service.Ok (Service.Doc_loaded _) -> state := Xut_xml.Dom.parse_file path
+            | _ -> Alcotest.fail ("LOAD " ^ path)
+          in
+          let commit u =
+            (match Service.call svc (Service.Commit { doc = "d"; query = u }) with
+            | Service.Ok (Service.Committed { primitives; _ }) when primitives > 0 -> ()
+            | _ -> Alcotest.fail ("COMMIT " ^ u));
+            let q = Core.Transform_parser.parse (transform u) in
+            state := Core.Engine.run Core.Engine.Reference q ~doc:!state
+          in
+          let read stage =
+            List.iter
+              (fun q ->
+                let expected =
+                  Xut_xml.Serialize.element_to_string
+                    (Core.Engine.run Core.Engine.Reference (Core.Transform_parser.parse q)
+                       ~doc:!state)
+                in
+                (match
+                   Service.call svc
+                     (Service.Transform { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q })
+                 with
+                | Service.Ok (Service.Tree s) ->
+                  Alcotest.(check string) (stage ^ ": TRANSFORM " ^ q) expected s
+                | _ -> Alcotest.fail ("TRANSFORM " ^ q));
+                let buf = Buffer.create 4096 in
+                match
+                  Service.transform_stream svc ~doc:"d" ~engine:Core.Engine.Td_bu ~query:q
+                    ~chunk_size:4096 (Buffer.add_string buf)
+                with
+                | Service.Ok (Service.Stream_done _) ->
+                  Alcotest.(check string) (stage ^ ": stream " ^ q) expected (Buffer.contents buf)
+                | _ -> Alcotest.fail ("stream " ^ q))
+              queries
+          in
+          let builds0, blits0 = Xut_xml.Serialize.Image.stats () in
+          load first;
+          read "loaded";
+          commit "insert <m>p</m> into $a/site/open_auctions/open_auction";
+          read "after insert";
+          let _, blits1 = Xut_xml.Serialize.Image.stats () in
+          commit "delete $a/site/open_auctions/open_auction/m";
+          read "after delete";
+          load second;
+          read "reloaded";
+          let builds2, blits2 = Xut_xml.Serialize.Image.stats () in
+          Alcotest.(check int) "one image per LOAD" 2 (builds2 - builds0);
+          Alcotest.(check bool) "replies blit after a commit" true (blits1 > blits0);
+          Alcotest.(check bool) "replies blit after a reload" true (blits2 > blits1)))
+
 (* ---- golden STATS ---- *)
 
 (* The STATS keys, in order, up to the plan-cache line: CI greps them and
@@ -1207,7 +1285,7 @@ let stats_keys =
     "statically_empty_rejections"; "schema_products"; "commits"; "commit_conflicts";
     "commit_noops"; "pending_primitives_count"; "pending_primitives_p50";
     "pending_primitives_p95"; "pending_primitives_max"; "serialize_pool_hits";
-    "serialize_pool_misses"; "nfa_memo_hits"; "nfa_memo_misses"; "nfa_memo_hit_rate";
+    "serialize_pool_misses"; "serialize_image_builds"; "serialize_image_blit_bytes"; "nfa_memo_hits"; "nfa_memo_misses"; "nfa_memo_hit_rate";
     "sym_symbols"; "sym_interns" ]
 
 (* [(key, value)] of every metric line, stopping after [sym_interns]. *)
@@ -1227,7 +1305,7 @@ let stats_lines dump =
 (* Check every per-service key against [expected] (keys it omits must be
    0), skipping the [varying] keys and the process-wide lines. *)
 let check_stats label ?(varying = []) lines expected =
-  let process_wide = [ "serialize_pool_"; "nfa_memo_"; "sym_" ] in
+  let process_wide = [ "serialize_pool_"; "serialize_image_"; "nfa_memo_"; "sym_" ] in
   List.iter
     (fun key ->
       if not (List.mem key varying || List.exists (fun prefix -> String.starts_with ~prefix key) process_wide)
@@ -1438,6 +1516,8 @@ let suite =
       test_service_reload_replaces;
     Alcotest.test_case "service: batch requests" `Quick test_service_batch;
     Alcotest.test_case "service: COUNT tracks commits" `Quick test_count_tracks_commits;
+    Alcotest.test_case "service: reply image across commits and reload" `Quick
+      test_reply_image_lifecycle;
     Alcotest.test_case "service: render_response compatibility" `Quick
       test_render_response_compat;
     Alcotest.test_case "service: streamed transform" `Quick test_transform_stream;

@@ -141,7 +141,9 @@ let test_indent_layout () =
    and on one ten times larger.  (The reply bytes themselves are above
    the minor-heap size limit and go straight to the major heap.)  A walk
    that builds a closure per element allocates ~10 words per element:
-   ~35 kw and ~340 kw here. *)
+   ~35 kw and ~340 kw here.  Copying from a reply image allocates
+   nothing per blit either: the tree with the two top levels rebuilt
+   (about 1000 blits at f=0.02) stays under the same bound. *)
 let test_serializer_allocation () =
   let minor_words f =
     let w0 = Gc.minor_words () in
@@ -162,7 +164,26 @@ let test_serializer_allocation () =
       let words = minor_words (fun () -> Serialize.Sink.element sink doc) in
       ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
       if words >= bound then
-        Alcotest.failf "Sink.element at f=%g: %.0f minor words (bound %.0f)" factor words bound)
+        Alcotest.failf "Sink.element at f=%g: %.0f minor words (bound %.0f)" factor words bound;
+      let image = Serialize.Image.of_element doc in
+      let rebuilt = function
+        | Node.Element c -> Node.Element (Node.with_children c (Node.children c))
+        | n -> n
+      in
+      let derived = Node.with_children doc (List.map rebuilt (Node.children doc)) in
+      let expected = Serialize.element_to_string derived in
+      let out = ref "" in
+      let words = minor_words (fun () -> out := Serialize.element_to_string ~image derived) in
+      check_str "blitted = walked" expected !out;
+      if words >= bound then
+        Alcotest.failf "element_to_string ~image at f=%g: %.0f minor words (bound %.0f)" factor
+          words bound;
+      let sink = Serialize.Sink.create ignore in
+      let words = minor_words (fun () -> Serialize.Sink.element ~image sink derived) in
+      ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
+      if words >= bound then
+        Alcotest.failf "Sink.element ~image at f=%g: %.0f minor words (bound %.0f)" factor words
+          bound)
     [ 0.002; 0.02 ]
 
 let test_node_ops () =
