@@ -20,20 +20,24 @@ let message =
     </order>|}
 
 (* The whole pipeline is one compound transform query: redact payment
-   data, rename for the partner schema, stamp the routing header. *)
+   data, rename for the partner schema, stamp the routing header.  The
+   updates apply left to right, each to the previous one's result. *)
 let pipeline =
-  Sequence.parse
-    {|transform copy $a := doc("order") modify do (
-        delete $a/order/customer/creditcard,
-        rename $a/order/items as lines,
-        insert <routing system="warehouse-7" priority="2"/> into $a/order
-      ) return $a|}
+  {|transform copy $a := doc("order") modify do (
+      delete $a/order/customer/creditcard,
+      rename $a/order/items as lines,
+      insert <routing system="warehouse-7" priority="2"/> into $a/order
+    ) return $a|}
 
 let () =
   let original = Xut_xml.Dom.parse_string message in
   print_endline "-- the compound transform query --";
-  print_endline (Sequence.to_string pipeline);
-  let final = Sequence.run Engine.Gentop pipeline ~doc:original in
+  print_endline pipeline;
+  let final =
+    List.fold_left
+      (fun doc u -> Engine.transform Engine.Gentop u doc)
+      original (Transform_parser.parse_updates pipeline)
+  in
   print_endline "\n-- outgoing message --";
   print_endline (Xut_xml.Serialize.element_to_string ~indent:2 final);
   print_endline "\n-- original message (untouched) --";

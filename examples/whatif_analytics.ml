@@ -37,14 +37,13 @@ let () =
 
   (* world 2: additionally anonymize people (chained hypothetical) *)
   let w2 =
-    Sequence.run Engine.Gentop
-      (Sequence.parse
-         {|transform copy $a := doc("site") modify do (
-             delete $a/site/people/person/creditcard,
-             delete $a/site/people/person/phone,
-             rename $a/site/people/person/emailaddress as contact
-           ) return $a|})
-      ~doc:w1
+    List.fold_left
+      (fun doc u -> Engine.transform Engine.Gentop u doc)
+      w1
+      (Transform_parser.parse_updates
+         {|(delete $a/site/people/person/creditcard,
+            delete $a/site/people/person/phone,
+            rename $a/site/people/person/emailaddress as contact)|})
   in
   metric w2 "  + anonymized";
 

@@ -26,7 +26,6 @@ type kind = K_start | K_label of string | K_wild | K_desc
 
 type t
 
-val of_norm : Norm.t -> t
 val of_path : Ast.path -> t
 
 val size : t -> int
@@ -69,13 +68,10 @@ val set_to_list : set -> int list
 
 val set_is_empty : set -> bool
 val set_equal : set -> set -> bool
-val set_union : set -> set -> set
 val set_inter : set -> set -> set
 
 val set_intersects : set -> set -> bool
 (** [not (set_is_empty (set_inter a b))], without allocating. *)
-
-val set_diff : set -> set -> set
 
 val set_fold : (int -> 'a -> 'a) -> set -> 'a -> 'a
 (** Folds in ascending state order. *)

@@ -32,9 +32,7 @@ val with_path : update -> Ast.path -> update
 val update_kind : update -> string
 (** "insert" | "delete" | "replace" | "rename". *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val pp_update : Format.formatter -> update -> unit
 val update_to_string : update -> string
 
 exception Invalid_update of string

@@ -262,13 +262,6 @@ let parse_footer c ~var =
   skip_ws c;
   if c.pos < String.length c.src then fail "trailing input after transform query"
 
-let parse_sequence src =
-  let c = { src; pos = 0 } in
-  let var, doc = parse_header c in
-  let updates = parse_updates_at c ~var in
-  parse_footer c ~var;
-  (var, doc, updates)
-
 let parse src =
   let c = { src; pos = 0 } in
   let var, doc = parse_header c in
@@ -276,35 +269,22 @@ let parse src =
   parse_footer c ~var;
   { Transform_ast.var; doc; update }
 
-let parse_update src =
-  let c = { src; pos = 0 } in
-  let update = parse_update_at c ~var:"a" in
+(* The bare write-query form: an update or a sequence over $a, with an
+   optional trailing "return $a". *)
+let parse_bare c parse_at =
+  let r = parse_at c ~var:"a" in
   skip_ws c;
-  (* allow a trailing "return $a" for convenience *)
-  if c.pos < String.length c.src then begin
-    expect_word c "return";
-    ignore (read_var c);
-    skip_ws c;
-    if c.pos < String.length c.src then fail "trailing input after update"
-  end;
-  update
+  if c.pos < String.length c.src then parse_footer c ~var:"a";
+  r
+
+let parse_update src = parse_bare { src; pos = 0 } parse_update_at
 
 let parse_updates src =
   let c = { src; pos = 0 } in
-  skip_ws c;
   if peek_word c = "transform" then begin
-    let var, _doc, updates = parse_sequence src in
-    ignore var;
+    let var, _doc = parse_header c in
+    let updates = parse_updates_at c ~var in
+    parse_footer c ~var;
     updates
   end
-  else begin
-    let updates = parse_updates_at c ~var:"a" in
-    skip_ws c;
-    if c.pos < String.length c.src then begin
-      expect_word c "return";
-      ignore (read_var c);
-      skip_ws c;
-      if c.pos < String.length c.src then fail "trailing input after updates"
-    end;
-    updates
-  end
+  else parse_bare c parse_updates_at

@@ -15,17 +15,14 @@ val parse : string -> Transform_ast.t
 
 val parse_update : string -> Transform_ast.update
 (** Parse just an update expression, e.g.
-    [insert <foo/> into $a/site/people]. *)
-
-val parse_sequence : string -> string * string * Transform_ast.update list
-(** Parse a transform query whose [modify do] clause may hold a
-    parenthesized, comma-separated sequence of updates, applied left to
-    right (see {!Sequence}).  Returns (variable, document name, updates);
-    a single un-parenthesized update yields a one-element list. *)
+    [insert <foo/> into $a/site/people], with an optional trailing
+    [return $a]. *)
 
 val parse_updates : string -> Transform_ast.update list
-(** The write-path query form: either a full transform query (parsed as
-    {!parse_sequence}, document name ignored — the write request names
-    the document itself), or a bare update / parenthesized update
-    sequence over [$a] with an optional trailing [return $a].  Accepts
-    everything {!parse_update} does, plus sequences. *)
+(** The write-path query form: either a full transform query whose
+    [modify do] clause may hold a parenthesized, comma-separated sequence
+    of updates (document name ignored — the write request names the
+    document itself), or a bare update / parenthesized update sequence
+    over [$a] with an optional trailing [return $a].  Accepts everything
+    {!parse_update} does, plus sequences.  A single un-parenthesized
+    update yields a one-element list. *)

@@ -14,8 +14,6 @@ type t = { var : string; source : Ast.path; conds : cond list; template : templa
 
 let make ?(var = "x") ?(conds = []) ~source template = { var; source; conds; template }
 
-let hole ?attr path = T_hole ((if path = "" then [] else Parser.parse path), attr)
-
 (* ---------------- recognition ---------------- *)
 
 let cmp_of_xq : Xq_ast.cmp -> Ast.cmp = function

@@ -33,9 +33,6 @@ type t = {
 
 val make : ?var:string -> ?conds:cond list -> source:Ast.path -> template -> t
 
-val hole : ?attr:string -> string -> template
-(** [hole path] is a [T_hole] on a parsed path; [hole ""] is $x. *)
-
 val of_expr : Xq_ast.expr -> (t, string) result
 (** Recognize a parsed XQuery expression of the restricted form. *)
 
@@ -44,9 +41,6 @@ val parse : string -> t
     @raise Invalid_argument when the query is outside the fragment. *)
 
 val cmp_to_xq : Ast.cmp -> Xq_ast.cmp
-
-val operand_to_expr : string -> operand -> Xq_ast.expr
-(** [operand_to_expr var o]: the operand as an expression over [$var]. *)
 
 val template_to_expr : string -> template -> Xq_ast.expr
 

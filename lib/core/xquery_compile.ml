@@ -153,14 +153,6 @@ let apply_fun mode nfa update =
 
 let qvar i = Printf.sprintf "q%d" i
 
-let cmp_to_xq : Ast.cmp -> Xq_ast.cmp = function
-  | Ast.Eq -> Xq_ast.Eq
-  | Ast.Neq -> Xq_ast.Neq
-  | Ast.Lt -> Xq_ast.Lt
-  | Ast.Le -> Xq_ast.Le
-  | Ast.Gt -> Xq_ast.Gt
-  | Ast.Ge -> Xq_ast.Ge
-
 let lit = function Ast.V_str s -> Xq_ast.Str s | Ast.V_num f -> Xq_ast.Num f
 
 (* QualDP (Fig. 7) as XQuery: one let per LQ expression, in topological
@@ -175,9 +167,9 @@ let sat_expr lq i =
   | Lq.Label_is l ->
     Xq_ast.Cmp (Xq_ast.Eq, Xq_ast.Call ("fn:local-name", [ Xq_ast.Var "n" ]), Xq_ast.Str l)
   | Lq.Text_cmp (op, v) ->
-    Xq_ast.Cmp (cmp_to_xq op, Xq_ast.Call ("string", [ Xq_ast.Var "n" ]), lit v)
+    Xq_ast.Cmp (User_query.cmp_to_xq op, Xq_ast.Call ("string", [ Xq_ast.Var "n" ]), lit v)
   | Lq.Attr_cmp (a, op, v) ->
-    Xq_ast.Cmp (cmp_to_xq op, Xq_ast.AttrPath (Xq_ast.Var "n", [], a), lit v)
+    Xq_ast.Cmp (User_query.cmp_to_xq op, Xq_ast.AttrPath (Xq_ast.Var "n", [], a), lit v)
   | Lq.Attr_exists a -> Xq_ast.Call ("exists", [ Xq_ast.AttrPath (Xq_ast.Var "n", [], a) ])
   | Lq.And_ (a, b) -> Xq_ast.And (Xq_ast.Var (qvar a), Xq_ast.Var (qvar b))
   | Lq.Or_ (a, b) -> Xq_ast.Or (Xq_ast.Var (qvar a), Xq_ast.Var (qvar b))

@@ -1,5 +1,4 @@
 open Xut_xml
-open Xut_xquery
 
 (** The Top Down method compiled to {e standard XQuery} (Section 3.3).
 
@@ -27,19 +26,6 @@ open Xut_xquery
     membership scan: the host engine executes the automaton.  The
     NAIVE-vs-GENTOP comparison of the paper's Fig. 12 can therefore be
     reproduced {e on an XQuery engine} (see the ablation bench). *)
-
-val compile : Transform_ast.t -> Xq_ast.program
-(** GENTOP in XQuery: qualifiers evaluated natively by the host engine.
-    @raise Invalid_argument for an empty embedded path (p = '.'). *)
-
-val compile_tdbu : Transform_ast.t -> Xq_ast.program
-(** twoPass (TD-BU) in XQuery, following the paper's remark that "the
-    list LQ and the NFAs can be coded in XML, sat ... can be treated as
-    XML attributes": a generated [local:annot] function performs the
-    bottom-up QualDP pass, storing each node's truth vector in an
-    "xut-sat" attribute, and the top-down phase checks qualifiers by
-    O(1) lookups into it.  The annotations never reach the output (the
-    rebuild strips them). *)
 
 val compile_to_string : Transform_ast.t -> string
 (** The program as XQuery text (parseable by {!Xut_xquery.Xq_parser}). *)

@@ -68,8 +68,6 @@ let define ~name ~root decls =
       else Ok { s_name = name; s_root = root_sym; s_children = tbl })
 
 let name t = t.s_name
-let root_sym t = t.s_root
-let declared t s = Hashtbl.mem t.s_children s
 
 let allowed t ~parent child =
   match Hashtbl.find_opt t.s_children parent with
@@ -96,12 +94,6 @@ let find name =
   let r = Hashtbl.find_opt registry name in
   Mutex.unlock registry_mu;
   r
-
-let registered () =
-  Mutex.lock registry_mu;
-  let r = Hashtbl.fold (fun n _ acc -> n :: acc) registry [] in
-  Mutex.unlock registry_mu;
-  List.sort compare r
 
 (* ---------------- validation ---------------- *)
 
@@ -222,20 +214,10 @@ type product = {
   p_empty : bool;
   p_skip : bool array;  (* indexed by Sym.t; out of range = not skippable *)
   p_skips : int;
-  p_configs : int;
   p_capped : bool;
 }
 
 let config_cap = 4096
-
-let no_pruning ~capped ~configs =
-  {
-    p_empty = false;
-    p_skip = [||];
-    p_skips = 0;
-    p_configs = configs;
-    p_capped = capped;
-  }
 
 let product t nfa =
   let lq = Selecting_nfa.lq nfa in
@@ -281,7 +263,7 @@ let product t nfa =
       end
     end
   done;
-  if !capped then no_pruning ~capped:true ~configs:(Hashtbl.length nodes)
+  if !capped then { p_empty = false; p_skip = [||]; p_skips = 0; p_capped = true }
   else begin
     (* contributes = hot \/ some child configuration contributes: a least
        fixpoint (the schema graph may be cyclic — parlist/listitem). *)
@@ -328,7 +310,6 @@ let product t nfa =
       p_empty = (not (Selecting_nfa.selects_context nfa)) && not !any_accepting;
       p_skip = skip;
       p_skips = !skips;
-      p_configs = Hashtbl.length nodes;
       p_capped = false;
     }
   end
@@ -338,5 +319,4 @@ let statically_empty p = p.p_empty
 let skippable p sym = sym >= 0 && sym < Array.length p.p_skip && p.p_skip.(sym)
 
 let skip_count p = p.p_skips
-let config_count p = p.p_configs
 let capped p = p.p_capped

@@ -61,10 +61,6 @@ val define : name:string -> root:string -> (string * rx) list -> (t, string) res
     [root] included; duplicate declarations are rejected. *)
 
 val name : t -> string
-val root_sym : t -> Sym.t
-val declared : t -> Sym.t -> bool
-val allowed : t -> parent:Sym.t -> Sym.t -> bool
-(** Is [parent -> child] an edge of the reachability projection? *)
 
 (** {2 Registry}
 
@@ -77,16 +73,16 @@ val register : t -> unit
 (** Idempotent per name; re-registering replaces. *)
 
 val find : string -> t option
-val registered : unit -> string list
 
 (** {2 Validation} *)
 
 val validate : t -> Node.element -> ((int, int) Hashtbl.t, string) result
 (** Conformance of a whole tree: the root's symbol is the schema root
-    and every element's children are {!allowed} under it.  On success,
-    returns the subtree-size table (element id -> number of elements in
-    that subtree, root included) computed by the same walk — the O(1)
-    lookup behind the [skipped_nodes] metric. *)
+    and every element's children are allowed under it (edges of the
+    reachability projection).  On success, returns the subtree-size
+    table (element id -> number of elements in that subtree, root
+    included) computed by the same walk — the O(1) lookup behind the
+    [skipped_nodes] metric. *)
 
 val validate_commit :
   t ->
@@ -123,8 +119,6 @@ val skippable : product -> Sym.t -> bool
 
 val skip_count : product -> int
 (** Number of skippable symbols (0 when {!capped}). *)
-
-val config_count : product -> int
 
 val capped : product -> bool
 (** The exploration hit the configuration cap and the product degraded

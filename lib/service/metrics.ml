@@ -128,36 +128,36 @@ let () = int_line "latency_count" latency_count
 let () = ms_line "latency_p50_ms" (fun m -> quantile m 0.50)
 let () = ms_line "latency_p95_ms" (fun m -> quantile m 0.95)
 let () = ms_line "latency_max_ms" max_latency
-let conns_accepted, incr_conns_accepted = counter "conns_accepted"
-let conns_active, active = gauge "conns_active"
-let conns_rejected, conn_rejected = counter "conns_rejected"
-let frames_in, incr_frames_in = counter "frames_in"
-let frames_out, incr_frames_out = counter "frames_out"
-let frames_malformed, frame_malformed = counter "frames_malformed"
-let bytes_in, add_bytes_in = summed "bytes_in"
-let bytes_out, add_bytes_out = summed "bytes_out"
-let streams, stream_started = counter "streams"
-let stream_chunks, incr_stream_chunks = counter "stream_chunks"
+let _, incr_conns_accepted = counter "conns_accepted"
+let _, active = gauge "conns_active"
+let _, conn_rejected = counter "conns_rejected"
+let _, incr_frames_in = counter "frames_in"
+let _, incr_frames_out = counter "frames_out"
+let _, frame_malformed = counter "frames_malformed"
+let _, add_bytes_in = summed "bytes_in"
+let _, add_bytes_out = summed "bytes_out"
+let _, stream_started = counter "streams"
+let _, incr_stream_chunks = counter "stream_chunks"
 let stream_bytes, add_stream_bytes = summed "stream_bytes"
 let streams_fused, incr_streams_fused = counter "streams_fused"
 let stream_fallbacks, incr_stream_fallbacks = counter "stream_fallbacks"
-let schema_bindings_dropped, incr_schema_bindings_dropped = counter "schema_bindings_dropped"
-let doc_invalidations, add_doc_invalidations = summed "doc_invalidations"
+let _, incr_schema_bindings_dropped = counter "schema_bindings_dropped"
+let _, add_doc_invalidations = summed "doc_invalidations"
 let annotation_repairs, add_annotation_repairs = summed "annotation_repairs"
 let repair_fallbacks, add_repair_fallbacks = summed "repair_fallbacks"
 let repair_recomputed_nodes, add_repair_recomputed = summed "repair_recomputed_nodes"
 let repair_reused_nodes, add_repair_reused = summed "repair_reused_nodes"
-let view_defs, incr_view_defs = counter "view_defs"
+let _, incr_view_defs = counter "view_defs"
 let view_hits, incr_view_hits = counter "view_hits"
 let composed_plans, incr_composed_plans = counter "composed_plans"
-let view_invalidations, add_view_invalidations = summed "view_invalidations"
+let _, add_view_invalidations = summed "view_invalidations"
 let compose_fallbacks, incr_compose_fallbacks = counter "compose_fallbacks"
 let skipped_subtrees, add_skipped_subtrees = summed "skipped_subtrees"
 let skipped_nodes, add_skipped_nodes = summed "skipped_nodes"
-let statically_empty_rejections, incr_statically_empty = counter "statically_empty_rejections"
-let schema_products, incr_schema_products = counter "schema_products"
+let _, incr_statically_empty = counter "statically_empty_rejections"
+let _, incr_schema_products = counter "schema_products"
 let commits, incr_commits = counter "commits"
-let commit_conflicts, commit_conflict = counter "commit_conflicts"
+let _, commit_conflict = counter "commit_conflicts"
 let commit_noops, commit_noop = counter "commit_noops"
 let () = int_line "pending_primitives_count" pending_primitives_count
 let () = int_line "pending_primitives_p50" (fun m -> pending_quantile m 0.50)

@@ -15,7 +15,7 @@
     preallocated cell (a few for the compound events): no allocation, no
     lock, no lookup by name.  Quantiles come from the histogram buckets,
     so no per-request sample is kept.  Each reader is named after its
-    [STATS] line. *)
+    [STATS] line; a line without a reader is read from {!dump}. *)
 
 type t
 
@@ -49,19 +49,9 @@ val requests : t -> int
 val errors : t -> int
 val cache_hits : t -> int
 val cache_misses : t -> int
-val queue_depth : t -> int
 
 val max_queue_depth : t -> int
 (** The queue high-water mark ([queue_depth_max]). *)
-
-val latency_count : t -> int
-
-val quantile : t -> float -> float
-(** [quantile m 0.95]: an estimate (in seconds) of the latency quantile,
-    from the histogram buckets; [0.] when empty. *)
-
-val max_latency : t -> float
-(** Largest latency observed, exactly (in seconds). *)
 
 (** {2 Transport}
 
@@ -82,14 +72,6 @@ val conn_rejected : t -> unit
 val frame_in : t -> int -> unit
 val frame_out : t -> int -> unit
 val frame_malformed : t -> unit
-val conns_accepted : t -> int
-val conns_active : t -> int
-val conns_rejected : t -> int
-val frames_in : t -> int
-val frames_out : t -> int
-val frames_malformed : t -> int
-val bytes_in : t -> int
-val bytes_out : t -> int
 
 (** {2 Streaming}
 
@@ -103,8 +85,6 @@ val stream_started : t -> unit
 val stream_chunk : t -> int -> unit
 val incr_streams_fused : t -> unit
 val incr_stream_fallbacks : t -> unit
-val streams : t -> int
-val stream_chunks : t -> int
 val stream_bytes : t -> int
 val streams_fused : t -> int
 val stream_fallbacks : t -> int
@@ -127,8 +107,6 @@ val add_doc_invalidations : t -> int -> unit
 val add_repairs :
   t -> repaired:int -> fallbacks:int -> recomputed:int -> reused:int -> unit
 
-val schema_bindings_dropped : t -> int
-val doc_invalidations : t -> int
 val annotation_repairs : t -> int
 val repair_fallbacks : t -> int
 val repair_recomputed_nodes : t -> int
@@ -148,10 +126,8 @@ val incr_view_hits : t -> unit
 val incr_composed_plans : t -> unit
 val add_view_invalidations : t -> int -> unit
 val incr_compose_fallbacks : t -> unit
-val view_defs : t -> int
 val view_hits : t -> int
 val composed_plans : t -> int
-val view_invalidations : t -> int
 val compose_fallbacks : t -> int
 
 (** {2 Schema pruning}
@@ -167,8 +143,6 @@ val incr_statically_empty : t -> unit
 val incr_schema_products : t -> unit
 val skipped_subtrees : t -> int
 val skipped_nodes : t -> int
-val statically_empty_rejections : t -> int
-val schema_products : t -> int
 
 (** {2 Commits}
 
@@ -182,12 +156,7 @@ val commit_recorded : t -> primitives:int -> unit
 val commit_conflict : t -> unit
 val commit_noop : t -> unit
 val commits : t -> int
-val commit_conflicts : t -> int
 val commit_noops : t -> int
-val pending_primitives_count : t -> int
-
-val pending_primitives_max : t -> int
-(** Longest surviving pending list committed, exactly. *)
 
 (** {2 Process-wide stats} *)
 

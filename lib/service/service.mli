@@ -172,13 +172,13 @@ val create : ?domains:int -> unit -> t
 
     The service subscribes itself to the store's lifecycle events: an
     [UNLOAD], reload or [COMMIT] evicts exactly the departing tree's
-    annotation tables from every cached plan and counts them in
-    {!Metrics.doc_invalidations}.  The same
+    annotation tables from every cached plan and counts them in the
+    [doc_invalidations] STATS line.  The same
     event walks the view-dependency graph (view → base document, view →
     parent view): dependent views' annotation memos are repaired (commit
     with a usable spine diff) or evicted, an [UNLOAD]/reload also drops
     composed plans addressed through the document, and the churn is
-    counted in {!Metrics.view_invalidations}.  A plain [COMMIT] keeps
+    counted in the [view_invalidations] STATS line.  A plain [COMMIT] keeps
     composed plans — they depend on the view {e definitions}, not on
     document content, so a re-query after commit reuses the cached
     composition over the new snapshot. *)

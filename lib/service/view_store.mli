@@ -51,7 +51,6 @@ val undefine : t -> name:string -> bool
 (** [false] when no such view existed. *)
 
 val find : t -> string -> view option
-val names : t -> string list
 
 type chain = { base : string; levels : view list }
 (** A resolved chain: the base {e document} name and the views applied

@@ -192,12 +192,10 @@ module Binary : sig
             removed one for [Unloaded] *)
   }
 
-  val notice_of_event : Doc_store.event -> notice
-
   val notices_of_event : Doc_store.event -> notice list
-  (** All notices one event implies: the {!notice_of_event} notice,
-      plus a [Schema_dropped] one when the event's [schema_dropped]
-      flag is set.  What the server broadcasts. *)
+  (** All notices one event implies: the event's own notice, plus a
+      [Schema_dropped] one when the event's [schema_dropped] flag is
+      set.  What the server broadcasts. *)
 
   val encode_notice : notice -> string
   val decode_notice : string -> (notice, string) result
@@ -205,9 +203,6 @@ module Binary : sig
   val render_notice : notice -> string
   (** Human-readable one-liner ([NOTICE unloaded d generation=4]) for
       [xut client --notices]. *)
-
-  val notice_id : int64
-  (** 0: every notice frame carries the reserved id. *)
 
   val notice_frame : notice -> string
 

@@ -16,8 +16,9 @@ open Xut_xml
     pending table instead of an NFA.
 
     Snapshot semantics: with several updates in one [modify do (...)],
-    every path is resolved against the {e original} tree — unlike
-    {!Core.Sequence.run}, where each update sees the previous result.
+    every path is resolved against the {e original} tree — unlike a
+    left-to-right fold of {!Core.Engine.transform}, where each update
+    sees the previous result.
     [rename $a/b as c, insert <k/> into $a/b] therefore inserts into the
     renamed node here (both primitives target the same snapshot node),
     where the sequential semantics would find nothing at [$a/b]. *)
@@ -34,11 +35,6 @@ type report = {
   collapsed : int;    (** primitives absorbed by the merge hierarchy *)
   conflicts : Pending.conflict list;
 }
-
-val resolve : Core.Transform_ast.update list -> Node.element -> Pending.t
-(** Select each update's path against the snapshot [root]
-    ({!Xut_xpath.Eval.select_doc}, the reference semantics) and emit one
-    primitive per selected node, in update order. *)
 
 val stage : Core.Transform_ast.update list -> Node.element -> report * Pending.normalized
 (** [resolve] + {!Pending.normalize}: the dry-run ([APPLY]) entry point.

@@ -5,12 +5,13 @@ open Xut_xml
     application.
 
     This is the write-path counterpart of the paper's side-effect-free
-    transform queries.  Where {!Core.Sequence} chains updates {e left to
-    right} (each update evaluated against the previous result), a pending
-    list follows the W3C XQuery Update Facility discipline instead: every
-    update's target path is resolved against {e one snapshot} of the
-    document, each selected node contributes one primitive keyed by its
-    {!Node.id}, and the whole list is applied in a single pass.  Multiple
+    transform queries.  Where a fold of {!Core.Engine.transform} chains
+    updates {e left to right} (each update evaluated against the previous
+    result), a pending list follows the W3C XQuery Update Facility
+    discipline instead: every update's target path is resolved against
+    {e one snapshot} of the document, each selected node contributes one
+    primitive keyed by its {!Node.id}, and the whole list is applied in
+    a single pass.  Multiple
     primitives landing on the same node are {b merged} through a
     BaseX-style hierarchy (see [UpdatePrimitive] in BaseX: the types
     "build a hierarchy that states, in case of multiple updates on a
@@ -44,9 +45,6 @@ type op =
   | Delete
   | Replace of Node.t
   | Rename of string
-
-val op_kind : op -> string
-(** ["insert"], ["insert-first"], ["delete"], ["replace"], ["rename"]. *)
 
 (** A pair of primitives on one target that the hierarchy cannot order:
     two replaces, or two renames to different labels. *)

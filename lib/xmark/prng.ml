@@ -22,5 +22,3 @@ let float t x =
 let bool t p = float t 1.0 < p
 
 let choose t arr = arr.(int t (Array.length arr))
-
-let split t = create (next t)

@@ -7,16 +7,10 @@
 type t
 
 val create : int64 -> t
-val next : t -> int64
 val int : t -> int -> int
 (** [int t n] in [0, n). *)
-
-val float : t -> float -> float
-(** [float t x] in [0, x). *)
 
 val bool : t -> float -> bool
 (** [bool t p] is true with probability [p]. *)
 
 val choose : t -> 'a array -> 'a
-val split : t -> t
-(** An independent generator (for stable sub-streams). *)

@@ -9,18 +9,14 @@ val schema_name : string
 
 val bench_schema_name : string
 (** ["xmark-bench"]: {!schema} widened so the write marker element
-    ({!bench_marker}) is allowed under every element of the
+    ([xut_bench_promo]) is allowed under every element of the
     [site/open_auctions/open_auction/annotation/description] spine.
     perfbench's [mixed_rw] commits that marker under every
     [open_auction]; a document loaded under this variant keeps its
     binding, and so its pruning, across such commits (the service and
     schema tests exercise exactly that). *)
 
-val bench_marker : string
-(** ["xut_bench_promo"]. *)
-
 val schema : Schema.t Lazy.t
-val bench_schema : Schema.t Lazy.t
 
 val register : unit -> unit
 (** Put both schemas in the {!Xut_schema.Schema} registry (the CLI and

@@ -25,7 +25,6 @@ let comment s = Comment s
 let pi target content = Pi (target, content)
 
 let with_children e children = { e with id = fresh_id (); children }
-let with_name e name = { e with id = fresh_id (); name; sym = Sym.intern name }
 
 let name e = e.name
 let sym e = e.sym
@@ -59,26 +58,6 @@ and equal_element x y =
        (List.sort Stdlib.compare x.attrs) (List.sort Stdlib.compare y.attrs)
   && List.length x.children = List.length y.children
   && List.for_all2 equal x.children y.children
-
-let rec compare a b =
-  match a, b with
-  | Element x, Element y ->
-    let c = String.compare x.name y.name in
-    if c <> 0 then c
-    else
-      let c = Stdlib.compare (List.sort Stdlib.compare x.attrs) (List.sort Stdlib.compare y.attrs) in
-      if c <> 0 then c else List.compare compare x.children y.children
-  | Text x, Text y -> String.compare x y
-  | Comment x, Comment y -> String.compare x y
-  | Pi (t1, c1), Pi (t2, c2) ->
-    let c = String.compare t1 t2 in
-    if c <> 0 then c else String.compare c1 c2
-  | Element _, (Text _ | Comment _ | Pi _) -> -1
-  | (Text _ | Comment _ | Pi _), Element _ -> 1
-  | Text _, (Comment _ | Pi _) -> -1
-  | (Comment _ | Pi _), Text _ -> 1
-  | Comment _, Pi _ -> -1
-  | Pi _, Comment _ -> 1
 
 let rec size = function
   | Element e -> List.fold_left (fun acc c -> acc + size c) 1 e.children

@@ -6,7 +6,7 @@
     Ids give nodes an identity independent of structural equality, which the
     transform algorithms use to key per-node annotations (the [sat] vectors
     of Section 5) and to implement the node-set membership test of the Naive
-    method.  Structural operations ({!equal}, {!compare}) ignore ids. *)
+    method.  Structural equality ({!equal}) ignores ids. *)
 
 type t =
   | Element of element
@@ -35,9 +35,6 @@ val pi : string -> string -> t
 val with_children : element -> t list -> element
 (** Replace the child list, keeping name/attrs and allocating a fresh id. *)
 
-val with_name : element -> string -> element
-(** Rename, keeping attrs/children and allocating a fresh id. *)
-
 val name : element -> string
 
 val sym : element -> Sym.t
@@ -58,9 +55,6 @@ val equal : t -> t -> bool
 (** Structural equality ignoring element ids. *)
 
 val equal_element : element -> element -> bool
-
-val compare : t -> t -> int
-(** Structural total order ignoring ids (document content order). *)
 
 val size : t -> int
 (** Number of nodes in the subtree (elements + texts + comments + PIs). *)

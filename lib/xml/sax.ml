@@ -9,18 +9,6 @@ type event =
 
 exception Parse_error of { line : int; col : int; msg : string }
 
-let pp_event ppf = function
-  | Start_document -> Format.fprintf ppf "startDocument"
-  | Start_element (n, attrs) ->
-    Format.fprintf ppf "startElement(%s%a)" n
-      (fun ppf -> List.iter (fun (k, v) -> Format.fprintf ppf " %s=%S" k v))
-      attrs
-  | Characters s -> Format.fprintf ppf "text(%S)" s
-  | Comment_event s -> Format.fprintf ppf "comment(%S)" s
-  | Pi_event (t, c) -> Format.fprintf ppf "pi(%s,%S)" t c
-  | End_element n -> Format.fprintf ppf "endElement(%s)" n
-  | End_document -> Format.fprintf ppf "endDocument"
-
 let equal_event (a : event) (b : event) = a = b
 
 (* The parser pulls characters from a chunked {!Reader}, so its memory is

@@ -23,7 +23,6 @@ type event =
 
 exception Parse_error of { line : int; col : int; msg : string }
 
-val pp_event : Format.formatter -> event -> unit
 val equal_event : event -> event -> bool
 
 val parse_string : ?keep_ws:bool -> string -> (event -> unit) -> unit
@@ -33,11 +32,6 @@ val parse_string : ?keep_ws:bool -> string -> (event -> unit) -> unit
 val parse_reader : ?keep_ws:bool -> Reader.t -> (event -> unit) -> unit
 (** Parse from a chunked {!Reader}: memory use is O(chunk + current
     token), independent of document size. *)
-
-val parse_channel : ?keep_ws:bool -> in_channel -> (event -> unit) -> unit
-(** Streamed: the channel is consumed chunk by chunk, never held in
-    memory — a transform query over a multi-GB file runs in the
-    working set Section 6 promises (stack depth + truth list). *)
 
 val parse_file : ?keep_ws:bool -> string -> (event -> unit) -> unit
 

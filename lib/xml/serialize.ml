@@ -33,16 +33,6 @@ let add_escaped buf ~attr s =
     i := !run
   done
 
-let escape_text s =
-  let buf = Buffer.create (String.length s + 8) in
-  add_escaped buf ~attr:false s;
-  Buffer.contents buf
-
-let escape_attr s =
-  let buf = Buffer.create (String.length s + 8) in
-  add_escaped buf ~attr:true s;
-  Buffer.contents buf
-
 (* Attribute and child lists are walked by direct recursion, never
    through [List.iter]: a partially applied walker is a closure per
    element, which on a 0.5 MB reply was most of the serializer's
@@ -258,8 +248,6 @@ module Pool = struct
       release ~shrink:(Buffer.length b > shrink_above) b;
       raise e
 
-  let hits () = Atomic.get hit_count
-  let misses () = Atomic.get miss_count
   let stats () = (Atomic.get hit_count, Atomic.get miss_count)
 end
 

@@ -1,13 +1,5 @@
 (** XML serialization. *)
 
-val escape_text : string -> string
-(** Escape [&], [<], [>] for character data.  Characters that need no
-    escaping are blitted in whole runs (table-driven fast path). *)
-
-val escape_attr : string -> string
-(** Escape ampersand, less-than, greater-than and double-quote for
-    attribute values. *)
-
 (** {2 Reply image}
 
     A stored document's serialization, kept so replies can copy shared
@@ -21,8 +13,8 @@ module Image : sig
       {!element_to_string}) and an index from the id of every element
       whose serialization is at least 64 bytes long (a constant) to the
       (offset, length) of its bytes.  Element ids are unique and elements immutable
-      ({!Node.with_children} and {!Node.with_name} give a rebuilt
-      element a fresh id), and unindented serialization does not depend
+      ({!Node.element} and {!Node.with_children} give every new or
+      rebuilt element a fresh id), and unindented serialization does not depend
       on the context, so an indexed id names exactly those bytes in any
       tree that holds the element: an image stays valid for every tree
       derived from this one, and for any other tree (where nothing
@@ -60,26 +52,14 @@ val to_channel : ?indent:int -> out_channel -> Node.element -> unit
     metrics. *)
 
 module Pool : sig
-  val acquire : unit -> Buffer.t
-  (** A cleared buffer: pooled if one is free (hit), fresh otherwise
-      (miss). *)
-
-  val release : ?shrink:bool -> Buffer.t -> unit
-  (** Return a buffer to the pool (dropped silently when the pool is
-      full).  [~shrink:true] frees its storage first — used when the
-      buffer grew pathologically large. *)
-
   val shrink_above : int
-  (** 4 MiB: a buffer that held more than this is released with
-      [~shrink:true]. *)
+  (** 4 MiB: a buffer that held more than this has its storage freed
+      before it returns to the pool. *)
 
   val contents_of : (Buffer.t -> unit) -> string
   (** [contents_of f] runs [f] on an acquired buffer and returns what
       it wrote, releasing the buffer (shrunk above {!shrink_above})
       even when [f] raises.  The whole-reply serializers use it. *)
-
-  val hits : unit -> int
-  val misses : unit -> int
 
   val stats : unit -> int * int
   (** [(hits, misses)], process-wide. *)

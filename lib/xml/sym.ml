@@ -1,7 +1,5 @@
 type t = int
 
-let none = -1
-
 (* Open-addressing hash table published as an immutable snapshot: readers
    probe the current snapshot without synchronization (arrays are never
    mutated after publication), writers copy-insert-republish under a
@@ -70,8 +68,6 @@ let with_name (t : table) s =
   let nt = make_table capacity count names in
   Array.iteri (fun v n -> insert_slot nt n v) names;
   nt
-
-let find s = probe (Atomic.get table) s
 
 (* First sighting: insert under the mutex. *)
 let insert s =

@@ -15,9 +15,6 @@ type t = int
 (** A symbol: a small dense non-negative int, stable for the process
     lifetime. *)
 
-val none : t
-(** A symbol no name maps to ([-1]); usable as a sentinel. *)
-
 val intern : string -> t
 (** [intern s] returns the symbol of [s], allocating a fresh one on first
     sight.  Lock-free when [s] is already known. *)
@@ -33,10 +30,6 @@ val intern_sub : bytes -> int -> int -> string
     bytes and inserts them as {!intern} does.  Counts as one {!intern}
     call.
     @raise Invalid_argument if the range is not inside [b]. *)
-
-val find : string -> t
-(** Like {!intern} but returns {!none} instead of allocating when [s] has
-    never been interned (never takes the mutex). *)
 
 val name : t -> string
 (** Reverse lookup.  Raises [Invalid_argument] for unknown symbols. *)

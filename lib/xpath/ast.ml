@@ -54,7 +54,6 @@ let compare_values op s v =
     | None -> false)
 
 let equal_path (a : path) (b : path) = a = b
-let equal_qual (a : qual) (b : qual) = a = b
 
 let cmp_to_string = function
   | Eq -> "="

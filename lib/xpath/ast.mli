@@ -48,10 +48,7 @@ val compare_values : cmp -> string -> value -> bool
     literal compared against non-numeric text is [false]. *)
 
 val equal_path : path -> path -> bool
-val equal_qual : qual -> qual -> bool
 
-val pp_path : Format.formatter -> path -> unit
-val pp_qual : Format.formatter -> qual -> unit
 val path_to_string : path -> string
 val qual_to_string : qual -> string
 val cmp_to_string : cmp -> string

@@ -103,5 +103,3 @@ let token_to_string = function
   | STRING s -> Printf.sprintf "%S" s
   | NUMBER f -> string_of_float f
   | EOF -> "<eof>"
-
-let pp_token ppf t = Format.pp_print_string ppf (token_to_string t)

@@ -27,5 +27,4 @@ exception Lex_error of { pos : int; msg : string }
 val tokenize : string -> token list
 (** @raise Lex_error on unrecognized input. *)
 
-val pp_token : Format.formatter -> token -> unit
 val token_to_string : token -> string

@@ -81,7 +81,6 @@ let freeze b = { arr = Array.of_list (List.rev b.rev) }
 
 let length t = Array.length t.arr
 let expr t i = t.arr.(i)
-let exprs t = t.arr
 
 (* Expression [i] is statically false at a node named [name] when its
    top-level conjunction contains a failing label guard. *)

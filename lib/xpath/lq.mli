@@ -33,7 +33,6 @@ val freeze : builder -> t
 
 val length : t -> int
 val expr : t -> int -> expr
-val exprs : t -> expr array
 
 val label_blocked : t -> int -> string -> bool
 (** [label_blocked lq i name]: expression [i] starts with a label guard

@@ -20,5 +20,4 @@ val steps : Ast.path -> t
 val to_path : t -> Ast.path
 (** The steps (context qualifiers dropped) as a plain path. *)
 
-val nstep_to_string : nstep -> string
 val to_string : t -> string

@@ -195,4 +195,3 @@ let parse_qual s =
   let q = or_expr t in
   finish t q
 
-let qual_of_stream = or_expr

@@ -2,32 +2,9 @@
 
 exception Parse_error of string
 
-(** Token-stream cursor, exposed so that the transform-query and XQuery
-    parsers can embed XPath sub-parses. *)
-module Stream_ : sig
-  type t
-
-  val of_tokens : Lexer.token list -> t
-  val of_string : string -> t
-  val peek : t -> Lexer.token
-  val peek2 : t -> Lexer.token
-  val junk : t -> unit
-  val next : t -> Lexer.token
-  val expect : t -> Lexer.token -> unit
-  val expect_name : t -> string
-  val at_eof : t -> bool
-  val fail : t -> string -> 'a
-end
-
 val parse : string -> Ast.path
 (** Parse a complete path; the whole string must be consumed.
     @raise Parse_error otherwise. *)
 
 val parse_qual : string -> Ast.qual
 (** Parse a complete qualifier body (without the enclosing brackets). *)
-
-val path_of_stream : Stream_.t -> Ast.path
-(** Parse a path from the current position, stopping at the first token
-    that cannot extend it. *)
-
-val qual_of_stream : Stream_.t -> Ast.qual

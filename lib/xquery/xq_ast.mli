@@ -45,11 +45,6 @@ type program = { functions : fundef list; body : expr }
 
 val program : ?functions:fundef list -> expr -> program
 
-val cmp_to_string : cmp -> string
-val arith_to_string : arith -> string
-
-val pp : Format.formatter -> expr -> unit
 val to_string : expr -> string
 
-val pp_program : Format.formatter -> program -> unit
 val program_to_string : program -> string

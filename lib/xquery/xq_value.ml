@@ -87,16 +87,3 @@ let item_identity a b =
   | A (k1, v1), A (k2, v2) -> k1 == k2 && v1 == v2
   | (N _ | D _ | A _ | S _ | F _ | B _), _ ->
     raise (Type_error "operands of 'is' must be nodes")
-
-let pp_item ppf = function
-  | N n -> Node.pp ppf n
-  | D e -> Format.fprintf ppf "document{%a}" Node.pp_element e
-  | A (k, v) -> Format.fprintf ppf "@%s=%S" k v
-  | S s -> Format.fprintf ppf "%S" s
-  | F f -> Format.fprintf ppf "%g" f
-  | B b -> Format.fprintf ppf "%b" b
-
-let pp ppf items =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp_item)
-    items

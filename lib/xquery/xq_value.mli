@@ -32,10 +32,6 @@ val as_float : item -> float option
 (** Numeric value of an atomic item ([None] for non-numbers; nodes must
     be atomized first). *)
 
-val compare_items : Xq_ast.cmp -> item -> item -> bool
-(** Atomized comparison: numeric when both sides look numeric, string
-    otherwise. *)
-
 val general_cmp : Xq_ast.cmp -> t -> t -> bool
 (** XQuery general comparison: existential over both operands. *)
 
@@ -43,5 +39,3 @@ val item_identity : item -> item -> bool
 (** The [is] operator: element ids for elements, physical equality for
     other nodes.
     @raise Type_error on non-node items. *)
-
-val pp : Format.formatter -> t -> unit

@@ -89,3 +89,11 @@ let replies () =
     wait ()
   in
   (expect, all)
+
+(* One integer line of [m]'s STATS dump, by its name. *)
+let stat m name =
+  let prefix = name ^ " " in
+  let lines = String.split_on_char '\n' (Xut_service.Metrics.dump m) in
+  match List.find_opt (String.starts_with ~prefix) lines with
+  | Some l -> int_of_string (List.nth (String.split_on_char ' ' l) 1)
+  | None -> Alcotest.fail ("no STATS line " ^ name)

@@ -211,7 +211,7 @@ let test_statically_empty_rejection () =
           | _ -> Alcotest.fail "TRANSFORM of a statically-empty query must be rejected");
           let m = Service.metrics svc in
           Alcotest.(check bool) "rejections counted" true
-            (Metrics.statically_empty_rejections m >= 2);
+            (Fixtures.stat m "statically_empty_rejections" >= 2);
           (* the same query against a schemaless binding runs fine *)
           ignore (load svc "plain" path);
           match
@@ -246,7 +246,7 @@ let test_skip_metrics_and_answers () =
             (Metrics.skipped_subtrees m > 0);
           Alcotest.(check bool) "skipped nodes counted via size table" true
             (Metrics.skipped_nodes m > Metrics.skipped_subtrees m);
-          Alcotest.(check bool) "a product was built" true (Metrics.schema_products m > 0)))
+          Alcotest.(check bool) "a product was built" true (Fixtures.stat m "schema_products" > 0)))
 
 (* Fig. 11, U1-U10. *)
 let fig11 =
@@ -416,7 +416,7 @@ let test_commit_schema_drop () =
           commit "insert <xut_bench_promo>p</xut_bench_promo> into $a";
           Alcotest.(check bool) "conforming commit keeps the binding" true (bound () <> None);
           Alcotest.(check int) "no drop counted" 0
-            (Metrics.schema_bindings_dropped (Service.metrics svc));
+            (Fixtures.stat (Service.metrics svc) "schema_bindings_dropped");
           (* an element no schema rule permits: the commit itself
              succeeds, the binding goes away observably *)
           commit "insert <bogus>1</bogus> into $a/site";
@@ -424,13 +424,13 @@ let test_commit_schema_drop () =
             (bound () = None);
           Alcotest.(check (list string)) "flagged event fired once" [ "d" ] !drops;
           Alcotest.(check int) "drop counted" 1
-            (Metrics.schema_bindings_dropped (Service.metrics svc));
+            (Fixtures.stat (Service.metrics svc) "schema_bindings_dropped");
           (* once dropped there is nothing left to drop: further commits
              are schemaless and fire no more flags *)
           commit "delete $a//bogus";
           Alcotest.(check (list string)) "no second event" [ "d" ] !drops;
           Alcotest.(check int) "counter unchanged" 1
-            (Metrics.schema_bindings_dropped (Service.metrics svc))))
+            (Fixtures.stat (Service.metrics svc) "schema_bindings_dropped")))
 
 (* The size table a schema-bound COMMIT derives incrementally
    ({!Schema.validate_commit}, from a rebuilt copy of the old table) is

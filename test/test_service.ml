@@ -458,7 +458,7 @@ let test_service_lifecycle_invalidation () =
           Alcotest.(check int) "unload evicted exactly the doc's table" 0
             (Service.cache_stats svc).Plan_cache.annotation_entries;
           Alcotest.(check int) "invalidation counted in the metrics" 1
-            (Metrics.doc_invalidations (Service.metrics svc));
+            (Fixtures.stat (Service.metrics svc) "doc_invalidations");
           Alcotest.(check int) "the compiled plan itself survived" 1
             (Service.cache_stats svc).Plan_cache.entries;
           (match Service.call svc Service.Stats with
@@ -493,7 +493,7 @@ let test_service_reload_replaces () =
           | Service.Ok _ -> Alcotest.fail "LOAD over a live name must report reloaded=true"
           | Service.Error { message; _ } -> Alcotest.fail message);
           Alcotest.(check int) "old tree's table invalidated" 1
-            (Metrics.doc_invalidations (Service.metrics svc));
+            (Fixtures.stat (Service.metrics svc) "doc_invalidations");
           Alcotest.(check string) "reloaded content transforms byte-identically" before
             (transform ())))
 
@@ -603,11 +603,12 @@ let test_transform_stream () =
           (* counters: streams/chunks/bytes flowed into the metrics and
              surface in the STATS dump *)
           let m = Service.metrics svc in
-          Alcotest.(check int) "streams counted" (4 * List.length queries) (Metrics.streams m);
+          Alcotest.(check int) "streams counted" (4 * List.length queries)
+            (Fixtures.stat m "streams");
           Alcotest.(check bool) "stream chunks counted" true
-            (Metrics.stream_chunks m >= Metrics.streams m);
+            (Fixtures.stat m "stream_chunks" >= Fixtures.stat m "streams");
           Alcotest.(check bool) "stream bytes counted" true
-            (Metrics.stream_bytes m > Metrics.stream_chunks m);
+            (Metrics.stream_bytes m > Fixtures.stat m "stream_chunks");
           match Service.call svc Service.Stats with
           | Service.Ok (Service.Stats_dump dump) ->
             let has prefix =
@@ -805,7 +806,7 @@ let test_view_define_and_query () =
           let b2, dep2, _ = defview svc "v2" v2_def in
           Alcotest.(check bool) "v2: base v1, depth 2" true (b2 = "v1" && dep2 = 2);
           let m = Service.metrics svc in
-          Alcotest.(check int) "view_defs counted" 2 (Metrics.view_defs m);
+          Alcotest.(check int) "view_defs counted" 2 (Fixtures.stat m "view_defs");
           (* 2-deep chain, composed path, byte-identical to naive *)
           let base = Xut_xml.Dom.parse_string doc_xml in
           let expected = view_render (naive_view_value ~base [ v1_def; v2_def ] v2_query) in
@@ -965,7 +966,7 @@ let test_view_definition_errors () =
           | Service.Error { code = Service.Query_parse_error; _ } -> ()
           | _ -> Alcotest.fail "expected a parse error");
           Alcotest.(check int) "rejected definitions not counted" 0
-            (Metrics.view_defs (Service.metrics svc));
+            (Fixtures.stat (Service.metrics svc) "view_defs");
           (* cycles: c1 late-binds to c2, then c2 over c1 closes the loop *)
           ignore
             (defview svc "c1"
@@ -1025,14 +1026,14 @@ let test_view_invalidation_graph () =
           Alcotest.(check int) "two composed plans cached" 2
             (Service.cache_stats svc).Plan_cache.composed_entries;
           let m = Service.metrics svc in
-          Alcotest.(check int) "no view churn yet" 0 (Metrics.view_invalidations m);
+          Alcotest.(check int) "no view churn yet" 0 (Fixtures.stat m "view_invalidations");
           (* COMMIT the base of the chain *)
           let commit_q = {|delete $a/site/items/item[name = "lamp"]|} in
           (match Service.call svc (Service.Commit { doc = "d"; query = commit_q }) with
           | Service.Ok (Service.Committed { primitives = 1; _ }) -> ()
           | _ -> Alcotest.fail "COMMIT d");
           Alcotest.(check bool) "commit churned the dependent views' memos" true
-            (Metrics.view_invalidations m > 0);
+            (Fixtures.stat m "view_invalidations" > 0);
           Alcotest.(check int) "composed plans survive a plain commit" 2
             (Service.cache_stats svc).Plan_cache.composed_entries;
           (* the re-query reflects the new base, no restart, still composed *)
@@ -1052,7 +1053,7 @@ let test_view_invalidation_graph () =
             (Metrics.composed_plans m);
           Alcotest.(check int) "never fell back" 0 (Metrics.compose_fallbacks m);
           (* redefining v1 evicts exactly the plans through v1 *)
-          let churn0 = Metrics.view_invalidations m in
+          let churn0 = Fixtures.stat m "view_invalidations" in
           let _, _, redefined =
             defview svc "v1"
               {|transform copy $a := doc("d") modify do delete $a//age return $a|}
@@ -1061,7 +1062,7 @@ let test_view_invalidation_graph () =
           Alcotest.(check int) "only w's plan survives the redefinition" 1
             (Service.cache_stats svc).Plan_cache.composed_entries;
           Alcotest.(check bool) "redefinition churn counted" true
-            (Metrics.view_invalidations m > churn0);
+            (Fixtures.stat m "view_invalidations" > churn0);
           (* and the chain recomposes against the new definition *)
           let v1_def' = {|transform copy $a := doc("d") modify do delete $a//age return $a|} in
           let expected_redef =
@@ -1441,16 +1442,18 @@ let test_metrics_histogram () =
   for _ = 1 to 10 do
     Metrics.record_latency m 0.1
   done;
-  Alcotest.(check int) "count" 100 (Metrics.latency_count m);
-  let p50 = Metrics.quantile m 0.50 in
-  Alcotest.(check bool) "p50 in the fast bucket" true (p50 > 0.0005 && p50 < 0.002);
-  let p95 = Metrics.quantile m 0.95 in
-  Alcotest.(check bool) "p95 in the slow bucket" true (p95 > 0.05 && p95 < 0.2);
-  Alcotest.(check bool) "max is exact" true (abs_float (Metrics.max_latency m -. 0.1) < 1e-6);
+  Alcotest.(check int) "count" 100 (Fixtures.stat m "latency_count");
+  let line key = List.assoc key (stats_lines (Metrics.dump m)) in
+  let ms key = float_of_string (line key) in
+  let p50 = ms "latency_p50_ms" in
+  Alcotest.(check bool) "p50 in the fast bucket" true (p50 > 0.5 && p50 < 2.);
+  let p95 = ms "latency_p95_ms" in
+  Alcotest.(check bool) "p95 in the slow bucket" true (p95 > 50. && p95 < 200.);
+  Alcotest.(check string) "max is exact" "100.000" (line "latency_max_ms");
   Metrics.queue_enter m;
   Metrics.queue_enter m;
   Metrics.queue_leave m;
-  Alcotest.(check int) "queue depth" 1 (Metrics.queue_depth m);
+  Alcotest.(check int) "queue depth" 1 (Fixtures.stat m "queue_depth");
   Alcotest.(check int) "high-water mark" 2 (Metrics.max_queue_depth m)
 
 (* A view reply renders every item into one pooled buffer; the bytes
@@ -1492,6 +1495,163 @@ let test_render_value_edges () =
       [ Xut_xquery.Xq_value.F 2. ] ];
   Alcotest.(check string) "empty strings keep their separators" "\n\n"
     (Service.render_value Xut_xquery.Xq_value.[ S ""; S ""; S "" ])
+
+(* A write query may only return $a, in the bare form as in the full
+   one: APPLY and COMMIT reject [return $zz] as a parse error and leave
+   the document and its generation alone. *)
+let test_write_query_returns_a () =
+  with_doc_file (fun path ->
+      with_service (fun svc ->
+          let generation, elements =
+            match Service.call svc (Service.Load { name = "d"; file = path; schema = None }) with
+            | Service.Ok (Service.Doc_loaded { generation; elements; _ }) -> (generation, elements)
+            | _ -> Alcotest.fail "LOAD"
+          in
+          List.iter
+            (fun query ->
+              List.iter
+                (fun (verb, req) ->
+                  match Service.call svc req with
+                  | Service.Error { code = Service.Query_parse_error; _ } -> ()
+                  | _ -> Alcotest.fail (verb ^ " must reject: " ^ query))
+                [ ("APPLY", Service.Apply { doc = "d"; query });
+                  ("COMMIT", Service.Commit { doc = "d"; query }) ])
+            [ "delete $a//price return $zz"; "(delete $a//price, delete $a//age) return $zz" ];
+          match Service.call svc (Service.Commit { doc = "d"; query = "delete $a//nothing" }) with
+          | Service.Ok (Service.Committed { primitives = 0; generation = g; elements = n; _ }) ->
+            Alcotest.(check int) "generation unchanged" generation g;
+            Alcotest.(check int) "elements unchanged" elements n
+          | _ -> Alcotest.fail "no-op COMMIT"))
+
+(* ---- security views (Example 1.1) served as DEFVIEW chains ---- *)
+
+(* An access-control policy is a chain of stored views over the parts
+   catalog, one view per rule: each rule is an update over the view
+   before it, so later rules see the earlier rules' output. *)
+let with_parts_service f =
+  let path = Filename.temp_file "xut_service_test" ".xml" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc Fixtures.parts_doc_text);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_service (fun svc ->
+          (match Service.call svc (Service.Load { name = "parts"; file = path; schema = None }) with
+          | Service.Ok _ -> ()
+          | Service.Error { message; _ } -> Alcotest.fail message);
+          f svc))
+
+(* [(name, definition)] of one view per [(name, rule)]: the first over
+   the stored "parts", each later one over the view before it. *)
+let policy_defs rules =
+  let def base rule =
+    Printf.sprintf {|transform copy $a := doc("%s") modify do %s return $a|} base rule
+  in
+  List.fold_left
+    (fun (base, defs) (name, rule) -> (name, (name, def base rule) :: defs))
+    ("parts", []) rules
+  |> snd |> List.rev
+
+(* DEFVIEW the policy's chain; its view is the last one. *)
+let define_policy svc rules =
+  List.fold_left
+    (fun _ (name, def) ->
+      ignore (defview svc name def);
+      name)
+    "parts" (policy_defs rules)
+
+let group_b_policy =
+  [ ("no_a_prices", "delete $a//supplier[country = 'A']/price");
+    ("c_redacted",
+     "replace $a//supplier[country = 'C'] with <supplier><sname>hidden</sname></supplier>");
+    ("components", "rename $a//part/part as component") ]
+
+(* The naive answer of [query] over the policy's materialized chain. *)
+let naive_policy_value rules query =
+  naive_view_value ~base:(Fixtures.parts_doc ()) (List.map snd (policy_defs rules)) query
+
+let count_in tree path =
+  List.length (Xut_xpath.Eval.select_doc tree (Xut_xpath.Parser.parse path))
+
+let test_policy_materialization () =
+  with_parts_service (fun svc ->
+      let view = define_policy svc group_b_policy in
+      let v = Xut_xml.Dom.parse_string (transform_view svc view "for $x in db return $x") in
+      (* country-A prices hidden, others kept *)
+      Alcotest.(check int) "A prices gone" 0 (count_in v "//supplier[country = 'A']/price");
+      Alcotest.(check bool) "other prices kept" true (count_in v "//price" > 0);
+      (* country-C suppliers redacted *)
+      Alcotest.(check int) "C suppliers redacted" 0 (count_in v "//supplier[country = 'C']");
+      Alcotest.(check int) "placeholder present" 1 (count_in v "//supplier[sname = 'hidden']");
+      (* nested parts relabeled *)
+      Alcotest.(check int) "components" 3 (count_in v "//component");
+      (* the stored document is untouched *)
+      match
+        Service.call svc
+          (Service.Transform
+             { target = Service.Doc "parts"; engine = Core.Engine.Td_bu;
+               query =
+                 {|transform copy $a := doc("parts") modify do delete $a//nothing return $a|} })
+      with
+      | Service.Ok (Service.Tree t) ->
+        Alcotest.(check string) "store intact"
+          (Xut_xml.Serialize.element_to_string (Fixtures.parts_doc ())) t
+      | _ -> Alcotest.fail "TRANSFORM parts")
+
+let test_policy_rule_order () =
+  with_parts_service (fun svc ->
+      let view =
+        define_policy svc
+          [ ("vendors", "rename $a//supplier as vendor"); ("no_prices", "delete $a//vendor/price") ]
+      in
+      let v = Xut_xml.Dom.parse_string (transform_view svc view "for $x in db return $x") in
+      Alcotest.(check int) "renamed first" 6 (count_in v "//vendor");
+      Alcotest.(check int) "then their prices deleted" 0 (count_in v "//vendor/price"))
+
+let test_policy_answer () =
+  with_parts_service (fun svc ->
+      let view = define_policy svc group_b_policy in
+      let q = "for $x in db/part/supplier return $x" in
+      Alcotest.(check string) "answer = query over view"
+        (view_render (naive_policy_value group_b_policy q))
+        (transform_view svc view q))
+
+let test_policy_single_rule_composes () =
+  with_parts_service (fun svc ->
+      let rules = [ ("no_a", "delete $a//supplier[country = 'A']") ] in
+      let view = define_policy svc rules in
+      let q = {|for $x in db/part[pname = "keyboard"]/supplier return $x/sname|} in
+      let expected = naive_policy_value rules q in
+      Alcotest.(check int) "only non-A suppliers" 1 (List.length expected);
+      Alcotest.(check string) "composed = naive" (view_render expected) (transform_view svc view q);
+      let m = Service.metrics svc in
+      Alcotest.(check int) "served by composition" 1 (Metrics.view_hits m);
+      Alcotest.(check int) "no fallback" 0 (Metrics.compose_fallbacks m))
+
+(* Does the view still expose any price?  A COUNT over the view. *)
+let test_policy_permitted () =
+  with_parts_service (fun svc ->
+      let exposed view =
+        match
+          Service.call svc
+            (Service.Count
+               { target = Service.View view; engine = Core.Engine.Td_bu;
+                 query = "for $x in db//price return $x" })
+        with
+        | Service.Ok (Service.Element_count n) -> n > 0
+        | _ -> Alcotest.fail "COUNT VIEW"
+      in
+      Alcotest.(check bool) "non-A prices visible" true
+        (exposed (define_policy svc group_b_policy));
+      Alcotest.(check bool) "no price visible" false
+        (exposed (define_policy svc [ ("strict", "delete $a//price") ])))
+
+(* Registered as the "security-view" suite. *)
+let security_view_suite =
+  [ Alcotest.test_case "view materialization" `Quick test_policy_materialization;
+    Alcotest.test_case "rules apply in order" `Quick test_policy_rule_order;
+    Alcotest.test_case "answer = query over view" `Quick test_policy_answer;
+    Alcotest.test_case "single rule composes" `Quick test_policy_single_rule_composes;
+    Alcotest.test_case "permitted audit" `Quick test_policy_permitted ]
 
 let suite =
   [
@@ -1537,4 +1697,5 @@ let suite =
       test_stream_consumer_failure;
     QCheck_alcotest.to_alcotest prop_render_value;
     Alcotest.test_case "service: render_value edge sequences" `Quick test_render_value_edges;
+    Alcotest.test_case "service: write query must return $a" `Quick test_write_query_returns_a;
   ]

@@ -211,16 +211,22 @@ let test_parser_replace_rename () =
   | _ -> Alcotest.fail "rename"
 
 let test_parser_errors () =
-  let fails s =
-    match Transform_parser.parse s with
+  let fails_in parse s =
+    match parse s with
     | exception Transform_parser.Parse_error _ -> ()
     | _ -> Alcotest.fail ("should not parse: " ^ s)
   in
+  let fails = fails_in Transform_parser.parse in
   fails "transform copy $a := doc(\"f\") modify do obliterate $a/x return $a";
   fails "transform copy $a := doc(\"f\") modify do delete $b/x return $a";
   fails "transform copy $a := doc(\"f\") modify do delete $a/x return $b";
   fails "transform copy $a := doc(f) modify do delete $a/x return $a";
-  fails "transform copy $a := doc(\"f\") modify do insert <a> into $a/x return $a"
+  fails "transform copy $a := doc(\"f\") modify do insert <a> into $a/x return $a";
+  (* the bare write-query forms may only return $a, like the full form *)
+  fails_in Transform_parser.parse_update "delete $a//x return $b";
+  fails_in Transform_parser.parse_updates "delete $a//x return $zz";
+  fails_in Transform_parser.parse_updates "(delete $a//x, delete $a//y) return $zz";
+  fails_in Transform_parser.parse_updates "delete $a//x return $a junk"
 
 let test_query_roundtrip_print () =
   let src =
@@ -276,52 +282,51 @@ let suite =
     Alcotest.test_case "print/parse roundtrip" `Quick test_query_roundtrip_print;
     Alcotest.test_case "SAX file roundtrip" `Quick test_sax_file_roundtrip ]
 
+(* A compound transform query applies its updates left to right: the
+   fold of single-update transforms over the parsed sequence. *)
+let run_sequence algo src ~doc =
+  List.fold_left (fun acc u -> Engine.transform algo u acc) doc (Transform_parser.parse_updates src)
+
 let test_update_sequence () =
   (* the message-transformation pipeline as ONE compound transform query *)
   let q =
-    Sequence.parse
-      {|transform copy $a := doc("m") modify do (
-          delete $a/order/customer/creditcard,
-          rename $a/order/items as lines,
-          insert <stamp kind="routing"/> into $a/order
-        ) return $a|}
+    {|transform copy $a := doc("m") modify do (
+        delete $a/order/customer/creditcard,
+        rename $a/order/items as lines,
+        insert <stamp kind="routing"/> into $a/order
+      ) return $a|}
   in
-  Alcotest.(check int) "three updates" 3 (List.length q.Sequence.updates);
+  Alcotest.(check int) "three updates" 3 (List.length (Transform_parser.parse_updates q));
   let doc =
     Dom.parse_string
       "<order><customer><name>Ada</name><creditcard>4000</creditcard></customer><items><item/></items></order>"
   in
-  let out = Sequence.run Engine.Gentop q ~doc in
+  let out = run_sequence Engine.Gentop q ~doc in
   let count p = List.length (Xut_xpath.Eval.select_doc out (parse_path p)) in
   Alcotest.(check int) "creditcard gone" 0 (count "order/customer/creditcard");
   Alcotest.(check int) "items renamed" 1 (count "order/lines");
   Alcotest.(check int) "stamp added" 1 (count "order/stamp");
-  (* equals the nesting of single-update transform queries, on any engine *)
-  let nested =
-    List.fold_left
-      (fun acc u -> Engine.transform Engine.Two_pass_sax u acc)
-      doc q.Sequence.updates
-  in
-  Alcotest.(check bool) "sequence = nested transforms" true (Node.equal_element out nested);
-  (* print/parse roundtrip *)
-  let q2 = Sequence.parse (Sequence.to_string q) in
-  Alcotest.(check string) "stable print" (Sequence.to_string q) (Sequence.to_string q2)
+  (* the same fold on another engine agrees *)
+  let nested = run_sequence Engine.Two_pass_sax q ~doc in
+  Alcotest.(check bool) "sequence = nested transforms" true (Node.equal_element out nested)
 
 let test_sequence_single_update () =
-  let q = Sequence.parse
-      "transform copy $a := doc(\"f\") modify do delete $a//price return $a" in
-  Alcotest.(check int) "one update" 1 (List.length q.Sequence.updates)
+  let us =
+    Transform_parser.parse_updates
+      "transform copy $a := doc(\"f\") modify do delete $a//price return $a"
+  in
+  Alcotest.(check int) "one update" 1 (List.length us)
 
 let test_sequence_with_quals_and_parens () =
   (* commas and parens inside qualifiers must not split the sequence *)
-  let q =
-    Sequence.parse
+  let us =
+    Transform_parser.parse_updates
       {|transform copy $a := doc("f") modify do (
           delete $a//part[not(supplier/country = "A") and pname = "x"],
           insert <v/> into $a//part[supplier/price < 5]
         ) return $a|}
   in
-  Alcotest.(check int) "two updates" 2 (List.length q.Sequence.updates)
+  Alcotest.(check int) "two updates" 2 (List.length us)
 
 let suite =
   suite

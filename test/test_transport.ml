@@ -402,11 +402,11 @@ let test_socket_matches_in_process () =
               | _ -> Alcotest.fail "COUNT over the socket");
               (* transport counters flowed into the service metrics *)
               let m = Service.metrics svc in
-              Alcotest.(check bool) "frames_in counted" true (Metrics.frames_in m >= 5);
-              Alcotest.(check bool) "frames_out counted" true (Metrics.frames_out m >= 5);
+              Alcotest.(check bool) "frames_in counted" true (Fixtures.stat m "frames_in" >= 5);
+              Alcotest.(check bool) "frames_out counted" true (Fixtures.stat m "frames_out" >= 5);
               Alcotest.(check bool) "bytes flow both ways" true
-                (Metrics.bytes_in m > 0 && Metrics.bytes_out m > 0);
-              Alcotest.(check int) "one connection accepted" 1 (Metrics.conns_accepted m);
+                (Fixtures.stat m "bytes_in" > 0 && Fixtures.stat m "bytes_out" > 0);
+              Alcotest.(check int) "one connection accepted" 1 (Fixtures.stat m "conns_accepted");
               match Service.call svc Service.Stats with
               | Service.Ok (Service.Stats_dump dump) ->
                 Alcotest.(check bool) "STATS surfaces transport counters" true
@@ -480,7 +480,7 @@ let test_malformed_frame () =
           | Service.Error { code = Service.Bad_request; _ } -> ()
           | _ -> Alcotest.fail "malformed frame must answer bad-request");
           Alcotest.(check bool) "malformed counter" true
-            (Metrics.frames_malformed (Service.metrics svc) >= 1);
+            (Fixtures.stat (Service.metrics svc) "frames_malformed" >= 1);
           assert_still_serving sock doc))
 
 let test_oversized_frame () =
@@ -507,7 +507,7 @@ let test_oversized_frame () =
               (String.split_on_char ' ' message |> List.exists (fun w -> w = "oversized"))
           | _ -> Alcotest.fail "oversized frame must answer bad-request");
           Alcotest.(check bool) "malformed counter" true
-            (Metrics.frames_malformed (Service.metrics svc) >= 1);
+            (Fixtures.stat (Service.metrics svc) "frames_malformed" >= 1);
           assert_still_serving sock doc))
 
 let test_truncated_frame () =
@@ -527,7 +527,7 @@ let test_truncated_frame () =
           Unix.close fd;
           (* mid-frame disconnect: the server counts it and carries on *)
           Alcotest.(check bool) "malformed counter incremented" true
-            (eventually (fun () -> Metrics.frames_malformed (Service.metrics svc) >= 1));
+            (eventually (fun () -> Fixtures.stat (Service.metrics svc) "frames_malformed" >= 1));
           assert_still_serving sock doc))
 
 let test_bad_payload_keeps_connection () =
@@ -596,7 +596,7 @@ let test_bad_payload_keeps_connection () =
               | _ -> Alcotest.fail "connection must keep serving after a bad payload");
               Unix.close fd;
               Alcotest.(check bool) "malformed counter" true
-                (Metrics.frames_malformed (Service.metrics svc) >= 1))))
+                (Fixtures.stat (Service.metrics svc) "frames_malformed" >= 1))))
 
 (* ---- error codes over the wire ---- *)
 
@@ -659,7 +659,7 @@ let test_busy_rejection () =
             (fun () ->
               load_over cli1 doc;
               let m = Service.metrics svc in
-              let frames0 = Metrics.frames_out m and bytes0 = Metrics.bytes_out m in
+              let frames0 = Fixtures.stat m "frames_out" and bytes0 = Fixtures.stat m "bytes_out" in
               let busy =
                 Wire.Binary.response_frame ~id:0L
                   (Service.Error
@@ -676,11 +676,11 @@ let test_busy_rejection () =
                 ());
               Client.close cli2;
               Alcotest.(check bool) "rejection counted" true
-                (eventually (fun () -> Metrics.conns_rejected m = 1));
+                (eventually (fun () -> Fixtures.stat m "conns_rejected" = 1));
               Alcotest.(check bool) "the BUSY frame counted as one frame out" true
                 (eventually (fun () ->
-                     Metrics.frames_out m = frames0 + 1
-                     && Metrics.bytes_out m = bytes0 + String.length busy));
+                     Fixtures.stat m "frames_out" = frames0 + 1
+                     && Fixtures.stat m "bytes_out" = bytes0 + String.length busy));
               (* the first connection is unaffected *)
               match
                 Client.call cli1
@@ -767,9 +767,10 @@ let test_stream_over_socket () =
               | _ -> Alcotest.fail "plain request after a stream");
               (* streaming counters flowed into the service metrics *)
               let m = Service.metrics svc in
-              Alcotest.(check int) "streams counted" (List.length queries) (Metrics.streams m);
+              Alcotest.(check int) "streams counted" (List.length queries)
+                (Fixtures.stat m "streams");
               Alcotest.(check bool) "chunks counted" true
-                (Metrics.stream_chunks m > List.length queries);
+                (Fixtures.stat m "stream_chunks" > List.length queries);
               Alcotest.(check bool) "bytes counted" true (Metrics.stream_bytes m > 0))))
 
 let test_stream_unknown_document () =
@@ -811,7 +812,7 @@ let check_v1_refused payload =
               (String.split_on_char ' ' message |> List.exists (fun w -> w = "version"))
           | _ -> Alcotest.fail "a v1 frame must answer bad-request at id 0");
       Alcotest.(check int) "counted malformed" 1
-        (Metrics.frames_malformed (Service.metrics svc)))
+        (Fixtures.stat (Service.metrics svc) "frames_malformed"))
 
 (* A v1 client has no fallback: its plain request is refused. *)
 let test_v1_client_refused () = check_v1_refused (Wire.Binary.encode_request Service.Stats)
@@ -1004,7 +1005,7 @@ let test_commit_over_socket () =
               Alcotest.(check int) "metrics: one effective commit" 1
                 (Metrics.commits (Service.metrics svc));
               Alcotest.(check int) "metrics: one conflict" 1
-                (Metrics.commit_conflicts (Service.metrics svc)))))
+                (Fixtures.stat (Service.metrics svc) "commit_conflicts"))))
 
 (* Mid-stream failure as the CLIENT sees it: a hand-rolled server sends
    BEGIN, two chunks, then a STREAM_ERROR (a real engine failing after
@@ -1373,7 +1374,7 @@ let test_schema_drop_notice () =
                      (List.length l)
                      (String.concat "; " (List.map Wire.Binary.render_notice l))));
               Alcotest.(check int) "metrics count the drop" 1
-                (Metrics.schema_bindings_dropped (Service.metrics svc));
+                (Fixtures.stat (Service.metrics svc) "schema_bindings_dropped");
               match Doc_store.info (Service.store svc) "d" with
               | Some { Doc_store.schema = None; _ } -> ()
               | _ -> Alcotest.fail "the binding must have lost its schema")))
