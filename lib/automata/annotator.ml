@@ -105,7 +105,7 @@ let annotate ?(skip = fun _ -> false) nfa root =
     annotate_subtree ~skip nfa tbl (ref 0) root (Selecting_nfa.start nfa) [];
   tbl
 
-type repair_stats = { recomputed : int; reused : int; dropped : int }
+type repair_stats = { recomputed : int; reused : int; dropped : int; rekeyed : bool }
 
 (* Same text children, physically, in the same order: the two elements'
    [Node.text_content] agree. *)
@@ -191,6 +191,68 @@ let align spine (oe : Node.element) (e : Node.element) ~shared ~rebuilt ~fresh ~
     (function Node.Element oc -> departed oc | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
     !olds
 
+(* What one commit touched, by label, from its diff: the labels of the
+   inserted, replacement and departed material and both names of each
+   rename ([touched]), and the labels of the rebuilt spine
+   ([spine_labels]).  One [align] pass over the spine pairs; shared
+   children are passed over, material is walked whole. *)
+type commit_footprint = {
+  touched : (Sym.t, unit) Hashtbl.t;
+  spine_labels : (Sym.t, unit) Hashtbl.t;
+}
+
+let commit_footprint ~spine new_root =
+  let fp = { touched = Hashtbl.create 16; spine_labels = Hashtbl.create 16 } in
+  let add tbl (e : Node.element) = Hashtbl.replace tbl (Node.sym e) () in
+  let material e = Node.iter_elements (add fp.touched) e in
+  let rec pair oe e =
+    add fp.spine_labels e;
+    if Node.sym oe <> Node.sym e then begin
+      add fp.touched oe;
+      add fp.touched e
+    end;
+    align spine oe e ~shared:ignore ~rebuilt:pair ~fresh:material ~departed:material
+  in
+  (match Hashtbl.find_opt spine (Node.id new_root) with
+  | Some old_root -> pair old_root new_root
+  | None -> material new_root);
+  fp
+
+(* A plan cannot observe the commit when no label it tables entries at
+   was inserted, removed or renamed, and no label it compares text at
+   lies on the rebuilt spine (text inserted or replaced under a spine
+   node changes only that node's string value).  Then every entry is
+   what it was: shared nodes keep their subtrees and demand (a renamed
+   ancestor's old and new names are both outside the plan's labels, so
+   they drive the automaton and the label guards alike), material holds
+   no entries on either side, and a spine node differs from its old
+   counterpart only by children without entries and by a string value
+   no qualifier reads there.  [compared] is a subset of [labels], so
+   the touched labels need checking against [labels] only. *)
+let independent nfa fp =
+  match Selecting_nfa.footprint nfa with
+  | None -> false
+  | Some { Selecting_nfa.labels; compared } ->
+    let fp = Lazy.force fp in
+    not
+      (List.exists (Hashtbl.mem fp.touched) labels
+      || List.exists (Hashtbl.mem fp.spine_labels) compared)
+
+(* The old table with each spine entry moved from its old id to its
+   fresh one: the whole repair of an independent plan. *)
+let rekey old_table ~spine =
+  let sat = Hashtbl.rebuild old_table.sat in
+  Hashtbl.iter
+    (fun fresh_id oe ->
+      match Hashtbl.find_opt old_table.sat (Node.id oe) with
+      | Some arr ->
+        Hashtbl.remove sat (Node.id oe);
+        Hashtbl.replace sat fresh_id arr
+      | None -> ())
+    spine;
+  ( { sat; lq = old_table.lq },
+    { recomputed = 0; reused = Hashtbl.length sat; dropped = 0; rekeyed = true } )
+
 (* Incremental repair after a commit: the new tree shares every untouched
    subtree with the old one (same element ids), and entries are
    subtree-local, so the old entries for shared subtrees are still valid
@@ -205,13 +267,19 @@ let align spine (oe : Node.element) (e : Node.element) ~shared ~rebuilt ~fresh ~
    same inputs as its old counterpart takes over the old entry; and
    stale entries are scrubbed by replaying the old run's walk, which
    visits exactly the nodes it wrote and stops where it pruned. *)
-let repair ?(skip = fun _ -> false) nfa ~old_table ~spine new_root =
+let repair ?(skip = fun _ -> false) ?footprint nfa ~old_table ~spine new_root =
   match Hashtbl.find_opt spine (Node.id new_root) with
   | None -> None (* degenerate diff: the document element was replaced *)
   | Some old_root ->
     let lq = Selecting_nfa.lq nfa in
+    let footprint =
+      match footprint with Some fp -> fp | None -> lazy (commit_footprint ~spine new_root)
+    in
     if not (has_any_qual nfa) then
-      Some ({ sat = Hashtbl.create 16; lq }, { recomputed = 0; reused = 0; dropped = 0 })
+      Some
+        ( { sat = Hashtbl.create 16; lq },
+          { recomputed = 0; reused = 0; dropped = 0; rekeyed = false } )
+    else if independent nfa footprint then Some (rekey old_table ~spine)
     else begin
       (* [rebuild], not [copy]: [copy]'s [Array.map] seeds the new
          bucket array with the copy of bucket 0, a young block, and the
@@ -336,6 +404,7 @@ let repair ?(skip = fun _ -> false) nfa ~old_table ~spine new_root =
             recomputed = !recomputed;
             reused = Hashtbl.length tbl.sat - !recomputed;
             dropped = !dropped;
+            rekeyed = false;
           } )
     end
 

@@ -40,10 +40,23 @@ type repair_stats = {
   recomputed : int;  (** entries written for fresh ids (spine + new material) *)
   reused : int;      (** entries carried over from the old table *)
   dropped : int;     (** stale old entries removed (departed subtrees) *)
+  rekeyed : bool;    (** the plan could not observe the commit: re-keyed *)
 }
+
+type commit_footprint
+(** What one commit touched, by label: the labels of its inserted,
+    replacement and departed material, both names of each rename, and
+    the labels of its rebuilt spine. *)
+
+val commit_footprint : spine:(int, Node.element) Hashtbl.t -> Node.element -> commit_footprint
+(** [commit_footprint ~spine new_root], from the diff alone: one walk of
+    the spine pairs ([repair]'s child alignment) plus the inserted and
+    departed material.  Compute it once per commit and hand it to every
+    [repair] of that commit. *)
 
 val repair :
   ?skip:(Node.element -> bool) ->
+  ?footprint:commit_footprint Lazy.t ->
   Selecting_nfa.t ->
   old_table:table ->
   spine:(int, Node.element) Hashtbl.t ->
@@ -59,7 +72,19 @@ val repair :
     child of a spine node is passed over unvisited unless the demand
     reaching it changed (e.g. a rename above it), in which case its
     subtree is re-annotated, and stale entries are found by replaying
-    the old run's walk only where that run wrote.  [None] when the diff is degenerate — the new root
+    the old run's walk only where that run wrote.
+
+    The first test decides whether the plan can observe the commit at
+    all.  When no label of the plan's {!Selecting_nfa.footprint} was
+    inserted, removed or renamed, and no label it compares text at lies
+    on the rebuilt spine, every entry stands as it was: the result is
+    the old table with each spine entry moved from its old id to its
+    fresh id, with no evaluation ([rekeyed = true]).  [footprint] is
+    the commit's {!commit_footprint}, forced only for plans with
+    qualifiers; a lazy value shared across one commit's repairs computes
+    it once, and it is computed from [spine] when absent.
+
+    [None] when the diff is degenerate — the new root
     is not a rebuild of the old one (document element replaced) — and
     the caller must fall back to a full [annotate].  The old table is
     never mutated: concurrent readers of the pre-commit snapshot keep

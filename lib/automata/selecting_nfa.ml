@@ -188,7 +188,74 @@ type t = {
   quals : set;             (* states with a non-trivial qualifier *)
   start : set;
   memo : memo;
+  named : Bytes.t;  (* bitmap over symbols: those a label state is entered by *)
+  footprint : footprint option;
 }
+
+and footprint = { labels : Sym.t list; compared : Sym.t list }
+
+(* ---- label footprint ---------------------------------------------------
+
+   The labels an annotation table of this automaton can hold entries at,
+   and those at which a qualifier reads a string value.  A qualifier
+   state is entered only by a node carrying its step's label, and a
+   child seed passes only to a child its label guard admits, so without
+   wildcards, qualifier descendant steps, or a qualified [//] step
+   (whose state every node under it enters) entries sit only at
+   [labels], and a text comparison runs only at the label of the step it
+   ends on ([compared], a subset of [labels]).  Attribute tests are not
+   recorded: no update edits an existing node's attributes.  The context
+   qualifier is checked on the document node and never tabled. *)
+
+exception Unbounded
+
+let footprint_of_steps (steps : Norm.nstep list) =
+  let labels = ref [] and compared = ref [] in
+  let add r l = if not (List.mem l !r) then r := l :: !r in
+  let label l =
+    add labels (Sym.intern l);
+    l
+  in
+  (* [owner] is the label of the node the qualifier is evaluated at *)
+  let rec qual owner = function
+    | Ast.Q_true -> ()
+    | Ast.Q_label l -> ignore (label l)
+    | Ast.Q_and (a, b) | Ast.Q_or (a, b) ->
+      qual owner a;
+      qual owner b
+    | Ast.Q_not a -> qual owner a
+    | Ast.Q_exists { spath; _ } -> ignore (path owner spath)
+    | Ast.Q_cmp ({ spath; sattr }, _, _) ->
+      let at = path owner spath in
+      if sattr = None then add compared (Sym.intern at)
+  and path owner = function
+    | [] -> owner
+    | { Ast.nav; quals } :: rest ->
+      let here =
+        match nav with
+        | Ast.Self -> owner
+        | Ast.Label l -> label l
+        | Ast.Wildcard | Ast.Descendant -> raise Unbounded
+      in
+      List.iter (qual here) quals;
+      path here rest
+  in
+  match
+    List.iter
+      (fun (s : Norm.nstep) ->
+        match s.nav with
+        | Norm.N_label l -> List.iter (qual (label l)) s.quals
+        | Norm.N_wild -> raise Unbounded
+        | Norm.N_desc -> if s.quals <> [] then raise Unbounded)
+      steps
+  with
+  | () -> Some { labels = !labels; compared = !compared }
+  | exception Unbounded -> None
+
+let named_of enter_sym =
+  let b = Bytes.make ((Array.fold_left max 0 enter_sym / 8) + 1) '\000' in
+  Array.iter (fun sym -> if sym >= 0 then wset b sym) enter_sym;
+  b
 
 let of_norm (norm : Norm.t) =
   let b = Lq.create_builder () in
@@ -259,7 +326,8 @@ let of_norm (norm : Norm.t) =
     if small then Bits eps_bits.(0) else Wide (Bytes.copy eps_wide.(0))
   in
   { states; lq = Lq.freeze b; ctx_qual; true_idx; n; small; nwords; enter_sym; self_loop;
-    eps_bits; eps_wide; quals; start; memo = memo_create () }
+    eps_bits; eps_wide; quals; start; memo = memo_create ();
+    named = named_of enter_sym; footprint = footprint_of_steps norm.steps }
 
 let of_path p = of_norm (Norm.steps p)
 
@@ -271,6 +339,7 @@ let state_qual t i = t.states.(i).qual
 let state_lq t i = t.states.(i).lq_idx
 let has_qual t i = t.states.(i).lq_idx <> t.true_idx
 let ctx_qual t = t.ctx_qual
+let footprint t = t.footprint
 let selects_context t = t.n = 1
 
 let start t = t.start
@@ -386,6 +455,8 @@ let transition t s sym =
   end
 
 let next_unchecked t s sym = (transition t s sym).e_closed
+
+let names t sym = sym lsr 3 < Bytes.length t.named && wmem t.named sym
 
 let next t ~checkp s sym =
   let e = transition t s sym in

@@ -48,6 +48,23 @@ val has_qual : t -> int -> bool
 val ctx_qual : t -> Ast.qual
 (** Qualifier applying to the context node (from leading '.' steps). *)
 
+type footprint = {
+  labels : Xut_xml.Sym.t list;
+      (** every label a selecting or qualifier step names: the only
+          labels of the nodes an annotation table holds entries for *)
+  compared : Xut_xml.Sym.t list;
+      (** the labels at which a qualifier compares a node's string value
+          (a subset of [labels]) *)
+}
+
+val footprint : t -> footprint option
+(** The label footprint of the annotation pass, computed once when the
+    automaton is built.  [None] (unbounded) when a wildcard step, a
+    [//] step inside a qualifier, or a [//] step carrying qualifiers
+    lets entries sit at nodes of any label.  Attribute tests add
+    nothing (no update edits an existing node's attributes), nor does
+    the context qualifier (never tabled). *)
+
 val selects_context : t -> bool
 (** True iff the path is empty (the final state is the start state, so
     the context node itself is selected). *)
@@ -97,6 +114,11 @@ val next : t -> checkp:(int -> bool) -> set -> Xut_xml.Sym.t -> set
 val next_unchecked : t -> set -> Xut_xml.Sym.t -> set
 (** Transition ignoring qualifiers (the over-approximation the bottom-up
     pass runs on, Fig. 9 lines 1–2).  Memoized. *)
+
+val names : t -> Xut_xml.Sym.t -> bool
+(** Does a label step of the path name the symbol?  From one set, the
+    {!next_unchecked} transitions on all the symbols it does not name
+    agree, so a walk may reuse the last one. *)
 
 val consistent_at_sym : t -> int -> Xut_xml.Sym.t -> bool
 (** {!consistent_at} on an interned label. *)

@@ -26,6 +26,10 @@ let visit () =
   let c = cell () in
   c.visited <- c.visited + 1
 
+let visits n =
+  let c = cell () in
+  c.visited <- c.visited + n
+
 let copy () =
   let c = cell () in
   c.copied <- c.copied + 1

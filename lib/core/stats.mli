@@ -18,6 +18,10 @@ type snapshot = { visited : int; copied : int; shared : int }
 
 val reset : unit -> unit
 val visit : unit -> unit
+
+val visits : int -> unit
+(** [n] visits at once, for a walk that counts its own. *)
+
 val copy : unit -> unit
 val share : unit -> unit
 (** An entire subtree was returned without inspection. *)

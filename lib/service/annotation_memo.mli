@@ -36,6 +36,7 @@ val invalidate : t -> root_id:int -> bool
 
 val repair :
   ?skip:(Xut_xml.Node.element -> bool) ->
+  ?footprint:Annotator.commit_footprint Lazy.t ->
   t ->
   Selecting_nfa.t ->
   old_root_id:int ->
@@ -48,4 +49,6 @@ val repair :
     [`Fallback] when the diff is degenerate (document element replaced)
     and the old entry was evicted instead.  On success the old root's
     entry is {e kept} for in-flight readers of the pre-commit snapshot
-    and ages out of the LRU like any other entry. *)
+    and ages out of the LRU like any other entry.  [footprint] is passed
+    to the repair: the commit's label footprint, shared by every repair
+    of one commit. *)

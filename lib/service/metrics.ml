@@ -147,6 +147,7 @@ let annotation_repairs, add_annotation_repairs = summed "annotation_repairs"
 let repair_fallbacks, add_repair_fallbacks = summed "repair_fallbacks"
 let repair_recomputed_nodes, add_repair_recomputed = summed "repair_recomputed_nodes"
 let repair_reused_nodes, add_repair_reused = summed "repair_reused_nodes"
+let _, add_repair_rekeyed = summed "repair_rekeyed"
 let _, incr_view_defs = counter "view_defs"
 let view_hits, incr_view_hits = counter "view_hits"
 let composed_plans, incr_composed_plans = counter "composed_plans"
@@ -238,11 +239,12 @@ let stream_chunk m bytes =
   incr_stream_chunks m;
   add_stream_bytes m bytes
 
-let add_repairs m ~repaired ~fallbacks ~recomputed ~reused =
+let add_repairs m ~repaired ~fallbacks ~recomputed ~reused ~rekeyed =
   add_annotation_repairs m repaired;
   add_repair_fallbacks m fallbacks;
   add_repair_recomputed m recomputed;
-  add_repair_reused m reused
+  add_repair_reused m reused;
+  add_repair_rekeyed m rekeyed
 
 let add_skipped m ~subtrees ~nodes =
   add_skipped_subtrees m subtrees;

@@ -99,13 +99,14 @@ val stream_fallbacks : t -> int
     ([annotation_repairs]), evicted because the diff was degenerate
     ([repair_fallbacks]), and the summed entries the repairs recomputed
     versus carried over — the incrementality the repair buys over full
-    re-annotation. *)
+    re-annotation.  [repair_rekeyed] counts the repairs whose plan
+    could not observe the commit, so the table was only re-keyed. *)
 
 val incr_schema_bindings_dropped : t -> unit
 val add_doc_invalidations : t -> int -> unit
 
 val add_repairs :
-  t -> repaired:int -> fallbacks:int -> recomputed:int -> reused:int -> unit
+  t -> repaired:int -> fallbacks:int -> recomputed:int -> reused:int -> rekeyed:int -> unit
 
 val annotation_repairs : t -> int
 val repair_fallbacks : t -> int

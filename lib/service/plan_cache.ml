@@ -138,13 +138,19 @@ type repair_totals = {
   fallbacks : int;
   recomputed_nodes : int;
   reused_nodes : int;
+  rekeyed : int;
 }
 
-let repair ?(plan_skip = fun _ -> None) t ~old_root_id ~spine new_root =
+let repair ?(plan_skip = fun _ -> None) ?footprint t ~old_root_id ~spine new_root =
+  let footprint =
+    match footprint with
+    | Some fp -> fp
+    | None -> lazy (Annotator.commit_footprint ~spine new_root)
+  in
   List.fold_left
     (fun acc plan ->
       match
-        Annotation_memo.repair ?skip:(plan_skip plan) plan.annotations plan.nfa
+        Annotation_memo.repair ?skip:(plan_skip plan) ~footprint plan.annotations plan.nfa
           ~old_root_id ~spine new_root
       with
       | `Absent -> acc
@@ -155,8 +161,9 @@ let repair ?(plan_skip = fun _ -> None) t ~old_root_id ~spine new_root =
           repaired = acc.repaired + 1;
           recomputed_nodes = acc.recomputed_nodes + st.Annotator.recomputed;
           reused_nodes = acc.reused_nodes + st.Annotator.reused;
+          rekeyed = (acc.rekeyed + if st.Annotator.rekeyed then 1 else 0);
         })
-    { repaired = 0; fallbacks = 0; recomputed_nodes = 0; reused_nodes = 0 }
+    { repaired = 0; fallbacks = 0; recomputed_nodes = 0; reused_nodes = 0; rekeyed = 0 }
     (plans t)
 
 let annotation_entries t =

@@ -95,10 +95,12 @@ type repair_totals = {
   fallbacks : int;         (** plan tables evicted (degenerate diff) *)
   recomputed_nodes : int;  (** entries evaluated afresh, summed *)
   reused_nodes : int;      (** entries carried over, summed *)
+  rekeyed : int;           (** repairs the commit could not reach: re-keyed *)
 }
 
 val repair :
   ?plan_skip:(plan -> (Xut_xml.Node.element -> bool) option) ->
+  ?footprint:Xut_automata.Annotator.commit_footprint Lazy.t ->
   t ->
   old_root_id:int ->
   spine:(int, Xut_xml.Node.element) Hashtbl.t ->
@@ -114,7 +116,10 @@ val repair :
     for the old root are untouched (nothing to keep warm).  [plan_skip]
     supplies each plan's schema skip-set oracle (from {!product} against
     the document's post-commit binding), pruning the fresh-subtree
-    annotation inside the repair without changing its result. *)
+    annotation inside the repair without changing its result.
+    [footprint] is the commit's label footprint; when absent it is
+    computed once, on the first plan that needs it, and shared by the
+    rest. *)
 
 val annotation_entries : t -> int
 (** Total memoized annotation tables across all cached plans — the

@@ -526,6 +526,7 @@ let handle_apply ~store ~doc ~query =
                collapsed = report.Xut_update.Apply.collapsed;
                conflicts = conflict_strings report;
              })
+      | exception Xut_update.Apply.Invalid msg -> error Eval_error "%s" msg
       | exception e -> error Eval_error "%s" (Printexc.to_string e)
     end
   end
@@ -778,19 +779,29 @@ let create ?(domains = 1) () =
           Some (fun e -> Xut_schema.Schema.skippable product (Xut_xml.Node.sym e))
         | _ -> None
       in
+      (* one label footprint per commit, for the plans' and the views'
+         repairs alike, computed only if a repair needs it *)
+      let footprint =
+        Option.map
+          (fun (hint : Doc_store.repair_hint) ->
+            lazy
+              (Xut_automata.Annotator.commit_footprint ~spine:hint.Doc_store.spine
+                 hint.Doc_store.new_root))
+          ev.Doc_store.repair
+      in
       (match ev.Doc_store.repair with
       | Some hint ->
         let plan_skip (plan : Plan_cache.plan) =
           skip_against plan.Plan_cache.nfa plan.Plan_cache.products
         in
         let totals =
-          Plan_cache.repair ~plan_skip cache ~old_root_id:ev.Doc_store.root_id
+          Plan_cache.repair ~plan_skip ?footprint cache ~old_root_id:ev.Doc_store.root_id
             ~spine:hint.Doc_store.spine hint.Doc_store.new_root
         in
         Metrics.add_repairs metrics ~repaired:totals.Plan_cache.repaired
           ~fallbacks:totals.Plan_cache.fallbacks
           ~recomputed:totals.Plan_cache.recomputed_nodes
-          ~reused:totals.Plan_cache.reused_nodes;
+          ~reused:totals.Plan_cache.reused_nodes ~rekeyed:totals.Plan_cache.rekeyed;
         Metrics.add_doc_invalidations metrics totals.Plan_cache.fallbacks
       | None ->
         Metrics.add_doc_invalidations metrics
@@ -808,7 +819,7 @@ let create ?(domains = 1) () =
               match
                 Annotation_memo.repair
                   ?skip:(skip_against v.View_store.nfa v.View_store.products)
-                  v.View_store.memo v.View_store.nfa
+                  ?footprint v.View_store.memo v.View_store.nfa
                   ~old_root_id:ev.Doc_store.root_id ~spine:hint.Doc_store.spine
                   hint.Doc_store.new_root
               with

@@ -1,5 +1,6 @@
 open Xut_xml
 open Xut_xpath
+open Xut_automata
 
 exception Invalid of string
 
@@ -17,6 +18,84 @@ let op_of_update = function
   | Core.Transform_ast.Replace (_, e) -> Pending.Replace e
   | Core.Transform_ast.Rename (_, l) -> Pending.Rename l
 
+(* topDown's selection (Sec. 3.3) without the rebuild: the walk stops
+   wherever the state set empties, and collects the selected nodes in
+   document order.  [go] answers whether a target lies at or below [e];
+   [mark] receives the id of each element with a target strictly below
+   it, so marking allocates nothing per node: the walk allocates per
+   target, per marked ancestor, and when the transition it reuses
+   changes.
+
+   A [//] step carrying qualifiers ([//.[q]]) is the one shape where the
+   automaton and the reference semantics disagree: the automaton makes
+   [q] a condition on staying in the [//] state (untested where the [//]
+   starts, and cutting the descent below a node that fails it), the
+   reference tests it only at the node the next step leaves from.  For
+   it the targets come from [Eval.select_doc], and the walk runs on the
+   qualifier-free automaton, whose runs reach a superset of them, only
+   to mark. *)
+let select ?(mark = ignore) path root =
+  let nfa = Selecting_nfa.of_path path in
+  let qualified_desc =
+    List.exists
+      (fun i -> Selecting_nfa.kind nfa i = Selecting_nfa.K_desc && Selecting_nfa.has_qual nfa i)
+      (List.init (Selecting_nfa.size nfa) Fun.id)
+  in
+  if not (Core.Semantics.ctx_holds nfa root) then []
+  else if Selecting_nfa.selects_context nfa then [ root ]
+  else begin
+    let reference =
+      if qualified_desc then Some (Eval.node_set_ids (Eval.select_doc root path)) else None
+    in
+    let unchecked =
+      qualified_desc || Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa)
+    in
+    let targets = ref [] and visits = ref 0 in
+    (* the last transition on a symbol no step names: under a [//] step,
+       where most elements carry such names, it repeats node after node *)
+    let unnamed = ref None in
+    let next_unchecked states sym =
+      match !unnamed with
+      | Some (from_, to_)
+        when (not (Selecting_nfa.names nfa sym)) && Selecting_nfa.set_equal states from_ ->
+        to_
+      | Some _ | None ->
+        let to_ = Selecting_nfa.next_unchecked nfa states sym in
+        if not (Selecting_nfa.names nfa sym) then unnamed := Some (states, to_);
+        to_
+    in
+    let rec go states (e : Node.element) =
+      incr visits;
+      let states' =
+        if unchecked then next_unchecked states (Node.sym e)
+        else
+          Selecting_nfa.next nfa
+            ~checkp:(fun s -> Core.Top_down.direct_checkp nfa s e)
+            states (Node.sym e)
+      in
+      (not (Selecting_nfa.set_is_empty states'))
+      &&
+      let here =
+        match reference with
+        | None -> Selecting_nfa.accepts_set nfa states'
+        | Some ids -> Hashtbl.mem ids (Node.id e)
+      in
+      if here then targets := e :: !targets;
+      let below = kids states' false (Node.children e) in
+      if below then mark (Node.id e);
+      here || below
+    and kids states found = function
+      | [] -> found
+      | Node.Element c :: rest ->
+        let f = go states c in
+        kids states (f || found) rest
+      | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids states found rest
+    in
+    ignore (go (Selecting_nfa.start nfa) root);
+    Core.Stats.visits !visits;
+    List.rev !targets
+  end
+
 let resolve updates root =
   let p = Pending.create () in
   List.iter
@@ -24,7 +103,7 @@ let resolve updates root =
       let op = op_of_update u in
       List.iter
         (fun e -> Pending.add p ~target:(Node.id e) op)
-        (Eval.select_doc root (Core.Transform_ast.path u)))
+        (select ~mark:(Pending.mark_ancestor p) (Core.Transform_ast.path u) root))
     updates;
   p
 
@@ -36,19 +115,31 @@ let report_of (nz : Pending.normalized) =
     conflicts = nz.Pending.conflicts;
   }
 
+(* The document element must survive as an element — the one check on a
+   normalized list that needs no tree. *)
+let check_document_element (nz : Pending.normalized) root =
+  match Hashtbl.find_opt nz.Pending.table (Node.id root) with
+  | Some Pending.Dead -> raise (Invalid "update deletes the document element")
+  | Some (Pending.Swap (Node.Text _ | Node.Comment _ | Node.Pi _)) ->
+    raise (Invalid "update replaces the document element with a non-element")
+  | Some (Pending.Swap (Node.Element _) | Pending.Edit _) | None -> ()
+
 let stage updates root =
   let nz = Pending.normalize (resolve updates root) in
+  check_document_element nz root;
   (report_of nz, nz)
 
 type diff = { spine : (int, Node.element) Hashtbl.t; element_delta : int }
 
 (* One pass over the snapshot, as topDown's step over the pending
-   table: [Top_down.rebuild_children] returns [None] for a child list
-   nothing below changed, allocating nothing, and otherwise rebuilds it
-   from the first changed child on.  Inserted/replacement content is
-   deep copied with fresh ids per target (several targets may share one
-   literal); the spine down to each touched node is rebuilt with fresh
-   ids; an untouched subtree is the very same value.  Every rebuilt
+   table: an element that is neither a target nor a marked ancestor is
+   [Same] without a descent, so the walk visits the spine and its
+   children only.  [Top_down.rebuild_children] returns [None] for a
+   child list nothing below changed, allocating nothing, and otherwise
+   rebuilds it from the first changed child on.  Inserted/replacement
+   content is deep copied with fresh ids per target (several targets may
+   share one literal); the spine down to each touched node is rebuilt
+   with fresh ids; an untouched subtree is the very same value.  Every rebuilt
    spine element is recorded in the diff as [fresh id -> the element it
    replaced] — the map downstream annotation repair walks; replacements
    and insertions are {e not} spine (their ids pair with nothing in the
@@ -58,6 +149,7 @@ type diff = { spine : (int, Node.element) Hashtbl.t; element_delta : int }
 let materialize (nz : Pending.normalized) root =
   if nz.Pending.primitives = 0 then None
   else begin
+    check_document_element nz root;
     let spine = Hashtbl.create 64 in
     let delta = ref 0 in
     let rebuilt old_e new_e =
@@ -71,6 +163,7 @@ let materialize (nz : Pending.normalized) root =
     in
     let departed e = delta := !delta - Node.element_count (Node.Element e) in
     let rec go e () =
+      Core.Stats.visit ();
       match Hashtbl.find_opt nz.Pending.table (Node.id e) with
       | Some Pending.Dead ->
         departed e;
@@ -88,6 +181,7 @@ let materialize (nz : Pending.normalized) root =
         rebuilt e
           (Node.element ~attrs:(Node.attrs e) name
              (List.map refresh firsts @ kids @ List.map refresh lasts))
+      | None when not (Hashtbl.mem nz.Pending.ancestors (Node.id e)) -> Core.Top_down.Same
       | None -> (
         match Core.Top_down.rebuild_children go () (Node.children e) with
         | None -> Core.Top_down.Same
@@ -96,9 +190,7 @@ let materialize (nz : Pending.normalized) root =
     match go root () with
     | Core.Top_down.Same -> None
     | Core.Top_down.Changed [ Node.Element e ] -> Some (e, { spine; element_delta = !delta })
-    | Core.Top_down.Changed [] -> raise (Invalid "update deletes the document element")
-    | Core.Top_down.Changed _ ->
-      raise (Invalid "update replaces the document element with a non-element")
+    | Core.Top_down.Changed _ -> assert false (* [check_document_element] *)
   end
 
 let run updates root =

@@ -15,6 +15,14 @@ open Xut_xml
     topDown's own step, {!Core.Top_down.rebuild_children}, driven by the
     pending table instead of an NFA.
 
+    Both halves cost the spine, not the document.  Each update's path is
+    resolved by a walk of its selecting NFA ({!select}), which stops
+    wherever the state set empties and marks every proper ancestor of a
+    target; the rebuild then answers [Same] at any element that is
+    neither a target nor marked, without descending.  What stays
+    O(document) is the selection itself when a path's states never
+    empty, as under a [//x] step.
+
     Snapshot semantics: with several updates in one [modify do (...)],
     every path is resolved against the {e original} tree — unlike a
     left-to-right fold of {!Core.Engine.transform}, where each update
@@ -36,9 +44,26 @@ type report = {
   conflicts : Pending.conflict list;
 }
 
+val select : ?mark:(int -> unit) -> Xut_xpath.Ast.path -> Node.element -> Node.element list
+(** The nodes the path selects from the document element, in document
+    order: the same list as [Xut_xpath.Eval.select_doc] (the reference
+    semantics), found by a walk of the path's selecting NFA as
+    {!Core.Top_down.run} walks — the context qualifier checked on the
+    document node, and no descent below an element whose state set is
+    empty.  [mark] is called once with the id of each element that has
+    a selected node strictly below it.  Marking allocates nothing per
+    element, and the walk counts one {!Core.Stats.visit} per element it
+    enters.  A path with a qualified [//] step ([//.[q]]) takes its
+    targets from [Eval.select_doc] and walks only to mark. *)
+
 val stage : Core.Transform_ast.update list -> Node.element -> report * Pending.normalized
-(** [resolve] + {!Pending.normalize}: the dry-run ([APPLY]) entry point.
-    No tree is built. *)
+(** Resolve every update with {!select} against the one snapshot (the
+    targets' ancestors marked in the list), then {!Pending.normalize}:
+    the dry-run ([APPLY]) entry point.  No tree is built.
+
+    @raise Invalid when the list deletes the document element or
+    replaces it with a non-element, so a dry run that reports no
+    conflicts is one a commit accepts. *)
 
 type diff = {
   spine : (int, Node.element) Hashtbl.t;
@@ -60,9 +85,10 @@ val materialize : Pending.normalized -> Node.element -> (Node.element * diff) op
     empty (nothing selected): the tree is unchanged and {e no new root
     exists} — callers must not treat this as a new version.  [Some
     (root', diff)] shares untouched subtrees with [root] physically.
-    The walk visits every element (one pending-table probe each) but
-    allocates only for rebuilt spine nodes, their diff entries and the
-    fresh copies.
+    The walk enters only targets, the ancestors the list marks (see
+    {!Pending.mark_ancestor}) and their children, ticking
+    {!Core.Stats.visit} per element, and allocates only for rebuilt
+    spine nodes, their diff entries and the fresh copies.
     Primitives targeting nodes inside a deleted or replaced subtree are
     subsumed (never applied), matching the reference engine's rebuild.
 

@@ -33,20 +33,23 @@ type resolved =
 
 type prim = { target : int; op : op }
 
-type t = { mutable prims : prim list; mutable count : int }
+type t = { mutable prims : prim list; mutable count : int; ancestors : (int, unit) Hashtbl.t }
 (* [prims] is kept newest-first; [normalize] reverses back to
    submission order. *)
 
-let create () = { prims = []; count = 0 }
+let create () = { prims = []; count = 0; ancestors = Hashtbl.create 64 }
 
 let add t ~target op =
   t.prims <- { target; op } :: t.prims;
   t.count <- t.count + 1
 
+let mark_ancestor t id = Hashtbl.replace t.ancestors id ()
+
 let added t = t.count
 
 type normalized = {
   table : (int, resolved) Hashtbl.t;
+  ancestors : (int, unit) Hashtbl.t;
   targets : int;
   primitives : int;
   collapsed : int;
@@ -110,6 +113,7 @@ let normalize t =
   let primitives = Hashtbl.fold (fun _ s n -> n + weight s) table 0 in
   {
     table;
+    ancestors = t.ancestors;
     targets = Hashtbl.length table;
     primitives;
     collapsed = !collapsed;

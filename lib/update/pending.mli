@@ -75,6 +75,13 @@ val add : t -> target:int -> op -> unit
 (** Append one primitive.  Submission order is remembered — it is the
     deterministic tiebreak for insert ordering and conflict reporting. *)
 
+val mark_ancestor : t -> int -> unit
+(** Record the id of a proper ancestor of some target.  The rebuild
+    ([Apply.materialize]) descends only through targets and marked
+    ancestors, so every proper ancestor of a target below the document
+    element must be marked; a list whose only target is the document
+    element needs no marks. *)
+
 val added : t -> int
 (** Primitives added so far (pre-merge). *)
 
@@ -83,6 +90,8 @@ type normalized = {
   table : (int, resolved) Hashtbl.t;
       (** target node id -> merged outcome; conflicted targets keep the
           first-submitted primitive *)
+  ancestors : (int, unit) Hashtbl.t;
+      (** the ids {!mark_ancestor} recorded: the spine above the targets *)
   targets : int;     (** distinct target nodes *)
   primitives : int;  (** surviving primitives after merging *)
   collapsed : int;   (** primitives absorbed by the hierarchy *)

@@ -76,7 +76,8 @@ and check_qual (n : Node.element) (q : Ast.qual) : bool =
    pre-order walk per frontier element yields the result in document order
    with no duplicates — skipping the materialized descendant list, the
    dedup table and the whole-document rank sort.  This is the shape of
-   marker-cleanup updates (delete $a//x), which run on every commit. *)
+   marker-cleanup updates (delete $a//x) and of [//name] reads, which
+   the reference and naive engines and XQuery evaluate. *)
 let rec split_trailing_desc_label acc = function
   | [ { Ast.nav = Ast.Descendant; quals = dq }; { Ast.nav = Ast.Label l; quals = lq } ] ->
     Some (List.rev acc, dq, l, lq)

@@ -64,6 +64,17 @@ let pnames doc path =
          | n :: _ -> Node.text_content n
          | [] -> "?")
 
+(* Spine nodes plus the element children of spine nodes, in the new tree of a
+   commit whose diff maps fresh spine ids in [spine]. *)
+let rec spine_extent spine e =
+  List.fold_left
+    (fun n c ->
+      match c with
+      | Node.Element c when Hashtbl.mem spine (Node.id c) -> n + spine_extent spine c
+      | Node.Element _ -> n + 1
+      | Node.Text _ | Node.Comment _ | Node.Pi _ -> n)
+    1 (Node.children e)
+
 (* Replies of callback-style submissions ([Service.submit],
    [Worker_pool.submit]): [expect ()] is the reply function for one more
    request, and [all ()] waits until every expected reply has arrived

@@ -98,6 +98,24 @@ let gen_path : Ast.path QCheck2.Gen.t =
       (List.mapi (fun i (s : Ast.step) -> if i = pos && s.nav <> Ast.Descendant then { s with quals = q :: s.quals } else s) base)
   else return base
 
+(* [gen_path] with '.' steps spliced in, bare or qualified, a leading
+   one qualifying the context (the document node); half the paths start
+   at the document element "r", so a child-only path selects at all. *)
+let gen_path_dotted : Ast.path QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* base = gen_path in
+  let* from_root = bool in
+  let base = if from_root then Ast.step (Ast.Label "r") :: base else base in
+  let dot =
+    frequency
+      [ (3, return []);
+        (1, return [ Ast.step Ast.Self ]);
+        (1, map (fun q -> [ Ast.step ~quals:[ q ] Ast.Self ]) (gen_qual 1)) ]
+  in
+  let* lead = dot in
+  let* rest = flatten_l (List.map (fun s -> map (fun d -> s :: d) dot) base) in
+  return (lead @ List.concat rest)
+
 let gen_update : Transform_ast.update QCheck2.Gen.t =
   let open QCheck2.Gen in
   let* path = gen_path in

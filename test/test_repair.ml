@@ -97,6 +97,107 @@ let prop_repair_compounds =
           end)
         us)
 
+(* ---- commits a plan cannot observe: the re-key ---- *)
+
+(* Plans over the generated documents' labels (a-e under "r"): random
+   paths from "r", and shapes whose qualifier compares the text of a
+   child or of the qualified node itself. *)
+let gen_plan =
+  let open QCheck2.Gen in
+  let open Xut_xpath.Ast in
+  let r = step (Label "r") in
+  let compared =
+    let* l1 = Test_properties.gen_label in
+    let* l2 = Test_properties.gen_label in
+    let* op = Test_properties.gen_cmp in
+    let* v = Test_properties.gen_value in
+    oneofl
+      [ [ r; step ~quals:[ Q_cmp (path_source [ step (Label l2) ], op, v) ] (Label l1) ];
+        [ r; step (Label l1); step ~quals:[ Q_cmp (self_source, op, v) ] (Label l2) ];
+        [ r; step Descendant; step ~quals:[ Q_cmp (path_source [ step (Label l2) ], op, v) ] (Label l1) ] ]
+  in
+  frequency
+    [ (2, compared);
+      (1, map (fun p -> r :: p) Test_properties.gen_path);
+      (1, Test_properties.gen_path) ]
+
+(* Commits biased towards ones a plan cannot observe: material under
+   the fresh labels x and y (no document or plan names them), renames
+   to the fresh label z, deletes of fresh material an earlier commit
+   left, and text inserted where a plan may compare it (under every
+   node of one label, so it often lands where a plan compares: the
+   commit is observable only through its spine), beside a share of
+   arbitrary updates. *)
+let gen_biased_update =
+  let open QCheck2.Gen in
+  let open Xut_xpath.Ast in
+  let fresh =
+    oneofl
+      [ Node.elem "x" [ Node.text "7" ];
+        Node.elem "x" [ Node.elem "y" [ Node.text "20" ] ];
+        Node.elem "y" [] ]
+  in
+  let text = oneofl [ "9"; "30"; "B" ] in
+  let* path =
+    let* p = Test_properties.gen_path_simple 2 in
+    frequency [ (3, return (step (Label "r") :: p)); (1, return p) ]
+  in
+  frequency
+    [ (3, map (fun m -> Core.Transform_ast.Insert (path, m)) fresh);
+      (1, map (fun m -> Core.Transform_ast.Insert_first (path, m)) fresh);
+      (2, return (Core.Transform_ast.Rename (path, "z")));
+      (2, map (fun t -> Core.Transform_ast.Insert (path, Node.text t)) text);
+      (3,
+       map2
+         (fun l t -> Core.Transform_ast.Insert ([ step Descendant; step (Label l) ], Node.text t))
+         Test_properties.gen_label text);
+      (1, return (Core.Transform_ast.Delete [ step Descendant; step (Label "x") ]));
+      (1, Test_properties.gen_update) ]
+
+(* Commit [us] one at a time from [root], repairing each commit's table
+   from the previous one: [Some rekeyed] (how many repairs re-keyed)
+   when every repaired table equals a from-scratch annotation. *)
+let rekey_chain (root, path, us) =
+  let nfa = Selecting_nfa.of_path path in
+  let rec go root table rekeyed = function
+    | [] -> Some rekeyed
+    | u :: us -> (
+      match Apply.run [ u ] root with
+      | Error _ | Ok (_, None) | (exception Apply.Invalid _) -> go root table rekeyed us
+      | Ok (_, Some (root', diff)) -> (
+        match Annotator.repair nfa ~old_table:table ~spine:diff.Apply.spine root' with
+        | None -> go root' (Annotator.annotate nfa root') rekeyed us
+        | Some (repaired, st) ->
+          if tables_equivalent nfa repaired (Annotator.annotate nfa root') root' then
+            go root' repaired (if st.Annotator.rekeyed then rekeyed + 1 else rekeyed) us
+          else None))
+  in
+  go root (Annotator.annotate nfa root) 0 us
+
+let gen_rekey_chain =
+  QCheck2.Gen.(
+    triple Test_properties.gen_root gen_plan (list_size (int_range 1 6) gen_biased_update))
+
+let prop_rekey_equals_annotate =
+  QCheck2.Test.make ~name:"footprint re-key = from-scratch annotate (biased)" ~count:500
+    gen_rekey_chain
+    (fun case -> Option.is_some (rekey_chain case))
+
+(* The property above is only as good as its share of re-keyed repairs:
+   on a fixed seed, every chain must hold and a fair share of the
+   repairs must take the re-key (500 re-keyed repairs over the 1000
+   chains on this seed). *)
+let test_rekey_coverage () =
+  let rand = Random.State.make [| 32 |] in
+  let rekeyed = ref 0 in
+  List.iter
+    (fun case ->
+      match rekey_chain case with
+      | Some n -> rekeyed := !rekeyed + n
+      | None -> Alcotest.fail "a re-keyed or repaired table differs from annotate")
+    (QCheck2.Gen.generate ~rand ~n:1000 gen_rekey_chain);
+  Alcotest.(check bool) (Printf.sprintf "%d re-keyed repairs >= 400" !rekeyed) true (!rekeyed >= 400)
+
 (* ---- >62-state NFA: the Bytes-backed bitset path ---- *)
 
 (* A chain document a/b/a/b/... with a <c> leaf at every level, and a
@@ -228,16 +329,6 @@ let wide_doc () =
   Node.element "site"
     [ Node.elem "people" (List.init 10 person); Node.elem "open_auctions" (List.init 1000 auction) ]
 
-(* Spine nodes plus the element children of spine nodes, in the new tree. *)
-let rec spine_extent spine e =
-  List.fold_left
-    (fun n c ->
-      match c with
-      | Node.Element c when Hashtbl.mem spine (Node.id c) -> n + spine_extent spine c
-      | Node.Element _ -> n + 1
-      | Node.Text _ | Node.Comment _ | Node.Pi _ -> n)
-    1 (Node.children e)
-
 (* One leaf inserted under one of the 1000 auctions: 3 spine nodes with
    ~1050 children between them.  The bound on repair's allocation: a
    few hundred words per spine node (demand sets, candidates, the node's
@@ -245,7 +336,8 @@ let rec spine_extent spine e =
    not a visit), and one bucket cell per old-table entry (the copy).  A
    walk that pairs the 999 shared siblings (a qualifier at open_auction)
    or scrubs the ~10^5 elements below open_auctions (a plan whose states
-   die there) exceeds it many times over. *)
+   die there) exceeds it many times over.  The first two plans cannot
+   observe the inserted [leaf] and are re-keyed; the third names it. *)
 let test_repair_bounded_by_spine () =
   let root = wide_doc () in
   let commit = {|insert <leaf/> into $a/site/open_auctions/open_auction[@id = "a500"]|} in
@@ -255,9 +347,9 @@ let test_repair_bounded_by_spine () =
     | _ -> Alcotest.fail "commit did not materialize"
   in
   let spine = Hashtbl.length diff.Apply.spine in
-  let children = spine_extent diff.Apply.spine root' - spine in
+  let children = Fixtures.spine_extent diff.Apply.spine root' - spine in
   List.iter
-    (fun path ->
+    (fun (path, rekeyed) ->
       let nfa = Selecting_nfa.of_path (Xut_xpath.Parser.parse path) in
       let old_table = Annotator.annotate nfa root in
       let bound = (512 * spine) + (2 * children) + (8 * Annotator.annotated_count old_table) in
@@ -268,30 +360,67 @@ let test_repair_bounded_by_spine () =
         (Printf.sprintf "%s: %d minor words <= %d" path words bound)
         true (words <= bound);
       match repaired with
-      | Some (repaired, _) ->
+      | Some (repaired, st) ->
+        Alcotest.(check bool) (path ^ ": re-keyed iff no leaf is named") rekeyed
+          st.Annotator.rekeyed;
         Alcotest.(check bool) (path ^ ": repaired = annotated") true
           (tables_equivalent nfa repaired (Annotator.annotate nfa root') root')
       | None -> Alcotest.fail "repair unexpectedly degenerate")
-    [ {|site/people/person[@id = "p1"]|}; {|site/open_auctions/open_auction[@id = "a7"]/bidder|} ]
+    [ ({|site/people/person[@id = "p1"]|}, true);
+      ({|site/open_auctions/open_auction[@id = "a7"]/bidder|}, true);
+      (* names the inserted label, so the walk runs *)
+      ({|site/open_auctions/open_auction[leaf]/bidder|}, false) ]
+
+(* The marker insert of the mixed read/write workload on XMark f=0.01,
+   repaired across the ten warm Fig. 11 plans: no plan can observe an
+   inserted [xut_bench_promo], so each re-keys its table, and the whole
+   repair allocates little more than the table copies (100.5 kw when
+   U7, U8 and U10 re-evaluated their 120 rebuilt open_auction entries). *)
+let test_plan_cache_repair_marker_alloc () =
+  let root = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
+  let cache = Plan_cache.create ~capacity:16 in
+  List.iter
+    (fun p ->
+      let plan, _ = Plan_cache.find_or_compile cache (Test_schema.delete_q p) in
+      ignore (Plan_cache.annotation plan root))
+    Test_schema.fig11;
+  match Apply.run (updates marker_in) root with
+  | Ok (_, Some (root', diff)) ->
+    let before = Gc.minor_words () in
+    let totals =
+      Plan_cache.repair cache ~old_root_id:(Node.id root) ~spine:diff.Apply.spine root'
+    in
+    let words = int_of_float (Gc.minor_words () -. before) in
+    Alcotest.(check int) "ten plans repaired" 10 totals.Plan_cache.repaired;
+    Alcotest.(check int) "the six with qualifiers re-keyed" 6 totals.Plan_cache.rekeyed;
+    Alcotest.(check bool) (Printf.sprintf "%d minor words <= 40k" words) true (words <= 40_000)
+  | _ -> Alcotest.fail "marker insert did not materialize"
 
 (* A spine node whose qualifier reads its own text: text inserted
    through the API (the query syntax only inserts elements) must make
-   repair evaluate the node afresh rather than keep its old entry. *)
+   repair evaluate the node afresh rather than keep its old entry.  The
+   commit inserts no labelled material, so only the compared label on
+   its spine tells the plan it can observe it: a re-key would keep the
+   stale [false]. *)
 let test_repair_text_edit () =
-  let root = Dom.parse_string "<site><items><item><price>1</price></item></items></site>" in
-  let nfa = Selecting_nfa.of_path (Xut_xpath.Parser.parse "site/items/item[price > 5]") in
-  let old_table = Annotator.annotate nfa root in
-  let insert =
-    Core.Transform_ast.Insert (Xut_xpath.Parser.parse "site/items/item/price", Node.text "9")
-  in
-  match Apply.run [ insert ] root with
-  | Ok (_, Some (root', diff)) -> (
-    match Annotator.repair nfa ~old_table ~spine:diff.Apply.spine root' with
-    | Some (repaired, _) ->
-      Alcotest.(check bool) "price 19 > 5 after repair" true
-        (tables_equivalent nfa repaired (Annotator.annotate nfa root') root')
-    | None -> Alcotest.fail "repair unexpectedly degenerate")
-  | _ -> Alcotest.fail "text insert did not materialize"
+  List.iter
+    (fun (doc, plan, target) ->
+      let root = Dom.parse_string doc in
+      let nfa = Selecting_nfa.of_path (Xut_xpath.Parser.parse plan) in
+      let old_table = Annotator.annotate nfa root in
+      let insert = Core.Transform_ast.Insert (Xut_xpath.Parser.parse target, Node.text "9") in
+      match Apply.run [ insert ] root with
+      | Ok (_, Some (root', diff)) -> (
+        match Annotator.repair nfa ~old_table ~spine:diff.Apply.spine root' with
+        | Some (repaired, st) ->
+          Alcotest.(check bool) (plan ^ ": not re-keyed") false st.Annotator.rekeyed;
+          Alcotest.(check bool) (plan ^ ": the comparison turns true") true
+            (tables_equivalent nfa repaired (Annotator.annotate nfa root') root')
+        | None -> Alcotest.fail "repair unexpectedly degenerate")
+      | _ -> Alcotest.fail "text insert did not materialize")
+    [ ("<site><items><item><price>1</price></item></items></site>", "site/items/item[price > 5]",
+       "site/items/item/price");
+      ("<r><a><b>3</b></a></r>", "r/a[b > 5]", "r/a/b") ]
 
 (* ---- degenerate diff: document element replaced ---- *)
 
@@ -462,6 +591,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_repair_equals_annotate;
     QCheck_alcotest.to_alcotest prop_repair_compounds;
+    QCheck_alcotest.to_alcotest prop_rekey_equals_annotate;
+    Alcotest.test_case "re-key coverage on a fixed seed" `Quick test_rekey_coverage;
     Alcotest.test_case "repair across a >62-state NFA" `Quick test_repair_wide_nfa;
     Alcotest.test_case "degenerate diff on root replacement" `Quick
       test_repair_degenerate_root_swap;
@@ -473,4 +604,5 @@ let suite =
     Alcotest.test_case "repair across XMark-shaped commits" `Quick test_repair_xmark_commits;
     Alcotest.test_case "repair work bounded by the spine" `Quick test_repair_bounded_by_spine;
     Alcotest.test_case "repair re-evaluates a text edit" `Quick test_repair_text_edit;
+    Alcotest.test_case "marker insert repair allocation" `Quick test_plan_cache_repair_marker_alloc;
   ]

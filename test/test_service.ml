@@ -1281,7 +1281,7 @@ let stats_keys =
     "bytes_in"; "bytes_out"; "streams"; "stream_chunks"; "stream_bytes"; "streams_fused";
     "stream_fallbacks"; "schema_bindings_dropped"; "doc_invalidations";
     "annotation_repairs"; "repair_fallbacks"; "repair_recomputed_nodes";
-    "repair_reused_nodes"; "view_defs"; "view_hits"; "composed_plans";
+    "repair_reused_nodes"; "repair_rekeyed"; "view_defs"; "view_hits"; "composed_plans";
     "view_invalidations"; "compose_fallbacks"; "skipped_subtrees"; "skipped_nodes";
     "statically_empty_rejections"; "schema_products"; "commits"; "commit_conflicts";
     "commit_noops"; "pending_primitives_count"; "pending_primitives_p50";
@@ -1411,6 +1411,7 @@ let test_golden_stats () =
               ("queue_depth_max", "1"); ("latency_count", "12"); ("streams", "4");
               ("stream_chunks", "4"); ("stream_bytes", "163240"); ("streams_fused", "1");
               ("stream_fallbacks", "2"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
+              ("repair_rekeyed", "1");
               ("view_defs", "1"); ("view_hits", "1"); ("composed_plans", "1");
               ("skipped_subtrees", "368"); ("skipped_nodes", "6038");
               ("statically_empty_rejections", "2"); ("schema_products", "5"); ("commits", "1");
@@ -1517,6 +1518,36 @@ let test_write_query_returns_a () =
                 [ ("APPLY", Service.Apply { doc = "d"; query });
                   ("COMMIT", Service.Commit { doc = "d"; query }) ])
             [ "delete $a//price return $zz"; "(delete $a//price, delete $a//age) return $zz" ];
+          match Service.call svc (Service.Commit { doc = "d"; query = "delete $a//nothing" }) with
+          | Service.Ok (Service.Committed { primitives = 0; generation = g; elements = n; _ }) ->
+            Alcotest.(check int) "generation unchanged" generation g;
+            Alcotest.(check int) "elements unchanged" elements n
+          | _ -> Alcotest.fail "no-op COMMIT"))
+
+(* A dry run that reports no conflicts is one a commit accepts: APPLY
+   and COMMIT of a list deleting the document element both answer
+   eval-error with the same message, and the document keeps its
+   generation. *)
+let test_root_delete_rejected_by_apply () =
+  with_doc_file (fun path ->
+      with_service (fun svc ->
+          let generation, elements =
+            match Service.call svc (Service.Load { name = "d"; file = path; schema = None }) with
+            | Service.Ok (Service.Doc_loaded { generation; elements; _ }) -> (generation, elements)
+            | _ -> Alcotest.fail "LOAD"
+          in
+          List.iter
+            (fun query ->
+              List.iter
+                (fun (verb, req) ->
+                  match Service.call svc req with
+                  | Service.Error { code = Service.Eval_error; message } ->
+                    Alcotest.(check string) (verb ^ " " ^ query)
+                      "update deletes the document element" message
+                  | _ -> Alcotest.fail (verb ^ " must answer eval-error: " ^ query))
+                [ ("APPLY", Service.Apply { doc = "d"; query });
+                  ("COMMIT", Service.Commit { doc = "d"; query }) ])
+            [ "delete $a/site"; "delete $a" ];
           match Service.call svc (Service.Commit { doc = "d"; query = "delete $a//nothing" }) with
           | Service.Ok (Service.Committed { primitives = 0; generation = g; elements = n; _ }) ->
             Alcotest.(check int) "generation unchanged" generation g;
@@ -1698,4 +1729,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_render_value;
     Alcotest.test_case "service: render_value edge sequences" `Quick test_render_value_edges;
     Alcotest.test_case "service: write query must return $a" `Quick test_write_query_returns_a;
+    Alcotest.test_case "service: APPLY rejects a root delete as COMMIT does" `Quick
+      test_root_delete_rejected_by_apply;
   ]
