@@ -258,8 +258,8 @@ let stdin_serve_loop svc =
     | Some line ->
       (match Xut_transport.Wire.Line.decode_incoming line with
       | Error msg -> Printf.printf "ERR %s\n%!" msg
-      | Ok (Xut_transport.Wire.Line.Plain req) -> print_reply (Xut_service.Service.call svc req)
-      | Ok (Xut_transport.Wire.Line.Stream sr) ->
+      | Ok (Xut_transport.Wire.Plain req) -> print_reply (Xut_service.Service.call svc req)
+      | Ok (Xut_transport.Wire.Stream sr) ->
         print_stream_reply ~completion:true print_reply
           (Xut_service.Service.call_stream svc sr print_string));
       loop ()
@@ -308,7 +308,9 @@ let serve_cmd =
     | Some addr ->
       socket_serve_loop svc addr max_conns read_timeout (max_frame_mib * 1024 * 1024)
     | None ->
-      Printf.eprintf "LOAD / UNLOAD / TRANSFORM / COUNT / APPLY / COMMIT / STATS on stdin\n%!";
+      Printf.eprintf
+        "LOAD / UNLOAD / TRANSFORM / TRANSFORM-STREAM / COUNT / APPLY / COMMIT / DEFVIEW / \
+         UNDEFVIEW / LISTVIEWS / STATS on stdin\n%!";
       stdin_serve_loop svc);
     Xut_service.Service.shutdown svc;
     0
@@ -433,25 +435,25 @@ let client_cmd =
         (Xut_transport.Client.stream cli { sr with Xut_service.Service.chunk_size } print_string)
     in
     let run_one = function
-      | Xut_transport.Wire.Line.Stream sr -> stream_one sr
-      | Xut_transport.Wire.Line.Plain
+      | Xut_transport.Wire.Stream sr -> stream_one sr
+      | Xut_transport.Wire.Plain
           (Xut_service.Service.Transform { target = Xut_service.Service.Doc doc; engine; query })
         when stream ->
         stream_one
           { source = Xut_service.Service.From_doc doc; engine = Some engine; query; chunk_size }
-      | Xut_transport.Wire.Line.Plain _ when stream ->
+      | Xut_transport.Wire.Plain _ when stream ->
         Printf.eprintf
           "xut client: --stream applies only to document-targeted TRANSFORM requests\n";
         failed := true
-      | Xut_transport.Wire.Line.Plain req -> print_resp (Xut_transport.Client.call cli req)
+      | Xut_transport.Wire.Plain req -> print_resp (Xut_transport.Client.call cli req)
     in
     (try
        if batch then
          let plain =
            List.map
              (function
-               | Xut_transport.Wire.Line.Plain req -> req
-               | Xut_transport.Wire.Line.Stream _ ->
+               | Xut_transport.Wire.Plain req -> req
+               | Xut_transport.Wire.Stream _ ->
                  Printf.eprintf "xut client: TRANSFORM-STREAM cannot ride in a BATCH frame\n";
                  exit 2)
              parsed

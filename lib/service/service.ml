@@ -67,6 +67,11 @@ let err_code_name = function
 
 let error code fmt = Printf.ksprintf (fun message -> Error { code; message }) fmt
 
+(* One LISTVIEWS line; STATS lists the views with it too. *)
+let view_line v =
+  Printf.sprintf "view %s base=%s depth=%d generation=%d" v.v_name v.v_base v.v_depth
+    v.v_generation
+
 let rec render_response = function
   | Ok p -> Stdlib.Ok (render_payload p)
   | Error { code; message } ->
@@ -101,13 +106,7 @@ and render_payload = function
     if redefined then base_s ^ " redefined=true" else base_s
   | View_undefined { name } -> Printf.sprintf "undefview %s" name
   | View_list views ->
-    String.concat "\n"
-      (Printf.sprintf "views %d" (List.length views)
-      :: List.map
-           (fun v ->
-             Printf.sprintf "view %s base=%s depth=%d generation=%d" v.v_name v.v_base
-               v.v_depth v.v_generation)
-           views)
+    String.concat "\n" (Printf.sprintf "views %d" (List.length views) :: List.map view_line views)
   | Stats_dump s -> s
   | Stream_done { bytes; chunks } -> Printf.sprintf "streamed bytes=%d chunks=%d" bytes chunks
   | Batch_results rs ->
@@ -132,20 +131,79 @@ type stream_request = {
   chunk_size : int;
 }
 
-(* What a worker actually dequeues: a plain request, or a streamed one
-   with the consumer its chunks go to.  [emit] never crosses the wire
-   (transports decode their own stream framing and supply it). *)
-type job = Plain_job of request | Stream_job of stream_request * (string -> unit)
+let default_chunk_size = Xut_xml.Serialize.Sink.default_chunk_size
 
-type t = {
+(* ---------------- the read pipeline ----------------
+
+   Every TRANSFORM, COUNT, result stream and TRANSFORM-STREAM is one
+   [read] and runs one staged function, [run_read]:
+
+   - resolve: the source (a snapshot, by document name or through a view
+     chain, or a file), then its query (the cached plan, or the user
+     query parsed and composed with the chain);
+   - admit: the schema's pruning oracle, and for a plan over a snapshot
+     the statically-empty check;
+   - execute: the engine and tier (walk, fused, two-parse, materialized
+     or composed), as an [output];
+   - reply: that output serialized whole, counted, or streamed in
+     chunks.
+
+   [engine = None] (TRANSFORM-STREAM) lets execute pick the tier.  The
+   classifier is {!Sax_transform.one_pass}: a plan with no qualifiers
+   anywhere never consults the bottom-up truth table, so the top-down
+   pass alone over one forward read of the input is the whole transform
+   — O(depth) memory, end to end ([streams_fused]).  Other shapes fall
+   back with byte-identical output ([stream_fallbacks]): a file with a
+   trivially-true context qualifier runs the two-parse SAX algorithm
+   (the paper's Fig. 14 configuration: a truth table but still no tree);
+   everything else walks a tree with GENTOP — the stored one, or a
+   one-off parse of the file. *)
+
+type source = Stored of target | File of string
+
+type reply =
+  | Serialized  (* one [Tree] string *)
+  | Counted  (* an [Element_count] *)
+  | Chunked of { emit : string -> unit; chunk_size : int }
+      (* chunks to [emit] as they fill, then the totals *)
+
+type read = { source : source; engine : Engine.algo option; query : string; reply : reply }
+
+(* What resolve found: a snapshot and its binding's size table, or a
+   file; and a transform plan, or a user query over a view chain's
+   levels (innermost first), composed or left to materialize. *)
+type input =
+  | Snapshot of (Xut_xml.Node.element * Doc_store.info * (int, int) Hashtbl.t option)
+  | File_input of string
+
+type query =
+  | Plan of Plan_cache.plan
+  | Composed of View_store.view list * Composition.composed
+  | Materialized of View_store.view list * Xut_xquery.Xq_ast.expr
+
+(* What execute hands reply: a result tree, built on demand (the walk
+   engines count it without building it); a SAX tier writing the result
+   as events; or a view read's value. *)
+type output =
+  | Result_tree of { build : unit -> Xut_xml.Node.element; count : unit -> int }
+  | Events of ((Xut_xml.Sax.event -> unit) -> Sax_transform.run_stats)
+  | Answer of Xut_xquery.Xq_value.t
+
+(* What a worker dequeues.  [Chunked]'s [emit] never crosses the wire
+   (transports decode their own stream framing and supply it). *)
+type job = Request of request | Read of read
+
+type state = {
   store : Doc_store.t;
   cache : Plan_cache.t;
   views : View_store.t;
   metrics : Metrics.t;
-  pool : (job, response) Worker_pool.t;
 }
 
-let default_chunk_size = Xut_xml.Serialize.Sink.default_chunk_size
+type t = { st : state; pool : (job, response) Worker_pool.t }
+
+let ( let* ) = Result.bind
+let refuse code fmt = Printf.ksprintf (fun message -> Stdlib.Error (Error { code; message })) fmt
 
 (* ---------------- schema-aware static pruning ----------------
 
@@ -201,20 +259,14 @@ let pruning_for ~metrics (dinfo : Doc_store.info) sizes products nfa =
     Some { product; skip }
   | _ -> None
 
-(* The admission check: a Doc-target Transform/Count whose product is
-   statically empty can never select anything in any document conforming
-   to the schema — reject it before touching the tree. *)
-let admit ~metrics (dinfo : Doc_store.info) pruning =
-  match pruning with
-  | Some p when Xut_schema.Schema.statically_empty p.product ->
-    Metrics.incr_statically_empty metrics;
-    Stdlib.Error
-      (error Statically_empty
-         "query selects nothing under schema %S (NFA x schema product is empty)"
-         (Option.value ~default:"?" dinfo.Doc_store.schema))
-  | _ -> Stdlib.Ok ()
+(* The SAX engine consumes the skip-set by symbol and reports exact skip
+   counts in its run stats. *)
+let sym_skip pruning =
+  Option.map (fun p sym -> Xut_schema.Schema.skippable p.product sym) pruning
 
-let skip_of pruning = Option.map (fun p -> p.skip) pruning
+let count_sax_skips ~metrics (stats : Sax_transform.run_stats) =
+  Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
+    ~nodes:stats.Sax_transform.skipped_elements
 
 (* The qualifier oracle of the two walk engines: TD-BU reuses the
    bottom-up annotation of the stored tree [root] for [nfa], memoized in
@@ -234,67 +286,13 @@ let transform_with ?checkp ?skip nfa update (engine : Engine.algo) root =
   | Engine.Gentop | Engine.Td_bu -> Top_down.run ?checkp ?skip nfa update root
   | other -> Engine.transform other update root
 
-let run_plan ?pruning (plan : Plan_cache.plan) engine root =
-  let skip = skip_of pruning and nfa = plan.Plan_cache.nfa in
-  let checkp = memo_checkp ?skip plan.Plan_cache.annotations nfa engine root in
-  transform_with ?checkp ?skip nfa plan.Plan_cache.query.Transform_ast.update engine root
-
-(* COUNT without materialization: the walk engines answer with
-   {!Top_down.count} — the snapshot's element count plus the update's
-   effect, deleted subtrees sized from the binding's table — under the
-   same oracles as [run_plan]; the other engines count the tree they
-   build. *)
-let count_plan ?pruning ~elements ~sizes (plan : Plan_cache.plan) engine root =
-  match (engine : Engine.algo) with
-  | Engine.Gentop | Engine.Td_bu ->
-    let skip = skip_of pruning and nfa = plan.Plan_cache.nfa in
-    let checkp = memo_checkp ?skip plan.Plan_cache.annotations nfa engine root in
-    Top_down.count ?checkp ?skip ~size:(size_of sizes) ~elements nfa
-      plan.Plan_cache.query.Transform_ast.update root
-  | _ -> Xut_xml.Node.element_count (Xut_xml.Node.Element (run_plan ?pruning plan engine root))
-
-(* The SAX engine consumes the skip-set by symbol and reports exact skip
-   counts in its run stats. *)
-let sym_skip pruning =
-  Option.map (fun p sym -> Xut_schema.Schema.skippable p.product sym) pruning
-
-let count_sax_skips ~metrics (stats : Sax_transform.run_stats) =
-  Metrics.add_skipped metrics ~subtrees:stats.Sax_transform.skipped_subtrees
-    ~nodes:stats.Sax_transform.skipped_elements
-
-(* [run_plan] into a serializer sink.  twoPassSAX emits its result as
-   events.  Every other engine hands its result tree to the sink, which
-   writes each subtree whole; for the walk engines that tree shares all
-   but the rebuilt spine with the snapshot, which [image] (the stored
-   document's reply image) holds already serialized. *)
-let run_plan_stream ~metrics ?pruning ?image (plan : Plan_cache.plan) engine root sink =
-  match (engine : Engine.algo) with
-  | Engine.Two_pass_sax ->
-    (* The skip-set comes from the plan's NFA, which the SAX passes
-       run as well. *)
-    count_sax_skips ~metrics
-      (Sax_transform.run ?skip:(sym_skip pruning) plan.Plan_cache.nfa
-         plan.Plan_cache.query.Transform_ast.update ~source:(Xut_xml.Sax.events_of_tree root)
-         ~sink:(Xut_xml.Serialize.Sink.event sink))
-  | _ -> Xut_xml.Serialize.Sink.element ?image sink (run_plan ?pruning plan engine root)
-
 (* [parse query], a failure as the [Query_parse_error] reply. *)
 let parsed parse query =
   match parse query with
   | v -> Stdlib.Ok v
   | exception (Transform_parser.Parse_error msg | Xut_xquery.Xq_parser.Parse_error msg) ->
-    Stdlib.Error (error Query_parse_error "%s" msg)
-  | exception e -> Stdlib.Error (error Query_parse_error "%s" (Printexc.to_string e))
-
-(* The cached plan for [query], the lookup counted as a hit or a miss. *)
-let lookup_plan ~cache ~metrics query =
-  match parsed (Plan_cache.find_or_compile cache) query with
-  | Stdlib.Error e -> Stdlib.Error e
-  | Stdlib.Ok (plan, outcome) ->
-    (match outcome with
-    | Plan_cache.Hit -> Metrics.incr_cache_hits metrics
-    | Plan_cache.Miss -> Metrics.incr_cache_misses metrics);
-    Stdlib.Ok plan
+    refuse Query_parse_error "%s" msg
+  | exception e -> refuse Query_parse_error "%s" (Printexc.to_string e)
 
 (* An exception out of a run, as the [Eval_error] reply. *)
 let eval_error = function
@@ -302,30 +300,6 @@ let eval_error = function
     error Eval_error "parse error at %d:%d: %s" line col msg
   | Failure msg | Sys_error msg -> error Eval_error "%s" msg
   | e -> error Eval_error "%s" (Printexc.to_string e)
-
-(* [f ()], an exception as the [Eval_error] reply: as a result, and as
-   the response of a payload. *)
-let evaluated f = match f () with v -> Stdlib.Ok v | exception e -> Stdlib.Error (eval_error e)
-let reply f = match f () with payload -> Ok payload | exception e -> eval_error e
-
-(* The head every Doc-target TRANSFORM, COUNT, result stream and ingest
-   shares: snapshot, plan lookup, schema pruning and the admission
-   check, then [exec] over the snapshot. *)
-let evaluate ~store ~cache ~metrics ~doc ~query exec =
-  match Doc_store.snapshot store doc with
-  | None -> error Unknown_document "no document %S (LOAD it first)" doc
-  | Some (root, dinfo, sizes) -> begin
-    match lookup_plan ~cache ~metrics query with
-    | Stdlib.Error e -> e
-    | Stdlib.Ok plan -> begin
-      let pruning =
-        pruning_for ~metrics dinfo sizes plan.Plan_cache.products plan.Plan_cache.nfa
-      in
-      match admit ~metrics dinfo pruning with
-      | Stdlib.Error e -> e
-      | Stdlib.Ok () -> reply (fun () -> exec ~pruning ~dinfo ~sizes plan root)
-    end
-  end
 
 (* A streamed reply: [body] writes the result into a fresh chunked sink
    whose chunks go to [emit] as they fill; the reply carries only the
@@ -342,18 +316,13 @@ let stream_to ~metrics ~emit ~chunk_size body =
   | exception e ->
     Xut_xml.Serialize.Sink.abort sink;
     raise e);
-  let totals = Xut_xml.Serialize.Sink.close sink in
-  Stream_done
-    {
-      bytes = totals.Xut_xml.Serialize.Sink.bytes;
-      chunks = totals.Xut_xml.Serialize.Sink.chunks;
-    }
+  let { Xut_xml.Serialize.Sink.bytes; chunks } = Xut_xml.Serialize.Sink.close sink in
+  Stream_done { bytes; chunks }
 
-(* ---------------- stored-view serving ---------------- *)
-
-(* Both the composed path and the materializing fallback render their
-   answer through this, so the two are byte-identical by construction:
-   one line per result item, serialized, all into one pooled buffer. *)
+(* A view read's value, one line per result item, serialized, all into
+   one pooled buffer: the composed path and the materializing fallback
+   both reply through this, so the two are byte-identical by
+   construction. *)
 let render_value (v : Xut_xquery.Xq_value.t) =
   let add_item buf = function
     | Xut_xquery.Xq_value.N n -> Xut_xml.Serialize.to_buffer buf n
@@ -383,10 +352,10 @@ let count_value (v : Xut_xquery.Xq_value.t) =
       | _ -> n + 1)
     0 v
 
-(* The fallback: materialize the chain level by level, then evaluate the
-   user query over the result.  Level 0 with TD-BU gets the memoized
-   annotation oracle; the outer levels run over freshly built trees
-   where no memo can help. *)
+(* The view fallback: materialize the chain level by level, then
+   evaluate the user query over the result.  Level 0 with TD-BU gets
+   the memoized annotation oracle; the outer levels run over freshly
+   built trees where no memo can help. *)
 let materialize_chain ~engine (levels : View_store.view list) root =
   let level checkp t (v : View_store.view) =
     transform_with ?checkp v.View_store.nfa v.View_store.update engine t
@@ -397,96 +366,245 @@ let materialize_chain ~engine (levels : View_store.view list) root =
     let checkp = memo_checkp inner.View_store.memo inner.View_store.nfa engine root in
     List.fold_left (level None) (level checkp root inner) outer
 
-let evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query =
-  match View_store.resolve views name with
-  | None -> Stdlib.Error (error Unknown_document "no view %S (DEFVIEW it first)" name)
-  | Some chain -> begin
-    match Doc_store.snapshot store chain.View_store.base with
-    | None ->
-      Stdlib.Error
-        (error Unknown_document "no document %S (base of view %S; LOAD it first)"
-           chain.View_store.base name)
-    | Some (root, base_info, base_sizes) -> begin
-      match parsed Xut_xquery.Xq_parser.parse_expr query with
-      | Stdlib.Error e -> Stdlib.Error e
-      | Stdlib.Ok expr -> begin
-        let levels = chain.View_store.levels in
-        let updates = List.map (fun (v : View_store.view) -> v.View_store.update) levels in
-        let fallback () =
-          Metrics.incr_compose_fallbacks metrics;
-          evaluated (fun () ->
-              let materialized = materialize_chain ~engine levels root in
-              Xut_xquery.Xq_eval.eval_expr (Xut_xquery.Xq_eval.env ~context:materialized ()) expr)
-        in
-        match User_query.of_expr expr with
-        | Stdlib.Error _ ->
-          (* not in the restricted user fragment: the Compose method
-             does not apply, materialize instead *)
-          fallback ()
-        | Stdlib.Ok uq -> begin
-          let key = View_store.signature chain ^ "||" ^ query in
-          let deps =
-            chain.View_store.base
-            :: List.map (fun (v : View_store.view) -> v.View_store.name) levels
-          in
-          let composed, outcome =
-            Plan_cache.find_or_compose cache ~key ~deps (fun () ->
-                Composition.compose_stack updates uq)
-          in
-          match composed with
-          | Stdlib.Error _ -> fallback ()
-          | Stdlib.Ok c -> begin
-            if outcome = Plan_cache.Miss then Metrics.incr_composed_plans metrics;
-            Metrics.incr_view_hits metrics;
-            (* the oracle answers level-0 qualifier checks over the base
-               tree from the view's memoized annotation table; when the
-               base document is schema-bound, the innermost update's own
-               NFA x schema product prunes the table build (the table is
-               identical either way — views are never rejected) *)
-            let oracle =
-              match (engine : Engine.algo), levels with
-              | Engine.Td_bu, (inner : View_store.view) :: _ ->
-                let pruning =
-                  pruning_for ~metrics base_info base_sizes inner.View_store.products
-                    inner.View_store.nfa
-                in
-                memo_checkp ?skip:(skip_of pruning) inner.View_store.memo inner.View_store.nfa
-                  engine root
-              | _ -> None
-            in
-            evaluated (fun () -> Composition.run_composed ?oracle c ~doc:root)
-          end
-        end
-      end
-    end
-  end
+(* The cached plan for [query], the lookup counted as a hit or a miss. *)
+let lookup_plan st query =
+  let* plan, outcome = parsed (Plan_cache.find_or_compile st.cache) query in
+  (match outcome with
+  | Plan_cache.Hit -> Metrics.incr_cache_hits st.metrics
+  | Plan_cache.Miss -> Metrics.incr_cache_misses st.metrics);
+  Stdlib.Ok plan
 
-let handle_defview ~cache ~views ~metrics ~name ~query =
-  match View_store.define views ~name ~source:query with
+(* A user query over [chain]: composed with the chain's updates (cached
+   under the chain's signature), or — outside the restricted user
+   fragment, or when composition fails — left to materialize. *)
+let view_query st (chain : View_store.chain) query expr =
+  let levels = chain.View_store.levels in
+  let composed =
+    let* uq = User_query.of_expr expr in
+    let key = View_store.signature chain ^ "||" ^ query in
+    let deps =
+      chain.View_store.base :: List.map (fun (v : View_store.view) -> v.View_store.name) levels
+    in
+    let composed, outcome =
+      Plan_cache.find_or_compose st.cache ~key ~deps (fun () ->
+          Composition.compose_stack
+            (List.map (fun (v : View_store.view) -> v.View_store.update) levels)
+            uq)
+    in
+    if outcome = Plan_cache.Miss && Result.is_ok composed then
+      Metrics.incr_composed_plans st.metrics;
+    composed
+  in
+  match composed with
+  | Stdlib.Ok c -> Composed (levels, c)
+  | Stdlib.Error _ -> Materialized (levels, expr)
+
+(* Resolve: the source, then the query.  An unknown document, view or
+   file is reported before a bad query. *)
+let resolve st r =
+  let* input, chain =
+    match r.source with
+    | File _ when Option.is_some r.engine ->
+      refuse Bad_request "a result stream with an engine needs a stored document"
+    | File path when not (Sys.file_exists path) -> refuse Eval_error "no such file %S" path
+    | File path -> Stdlib.Ok (File_input path, None)
+    | Stored target -> (
+      let* doc, view =
+        match target with
+        | Doc doc -> Stdlib.Ok (doc, None)
+        | View name -> (
+          match View_store.resolve st.views name with
+          | None -> refuse Unknown_document "no view %S (DEFVIEW it first)" name
+          | Some chain -> Stdlib.Ok (chain.View_store.base, Some (name, chain)))
+      in
+      match (Doc_store.snapshot st.store doc, view) with
+      | Some snapshot, _ -> Stdlib.Ok (Snapshot snapshot, Option.map snd view)
+      | None, None -> refuse Unknown_document "no document %S (LOAD it first)" doc
+      | None, Some (name, _) ->
+        refuse Unknown_document "no document %S (base of view %S; LOAD it first)" doc name)
+  in
+  match chain with
+  | None -> Result.map (fun plan -> (input, Plan plan)) (lookup_plan st r.query)
+  | Some chain ->
+    Result.map
+      (fun expr -> (input, view_query st chain r.query expr))
+      (parsed Xut_xquery.Xq_parser.parse_expr r.query)
+
+(* Admit: the pruning oracle of the read's NFA — the plan's, or for a
+   composed TD-BU view read the innermost level's, whose memoized
+   annotation table it prunes — and for a plan the statically-empty
+   check: an empty product can never select anything in any document
+   conforming to the schema, so the read is refused before touching the
+   tree.  View reads are never refused. *)
+let admit st r input query =
+  match (input, query) with
+  | Snapshot (_, info, sizes), Plan plan -> (
+    match
+      pruning_for ~metrics:st.metrics info sizes plan.Plan_cache.products plan.Plan_cache.nfa
+    with
+    | Some p when Xut_schema.Schema.statically_empty p.product ->
+      Metrics.incr_statically_empty st.metrics;
+      refuse Statically_empty "query selects nothing under schema %S (NFA x schema product is empty)"
+        (Option.value ~default:"?" info.Doc_store.schema)
+    | pruning -> Stdlib.Ok pruning)
+  | Snapshot (_, info, sizes), Composed ((inner : View_store.view) :: _, _)
+    when r.engine = Some Engine.Td_bu ->
+    Stdlib.Ok
+      (pruning_for ~metrics:st.metrics info sizes inner.View_store.products inner.View_store.nfa)
+  | _ -> Stdlib.Ok None
+
+(* The input as a tree: the snapshot, or a one-off parse of the file. *)
+let root_of = function
+  | Snapshot (root, _, _) -> root
+  | File_input path -> Xut_xml.Dom.parse_file path
+
+(* The input's events: a replay of the snapshot, or a parse of the file. *)
+let events_of input h =
+  match input with
+  | Snapshot (root, _, _) -> Xut_xml.Sax.events_of_tree root h
+  | File_input path -> Xut_xml.Sax.parse_file path h
+
+(* [plan]'s result over the input with [engine].  The walk engines run
+   topDown with the skip-set and TD-BU's memoized oracle, and count a
+   snapshot's result with {!Top_down.count} (the element count plus the
+   update's effect, deleted subtrees sized from the binding's table)
+   without building it. *)
+let result_tree ?skip (plan : Plan_cache.plan) engine input =
+  let nfa = plan.Plan_cache.nfa and update = plan.Plan_cache.query.Transform_ast.update in
+  let root = root_of input in
+  let checkp = memo_checkp ?skip plan.Plan_cache.annotations nfa engine root in
+  let build () = transform_with ?checkp ?skip nfa update engine root in
+  let count () =
+    match (engine, input) with
+    | (Engine.Gentop | Engine.Td_bu), Snapshot (_, info, sizes) ->
+      Top_down.count ?checkp ?skip ~size:(size_of sizes) ~elements:info.Doc_store.elements nfa
+        update root
+    | _ -> Xut_xml.Node.element_count (Xut_xml.Node.Element (build ()))
+  in
+  Result_tree { build; count }
+
+(* [plan]'s result as events, by [run]: one SAX pass ({!Sax_transform.run_once})
+   or twoPassSAX's two ({!Sax_transform.run}). *)
+let sax_events run ?skip (plan : Plan_cache.plan) input =
+  Events
+    (fun sink ->
+      run ?skip plan.Plan_cache.nfa plan.Plan_cache.query.Transform_ast.update
+        ~source:(events_of input) ~sink)
+
+(* Execute: the engine and tier, as an [output].  twoPassSAX writes its
+   result as events, the other engines build a result tree. *)
+let execute st r ~pruning input query =
+  let metrics = st.metrics and skip = Option.map (fun p -> p.skip) pruning in
+  match query with
+  | Composed (levels, c) ->
+    Metrics.incr_view_hits metrics;
+    let root = root_of input in
+    let oracle =
+      match (r.engine, levels) with
+      | Some Engine.Td_bu, (inner : View_store.view) :: _ ->
+        memo_checkp ?skip inner.View_store.memo inner.View_store.nfa Engine.Td_bu root
+      | _ -> None
+    in
+    Answer (Composition.run_composed ?oracle c ~doc:root)
+  | Materialized (levels, expr) ->
+    Metrics.incr_compose_fallbacks metrics;
+    let engine = Option.value ~default:Engine.Gentop r.engine in
+    let context = materialize_chain ~engine levels (root_of input) in
+    Answer (Xut_xquery.Xq_eval.eval_expr (Xut_xquery.Xq_eval.env ~context ()) expr)
+  | Plan plan -> (
+    let nfa = plan.Plan_cache.nfa in
+    match r.engine with
+    | Some Engine.Two_pass_sax -> sax_events Sax_transform.run ?skip:(sym_skip pruning) plan input
+    | Some engine -> result_tree ?skip plan engine input
+    | None when Sax_transform.one_pass nfa ->
+      Metrics.incr_streams_fused metrics;
+      sax_events Sax_transform.run_once ?skip:(sym_skip pruning) plan input
+    | None -> (
+      Metrics.incr_stream_fallbacks metrics;
+      match (input, Xut_automata.Selecting_nfa.ctx_qual nfa) with
+      | File_input _, Xut_xpath.Ast.Q_true -> sax_events Sax_transform.run plan input
+      | _ -> result_tree ?skip plan Engine.Gentop input))
+
+(* Reply: a serialized tree is one [element_to_string] into a pooled
+   buffer, copying the subtrees it shares with the stored document out
+   of the binding's reply [image]; a chunked reply runs [exec] inside a
+   fresh sink, so a failure after chunks have gone out is an [Error]
+   reply — transports turn that into a mid-stream error frame. *)
+let respond ~metrics ~image reply exec =
+  match reply with
+  | Serialized ->
+    Tree
+      (match exec () with
+      | Result_tree t -> Xut_xml.Serialize.element_to_string ?image:(image ()) (t.build ())
+      | Events run ->
+        Xut_xml.Serialize.Pool.contents_of (fun buf ->
+            count_sax_skips ~metrics (run (Xut_xml.Serialize.event_sink buf)))
+      | Answer v -> render_value v)
+  | Counted ->
+    Element_count
+      (match exec () with
+      | Result_tree t -> t.count ()
+      | Events run ->
+        let n = ref 0 in
+        count_sax_skips ~metrics
+          (run (function Xut_xml.Sax.Start_element _ -> incr n | _ -> ()));
+        !n
+      | Answer v -> count_value v)
+  | Chunked { emit; chunk_size } ->
+    stream_to ~metrics ~emit ~chunk_size (fun sink ->
+        match exec () with
+        | Result_tree t -> Xut_xml.Serialize.Sink.element ?image:(image ()) sink (t.build ())
+        | Events run -> count_sax_skips ~metrics (run (Xut_xml.Serialize.Sink.event sink))
+        | Answer v -> Xut_xml.Serialize.Sink.markup sink (render_value v))
+
+let run_read st r =
+  let outcome =
+    let* input, query = resolve st r in
+    let* pruning = admit st r input query in
+    let image () =
+      match r.source with
+      | Stored (Doc doc) -> Doc_store.image st.store doc
+      | _ -> None
+    in
+    Stdlib.Ok
+      (match
+         respond ~metrics:st.metrics ~image r.reply (fun () ->
+             execute st r ~pruning input query)
+       with
+      | payload -> Ok payload
+      | exception e -> eval_error e)
+  in
+  match outcome with Stdlib.Ok resp | Stdlib.Error resp -> resp
+
+(* ---------------- views, writes and the rest ---------------- *)
+
+let handle_defview st ~name ~query =
+  match View_store.define st.views ~name ~source:query with
   | Stdlib.Error (`Parse m) -> error Query_parse_error "%s" m
   | Stdlib.Error (`Compose m) -> error View_compose_error "%s" m
   | Stdlib.Error (`Cycle path) ->
     error View_compose_error "view cycle: %s" (String.concat " -> " path)
   | Stdlib.Ok (v, redefined) ->
-    Metrics.incr_view_defs metrics;
+    Metrics.incr_view_defs st.metrics;
     if redefined then
       (* the definition changed: every composed plan over a chain through
          this name is stale (the generation in the cache key already
          misses, this reclaims the entries and counts the churn) *)
-      Metrics.add_view_invalidations metrics (Plan_cache.invalidate_composed cache ~dep:name);
+      Metrics.add_view_invalidations st.metrics
+        (Plan_cache.invalidate_composed st.cache ~dep:name);
     Ok
       (View_defined
          {
            name;
            base = v.View_store.base;
-           depth = View_store.depth views name;
+           depth = View_store.depth st.views name;
            generation = v.View_store.generation;
            redefined;
          })
 
-let handle_undefview ~cache ~views ~metrics ~name =
-  if View_store.undefine views ~name then begin
-    Metrics.add_view_invalidations metrics (Plan_cache.invalidate_composed cache ~dep:name);
+let handle_undefview st ~name =
+  if View_store.undefine st.views ~name then begin
+    Metrics.add_view_invalidations st.metrics (Plan_cache.invalidate_composed st.cache ~dep:name);
     Ok (View_undefined { name })
   end
   else error Unknown_document "no view %S" name
@@ -509,11 +627,11 @@ let view_infos views =
 let conflict_strings report =
   List.map Xut_update.Pending.render_conflict report.Xut_update.Apply.conflicts
 
-let handle_apply ~store ~doc ~query =
+let handle_apply st ~doc ~query =
   match parsed Transform_parser.parse_updates query with
   | Stdlib.Error e -> e
   | Stdlib.Ok updates -> begin
-    match Doc_store.find store doc with
+    match Doc_store.find st.store doc with
     | None -> error Unknown_document "no document %S (LOAD it first)" doc
     | Some root -> begin
       match Xut_update.Apply.stage updates root with
@@ -531,12 +649,12 @@ let handle_apply ~store ~doc ~query =
     end
   end
 
-let handle_commit ~store ~metrics ~doc ~query =
+let handle_commit st ~doc ~query =
   match parsed Transform_parser.parse_updates query with
   | Stdlib.Error e -> e
   | Stdlib.Ok updates -> begin
     let result =
-      Doc_store.commit ~delta:snd store ~name:doc (fun _info root ->
+      Doc_store.commit ~delta:snd st.store ~name:doc (fun _info root ->
           match Xut_update.Apply.run updates root with
           | Stdlib.Ok (report, None) -> Stdlib.Ok (None, (report, 0))
           | Stdlib.Ok (report, Some (root', diff)) ->
@@ -560,13 +678,13 @@ let handle_commit ~store ~metrics ~doc ~query =
     in
     match result with
     | Doc_store.Swapped (info, (report, _)) ->
-      Metrics.commit_recorded metrics ~primitives:report.Xut_update.Apply.primitives;
+      Metrics.commit_recorded st.metrics ~primitives:report.Xut_update.Apply.primitives;
       committed info report
     | Doc_store.Unchanged (info, (report, _)) ->
-      Metrics.commit_noop metrics;
+      Metrics.commit_noop st.metrics;
       committed info report
     | Doc_store.Rejected (`Conflict report) ->
-      Metrics.commit_conflict metrics;
+      Metrics.commit_conflict st.metrics;
       error Conflict "%s" (String.concat "; " (conflict_strings report))
     | Doc_store.Rejected (`Invalid msg) -> error Eval_error "%s" msg
     | Doc_store.No_document -> error Unknown_document "no document %S (LOAD it first)" doc
@@ -575,9 +693,9 @@ let handle_commit ~store ~metrics ~doc ~query =
 (* [depth] guards against nested batches; every arm returns a
    [response], so a worker can only die to a runtime error (and even
    that the pool turns into an [Error] reply). *)
-let rec handle ~store ~cache ~views ~metrics ~depth = function
+let rec handle st ~depth = function
   | Load { name; file; schema } -> begin
-    match Doc_store.load_file store ~name ?schema file with
+    match Doc_store.load_file st.store ~name ?schema file with
     | Stdlib.Ok (info, reloaded) ->
       Ok
         (Doc_loaded
@@ -591,41 +709,21 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
     | Stdlib.Error msg -> error Bad_request "%s" msg
   end
   | Unload { name } ->
-    if Doc_store.evict store name then Ok (Doc_unloaded { name })
+    if Doc_store.evict st.store name then Ok (Doc_unloaded { name })
     else error Unknown_document "no document %S" name
-  | Transform { target = Doc doc; engine; query } -> begin
-    let run ~pruning ~dinfo:_ ~sizes:_ plan root =
-      let image = Doc_store.image store doc in
-      Tree (Xut_xml.Serialize.element_to_string ?image (run_plan ?pruning plan engine root))
-    in
-    evaluate ~store ~cache ~metrics ~doc ~query run
-  end
-  | Transform { target = View name; engine; query } -> begin
-    match evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query with
-    | Stdlib.Ok v -> Ok (Tree (render_value v))
-    | Stdlib.Error e -> e
-  end
-  | Count { target = Doc doc; engine; query } -> begin
-    let count ~pruning ~(dinfo : Doc_store.info) ~sizes plan root =
-      Element_count
-        (count_plan ?pruning ~elements:dinfo.Doc_store.elements ~sizes plan engine root)
-    in
-    evaluate ~store ~cache ~metrics ~doc ~query count
-  end
-  | Count { target = View name; engine; query } -> begin
-    match evaluate_view ~store ~cache ~views ~metrics ~name ~engine ~query with
-    | Stdlib.Ok v -> Ok (Element_count (count_value v))
-    | Stdlib.Error e -> e
-  end
-  | Apply { doc; query } -> handle_apply ~store ~doc ~query
-  | Commit { doc; query } -> handle_commit ~store ~metrics ~doc ~query
-  | Defview { name; query } -> handle_defview ~cache ~views ~metrics ~name ~query
-  | Undefview { name } -> handle_undefview ~cache ~views ~metrics ~name
-  | Listviews -> Ok (View_list (view_infos views))
+  | Transform { target; engine; query } ->
+    run_read st { source = Stored target; engine = Some engine; query; reply = Serialized }
+  | Count { target; engine; query } ->
+    run_read st { source = Stored target; engine = Some engine; query; reply = Counted }
+  | Apply { doc; query } -> handle_apply st ~doc ~query
+  | Commit { doc; query } -> handle_commit st ~doc ~query
+  | Defview { name; query } -> handle_defview st ~name ~query
+  | Undefview { name } -> handle_undefview st ~name
+  | Listviews -> Ok (View_list (view_infos st.views))
   | Stats ->
     let b = Buffer.create 512 in
-    Buffer.add_string b (Metrics.dump metrics);
-    let cs = Plan_cache.stats cache in
+    Buffer.add_string b (Metrics.dump st.metrics);
+    let cs = Plan_cache.stats st.cache in
     Printf.bprintf b
       "\nplan_cache entries=%d capacity=%d evictions=%d annotation_entries=%d \
        composed_entries=%d"
@@ -633,7 +731,7 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
       cs.Plan_cache.annotation_entries cs.Plan_cache.composed_entries;
     List.iter
       (fun name ->
-        match Doc_store.info store name with
+        match Doc_store.info st.store name with
         | Some i ->
           Printf.bprintf b "\ndoc %s elements=%d generation=%d" i.Doc_store.name
             i.Doc_store.elements i.Doc_store.generation;
@@ -641,100 +739,12 @@ let rec handle ~store ~cache ~views ~metrics ~depth = function
           | Some s -> Printf.bprintf b " schema=%s" s
           | None -> ())
         | None -> ())
-      (Doc_store.names store);
-    List.iter
-      (fun (i : View_store.info) ->
-        Printf.bprintf b "\nview %s base=%s depth=%d generation=%d" i.View_store.i_name
-          i.View_store.i_base i.View_store.i_depth i.View_store.i_generation)
-      (View_store.infos views);
+      (Doc_store.names st.store);
+    List.iter (fun v -> Printf.bprintf b "\n%s" (view_line v)) (view_infos st.views);
     Ok (Stats_dump (Buffer.contents b))
   | Batch reqs ->
     if depth > 0 then error Bad_request "nested batch"
-    else
-      Ok
-        (Batch_results
-           (List.map (handle ~store ~cache ~views ~metrics ~depth:(depth + 1)) reqs))
-
-(* ---------------- streamed transforms ----------------
-
-   One path for every streamed reply: chunks go to [emit] as they fill,
-   the response carries only the totals.  A failure after chunks have
-   gone out is an [Error] response — transports turn that into a
-   mid-stream error frame, in-process callers see partial output
-   followed by the error.
-
-   [engine = Some e] is the result stream of a stored document: engine
-   [e] writes into the sink ([run_plan_stream]).  [engine = None]
-   (TRANSFORM-STREAM) transforms the source without materializing the
-   input as a tree, when the plan admits it.  The classifier is
-   {!Sax_transform.one_pass}: a plan with no qualifiers anywhere (no
-   context qualifier, no qualifier-bearing NFA state) never consults the
-   bottom-up truth table, so the top-down pass alone over a single
-   forward read of the input is the whole transform — O(depth) memory,
-   end to end ([streams_fused]).
-
-   Shapes outside that fragment fall back automatically, with
-   byte-identical output (same serializer sink, same transform
-   semantics), counted in [stream_fallbacks]:
-
-   - a FILE source with a trivially-true context qualifier runs the full
-     two-pass SAX algorithm, reading the file twice (the paper's Fig. 14
-     configuration) — a truth table but still no tree;
-   - everything else (context qualifiers; qualifier-bearing plans over a
-     stored document, whose tree already exists) uses the tree and
-     streams only the output via [run_plan_stream]. *)
-let handle_stream ~store ~cache ~metrics emit { source; engine; query; chunk_size } =
-  let stream body = stream_to ~metrics ~emit ~chunk_size body in
-  let fused ?skip nfa (plan : Plan_cache.plan) events =
-    Metrics.incr_streams_fused metrics;
-    stream (fun sink ->
-        count_sax_skips ~metrics
-          (Sax_transform.run_once ?skip nfa plan.Plan_cache.query.Transform_ast.update
-             ~source:events ~sink:(Xut_xml.Serialize.Sink.event sink)))
-  in
-  match (source, engine) with
-  | From_doc doc, _ ->
-    let run ~pruning ~dinfo:_ ~sizes:_ plan root =
-      let tree_stream engine =
-        let image = Doc_store.image store doc in
-        stream (run_plan_stream ~metrics ?pruning ?image plan engine root)
-      in
-      match engine with
-      | Some engine -> tree_stream engine
-      | None ->
-        let nfa = plan.Plan_cache.nfa in
-        if Sax_transform.one_pass nfa then
-          fused ?skip:(sym_skip pruning) nfa plan (Xut_xml.Sax.events_of_tree root)
-        else begin
-          Metrics.incr_stream_fallbacks metrics;
-          tree_stream Engine.Gentop
-        end
-    in
-    evaluate ~store ~cache ~metrics ~doc ~query run
-  | From_file _, Some _ ->
-    error Bad_request "a result stream with an engine needs a stored document"
-  | From_file path, None -> begin
-    match lookup_plan ~cache ~metrics query with
-    | Stdlib.Error e -> e
-    | Stdlib.Ok _ when not (Sys.file_exists path) -> error Eval_error "no such file %S" path
-    | Stdlib.Ok plan ->
-      let nfa = plan.Plan_cache.nfa in
-      let source h = Xut_xml.Sax.parse_file path h in
-      reply (fun () ->
-          if Sax_transform.one_pass nfa then fused nfa plan source
-          else begin
-            Metrics.incr_stream_fallbacks metrics;
-            match Xut_automata.Selecting_nfa.ctx_qual nfa with
-            | Xut_xpath.Ast.Q_true ->
-              stream (fun sink ->
-                  count_sax_skips ~metrics
-                    (Sax_transform.run nfa plan.Plan_cache.query.Transform_ast.update ~source
-                       ~sink:(Xut_xml.Serialize.Sink.event sink)))
-            | _ ->
-              stream (fun sink ->
-                  run_plan_stream ~metrics plan Engine.Gentop (Xut_xml.Dom.parse_file path) sink)
-          end)
-  end
+    else Ok (Batch_results (List.map (handle st ~depth:(depth + 1)) reqs))
 
 let rec count_errors = function
   | Error _ -> 1
@@ -834,14 +844,11 @@ let create ?(domains = 1) () =
         view_churn := !view_churn + Plan_cache.invalidate_composed cache ~dep:ev.Doc_store.name
       | Doc_store.Committed -> ());
       Metrics.add_view_invalidations metrics !view_churn);
+  let st = { store; cache; views; metrics } in
   let handler job =
     Metrics.incr_requests metrics;
     let t0 = Unix.gettimeofday () in
-    let resp =
-      match job with
-      | Plain_job req -> handle ~store ~cache ~views ~metrics ~depth:0 req
-      | Stream_job (sr, emit) -> handle_stream ~store ~cache ~metrics emit sr
-    in
+    let resp = match job with Request req -> handle st ~depth:0 req | Read r -> run_read st r in
     Metrics.record_latency metrics (Unix.gettimeofday () -. t0);
     for _ = 1 to count_errors resp do
       Metrics.incr_errors metrics
@@ -854,7 +861,7 @@ let create ?(domains = 1) () =
       ~on_dequeue:(fun () -> Metrics.queue_leave metrics)
       ~domains ~queue_capacity handler
   in
-  { store; cache; views; metrics; pool }
+  { st; pool }
 
 (* The pool's own error channel ([('b, string) result]) only fires when
    an exception escapes the handler — the handler catches everything it
@@ -875,10 +882,15 @@ let call_job t job =
   | r -> flatten r
   | exception Invalid_argument _ -> shut_down ()
 
-let submit t req reply = submit_job t (Plain_job req) reply
-let submit_stream t sr emit reply = submit_job t (Stream_job (sr, emit)) reply
-let call t req = call_job t (Plain_job req)
-let call_stream t sr emit = call_job t (Stream_job (sr, emit))
+(* A stream request as a read whose chunks go to [emit]. *)
+let stream_read ({ source; engine; query; chunk_size } : stream_request) emit =
+  let source = match source with From_doc doc -> Stored (Doc doc) | From_file path -> File path in
+  Read { source; engine; query; reply = Chunked { emit; chunk_size } }
+
+let submit t req reply = submit_job t (Request req) reply
+let submit_stream t sr emit reply = submit_job t (stream_read sr emit) reply
+let call t req = call_job t (Request req)
+let call_stream t sr emit = call_job t (stream_read sr emit)
 
 let transform_stream t ~doc ~engine ~query ?(chunk_size = default_chunk_size) emit =
   call_stream t { source = From_doc doc; engine = Some engine; query; chunk_size } emit
@@ -886,12 +898,12 @@ let transform_stream t ~doc ~engine ~query ?(chunk_size = default_chunk_size) em
 let transform_ingest t ~source ~query ?(chunk_size = default_chunk_size) emit =
   call_stream t { source; engine = None; query; chunk_size } emit
 
-let metrics t = t.metrics
-let cache_stats t = Plan_cache.stats t.cache
-let store t = t.store
+let metrics t = t.st.metrics
+let cache_stats t = Plan_cache.stats t.st.cache
+let store t = t.st.store
 
 (* Subscribers added here run after the service's own plan-cache hook,
    so by the time a transport broadcasts a notice the stale tables are
    already gone — a client acting on the notice sees fresh state. *)
-let on_invalidate t f = Doc_store.subscribe t.store f
+let on_invalidate t f = Doc_store.subscribe t.st.store f
 let shutdown t = Worker_pool.shutdown t.pool

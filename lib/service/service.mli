@@ -1,12 +1,31 @@
 (** The transform-query service: {!Doc_store} + {!Plan_cache} +
-    {!Worker_pool} + {!Metrics} behind one request type.
+    {!View_store} + {!Worker_pool} + {!Metrics} behind one request type.
 
-    This is the in-process serving layer the ROADMAP's production goal
-    needs: documents are parsed once, query front ends are compiled once
-    and cached, evaluation fans out over OCaml 5 domains, and every
-    request is isolated — a bad query is an [Error] response, never a
-    dead worker.  The request/response types here are the service API
-    proper; rendering them to bytes is a transport concern
+    Documents are parsed once, query front ends are compiled once and
+    cached, evaluation fans out over OCaml 5 domains, and every request
+    is isolated — a bad query is an [Error] response, never a dead
+    worker.
+
+    Every read — a [Transform] or [Count] of a document or view, a
+    result stream, a streamed ingest of a document or file — runs one
+    pipeline:
+    - {b resolve}: the source (the document's snapshot, a view chain
+      over its base document's snapshot, or the file), then the query
+      (the cached plan, or the user query parsed and composed with the
+      chain);
+    - {b admit}: the NFA x schema product's pruning oracle, and the
+      statically-empty check for a plan over a schema-bound document;
+    - {b execute}: the engine and tier — topDown walk (GENTOP, TD-BU),
+      the other engines' own result trees, twoPassSAX or fused SAX
+      events, the composed view query or its materializing fallback;
+    - {b reply}: the result serialized whole ([Tree]), counted
+      ([Element_count]; the walk engines count without building the
+      result) or streamed in chunks ([Stream_done]).
+    So an unknown document, view or file is reported before a bad
+    query, and every reply kind of one read is byte-identical.
+
+    The request/response types here are the service API proper;
+    rendering them to bytes is a transport concern
     ({!Xut_transport.Wire} speaks both the [xut serve] stdin line
     protocol and the length-prefixed binary framing of the socket
     server). *)
@@ -224,8 +243,10 @@ val call : t -> request -> response
       (the stored one, or a one-off parse of the file) and streams only
       the output.
 
-    A [From_doc] stream goes through the same head as a Doc
-    [Transform] (snapshot, plan lookup, schema pruning, admission). *)
+    A [From_doc] stream is resolved and admitted as a Doc [Transform]
+    is (snapshot, plan lookup, schema pruning, the statically-empty
+    check); a [From_file] one checks the file exists before it looks
+    at the query. *)
 
 val default_chunk_size : int
 (** {!Xut_xml.Serialize.Sink.default_chunk_size} (64 KiB). *)

@@ -175,10 +175,10 @@ let serve_conn t conn =
             Metrics.frame_malformed m;
             ignore (write_frame t conn ~id (error_response Service.Bad_request msg));
             loop ()
-          | Ok (Wire.Binary.Plain req) ->
+          | Ok (Wire.Plain req) ->
             dispatch t conn ~id req;
             loop ()
-          | Ok (Wire.Binary.Stream sr) ->
+          | Ok (Wire.Stream sr) ->
             dispatch_stream t conn ~id sr;
             loop ()
         end

@@ -1,5 +1,7 @@
 open Xut_service
 
+type incoming = Plain of Service.request | Stream of Service.stream_request
+
 module Line = struct
   let split2 s =
     match String.index_opt s ' ' with
@@ -95,8 +97,6 @@ module Line = struct
            "unknown request %S \
             (LOAD|UNLOAD|TRANSFORM|TRANSFORM-STREAM|COUNT|APPLY|COMMIT|DEFVIEW|UNDEFVIEW|LISTVIEWS|STATS)"
            v)
-
-  type incoming = Plain of Service.request | Stream of Service.stream_request
 
   (* TRANSFORM-STREAM [DOC] <name> <query> — streamed ingest of a stored
      document; TRANSFORM-STREAM FILE <path> <query> — of a file, never
@@ -605,8 +605,6 @@ module Binary = struct
     query : string;
     chunk_size : int;
   }
-
-  type incoming = Plain of Service.request | Stream of Service.stream_request
 
   let encode_stream ({ source; engine; query; chunk_size } : Service.stream_request) =
     let b = Buffer.create 128 in

@@ -15,6 +15,10 @@
 
 open Xut_service
 
+type incoming = Plain of Service.request | Stream of Service.stream_request
+(** What either decoder reads: a plain request, or a streamed transform
+    (a [TRANSFORM-STREAM] line, a tag-7 or tag-16 Request frame). *)
+
 module Line : sig
   val decode_request : string -> (Service.request, string) result
   (** Parse one line:
@@ -41,21 +45,18 @@ module Line : sig
       DEFVIEW's [:=] is optional on input and always printed on
       output. *)
 
-  type incoming = Plain of Service.request | Stream of Service.stream_request
-  (** One line of the stdin protocol: a plain request, or a streamed
-      ingest.  [TRANSFORM-STREAM [DOC] <name> <query>] transforms a
-      stored document, [TRANSFORM-STREAM FILE <path> <query>] a
-      (server-side) file, without materializing the input as a tree.  No
-      engine word: the [Service.stream_request] has [engine = None], so
-      the service picks the tier with byte-identical fallback for
-      unstreamable shapes, and [chunk_size = Service.default_chunk_size].
-      As with TRANSFORM, the [DOC] keyword keeps documents literally
-      named ["FILE"]/["DOC"] addressable. *)
-
   val decode_incoming : string -> (incoming, string) result
   (** Parse one line of the stdin protocol including the streaming
       verb.  {!decode_request} alone rejects [TRANSFORM-STREAM] (a
-      stream is not a [Service.request]). *)
+      stream is not a [Service.request]).
+      [TRANSFORM-STREAM [DOC] <name> <query>] transforms a stored
+      document, [TRANSFORM-STREAM FILE <path> <query>] a (server-side)
+      file, without materializing the input as a tree.  No engine word:
+      the [Service.stream_request] has [engine = None], so the service
+      picks the tier with byte-identical fallback for unstreamable
+      shapes, and [chunk_size = Service.default_chunk_size].  As with
+      TRANSFORM, the [DOC] keyword keeps documents literally named
+      ["FILE"]/["DOC"] addressable. *)
 
   val render_response : Service.response -> string
   (** The reply text of the stdin protocol: ["OK <payload>"],
@@ -155,10 +156,6 @@ module Binary : sig
   (** The tag-16 fields: [engine = None]. *)
 
   val of_ingest_request : ingest_request -> Service.stream_request
-
-  (** What a server reads out of a Request frame: a plain service
-      request, or a streamed transform (payload tag 7 or 16). *)
-  type incoming = Plain of Service.request | Stream of Service.stream_request
 
   val encode_stream : Service.stream_request -> string
   (** The tag-7 or tag-16 payload.  Raises [Invalid_argument] for a

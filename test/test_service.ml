@@ -1269,6 +1269,200 @@ let test_reply_image_lifecycle () =
           Alcotest.(check bool) "replies blit after a commit" true (blits1 > blits0);
           Alcotest.(check bool) "replies blit after a reload" true (blits2 > blits1)))
 
+(* ---- the read matrix ----
+
+   Every read reply (Tree, Count, result stream, TRANSFORM-STREAM) over
+   every source (a schema-bound document, a schemaless one, the same
+   bytes as a file, depth-1 and depth-2 view chains) and every engine,
+   checked against each other and against the reference engine. *)
+
+let matrix_transform ?(doc = "d") u =
+  Printf.sprintf {|transform copy $a := doc("%s") modify do %s return $a|} doc u
+
+(* qualifier-free (fused ingest), qualifier-bearing (tree fallbacks) and
+   a rename *)
+let matrix_queries =
+  List.map matrix_transform
+    [ "delete $a/site/regions//item/mailbox";
+      "delete $a/site/people/person[phone]/address";
+      "rename $a/site/people/person as human" ]
+
+let matrix_empty = matrix_transform "delete $a/site/people//bidder"
+
+(* (view, definition, reads); each base document gets a depth-1 view
+   and a depth-2 view over it.  The [count] reads are outside the
+   composable user fragment and take the materializing fallback. *)
+let matrix_views base =
+  let v1 = base ^ "1" and v2 = base ^ "2" in
+  [ ( v1,
+      [ matrix_transform ~doc:base "delete $a//emailaddress" ],
+      [ "for $x in site/people/person return $x"; "count(site/people/person)" ] );
+    ( v2,
+      [ matrix_transform ~doc:base "delete $a//emailaddress";
+        matrix_transform ~doc:v1 "rename $a/site/people/person as human" ],
+      [ "for $x in site/people/human return $x"; "count(site/people/human)" ] ) ]
+
+(* The service's COUNT of a view value, computed independently. *)
+let view_count (v : Xut_xquery.Xq_value.t) =
+  List.fold_left
+    (fun n item ->
+      match item with
+      | Xut_xquery.Xq_value.N node -> n + Xut_xml.Node.element_count node
+      | Xut_xquery.Xq_value.D e -> n + Xut_xml.Node.element_count (Xut_xml.Node.Element e)
+      | _ -> n + 1)
+    0 v
+
+let test_read_matrix () =
+  Xut_xmark.Site_schema.register ();
+  let path = Filename.temp_file "xut_service_matrix" ".xml" in
+  Xut_xmark.Generator.to_file ~factor:0.0005 path;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_service (fun svc ->
+          let base = Xut_xml.Dom.parse_file path in
+          let fail label = function
+            | Service.Error { message; _ } -> Alcotest.fail (label ^ ": " ^ message)
+            | Service.Ok _ -> Alcotest.fail (label ^ ": wrong payload")
+          in
+          let tree label = function Service.Ok (Service.Tree s) -> s | r -> fail label r in
+          let count label = function
+            | Service.Ok (Service.Element_count n) -> n
+            | r -> fail label r
+          in
+          let streamed label run =
+            let buf = Buffer.create 4096 in
+            match run (Buffer.add_string buf) with
+            | Service.Ok (Service.Stream_done { bytes; _ }) ->
+              Alcotest.(check int) (label ^ ": byte total") (Buffer.length buf) bytes;
+              Buffer.contents buf
+            | r -> fail label r
+          in
+          let refused label code run =
+            match run (fun _ -> Alcotest.fail (label ^ ": a refused read emits no chunk")) with
+            | Service.Error { code = c; _ } when c = code -> ()
+            | Service.Error { code = c; message } ->
+              Alcotest.fail
+                (Printf.sprintf "%s: expected %s, got %s: %s" label (Service.err_code_name code)
+                   (Service.err_code_name c) message)
+            | Service.Ok _ -> Alcotest.fail (label ^ ": expected an error")
+          in
+          let read target engine query = Service.Transform { target; engine; query } in
+          let count_req target engine query = Service.Count { target; engine; query } in
+          List.iter
+            (fun (name, schema) ->
+              match Service.call svc (Service.Load { name; file = path; schema }) with
+              | Service.Ok (Service.Doc_loaded _) -> ()
+              | r -> fail ("LOAD " ^ name) r)
+            [ ("d", Some Xut_xmark.Site_schema.schema_name); ("p", None) ];
+          List.iter
+            (fun doc ->
+              List.iter
+                (fun (name, defs, _) ->
+                  match
+                    Service.call svc
+                      (Service.Defview { name; query = List.nth defs (List.length defs - 1) })
+                  with
+                  | Service.Ok (Service.View_defined _) -> ()
+                  | r -> fail ("DEFVIEW " ^ name) r)
+                (matrix_views doc))
+            [ "d"; "p" ];
+          (* Doc reads: every engine, both bindings *)
+          List.iter
+            (fun q ->
+              let expected =
+                Xut_xml.Serialize.element_to_string
+                  (Core.Engine.run Core.Engine.Reference (Core.Transform_parser.parse q) ~doc:base)
+              in
+              List.iter
+                (fun doc ->
+                  let target = Service.Doc doc in
+                  List.iter
+                    (fun engine ->
+                      let label = Printf.sprintf "%s %s %s" doc (Core.Engine.name engine) q in
+                      let payload = tree label (Service.call svc (read target engine q)) in
+                      Alcotest.(check string) (label ^ ": Tree = reference") expected payload;
+                      Alcotest.(check string) (label ^ ": result stream = Tree") payload
+                        (streamed label
+                           (Service.transform_stream svc ~doc ~engine ~query:q ~chunk_size:97));
+                      Alcotest.(check int) (label ^ ": COUNT = elements of the Tree")
+                        (Xut_xml.Node.element_count
+                           (Xut_xml.Node.Element (Xut_xml.Dom.parse_string payload)))
+                        (count label (Service.call svc (count_req target engine q))))
+                    Core.Engine.all;
+                  Alcotest.(check string) (doc ^ " TRANSFORM-STREAM = materialized") expected
+                    (streamed doc
+                       (Service.transform_ingest svc ~source:(Service.From_doc doc) ~query:q
+                          ~chunk_size:97)))
+                [ "d"; "p" ];
+              Alcotest.(check string) "TRANSFORM-STREAM FILE = materialized" expected
+                (streamed "file"
+                   (Service.transform_ingest svc ~source:(Service.From_file path) ~query:q
+                      ~chunk_size:97)))
+            matrix_queries;
+          (* View reads: TRANSFORM = the reference chain, COUNT = its
+             count *)
+          List.iter
+            (fun doc ->
+              List.iter
+                (fun (name, defs, reads) ->
+                  List.iter
+                    (fun q ->
+                      let value = reference_view_value ~base defs q in
+                      List.iter
+                        (fun engine ->
+                          let label = Printf.sprintf "%s %s %s" name (Core.Engine.name engine) q in
+                          let target = Service.View name in
+                          Alcotest.(check string) (label ^ ": Tree = reference chain")
+                            (view_render value)
+                            (tree label (Service.call svc (read target engine q)));
+                          Alcotest.(check int) (label ^ ": COUNT = count of the value")
+                            (view_count value)
+                            (count label (Service.call svc (count_req target engine q))))
+                        Core.Engine.all)
+                    reads)
+                (matrix_views doc))
+            [ "d"; "p" ];
+          (* the schema refuses a statically-empty query on every Doc
+             reply kind; the schemaless binding runs it *)
+          List.iter
+            (fun engine ->
+              let label what = Printf.sprintf "%s %s" what (Core.Engine.name engine) in
+              let target = Service.Doc "d" in
+              refused (label "TRANSFORM") Service.Statically_empty (fun _ ->
+                  Service.call svc (read target engine matrix_empty));
+              refused (label "COUNT") Service.Statically_empty (fun _ ->
+                  Service.call svc (count_req target engine matrix_empty));
+              refused (label "result stream") Service.Statically_empty
+                (Service.transform_stream svc ~doc:"d" ~engine ~query:matrix_empty);
+              ignore
+                (count (label "schemaless COUNT")
+                   (Service.call svc (count_req (Service.Doc "p") engine matrix_empty))))
+            Core.Engine.all;
+          refused "TRANSFORM-STREAM" Service.Statically_empty
+            (Service.transform_ingest svc ~source:(Service.From_doc "d") ~query:matrix_empty);
+          (* an unknown source is reported before a bad query *)
+          let bad = "nonsense" in
+          List.iter
+            (fun engine ->
+              let label what = Printf.sprintf "%s %s" what (Core.Engine.name engine) in
+              List.iter
+                (fun target ->
+                  refused (label "TRANSFORM") Service.Unknown_document (fun _ ->
+                      Service.call svc (read target engine bad));
+                  refused (label "COUNT") Service.Unknown_document (fun _ ->
+                      Service.call svc (count_req target engine bad)))
+                [ Service.Doc "nope"; Service.View "nope" ];
+              refused (label "result stream") Service.Unknown_document
+                (Service.transform_stream svc ~doc:"nope" ~engine ~query:bad))
+            Core.Engine.all;
+          refused "TRANSFORM-STREAM" Service.Unknown_document
+            (Service.transform_ingest svc ~source:(Service.From_doc "nope") ~query:bad);
+          (* a missing file is an unknown source too *)
+          refused "TRANSFORM-STREAM FILE" Service.Eval_error
+            (Service.transform_ingest svc ~source:(Service.From_file "/nonexistent/x.xml")
+               ~query:bad)))
+
 (* ---- golden STATS ---- *)
 
 (* The STATS keys, in order, up to the plan-cache line: CI greps them and
@@ -1724,6 +1918,7 @@ let suite =
     Alcotest.test_case "views: dependency-graph invalidation" `Quick
       test_view_invalidation_graph;
     Alcotest.test_case "metrics: golden STATS and reset" `Quick test_golden_stats;
+    Alcotest.test_case "service: read matrix (source x reply x engine)" `Quick test_read_matrix;
     Alcotest.test_case "service: stream consumer fails mid-stream" `Quick
       test_stream_consumer_failure;
     QCheck_alcotest.to_alcotest prop_render_value;

@@ -714,7 +714,7 @@ let test_stream_frame_codecs () =
       query = "q\nwith newline"; chunk_size = 512 }
   in
   (match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream sr) with
-  | Ok (Wire.Binary.Stream sr') ->
+  | Ok (Wire.Stream sr') ->
     Alcotest.(check bool) "stream request round trips" true (sr' = sr)
   | _ -> Alcotest.fail "stream request must decode");
   (* the tag-7 record frames to the same payload *)
@@ -726,7 +726,7 @@ let test_stream_frame_codecs () =
   match
     Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_request Service.Stats)
   with
-  | Ok (Wire.Binary.Plain Service.Stats) -> ()
+  | Ok (Wire.Plain Service.Stats) -> ()
   | _ -> Alcotest.fail "plain requests must still decode"
 
 let test_stream_over_socket () =
@@ -1178,19 +1178,19 @@ let test_ingest_codec () =
      FILE addresses a server-side path *)
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM d transform q" with
   | Ok
-      (Wire.Line.Stream
+      (Wire.Stream
         { source = Service.From_doc "d"; engine = None; query = "transform q"; chunk_size })
     ->
     Alcotest.(check int) "default chunk size" Service.default_chunk_size chunk_size
   | _ -> Alcotest.fail "bare-name ingest parse");
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM DOC FILE transform q" with
-  | Ok (Wire.Line.Stream { source = Service.From_doc "FILE"; engine = None; _ }) -> ()
+  | Ok (Wire.Stream { source = Service.From_doc "FILE"; engine = None; _ }) -> ()
   | _ -> Alcotest.fail "DOC keyword keeps \"FILE\" addressable as a name");
   (match Wire.Line.decode_incoming "TRANSFORM-STREAM FILE /tmp/x.xml transform q" with
-  | Ok (Wire.Line.Stream { source = Service.From_file "/tmp/x.xml"; engine = None; _ }) -> ()
+  | Ok (Wire.Stream { source = Service.From_file "/tmp/x.xml"; engine = None; _ }) -> ()
   | _ -> Alcotest.fail "FILE ingest parse");
   (match Wire.Line.decode_incoming "STATS" with
-  | Ok (Wire.Line.Plain Service.Stats) -> ()
+  | Ok (Wire.Plain Service.Stats) -> ()
   | _ -> Alcotest.fail "plain requests pass through decode_incoming");
   List.iter
     (fun line ->
@@ -1208,7 +1208,7 @@ let test_ingest_codec () =
       let sr = Wire.Binary.of_ingest_request ir in
       Alcotest.(check bool) "ingest leaves the tier to the service" true (sr.engine = None);
       match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream sr) with
-      | Ok (Wire.Binary.Stream sr') ->
+      | Ok (Wire.Stream sr') ->
         Alcotest.(check bool) "ingest request round trips" true (sr' = sr)
       | Ok _ -> Alcotest.fail "wrong incoming shape"
       | Error e -> Alcotest.fail e)
@@ -1463,7 +1463,7 @@ let test_chunk_size_bound () =
     (fun (what, engine, source) ->
       let sr chunk_size = { Service.source; engine; query = q_del_prices; chunk_size } in
       (match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream (sr bound)) with
-      | Ok (Wire.Binary.Stream sr') ->
+      | Ok (Wire.Stream sr') ->
         Alcotest.(check int) (what ^ ": decodes at the bound") bound sr'.chunk_size
       | _ -> Alcotest.fail (what ^ ": must decode at the bound"));
       match Wire.Binary.decode_incoming ~version:2 (Wire.Binary.encode_stream (sr (bound + 1))) with
