@@ -64,10 +64,12 @@ let transform_cmd =
   let run query doc engine pretty stats stream =
     let q = Transform_parser.parse (read_query query) in
     if stream then begin
-      (* Fused constant-memory path: SAX parse straight through the
-         selecting NFA into the chunked serializer, never building a
-         tree.  Plans that need the bottom-up qualifier pass fall back
-         to the two-parse configuration (still no tree); output is
+      (* Constant-memory path: SAX parse straight through the selecting
+         NFA into the chunked serializer, never building a tree.  The
+         tier is the service's TRANSFORM-STREAM FILE one: fused for a
+         qualifier-free plan, buffered (one parse, holding only the
+         subtrees a qualifier leaves undecided) otherwise, and a GENTOP
+         walk of the parsed tree for a context qualifier.  Output is
          byte-identical either way. *)
       if pretty then begin
         Printf.eprintf "xut transform: --stream does not indent; drop --pretty\n";
@@ -78,11 +80,17 @@ let transform_cmd =
       let source h = Xut_xml.Sax.parse_file doc h in
       let t0 = Unix.gettimeofday () in
       let sink = Xut_xml.Serialize.Sink.create print_string in
-      let fused = Sax_transform.one_pass nfa in
+      let events = Xut_xml.Serialize.Sink.event sink in
+      let tier = Sax_transform.tier ~file:true nfa in
       let rs =
         try
-          if fused then Sax_transform.run_once nfa update ~source ~sink:(Xut_xml.Serialize.Sink.event sink)
-          else Sax_transform.run nfa update ~source ~sink:(Xut_xml.Serialize.Sink.event sink)
+          match tier with
+          | Sax_transform.Fused -> Some (Sax_transform.run_once nfa update ~source ~sink:events)
+          | Sax_transform.Buffered ->
+            Some (Sax_transform.run_buffered nfa update ~source ~sink:events)
+          | Sax_transform.Materialized ->
+            Xut_xml.Serialize.Sink.element sink (Top_down.run nfa update (load_doc doc));
+            None
         with e ->
           Xut_xml.Serialize.Sink.abort sink;
           raise e
@@ -90,11 +98,14 @@ let transform_cmd =
       ignore (Xut_xml.Serialize.Sink.close sink);
       print_newline ();
       let dt = Unix.gettimeofday () -. t0 in
-      if stats then
-        Format.eprintf "engine=%s time=%.4fs depth=%d truth=%d elements=%d@."
-          (if fused then "fusedSAX" else "twoPassSAX")
-          dt rs.Sax_transform.max_stack_depth rs.Sax_transform.truth_entries
-          rs.Sax_transform.elements_seen;
+      (if stats then
+         match rs with
+         | Some rs ->
+           Format.eprintf "engine=%s time=%.4fs depth=%d truth=%d elements=%d regions=%d parses=%d@."
+             (if tier = Sax_transform.Fused then "fusedSAX" else "bufferedSAX")
+             dt rs.Sax_transform.max_stack_depth rs.Sax_transform.truth_entries
+             rs.Sax_transform.elements_seen rs.Sax_transform.regions rs.Sax_transform.parses
+         | None -> Format.eprintf "engine=gentop time=%.4fs@." dt);
       0
     end
     else begin
@@ -115,8 +126,8 @@ let transform_cmd =
          & info [ "stream" ]
              ~doc:"Constant-memory streaming: drive the SAX parse of the document straight \
                    through the compiled plan into the serializer, never materializing a tree \
-                   (single-pass when the plan is qualifier-free, two parses otherwise; \
-                   ignores --engine).")
+                   (one parse, holding only the subtrees a qualifier leaves undecided; \
+                   a context qualifier walks a parsed tree; ignores --engine).")
   in
   Cmd.v
     (Cmd.info "transform" ~doc:"Evaluate a transform query (update syntax) without touching the store.")

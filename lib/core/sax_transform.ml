@@ -12,6 +12,8 @@ type run_stats = {
   elements_seen : int;
   skipped_subtrees : int;
   skipped_elements : int;
+  regions : int;
+  parses : int;
 }
 
 (* Ld: truth of top-level qualifier [lq] at the element with document-order
@@ -27,220 +29,273 @@ end
 
 (* ---------------- pass 1: SAX bottomUp ---------------- *)
 
-type p1_frame = {
-  states : Selecting_nfa.set;  (* unfiltered NFA states after this start-tag *)
-  all_seeds : int list;
-  candidates : int list;  (* child-seed candidates *)
-  csat : bool array;
-  text : Buffer.t;
-  attrs : (string * string) list;
-  name : string;
-  seq : int;
-}
+module Pass1 = struct
+  type frame = {
+    states : Selecting_nfa.set;  (* unfiltered NFA states after this start-tag *)
+    all_seeds : int list;
+    candidates : int list;  (* child-seed candidates *)
+    csat : bool array;
+    text : Buffer.t;  (* only written when [all_seeds <> []] *)
+    attrs : (string * string) list;
+    name : string;
+    seq : int;
+  }
 
-let pass1 ~sskip nfa source truth =
-  let lq = Selecting_nfa.lq nfa in
-  let nlq = Lq.length lq in
-  let stack : p1_frame list ref = ref [] in
-  let skip = ref 0 in
-  (* was the current skip episode opened by the schema oracle (as opposed
-     to an empty state set)?  Episodes never nest, so one flag suffices. *)
-  let schema_mode = ref false in
-  let skipped_subtrees = ref 0 and skipped_elements = ref 0 in
-  let seq = ref (-1) in
-  (* [List.length !stack], kept as a counter: measuring the list on
-     every start-tag made ingest quadratic in nesting depth *)
-  let depth = ref 0 in
-  let max_depth = ref 0 in
-  let handle = function
-    | Sax.Start_document | Sax.End_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
-    | Sax.Start_element (name, attrs) ->
-      incr seq;
-      if !skip > 0 then begin
-        incr skip;
-        if !schema_mode then incr skipped_elements
+  type t = {
+    nfa : Selecting_nfa.t;
+    lq : Lq.t;
+    nlq : int;
+    sskip : Sym.t -> bool;
+    truth : Truth.t;
+    (* the unfiltered states of the parent of the bottom frame: the start
+       set for a whole-document pass, the saved pass-2 states inside an
+       undecided region *)
+    mutable base : Selecting_nfa.set;
+    mutable stack : frame list;
+    mutable skip : int;
+    (* was the current skip episode opened by the schema oracle (as
+       opposed to an empty state set)?  Episodes never nest, so one flag
+       suffices. *)
+    mutable schema_mode : bool;
+    mutable skipped_subtrees : int;
+    mutable skipped_elements : int;
+    mutable seq : int;
+    (* [List.length stack] plus the frames below [base], kept as a
+       counter: measuring the list on every start-tag made ingest
+       quadratic in nesting depth *)
+    mutable depth : int;
+    mutable max_depth : int;
+  }
+
+  let no_text = Buffer.create 0
+
+  let create ~sskip nfa truth =
+    let lq = Selecting_nfa.lq nfa in
+    { nfa; lq; nlq = Lq.length lq; sskip; truth; base = Selecting_nfa.start nfa; stack = [];
+      skip = 0; schema_mode = false; skipped_subtrees = 0; skipped_elements = 0; seq = -1;
+      depth = 0; max_depth = 0 }
+
+  (* A frame that demands no seeds: nothing is evaluated or propagated at
+     it.  The elements above an undecided region get these, as their
+     pass-2 states carry no qualifier. *)
+  let seedless states =
+    { states; all_seeds = []; candidates = []; csat = [||]; text = no_text; attrs = [];
+      name = ""; seq = -1 }
+
+  let start p name attrs =
+    p.seq <- p.seq + 1;
+    if p.skip > 0 then begin
+      p.skip <- p.skip + 1;
+      if p.schema_mode then p.skipped_elements <- p.skipped_elements + 1
+    end
+    else begin
+      let sym = Sym.intern name in
+      if p.sskip sym then begin
+        (* schema skip-set: seed-free below, so no truth entry the second
+           pass could ask for originates here *)
+        p.skip <- 1;
+        p.schema_mode <- true;
+        p.skipped_subtrees <- p.skipped_subtrees + 1;
+        p.skipped_elements <- p.skipped_elements + 1
       end
       else begin
-        let sym = Sym.intern name in
-        if sskip sym then begin
-          (* schema skip-set: seed-free below, so no truth entry the second
-             pass could ask for originates here *)
-          skip := 1;
-          schema_mode := true;
-          incr skipped_subtrees;
-          incr skipped_elements
-        end
+        let parent_states, parent_candidates =
+          match p.stack with [] -> p.base, [] | f :: _ -> f.states, f.candidates
+        in
+        let states = Selecting_nfa.next_unchecked p.nfa parent_states sym in
+        let kid_seeds =
+          List.filter (fun i -> not (Lq.label_blocked p.lq i name)) parent_candidates
+        in
+        let all_seeds =
+          List.sort_uniq compare (kid_seeds @ Annotator.top_quals p.nfa states)
+        in
+        if Selecting_nfa.set_is_empty states && all_seeds = [] then p.skip <- 1
         else begin
-          let parent_states, parent_candidates =
-            match !stack with
-            | [] -> Selecting_nfa.start nfa, []
-            | f :: _ -> f.states, f.candidates
+          let frame =
+            if all_seeds = [] then seedless states
+            else
+              { states; all_seeds; candidates = snd (Annotator.expand p.lq ~name all_seeds);
+                csat = Array.make p.nlq false; text = Buffer.create 16; attrs; name;
+                seq = p.seq }
           in
-          let states = Selecting_nfa.next_unchecked nfa parent_states sym in
-          let kid_seeds =
-            List.filter (fun p -> not (Lq.label_blocked lq p name)) parent_candidates
-          in
-          let all_seeds =
-            List.sort_uniq compare (kid_seeds @ Annotator.top_quals nfa states)
-          in
-          if Selecting_nfa.set_is_empty states && all_seeds = [] then skip := 1
-          else begin
-            let candidates =
-              if all_seeds = [] then [] else snd (Annotator.expand lq ~name all_seeds)
-            in
-            stack :=
-              { states; all_seeds; candidates; csat = Array.make nlq false;
-                text = Buffer.create 16; attrs; name; seq = !seq }
-              :: !stack;
-            incr depth;
-            if !depth > !max_depth then max_depth := !depth
-          end
+          p.stack <- frame :: p.stack;
+          p.depth <- p.depth + 1;
+          if p.depth > p.max_depth then p.max_depth <- p.depth
         end
       end
+    end
+
+  let end_ p =
+    if p.skip > 0 then begin
+      p.skip <- p.skip - 1;
+      if p.skip = 0 then p.schema_mode <- false
+    end
+    else
+      match p.stack with
+      | [] -> ()
+      | f :: rest ->
+        p.stack <- rest;
+        p.depth <- p.depth - 1;
+        if f.all_seeds <> [] then begin
+          let sat =
+            Lq.eval_at p.lq ~name:f.name ~attrs:f.attrs ~text:(Buffer.contents f.text)
+              ~csat:(fun i -> f.csat.(i)) ~wanted:f.all_seeds
+          in
+          Selecting_nfa.set_iter
+            (fun s ->
+              let i = Selecting_nfa.state_lq p.nfa s in
+              Truth.set p.truth f.seq i sat.(i))
+            (Selecting_nfa.set_inter f.states (Selecting_nfa.qual_states p.nfa));
+          (* a parent without seeds never reads its [csat] *)
+          match rest with
+          | parent :: _ when parent.all_seeds <> [] ->
+            for i = 0 to p.nlq - 1 do
+              if sat.(i) then parent.csat.(i) <- true
+            done
+          | _ -> ()
+        end
+
+  let handle p = function
+    | Sax.Start_document | Sax.End_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
+    | Sax.Start_element (name, attrs) -> start p name attrs
     | Sax.Characters t -> (
-      if !skip = 0 then
-        match !stack with f :: _ -> Buffer.add_string f.text t | [] -> ())
-    | Sax.End_element _ ->
-      if !skip > 0 then begin
-        decr skip;
-        if !skip = 0 then schema_mode := false
-      end
-      else begin
-        match !stack with
-        | [] -> ()
-        | f :: rest ->
-          stack := rest;
-          decr depth;
-          if f.all_seeds <> [] then begin
-            let sat =
-              Lq.eval_at lq ~name:f.name ~attrs:f.attrs ~text:(Buffer.contents f.text)
-                ~csat:(fun i -> f.csat.(i)) ~wanted:f.all_seeds
-            in
-            Selecting_nfa.set_iter
-              (fun s ->
-                let i = Selecting_nfa.state_lq nfa s in
-                Truth.set truth f.seq i sat.(i))
-              (Selecting_nfa.set_inter f.states (Selecting_nfa.qual_states nfa));
-            match rest with
-            | parent :: _ ->
-              for i = 0 to nlq - 1 do
-                if sat.(i) then parent.csat.(i) <- true
-              done
-            | [] -> ()
-          end
-      end
-  in
-  source handle;
-  !max_depth, !seq + 1, !skipped_subtrees, !skipped_elements
+      if p.skip = 0 then
+        match p.stack with
+        | f :: _ when f.all_seeds <> [] -> Buffer.add_string f.text t
+        | _ -> ())
+    | Sax.End_element _ -> end_ p
+end
 
 (* ---------------- pass 2: SAX topDown ---------------- *)
 
-type p2_frame = { fstates : Selecting_nfa.set; out_name : string; matched : bool }
+module Pass2 = struct
+  type frame = { fstates : Selecting_nfa.set; out_name : string; matched : bool }
 
-let pass2 ~sskip nfa update source truth sink =
-  let root_matched = Selecting_nfa.selects_context nfa in
-  let stack : p2_frame list ref = ref [] in
-  let skip = ref 0 in
-  (* schema-skipped subtree being copied to the output verbatim: nothing
-     below can match, so the events pass through with no transition run *)
-  let verbatim = ref 0 in
-  let verbatim_subtrees = ref 0 and verbatim_elements = ref 0 in
-  let depth = ref 0 in  (* [List.length !stack], as in pass 1 *)
-  let max_depth = ref 0 in
-  let seq = ref (-1) in
-  let produced_root = ref false in
-  let handle = function
-    | Sax.Start_document -> sink Sax.Start_document
-    | Sax.End_document ->
-      if not !produced_root then
+  type t = {
+    nfa : Selecting_nfa.t;
+    update : Transform_ast.update;
+    sskip : Sym.t -> bool;
+    truth : Truth.t;
+    sink : Sax.event -> unit;
+    root_matched : bool;
+    mutable stack : frame list;
+    mutable skip : int;
+    (* schema-skipped subtree being copied to the output verbatim: nothing
+       below can match, so the events pass through with no transition run *)
+    mutable verbatim : int;
+    mutable verbatim_subtrees : int;
+    mutable verbatim_elements : int;
+    mutable depth : int;  (* [List.length stack], as in pass 1 *)
+    mutable max_depth : int;
+    mutable seq : int;
+    mutable produced_root : bool;
+  }
+
+  let create ~sskip nfa update truth sink =
+    { nfa; update; sskip; truth; sink; root_matched = Selecting_nfa.selects_context nfa;
+      stack = []; skip = 0; verbatim = 0; verbatim_subtrees = 0; verbatim_elements = 0;
+      depth = 0; max_depth = 0; seq = -1; produced_root = false }
+
+  (* Neither inside a deleted or replaced subtree nor copying one
+     verbatim: the next start-tag runs a transition. *)
+  let walking p = p.skip = 0 && p.verbatim = 0
+
+  let states p = match p.stack with [] -> Selecting_nfa.start p.nfa | f :: _ -> f.fstates
+
+  let push p fstates out_name matched =
+    p.stack <- { fstates; out_name; matched } :: p.stack;
+    p.depth <- p.depth + 1;
+    if p.depth > p.max_depth then p.max_depth <- p.depth
+
+  (* A start-tag while [walking], its number already counted and its
+     filtered states [fstates] known. *)
+  let admit p name attrs fstates =
+    let sink = p.sink in
+    let at_root = p.stack = [] in
+    let matched = Selecting_nfa.accepts_set p.nfa fstates || (at_root && p.root_matched) in
+    let push out_name =
+      if at_root then p.produced_root <- true;
+      push p fstates out_name matched
+    in
+    match p.update, matched with
+    | Transform_ast.Delete _, true ->
+      if at_root then
         raise (Transform_ast.Invalid_update "update deletes the document element");
-      sink Sax.End_document
-    | Sax.Comment_event _ as ev ->
-      if !verbatim > 0 then sink ev else if !skip = 0 && !stack <> [] then sink ev
-    | Sax.Pi_event _ as ev ->
-      if !verbatim > 0 then sink ev else if !skip = 0 && !stack <> [] then sink ev
-    | Sax.Characters t ->
-      if !verbatim > 0 then sink (Sax.Characters t)
-      else if !skip = 0 && !stack <> [] then sink (Sax.Characters t)
-    | Sax.Start_element (name, attrs) ->
-      incr seq;
-      if !skip > 0 then incr skip
-      else if !verbatim > 0 then begin
-        incr verbatim;
-        incr verbatim_elements;
-        sink (Sax.Start_element (name, attrs))
-      end
-      else begin
-        let sym = Sym.intern name in
-        if sskip sym then begin
-          if !stack = [] then produced_root := true;
-          sink (Sax.Start_element (name, attrs));
-          verbatim := 1;
-          incr verbatim_subtrees;
-          incr verbatim_elements
-        end
-        else begin
-          let at_root = !stack = [] in
-          let parent_states =
-            match !stack with [] -> Selecting_nfa.start nfa | f :: _ -> f.fstates
-          in
-          let checkp s = Truth.get truth !seq (Selecting_nfa.state_lq nfa s) in
-          let fstates = Selecting_nfa.next nfa ~checkp parent_states sym in
-          let matched = Selecting_nfa.accepts_set nfa fstates || (at_root && root_matched) in
-          let push out_name =
-            if at_root then produced_root := true;
-            stack := { fstates; out_name; matched } :: !stack;
-            incr depth;
-            if !depth > !max_depth then max_depth := !depth
-          in
-          match update, matched with
-          | Transform_ast.Delete _, true ->
-            if at_root then
-              raise (Transform_ast.Invalid_update "update deletes the document element");
-            skip := 1
-          | Transform_ast.Replace (_, enew), true ->
-            (match enew, at_root with
-            | Node.Element _, _ | _, false -> ()
-            | (Node.Text _ | Node.Comment _ | Node.Pi _), true ->
-              raise
-                (Transform_ast.Invalid_update
-                   "update replaces the document element with a non-element"));
-            if at_root then produced_root := true;
-            Sax.events_of_node enew sink;
-            skip := 1
-          | Transform_ast.Rename (_, l), true ->
-            sink (Sax.Start_element (l, attrs));
-            push l
-          | Transform_ast.Insert_first (_, enew), true ->
-            sink (Sax.Start_element (name, attrs));
-            Sax.events_of_node enew sink;
-            push name
-          | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
-            | Transform_ast.Replace _ | Transform_ast.Rename _), _ ->
-            sink (Sax.Start_element (name, attrs));
-            push name
-        end
-      end
+      p.skip <- 1
+    | Transform_ast.Replace (_, enew), true ->
+      (match enew, at_root with
+      | Node.Element _, _ | _, false -> ()
+      | (Node.Text _ | Node.Comment _ | Node.Pi _), true ->
+        raise
+          (Transform_ast.Invalid_update
+             "update replaces the document element with a non-element"));
+      if at_root then p.produced_root <- true;
+      Sax.events_of_node enew sink;
+      p.skip <- 1
+    | Transform_ast.Rename (_, l), true ->
+      sink (Sax.Start_element (l, attrs));
+      push l
+    | Transform_ast.Insert_first (_, enew), true ->
+      sink (Sax.Start_element (name, attrs));
+      Sax.events_of_node enew sink;
+      push name
+    | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
+      | Transform_ast.Replace _ | Transform_ast.Rename _), _ ->
+      sink (Sax.Start_element (name, attrs));
+      push name
+
+  (* A start-tag while [walking], its number already counted. *)
+  let enter p name attrs sym =
+    if p.sskip sym then begin
+      if p.stack = [] then p.produced_root <- true;
+      p.sink (Sax.Start_element (name, attrs));
+      p.verbatim <- 1;
+      p.verbatim_subtrees <- p.verbatim_subtrees + 1;
+      p.verbatim_elements <- p.verbatim_elements + 1
+    end
+    else begin
+      let seq = p.seq in
+      let checkp s = Truth.get p.truth seq (Selecting_nfa.state_lq p.nfa s) in
+      admit p name attrs (Selecting_nfa.next p.nfa ~checkp (states p) sym)
+    end
+
+  let start p name attrs =
+    p.seq <- p.seq + 1;
+    if p.skip > 0 then p.skip <- p.skip + 1
+    else if p.verbatim > 0 then begin
+      p.verbatim <- p.verbatim + 1;
+      p.verbatim_elements <- p.verbatim_elements + 1;
+      p.sink (Sax.Start_element (name, attrs))
+    end
+    else enter p name attrs (Sym.intern name)
+
+  let handle p = function
+    | Sax.Start_document -> p.sink Sax.Start_document
+    | Sax.End_document ->
+      if not p.produced_root then
+        raise (Transform_ast.Invalid_update "update deletes the document element");
+      p.sink Sax.End_document
+    | (Sax.Comment_event _ | Sax.Pi_event _ | Sax.Characters _) as ev ->
+      if p.verbatim > 0 || (p.skip = 0 && p.stack <> []) then p.sink ev
+    | Sax.Start_element (name, attrs) -> start p name attrs
     | Sax.End_element _ as ev ->
-      if !skip > 0 then decr skip
-      else if !verbatim > 0 then begin
-        decr verbatim;
-        sink ev
+      if p.skip > 0 then p.skip <- p.skip - 1
+      else if p.verbatim > 0 then begin
+        p.verbatim <- p.verbatim - 1;
+        p.sink ev
       end
       else begin
-        match !stack with
+        match p.stack with
         | [] -> ()
         | f :: rest ->
-          stack := rest;
-          decr depth;
-          (match update, f.matched with
-          | Transform_ast.Insert (_, enew), true -> Sax.events_of_node enew sink
+          p.stack <- rest;
+          p.depth <- p.depth - 1;
+          (match p.update, f.matched with
+          | Transform_ast.Insert (_, enew), true -> Sax.events_of_node enew p.sink
           | _ -> ());
-          sink (Sax.End_element f.out_name)
+          p.sink (Sax.End_element f.out_name)
       end
-  in
-  source handle;
-  (!max_depth, !seq + 1, !verbatim_subtrees, !verbatim_elements)
+end
 
 let check_ctx_qual nfa =
   match Selecting_nfa.ctx_qual nfa with
@@ -253,22 +308,175 @@ let check_ctx_qual nfa =
 let run ?(skip = fun _ -> false) nfa update ~source ~sink =
   check_ctx_qual nfa;
   let truth = Truth.create () in
-  let max_depth, elements, skipped_subtrees, skipped_elements =
-    pass1 ~sskip:skip nfa source truth
-  in
-  let _ = pass2 ~sskip:skip nfa update source truth sink in
+  let p1 = Pass1.create ~sskip:skip nfa truth in
+  source (Pass1.handle p1);
+  let p2 = Pass2.create ~sskip:skip nfa update truth sink in
+  source (Pass2.handle p2);
   {
-    max_stack_depth = max_depth;
+    max_stack_depth = p1.Pass1.max_depth;
     truth_entries = Hashtbl.length truth;
-    elements_seen = elements;
-    skipped_subtrees;
-    skipped_elements;
+    elements_seen = p1.Pass1.seq + 1;
+    skipped_subtrees = p1.Pass1.skipped_subtrees;
+    skipped_elements = p1.Pass1.skipped_elements;
+    regions = 0;
+    parses = 2;
   }
+
+(* ---------------- the buffered one-pass driver ----------------
+
+   Pass 2 runs over the one parse.  At a start-tag whose unchecked
+   transition enters a qualifier-bearing state, the element's selection
+   waits on a truth pass 1 learns only at its end-tag: it opens an
+   undecided region.  The region's events are held in [held] while pass 1
+   runs over them alone, from pass 2's states at the region's parent.
+   Every qualifier of fragment X is downward, so at the region's end-tag
+   each truth pass 2 can ask for inside it is known; the held events then
+   replay through pass 2, whose state has not moved since the region
+   opened, and the region's truths are dropped.
+
+   Past [buffer_budget] bytes of held markup the run turns into the
+   two-parse algorithm from that point: the live parse goes on as pass 1
+   alone (the region's frames over frames for the elements above it) to
+   the end of the input, and a second parse skips to the region's first
+   start-tag and resumes pass 2 there.  Everything already written stays
+   valid. *)
+
+let buffer_budget = 1 lsl 19
+
+(* the size of an event's markup, near enough to bound what [held] keeps *)
+let markup_bytes = function
+  | Sax.Start_element (name, attrs) ->
+    List.fold_left
+      (fun n (k, v) -> n + String.length k + String.length v + 4)
+      (String.length name + 2) attrs
+  | Sax.End_element name -> String.length name + 3
+  | Sax.Characters t | Sax.Comment_event t -> String.length t
+  | Sax.Pi_event (target, data) -> String.length target + String.length data + 5
+  | Sax.Start_document | Sax.End_document -> 0
+
+type region =
+  | Outside
+  | Held of { first : int; mutable open_elements : int; mutable bytes : int }
+  | Overflowed of { first : int }  (* the seq of the region's first element *)
+
+let drive ~skip nfa update ~source ~sink =
+  let truth = Truth.create () in
+  let p1 = Pass1.create ~sskip:skip nfa truth in
+  let p2 = Pass2.create ~sskip:skip nfa update truth sink in
+  let quals = Selecting_nfa.qual_states nfa in
+  let held = ref [||] and nheld = ref 0 in
+  let hold ev =
+    if !nheld = Array.length !held then begin
+      let grown = Array.make (max 256 (2 * !nheld)) Sax.End_document in
+      Array.blit !held 0 grown 0 !nheld;
+      held := grown
+    end;
+    Array.unsafe_set !held !nheld ev;
+    incr nheld
+  in
+  let region = ref Outside in
+  let regions = ref 0 and peak_truth = ref 0 in
+  let open_region ev parent =
+    incr regions;
+    region := Held { first = p2.Pass2.seq + 1; open_elements = 1; bytes = markup_bytes ev };
+    p1.Pass1.base <- parent;
+    p1.Pass1.seq <- p2.Pass2.seq;
+    p1.Pass1.depth <- p2.Pass2.depth;
+    hold ev;
+    Pass1.handle p1 ev
+  in
+  let close_region () =
+    region := Outside;
+    peak_truth := max !peak_truth (Hashtbl.length truth);
+    let events = !held and n = !nheld in
+    nheld := 0;
+    for i = 0 to n - 1 do
+      Pass2.handle p2 (Array.unsafe_get events i)
+    done;
+    Hashtbl.clear truth
+  in
+  let overflow first =
+    region := Overflowed { first };
+    held := [||];
+    nheld := 0;
+    (* pass 1 goes on to the end of the input: the elements above the
+       region get frames from pass 2's, which no qualifier filtered *)
+    p1.Pass1.stack <-
+      p1.Pass1.stack @ List.map (fun f -> Pass1.seedless f.Pass2.fstates) p2.Pass2.stack
+  in
+  let handle ev =
+    match !region with
+    | Outside -> (
+      match ev with
+      | Sax.Start_element (name, attrs) when Pass2.walking p2 ->
+        let sym = Sym.intern name in
+        if skip sym then begin
+          p2.Pass2.seq <- p2.Pass2.seq + 1;
+          Pass2.enter p2 name attrs sym
+        end
+        else begin
+          let parent = Pass2.states p2 in
+          let states = Selecting_nfa.next_unchecked nfa parent sym in
+          if Selecting_nfa.set_intersects states quals then open_region ev parent
+          else begin
+            (* no qualifier-bearing state entered: the filtered
+               transition is the unchecked one *)
+            p2.Pass2.seq <- p2.Pass2.seq + 1;
+            Pass2.admit p2 name attrs states
+          end
+        end
+      | ev -> Pass2.handle p2 ev)
+    | Held r ->
+      (match ev with
+      | Sax.Start_element _ -> r.open_elements <- r.open_elements + 1
+      | Sax.End_element _ -> r.open_elements <- r.open_elements - 1
+      | _ -> ());
+      Pass1.handle p1 ev;
+      hold ev;
+      r.bytes <- r.bytes + markup_bytes ev;
+      if r.open_elements = 0 then close_region ()
+      else if r.bytes > buffer_budget then overflow r.first
+    | Overflowed _ -> Pass1.handle p1 ev
+  in
+  source handle;
+  let parses =
+    match !region with
+    | Overflowed { first } ->
+      peak_truth := max !peak_truth (Hashtbl.length truth);
+      let n = ref (-1) and resumed = ref false in
+      source (fun ev ->
+          if !resumed then Pass2.handle p2 ev
+          else
+            match ev with
+            | Sax.Start_element _ ->
+              incr n;
+              if !n = first then begin
+                resumed := true;
+                Pass2.handle p2 ev
+              end
+            | _ -> ());
+      2
+    | Outside | Held _ -> 1
+  in
+  {
+    max_stack_depth = max p1.Pass1.max_depth p2.Pass2.max_depth;
+    truth_entries = !peak_truth;
+    elements_seen = p2.Pass2.seq + 1;
+    skipped_subtrees = p2.Pass2.verbatim_subtrees;
+    skipped_elements = p2.Pass2.verbatim_elements;
+    regions = !regions;
+    parses;
+  }
+
+let run_buffered ?(skip = fun _ -> false) nfa update ~source ~sink =
+  check_ctx_qual nfa;
+  drive ~skip nfa update ~source ~sink
 
 (* A plan is one-pass streamable iff the top-down run never needs the
    bottom-up truth table: no context qualifier and no qualifier-bearing
-   NFA state.  Then pass 2 alone, over a single forward read of the
-   input, is the whole transform — O(depth) memory. *)
+   NFA state.  Then the buffered driver never opens a region: pass 2
+   alone, over a single forward read of the input, is the whole
+   transform — O(depth) memory. *)
 let one_pass nfa =
   (match Selecting_nfa.ctx_qual nfa with Ast.Q_true -> true | _ -> false)
   && Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa)
@@ -278,17 +486,16 @@ let run_once ?(skip = fun _ -> false) nfa update ~source ~sink =
     raise
       (Unsupported_streaming
          "plan has qualifiers: one-pass streaming needs the bottom-up pass");
-  let truth = Truth.create () in
-  let max_depth, elements, skipped_subtrees, skipped_elements =
-    pass2 ~sskip:skip nfa update source truth sink
-  in
-  {
-    max_stack_depth = max_depth;
-    truth_entries = 0;
-    elements_seen = elements;
-    skipped_subtrees;
-    skipped_elements;
-  }
+  drive ~skip nfa update ~source ~sink
+
+type tier = Fused | Buffered | Materialized
+
+let tier ~file nfa =
+  if one_pass nfa then Fused
+  else
+    match Selecting_nfa.ctx_qual nfa with
+    | Ast.Q_true when file -> Buffered
+    | _ -> Materialized
 
 let transform update root =
   let nfa = Selecting_nfa.of_path (Transform_ast.path update) in

@@ -2,7 +2,8 @@ open Xut_xml
 open Xut_automata
 
 (** Algorithm [twoPassSAX] (Section 6): transform-query evaluation as two
-    passes of SAX parsing, never materializing the document as a tree.
+    passes of SAX parsing, never materializing the document as a tree;
+    and the single-parse tiers built from the same two passes.
 
     Pass 1 integrates the bottom-up qualifier evaluation with parsing: a
     stack mirrors the open-element path, QualDP runs at each end-tag, and
@@ -14,8 +15,18 @@ open Xut_automata
     the filtered ones (for selection) — and emits the transformed document
     as an output event stream.
 
-    Memory is bounded by the document depth times the query size, plus
-    [Ld]. *)
+    Three drivers share the passes:
+    - {!run} is the paper's algorithm: pass 1 over the whole input, then
+      pass 2 over a second read of it.  Memory is bounded by the
+      document depth times the query size, plus [Ld].
+    - {!run_buffered} runs pass 2 over one read.  An element whose
+      selection waits on a qualifier opens an {e undecided region}: its
+      events are held while pass 1 runs over them alone, and replay
+      through pass 2 at its end-tag, when every truth inside it is known
+      (fragment X's qualifiers are downward).  Past {!buffer_budget}
+      bytes of held markup the run switches to two parses at that point.
+    - {!run_once} is the buffered driver for plans that never open a
+      region ({!one_pass}): pass 2 alone, O(depth) memory. *)
 
 exception Unsupported_streaming of string
 (** Raised for context qualifiers (paths starting with a qualified '.'),
@@ -27,11 +38,17 @@ type source = (Sax.event -> unit) -> unit
     (e.g. [Sax.parse_file path] or [Sax.events_of_tree root]). *)
 
 type run_stats = {
-  max_stack_depth : int;  (** pass-1 peak stack size *)
-  truth_entries : int;    (** size of Ld *)
+  max_stack_depth : int;
+      (** peak open-element stack: pass 1's for {!run}, either pass's
+          for the single-parse drivers *)
+  truth_entries : int;    (** peak size of Ld *)
   elements_seen : int;
   skipped_subtrees : int;  (** subtrees the schema skip-set pruned in pass 1 *)
   skipped_elements : int;  (** elements inside those subtrees (exact count) *)
+  regions : int;  (** undecided regions {!run_buffered} held (0 for the other drivers) *)
+  parses : int;
+      (** reads of the source: 2 for {!run} and for a buffered run past
+          the budget, 1 otherwise *)
 }
 
 val run :
@@ -46,6 +63,34 @@ val run :
     or below such an element can be selected or contribute a qualifier
     truth, so pass 1 skips the subtree (no frames, no truth entries) and
     pass 2 copies its events to the sink verbatim, with no transitions.
+    @raise Transform_ast.Invalid_update when the update deletes the
+    document element. *)
+
+val buffer_budget : int
+(** Bytes of held markup past which {!run_buffered} stops holding a
+    region and reads the input a second time: 512 KiB. *)
+
+val run_buffered :
+  ?skip:(Sym.t -> bool) ->
+  Selecting_nfa.t ->
+  Transform_ast.update ->
+  source:source ->
+  sink:(Sax.event -> unit) ->
+  run_stats
+(** The buffered one-pass transform: output byte-identical to {!run}'s.
+    At a start-tag whose unchecked transition enters a qualifier-bearing
+    state, an undecided region opens: its events are held and pass 1
+    runs over them alone, from pass 2's states at the region's parent;
+    at the region's end-tag the held events replay through pass 2 and
+    the region's truths are dropped.  Outside regions the cost is
+    {!run_once}'s.  The [source] is read once, unless a region's held
+    markup passes {!buffer_budget}: the live read then goes on as pass 1
+    to the end of the input, and a second read skips to the region's
+    first element and resumes pass 2 there ([parses = 2]).  Output
+    already written stays valid; no run reads the source more than
+    twice.  [skip] is as for {!run}; [skipped_*] count the subtrees
+    pass 2 copied verbatim.
+    @raise Unsupported_streaming for a context qualifier.
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
 
@@ -67,11 +112,24 @@ val run_once :
 (** Fused single-pass transform: pass 2 alone over one reading of the
     input, for plans where {!one_pass} holds.  The [source] is consumed
     exactly once, so it may be a non-replayable stream (a socket, a
-    pipe).  Returned stats have [truth_entries = 0]; [skipped_*] count
+    pipe).  This is {!run_buffered} behind a guard: a plan without
+    qualifiers never opens a region.  Returned stats have
+    [truth_entries = 0], [regions = 0] and [parses = 1]; [skipped_*] count
     the subtrees/elements copied verbatim under the schema skip-set.
     @raise Unsupported_streaming when [one_pass nfa] is [false].
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
+
+type tier =
+  | Fused  (** {!run_once}: {!one_pass} holds *)
+  | Buffered  (** {!run_buffered} over a file *)
+  | Materialized  (** a tree walk: no streaming tier applies *)
+
+val tier : file:bool -> Selecting_nfa.t -> tier
+(** The streaming tier of a plan, as the service's TRANSFORM-STREAM and
+    [xut transform --stream] pick it.  [file] says the input is a file,
+    which a buffered run past its budget can read again; a stored
+    document with qualifiers is walked as a tree instead. *)
 
 val transform : Transform_ast.update -> Node.element -> Node.element
 (** Run the streaming algorithm over an in-memory tree (events replayed

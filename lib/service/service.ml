@@ -121,7 +121,7 @@ and render_payload = function
 (* A streamed transform reads a stored document or a server-side file
    that is never materialized as a tree.  [engine = Some e] streams the
    result of engine [e] over a stored document; [None] lets the service
-   pick the cheapest tier (fused, two-parse, materialized). *)
+   pick the cheapest tier (fused, buffered, materialized). *)
 type stream_source = From_doc of string | From_file of string
 
 type stream_request = {
@@ -148,16 +148,16 @@ let default_chunk_size = Xut_xml.Serialize.Sink.default_chunk_size
    - reply: that output serialized whole, counted, or streamed in
      chunks.
 
-   [engine = None] (TRANSFORM-STREAM) lets execute pick the tier.  The
-   classifier is {!Sax_transform.one_pass}: a plan with no qualifiers
-   anywhere never consults the bottom-up truth table, so the top-down
-   pass alone over one forward read of the input is the whole transform
-   — O(depth) memory, end to end ([streams_fused]).  Other shapes fall
-   back with byte-identical output ([stream_fallbacks]): a file with a
-   trivially-true context qualifier runs the two-parse SAX algorithm
-   (the paper's Fig. 14 configuration: a truth table but still no tree);
-   everything else walks a tree with GENTOP — the stored one, or a
-   one-off parse of the file. *)
+   [engine = None] (TRANSFORM-STREAM) lets execute pick the tier, by
+   {!Sax_transform.tier}: a plan with no qualifiers anywhere never
+   consults the bottom-up truth table, so the top-down pass alone over
+   one forward read of the input is the whole transform — O(depth)
+   memory, end to end ([streams_fused]).  A file with a trivially-true
+   context qualifier runs the buffered pass: one read, holding only the
+   undecided regions ([streams_fused]), or two reads once a region
+   outgrows the budget ([stream_fallbacks]).  Everything else falls back
+   with byte-identical output ([stream_fallbacks]) and walks a tree with
+   GENTOP — the stored one, or a one-off parse of the file. *)
 
 type source = Stored of target | File of string
 
@@ -298,7 +298,7 @@ let parsed parse query =
 let eval_error = function
   | Xut_xml.Sax.Parse_error { line; col; msg } ->
     error Eval_error "parse error at %d:%d: %s" line col msg
-  | Failure msg | Sys_error msg -> error Eval_error "%s" msg
+  | Failure msg | Sys_error msg | Transform_ast.Invalid_update msg -> error Eval_error "%s" msg
   | e -> error Eval_error "%s" (Printexc.to_string e)
 
 (* A streamed reply: [body] writes the result into a fresh chunked sink
@@ -406,7 +406,8 @@ let resolve st r =
     match r.source with
     | File _ when Option.is_some r.engine ->
       refuse Bad_request "a result stream with an engine needs a stored document"
-    | File path when not (Sys.file_exists path) -> refuse Eval_error "no such file %S" path
+    | File path when not (Sys.file_exists path && not (Sys.is_directory path)) ->
+      refuse Eval_error "no such file %S" path
     | File path -> Stdlib.Ok (File_input path, None)
     | Stored target -> (
       let* doc, view =
@@ -483,13 +484,23 @@ let result_tree ?skip (plan : Plan_cache.plan) engine input =
   in
   Result_tree { build; count }
 
-(* [plan]'s result as events, by [run]: one SAX pass ({!Sax_transform.run_once})
-   or twoPassSAX's two ({!Sax_transform.run}). *)
+(* [plan]'s result as events, by [run]: one SAX pass ({!Sax_transform.run_once}),
+   the buffered pass ({!run_buffered}) or twoPassSAX's two
+   ({!Sax_transform.run}). *)
 let sax_events run ?skip (plan : Plan_cache.plan) input =
   Events
     (fun sink ->
       run ?skip plan.Plan_cache.nfa plan.Plan_cache.query.Transform_ast.update
         ~source:(events_of input) ~sink)
+
+(* The buffered tier counts as fused when it kept to one read of the
+   file, as a fallback when a region outgrew the budget and the file was
+   read twice; a run that fails counts as neither. *)
+let run_buffered ~metrics ?skip nfa update ~source ~sink =
+  let stats = Sax_transform.run_buffered ?skip nfa update ~source ~sink in
+  if stats.Sax_transform.parses = 1 then Metrics.incr_streams_fused metrics
+  else Metrics.incr_stream_fallbacks metrics;
+  stats
 
 (* Execute: the engine and tier, as an [output].  twoPassSAX writes its
    result as events, the other engines build a result tree. *)
@@ -516,14 +527,16 @@ let execute st r ~pruning input query =
     match r.engine with
     | Some Engine.Two_pass_sax -> sax_events Sax_transform.run ?skip:(sym_skip pruning) plan input
     | Some engine -> result_tree ?skip plan engine input
-    | None when Sax_transform.one_pass nfa ->
-      Metrics.incr_streams_fused metrics;
-      sax_events Sax_transform.run_once ?skip:(sym_skip pruning) plan input
     | None -> (
-      Metrics.incr_stream_fallbacks metrics;
-      match (input, Xut_automata.Selecting_nfa.ctx_qual nfa) with
-      | File_input _, Xut_xpath.Ast.Q_true -> sax_events Sax_transform.run plan input
-      | _ -> result_tree ?skip plan Engine.Gentop input))
+      let file = match input with File_input _ -> true | Snapshot _ -> false in
+      match Sax_transform.tier ~file nfa with
+      | Sax_transform.Fused ->
+        Metrics.incr_streams_fused metrics;
+        sax_events Sax_transform.run_once ?skip:(sym_skip pruning) plan input
+      | Sax_transform.Buffered -> sax_events (run_buffered ~metrics) plan input
+      | Sax_transform.Materialized ->
+        Metrics.incr_stream_fallbacks metrics;
+        result_tree ?skip plan Engine.Gentop input))
 
 (* Reply: a serialized tree is one [element_to_string] into a pooled
    buffer, copying the subtrees it shares with the stored document out

@@ -16,8 +16,9 @@
     - {b admit}: the NFA x schema product's pruning oracle, and the
       statically-empty check for a plan over a schema-bound document;
     - {b execute}: the engine and tier — topDown walk (GENTOP, TD-BU),
-      the other engines' own result trees, twoPassSAX or fused SAX
-      events, the composed view query or its materializing fallback;
+      the other engines' own result trees, twoPassSAX, fused or
+      buffered SAX events, the composed view query or its materializing
+      fallback;
     - {b reply}: the result serialized whole ([Tree]), counted
       ([Element_count]; the walk engines count without building the
       result) or streamed in chunks ([Stream_done]).
@@ -233,20 +234,23 @@ val call : t -> request -> response
     - [engine = None] ([TRANSFORM-STREAM]) is the constant-memory
       {e input} path: the source is driven through the SAX transform
       straight into the sink, never materialized as a tree, when the
-      plan admits it.  The classifier is {!Core.Sax_transform.one_pass}:
+      plan admits it.  The classifier is {!Core.Sax_transform.tier}:
       plans with no qualifiers anywhere run fused in one forward pass
-      with O(depth) memory ({!Metrics.streams_fused}).  Other shapes
-      fall back automatically with byte-identical output
-      ({!Metrics.stream_fallbacks}): a [From_file] plan with a trivial
-      context qualifier runs the two-parse SAX algorithm (two reads of
-      the file, a truth table, still no tree); anything else uses a tree
-      (the stored one, or a one-off parse of the file) and streams only
-      the output.
+      with O(depth) memory ({!Metrics.streams_fused}).  A [From_file]
+      plan with a trivial context qualifier runs the buffered pass
+      ({!Core.Sax_transform.run_buffered}): one read of the file,
+      holding only the subtrees whose selection waits on a qualifier
+      until their end-tags ({!Metrics.streams_fused}); a subtree past
+      the pass's byte budget switches it to two reads of the file
+      ({!Metrics.stream_fallbacks}), still with no tree.  Anything else
+      falls back with byte-identical output ({!Metrics.stream_fallbacks})
+      to a tree (the stored one, or a one-off parse of the file) and
+      streams only the output.
 
     A [From_doc] stream is resolved and admitted as a Doc [Transform]
     is (snapshot, plan lookup, schema pruning, the statically-empty
-    check); a [From_file] one checks the file exists before it looks
-    at the query. *)
+    check); a [From_file] one checks the file exists, and is not a
+    directory, before it looks at the query. *)
 
 val default_chunk_size : int
 (** {!Xut_xml.Serialize.Sink.default_chunk_size} (64 KiB). *)
@@ -260,7 +264,7 @@ type stream_request = {
   engine : Core.Engine.algo option;
       (** [Some e]: engine [e]'s result stream; needs a [From_doc]
           source (a [From_file] one is a [Bad_request]).  [None]: the
-          automatic fused / two-parse / materialized tiers. *)
+          automatic fused / buffered / materialized tiers. *)
   query : string;
   chunk_size : int;  (** target chunk size in bytes; values below 1 count as 1 *)
 }

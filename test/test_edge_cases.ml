@@ -122,9 +122,11 @@ let test_deep_nesting_stack_safety () =
 
 (* Both SAX passes track their stack depth with a counter (a list length
    per start-tag made them quadratic in depth).  A 20 000-deep chain
-   through the two-pass [run] (a qualifier plan) and the fused
-   [run_once] (a qualifier-free one): the peak is the chain's depth,
-   and the streamed bytes equal the materialized td-bu result. *)
+   through the two-pass [run] (a qualifier plan), the buffered
+   [run_buffered] (the same plan: [//d\[x\]] makes the whole chain one
+   undecided region) and the fused [run_once] (a qualifier-free one):
+   the peak is the chain's depth, and the streamed bytes equal the
+   materialized td-bu result. *)
 let test_sax_deep_chain () =
   let depth = 20_000 in
   (* root, then d elements, then the x leaf: [depth] elements deep *)
@@ -140,12 +142,21 @@ let test_sax_deep_chain () =
       stats.Sax_transform.max_stack_depth;
     Alcotest.(check bool) (name ^ ": streamed = materialized") true
       (Buffer.contents out
-      = Serialize.element_to_string (Engine.transform Engine.Td_bu update doc))
+      = Serialize.element_to_string (Engine.transform Engine.Td_bu update doc));
+    stats
   in
-  check "run" (fun nfa u ~source ~sink -> Sax_transform.run nfa u ~source ~sink)
-    (Transform_ast.Rename (parse_path "//d[x]", "e"));
-  check "run_once" (fun nfa u ~source ~sink -> Sax_transform.run_once nfa u ~source ~sink)
-    (Transform_ast.Rename (parse_path "//x", "y"))
+  let qualified = Transform_ast.Rename (parse_path "//d[x]", "e") in
+  ignore (check "run" (fun nfa u ~source ~sink -> Sax_transform.run nfa u ~source ~sink) qualified);
+  let stats =
+    check "run_buffered"
+      (fun nfa u ~source ~sink -> Sax_transform.run_buffered nfa u ~source ~sink)
+      qualified
+  in
+  Alcotest.(check (pair int int)) "run_buffered: one region, one read" (1, 1)
+    (stats.Sax_transform.regions, stats.Sax_transform.parses);
+  ignore
+    (check "run_once" (fun nfa u ~source ~sink -> Sax_transform.run_once nfa u ~source ~sink)
+       (Transform_ast.Rename (parse_path "//x", "y")))
 
 let test_two_pass_sax_rejects_ctx_quals () =
   let u = Transform_ast.Delete (parse_path ".[db]/db/part") in

@@ -87,16 +87,20 @@ and gen_path_simple len : Ast.path QCheck2.Gen.t =
   let* stepss = flatten_l (List.init n step) in
   return (List.concat stepss)
 
+(* [base] with a qualifier on one of its steps, unless the step drawn
+   is a '//' one *)
+let gen_qualified base : Ast.path QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* q = gen_qual 1 in
+  let* pos = int_range 0 (List.length base - 1) in
+  return
+    (List.mapi (fun i (s : Ast.step) -> if i = pos && s.nav <> Ast.Descendant then { s with quals = q :: s.quals } else s) base)
+
 let gen_path : Ast.path QCheck2.Gen.t =
   let open QCheck2.Gen in
   let* base = gen_path_simple 3 in
   let* with_qual = bool in
-  if with_qual then
-    let* q = gen_qual 1 in
-    let* pos = int_range 0 (List.length base - 1) in
-    return
-      (List.mapi (fun i (s : Ast.step) -> if i = pos && s.nav <> Ast.Descendant then { s with quals = q :: s.quals } else s) base)
-  else return base
+  if with_qual then gen_qualified base else return base
 
 (* [gen_path] with '.' steps spliced in, bare or qualified, a leading
    one qualifying the context (the document node); half the paths start
@@ -116,7 +120,7 @@ let gen_path_dotted : Ast.path QCheck2.Gen.t =
   let* rest = flatten_l (List.map (fun s -> map (fun d -> s :: d) dot) base) in
   return (lead @ List.concat rest)
 
-let gen_update : Transform_ast.update QCheck2.Gen.t =
+let gen_update_on gen_path : Transform_ast.update QCheck2.Gen.t =
   let open QCheck2.Gen in
   let* path = gen_path in
   let enew = Node.elem "new" [ Node.text "X" ] in
@@ -126,6 +130,8 @@ let gen_update : Transform_ast.update QCheck2.Gen.t =
       return (Transform_ast.Insert_first (path, enew));
       return (Transform_ast.Replace (path, enew));
       return (Transform_ast.Rename (path, "renamed")) ]
+
+let gen_update = gen_update_on gen_path
 
 (* ---------------- properties ---------------- *)
 
@@ -232,6 +238,85 @@ let prop_stream_equals_materialized =
         ]
       in
       List.for_all (fun drive -> stream_to_string drive = expected) drivers)
+
+(* ---- the buffered one-pass SAX tier ---- *)
+
+(* Half the paths start at the document element, so a qualifier may sit
+   on the root and make the whole document one undecided region. *)
+let gen_qualified_update =
+  let open QCheck2.Gen in
+  gen_update_on
+    (let* base = gen_path_simple 3 in
+     let* from_root = bool in
+     gen_qualified (if from_root then Ast.step (Ast.Label "r") :: base else base))
+
+let prop_buffered_equals_two_pass =
+  QCheck2.Test.make ~name:"buffered one pass = twoPassSAX = GENTOP, byte for byte" ~count
+    QCheck2.Gen.(pair gen_root gen_qualified_update)
+    (fun (root, update) ->
+      let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+      let source = Sax.events_of_tree root in
+      let expected =
+        match Engine.transform Engine.Gentop update root with
+        | exception Transform_ast.Invalid_update _ -> Error `Invalid
+        | out -> Ok (Serialize.element_to_string out)
+      in
+      (* these documents are far below the buffer budget: one read *)
+      let parses = ref 1 in
+      stream_to_string (fun events -> ignore (Sax_transform.run nfa update ~source ~sink:events))
+      = expected
+      && stream_to_string (fun events ->
+             parses :=
+               (Sax_transform.run_buffered nfa update ~source ~sink:events).Sax_transform.parses)
+         = expected
+      && !parses = 1)
+
+(* Regions past the buffer budget: a root-level qualifier makes the whole
+   document one region, and a qualifier on [g] makes each [g] one, the
+   middle one too large, with regions before and after it.  Both runs
+   switch to two reads of the source at the oversized region, say so in
+   their stats, and write what the two-parse [run] writes. *)
+let test_buffered_overflow () =
+  let filler n = List.init n (fun i -> Node.elem "a" [ Node.text (Printf.sprintf "item-%08d" i) ]) in
+  (* [n] filler children take this many bytes of markup, at least *)
+  let fill_bytes n = n * String.length "<a>item-00000000</a>" in
+  let n = 1 + (Sax_transform.buffer_budget / fill_bytes 1) in
+  Alcotest.(check bool) "the filler outgrows the budget" true
+    (fill_bytes n > Sax_transform.buffer_budget);
+  let small i = Node.elem ~attrs:[ ("id", string_of_int i) ] "g" (filler 2) in
+  let cases =
+    [ ("root-level qualifier", Node.element "r" (filler n), "r[a]/a", 1);
+      ( "oversized middle region",
+        Node.element "r"
+          ([ small 1; Node.elem "g" [ Node.text "bare" ]; small 2 ]
+          @ [ Node.elem "g" (filler n) ]
+          @ [ small 3; Node.elem "h" [ small 4 ]; small 5 ]),
+        "r/g[a]/a",
+        4 ) ]
+  in
+  List.iter
+    (fun (label, root, path, regions) ->
+      let update = Transform_ast.Rename (Parser.parse path, "b") in
+      let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+      let source = Sax.events_of_tree root in
+      let out run =
+        let buf = Buffer.create (2 * Sax_transform.buffer_budget) in
+        let stats = run nfa update ~source ~sink:(Serialize.event_sink buf) in
+        (Buffer.contents buf, stats)
+      in
+      let expected, _ = out (fun nfa u ~source ~sink -> Sax_transform.run nfa u ~source ~sink) in
+      let buffered, stats =
+        out (fun nfa u ~source ~sink -> Sax_transform.run_buffered nfa u ~source ~sink)
+      in
+      Alcotest.(check int) (label ^ ": two reads") 2 stats.Sax_transform.parses;
+      Alcotest.(check int) (label ^ ": regions opened") regions stats.Sax_transform.regions;
+      Alcotest.(check int) (label ^ ": every element seen")
+        (Node.element_count (Node.Element root)) stats.Sax_transform.elements_seen;
+      Alcotest.(check bool) (label ^ ": buffered = run") true (String.equal expected buffered);
+      Alcotest.(check bool) (label ^ ": run = GENTOP") true
+        (String.equal expected
+           (Serialize.element_to_string (Engine.transform Engine.Gentop update root))))
+    cases
 
 (* ---- topDown shares its input: only the spine above a match is new ---- *)
 
@@ -532,7 +617,8 @@ let suite =
       prop_update_print_parse;
       prop_xquery_rewrite;
       prop_compose_equals_spec;
-      prop_select_equals_reference ]
+      prop_select_equals_reference;
+      prop_buffered_equals_two_pass ]
 
 (* ---------------- XQuery printer/parser ---------------- *)
 
@@ -621,4 +707,5 @@ let suite =
         prop_count_equals_materialized;
         prop_run_shares_input;
         prop_image_serialization ]
-  @ [ Alcotest.test_case "wide document: run, count, result stream" `Quick test_wide_document ]
+  @ [ Alcotest.test_case "wide document: run, count, result stream" `Quick test_wide_document;
+      Alcotest.test_case "buffered pass past its budget reads twice" `Quick test_buffered_overflow ]

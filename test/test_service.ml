@@ -642,9 +642,10 @@ let test_transform_ingest () =
             | Service.Error { message; _ } -> Alcotest.fail message
           in
           (* all test queries, both source shapes, byte-identical to the
-             materialized answer: qualifier-free shapes run fused, the
-             qualifier-carrying one exercises both fallback tiers (tree
-             walk for the stored doc, two-parse SAX for the file) *)
+             materialized answer: qualifier-free shapes run fused; the
+             qualifier-carrying one falls back to a tree walk for the
+             stored doc and runs the buffered pass, within its budget
+             (so counted fused), for the file *)
           List.iter
             (fun q ->
               let expected = reference_answer Core.Engine.Gentop q in
@@ -654,11 +655,37 @@ let test_transform_ingest () =
                 (ingest (Service.From_file path) q))
             queries;
           let m = Service.metrics svc in
-          Alcotest.(check int) "fused runs counted" 4 (Metrics.streams_fused m);
-          Alcotest.(check int) "fallbacks counted" 2 (Metrics.stream_fallbacks m);
+          Alcotest.(check int) "fused runs counted" 5 (Metrics.streams_fused m);
+          Alcotest.(check int) "fallbacks counted" 1 (Metrics.stream_fallbacks m);
           (* every ingest is exactly one of fused/fallback *)
           Alcotest.(check int) "fused + fallback = ingests" (2 * List.length queries)
             (Metrics.streams_fused m + Metrics.stream_fallbacks m);
+          (* a qualifier on the document element makes the whole file one
+             undecided region: past the buffer budget the buffered pass
+             reads the file twice and counts a fallback, with the same
+             bytes *)
+          let big = Filename.temp_file "xut_service_big" ".xml" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove big)
+            (fun () ->
+              Xut_xmark.Generator.to_file ~factor:0.015 big;
+              Alcotest.(check bool) "the file outgrows the buffer budget" true
+                (In_channel.with_open_bin big In_channel.length
+                > Int64.of_int Core.Sax_transform.buffer_budget);
+              let q =
+                {|transform copy $a := doc("d") modify do delete $a/site[people]/regions return $a|}
+              in
+              let expected =
+                Xut_xml.Serialize.element_to_string
+                  (Core.Engine.run Core.Engine.Gentop (Core.Transform_parser.parse q)
+                     ~doc:(Xut_xml.Dom.parse_file big))
+              in
+              let fused = Metrics.streams_fused m and fallbacks = Metrics.stream_fallbacks m in
+              Alcotest.(check string) "overflowing file ingest = materialized" expected
+                (ingest (Service.From_file big) q);
+              Alcotest.(check (pair int int)) "the overflow counts as a fallback"
+                (fused, fallbacks + 1)
+                (Metrics.streams_fused m, Metrics.stream_fallbacks m));
           (* error paths: no chunks may precede a typed rejection *)
           (match
              Service.transform_ingest svc ~source:(Service.From_doc "nope")
@@ -1338,9 +1365,10 @@ let test_read_matrix () =
               Buffer.contents buf
             | r -> fail label r
           in
-          let refused label code run =
+          let refused ?message label code run =
             match run (fun _ -> Alcotest.fail (label ^ ": a refused read emits no chunk")) with
-            | Service.Error { code = c; _ } when c = code -> ()
+            | Service.Error { code = c; message = m } when c = code ->
+              Option.iter (fun e -> Alcotest.(check string) (label ^ ": message") e m) message
             | Service.Error { code = c; message } ->
               Alcotest.fail
                 (Printf.sprintf "%s: expected %s, got %s: %s" label (Service.err_code_name code)
@@ -1458,10 +1486,41 @@ let test_read_matrix () =
             Core.Engine.all;
           refused "TRANSFORM-STREAM" Service.Unknown_document
             (Service.transform_ingest svc ~source:(Service.From_doc "nope") ~query:bad);
-          (* a missing file is an unknown source too *)
-          refused "TRANSFORM-STREAM FILE" Service.Eval_error
-            (Service.transform_ingest svc ~source:(Service.From_file "/nonexistent/x.xml")
-               ~query:bad)))
+          (* a missing file is an unknown source too, and so is a
+             directory: both replies name the path *)
+          List.iter
+            (fun file ->
+              refused ~message:(Printf.sprintf "no such file %S" file) "TRANSFORM-STREAM FILE"
+                Service.Eval_error
+                (Service.transform_ingest svc ~source:(Service.From_file file) ~query:bad))
+            [ "/nonexistent/x.xml"; Filename.get_temp_dir_name () ];
+          (* an update the document element cannot take is an eval error
+             with APPLY's message on every reply kind, engine and tier:
+             the bare delete streams fused from the file, the qualified
+             one through the buffered pass *)
+          let message = "update deletes the document element" in
+          List.iter
+            (fun u ->
+              let q = matrix_transform u in
+              List.iter
+                (fun engine ->
+                  List.iter
+                    (fun doc ->
+                      let label what =
+                        Printf.sprintf "%s %s %s %s" what doc (Core.Engine.name engine) u
+                      in
+                      let target = Service.Doc doc in
+                      refused ~message (label "TRANSFORM") Service.Eval_error (fun _ ->
+                          Service.call svc (read target engine q));
+                      refused ~message (label "COUNT") Service.Eval_error (fun _ ->
+                          Service.call svc (count_req target engine q));
+                      refused ~message (label "result stream") Service.Eval_error
+                        (Service.transform_stream svc ~doc ~engine ~query:q))
+                    [ "d"; "p" ])
+                Core.Engine.all;
+              refused ~message ("TRANSFORM-STREAM FILE " ^ u) Service.Eval_error
+                (Service.transform_ingest svc ~source:(Service.From_file path) ~query:q))
+            [ "delete $a/site"; "delete $a/site[people]" ]))
 
 (* ---- golden STATS ---- *)
 
@@ -1564,7 +1623,7 @@ let test_golden_stats () =
                     query = "for $x in site/people/person return $x/name" }));
           (* the streamed paths: a td-bu result stream, then ingests that
              take each tier — fused (qualifier-free, stored doc),
-             materialized (qualifier, stored doc), two-parse (U7, file) —
+             materialized (qualifier, stored doc), buffered (U7, file) —
              and one the schema rejects at admission *)
           let stream what run =
             match run ignore with
@@ -1580,7 +1639,7 @@ let test_golden_stats () =
           stream "materialized doc ingest"
             (Service.transform_ingest svc ~source:(Service.From_doc "d")
                ~query:(transform "delete $a/site/people/person[profile/age > 20]"));
-          stream "two-parse file ingest"
+          stream "buffered file ingest"
             (Service.transform_ingest svc ~source:(Service.From_file path)
                ~query:
                  (transform
@@ -1603,8 +1662,8 @@ let test_golden_stats () =
             ~varying:[ "latency_p50_ms"; "latency_p95_ms"; "latency_max_ms" ]
             [ ("requests", "13"); ("errors", "2"); ("cache_hits", "2"); ("cache_misses", "5");
               ("queue_depth_max", "1"); ("latency_count", "12"); ("streams", "4");
-              ("stream_chunks", "4"); ("stream_bytes", "163240"); ("streams_fused", "1");
-              ("stream_fallbacks", "2"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
+              ("stream_chunks", "4"); ("stream_bytes", "163240"); ("streams_fused", "2");
+              ("stream_fallbacks", "1"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
               ("repair_rekeyed", "1");
               ("view_defs", "1"); ("view_hits", "1"); ("composed_plans", "1");
               ("skipped_subtrees", "368"); ("skipped_nodes", "6038");
