@@ -79,6 +79,7 @@ let transform_cmd =
       let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
       let source h = Xut_xml.Sax.parse_file doc h in
       let t0 = Unix.gettimeofday () in
+      let w0 = Gc.minor_words () in
       let sink = Xut_xml.Serialize.Sink.create print_string in
       let events = Xut_xml.Serialize.Sink.event sink in
       let tier = Sax_transform.tier ~file:true nfa in
@@ -98,12 +99,14 @@ let transform_cmd =
       ignore (Xut_xml.Serialize.Sink.close sink);
       print_newline ();
       let dt = Unix.gettimeofday () -. t0 in
+      let alloc_kw = (Gc.minor_words () -. w0) /. 1000. in
       (if stats then
          match rs with
          | Some rs ->
-           Format.eprintf "engine=%s time=%.4fs depth=%d truth=%d elements=%d regions=%d parses=%d@."
+           Format.eprintf
+             "engine=%s time=%.4fs alloc_kw=%.1f depth=%d truth=%d elements=%d regions=%d parses=%d@."
              (if tier = Sax_transform.Fused then "fusedSAX" else "bufferedSAX")
-             dt rs.Sax_transform.max_stack_depth rs.Sax_transform.truth_entries
+             dt alloc_kw rs.Sax_transform.max_stack_depth rs.Sax_transform.truth_entries
              rs.Sax_transform.elements_seen rs.Sax_transform.regions rs.Sax_transform.parses
          | None -> Format.eprintf "engine=gentop time=%.4fs@." dt);
       0

@@ -34,10 +34,15 @@ let expand lq ~name seeds =
 
 let has_any_qual nfa = not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa))
 
+(* [set_intersects] first: the intersection itself is a fresh set, which
+   a node without qualifier states should not pay for. *)
 let top_quals nfa states' =
-  let qs = Selecting_nfa.set_inter states' (Selecting_nfa.qual_states nfa) in
-  if Selecting_nfa.set_is_empty qs then []
-  else Selecting_nfa.set_fold (fun s acc -> Selecting_nfa.state_lq nfa s :: acc) qs []
+  let quals = Selecting_nfa.qual_states nfa in
+  if not (Selecting_nfa.set_intersects states' quals) then []
+  else
+    Selecting_nfa.set_fold
+      (fun s acc -> Selecting_nfa.state_lq nfa s :: acc)
+      (Selecting_nfa.set_inter states' quals) []
 
 (* The seeds to evaluate at a node: the parent's (sorted and unique, as
    [expand]'s candidates are) plus its own states' qualifiers. *)

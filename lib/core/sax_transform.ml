@@ -27,18 +27,29 @@ module Truth = struct
   let get t seq lq = try Hashtbl.find t (seq, lq) with Not_found -> false
 end
 
+(* Both passes keep their open-element frames in parallel arrays indexed
+   by depth, which double when full: a start-tag writes slots instead of
+   allocating a frame and a cons. *)
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let initial_depth = 64
+
 (* ---------------- pass 1: SAX bottomUp ---------------- *)
 
 module Pass1 = struct
-  type frame = {
-    states : Selecting_nfa.set;  (* unfiltered NFA states after this start-tag *)
-    all_seeds : int list;
-    candidates : int list;  (* child-seed candidates *)
+  (* What a seeded frame keeps beyond its states and seeds.  One per
+     depth, made at the first seeded frame there and reused by every
+     later one. *)
+  type seeded = {
+    mutable candidates : int list;  (* child-seed candidates *)
     csat : bool array;
-    text : Buffer.t;  (* only written when [all_seeds <> []] *)
-    attrs : (string * string) list;
-    name : string;
-    seq : int;
+    text : Buffer.t;
+    mutable attrs : (string * string) list;
+    mutable name : string;
+    mutable at : int;  (* the element's seq *)
   }
 
   type t = {
@@ -51,7 +62,15 @@ module Pass1 = struct
        set for a whole-document pass, the saved pass-2 states inside an
        undecided region *)
     mutable base : Selecting_nfa.set;
-    mutable stack : frame list;
+    (* the depth of the bottom frame: 0, or pass 2's depth at the parent
+       of an undecided region; the slots below it are not pass 1's *)
+    mutable bottom : int;
+    (* the frame at depth [d]: its unfiltered NFA states after its
+       start-tag, the qualifiers to evaluate there ([] for a seedless
+       frame), and, when it has seeds, [seeded.(d)] *)
+    mutable states : Selecting_nfa.set array;
+    mutable seeds : int list array;
+    mutable seeded : seeded array;
     mutable skip : int;
     (* was the current skip episode opened by the schema oracle (as
        opposed to an empty state set)?  Episodes never nest, so one flag
@@ -60,27 +79,55 @@ module Pass1 = struct
     mutable skipped_subtrees : int;
     mutable skipped_elements : int;
     mutable seq : int;
-    (* [List.length stack] plus the frames below [base], kept as a
-       counter: measuring the list on every start-tag made ingest
-       quadratic in nesting depth *)
     mutable depth : int;
     mutable max_depth : int;
   }
 
-  let no_text = Buffer.create 0
+  (* the placeholder in [seeded] at depths no seeded frame reached yet *)
+  let unused = { candidates = []; csat = [||]; text = Buffer.create 0; attrs = []; name = ""; at = -1 }
 
   let create ~sskip nfa truth =
     let lq = Selecting_nfa.lq nfa in
-    { nfa; lq; nlq = Lq.length lq; sskip; truth; base = Selecting_nfa.start nfa; stack = [];
-      skip = 0; schema_mode = false; skipped_subtrees = 0; skipped_elements = 0; seq = -1;
-      depth = 0; max_depth = 0 }
+    let base = Selecting_nfa.start nfa in
+    { nfa; lq; nlq = Lq.length lq; sskip; truth; base; bottom = 0;
+      states = Array.make initial_depth base; seeds = Array.make initial_depth [];
+      seeded = Array.make initial_depth unused; skip = 0; schema_mode = false;
+      skipped_subtrees = 0; skipped_elements = 0; seq = -1; depth = 0; max_depth = 0 }
 
-  (* A frame that demands no seeds: nothing is evaluated or propagated at
-     it.  The elements above an undecided region get these, as their
-     pass-2 states carry no qualifier. *)
-  let seedless states =
-    { states; all_seeds = []; candidates = []; csat = [||]; text = no_text; attrs = [];
-      name = ""; seq = -1 }
+  (* Room for a frame at depth [d].  Inside a region the first frame
+     sits at [bottom], which may be past the arrays' end. *)
+  let rec reserve p d =
+    if d >= Array.length p.states then begin
+      p.states <- grow p.states p.base;
+      p.seeds <- grow p.seeds [];
+      p.seeded <- grow p.seeded unused;
+      reserve p d
+    end
+
+  (* The frames below depth [n] become seedless frames over [states]:
+     the elements above an undecided region, whose pass-2 states carry
+     no qualifier. *)
+  let set_seedless_below p states n =
+    reserve p n;
+    Array.blit states 0 p.states 0 n;
+    Array.fill p.seeds 0 n [];
+    p.bottom <- 0
+
+  (* A seeded frame at depth [d], its [csat] and [text] emptied. *)
+  let set_seeded p d all_seeds name attrs =
+    let f = p.seeded.(d) in
+    if f == unused then
+      p.seeded.(d) <-
+        { candidates = []; csat = Array.make p.nlq false; text = Buffer.create 16; attrs; name;
+          at = p.seq }
+    else begin
+      Array.fill f.csat 0 p.nlq false;
+      Buffer.clear f.text;
+      f.attrs <- attrs;
+      f.name <- name;
+      f.at <- p.seq
+    end;
+    p.seeded.(d).candidates <- snd (Annotator.expand p.lq ~name all_seeds)
 
   let start p name attrs =
     p.seq <- p.seq + 1;
@@ -99,27 +146,27 @@ module Pass1 = struct
         p.skipped_elements <- p.skipped_elements + 1
       end
       else begin
-        let parent_states, parent_candidates =
-          match p.stack with [] -> p.base, [] | f :: _ -> f.states, f.candidates
+        let d = p.depth in
+        let states =
+          Selecting_nfa.next_unchecked p.nfa (if d = p.bottom then p.base else p.states.(d - 1)) sym
         in
-        let states = Selecting_nfa.next_unchecked p.nfa parent_states sym in
         let kid_seeds =
-          List.filter (fun i -> not (Lq.label_blocked p.lq i name)) parent_candidates
+          if d = p.bottom || p.seeds.(d - 1) = [] then []
+          else List.filter (fun i -> not (Lq.label_blocked p.lq i name)) p.seeded.(d - 1).candidates
         in
+        (* [List.sort_uniq] builds its local closures even for [] *)
         let all_seeds =
-          List.sort_uniq compare (kid_seeds @ Annotator.top_quals p.nfa states)
+          match kid_seeds, Annotator.top_quals p.nfa states with
+          | [], [] -> []
+          | ks, qs -> List.sort_uniq compare (ks @ qs)
         in
         if Selecting_nfa.set_is_empty states && all_seeds = [] then p.skip <- 1
         else begin
-          let frame =
-            if all_seeds = [] then seedless states
-            else
-              { states; all_seeds; candidates = snd (Annotator.expand p.lq ~name all_seeds);
-                csat = Array.make p.nlq false; text = Buffer.create 16; attrs; name;
-                seq = p.seq }
-          in
-          p.stack <- frame :: p.stack;
-          p.depth <- p.depth + 1;
+          reserve p d;
+          p.states.(d) <- states;
+          p.seeds.(d) <- all_seeds;
+          if all_seeds <> [] then set_seeded p d all_seeds name attrs;
+          p.depth <- d + 1;
           if p.depth > p.max_depth then p.max_depth <- p.depth
         end
       end
@@ -130,47 +177,44 @@ module Pass1 = struct
       p.skip <- p.skip - 1;
       if p.skip = 0 then p.schema_mode <- false
     end
-    else
-      match p.stack with
+    else if p.depth > p.bottom then begin
+      let d = p.depth - 1 in
+      p.depth <- d;
+      match p.seeds.(d) with
       | [] -> ()
-      | f :: rest ->
-        p.stack <- rest;
-        p.depth <- p.depth - 1;
-        if f.all_seeds <> [] then begin
-          let sat =
-            Lq.eval_at p.lq ~name:f.name ~attrs:f.attrs ~text:(Buffer.contents f.text)
-              ~csat:(fun i -> f.csat.(i)) ~wanted:f.all_seeds
-          in
-          Selecting_nfa.set_iter
-            (fun s ->
-              let i = Selecting_nfa.state_lq p.nfa s in
-              Truth.set p.truth f.seq i sat.(i))
-            (Selecting_nfa.set_inter f.states (Selecting_nfa.qual_states p.nfa));
-          (* a parent without seeds never reads its [csat] *)
-          match rest with
-          | parent :: _ when parent.all_seeds <> [] ->
-            for i = 0 to p.nlq - 1 do
-              if sat.(i) then parent.csat.(i) <- true
-            done
-          | _ -> ()
+      | wanted ->
+        let f = p.seeded.(d) in
+        let sat =
+          Lq.eval_at p.lq ~name:f.name ~attrs:f.attrs ~text:(Buffer.contents f.text)
+            ~csat:(Array.get f.csat) ~wanted
+        in
+        Selecting_nfa.set_iter
+          (fun s ->
+            let i = Selecting_nfa.state_lq p.nfa s in
+            Truth.set p.truth f.at i sat.(i))
+          (Selecting_nfa.set_inter p.states.(d) (Selecting_nfa.qual_states p.nfa));
+        (* a parent without seeds never reads its [csat] *)
+        if d > p.bottom && p.seeds.(d - 1) <> [] then begin
+          let parent = p.seeded.(d - 1).csat in
+          for i = 0 to p.nlq - 1 do
+            if sat.(i) then parent.(i) <- true
+          done
         end
+    end
 
   let handle p = function
     | Sax.Start_document | Sax.End_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
     | Sax.Start_element (name, attrs) -> start p name attrs
-    | Sax.Characters t -> (
-      if p.skip = 0 then
-        match p.stack with
-        | f :: _ when f.all_seeds <> [] -> Buffer.add_string f.text t
-        | _ -> ())
+    | Sax.Characters t ->
+      let d = p.depth - 1 in
+      if p.skip = 0 && d >= p.bottom && p.seeds.(d) <> [] then
+        Buffer.add_string p.seeded.(d).text t
     | Sax.End_element _ -> end_ p
 end
 
 (* ---------------- pass 2: SAX topDown ---------------- *)
 
 module Pass2 = struct
-  type frame = { fstates : Selecting_nfa.set; out_name : string; matched : bool }
-
   type t = {
     nfa : Selecting_nfa.t;
     update : Transform_ast.update;
@@ -178,45 +222,65 @@ module Pass2 = struct
     truth : Truth.t;
     sink : Sax.event -> unit;
     root_matched : bool;
-    mutable stack : frame list;
+    (* qualifier checks at the start-tag numbered [seq]; built once *)
+    checkp : int -> bool;
+    (* the frame at depth [d], in slot [d] of each array: its filtered
+       states, the name its end-tag is written with, and whether the
+       update selected it *)
+    mutable fstates : Selecting_nfa.set array;
+    mutable out_names : string array;
+    mutable matched : bool array;
     mutable skip : int;
     (* schema-skipped subtree being copied to the output verbatim: nothing
        below can match, so the events pass through with no transition run *)
     mutable verbatim : int;
     mutable verbatim_subtrees : int;
     mutable verbatim_elements : int;
-    mutable depth : int;  (* [List.length stack], as in pass 1 *)
+    mutable depth : int;
     mutable max_depth : int;
     mutable seq : int;
     mutable produced_root : bool;
   }
 
   let create ~sskip nfa update truth sink =
-    { nfa; update; sskip; truth; sink; root_matched = Selecting_nfa.selects_context nfa;
-      stack = []; skip = 0; verbatim = 0; verbatim_subtrees = 0; verbatim_elements = 0;
-      depth = 0; max_depth = 0; seq = -1; produced_root = false }
+    let start = Selecting_nfa.start nfa in
+    let rec p =
+      { nfa; update; sskip; truth; sink; root_matched = Selecting_nfa.selects_context nfa;
+        checkp = (fun s -> Truth.get p.truth p.seq (Selecting_nfa.state_lq p.nfa s));
+        fstates = Array.make initial_depth start; out_names = Array.make initial_depth "";
+        matched = Array.make initial_depth false; skip = 0; verbatim = 0;
+        verbatim_subtrees = 0; verbatim_elements = 0; depth = 0; max_depth = 0; seq = -1;
+        produced_root = false }
+    in
+    p
 
   (* Neither inside a deleted or replaced subtree nor copying one
      verbatim: the next start-tag runs a transition. *)
   let walking p = p.skip = 0 && p.verbatim = 0
 
-  let states p = match p.stack with [] -> Selecting_nfa.start p.nfa | f :: _ -> f.fstates
+  let states p = if p.depth = 0 then Selecting_nfa.start p.nfa else p.fstates.(p.depth - 1)
 
   let push p fstates out_name matched =
-    p.stack <- { fstates; out_name; matched } :: p.stack;
-    p.depth <- p.depth + 1;
+    let d = p.depth in
+    if d = 0 then p.produced_root <- true;
+    if d = Array.length p.fstates then begin
+      p.fstates <- grow p.fstates fstates;
+      p.out_names <- grow p.out_names "";
+      p.matched <- grow p.matched false
+    end;
+    p.fstates.(d) <- fstates;
+    p.out_names.(d) <- out_name;
+    p.matched.(d) <- matched;
+    p.depth <- d + 1;
     if p.depth > p.max_depth then p.max_depth <- p.depth
 
-  (* A start-tag while [walking], its number already counted and its
-     filtered states [fstates] known. *)
-  let admit p name attrs fstates =
+  (* A start-tag [ev] = [Start_element (name, attrs)] while [walking], its
+     number already counted and its filtered states [fstates] known.  An
+     element written under its own name is written as [ev] itself. *)
+  let admit p ev name attrs fstates =
     let sink = p.sink in
-    let at_root = p.stack = [] in
+    let at_root = p.depth = 0 in
     let matched = Selecting_nfa.accepts_set p.nfa fstates || (at_root && p.root_matched) in
-    let push out_name =
-      if at_root then p.produced_root <- true;
-      push p fstates out_name matched
-    in
     match p.update, matched with
     | Transform_ast.Delete _, true ->
       if at_root then
@@ -234,40 +298,36 @@ module Pass2 = struct
       p.skip <- 1
     | Transform_ast.Rename (_, l), true ->
       sink (Sax.Start_element (l, attrs));
-      push l
+      push p fstates l matched
     | Transform_ast.Insert_first (_, enew), true ->
-      sink (Sax.Start_element (name, attrs));
+      sink ev;
       Sax.events_of_node enew sink;
-      push name
+      push p fstates name matched
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
       | Transform_ast.Replace _ | Transform_ast.Rename _), _ ->
-      sink (Sax.Start_element (name, attrs));
-      push name
+      sink ev;
+      push p fstates name matched
 
   (* A start-tag while [walking], its number already counted. *)
-  let enter p name attrs sym =
+  let enter p ev name attrs sym =
     if p.sskip sym then begin
-      if p.stack = [] then p.produced_root <- true;
-      p.sink (Sax.Start_element (name, attrs));
+      if p.depth = 0 then p.produced_root <- true;
+      p.sink ev;
       p.verbatim <- 1;
       p.verbatim_subtrees <- p.verbatim_subtrees + 1;
       p.verbatim_elements <- p.verbatim_elements + 1
     end
-    else begin
-      let seq = p.seq in
-      let checkp s = Truth.get p.truth seq (Selecting_nfa.state_lq p.nfa s) in
-      admit p name attrs (Selecting_nfa.next p.nfa ~checkp (states p) sym)
-    end
+    else admit p ev name attrs (Selecting_nfa.next p.nfa ~checkp:p.checkp (states p) sym)
 
-  let start p name attrs =
+  let start p ev name attrs =
     p.seq <- p.seq + 1;
     if p.skip > 0 then p.skip <- p.skip + 1
     else if p.verbatim > 0 then begin
       p.verbatim <- p.verbatim + 1;
       p.verbatim_elements <- p.verbatim_elements + 1;
-      p.sink (Sax.Start_element (name, attrs))
+      p.sink ev
     end
-    else enter p name attrs (Sym.intern name)
+    else enter p ev name attrs (Sym.intern name)
 
   let handle p = function
     | Sax.Start_document -> p.sink Sax.Start_document
@@ -276,24 +336,22 @@ module Pass2 = struct
         raise (Transform_ast.Invalid_update "update deletes the document element");
       p.sink Sax.End_document
     | (Sax.Comment_event _ | Sax.Pi_event _ | Sax.Characters _) as ev ->
-      if p.verbatim > 0 || (p.skip = 0 && p.stack <> []) then p.sink ev
-    | Sax.Start_element (name, attrs) -> start p name attrs
-    | Sax.End_element _ as ev ->
+      if p.verbatim > 0 || (p.skip = 0 && p.depth > 0) then p.sink ev
+    | Sax.Start_element (name, attrs) as ev -> start p ev name attrs
+    | Sax.End_element name as ev ->
       if p.skip > 0 then p.skip <- p.skip - 1
       else if p.verbatim > 0 then begin
         p.verbatim <- p.verbatim - 1;
         p.sink ev
       end
-      else begin
-        match p.stack with
-        | [] -> ()
-        | f :: rest ->
-          p.stack <- rest;
-          p.depth <- p.depth - 1;
-          (match p.update, f.matched with
-          | Transform_ast.Insert (_, enew), true -> Sax.events_of_node enew p.sink
-          | _ -> ());
-          p.sink (Sax.End_element f.out_name)
+      else if p.depth > 0 then begin
+        let d = p.depth - 1 in
+        p.depth <- d;
+        (match p.update with
+        | Transform_ast.Insert (_, enew) when p.matched.(d) -> Sax.events_of_node enew p.sink
+        | _ -> ());
+        let out_name = p.out_names.(d) in
+        p.sink (if String.equal out_name name then ev else Sax.End_element out_name)
       end
 end
 
@@ -382,6 +440,7 @@ let drive ~skip nfa update ~source ~sink =
     p1.Pass1.base <- parent;
     p1.Pass1.seq <- p2.Pass2.seq;
     p1.Pass1.depth <- p2.Pass2.depth;
+    p1.Pass1.bottom <- p2.Pass2.depth;
     hold ev;
     Pass1.handle p1 ev
   in
@@ -400,9 +459,9 @@ let drive ~skip nfa update ~source ~sink =
     held := [||];
     nheld := 0;
     (* pass 1 goes on to the end of the input: the elements above the
-       region get frames from pass 2's, which no qualifier filtered *)
-    p1.Pass1.stack <-
-      p1.Pass1.stack @ List.map (fun f -> Pass1.seedless f.Pass2.fstates) p2.Pass2.stack
+       region get seedless frames over pass 2's states, which no
+       qualifier filtered *)
+    Pass1.set_seedless_below p1 p2.Pass2.fstates p2.Pass2.depth
   in
   let handle ev =
     match !region with
@@ -412,7 +471,7 @@ let drive ~skip nfa update ~source ~sink =
         let sym = Sym.intern name in
         if skip sym then begin
           p2.Pass2.seq <- p2.Pass2.seq + 1;
-          Pass2.enter p2 name attrs sym
+          Pass2.enter p2 ev name attrs sym
         end
         else begin
           let parent = Pass2.states p2 in
@@ -422,7 +481,7 @@ let drive ~skip nfa update ~source ~sink =
             (* no qualifier-bearing state entered: the filtered
                transition is the unchecked one *)
             p2.Pass2.seq <- p2.Pass2.seq + 1;
-            Pass2.admit p2 name attrs states
+            Pass2.admit p2 ev name attrs states
           end
         end
       | ev -> Pass2.handle p2 ev)

@@ -26,7 +26,14 @@ open Xut_automata
       (fragment X's qualifiers are downward).  Past {!buffer_budget}
       bytes of held markup the run switches to two parses at that point.
     - {!run_once} is the buffered driver for plans that never open a
-      region ({!one_pass}): pass 2 alone, O(depth) memory. *)
+      region ({!one_pass}): pass 2 alone, O(depth) memory.
+
+    A run allocates the events it writes and their strings, and nothing
+    per element beside them: both passes keep their frames in arrays
+    indexed by depth, an element written under its own name is written
+    as the input's own event, and a seeded pass-1 frame reuses its
+    depth's [csat] array and text buffer.  Only the qualifier evaluation
+    at seeded elements and the truth entries allocate. *)
 
 exception Unsupported_streaming of string
 (** Raised for context qualifiers (paths starting with a qualified '.'),

@@ -20,7 +20,11 @@ let equal_event (a : event) (b : event) = a = b
    runs into the window's limit may continue in the next chunk, so it is
    re-read from its start by the per-character code ([read_name] over
    [Reader.peek]/[advance]), which crosses refills by construction.
-   References, comments, PIs, CDATA and DOCTYPE stay per-character. *)
+   References, comments, PIs, CDATA and DOCTYPE stay per-character.
+
+   A parse allocates its events and their strings, nothing else per
+   element: known names are interned without a copy, and the open tags
+   sit in an array that doubles when full. *)
 
 let error r msg = raise (Parse_error { line = Reader.line r; col = Reader.col r; msg })
 
@@ -225,18 +229,17 @@ let rec is_ws_from buf i = i >= Buffer.length buf || (is_ws (Buffer.nth buf i) &
 let rec equal_sub s b off i =
   i >= String.length s || (String.unsafe_get s i = Bytes.unsafe_get b (off + i) && equal_sub s b off (i + 1))
 
-(* The name of a closing tag, the "</" consumed.  When it matches the
-   innermost open element it is compared in the window and that
-   element's own string is returned, so nothing is allocated. *)
-let read_close_name r stack =
+(* The name of a closing tag, the "</" consumed.  When it matches [top],
+   the innermost open element ("" when none is open), it is compared in
+   the window and that element's own string is returned, so nothing is
+   allocated. *)
+let read_close_name r top =
   match window_name r with
   | -1 -> read_name r
-  | i -> (
+  | i ->
     let b = Reader.window r and p = Reader.pos r in
     Reader.set_pos r i;
-    match stack with
-    | top :: _ when String.length top = i - p && equal_sub top b p 0 -> top
-    | _ -> Bytes.sub_string b p (i - p))
+    if String.length top = i - p && equal_sub top b p 0 then top else Bytes.sub_string b p (i - p)
 
 (* Does the buffer end with [term]? (Buffer.nth is O(1).) *)
 let buffer_ends_with buf term =
@@ -281,18 +284,30 @@ let skip_doctype r =
 
 let parse_events ~keep_ws r handler =
   handler Start_document;
-  let stack = ref [] in
+  (* The open elements, innermost at [depth - 1], in an array that
+     doubles when full: an open tag costs a slot write, not a cons. *)
+  let tags = ref (Array.make 64 "") and depth = ref 0 in
+  let top () = if !depth = 0 then "" else Array.unsafe_get !tags (!depth - 1) in
+  let push name =
+    if !depth = Array.length !tags then begin
+      let grown = Array.make (2 * !depth) "" in
+      Array.blit !tags 0 grown 0 !depth;
+      tags := grown
+    end;
+    Array.unsafe_set !tags !depth name;
+    incr depth
+  in
   let text = Buffer.create 64 in
   let vbuf = Buffer.create 64 in
   (* Whether a text run is reported, given whether it is whitespace only;
      the caller copies the run only when it is, so dropped runs never
      allocate.  Outside the document element only whitespace may occur. *)
   let wanted ws =
-    match !stack with
-    | [] ->
+    if !depth = 0 then begin
       if not ws then error r "text outside the document element";
       false
-    | _ :: _ -> keep_ws || not ws
+    end
+    else keep_ws || not ws
   in
   let flush_text () =
     if Buffer.length text > 0 then begin
@@ -333,7 +348,7 @@ let parse_events ~keep_ws r handler =
       else if Reader.peek r = '[' then begin
         expect_string r "[CDATA[";
         let content = read_until r "]]>" in
-        if !stack = [] then error r "CDATA outside the document element";
+        if !depth = 0 then error r "CDATA outside the document element";
         handler (Characters content)
       end
       else begin
@@ -342,16 +357,15 @@ let parse_events ~keep_ws r handler =
       end
     | '/' -> (
       Reader.advance r;
-      let name = read_close_name r !stack in
+      let top = top () in
+      let name = read_close_name r top in
       skip_ws r;
       expect r '>';
-      match !stack with
-      | top :: rest ->
-        if not (String.equal top name) then
-          error r (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top name);
-        stack := rest;
-        handler (End_element top)
-      | [] -> error r (Printf.sprintf "closing tag </%s> with no open element" name))
+      if !depth = 0 then error r (Printf.sprintf "closing tag </%s> with no open element" name);
+      if not (String.equal top name) then
+        error r (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top name);
+      decr depth;
+      handler (End_element top))
     | _ ->
       let name = read_element_name r in
       let attrs = read_attributes r vbuf [] in
@@ -364,16 +378,14 @@ let parse_events ~keep_ws r handler =
       end
       else begin
         expect r '>';
-        stack := name :: !stack;
+        push name;
         handler (Start_element (name, attrs))
       end
   in
   let rec loop () =
     if Reader.eof r then begin
       flush_text ();
-      (match !stack with
-      | top :: _ -> error r ("unclosed element <" ^ top ^ ">")
-      | [] -> ());
+      if !depth > 0 then error r ("unclosed element <" ^ top () ^ ">");
       handler End_document
     end
     else begin

@@ -28,21 +28,25 @@ let mu = Mutex.create ()
 (* Approximate under concurrent interning (can only undercount). *)
 let intern_calls = ref 0
 
-(* FNV-1a: names are short ASCII, and we need the same hash on every
-   domain and snapshot. *)
-let hash s =
+(* FNV-1a over [b.[off .. off+len-1]]: names are short ASCII, and we
+   need the same hash on every domain and snapshot.  The loop keeps its
+   accumulator in a register, so hashing allocates nothing. *)
+let hash_sub b off len =
   let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land max_int) s;
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land max_int
+  done;
   !h
 
-let probe t s =
-  let h = hash s in
-  let rec go i =
-    let j = (h + i) land t.mask in
-    let k = t.keys.(j) in
-    if k == absent then -1 else if String.equal k s then t.vals.(j) else go (i + 1)
-  in
-  go 0
+let hash s = hash_sub (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* A top-level loop, so a probe builds no closure. *)
+let rec probe_from t h s i =
+  let j = (h + i) land t.mask in
+  let k = t.keys.(j) in
+  if k == absent then -1 else if String.equal k s then t.vals.(j) else probe_from t h s (i + 1)
+
+let probe t s = probe_from t (hash s) s 0
 
 let insert_slot t s v =
   let h = hash s in
@@ -91,15 +95,8 @@ let intern s =
   | v -> v
 
 (* Allocation-free probe for a name held in [b.[off .. off+len-1]]: the
-   hash loop keeps its accumulator in a register and the probe loop is a
-   top-level function, so a hit builds neither a string nor a closure. *)
-let hash_sub b off len =
-  let h = ref 0x811c9dc5 in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land max_int
-  done;
-  !h
-
+   probe loop is a top-level function, so a hit builds neither a string
+   nor a closure. *)
 let rec equal_sub k b off len i =
   i >= len || (String.unsafe_get k i = Bytes.unsafe_get b (off + i) && equal_sub k b off len (i + 1))
 

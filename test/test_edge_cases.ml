@@ -126,37 +126,55 @@ let test_deep_nesting_stack_safety () =
    [run_buffered] (the same plan: [//d\[x\]] makes the whole chain one
    undecided region) and the fused [run_once] (a qualifier-free one):
    the peak is the chain's depth, and the streamed bytes equal the
-   materialized td-bu result. *)
+   materialized td-bu result.  Each runs over the tree's events and over
+   a parse of its serialization, so the parser's tag stack and both
+   passes' frame arrays grow far past their initial size; a mismatched
+   and an unclosed tag at that depth are reported as at any other. *)
 let test_sax_deep_chain () =
   let depth = 20_000 in
   (* root, then d elements, then the x leaf: [depth] elements deep *)
   let rec chain n acc = if n = 0 then acc else chain (n - 1) (Node.elem "d" [ acc ]) in
   let doc = Node.element "root" [ chain (depth - 2) (Node.elem "x" [ Node.text "t" ]) ] in
+  let text = Serialize.element_to_string doc in
   let check name runner update =
     let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-    let out = Buffer.create (16 * depth) in
-    let stats =
-      runner nfa update ~source:(Sax.events_of_tree doc) ~sink:(Serialize.event_sink out)
-    in
-    Alcotest.(check int) (name ^ ": max_stack_depth") depth
-      stats.Sax_transform.max_stack_depth;
-    Alcotest.(check bool) (name ^ ": streamed = materialized") true
-      (Buffer.contents out
-      = Serialize.element_to_string (Engine.transform Engine.Td_bu update doc));
-    stats
+    let expected = Serialize.element_to_string (Engine.transform Engine.Td_bu update doc) in
+    List.map
+      (fun (source_name, source) ->
+        let name = name ^ " over " ^ source_name in
+        let out = Buffer.create (16 * depth) in
+        let stats = runner nfa update ~source ~sink:(Serialize.event_sink out) in
+        Alcotest.(check int) (name ^ ": max_stack_depth") depth
+          stats.Sax_transform.max_stack_depth;
+        Alcotest.(check bool) (name ^ ": streamed = materialized") true
+          (Buffer.contents out = expected);
+        stats)
+      [ ("tree events", Sax.events_of_tree doc); ("a parse", Sax.parse_string text) ]
   in
   let qualified = Transform_ast.Rename (parse_path "//d[x]", "e") in
   ignore (check "run" (fun nfa u ~source ~sink -> Sax_transform.run nfa u ~source ~sink) qualified);
-  let stats =
-    check "run_buffered"
-      (fun nfa u ~source ~sink -> Sax_transform.run_buffered nfa u ~source ~sink)
-      qualified
-  in
-  Alcotest.(check (pair int int)) "run_buffered: one region, one read" (1, 1)
-    (stats.Sax_transform.regions, stats.Sax_transform.parses);
+  List.iter
+    (fun stats ->
+      Alcotest.(check (pair int int)) "run_buffered: one region, one read" (1, 1)
+        (stats.Sax_transform.regions, stats.Sax_transform.parses))
+    (check "run_buffered"
+       (fun nfa u ~source ~sink -> Sax_transform.run_buffered nfa u ~source ~sink)
+       qualified);
   ignore
     (check "run_once" (fun nfa u ~source ~sink -> Sax_transform.run_once nfa u ~source ~sink)
-       (Transform_ast.Rename (parse_path "//x", "y")))
+       (Transform_ast.Rename (parse_path "//x", "y")));
+  let error text =
+    match Sax.parse_string text ignore with
+    | () -> Alcotest.fail "a malformed chain parsed"
+    | exception Sax.Parse_error { line; col; msg } -> (line, col, msg)
+  in
+  let innermost = String.length "<root>" + ((depth - 2) * String.length "<d>") + String.length "<x>t" in
+  Alcotest.(check (triple int int string)) "mismatched tag at depth"
+    (1, innermost + String.length "</y>" + 1, "mismatched tags: <x> closed by </y>")
+    (error (String.sub text 0 innermost ^ "</y>" ^ String.sub text (innermost + 4) (String.length text - innermost - 4)));
+  Alcotest.(check (triple int int string)) "unclosed tag at depth"
+    (1, innermost + 1, "unclosed element <x>")
+    (error (String.sub text 0 innermost))
 
 let test_two_pass_sax_rejects_ctx_quals () =
   let u = Transform_ast.Delete (parse_path ".[db]/db/part") in

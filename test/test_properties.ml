@@ -273,7 +273,8 @@ let prop_buffered_equals_two_pass =
 
 (* Regions past the buffer budget: a root-level qualifier makes the whole
    document one region, and a qualifier on [g] makes each [g] one, the
-   middle one too large, with regions before and after it.  Both runs
+   middle one too large, with regions before and after it, once under
+   the document element and once four levels below it.  Both runs
    switch to two reads of the source at the oversized region, say so in
    their stats, and write what the two-parse [run] writes. *)
 let test_buffered_overflow () =
@@ -292,7 +293,16 @@ let test_buffered_overflow () =
           @ [ Node.elem "g" (filler n) ]
           @ [ small 3; Node.elem "h" [ small 4 ]; small 5 ]),
         "r/g[a]/a",
-        4 ) ]
+        4 );
+      (* the handoff puts pass 2's frames for r, s, t and u under pass 1's *)
+      ( "oversized region four levels down",
+        Node.element "r"
+          [ Node.elem "s"
+              [ small 6;
+                Node.elem "t" [ Node.elem "u" [ small 7; Node.elem "g" (filler n); small 8 ] ];
+                small 9 ] ],
+        "r/s/t/u/g[a]/a",
+        2 ) ]
   in
   List.iter
     (fun (label, root, path, regions) ->

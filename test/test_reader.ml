@@ -123,7 +123,7 @@ let outcome parse =
   | exception Sax.Parse_error { line; col; msg } -> Error (line, col, msg)
 
 (* The of_string outcome, and whether every chunked reader agrees with it. *)
-let outcomes_agree ?keep_ws text =
+let outcomes_agree ?keep_ws ?(chunk_sizes = chunk_sizes) text =
   let expected = outcome (Sax.parse_string ?keep_ws text) in
   let agree =
     with_temp_doc text (fun tmp ->
@@ -346,12 +346,138 @@ let test_intern_sub () =
   done;
   (* only Gc.minor_words' own boxed floats *)
   Alcotest.(check bool) "a hit allocates nothing" true (Gc.minor_words () -. before < 100.);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Sym.intern s))
+  done;
+  Alcotest.(check bool) "an intern hit allocates nothing" true (Gc.minor_words () -. before < 100.);
   Alcotest.check_raises "range" (Invalid_argument "Sym.intern_sub") (fun () ->
       ignore (Sym.intern_sub b 10 20));
   Sax.parse_string "<sym-sub-test><sym-sub-test/></sym-sub-test>" (function
     | Sax.Start_element (n, _) | Sax.End_element n ->
       Alcotest.(check bool) "event names are the interned string" true (n == s)
     | _ -> ())
+
+(* Terminators of comments, PIs and CDATA and their near-misses ([--],
+   [-->] inside a longer run of dashes, [?] not followed by [>], [\]\]]
+   not followed by [>]) land on every offset of every chunk size from 1
+   to 8; the events, or the error's position and message, must equal
+   [of_string]'s. *)
+let test_terminators_across_chunks () =
+  let cases =
+    [ "<a><!--x-->y</a>";
+      "<a><!---->x<!-- - -- --->y<!-----></a>";
+      "<a><!--a-b--c---d---->e</a>";
+      "<a><?p?><?p ??><?p a?b? ?c>d??>e</a>";
+      "<a><![CDATA[]]><![CDATA[]]]]><![CDATA[x]y]]z]]]>]]></a>";
+      "<a><![CDATA[]]]]]]]>t<![CDATA[]>]]>]]></a>";
+      "<?xml version=\"1.0\"?><!-- head -- - --><a/><?tail ? ?? ?>";
+      "<a>\n<!--\n--\n-->\n<?p\n?\n?>\n<![CDATA[\n]]\n]]>\n</a>";
+      (* unterminated, and NUL bytes before and inside a near-miss *)
+      "<a><!-- x --";
+      "<a><!-- x -\000-></a>";
+      "<a><?p x ?";
+      "<a><?p x \000?></a>";
+      "<a><![CDATA[x]]";
+      "<a><![CDATA[x]\000]></a>";
+      "<a><![CDATA[x]]]\000]]></a>" ]
+  in
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) text true (snd (outcomes_agree ~chunk_sizes:(List.init 8 succ) text)))
+    cases;
+  (* the contents themselves *)
+  let contents text =
+    match outcome (Sax.parse_string text) with
+    | Ok evs ->
+      List.filter_map
+        (function
+          | Sax.Comment_event c | Sax.Characters c -> Some c
+          | Sax.Pi_event (t, d) -> Some (t ^ "|" ^ d)
+          | _ -> None)
+        evs
+    | Error (l, c, m) -> [ Printf.sprintf "%d:%d %s" l c m ]
+  in
+  List.iter
+    (fun (text, expected) -> Alcotest.(check (list string)) text expected (contents text))
+    [ ("<a><!--a-b--c---d---->e</a>", [ "a-b--c---d--"; "e" ]);
+      ("<a><?p a?b? ?c>d??>e</a>", [ "p|a?b? ?c>d?"; "e" ]);
+      ("<a><![CDATA[x]y]]z]]]>]]></a>", [ "x]y]]z]"; "]]>" ]);
+      ("<a><!-- x --", [ "1:13 unterminated: expected -->" ]);
+      ("<a><![CDATA[x]]]\000]]></a>", [ "1:17 NUL byte" ]) ]
+
+(* ---- What a SAX ingest allocates ----
+
+   A run allocates the events and their strings; neither pass nor the
+   parser's tag stack allocates per element.  Allocation is counted in
+   minor-heap words on this domain. *)
+
+(* [f ()] and the words it allocated *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+(* A 20 000-deep [<d>] chain with no text or attributes: the parser
+   allocates its two events per element (3 + 2 words) and a constant
+   beside them (the parser's buffers, a name split by a refill). *)
+let test_parser_allocation () =
+  let depth = 20_000 in
+  let text = String.concat "" (List.init depth (fun _ -> "<d>") @ List.init depth (fun _ -> "</d>")) in
+  let events = ref 0 in
+  (* the second parse, once [d] is interned *)
+  Sax.parse_string text ignore;
+  let (), words = minor_words (fun () -> Sax.parse_string text (fun _ -> incr events)) in
+  Alcotest.(check int) "events" ((2 * depth) + 2) !events;
+  let bound = float_of_int ((5 * depth) + 2_000) in
+  if words > bound then Alcotest.failf "parse allocated %.0f words, over %.0f" words bound
+
+(* The fused tier (U4, a qualifier-free delete), the buffered tier (U7,
+   two qualifiers) and twoPassSAX (U5, whose [//] step gives pass 1 a
+   frame at nearly every element) over an XMark f=0.002 document, beside
+   a parse alone of the same string, into a sink that keeps nothing.
+   The words per element beyond the run's parses are bounded 20-25%
+   above what these measured on a warm plan: 0.16 for U4 and 0.15 for U5
+   (the passes' stacks, allocated once per run), 9.6 for U7 (pass 1's
+   qualifier evaluation at the seeded elements of each region, its truth
+   entries and the replay). *)
+let test_ingest_allocation () =
+  let doc = Xut_xmark.Generator.generate ~seed:1L ~factor:0.002 () in
+  let text = Serialize.element_to_string doc in
+  let elements = Node.element_count (Node.Element doc) in
+  let source h = Sax.parse_string text h in
+  source ignore;
+  let (), parse = minor_words (fun () -> source ignore) in
+  let plan q =
+    let update = Core.Transform_parser.parse_update q in
+    (update, Xut_automata.Selecting_nfa.of_path (Core.Transform_ast.path update))
+  in
+  List.iter
+    (fun (label, q, run, bound) ->
+      let update, nfa = plan q in
+      let once () = run nfa update ~source ~sink:ignore in
+      (* the second run, on a warm plan as the service's are *)
+      ignore (once ());
+      let stats, words = minor_words once in
+      Alcotest.(check int) (label ^ ": elements") elements stats.Core.Sax_transform.elements_seen;
+      let parses = float_of_int stats.Core.Sax_transform.parses in
+      let per_element = (words -. (parses *. parse)) /. float_of_int elements in
+      if per_element > bound then
+        Alcotest.failf "%s: %.2f words per element beyond its parses, over %.2f" label
+          per_element bound)
+    [ ( "U4 run_once",
+        "delete $a/site/regions//item",
+        (fun nfa u ~source ~sink -> Core.Sax_transform.run_once nfa u ~source ~sink),
+        0.2 );
+      ( "U7 run_buffered",
+        "delete $a/site/open_auctions/open_auction[bidder/increase > 5]/annotation[happiness \
+         < 20]/description//text",
+        (fun nfa u ~source ~sink -> Core.Sax_transform.run_buffered nfa u ~source ~sink),
+        12.0 );
+      ( "U5 run",
+        "delete $a/site//description",
+        (fun nfa u ~source ~sink -> Core.Sax_transform.run nfa u ~source ~sink),
+        0.18 ) ]
 
 let suite =
   [ Alcotest.test_case "reader basics" `Quick test_reader_basics;
@@ -367,4 +493,9 @@ let suite =
     Alcotest.test_case "character references out of range" `Quick test_char_ref_range;
     Alcotest.test_case "NUL bytes rejected" `Quick test_nul_rejected;
     Alcotest.test_case "Sym.intern_sub" `Quick test_intern_sub;
-    Alcotest.test_case "closing tags compared in place" `Quick test_close_tag_in_place ]
+    Alcotest.test_case "closing tags compared in place" `Quick test_close_tag_in_place;
+    Alcotest.test_case "comment, PI and CDATA terminators across chunks" `Quick
+      test_terminators_across_chunks;
+    Alcotest.test_case "parser allocates its events per element" `Quick test_parser_allocation;
+    Alcotest.test_case "SAX ingest allocates per event, not per element" `Quick
+      test_ingest_allocation ]
