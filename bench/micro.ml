@@ -17,6 +17,8 @@ let tests () =
   let nfa = Xut_automata.Selecting_nfa.of_path path in
   let doc = Xut_xmark.Generator.generate ~factor:0.001 () in
   let doc_text = Xut_xml.Serialize.element_to_string doc in
+  (* the same document indented: newlines and indentation runs between tags *)
+  let pretty_text = Xut_xml.Serialize.element_to_string ~indent:2 doc in
   let start = Xut_automata.Selecting_nfa.start nfa in
   let labels = [| "site"; "open_auctions"; "open_auction"; "bidder"; "increase"; "x" |] in
   let syms = Array.map Xut_xml.Sym.intern labels in
@@ -39,6 +41,8 @@ let tests () =
              ~csat:(fun _ -> false) ~wanted:[ qi ]));
     Test.make ~name:"SAX parse (50 KB doc)"
       (Staged.stage (fun () -> Xut_xml.Sax.parse_string doc_text (fun _ -> ())));
+    Test.make ~name:"SAX parse (50 KB doc, pretty)"
+      (Staged.stage (fun () -> Xut_xml.Sax.parse_string pretty_text (fun _ -> ())));
     Test.make ~name:"DOM parse (50 KB doc)"
       (Staged.stage (fun () -> Xut_xml.Dom.parse_string doc_text));
     (* the escape fast path: almost all of XMark text is escape-free, so

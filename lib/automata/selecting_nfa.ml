@@ -1,7 +1,7 @@
 open Xut_xpath
 module Sym = Xut_xml.Sym
 
-type kind = K_start | K_label of string | K_wild | K_desc
+type kind = K_start | K_label of string | K_wild | K_desc | K_desc_test
 
 type state = { kind : kind; qual : Ast.qual; lq_idx : int }
 
@@ -132,9 +132,12 @@ type memo_entry = {
   e_sym : int;
   e_key : set;
   e_raw : set;        (* targets before closure and qualifier filtering *)
-  e_qual_raw : set;   (* raw states with a non-trivial qualifier *)
+  e_qual_raw : set;
+      (* the states to check: raw states with a non-trivial qualifier,
+         and the test states where the checked closures of the others
+         stop *)
   e_closed : set;     (* closure (raw): the unchecked transition result *)
-  e_closed_nq : set;  (* closure (raw minus qualifier states) *)
+  e_closed_nq : set;  (* checked closure (raw minus qualifier states) *)
 }
 
 (* the empty slot (compared physically): slots hold entries directly, so
@@ -185,6 +188,13 @@ type t = {
   self_loop : bool array;  (* state is '//': consuming any node may stay *)
   eps_bits : int array;    (* epsilon closure of each state (small repr) *)
   eps_wide : Bytes.t array;  (* same, wide repr ([||] when small) *)
+  (* The checked closure: [eps_nq_*] is the closure of a state up to,
+     not including, the first [K_desc_test] state after it, which is
+     [eps_stop] (-1 when none); that state joins only where its
+     qualifier holds, and its own closure continues from there. *)
+  eps_nq_bits : int array;
+  eps_nq_wide : Bytes.t array;
+  eps_stop : int array;
   quals : set;             (* states with a non-trivial qualifier *)
   start : set;
   memo : memo;
@@ -262,21 +272,25 @@ let of_norm (norm : Norm.t) =
   let true_idx = Lq.add_qual b Ast.Q_true in
   let ctx_qual = Ast.q_and norm.ctx_quals in
   ignore (Lq.add_qual b ctx_qual);
-  let step_state (s : Norm.nstep) =
-    let qual = Ast.q_and s.quals in
-    let lq_idx = Lq.add_qual b qual in
-    let kind =
-      match s.nav with
-      | Norm.N_label l -> K_label l
-      | Norm.N_wild -> K_wild
-      | Norm.N_desc -> K_desc
-    in
-    { kind; qual; lq_idx }
+  let state kind quals =
+    let qual = Ast.q_and quals in
+    { kind; qual; lq_idx = Lq.add_qual b qual }
+  in
+  (* A qualified [//] step is two states: the [//] loop itself, which no
+     qualifier guards, and a [K_desc_test] state its closure enters at
+     each node of the run where the qualifier holds.  The next step
+     leaves from the test state, so the qualifier is checked at the node
+     that step leaves from, the node where the [//] starts included, and
+     a node that fails it does not cut the loop for the nodes below. *)
+  let step_states (s : Norm.nstep) =
+    match s.nav, s.quals with
+    | Norm.N_label l, qs -> [ state (K_label l) qs ]
+    | Norm.N_wild, qs -> [ state K_wild qs ]
+    | Norm.N_desc, [] -> [ state K_desc [] ]
+    | Norm.N_desc, qs -> [ state K_desc []; state K_desc_test qs ]
   in
   let states =
-    Array.of_list
-      ({ kind = K_start; qual = Ast.Q_true; lq_idx = true_idx }
-      :: List.map step_state norm.steps)
+    Array.of_list (state K_start [] :: List.concat_map step_states norm.steps)
   in
   let n = Array.length states in
   let small = n <= small_limit in
@@ -287,28 +301,45 @@ let of_norm (norm : Norm.t) =
         match s.kind with
         | K_label l -> Sym.intern l
         | K_wild -> -1
-        | K_start | K_desc -> -2)
+        | K_start | K_desc | K_desc_test -> -2)
       states
   in
   let self_loop = Array.map (fun s -> s.kind = K_desc) states in
-  (* epsilon closure of state [i]: [i] plus the run of '//' states
-     immediately after it *)
-  let close_indices i =
-    let rec go j acc = if j + 1 < n && self_loop.(j + 1) then go (j + 1) (j + 1 :: acc) else acc in
+  let epsilon j = self_loop.(j) || states.(j).kind = K_desc_test in
+  (* epsilon closure of state [i]: [i] plus the run of '//' and test
+     states immediately after it; [~checked] stops the run before a test
+     state *)
+  let close_indices ~checked i =
+    let rec go j acc =
+      if j + 1 < n && epsilon (j + 1) && not (checked && states.(j + 1).kind = K_desc_test) then
+        go (j + 1) (j + 1 :: acc)
+      else acc
+    in
     go i [ i ]
   in
-  let eps_bits =
-    if small then
-      Array.init n (fun i -> List.fold_left (fun b j -> b lor (1 lsl j)) 0 (close_indices i))
-    else [||]
+  let bits_of close =
+    Array.init n (fun i -> List.fold_left (fun b j -> b lor (1 lsl j)) 0 (close i))
   in
-  let eps_wide =
-    if small then [||]
-    else
-      Array.init n (fun i ->
-          let w = wide_zero nwords in
-          List.iter (wset w) (close_indices i);
-          w)
+  let wide_of close =
+    Array.init n (fun i ->
+        let w = wide_zero nwords in
+        List.iter (wset w) (close i);
+        w)
+  in
+  let eps_bits = if small then bits_of (close_indices ~checked:false) else [||] in
+  let eps_wide = if small then [||] else wide_of (close_indices ~checked:false) in
+  (* without a test state the checked closure is the plain one *)
+  let has_tests = Array.exists (fun s -> s.kind = K_desc_test) states in
+  let eps_nq_bits =
+    if not has_tests then eps_bits else if small then bits_of (close_indices ~checked:true) else [||]
+  in
+  let eps_nq_wide =
+    if not has_tests then eps_wide else if small then [||] else wide_of (close_indices ~checked:true)
+  in
+  let eps_stop =
+    Array.init n (fun i ->
+        let last = List.hd (close_indices ~checked:true i) in
+        if last + 1 < n && states.(last + 1).kind = K_desc_test then last + 1 else -1)
   in
   let mask_of pred =
     if small then
@@ -326,7 +357,8 @@ let of_norm (norm : Norm.t) =
     if small then Bits eps_bits.(0) else Wide (Bytes.copy eps_wide.(0))
   in
   { states; lq = Lq.freeze b; ctx_qual; true_idx; n; small; nwords; enter_sym; self_loop;
-    eps_bits; eps_wide; quals; start; memo = memo_create ();
+    eps_bits; eps_wide; eps_nq_bits; eps_nq_wide; eps_stop; quals; start;
+    memo = memo_create ();
     named = named_of enter_sym; footprint = footprint_of_steps norm.steps }
 
 let of_path p = of_norm (Norm.steps p)
@@ -393,12 +425,12 @@ let raw_targets t s sym =
     done;
     Wide r
 
-let close_set t s =
+let close_with eps_bits eps_wide t s =
   match s with
   | Bits b ->
     let c = ref 0 and m = ref b and i = ref 0 in
     while !m <> 0 do
-      if !m land 1 <> 0 then c := !c lor t.eps_bits.(!i);
+      if !m land 1 <> 0 then c := !c lor eps_bits.(!i);
       incr i;
       m := !m lsr 1
     done;
@@ -406,9 +438,43 @@ let close_set t s =
   | Wide w ->
     let c = wide_zero t.nwords in
     for i = 0 to t.n - 1 do
-      if wmem w i then wide_blend_into c t.eps_wide.(i)
+      if wmem w i then wide_blend_into c eps_wide.(i)
     done;
     Wide c
+
+let close_set t s = close_with t.eps_bits t.eps_wide t s
+
+(* The checked closure up to the test states, and those test states. *)
+let close_nq_set t s = close_with t.eps_nq_bits t.eps_nq_wide t s
+
+let stops_of t s =
+  set_fold (fun i acc -> if t.eps_stop.(i) >= 0 then t.eps_stop.(i) :: acc else acc) s []
+
+(* [acc] joined with the checked closure of each state of [pending]
+   whose qualifier holds, in ascending order: the test state where such
+   a closure stops joins [pending] in turn. *)
+let close_checked_bits t ~checkp acc pending =
+  let acc = ref acc and m = ref pending and i = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 && checkp !i then begin
+      acc := !acc lor t.eps_nq_bits.(!i);
+      let stop = t.eps_stop.(!i) in
+      if stop >= 0 then m := !m lor (1 lsl (stop - !i))
+    end;
+    incr i;
+    m := !m lsr 1
+  done;
+  Bits !acc
+
+let close_checked_wide t ~checkp acc pending =
+  let acc = Bytes.copy acc and pending = Bytes.copy pending in
+  for i = 0 to t.n - 1 do
+    if wmem pending i && checkp i then begin
+      wide_blend_into acc t.eps_nq_wide.(i);
+      if t.eps_stop.(i) >= 0 then wset pending t.eps_stop.(i)
+    end
+  done;
+  Wide acc
 
 (* the entry for [(s, sym)] among the [memo_probes] slots from [h], or
    [no_entry]; a top-level loop, so a hit allocates nothing *)
@@ -433,9 +499,11 @@ let transition t s sym =
     m.misses <- m.misses + 1;
     incr g_misses;
     let raw = raw_targets t s sym in
+    let unqualified = set_diff raw t.quals in
     let e =
-      { e_sym = sym; e_key = s; e_raw = raw; e_qual_raw = set_inter raw t.quals;
-        e_closed = close_set t raw; e_closed_nq = close_set t (set_diff raw t.quals) }
+      { e_sym = sym; e_key = s; e_raw = raw;
+        e_qual_raw = set_union (set_inter raw t.quals) (set_of_list t (stops_of t unqualified));
+        e_closed = close_set t raw; e_closed_nq = close_nq_set t unqualified }
     in
     let slots =
       if Array.length m.slots = 0 then begin
@@ -458,28 +526,31 @@ let next_unchecked t s sym = (transition t s sym).e_closed
 
 let names t sym = sym lsr 3 < Bytes.length t.named && wmem t.named sym
 
+(* With no test state every [eps_stop] is -1, so the checked closure
+   is the plain one and nothing joins [pending]. *)
 let next t ~checkp s sym =
   let e = transition t s sym in
   if set_is_empty e.e_qual_raw then e.e_closed
   else
     match e.e_qual_raw with
-    | Bits qb ->
-      let acc = ref (match e.e_closed_nq with Bits b -> b | Wide _ -> mismatch ()) in
-      let m = ref qb and i = ref 0 in
-      while !m <> 0 do
-        if !m land 1 <> 0 && checkp !i then acc := !acc lor t.eps_bits.(!i);
-        incr i;
-        m := !m lsr 1
-      done;
-      Bits !acc
-    | Wide qw ->
-      let acc =
-        match e.e_closed_nq with Bits _ -> mismatch () | Wide w -> Bytes.copy w
-      in
-      for i = 0 to t.n - 1 do
-        if wmem qw i && checkp i then wide_blend_into acc t.eps_wide.(i)
-      done;
-      Wide acc
+    | Bits qb -> (
+      match e.e_closed_nq with
+      | Bits nq -> close_checked_bits t ~checkp nq qb
+      | Wide _ -> mismatch ())
+    | Wide qw -> (
+      match e.e_closed_nq with
+      | Bits _ -> mismatch ()
+      | Wide nq -> close_checked_wide t ~checkp nq qw)
+
+let checks_document t = t.eps_stop.(0) >= 0
+
+let start_checked t ~checkp =
+  if not (checks_document t) then t.start
+  else
+    match close_nq_set t (set_of_list t [ 0 ]), set_of_list t [ t.eps_stop.(0) ] with
+    | Bits acc, Bits pending -> close_checked_bits t ~checkp acc pending
+    | Wide acc, Wide pending -> close_checked_wide t ~checkp acc pending
+    | (Bits _ | Wide _), _ -> mismatch ()
 
 let memo_stats t = (t.memo.hits, t.memo.misses)
 let global_memo_stats () = (!g_hits, !g_misses)
@@ -503,7 +574,7 @@ let consistent_at_sym t i sym = t.enter_sym.(i) < 0 || t.enter_sym.(i) = sym
 let consistent_at t i name =
   match t.states.(i).kind with
   | K_label l -> String.equal l name
-  | K_start | K_wild | K_desc -> true
+  | K_start | K_wild | K_desc | K_desc_test -> true
 
 (* ---- sorted-int-list views --------------------------------------------
 
@@ -536,17 +607,25 @@ let next_on_desc t s = set_to_list (next_on_desc_set t (set_of_list t s))
    on random paths and label sequences).  Not used by any engine. *)
 
 module Reference = struct
-  let close_state t i acc =
+  (* [i] and the '//' and test states after it; a test state joins only
+     when [keep] says its qualifier holds, and ends the run otherwise *)
+  let close_state ?(keep = fun _ -> true) t i acc =
     let n = Array.length t.states in
     let rec go j acc =
       let acc = j :: acc in
-      if j + 1 < n && t.states.(j + 1).kind = K_desc then go (j + 1) acc else acc
+      if j + 1 < n then
+        match t.states.(j + 1).kind with
+        | K_desc -> go (j + 1) acc
+        | K_desc_test when keep (j + 1) -> go (j + 1) acc
+        | K_desc_test | K_start | K_label _ | K_wild -> acc
+      else acc
     in
     go i acc
 
   let sort_dedup l = List.sort_uniq compare l
 
-  let closure t set = sort_dedup (List.fold_left (fun acc i -> close_state t i acc) [] set)
+  let closure ?keep t set =
+    sort_dedup (List.fold_left (fun acc i -> close_state ?keep t i acc) [] set)
 
   let start_set t = closure t [ 0 ]
 
@@ -557,16 +636,18 @@ module Reference = struct
         match t.states.(i + 1).kind with
         | K_label l when String.equal l label -> [ i + 1 ]
         | K_wild -> [ i + 1 ]
-        | K_label _ | K_desc | K_start -> []
+        | K_label _ | K_desc | K_desc_test | K_start -> []
       else []
     in
-    match t.states.(i).kind with K_desc -> i :: fwd | K_start | K_label _ | K_wild -> fwd
+    match t.states.(i).kind with
+    | K_desc -> i :: fwd
+    | K_start | K_label _ | K_wild | K_desc_test -> fwd
 
   let next_states t ~checkp set label =
     let plus = List.concat_map (fun i -> targets t i label) set in
     let plus = sort_dedup plus in
     let filtered = List.filter (fun i -> (not (has_qual t i)) || checkp i) plus in
-    closure t filtered
+    closure ~keep:checkp t filtered
 
   let next_states_unchecked t set label =
     closure t (sort_dedup (List.concat_map (fun i -> targets t i label) set))
@@ -581,10 +662,12 @@ module Reference = struct
       if i + 1 < n then
         match t.states.(i + 1).kind with
         | K_label _ | K_wild -> [ i + 1 ]
-        | K_desc | K_start -> []
+        | K_desc | K_desc_test | K_start -> []
       else []
     in
-    match t.states.(i).kind with K_desc -> i :: fwd | K_start | K_label _ | K_wild -> fwd
+    match t.states.(i).kind with
+    | K_desc -> i :: fwd
+    | K_start | K_label _ | K_wild | K_desc_test -> fwd
 
   let next_on_label t set label = next_states_unchecked t set label
 
@@ -604,6 +687,7 @@ let kind_to_string = function
   | K_label l -> l
   | K_wild -> "*"
   | K_desc -> "//"
+  | K_desc_test -> "."
 
 let to_string t =
   let buf = Buffer.create 128 in

@@ -7,6 +7,14 @@ open Xut_xpath
     [(s_0,\[true\])], one state per step, epsilon transitions into ['//']
     states and a ['*'] self-loop on them.
 
+    A qualified ['//'] step ([//.\[q\]]) is two states: the ['//'] state,
+    unqualified, and a test state ({!K_desc_test}) carrying [q], entered by
+    epsilon from it at each node where [q] holds.  The next step leaves
+    from the test state, so [q] is checked at the node that step leaves
+    from (the node where the ['//'] starts included), and a node that fails
+    [q] keeps the ['//'] loop for the nodes below it.  Where the ['//'] starts
+    at the document node, [q] is checked there ({!start_checked}).
+
     State sets are bitsets ({!type:set}): a single immediate [int] when the
     automaton has at most 62 states (the common case — one state per
     normalized step), a [Bytes]-backed bitset above.  Epsilon closures are
@@ -22,7 +30,7 @@ open Xut_xpath
     knows the LQ index of its qualifier, which seeds the needs-propagation
     that stands in for the filtering NFA's qualifier chains (DESIGN.md). *)
 
-type kind = K_start | K_label of string | K_wild | K_desc
+type kind = K_start | K_label of string | K_wild | K_desc | K_desc_test
 
 type t
 
@@ -77,7 +85,18 @@ type set
     different widths). *)
 
 val start : t -> set
-(** Epsilon-closure of the start state. *)
+(** Epsilon-closure of the start state, test states unchecked: the state
+    set at the document node when {!checks_document} is false, and an
+    over-approximation of it otherwise. *)
+
+val checks_document : t -> bool
+(** Whether the start state's closure reaches a test state: the path
+    begins with [//.\[q\]], so [q] is checked at the document node. *)
+
+val start_checked : t -> checkp:(int -> bool) -> set
+(** The state set at the document node: the start state's closure with
+    each test state kept only where [checkp] (evaluated at the document
+    node) holds.  {!start} itself unless {!checks_document}. *)
 
 val set_of_list : t -> int list -> set
 val set_to_list : set -> int list
@@ -106,7 +125,8 @@ val qual_states : t -> set
 val next : t -> checkp:(int -> bool) -> set -> Xut_xml.Sym.t -> set
 (** [nextStates] of Fig. 4 on the bitset representation.  [checkp s] must
     say whether the qualifier of state [s] holds at the node being
-    entered; states whose qualifier fails are dropped before the closure.
+    entered; states whose qualifier fails are dropped before the closure,
+    and the closure enters a test state only where its qualifier holds.
     The qualifier-independent parts of the transition are memoized per
     automaton; a memo hit allocates nothing, so a transition allocates
     only the result set of a step that enters qualifier states. *)

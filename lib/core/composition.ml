@@ -26,7 +26,8 @@ let chunkify (norm : Norm.t) : (chunk list, string) result =
   else begin
     let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | { Norm.nav = Norm.N_desc; quals = _ }
+      | { Norm.nav = Norm.N_desc; quals = _ :: _ } :: _ -> Error "qualified descendant step"
+      | { Norm.nav = Norm.N_desc; quals = [] }
         :: ({ Norm.nav = Norm.N_label _ | Norm.N_wild; _ } as s)
         :: rest ->
         go ({ desc = true; nav = s.Norm.nav; quals = s.Norm.quals } :: acc) rest
@@ -491,7 +492,7 @@ let check_update update =
     else if root_only upath then Error "update can only select the document element"
     else
       let nfa = Selecting_nfa.of_path upath in
-      if Selecting_nfa.ctx_qual nfa <> Ast.Q_true then
+      if Selecting_nfa.ctx_qual nfa <> Ast.Q_true || Selecting_nfa.checks_document nfa then
         Error "context qualifier in the update path"
       else if Selecting_nfa.selects_context nfa then Error "update selects the document element"
       else Ok nfa

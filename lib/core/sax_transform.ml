@@ -81,7 +81,16 @@ module Pass1 = struct
     mutable seq : int;
     mutable depth : int;
     mutable max_depth : int;
+    (* the virtual document node's frame, for a path that begins with
+       [//.[q]]: the qualifiers wanted there ([] for none), its
+       child-seed candidates and what the document element satisfies.
+       Its truths go to seq -1. *)
+    doc_seeds : int list;
+    doc_candidates : int list;
+    doc_csat : bool array;
   }
+
+  let document = "#document"
 
   (* the placeholder in [seeded] at depths no seeded frame reached yet *)
   let unused = { candidates = []; csat = [||]; text = Buffer.create 0; attrs = []; name = ""; at = -1 }
@@ -89,10 +98,15 @@ module Pass1 = struct
   let create ~sskip nfa truth =
     let lq = Selecting_nfa.lq nfa in
     let base = Selecting_nfa.start nfa in
+    let doc_seeds = Annotator.top_quals nfa base in
     { nfa; lq; nlq = Lq.length lq; sskip; truth; base; bottom = 0;
       states = Array.make initial_depth base; seeds = Array.make initial_depth [];
       seeded = Array.make initial_depth unused; skip = 0; schema_mode = false;
-      skipped_subtrees = 0; skipped_elements = 0; seq = -1; depth = 0; max_depth = 0 }
+      skipped_subtrees = 0; skipped_elements = 0; seq = -1; depth = 0; max_depth = 0;
+      doc_seeds;
+      doc_candidates =
+        (if doc_seeds = [] then [] else snd (Annotator.expand lq ~name:document doc_seeds));
+      doc_csat = Array.make (if doc_seeds = [] then 0 else Lq.length lq) false }
 
   (* Room for a frame at depth [d].  Inside a region the first frame
      sits at [bottom], which may be past the arrays' end. *)
@@ -150,9 +164,14 @@ module Pass1 = struct
         let states =
           Selecting_nfa.next_unchecked p.nfa (if d = p.bottom then p.base else p.states.(d - 1)) sym
         in
+        let candidates =
+          if d > p.bottom then if p.seeds.(d - 1) = [] then [] else p.seeded.(d - 1).candidates
+          else if d = 0 then p.doc_candidates
+          else []
+        in
         let kid_seeds =
-          if d = p.bottom || p.seeds.(d - 1) = [] then []
-          else List.filter (fun i -> not (Lq.label_blocked p.lq i name)) p.seeded.(d - 1).candidates
+          if candidates = [] then []
+          else List.filter (fun i -> not (Lq.label_blocked p.lq i name)) candidates
         in
         (* [List.sort_uniq] builds its local closures even for [] *)
         let all_seeds =
@@ -194,16 +213,35 @@ module Pass1 = struct
             Truth.set p.truth f.at i sat.(i))
           (Selecting_nfa.set_inter p.states.(d) (Selecting_nfa.qual_states p.nfa));
         (* a parent without seeds never reads its [csat] *)
-        if d > p.bottom && p.seeds.(d - 1) <> [] then begin
-          let parent = p.seeded.(d - 1).csat in
+        let parent =
+          if d > p.bottom then if p.seeds.(d - 1) <> [] then p.seeded.(d - 1).csat else [||]
+          else if d = 0 then p.doc_csat
+          else [||]
+        in
+        if Array.length parent > 0 then
           for i = 0 to p.nlq - 1 do
             if sat.(i) then parent.(i) <- true
           done
-        end
+    end
+
+  (* The document node's truths, once the document element has ended:
+     no name a step can carry, no attributes and no text of its own. *)
+  let end_document p =
+    if p.doc_seeds <> [] then begin
+      let sat =
+        Lq.eval_at p.lq ~name:document ~attrs:[] ~text:"" ~csat:(Array.get p.doc_csat)
+          ~wanted:p.doc_seeds
+      in
+      Selecting_nfa.set_iter
+        (fun s ->
+          let i = Selecting_nfa.state_lq p.nfa s in
+          Truth.set p.truth (-1) i sat.(i))
+        (Selecting_nfa.set_inter p.base (Selecting_nfa.qual_states p.nfa))
     end
 
   let handle p = function
-    | Sax.Start_document | Sax.End_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
+    | Sax.End_document -> end_document p
+    | Sax.Start_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
     | Sax.Start_element (name, attrs) -> start p name attrs
     | Sax.Characters t ->
       let d = p.depth - 1 in
@@ -222,6 +260,8 @@ module Pass2 = struct
     truth : Truth.t;
     sink : Sax.event -> unit;
     root_matched : bool;
+    (* the states at the document node *)
+    start : Selecting_nfa.set;
     (* qualifier checks at the start-tag numbered [seq]; built once *)
     checkp : int -> bool;
     (* the frame at depth [d], in slot [d] of each array: its filtered
@@ -242,10 +282,15 @@ module Pass2 = struct
     mutable produced_root : bool;
   }
 
+  (* [truth] holds the document node's truths, if the path tests it,
+     before the pass starts. *)
   let create ~sskip nfa update truth sink =
-    let start = Selecting_nfa.start nfa in
+    let start =
+      Selecting_nfa.start_checked nfa ~checkp:(fun s ->
+          Truth.get truth (-1) (Selecting_nfa.state_lq nfa s))
+    in
     let rec p =
-      { nfa; update; sskip; truth; sink; root_matched = Selecting_nfa.selects_context nfa;
+      { nfa; update; sskip; truth; sink; root_matched = Selecting_nfa.selects_context nfa; start;
         checkp = (fun s -> Truth.get p.truth p.seq (Selecting_nfa.state_lq p.nfa s));
         fstates = Array.make initial_depth start; out_names = Array.make initial_depth "";
         matched = Array.make initial_depth false; skip = 0; verbatim = 0;
@@ -258,7 +303,7 @@ module Pass2 = struct
      verbatim: the next start-tag runs a transition. *)
   let walking p = p.skip = 0 && p.verbatim = 0
 
-  let states p = if p.depth = 0 then Selecting_nfa.start p.nfa else p.fstates.(p.depth - 1)
+  let states p = if p.depth = 0 then p.start else p.fstates.(p.depth - 1)
 
   let push p fstates out_name matched =
     let d = p.depth in
@@ -527,9 +572,12 @@ let drive ~skip nfa update ~source ~sink =
     parses;
   }
 
+(* A path that begins with [//.[q]] tests the document node, whose truth
+   is known only at the end of the input: {!run}'s two reads. *)
 let run_buffered ?(skip = fun _ -> false) nfa update ~source ~sink =
   check_ctx_qual nfa;
-  drive ~skip nfa update ~source ~sink
+  if Selecting_nfa.checks_document nfa then run ~skip nfa update ~source ~sink
+  else drive ~skip nfa update ~source ~sink
 
 (* A plan is one-pass streamable iff the top-down run never needs the
    bottom-up truth table: no context qualifier and no qualifier-bearing

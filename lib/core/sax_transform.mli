@@ -95,8 +95,10 @@ val run_buffered :
     to the end of the input, and a second read skips to the region's
     first element and resumes pass 2 there ([parses = 2]).  Output
     already written stays valid; no run reads the source more than
-    twice.  [skip] is as for {!run}; [skipped_*] count the subtrees
-    pass 2 copied verbatim.
+    twice.  A path that begins with [//.\[q\]] checks [q] at the document
+    node, known only at the end of the input, and runs as {!run}.
+    [skip] is as for {!run}; [skipped_*] count the subtrees pass 2
+    copied verbatim.
     @raise Unsupported_streaming for a context qualifier.
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)

@@ -36,12 +36,20 @@ let apply update root =
   let ids = Eval.node_set_ids selected in
   rebuild ~mem:(fun e -> Hashtbl.mem ids (Node.id e)) update root
 
+(* The virtual document node the reference evaluates paths from. *)
+let document root = Node.element "#document" [ Node.Element root ]
+
 let ctx_holds nfa root =
   match Xut_automata.Selecting_nfa.ctx_qual nfa with
   | Ast.Q_true -> true
-  | q ->
-    let doc = Node.element "#document" [ Node.Element root ] in
-    Eval.check_qual doc q
+  | q -> Eval.check_qual (document root) q
+
+let start nfa root =
+  let module Nfa = Xut_automata.Selecting_nfa in
+  if not (Nfa.checks_document nfa) then Nfa.start nfa
+  else
+    let doc = document root in
+    Nfa.start_checked nfa ~checkp:(fun s -> Eval.check_qual doc (Nfa.state_qual nfa s))
 
 let apply_at_root update root =
   document_element (apply_matched update root ~kids:(Node.children root))

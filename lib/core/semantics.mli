@@ -29,5 +29,10 @@ val ctx_holds : Xut_automata.Selecting_nfa.t -> Node.element -> bool
 (** Do the context qualifiers of the embedded path hold at the virtual
     document node? *)
 
+val start : Xut_automata.Selecting_nfa.t -> Node.element -> Xut_automata.Selecting_nfa.set
+(** The state set at the virtual document node over [root]: the start
+    state's closure, with the qualifier of a leading [//.\[q\]] step
+    evaluated at the document node directly. *)
+
 val apply_at_root : Transform_ast.update -> Node.element -> Node.element
 (** Apply the update to the document element itself (the [p = '.'] case). *)

@@ -86,7 +86,7 @@ let run ?checkp ?skip nfa update root =
   else if Selecting_nfa.selects_context nfa then Semantics.apply_at_root update root
   else begin
     let go, _ = make_go ~checkp ?skip nfa update in
-    match go root (Selecting_nfa.start nfa) with
+    match go root (Semantics.start nfa root) with
     | Same -> root
     | Changed out -> Semantics.document_element out
   end
@@ -168,7 +168,7 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
     Stats.visit ();
     let states' =
       Selecting_nfa.next nfa ~checkp:(fun s -> checkp s root)
-        (Selecting_nfa.start nfa) (Node.sym root)
+        (Semantics.start nfa root) (Node.sym root)
     in
     if Selecting_nfa.set_is_empty states' then begin
       Stats.share ();

@@ -39,18 +39,24 @@ let attrs_expr = function
   | Direct -> Xq_ast.AttrPath (Xq_ast.Var "n", [], "*")
   | Annotated -> Xq_ast.Call ("xut:attrs-except", [ Xq_ast.Var "n"; Xq_ast.Str sat_attr ])
 
+let followed_by_test nfa i =
+  i + 1 < Selecting_nfa.size nfa && Selecting_nfa.kind nfa (i + 1) = Selecting_nfa.K_desc_test
+
 (* The states contributed when entering state [t]: t plus its epsilon
-   closure, guarded by t's qualifier when non-trivial. *)
-let enter mode nfa t =
-  let closure =
-    let rec go i acc =
-      if i + 1 < Selecting_nfa.size nfa && Selecting_nfa.kind nfa (i + 1) = Selecting_nfa.K_desc
-      then go (i + 1) (acc @ [ i + 1 ])
-      else acc
-    in
-    go t [ t ]
+   closure, guarded by t's qualifier when non-trivial.  A test state that
+   ends the run of '//' states is entered in turn, under its own
+   qualifier. *)
+let rec enter mode nfa t =
+  let rec go i acc =
+    if i + 1 < Selecting_nfa.size nfa && Selecting_nfa.kind nfa (i + 1) = Selecting_nfa.K_desc
+    then go (i + 1) (acc @ [ i + 1 ])
+    else (acc, i)
   in
+  let closure, last = go t [ t ] in
   let states = state_seq closure in
+  let states =
+    if followed_by_test nfa last then Xq_ast.Seq [ states; enter mode nfa (last + 1) ] else states
+  in
   if Selecting_nfa.has_qual nfa t then Xq_ast.If (state_check mode nfa t, states, Xq_ast.Empty)
   else states
 
@@ -69,11 +75,14 @@ let arm mode nfa i =
              Xq_ast.Empty )
          :: !parts
      | Selecting_nfa.K_wild -> parts := enter mode nfa (i + 1) :: !parts
-     | Selecting_nfa.K_desc | Selecting_nfa.K_start -> ());
-  (* '//' self-loop *)
+     | Selecting_nfa.K_desc | Selecting_nfa.K_desc_test | Selecting_nfa.K_start -> ());
+  (* '//' self-loop, which re-enters a test state after it *)
   (match Selecting_nfa.kind nfa i with
-  | Selecting_nfa.K_desc -> parts := num i :: !parts
-  | Selecting_nfa.K_start | Selecting_nfa.K_label _ | Selecting_nfa.K_wild -> ());
+  | Selecting_nfa.K_desc ->
+    parts := (if followed_by_test nfa i then enter mode nfa i else num i) :: !parts
+  | Selecting_nfa.K_start | Selecting_nfa.K_label _ | Selecting_nfa.K_wild
+  | Selecting_nfa.K_desc_test ->
+    ());
   match !parts with [] -> Xq_ast.Empty | [ e ] -> e | es -> Xq_ast.Seq es
 
 (* local:next($states, $n): the delta function as an if-chain over $s. *)
@@ -216,7 +225,7 @@ let nfa_of (q : Transform_ast.t) =
   if path = [] then
     invalid_arg "Xquery_compile: the empty path (p = '.') has no automaton to compile";
   let nfa = Selecting_nfa.of_path path in
-  if Selecting_nfa.ctx_qual nfa <> Ast.Q_true then
+  if Selecting_nfa.ctx_qual nfa <> Ast.Q_true || Selecting_nfa.checks_document nfa then
     invalid_arg "Xquery_compile: context qualifiers are not supported";
   nfa
 

@@ -1,5 +1,4 @@
 open Xut_xml
-open Xut_xpath
 open Xut_automata
 
 exception Invalid of string
@@ -24,32 +23,13 @@ let op_of_update = function
    [mark] receives the id of each element with a target strictly below
    it, so marking allocates nothing per node: the walk allocates per
    target, per marked ancestor, and when the transition it reuses
-   changes.
-
-   A [//] step carrying qualifiers ([//.[q]]) is the one shape where the
-   automaton and the reference semantics disagree: the automaton makes
-   [q] a condition on staying in the [//] state (untested where the [//]
-   starts, and cutting the descent below a node that fails it), the
-   reference tests it only at the node the next step leaves from.  For
-   it the targets come from [Eval.select_doc], and the walk runs on the
-   qualifier-free automaton, whose runs reach a superset of them, only
-   to mark. *)
+   changes. *)
 let select ?(mark = ignore) path root =
   let nfa = Selecting_nfa.of_path path in
-  let qualified_desc =
-    List.exists
-      (fun i -> Selecting_nfa.kind nfa i = Selecting_nfa.K_desc && Selecting_nfa.has_qual nfa i)
-      (List.init (Selecting_nfa.size nfa) Fun.id)
-  in
   if not (Core.Semantics.ctx_holds nfa root) then []
   else if Selecting_nfa.selects_context nfa then [ root ]
   else begin
-    let reference =
-      if qualified_desc then Some (Eval.node_set_ids (Eval.select_doc root path)) else None
-    in
-    let unchecked =
-      qualified_desc || Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa)
-    in
+    let unchecked = Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa) in
     let targets = ref [] and visits = ref 0 in
     (* the last transition on a symbol no step names: under a [//] step,
        where most elements carry such names, it repeats node after node *)
@@ -75,11 +55,7 @@ let select ?(mark = ignore) path root =
       in
       (not (Selecting_nfa.set_is_empty states'))
       &&
-      let here =
-        match reference with
-        | None -> Selecting_nfa.accepts_set nfa states'
-        | Some ids -> Hashtbl.mem ids (Node.id e)
-      in
+      let here = Selecting_nfa.accepts_set nfa states' in
       if here then targets := e :: !targets;
       let below = kids states' false (Node.children e) in
       if below then mark (Node.id e);
@@ -91,7 +67,7 @@ let select ?(mark = ignore) path root =
         kids states (f || found) rest
       | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids states found rest
     in
-    ignore (go (Selecting_nfa.start nfa) root);
+    ignore (go (Core.Semantics.start nfa root) root);
     Core.Stats.visits !visits;
     List.rev !targets
   end

@@ -53,8 +53,7 @@ val select : ?mark:(int -> unit) -> Xut_xpath.Ast.path -> Node.element -> Node.e
     empty.  [mark] is called once with the id of each element that has
     a selected node strictly below it.  Marking allocates nothing per
     element, and the walk counts one {!Core.Stats.visit} per element it
-    enters.  A path with a qualified [//] step ([//.[q]]) takes its
-    targets from [Eval.select_doc] and walks only to mark. *)
+    enters. *)
 
 val stage : Core.Transform_ast.update list -> Node.element -> report * Pending.normalized
 (** Resolve every update with {!select} against the one snapshot (the

@@ -1,60 +1,109 @@
 type t = {
-  refill : bytes -> int;  (* fill the buffer, return the byte count; 0 = eof *)
-  buf : bytes;
-  mutable len : int;   (* valid bytes in [buf] *)
-  mutable pos : int;   (* cursor within [buf] *)
+  mutable buf : bytes;
+  mutable len : int;
+  mutable pos : int;
+  (* Positions are computed lazily: the newlines of consumed bytes are
+     counted once, when [refill] discards them; the live window is
+     scanned on demand. *)
+  mutable retired : int;
+  mutable retired_lines : int;
+  mutable retired_bol : int;
   mutable finished : bool;
-  (* Positions are computed lazily: a chunk's newlines are counted once,
-     when it is retired at refill; the live window is scanned on demand. *)
-  mutable retired : int;        (* bytes of the chunks before [buf] *)
-  mutable retired_lines : int;  (* newlines in those chunks *)
-  mutable retired_bol : int;    (* offset just past their last newline *)
+  chunk : int;
+  read : bytes -> int -> int -> int;  (* [read buf off n]: bytes read, 0 = eof *)
 }
 
 let default_chunk = 65536
 
-let make refill chunk_size =
-  {
-    refill;
-    buf = Bytes.create chunk_size;
-    len = 0;
-    pos = 0;
-    finished = false;
-    retired = 0;
-    retired_lines = 0;
-    retired_bol = 0;
-  }
+let make read buf =
+  { buf; len = 0; pos = 0; retired = 0; retired_lines = 0; retired_bol = 0; finished = false;
+    chunk = Bytes.length buf; read }
 
 let of_string s =
   let offset = ref 0 in
-  let refill buf =
-    let n = min (String.length s - !offset) (Bytes.length buf) in
-    Bytes.blit_string s !offset buf 0 n;
+  let read buf off n =
+    let n = min (String.length s - !offset) n in
+    Bytes.blit_string s !offset buf off n;
     offset := !offset + n;
     n
   in
-  make refill (min default_chunk (max 16 (String.length s)))
+  make read (Bytes.create (min default_chunk (max 16 (String.length s))))
 
-let of_channel ?(chunk_size = default_chunk) ic =
-  make (fun buf -> input ic buf 0 (Bytes.length buf)) chunk_size
+let channel_read ic buf off n = input ic buf off n
 
-let retire t =
-  for i = 0 to t.len - 1 do
-    if Bytes.unsafe_get t.buf i = '\n' then begin
-      t.retired_lines <- t.retired_lines + 1;
-      t.retired_bol <- t.retired + i + 1
-    end
+let of_channel ?(chunk_size = default_chunk) ic = make (channel_read ic) (Bytes.create chunk_size)
+
+(* Windows for [with_channel], reused across parses so a file ingest does
+   not put a fresh 64 KiB block on the major heap.  A window that grew
+   past its chunk is left to the GC; the one taken goes back. *)
+let pool = Free_list.create ~max:8 (fun () -> Bytes.create default_chunk)
+
+let with_channel ic f =
+  let b = Free_list.acquire pool in
+  match f (make (channel_read ic) b) with
+  | v ->
+    Free_list.release pool b;
+    v
+  | exception e ->
+    Free_list.release pool b;
+    raise e
+
+let pool_stats () = Free_list.stats pool
+
+(* Newlines in [b.[0 .. n-1]], eight bytes at a time: a byte of
+   [x = w lxor 0x0a..] is zero exactly at a newline; [zeros] has the top
+   bit of exactly those bytes set (adding 0x7f to the low seven bits
+   carries into the top bit unless they are all zero, and no byte
+   carries into the next), and the multiply sums the flags into the top
+   byte. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+let newlines b n =
+  let c = ref 0 and i = ref 0 in
+  while !i + 8 <= n do
+    let x = Int64.logxor (get64u b !i) 0x0a0a0a0a0a0a0a0aL in
+    let low = Int64.add (Int64.logand x 0x7f7f7f7f7f7f7f7fL) 0x7f7f7f7f7f7f7f7fL in
+    let zeros = Int64.logand (Int64.lognot (Int64.logor low x)) 0x8080808080808080L in
+    let flags = Int64.shift_right_logical zeros 7 in
+    c := !c + Int64.to_int (Int64.shift_right_logical (Int64.mul flags 0x0101010101010101L) 56);
+    i := !i + 8
   done;
-  t.retired <- t.retired + t.len
+  for j = !i to n - 1 do
+    if Bytes.unsafe_get b j = '\n' then incr c
+  done;
+  !c
 
-let fill t =
-  if (not t.finished) && t.pos >= t.len then begin
-    retire t;
-    let n = t.refill t.buf in
-    t.len <- n;
-    t.pos <- 0;
-    if n = 0 then t.finished <- true
+(* Discard [buf.[0 .. n-1]], counting its newlines. *)
+let retire t n =
+  let lines = newlines t.buf n in
+  if lines > 0 then begin
+    t.retired_lines <- t.retired_lines + lines;
+    let rec last i = if Bytes.unsafe_get t.buf i = '\n' then i else last (i - 1) in
+    t.retired_bol <- t.retired + last (n - 1) + 1
+  end;
+  t.retired <- t.retired + n
+
+let refill t keep =
+  if keep < 0 || keep > t.len then invalid_arg "Reader.refill";
+  retire t keep;
+  let rest = t.len - keep in
+  if keep > 0 && rest > 0 then Bytes.blit t.buf keep t.buf 0 rest;
+  t.len <- rest;
+  t.pos <- max 0 (t.pos - keep);
+  if t.finished then false
+  else begin
+    if rest = Bytes.length t.buf then begin
+      let grown = Bytes.create (2 * max 1 rest) in
+      Bytes.blit t.buf 0 grown 0 rest;
+      t.buf <- grown
+    end;
+    let n = t.read t.buf rest (min t.chunk (Bytes.length t.buf - rest)) in
+    t.len <- rest + n;
+    if n = 0 then t.finished <- true;
+    n > 0
   end
+
+let fill t = if t.pos >= t.len then ignore (refill t t.pos)
 
 let peek t =
   if t.pos < t.len then Bytes.unsafe_get t.buf t.pos
@@ -82,20 +131,11 @@ let next t =
   advance t;
   c
 
-let window t = t.buf
-let pos t = t.pos
-let limit t = t.len
-
 let set_pos t p =
-  if p < t.pos || p > t.len then invalid_arg "Reader.set_pos";
+  if p < 0 || p > t.len then invalid_arg "Reader.set_pos";
   t.pos <- p
 
-let line t =
-  let n = ref t.retired_lines in
-  for i = 0 to t.pos - 1 do
-    if Bytes.unsafe_get t.buf i = '\n' then incr n
-  done;
-  !n + 1
+let line t = t.retired_lines + newlines t.buf t.pos + 1
 
 let col t =
   let rec last_nl i = if i < 0 || Bytes.unsafe_get t.buf i = '\n' then i else last_nl (i - 1) in
@@ -103,4 +143,3 @@ let col t =
   | -1 -> t.retired + t.pos - t.retired_bol + 1
   | i -> t.pos - i
 
-let bytes_read t = t.retired + t.pos

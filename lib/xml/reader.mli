@@ -1,48 +1,85 @@
 (** Chunked character input for the streaming parser.
 
-    A reader pulls fixed-size chunks from its source on demand, so
-    parsing a document keeps O(chunk + current token) bytes in memory —
-    the property the Section 6 algorithm's working-set claim rests on.
+    A reader pulls fixed-size chunks from its source on demand into a
+    window, so parsing a document keeps O(chunk + current token) bytes in
+    memory — the property the Section 6 algorithm's working-set claim
+    rests on.
 
-    Line and column are not tracked per character: each chunk's newlines
-    are counted once when the chunk is retired at refill, and {!line} /
-    {!col} scan the live window up to the cursor when asked (the parser
-    asks only when it raises an error). *)
+    {2 The window}
 
-type t
+    The unread input is [buf] from [pos] (inclusive) to [len]
+    (exclusive).  A scanner reads the window in place with a cursor of
+    its own and calls {!refill} only when a token runs into [len]: the
+    bytes before the offset it names are consumed, the bytes from that
+    offset on (the unfinished token) move to the front of the window, and
+    the next chunk is read behind them.  So a token that crosses a
+    refill is whole in the next window, and one lexing path serves every
+    chunk size.  A token longer than the window doubles it; a scanner
+    that must not hold a token (a text run, an attribute value) keeps
+    nothing and carries the part it has seen in a buffer of its own.
+
+    {2 Positions}
+
+    Line and column are not tracked per character: when {!refill}
+    discards consumed bytes it counts their newlines, a word at a time,
+    and {!line} / {!col} scan the live window up to the cursor when asked
+    (the parser asks only when it raises an error).
+
+    The fields are read-only outside this module; {!refill} and the
+    cursor functions below are the only ways to move them. *)
+
+type t = private {
+  mutable buf : bytes;  (** the window *)
+  mutable len : int;  (** valid bytes in [buf] *)
+  mutable pos : int;  (** the cursor of {!peek} / {!advance}, and of {!line} / {!col} *)
+  mutable retired : int;  (** input bytes discarded before [buf.[0]] *)
+  mutable retired_lines : int;  (** newlines in those bytes *)
+  mutable retired_bol : int;  (** input offset just past their last newline *)
+  mutable finished : bool;  (** the source is exhausted *)
+  chunk : int;  (** the most a single read asks the source for *)
+  read : bytes -> int -> int -> int;
+}
 
 val of_string : string -> t
+
 val of_channel : ?chunk_size:int -> in_channel -> t
+(** A reader with a fresh window of [chunk_size] bytes (64 KiB by
+    default). *)
+
+val with_channel : in_channel -> (t -> 'a) -> 'a
+(** [with_channel ic f] runs [f] on a reader over [ic] whose 64 KiB
+    window comes from a bounded, domain-safe pool, and returns the
+    window to the pool when [f] returns or raises.  The reader must not
+    be used after [f] returns. *)
+
+val pool_stats : unit -> int * int
+(** [(hits, misses)] of the window pool, process-wide. *)
+
+val refill : t -> int -> bool
+(** [refill t keep]: the bytes before offset [keep] are consumed.  They
+    are discarded, [buf.[keep .. len-1]] moves to the front of the
+    window (so every offset at or past [keep] decreases by [keep], the
+    cursor [pos] included, clamped at 0), and the next chunk is read
+    behind it, doubling the window first if the kept bytes fill it.
+    Returns whether any byte was read; [false] means end of input (the
+    move still happens).
+    @raise Invalid_argument unless [0 <= keep <= len]. *)
 
 val peek : t -> char
-(** The next character, ['\000'] at end of input (the parser rejects
-    NUL bytes in the input, so the sentinel is unambiguous to it). *)
+(** The character at the cursor, ['\000'] at end of input (the parser
+    rejects NUL bytes in the input, so the sentinel is unambiguous to
+    it). *)
 
 val advance : t -> unit
 val next : t -> char
 
 val eof : t -> bool
 
-(** {2 The buffer window}
-
-    The unread bytes of the current chunk are [window t] between
-    [pos t] (inclusive) and [limit t] (exclusive).  A scanner may read
-    them in place and then move the cursor forward with {!set_pos}.  The
-    window is refilled only by {!peek}, {!advance}, {!next} or {!eof}
-    once it is empty, so its bytes stay valid until then.  A token that
-    runs into [limit t] may continue in the next chunk. *)
-
-val window : t -> bytes
-val pos : t -> int
-val limit : t -> int
-
 val set_pos : t -> int -> unit
-(** Move the cursor to an offset in [pos t .. limit t].
+(** Move the cursor to an offset in [0 .. len].
     @raise Invalid_argument otherwise. *)
 
 val line : t -> int
 val col : t -> int
 (** 1-based position of the cursor; O(chunk) per call. *)
 
-val bytes_read : t -> int
-(** Total characters consumed so far. *)

@@ -11,34 +11,50 @@ exception Parse_error of { line : int; col : int; msg : string }
 
 let equal_event (a : event) (b : event) = a = b
 
-(* The parser pulls characters from a chunked {!Reader}, so its memory is
-   O(chunk + current token) — documents never need to fit in memory.
+(* The parser lexes in place in the reader's window: one loop ([content])
+   dispatches on the byte at its cursor, and each start tag, attribute,
+   text run, reference and end tag is scanned by a top-level function that
+   takes the cursor as an argument and returns the one past the token, so
+   the lexer's cursor never lives in the reader and the lexer runs no
+   closure of its own per token.
+   The reader is touched only at a refill.
 
-   Lexing scans the reader's buffer window in place: text runs, attribute
-   values and whitespace are consumed a window at a time, and names are
-   taken straight from the window when they end inside it.  A name that
-   runs into the window's limit may continue in the next chunk, so it is
-   re-read from its start by the per-character code ([read_name] over
-   [Reader.peek]/[advance]), which crosses refills by construction.
-   References, comments, PIs, CDATA and DOCTYPE stay per-character.
+   A token that runs into the window's limit is finished by refilling
+   with [Reader.refill r keep], where [keep] is the token's first offset:
+   the reader moves the token's unread tail to the front of the next
+   window, so a name is always whole in one window (every offset moves
+   down by [keep]; a scan keeps an absolute position, [r.retired + off],
+   when it needs an offset from before the refill).  Text runs and
+   attribute values keep nothing: the part seen so far goes to a
+   [Buffer] and the scan resumes in the next window.  Comments, PIs,
+   CDATA and DOCTYPE are read a character at a time through
+   [Reader.peek]/[advance] from [r.pos].
+
+   Errors report the line and column of a window offset: the reader
+   counts the newlines of each window as it discards it and scans the
+   live window up to the offset only when an error is raised.
 
    A parse allocates its events and their strings, nothing else per
    element: known names are interned without a copy, and the open tags
    sit in an array that doubles when full. *)
 
-let error r msg = raise (Parse_error { line = Reader.line r; col = Reader.col r; msg })
+type st = {
+  r : Reader.t;
+  handler : event -> unit;
+  keep_ws : bool;
+  mutable tags : string array;  (* the open elements, innermost at [depth - 1] *)
+  mutable depth : int;
+  text : Buffer.t;  (* a text run that crossed a refill or holds a reference *)
+  vbuf : Buffer.t;  (* the same for an attribute value *)
+  mutable attrs : (string * string) list;  (* the open start tag's, reversed *)
+  mutable value : string;  (* the attribute value just read *)
+}
 
-(* An error reported at a token that began [back] bytes before the cursor,
-   on the cursor's line. *)
-let error_back r back msg =
-  raise (Parse_error { line = Reader.line r; col = Reader.col r - back; msg })
+let error_at r i msg =
+  Reader.set_pos r i;
+  raise (Parse_error { line = Reader.line r; col = Reader.col r; msg })
 
-let expect r c =
-  let got = Reader.peek r in
-  if got <> c then error r (Printf.sprintf "expected %C, found %C" c got);
-  Reader.advance r
-
-let expect_string r s = String.iter (fun c -> expect r c) s
+let error r msg = error_at r r.Reader.pos msg
 
 let[@inline] is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
@@ -65,73 +81,58 @@ let rec value_end b i n quote =
     if c = quote || c = '&' || c = '\000' then i else value_end b (i + 1) n quote
   else i
 
-let rec skip_ws r =
-  let n = Reader.limit r in
-  let i = ws_end (Reader.window r) (Reader.pos r) n in
-  Reader.set_pos r i;
-  if i = n && not (Reader.eof r) then skip_ws r
+let rec ref_end b i n =
+  if i < n && (is_name_char (Bytes.unsafe_get b i) || Bytes.unsafe_get b i = '#') then
+    ref_end b (i + 1) n
+  else i
 
-let read_name r =
-  if not (is_name_start (Reader.peek r)) then error r "expected a name";
-  let buf = Buffer.create 16 in
-  while (not (Reader.eof r)) && is_name_char (Reader.peek r) do
-    Buffer.add_char buf (Reader.next r)
-  done;
-  Buffer.contents buf
-
-(* End offset of a name starting at the cursor and ending inside the
-   window, or -1 when it does not begin with a name-start character or runs
-   into the window's limit. *)
-let window_name r =
-  let b = Reader.window r and p = Reader.pos r and n = Reader.limit r in
-  if p < n && is_name_start (Bytes.unsafe_get b p) then
-    let i = name_end b (p + 1) n in
-    if i < n then i else -1
-  else -1
-
-(* Element names are interned from the window: a known name allocates
-   nothing and every event carries the shared interned string.  Interning
-   also warms the table for the consumers that run automata over the
-   events and intern again. *)
-let read_element_name r =
-  match window_name r with
-  | -1 -> Sym.name (Sym.intern (read_name r))
-  | i ->
-    let p = Reader.pos r in
-    Reader.set_pos r i;
-    Sym.intern_sub (Reader.window r) p (i - p)
-
-(* Attribute names are copied, not interned: input can bring an
-   unbounded set of them. *)
-let read_attr_name r =
-  match window_name r with
-  | -1 -> read_name r
-  | i ->
-    let p = Reader.pos r in
-    Reader.set_pos r i;
-    Bytes.sub_string (Reader.window r) p (i - p)
-
-let utf8_encode code =
-  if code < 0x80 then String.make 1 (Char.chr code)
+(* [i], moved by the refills that make a byte available at it (keeping
+   the window from [keep]); [i = r.len] on return only at end of input. *)
+let[@inline] avail (r : Reader.t) keep i =
+  if i < r.len then i
   else begin
-    let b = Buffer.create 4 in
-    if code < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else if code < 0x10000 then begin
-      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end;
-    Buffer.contents b
+    ignore (Reader.refill r keep);
+    i - keep
   end
+
+(* The byte at [i], or '\000' past the window. *)
+let[@inline] byte_at (r : Reader.t) i = if i < r.len then Bytes.unsafe_get r.buf i else '\000'
+
+(* The end of a name (or of a reference's run of name characters and
+   '#', with [in_ref]) scanned from [j], whose first byte is at [keep]:
+   the window is refilled, keeping the token, until the token ends inside
+   it or the input ends. *)
+let rec token_end ~in_ref (r : Reader.t) keep j =
+  let e = if in_ref then ref_end r.buf j r.len else name_end r.buf j r.len in
+  if e < r.len then e
+  else if Reader.refill r keep then token_end ~in_ref r 0 (e - keep)
+  else e - keep
+
+let rec skip_ws_slow (r : Reader.t) i =
+  let e = ws_end r.buf i r.len in
+  if e < r.len then e else if Reader.refill r e then skip_ws_slow r 0 else 0
+
+let[@inline] skip_ws (r : Reader.t) i =
+  if i < r.len && not (is_ws (Bytes.unsafe_get r.buf i)) then i else skip_ws_slow r i
+
+let expect_slow r i c =
+  let i = avail r i i in
+  let got = byte_at r i in
+  if got <> c then error_at r i (Printf.sprintf "expected %C, found %C" c got);
+  i + 1
+
+(* Check that the byte at [i] is [c]; the offset past it. *)
+let[@inline] expect_at (r : Reader.t) i c =
+  if i < r.len && Bytes.unsafe_get r.buf i = c then i + 1 else expect_slow r i c
+
+(* The end of the name that must start at [i] ("expected a name" there
+   otherwise).  The caller finds its start from the absolute position
+   [r.retired + i] taken before the call. *)
+let name_from (r : Reader.t) i =
+  let i = avail r i i in
+  if not (is_name_start (byte_at r i)) then error_at r i "expected a name";
+  let e = name_end r.buf (i + 1) r.len in
+  if e < r.len then e else token_end ~in_ref:false r i e
 
 let digit_value ~hex = function
   | '0' .. '9' as c -> Char.code c - Char.code '0'
@@ -139,107 +140,62 @@ let digit_value ~hex = function
   | 'A' .. 'F' as c when hex -> Char.code c - Char.code 'A' + 10
   | _ -> -1
 
-(* Entity and character references, starting at the '&'.  A character
+(* An entity or character reference starting at the '&' at [s], decoded
+   into [buf]; the offset past its ';'.  The reference (its run of name
+   characters and '#') is first made whole in the window.  A character
    reference must name a Unicode scalar value other than U+0000; its
    value is checked digit by digit, so a long run of digits stops at the
    first one past U+10FFFF.  Those errors point at the '&'. *)
-let read_reference r =
-  let start = Reader.bytes_read r in
-  expect r '&';
-  if Reader.peek r = '#' then begin
-    Reader.advance r;
-    let hex = Reader.peek r = 'x' in
-    if hex then Reader.advance r;
+let reference r buf s =
+  let a = r.Reader.retired + s in
+  ignore (token_end ~in_ref:true r s (s + 1));
+  let s = a - r.retired in
+  let k = s + 1 in
+  if byte_at r k = '#' then begin
+    let hex = byte_at r (k + 1) = 'x' in
+    let k = ref (if hex then k + 2 else k + 1) in
     let base = if hex then 16 else 10 in
-    let invalid msg = error_back r (Reader.bytes_read r - start) msg in
     let code = ref 0 and ndigits = ref 0 in
-    let d = ref (digit_value ~hex (Reader.peek r)) in
+    let d = ref (digit_value ~hex (byte_at r !k)) in
     while !d >= 0 do
-      Reader.advance r;
+      incr k;
       code := (!code * base) + !d;
       incr ndigits;
-      if !code > 0x10FFFF then invalid "character reference out of range";
-      d := digit_value ~hex (Reader.peek r)
+      if !code > 0x10FFFF then error_at r s "character reference out of range";
+      d := digit_value ~hex (byte_at r !k)
     done;
-    if !ndigits = 0 then error r "empty character reference";
-    expect r ';';
-    if !code = 0 then invalid "character reference to U+0000"
-    else if !code >= 0xD800 && !code <= 0xDFFF then invalid "character reference to a surrogate"
-    else utf8_encode !code
+    if !ndigits = 0 then error_at r !k "empty character reference";
+    let k = expect_at r !k ';' in
+    if !code = 0 then error_at r s "character reference to U+0000"
+    else if !code >= 0xD800 && !code <= 0xDFFF then
+      error_at r s "character reference to a surrogate";
+    Buffer.add_utf_8_uchar buf (Uchar.of_int !code);
+    k
   end
   else begin
-    let name = read_name r in
-    expect r ';';
-    match name with
-    | "amp" -> "&"
-    | "lt" -> "<"
-    | "gt" -> ">"
-    | "quot" -> "\""
-    | "apos" -> "'"
-    | other -> error r (Printf.sprintf "unknown entity &%s;" other)
+    if not (is_name_start (byte_at r k)) then error_at r k "expected a name";
+    let e = name_end r.buf (k + 1) r.len in
+    let name = Bytes.sub_string r.buf k (e - k) in
+    let e = expect_at r e ';' in
+    Buffer.add_char buf
+      (match name with
+      | "amp" -> '&'
+      | "lt" -> '<'
+      | "gt" -> '>'
+      | "quot" -> '"'
+      | "apos" -> '\''
+      | other -> error_at r e (Printf.sprintf "unknown entity &%s;" other));
+    e
   end
 
-(* The rest of an attribute value, its opening quote consumed, assembled
-   in [vbuf] a window at a time.  A value that ends inside the window it
-   starts in, with no reference, is copied once from the window. *)
-let rec read_value_rest r vbuf quote =
-  let b = Reader.window r and p = Reader.pos r and n = Reader.limit r in
-  let i = value_end b p n quote in
-  Reader.set_pos r i;
-  if i < n && Bytes.unsafe_get b i = quote then begin
-    Reader.advance r;
-    if Buffer.length vbuf = 0 then Bytes.sub_string b p (i - p)
-    else begin
-      Buffer.add_subbytes vbuf b p (i - p);
-      Buffer.contents vbuf
-    end
-  end
-  else begin
-    Buffer.add_subbytes vbuf b p (i - p);
-    if i < n then begin
-      if Bytes.unsafe_get b i = '\000' then error r "NUL byte in attribute value";
-      Buffer.add_string vbuf (read_reference r);
-      read_value_rest r vbuf quote
-    end
-    else if Reader.eof r then error r "unterminated attribute value"
-    else read_value_rest r vbuf quote
-  end
+(* ---- the per-character paths: comments, PIs, CDATA, DOCTYPE ---- *)
 
-let read_attr_value r vbuf =
-  let quote = Reader.peek r in
-  if quote <> '"' && quote <> '\'' then error r "expected attribute value";
-  Reader.advance r;
-  Buffer.clear vbuf;
-  read_value_rest r vbuf quote
+let expect r c =
+  let got = Reader.peek r in
+  if got <> c then error r (Printf.sprintf "expected %C, found %C" c got);
+  Reader.advance r
 
-let rec read_attributes r vbuf acc =
-  skip_ws r;
-  if is_name_start (Reader.peek r) then begin
-    let k = read_attr_name r in
-    skip_ws r;
-    expect r '=';
-    skip_ws r;
-    let v = read_attr_value r vbuf in
-    read_attributes r vbuf ((k, v) :: acc)
-  end
-  else List.rev acc
-
-let rec is_ws_from buf i = i >= Buffer.length buf || (is_ws (Buffer.nth buf i) && is_ws_from buf (i + 1))
-
-let rec equal_sub s b off i =
-  i >= String.length s || (String.unsafe_get s i = Bytes.unsafe_get b (off + i) && equal_sub s b off (i + 1))
-
-(* The name of a closing tag, the "</" consumed.  When it matches [top],
-   the innermost open element ("" when none is open), it is compared in
-   the window and that element's own string is returned, so nothing is
-   allocated. *)
-let read_close_name r top =
-  match window_name r with
-  | -1 -> read_name r
-  | i ->
-    let b = Reader.window r and p = Reader.pos r in
-    Reader.set_pos r i;
-    if String.length top = i - p && equal_sub top b p 0 then top else Bytes.sub_string b p (i - p)
+let expect_string r s = String.iter (fun c -> expect r c) s
 
 (* Does the buffer end with [term]? (Buffer.nth is O(1).) *)
 let buffer_ends_with buf term =
@@ -282,130 +238,231 @@ let skip_doctype r =
     Reader.advance r
   done
 
+(* A PI, comment, CDATA section or DOCTYPE whose '?' or '!' is at [i];
+   the offset past it. *)
+let other_markup st i =
+  let r = st.r in
+  Reader.set_pos r i;
+  (match Reader.next r with
+  | '?' ->
+    let a = r.retired + r.pos in
+    let e = name_from r r.pos in
+    let p = a - r.retired in
+    let target = Bytes.sub_string r.buf p (e - p) in
+    Reader.set_pos r (skip_ws r e);
+    let content = read_until r "?>" in
+    if String.lowercase_ascii target <> "xml" then st.handler (Pi_event (target, content))
+  | _ ->
+    if Reader.peek r = '-' then begin
+      expect_string r "--";
+      let content = read_until r "-->" in
+      st.handler (Comment_event content)
+    end
+    else if Reader.peek r = '[' then begin
+      expect_string r "[CDATA[";
+      let content = read_until r "]]>" in
+      if st.depth = 0 then error r "CDATA outside the document element";
+      st.handler (Characters content)
+    end
+    else begin
+      expect_string r "DOCTYPE";
+      skip_doctype r
+    end);
+  r.pos
+
+(* ---- the one loop ---- *)
+
+let[@inline] top st = if st.depth = 0 then "" else Array.unsafe_get st.tags (st.depth - 1)
+
+let[@inline] push st name =
+  if st.depth = Array.length st.tags then begin
+    let grown = Array.make (2 * st.depth) "" in
+    Array.blit st.tags 0 grown 0 st.depth;
+    st.tags <- grown
+  end;
+  Array.unsafe_set st.tags st.depth name;
+  st.depth <- st.depth + 1
+
+(* Whether a text run ending at [i] is reported, given whether it is
+   whitespace only; the caller copies the run only when it is, so dropped
+   runs never allocate.  Outside the document element only whitespace
+   may occur. *)
+let[@inline] wanted st ws i =
+  if st.depth = 0 then begin
+    if not ws then error_at st.r i "text outside the document element";
+    false
+  end
+  else st.keep_ws || not ws
+
+let rec is_ws_from buf i = i >= Buffer.length buf || (is_ws (Buffer.nth buf i) && is_ws_from buf (i + 1))
+
+let flush_text_slow st i =
+  if wanted st (is_ws_from st.text 0) i then st.handler (Characters (Buffer.contents st.text));
+  Buffer.clear st.text
+
+let[@inline] flush_text st i = if Buffer.length st.text > 0 then flush_text_slow st i
+
+(* A text run from [i] up to the next '<' or '&' or the window's limit.
+   One that ends at a '<' inside the window with nothing buffered before
+   it is the whole run and is copied once; any other is appended to
+   [st.text]. *)
+let text_run st i =
+  let r = st.r in
+  let b = r.buf and n = r.len in
+  let j = text_end b i n in
+  if j < n && Bytes.unsafe_get b j = '<' && Buffer.length st.text = 0 then begin
+    if wanted st (is_ws (Bytes.unsafe_get b i) && ws_end b i j = j) j then
+      st.handler (Characters (Bytes.sub_string b i (j - i)))
+  end
+  else begin
+    Buffer.add_subbytes st.text b i (j - i);
+    if j < n && Bytes.unsafe_get b j = '\000' then error_at r j "NUL byte in character data"
+  end;
+  j
+
+(* The rest of an attribute value from [i], its opening quote consumed,
+   into [st.value]; the offset past the closing quote.  A value that ends
+   inside the window it starts in, with no reference, is copied once from
+   the window; any other is assembled in [st.vbuf]. *)
+let rec value_rest st quote i =
+  let r = st.r in
+  let b = r.buf and n = r.len in
+  let j = value_end b i n quote in
+  if j < n && Bytes.unsafe_get b j = quote then begin
+    if Buffer.length st.vbuf = 0 then st.value <- Bytes.sub_string b i (j - i)
+    else begin
+      Buffer.add_subbytes st.vbuf b i (j - i);
+      st.value <- Buffer.contents st.vbuf
+    end;
+    j + 1
+  end
+  else begin
+    Buffer.add_subbytes st.vbuf b i (j - i);
+    if j < n then begin
+      if Bytes.unsafe_get b j = '\000' then error_at r j "NUL byte in attribute value";
+      value_rest st quote (reference r st.vbuf j)
+    end
+    else if Reader.refill r j then value_rest st quote 0
+    else error_at r 0 "unterminated attribute value"
+  end
+
+(* Attributes from [i] into [st.attrs]; the offset of the first byte
+   after them and the whitespace that follows, which is not a name
+   start. *)
+let rec attributes st i =
+  let r = st.r in
+  let i = skip_ws r i in
+  if is_name_start (byte_at r i) then begin
+    let a = r.retired + i in
+    let e = token_end ~in_ref:false r i (i + 1) in
+    let p = a - r.retired in
+    (* attribute names are copied, not interned: input can bring an
+       unbounded set of them *)
+    let k = Bytes.sub_string r.buf p (e - p) in
+    let i = skip_ws r (expect_at r (skip_ws r e) '=') in
+    let quote = byte_at r i in
+    if quote <> '"' && quote <> '\'' then error_at r i "expected attribute value";
+    Buffer.clear st.vbuf;
+    let i = value_rest st quote (i + 1) in
+    st.attrs <- (k, st.value) :: st.attrs;
+    attributes st i
+  end
+  else i
+
+(* A start tag whose name starts at [i]; the offset past its '>'.
+   Element names are interned from the window: a known name allocates
+   nothing and every event carries the shared interned string. *)
+let start_tag st i =
+  let r = st.r in
+  let a = r.retired + i in
+  let e = name_from r i in
+  let p = a - r.retired in
+  let name = Sym.intern_sub r.buf p (e - p) in
+  let i = if byte_at r e = '>' then e else attributes st e in
+  let attrs =
+    match st.attrs with
+    | [] -> []
+    | l ->
+      st.attrs <- [];
+      List.rev l
+  in
+  if byte_at r i = '/' then begin
+    let i = expect_at r (i + 1) '>' in
+    st.handler (Start_element (name, attrs));
+    st.handler (End_element name);
+    i
+  end
+  else begin
+    let i = expect_at r i '>' in
+    push st name;
+    st.handler (Start_element (name, attrs));
+    i
+  end
+
+let rec equal_sub s b off i =
+  i >= String.length s
+  || (String.unsafe_get s i = Bytes.unsafe_get b (off + i) && equal_sub s b off (i + 1))
+
+(* An end tag whose name starts at [i]; the offset past its '>'.  A name
+   that matches the innermost open element is compared in the window and
+   that element's own string is reported, so nothing is allocated. *)
+let end_tag st i =
+  let r = st.r in
+  let top = top st in
+  let a = r.retired + i in
+  let e = name_from r i in
+  let p = a - r.retired in
+  let name =
+    if String.length top = e - p && equal_sub top r.buf p 0 then top
+    else Bytes.sub_string r.buf p (e - p)
+  in
+  let i = expect_at r (skip_ws r e) '>' in
+  if st.depth = 0 then error_at r i (Printf.sprintf "closing tag </%s> with no open element" name);
+  if not (top == name || String.equal top name) then
+    error_at r i (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top name);
+  st.depth <- st.depth - 1;
+  st.handler (End_element top);
+  i
+
+(* Markup whose '<' is at [i]; the offset past it. *)
+let[@inline] markup st i =
+  let i = avail st.r (i + 1) (i + 1) in
+  match byte_at st.r i with
+  | '/' -> end_tag st (i + 1)
+  | '?' | '!' -> other_markup st i
+  | _ -> start_tag st i
+
+let rec content st i =
+  let r = st.r in
+  if i < r.len then
+    match Bytes.unsafe_get r.buf i with
+    | '<' ->
+      flush_text st i;
+      content st (markup st i)
+    | '&' -> content st (reference r st.text i)
+    | _ -> content st (text_run st i)
+  else if Reader.refill r i then content st 0
+  else begin
+    flush_text st 0;
+    if st.depth > 0 then error_at r 0 ("unclosed element <" ^ top st ^ ">");
+    st.handler End_document
+  end
+
 let parse_events ~keep_ws r handler =
   handler Start_document;
-  (* The open elements, innermost at [depth - 1], in an array that
-     doubles when full: an open tag costs a slot write, not a cons. *)
-  let tags = ref (Array.make 64 "") and depth = ref 0 in
-  let top () = if !depth = 0 then "" else Array.unsafe_get !tags (!depth - 1) in
-  let push name =
-    if !depth = Array.length !tags then begin
-      let grown = Array.make (2 * !depth) "" in
-      Array.blit !tags 0 grown 0 !depth;
-      tags := grown
-    end;
-    Array.unsafe_set !tags !depth name;
-    incr depth
-  in
-  let text = Buffer.create 64 in
-  let vbuf = Buffer.create 64 in
-  (* Whether a text run is reported, given whether it is whitespace only;
-     the caller copies the run only when it is, so dropped runs never
-     allocate.  Outside the document element only whitespace may occur. *)
-  let wanted ws =
-    if !depth = 0 then begin
-      if not ws then error r "text outside the document element";
-      false
-    end
-    else keep_ws || not ws
-  in
-  let flush_text () =
-    if Buffer.length text > 0 then begin
-      if wanted (is_ws_from text 0) then handler (Characters (Buffer.contents text));
-      Buffer.clear text
-    end
-  in
-  (* A text run up to the next '<' or '&' or the window's limit.  One that
-     ends at a '<' inside the window with nothing buffered before it is
-     the whole run and is copied once; any other is appended to [text]. *)
-  let text_run () =
-    let b = Reader.window r and p = Reader.pos r and n = Reader.limit r in
-    let i = text_end b p n in
-    Reader.set_pos r i;
-    if Buffer.length text = 0 && i < n && Bytes.unsafe_get b i = '<' then begin
-      if wanted (ws_end b p i = i) then handler (Characters (Bytes.sub_string b p (i - p)))
-    end
-    else begin
-      Buffer.add_subbytes text b p (i - p);
-      if i < n && Bytes.unsafe_get b i = '\000' then error r "NUL byte in character data"
-    end
-  in
-  let markup () =
-    match Reader.peek r with
-    | '?' ->
-      Reader.advance r;
-      let target = read_name r in
-      skip_ws r;
-      let content = read_until r "?>" in
-      if String.lowercase_ascii target <> "xml" then handler (Pi_event (target, content))
-    | '!' ->
-      Reader.advance r;
-      if Reader.peek r = '-' then begin
-        expect_string r "--";
-        let content = read_until r "-->" in
-        handler (Comment_event content)
-      end
-      else if Reader.peek r = '[' then begin
-        expect_string r "[CDATA[";
-        let content = read_until r "]]>" in
-        if !depth = 0 then error r "CDATA outside the document element";
-        handler (Characters content)
-      end
-      else begin
-        expect_string r "DOCTYPE";
-        skip_doctype r
-      end
-    | '/' -> (
-      Reader.advance r;
-      let top = top () in
-      let name = read_close_name r top in
-      skip_ws r;
-      expect r '>';
-      if !depth = 0 then error r (Printf.sprintf "closing tag </%s> with no open element" name);
-      if not (String.equal top name) then
-        error r (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top name);
-      decr depth;
-      handler (End_element top))
-    | _ ->
-      let name = read_element_name r in
-      let attrs = read_attributes r vbuf [] in
-      skip_ws r;
-      if Reader.peek r = '/' then begin
-        Reader.advance r;
-        expect r '>';
-        handler (Start_element (name, attrs));
-        handler (End_element name)
-      end
-      else begin
-        expect r '>';
-        push name;
-        handler (Start_element (name, attrs))
-      end
-  in
-  let rec loop () =
-    if Reader.eof r then begin
-      flush_text ();
-      if !depth > 0 then error r ("unclosed element <" ^ top () ^ ">");
-      handler End_document
-    end
-    else begin
-      (match Reader.peek r with
-      | '<' ->
-        flush_text ();
-        Reader.advance r;
-        markup ()
-      | '&' -> Buffer.add_string text (read_reference r)
-      | _ -> text_run ());
-      loop ()
-    end
-  in
-  loop ()
+  content
+    { r; handler; keep_ws; tags = Array.make 64 ""; depth = 0; text = Buffer.create 64;
+      vbuf = Buffer.create 64; attrs = []; value = "" }
+    r.Reader.pos
 
 let parse_reader ?(keep_ws = false) r handler = parse_events ~keep_ws r handler
 
 let parse_string ?keep_ws src handler = parse_reader ?keep_ws (Reader.of_string src) handler
 
-let parse_channel ?keep_ws ic handler = parse_reader ?keep_ws (Reader.of_channel ic) handler
+(* The window comes from the reader's pool and goes back to it however
+   the parse ends. *)
+let parse_channel ?keep_ws ic handler =
+  Reader.with_channel ic (fun r -> parse_reader ?keep_ws r handler)
 
 let parse_file ?keep_ws path handler =
   let ic = open_in_bin path in

@@ -200,42 +200,18 @@ end
 (* ---------------- buffer pool ---------------- *)
 
 module Pool = struct
-  let initial_size = 65536
-  let max_pooled = 32
+  let pool = Free_list.create ~max:32 (fun () -> Buffer.create 65536)
 
   (* a buffer that grew past this (a pathological single token in a
      sink, or a huge reply) is reset (storage freed) instead of parking
      megabytes in the pool *)
   let shrink_above = 4 * 1024 * 1024
 
-  let mu = Mutex.create ()
-  let free : Buffer.t list ref = ref []
-  let free_count = ref 0
-  let hit_count = Atomic.make 0
-  let miss_count = Atomic.make 0
-
-  let acquire () =
-    Mutex.lock mu;
-    match !free with
-    | b :: rest ->
-      free := rest;
-      decr free_count;
-      Mutex.unlock mu;
-      Atomic.incr hit_count;
-      b
-    | [] ->
-      Mutex.unlock mu;
-      Atomic.incr miss_count;
-      Buffer.create initial_size
+  let acquire () = Free_list.acquire pool
 
   let release ?(shrink = false) b =
     if shrink then Buffer.reset b else Buffer.clear b;
-    Mutex.lock mu;
-    if !free_count < max_pooled then begin
-      free := b :: !free;
-      incr free_count
-    end;
-    Mutex.unlock mu
+    Free_list.release pool b
 
   let contents_of f =
     let b = acquire () in
@@ -248,7 +224,7 @@ module Pool = struct
       release ~shrink:(Buffer.length b > shrink_above) b;
       raise e
 
-  let stats () = (Atomic.get hit_count, Atomic.get miss_count)
+  let stats () = Free_list.stats pool
 end
 
 (* Whole replies serialize into a pooled buffer, already grown by

@@ -73,9 +73,9 @@ let rec pp_path ppf path =
     | { nav; quals } :: rest ->
       (match nav with
       | Descendant ->
-        Format.pp_print_string ppf "//";
+        Format.pp_print_string ppf (if quals = [] then "//" else "//.");
         pp_quals ppf quals;
-        go true rest
+        go (quals = []) rest
       | _ ->
         if not first then Format.pp_print_string ppf "/";
         (match nav with

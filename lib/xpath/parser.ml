@@ -73,11 +73,18 @@ let rec parse_steps t ~leading =
       more (s :: acc)
     | Lexer.DSLASH ->
       junk t;
-      let s = one_step () in
-      more (s :: Ast.step Ast.Descendant :: acc)
+      more (List.rev_append (descendant (one_step ())) acc)
     | _ -> List.rev acc
   in
   first :: more []
+
+(* The steps of '//' followed by [s]: a qualified '.' after '//' is the
+   '//' step's own qualifier ([//.[q]], descendant-or-self nodes where [q]
+   holds), which {!Ast.path_to_string} prints back the same way. *)
+and descendant (s : Ast.step) =
+  match s with
+  | { nav = Ast.Self; quals = _ :: _ } -> [ { s with nav = Ast.Descendant } ]
+  | s -> [ Ast.step Ast.Descendant; s ]
 
 and starts_step_after_slash t =
   match peek2 t with Lexer.DOT | Lexer.STAR | Lexer.NAME _ -> true | _ -> false
@@ -88,9 +95,11 @@ and path_of_stream t =
   | Lexer.SLASH ->
     junk t;
     parse_steps t ~leading:true
-  | Lexer.DSLASH ->
+  | Lexer.DSLASH -> (
     junk t;
-    Ast.step Ast.Descendant :: parse_steps t ~leading:true
+    match parse_steps t ~leading:true with
+    | s :: rest -> descendant s @ rest
+    | [] -> [ Ast.step Ast.Descendant ])
   | _ -> parse_steps t ~leading:true
 
 (* --- qualifiers -------------------------------------------------------- *)

@@ -217,6 +217,41 @@ let test_rewrite_text_reparses () =
   let expected = Engine.transform Engine.Reference q.Transform_ast.update doc in
   Alcotest.(check bool) "reparsed rewriting runs" true (Node.equal_element expected out)
 
+(* Qualified '//' steps ([//.[q]]): an update with one composes, as
+   does GENTOP compiled to XQuery; a user path with one, and an update
+   whose [q] sits on the document node, fall back to naive composition
+   (the static simulation has no test-state or document-node check). *)
+let test_qualified_descendant () =
+  let doc = Dom.parse_string "<r><c><a><a/></a><a/><x><y><b/><a/></y></x></c></r>" in
+  let uq = User_query.parse "for $x in r/c//a return $x" in
+  List.iter
+    (fun path ->
+      let update = Transform_ast.Delete (parse_path path) in
+      check_equiv ~doc path update uq;
+      let expected = Engine.transform Engine.Reference update doc in
+      let q = Transform_ast.make ~doc:"d" update in
+      Alcotest.(check bool) (path ^ ": compiled GENTOP") true
+        (Node.equal_element expected (Xquery_compile.run q ~doc));
+      Alcotest.(check bool) (path ^ ": compiled TD-BU") true
+        (Node.equal_element expected (Xquery_compile.run_tdbu q ~doc)))
+    [ "r/c//.[a/a]/a"; "r/c//.[b]/a"; "r/c//.[a]" ];
+  let falls_back label update uq =
+    match Composition.compose update uq with
+    | Ok _ -> Alcotest.failf "%s: composed" label
+    | Error _ ->
+      let expected =
+        value_repr (User_query.run uq ~doc:(Engine.transform Engine.Reference update doc))
+      in
+      Alcotest.(check (list string)) (label ^ ": naive = spec") expected
+        (value_repr (Composition.naive update uq ~doc))
+  in
+  falls_back "user //.[b]"
+    (Transform_ast.Delete (parse_path "r/c/x/y/b"))
+    (User_query.parse "for $x in r/c//.[b]/a return $x");
+  falls_back "update //.[r] at the document node"
+    (Transform_ast.Delete (parse_path "//.[r]/r/c/x"))
+    uq
+
 let suite =
   [ Alcotest.test_case "Example 4.2" `Quick test_example_4_2;
     Alcotest.test_case "Example 4.3 Q1" `Quick test_example_4_3_q1;
@@ -568,4 +603,5 @@ let suite =
         test_stack_feeding_chains;
       QCheck_alcotest.to_alcotest prop_stack_random_xmark;
       QCheck_alcotest.to_alcotest prop_compose_random_xmark;
-      Alcotest.test_case "stack: view read allocates per answer" `Quick test_stack_read_allocation ]
+      Alcotest.test_case "stack: view read allocates per answer" `Quick test_stack_read_allocation;
+      Alcotest.test_case "qualified // steps compose or fall back" `Quick test_qualified_descendant ]

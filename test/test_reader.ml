@@ -56,8 +56,7 @@ let test_reader_basics () =
   ignore (Reader.next r);
   ignore (Reader.next r);
   Alcotest.(check bool) "eof" true (Reader.eof r);
-  Alcotest.(check char) "peek at eof" '\000' (Reader.peek r);
-  Alcotest.(check int) "bytes read" 5 (Reader.bytes_read r)
+  Alcotest.(check char) "peek at eof" '\000' (Reader.peek r)
 
 let test_error_position () =
   (* the unknown entity is on line 3 *)
@@ -479,6 +478,178 @@ let test_ingest_allocation () =
         (fun nfa u ~source ~sink -> Core.Sax_transform.run nfa u ~source ~sink),
         0.18 ) ]
 
+(* ---- Pins taken from the per-character lexer ----
+
+   The event stream of a one-line and of an indented XMark document, and
+   the (line, col, msg) of malformed multi-line inputs, as the lexer
+   before the one-loop scanner produced them.  Every chunk size must
+   reproduce them: 1-8 put a refill inside every token at every offset,
+   61 lands refills at varying offsets, 4096 and 65536 are ordinary. *)
+
+let pin_chunk_sizes = List.init 8 succ @ [ 61; 4096; 65536 ]
+
+(* A digest of the events, each framed by a tag byte and length-prefixed
+   strings, so no two distinct streams collide by concatenation. *)
+let event_digest parse =
+  let b = Buffer.create (1 lsl 16) in
+  let str s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  parse (function
+    | Sax.Start_document -> Buffer.add_char b 'D'
+    | Sax.Start_element (n, attrs) ->
+      Buffer.add_char b 'S';
+      str n;
+      List.iter
+        (fun (k, v) ->
+          Buffer.add_char b 'A';
+          str k;
+          str v)
+        attrs
+    | Sax.Characters s ->
+      Buffer.add_char b 'T';
+      str s
+    | Sax.Comment_event s ->
+      Buffer.add_char b 'C';
+      str s
+    | Sax.Pi_event (t, d) ->
+      Buffer.add_char b 'P';
+      str t;
+      str d
+    | Sax.End_element n ->
+      Buffer.add_char b 'E';
+      str n
+    | Sax.End_document -> Buffer.add_char b 'Z');
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let xmark_pin_docs =
+  lazy
+    (let doc = Xut_xmark.Generator.generate ~seed:42L ~factor:0.01 () in
+     (Serialize.element_to_string doc, Serialize.element_to_string ~indent:2 doc))
+
+let test_event_pins () =
+  let one_line, pretty = Lazy.force xmark_pin_docs in
+  List.iter
+    (fun (label, text, keep_ws, pinned) ->
+      with_temp_doc text (fun tmp ->
+          List.iter
+            (fun chunk_size ->
+              let got =
+                event_digest (fun h ->
+                    In_channel.with_open_bin tmp (fun ic ->
+                        Sax.parse_reader ~keep_ws (Reader.of_channel ~chunk_size ic) h))
+              in
+              Alcotest.(check string) (Printf.sprintf "%s (chunk=%d)" label chunk_size) pinned got)
+            pin_chunk_sizes;
+          Alcotest.(check string) (label ^ " (of_string)") pinned
+            (event_digest (Sax.parse_string ~keep_ws text))))
+    [ ("one line", one_line, false, "723dba86b711de24ae08b2b8446c8d99");
+      ("one line, keep_ws", one_line, true, "723dba86b711de24ae08b2b8446c8d99");
+      ("pretty", pretty, false, "723dba86b711de24ae08b2b8446c8d99");
+      ("pretty, keep_ws", pretty, true, "7ba69fa6786e51f42c2e38eb15bb1e55") ]
+
+let long_name = String.make 100 'n'
+
+let malformed_pins =
+  [ ("<a>\n  <b>\n</a>", (3, 5, "mismatched tags: <b> closed by </a>"));
+    ("<a>\n<b x='1' y=\n>", (3, 1, "expected attribute value"));
+    ("<a>\n  <b\n  c='1'\n  d>\n</b></a>", (4, 4, "expected '=', found '>'"));
+    ("<a>\n\n<1b/></a>", (3, 2, "expected a name"));
+    ("<a>\n</a>\n</a>", (3, 5, "closing tag </a> with no open element"));
+    ("<a>\n  text\n", (3, 1, "unclosed element <a>"));
+    ("x\n<a/>", (2, 1, "text outside the document element"));
+    ("<a/>\n  y", (2, 4, "text outside the document element"));
+    ("<a>\n&bogus;\n</a>", (2, 8, "unknown entity &bogus;"));
+    ("<a>\n  &#;</a>", (2, 5, "empty character reference"));
+    ("<a>\n  text &#x110000;</a>", (2, 8, "character reference out of range"));
+    ("<a b='1\n2&#0;'/>", (2, 2, "character reference to U+0000"));
+    ("<a\n b=\"x\n\000\"/>", (3, 1, "NUL byte in attribute value"));
+    ("<a>\n<b></b\n c></a>", (3, 2, "expected '>', found 'c'"));
+    ("<a>\n<b/ ></a>", (2, 4, "expected '>', found ' '"));
+    ("<a>\n<!-- x\n", (3, 1, "unterminated: expected -->"));
+    ("<a>\n<![CDATA[\n x", (3, 3, "unterminated: expected ]]>"));
+    ("<a>\n<?pi\n", (3, 1, "unterminated: expected ?>"));
+    ("\n\n<!DOCTYPE x [\n", (4, 1, "unterminated DOCTYPE"));
+    ("<a>\r\n\t<b>&amp</b></a>", (2, 9, "expected ';', found '<'"));
+    ("<a>\n  <b c='1' 3='y'/></a>", (2, 12, "expected '>', found '3'"));
+    ( "<a>\n  <bbbbbb attr='v'>\n    <c/>\n  </bbbbbb >\n</a",
+      (5, 4, "expected '>', found '\\000'") );
+    ("<a\n", (2, 1, "expected '>', found '\\000'"));
+    ( "<" ^ long_name ^ ">\n</" ^ String.sub long_name 0 99 ^ ">",
+      ( 2,
+        103,
+        "mismatched tags: <" ^ long_name ^ "> closed by </" ^ String.sub long_name 0 99 ^ ">" ) );
+    ("<a>\n\n  <b x='&lt;&unknown;'/></a>", (3, 22, "unknown entity &unknown;"));
+    ( "<a>\n  <" ^ long_name ^ "\n   " ^ long_name ^ "='v' " ^ long_name ^ "></a>",
+      (3, 209, "expected '=', found '>'") );
+    ( "<a>\n\t<b>\n\t\t<c>x</c>\n\t</b>\n\t<d>\n\t\ttext\n\t</e>\n</a>",
+      (7, 6, "mismatched tags: <d> closed by </e>") );
+    ("<a>\n  <b>&#x41;&#66;\n  &#xZ;</b></a>", (3, 6, "empty character reference"));
+    ("<a>\n<b\n/>\n<c\n\n x='1'\n\n y=\"2\"\n\n z></a>", (10, 3, "expected '=', found '>'"));
+    ( "<a>\n  <b>\n  </b>\n  <" ^ long_name ^ ">\n  </" ^ long_name ^ "x>\n</a>",
+      (5, 107, "mismatched tags: <" ^ long_name ^ "> closed by </" ^ long_name ^ "x>") ) ]
+
+let test_error_pins () =
+  List.iter
+    (fun (text, pinned) ->
+      let label = String.escaped text in
+      let got = parse_error text in
+      Alcotest.(check (triple int int string)) label pinned got;
+      let expected, agree = outcomes_agree ~chunk_sizes:pin_chunk_sizes text in
+      Alcotest.(check bool) (label ^ ": every chunk size") true agree;
+      Alcotest.(check bool) label true (expected = Error got))
+    malformed_pins
+
+(* A file parse takes its window from the reader's pool and returns it on
+   every exit: a clean parse, a parse error and a handler that raises.
+   Once the pool is warm no parse misses, and none puts a window on the
+   major heap. *)
+let test_window_pool () =
+  with_temp_doc "<a><b>x</b></a>" (fun ok ->
+      with_temp_doc "<a>\n<b></a>" (fun bad ->
+          Sax.parse_file ok ignore;
+          let hits0, misses0 = Reader.pool_stats () in
+          let major0 = (Gc.quick_stat ()).Gc.major_words in
+          Sax.parse_file ok ignore;
+          (match Sax.parse_file bad ignore with
+          | () -> Alcotest.fail "should not parse"
+          | exception Sax.Parse_error { line = 2; _ } -> ());
+          (match Sax.parse_file ok (fun _ -> raise Exit) with
+          | () -> Alcotest.fail "the handler raises"
+          | exception Exit -> ());
+          Sax.parse_file ok ignore;
+          let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+          let hits1, misses1 = Reader.pool_stats () in
+          Alcotest.(check int) "hits" 4 (hits1 - hits0);
+          Alcotest.(check int) "misses" 0 (misses1 - misses0);
+          if major > 1000. then
+            Alcotest.failf "four parses put %.0f words on the major heap" major))
+
+(* [Reader.refill] keeps the unread tail: a kept token longer than the
+   window doubles it, and the positions count the discarded newlines. *)
+let test_refill_keeps_tail () =
+  let text = "ab\ncdefghij\nkl" in
+  with_temp_doc text (fun tmp ->
+      In_channel.with_open_bin tmp (fun ic ->
+          let r = Reader.of_channel ~chunk_size:4 ic in
+          Alcotest.(check bool) "first chunk" true (Reader.refill r 0);
+          Alcotest.(check int) "4 bytes" 4 r.Reader.len;
+          (* consume "ab\n", keep "c" *)
+          Alcotest.(check bool) "second chunk" true (Reader.refill r 3);
+          Alcotest.(check string) "kept tail first" "cdef" (Bytes.sub_string r.buf 0 r.len);
+          (* keep the whole window: it doubles and reads one chunk more *)
+          Alcotest.(check bool) "grown" true (Reader.refill r 0);
+          Alcotest.(check string) "window" "cdefghij" (Bytes.sub_string r.buf 0 r.len);
+          Reader.set_pos r 8;
+          Alcotest.(check (pair int int))
+            "line:col after a refill" (2, 9) (Reader.line r, Reader.col r);
+          Alcotest.(check bool) "rest" true (Reader.refill r 8);
+          Alcotest.(check bool) "end" false (Reader.refill r r.len);
+          Alcotest.(check (pair int int))
+            "line:col at the end" (3, 3) (Reader.line r, Reader.col r)))
+
 let suite =
   [ Alcotest.test_case "reader basics" `Quick test_reader_basics;
     QCheck_alcotest.to_alcotest prop_chunked_equals_string;
@@ -498,4 +669,8 @@ let suite =
       test_terminators_across_chunks;
     Alcotest.test_case "parser allocates its events per element" `Quick test_parser_allocation;
     Alcotest.test_case "SAX ingest allocates per event, not per element" `Quick
-      test_ingest_allocation ]
+      test_ingest_allocation;
+    Alcotest.test_case "event streams pinned at every chunk size" `Quick test_event_pins;
+    Alcotest.test_case "malformed multi-line inputs pinned to line:col" `Quick test_error_pins;
+    Alcotest.test_case "file parses reuse pooled windows" `Quick test_window_pool;
+    Alcotest.test_case "refill keeps the unread tail" `Quick test_refill_keeps_tail ]
