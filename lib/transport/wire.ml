@@ -9,6 +9,23 @@ module Line = struct
     | Some i ->
       (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
 
+  (* [[DOC|<kw>] <name> <rest>]: the literal keyword [kw] claims the
+     first word and addresses through [keyword]; a bare name, or one
+     behind the explicit [DOC] escape, addresses a document, so one
+     literally named like a keyword stays reachable.  [None] when the
+     name is missing. *)
+  let address rest kw ~keyword ~doc =
+    let word, rest' = split2 rest in
+    let named make =
+      match split2 rest' with
+      | name, rest'' when name <> "" -> (Some (make name), rest'')
+      | _ -> (None, rest')
+    in
+    if word = kw then named keyword
+    else if word = "DOC" then named doc
+    else if word = "" then (None, rest')
+    else (Some (doc word), rest')
+
   let decode_request line =
     let line = String.trim line in
     let verb, rest = split2 line in
@@ -35,23 +52,9 @@ module Line = struct
       else Ok (Service.Unload { name = rest })
     | ("TRANSFORM" | "COUNT") as verb -> begin
       (* TRANSFORM [DOC] <doc> <engine> <query>
-         TRANSFORM VIEW <name> <engine> <query>
-         The literal keyword VIEW claims the first word; the DOC keyword
-         is the explicit escape hatch, so a document literally named
-         "VIEW" (or "DOC") stays addressable: TRANSFORM DOC VIEW ... *)
-      let name, rest' = split2 rest in
+         TRANSFORM VIEW <name> <engine> <query> *)
       let target, rest' =
-        match name with
-        | "VIEW" -> (
-          match split2 rest' with
-          | vname, rest'' when vname <> "" -> (Some (Service.View vname), rest'')
-          | _ -> (None, rest'))
-        | "DOC" -> (
-          match split2 rest' with
-          | dname, rest'' when dname <> "" -> (Some (Service.Doc dname), rest'')
-          | _ -> (None, rest'))
-        | "" -> (None, rest')
-        | name -> (Some (Service.Doc name), rest')
+        address rest "VIEW" ~keyword:(fun v -> Service.View v) ~doc:(fun d -> Service.Doc d)
       in
       match target with
       | Some target when rest' <> "" -> begin
@@ -109,19 +112,10 @@ module Line = struct
       Result.map (fun r -> Plain r) (decode_request line)
     else begin
       let usage = "usage: TRANSFORM-STREAM [DOC|FILE] <name|path> <query>" in
-      let name, rest' = split2 rest in
       let source, rest' =
-        match name with
-        | "FILE" -> (
-          match split2 rest' with
-          | path, rest'' when path <> "" -> (Some (Service.From_file path), rest'')
-          | _ -> (None, rest'))
-        | "DOC" -> (
-          match split2 rest' with
-          | dname, rest'' when dname <> "" -> (Some (Service.From_doc dname), rest'')
-          | _ -> (None, rest'))
-        | "" -> (None, rest')
-        | name -> (Some (Service.From_doc name), rest')
+        address rest "FILE"
+          ~keyword:(fun p -> Service.From_file p)
+          ~doc:(fun d -> Service.From_doc d)
       in
       match source with
       | Some source when rest' <> "" ->
@@ -164,24 +158,16 @@ module Binary = struct
 
   type header = { version : int; kind : kind; id : int64; length : int }
 
-  let kind_byte = function
-    | Request -> '\001'
-    | Response -> '\002'
-    | Stream_begin -> '\003'
-    | Stream_chunk -> '\004'
-    | Stream_end -> '\005'
-    | Stream_error -> '\006'
-    | Notice -> '\007'
+  (* a kind's byte is its index here plus one *)
+  let kinds = [| Request; Response; Stream_begin; Stream_chunk; Stream_end; Stream_error; Notice |]
 
-  let kind_of_byte = function
-    | '\001' -> Some Request
-    | '\002' -> Some Response
-    | '\003' -> Some Stream_begin
-    | '\004' -> Some Stream_chunk
-    | '\005' -> Some Stream_end
-    | '\006' -> Some Stream_error
-    | '\007' -> Some Notice
-    | _ -> None
+  let kind_byte k =
+    let rec go i = if kinds.(i) == k then Char.chr (i + 1) else go (i + 1) in
+    go 0
+
+  let kind_of_byte c =
+    let i = Char.code c - 1 in
+    if i >= 0 && i < Array.length kinds then Some kinds.(i) else None
 
   let set_header b { version; kind; id; length } =
     Bytes.set b 0 magic.[0];
@@ -219,341 +205,277 @@ module Binary = struct
       end
     end
 
-  (* ---- payload encoding: tag byte + length-prefixed fields ---- *)
+  (* ---- payload codecs ----
 
-  let put_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
-  let put_u32 b n = Buffer.add_int32_be b (Int32.of_int n)
+     A codec writes a value to a buffer and reads it back from a cursor.
+     Reading raises [Malformed] on bad input, which [decode_with] turns
+     into an [Error _], so every decoder is total.  Strings are 4-byte
+     big-endian length-prefixed bytes, so any query text round-trips. *)
 
-  let put_str b s =
-    put_u32 b (String.length s);
-    Buffer.add_string b s
+  exception Malformed of string
+
+  type cursor = { s : string; mutable pos : int }
+  type 'a codec = { put : Buffer.t -> 'a -> unit; get : cursor -> 'a }
+
+  let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+
+  let need c n =
+    if n < 0 || c.pos + n > String.length c.s then raise (Malformed "truncated payload")
+
+  let u8 =
+    { put = (fun b n -> Buffer.add_char b (Char.chr (n land 0xff)));
+      get =
+        (fun c ->
+          need c 1;
+          let v = Char.code c.s.[c.pos] in
+          c.pos <- c.pos + 1;
+          v) }
+
+  let u32 =
+    { put = (fun b n -> Buffer.add_int32_be b (Int32.of_int n));
+      get =
+        (fun c ->
+          need c 4;
+          let v = Int32.to_int (String.get_int32_be c.s c.pos) in
+          c.pos <- c.pos + 4;
+          if v < 0 then malformed "negative length";
+          v) }
+
+  let str =
+    { put =
+        (fun b s ->
+          u32.put b (String.length s);
+          Buffer.add_string b s);
+      get =
+        (fun c ->
+          let n = u32.get c in
+          need c n;
+          let s = String.sub c.s c.pos n in
+          c.pos <- c.pos + n;
+          s) }
+
+  let unit = { put = (fun _ () -> ()); get = (fun _ -> ()) }
+  let map inj proj c = { put = (fun b v -> c.put b (proj v)); get = (fun cur -> inj (c.get cur)) }
+
+  let engine =
+    map
+      (fun s ->
+        match Core.Engine.of_string s with Some e -> e | None -> malformed "unknown engine %S" s)
+      Core.Engine.name str
+
+  let pair a b =
+    { put =
+        (fun buf (x, y) ->
+          a.put buf x;
+          b.put buf y);
+      get =
+        (fun c ->
+          let x = a.get c in
+          (x, b.get c)) }
+
+  let t3 a b c =
+    map (fun (x, (y, z)) -> (x, y, z)) (fun (x, y, z) -> (x, (y, z))) (pair a (pair b c))
+
+  let t4 a b c d =
+    map (fun ((w, x), (y, z)) -> (w, x, y, z)) (fun (w, x, y, z) -> ((w, x), (y, z)))
+      (pair (pair a b) (pair c d))
+
+  let t5 a b c d e =
+    map (fun (v, (w, x, y, z)) -> (v, w, x, y, z)) (fun (v, w, x, y, z) -> (v, (w, x, y, z)))
+      (pair a (t4 b c d e))
+
+  (* Every list element consumes at least one byte, so bounding the
+     count by the remaining bytes rejects absurd lengths before any
+     allocation. *)
+  let list c =
+    { put =
+        (fun b l ->
+          u32.put b (List.length l);
+          List.iter (c.put b) l);
+      get =
+        (fun cur ->
+          let n = u32.get cur in
+          need cur n;
+          List.init n (fun _ -> c.get cur)) }
+
+  (* ---- layouts: a tag byte, then the tag's fields ----
+
+     Each layout is declared once, as a [Case]: its tag, the codec of its
+     fields, and its constructor in both directions.  A [union] of cases
+     is one codec: the encoder tries each case's destructor in turn, the
+     decoder indexes an array by the tag byte and reports an unknown tag
+     as [bad tag]. *)
+
+  type 'v case = Case : int * 'a codec * ('a -> 'v) * ('v -> 'a option) -> 'v case
+
+  let union bad cases =
+    let by_tag = Array.make 256 None in
+    List.iter (fun (Case (tag, _, _, _) as case) -> by_tag.(tag) <- Some case) cases;
+    let rec put b v = function
+      | [] -> invalid_arg "Wire.Binary: no payload layout encodes this value"
+      | Case (tag, c, _, proj) :: rest -> (
+        match proj v with
+        | Some x ->
+          u8.put b tag;
+          c.put b x
+        | None -> put b v rest)
+    in
+    { put = (fun b v -> put b v cases);
+      get =
+        (fun cur ->
+          let tag = u8.get cur in
+          match by_tag.(tag) with
+          | Some (Case (_, c, inj, _)) -> inj (c.get cur)
+          | None -> raise (Malformed (bad tag))) }
+
+  (* a union of field-less cases: one byte per value *)
+  let enum bad values =
+    union bad
+      (List.map
+         (fun (byte, v) ->
+           Case (byte, unit, (fun () -> v), fun v' -> if v' = v then Some () else None))
+         values)
+
+  let flag name = enum (Printf.sprintf "bad %s flag %d" name) [ (0, false); (1, true) ]
+
+  (* a codec that recurses into itself, as a batch does *)
+  let fix f =
+    let self = ref None in
+    let c =
+      f
+        { put = (fun b v -> (Option.get !self).put b v);
+          get = (fun cur -> (Option.get !self).get cur) }
+    in
+    self := Some c;
+    c
+
+  let err_code =
+    enum (Printf.sprintf "unknown error code %d")
+      Service.
+        [ (1, Unknown_document); (2, Query_parse_error); (3, Eval_error); (4, Overloaded);
+          (5, Bad_request); (6, Conflict); (7, View_compose_error); (8, Statically_empty) ]
+
+  (* the fields of an error reply, and of a Stream_error frame *)
+  let error = pair err_code str
+
+  (* the totals of a Stream_done reply, and of a Stream_end frame *)
+  let totals = pair u32 u32
+
+  (* Requests.  A constructor's shapes are layouts of their own: a
+     view-addressed Transform/Count, or a Load with a schema, has its
+     own tag. *)
+  let request_cases request =
+    let open Service in
+    [ Case (1, pair str str, (fun (name, file) -> Load { name; file; schema = None }),
+        function Load { name; file; schema = None } -> Some (name, file) | _ -> None);
+      Case (2, str, (fun name -> Unload { name }),
+        function Unload { name } -> Some name | _ -> None);
+      Case (3, t3 str engine str,
+        (fun (d, engine, query) -> Transform { target = Doc d; engine; query }),
+        function
+        | Transform { target = Doc d; engine; query } -> Some (d, engine, query) | _ -> None);
+      Case (4, t3 str engine str,
+        (fun (d, engine, query) -> Count { target = Doc d; engine; query }),
+        function Count { target = Doc d; engine; query } -> Some (d, engine, query) | _ -> None);
+      Case (5, unit, (fun () -> Stats), function Stats -> Some () | _ -> None);
+      Case (6, list request, (fun l -> Batch l), function Batch l -> Some l | _ -> None);
+      Case (8, pair str str, (fun (doc, query) -> Apply { doc; query }),
+        function Apply { doc; query } -> Some (doc, query) | _ -> None);
+      Case (9, pair str str, (fun (doc, query) -> Commit { doc; query }),
+        function Commit { doc; query } -> Some (doc, query) | _ -> None);
+      Case (10, t3 str engine str,
+        (fun (v, engine, query) -> Transform { target = View v; engine; query }),
+        function
+        | Transform { target = View v; engine; query } -> Some (v, engine, query) | _ -> None);
+      Case (11, t3 str engine str,
+        (fun (v, engine, query) -> Count { target = View v; engine; query }),
+        function Count { target = View v; engine; query } -> Some (v, engine, query) | _ -> None);
+      Case (12, pair str str, (fun (name, query) -> Defview { name; query }),
+        function Defview { name; query } -> Some (name, query) | _ -> None);
+      Case (13, str, (fun name -> Undefview { name }),
+        function Undefview { name } -> Some name | _ -> None);
+      Case (14, unit, (fun () -> Listviews), function Listviews -> Some () | _ -> None);
+      Case (15, t3 str str str, (fun (name, file, s) -> Load { name; file; schema = Some s }),
+        function Load { name; file; schema = Some s } -> Some (name, file, s) | _ -> None) ]
+
+  let unknown_request = Printf.sprintf "unknown request tag %d"
+  let request = fix (fun request -> union unknown_request (request_cases request))
 
   (* the response tags whose payload is one length-prefixed string, so
      a frame can be written, and read, around the string itself *)
   let tree_tag = 3
   let stats_tag = 5
 
-  let rec put_request b = function
-    | Service.Load { name; file; schema = None } ->
-      put_u8 b 1;
-      put_str b name;
-      put_str b file
-    | Service.Load { name; file; schema = Some s } ->
-      put_u8 b 15;
-      put_str b name;
-      put_str b file;
-      put_str b s
-    | Service.Unload { name } ->
-      put_u8 b 2;
-      put_str b name
-    | Service.Transform { target; engine; query } ->
-      let tag, name = match target with Service.Doc d -> (3, d) | Service.View v -> (10, v) in
-      put_u8 b tag;
-      put_str b name;
-      put_str b (Core.Engine.name engine);
-      put_str b query
-    | Service.Count { target; engine; query } ->
-      let tag, name = match target with Service.Doc d -> (4, d) | Service.View v -> (11, v) in
-      put_u8 b tag;
-      put_str b name;
-      put_str b (Core.Engine.name engine);
-      put_str b query
-    | Service.Stats -> put_u8 b 5
-    | Service.Batch reqs ->
-      put_u8 b 6;
-      put_u32 b (List.length reqs);
-      List.iter (put_request b) reqs
-    (* tag 7 is the stream request, which is not a [Service.request] *)
-    | Service.Apply { doc; query } ->
-      put_u8 b 8;
-      put_str b doc;
-      put_str b query
-    | Service.Commit { doc; query } ->
-      put_u8 b 9;
-      put_str b doc;
-      put_str b query
-    (* tags 10/11 are the view-addressed Transform/Count above *)
-    | Service.Defview { name; query } ->
-      put_u8 b 12;
-      put_str b name;
-      put_str b query
-    | Service.Undefview { name } ->
-      put_u8 b 13;
-      put_str b name
-    | Service.Listviews -> put_u8 b 14
-  (* tag 15 is the schema-carrying Load above *)
+  let response =
+    let open Service in
+    fix (fun response ->
+        union (Printf.sprintf "unknown response tag %d")
+          [ Case (1, t4 str u32 (flag "reloaded") u32,
+              (fun (name, elements, reloaded, generation) ->
+                Ok (Doc_loaded { name; elements; reloaded; generation; schema = None })),
+              function
+              | Ok (Doc_loaded { name; elements; reloaded; generation; schema = None }) ->
+                Some (name, elements, reloaded, generation)
+              | _ -> None);
+            Case (2, str, (fun name -> Ok (Doc_unloaded { name })),
+              function Ok (Doc_unloaded { name }) -> Some name | _ -> None);
+            Case (tree_tag, str, (fun s -> Ok (Tree s)),
+              function Ok (Tree s) -> Some s | _ -> None);
+            Case (4, u32, (fun n -> Ok (Element_count n)),
+              function Ok (Element_count n) -> Some n | _ -> None);
+            Case (stats_tag, str, (fun s -> Ok (Stats_dump s)),
+              function Ok (Stats_dump s) -> Some s | _ -> None);
+            Case (6, error, (fun (code, message) -> Error { code; message }),
+              function Error { code; message } -> Some (code, message) | _ -> None);
+            Case (7, list response, (fun rs -> Ok (Batch_results rs)),
+              function Ok (Batch_results rs) -> Some rs | _ -> None);
+            Case (8, totals, (fun (bytes, chunks) -> Ok (Stream_done { bytes; chunks })),
+              function Ok (Stream_done { bytes; chunks }) -> Some (bytes, chunks) | _ -> None);
+            Case (9, t4 str u32 u32 (list str),
+              (fun (doc, primitives, collapsed, conflicts) ->
+                Ok (Applied { doc; primitives; collapsed; conflicts })),
+              function
+              | Ok (Applied { doc; primitives; collapsed; conflicts }) ->
+                Some (doc, primitives, collapsed, conflicts)
+              | _ -> None);
+            Case (10, t5 str u32 u32 u32 u32,
+              (fun (doc, primitives, collapsed, elements, generation) ->
+                Ok (Committed { doc; primitives; collapsed; elements; generation })),
+              function
+              | Ok (Committed { doc; primitives; collapsed; elements; generation }) ->
+                Some (doc, primitives, collapsed, elements, generation)
+              | _ -> None);
+            Case (11, t5 str str u32 u32 (flag "redefined"),
+              (fun (name, base, depth, generation, redefined) ->
+                Ok (View_defined { name; base; depth; generation; redefined })),
+              function
+              | Ok (View_defined { name; base; depth; generation; redefined }) ->
+                Some (name, base, depth, generation, redefined)
+              | _ -> None);
+            Case (12, str, (fun name -> Ok (View_undefined { name })),
+              function Ok (View_undefined { name }) -> Some name | _ -> None);
+            Case (13,
+              list
+                (map
+                   (fun (v_name, v_base, v_depth, v_generation) ->
+                     { v_name; v_base; v_depth; v_generation })
+                   (fun { v_name; v_base; v_depth; v_generation } ->
+                     (v_name, v_base, v_depth, v_generation))
+                   (t4 str str u32 u32)),
+              (fun views -> Ok (View_list views)),
+              function Ok (View_list views) -> Some views | _ -> None);
+            Case (14, t5 str u32 (flag "reloaded") u32 str,
+              (fun (name, elements, reloaded, generation, s) ->
+                Ok (Doc_loaded { name; elements; reloaded; generation; schema = Some s })),
+              function
+              | Ok (Doc_loaded { name; elements; reloaded; generation; schema = Some s }) ->
+                Some (name, elements, reloaded, generation, s)
+              | _ -> None) ])
 
-  let err_code_byte = function
-    | Service.Unknown_document -> 1
-    | Service.Query_parse_error -> 2
-    | Service.Eval_error -> 3
-    | Service.Overloaded -> 4
-    | Service.Bad_request -> 5
-    | Service.Conflict -> 6
-    | Service.View_compose_error -> 7
-    | Service.Statically_empty -> 8
-
-  let err_code_of_byte = function
-    | 1 -> Some Service.Unknown_document
-    | 2 -> Some Service.Query_parse_error
-    | 3 -> Some Service.Eval_error
-    | 4 -> Some Service.Overloaded
-    | 5 -> Some Service.Bad_request
-    | 6 -> Some Service.Conflict
-    | 7 -> Some Service.View_compose_error
-    | 8 -> Some Service.Statically_empty
-    | _ -> None
-
-  let rec put_response b = function
-    | Service.Ok (Service.Doc_loaded { name; elements; reloaded; generation; schema = None })
-      ->
-      put_u8 b 1;
-      put_str b name;
-      put_u32 b elements;
-      put_u8 b (if reloaded then 1 else 0);
-      put_u32 b generation
-    | Service.Ok
-        (Service.Doc_loaded { name; elements; reloaded; generation; schema = Some s }) ->
-      put_u8 b 14;
-      put_str b name;
-      put_u32 b elements;
-      put_u8 b (if reloaded then 1 else 0);
-      put_u32 b generation;
-      put_str b s
-    | Service.Ok (Service.Doc_unloaded { name }) ->
-      put_u8 b 2;
-      put_str b name
-    | Service.Ok (Service.Tree s) ->
-      put_u8 b tree_tag;
-      put_str b s
-    | Service.Ok (Service.Element_count n) ->
-      put_u8 b 4;
-      put_u32 b n
-    | Service.Ok (Service.Stats_dump s) ->
-      put_u8 b stats_tag;
-      put_str b s
-    | Service.Error { code; message } ->
-      put_u8 b 6;
-      put_u8 b (err_code_byte code);
-      put_str b message
-    | Service.Ok (Service.Batch_results rs) ->
-      put_u8 b 7;
-      put_u32 b (List.length rs);
-      List.iter (put_response b) rs
-    | Service.Ok (Service.Stream_done { bytes; chunks }) ->
-      put_u8 b 8;
-      put_u32 b bytes;
-      put_u32 b chunks
-    | Service.Ok (Service.Applied { doc; primitives; collapsed; conflicts }) ->
-      put_u8 b 9;
-      put_str b doc;
-      put_u32 b primitives;
-      put_u32 b collapsed;
-      put_u32 b (List.length conflicts);
-      List.iter (put_str b) conflicts
-    | Service.Ok (Service.Committed { doc; primitives; collapsed; elements; generation }) ->
-      put_u8 b 10;
-      put_str b doc;
-      put_u32 b primitives;
-      put_u32 b collapsed;
-      put_u32 b elements;
-      put_u32 b generation
-    | Service.Ok (Service.View_defined { name; base; depth; generation; redefined }) ->
-      put_u8 b 11;
-      put_str b name;
-      put_str b base;
-      put_u32 b depth;
-      put_u32 b generation;
-      put_u8 b (if redefined then 1 else 0)
-    | Service.Ok (Service.View_undefined { name }) ->
-      put_u8 b 12;
-      put_str b name
-    | Service.Ok (Service.View_list views) ->
-      put_u8 b 13;
-      put_u32 b (List.length views);
-      List.iter
-        (fun { Service.v_name; v_base; v_depth; v_generation } ->
-          put_str b v_name;
-          put_str b v_base;
-          put_u32 b v_depth;
-          put_u32 b v_generation)
-        views
-
-  let encode_request req =
+  let encode c v =
     let b = Buffer.create 128 in
-    put_request b req;
+    c.put b v;
     Buffer.contents b
-
-  let encode_response resp =
-    let b = Buffer.create 128 in
-    put_response b resp;
-    Buffer.contents b
-
-  (* ---- payload decoding: a cursor that raises on malformed input,
-     caught at the [decode_*] boundary ---- *)
-
-  exception Malformed of string
-
-  type cursor = { s : string; mutable pos : int }
-
-  let need c n =
-    if n < 0 || c.pos + n > String.length c.s then raise (Malformed "truncated payload")
-
-  let get_u8 c =
-    need c 1;
-    let v = Char.code c.s.[c.pos] in
-    c.pos <- c.pos + 1;
-    v
-
-  let get_u32 c =
-    need c 4;
-    let v = Int32.to_int (String.get_int32_be c.s c.pos) in
-    c.pos <- c.pos + 4;
-    if v < 0 then raise (Malformed "negative length");
-    v
-
-  let get_str c =
-    let n = get_u32 c in
-    need c n;
-    let s = String.sub c.s c.pos n in
-    c.pos <- c.pos + n;
-    s
-
-  let get_engine c =
-    let s = get_str c in
-    match Core.Engine.of_string s with
-    | Some e -> e
-    | None -> raise (Malformed (Printf.sprintf "unknown engine %S" s))
-
-  (* Every list element consumes at least one byte, so bounding the
-     count by the remaining bytes rejects absurd lengths before any
-     allocation. *)
-  let get_count c =
-    let n = get_u32 c in
-    need c n;
-    n
-
-  let rec get_request c =
-    match get_u8 c with
-    | 1 ->
-      let name = get_str c in
-      let file = get_str c in
-      Service.Load { name; file; schema = None }
-    | 2 -> Service.Unload { name = get_str c }
-    | (3 | 4 | 10 | 11) as tag ->
-      let name = get_str c in
-      let engine = get_engine c in
-      let query = get_str c in
-      let target = if tag >= 10 then Service.View name else Service.Doc name in
-      if tag = 3 || tag = 10 then Service.Transform { target; engine; query }
-      else Service.Count { target; engine; query }
-    | 5 -> Service.Stats
-    | 6 ->
-      let n = get_count c in
-      Service.Batch (List.init n (fun _ -> get_request c))
-    | 8 ->
-      let doc = get_str c in
-      let query = get_str c in
-      Service.Apply { doc; query }
-    | 9 ->
-      let doc = get_str c in
-      let query = get_str c in
-      Service.Commit { doc; query }
-    | 12 ->
-      let name = get_str c in
-      let query = get_str c in
-      Service.Defview { name; query }
-    | 13 -> Service.Undefview { name = get_str c }
-    | 14 -> Service.Listviews
-    | 15 ->
-      let name = get_str c in
-      let file = get_str c in
-      let schema = get_str c in
-      Service.Load { name; file; schema = Some schema }
-    | t -> raise (Malformed (Printf.sprintf "unknown request tag %d" t))
-
-  let rec get_response c =
-    match get_u8 c with
-    | 1 ->
-      let name = get_str c in
-      let elements = get_u32 c in
-      let reloaded =
-        match get_u8 c with
-        | 0 -> false
-        | 1 -> true
-        | b -> raise (Malformed (Printf.sprintf "bad reloaded flag %d" b))
-      in
-      let generation = get_u32 c in
-      Service.Ok (Service.Doc_loaded { name; elements; reloaded; generation; schema = None })
-    | 2 -> Service.Ok (Service.Doc_unloaded { name = get_str c })
-    | 3 -> Service.Ok (Service.Tree (get_str c))
-    | 4 -> Service.Ok (Service.Element_count (get_u32 c))
-    | 5 -> Service.Ok (Service.Stats_dump (get_str c))
-    | 6 -> begin
-      let code_byte = get_u8 c in
-      match err_code_of_byte code_byte with
-      | None -> raise (Malformed (Printf.sprintf "unknown error code %d" code_byte))
-      | Some code -> Service.Error { code; message = get_str c }
-    end
-    | 7 ->
-      let n = get_count c in
-      Service.Ok (Service.Batch_results (List.init n (fun _ -> get_response c)))
-    | 8 ->
-      let bytes = get_u32 c in
-      let chunks = get_u32 c in
-      Service.Ok (Service.Stream_done { bytes; chunks })
-    | 9 ->
-      let doc = get_str c in
-      let primitives = get_u32 c in
-      let collapsed = get_u32 c in
-      let n = get_count c in
-      let conflicts = List.init n (fun _ -> get_str c) in
-      Service.Ok (Service.Applied { doc; primitives; collapsed; conflicts })
-    | 10 ->
-      let doc = get_str c in
-      let primitives = get_u32 c in
-      let collapsed = get_u32 c in
-      let elements = get_u32 c in
-      let generation = get_u32 c in
-      Service.Ok (Service.Committed { doc; primitives; collapsed; elements; generation })
-    | 11 ->
-      let name = get_str c in
-      let base = get_str c in
-      let depth = get_u32 c in
-      let generation = get_u32 c in
-      let redefined =
-        match get_u8 c with
-        | 0 -> false
-        | 1 -> true
-        | b -> raise (Malformed (Printf.sprintf "bad redefined flag %d" b))
-      in
-      Service.Ok (Service.View_defined { name; base; depth; generation; redefined })
-    | 12 -> Service.Ok (Service.View_undefined { name = get_str c })
-    | 13 ->
-      let n = get_count c in
-      let views =
-        List.init n (fun _ ->
-            let v_name = get_str c in
-            let v_base = get_str c in
-            let v_depth = get_u32 c in
-            let v_generation = get_u32 c in
-            { Service.v_name; v_base; v_depth; v_generation })
-      in
-      Service.Ok (Service.View_list views)
-    | 14 ->
-      let name = get_str c in
-      let elements = get_u32 c in
-      let reloaded =
-        match get_u8 c with
-        | 0 -> false
-        | 1 -> true
-        | b -> raise (Malformed (Printf.sprintf "bad reloaded flag %d" b))
-      in
-      let generation = get_u32 c in
-      let schema = get_str c in
-      Service.Ok
-        (Service.Doc_loaded { name; elements; reloaded; generation; schema = Some schema })
-    | t -> raise (Malformed (Printf.sprintf "unknown response tag %d" t))
 
   let decode_with get s =
     let c = { s; pos = 0 } in
@@ -564,8 +486,10 @@ module Binary = struct
       else Ok v
     | exception Malformed msg -> Error msg
 
-  let decode_request s = decode_with get_request s
-  let decode_response s = decode_with get_response s
+  let encode_request = encode request
+  let decode_request = decode_with request.get
+  let encode_response = encode response
+  let decode_response = decode_with response.get
 
   let string_prefix_size = 5
 
@@ -606,50 +530,47 @@ module Binary = struct
     chunk_size : int;
   }
 
-  let encode_stream ({ source; engine; query; chunk_size } : Service.stream_request) =
-    let b = Buffer.create 128 in
-    (match (source, engine) with
-    | Service.From_doc doc, Some engine ->
-      put_u8 b 7;
-      put_str b doc;
-      put_str b (Core.Engine.name engine)
-    | Service.From_doc doc, None ->
-      put_u8 b 16;
-      put_u8 b 1;
-      put_str b doc
-    | Service.From_file path, None ->
-      put_u8 b 16;
-      put_u8 b 2;
-      put_str b path
-    | Service.From_file _, Some _ ->
-      invalid_arg "Wire.Binary.encode_stream: an engine stream needs a stored document");
-    put_str b query;
-    put_u32 b chunk_size;
-    Buffer.contents b
+  let chunk_size =
+    { u32 with
+      get =
+        (fun c ->
+          let n = u32.get c in
+          if n = 0 then malformed "stream chunk_size must be positive";
+          if n > max_chunk_size then
+            malformed "stream chunk_size %d exceeds the maximum %d" n max_chunk_size;
+          n) }
 
-  let get_stream c : Service.stream_request =
-    let source, engine =
-      match get_u8 c with
-      | 7 ->
-        let doc = get_str c in
-        (Service.From_doc doc, Some (get_engine c))
-      | 16 -> begin
-        match get_u8 c with
-        | 1 -> (Service.From_doc (get_str c), None)
-        | 2 -> (Service.From_file (get_str c), None)
-        | b -> raise (Malformed (Printf.sprintf "unknown ingest source %d" b))
-      end
-      | t -> raise (Malformed (Printf.sprintf "not a stream request (tag %d)" t))
+  let stream_cases =
+    let open Service in
+    let from =
+      union (Printf.sprintf "unknown ingest source %d")
+        [ Case (1, str, (fun d -> From_doc d), function From_doc d -> Some d | _ -> None);
+          Case (2, str, (fun p -> From_file p), function From_file p -> Some p | _ -> None) ]
     in
-    let query = get_str c in
-    let chunk_size = get_u32 c in
-    if chunk_size = 0 then raise (Malformed "stream chunk_size must be positive");
-    if chunk_size > max_chunk_size then
-      raise
-        (Malformed
-           (Printf.sprintf "stream chunk_size %d exceeds the maximum %d" chunk_size
-              max_chunk_size));
-    { source; engine; query; chunk_size }
+    [ Case (7, t4 str engine str chunk_size,
+        (fun (doc, e, query, chunk_size) ->
+          { source = From_doc doc; engine = Some e; query; chunk_size }),
+        function
+        | { source = From_doc doc; engine = Some e; query; chunk_size } ->
+          Some (doc, e, query, chunk_size)
+        | _ -> None);
+      Case (16, t3 from str chunk_size,
+        (fun (source, query, chunk_size) -> { source; engine = None; query; chunk_size }),
+        function
+        | { source; engine = None; query; chunk_size } -> Some (source, query, chunk_size)
+        | _ -> None) ]
+
+  (* A Request-frame payload: a plain request or either stream tag *)
+  let incoming =
+    let lift inj proj (Case (tag, c, i, p)) =
+      Case (tag, c, (fun a -> inj (i a)), fun v -> Option.bind (proj v) p)
+    in
+    union unknown_request
+      (List.map (lift (fun r -> Plain r) (function Plain r -> Some r | _ -> None))
+         (request_cases request)
+      @ List.map (lift (fun s -> Stream s) (function Stream s -> Some s | _ -> None)) stream_cases)
+
+  let encode_stream sr = encode incoming (Stream sr)
 
   let of_ingest_request ({ source; query; chunk_size } : ingest_request) =
     let source =
@@ -657,10 +578,7 @@ module Binary = struct
     in
     { Service.source; engine = None; query; chunk_size }
 
-  let decode_incoming ~version:_ s =
-    match if s = "" then 0 else Char.code s.[0] with
-    | 7 | 16 -> Result.map (fun sr -> Stream sr) (decode_with get_stream s)
-    | _ -> Result.map (fun r -> Plain r) (decode_with get_request s)
+  let decode_incoming ~version:_ s = decode_with incoming.get s
 
   (* ---- invalidation notices ----
 
@@ -700,37 +618,18 @@ module Binary = struct
     if ev.Doc_store.schema_dropped then [ base; { base with reason = Schema_dropped } ]
     else [ base ]
 
-  let reason_byte = function
-    | Unloaded -> 1
-    | Replaced -> 2
-    | Committed -> 3
-    | Schema_dropped -> 4
+  (* the reason byte, then the document and generation *)
+  let notice =
+    map
+      (fun (reason, doc, generation) -> { doc; reason; generation })
+      (fun { doc; reason; generation } -> (reason, doc, generation))
+      (t3
+         (enum (Printf.sprintf "unknown notice reason %d")
+            [ (1, Unloaded); (2, Replaced); (3, Committed); (4, Schema_dropped) ])
+         str u32)
 
-  let reason_of_byte = function
-    | 1 -> Some Unloaded
-    | 2 -> Some Replaced
-    | 3 -> Some Committed
-    | 4 -> Some Schema_dropped
-    | _ -> None
-
-  let encode_notice { doc; reason; generation } =
-    let b = Buffer.create 32 in
-    put_u8 b (reason_byte reason);
-    put_str b doc;
-    put_u32 b generation;
-    Buffer.contents b
-
-  let decode_notice s =
-    decode_with
-      (fun c ->
-        let reason_b = get_u8 c in
-        match reason_of_byte reason_b with
-        | None -> raise (Malformed (Printf.sprintf "unknown notice reason %d" reason_b))
-        | Some reason ->
-          let doc = get_str c in
-          let generation = get_u32 c in
-          { doc; reason; generation })
-      s
+  let encode_notice = encode notice
+  let decode_notice = decode_with notice.get
 
   let render_notice { doc; reason; generation } =
     Printf.sprintf "NOTICE %s %s generation=%d"
@@ -788,31 +687,12 @@ module Binary = struct
   let stream_chunk_frame ~id chunk = stream_chunk_head ~id chunk ^ chunk
 
   let stream_end_frame ~id ~bytes ~chunks =
-    let b = Buffer.create 8 in
-    put_u32 b bytes;
-    put_u32 b chunks;
-    frame ~kind:Stream_end ~id (Buffer.contents b)
+    frame ~kind:Stream_end ~id (encode totals (bytes, chunks))
 
-  let decode_stream_end s =
-    decode_with
-      (fun c ->
-        let bytes = get_u32 c in
-        let chunks = get_u32 c in
-        (bytes, chunks))
-      s
+  let decode_stream_end = decode_with totals.get
 
   let stream_error_frame ~id ~code message =
-    let b = Buffer.create 32 in
-    put_u8 b (err_code_byte code);
-    put_str b message;
-    frame ~kind:Stream_error ~id (Buffer.contents b)
+    frame ~kind:Stream_error ~id (encode error (code, message))
 
-  let decode_stream_error s =
-    decode_with
-      (fun c ->
-        let code_byte = get_u8 c in
-        match err_code_of_byte code_byte with
-        | None -> raise (Malformed (Printf.sprintf "unknown error code %d" code_byte))
-        | Some code -> (code, get_str c))
-      s
+  let decode_stream_error = decode_with error.get
 end

@@ -10,8 +10,11 @@
       responses may complete out of order, and a version byte (always
       {!Binary.protocol_version}) leaves room for protocol evolution.
 
-    Both decoders are total: malformed input is an [Error _], never an
-    exception. *)
+    Every decoder is total: malformed input is an [Error _], never an
+    exception.  Each binary payload layout (a tag byte and its fields)
+    is declared once inside {!Binary}, and its encoder and decoder are
+    both derived from that one declaration; DESIGN.md's "Frame layout"
+    lists every tag. *)
 
 open Xut_service
 

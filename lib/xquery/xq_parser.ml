@@ -161,11 +161,13 @@ let decode_entities text =
             | "apos" -> "'"
             | _ ->
               if String.length entity > 1 && entity.[0] = '#' then
-                let code =
-                  if entity.[1] = 'x' then int_of_string ("0x" ^ String.sub entity 2 (String.length entity - 2))
-                  else int_of_string (String.sub entity 1 (String.length entity - 1))
+                let digits =
+                  if entity.[1] = 'x' then "0x" ^ String.sub entity 2 (String.length entity - 2)
+                  else String.sub entity 1 (String.length entity - 1)
                 in
-                String.make 1 (Char.chr (code land 0x7f))
+                match int_of_string_opt digits with
+                | Some code -> String.make 1 (Char.chr (code land 0x7f))
+                | None -> fail "bad character reference &%s;" entity
               else fail "unknown entity &%s;" entity
           in
           Buffer.add_string buf repl;
@@ -546,7 +548,8 @@ and parse_xml_literal s =
         end
         else if at (cur () + 1) = '!' then begin
           (* comment *)
-          if String.sub source (cur ()) 4 <> "<!--" then fail "unsupported markup in XML literal";
+          if at (cur () + 2) <> '-' || at (cur () + 3) <> '-' then
+            fail "unsupported markup in XML literal";
           let rec find j =
             if j + 3 > n then fail "unterminated comment"
             else if String.sub source j 3 = "-->" then j

@@ -1750,6 +1750,277 @@ let test_tree_length_mismatch () =
       | 2L, Service.Ok (Service.Tree "<b/>") -> ()
       | _ -> Alcotest.fail "the next frame must still read")
 
+(* Golden payloads: one fixed value per payload layout and its exact
+   bytes, taken from the codec before it was rebuilt from descriptors.
+   Round trips cannot see a tag or a field order that changed in both
+   directions at once; this table can.  Every number in a value is
+   distinct, so swapping two fields of a layout changes its bytes. *)
+
+type layout =
+  | Req of Service.request
+  | Resp of Service.response
+  | Stream of Service.stream_request
+  | Note of Wire.Binary.notice
+  | End of int * int
+  | Err of Service.err_code * string
+
+let frame_payload f =
+  String.sub f Wire.Binary.header_size (String.length f - Wire.Binary.header_size)
+
+let encode_layout = function
+  | Req r -> Wire.Binary.encode_request r
+  | Resp r -> Wire.Binary.encode_response r
+  | Stream sr -> Wire.Binary.encode_stream sr
+  | Note n -> Wire.Binary.encode_notice n
+  | End (bytes, chunks) -> frame_payload (Wire.Binary.stream_end_frame ~id:1L ~bytes ~chunks)
+  | Err (code, m) -> frame_payload (Wire.Binary.stream_error_frame ~id:1L ~code m)
+
+let decode_layout like s =
+  match like with
+  | Req _ -> Result.map (fun r -> Req r) (Wire.Binary.decode_request s)
+  | Resp _ -> Result.map (fun r -> Resp r) (Wire.Binary.decode_response s)
+  | Stream _ -> begin
+    match Wire.Binary.decode_incoming ~version:2 s with
+    | Ok (Wire.Stream sr) -> Ok (Stream sr)
+    | Ok (Wire.Plain _) -> Error "decoded as a plain request"
+    | Error e -> Error e
+  end
+  | Note _ -> Result.map (fun n -> Note n) (Wire.Binary.decode_notice s)
+  | End _ -> Result.map (fun (b, c) -> End (b, c)) (Wire.Binary.decode_stream_end s)
+  | Err _ -> Result.map (fun (c, m) -> Err (c, m)) (Wire.Binary.decode_stream_error s)
+
+let notice reason generation = Note { Wire.Binary.doc = "d"; reason; generation }
+
+let golden_layouts =
+  [ ( "request 1 load",
+      Req (Service.Load { name = "n"; file = "f.xml"; schema = None }),
+      "\001\000\000\000\001n\000\000\000\005f.xml" );
+    ("request 2 unload", Req (Service.Unload { name = "n" }), "\002\000\000\000\001n");
+    ( "request 3 transform doc",
+      Req (Service.Transform { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = "q" }),
+      "\003\000\000\000\001d\000\000\000\005TD-BU\000\000\000\001q" );
+    ( "request 4 count doc",
+      Req (Service.Count { target = Service.Doc "d"; engine = Core.Engine.Gentop; query = "q" }),
+      "\004\000\000\000\001d\000\000\000\006GENTOP\000\000\000\001q" );
+    ("request 5 stats", Req Service.Stats, "\005");
+    ( "request 6 batch",
+      Req (Service.Batch [ Service.Stats; Service.Unload { name = "n" } ]),
+      "\006\000\000\000\002\005\002\000\000\000\001n" );
+    ( "request 8 apply",
+      Req (Service.Apply { doc = "d"; query = "u" }),
+      "\008\000\000\000\001d\000\000\000\001u" );
+    ( "request 9 commit",
+      Req (Service.Commit { doc = "d"; query = "u" }),
+      "\009\000\000\000\001d\000\000\000\001u" );
+    ( "request 10 transform view",
+      Req
+        (Service.Transform
+           { target = Service.View "v"; engine = Core.Engine.Naive; query = "q" }),
+      "\010\000\000\000\001v\000\000\000\005NAIVE\000\000\000\001q" );
+    ( "request 11 count view",
+      Req
+        (Service.Count
+           { target = Service.View "v"; engine = Core.Engine.Two_pass_sax; query = "q" }),
+      "\011\000\000\000\001v\000\000\000\010twoPassSAX\000\000\000\001q" );
+    ( "request 12 defview",
+      Req (Service.Defview { name = "v"; query = "q" }),
+      "\012\000\000\000\001v\000\000\000\001q" );
+    ("request 13 undefview", Req (Service.Undefview { name = "v" }), "\013\000\000\000\001v");
+    ("request 14 listviews", Req Service.Listviews, "\014");
+    ( "request 15 load with schema",
+      Req (Service.Load { name = "n"; file = "f.xml"; schema = Some "xmark" }),
+      "\015\000\000\000\001n\000\000\000\005f.xml\000\000\000\005xmark" );
+    ( "request 7 result stream",
+      Stream
+        { Service.source = Service.From_doc "d"; engine = Some Core.Engine.Gentop; query = "q";
+          chunk_size = 512 },
+      "\007\000\000\000\001d\000\000\000\006GENTOP\000\000\000\001q\000\000\002\000" );
+    ( "request 16 ingest doc",
+      Stream { Service.source = Service.From_doc "d"; engine = None; query = "q"; chunk_size = 64 },
+      "\016\001\000\000\000\001d\000\000\000\001q\000\000\000\064" );
+    ( "request 16 ingest file",
+      Stream
+        { Service.source = Service.From_file "/x.xml"; engine = None; query = "q";
+          chunk_size = 65536 },
+      "\016\002\000\000\000\006/x.xml\000\000\000\001q\000\001\000\000" );
+    ( "response 1 loaded",
+      Resp
+        (Service.Ok
+           (Service.Doc_loaded
+              { name = "n"; elements = 7; reloaded = true; generation = 3; schema = None })),
+      "\001\000\000\000\001n\000\000\000\007\001\000\000\000\003" );
+    ( "response 2 unloaded",
+      Resp (Service.Ok (Service.Doc_unloaded { name = "n" })),
+      "\002\000\000\000\001n" );
+    ("response 3 tree", Resp (Service.Ok (Service.Tree "<a/>")), "\003\000\000\000\004<a/>");
+    ("response 4 count", Resp (Service.Ok (Service.Element_count 42)), "\004\000\000\000\042");
+    ( "response 5 stats dump",
+      Resp (Service.Ok (Service.Stats_dump "s=1")),
+      "\005\000\000\000\003s=1" );
+    ( "response 6 error",
+      Resp (Service.Error { code = Service.Conflict; message = "m" }),
+      "\006\006\000\000\000\001m" );
+    ( "response 7 batch",
+      Resp
+        (Service.Ok
+           (Service.Batch_results
+              [ Service.Ok (Service.Element_count 1); Service.Ok (Service.Tree "") ])),
+      "\007\000\000\000\002\004\000\000\000\001\003\000\000\000\000" );
+    ( "response 8 stream done",
+      Resp (Service.Ok (Service.Stream_done { bytes = 300; chunks = 2 })),
+      "\008\000\000\001\044\000\000\000\002" );
+    ( "response 9 applied",
+      Resp
+        (Service.Ok
+           (Service.Applied
+              { doc = "d"; primitives = 3; collapsed = 1; conflicts = [ "c1"; "c2" ] })),
+      "\009\000\000\000\001d\000\000\000\003\000\000\000\001"
+      ^ "\000\000\000\002\000\000\000\002c1\000\000\000\002c2" );
+    ( "response 10 committed",
+      Resp
+        (Service.Ok
+           (Service.Committed
+              { doc = "d"; primitives = 3; collapsed = 1; elements = 9; generation = 4 })),
+      "\010\000\000\000\001d\000\000\000\003\000\000\000\001\000\000\000\009\000\000\000\004" );
+    ( "response 11 view defined",
+      Resp
+        (Service.Ok
+           (Service.View_defined
+              { name = "v"; base = "d"; depth = 2; generation = 5; redefined = true })),
+      "\011\000\000\000\001v\000\000\000\001d\000\000\000\002\000\000\000\005\001" );
+    ( "response 12 view undefined",
+      Resp (Service.Ok (Service.View_undefined { name = "v" })),
+      "\012\000\000\000\001v" );
+    ( "response 13 view list",
+      Resp
+        (Service.Ok
+           (Service.View_list
+              [ { Service.v_name = "v"; v_base = "d"; v_depth = 1; v_generation = 6 } ])),
+      "\013\000\000\000\001\000\000\000\001v\000\000\000\001d\000\000\000\001\000\000\000\006" );
+    ( "response 14 loaded with schema",
+      Resp
+        (Service.Ok
+           (Service.Doc_loaded
+              { name = "n"; elements = 7; reloaded = false; generation = 3;
+                schema = Some "xmark" })),
+      "\014\000\000\000\001n\000\000\000\007\000\000\000\000\003\000\000\000\005xmark" );
+    ("notice unloaded", notice Wire.Binary.Unloaded 1, "\001\000\000\000\001d\000\000\000\001");
+    ("notice replaced", notice Wire.Binary.Replaced 2, "\002\000\000\000\001d\000\000\000\002");
+    ("notice committed", notice Wire.Binary.Committed 3, "\003\000\000\000\001d\000\000\000\003");
+    ( "notice schema-dropped",
+      notice Wire.Binary.Schema_dropped 4,
+      "\004\000\000\000\001d\000\000\000\004" );
+    ("stream end", End (300, 2), "\000\000\001\044\000\000\000\002");
+    ("stream error unknown-document", Err (Service.Unknown_document, "m"), "\001\000\000\000\001m");
+    ( "stream error query-parse-error",
+      Err (Service.Query_parse_error, "m"),
+      "\002\000\000\000\001m" );
+    ("stream error eval-error", Err (Service.Eval_error, "m"), "\003\000\000\000\001m");
+    ("stream error overloaded", Err (Service.Overloaded, "m"), "\004\000\000\000\001m");
+    ("stream error bad-request", Err (Service.Bad_request, "m"), "\005\000\000\000\001m");
+    ("stream error conflict", Err (Service.Conflict, "m"), "\006\000\000\000\001m");
+    ( "stream error view-compose-error",
+      Err (Service.View_compose_error, "m"),
+      "\007\000\000\000\001m" );
+    ( "stream error statically-empty",
+      Err (Service.Statically_empty, "m"),
+      "\008\000\000\000\001m" ) ]
+
+let test_golden_payloads () =
+  List.iter
+    (fun (name, v, golden) ->
+      Alcotest.(check string) (name ^ ": encoded bytes") golden (encode_layout v);
+      match decode_layout v golden with
+      | Ok v' when v' = v -> ()
+      | Ok _ -> Alcotest.failf "%s: the golden bytes decode to another value" name
+      | Error e -> Alcotest.failf "%s: the golden bytes do not decode: %s" name e)
+    golden_layouts
+
+(* ---- decoders are total: garbage is an [Error _], never an exception ---- *)
+
+let decoders =
+  [ ("Binary.decode_header", fun s -> Result.is_ok (Wire.Binary.decode_header (Bytes.of_string s)));
+    ("Binary.decode_incoming", fun s -> Result.is_ok (Wire.Binary.decode_incoming ~version:2 s));
+    ("Binary.decode_response", fun s -> Result.is_ok (Wire.Binary.decode_response s));
+    ("Binary.decode_notice", fun s -> Result.is_ok (Wire.Binary.decode_notice s));
+    ("Binary.decode_stream_end", fun s -> Result.is_ok (Wire.Binary.decode_stream_end s));
+    ("Binary.decode_stream_error", fun s -> Result.is_ok (Wire.Binary.decode_stream_error s));
+    ("Line.decode_incoming", fun s -> Result.is_ok (Wire.Line.decode_incoming s)) ]
+
+let decoders_total s =
+  List.for_all
+    (fun (name, decode) ->
+      match decode s with
+      | (_ : bool) -> true
+      | exception e -> QCheck.Test.fail_reportf "%s raised %s on %S" name (Printexc.to_string e) s)
+    decoders
+
+(* Random bytes: bare, behind a small tag byte (so the payload decoders
+   get past their first switch), and as 16-byte headers that pass the
+   magic and version checks. *)
+let gen_garbage =
+  QCheck.Gen.(
+    oneof
+      [ string_size ~gen:char (int_range 0 48);
+        map2 (fun tag s -> String.make 1 (Char.chr tag) ^ s) (int_range 0 17)
+          (string_size ~gen:char (int_range 0 48));
+        map (fun s -> "XU\002" ^ s) (string_size ~gen:char (return 13)) ])
+
+let gen_stream_request =
+  QCheck.Gen.(
+    map3
+      (fun (source, engine) query chunk_size -> { Service.source; engine; query; chunk_size })
+      (oneof
+         [ map2 (fun d e -> (Service.From_doc d, Some e)) gen_text gen_engine;
+           map (fun d -> (Service.From_doc d, None)) gen_text;
+           map (fun p -> (Service.From_file p, None)) gen_text ])
+      gen_text (int_range 1 Wire.Binary.max_chunk_size))
+
+let gen_notice =
+  QCheck.Gen.(
+    map3
+      (fun doc reason generation -> { Wire.Binary.doc; reason; generation })
+      gen_text
+      (oneofl
+         [ Wire.Binary.Unloaded; Wire.Binary.Replaced; Wire.Binary.Committed;
+           Wire.Binary.Schema_dropped ])
+      small_nat)
+
+let gen_encoding =
+  QCheck.Gen.(
+    oneof
+      [ map Wire.Binary.encode_request gen_request;
+        map Wire.Binary.encode_response gen_response;
+        map Wire.Binary.encode_stream gen_stream_request;
+        map Wire.Binary.encode_notice gen_notice;
+        map2 (fun bytes chunks -> encode_layout (End (bytes, chunks))) small_nat small_nat;
+        map2 (fun code m -> encode_layout (Err (code, m))) gen_err_code gen_text ])
+
+(* A valid encoding, whole, truncated, extended or with one byte
+   replaced. *)
+let gen_mutated =
+  QCheck.Gen.(
+    gen_encoding >>= fun s ->
+    let n = String.length s in
+    oneof
+      [ return s;
+        map (fun k -> String.sub s 0 k) (int_range 0 n);
+        map (fun t -> s ^ t) (string_size ~gen:char (int_range 1 8));
+        map2
+          (fun i c ->
+            if n = 0 then s
+            else String.mapi (fun j c' -> if j = i mod n then c else c') s)
+          nat char ])
+
+let prop_decoders_total_garbage =
+  QCheck.Test.make ~count:2000 ~name:"wire: decoders never raise on random bytes"
+    (QCheck.make ~print:String.escaped gen_garbage) decoders_total
+
+let prop_decoders_total_mutated =
+  QCheck.Test.make ~count:2000
+    ~name:"wire: decoders never raise on truncated, extended or flipped encodings"
+    (QCheck.make ~print:String.escaped gen_mutated) decoders_total
+
 let suite =
   [
     Alcotest.test_case "wire: line protocol" `Quick test_line_protocol;
@@ -1799,6 +2070,9 @@ let suite =
     Alcotest.test_case "socket: pipelined replies drain before close" `Quick
       test_pipelined_drain_before_close;
     Alcotest.test_case "wire: golden reply frames" `Quick test_golden_frames;
+    Alcotest.test_case "wire: golden payload per layout" `Quick test_golden_payloads;
+    QCheck_alcotest.to_alcotest prop_decoders_total_garbage;
+    QCheck_alcotest.to_alcotest prop_decoders_total_mutated;
     QCheck_alcotest.to_alcotest prop_tree_reply_bytes;
     Alcotest.test_case "client: tree reply torn mid-body" `Quick test_tree_reply_torn_mid_body;
     Alcotest.test_case "client: tree length mismatch" `Quick test_tree_length_mismatch;

@@ -195,6 +195,56 @@ let test_comments () =
   check_strs "xquery comments" [ "2" ]
     (run_strings "(: a comment (: nested :) :) count(db/part)")
 
+(* An XML literal cut off after "<!" used to read past the end of the
+   source ([String.sub] raised [Invalid_argument]); it is a parse error. *)
+let test_truncated_markup () =
+  List.iter
+    (fun src ->
+      match Xq_parser.parse_expr src with
+      | exception Xq_parser.Parse_error _ -> ()
+      | exception e -> Alcotest.failf "%S raised %s" src (Printexc.to_string e)
+      | _ -> Alcotest.failf "should not parse: %S" src)
+    [ "<a><!"; "<a><!-"; "<a><!--"; "<a><!x"; "<a>&#x;</a>"; "<a>&#;</a>"; "<a>&#zz;</a>" ]
+
+(* Random token soup, half the time behind an opening that reaches an
+   XML literal: the parsers either parse or raise their own
+   [Parse_error], never another exception. *)
+let gen_token_soup =
+  QCheck.Gen.(
+    map2 ( ^ )
+      (oneofl
+         [ ""; ""; ""; "<a>"; "for $x in site return <a>";
+           "transform copy $a := doc(\"d\") modify do insert <a>";
+           "insert <a>" ])
+      (map (String.concat "")
+         (list_size (int_range 0 24)
+            (oneof
+               [ oneofl
+                   [ "transform"; "copy"; "$a"; ":="; "doc(\"d\")"; "modify"; "do"; "delete";
+                     "insert"; "into"; "replace"; "with"; "rename"; "as"; "return"; "for";
+                     "$x"; "in"; "where"; "let"; "if"; "then"; "else"; "count("; "site"; "a";
+                     "1"; "<a>"; "</a>"; "<a/>"; "<!"; "<!-"; "<!--"; "-->"; "/"; "//"; "[";
+                     "]"; "("; ")"; ","; "="; "\""; "'"; "&"; "&#"; "x"; ";"; "{"; "}"; "@";
+                     "*"; "."; ".."; "text()"; "<"; ">"; "-"; "+" ];
+                 oneofl [ " "; ""; "\n" ];
+                 map (String.make 1) printable ]))))
+
+let prop_parsers_raise_only_parse_error =
+  let only_parse_error name parse src =
+    match parse src with
+    | _ -> true
+    | exception (Xq_parser.Parse_error _ | Core.Transform_parser.Parse_error _) -> true
+    | exception e -> QCheck.Test.fail_reportf "%s raised %s on %S" name (Printexc.to_string e) src
+  in
+  QCheck.Test.make ~count:3000 ~name:"parsers raise only Parse_error on token soup"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_token_soup)
+    (fun src ->
+      only_parse_error "Xq_parser.parse_expr" (fun s -> ignore (Xq_parser.parse_expr s)) src
+      && only_parse_error "Transform_parser.parse"
+           (fun s -> ignore (Core.Transform_parser.parse s)) src
+      && only_parse_error "Transform_parser.parse_updates"
+           (fun s -> ignore (Core.Transform_parser.parse_updates s)) src)
+
 let suite =
   [ Alcotest.test_case "literals" `Quick test_literals;
     Alcotest.test_case "paths" `Quick test_paths;
@@ -210,4 +260,6 @@ let suite =
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "numeric builtins" `Quick test_numeric_builtins;
     Alcotest.test_case "string builtins" `Quick test_string_builtins;
-    Alcotest.test_case "comments" `Quick test_comments ]
+    Alcotest.test_case "comments" `Quick test_comments;
+    Alcotest.test_case "markup cut off after <!" `Quick test_truncated_markup;
+    QCheck_alcotest.to_alcotest prop_parsers_raise_only_parse_error ]
