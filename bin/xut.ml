@@ -77,18 +77,21 @@ let transform_cmd =
       end;
       let update = q.Transform_ast.update in
       let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-      let source h = Xut_xml.Sax.parse_file doc h in
       let t0 = Unix.gettimeofday () in
       let w0 = Gc.minor_words () in
       let sink = Xut_xml.Serialize.Sink.create print_string in
       let events = Xut_xml.Serialize.Sink.event sink in
+      (* the parse copies what the run keeps unread straight into the sink *)
+      let steer = Xut_xml.Sax.steer (Xut_xml.Serialize.Sink.writer sink) in
+      let source h = Xut_xml.Sax.parse_file ~steer doc h in
       let tier = Sax_transform.tier ~file:true nfa in
       let rs =
         try
           match tier with
-          | Sax_transform.Fused -> Some (Sax_transform.run_once nfa update ~source ~sink:events)
+          | Sax_transform.Fused ->
+            Some (Sax_transform.run_once ~steer nfa update ~source ~sink:events)
           | Sax_transform.Buffered ->
-            Some (Sax_transform.run_buffered nfa update ~source ~sink:events)
+            Some (Sax_transform.run_buffered ~steer nfa update ~source ~sink:events)
           | Sax_transform.Materialized ->
             Xut_xml.Serialize.Sink.element sink (Top_down.run nfa update (load_doc doc));
             None
@@ -542,4 +545,17 @@ let () =
   (* the built-in XMark schemas are available to every subcommand
      (serve validates LOAD ... SCHEMA against the registry) *)
   Xut_xmark.Site_schema.register ();
-  exit (Cmd.eval' main)
+  (* a malformed query or document is the caller's error, not an
+     internal one: its message and exit code 2 *)
+  exit
+    (match Cmd.eval' ~catch:false main with
+    | code -> code
+    | exception (Transform_parser.Parse_error msg | Xut_xquery.Xq_parser.Parse_error msg) ->
+      Printf.eprintf "xut: query parse error: %s\n" msg;
+      2
+    | exception Xut_xml.Sax.Parse_error { line; col; msg } ->
+      Printf.eprintf "xut: parse error at %d:%d: %s\n" line col msg;
+      2
+    | exception e ->
+      Printf.eprintf "xut: internal error, uncaught exception:\n%s\n" (Printexc.to_string e);
+      Cmd.Exit.internal_error)

@@ -280,17 +280,19 @@ module Pass2 = struct
     mutable max_depth : int;
     mutable seq : int;
     mutable produced_root : bool;
+    (* the parse's steering handle, when the run was given one *)
+    steer : Sax.steer option;
   }
 
   (* [truth] holds the document node's truths, if the path tests it,
      before the pass starts. *)
-  let create ~sskip nfa update truth sink =
+  let create ?steer ~sskip nfa update truth sink =
     let start =
       Selecting_nfa.start_checked nfa ~checkp:(fun s ->
           Truth.get truth (-1) (Selecting_nfa.state_lq nfa s))
     in
     let rec p =
-      { nfa; update; sskip; truth; sink; root_matched = Selecting_nfa.selects_context nfa; start;
+      { nfa; update; sskip; truth; sink; steer; root_matched = Selecting_nfa.selects_context nfa; start;
         checkp = (fun s -> Truth.get p.truth p.seq (Selecting_nfa.state_lq p.nfa s));
         fstates = Array.make initial_depth start; out_names = Array.make initial_depth "";
         matched = Array.make initial_depth false; skip = 0; verbatim = 0;
@@ -319,9 +321,25 @@ module Pass2 = struct
     p.depth <- d + 1;
     if p.depth > p.max_depth then p.max_depth <- p.depth
 
+  (* The handle through which the parse that gives pass 2 its current
+     start-tag can consume the element's rest: [Some] only for a live
+     start-tag of a steered parse, never for a held or replayed one. *)
+  let steerable p =
+    match p.steer with Some h when Sax.offered h -> p.steer | _ -> None
+
+  (* Drop the rest of a deleted or replaced element: skipped in the parse
+     when it can be steered, otherwise counted through event by event. *)
+  let drop p =
+    match steerable p with
+    | Some h -> p.seq <- p.seq + Sax.skip_rest h
+    | None -> p.skip <- 1
+
   (* A start-tag [ev] = [Start_element (name, attrs)] while [walking], its
      number already counted and its filtered states [fstates] known.  An
-     element written under its own name is written as [ev] itself. *)
+     element written under its own name is written as [ev] itself.  One
+     that is unmatched with no state left can match nothing below it:
+     its rest is copied in the parse when it can be steered, its frame
+     never pushed (but counted in the peak depth). *)
   let admit p ev name attrs fstates =
     let sink = p.sink in
     let at_root = p.depth = 0 in
@@ -330,7 +348,7 @@ module Pass2 = struct
     | Transform_ast.Delete _, true ->
       if at_root then
         raise (Transform_ast.Invalid_update "update deletes the document element");
-      p.skip <- 1
+      drop p
     | Transform_ast.Replace (_, enew), true ->
       (match enew, at_root with
       | Node.Element _, _ | _, false -> ()
@@ -340,7 +358,7 @@ module Pass2 = struct
              "update replaces the document element with a non-element"));
       if at_root then p.produced_root <- true;
       Sax.events_of_node enew sink;
-      p.skip <- 1
+      drop p
     | Transform_ast.Rename (_, l), true ->
       sink (Sax.Start_element (l, attrs));
       push p fstates l matched
@@ -349,9 +367,14 @@ module Pass2 = struct
       Sax.events_of_node enew sink;
       push p fstates name matched
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
-      | Transform_ast.Replace _ | Transform_ast.Rename _), _ ->
+      | Transform_ast.Replace _ | Transform_ast.Rename _), _ -> (
       sink ev;
-      push p fstates name matched
+      match if matched then None else steerable p with
+      | Some h when Selecting_nfa.set_is_empty fstates ->
+        if at_root then p.produced_root <- true;
+        p.seq <- p.seq + Sax.copy_rest h;
+        p.max_depth <- max p.max_depth (p.depth + 1 + Sax.rest_depth h)
+      | _ -> push p fstates name matched)
 
   (* A start-tag while [walking], its number already counted. *)
   let enter p ev name attrs sym =
@@ -408,7 +431,9 @@ let check_ctx_qual nfa =
       (Unsupported_streaming
          ("context qualifier [" ^ Ast.qual_to_string q ^ "] cannot be checked in streaming mode"))
 
-let run ?(skip = fun _ -> false) nfa update ~source ~sink =
+let never _ = false
+
+let run ?(skip = never) nfa update ~source ~sink =
   check_ctx_qual nfa;
   let truth = Truth.create () in
   let p1 = Pass1.create ~sskip:skip nfa truth in
@@ -462,10 +487,15 @@ type region =
   | Held of { first : int; mutable open_elements : int; mutable bytes : int }
   | Overflowed of { first : int }  (* the seq of the region's first element *)
 
-let drive ~skip nfa update ~source ~sink =
+(* A run with a schema skip-set is not steered: the skip-set comes with
+   a stored document, whose events are a tree replay with no parse to
+   steer. *)
+let drive ?steer ?skip nfa update ~source ~sink =
+  let steer = if Option.is_some skip then None else steer in
+  let skip = Option.value skip ~default:never in
   let truth = Truth.create () in
   let p1 = Pass1.create ~sskip:skip nfa truth in
-  let p2 = Pass2.create ~sskip:skip nfa update truth sink in
+  let p2 = Pass2.create ?steer ~sskip:skip nfa update truth sink in
   let quals = Selecting_nfa.qual_states nfa in
   let held = ref [||] and nheld = ref 0 in
   let hold ev =
@@ -574,10 +604,10 @@ let drive ~skip nfa update ~source ~sink =
 
 (* A path that begins with [//.[q]] tests the document node, whose truth
    is known only at the end of the input: {!run}'s two reads. *)
-let run_buffered ?(skip = fun _ -> false) nfa update ~source ~sink =
+let run_buffered ?skip ?steer nfa update ~source ~sink =
   check_ctx_qual nfa;
-  if Selecting_nfa.checks_document nfa then run ~skip nfa update ~source ~sink
-  else drive ~skip nfa update ~source ~sink
+  if Selecting_nfa.checks_document nfa then run ?skip nfa update ~source ~sink
+  else drive ?steer ?skip nfa update ~source ~sink
 
 (* A plan is one-pass streamable iff the top-down run never needs the
    bottom-up truth table: no context qualifier and no qualifier-bearing
@@ -588,12 +618,12 @@ let one_pass nfa =
   (match Selecting_nfa.ctx_qual nfa with Ast.Q_true -> true | _ -> false)
   && Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa)
 
-let run_once ?(skip = fun _ -> false) nfa update ~source ~sink =
+let run_once ?skip ?steer nfa update ~source ~sink =
   if not (one_pass nfa) then
     raise
       (Unsupported_streaming
          "plan has qualifiers: one-pass streaming needs the bottom-up pass");
-  drive ~skip nfa update ~source ~sink
+  drive ?steer ?skip nfa update ~source ~sink
 
 type tier = Fused | Buffered | Materialized
 

@@ -28,12 +28,34 @@ open Xut_automata
     - {!run_once} is the buffered driver for plans that never open a
       region ({!one_pass}): pass 2 alone, O(depth) memory.
 
-    A run allocates the events it writes and their strings, and nothing
+    {2 Steered ingest}
+
+    Given the handle of the parse that feeds it ([?steer], the same
+    handle the source's parse was given, {!Sax.steer}), the single-parse
+    drivers steer that parse past what pass 2 would only drop or copy.
+    When pass 2 admits, outside an undecided region, an element whose
+    subtree is deleted or replaced, the parser skips the element's rest;
+    when the element is unmatched and its filtered state set is empty
+    (nothing below it can match), the parser writes the rest straight
+    into the handle's writer — which must be the writer [sink]
+    serializes into ({!Serialize.Sink.writer} of the sink whose
+    {!Serialize.Sink.event} is [sink]).  The bytes, chunk boundaries,
+    errors and run statistics are those of the unsteered run.  Undecided
+    regions, their replay, tree sources, {!run} and any run given a
+    [skip] set (a stored document's, whose events are a tree replay)
+    always go through events.
+
+    {2 Allocation}
+
+    A run allocates the events it makes and their strings, and nothing
     per element beside them: both passes keep their frames in arrays
     indexed by depth, an element written under its own name is written
     as the input's own event, and a seeded pass-1 frame reuses its
     depth's [csat] array and text buffer.  Only the qualifier evaluation
-    at seeded elements and the truth entries allocate. *)
+    at seeded elements and the truth entries allocate.  A steered
+    subtree makes no events at all, so a fused run into a serializer
+    allocates next to nothing beyond the start-tags of the elements pass
+    2 walks. *)
 
 exception Unsupported_streaming of string
 (** Raised for context qualifiers (paths starting with a qualified '.'),
@@ -79,6 +101,7 @@ val buffer_budget : int
 
 val run_buffered :
   ?skip:(Sym.t -> bool) ->
+  ?steer:Sax.steer ->
   Selecting_nfa.t ->
   Transform_ast.update ->
   source:source ->
@@ -98,7 +121,8 @@ val run_buffered :
     twice.  A path that begins with [//.\[q\]] checks [q] at the document
     node, known only at the end of the input, and runs as {!run}.
     [skip] is as for {!run}; [skipped_*] count the subtrees pass 2
-    copied verbatim.
+    copied verbatim.  [steer] is described above; a run past the budget
+    steers its second read too.
     @raise Unsupported_streaming for a context qualifier.
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
@@ -113,6 +137,7 @@ val one_pass : Selecting_nfa.t -> bool
 
 val run_once :
   ?skip:(Sym.t -> bool) ->
+  ?steer:Sax.steer ->
   Selecting_nfa.t ->
   Transform_ast.update ->
   source:source ->

@@ -181,12 +181,17 @@ type query =
   | Composed of View_store.view list * Composition.composed
   | Materialized of View_store.view list * Xut_xquery.Xq_ast.expr
 
+(* Where a SAX tier writes its result: into a chunked sink, which a
+   steered parse of a file can also write into straight from its window,
+   or to an event handler. *)
+type events_sink = Serializer of Xut_xml.Serialize.Sink.t | Handler of (Xut_xml.Sax.event -> unit)
+
 (* What execute hands reply: a result tree, built on demand (the walk
-   engines count it without building it); a SAX tier writing the result
-   as events; or a view read's value. *)
+   engines count it without building it); a SAX tier writing the result;
+   or a view read's value. *)
 type output =
   | Result_tree of { build : unit -> Xut_xml.Node.element; count : unit -> int }
-  | Events of ((Xut_xml.Sax.event -> unit) -> Sax_transform.run_stats)
+  | Events of (events_sink -> Sax_transform.run_stats)
   | Answer of Xut_xquery.Xq_value.t
 
 (* What a worker dequeues.  [Chunked]'s [emit] never crosses the wire
@@ -465,6 +470,10 @@ let events_of input h =
   | Snapshot (root, _, _) -> Xut_xml.Sax.events_of_tree root h
   | File_input path -> Xut_xml.Sax.parse_file path h
 
+let handler_of = function
+  | Serializer s -> Xut_xml.Serialize.Sink.event s
+  | Handler h -> h
+
 (* [plan]'s result over the input with [engine].  The walk engines run
    topDown with the skip-set and TD-BU's memoized oracle, and count a
    snapshot's result with {!Top_down.count} (the element count plus the
@@ -484,20 +493,27 @@ let result_tree ?skip (plan : Plan_cache.plan) engine input =
   in
   Result_tree { build; count }
 
-(* [plan]'s result as events, by [run]: one SAX pass ({!Sax_transform.run_once}),
-   the buffered pass ({!run_buffered}) or twoPassSAX's two
-   ({!Sax_transform.run}). *)
+(* [plan]'s result by [run]: one SAX pass ({!Sax_transform.run_once})
+   or the buffered pass ({!run_buffered}).  A file's parse into a
+   [Serializer] is steered (a tree replay has no parse to steer): it
+   skips what the run drops, and copies what the run keeps unread into
+   the sink's writer. *)
 let sax_events run ?skip (plan : Plan_cache.plan) input =
+  let nfa = plan.Plan_cache.nfa and update = plan.Plan_cache.query.Transform_ast.update in
   Events
-    (fun sink ->
-      run ?skip plan.Plan_cache.nfa plan.Plan_cache.query.Transform_ast.update
-        ~source:(events_of input) ~sink)
+    (fun out ->
+      match (out, input) with
+      | Serializer s, File_input path ->
+        let steer = Xut_xml.Sax.steer (Xut_xml.Serialize.Sink.writer s) in
+        run ?skip ?steer:(Some steer) nfa update ~source:(Xut_xml.Sax.parse_file ~steer path)
+          ~sink:(Xut_xml.Serialize.Sink.event s)
+      | _ -> run ?skip ?steer:None nfa update ~source:(events_of input) ~sink:(handler_of out))
 
 (* The buffered tier counts as fused when it kept to one read of the
    file, as a fallback when a region outgrew the budget and the file was
    read twice; a run that fails counts as neither. *)
-let run_buffered ~metrics ?skip nfa update ~source ~sink =
-  let stats = Sax_transform.run_buffered ?skip nfa update ~source ~sink in
+let run_buffered ~metrics ?skip ?steer nfa update ~source ~sink =
+  let stats = Sax_transform.run_buffered ?skip ?steer nfa update ~source ~sink in
   if stats.Sax_transform.parses = 1 then Metrics.incr_streams_fused metrics
   else Metrics.incr_stream_fallbacks metrics;
   stats
@@ -525,7 +541,11 @@ let execute st r ~pruning input query =
   | Plan plan -> (
     let nfa = plan.Plan_cache.nfa in
     match r.engine with
-    | Some Engine.Two_pass_sax -> sax_events Sax_transform.run ?skip:(sym_skip pruning) plan input
+    | Some Engine.Two_pass_sax ->
+      Events
+        (fun out ->
+          Sax_transform.run ?skip:(sym_skip pruning) nfa plan.Plan_cache.query.Transform_ast.update
+            ~source:(events_of input) ~sink:(handler_of out))
     | Some engine -> result_tree ?skip plan engine input
     | None -> (
       let file = match input with File_input _ -> true | Snapshot _ -> false in
@@ -551,7 +571,7 @@ let respond ~metrics ~image reply exec =
       | Result_tree t -> Xut_xml.Serialize.element_to_string ?image:(image ()) (t.build ())
       | Events run ->
         Xut_xml.Serialize.Pool.contents_of (fun buf ->
-            count_sax_skips ~metrics (run (Xut_xml.Serialize.event_sink buf)))
+            count_sax_skips ~metrics (run (Handler (Xut_xml.Serialize.event_sink buf))))
       | Answer v -> render_value v)
   | Counted ->
     Element_count
@@ -560,14 +580,14 @@ let respond ~metrics ~image reply exec =
       | Events run ->
         let n = ref 0 in
         count_sax_skips ~metrics
-          (run (function Xut_xml.Sax.Start_element _ -> incr n | _ -> ()));
+          (run (Handler (function Xut_xml.Sax.Start_element _ -> incr n | _ -> ())));
         !n
       | Answer v -> count_value v)
   | Chunked { emit; chunk_size } ->
     stream_to ~metrics ~emit ~chunk_size (fun sink ->
         match exec () with
         | Result_tree t -> Xut_xml.Serialize.Sink.element ?image:(image ()) sink (t.build ())
-        | Events run -> count_sax_skips ~metrics (run (Xut_xml.Serialize.Sink.event sink))
+        | Events run -> count_sax_skips ~metrics (run (Serializer sink))
         | Answer v -> Xut_xml.Serialize.Sink.markup sink (render_value v))
 
 let run_read st r =

@@ -36,7 +36,17 @@ let equal_event (a : event) (b : event) = a = b
 
    A parse allocates its events and their strings, nothing else per
    element: known names are interned without a copy, and the open tags
-   sit in an array that doubles when full. *)
+   sit in an array that doubles when full.
+
+   Steering.  While the handler is given a start-tag, it may have the
+   parser consume that element's rest (content and end tag) in another
+   mode of the same loop: [Copy w] writes each token into the writer [w]
+   as [write w] would write its events, [Skip] only checks and counts.
+   Neither makes an event, attribute list or string; the loop returns
+   when the element's end tag pops it, and the parse goes on from there
+   in [Events] mode. *)
+
+type mode = Events | Copy of Writer.t | Skip
 
 type st = {
   r : Reader.t;
@@ -48,7 +58,35 @@ type st = {
   vbuf : Buffer.t;  (* the same for an attribute value *)
   mutable attrs : (string * string) list;  (* the open start tag's, reversed *)
   mutable value : string;  (* the attribute value just read *)
+  mutable mode : mode;
+  (* a steered rest ends when [depth] falls below [stop]; 0 in [Events]
+     mode, where it never does *)
+  mutable stop : int;
+  mutable starts : int;  (* start tags in the steered rest *)
+  mutable peak : int;  (* the deepest level a start tag there reached *)
+  (* while the handler is given a start-tag: the offset past its '>', or
+     past its rest once that is steered; -1 otherwise *)
+  mutable offer : int;
+  mutable offer_name : string;
+  mutable offer_empty : bool;  (* a self-closed tag: its rest is empty *)
+  mutable taken : bool;  (* the rest was steered *)
+  (* copy mode is writing the current text run straight to the writer *)
+  mutable direct : bool;
 }
+
+(* Write one event's markup. *)
+let write w = function
+  | Start_document | End_document -> ()
+  | Start_element (name, attrs) -> Writer.start_element w name attrs
+  | Characters s -> Writer.text w s
+  | Comment_event s -> Writer.comment w s
+  | Pi_event (target, content) -> Writer.pi w target content
+  | End_element name -> Writer.end_element w name
+
+(* An event the lexer does not make on a hot path (a comment, a PI,
+   CDATA, a text run assembled in [text]), in the current mode. *)
+let deliver st ev =
+  match st.mode with Events -> st.handler ev | Copy w -> write w ev | Skip -> ()
 
 let error_at r i msg =
   Reader.set_pos r i;
@@ -251,18 +289,18 @@ let other_markup st i =
     let target = Bytes.sub_string r.buf p (e - p) in
     Reader.set_pos r (skip_ws r e);
     let content = read_until r "?>" in
-    if String.lowercase_ascii target <> "xml" then st.handler (Pi_event (target, content))
+    if String.lowercase_ascii target <> "xml" then deliver st (Pi_event (target, content))
   | _ ->
     if Reader.peek r = '-' then begin
       expect_string r "--";
       let content = read_until r "-->" in
-      st.handler (Comment_event content)
+      deliver st (Comment_event content)
     end
     else if Reader.peek r = '[' then begin
       expect_string r "[CDATA[";
       let content = read_until r "]]>" in
       if st.depth = 0 then error r "CDATA outside the document element";
-      st.handler (Characters content)
+      deliver st (Characters content)
     end
     else begin
       expect_string r "DOCTYPE";
@@ -297,10 +335,18 @@ let[@inline] wanted st ws i =
 let rec is_ws_from buf i = i >= Buffer.length buf || (is_ws (Buffer.nth buf i) && is_ws_from buf (i + 1))
 
 let flush_text_slow st i =
-  if wanted st (is_ws_from st.text 0) i then st.handler (Characters (Buffer.contents st.text));
+  if st.mode != Skip && wanted st (is_ws_from st.text 0) i then
+    deliver st (Characters (Buffer.contents st.text));
   Buffer.clear st.text
 
-let[@inline] flush_text st i = if Buffer.length st.text > 0 then flush_text_slow st i
+(* The end of a text run written straight to the writer: the event it
+   stands for is over. *)
+let end_direct st =
+  st.direct <- false;
+  match st.mode with Copy w -> Writer.maybe_flush w | Events | Skip -> ()
+
+let[@inline] flush_text st i =
+  if st.direct then end_direct st else if Buffer.length st.text > 0 then flush_text_slow st i
 
 (* A text run from [i] up to the next '<' or '&' or the window's limit.
    One that ends at a '<' inside the window with nothing buffered before
@@ -309,31 +355,57 @@ let[@inline] flush_text st i = if Buffer.length st.text > 0 then flush_text_slow
 let text_run st i =
   let r = st.r in
   let b = r.buf and n = r.len in
-  let j = text_end b i n in
-  if j < n && Bytes.unsafe_get b j = '<' && Buffer.length st.text = 0 then begin
-    if wanted st (is_ws (Bytes.unsafe_get b i) && ws_end b i j = j) j then
-      st.handler (Characters (Bytes.sub_string b i (j - i)))
-  end
-  else begin
-    Buffer.add_subbytes st.text b i (j - i);
-    if j < n && Bytes.unsafe_get b j = '\000' then error_at r j "NUL byte in character data"
-  end;
-  j
+  match st.mode with
+  | Copy w when st.direct || (Buffer.length st.text = 0 && not (is_ws (Bytes.unsafe_get b i))) ->
+    (* a run that begins with a non-whitespace byte is wanted: copy mode
+       scans and escapes it into the writer in one pass, and ends the
+       event at the run's end ([end_direct]) *)
+    if not st.direct then begin
+      Writer.seal w;
+      st.direct <- true
+    end;
+    let j = Writer.copy_text w b i n in
+    if j < n && Bytes.unsafe_get b j = '\000' then error_at r j "NUL byte in character data";
+    j
+  | _ ->
+    let j = text_end b i n in
+    if j < n && Bytes.unsafe_get b j = '<' && Buffer.length st.text = 0 then begin
+      if st.mode != Skip && wanted st (is_ws (Bytes.unsafe_get b i) && ws_end b i j = j) j then
+        match st.mode with
+        | Copy w -> Writer.text_sub w (Bytes.unsafe_to_string b) i (j - i)
+        | _ -> st.handler (Characters (Bytes.sub_string b i (j - i)))
+    end
+    else begin
+      Buffer.add_subbytes st.text b i (j - i);
+      if j < n && Bytes.unsafe_get b j = '\000' then error_at r j "NUL byte in character data"
+    end;
+    j
 
 (* The rest of an attribute value from [i], its opening quote consumed,
-   into [st.value]; the offset past the closing quote.  A value that ends
-   inside the window it starts in, with no reference, is copied once from
-   the window; any other is assembled in [st.vbuf]. *)
+   into [st.value] (in [Copy] mode, into the writer); the offset past the
+   closing quote.  A value that ends inside the window it starts in, with
+   no reference, is copied once from the window; any other is assembled
+   in [st.vbuf]. *)
 let rec value_rest st quote i =
   let r = st.r in
   let b = r.buf and n = r.len in
   let j = value_end b i n quote in
   if j < n && Bytes.unsafe_get b j = quote then begin
-    if Buffer.length st.vbuf = 0 then st.value <- Bytes.sub_string b i (j - i)
-    else begin
-      Buffer.add_subbytes st.vbuf b i (j - i);
-      st.value <- Buffer.contents st.vbuf
-    end;
+    (match st.mode with
+    | Events ->
+      if Buffer.length st.vbuf = 0 then st.value <- Bytes.sub_string b i (j - i)
+      else begin
+        Buffer.add_subbytes st.vbuf b i (j - i);
+        st.value <- Buffer.contents st.vbuf
+      end
+    | Copy w ->
+      if Buffer.length st.vbuf = 0 then
+        Writer.attribute_value_sub w (Bytes.unsafe_to_string b) i (j - i)
+      else begin
+        Buffer.add_subbytes st.vbuf b i (j - i);
+        Writer.attribute_value w (Buffer.contents st.vbuf)
+      end
+    | Skip -> ());
     j + 1
   end
   else begin
@@ -346,9 +418,9 @@ let rec value_rest st quote i =
     else error_at r 0 "unterminated attribute value"
   end
 
-(* Attributes from [i] into [st.attrs]; the offset of the first byte
-   after them and the whitespace that follows, which is not a name
-   start. *)
+(* Attributes from [i] into [st.attrs] (in [Copy] mode, into the
+   writer); the offset of the first byte after them and the whitespace
+   that follows, which is not a name start. *)
 let rec attributes st i =
   let r = st.r in
   let i = skip_ws r i in
@@ -358,50 +430,97 @@ let rec attributes st i =
     let p = a - r.retired in
     (* attribute names are copied, not interned: input can bring an
        unbounded set of them *)
-    let k = Bytes.sub_string r.buf p (e - p) in
+    let k =
+      match st.mode with
+      | Events -> Bytes.sub_string r.buf p (e - p)
+      | Copy w ->
+        Writer.open_attribute w (Bytes.unsafe_to_string r.buf) p (e - p);
+        ""
+      | Skip -> ""
+    in
     let i = skip_ws r (expect_at r (skip_ws r e) '=') in
     let quote = byte_at r i in
     if quote <> '"' && quote <> '\'' then error_at r i "expected attribute value";
     Buffer.clear st.vbuf;
     let i = value_rest st quote (i + 1) in
-    st.attrs <- (k, st.value) :: st.attrs;
+    (match st.mode with
+    | Events -> st.attrs <- (k, st.value) :: st.attrs
+    | Copy w -> Writer.close_attribute w
+    | Skip -> ());
     attributes st i
   end
   else i
 
-(* A start tag whose name starts at [i]; the offset past its '>'.
-   Element names are interned from the window: a known name allocates
-   nothing and every event carries the shared interned string. *)
+let rec equal_sub s b off i =
+  i >= String.length s
+  || (String.unsafe_get s i = Bytes.unsafe_get b (off + i) && equal_sub s b off (i + 1))
+
+(* Give the handler the start-tag [ev] of [name], whose '>' ends before
+   [i]; the offset to go on from: [i], or past the element's rest if the
+   handler steered it. *)
+let offer st name ev i ~empty =
+  st.offer <- i;
+  st.offer_name <- name;
+  st.offer_empty <- empty;
+  st.taken <- false;
+  st.handler ev;
+  let i = st.offer in
+  st.offer <- -1;
+  i
+
+(* A start tag whose name starts at [i]; the offset past its '>' (past
+   its rest, when the handler steers it).  Element names are interned
+   from the window: a known name allocates nothing and every event
+   carries the shared interned string. *)
 let start_tag st i =
   let r = st.r in
   let a = r.retired + i in
   let e = name_from r i in
   let p = a - r.retired in
   let name = Sym.intern_sub r.buf p (e - p) in
-  let i = if byte_at r e = '>' then e else attributes st e in
-  let attrs =
-    match st.attrs with
-    | [] -> []
-    | l ->
-      st.attrs <- [];
-      List.rev l
-  in
-  if byte_at r i = '/' then begin
-    let i = expect_at r (i + 1) '>' in
-    st.handler (Start_element (name, attrs));
-    st.handler (End_element name);
+  match st.mode with
+  | Events ->
+    let i = if byte_at r e = '>' then e else attributes st e in
+    let attrs =
+      match st.attrs with
+      | [] -> []
+      | l ->
+        st.attrs <- [];
+        List.rev l
+    in
+    if byte_at r i = '/' then begin
+      let i = expect_at r (i + 1) '>' in
+      let i = offer st name (Start_element (name, attrs)) i ~empty:true in
+      if not st.taken then st.handler (End_element name);
+      i
+    end
+    else begin
+      let i = expect_at r i '>' in
+      push st name;
+      offer st name (Start_element (name, attrs)) i ~empty:false
+    end
+  | Copy _ | Skip ->
+    (match st.mode with Copy w -> Writer.open_start w name | _ -> ());
+    let i = if byte_at r e = '>' then e else attributes st e in
+    let empty = byte_at r i = '/' in
+    let i = if empty then expect_at r (i + 1) '>' else expect_at r i '>' in
+    st.starts <- st.starts + 1;
+    if st.depth >= st.peak then st.peak <- st.depth + 1;
+    (match st.mode with
+    | Copy w ->
+      Writer.close_start w;
+      if empty then Writer.end_element w name
+    | _ -> ());
+    if not empty then push st name;
     i
-  end
-  else begin
-    let i = expect_at r i '>' in
-    push st name;
-    st.handler (Start_element (name, attrs));
-    i
-  end
 
-let rec equal_sub s b off i =
-  i >= String.length s
-  || (String.unsafe_get s i = Bytes.unsafe_get b (off + i) && equal_sub s b off (i + 1))
+let pop st =
+  st.depth <- st.depth - 1;
+  let top = Array.unsafe_get st.tags st.depth in
+  match st.mode with
+  | Events -> st.handler (End_element top)
+  | Copy w -> Writer.end_element w top
+  | Skip -> ()
 
 (* An end tag whose name starts at [i]; the offset past its '>'.  A name
    that matches the innermost open element is compared in the window and
@@ -420,8 +539,7 @@ let end_tag st i =
   if st.depth = 0 then error_at r i (Printf.sprintf "closing tag </%s> with no open element" name);
   if not (top == name || String.equal top name) then
     error_at r i (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top name);
-  st.depth <- st.depth - 1;
-  st.handler (End_element top);
+  pop st;
   i
 
 (* Markup whose '<' is at [i]; the offset past it. *)
@@ -432,41 +550,103 @@ let[@inline] markup st i =
   | '?' | '!' -> other_markup st i
   | _ -> start_tag st i
 
+(* A reference inside a text run that copy mode writes straight to the
+   writer: its character, escaped. *)
+let direct_reference st =
+  (match st.mode with
+  | Copy w -> Writer.add_escaped w.Writer.buf ~attr:false (Buffer.contents st.text)
+  | Events | Skip -> ());
+  Buffer.clear st.text
+
+(* Content from [i] to the end of the input, or, steering, to the end
+   tag that pops the steered element (the offset past it). *)
 let rec content st i =
   let r = st.r in
   if i < r.len then
     match Bytes.unsafe_get r.buf i with
     | '<' ->
       flush_text st i;
-      content st (markup st i)
-    | '&' -> content st (reference r st.text i)
+      let i = markup st i in
+      if st.depth < st.stop then i else content st i
+    | '&' ->
+      let i = reference r st.text i in
+      if st.direct then direct_reference st;
+      content st i
     | _ -> content st (text_run st i)
   else if Reader.refill r i then content st 0
   else begin
     flush_text st 0;
     if st.depth > 0 then error_at r 0 ("unclosed element <" ^ top st ^ ">");
-    st.handler End_document
+    i
   end
 
-let parse_events ~keep_ws r handler =
+(* ---- steering ---- *)
+
+(* [copy] is [Copy w] for the handle's writer, built once *)
+type steer = { copy : mode; mutable parser : st option }
+
+let steer w = { copy = Copy w; parser = None }
+
+let offered h = match h.parser with Some st -> st.offer >= 0 && not st.taken | None -> false
+
+(* The rest of the offered element in [mode]: its start tags, counted,
+   and in [peak] the levels they reach below it. *)
+let take h mode =
+  match h.parser with
+  | Some st when st.offer >= 0 && not st.taken ->
+    st.taken <- true;
+    st.starts <- 0;
+    let level = st.depth in
+    st.peak <- level;
+    if st.offer_empty then (match mode with Copy w -> Writer.end_element w st.offer_name | _ -> ())
+    else begin
+      st.mode <- mode;
+      st.stop <- level;
+      st.offer <- content st st.offer;
+      st.mode <- Events;
+      st.stop <- 0
+    end;
+    st.peak <- st.peak - level;
+    st.starts
+  | _ -> invalid_arg "Sax: no start tag is offered"
+
+let copy_rest h = take h h.copy
+let skip_rest h = take h Skip
+let rest_depth h = match h.parser with Some st -> st.peak | None -> 0
+
+let parse_events ~keep_ws ?steer r handler =
   handler Start_document;
-  content
+  let st =
     { r; handler; keep_ws; tags = Array.make 64 ""; depth = 0; text = Buffer.create 64;
-      vbuf = Buffer.create 64; attrs = []; value = "" }
-    r.Reader.pos
+      vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events; stop = 0; starts = 0;
+      peak = 0; offer = -1; offer_name = ""; offer_empty = false; taken = false;
+      direct = false }
+  in
+  let run () =
+    ignore (content st r.Reader.pos : int);
+    handler End_document
+  in
+  match steer with
+  | None -> run ()
+  | Some h ->
+    h.parser <- Some st;
+    Fun.protect ~finally:(fun () -> h.parser <- None) run
 
-let parse_reader ?(keep_ws = false) r handler = parse_events ~keep_ws r handler
+let parse_reader ?(keep_ws = false) ?steer r handler = parse_events ~keep_ws ?steer r handler
 
-let parse_string ?keep_ws src handler = parse_reader ?keep_ws (Reader.of_string src) handler
+let parse_string ?keep_ws ?steer src handler =
+  parse_reader ?keep_ws ?steer (Reader.of_string src) handler
 
 (* The window comes from the reader's pool and goes back to it however
    the parse ends. *)
-let parse_channel ?keep_ws ic handler =
-  Reader.with_channel ic (fun r -> parse_reader ?keep_ws r handler)
+let parse_channel ?keep_ws ?steer ic handler =
+  Reader.with_channel ic (fun r -> parse_reader ?keep_ws ?steer r handler)
 
-let parse_file ?keep_ws path handler =
+let parse_file ?keep_ws ?steer path handler =
   let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> parse_channel ?keep_ws ic handler)
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> parse_channel ?keep_ws ?steer ic handler)
 
 let events_of_node node handler =
   let rec emit = function

@@ -25,15 +25,58 @@ exception Parse_error of { line : int; col : int; msg : string }
 
 val equal_event : event -> event -> bool
 
-val parse_string : ?keep_ws:bool -> string -> (event -> unit) -> unit
+type steer
+(** A steering handle (see {!section-steering}). *)
+
+val parse_string : ?keep_ws:bool -> ?steer:steer -> string -> (event -> unit) -> unit
 (** [parse_string s handler] pushes every event of the document [s].
     @raise Parse_error on malformed input. *)
 
-val parse_reader : ?keep_ws:bool -> Reader.t -> (event -> unit) -> unit
+val parse_reader : ?keep_ws:bool -> ?steer:steer -> Reader.t -> (event -> unit) -> unit
 (** Parse from a chunked {!Reader}: memory use is O(chunk + current
     token), independent of document size. *)
 
-val parse_file : ?keep_ws:bool -> string -> (event -> unit) -> unit
+val parse_file : ?keep_ws:bool -> ?steer:steer -> string -> (event -> unit) -> unit
+
+val write : Writer.t -> event -> unit
+(** Write one event's markup ([Start_document]/[End_document] write
+    nothing). *)
+
+(** {2:steering Steering}
+
+    A parse given a steering handle lets its handler, while it is given
+    a start-tag, have the parser consume that element's rest (its
+    content and end tag) without making events: {!copy_rest} writes each
+    token into the handle's writer exactly as {!write} of its events
+    would — the same bytes and the same chunk boundaries, whitespace-only
+    runs dropped unless [keep_ws], references and CDATA re-escaped,
+    [<a></a>] as [<a/>] — and {!skip_rest} only checks and counts.  Both
+    are modes of the one lexer, so every parse error keeps its message
+    and position.  The element's [End_element] is not delivered; the
+    parse goes on after it. *)
+
+val steer : Writer.t -> steer
+(** A handle whose copies go to the writer, attached to each parse it is
+    given to while that parse runs. *)
+
+val offered : steer -> bool
+(** The parse attached to the handle is giving its handler a start-tag
+    (live, not a replay) whose rest is not yet steered. *)
+
+val copy_rest : steer -> int
+(** Write the rest of the offered element into the handle's writer; the
+    number of start tags in it.
+    @raise Invalid_argument unless {!offered}.
+    @raise Parse_error as the event path would, at the same place. *)
+
+val skip_rest : steer -> int
+(** Consume the rest of the offered element, checking it as the event
+    path would; the number of start tags in it.
+    @raise Invalid_argument unless {!offered}. *)
+
+val rest_depth : steer -> int
+(** After {!copy_rest} or {!skip_rest}: how many levels below the
+    element its deepest start tag sat (0 when it had none). *)
 
 val events_of_node : Node.t -> (event -> unit) -> unit
 (** Replay the subtree at a node as SAX events, in document order,

@@ -1,51 +1,5 @@
-(* Escaping: the five predefined entities, minus apostrophe (we always
-   quote attributes with double quotes).  The hot path scans for runs of
-   characters that need no escaping — by far the common case in
-   XMark-style data — and blits the whole run, instead of pushing one
-   char at a time through [Buffer.add_char]. *)
-
-let text_plain =
-  Array.init 256 (fun c -> c <> Char.code '&' && c <> Char.code '<' && c <> Char.code '>')
-
-let attr_plain = Array.init 256 (fun c -> text_plain.(c) && c <> Char.code '"')
-
-let add_escaped buf ~attr s =
-  let plain = if attr then attr_plain else text_plain in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    let run = ref !i in
-    while
-      !run < n && Array.unsafe_get plain (Char.code (String.unsafe_get s !run))
-    do
-      incr run
-    done;
-    if !run > !i then Buffer.add_substring buf s !i (!run - !i);
-    if !run < n then begin
-      (match String.unsafe_get s !run with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c);
-      incr run
-    end;
-    i := !run
-  done
-
-(* Attribute and child lists are walked by direct recursion, never
-   through [List.iter]: a partially applied walker is a closure per
-   element, which on a 0.5 MB reply was most of the serializer's
-   allocation. *)
-let rec add_attrs buf = function
-  | [] -> ()
-  | (k, v) :: rest ->
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf k;
-    Buffer.add_string buf "=\"";
-    add_escaped buf ~attr:true v;
-    Buffer.add_char buf '"';
-    add_attrs buf rest
+(* How markup is spelled (escaping, attributes, the owed [>] of a
+   start-tag) lives in [Writer], which the parser's copy mode shares. *)
 
 let rec has_text_child = function
   | [] -> false
@@ -62,7 +16,7 @@ let no_flush () = ()
 let add_start_tag buf e =
   Buffer.add_char buf '<';
   Buffer.add_string buf e.Node.name;
-  add_attrs buf e.Node.attrs
+  Writer.add_attrs buf e.Node.attrs
 
 let add_end_tag buf e =
   Buffer.add_string buf "</";
@@ -114,7 +68,7 @@ let rec add_blit buf ~limit ~flush s off len =
    [no_image]. *)
 let rec add_node buf ~image ~limit ~flush ~indent ~level node =
   match node with
-  | Node.Text s -> add_escaped buf ~attr:false s
+  | Node.Text s -> Writer.add_escaped buf ~attr:false s
   | Node.Comment s ->
     Buffer.add_string buf "<!--";
     Buffer.add_string buf s;
@@ -252,131 +206,49 @@ module Sink = struct
   type totals = { bytes : int; chunks : int }
 
   type t = {
-    buf : Buffer.t;
-    chunk_size : int;
-    emit : string -> unit;
+    w : Writer.t;
     flush_now : unit -> unit;
-        (* [flush] of this sink, built once so the tree walk can flush
+        (* [Writer.flush] of [w], built once so the tree walk can flush
            between children without a closure per call *)
-    (* a start-tag has been written up to its attributes; the closing
-       [>] (or [/>]) is decided by the next event, which is what makes
-       the stream byte-identical to [to_string] on empty elements *)
-    mutable open_tag : bool;
-    mutable bytes : int;
-    mutable chunks : int;
-    mutable peak_chunk : int;
     mutable live : bool;
   }
 
-  let flush t =
-    let len = Buffer.length t.buf in
-    if len > 0 then begin
-      let s = Buffer.contents t.buf in
-      Buffer.clear t.buf;
-      t.bytes <- t.bytes + len;
-      t.chunks <- t.chunks + 1;
-      if len > t.peak_chunk then t.peak_chunk <- len;
-      t.emit s
-    end
-
-  let make buf ~chunk_size emit =
-    let rec t =
-      {
-        buf;
-        chunk_size;
-        emit;
-        flush_now = (fun () -> flush t);
-        open_tag = false;
-        bytes = 0;
-        chunks = 0;
-        peak_chunk = 0;
-        live = true;
-      }
-    in
-    t
-
   let create ?(chunk_size = default_chunk_size) emit =
-    make (Pool.acquire ()) ~chunk_size:(max 1 chunk_size) emit
+    let w = Writer.create (Pool.acquire ()) ~chunk_size emit in
+    { w; flush_now = (fun () -> Writer.flush w); live = true }
 
-  let maybe_flush t = if Buffer.length t.buf >= t.chunk_size then flush t
-
-  (* the pending [>] of an open start-tag, owed because content follows *)
-  let seal t =
-    if t.open_tag then begin
-      Buffer.add_char t.buf '>';
-      t.open_tag <- false
-    end
-
-  let event t = function
-    | Sax.Start_document | Sax.End_document -> ()
-    | Sax.Start_element (name, attrs) ->
-      seal t;
-      Buffer.add_char t.buf '<';
-      Buffer.add_string t.buf name;
-      add_attrs t.buf attrs;
-      t.open_tag <- true;
-      maybe_flush t
-    | Sax.Characters s ->
-      seal t;
-      add_escaped t.buf ~attr:false s;
-      maybe_flush t
-    | Sax.Comment_event s ->
-      seal t;
-      Buffer.add_string t.buf "<!--";
-      Buffer.add_string t.buf s;
-      Buffer.add_string t.buf "-->";
-      maybe_flush t
-    | Sax.Pi_event (tgt, c) ->
-      seal t;
-      Buffer.add_string t.buf "<?";
-      Buffer.add_string t.buf tgt;
-      Buffer.add_char t.buf ' ';
-      Buffer.add_string t.buf c;
-      Buffer.add_string t.buf "?>";
-      maybe_flush t
-    | Sax.End_element name ->
-      if t.open_tag then begin
-        Buffer.add_string t.buf "/>";
-        t.open_tag <- false
-      end
-      else begin
-        Buffer.add_string t.buf "</";
-        Buffer.add_string t.buf name;
-        Buffer.add_char t.buf '>'
-      end;
-      maybe_flush t
+  let writer t = t.w
+  let event t ev = Sax.write t.w ev
 
   (* whole-subtree emission: the [to_string] walk, flushing between
      children (and inside a blit) so chunking stays fine-grained *)
   let node ?(image = no_image) t n =
-    seal t;
-    add_node t.buf ~image ~limit:t.chunk_size ~flush:t.flush_now ~indent:None ~level:0 n;
-    maybe_flush t
+    Writer.seal t.w;
+    add_node t.w.buf ~image ~limit:t.w.chunk_size ~flush:t.flush_now ~indent:None ~level:0 n;
+    Writer.maybe_flush t.w
 
   let element ?image t e = node ?image t (Node.Element e)
+  let markup t s = Writer.markup t.w s
 
-  let markup t s =
-    seal t;
-    Buffer.add_string t.buf s;
-    maybe_flush t
+  let release t =
+    t.live <- false;
+    Pool.release ~shrink:(t.w.peak_chunk > Pool.shrink_above) t.w.buf
 
   let close t =
     if t.live then begin
-      seal t;
-      flush t;
-      t.live <- false;
-      Pool.release ~shrink:(t.peak_chunk > Pool.shrink_above) t.buf
+      Writer.seal t.w;
+      Writer.flush t.w;
+      release t
     end;
-    { bytes = t.bytes; chunks = t.chunks }
+    { bytes = t.w.bytes; chunks = t.w.chunks }
 
   let abort t =
     if t.live then begin
-      t.live <- false;
-      Buffer.clear t.buf;
-      Pool.release ~shrink:(t.peak_chunk > Pool.shrink_above) t.buf
+      Buffer.clear t.w.buf;
+      release t
     end
 end
 
 (* The sink's event writer straight into the caller's buffer: a chunk
    size no buffer reaches, so nothing is ever flushed or emitted. *)
-let event_sink buf = Sink.event (Sink.make buf ~chunk_size:max_int ignore)
+let event_sink buf = Sax.write (Writer.create buf ~chunk_size:max_int ignore)

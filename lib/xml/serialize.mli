@@ -91,8 +91,13 @@ module Sink : sig
       document. *)
 
   val event : t -> Sax.event -> unit
-  (** Serialize one SAX event.  [Start_document]/[End_document] are
-      ignored. *)
+  (** Serialize one SAX event ({!Sax.write} into {!writer}).
+      [Start_document]/[End_document] are ignored. *)
+
+  val writer : t -> Writer.t
+  (** The writer the sink writes through: a parse steered to copy a
+      subtree into it ({!Sax.steer}) writes the bytes and chunks that
+      {!event} of the subtree's events would. *)
 
   val node : ?image:Image.t -> t -> Node.t -> unit
   (** Serialize a whole subtree (the shared-subtree fast path of the
@@ -118,8 +123,8 @@ end
 
 val event_sink : Buffer.t -> Sax.event -> unit
 (** [event_sink buf] is a SAX handler that appends the serialization of
-    the events it receives to [buf] — {!Sink.event} writing straight
-    into [buf], never flushing.  The bytes of a whole element stream
+    the events it receives to [buf] — {!Sax.write} straight into [buf],
+    never flushing.  The bytes of a whole element stream
     are exactly [to_string] of that element, empty elements
     self-closing; the [>] of a start-tag is written only once the next
     event arrives.  Apply it once per stream: the handler carries that

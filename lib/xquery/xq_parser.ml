@@ -161,12 +161,27 @@ let decode_entities text =
             | "apos" -> "'"
             | _ ->
               if String.length entity > 1 && entity.[0] = '#' then
-                let digits =
-                  if entity.[1] = 'x' then "0x" ^ String.sub entity 2 (String.length entity - 2)
-                  else String.sub entity 1 (String.length entity - 1)
+                let hex = entity.[1] = 'x' in
+                let skip = if hex then 2 else 1 in
+                let digits = String.sub entity skip (String.length entity - skip) in
+                let digit = function
+                  | '0' .. '9' -> true
+                  | 'a' .. 'f' | 'A' .. 'F' -> hex
+                  | _ -> false
                 in
-                match int_of_string_opt digits with
-                | Some code -> String.make 1 (Char.chr (code land 0x7f))
+                (* a Unicode scalar value other than U+0000, as the
+                   document parser requires, written as UTF-8 *)
+                match
+                  if digits <> "" && String.for_all digit digits then
+                    int_of_string_opt ((if hex then "0x" else "") ^ digits)
+                  else None
+                with
+                | Some code when code > 0 && code <= 0x10FFFF && not (code >= 0xD800 && code <= 0xDFFF)
+                  ->
+                  let b = Buffer.create 4 in
+                  Buffer.add_utf_8_uchar b (Uchar.of_int code);
+                  Buffer.contents b
+                | Some _ -> fail "character reference &%s; is not a Unicode scalar value" entity
                 | None -> fail "bad character reference &%s;" entity
               else fail "unknown entity &%s;" entity
           in

@@ -10,6 +10,7 @@ let () =
       ("xmark", Test_xmark.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("reader", Test_reader.suite);
+      ("steer", Test_steer.suite);
       ("security-view", Test_service.security_view_suite);
       ("service", Test_service.suite);
       ("transport", Test_transport.suite);

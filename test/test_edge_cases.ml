@@ -163,6 +163,36 @@ let test_sax_deep_chain () =
   ignore
     (check "run_once" (fun nfa u ~source ~sink -> Sax_transform.run_once nfa u ~source ~sink)
        (Transform_ast.Rename (parse_path "//x", "y")));
+  (* Steered into a chunked sink: the chain below [root] copied whole by
+     the parse (nothing below [root] can match), then skipped whole (its
+     top deleted).  Copy and skip mode walk the parser's tag stack in a
+     loop, not a recursion per level; the bytes and the stats are the
+     event path's, the copied chain's depth included. *)
+  List.iter
+    (fun (name, update, depth_seen) ->
+      let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+      let plain = Buffer.create (16 * depth) in
+      let expected_stats =
+        Sax_transform.run_once nfa update ~source:(Sax.parse_string text)
+          ~sink:(Serialize.event_sink plain)
+      in
+      let out = Buffer.create (16 * depth) in
+      let sink = Serialize.Sink.create (Buffer.add_string out) in
+      let steer = Sax.steer (Serialize.Sink.writer sink) in
+      let stats =
+        Sax_transform.run_once ~steer nfa update ~source:(Sax.parse_string ~steer text)
+          ~sink:(Serialize.Sink.event sink)
+      in
+      ignore (Serialize.Sink.close sink);
+      Alcotest.(check string) (name ^ ": streamed = materialized")
+        (Serialize.element_to_string (Engine.transform Engine.Td_bu update doc))
+        (Buffer.contents out);
+      Alcotest.(check string) (name ^ ": = unsteered") (Buffer.contents plain) (Buffer.contents out);
+      Alcotest.(check bool) (name ^ ": stats") true (stats = expected_stats);
+      Alcotest.(check int) (name ^ ": max_stack_depth") depth_seen
+        stats.Sax_transform.max_stack_depth)
+    [ ("steered copy", Transform_ast.Rename (parse_path "root/none", "y"), depth);
+      ("steered skip", Transform_ast.Delete (parse_path "root/d"), 1) ];
   let error text =
     match Sax.parse_string text ignore with
     | () -> Alcotest.fail "a malformed chain parsed"

@@ -141,6 +141,37 @@ let test_rewrite_text_all_ops () =
       Transform_ast.Replace (Parser.parse "//pname", Xut_xml.Node.elem "pname" [ Xut_xml.Node.text "x" ]);
       Transform_ast.Rename (Parser.parse "//supplier", "vendor") ]
 
+(* --- the CLI's exit on malformed input --------------------------------- *)
+
+(* A query or document the CLI cannot parse is reported with its
+   message and exit code 2, never as an uncaught exception (exit 125). *)
+let test_cli_parse_errors () =
+  let xut = Filename.concat (Filename.dirname Sys.executable_name) "../bin/xut.exe" in
+  let doc = Filename.temp_file "xut_cli" ".xml" and err = Filename.temp_file "xut_cli" ".err" in
+  let bad = Filename.temp_file "xut_cli" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ doc; err; bad ])
+    (fun () ->
+      Out_channel.with_open_bin doc (fun oc -> output_string oc "<a><b/></a>");
+      Out_channel.with_open_bin bad (fun oc -> output_string oc "<a>\n<b></a>");
+      List.iter
+        (fun (args, message) ->
+          let code =
+            Sys.command
+              (Filename.quote_command xut args ~stdout:Filename.null ~stderr:err)
+          in
+          let stderr = In_channel.with_open_bin err In_channel.input_all in
+          let label = String.concat " " args in
+          Alcotest.(check int) (label ^ ": exit") 2 code;
+          if not (String.starts_with ~prefix:message stderr) then
+            Alcotest.failf "%s: stderr %S" label stderr)
+        [ ([ "query"; "for $x in"; "-d"; doc ], "xut: query parse error: ");
+          ([ "transform"; "transform copy"; "-d"; doc ], "xut: query parse error: ");
+          ([ "query"; "<a>&#0;</a>"; "-d"; doc ], "xut: query parse error: ");
+          ( [ "transform"; "transform copy $a := doc(\"d\") modify do delete $a/b return $a"; "-d";
+              bad; "--stream" ],
+            "xut: parse error at 2:8: mismatched tags: <b> closed by </a>" ) ])
+
 let suite =
   [ Alcotest.test_case "xpath lexer" `Quick test_xpath_lexer;
     Alcotest.test_case "xquery scanner" `Quick test_xq_scanner;
@@ -151,4 +182,5 @@ let suite =
     Alcotest.test_case "engine names" `Quick test_engine_names;
     Alcotest.test_case "update kind helpers" `Quick test_update_kind_helpers;
     Alcotest.test_case "Fig. 2 text, all ops" `Quick test_rewrite_text_all_ops;
-    QCheck_alcotest.to_alcotest prop_escape_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_escape_roundtrip;
+    Alcotest.test_case "CLI parse errors exit 2" `Quick test_cli_parse_errors ]

@@ -476,7 +476,43 @@ let test_ingest_allocation () =
       ( "U5 run",
         "delete $a/site//description",
         (fun nfa u ~source ~sink -> Core.Sax_transform.run nfa u ~source ~sink),
-        0.18 ) ]
+        0.18 ) ];
+  (* The same runs into a chunked serializer, their parse steered: a
+     steered subtree makes no events, so the bound is on all the words
+     per element, the parse's included (a parse alone makes about 11).
+     U4 copies or skips everything outside [regions] and every item: it
+     measured 0.47 words per element; U7 still makes the events of its
+     regions: 12.75.  A driver that never steers makes U4 allocate the
+     parse's 11. *)
+  List.iter
+    (fun (label, q, run, bound) ->
+      let update, nfa = plan q in
+      let once () =
+        let sink = Serialize.Sink.create ignore in
+        let steer = Sax.steer (Serialize.Sink.writer sink) in
+        let stats =
+          run ~steer nfa update ~source:(Sax.parse_string ~steer text) ~sink:(Serialize.Sink.event sink)
+        in
+        ignore (Serialize.Sink.close sink);
+        stats
+      in
+      ignore (once ());
+      let stats, words = minor_words once in
+      Alcotest.(check int) (label ^ ": elements") elements stats.Core.Sax_transform.elements_seen;
+      let per_element = words /. float_of_int elements in
+      if per_element > bound then
+        Alcotest.failf "%s: %.2f words per element, parse included, over %.2f" label per_element
+          bound)
+    [ ( "U4 run_once into a sink",
+        "delete $a/site/regions//item",
+        (fun ~steer nfa u ~source ~sink -> Core.Sax_transform.run_once ~steer nfa u ~source ~sink),
+        1.0 );
+      ( "U7 run_buffered into a sink",
+        "delete $a/site/open_auctions/open_auction[bidder/increase > 5]/annotation[happiness \
+         < 20]/description//text",
+        (fun ~steer nfa u ~source ~sink ->
+          Core.Sax_transform.run_buffered ~steer nfa u ~source ~sink),
+        14.0 ) ]
 
 (* ---- Pins taken from the per-character lexer ----
 

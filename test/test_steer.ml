@@ -1,0 +1,219 @@
+(* Steered ingest: a parse that copies or skips the subtrees pass 2 would
+   only copy or drop must write exactly what the event path writes — the
+   same chunks, the same run statistics, the same exception. *)
+open Xut_xml
+open Core
+
+let with_temp_doc = Test_reader.with_temp_doc
+
+(* The reader and sink chunk sizes: 1-8 put a refill inside every token
+   at every offset, 61 lands them at varying offsets, 4096 and 65536 are
+   ordinary. *)
+let chunk_sizes = Test_reader.pin_chunk_sizes
+
+type driver =
+  ?skip:(Sym.t -> bool) ->
+  ?steer:Sax.steer ->
+  Xut_automata.Selecting_nfa.t ->
+  Transform_ast.update ->
+  source:Sax_transform.source ->
+  sink:(Sax.event -> unit) ->
+  Sax_transform.run_stats
+
+let run_once : driver = Sax_transform.run_once
+let run_buffered : driver = Sax_transform.run_buffered
+
+let describe = function
+  | Sax.Parse_error { line; col; msg } -> Printf.sprintf "%d:%d: %s" line col msg
+  | e -> Printexc.to_string e
+
+(* [driver] over the file [path], read in [chunk]-byte windows, into a
+   sink flushing every [chunk] bytes, its parse steered when [steered]:
+   the chunks it emitted, then its stats or the exception it raised. *)
+let outcome ~steered ~chunk ?keep_ws ?skip (driver : driver) update path =
+  let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+  let chunks = ref [] in
+  let sink = Serialize.Sink.create ~chunk_size:chunk (fun c -> chunks := c :: !chunks) in
+  let steer = if steered then Some (Sax.steer (Serialize.Sink.writer sink)) else None in
+  let source h =
+    In_channel.with_open_bin path (fun ic ->
+        Sax.parse_reader ?keep_ws ?steer (Reader.of_channel ~chunk_size:chunk ic) h)
+  in
+  let result =
+    match driver ?skip ?steer nfa update ~source ~sink:(Serialize.Sink.event sink) with
+    | stats ->
+      ignore (Serialize.Sink.close sink);
+      Ok stats
+    | exception e ->
+      Serialize.Sink.abort sink;
+      Error (describe e)
+  in
+  (List.rev !chunks, result)
+
+(* The drivers a plan can run under. *)
+let drivers update =
+  let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+  if Sax_transform.one_pass nfa then [ ("run_once", run_once); ("run_buffered", run_buffered) ]
+  else [ ("run_buffered", run_buffered) ]
+
+(* Whether steered and unsteered runs agree at every chunk size, failing
+   with the first difference. *)
+let agree ?keep_ws ?skip ?(chunk_sizes = chunk_sizes) update text =
+  with_temp_doc text (fun path ->
+      List.for_all
+        (fun (name, driver) ->
+          List.for_all
+            (fun chunk ->
+              let plain = outcome ~steered:false ~chunk ?keep_ws ?skip driver update path in
+              let steered = outcome ~steered:true ~chunk ?keep_ws ?skip driver update path in
+              plain = steered
+              || QCheck2.Test.fail_reportf "%s, chunk %d: %s unsteered, %s steered" name chunk
+                   (match snd plain with Ok _ -> "ok" | Error e -> e)
+                   (match snd steered with Ok _ -> "ok" | Error e -> e))
+            chunk_sizes)
+        (drivers update))
+
+(* ---- generated documents with non-canonical markup ---- *)
+
+(* Elements over the property suite's labels, so its paths select in
+   them; single- and double-quoted attributes whose values hold
+   references, '>' and the other quote; references and '>' in text;
+   whitespace runs; CDATA, comments, PIs; [<a></a>] beside [<a/>];
+   padding inside tags. *)
+let gen_doc =
+  let open QCheck2.Gen in
+  let label = oneofa Test_properties.labels in
+  let attr =
+    let* name = oneofl [ "id"; "k"; "x_y" ] in
+    let* quote = oneofl [ '"'; '\'' ] in
+    let* parts =
+      list_size (int_range 0 4)
+        (oneofl [ "A"; "10"; " "; "&amp;"; "&lt;"; ">"; "&#233;"; "&#x41;"; "&quot;"; "&apos;";
+                  (if quote = '"' then "'" else "\"") ])
+    in
+    let* pad = oneofl [ ""; " "; "\n" ] in
+    return (Printf.sprintf " %s%s=%s%c%s%c" name pad pad quote (String.concat "" parts) quote)
+  in
+  let text =
+    map (String.concat "")
+      (list_size (int_range 1 4)
+         (oneofa (Array.append Test_properties.texts [| " "; "&amp;"; "&lt;"; "&gt;"; ">"; "&#65;"; "&#x4E2D;"; "\n  " |])))
+  in
+  let ws = oneofl [ " "; "\n"; "\n\t  "; "\r\n" ] in
+  let comment = oneofl [ "<!-- c -->"; "<!--<a>&-->" ] in
+  let pi = oneofl [ "<?pi data?>"; "<?p a>b?>" ] in
+  let cdata = oneofl [ "<![CDATA[x<y&z]]>"; "<![CDATA[ ]]>"; "<![CDATA[]]>" ] in
+  let element =
+    fix (fun self depth ->
+        let* name = label in
+        let* attrs = list_size (frequency [ (3, return 0); (2, int_range 1 2) ]) attr in
+        let* pad = oneofl [ ""; ""; " "; "\n" ] in
+        let attrs = String.concat "" attrs in
+        let child =
+          if depth = 0 then oneof [ text; ws ]
+          else frequency [ (4, self (depth - 1)); (2, text); (2, ws); (1, comment); (1, pi); (1, cdata) ]
+        in
+        let* children = list_size (int_range 0 4) child in
+        let* self_close = bool in
+        if children = [] && self_close then return (Printf.sprintf "<%s%s%s/>" name attrs pad)
+        else
+          return
+            (Printf.sprintf "<%s%s%s>%s</%s%s>" name attrs pad (String.concat "" children) name pad))
+  in
+  let* prolog = oneofl [ ""; "<?xml version=\"1.0\"?>\n"; "<!-- head -->\n" ] in
+  let* kids = list_size (int_range 1 4) (int_range 0 4 >>= element) in
+  let* tail = oneofl [ ""; "\n"; "<!-- tail -->" ] in
+  return (prolog ^ "<r>" ^ String.concat "" kids ^ "</r>" ^ tail)
+
+let skip_e = Sym.intern "e"
+
+(* A run given a skip-set is not steered, so with one the two runs must
+   still agree. *)
+let prop_steered_equals_unsteered =
+  QCheck2.Test.make ~name:"steered run = unsteered run: chunks, stats, exception" ~count:150
+    ~print:(fun (text, update, keep_ws, skip) ->
+      Printf.sprintf "%s\n%s keep_ws=%b skip=%b" text (Transform_ast.update_to_string update)
+        keep_ws skip)
+    QCheck2.Gen.(quad gen_doc Test_properties.gen_update bool bool)
+    (fun (text, update, keep_ws, skip) ->
+      let skip = if skip then Some (fun s -> s = skip_e) else None in
+      agree ~keep_ws ?skip update text)
+
+(* Malformed XMark-shaped input under plans that copy and skip most of
+   the document: the error, and every chunk written before it, are the
+   event path's. *)
+let prop_steered_errors =
+  let updates =
+    List.map Transform_parser.parse_update
+      [ "delete $a/site/regions//item";
+        "insert <n/> into $a/site/people/person";
+        "delete $a/site/open_auctions/open_auction[bidder/increase > 5]/annotation[happiness < \
+         20]/description//text" ]
+  in
+  QCheck2.Test.make ~name:"steered run = unsteered run on malformed input" ~count:40
+    Test_reader.gen_mutation (fun text ->
+      List.for_all (fun update -> agree ~chunk_sizes:[ 1; 61; 4096 ] update text) updates)
+
+(* ---- fixed cases ---- *)
+
+(* test_reader's malformed inputs, their document element copied, then
+   skipped, then its children copied and skipped: the pinned (line, col,
+   msg) at every chunk size, and the unsteered run's chunks. *)
+let test_error_pins () =
+  let updates =
+    List.map Transform_parser.parse_update
+      [ "rename $a/zzz as y"; "replace $a/* with <n/>"; "rename $a/*/zzz as y"; "delete $a/*/*" ]
+  in
+  List.iter
+    (fun (text, (line, col, msg)) ->
+      let pinned = Error (Printf.sprintf "%d:%d: %s" line col msg) in
+      with_temp_doc text (fun path ->
+          List.iter
+            (fun update ->
+              List.iter
+                (fun chunk ->
+                  let label =
+                    Printf.sprintf "%s under %s, chunk %d" (String.escaped text)
+                      (Transform_ast.update_to_string update) chunk
+                  in
+                  let steered = outcome ~steered:true ~chunk run_once update path in
+                  Alcotest.(check bool) label true (snd steered = pinned);
+                  Alcotest.(check bool) (label ^ ": chunks") true
+                    (fst steered = fst (outcome ~steered:false ~chunk run_once update path)))
+                chunk_sizes)
+            updates))
+    Test_reader.malformed_pins
+
+(* A region that outgrows the buffer budget after a copied subtree: the
+   run reads the file twice, its second read steered too, and its bytes
+   are twoPassSAX's. *)
+let test_overflow_after_copy () =
+  let copied = "<c><x a='1 &amp; 2'>t &lt; u</x><y></y><!-- n --></c>" in
+  let filler = String.concat "" (List.init 60_000 (fun i -> Printf.sprintf "<z>%d</z>" i)) in
+  let text = Printf.sprintf "<r>%s<q>%s<k/></q>%s</r>" copied filler copied in
+  let update = Transform_parser.parse_update "delete $a/r/q[k]/z" in
+  let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+  let expected = Buffer.create (String.length text) in
+  ignore
+    (Sax_transform.run nfa update ~source:(Sax.parse_string text)
+       ~sink:(Serialize.event_sink expected));
+  with_temp_doc text (fun path ->
+      List.iter
+        (fun chunk ->
+          let chunks, result = outcome ~steered:true ~chunk run_buffered update path in
+          (match result with
+          | Ok stats ->
+            Alcotest.(check (pair int int)) "one region, two reads" (1, 2)
+              (stats.Sax_transform.regions, stats.Sax_transform.parses)
+          | Error e -> Alcotest.fail e);
+          Alcotest.(check string) (Printf.sprintf "bytes = run's (chunk %d)" chunk)
+            (Buffer.contents expected) (String.concat "" chunks);
+          Alcotest.(check bool) "chunks = unsteered" true
+            ((chunks, result) = outcome ~steered:false ~chunk run_buffered update path))
+        [ 7; 4096; 65536 ])
+
+let suite =
+  [ QCheck_alcotest.to_alcotest prop_steered_equals_unsteered;
+    QCheck_alcotest.to_alcotest prop_steered_errors;
+    Alcotest.test_case "malformed inputs pinned under copy and skip" `Quick test_error_pins;
+    Alcotest.test_case "a region overflows after a copied subtree" `Quick test_overflow_after_copy ]

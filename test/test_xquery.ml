@@ -206,6 +206,22 @@ let test_truncated_markup () =
       | _ -> Alcotest.failf "should not parse: %S" src)
     [ "<a><!"; "<a><!-"; "<a><!--"; "<a><!x"; "<a>&#x;</a>"; "<a>&#;</a>"; "<a>&#zz;</a>" ]
 
+(* Character references in XML literals name Unicode scalar values and
+   are written as UTF-8, as the document parser reads them; U+0000,
+   surrogates, values past U+10FFFF and malformed digits are parse
+   errors. *)
+let test_char_refs () =
+  check_strs "text" [ "\xc3\xa9\xe4\xb8\xad\xf0\x9f\x98\x80AA" ]
+    (run_strings "<a>&#233;&#x4E2D;&#x1F600;&#65;&#x41;</a>");
+  check_strs "attribute" [ "\xc3\xa9" ] (run_strings "<a b=\"&#233;\">x</a>/@b");
+  List.iter
+    (fun src ->
+      match Xq_parser.parse_expr src with
+      | exception Xq_parser.Parse_error _ -> ()
+      | _ -> Alcotest.failf "should not parse: %S" src)
+    [ "<a>&#0;</a>"; "<a>&#xD800;</a>"; "<a>&#xDFFF;</a>"; "<a>&#x110000;</a>"; "<a>&#-5;</a>";
+      "<a>&#1_0;</a>"; "<a>&#+5;</a>"; "<a>&#x99999999999999999999;</a>" ]
+
 (* Random token soup, half the time behind an opening that reaches an
    XML literal: the parsers either parse or raise their own
    [Parse_error], never another exception. *)
@@ -262,4 +278,5 @@ let suite =
     Alcotest.test_case "string builtins" `Quick test_string_builtins;
     Alcotest.test_case "comments" `Quick test_comments;
     Alcotest.test_case "markup cut off after <!" `Quick test_truncated_markup;
+    Alcotest.test_case "character references as UTF-8" `Quick test_char_refs;
     QCheck_alcotest.to_alcotest prop_parsers_raise_only_parse_error ]
