@@ -63,64 +63,17 @@ let read_var c =
   if w = "" then fail "expected a variable name after '$'";
   w
 
-(* Extract a balanced XML element literal starting at the cursor and parse
-   it.  Handles nested tags, self-closing tags, comments, CDATA and quoted
-   attribute values. *)
+(* An XML element literal at the cursor, read by the document parser up
+   to its end tag; comments and PIs may come before it. *)
 let read_element c =
   skip_ws c;
-  let n = String.length c.src in
-  if c.pos >= n || c.src.[c.pos] <> '<' then fail "expected an XML element at offset %d" c.pos;
-  let start = c.pos in
-  let depth = ref 0 in
-  let i = ref c.pos in
-  let finished = ref false in
-  let starts_with s p = p + String.length s <= n && String.sub c.src p (String.length s) = s in
-  let skip_past term p =
-    let rec go p =
-      if p >= n then fail "unterminated %s in XML literal" term
-      else if starts_with term p then p + String.length term
-      else go (p + 1)
-    in
-    go p
-  in
-  while not !finished do
-    if !i >= n then fail "unterminated XML element literal";
-    if c.src.[!i] = '<' then begin
-      if starts_with "<!--" !i then i := skip_past "-->" (!i + 4)
-      else if starts_with "<![CDATA[" !i then i := skip_past "]]>" (!i + 9)
-      else if starts_with "<?" !i then i := skip_past "?>" (!i + 2)
-      else begin
-        let closing = starts_with "</" !i in
-        (* scan to the '>' ending this tag, skipping quoted attributes *)
-        let p = ref (!i + 1) in
-        let quote = ref '\000' in
-        while
-          !p < n
-          && (!quote <> '\000' || c.src.[!p] <> '>')
-        do
-          (if !quote <> '\000' then begin
-             if c.src.[!p] = !quote then quote := '\000'
-           end
-           else
-             match c.src.[!p] with
-             | '"' | '\'' -> quote := c.src.[!p]
-             | _ -> ());
-          incr p
-        done;
-        if !p >= n then fail "unterminated tag in XML literal";
-        let self_closing = (not closing) && c.src.[!p - 1] = '/' in
-        if closing then decr depth
-        else if not self_closing then incr depth;
-        i := !p + 1;
-        if !depth = 0 then finished := true
-      end
-    end
-    else incr i
-  done;
-  let literal = String.sub c.src start (!i - start) in
-  c.pos <- !i;
-  try Node.Element (Dom.parse_string ~keep_ws:false literal)
-  with Sax.Parse_error { msg; _ } -> fail "bad XML element literal: %s" msg
+  if c.pos >= String.length c.src || c.src.[c.pos] <> '<' then
+    fail "expected an XML element at offset %d" c.pos;
+  match Dom.parse_element c.src c.pos with
+  | e, i ->
+    c.pos <- i;
+    Node.Element e
+  | exception Sax.Parse_error { msg; _ } -> fail "bad XML element literal: %s" msg
 
 (* Find the offset of keyword [kw] (word-delimited, outside string
    literals) at or after [pos]; end of input when absent. *)

@@ -46,6 +46,11 @@ let parse_string ?keep_ws src =
   Sax.parse_string ?keep_ws src (Builder.handler b);
   Builder.result b
 
+let parse_element src i =
+  let b = Builder.create () in
+  let j = Sax.parse_element src i (Builder.handler b) in
+  (Builder.result b, j)
+
 let parse_file ?keep_ws path =
   let b = Builder.create () in
   Sax.parse_file ?keep_ws path (Builder.handler b);

@@ -9,6 +9,12 @@ val parse_string : ?keep_ws:bool -> string -> Node.element
 
 val parse_file : ?keep_ws:bool -> string -> Node.element
 
+val parse_element : string -> int -> Node.element * int
+(** [parse_element src i]: the first element of [src] from offset [i]
+    (see {!Sax.parse_element}), whitespace-only text dropped, and the
+    offset past it.
+    @raise Sax.Parse_error on malformed input. *)
+
 (** Incremental tree builder, usable as a SAX event sink.  Feeding a full
     document's events and calling {!result} yields the document element. *)
 module Builder : sig

@@ -1,7 +1,6 @@
 type t = {
   mutable buf : bytes;
   mutable len : int;
-  mutable pos : int;
   (* Positions are computed lazily: the newlines of consumed bytes are
      counted once, when [refill] discards them; the live window is
      scanned on demand. *)
@@ -16,7 +15,7 @@ type t = {
 let default_chunk = 65536
 
 let make read buf =
-  { buf; len = 0; pos = 0; retired = 0; retired_lines = 0; retired_bol = 0; finished = false;
+  { buf; len = 0; retired = 0; retired_lines = 0; retired_bol = 0; finished = false;
     chunk = Bytes.length buf; read }
 
 let of_string s =
@@ -89,7 +88,6 @@ let refill t keep =
   let rest = t.len - keep in
   if keep > 0 && rest > 0 then Bytes.blit t.buf keep t.buf 0 rest;
   t.len <- rest;
-  t.pos <- max 0 (t.pos - keep);
   if t.finished then false
   else begin
     if rest = Bytes.length t.buf then begin
@@ -103,43 +101,10 @@ let refill t keep =
     n > 0
   end
 
-let fill t = if t.pos >= t.len then ignore (refill t t.pos)
+let line t pos = t.retired_lines + newlines t.buf pos + 1
 
-let peek t =
-  if t.pos < t.len then Bytes.unsafe_get t.buf t.pos
-  else begin
-    fill t;
-    if t.pos < t.len then Bytes.unsafe_get t.buf t.pos else '\000'
-  end
-
-let eof t =
-  if t.pos < t.len then false
-  else begin
-    fill t;
-    t.pos >= t.len
-  end
-
-let advance t =
-  if t.pos < t.len then t.pos <- t.pos + 1
-  else begin
-    fill t;
-    if t.pos < t.len then t.pos <- t.pos + 1
-  end
-
-let next t =
-  let c = peek t in
-  advance t;
-  c
-
-let set_pos t p =
-  if p < 0 || p > t.len then invalid_arg "Reader.set_pos";
-  t.pos <- p
-
-let line t = t.retired_lines + newlines t.buf t.pos + 1
-
-let col t =
+let col t pos =
   let rec last_nl i = if i < 0 || Bytes.unsafe_get t.buf i = '\n' then i else last_nl (i - 1) in
-  match last_nl (t.pos - 1) with
-  | -1 -> t.retired + t.pos - t.retired_bol + 1
-  | i -> t.pos - i
+  let i = last_nl (pos - 1) in
+  if i < 0 then t.retired + pos - t.retired_bol + 1 else pos - i
 

@@ -7,31 +7,30 @@
 
     {2 The window}
 
-    The unread input is [buf] from [pos] (inclusive) to [len]
-    (exclusive).  A scanner reads the window in place with a cursor of
-    its own and calls {!refill} only when a token runs into [len]: the
-    bytes before the offset it names are consumed, the bytes from that
-    offset on (the unfinished token) move to the front of the window, and
-    the next chunk is read behind them.  So a token that crosses a
-    refill is whole in the next window, and one lexing path serves every
-    chunk size.  A token longer than the window doubles it; a scanner
-    that must not hold a token (a text run, an attribute value) keeps
-    nothing and carries the part it has seen in a buffer of its own.
+    The unread input is [buf] up to [len] (exclusive).  A scanner reads
+    the window in place with a cursor of its own and calls {!refill}
+    only when a token runs into [len]: the bytes before the offset it
+    names are consumed, the bytes from that offset on (the unfinished
+    token) move to the front of the window, and the next chunk is read
+    behind them.  So a token that crosses a refill is whole in the next
+    window, and one lexing path serves every chunk size.  A token longer
+    than the window doubles it; a scanner that must not hold a token (a
+    text run, an attribute value) keeps nothing and carries the part it
+    has seen in a buffer of its own.
 
     {2 Positions}
 
     Line and column are not tracked per character: when {!refill}
     discards consumed bytes it counts their newlines, a word at a time,
-    and {!line} / {!col} scan the live window up to the cursor when asked
-    (the parser asks only when it raises an error).
+    and {!line} / {!col} scan the live window up to the offset they are
+    given (the parser asks only when it raises an error).
 
-    The fields are read-only outside this module; {!refill} and the
-    cursor functions below are the only ways to move them. *)
+    The fields are read-only outside this module; {!refill} is the only
+    way to move them. *)
 
 type t = private {
   mutable buf : bytes;  (** the window *)
   mutable len : int;  (** valid bytes in [buf] *)
-  mutable pos : int;  (** the cursor of {!peek} / {!advance}, and of {!line} / {!col} *)
   mutable retired : int;  (** input bytes discarded before [buf.[0]] *)
   mutable retired_lines : int;  (** newlines in those bytes *)
   mutable retired_bol : int;  (** input offset just past their last newline *)
@@ -58,28 +57,15 @@ val pool_stats : unit -> int * int
 val refill : t -> int -> bool
 (** [refill t keep]: the bytes before offset [keep] are consumed.  They
     are discarded, [buf.[keep .. len-1]] moves to the front of the
-    window (so every offset at or past [keep] decreases by [keep], the
-    cursor [pos] included, clamped at 0), and the next chunk is read
-    behind it, doubling the window first if the kept bytes fill it.
-    Returns whether any byte was read; [false] means end of input (the
-    move still happens).
+    window (so every offset at or past [keep] decreases by [keep]), and
+    the next chunk is read behind it, doubling the window first if the
+    kept bytes fill it.  Returns whether any byte was read; [false]
+    means end of input (the move still happens).
     @raise Invalid_argument unless [0 <= keep <= len]. *)
 
-val peek : t -> char
-(** The character at the cursor, ['\000'] at end of input (the parser
-    rejects NUL bytes in the input, so the sentinel is unambiguous to
-    it). *)
-
-val advance : t -> unit
-val next : t -> char
-
-val eof : t -> bool
-
-val set_pos : t -> int -> unit
-(** Move the cursor to an offset in [0 .. len].
-    @raise Invalid_argument otherwise. *)
-
-val line : t -> int
-val col : t -> int
-(** 1-based position of the cursor; O(chunk) per call. *)
-
+val line : t -> int -> int
+val col : t -> int -> int
+(** 1-based position of a window offset in [0 .. len]; O(chunk) per
+    call.  A negative offset names a byte already discarded, and is
+    placed right when no newline lies between that byte and the
+    window. *)

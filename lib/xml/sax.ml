@@ -12,12 +12,12 @@ exception Parse_error of { line : int; col : int; msg : string }
 let equal_event (a : event) (b : event) = a = b
 
 (* The parser lexes in place in the reader's window: one loop ([content])
-   dispatches on the byte at its cursor, and each start tag, attribute,
-   text run, reference and end tag is scanned by a top-level function that
-   takes the cursor as an argument and returns the one past the token, so
-   the lexer's cursor never lives in the reader and the lexer runs no
-   closure of its own per token.
-   The reader is touched only at a refill.
+   dispatches on the byte at its cursor, and each token (start tag,
+   attribute, text run, reference, end tag, comment, PI, CDATA section,
+   DOCTYPE) is scanned by a top-level function that takes the cursor as
+   an argument and returns the one past the token, so the lexer's cursor
+   never lives in the reader and the lexer runs no closure of its own per
+   token.  The reader is touched only at a refill.
 
    A token that runs into the window's limit is finished by refilling
    with [Reader.refill r keep], where [keep] is the token's first offset:
@@ -26,9 +26,9 @@ let equal_event (a : event) (b : event) = a = b
    down by [keep]; a scan keeps an absolute position, [r.retired + off],
    when it needs an offset from before the refill).  Text runs and
    attribute values keep nothing: the part seen so far goes to a
-   [Buffer] and the scan resumes in the next window.  Comments, PIs,
-   CDATA and DOCTYPE are read a character at a time through
-   [Reader.peek]/[advance] from [r.pos].
+   [Buffer] and the scan resumes in the next window.  A comment, PI or
+   CDATA section is kept whole in the window like a name ([until]); a
+   DOCTYPE keeps nothing.
 
    Errors report the line and column of a window offset: the reader
    counts the newlines of each window as it discards it and scans the
@@ -54,6 +54,7 @@ type st = {
   keep_ws : bool;
   mutable tags : string array;  (* the open elements, innermost at [depth - 1] *)
   mutable depth : int;
+  mutable rooted : bool;  (* the document element has started *)
   text : Buffer.t;  (* a text run that crossed a refill or holds a reference *)
   vbuf : Buffer.t;  (* the same for an attribute value *)
   mutable attrs : (string * string) list;  (* the open start tag's, reversed *)
@@ -88,11 +89,7 @@ let write w = function
 let deliver st ev =
   match st.mode with Events -> st.handler ev | Copy w -> write w ev | Skip -> ()
 
-let error_at r i msg =
-  Reader.set_pos r i;
-  raise (Parse_error { line = Reader.line r; col = Reader.col r; msg })
-
-let error r msg = error_at r r.Reader.pos msg
+let error_at r i msg = raise (Parse_error { line = Reader.line r i; col = Reader.col r i; msg })
 
 let[@inline] is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
@@ -226,87 +223,83 @@ let reference r buf s =
     e
   end
 
-(* ---- the per-character paths: comments, PIs, CDATA, DOCTYPE ---- *)
+(* ---- comments, PIs, CDATA and DOCTYPE ---- *)
 
-let expect r c =
-  let got = Reader.peek r in
-  if got <> c then error r (Printf.sprintf "expected %C, found %C" c got);
-  Reader.advance r
+let rec equal_sub s b off i =
+  i >= String.length s
+  || (String.unsafe_get s i = Bytes.unsafe_get b (off + i) && equal_sub s b off (i + 1))
 
-let expect_string r s = String.iter (fun c -> expect r c) s
+(* The offset of the first [term] at or after [j], no NUL byte coming
+   before it; the window is refilled, keeping it from [keep], until the
+   term is whole in it.  Errors point at the NUL byte, or at the end of
+   the input for a missing term. *)
+let rec until (r : Reader.t) keep j term =
+  if j + String.length term <= r.len then
+    if Bytes.unsafe_get r.buf j = '\000' then error_at r j "NUL byte"
+    else if equal_sub term r.buf j 0 then j
+    else until r keep (j + 1) term
+  else if Reader.refill r keep then until r 0 (j - keep) term
+  else begin
+    for k = j - keep to r.len - 1 do
+      if Bytes.unsafe_get r.buf k = '\000' then error_at r k "NUL byte"
+    done;
+    error_at r r.len ("unterminated: expected " ^ term)
+  end
 
-(* Does the buffer end with [term]? (Buffer.nth is O(1).) *)
-let buffer_ends_with buf term =
-  let n = Buffer.length buf in
-  let k = String.length term in
-  n >= k
-  &&
-  let rec go i = i >= k || (Buffer.nth buf (n - k + i) = term.[i] && go (i + 1)) in
-  go 0
+(* The bytes from [i] up to the first [term], and the offset past it. *)
+let section (r : Reader.t) i term =
+  let a = r.retired + i in
+  let e = until r i i term in
+  let p = a - r.retired in
+  (Bytes.sub_string r.buf p (e - p), e + String.length term)
 
-(* Read characters until the literal [term] appears, consuming it; the
-   content before [term] is returned. *)
-let read_until r term =
-  let buf = Buffer.create 32 in
-  let rec loop () =
-    if Reader.eof r then error r ("unterminated: expected " ^ term)
-    else begin
-      if Reader.peek r = '\000' then error r "NUL byte";
-      Buffer.add_char buf (Reader.next r);
-      if buffer_ends_with buf term then
-        Buffer.sub buf 0 (Buffer.length buf - String.length term)
-      else loop ()
-    end
-  in
-  loop ()
+(* The rest of a DOCTYPE from [j], at bracket depth [depth]; the offset
+   past it. *)
+let rec doctype_end (r : Reader.t) depth j =
+  if j < r.len then
+    match Bytes.unsafe_get r.buf j with
+    | '<' | '[' -> doctype_end r (depth + 1) (j + 1)
+    | '>' | ']' -> if depth = 1 then j + 1 else doctype_end r (depth - 1) (j + 1)
+    | '\000' -> error_at r j "NUL byte"
+    | _ -> doctype_end r depth (j + 1)
+  else if Reader.refill r j then doctype_end r depth 0
+  else error_at r 0 "unterminated DOCTYPE"
 
-(* Skip a DOCTYPE declaration, including an internal subset. *)
-let skip_doctype r =
-  (* called after "<!DOCTYPE" has been consumed *)
-  let depth = ref 1 in
-  while !depth > 0 do
-    if Reader.eof r then error r "unterminated DOCTYPE";
-    (match Reader.peek r with
-    | '<' -> incr depth
-    | '>' -> decr depth
-    | '[' -> incr depth
-    | ']' -> decr depth
-    | '\000' -> error r "NUL byte"
-    | _ -> ());
-    Reader.advance r
-  done
+(* Check that the bytes from [i] spell [kw]; the offset past them. *)
+let keyword r i kw = String.fold_left (fun i c -> expect_at r i c) i kw
 
 (* A PI, comment, CDATA section or DOCTYPE whose '?' or '!' is at [i];
-   the offset past it. *)
+   the offset past it.  A DOCTYPE may only come before the document
+   element, and never in an element literal ([stop > 0] outside a
+   steered rest). *)
 let other_markup st i =
   let r = st.r in
-  Reader.set_pos r i;
-  (match Reader.next r with
-  | '?' ->
-    let a = r.retired + r.pos in
-    let e = name_from r r.pos in
+  let lt = r.retired + i - 1 in
+  if byte_at r i = '?' then begin
+    let a = r.retired + i + 1 in
+    let e = name_from r (i + 1) in
     let p = a - r.retired in
     let target = Bytes.sub_string r.buf p (e - p) in
-    Reader.set_pos r (skip_ws r e);
-    let content = read_until r "?>" in
-    if String.lowercase_ascii target <> "xml" then deliver st (Pi_event (target, content))
-  | _ ->
-    if Reader.peek r = '-' then begin
-      expect_string r "--";
-      let content = read_until r "-->" in
-      deliver st (Comment_event content)
-    end
-    else if Reader.peek r = '[' then begin
-      expect_string r "[CDATA[";
-      let content = read_until r "]]>" in
-      if st.depth = 0 then error r "CDATA outside the document element";
-      deliver st (Characters content)
-    end
-    else begin
-      expect_string r "DOCTYPE";
-      skip_doctype r
-    end);
-  r.pos
+    let content, i = section r (skip_ws r e) "?>" in
+    if String.lowercase_ascii target <> "xml" then deliver st (Pi_event (target, content));
+    i
+  end
+  else
+    let i = avail r (i + 1) (i + 1) in
+    match byte_at r i with
+    | '-' ->
+      let content, i = section r (keyword r i "--") "-->" in
+      deliver st (Comment_event content);
+      i
+    | '[' ->
+      let content, i = section r (keyword r i "[CDATA[") "]]>" in
+      if st.depth = 0 then error_at r i "CDATA outside the document element";
+      deliver st (Characters content);
+      i
+    | _ ->
+      let i = keyword r i "DOCTYPE" in
+      if st.rooted || st.stop > 0 then error_at r (lt - r.retired) "misplaced DOCTYPE";
+      doctype_end r 1 i
 
 (* ---- the one loop ---- *)
 
@@ -451,10 +444,6 @@ let rec attributes st i =
   end
   else i
 
-let rec equal_sub s b off i =
-  i >= String.length s
-  || (String.unsafe_get s i = Bytes.unsafe_get b (off + i) && equal_sub s b off (i + 1))
-
 (* Give the handler the start-tag [ev] of [name], whose '>' ends before
    [i]; the offset to go on from: [i], or past the element's rest if the
    handler steered it. *)
@@ -477,6 +466,10 @@ let start_tag st i =
   let a = r.retired + i in
   let e = name_from r i in
   let p = a - r.retired in
+  if st.depth = 0 then begin
+    if st.rooted then error_at r (p - 1) "a second document element";
+    st.rooted <- true
+  end;
   let name = Sym.intern_sub r.buf p (e - p) in
   match st.mode with
   | Events ->
@@ -577,6 +570,8 @@ let rec content st i =
   else begin
     flush_text st 0;
     if st.depth > 0 then error_at r 0 ("unclosed element <" ^ top st ^ ">");
+    (* an element literal that ends before its element *)
+    if st.stop > 0 then error_at r 0 "expected an element";
     i
   end
 
@@ -614,16 +609,16 @@ let copy_rest h = take h h.copy
 let skip_rest h = take h Skip
 let rest_depth h = match h.parser with Some st -> st.peak | None -> 0
 
+let state ~keep_ws r handler =
+  { r; handler; keep_ws; tags = Array.make 64 ""; depth = 0; rooted = false; text = Buffer.create 64;
+    vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events; stop = 0; starts = 0;
+    peak = 0; offer = -1; offer_name = ""; offer_empty = false; taken = false; direct = false }
+
 let parse_events ~keep_ws ?steer r handler =
   handler Start_document;
-  let st =
-    { r; handler; keep_ws; tags = Array.make 64 ""; depth = 0; text = Buffer.create 64;
-      vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events; stop = 0; starts = 0;
-      peak = 0; offer = -1; offer_name = ""; offer_empty = false; taken = false;
-      direct = false }
-  in
+  let st = state ~keep_ws r handler in
   let run () =
-    ignore (content st r.Reader.pos : int);
+    ignore (content st 0 : int);
     handler End_document
   in
   match steer with
@@ -647,6 +642,37 @@ let parse_file ?keep_ws ?steer path handler =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> parse_channel ?keep_ws ?steer ic handler)
+
+(* The one loop with [stop = 1], run until the first element has
+   started: it returns after each markup at depth 0 (a comment or PI
+   before the element) and after the end tag that closes the element. *)
+let parse_element src i handler =
+  let st = state ~keep_ws:false (Reader.of_string (String.sub src i (String.length src - i))) handler in
+  st.stop <- 1;
+  let rec go j =
+    let j = content st j in
+    if st.rooted then j else go j
+  in
+  let j = go 0 in
+  i + st.r.retired + j
+
+let decode_references s =
+  if not (String.contains s '&') then s
+  else begin
+    let r = Reader.of_string s in
+    let buf = Buffer.create (String.length s) in
+    let rec go i =
+      if i < r.len then
+        if Bytes.unsafe_get r.buf i = '&' then go (reference r buf i)
+        else begin
+          Buffer.add_char buf (Bytes.unsafe_get r.buf i);
+          go (i + 1)
+        end
+      else if Reader.refill r i then go 0
+      else Buffer.contents buf
+    in
+    go 0
+  end
 
 let events_of_node node handler =
   let rec emit = function

@@ -6,7 +6,8 @@
     DOCTYPE declarations (skipped), the five predefined entities and
     numeric character references, and both attribute quote styles.
     A character reference must name a Unicode scalar value other than
-    U+0000, and a NUL byte anywhere in the input is an error.
+    U+0000, and a NUL byte anywhere in the input is an error.  A document
+    has one document element; a DOCTYPE may only come before it.
 
     Whitespace-only text between elements is dropped unless [keep_ws] is
     set: the XMark-style data handled here is data-oriented, and dropping
@@ -37,6 +38,19 @@ val parse_reader : ?keep_ws:bool -> ?steer:steer -> Reader.t -> (event -> unit) 
     token), independent of document size. *)
 
 val parse_file : ?keep_ws:bool -> ?steer:steer -> string -> (event -> unit) -> unit
+
+val parse_element : string -> int -> (event -> unit) -> int
+(** [parse_element src i handler] pushes the events of the first element
+    of [src] from offset [i] (no [Start_document] or [End_document]),
+    after any whitespace, comments and PIs, and returns the offset past
+    its end tag.  Nothing after the element is read.
+    @raise Parse_error on malformed input, a DOCTYPE, or no element. *)
+
+val decode_references : string -> string
+(** [s] with its entity and character references replaced, as the
+    parser decodes them in text.
+    @raise Parse_error on a malformed reference (positions count from
+    [s]'s start). *)
 
 val write : Writer.t -> event -> unit
 (** Write one event's markup ([Start_document]/[End_document] write

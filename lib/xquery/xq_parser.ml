@@ -141,61 +141,9 @@ let attach_path base sub =
 
 (* ---------------- XML literals ---------------- *)
 
-let decode_entities text =
-  if not (String.contains text '&') then text
-  else begin
-    let buf = Buffer.create (String.length text) in
-    let n = String.length text in
-    let i = ref 0 in
-    while !i < n do
-      if text.[!i] = '&' then begin
-        match String.index_from_opt text !i ';' with
-        | Some j ->
-          let entity = String.sub text (!i + 1) (j - !i - 1) in
-          let repl =
-            match entity with
-            | "amp" -> "&"
-            | "lt" -> "<"
-            | "gt" -> ">"
-            | "quot" -> "\""
-            | "apos" -> "'"
-            | _ ->
-              if String.length entity > 1 && entity.[0] = '#' then
-                let hex = entity.[1] = 'x' in
-                let skip = if hex then 2 else 1 in
-                let digits = String.sub entity skip (String.length entity - skip) in
-                let digit = function
-                  | '0' .. '9' -> true
-                  | 'a' .. 'f' | 'A' .. 'F' -> hex
-                  | _ -> false
-                in
-                (* a Unicode scalar value other than U+0000, as the
-                   document parser requires, written as UTF-8 *)
-                match
-                  if digits <> "" && String.for_all digit digits then
-                    int_of_string_opt ((if hex then "0x" else "") ^ digits)
-                  else None
-                with
-                | Some code when code > 0 && code <= 0x10FFFF && not (code >= 0xD800 && code <= 0xDFFF)
-                  ->
-                  let b = Buffer.create 4 in
-                  Buffer.add_utf_8_uchar b (Uchar.of_int code);
-                  Buffer.contents b
-                | Some _ -> fail "character reference &%s; is not a Unicode scalar value" entity
-                | None -> fail "bad character reference &%s;" entity
-              else fail "unknown entity &%s;" entity
-          in
-          Buffer.add_string buf repl;
-          i := j + 1
-        | None -> fail "unterminated entity reference"
-      end
-      else begin
-        Buffer.add_char buf text.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  end
+(* References decode as the document parser decodes them. *)
+let decoded text =
+  try Xut_xml.Sax.decode_references text with Xut_xml.Sax.Parse_error { msg; _ } -> fail "%s" msg
 
 let is_all_ws s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
 
@@ -505,7 +453,7 @@ and parse_xml_literal s =
       let stop = find start in
       set_pos s stop;
       adv 1;
-      attrs := (k, decode_entities (String.sub source start (stop - start))) :: !attrs;
+      attrs := (k, decoded (String.sub source start (stop - start))) :: !attrs;
       attr_loop ()
     end
   in
@@ -527,7 +475,7 @@ and parse_xml_literal s =
       (* literal constructor content is a text node, not an atomic value
          (atomics would be space-joined with their neighbours) *)
       if t <> "" && not (is_all_ws t) then
-        children := Xq_ast.TextCtor (Xq_ast.Str (decode_entities t)) :: !children
+        children := Xq_ast.TextCtor (Xq_ast.Str (decoded t)) :: !children
     in
     let rec content () =
       if cur () >= n then fail "unterminated element <%s>" name

@@ -148,12 +148,14 @@ let test_rewrite_text_all_ops () =
 let test_cli_parse_errors () =
   let xut = Filename.concat (Filename.dirname Sys.executable_name) "../bin/xut.exe" in
   let doc = Filename.temp_file "xut_cli" ".xml" and err = Filename.temp_file "xut_cli" ".err" in
-  let bad = Filename.temp_file "xut_cli" ".xml" in
+  let bad = Filename.temp_file "xut_cli" ".xml" and two = Filename.temp_file "xut_cli" ".xml" in
+  let delete = "transform copy $a := doc(\"d\") modify do delete $a/a/zz return $a" in
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ doc; err; bad ])
+    ~finally:(fun () -> List.iter Sys.remove [ doc; err; bad; two ])
     (fun () ->
       Out_channel.with_open_bin doc (fun oc -> output_string oc "<a><b/></a>");
       Out_channel.with_open_bin bad (fun oc -> output_string oc "<a>\n<b></a>");
+      Out_channel.with_open_bin two (fun oc -> output_string oc "<a><x/></a><b><x/></b>");
       List.iter
         (fun (args, message) ->
           let code =
@@ -170,7 +172,11 @@ let test_cli_parse_errors () =
           ([ "query"; "<a>&#0;</a>"; "-d"; doc ], "xut: query parse error: ");
           ( [ "transform"; "transform copy $a := doc(\"d\") modify do delete $a/b return $a"; "-d";
               bad; "--stream" ],
-            "xut: parse error at 2:8: mismatched tags: <b> closed by </a>" ) ])
+            "xut: parse error at 2:8: mismatched tags: <b> closed by </a>" );
+          (* a second document element, materialized and streamed *)
+          ([ "transform"; delete; "-d"; two ], "xut: parse error at 1:12: a second document element");
+          ( [ "transform"; delete; "-d"; two; "--stream" ],
+            "xut: parse error at 1:12: a second document element" ) ])
 
 let suite =
   [ Alcotest.test_case "xpath lexer" `Quick test_xpath_lexer;

@@ -46,17 +46,13 @@ let test_chunked_xmark () =
 
 let test_reader_basics () =
   let r = Reader.of_string "ab\ncd" in
-  Alcotest.(check char) "peek" 'a' (Reader.peek r);
-  Alcotest.(check char) "next" 'a' (Reader.next r);
-  Alcotest.(check int) "line 1" 1 (Reader.line r);
-  ignore (Reader.next r);
-  ignore (Reader.next r);
-  Alcotest.(check int) "line 2 after newline" 2 (Reader.line r);
-  Alcotest.(check int) "col" 1 (Reader.col r);
-  ignore (Reader.next r);
-  ignore (Reader.next r);
-  Alcotest.(check bool) "eof" true (Reader.eof r);
-  Alcotest.(check char) "peek at eof" '\000' (Reader.peek r)
+  Alcotest.(check bool) "first chunk" true (Reader.refill r 0);
+  Alcotest.(check char) "first byte" 'a' (Bytes.get r.buf 0);
+  Alcotest.(check int) "line 1" 1 (Reader.line r 1);
+  Alcotest.(check int) "line 2 after newline" 2 (Reader.line r 3);
+  Alcotest.(check int) "col" 1 (Reader.col r 3);
+  Alcotest.(check bool) "eof" false (Reader.refill r r.len);
+  Alcotest.(check int) "empty at eof" 0 r.len
 
 let test_error_position () =
   (* the unknown entity is on line 3 *)
@@ -678,13 +674,92 @@ let test_refill_keeps_tail () =
           (* keep the whole window: it doubles and reads one chunk more *)
           Alcotest.(check bool) "grown" true (Reader.refill r 0);
           Alcotest.(check string) "window" "cdefghij" (Bytes.sub_string r.buf 0 r.len);
-          Reader.set_pos r 8;
           Alcotest.(check (pair int int))
-            "line:col after a refill" (2, 9) (Reader.line r, Reader.col r);
+            "line:col after a refill" (2, 9) (Reader.line r 8, Reader.col r 8);
           Alcotest.(check bool) "rest" true (Reader.refill r 8);
           Alcotest.(check bool) "end" false (Reader.refill r r.len);
           Alcotest.(check (pair int int))
-            "line:col at the end" (3, 3) (Reader.line r, Reader.col r)))
+            "line:col at the end" (3, 3) (Reader.line r 0, Reader.col r 0)))
+
+(* A document has one document element, and a DOCTYPE only before it:
+   a start tag at depth 0 once the element has started is an error at
+   its '<', a DOCTYPE there one at its own '<', at every chunk size. *)
+let test_one_document_element () =
+  List.iter
+    (fun (text, pos, msg) ->
+      check_error_at text pos;
+      match outcomes_agree ~chunk_sizes:(List.init 8 succ) text with
+      | Error (_, _, m), true -> Alcotest.(check string) text msg m
+      | _, agree -> Alcotest.failf "%S: parsed, or chunked readers disagree (%b)" text agree)
+    [ ("<a><x/></a><b><x/></b>", (1, 12), "a second document element");
+      ("<a/>\n<!-- c -->\n  <b/>", (3, 3), "a second document element");
+      ("<a/><a/>", (1, 5), "a second document element");
+      ("<a><!DOCTYPE x><y/></a>", (1, 4), "misplaced DOCTYPE");
+      ("<a/>\n<!DOCTYPE x>", (2, 1), "misplaced DOCTYPE") ]
+
+(* [Sax.parse_element] reads the first element after whitespace,
+   comments and PIs, and nothing past its end tag. *)
+let test_parse_element () =
+  let element src i =
+    let acc = ref [] in
+    let j = Sax.parse_element src i (fun ev -> acc := ev :: !acc) in
+    (List.rev !acc, j)
+  in
+  let evs, j = element "insert \n <!-- c --> <?p x?><a b='>'>t<![CDATA[<]]></a> into \000<" 7 in
+  Alcotest.(check int) "offset past the end tag" 54 j;
+  Alcotest.(check bool) "events" true
+    (evs
+    = [ Sax.Comment_event " c "; Sax.Pi_event ("p", "x"); Sax.Start_element ("a", [ ("b", ">") ]);
+        Sax.Characters "t"; Sax.Characters "<"; Sax.End_element "a" ]);
+  Alcotest.(check int) "self-closed" 4 (snd (element "<a/><b/>" 0));
+  let e, j = Dom.parse_element "x <a> <b/> </a>y" 2 in
+  Alcotest.(check (pair string int)) "Dom.parse_element" ("<a><b/></a>", 15)
+    (Serialize.element_to_string e, j);
+  List.iter
+    (fun (src, msg) ->
+      match element src 0 with
+      | _ -> Alcotest.failf "%S parsed" src
+      | exception Sax.Parse_error { msg = m; _ } -> Alcotest.(check string) src msg m)
+    [ ("  ", "expected an element");
+      ("<!-- c -->", "expected an element");
+      ("<!DOCTYPE a><a/>", "misplaced DOCTYPE");
+      ("<a><!DOCTYPE a></a>", "misplaced DOCTYPE");
+      ("t<a/>", "text outside the document element");
+      ("<![CDATA[x]]><a/>", "CDATA outside the document element");
+      ("<a>", "unclosed element <a>") ]
+
+(* Comments, PIs, CDATA sections and DOCTYPE internal subsets far longer
+   than the window, and each cut off before its terminator: the window
+   grows to hold the token, and the events, or the error's position and
+   message, are the same for every chunk size. *)
+let test_long_markup () =
+  let big pattern = String.concat "" (List.init (200_000 / String.length pattern) (fun _ -> pattern)) in
+  let comment = big "a-b-\n>c" and pi = big "x?y>\n?z" and cdata = big "]]x]>\n<&" in
+  let subset = big "<!ENTITY e 'v'>\n" in
+  let cases =
+    [ ("<a><!--" ^ comment ^ "--></a>", Some (Sax.Comment_event comment));
+      ("<a><?p " ^ pi ^ "?></a>", Some (Sax.Pi_event ("p", pi)));
+      ("<a><![CDATA[" ^ cdata ^ "]]></a>", Some (Sax.Characters cdata));
+      ("<!DOCTYPE a [" ^ subset ^ "]><a/>", None) ]
+  in
+  let chunk_sizes = List.init 8 succ @ [ 4096 ] in
+  List.iter
+    (fun (text, event) ->
+      let label = String.sub text 0 12 in
+      (match outcomes_agree ~chunk_sizes text with
+      | Ok evs, true ->
+        Option.iter
+          (fun ev -> Alcotest.(check bool) (label ^ ": content") true (List.mem ev evs))
+          event
+      | Ok _, false -> Alcotest.failf "%s: chunked readers disagree" label
+      | Error (l, c, m), _ -> Alcotest.failf "%s: %d:%d %s" label l c m);
+      let cut = String.sub text 0 (String.length text - 8) in
+      match outcomes_agree ~chunk_sizes cut with
+      | Error (line, _, m), true ->
+        Alcotest.(check bool) (label ^ " cut: " ^ m) true
+          (line > 10_000 && String.starts_with ~prefix:"unterminated" m)
+      | _ -> Alcotest.failf "%s cut: parsed, or chunked readers disagree" label)
+    cases
 
 let suite =
   [ Alcotest.test_case "reader basics" `Quick test_reader_basics;
@@ -709,4 +784,7 @@ let suite =
     Alcotest.test_case "event streams pinned at every chunk size" `Quick test_event_pins;
     Alcotest.test_case "malformed multi-line inputs pinned to line:col" `Quick test_error_pins;
     Alcotest.test_case "file parses reuse pooled windows" `Quick test_window_pool;
-    Alcotest.test_case "refill keeps the unread tail" `Quick test_refill_keeps_tail ]
+    Alcotest.test_case "refill keeps the unread tail" `Quick test_refill_keeps_tail;
+    Alcotest.test_case "one document element, DOCTYPE before it" `Quick test_one_document_element;
+    Alcotest.test_case "parse_element reads one element" `Quick test_parse_element;
+    Alcotest.test_case "markup longer than the window" `Quick test_long_markup ]

@@ -737,6 +737,33 @@ let test_transform_ingest () =
                 Alcotest.(check bool) "chunks flowed before the parse error" true (!got > 0)
               | _ -> Alcotest.fail "mid-parse failure must end in an error")))
 
+(* A file with two top-level elements: LOAD and a file ingest both
+   answer the parser's positioned error, and neither keeps a document. *)
+let test_second_document_element () =
+  let path = Filename.temp_file "xut_service_two" ".xml" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "<a><x/></a><b><x/></b>");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_service (fun svc ->
+          let positioned what = function
+            | Service.Error { message; _ } ->
+              let expected = "at 1:12: a second document element" in
+              if not (String.ends_with ~suffix:expected message) then Alcotest.failf "%s: %s" what message
+            | Service.Ok _ -> Alcotest.failf "%s accepted two document elements" what
+          in
+          positioned "LOAD" (Service.call svc (Service.Load { name = "d"; file = path; schema = None }));
+          positioned "TRANSFORM-STREAM FILE"
+            (Service.transform_ingest svc ~source:(Service.From_file path)
+               ~query:{|transform copy $a := doc("d") modify do delete $a/a/zz return $a|}
+               ignore);
+          match
+            Service.call svc
+              (Service.Transform { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q_del_prices })
+          with
+          | Service.Error { code = Service.Unknown_document; _ } -> ()
+          | _ -> Alcotest.fail "the failed LOAD stored a document"))
+
 (* ---- a consumer failing mid-stream ---- *)
 
 (* [emit] raises on its second chunk.  Each streamed path — the td-bu
@@ -1985,4 +2012,6 @@ let suite =
     Alcotest.test_case "service: write query must return $a" `Quick test_write_query_returns_a;
     Alcotest.test_case "service: APPLY rejects a root delete as COMMIT does" `Quick
       test_root_delete_rejected_by_apply;
+    Alcotest.test_case "service: a second document element is a parse error" `Quick
+      test_second_document_element;
   ]

@@ -261,6 +261,84 @@ let prop_parsers_raise_only_parse_error =
       && only_parse_error "Transform_parser.parse_updates"
            (fun s -> ignore (Core.Transform_parser.parse_updates s)) src)
 
+(* Well-formed element literals: nested elements holding comments and
+   PIs with '>' inside, CDATA with '<' and '&', quoted attribute values
+   with '>' and references, and whitespace runs; some led by whitespace,
+   a comment or a PI. *)
+let gen_literal =
+  QCheck.Gen.(
+    let concat_of pieces = map (String.concat "") (list_size (int_range 1 4) (oneofl pieces)) in
+    let text = concat_of [ "w"; "two words"; "&amp;"; "&lt;"; "&gt;"; "&#65;"; "&#x1F600;"; "'"; "\""; " " ] in
+    let ws = oneofl [ " "; "\n"; "  \t"; "\r\n " ] in
+    let comment = oneofl [ "<!-- a > b -->"; "<!---->"; "<!-- <x> -> -->" ] in
+    let pi = oneofl [ "<?p a>b?>"; "<?q?>"; "<?r <x/> ??>" ] in
+    let cdata = oneofl [ "<![CDATA[<x>&amp;]]>"; "<![CDATA[]]>"; "<![CDATA[a]b>]]]>" ] in
+    let attr =
+      let* quote = oneofl [ "\""; "'" ] in
+      let* value = list_size (int_range 0 3) (oneofl [ ">"; "v"; "&amp;"; "&#x41;"; " "; "/>"; "<" ]) in
+      let+ name = oneofl [ "k"; "id"; "x-y" ] in
+      Printf.sprintf " %s=%s%s%s" name quote (String.concat "" value) quote
+    in
+    let element =
+      fix (fun self depth ->
+          let* name = oneofl [ "a"; "item"; "x.y" ] in
+          let* attrs = list_size (int_range 0 2) attr in
+          let attrs = String.concat "" (List.sort_uniq compare attrs) in
+          let child = if depth = 0 then oneof [ text; ws ] else oneof [ self (depth - 1); text; ws; comment; pi; cdata ] in
+          let* children = list_size (int_range 0 4) child in
+          let+ pad = oneofl [ ""; " "; "\n" ] in
+          if children = [] && pad = "" then Printf.sprintf "<%s%s/>" name attrs
+          else Printf.sprintf "<%s%s%s>%s</%s%s>" name attrs pad (String.concat "" children) name pad)
+    in
+    let* lead = oneofl [ ""; " "; "\n "; "<!-- lead > -->"; "<?p lead?> " ] in
+    let+ root = int_range 0 3 >>= element in
+    lead ^ root)
+
+(* A transform query's literal is the element the document parser reads
+   from the same text. *)
+let prop_literals_parse_as_documents =
+  QCheck.Test.make ~count:300 ~name:"transform literals parse as documents do"
+    (QCheck.make ~print:(fun s -> s) gen_literal)
+    (fun l ->
+      match Core.Transform_parser.parse_update ("insert " ^ l ^ " into $a/x") with
+      | Core.Transform_ast.Insert (_, Xut_xml.Node.Element e) ->
+        Xut_xml.Node.equal_element e (Xut_xml.Dom.parse_string l)
+      | _ -> false)
+
+(* Text with well-formed and malformed references, never whitespace only
+   (a constructor keeps whitespace-only text the document parser
+   drops). *)
+let gen_reference_text =
+  QCheck.Gen.(
+    map
+      (fun parts -> "x" ^ String.concat "" parts)
+      (list_size (int_range 0 8)
+         (oneofl
+            [ "w"; " "; "\n"; ">"; "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&apos;"; "&#65;"; "&#x41;";
+              "&#x1F600;"; "&#0065;"; "&#0;"; "&#xD800;"; "&#x110000;"; "&#;"; "&#x;"; "&#X41;";
+              "&bogus;"; "&amp"; "&"; ";"; "#"; "&#1_0;"; "&#x99999999999999999999;"; "&a-b;"; "&#65 ;" ])))
+
+(* An XQuery literal's text and attribute value decode as the document
+   parser decodes them, and both reject the same references. *)
+let prop_literal_references =
+  let xquery src =
+    match Xq_parser.parse_expr src with
+    | Xq_ast.ElemLit (_, [], [ Xq_ast.TextCtor (Xq_ast.Str s) ]) | Xq_ast.ElemLit (_, [ (_, s) ], []) ->
+      Some s
+    | _ -> Some "unexpected AST"
+    | exception Xq_parser.Parse_error _ -> None
+  in
+  let document src =
+    match Xut_xml.Dom.parse_string src with
+    | e -> ( match Xut_xml.Node.attrs e with [ (_, v) ] -> Some v | _ -> Some (Xut_xml.Node.text_content e))
+    | exception Xut_xml.Sax.Parse_error _ -> None
+  in
+  QCheck.Test.make ~count:500 ~name:"XQuery literal references = document parser's"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_reference_text)
+    (fun t ->
+      let text = "<a>" ^ t ^ "</a>" and attr = "<a b=\"" ^ t ^ "\"/>" in
+      xquery text = document text && xquery attr = document attr)
+
 let suite =
   [ Alcotest.test_case "literals" `Quick test_literals;
     Alcotest.test_case "paths" `Quick test_paths;
@@ -279,4 +357,6 @@ let suite =
     Alcotest.test_case "comments" `Quick test_comments;
     Alcotest.test_case "markup cut off after <!" `Quick test_truncated_markup;
     Alcotest.test_case "character references as UTF-8" `Quick test_char_refs;
-    QCheck_alcotest.to_alcotest prop_parsers_raise_only_parse_error ]
+    QCheck_alcotest.to_alcotest prop_parsers_raise_only_parse_error;
+    QCheck_alcotest.to_alcotest prop_literals_parse_as_documents;
+    QCheck_alcotest.to_alcotest prop_literal_references ]
