@@ -107,10 +107,12 @@ let transform_cmd =
          match rs with
          | Some rs ->
            Format.eprintf
-             "engine=%s time=%.4fs alloc_kw=%.1f depth=%d truth=%d elements=%d regions=%d parses=%d@."
+             "engine=%s time=%.4fs alloc_kw=%.1f depth=%d truth=%d elements=%d regions=%d \
+              parses=%d held=%d@."
              (if tier = Sax_transform.Fused then "fusedSAX" else "bufferedSAX")
              dt alloc_kw rs.Sax_transform.max_stack_depth rs.Sax_transform.truth_entries
              rs.Sax_transform.elements_seen rs.Sax_transform.regions rs.Sax_transform.parses
+             rs.Sax_transform.peak_held_bytes
          | None -> Format.eprintf "engine=gentop time=%.4fs@." dt);
       0
     end

@@ -49,6 +49,102 @@ let top_quals nfa states' =
 let seeds_at nfa states' seeds =
   match top_quals nfa states' with [] -> seeds | qs -> List.sort_uniq compare (seeds @ qs)
 
+(* ---- the SAX pass's demand at an element, memoized ----
+
+   What bottomUp needs at an element follows from three things only: the
+   candidates its parent passes down, its unchecked state set and its
+   label.  A run meets few distinct triples, so it computes each once
+   ([seeds_at] and [expand], as the tree pass does per node); every later
+   element with the same triple reads the stored demand and allocates
+   nothing. *)
+
+type demand = {
+  seeds : Lq.set;
+  candidates : Lq.set;
+  own : int array;
+  reads_text : bool;
+}
+
+type slot = { k_cands : Lq.set; k_states : Selecting_nfa.set; k_sym : Sym.t; demand : demand }
+
+type demands = {
+  d_nfa : Selecting_nfa.t;
+  quals : Selecting_nfa.set;
+  none : demand;
+  free : slot;  (* physically, the empty slot *)
+  mutable slots : slot array;  (* open addressing, at most half full *)
+  mutable count : int;
+}
+
+let demands nfa =
+  let lq = Selecting_nfa.lq nfa in
+  let empty = Lq.set_of_list lq [] in
+  let none = { seeds = empty; candidates = empty; own = [||]; reads_text = false } in
+  let free = { k_cands = empty; k_states = Selecting_nfa.start nfa; k_sym = -1; demand = none } in
+  { d_nfa = nfa; quals = Selecting_nfa.qual_states nfa; none; free; slots = Array.make 16 free;
+    count = 0 }
+
+let no_demand m = m.none
+
+let slot_hash cands states sym =
+  (Lq.set_hash cands * 31) lxor Selecting_nfa.set_hash states lxor (sym * 0x85ebca6b) land max_int
+
+(* the slot holding the triple, or the free slot where it would go *)
+let rec probe m cands states sym j =
+  let e = Array.unsafe_get m.slots j in
+  if e == m.free
+     || (e.k_sym = sym && Selecting_nfa.set_equal e.k_states states && Lq.set_equal e.k_cands cands)
+  then j
+  else probe m cands states sym ((j + 1) land (Array.length m.slots - 1))
+
+let slot_of m cands states sym =
+  probe m cands states sym (slot_hash cands states sym land (Array.length m.slots - 1))
+
+let insert m e = m.slots.(slot_of m e.k_cands e.k_states e.k_sym) <- e
+
+let compute m cands states name =
+  let nfa = m.d_nfa in
+  let lq = Selecting_nfa.lq nfa in
+  let rec unblocked i acc =
+    if i < 0 then acc
+    else
+      unblocked (i - 1)
+        (if Lq.set_mem cands i && not (Lq.label_blocked lq i name) then i :: acc else acc)
+  in
+  match seeds_at nfa states (unblocked (Lq.length lq - 1) []) with
+  | [] -> m.none
+  | seeds ->
+    let active, candidates = expand lq ~name seeds in
+    let reads_text = ref false in
+    Array.iteri
+      (fun i a -> if a then match Lq.expr lq i with Lq.Text_cmp _ -> reads_text := true | _ -> ())
+      active;
+    { seeds = Lq.set_of_list lq seeds; candidates = Lq.set_of_list lq candidates;
+      own = Array.of_list (List.sort_uniq compare (top_quals nfa states)); reads_text = !reads_text }
+
+let document_demand m ~name =
+  let start = Selecting_nfa.start m.d_nfa in
+  if Selecting_nfa.set_intersects start m.quals then compute m m.none.candidates start name else m.none
+
+let demand m cands states sym =
+  if Lq.set_is_empty cands && not (Selecting_nfa.set_intersects states m.quals) then m.none
+  else begin
+    let j = slot_of m cands states sym in
+    let e = m.slots.(j) in
+    if e != m.free then e.demand
+    else begin
+      let demand = compute m cands states (Sym.name sym) in
+      m.slots.(j) <- { k_cands = cands; k_states = states; k_sym = sym; demand };
+      m.count <- m.count + 1;
+      if 2 * m.count > Array.length m.slots then begin
+        let old = m.slots in
+        m.slots <- Array.make (2 * Array.length old) m.free;
+        Array.iter (fun e -> if e != m.free then insert m e) old
+      end;
+      demand
+    end
+  end
+
 let kid_seeds lq candidates (c : Node.element) =
   List.filter (fun p -> not (Lq.label_blocked lq p (Node.name c))) candidates
 

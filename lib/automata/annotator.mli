@@ -28,6 +28,37 @@ val top_quals : Selecting_nfa.t -> Selecting_nfa.set -> int list
     [states'] demands for itself, on top of those its parent passes
     down.  Shared with the SAX pass and the schema product. *)
 
+(** {2 The demand at an element, for the SAX pass} *)
+
+type demand = private {
+  seeds : Xut_xpath.Lq.set;
+      (** the expressions to evaluate at the element (empty: none) *)
+  candidates : Xut_xpath.Lq.set;  (** its children's candidate seeds *)
+  own : int array;
+      (** the LQ indices of the qualifiers its own states carry, whose
+          truths the selecting NFA reads *)
+  reads_text : bool;  (** whether an expression it evaluates compares its text *)
+}
+
+type demands
+(** A memo of demands, for one run. *)
+
+val demands : Selecting_nfa.t -> demands
+
+val no_demand : demands -> demand
+(** The demand of an element that evaluates nothing. *)
+
+val demand : demands -> Xut_xpath.Lq.set -> Selecting_nfa.set -> Sym.t -> demand
+(** [demand m candidates states sym]: what bottomUp evaluates at an
+    element labelled [sym] whose parent passes down [candidates] and
+    whose unchecked state set is [states]: the candidates its label does
+    not block and {!top_quals} of [states], then {!expand} of those.  Computed once per
+    distinct triple; a repeated triple allocates nothing. *)
+
+val document_demand : demands -> name:string -> demand
+(** The demand at the virtual document node, named [name]: the
+    qualifiers its start set carries. *)
+
 val annotate : ?skip:(Node.element -> bool) -> Selecting_nfa.t -> Node.element -> table
 (** Run the pass from the document element, with the start set of the
     NFA (the root's label is consumed by the first transition, matching

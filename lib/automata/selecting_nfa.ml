@@ -165,13 +165,9 @@ let memo_create () = { slots = [||]; hits = 0; misses = 0 }
 let g_hits = ref 0
 let g_misses = ref 0
 
-let memo_hash key sym =
-  let h =
-    match key with
-    | Bits b -> (b * 0x9e3779b9) lxor (sym * 0x85ebca6b)
-    | Wide w -> Hashtbl.hash w lxor (sym * 0x85ebca6b)
-  in
-  h land max_int
+let set_hash = function Bits b -> b * 0x9e3779b9 | Wide w -> Hashtbl.hash w
+
+let memo_hash key sym = set_hash key lxor (sym * 0x85ebca6b) land max_int
 
 type t = {
   states : state array;

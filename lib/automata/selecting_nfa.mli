@@ -109,6 +109,9 @@ val set_inter : set -> set -> set
 val set_intersects : set -> set -> bool
 (** [not (set_is_empty (set_inter a b))], without allocating. *)
 
+val set_hash : set -> int
+(** Equal sets hash equal; allocates nothing. *)
+
 val set_fold : (int -> 'a -> 'a) -> set -> 'a -> 'a
 (** Folds in ascending state order. *)
 

@@ -14,17 +14,79 @@ type run_stats = {
   skipped_elements : int;
   regions : int;
   parses : int;
+  peak_held_bytes : int;
 }
 
 (* Ld: truth of top-level qualifier [lq] at the element with document-order
    number [seq].  Both passes number start-tags identically, so (seq, lq)
-   is a faithful replacement for the paper's cursor ids. *)
+   is a faithful replacement for the paper's cursor ids.  An
+   open-addressing table over the int key [seq * nlq + lq] (seq is -1 at
+   the document node, so keys start at [-nlq]): [set] and [get] allocate
+   nothing, and [clear] resets only the slots in use, listed in [used]. *)
 module Truth = struct
-  type t = (int * int, bool) Hashtbl.t
+  type t = {
+    nlq : int;
+    mutable keys : int array;  (* [absent] where free *)
+    mutable values : Bytes.t;
+    mutable used : int array;  (* the taken slots, [count] of them *)
+    mutable count : int;
+  }
 
-  let create () : t = Hashtbl.create 1024
-  let set t seq lq v = Hashtbl.replace t (seq, lq) v
-  let get t seq lq = try Hashtbl.find t (seq, lq) with Not_found -> false
+  let absent = min_int
+
+  let create ~nlq =
+    { nlq = max 1 nlq; keys = Array.make 16 absent; values = Bytes.make 16 '\000';
+      used = Array.make 16 0; count = 0 }
+
+  let rec slot keys key j =
+    let k = Array.unsafe_get keys j in
+    if k = key || k = absent then j else slot keys key ((j + 1) land (Array.length keys - 1))
+
+  let find t key =
+    let h = key * 0x9e3779b97f4a7c1 in
+    slot t.keys key ((h lxor (h lsr 29)) land (Array.length t.keys - 1))
+
+  let grow t =
+    let keys = t.keys and values = t.values in
+    t.keys <- Array.make (2 * Array.length keys) absent;
+    t.values <- Bytes.make (2 * Array.length keys) '\000';
+    t.used <- Array.make (2 * Array.length keys) 0;
+    t.count <- 0;
+    for j = 0 to Array.length keys - 1 do
+      let key = keys.(j) in
+      if key <> absent then begin
+        let s = find t key in
+        t.keys.(s) <- key;
+        Bytes.unsafe_set t.values s (Bytes.unsafe_get values j);
+        t.used.(t.count) <- s;
+        t.count <- t.count + 1
+      end
+    done
+
+  let set t seq lq v =
+    let key = (seq * t.nlq) + lq in
+    let s = find t key in
+    if t.keys.(s) = key then Bytes.unsafe_set t.values s (if v then '\001' else '\000')
+    else begin
+      t.keys.(s) <- key;
+      Bytes.unsafe_set t.values s (if v then '\001' else '\000');
+      t.used.(t.count) <- s;
+      t.count <- t.count + 1;
+      if 2 * t.count > Array.length t.keys then grow t
+    end
+
+  let get t seq lq =
+    let key = (seq * t.nlq) + lq in
+    let s = find t key in
+    t.keys.(s) = key && Bytes.unsafe_get t.values s <> '\000'
+
+  let length t = t.count
+
+  let clear t =
+    for i = 0 to t.count - 1 do
+      t.keys.(t.used.(i)) <- absent
+    done;
+    t.count <- 0
 end
 
 (* Both passes keep their open-element frames in parallel arrays indexed
@@ -35,18 +97,21 @@ let grow a fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let initial_depth = 64
+let initial_depth = 16
 
 (* ---------------- pass 1: SAX bottomUp ---------------- *)
 
 module Pass1 = struct
-  (* What a seeded frame keeps beyond its states and seeds.  One per
+  (* What a seeded frame keeps beyond its states and demand.  One per
      depth, made at the first seeded frame there and reused by every
      later one. *)
   type seeded = {
-    mutable candidates : int list;  (* child-seed candidates *)
     csat : bool array;
+    (* the element's text: [first] while it came in one piece, [text]
+       once a second piece came *)
     text : Buffer.t;
+    mutable first : string;
+    mutable pieces : int;
     mutable attrs : (string * string) list;
     mutable name : string;
     mutable at : int;  (* the element's seq *)
@@ -58,6 +123,13 @@ module Pass1 = struct
     nlq : int;
     sskip : Sym.t -> bool;
     truth : Truth.t;
+    memo : Annotator.demands;
+    none : Annotator.demand;
+    scratch : Lq.scratch;
+    (* the [csat] of the frame being evaluated, read through [csat], a
+       closure built once per run *)
+    mutable current : bool array;
+    csat : int -> bool;
     (* the unfiltered states of the parent of the bottom frame: the start
        set for a whole-document pass, the saved pass-2 states inside an
        undecided region *)
@@ -66,10 +138,10 @@ module Pass1 = struct
        of an undecided region; the slots below it are not pass 1's *)
     mutable bottom : int;
     (* the frame at depth [d]: its unfiltered NFA states after its
-       start-tag, the qualifiers to evaluate there ([] for a seedless
-       frame), and, when it has seeds, [seeded.(d)] *)
+       start-tag, what bottomUp evaluates there ([none] for a seedless
+       frame), and, when that is something, [seeded.(d)] *)
     mutable states : Selecting_nfa.set array;
-    mutable seeds : int list array;
+    mutable demand : Annotator.demand array;
     mutable seeded : seeded array;
     mutable skip : int;
     (* was the current skip episode opened by the schema oracle (as
@@ -81,39 +153,43 @@ module Pass1 = struct
     mutable seq : int;
     mutable depth : int;
     mutable max_depth : int;
-    (* the virtual document node's frame, for a path that begins with
-       [//.[q]]: the qualifiers wanted there ([] for none), its
-       child-seed candidates and what the document element satisfies.
-       Its truths go to seq -1. *)
-    doc_seeds : int list;
-    doc_candidates : int list;
+    (* the virtual document node's demand, for a path that begins with
+       [//.[q]], and what the document element satisfies.  Its truths go
+       to seq -1. *)
+    doc : Annotator.demand;
     doc_csat : bool array;
   }
 
   let document = "#document"
 
   (* the placeholder in [seeded] at depths no seeded frame reached yet *)
-  let unused = { candidates = []; csat = [||]; text = Buffer.create 0; attrs = []; name = ""; at = -1 }
+  let unused =
+    { csat = [||]; text = Buffer.create 0; first = ""; pieces = 0; attrs = []; name = ""; at = -1 }
+
+  let seeds (d : Annotator.demand) = not (Lq.set_is_empty d.Annotator.seeds)
 
   let create ~sskip nfa truth =
     let lq = Selecting_nfa.lq nfa in
     let base = Selecting_nfa.start nfa in
-    let doc_seeds = Annotator.top_quals nfa base in
-    { nfa; lq; nlq = Lq.length lq; sskip; truth; base; bottom = 0;
-      states = Array.make initial_depth base; seeds = Array.make initial_depth [];
-      seeded = Array.make initial_depth unused; skip = 0; schema_mode = false;
-      skipped_subtrees = 0; skipped_elements = 0; seq = -1; depth = 0; max_depth = 0;
-      doc_seeds;
-      doc_candidates =
-        (if doc_seeds = [] then [] else snd (Annotator.expand lq ~name:document doc_seeds));
-      doc_csat = Array.make (if doc_seeds = [] then 0 else Lq.length lq) false }
+    let memo = Annotator.demands nfa in
+    let none = Annotator.no_demand memo in
+    let doc = Annotator.document_demand memo ~name:document in
+    let rec p =
+      { nfa; lq; nlq = Lq.length lq; sskip; truth; memo; none; scratch = Lq.scratch lq;
+        current = [||]; csat = (fun i -> Array.unsafe_get p.current i); base; bottom = 0;
+        states = Array.make initial_depth base; demand = Array.make initial_depth none;
+        seeded = Array.make initial_depth unused; skip = 0; schema_mode = false;
+        skipped_subtrees = 0; skipped_elements = 0; seq = -1; depth = 0; max_depth = 0; doc;
+        doc_csat = Array.make (if seeds doc then Lq.length lq else 0) false }
+    in
+    p
 
   (* Room for a frame at depth [d].  Inside a region the first frame
      sits at [bottom], which may be past the arrays' end. *)
   let rec reserve p d =
     if d >= Array.length p.states then begin
       p.states <- grow p.states p.base;
-      p.seeds <- grow p.seeds [];
+      p.demand <- grow p.demand p.none;
       p.seeded <- grow p.seeded unused;
       reserve p d
     end
@@ -124,72 +200,102 @@ module Pass1 = struct
   let set_seedless_below p states n =
     reserve p n;
     Array.blit states 0 p.states 0 n;
-    Array.fill p.seeds 0 n [];
+    Array.fill p.demand 0 n p.none;
     p.bottom <- 0
 
-  (* A seeded frame at depth [d], its [csat] and [text] emptied. *)
-  let set_seeded p d all_seeds name attrs =
+  (* A seeded frame at depth [d], its [csat] and text emptied. *)
+  let set_seeded p d name attrs =
     let f = p.seeded.(d) in
     if f == unused then
       p.seeded.(d) <-
-        { candidates = []; csat = Array.make p.nlq false; text = Buffer.create 16; attrs; name;
-          at = p.seq }
+        { csat = Array.make p.nlq false; text = Buffer.create 16; first = ""; pieces = 0; attrs;
+          name; at = p.seq }
     else begin
       Array.fill f.csat 0 p.nlq false;
-      Buffer.clear f.text;
+      f.first <- "";
+      f.pieces <- 0;
       f.attrs <- attrs;
       f.name <- name;
       f.at <- p.seq
-    end;
-    p.seeded.(d).candidates <- snd (Annotator.expand p.lq ~name all_seeds)
+    end
 
-  let start p name attrs =
+  let add_text f t =
+    if f.pieces = 0 then f.first <- t
+    else begin
+      if f.pieces = 1 then begin
+        Buffer.clear f.text;
+        Buffer.add_string f.text f.first
+      end;
+      Buffer.add_string f.text t
+    end;
+    f.pieces <- f.pieces + 1
+
+  let text_of f = if f.pieces <= 1 then f.first else Buffer.contents f.text
+
+  (* A start-tag; whether it opened a skip episode for an empty state
+     set: neither the element nor anything below it is pass 1's. *)
+  let start p sym name attrs =
     p.seq <- p.seq + 1;
     if p.skip > 0 then begin
       p.skip <- p.skip + 1;
-      if p.schema_mode then p.skipped_elements <- p.skipped_elements + 1
+      if p.schema_mode then p.skipped_elements <- p.skipped_elements + 1;
+      false
+    end
+    else if p.sskip sym then begin
+      (* schema skip-set: seed-free below, so no truth entry the second
+         pass could ask for originates here *)
+      p.skip <- 1;
+      p.schema_mode <- true;
+      p.skipped_subtrees <- p.skipped_subtrees + 1;
+      p.skipped_elements <- p.skipped_elements + 1;
+      false
     end
     else begin
-      let sym = Sym.intern name in
-      if p.sskip sym then begin
-        (* schema skip-set: seed-free below, so no truth entry the second
-           pass could ask for originates here *)
+      let d = p.depth in
+      let states =
+        Selecting_nfa.next_unchecked p.nfa (if d = p.bottom then p.base else p.states.(d - 1)) sym
+      in
+      let candidates =
+        if d > p.bottom then p.demand.(d - 1).Annotator.candidates
+        else if d = 0 then p.doc.Annotator.candidates
+        else p.none.Annotator.candidates
+      in
+      let demand = Annotator.demand p.memo candidates states sym in
+      if Selecting_nfa.set_is_empty states && not (seeds demand) then begin
         p.skip <- 1;
-        p.schema_mode <- true;
-        p.skipped_subtrees <- p.skipped_subtrees + 1;
-        p.skipped_elements <- p.skipped_elements + 1
+        true
       end
       else begin
-        let d = p.depth in
-        let states =
-          Selecting_nfa.next_unchecked p.nfa (if d = p.bottom then p.base else p.states.(d - 1)) sym
-        in
-        let candidates =
-          if d > p.bottom then if p.seeds.(d - 1) = [] then [] else p.seeded.(d - 1).candidates
-          else if d = 0 then p.doc_candidates
-          else []
-        in
-        let kid_seeds =
-          if candidates = [] then []
-          else List.filter (fun i -> not (Lq.label_blocked p.lq i name)) candidates
-        in
-        (* [List.sort_uniq] builds its local closures even for [] *)
-        let all_seeds =
-          match kid_seeds, Annotator.top_quals p.nfa states with
-          | [], [] -> []
-          | ks, qs -> List.sort_uniq compare (ks @ qs)
-        in
-        if Selecting_nfa.set_is_empty states && all_seeds = [] then p.skip <- 1
-        else begin
-          reserve p d;
-          p.states.(d) <- states;
-          p.seeds.(d) <- all_seeds;
-          if all_seeds <> [] then set_seeded p d all_seeds name attrs;
-          p.depth <- d + 1;
-          if p.depth > p.max_depth then p.max_depth <- p.depth
-        end
+        reserve p d;
+        p.states.(d) <- states;
+        p.demand.(d) <- demand;
+        if seeds demand then set_seeded p d name attrs;
+        p.depth <- d + 1;
+        if p.depth > p.max_depth then p.max_depth <- p.depth;
+        false
       end
     end
+
+  (* The element whose start-tag opened a skip episode was consumed whole
+     without events; its rest held [starts] start-tags. *)
+  let consumed p starts =
+    p.skip <- 0;
+    p.seq <- p.seq + starts
+
+  (* QualDP at a frame: its truths go to Ld, and what it satisfies to
+     its parent's [csat] (a parent without seeds never reads it). *)
+  let evaluate p (demand : Annotator.demand) ~name ~attrs ~text ~csat ~at parent =
+    p.current <- csat;
+    Lq.eval p.lq p.scratch ~name ~attrs ~text ~csat:p.csat ~wanted:demand.Annotator.seeds;
+    let own = demand.Annotator.own in
+    for k = 0 to Array.length own - 1 do
+      let i = own.(k) in
+      Truth.set p.truth at i (Lq.holds p.scratch i)
+    done;
+    if Array.length parent > 0 then
+      for i = 0 to p.nlq - 1 do
+        if Lq.holds p.scratch i then parent.(i) <- true
+      done
 
   let end_ p =
     if p.skip > 0 then begin
@@ -199,54 +305,34 @@ module Pass1 = struct
     else if p.depth > p.bottom then begin
       let d = p.depth - 1 in
       p.depth <- d;
-      match p.seeds.(d) with
-      | [] -> ()
-      | wanted ->
+      let demand = p.demand.(d) in
+      if seeds demand then begin
         let f = p.seeded.(d) in
-        let sat =
-          Lq.eval_at p.lq ~name:f.name ~attrs:f.attrs ~text:(Buffer.contents f.text)
-            ~csat:(Array.get f.csat) ~wanted
-        in
-        Selecting_nfa.set_iter
-          (fun s ->
-            let i = Selecting_nfa.state_lq p.nfa s in
-            Truth.set p.truth f.at i sat.(i))
-          (Selecting_nfa.set_inter p.states.(d) (Selecting_nfa.qual_states p.nfa));
-        (* a parent without seeds never reads its [csat] *)
         let parent =
-          if d > p.bottom then if p.seeds.(d - 1) <> [] then p.seeded.(d - 1).csat else [||]
+          if d > p.bottom then if seeds p.demand.(d - 1) then p.seeded.(d - 1).csat else [||]
           else if d = 0 then p.doc_csat
           else [||]
         in
-        if Array.length parent > 0 then
-          for i = 0 to p.nlq - 1 do
-            if sat.(i) then parent.(i) <- true
-          done
+        evaluate p demand ~name:f.name ~attrs:f.attrs
+          ~text:(if demand.Annotator.reads_text then text_of f else "")
+          ~csat:f.csat ~at:f.at parent
+      end
     end
 
   (* The document node's truths, once the document element has ended:
      no name a step can carry, no attributes and no text of its own. *)
   let end_document p =
-    if p.doc_seeds <> [] then begin
-      let sat =
-        Lq.eval_at p.lq ~name:document ~attrs:[] ~text:"" ~csat:(Array.get p.doc_csat)
-          ~wanted:p.doc_seeds
-      in
-      Selecting_nfa.set_iter
-        (fun s ->
-          let i = Selecting_nfa.state_lq p.nfa s in
-          Truth.set p.truth (-1) i sat.(i))
-        (Selecting_nfa.set_inter p.base (Selecting_nfa.qual_states p.nfa))
-    end
+    if seeds p.doc then
+      evaluate p p.doc ~name:document ~attrs:[] ~text:"" ~csat:p.doc_csat ~at:(-1) [||]
 
   let handle p = function
     | Sax.End_document -> end_document p
     | Sax.Start_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
-    | Sax.Start_element (name, attrs) -> start p name attrs
+    | Sax.Start_element (name, attrs) -> ignore (start p (Sym.intern name) name attrs : bool)
     | Sax.Characters t ->
       let d = p.depth - 1 in
-      if p.skip = 0 && d >= p.bottom && p.seeds.(d) <> [] then
-        Buffer.add_string p.seeded.(d).text t
+      if p.skip = 0 && d >= p.bottom && p.demand.(d).Annotator.reads_text then
+        add_text p.seeded.(d) t
     | Sax.End_element _ -> end_ p
 end
 
@@ -387,7 +473,9 @@ module Pass2 = struct
     end
     else admit p ev name attrs (Selecting_nfa.next p.nfa ~checkp:p.checkp (states p) sym)
 
-  let start p ev name attrs =
+  (* A start-tag; [sym] is its name's symbol, or -1 when the caller has
+     not interned it (interned here only if a transition needs it). *)
+  let start p ev name attrs sym =
     p.seq <- p.seq + 1;
     if p.skip > 0 then p.skip <- p.skip + 1
     else if p.verbatim > 0 then begin
@@ -395,7 +483,20 @@ module Pass2 = struct
       p.verbatim_elements <- p.verbatim_elements + 1;
       p.sink ev
     end
-    else enter p ev name attrs (Sym.intern name)
+    else enter p ev name attrs (if sym >= 0 then sym else Sym.intern name)
+
+  (* An element pass 1 left unread, replayed from the bytes held for it:
+     its start-tag and [starts] more, the deepest [depth] levels below
+     it.  Its filtered states are a subset of the unchecked ones, which
+     are empty, so a walking pass copies it whole; whether the pass
+     walks, and so must write the bytes. *)
+  let unread p ~starts ~depth =
+    p.seq <- p.seq + 1 + starts;
+    walking p
+    && begin
+         p.max_depth <- max p.max_depth (p.depth + 1 + depth);
+         true
+       end
 
   let handle p = function
     | Sax.Start_document -> p.sink Sax.Start_document
@@ -405,7 +506,7 @@ module Pass2 = struct
       p.sink Sax.End_document
     | (Sax.Comment_event _ | Sax.Pi_event _ | Sax.Characters _) as ev ->
       if p.verbatim > 0 || (p.skip = 0 && p.depth > 0) then p.sink ev
-    | Sax.Start_element (name, attrs) as ev -> start p ev name attrs
+    | Sax.Start_element (name, attrs) as ev -> start p ev name attrs (-1)
     | Sax.End_element name as ev ->
       if p.skip > 0 then p.skip <- p.skip - 1
       else if p.verbatim > 0 then begin
@@ -435,19 +536,20 @@ let never _ = false
 
 let run ?(skip = never) nfa update ~source ~sink =
   check_ctx_qual nfa;
-  let truth = Truth.create () in
+  let truth = Truth.create ~nlq:(Lq.length (Selecting_nfa.lq nfa)) in
   let p1 = Pass1.create ~sskip:skip nfa truth in
   source (Pass1.handle p1);
   let p2 = Pass2.create ~sskip:skip nfa update truth sink in
   source (Pass2.handle p2);
   {
     max_stack_depth = p1.Pass1.max_depth;
-    truth_entries = Hashtbl.length truth;
+    truth_entries = Truth.length truth;
     elements_seen = p1.Pass1.seq + 1;
     skipped_subtrees = p1.Pass1.skipped_subtrees;
     skipped_elements = p1.Pass1.skipped_elements;
     regions = 0;
     parses = 2;
+    peak_held_bytes = 0;
   }
 
 (* ---------------- the buffered one-pass driver ----------------
@@ -462,30 +564,84 @@ let run ?(skip = never) nfa update ~source ~sink =
    replay through pass 2, whose state has not moved since the region
    opened, and the region's truths are dropped.
 
-   Past [buffer_budget] bytes of held markup the run turns into the
-   two-parse algorithm from that point: the live parse goes on as pass 1
-   alone (the region's frames over frames for the elements above it) to
-   the end of the input, and a second parse skips to the region's first
-   start-tag and resumes pass 2 there.  Everything already written stays
-   valid. *)
+   A steered parse holds less.  A live start-tag inside a region that
+   pass 1 skips (an empty state set and no seeds) opens a subtree pass 2
+   is bound to copy, if it walks there at all: its filtered states are a
+   subset of the empty unchecked ones.  The parse copies that subtree
+   into [bytes], a recorder, and [held] keeps a [Start_document] in its
+   place (no region holds a real one), with its numbers in [spans].  The
+   replay writes the bytes where the events would have gone.
+
+   Past [buffer_budget] bytes of held markup (counted as the events'
+   [Sax.markup_bytes], whether they are held as events or as bytes) the
+   run turns into the two-parse algorithm from that point: the live
+   parse goes on as pass 1 alone (the region's frames over frames for
+   the elements above it) to the end of the input, and a second parse
+   skips to the region's first start-tag and resumes pass 2 there.
+   Everything already written stays valid.  A subtree being held as bytes
+   is dropped by the recorder as soon as it passes the budget, so the
+   copy never holds more than the budget either. *)
 
 let buffer_budget = 1 lsl 19
 
-(* the size of an event's markup, near enough to bound what [held] keeps *)
-let markup_bytes = function
-  | Sax.Start_element (name, attrs) ->
-    List.fold_left
-      (fun n (k, v) -> n + String.length k + String.length v + 4)
-      (String.length name + 2) attrs
-  | Sax.End_element name -> String.length name + 3
-  | Sax.Characters t | Sax.Comment_event t -> String.length t
-  | Sax.Pi_event (target, data) -> String.length target + String.length data + 5
-  | Sax.Start_document | Sax.End_document -> 0
-
 type region =
   | Outside
-  | Held of { first : int; mutable open_elements : int; mutable bytes : int }
+  | Held of {
+      first : int;
+      mutable open_elements : int;
+      mutable bytes : int;
+      mutable open_tag : bool;  (* the last held event was a start-tag *)
+    }
   | Overflowed of { first : int }  (* the seq of the region's first element *)
+
+(* What a region holds: its events, with the symbol of each start-tag
+   beside it, and the subtrees held as bytes.  Kept across the regions
+   of a run. *)
+type held = {
+  mutable events : Sax.event array;
+  mutable syms : Sym.t array;
+  mutable n : int;
+  (* per subtree held as bytes: its start-tags after the first, the
+     levels below it, and [Writer.recorded bytes] after it *)
+  mutable spans : int array;
+  mutable nspans : int;
+  mutable bytes : Writer.t option;  (* made at the first subtree *)
+}
+
+let hold h ev sym =
+  if h.n = Array.length h.events then begin
+    let size = max 256 (2 * h.n) in
+    let events = Array.make size Sax.End_document and syms = Array.make size 0 in
+    Array.blit h.events 0 events 0 h.n;
+    Array.blit h.syms 0 syms 0 h.n;
+    h.events <- events;
+    h.syms <- syms
+  end;
+  Array.unsafe_set h.events h.n ev;
+  Array.unsafe_set h.syms h.n sym;
+  h.n <- h.n + 1
+
+let recorder h =
+  match h.bytes with
+  | Some w -> w
+  | None ->
+    let w = Writer.recorder () in
+    h.bytes <- Some w;
+    w
+
+let hold_span h ~starts ~depth =
+  if 3 * (h.nspans + 1) > Array.length h.spans then h.spans <- grow h.spans 0;
+  let k = 3 * h.nspans in
+  h.spans.(k) <- starts;
+  h.spans.(k + 1) <- depth;
+  h.spans.(k + 2) <- Writer.recorded (recorder h);
+  h.nspans <- h.nspans + 1;
+  hold h Sax.Start_document 0
+
+let drop_held h =
+  h.n <- 0;
+  h.nspans <- 0;
+  Option.iter Writer.reset h.bytes
 
 (* A run with a schema skip-set is not steered: the skip-set comes with
    a stored document, whose events are a tree replay with no parse to
@@ -493,65 +649,80 @@ type region =
 let drive ?steer ?skip nfa update ~source ~sink =
   let steer = if Option.is_some skip then None else steer in
   let skip = Option.value skip ~default:never in
-  let truth = Truth.create () in
+  let truth = Truth.create ~nlq:(Lq.length (Selecting_nfa.lq nfa)) in
   let p1 = Pass1.create ~sskip:skip nfa truth in
   let p2 = Pass2.create ?steer ~sskip:skip nfa update truth sink in
   let quals = Selecting_nfa.qual_states nfa in
-  let held = ref [||] and nheld = ref 0 in
-  let hold ev =
-    if !nheld = Array.length !held then begin
-      let grown = Array.make (max 256 (2 * !nheld)) Sax.End_document in
-      Array.blit !held 0 grown 0 !nheld;
-      held := grown
-    end;
-    Array.unsafe_set !held !nheld ev;
-    incr nheld
+  let held =
+    { events = [||]; syms = [||]; n = 0; spans = Array.make 3 0; nspans = 0; bytes = None }
   in
   let region = ref Outside in
-  let regions = ref 0 and peak_truth = ref 0 in
-  let open_region ev parent =
+  let regions = ref 0 and peak_truth = ref 0 and peak_held = ref 0 in
+  let open_region ev name attrs sym parent =
     incr regions;
-    region := Held { first = p2.Pass2.seq + 1; open_elements = 1; bytes = markup_bytes ev };
+    region :=
+      Held
+        { first = p2.Pass2.seq + 1; open_elements = 1; bytes = Sax.markup_bytes ~open_tag:false ev;
+          open_tag = true };
     p1.Pass1.base <- parent;
     p1.Pass1.seq <- p2.Pass2.seq;
     p1.Pass1.depth <- p2.Pass2.depth;
     p1.Pass1.bottom <- p2.Pass2.depth;
-    hold ev;
-    Pass1.handle p1 ev
+    hold held ev sym;
+    ignore (Pass1.start p1 sym name attrs : bool)
   in
-  let close_region () =
+  let close_region bytes =
     region := Outside;
-    peak_truth := max !peak_truth (Hashtbl.length truth);
-    let events = !held and n = !nheld in
-    nheld := 0;
-    for i = 0 to n - 1 do
-      Pass2.handle p2 (Array.unsafe_get events i)
+    peak_truth := max !peak_truth (Truth.length truth);
+    peak_held := max !peak_held bytes;
+    let span = ref 0 in
+    for i = 0 to held.n - 1 do
+      match Array.unsafe_get held.events i with
+      | Sax.Start_element (name, attrs) as ev -> Pass2.start p2 ev name attrs held.syms.(i)
+      | Sax.Start_document ->
+        let k = 3 * !span in
+        if Pass2.unread p2 ~starts:held.spans.(k) ~depth:held.spans.(k + 1) then
+          Writer.replay (Sax.writer (Option.get steer)) (recorder held)
+            ~from:(if k = 0 then 0 else held.spans.(k - 1))
+            ~upto:held.spans.(k + 2);
+        incr span
+      | ev -> Pass2.handle p2 ev
     done;
-    Hashtbl.clear truth
+    drop_held held;
+    Truth.clear truth
   in
   let overflow first =
     region := Overflowed { first };
-    held := [||];
-    nheld := 0;
+    peak_held := max !peak_held buffer_budget;
+    drop_held held;
     (* pass 1 goes on to the end of the input: the elements above the
        region get seedless frames over pass 2's states, which no
        qualifier filtered *)
     Pass1.set_seedless_below p1 p2.Pass2.fstates p2.Pass2.depth
   in
+  (* An element pass 1 skips, inside a region holding [held_bytes]: its
+     subtree as bytes, and their count, past the budget once the
+     recorder held more than the room left (it then holds nothing). *)
+  let hold_unread h ~held_bytes name attrs =
+    let w = recorder held in
+    let before = Buffer.length w.Writer.buf and room = buffer_budget - held_bytes in
+    Writer.limit w (before + room);
+    Writer.start_element w name attrs;
+    let starts = Sax.copy_rest_to h w in
+    Pass1.consumed p1 starts;
+    hold_span held ~starts ~depth:(Sax.rest_depth h);
+    if Writer.overflowed w then room + 1 else Buffer.length w.Writer.buf - before
+  in
   let handle ev =
     match !region with
     | Outside -> (
       match ev with
-      | Sax.Start_element (name, attrs) when Pass2.walking p2 ->
+      | Sax.Start_element (name, attrs) ->
         let sym = Sym.intern name in
-        if skip sym then begin
-          p2.Pass2.seq <- p2.Pass2.seq + 1;
-          Pass2.enter p2 ev name attrs sym
-        end
-        else begin
+        if Pass2.walking p2 && not (skip sym) then begin
           let parent = Pass2.states p2 in
           let states = Selecting_nfa.next_unchecked nfa parent sym in
-          if Selecting_nfa.set_intersects states quals then open_region ev parent
+          if Selecting_nfa.set_intersects states quals then open_region ev name attrs sym parent
           else begin
             (* no qualifier-bearing state entered: the filtered
                transition is the unchecked one *)
@@ -559,16 +730,33 @@ let drive ?steer ?skip nfa update ~source ~sink =
             Pass2.admit p2 ev name attrs states
           end
         end
+        else Pass2.start p2 ev name attrs sym
       | ev -> Pass2.handle p2 ev)
     | Held r ->
+      let open_tag = r.open_tag in
+      r.open_tag <- false;
       (match ev with
-      | Sax.Start_element _ -> r.open_elements <- r.open_elements + 1
-      | Sax.End_element _ -> r.open_elements <- r.open_elements - 1
-      | _ -> ());
-      Pass1.handle p1 ev;
-      hold ev;
-      r.bytes <- r.bytes + markup_bytes ev;
-      if r.open_elements = 0 then close_region ()
+      | Sax.Start_element (name, attrs) -> (
+        let sym = Sym.intern name in
+        let unread = Pass1.start p1 sym name attrs in
+        match steer with
+        | Some h when unread && Sax.offered h ->
+          r.bytes <- r.bytes + hold_unread h ~held_bytes:r.bytes name attrs
+        | _ ->
+          r.bytes <- r.bytes + Sax.markup_bytes ~open_tag ev;
+          r.open_elements <- r.open_elements + 1;
+          r.open_tag <- true;
+          hold held ev sym)
+      | Sax.End_element _ ->
+        r.bytes <- r.bytes + Sax.markup_bytes ~open_tag ev;
+        r.open_elements <- r.open_elements - 1;
+        Pass1.end_ p1;
+        hold held ev 0
+      | ev ->
+        r.bytes <- r.bytes + Sax.markup_bytes ~open_tag ev;
+        Pass1.handle p1 ev;
+        hold held ev 0);
+      if r.open_elements = 0 then close_region r.bytes
       else if r.bytes > buffer_budget then overflow r.first
     | Overflowed _ -> Pass1.handle p1 ev
   in
@@ -576,7 +764,7 @@ let drive ?steer ?skip nfa update ~source ~sink =
   let parses =
     match !region with
     | Overflowed { first } ->
-      peak_truth := max !peak_truth (Hashtbl.length truth);
+      peak_truth := max !peak_truth (Truth.length truth);
       let n = ref (-1) and resumed = ref false in
       source (fun ev ->
           if !resumed then Pass2.handle p2 ev
@@ -600,6 +788,7 @@ let drive ?steer ?skip nfa update ~source ~sink =
     skipped_elements = p2.Pass2.verbatim_elements;
     regions = !regions;
     parses;
+    peak_held_bytes = !peak_held;
   }
 
 (* A path that begins with [//.[q]] tests the document node, whose truth

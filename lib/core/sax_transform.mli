@@ -39,23 +39,32 @@ open Xut_automata
     (nothing below it can match), the parser writes the rest straight
     into the handle's writer — which must be the writer [sink]
     serializes into ({!Serialize.Sink.writer} of the sink whose
-    {!Serialize.Sink.event} is [sink]).  The bytes, chunk boundaries,
-    errors and run statistics are those of the unsteered run.  Undecided
-    regions, their replay, tree sources, {!run} and any run given a
-    [skip] set (a stored document's, whose events are a tree replay)
-    always go through events.
+    {!Serialize.Sink.event} is [sink]).  Inside an undecided region, an
+    element pass 1 skips (an empty unchecked state set and no seeds) is
+    one pass 2 can only copy or drop: the parser copies it whole into a
+    recorder ({!Xut_xml.Sax.copy_rest_to}), the region holds those bytes
+    in place of its events, and the replay writes them into the sink's
+    writer, flushing where the events would have.  The bytes, chunk
+    boundaries, errors and run statistics are those of the unsteered
+    run.  What pass 1 reads inside a region, tree sources, {!run} and any
+    run given a [skip] set (a stored document's, whose events are a tree
+    replay) go through events.
 
     {2 Allocation}
 
     A run allocates the events it makes and their strings, and nothing
     per element beside them: both passes keep their frames in arrays
     indexed by depth, an element written under its own name is written
-    as the input's own event, and a seeded pass-1 frame reuses its
-    depth's [csat] array and text buffer.  Only the qualifier evaluation
-    at seeded elements and the truth entries allocate.  A steered
-    subtree makes no events at all, so a fused run into a serializer
-    allocates next to nothing beyond the start-tags of the elements pass
-    2 walks. *)
+    as the input's own event, and the buffered driver interns each
+    start-tag once.  Pass 1 allocates nothing at a seeded element
+    either: what it evaluates there is computed once per run for each
+    (parent candidates, state set, label) ({!Annotator.demand}), QualDP
+    writes into a scratch the run owns ({!Xut_xpath.Lq.eval}), a seeded
+    frame reuses its depth's [csat] array, and Ld is an int-keyed table
+    ({!Truth}).  A steered subtree makes no events at all, so a fused
+    run into a serializer allocates next to nothing beyond the start-tags
+    of the elements pass 2 walks, and a buffered one beyond the events
+    its regions' pass 1 reads. *)
 
 exception Unsupported_streaming of string
 (** Raised for context qualifiers (paths starting with a qualified '.'),
@@ -78,7 +87,30 @@ type run_stats = {
   parses : int;
       (** reads of the source: 2 for {!run} and for a buffered run past
           the budget, 1 otherwise *)
+  peak_held_bytes : int;
+      (** the most markup an undecided region of {!run_buffered} held,
+          as events or as bytes, counted as {!Xut_xml.Sax.markup_bytes}
+          of its events: {!buffer_budget} once a region passed it, 0 for
+          the other drivers *)
 }
+
+(** Ld, the truth list: the truth of LQ expression [lq] at the element
+    numbered [seq] (-1 for the document node), for a list of [nlq]
+    expressions.  An open-addressing table over int keys: {!Truth.set}
+    and {!Truth.get} allocate nothing. *)
+module Truth : sig
+  type t
+
+  val create : nlq:int -> t
+  val set : t -> int -> int -> bool -> unit
+  val get : t -> int -> int -> bool
+  (** [false] for an entry never set. *)
+
+  val length : t -> int
+  (** Entries set since the last {!clear}. *)
+
+  val clear : t -> unit
+end
 
 val run :
   ?skip:(Sym.t -> bool) ->
@@ -97,7 +129,9 @@ val run :
 
 val buffer_budget : int
 (** Bytes of held markup past which {!run_buffered} stops holding a
-    region and reads the input a second time: 512 KiB. *)
+    region and reads the input a second time: 512 KiB, counted as
+    {!Xut_xml.Sax.markup_bytes} of the region's events, whether it holds
+    them as events or as bytes. *)
 
 val run_buffered :
   ?skip:(Sym.t -> bool) ->

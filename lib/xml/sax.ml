@@ -55,6 +55,7 @@ type st = {
   mutable tags : string array;  (* the open elements, innermost at [depth - 1] *)
   mutable depth : int;
   mutable rooted : bool;  (* the document element has started *)
+  mutable doctype_seen : bool;
   text : Buffer.t;  (* a text run that crossed a refill or holds a reference *)
   vbuf : Buffer.t;  (* the same for an attribute value *)
   mutable attrs : (string * string) list;  (* the open start tag's, reversed *)
@@ -74,6 +75,21 @@ type st = {
   (* copy mode is writing the current text run straight to the writer *)
   mutable direct : bool;
 }
+
+let rec attrs_bytes n = function
+  | [] -> n
+  | (k, v) :: rest ->
+    attrs_bytes (n + String.length k + Writer.escaped_length ~attr:true v + 4) rest
+
+(* A start-tag counts its '>'; an end-tag that closes it as "/>" counts
+   the '/'. *)
+let markup_bytes ~open_tag = function
+  | Start_element (name, attrs) -> attrs_bytes (String.length name + 2) attrs
+  | End_element name -> if open_tag then 1 else String.length name + 3
+  | Characters t -> Writer.escaped_length ~attr:false t
+  | Comment_event t -> String.length t + 7
+  | Pi_event (target, data) -> String.length target + String.length data + 5
+  | Start_document | End_document -> 0
 
 (* Write one event's markup. *)
 let write w = function
@@ -298,7 +314,9 @@ let other_markup st i =
       i
     | _ ->
       let i = keyword r i "DOCTYPE" in
-      if st.rooted || st.stop > 0 then error_at r (lt - r.retired) "misplaced DOCTYPE";
+      if st.rooted || st.stop > 0 || st.doctype_seen then
+        error_at r (lt - r.retired) "misplaced DOCTYPE";
+      st.doctype_seen <- true;
       doctype_end r 1 i
 
 (* ---- the one loop ---- *)
@@ -317,7 +335,7 @@ let[@inline] push st name =
 (* Whether a text run ending at [i] is reported, given whether it is
    whitespace only; the caller copies the run only when it is, so dropped
    runs never allocate.  Outside the document element only whitespace
-   may occur. *)
+   may occur (and no reference: [content] rejects it). *)
 let[@inline] wanted st ws i =
   if st.depth = 0 then begin
     if not ws then error_at st.r i "text outside the document element";
@@ -562,6 +580,7 @@ let rec content st i =
       let i = markup st i in
       if st.depth < st.stop then i else content st i
     | '&' ->
+      if st.depth = 0 then error_at r i "reference outside the document element";
       let i = reference r st.text i in
       if st.direct then direct_reference st;
       content st i
@@ -577,10 +596,12 @@ let rec content st i =
 
 (* ---- steering ---- *)
 
-(* [copy] is [Copy w] for the handle's writer, built once *)
-type steer = { copy : mode; mutable parser : st option }
+(* [copy] is [Copy w] for the handle's writer, built once; [hold] the
+   [Copy] of the last writer [copy_rest_to] was given *)
+type steer = { w : Writer.t; copy : mode; mutable hold : mode; mutable parser : st option }
 
-let steer w = { copy = Copy w; parser = None }
+let steer w = { w; copy = Copy w; hold = Skip; parser = None }
+let writer h = h.w
 
 let offered h = match h.parser with Some st -> st.offer >= 0 && not st.taken | None -> false
 
@@ -607,12 +628,19 @@ let take h mode =
 
 let copy_rest h = take h h.copy
 let skip_rest h = take h Skip
+
+let copy_rest_to h w =
+  let mode = match h.hold with Copy w' when w' == w -> h.hold | _ -> Copy w in
+  h.hold <- mode;
+  take h mode
+
 let rest_depth h = match h.parser with Some st -> st.peak | None -> 0
 
 let state ~keep_ws r handler =
-  { r; handler; keep_ws; tags = Array.make 64 ""; depth = 0; rooted = false; text = Buffer.create 64;
-    vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events; stop = 0; starts = 0;
-    peak = 0; offer = -1; offer_name = ""; offer_empty = false; taken = false; direct = false }
+  { r; handler; keep_ws; tags = Array.make 64 ""; depth = 0; rooted = false; doctype_seen = false;
+    text = Buffer.create 64; vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events; stop = 0;
+    starts = 0; peak = 0; offer = -1; offer_name = ""; offer_empty = false; taken = false;
+    direct = false }
 
 let parse_events ~keep_ws ?steer r handler =
   handler Start_document;

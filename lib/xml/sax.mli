@@ -7,7 +7,8 @@
     numeric character references, and both attribute quote styles.
     A character reference must name a Unicode scalar value other than
     U+0000, and a NUL byte anywhere in the input is an error.  A document
-    has one document element; a DOCTYPE may only come before it.
+    has one document element, at most one DOCTYPE, before it, and no
+    reference outside it.
 
     Whitespace-only text between elements is dropped unless [keep_ws] is
     set: the XMark-style data handled here is data-oriented, and dropping
@@ -56,6 +57,12 @@ val write : Writer.t -> event -> unit
 (** Write one event's markup ([Start_document]/[End_document] write
     nothing). *)
 
+val markup_bytes : open_tag:bool -> event -> int
+(** The bytes {!write} writes for the event into a writer whose
+    start-tag is open or not ([Writer.t.open_tag]), counting a
+    start-tag's closing [>] with the start-tag: over a whole element's
+    events, its serialized size. *)
+
 (** {2:steering Steering}
 
     A parse given a steering handle lets its handler, while it is given
@@ -73,6 +80,9 @@ val steer : Writer.t -> steer
 (** A handle whose copies go to the writer, attached to each parse it is
     given to while that parse runs. *)
 
+val writer : steer -> Writer.t
+(** The writer {!copy_rest} writes into. *)
+
 val offered : steer -> bool
 (** The parse attached to the handle is giving its handler a start-tag
     (live, not a replay) whose rest is not yet steered. *)
@@ -86,6 +96,11 @@ val copy_rest : steer -> int
 val skip_rest : steer -> int
 (** Consume the rest of the offered element, checking it as the event
     path would; the number of start tags in it.
+    @raise Invalid_argument unless {!offered}. *)
+
+val copy_rest_to : steer -> Writer.t -> int
+(** {!copy_rest} into another writer, which holds the offered element's
+    start-tag, still open.
     @raise Invalid_argument unless {!offered}. *)
 
 val rest_depth : steer -> int

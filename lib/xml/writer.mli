@@ -23,6 +23,9 @@ val add_escaped_sub : Buffer.t -> attr:bool -> string -> int -> int -> unit
 (** [add_escaped_sub buf ~attr s off len] escapes [len] bytes of [s]
     from [off]. *)
 
+val escaped_length : attr:bool -> string -> int
+(** The length of {!add_escaped} of the string. *)
+
 val add_attrs : Buffer.t -> (string * string) list -> unit
 (** [ k="v"] for each attribute, in order. *)
 
@@ -34,7 +37,10 @@ type t = private {
   mutable bytes : int;  (** emitted so far *)
   mutable chunks : int;
   mutable peak_chunk : int;  (** the longest chunk emitted *)
+  recording : recording option;  (** a recorder's state *)
 }
+
+and recording
 
 val create : Buffer.t -> chunk_size:int -> (string -> unit) -> t
 (** A writer appending to [buf]; [chunk_size] is at least 1. *)
@@ -84,3 +90,36 @@ val copy_text : t -> bytes -> int -> int -> int
     a lexer's scan of a text run and its escaping in one pass.  It
     neither seals an open start-tag nor flushes: the caller seals before
     the run's first piece and ends the event after its last. *)
+
+(** {2 Recording}
+
+    A recorder keeps what is written to it and emits nothing: instead of
+    flushing, it notes the offset at which each event ends.  {!replay}
+    then writes recorded events into another writer as writing them
+    there would have: the same bytes, and a {!maybe_flush} at each
+    event's end, so the chunk boundaries fall where they would have
+    fallen.  A recorder given a {!limit} holds at most that many bytes
+    and one event more: at the first event that ends past it, it drops
+    everything and records nothing more until {!reset}. *)
+
+val recorder : unit -> t
+(** An empty recorder, with no limit. *)
+
+val limit : t -> int -> unit
+(** [limit r n]: from now on, an event that ends with more than [n]
+    bytes in [r]'s buffer makes [r] {!overflowed}. *)
+
+val overflowed : t -> bool
+
+val recorded : t -> int
+(** The number of events a recorder has recorded. *)
+
+val reset : t -> unit
+(** Drop what a recorder holds and its limit. *)
+
+val replay : t -> t -> from:int -> upto:int -> unit
+(** [replay t r ~from ~upto] writes the events [from .. upto - 1] that
+    recorder [r] recorded into [t], first sealing [t]'s open start-tag.
+    The first of them must have been written into [r] with no start-tag
+    open there, and the last must leave none open.
+    @raise Invalid_argument if [r] is not a recorder. *)

@@ -32,26 +32,24 @@ let q_and = function
   | [] -> Q_true
   | q :: qs -> List.fold_left (fun acc q -> Q_and (acc, q)) q qs
 
-let float_of_text s =
-  match float_of_string_opt (String.trim s) with
-  | Some f -> Some f
-  | None -> None
+(* Top-level, with the float parsed unwrapped: a comparison allocates
+   nothing but the parsed float. *)
+let cmp_int op c =
+  match op with
+  | Eq -> c = 0
+  | Neq -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
 
 let compare_values op s v =
-  let cmp_int c = match op with
-    | Eq -> c = 0
-    | Neq -> c <> 0
-    | Lt -> c < 0
-    | Le -> c <= 0
-    | Gt -> c > 0
-    | Ge -> c >= 0
-  in
   match v with
-  | V_str v -> cmp_int (String.compare s v)
+  | V_str v -> cmp_int op (String.compare s v)
   | V_num f -> (
-    match float_of_text s with
-    | Some g -> cmp_int (Float.compare g f)
-    | None -> false)
+    match float_of_string (String.trim s) with
+    | g -> cmp_int op (Float.compare g f)
+    | exception Failure _ -> false)
 
 let equal_path (a : path) (b : path) = a = b
 

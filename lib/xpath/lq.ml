@@ -107,36 +107,91 @@ let rec expr_to_string t i =
   | Or_ (x, y) -> Printf.sprintf "(%s or %s)" (expr_to_string t x) (expr_to_string t y)
   | Not_ x -> Printf.sprintf "not(%s)" (expr_to_string t x)
 
+(* ---- sets of LQ indices ----
+
+   A bitset: one immediate [int] when the list has at most 62 entries,
+   [Bytes] above, as {!Xut_automata.Selecting_nfa} keeps its state sets.
+   Sets are built once per distinct demand and then only read. *)
+
+let small_limit = 62
+
+type set = Bits of int | Wide of Bytes.t
+
+let set_of_list t l =
+  if length t <= small_limit then Bits (List.fold_left (fun b i -> b lor (1 lsl i)) 0 l)
+  else begin
+    let w = Bytes.make ((length t + 7) / 8) '\000' in
+    List.iter
+      (fun i ->
+        Bytes.set w (i lsr 3) (Char.chr (Char.code (Bytes.get w (i lsr 3)) lor (1 lsl (i land 7)))))
+      l;
+    Wide w
+  end
+
+let set_mem s i =
+  match s with
+  | Bits b -> b land (1 lsl i) <> 0
+  | Wide w -> Char.code (Bytes.unsafe_get w (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set_is_empty = function Bits b -> b = 0 | Wide w -> Bytes.for_all (fun c -> c = '\000') w
+
+let set_equal a b =
+  match a, b with
+  | Bits x, Bits y -> x = y
+  | Wide x, Wide y -> Bytes.equal x y
+  | (Bits _ | Wide _), _ -> false
+
+let set_hash = function Bits b -> b * 0x9e3779b9 land max_int | Wide w -> Hashtbl.hash w
+
+(* ---- QualDP ---- *)
+
+type scratch = { value : bool array; stamp : int array; mutable gen : int }
+
+let scratch t = { value = Array.make (length t) false; stamp = Array.make (length t) 0; gen = 0 }
+
+(* [Attr_cmp] on an attribute list, without the option [List.assoc_opt]
+   would build *)
+let rec attr_cmp attrs a op v =
+  match attrs with
+  | [] -> false
+  | (k, s) :: rest -> if String.equal k a then Ast.compare_values op s v else attr_cmp rest a op v
+
+(* Expression [i] at the node, memoized in [sc] for the current
+   generation.  Sub-expressions have smaller indices, so the recursion
+   terminates; Desc's csat self-reference does not recurse.  A top-level
+   function, so an evaluation builds no closure. *)
+let rec sat t sc ~name ~attrs ~text ~csat i =
+  if Array.unsafe_get sc.stamp i = sc.gen then Array.unsafe_get sc.value i
+  else begin
+    let v =
+      match t.arr.(i) with
+      | True_ -> true
+      | Seq (a, p) -> sat t sc ~name ~attrs ~text ~csat a && sat t sc ~name ~attrs ~text ~csat p
+      | Child p -> csat p
+      | Desc p -> sat t sc ~name ~attrs ~text ~csat p || csat i
+      | Label_is l -> String.equal l name
+      | Text_cmp (op, v) -> Ast.compare_values op text v
+      | Attr_cmp (a, op, v) -> attr_cmp attrs a op v
+      | Attr_exists a -> List.mem_assoc a attrs
+      | And_ (x, y) -> sat t sc ~name ~attrs ~text ~csat x && sat t sc ~name ~attrs ~text ~csat y
+      | Or_ (x, y) -> sat t sc ~name ~attrs ~text ~csat x || sat t sc ~name ~attrs ~text ~csat y
+      | Not_ x -> not (sat t sc ~name ~attrs ~text ~csat x)
+    in
+    Array.unsafe_set sc.stamp i sc.gen;
+    Array.unsafe_set sc.value i v;
+    v
+  end
+
+let eval t sc ~name ~attrs ~text ~csat ~wanted =
+  sc.gen <- sc.gen + 1;
+  for i = 0 to length t - 1 do
+    if set_mem wanted i then ignore (sat t sc ~name ~attrs ~text ~csat i : bool)
+  done
+
+let holds sc i = Array.unsafe_get sc.stamp i = sc.gen && Array.unsafe_get sc.value i
+
 let eval_at t ~name ~attrs ~text ~csat ~wanted =
-  let n = Array.length t.arr in
-  let value = Array.make n false in
-  let known = Array.make n false in
-  let rec sat i =
-    if known.(i) then value.(i)
-    else begin
-      (* sub-expressions have smaller indices, so recursion terminates;
-         Desc's csat self-reference does not recurse. *)
-      let v =
-        match t.arr.(i) with
-        | True_ -> true
-        | Seq (a, p) -> sat a && sat p
-        | Child p -> csat p
-        | Desc p -> sat p || csat i
-        | Label_is l -> String.equal l name
-        | Text_cmp (op, v) -> Ast.compare_values op text v
-        | Attr_cmp (a, op, v) -> (
-          match List.assoc_opt a attrs with
-          | Some s -> Ast.compare_values op s v
-          | None -> false)
-        | Attr_exists a -> List.mem_assoc a attrs
-        | And_ (x, y) -> sat x && sat y
-        | Or_ (x, y) -> sat x || sat y
-        | Not_ x -> not (sat x)
-      in
-      known.(i) <- true;
-      value.(i) <- v;
-      v
-    end
-  in
-  List.iter (fun i -> ignore (sat i)) wanted;
-  value
+  let sc = scratch t in
+  sc.gen <- 1;
+  List.iter (fun i -> ignore (sat t sc ~name ~attrs ~text ~csat i : bool)) wanted;
+  sc.value

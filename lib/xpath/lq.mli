@@ -41,6 +41,48 @@ val label_blocked : t -> int -> string -> bool
 
 val expr_to_string : t -> int -> string
 
+(** {2 Sets of LQ indices}
+
+    Bitsets over one list's indices: an immediate [int] up to 62
+    entries, [Bytes] above. *)
+
+type set
+
+val set_of_list : t -> int list -> set
+
+val set_mem : set -> int -> bool
+val set_is_empty : set -> bool
+val set_equal : set -> set -> bool
+val set_hash : set -> int
+
+(** {2 QualDP} *)
+
+type scratch
+(** The truth values of one evaluation, reused by the next: an
+    evaluation allocates nothing. *)
+
+val scratch : t -> scratch
+
+val eval :
+  t ->
+  scratch ->
+  name:string ->
+  attrs:(string * string) list ->
+  text:string ->
+  csat:(int -> bool) ->
+  wanted:set ->
+  unit
+(** QualDP (Fig. 7) into [scratch]: the truth values of the [wanted]
+    expressions (and, on demand, their sub-expressions) at a node with
+    the given local properties, where [csat i] tells whether expression
+    [i] holds at some child.  Read them with {!holds} until the next
+    [eval] into the same scratch.  [text] is read only by a demanded
+    text comparison. *)
+
+val holds : scratch -> int -> bool
+(** Expression [i]'s value in the last {!eval}: [false] when it was not
+    demanded. *)
+
 val eval_at :
   t ->
   name:string ->
@@ -49,7 +91,4 @@ val eval_at :
   csat:(int -> bool) ->
   wanted:int list ->
   bool array
-(** QualDP (Fig. 7): truth values of the [wanted] expressions (and,
-    on demand, their sub-expressions) at a node with the given local
-    properties, where [csat i] tells whether expression [i] holds at
-    some child.  Entries not demanded remain [false]. *)
+(** {!eval} into a fresh array: entries not demanded remain [false]. *)

@@ -250,9 +250,54 @@ let gen_qualified_update =
      let* from_root = bool in
      gen_qualified (if from_root then Ast.step (Ast.Label "r") :: base else base))
 
+(* Documents whose regions hold subtrees the plans' passes never read:
+   elements labelled outside [labels], at every depth, beside the
+   labelled ones, with attributes, comments, PIs, empty elements and text
+   that serializes with references. *)
+let gen_root_unread : Node.element QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let label = oneofa (Array.append labels [| "u"; "v"; "u" |]) in
+  let text = oneofa (Array.append texts [| "x & y"; "<z>"; "'\"'"; "a > b" |]) in
+  let leaf =
+    frequency
+      [ (4, map Node.text text); (1, return (Node.Comment " c ")); (1, return (Node.Pi ("p", "x y"))) ]
+  in
+  let tree =
+    sized_size (int_range 1 60)
+    @@ fix (fun self size ->
+           if size <= 1 then leaf
+           else
+             let* name = label in
+             let* n_children = int_range 0 (min 4 size) in
+             let* attrs =
+               frequency
+                 [ (3, return []);
+                   (1, map (fun v -> [ ("id", v) ]) gen_text);
+                   (1, map (fun v -> [ ("k", v); ("id", "A") ]) text) ]
+             in
+             let* children = list_repeat n_children (self (size / max 1 n_children)) in
+             return (Node.elem ~attrs name (coalesce_text children)))
+  in
+  let* kids = list_size (int_range 1 4) tree in
+  return (Node.element "r" (coalesce_text kids))
+
+(* The run over a parse of [text], steered into the sink: what pass 1
+   leaves unread in a region is held as bytes. *)
+let steered_to_string ?(chunk_size = 7) run text =
+  let buf = Buffer.create 64 in
+  let sink = Serialize.Sink.create ~chunk_size (Buffer.add_string buf) in
+  let steer = Sax.steer (Serialize.Sink.writer sink) in
+  match run ~steer ~source:(Sax.parse_string ~steer text) ~sink:(Serialize.Sink.event sink) with
+  | (_ : Sax_transform.run_stats) ->
+    ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
+    Ok (Buffer.contents buf)
+  | exception Transform_ast.Invalid_update _ ->
+    Serialize.Sink.abort sink;
+    Error `Invalid
+
 let prop_buffered_equals_two_pass =
   QCheck2.Test.make ~name:"buffered one pass = twoPassSAX = GENTOP, byte for byte" ~count
-    QCheck2.Gen.(pair gen_root gen_qualified_update)
+    QCheck2.Gen.(pair (oneof [ gen_root; gen_root_unread ]) gen_qualified_update)
     (fun (root, update) ->
       let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
       let source = Sax.events_of_tree root in
@@ -272,7 +317,11 @@ let prop_buffered_equals_two_pass =
              parses :=
                (Sax_transform.run_buffered nfa update ~source ~sink:events).Sax_transform.parses)
          = expected
-      && !parses = reads)
+      && !parses = reads
+      && steered_to_string
+           (fun ~steer -> Sax_transform.run_buffered ~steer nfa update)
+           (Serialize.element_to_string root)
+         = expected)
 
 (* Regions past the buffer budget: a root-level qualifier makes the whole
    document one region, and a qualifier on [g] makes each [g] one, the
@@ -330,6 +379,32 @@ let test_buffered_overflow () =
         (String.equal expected
            (Serialize.element_to_string (Engine.transform Engine.Gentop update root))))
     cases
+
+(* Ld against a [Hashtbl] model: random sets, gets and clears over up to
+   70 expressions and a few hundred elements, enough entries to grow the
+   table several times between clears. *)
+let prop_truth_table =
+  let open QCheck2.Gen in
+  let op = pair (int_range 0 40) (triple (int_range (-1) 300) (int_range 0 69) bool) in
+  QCheck2.Test.make ~name:"Ld table = Hashtbl model under set, get and clear" ~count:200
+    (pair (int_range 1 70) (list_size (int_range 0 3000) op))
+    (fun (nlq, ops) ->
+      let t = Sax_transform.Truth.create ~nlq and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (kind, (seq, lq, v)) ->
+          let lq = lq mod nlq in
+          if kind = 0 then begin
+            Sax_transform.Truth.clear t;
+            Hashtbl.reset model
+          end
+          else if kind <= 25 then begin
+            Sax_transform.Truth.set t seq lq v;
+            Hashtbl.replace model (seq, lq) v
+          end;
+          Sax_transform.Truth.get t seq lq
+          = Option.value ~default:false (Hashtbl.find_opt model (seq, lq))
+          && Sax_transform.Truth.length t = Hashtbl.length model)
+        ops)
 
 (* ---- topDown shares its input: only the spine above a match is new ---- *)
 
@@ -705,7 +780,8 @@ let suite =
       prop_xquery_rewrite;
       prop_compose_equals_spec;
       prop_select_equals_reference;
-      prop_buffered_equals_two_pass ]
+      prop_buffered_equals_two_pass;
+      prop_truth_table ]
 
 (* ---------------- XQuery printer/parser ---------------- *)
 

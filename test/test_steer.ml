@@ -76,13 +76,14 @@ let agree ?keep_ws ?skip ?(chunk_sizes = chunk_sizes) update text =
 (* ---- generated documents with non-canonical markup ---- *)
 
 (* Elements over the property suite's labels, so its paths select in
-   them; single- and double-quoted attributes whose values hold
-   references, '>' and the other quote; references and '>' in text;
-   whitespace runs; CDATA, comments, PIs; [<a></a>] beside [<a/>];
-   padding inside tags. *)
+   them, and over two labels no path names, so a region holds subtrees
+   neither pass reads, at every depth; single- and double-quoted
+   attributes whose values hold references, '>' and the other quote;
+   references and '>' in text; whitespace runs; CDATA, comments, PIs;
+   [<a></a>] beside [<a/>]; padding inside tags. *)
 let gen_doc =
   let open QCheck2.Gen in
-  let label = oneofa Test_properties.labels in
+  let label = oneofa (Array.append Test_properties.labels [| "u"; "v" |]) in
   let attr =
     let* name = oneofl [ "id"; "k"; "x_y" ] in
     let* quote = oneofl [ '"'; '\'' ] in
@@ -128,13 +129,17 @@ let gen_doc =
 let skip_e = Sym.intern "e"
 
 (* A run given a skip-set is not steered, so with one the two runs must
-   still agree. *)
+   still agree.  Half the plans carry a qualifier, so their regions hold
+   what pass 1 leaves unread as bytes. *)
 let prop_steered_equals_unsteered =
   QCheck2.Test.make ~name:"steered run = unsteered run: chunks, stats, exception" ~count:150
     ~print:(fun (text, update, keep_ws, skip) ->
       Printf.sprintf "%s\n%s keep_ws=%b skip=%b" text (Transform_ast.update_to_string update)
         keep_ws skip)
-    QCheck2.Gen.(quad gen_doc Test_properties.gen_update bool bool)
+    QCheck2.Gen.(
+      quad gen_doc
+        (oneof [ Test_properties.gen_update; Test_properties.gen_qualified_update ])
+        bool bool)
     (fun (text, update, keep_ws, skip) ->
       let skip = if skip then Some (fun s -> s = skip_e) else None in
       agree ~keep_ws ?skip update text)
@@ -184,36 +189,79 @@ let test_error_pins () =
             updates))
     Test_reader.malformed_pins
 
-(* A region that outgrows the buffer budget after a copied subtree: the
-   run reads the file twice, its second read steered too, and its bytes
-   are twoPassSAX's. *)
+(* Regions that outgrow the buffer budget: one after a copied subtree,
+   one whose subtree pass 1 leaves unread alone passes it (held as bytes
+   up to the budget, then dropped), with a region held as bytes before
+   it.  The run reads the file twice, its second read steered too, and
+   its bytes are twoPassSAX's. *)
 let test_overflow_after_copy () =
   let copied = "<c><x a='1 &amp; 2'>t &lt; u</x><y></y><!-- n --></c>" in
   let filler = String.concat "" (List.init 60_000 (fun i -> Printf.sprintf "<z>%d</z>" i)) in
-  let text = Printf.sprintf "<r>%s<q>%s<k/></q>%s</r>" copied filler copied in
-  let update = Transform_parser.parse_update "delete $a/r/q[k]/z" in
+  let unread = String.concat "" (List.init 60_000 (fun i -> Printf.sprintf "<w n='%d'/>" i)) in
+  List.iter
+    (fun (label, text, query, regions) ->
+      let update = Transform_parser.parse_update query in
+      let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+      let expected = Buffer.create (String.length text) in
+      ignore
+        (Sax_transform.run nfa update ~source:(Sax.parse_string text)
+           ~sink:(Serialize.event_sink expected));
+      with_temp_doc text (fun path ->
+          List.iter
+            (fun chunk ->
+              let chunks, result = outcome ~steered:true ~chunk run_buffered update path in
+              (match result with
+              | Ok stats ->
+                Alcotest.(check (pair int int)) (label ^ ": regions, two reads") (regions, 2)
+                  (stats.Sax_transform.regions, stats.Sax_transform.parses)
+              | Error e -> Alcotest.fail e);
+              Alcotest.(check string) (Printf.sprintf "%s: bytes = run's (chunk %d)" label chunk)
+                (Buffer.contents expected) (String.concat "" chunks);
+              Alcotest.(check bool) (label ^ ": chunks = unsteered") true
+                ((chunks, result) = outcome ~steered:false ~chunk run_buffered update path))
+            [ 7; 4096; 65536 ]))
+    [ ( "after a copied subtree",
+        Printf.sprintf "<r>%s<q>%s<k/></q>%s</r>" copied filler copied,
+        "delete $a/r/q[k]/z",
+        1 );
+      ( "an unread subtree past the budget",
+        Printf.sprintf "<r><q><k/><u>%s</u><z/></q><q><u>%s</u><k/><z/></q>%s</r>" copied unread
+          copied,
+        "delete $a/r/q[k]/z",
+        2 ) ]
+
+(* A qualifier whose LQ list outgrows the immediate-int bitset (62
+   entries), so pass 1's demands are [Bytes]-backed: the buffered run,
+   steered or not, writes what GENTOP writes. *)
+let test_wide_qualifier () =
+  let names = List.init 40 (Printf.sprintf "x%d") in
+  let query =
+    Printf.sprintf "rename $a/r/g[%s]/a as b" (String.concat " or " names)
+  in
+  let update = Transform_parser.parse_update query in
   let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-  let expected = Buffer.create (String.length text) in
-  ignore
-    (Sax_transform.run nfa update ~source:(Sax.parse_string text)
-       ~sink:(Serialize.event_sink expected));
+  Alcotest.(check bool) "more than 62 LQ entries" true
+    (Xut_xpath.Lq.length (Xut_automata.Selecting_nfa.lq nfa) > 62);
+  let g i kid = Printf.sprintf "<g><u><v k='%d'/>t</u>%s<a>%d</a></g>" i kid i in
+  let text =
+    "<r>" ^ g 0 "<x7/>" ^ g 1 "<y/>" ^ g 2 "<x39>z</x39>" ^ g 3 "" ^ "</r>"
+  in
+  let expected =
+    Serialize.element_to_string (Engine.transform Engine.Gentop update (Dom.parse_string text))
+  in
   with_temp_doc text (fun path ->
       List.iter
         (fun chunk ->
-          let chunks, result = outcome ~steered:true ~chunk run_buffered update path in
-          (match result with
-          | Ok stats ->
-            Alcotest.(check (pair int int)) "one region, two reads" (1, 2)
-              (stats.Sax_transform.regions, stats.Sax_transform.parses)
-          | Error e -> Alcotest.fail e);
-          Alcotest.(check string) (Printf.sprintf "bytes = run's (chunk %d)" chunk)
-            (Buffer.contents expected) (String.concat "" chunks);
-          Alcotest.(check bool) "chunks = unsteered" true
-            ((chunks, result) = outcome ~steered:false ~chunk run_buffered update path))
-        [ 7; 4096; 65536 ])
+          let steered = outcome ~steered:true ~chunk run_buffered update path in
+          Alcotest.(check string) (Printf.sprintf "bytes = GENTOP's (chunk %d)" chunk) expected
+            (String.concat "" (fst steered));
+          Alcotest.(check bool) "steered = unsteered" true
+            (steered = outcome ~steered:false ~chunk run_buffered update path))
+        [ 1; 7; 4096 ])
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_steered_equals_unsteered;
     QCheck_alcotest.to_alcotest prop_steered_errors;
     Alcotest.test_case "malformed inputs pinned under copy and skip" `Quick test_error_pins;
-    Alcotest.test_case "a region overflows after a copied subtree" `Quick test_overflow_after_copy ]
+    Alcotest.test_case "a region overflows after a copied subtree" `Quick test_overflow_after_copy;
+    Alcotest.test_case "qualifiers past 62 LQ entries" `Quick test_wide_qualifier ]
