@@ -19,14 +19,15 @@ let run ~factor =
     List.map
       (fun u ->
         let update = Workloads.insert_of u in
-        Stats.reset ();
+        let nodes () =
+          List.map Xut_xml.Counter.value Stats.[ nodes_visited; nodes_copied; nodes_shared ]
+        in
+        let before = nodes () in
         ignore (Engine.transform Engine.Gentop update doc);
-        let s = Stats.read () in
-        [ u.Workloads.name;
-          string_of_int s.Stats.visited;
-          string_of_int s.Stats.copied;
-          string_of_int s.Stats.shared;
-          Printf.sprintf "%.1f%%" (100. *. float_of_int s.Stats.visited /. float_of_int total) ])
+        let moved = List.map2 ( - ) (nodes ()) before in
+        let visited = List.hd moved in
+        (u.Workloads.name :: List.map string_of_int moved)
+        @ [ Printf.sprintf "%.1f%%" (100. *. float_of_int visited /. float_of_int total) ])
       Workloads.all
   in
   Timing.print_table

@@ -60,6 +60,16 @@ let print_doc ~pretty root =
 
 (* ---------------- transform ---------------- *)
 
+(* " name=delta" for every process-wide counter that moved since
+   [before], a reading of [Counter.values]. *)
+let counters_moved before =
+  String.concat ""
+    (List.filter_map
+       (fun (name, v) ->
+         let d = v - Option.value ~default:0 (List.assoc_opt name before) in
+         if d = 0 then None else Some (Printf.sprintf " %s=%d" name d))
+       (Xut_xml.Counter.values ()))
+
 let transform_cmd =
   let run query doc engine pretty stats stream =
     let q = Transform_parser.parse (read_query query) in
@@ -77,6 +87,7 @@ let transform_cmd =
       end;
       let update = q.Transform_ast.update in
       let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+      let c0 = Xut_xml.Counter.values () in
       let t0 = Unix.gettimeofday () in
       let w0 = Gc.minor_words () in
       let sink = Xut_xml.Serialize.Sink.create print_string in
@@ -108,27 +119,27 @@ let transform_cmd =
          | Some rs ->
            Format.eprintf
              "engine=%s time=%.4fs alloc_kw=%.1f depth=%d truth=%d elements=%d regions=%d \
-              parses=%d held=%d@."
+              parses=%d held=%d%s@."
              (if tier = Sax_transform.Fused then "fusedSAX" else "bufferedSAX")
              dt alloc_kw rs.Sax_transform.max_stack_depth rs.Sax_transform.truth_entries
              rs.Sax_transform.elements_seen rs.Sax_transform.regions rs.Sax_transform.parses
-             rs.Sax_transform.peak_held_bytes
-         | None -> Format.eprintf "engine=gentop time=%.4fs@." dt);
+             rs.Sax_transform.peak_held_bytes (counters_moved c0)
+         | None -> Format.eprintf "engine=gentop time=%.4fs%s@." dt (counters_moved c0));
       0
     end
     else begin
       let root = load_doc doc in
-      Stats.reset ();
+      let c0 = Xut_xml.Counter.values () in
       let t0 = Unix.gettimeofday () in
       let out = Engine.run engine q ~doc:root in
       let dt = Unix.gettimeofday () -. t0 in
       print_doc ~pretty out;
       if stats then
-        Format.eprintf "engine=%s time=%.4fs %a@." (Engine.name engine) dt Stats.pp (Stats.read ());
+        Format.eprintf "engine=%s time=%.4fs%s@." (Engine.name engine) dt (counters_moved c0);
       0
     end
   in
-  let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print timing and node counters to stderr.") in
+  let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print timing and the counters that moved to stderr.") in
   let stream =
     Arg.(value & flag
          & info [ "stream" ]

@@ -7,6 +7,9 @@
 
 open Core
 
+let nodes () =
+  Xut_xml.Counter.(value Stats.nodes_visited, value Stats.nodes_copied, value Stats.nodes_shared)
+
 let count doc path =
   List.length (Xut_xpath.Eval.select_doc doc (Xut_xpath.Parser.parse path))
 
@@ -25,9 +28,9 @@ let () =
   let before_bids = count doc "site/open_auctions/open_auction/bidder" in
 
   (* TD-BU: annotate qualifiers bottom-up once, then one top-down pass. *)
-  Stats.reset ();
+  let v0, c0, s0 = nodes () in
   let world = Engine.run Engine.Td_bu purge ~doc in
-  let s = Stats.read () in
+  let v1, c1, s1 = nodes () in
 
   let after_auctions = count world "site/open_auctions/open_auction" in
   let after_bids = count world "site/open_auctions/open_auction/bidder" in
@@ -35,7 +38,7 @@ let () =
   Printf.printf "open auctions:  %4d -> %4d\n" before_auctions after_auctions;
   Printf.printf "bids:           %4d -> %4d\n" before_bids after_bids;
   Printf.printf "(engine visited %d elements, copied %d, shared %d subtrees)\n\n"
-    s.Stats.visited s.Stats.copied s.Stats.shared;
+    (v1 - v0) (c1 - c0) (s1 - s0);
 
   (* Chained what-if: on that hypothetical state, what if US items were
      additionally flagged?  Transform queries compose like functions. *)

@@ -124,9 +124,10 @@ let set_to_list s = List.rev (set_fold (fun i acc -> i :: acc) s [])
    racy slot read either misses or returns a fully-initialised entry
    (OCaml's memory model guarantees immutable fields are only observed
    initialised); concurrent domains sharing one compiled plan race only
-   on which equivalent entry wins a slot.  Hit/miss counters are plain
-   (unsynchronized) ints: approximate under concurrency, exact on one
-   domain. *)
+   on which equivalent entry wins a slot.  The table is [||] until the
+   first store: keeps [of_norm] cheap for throwaway automata.  Two
+   domains racing on the first store may each install an array and one
+   install wins, dropping the other's entry — harmless for a memo. *)
 
 type memo_entry = {
   e_sym : int;
@@ -149,21 +150,8 @@ let no_entry =
 let memo_slots = 512 (* power of two *)
 let memo_probes = 3
 
-type memo = {
-  mutable slots : memo_entry array;
-  (* [||] until the first store: keeps [of_norm] cheap for throwaway
-     automata; the table is only paid for once transitions run.  Two
-     domains racing on the first store may each install an array and one
-     install wins, dropping the other's entry — harmless for a memo. *)
-  mutable hits : int;
-  mutable misses : int;
-}
-
-let memo_create () = { slots = [||]; hits = 0; misses = 0 }
-
-(* process-wide totals, same approximate-under-domains contract *)
-let g_hits = ref 0
-let g_misses = ref 0
+let memo_hits = Xut_xml.Counter.declare "nfa_memo_hits"
+let memo_misses = Xut_xml.Counter.declare "nfa_memo_misses"
 
 let set_hash = function Bits b -> b * 0x9e3779b9 | Wide w -> Hashtbl.hash w
 
@@ -193,7 +181,7 @@ type t = {
   eps_stop : int array;
   quals : set;             (* states with a non-trivial qualifier *)
   start : set;
-  memo : memo;
+  mutable memo : memo_entry array;
   named : Bytes.t;  (* bitmap over symbols: those a label state is entered by *)
   footprint : footprint option;
 }
@@ -354,7 +342,7 @@ let of_norm (norm : Norm.t) =
   in
   { states; lq = Lq.freeze b; ctx_qual; true_idx; n; small; nwords; enter_sym; self_loop;
     eps_bits; eps_wide; eps_nq_bits; eps_nq_wide; eps_stop; quals; start;
-    memo = memo_create ();
+    memo = [||];
     named = named_of enter_sym; footprint = footprint_of_steps norm.steps }
 
 let of_path p = of_norm (Norm.steps p)
@@ -482,18 +470,15 @@ let rec memo_find slots h s sym i =
 
 (* memoized transition pieces for [(s, sym)] *)
 let transition t s sym =
-  let m = t.memo in
   let h = memo_hash s sym in
-  let slots = m.slots in
+  let slots = t.memo in
   let e = if Array.length slots = 0 then no_entry else memo_find slots h s sym 0 in
   if e != no_entry then begin
-    m.hits <- m.hits + 1;
-    incr g_hits;
+    Xut_xml.Counter.bump memo_hits;
     e
   end
   else begin
-    m.misses <- m.misses + 1;
-    incr g_misses;
+    Xut_xml.Counter.bump memo_misses;
     let raw = raw_targets t s sym in
     let unqualified = set_diff raw t.quals in
     let e =
@@ -502,12 +487,12 @@ let transition t s sym =
         e_closed = close_set t raw; e_closed_nq = close_nq_set t unqualified }
     in
     let slots =
-      if Array.length m.slots = 0 then begin
+      if Array.length t.memo = 0 then begin
         let a = Array.make memo_slots no_entry in
-        m.slots <- a;
+        t.memo <- a;
         a
       end
-      else m.slots
+      else t.memo
     in
     let rec store i =
       if i >= memo_probes then slots.(h land (memo_slots - 1)) <- e
@@ -547,9 +532,6 @@ let start_checked t ~checkp =
     | Bits acc, Bits pending -> close_checked_bits t ~checkp acc pending
     | Wide acc, Wide pending -> close_checked_wide t ~checkp acc pending
     | (Bits _ | Wide _), _ -> mismatch ()
-
-let memo_stats t = (t.memo.hits, t.memo.misses)
-let global_memo_stats () = (!g_hits, !g_misses)
 
 (* ---- static simulation, set form (Compose Method, Section 4) ---------- *)
 

@@ -22,8 +22,10 @@ open Xut_xpath
     as interned symbols ({!Xut_xml.Sym}), and each automaton carries a
     lock-free memo table from [(state set, symbol)] to the transition
     result, so plans cached across service requests keep their warmed
-    transitions.  The historical sorted-[int list] API is retained as thin
-    views over the bitset core.
+    transitions.  Every transition counts as [nfa_memo_hits] or
+    [nfa_memo_misses] ({!Xut_xml.Counter}).  The historical
+    sorted-[int list] API is retained as thin views over the bitset
+    core.
 
     The same structure doubles as the filtering NFA of Section 5: the LQ
     list built from all qualifiers is embedded ({!lq}), and each state
@@ -149,13 +151,6 @@ val consistent_at_sym : t -> int -> Xut_xml.Sym.t -> bool
 val next_on_label_set : t -> set -> Xut_xml.Sym.t -> set
 val next_on_any_set : t -> set -> set
 val next_on_desc_set : t -> set -> set
-
-val memo_stats : t -> int * int
-(** [(hits, misses)] of this automaton's transition memo.  Counters are
-    unsynchronized: approximate under concurrent domains. *)
-
-val global_memo_stats : unit -> int * int
-(** Process-wide transition-memo [(hits, misses)] across all automata. *)
 
 (** {2 Sorted-int-list views (historical API)} *)
 

@@ -8,12 +8,12 @@ let transform update root =
     | Node.Element e -> e
     | Node.Text _ | Node.Comment _ | Node.Pi _ -> assert false
   in
-  Node.iter_elements (fun _ -> Stats.copy ()) snapshot;
+  Node.iter_elements (fun _ -> Counter.bump Stats.nodes_copied) snapshot;
   (* ...then update the snapshot in place (modelled purely). *)
   let selected = Eval.select_doc snapshot (Transform_ast.path update) in
   let ids = Eval.node_set_ids selected in
   let mem e =
-    Stats.visit ();
+    Counter.bump Stats.nodes_visited;
     Hashtbl.mem ids (Node.id e)
   in
   Semantics.rebuild ~mem update snapshot

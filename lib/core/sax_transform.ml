@@ -541,6 +541,7 @@ let run ?(skip = never) nfa update ~source ~sink =
   source (Pass1.handle p1);
   let p2 = Pass2.create ~sskip:skip nfa update truth sink in
   source (Pass2.handle p2);
+  Counter.add Stats.nodes_visited (p2.Pass2.seq + 1);
   {
     max_stack_depth = p1.Pass1.max_depth;
     truth_entries = Truth.length truth;
@@ -780,6 +781,7 @@ let drive ?steer ?skip nfa update ~source ~sink =
       2
     | Outside | Held _ -> 1
   in
+  Counter.add Stats.nodes_visited (p2.Pass2.seq + 1);
   {
     max_stack_depth = max p1.Pass1.max_depth p2.Pass2.max_depth;
     truth_entries = !peak_truth;

@@ -28,6 +28,8 @@ open Xut_automata
     - {!run_once} is the buffered driver for plans that never open a
       region ({!one_pass}): pass 2 alone, O(depth) memory.
 
+    Each run adds the elements pass 2 saw to {!Stats.nodes_visited}.
+
     {2 Steered ingest}
 
     Given the handle of the parse that feeds it ([?steer], the same

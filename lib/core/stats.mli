@@ -1,30 +1,17 @@
-(** Lightweight instrumentation counters.
+(** The engines' node counters.
 
     The paper's claim that the automaton methods "traverse only the
     necessary part of the tree" is observable through these: each engine
-    ticks [visited] per element it examines and [copied] per element it
-    rebuilds.
+    bumps [nodes_visited] per element it examines, [nodes_copied] per
+    element it rebuilds and [nodes_shared] per subtree it returns without
+    inspection.  They are {!Xut_xml.Counter}s, so engines may run on
+    several domains at once, and a reader takes the difference of two
+    {!Xut_xml.Counter.value}s around a run.
 
-    Counters are global and domain-safe: each domain ticks a private
-    cell reached through [Domain.DLS] (no contention on the hot path),
-    and the cells live in an [Atomic.t] registry that {!read} and
-    {!reset} fold over.  Engines may therefore run on multiple domains
-    concurrently — as the [Xut_service] worker pool does.  A {!read}
-    taken while transforms are in flight aggregates the ticks of every
-    domain; for the per-query breakdowns of the experiments, {!reset}
-    and {!read} around a single-domain run as before. *)
+    twoPassSAX counts pass 2's elements as visited, once per run, as
+    TD-BU counts only its top-down pass.  The reference semantics is the
+    oracle the engines are checked against and counts nothing. *)
 
-type snapshot = { visited : int; copied : int; shared : int }
-
-val reset : unit -> unit
-val visit : unit -> unit
-
-val visits : int -> unit
-(** [n] visits at once, for a walk that counts its own. *)
-
-val copy : unit -> unit
-val share : unit -> unit
-(** An entire subtree was returned without inspection. *)
-
-val read : unit -> snapshot
-val pp : Format.formatter -> snapshot -> unit
+val nodes_visited : Xut_xml.Counter.t
+val nodes_copied : Xut_xml.Counter.t
+val nodes_shared : Xut_xml.Counter.t

@@ -41,20 +41,22 @@ let rebuild_children go states children =
    the work at [e] once its own state set [states'] is settled and
    non-empty — shared with [transform_at], which settles it differently. *)
 let make_go ~checkp ?(skip = fun _ -> false) nfa update =
+  (* the walk counts at every element: this domain's cells, taken once *)
+  let here = Counter.local () in
   let rec go (e : Node.element) states =
     if skip e then begin
       (* schema skip-set: no configuration at or below this symbol can
          accept, so the subtree is shared without running a transition *)
-      Stats.share ();
+      Counter.bump_local here Stats.nodes_shared;
       Same
     end
     else begin
-      Stats.visit ();
+      Counter.bump_local here Stats.nodes_visited;
       let states' =
         Selecting_nfa.next nfa ~checkp:(fun s -> checkp s e) states (Node.sym e)
       in
       if Selecting_nfa.set_is_empty states' then begin
-        Stats.share ();
+        Counter.bump_local here Stats.nodes_shared;
         Same
       end
       else at e states'
@@ -63,7 +65,7 @@ let make_go ~checkp ?(skip = fun _ -> false) nfa update =
     match update, Selecting_nfa.accepts_set nfa states' with
     | Transform_ast.Delete _, true -> Changed []
     | Transform_ast.Replace (_, enew), true ->
-      Stats.copy ();
+      Counter.bump_local here Stats.nodes_copied;
       Changed [ Node.refresh_ids enew ]
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _), true ->
       let kids =
@@ -75,7 +77,7 @@ let make_go ~checkp ?(skip = fun _ -> false) nfa update =
       match rebuild_children go states' (Node.children e) with
       | None -> Same
       | Some kids ->
-        Stats.copy ();
+        Counter.bump_local here Stats.nodes_copied;
         Changed [ Node.Element (Node.with_children e kids) ])
   in
   (go, at)
@@ -99,28 +101,30 @@ let run ?checkp ?skip nfa update root =
    add nothing and are never entered; a deleted or replaced subtree
    costs one [size] call. *)
 
+(* the elements an update adds at each match; computed per match, so the
+   walk's closures capture [here] in its place *)
+let added = function
+  | Transform_ast.Insert (_, enew) | Transform_ast.Insert_first (_, enew)
+  | Transform_ast.Replace (_, enew) ->
+    Node.element_count enew
+  | Transform_ast.Delete _ | Transform_ast.Rename _ -> 0
+
 let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
   let size = match size with Some f -> f | None -> fun e -> Node.element_count (Node.Element e) in
-  let added =
-    match update with
-    | Transform_ast.Insert (_, enew) | Transform_ast.Insert_first (_, enew)
-    | Transform_ast.Replace (_, enew) ->
-      Node.element_count enew
-    | Transform_ast.Delete _ | Transform_ast.Rename _ -> 0
-  in
+  let here = Counter.local () in
   let rec go (e : Node.element) states =
     if skip e then begin
-      Stats.share ();
+      Counter.bump_local here Stats.nodes_shared;
       0
     end
     else begin
-      Stats.visit ();
+      Counter.bump_local here Stats.nodes_visited;
       let states' =
         Selecting_nfa.next nfa ~checkp:(fun s -> checkp s e) states (Node.sym e)
       in
       if Selecting_nfa.set_is_empty states' then begin
-        Stats.share ();
+        Counter.bump_local here Stats.nodes_shared;
         0
       end
       else delta e states'
@@ -128,8 +132,8 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
   and delta e states' =
     match update, Selecting_nfa.accepts_set nfa states' with
     | Transform_ast.Delete _, true -> -size e
-    | Transform_ast.Replace _, true -> added - size e
-    | (Transform_ast.Insert _ | Transform_ast.Insert_first _), true -> kids e states' + added
+    | Transform_ast.Replace _, true -> added update - size e
+    | (Transform_ast.Insert _ | Transform_ast.Insert_first _), true -> kids e states' + added update
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
       | Transform_ast.Delete _ | Transform_ast.Replace _), _ ->
       kids e states'
@@ -156,22 +160,22 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
   else if Selecting_nfa.selects_context nfa then begin
     check_root ();
     match update with
-    | Transform_ast.Replace _ -> added
-    | Transform_ast.Insert _ | Transform_ast.Insert_first _ -> elements + added
+    | Transform_ast.Replace _ -> added update
+    | Transform_ast.Insert _ | Transform_ast.Insert_first _ -> elements + added update
     | Transform_ast.Delete _ | Transform_ast.Rename _ -> elements
   end
   else if skip root then begin
-    Stats.share ();
+    Counter.bump_local here Stats.nodes_shared;
     elements
   end
   else begin
-    Stats.visit ();
+    Counter.bump_local here Stats.nodes_visited;
     let states' =
       Selecting_nfa.next nfa ~checkp:(fun s -> checkp s root)
         (Semantics.start nfa root) (Node.sym root)
     in
     if Selecting_nfa.set_is_empty states' then begin
-      Stats.share ();
+      Counter.bump_local here Stats.nodes_shared;
       elements
     end
     else begin

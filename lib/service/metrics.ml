@@ -1,7 +1,8 @@
 (* Every metric is one registry declaration, made once at module
    initialisation in STATS order.  A counter or gauge owns a cell of
    [t.cells]; a derived line renders from a histogram or a process-wide
-   stat.  [create], [reset] and [dump] iterate the registry and name no
+   counter; one declaration stands for every process-wide counter.
+   [create], [reset] and [dump] iterate the registry and name no
    metric. *)
 
 let rec raise_max cell v =
@@ -78,13 +79,13 @@ let pending_quantile m q =
 let pending_primitives_count m = Hist.count m.pending
 let pending_primitives_max m = Hist.peak m.pending
 
-(* Hot-path counters from the automata/xml layers (transition memo, symbol
-   table).  Process-wide, not per-service, and unsynchronized on the hot
-   path, so the values are approximate under concurrent domains. *)
-let nfa_memo_stats () = Xut_automata.Selecting_nfa.global_memo_stats ()
-let serialize_pool_stats () = Xut_xml.Serialize.Pool.stats ()
+(* A process-wide counter ({!Xut_xml.Counter}) by its STATS name. *)
+let process_wide name = List.assoc name (Xut_xml.Counter.values ())
+let nfa_memo_stats () = (process_wide "nfa_memo_hits", process_wide "nfa_memo_misses")
+let serialize_pool_stats () =
+  (process_wide "serialize_pool_hits", process_wide "serialize_pool_misses")
 
-type kind = Counter of int | Gauge of int | Derived of (t -> string)
+type kind = Counter of int | Gauge of int | Derived of (t -> string) | Process_wide
 
 let declared = ref []
 let n_cells = ref 0
@@ -164,12 +165,8 @@ let () = int_line "pending_primitives_count" pending_primitives_count
 let () = int_line "pending_primitives_p50" (fun m -> pending_quantile m 0.50)
 let () = int_line "pending_primitives_p95" (fun m -> pending_quantile m 0.95)
 let () = int_line "pending_primitives_max" pending_primitives_max
-let () = int_line "serialize_pool_hits" (fun _ -> fst (serialize_pool_stats ()))
-let () = int_line "serialize_pool_misses" (fun _ -> snd (serialize_pool_stats ()))
-let () = int_line "serialize_image_builds" (fun _ -> fst (Xut_xml.Serialize.Image.stats ()))
-let () = int_line "serialize_image_blit_bytes" (fun _ -> snd (Xut_xml.Serialize.Image.stats ()))
-let () = int_line "nfa_memo_hits" (fun _ -> fst (nfa_memo_stats ()))
-let () = int_line "nfa_memo_misses" (fun _ -> snd (nfa_memo_stats ()))
+(* every process-wide counter, one line each, in declaration order *)
+let () = declare "" Process_wide
 
 let () =
   declare "nfa_memo_hit_rate"
@@ -180,7 +177,6 @@ let () =
            (if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses))))
 
 let () = int_line "sym_symbols" (fun _ -> Xut_xml.Sym.count ())
-let () = int_line "sym_interns" (fun _ -> Xut_xml.Sym.interns ())
 
 let registry = List.rev !declared
 let n_cells = !n_cells
@@ -203,13 +199,14 @@ let reset m =
   Atomic.set m.depth_max (queue_depth m)
 
 let dump m =
+  let line name v = name ^ " " ^ v in
   registry
-  |> List.map (fun (name, kind) ->
-         name ^ " "
-         ^
+  |> List.concat_map (fun (name, kind) ->
          match kind with
-         | Counter i | Gauge i -> string_of_int (get i m)
-         | Derived f -> f m)
+         | Counter i | Gauge i -> [ line name (string_of_int (get i m)) ]
+         | Derived f -> [ line name (f m) ]
+         | Process_wide ->
+           List.map (fun (name, v) -> line name (string_of_int v)) (Xut_xml.Counter.values ()))
   |> String.concat "\n"
 
 (* Compound events *)

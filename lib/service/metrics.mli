@@ -7,11 +7,14 @@
       tracks live state ([queue_depth], [conns_active]);
     - a {e derived line}: rendered at dump time from one of the two
       power-of-two histograms (request latency, pending-list length), the
-      queue high-water mark, or the process-wide transition-memo,
-      serializer-pool and symbol-table stats.
+      queue high-water mark, the transition-memo counters or the symbol
+      table;
+    - the process-wide counters ({!Xut_xml.Counter}), all in one
+      declaration: they are shared by every service in the process and
+      never reset.
 
-    {!dump} prints one ["name value"] line per declaration, in
-    declaration order.  Recording is one atomic operation on a
+    {!dump} prints one ["name value"] line per declaration (per counter
+    for the process-wide one), in declaration order.  Recording is one atomic operation on a
     preallocated cell (a few for the compound events): no allocation, no
     lock, no lookup by name.  Quantiles come from the histogram buckets,
     so no per-request sample is kept.  Each reader is named after its
@@ -24,7 +27,8 @@ val create : unit -> t
 val reset : t -> unit
 (** Zero every counter and clear both histograms.  The gauges survive
     (the queued requests and open connections do), and
-    [queue_depth_max] restarts at the live queue depth. *)
+    [queue_depth_max] restarts at the live queue depth.  The
+    process-wide counters are not the service's and stay. *)
 
 val dump : t -> string
 (** The [STATS] payload: one line per declared metric, in declaration
@@ -77,7 +81,7 @@ val frame_malformed : t -> unit
 
     Result streams started and the chunks and payload bytes handed to
     consumers; streaming-ingest requests that ran fused (one-pass SAX, no
-    tree, no truth table) and those a fallback path served with
+    tree) and those a fallback path served with
     byte-identical output because the plan needs the bottom-up pass or a
     materialized tree. *)
 
@@ -159,11 +163,10 @@ val commit_noop : t -> unit
 val commits : t -> int
 val commit_noops : t -> int
 
-(** {2 Process-wide stats} *)
+(** {2 Process-wide counters} *)
 
 val nfa_memo_stats : unit -> int * int
-(** Selecting-NFA transition-memo [(hits, misses)], approximate under
-    concurrent domains. *)
+(** Selecting-NFA transition-memo [(hits, misses)]. *)
 
 val serialize_pool_stats : unit -> int * int
 (** [(hits, misses)] of the serializer buffer pool

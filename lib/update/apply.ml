@@ -68,7 +68,7 @@ let select ?(mark = ignore) path root =
       | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids states found rest
     in
     ignore (go (Core.Semantics.start nfa root) root);
-    Core.Stats.visits !visits;
+    Counter.add Core.Stats.nodes_visited !visits;
     List.rev !targets
   end
 
@@ -139,7 +139,7 @@ let materialize (nz : Pending.normalized) root =
     in
     let departed e = delta := !delta - Node.element_count (Node.Element e) in
     let rec go e () =
-      Core.Stats.visit ();
+      Counter.bump Core.Stats.nodes_visited;
       match Hashtbl.find_opt nz.Pending.table (Node.id e) with
       | Some Pending.Dead ->
         departed e;

@@ -52,7 +52,7 @@ val select : ?mark:(int -> unit) -> Xut_xpath.Ast.path -> Node.element -> Node.e
     document node, and no descent below an element whose state set is
     empty.  [mark] is called once with the id of each element that has
     a selected node strictly below it.  Marking allocates nothing per
-    element, and the walk counts one {!Core.Stats.visit} per element it
+    element, and the walk counts one {!Core.Stats.nodes_visited} per element it
     enters. *)
 
 val stage : Core.Transform_ast.update list -> Node.element -> report * Pending.normalized
@@ -86,7 +86,7 @@ val materialize : Pending.normalized -> Node.element -> (Node.element * diff) op
     (root', diff)] shares untouched subtrees with [root] physically.
     The walk enters only targets, the ancestors the list marks (see
     {!Pending.mark_ancestor}) and their children, ticking
-    {!Core.Stats.visit} per element, and allocates only for rebuilt
+    {!Core.Stats.nodes_visited} per element, and allocates only for rebuilt
     spine nodes, their diff entries and the fresh copies.
     Primitives targeting nodes inside a deleted or replaced subtree are
     subsumed (never applied), matching the reference engine's rebuild.

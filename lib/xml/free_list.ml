@@ -4,13 +4,12 @@ type 'a t = {
   mu : Mutex.t;
   mutable free : 'a list;
   mutable count : int;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
+  hits : Counter.t;
+  misses : Counter.t;
 }
 
-let create ~max make =
-  { make; max; mu = Mutex.create (); free = []; count = 0; hits = Atomic.make 0;
-    misses = Atomic.make 0 }
+let create ~max ~hits ~misses make =
+  { make; max; mu = Mutex.create (); free = []; count = 0; hits; misses }
 
 let acquire p =
   Mutex.lock p.mu;
@@ -19,11 +18,11 @@ let acquire p =
     p.free <- rest;
     p.count <- p.count - 1;
     Mutex.unlock p.mu;
-    Atomic.incr p.hits;
+    Counter.bump p.hits;
     x
   | [] ->
     Mutex.unlock p.mu;
-    Atomic.incr p.misses;
+    Counter.bump p.misses;
     p.make ()
 
 let release p x =
@@ -33,5 +32,3 @@ let release p x =
     p.count <- p.count + 1
   end;
   Mutex.unlock p.mu
-
-let stats p = (Atomic.get p.hits, Atomic.get p.misses)

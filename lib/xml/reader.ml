@@ -35,7 +35,11 @@ let of_channel ?(chunk_size = default_chunk) ic = make (channel_read ic) (Bytes.
 (* Windows for [with_channel], reused across parses so a file ingest does
    not put a fresh 64 KiB block on the major heap.  A window that grew
    past its chunk is left to the GC; the one taken goes back. *)
-let pool = Free_list.create ~max:8 (fun () -> Bytes.create default_chunk)
+let pool_hits = Counter.declare "reader_pool_hits"
+let pool_misses = Counter.declare "reader_pool_misses"
+let pool =
+  Free_list.create ~max:8 ~hits:pool_hits ~misses:pool_misses (fun () ->
+      Bytes.create default_chunk)
 
 let with_channel ic f =
   let b = Free_list.acquire pool in
@@ -46,8 +50,6 @@ let with_channel ic f =
   | exception e ->
     Free_list.release pool b;
     raise e
-
-let pool_stats () = Free_list.stats pool
 
 (* Newlines in [b.[0 .. n-1]], eight bytes at a time: a byte of
    [x = w lxor 0x0a..] is zero exactly at a newline; [zeros] has the top

@@ -49,10 +49,8 @@ val with_channel : in_channel -> (t -> 'a) -> 'a
 (** [with_channel ic f] runs [f] on a reader over [ic] whose 64 KiB
     window comes from a bounded, domain-safe pool, and returns the
     window to the pool when [f] returns or raises.  The reader must not
-    be used after [f] returns. *)
-
-val pool_stats : unit -> int * int
-(** [(hits, misses)] of the window pool, process-wide. *)
+    be used after [f] returns.  The pool's acquires count as
+    [reader_pool_hits] and [reader_pool_misses] ({!Counter}). *)
 
 val refill : t -> int -> bool
 (** [refill t keep]: the bytes before offset [keep] are consumed.  They

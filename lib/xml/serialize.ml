@@ -41,8 +41,10 @@ end)
 type image = { bytes : string; index : (int * int) Ids.t }
 
 let no_image = { bytes = ""; index = Ids.create 1 }
-let image_builds = Atomic.make 0
-let image_blit_bytes = Atomic.make 0
+let pool_hits = Counter.declare "serialize_pool_hits"
+let pool_misses = Counter.declare "serialize_pool_misses"
+let image_builds = Counter.declare "serialize_image_builds"
+let image_blit_bytes = Counter.declare "serialize_image_blit_bytes"
 
 (* [mem] before [find]: a miss raises nothing and a hit allocates no
    option; without an image (an empty index) it is one field read *)
@@ -82,7 +84,7 @@ let rec add_node buf ~image ~limit ~flush ~indent ~level node =
   | Node.Element e -> (
     if indexed image e.Node.id then begin
       let off, len = Ids.find image.index e.Node.id in
-      ignore (Atomic.fetch_and_add image_blit_bytes len : int);
+      Counter.add image_blit_bytes len;
       add_blit buf ~limit ~flush image.bytes off len
     end
     else (
@@ -145,16 +147,16 @@ module Image = struct
       | leaf -> to_buffer buf leaf
     in
     walk (Node.Element root);
-    Atomic.incr image_builds;
+    Counter.bump image_builds;
     { bytes = Buffer.contents buf; index }
-
-  let stats () = (Atomic.get image_builds, Atomic.get image_blit_bytes)
 end
 
 (* ---------------- buffer pool ---------------- *)
 
 module Pool = struct
-  let pool = Free_list.create ~max:32 (fun () -> Buffer.create 65536)
+  let pool =
+    Free_list.create ~max:32 ~hits:pool_hits ~misses:pool_misses (fun () ->
+        Buffer.create 65536)
 
   (* a buffer that grew past this (a pathological single token in a
      sink, or a huge reply) is reset (storage freed) instead of parking
@@ -177,8 +179,6 @@ module Pool = struct
     | exception e ->
       release ~shrink:(Buffer.length b > shrink_above) b;
       raise e
-
-  let stats () = Free_list.stats pool
 end
 
 (* Whole replies serialize into a pooled buffer, already grown by

@@ -18,11 +18,9 @@ module Image : sig
       on the context, so an indexed id names exactly those bytes in any
       tree that holds the element: an image stays valid for every tree
       derived from this one, and for any other tree (where nothing
-      matches). *)
-
-  val stats : unit -> int * int
-  (** [(builds, blit_bytes)], process-wide: images built by
-      {!of_element}, and bytes the serializers copied out of an image. *)
+      matches).  Counts [serialize_image_builds]; the serializers count
+      the bytes they copy out of an image as [serialize_image_blit_bytes]
+      ({!Counter}). *)
 end
 
 val to_buffer : ?indent:int -> ?image:Image.t -> Buffer.t -> Node.t -> unit
@@ -48,8 +46,8 @@ val to_channel : ?indent:int -> out_channel -> Node.element -> unit
 
     Serialization scratch buffers, reused across requests so a serving
     hot loop does not re-grow a fresh [Buffer.t] per reply.  Domain-safe
-    (a mutex-guarded free list); hit/miss counters feed the service
-    metrics. *)
+    (a mutex-guarded free list), counted as [serialize_pool_hits] and
+    [serialize_pool_misses] ({!Counter}). *)
 
 module Pool : sig
   val shrink_above : int
@@ -60,9 +58,6 @@ module Pool : sig
   (** [contents_of f] runs [f] on an acquired buffer and returns what
       it wrote, releasing the buffer (shrunk above {!shrink_above})
       even when [f] raises.  The whole-reply serializers use it. *)
-
-  val stats : unit -> int * int
-  (** [(hits, misses)], process-wide. *)
 end
 
 (** {2 Chunked streaming sink}

@@ -25,8 +25,7 @@ let make_table capacity count names =
 let table = Atomic.make (make_table 64 0 [||])
 let mu = Mutex.create ()
 
-(* Approximate under concurrent interning (can only undercount). *)
-let intern_calls = ref 0
+let intern_calls = Counter.declare "sym_interns"
 
 (* FNV-1a over [b.[off .. off+len-1]]: names are short ASCII, and we
    need the same hash on every domain and snapshot.  The loop keeps its
@@ -89,7 +88,7 @@ let insert s =
   v
 
 let intern s =
-  incr intern_calls;
+  Counter.bump intern_calls;
   match probe (Atomic.get table) s with
   | -1 -> insert s
   | v -> v
@@ -108,7 +107,7 @@ let rec probe_sub t h b off len i =
 
 let intern_sub b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Sym.intern_sub";
-  incr intern_calls;
+  Counter.bump intern_calls;
   let k = probe_sub (Atomic.get table) (hash_sub b off len) b off len 0 in
   if k != absent then k
   else begin
@@ -122,5 +121,3 @@ let name v =
   else t.names.(v)
 
 let count () = (Atomic.get table).count
-
-let interns () = !intern_calls

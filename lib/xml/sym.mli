@@ -9,7 +9,9 @@
     Domain-safe: lookups are lock-free reads of an immutable snapshot
     published through an [Atomic]; insertions (first sighting of a name)
     take a mutex and publish a fresh snapshot.  A name interned on any
-    domain yields the same symbol on every domain, forever. *)
+    domain yields the same symbol on every domain, forever.  Every
+    {!intern} and {!intern_sub} call counts as [sym_interns]
+    ({!Counter}). *)
 
 type t = int
 (** A symbol: a small dense non-negative int, stable for the process
@@ -27,17 +29,11 @@ val intern_sub : bytes -> int -> int -> string
     the element name instead of copying the bytes.  When the name is
     already known the lookup allocates nothing (no string, no option,
     no closure) and takes no lock; only a first sighting copies the
-    bytes and inserts them as {!intern} does.  Counts as one {!intern}
-    call.
+    bytes and inserts them as {!intern} does.
     @raise Invalid_argument if the range is not inside [b]. *)
 
 val name : t -> string
 (** Reverse lookup.  Raises [Invalid_argument] for unknown symbols. *)
 
 val count : unit -> int
-(** Number of distinct symbols interned so far (exact). *)
-
-val interns : unit -> int
-(** Total {!intern} calls.  Maintained without synchronization, so the
-    value is approximate when several domains intern concurrently (it can
-    only undercount); exact on a single domain. *)
+(** Number of distinct symbols interned so far. *)

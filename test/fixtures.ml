@@ -108,3 +108,6 @@ let stat m name =
   match List.find_opt (String.starts_with ~prefix) lines with
   | Some l -> int_of_string (List.nth (String.split_on_char ' ' l) 1)
   | None -> Alcotest.fail ("no STATS line " ^ name)
+
+(* A process-wide counter's value, by its STATS name. *)
+let counter name = List.assoc name (Counter.values ())

@@ -225,9 +225,11 @@ let test_memo_counts () =
   let nfa = nfa_of "//part[pname = \"keyboard\"]" in
   let s0 = Selecting_nfa.start nfa in
   let sym = Xut_xml.Sym.intern "part" in
+  let hits0 = Fixtures.counter "nfa_memo_hits" and misses0 = Fixtures.counter "nfa_memo_misses" in
   ignore (Selecting_nfa.next_unchecked nfa s0 sym);
   ignore (Selecting_nfa.next_unchecked nfa s0 sym);
-  let hits, misses = Selecting_nfa.memo_stats nfa in
+  let hits = Fixtures.counter "nfa_memo_hits" - hits0
+  and misses = Fixtures.counter "nfa_memo_misses" - misses0 in
   Alcotest.(check bool) "second transition hits" true (hits >= 1);
   Alcotest.(check bool) "first transition misses" true (misses >= 1)
 
@@ -244,7 +246,7 @@ let test_memo_hit_allocation () =
     Alcotest.(check bool) (name ^ ": the step enters no qualifier state") false
       (Selecting_nfa.set_intersects s1 (Selecting_nfa.qual_states nfa));
     ignore (Selecting_nfa.next_unchecked nfa s0 sym);
-    let hits0, _ = Selecting_nfa.memo_stats nfa in
+    let hits0 = Fixtures.counter "nfa_memo_hits" in
     let before = Gc.minor_words () in
     for _ = 1 to 1000 do
       ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa s0 sym))
@@ -258,14 +260,45 @@ let test_memo_hit_allocation () =
     Alcotest.(check bool) (name ^ ": next_unchecked hits allocate nothing") true
       (mid -. before < 100.);
     Alcotest.(check bool) (name ^ ": next hits allocate nothing") true (after -. mid < 100.);
-    let hits1, _ = Selecting_nfa.memo_stats nfa in
-    Alcotest.(check int) (name ^ ": hits counted") 2000 (hits1 - hits0)
+    Alcotest.(check int) (name ^ ": hits counted") 2000 (Fixtures.counter "nfa_memo_hits" - hits0)
   in
   check "inline" "//part[pname = \"keyboard\"]/supplier/price" "db";
   let wide = "a/" ^ String.concat "/" (List.init 69 (fun _ -> "b")) ^ "[c]" in
   Alcotest.(check bool) "the wide automaton is Bytes-backed" true
     (Selecting_nfa.size (nfa_of wide) > 62);
   check "wide" wide "a"
+
+(* Each domain bumps its own cells, so the sums are exact however the
+   domains interleave: two domains, each making [n] interns and [n] warm
+   memo hits on one shared automaton, add exactly [2n] to each. *)
+let test_counts_across_domains () =
+  let n = 100_000 in
+  let nfa = nfa_of "//part/supplier" in
+  let s0 = Selecting_nfa.start nfa in
+  let sym = Xut_xml.Sym.intern "part" in
+  ignore (Selecting_nfa.next_unchecked nfa s0 sym);
+  let interns0 = Fixtures.counter "sym_interns" and hits0 = Fixtures.counter "nfa_memo_hits" in
+  let work () =
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Xut_xml.Sym.intern "part"));
+      ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa s0 sym))
+    done
+  in
+  List.iter Domain.join [ Domain.spawn work; Domain.spawn work ];
+  Alcotest.(check int) "sym_interns" (2 * n) (Fixtures.counter "sym_interns" - interns0);
+  Alcotest.(check int) "nfa_memo_hits" (2 * n) (Fixtures.counter "nfa_memo_hits" - hits0)
+
+(* A bump allocates nothing (only Gc.minor_words' own boxed floats). *)
+let test_bump_allocation () =
+  let c = Core.Stats.nodes_shared in
+  let v0 = Xut_xml.Counter.value c in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Xut_xml.Counter.bump c
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "10 000 bumps allocate %.0f words" words) true (words < 100.);
+  Alcotest.(check int) "bumps counted" 10_000 (Xut_xml.Counter.value c - v0)
 
 let suite =
   [ Alcotest.test_case "NFA select = direct eval" `Quick test_nfa_matches_eval;
@@ -281,4 +314,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bitset_wide;
     Alcotest.test_case "interning stable across 4 domains" `Quick test_sym_domains;
     Alcotest.test_case "transition memo counts" `Quick test_memo_counts;
-    Alcotest.test_case "memo hits allocate nothing" `Quick test_memo_hit_allocation ]
+    Alcotest.test_case "memo hits allocate nothing" `Quick test_memo_hit_allocation;
+    Alcotest.test_case "counts exact across 2 domains" `Quick test_counts_across_domains;
+    Alcotest.test_case "counter bumps allocate nothing" `Quick test_bump_allocation ]

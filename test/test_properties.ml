@@ -421,11 +421,11 @@ let prop_run_shares_input =
       Node.iter_elements (fun e -> Hashtbl.replace input (Node.id e) e) root;
       let selects_nothing = Eval.select_doc root path = [] in
       let shares checkp =
-        Stats.reset ();
+        let c0 = Counter.value Stats.nodes_copied in
         match Top_down.run ?checkp nfa update root with
         | exception Transform_ast.Invalid_update _ -> not selects_nothing
         | out ->
-          let copied = (Stats.read ()).Stats.copied in
+          let copied = Counter.value Stats.nodes_copied - c0 in
           Node.fold_elements
             (fun ok e ->
               ok

@@ -527,9 +527,9 @@ let test_buffered_interns () =
   let update = Core.Transform_parser.parse_update u7 in
   let nfa = Xut_automata.Selecting_nfa.of_path (Core.Transform_ast.path update) in
   let interns f =
-    let n0 = Sym.interns () in
+    let n0 = Fixtures.counter "sym_interns" in
     let r = f () in
-    (r, Sym.interns () - n0)
+    (r, Fixtures.counter "sym_interns" - n0)
   in
   let (), parse = interns (fun () -> Sax.parse_string text ignore) in
   let stats, run =
@@ -717,7 +717,8 @@ let test_window_pool () =
   with_temp_doc "<a><b>x</b></a>" (fun ok ->
       with_temp_doc "<a>\n<b></a>" (fun bad ->
           Sax.parse_file ok ignore;
-          let hits0, misses0 = Reader.pool_stats () in
+          let hits0 = Fixtures.counter "reader_pool_hits" in
+          let misses0 = Fixtures.counter "reader_pool_misses" in
           Gc.minor ();
           let major0 = (Gc.quick_stat ()).Gc.major_words in
           Sax.parse_file ok ignore;
@@ -730,9 +731,8 @@ let test_window_pool () =
           Sax.parse_file ok ignore;
           Gc.minor ();
           let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
-          let hits1, misses1 = Reader.pool_stats () in
-          Alcotest.(check int) "hits" 4 (hits1 - hits0);
-          Alcotest.(check int) "misses" 0 (misses1 - misses0);
+          Alcotest.(check int) "hits" 4 (Fixtures.counter "reader_pool_hits" - hits0);
+          Alcotest.(check int) "misses" 0 (Fixtures.counter "reader_pool_misses" - misses0);
           if major > 1000. then
             Alcotest.failf "four parses put %.0f words on the major heap" major))
 

@@ -1308,17 +1308,20 @@ let test_reply_image_lifecycle () =
                 | _ -> Alcotest.fail ("stream " ^ q))
               queries
           in
-          let builds0, blits0 = Xut_xml.Serialize.Image.stats () in
+          let image () =
+            (Fixtures.counter "serialize_image_builds", Fixtures.counter "serialize_image_blit_bytes")
+          in
+          let builds0, blits0 = image () in
           load first;
           read "loaded";
           commit "insert <m>p</m> into $a/site/open_auctions/open_auction";
           read "after insert";
-          let _, blits1 = Xut_xml.Serialize.Image.stats () in
+          let _, blits1 = image () in
           commit "delete $a/site/open_auctions/open_auction/m";
           read "after delete";
           load second;
           read "reloaded";
-          let builds2, blits2 = Xut_xml.Serialize.Image.stats () in
+          let builds2, blits2 = image () in
           Alcotest.(check int) "one image per LOAD" 2 (builds2 - builds0);
           Alcotest.(check bool) "replies blit after a commit" true (blits1 > blits0);
           Alcotest.(check bool) "replies blit after a reload" true (blits2 > blits1)))
@@ -1565,11 +1568,12 @@ let stats_keys =
     "view_invalidations"; "compose_fallbacks"; "skipped_subtrees"; "skipped_nodes";
     "statically_empty_rejections"; "schema_products"; "commits"; "commit_conflicts";
     "commit_noops"; "pending_primitives_count"; "pending_primitives_p50";
-    "pending_primitives_p95"; "pending_primitives_max"; "serialize_pool_hits";
-    "serialize_pool_misses"; "serialize_image_builds"; "serialize_image_blit_bytes"; "nfa_memo_hits"; "nfa_memo_misses"; "nfa_memo_hit_rate";
-    "sym_symbols"; "sym_interns" ]
+    "pending_primitives_p95"; "pending_primitives_max"; "sym_interns"; "reader_pool_hits";
+    "reader_pool_misses"; "serialize_pool_hits"; "serialize_pool_misses";
+    "serialize_image_builds"; "serialize_image_blit_bytes"; "nfa_memo_hits"; "nfa_memo_misses";
+    "nodes_visited"; "nodes_copied"; "nodes_shared"; "nfa_memo_hit_rate"; "sym_symbols" ]
 
-(* [(key, value)] of every metric line, stopping after [sym_interns]. *)
+(* [(key, value)] of every metric line, stopping after [sym_symbols]. *)
 let stats_lines dump =
   let rec take = function
     | [] -> []
@@ -1579,14 +1583,16 @@ let stats_lines dump =
         | Some i -> (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
         | None -> (l, "")
       in
-      if fst kv = "sym_interns" then [ kv ] else kv :: take rest
+      if fst kv = "sym_symbols" then [ kv ] else kv :: take rest
   in
   take (String.split_on_char '\n' dump)
 
 (* Check every per-service key against [expected] (keys it omits must be
    0), skipping the [varying] keys and the process-wide lines. *)
 let check_stats label ?(varying = []) lines expected =
-  let process_wide = [ "serialize_pool_"; "serialize_image_"; "nfa_memo_"; "sym_" ] in
+  let process_wide =
+    [ "serialize_pool_"; "serialize_image_"; "nfa_memo_"; "sym_"; "reader_pool_"; "nodes_" ]
+  in
   List.iter
     (fun key ->
       if not (List.mem key varying || List.exists (fun prefix -> String.starts_with ~prefix key) process_wide)
@@ -1713,6 +1719,45 @@ let test_golden_stats () =
               ("latency_p50_ms", "0.000"); ("latency_p95_ms", "0.000"); ("latency_max_ms", "0.000") ];
           Metrics.queue_leave m;
           Metrics.conn_closed m))
+
+(* A fixed script piped into a fresh [xut serve] on one domain, so the
+   process-wide counters start at zero: every reply line must equal the
+   checked-in [stats.golden], a document body as its digest and length,
+   and the latencies by name only. *)
+let test_golden_stats_fresh_process () =
+  let xut = Filename.concat (Filename.dirname Sys.executable_name) "../bin/xut.exe" in
+  let doc = Filename.temp_file "xut_golden" ".xml" and script = Filename.temp_file "xut_golden" ".in"
+  and out = Filename.temp_file "xut_golden" ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ doc; script; out ])
+    (fun () ->
+      Xut_xmark.Generator.to_file ~factor:0.002 doc;
+      let transform u = {|transform copy $a := doc("d") modify do |} ^ u ^ {| return $a|} in
+      let q1 = transform "delete $a/site/open_auctions/open_auction[bidder/increase > 5]/annotation" in
+      Out_channel.with_open_bin script (fun oc ->
+          List.iter (Printf.fprintf oc "%s\n")
+            [ "LOAD d " ^ doc ^ " SCHEMA xmark"; "TRANSFORM d td-bu " ^ q1;
+              "COUNT d gentop " ^ transform "delete $a/site/regions//item/mailbox";
+              "TRANSFORM-STREAM FILE " ^ doc ^ " " ^ transform "delete $a/site/people/person[address]/name";
+              "COMMIT d insert <m>p</m> into $a/site/open_auctions/open_auction";
+              "TRANSFORM d td-bu " ^ q1; "STATS" ]);
+      let code =
+        Sys.command
+          (Filename.quote_command xut [ "serve"; "--domains"; "1" ] ~stdin:script ~stdout:out
+             ~stderr:Filename.null)
+      in
+      Alcotest.(check int) "exit" 0 code;
+      let latencies = [ "latency_p50_ms"; "latency_p95_ms"; "latency_max_ms" ] in
+      let normalize l =
+        if String.length l > 200 then
+          Printf.sprintf "md5=%s bytes=%d" (Digest.to_hex (Digest.string l)) (String.length l)
+        else
+          match String.index_opt l ' ' with
+          | Some i when List.mem (String.sub l 0 i) latencies -> String.sub l 0 i
+          | _ -> l
+      in
+      let lines file = String.split_on_char '\n' (In_channel.with_open_bin file In_channel.input_all) in
+      Alcotest.(check (list string)) "replies" (lines "stats.golden") (List.map normalize (lines out)))
 
 let test_metrics_histogram () =
   let m = Metrics.create () in
@@ -2004,6 +2049,8 @@ let suite =
     Alcotest.test_case "views: dependency-graph invalidation" `Quick
       test_view_invalidation_graph;
     Alcotest.test_case "metrics: golden STATS and reset" `Quick test_golden_stats;
+    Alcotest.test_case "metrics: golden STATS from a fresh process" `Quick
+      test_golden_stats_fresh_process;
     Alcotest.test_case "service: read matrix (source x reply x engine)" `Quick test_read_matrix;
     Alcotest.test_case "service: stream consumer fails mid-stream" `Quick
       test_stream_consumer_failure;

@@ -167,20 +167,28 @@ let test_no_match_is_identity () =
 
 let test_topdown_shares_subtrees () =
   let root = doc () in
-  Stats.reset ();
+  let v0 = Counter.value Stats.nodes_visited and s0 = Counter.value Stats.nodes_shared in
   let _ = Top_down.transform (Transform_ast.Delete (parse_path "db/part[pname = \"mouse\"]")) root in
-  let s = Stats.read () in
-  Alcotest.(check bool) "some sharing happened" true (s.Stats.shared > 0);
+  Alcotest.(check bool) "some sharing happened" true (Counter.value Stats.nodes_shared > s0);
   Alcotest.(check bool) "visited less than everything" true
-    (s.Stats.visited < Node.element_count (Node.Element root))
+    (Counter.value Stats.nodes_visited - v0 < Node.element_count (Node.Element root))
 
 let test_naive_copies_everything () =
   let root = doc () in
-  Stats.reset ();
+  let v0 = Counter.value Stats.nodes_visited in
   let _ = Naive.transform (Transform_ast.Delete (parse_path "db/part[pname = \"mouse\"]")) root in
-  let s = Stats.read () in
   Alcotest.(check bool) "naive touches every element" true
-    (s.Stats.visited >= Node.element_count (Node.Element root) - 1)
+    (Counter.value Stats.nodes_visited - v0 >= Node.element_count (Node.Element root) - 1)
+
+(* twoPassSAX counts pass 2's elements as visited, once per run: an
+   unsteered run over the whole document visits every element. *)
+let test_sax_counts_visits () =
+  let root = doc () in
+  let v0 = Counter.value Stats.nodes_visited in
+  let update = Transform_ast.Delete (parse_path "db/part[pname = \"mouse\"]") in
+  let _ = Engine.transform Engine.Two_pass_sax update root in
+  Alcotest.(check int) "visited" (Node.element_count (Node.Element root))
+    (Counter.value Stats.nodes_visited - v0)
 
 let test_parser_full_query () =
   let q =
@@ -276,6 +284,7 @@ let suite =
     Alcotest.test_case "no match is identity" `Quick test_no_match_is_identity;
     Alcotest.test_case "topDown shares subtrees" `Quick test_topdown_shares_subtrees;
     Alcotest.test_case "naive touches everything" `Quick test_naive_copies_everything;
+    Alcotest.test_case "twoPassSAX counts its visits" `Quick test_sax_counts_visits;
     Alcotest.test_case "parse full transform query" `Quick test_parser_full_query;
     Alcotest.test_case "parse replace/rename" `Quick test_parser_replace_rename;
     Alcotest.test_case "parser errors" `Quick test_parser_errors;

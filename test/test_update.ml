@@ -487,10 +487,10 @@ let test_commit_visits_bounded_by_spine () =
       ignore
         (List.fold_left
            (fun root q ->
-             Core.Stats.reset ();
+             let v0 = Counter.value Core.Stats.nodes_visited in
              match Apply.run (updates q) root with
              | Ok (_, Some (root', diff)) ->
-               let visited = (Core.Stats.read ()).Core.Stats.visited in
+               let visited = Counter.value Core.Stats.nodes_visited - v0 in
                let extent = Fixtures.spine_extent diff.Apply.spine root' in
                Alcotest.(check bool)
                  (Printf.sprintf "f=%g %s: %d visits <= 4 * %d" factor q visited extent)
