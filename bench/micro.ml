@@ -22,6 +22,7 @@ let tests () =
   let start = Xut_automata.Selecting_nfa.start nfa in
   let labels = [| "site"; "open_auctions"; "open_auction"; "bidder"; "increase"; "x" |] in
   let syms = Array.map Xut_xml.Sym.intern labels in
+  let here = Xut_xml.Counter.local () in
   let b = Xut_xpath.Lq.create_builder () in
   let qi =
     Xut_xpath.Lq.add_qual b
@@ -33,7 +34,7 @@ let tests () =
     Test.make ~name:"nextStates (6 transitions)"
       (Staged.stage (fun () ->
            Array.fold_left
-             (fun s l -> Xut_automata.Selecting_nfa.next nfa ~checkp:(fun _ -> true) s l)
+             (fun s l -> Xut_automata.Selecting_nfa.next nfa here ~checkp:(fun _ () -> true) () s l)
              start syms));
     Test.make ~name:"QualDP at one node"
       (Staged.stage (fun () ->

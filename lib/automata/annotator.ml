@@ -175,7 +175,7 @@ let record tbl (e : Node.element) all_seeds =
    an entry depends on nothing but the node's subtree and its demand —
    the subtree-locality that [repair] exploits.  [written] counts the
    entries produced (instrumentation for the repair metrics). *)
-let rec annotate_subtree ~skip nfa tbl written (e : Node.element)
+let rec annotate_subtree ~skip nfa here tbl written (e : Node.element)
     (states : Selecting_nfa.set) (seeds : int list) : unit =
   if skip e then ()
     (* schema skip-set: every configuration at or below this symbol is
@@ -183,7 +183,7 @@ let rec annotate_subtree ~skip nfa tbl written (e : Node.element)
        — the table is identical with or without the visit *)
   else begin
   let lq = tbl.lq in
-  let states' = Selecting_nfa.next_unchecked nfa states (Node.sym e) in
+  let states' = Selecting_nfa.next_unchecked nfa here states (Node.sym e) in
   let all_seeds = seeds_at nfa states' seeds in
   if Selecting_nfa.set_is_empty states' && all_seeds = [] then ()
   else begin
@@ -191,7 +191,7 @@ let rec annotate_subtree ~skip nfa tbl written (e : Node.element)
       if all_seeds = [] then [] else snd (expand lq ~name:(Node.name e) all_seeds)
     in
     iter_kids
-      (fun c -> annotate_subtree ~skip nfa tbl written c states' (kid_seeds lq candidates c))
+      (fun c -> annotate_subtree ~skip nfa here tbl written c states' (kid_seeds lq candidates c))
       e;
     if all_seeds <> [] then begin
       record tbl e all_seeds;
@@ -203,7 +203,7 @@ let rec annotate_subtree ~skip nfa tbl written (e : Node.element)
 let annotate ?(skip = fun _ -> false) nfa root =
   let tbl = { sat = Hashtbl.create 1024; lq = Selecting_nfa.lq nfa } in
   if has_any_qual nfa then
-    annotate_subtree ~skip nfa tbl (ref 0) root (Selecting_nfa.start nfa) [];
+    annotate_subtree ~skip nfa (Counter.local ()) tbl (ref 0) root (Selecting_nfa.start nfa) [];
   tbl
 
 type repair_stats = { recomputed : int; reused : int; dropped : int; rekeyed : bool }
@@ -388,6 +388,7 @@ let repair ?(skip = fun _ -> false) ?footprint nfa ~old_table ~spine new_root =
          for the minor heap (over 256 buckets) with a forced minor
          collection. *)
       let tbl = { sat = Hashtbl.rebuild old_table.sat; lq } in
+      let here = Counter.local () in
       let recomputed = ref 0 and dropped = ref 0 in
       let drop id =
         if Hashtbl.mem tbl.sat id then begin
@@ -398,7 +399,7 @@ let repair ?(skip = fun _ -> false) ?footprint nfa ~old_table ~spine new_root =
       (* The old run's walk over an old subtree it reached with demand
          (states, seeds), dropping what it wrote. *)
       let rec scrub oe states seeds =
-        let states' = Selecting_nfa.next_unchecked nfa states (Node.sym oe) in
+        let states' = Selecting_nfa.next_unchecked nfa here states (Node.sym oe) in
         let all_seeds = seeds_at nfa states' seeds in
         if not (Selecting_nfa.set_is_empty states' && all_seeds = []) then begin
           drop (Node.id oe);
@@ -412,12 +413,12 @@ let repair ?(skip = fun _ -> false) ?footprint nfa ~old_table ~spine new_root =
          entry point a from-scratch run uses), so pruned and unpruned
          repairs produce the same table: skipped subtrees are exactly
          those a fresh run writes nothing under. *)
-      let fresh e states seeds = annotate_subtree ~skip nfa tbl recomputed e states seeds in
+      let fresh e states seeds = annotate_subtree ~skip nfa here tbl recomputed e states seeds in
       (* A shared node reached with the old and the new demand: its
          entries stand iff both runs enter it in the same configuration. *)
       let reuse e old_states states old_seeds seeds =
-        let states' = Selecting_nfa.next_unchecked nfa states (Node.sym e) in
-        let old_states' = Selecting_nfa.next_unchecked nfa old_states (Node.sym e) in
+        let states' = Selecting_nfa.next_unchecked nfa here states (Node.sym e) in
+        let old_states' = Selecting_nfa.next_unchecked nfa here old_states (Node.sym e) in
         if
           not
             (Selecting_nfa.set_equal states' old_states'
@@ -434,8 +435,8 @@ let repair ?(skip = fun _ -> false) ?footprint nfa ~old_table ~spine new_root =
       let rec pair oe e old_states states old_seeds seeds =
         drop (Node.id oe) (* [oe]'s id left the tree with it *);
         let same_name = String.equal (Node.name oe) (Node.name e) in
-        let states' = Selecting_nfa.next_unchecked nfa states (Node.sym e) in
-        let old_states' = Selecting_nfa.next_unchecked nfa old_states (Node.sym oe) in
+        let states' = Selecting_nfa.next_unchecked nfa here states (Node.sym e) in
+        let old_states' = Selecting_nfa.next_unchecked nfa here old_states (Node.sym oe) in
         let all_seeds = seeds_at nfa states' seeds in
         let old_all_seeds = seeds_at nfa old_states' old_seeds in
         let old_pruned = Selecting_nfa.set_is_empty old_states' && old_all_seeds = [] in
@@ -509,7 +510,10 @@ let repair ?(skip = fun _ -> false) ?footprint nfa ~old_table ~spine new_root =
           } )
     end
 
-let sat tbl n i = match entry tbl (Node.id n) with Some arr -> arr.(i) | None -> false
+(* [Hashtbl.find], not [entry]: a lookup per qualifier check, so no
+   [Some] per lookup *)
+let sat tbl n i =
+  match Hashtbl.find tbl.sat (Node.id n) with arr -> arr.(i) | exception Not_found -> false
 
 let checkp tbl nfa s n = sat tbl n (Selecting_nfa.state_lq nfa s)
 

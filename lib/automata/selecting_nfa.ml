@@ -436,11 +436,11 @@ let stops_of t s =
 
 (* [acc] joined with the checked closure of each state of [pending]
    whose qualifier holds, in ascending order: the test state where such
-   a closure stops joins [pending] in turn. *)
-let close_checked_bits t ~checkp acc pending =
+   a closure stops joins [pending] in turn.  The bits, unboxed. *)
+let close_checked_bits t ~checkp x acc pending =
   let acc = ref acc and m = ref pending and i = ref 0 in
   while !m <> 0 do
-    if !m land 1 <> 0 && checkp !i then begin
+    if !m land 1 <> 0 && checkp !i x then begin
       acc := !acc lor t.eps_nq_bits.(!i);
       let stop = t.eps_stop.(!i) in
       if stop >= 0 then m := !m lor (1 lsl (stop - !i))
@@ -448,12 +448,12 @@ let close_checked_bits t ~checkp acc pending =
     incr i;
     m := !m lsr 1
   done;
-  Bits !acc
+  !acc
 
-let close_checked_wide t ~checkp acc pending =
+let close_checked_wide t ~checkp x acc pending =
   let acc = Bytes.copy acc and pending = Bytes.copy pending in
   for i = 0 to t.n - 1 do
-    if wmem pending i && checkp i then begin
+    if wmem pending i && checkp i x then begin
       wide_blend_into acc t.eps_nq_wide.(i);
       if t.eps_stop.(i) >= 0 then wset pending t.eps_stop.(i)
     end
@@ -468,17 +468,18 @@ let rec memo_find slots h s sym i =
     let e = Array.unsafe_get slots ((h + i) land (memo_slots - 1)) in
     if e.e_sym = sym && set_equal e.e_key s then e else memo_find slots h s sym (i + 1)
 
-(* memoized transition pieces for [(s, sym)] *)
-let transition t s sym =
+(* memoized transition pieces for [(s, sym)], the hit or miss counted in
+   the caller's cells [here] *)
+let transition t here s sym =
   let h = memo_hash s sym in
   let slots = t.memo in
   let e = if Array.length slots = 0 then no_entry else memo_find slots h s sym 0 in
   if e != no_entry then begin
-    Xut_xml.Counter.bump memo_hits;
+    Xut_xml.Counter.bump_local here memo_hits;
     e
   end
   else begin
-    Xut_xml.Counter.bump memo_misses;
+    Xut_xml.Counter.bump_local here memo_misses;
     let raw = raw_targets t s sym in
     let unqualified = set_diff raw t.quals in
     let e =
@@ -503,41 +504,45 @@ let transition t s sym =
     e
   end
 
-let next_unchecked t s sym = (transition t s sym).e_closed
+let next_unchecked t here s sym = (transition t here s sym).e_closed
 
 let names t sym = sym lsr 3 < Bytes.length t.named && wmem t.named sym
 
 (* With no test state every [eps_stop] is -1, so the checked closure
-   is the plain one and nothing joins [pending]. *)
-let next t ~checkp s sym =
-  let e = transition t s sym in
+   is the plain one and nothing joins [pending].  A result where no
+   qualifier held, or every one did, is the memo entry's own set, so
+   such a step allocates nothing either. *)
+let next t here ~checkp x s sym =
+  let e = transition t here s sym in
   if set_is_empty e.e_qual_raw then e.e_closed
   else
     match e.e_qual_raw with
     | Bits qb -> (
-      match e.e_closed_nq with
-      | Bits nq -> close_checked_bits t ~checkp nq qb
-      | Wide _ -> mismatch ())
+      match e.e_closed_nq, e.e_closed with
+      | Bits nq, Bits all ->
+        let b = close_checked_bits t ~checkp x nq qb in
+        if b = nq then e.e_closed_nq else if b = all then e.e_closed else Bits b
+      | (Bits _ | Wide _), _ -> mismatch ())
     | Wide qw -> (
       match e.e_closed_nq with
       | Bits _ -> mismatch ()
-      | Wide nq -> close_checked_wide t ~checkp nq qw)
+      | Wide nq -> close_checked_wide t ~checkp x nq qw)
 
 let checks_document t = t.eps_stop.(0) >= 0
 
-let start_checked t ~checkp =
+let start_checked t ~checkp x =
   if not (checks_document t) then t.start
   else
     match close_nq_set t (set_of_list t [ 0 ]), set_of_list t [ t.eps_stop.(0) ] with
-    | Bits acc, Bits pending -> close_checked_bits t ~checkp acc pending
-    | Wide acc, Wide pending -> close_checked_wide t ~checkp acc pending
+    | Bits acc, Bits pending -> Bits (close_checked_bits t ~checkp x acc pending)
+    | Wide acc, Wide pending -> close_checked_wide t ~checkp x acc pending
     | (Bits _ | Wide _), _ -> mismatch ()
 
 (* ---- static simulation, set form (Compose Method, Section 4) ---------- *)
 
-let next_on_label_set t s sym = next_unchecked t s sym
+let next_on_label_set t s sym = next_unchecked t (Xut_xml.Counter.local ()) s sym
 
-let next_on_any_set t s = (transition t s (-1)).e_closed
+let next_on_any_set t s = (transition t (Xut_xml.Counter.local ()) s (-1)).e_closed
 
 let next_on_desc_set t s =
   (* zero or more any-label transitions: saturate to the fixpoint *)
@@ -563,10 +568,13 @@ let consistent_at t i name =
 
 let start_set t = set_to_list t.start
 
-let next_states t ~checkp s label = set_to_list (next t ~checkp (set_of_list t s) (Sym.intern label))
+let next_states t ~checkp s label =
+  set_to_list
+    (next t (Xut_xml.Counter.local ()) ~checkp:(fun i () -> checkp i) () (set_of_list t s)
+       (Sym.intern label))
 
 let next_states_unchecked t s label =
-  set_to_list (next_unchecked t (set_of_list t s) (Sym.intern label))
+  set_to_list (next_unchecked t (Xut_xml.Counter.local ()) (set_of_list t s) (Sym.intern label))
 
 let accepts t s =
   let f = final t in

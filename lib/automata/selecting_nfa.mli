@@ -23,7 +23,9 @@ open Xut_xpath
     lock-free memo table from [(state set, symbol)] to the transition
     result, so plans cached across service requests keep their warmed
     transitions.  Every transition counts as [nfa_memo_hits] or
-    [nfa_memo_misses] ({!Xut_xml.Counter}).  The historical
+    [nfa_memo_misses] ({!Xut_xml.Counter}), in cells the caller takes
+    once per walk ({!Xut_xml.Counter.local}), so a transition makes no
+    domain-local lookup.  The historical
     sorted-[int list] API is retained as thin views over the bitset
     core.
 
@@ -95,10 +97,10 @@ val checks_document : t -> bool
 (** Whether the start state's closure reaches a test state: the path
     begins with [//.\[q\]], so [q] is checked at the document node. *)
 
-val start_checked : t -> checkp:(int -> bool) -> set
+val start_checked : t -> checkp:(int -> 'a -> bool) -> 'a -> set
 (** The state set at the document node: the start state's closure with
-    each test state kept only where [checkp] (evaluated at the document
-    node) holds.  {!start} itself unless {!checks_document}. *)
+    each test state [s] kept only where [checkp s x] (evaluated at the
+    document node) holds.  {!start} itself unless {!checks_document}. *)
 
 val set_of_list : t -> int list -> set
 val set_to_list : set -> int list
@@ -127,18 +129,23 @@ val qual_states : t -> set
     being empty is the one-instruction fast path that skips all
     per-node qualifier bookkeeping. *)
 
-val next : t -> checkp:(int -> bool) -> set -> Xut_xml.Sym.t -> set
-(** [nextStates] of Fig. 4 on the bitset representation.  [checkp s] must
-    say whether the qualifier of state [s] holds at the node being
-    entered; states whose qualifier fails are dropped before the closure,
-    and the closure enters a test state only where its qualifier holds.
-    The qualifier-independent parts of the transition are memoized per
-    automaton; a memo hit allocates nothing, so a transition allocates
-    only the result set of a step that enters qualifier states. *)
+val next :
+  t -> Xut_xml.Counter.local -> checkp:(int -> 'a -> bool) -> 'a -> set -> Xut_xml.Sym.t -> set
+(** [next t here ~checkp x s sym]: [nextStates] of Fig. 4 on the bitset
+    representation.  [checkp s x] must say whether the qualifier of
+    state [s] holds at the node being entered; [x] is that node, or
+    whatever the caller keeps beside it, so a walk passes one checker
+    for the whole run instead of a closure per node.  States whose
+    qualifier fails are dropped before the closure, and the closure
+    enters a test state only where its qualifier holds.  The
+    qualifier-independent parts of the transition are memoized per
+    automaton and counted in the caller's cells [here]; a memo hit
+    allocates nothing, so a transition allocates only the result set of
+    a step that enters qualifier states. *)
 
-val next_unchecked : t -> set -> Xut_xml.Sym.t -> set
+val next_unchecked : t -> Xut_xml.Counter.local -> set -> Xut_xml.Sym.t -> set
 (** Transition ignoring qualifiers (the over-approximation the bottom-up
-    pass runs on, Fig. 9 lines 1–2).  Memoized. *)
+    pass runs on, Fig. 9 lines 1–2), counted in [here].  Memoized. *)
 
 val names : t -> Xut_xml.Sym.t -> bool
 (** Does a label step of the path name the symbol?  From one set, the

@@ -225,21 +225,19 @@ let scan_const_tree (c : chunk) (quals_ok : Node.element -> bool) (root : Node.e
 (* The user NFA [unfa] alone over constant (already transformed) content:
    [user_const] walks the children of [nd], whose set is [uc];
    [user_enter_const] first steps into [nd] itself. *)
-let rec user_const unfa emit uc nd =
+let rec user_const here unfa emit uc nd =
   match nd with
-  | Node.Element e -> List.iter (user_enter_const unfa emit uc) (Node.children e)
+  | Node.Element e -> List.iter (user_enter_const here unfa emit uc) (Node.children e)
   | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
 
-and user_enter_const unfa emit uc nd =
+and user_enter_const here unfa emit uc nd =
   match nd with
   | Node.Element te ->
     let uct =
-      Selecting_nfa.next unfa
-        ~checkp:(fun s -> Eval.check_qual te (Selecting_nfa.state_qual unfa s))
-        uc (Node.sym te)
+      Selecting_nfa.next unfa here ~checkp:(Top_down.direct_checkp unfa) te uc (Node.sym te)
     in
     if Selecting_nfa.accepts_set unfa uct then emit nd;
-    if not (Selecting_nfa.set_is_empty uct) then user_const unfa emit uct nd
+    if not (Selecting_nfa.set_is_empty uct) then user_const here unfa emit uct nd
   | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
 
 (* Where a nav native finds the exact state set of its anchor: a static
@@ -248,6 +246,7 @@ and user_enter_const unfa emit uc nd =
 type anchor_source = Src_hint of Selecting_nfa.set | Src_table
 
 let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : Xq_value.t =
+  let here = Counter.local () and checkp = checkp_direct rt in
   let out = ref [] in
   let emit n = out := Xq_value.N n :: !out in
   let const_quals_ok child = List.for_all (fun q -> Eval.check_qual child q) c.quals in
@@ -271,11 +270,7 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
   in
   (* visit a child [child] whose parent holds exact set [s] *)
   let rec visit s child =
-    let sc =
-      Selecting_nfa.next rt.nfa
-        ~checkp:(fun st -> checkp_direct rt st child)
-        s (Node.sym child)
-    in
+    let sc = Selecting_nfa.next rt.nfa here ~checkp child s (Node.sym child) in
     let matched = Selecting_nfa.accepts_set rt.nfa sc in
     let is_candidate = chunk_matches c (Node.name child) in
     match rt.update, matched with
@@ -348,6 +343,7 @@ let pipe_chunks rt (chunks : chunk list) (start_states : Selecting_nfa.set optio
     (root_children : Node.t list) emit =
   let suffix_path = List.concat_map (fun c -> chunk_path c ~quals:c.quals) chunks in
   let unfa = Selecting_nfa.of_path suffix_path in
+  let here = Counter.local () and checkp = checkp_direct rt in
   let rec walk ustates sstates (children : Node.t list) =
     List.iter
       (fun child ->
@@ -358,10 +354,7 @@ let pipe_chunks rt (chunks : chunk list) (start_states : Selecting_nfa.set optio
             match sstates with
             | None -> None
             | Some s ->
-              Some
-                (Selecting_nfa.next rt.nfa
-                   ~checkp:(fun st -> checkp_direct rt st ce)
-                   s (Node.sym ce))
+              Some (Selecting_nfa.next rt.nfa here ~checkp ce s (Node.sym ce))
           in
           let matched =
             match sc with Some s -> Selecting_nfa.accepts_set rt.nfa s | None -> false
@@ -372,10 +365,10 @@ let pipe_chunks rt (chunks : chunk list) (start_states : Selecting_nfa.set optio
             (* the node's label changes: run the user NFA against the
                transformed view (which is all that exists on Qt(T)) *)
             List.iter
-              (user_enter_const unfa emit ustates)
+              (user_enter_const here unfa emit ustates)
               (transformed_view rt (Option.get sc) ce)
           | _ ->
-            let user_checkp s =
+            let user_checkp s ce =
               let q = Selecting_nfa.state_qual unfa s in
               let affected =
                 match sc with
@@ -388,14 +381,14 @@ let pipe_chunks rt (chunks : chunk list) (start_states : Selecting_nfa.set optio
                 | _ -> false
               else Eval.check_qual ce q
             in
-            let uc = Selecting_nfa.next unfa ~checkp:user_checkp ustates (Node.sym ce) in
+            let uc = Selecting_nfa.next unfa here ~checkp:user_checkp ce ustates (Node.sym ce) in
             if matched then begin
               (* insert (delete and relabeling were handled above): the
                  content changes but the node keeps its place *)
               if not (Selecting_nfa.set_is_empty uc) then begin
                 let ts = transformed_view rt (Option.get sc) ce in
                 if Selecting_nfa.accepts_set unfa uc then List.iter emit ts;
-                List.iter (user_const unfa emit uc) ts
+                List.iter (user_const here unfa emit uc) ts
               end
             end
             else begin
@@ -712,6 +705,7 @@ type stack_rt = {
 let stack_walk rt (root : Node.element) : Xq_value.t =
   let n = Array.length rt.levels in
   let unfa = rt.sunfa in
+  let here = Counter.local () in
   let out = ref [] in
   let emit nd = out := Xq_value.N nd :: !out in
   (* level [j]'s topDown over a node of V_{j-1}; only level 0 walks base
@@ -749,9 +743,7 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
         | Node.Element te ->
           let { lnfa; lupd = _ } = rt.levels.(j) in
           let s =
-            Selecting_nfa.next lnfa
-              ~checkp:(fun st -> Eval.check_qual te (Selecting_nfa.state_qual lnfa st))
-              pls (Node.sym te)
+            Selecting_nfa.next lnfa here ~checkp:(Top_down.direct_checkp lnfa) te pls (Node.sym te)
           in
           transform_level j s te
         | other -> [ other ])
@@ -766,7 +758,7 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
     (try
        for i = 0 to n - 1 do
          let { lnfa; lupd = _ } = rt.levels.(i) in
-         let checkp st =
+         let checkp st ce =
            let q = Selecting_nfa.state_qual lnfa st in
            if meets_any level_quals.(i).(st) ls' 0 then
              match through_view ls' ce i with
@@ -776,7 +768,7 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
              match rt.soracle with Some f -> f st ce | None -> Eval.check_qual ce q
            else Eval.check_qual ce q
          in
-         let si = Selecting_nfa.next lnfa ~checkp ls.(i) (Node.sym ce) in
+         let si = Selecting_nfa.next lnfa here ~checkp ce ls.(i) (Node.sym ce) in
          ls'.(i) <- si;
          if Selecting_nfa.accepts_set lnfa si then begin
            matched := i;
@@ -794,12 +786,12 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
         | other -> other
       in
       let rec outer j f = if j >= n then f else outer (j + 1) (resolve_level j ls.(j) f) in
-      List.iter (user_enter_const unfa emit us) (outer (i + 1) f0)
+      List.iter (user_enter_const here unfa emit us) (outer (i + 1) f0)
     end
     else begin
       (* unmatched everywhere: the node survives with its label; user
          qualifiers some level could affect are answered on its view *)
-      let user_checkp st =
+      let user_checkp st ce =
         let q = Selecting_nfa.state_qual unfa st in
         if meets_any user_quals.(st) ls' 0 then
           match through_view ls' ce n with
@@ -807,7 +799,7 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
           | _ -> false
         else Eval.check_qual ce q
       in
-      let uc = Selecting_nfa.next unfa ~checkp:user_checkp us (Node.sym ce) in
+      let uc = Selecting_nfa.next unfa here ~checkp:user_checkp ce us (Node.sym ce) in
       if Selecting_nfa.accepts_set unfa uc then begin
         if meets_any out_masks ls' 0 then
           match through_view ls' ce n with

@@ -119,6 +119,7 @@ module Pass1 = struct
 
   type t = {
     nfa : Selecting_nfa.t;
+    here : Counter.local;
     lq : Lq.t;
     nlq : int;
     sskip : Sym.t -> bool;
@@ -175,8 +176,8 @@ module Pass1 = struct
     let none = Annotator.no_demand memo in
     let doc = Annotator.document_demand memo ~name:document in
     let rec p =
-      { nfa; lq; nlq = Lq.length lq; sskip; truth; memo; none; scratch = Lq.scratch lq;
-        current = [||]; csat = (fun i -> Array.unsafe_get p.current i); base; bottom = 0;
+      { nfa; here = Counter.local (); lq; nlq = Lq.length lq; sskip; truth; memo; none;
+        scratch = Lq.scratch lq; current = [||]; csat = (fun i -> Array.unsafe_get p.current i); base; bottom = 0;
         states = Array.make initial_depth base; demand = Array.make initial_depth none;
         seeded = Array.make initial_depth unused; skip = 0; schema_mode = false;
         skipped_subtrees = 0; skipped_elements = 0; seq = -1; depth = 0; max_depth = 0; doc;
@@ -253,7 +254,9 @@ module Pass1 = struct
     else begin
       let d = p.depth in
       let states =
-        Selecting_nfa.next_unchecked p.nfa (if d = p.bottom then p.base else p.states.(d - 1)) sym
+        Selecting_nfa.next_unchecked p.nfa p.here
+          (if d = p.bottom then p.base else p.states.(d - 1))
+          sym
       in
       let candidates =
         if d > p.bottom then p.demand.(d - 1).Annotator.candidates
@@ -341,6 +344,7 @@ end
 module Pass2 = struct
   type t = {
     nfa : Selecting_nfa.t;
+    here : Counter.local;
     update : Transform_ast.update;
     sskip : Sym.t -> bool;
     truth : Truth.t;
@@ -348,8 +352,6 @@ module Pass2 = struct
     root_matched : bool;
     (* the states at the document node *)
     start : Selecting_nfa.set;
-    (* qualifier checks at the start-tag numbered [seq]; built once *)
-    checkp : int -> bool;
     (* the frame at depth [d], in slot [d] of each array: its filtered
        states, the name its end-tag is written with, and whether the
        update selected it *)
@@ -365,6 +367,9 @@ module Pass2 = struct
     mutable depth : int;
     mutable max_depth : int;
     mutable seq : int;
+    (* elements a steered parse consumed as bytes (skipped, copied or
+       held), which no transition entered *)
+    mutable as_bytes : int;
     mutable produced_root : bool;
     (* the parse's steering handle, when the run was given one *)
     steer : Sax.steer option;
@@ -374,18 +379,24 @@ module Pass2 = struct
      before the pass starts. *)
   let create ?steer ~sskip nfa update truth sink =
     let start =
-      Selecting_nfa.start_checked nfa ~checkp:(fun s ->
-          Truth.get truth (-1) (Selecting_nfa.state_lq nfa s))
+      Selecting_nfa.start_checked nfa
+        ~checkp:(fun s truth -> Truth.get truth (-1) (Selecting_nfa.state_lq nfa s))
+        truth
     in
-    let rec p =
-      { nfa; update; sskip; truth; sink; steer; root_matched = Selecting_nfa.selects_context nfa; start;
-        checkp = (fun s -> Truth.get p.truth p.seq (Selecting_nfa.state_lq p.nfa s));
-        fstates = Array.make initial_depth start; out_names = Array.make initial_depth "";
-        matched = Array.make initial_depth false; skip = 0; verbatim = 0;
-        verbatim_subtrees = 0; verbatim_elements = 0; depth = 0; max_depth = 0; seq = -1;
-        produced_root = false }
-    in
-    p
+    { nfa; here = Counter.local (); update; sskip; truth; sink; steer;
+      root_matched = Selecting_nfa.selects_context nfa; start;
+      fstates = Array.make initial_depth start; out_names = Array.make initial_depth "";
+      matched = Array.make initial_depth false; skip = 0; verbatim = 0;
+      verbatim_subtrees = 0; verbatim_elements = 0; depth = 0; max_depth = 0; seq = -1;
+      as_bytes = 0; produced_root = false }
+
+  (* The qualifier check at the start-tag numbered [seq]. *)
+  let checkp s p = Truth.get p.truth p.seq (Selecting_nfa.state_lq p.nfa s)
+
+  (* Elements the parse consumed as bytes: counted, never entered. *)
+  let consumed p n =
+    p.seq <- p.seq + n;
+    p.as_bytes <- p.as_bytes + n
 
   (* Neither inside a deleted or replaced subtree nor copying one
      verbatim: the next start-tag runs a transition. *)
@@ -417,7 +428,7 @@ module Pass2 = struct
      when it can be steered, otherwise counted through event by event. *)
   let drop p =
     match steerable p with
-    | Some h -> p.seq <- p.seq + Sax.skip_rest h
+    | Some h -> consumed p (Sax.skip_rest h)
     | None -> p.skip <- 1
 
   (* A start-tag [ev] = [Start_element (name, attrs)] while [walking], its
@@ -458,7 +469,7 @@ module Pass2 = struct
       match if matched then None else steerable p with
       | Some h when Selecting_nfa.set_is_empty fstates ->
         if at_root then p.produced_root <- true;
-        p.seq <- p.seq + Sax.copy_rest h;
+        consumed p (Sax.copy_rest h);
         p.max_depth <- max p.max_depth (p.depth + 1 + Sax.rest_depth h)
       | _ -> push p fstates name matched)
 
@@ -471,7 +482,7 @@ module Pass2 = struct
       p.verbatim_subtrees <- p.verbatim_subtrees + 1;
       p.verbatim_elements <- p.verbatim_elements + 1
     end
-    else admit p ev name attrs (Selecting_nfa.next p.nfa ~checkp:p.checkp (states p) sym)
+    else admit p ev name attrs (Selecting_nfa.next p.nfa p.here ~checkp p (states p) sym)
 
   (* A start-tag; [sym] is its name's symbol, or -1 when the caller has
      not interned it (interned here only if a transition needs it). *)
@@ -491,7 +502,7 @@ module Pass2 = struct
      are empty, so a walking pass copies it whole; whether the pass
      walks, and so must write the bytes. *)
   let unread p ~starts ~depth =
-    p.seq <- p.seq + 1 + starts;
+    consumed p (1 + starts);
     walking p
     && begin
          p.max_depth <- max p.max_depth (p.depth + 1 + depth);
@@ -722,7 +733,7 @@ let drive ?steer ?skip nfa update ~source ~sink =
         let sym = Sym.intern name in
         if Pass2.walking p2 && not (skip sym) then begin
           let parent = Pass2.states p2 in
-          let states = Selecting_nfa.next_unchecked nfa parent sym in
+          let states = Selecting_nfa.next_unchecked nfa p2.Pass2.here parent sym in
           if Selecting_nfa.set_intersects states quals then open_region ev name attrs sym parent
           else begin
             (* no qualifier-bearing state entered: the filtered
@@ -781,7 +792,7 @@ let drive ?steer ?skip nfa update ~source ~sink =
       2
     | Outside | Held _ -> 1
   in
-  Counter.add Stats.nodes_visited (p2.Pass2.seq + 1);
+  Counter.add Stats.nodes_visited (p2.Pass2.seq + 1 - p2.Pass2.as_bytes);
   {
     max_stack_depth = max p1.Pass1.max_depth p2.Pass2.max_depth;
     truth_entries = !peak_truth;

@@ -48,8 +48,9 @@ let start nfa root =
   let module Nfa = Xut_automata.Selecting_nfa in
   if not (Nfa.checks_document nfa) then Nfa.start nfa
   else
-    let doc = document root in
-    Nfa.start_checked nfa ~checkp:(fun s -> Eval.check_qual doc (Nfa.state_qual nfa s))
+    Nfa.start_checked nfa
+      ~checkp:(fun s doc -> Eval.check_qual doc (Nfa.state_qual nfa s))
+      (document root)
 
 let apply_at_root update root =
   document_element (apply_matched update root ~kids:(Node.children root))

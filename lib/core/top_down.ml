@@ -52,9 +52,7 @@ let make_go ~checkp ?(skip = fun _ -> false) nfa update =
     end
     else begin
       Counter.bump_local here Stats.nodes_visited;
-      let states' =
-        Selecting_nfa.next nfa ~checkp:(fun s -> checkp s e) states (Node.sym e)
-      in
+      let states' = Selecting_nfa.next nfa here ~checkp e states (Node.sym e) in
       if Selecting_nfa.set_is_empty states' then begin
         Counter.bump_local here Stats.nodes_shared;
         Same
@@ -96,22 +94,21 @@ let run ?checkp ?skip nfa update root =
 (* ---------------- counting ----------------
 
    The same walk once more, returning only the result's element count:
-   the input's count plus the updates' effect, summed where [make_go]
+   the input's count plus the update's effect, summed where [make_go]
    would rebuild.  Shared subtrees (skipped or with an empty state set)
    add nothing and are never entered; a deleted or replaced subtree
-   costs one [size] call. *)
+   costs one read of its stored count.  The walk is one [let rec] over
+   elements and sibling lists, so it allocates nothing per element. *)
 
-(* the elements an update adds at each match; computed per match, so the
-   walk's closures capture [here] in its place *)
+(* the elements an update adds at each match *)
 let added = function
   | Transform_ast.Insert (_, enew) | Transform_ast.Insert_first (_, enew)
   | Transform_ast.Replace (_, enew) ->
     Node.element_count enew
   | Transform_ast.Delete _ | Transform_ast.Rename _ -> 0
 
-let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
+let count ?checkp ?(skip = fun _ -> false) nfa update root =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  let size = match size with Some f -> f | None -> fun e -> Node.element_count (Node.Element e) in
   let here = Counter.local () in
   let rec go (e : Node.element) states =
     if skip e then begin
@@ -120,9 +117,7 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
     end
     else begin
       Counter.bump_local here Stats.nodes_visited;
-      let states' =
-        Selecting_nfa.next nfa ~checkp:(fun s -> checkp s e) states (Node.sym e)
-      in
+      let states' = Selecting_nfa.next nfa here ~checkp e states (Node.sym e) in
       if Selecting_nfa.set_is_empty states' then begin
         Counter.bump_local here Stats.nodes_shared;
         0
@@ -131,18 +126,17 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
     end
   and delta e states' =
     match update, Selecting_nfa.accepts_set nfa states' with
-    | Transform_ast.Delete _, true -> -size e
-    | Transform_ast.Replace _, true -> added update - size e
-    | (Transform_ast.Insert _ | Transform_ast.Insert_first _), true -> kids e states' + added update
+    | Transform_ast.Delete _, true -> -Node.elements e
+    | Transform_ast.Replace _, true -> added update - Node.elements e
+    | (Transform_ast.Insert _ | Transform_ast.Insert_first _), true ->
+      kids 0 states' (Node.children e) + added update
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
       | Transform_ast.Delete _ | Transform_ast.Replace _), _ ->
-      kids e states'
-  and kids e states' =
-    List.fold_left
-      (fun acc -> function
-        | Node.Element c -> acc + go c states'
-        | Node.Text _ | Node.Comment _ | Node.Pi _ -> acc)
-      0 (Node.children e)
+      kids 0 states' (Node.children e)
+  and kids acc states' = function
+    | [] -> acc
+    | Node.Element c :: rest -> kids (acc + go c states') states' rest
+    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids acc states' rest
   in
   (* the structural checks [run] applies to the document element *)
   let check_root () =
@@ -156,6 +150,7 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
     | Transform_ast.Insert_first _ | Transform_ast.Rename _ ->
       ()
   in
+  let elements = Node.elements root in
   if not (Semantics.ctx_holds nfa root) then elements
   else if Selecting_nfa.selects_context nfa then begin
     check_root ();
@@ -171,8 +166,7 @@ let count ?checkp ?(skip = fun _ -> false) ?size ~elements nfa update root =
   else begin
     Counter.bump_local here Stats.nodes_visited;
     let states' =
-      Selecting_nfa.next nfa ~checkp:(fun s -> checkp s root)
-        (Semantics.start nfa root) (Node.sym root)
+      Selecting_nfa.next nfa here ~checkp root (Semantics.start nfa root) (Node.sym root)
     in
     if Selecting_nfa.set_is_empty states' then begin
       Counter.bump_local here Stats.nodes_shared;

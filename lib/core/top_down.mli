@@ -72,28 +72,25 @@ val stream :
 val count :
   ?checkp:checkp ->
   ?skip:(Node.element -> bool) ->
-  ?size:(Node.element -> int) ->
-  elements:int ->
   Selecting_nfa.t ->
   Transform_ast.update ->
   Node.element ->
   int
 (** The element count of {!run}'s result, by the same walk but without
-    building the result.  [elements] must be the element count of the
-    input [root]; the answer is [elements + Δ], where Δ sums, over the
-    nodes the walk reaches:
+    building the result.  The answer is the input's count
+    ({!Node.elements}) plus Δ, where Δ sums, over the nodes the walk
+    reaches:
     - a skipped subtree or one whose state set empties: 0 (never entered);
-    - a matched [Delete] of [e]: [-size e];
-    - a matched [Replace] of [e] by [enew]: [element_count enew - size e];
+    - a matched [Delete] of [e]: [-elements e];
+    - a matched [Replace] of [e] by [enew]: [element_count enew - elements e];
     - a matched [Insert]/[Insert_first] of [enew]: the children's Δ plus
       [element_count enew];
     - a matched [Rename], or an unmatched node: the children's Δ.
 
-    [size e] must equal [Node.element_count (Element e)]; it is called
-    once per deleted or replaced subtree, so an O(1) table (the schema
-    validation's subtree sizes) makes each such node O(1).  Without it
-    the deleted subtree itself is counted.  [checkp] and [skip] are as
-    for {!run}, consulted at exactly the same nodes.
+    Every term is O(1), since each element stores its count, so the walk
+    costs the nodes it visits and allocates nothing per element (beyond
+    what [checkp] allocates).  [checkp] and [skip] are as for {!run},
+    consulted at exactly the same nodes.
     @raise Transform_ast.Invalid_update exactly where {!run} does: the
     document element deleted or replaced by a non-element. *)
 

@@ -99,96 +99,66 @@ let find name =
 
 exception Nonconforming of string
 
-(* Conformance walk of a fresh subtree; records subtree element counts
-   into [sizes] and returns the root's. *)
-let rec check_subtree t sizes (e : Node.element) =
+let nonconforming t ~parent c =
+  Nonconforming
+    (Printf.sprintf "element %s not allowed under %s (schema %s)" (Node.name c)
+       (Node.name parent) t.s_name)
+
+(* Conformance walk of a fresh subtree. *)
+let rec check_subtree t (e : Node.element) =
   let sym = Node.sym e in
-  let sz =
-    List.fold_left
-      (fun acc c ->
-        if not (allowed t ~parent:sym (Node.sym c)) then
-          raise
-            (Nonconforming
-               (Printf.sprintf "element %s not allowed under %s (schema %s)" (Node.name c)
-                  (Node.name e) t.s_name));
-        acc + check_subtree t sizes c)
-      1 (Node.child_elements e)
-  in
-  Hashtbl.replace sizes (Node.id e) sz;
-  sz
+  List.iter
+    (fun c ->
+      if not (allowed t ~parent:sym (Node.sym c)) then raise (nonconforming t ~parent:e c);
+      check_subtree t c)
+    (Node.child_elements e)
+
+let not_root t root =
+  Error
+    (Printf.sprintf "document element %s is not the schema root %s (schema %s)"
+       (Node.name root) (Sym.name t.s_root) t.s_name)
 
 let validate t root =
-  if Node.sym root <> t.s_root then
-    Error
-      (Printf.sprintf "document element %s is not the schema root %s (schema %s)"
-         (Node.name root) (Sym.name t.s_root) t.s_name)
+  if Node.sym root <> t.s_root then not_root t root
   else
-    let sizes = Hashtbl.create 1024 in
-    match check_subtree t sizes root with
-    | _ -> Ok sizes
+    match check_subtree t root with
+    | () -> Ok ()
     | exception Nonconforming msg -> Error msg
 
 (* Incremental re-validation across a commit: shared subtrees kept their
    ids and were conforming before, and conformance is local to a parent
    and its direct children, so only rebuilt spine nodes (their child
-   edges may have changed) and freshly inserted material need checking.
-   The size table is maintained by the same walk, exactly as
-   {!Xut_automata.Annotator.repair} maintains the annotation table. *)
-let validate_commit t ~spine ~old_sizes new_root =
+   edges may have changed) and freshly inserted material need checking. *)
+let validate_commit t ~spine new_root =
   if not (Hashtbl.mem spine (Node.id new_root)) then
     (* degenerate diff: the document element itself was replaced *)
     validate t new_root
-  else if Node.sym new_root <> t.s_root then
-    Error
-      (Printf.sprintf "document element %s is not the schema root %s (schema %s)"
-         (Node.name new_root) (Sym.name t.s_root) t.s_name)
+  else if Node.sym new_root <> t.s_root then not_root t new_root
   else begin
-    let sizes = Hashtbl.rebuild old_sizes in
-    let scrub oe = Node.iter_elements (fun x -> Hashtbl.remove sizes (Node.id x)) oe in
-    let shared_size c =
-      match Hashtbl.find_opt sizes (Node.id c) with
-      | Some sz -> sz
-      | None -> check_subtree t sizes c (* should not happen; stay exact *)
-    in
-    (* [oe]/[e]: an old spine element and its fresh rebuild. *)
-    let rec pair oe e =
-      Hashtbl.remove sizes (Node.id oe);
-      let sym = Node.sym e in
-      let old_kids = Node.child_elements oe in
-      let old_by_id = Hashtbl.create (max 4 (List.length old_kids)) in
-      List.iter (fun oc -> Hashtbl.replace old_by_id (Node.id oc) oc) old_kids;
-      let surviving = Hashtbl.create 8 in
-      let sz =
-        List.fold_left
-          (fun acc c ->
-            if not (allowed t ~parent:sym (Node.sym c)) then
-              raise
-                (Nonconforming
-                   (Printf.sprintf "element %s not allowed under %s (schema %s)"
-                      (Node.name c) (Node.name e) t.s_name));
-            let csz =
-              if Hashtbl.mem old_by_id (Node.id c) then begin
-                Hashtbl.replace surviving (Node.id c) ();
-                shared_size c
-              end
-              else
-                match Hashtbl.find_opt spine (Node.id c) with
-                | Some oc when Hashtbl.mem old_by_id (Node.id oc) ->
-                  Hashtbl.replace surviving (Node.id oc) ();
-                  pair oc c
-                | _ -> check_subtree t sizes c
-            in
-            acc + csz)
-          1 (Node.child_elements e)
-      in
-      List.iter
-        (fun oc -> if not (Hashtbl.mem surviving (Node.id oc)) then scrub oc)
-        old_kids;
-      Hashtbl.replace sizes (Node.id e) sz;
-      sz
-    in
+    (* [oe]/[e]: an old spine element and its fresh rebuild.  A commit
+       keeps the old children's order, so one ordered pass over both
+       child lists sorts each new child: the old child itself (shared),
+       a rebuild the spine map pairs with an old child, or fresh. *)
+    let rec pair oe e = kids e (Node.child_elements oe) (Node.child_elements e)
+    and kids e old = function
+      | [] -> ()
+      | c :: rest -> (
+        if not (allowed t ~parent:(Node.sym e) (Node.sym c)) then
+          raise (nonconforming t ~parent:e c);
+        match old with
+        | oc :: old' when oc == c -> kids e old' rest
+        | _ -> (
+          match Hashtbl.find_opt spine (Node.id c) with
+          | Some oc ->
+            pair oc c;
+            kids e (after oc old) rest
+          | None ->
+            check_subtree t c;
+            kids e old rest))
+    (* the old children past [oc] *)
+    and after oc = function [] -> [] | x :: rest -> if x == oc then rest else after oc rest in
     match pair (Hashtbl.find spine (Node.id new_root)) new_root with
-    | _ -> Ok sizes
+    | () -> Ok ()
     | exception Nonconforming msg -> Error msg
   end
 
@@ -227,12 +197,13 @@ let product t nfa =
   let start = Selecting_nfa.start nfa in
   enqueue (t.s_root, Selecting_nfa.set_to_list start, []) start;
   let capped = ref false in
+  let here = Counter.local () in
   while not (Queue.is_empty queue) && not !capped do
     let ((sym, _, seeds) as key), states = Queue.pop queue in
     if not (Hashtbl.mem nodes key) then begin
       if Hashtbl.length nodes >= config_cap then capped := true
       else begin
-        let states' = Selecting_nfa.next_unchecked nfa states sym in
+        let states' = Selecting_nfa.next_unchecked nfa here states sym in
         let all_seeds = List.sort_uniq compare (seeds @ Annotator.top_quals nfa states') in
         let dead = Selecting_nfa.set_is_empty states' && all_seeds = [] in
         let accepting = (not dead) && Selecting_nfa.accepts_set nfa states' in

@@ -76,27 +76,19 @@ val find : string -> t option
 
 (** {2 Validation} *)
 
-val validate : t -> Node.element -> ((int, int) Hashtbl.t, string) result
+val validate : t -> Node.element -> (unit, string) result
 (** Conformance of a whole tree: the root's symbol is the schema root
     and every element's children are allowed under it (edges of the
-    reachability projection).  On success, returns the subtree-size
-    table (element id -> number of elements in that subtree, root
-    included) computed by the same walk — the O(1) lookup behind the
-    [skipped_nodes] metric. *)
+    reachability projection). *)
 
 val validate_commit :
-  t ->
-  spine:(int, Node.element) Hashtbl.t ->
-  old_sizes:(int, int) Hashtbl.t ->
-  Node.element ->
-  ((int, int) Hashtbl.t, string) result
+  t -> spine:(int, Node.element) Hashtbl.t -> Node.element -> (unit, string) result
 (** Incremental re-validation across a commit whose materialization
     produced [spine] (fresh spine id -> replaced old element, as in
     {!Xut_update.Apply}).  Shared subtrees kept their ids and were valid
-    before, so only rebuilt spine nodes and freshly inserted material
-    are checked; the returned size table is the old one updated along
-    the same walk (departed ids dropped).  [Error _] means the
-    post-commit tree no longer conforms (the caller drops the schema
+    before, so only the child edges of rebuilt spine nodes and freshly
+    inserted material are checked; nothing is copied.  [Error _] means
+    the post-commit tree no longer conforms (the caller drops the schema
     binding; the commit itself stands). *)
 
 (** {2 The product} *)

@@ -22,21 +22,13 @@ type event = {
   schema_dropped : bool;
 }
 
-(* A binding: the tree, its info, and — when loaded under a schema — the
-   per-element subtree-size table the validation walk produced (element
-   id -> element count below-and-including), backing O(1) skipped-node
-   accounting.  The table is never mutated after publication: commits
-   derive a fresh copy ({!Xut_schema.Schema.validate_commit}), so readers
-   holding a snapshot keep a consistent table.  [image] is the reply
-   image, built by the first serialized read and kept across commits:
-   the ids the new root shares with the old one still name the same
-   bytes. *)
-type entry = {
-  root : Node.element;
-  einfo : info;
-  sizes : (int, int) Hashtbl.t option;
-  image : Serialize.Image.t option Atomic.t;
-}
+(* The reply image's cell, built by the first serialized read of
+   [of_root] and kept across commits: the ids the new root shares with
+   the old one still name the same bytes. *)
+type image_cell = { of_root : Node.element; image : Serialize.Image.t option Atomic.t }
+
+(* A binding: the tree, its info, and its reply image's cell. *)
+type entry = { root : Node.element; einfo : info; cell : image_cell }
 
 (* [cmu] serializes writers (commit/register/evict) so a commit's
    read-evaluate-swap is atomic with respect to every other binding
@@ -84,16 +76,16 @@ let fire t event =
   List.iter (fun f -> f event) listeners
 
 (* Validation happens here, before the binding is published, so a LOAD
-   under a schema either yields a fully conformant binding (with its
-   size table) or fails without touching the store. *)
+   under a schema either yields a fully conformant binding or fails
+   without touching the store. *)
 let check_schema ~name root = function
-  | None -> Stdlib.Ok (None, None)
+  | None -> Stdlib.Ok None
   | Some sname -> begin
     match Xut_schema.Schema.find sname with
     | None -> Stdlib.Error (Printf.sprintf "unknown schema %S (not registered)" sname)
     | Some s -> begin
       match Xut_schema.Schema.validate s root with
-      | Stdlib.Ok sizes -> Stdlib.Ok (Some sname, Some sizes)
+      | Stdlib.Ok () -> Stdlib.Ok (Some sname)
       | Stdlib.Error msg ->
         Stdlib.Error
           (Printf.sprintf "document %S does not conform to schema %S: %s" name sname msg)
@@ -103,16 +95,15 @@ let check_schema ~name root = function
 let register t ~name ?file ?schema root =
   match check_schema ~name root schema with
   | Stdlib.Error _ as e -> e
-  | Stdlib.Ok (schema, sizes) ->
+  | Stdlib.Ok schema ->
     let generation = Atomic.fetch_and_add t.generations 1 + 1 in
-    let info =
-      { name; file; elements = Node.element_count (Node.Element root); generation; schema }
-    in
+    let info = { name; file; elements = Node.elements root; generation; schema } in
     let previous =
       as_writer t (fun () ->
           locked t (fun () ->
               let prev = Hashtbl.find_opt t.tbl name in
-              Hashtbl.replace t.tbl name { root; einfo = info; sizes; image = Atomic.make None };
+              Hashtbl.replace t.tbl name
+                { root; einfo = info; cell = { of_root = root; image = Atomic.make None } };
               prev))
     in
     (match previous with
@@ -147,19 +138,17 @@ let info t name =
 
 let snapshot t name =
   locked t (fun () ->
-      Option.map (fun e -> (e.root, e.einfo, e.sizes)) (Hashtbl.find_opt t.tbl name))
+      Option.map (fun e -> (e.root, e.einfo, e.cell)) (Hashtbl.find_opt t.tbl name))
 
 (* Racing builders build identical images (or, across a commit, images
    equally valid for both roots); the first to publish wins. *)
-let image t name =
-  match locked t (fun () -> Hashtbl.find_opt t.tbl name) with
-  | None -> None
-  | Some e -> (
-    match Atomic.get e.image with
-    | Some _ as built -> built
-    | None ->
-      let built = Some (Serialize.Image.of_element e.root) in
-      if Atomic.compare_and_set e.image None built then built else Atomic.get e.image)
+let reply_image { of_root; image } =
+  match Atomic.get image with
+  | Some built -> built
+  | None ->
+    let built = Serialize.Image.of_element of_root in
+    if Atomic.compare_and_set image None (Some built) then built
+    else Option.get (Atomic.get image)
 
 let evict t name =
   let removed =
@@ -192,42 +181,32 @@ type ('a, 'e) commit_result =
   | Rejected of 'e
   | No_document
 
-(* Revalidate the post-commit tree against the binding's schema.  With a
-   rebuilt-spine diff this is incremental (shared subtrees keep their
-   recorded sizes); without one it falls back to a full walk.  A
-   nonconforming result does not reject the commit — updates are the
-   system's point — it {e drops} the schema binding, turning pruning off
-   for the document from the swap onward.  The third component reports
-   that drop so the event can carry it (a [schema_dropped] notice +
-   counter; the drop used to be silent). *)
-let revalidated (info : info) root' spine old_sizes =
-  match info.schema with
-  | None -> (None, None, false)
-  | Some sname -> begin
-    match Xut_schema.Schema.find sname with
-    | None -> (None, None, true)
-    | Some s -> begin
-      match (spine, old_sizes) with
-      | Some spine, Some old_sizes -> begin
-        match Xut_schema.Schema.validate_commit s ~spine ~old_sizes root' with
-        | Stdlib.Ok sizes -> (Some sname, Some sizes, false)
-        | Stdlib.Error _ -> (None, None, true)
-      end
-      | _ -> begin
-        match Xut_schema.Schema.validate s root' with
-        | Stdlib.Ok sizes -> (Some sname, Some sizes, false)
-        | Stdlib.Error _ -> (None, None, true)
-      end
-    end
-  end
+(* Revalidate the post-commit tree against the binding's schema: only
+   the rebuilt spine and fresh content when the diff supplied the spine
+   map, a full walk otherwise.  A nonconforming result does not reject
+   the commit — updates are the system's point — it {e drops} the
+   schema binding, turning pruning off for the document from the swap
+   onward.  The second component reports that drop so the event can
+   carry it (a [schema_dropped] notice + counter). *)
+let revalidated (info : info) root' spine =
+  match Option.map (fun sname -> (sname, Xut_schema.Schema.find sname)) info.schema with
+  | None -> (None, false)
+  | Some (_, None) -> (None, true)
+  | Some (sname, Some s) -> (
+    let verdict =
+      match spine with
+      | Some spine -> Xut_schema.Schema.validate_commit s ~spine root'
+      | None -> Xut_schema.Schema.validate s root'
+    in
+    match verdict with Stdlib.Ok () -> (Some sname, false) | Stdlib.Error _ -> (None, true))
 
-let commit ?delta t ~name f =
+let commit t ~name f =
   let departed = ref None in
   let outcome =
     as_writer t (fun () ->
         match locked t (fun () -> Hashtbl.find_opt t.tbl name) with
         | None -> No_document
-        | Some { root; einfo = info; sizes; image } -> begin
+        | Some { root; einfo = info; cell } -> begin
           (* [f] runs under the writer lock only: readers proceed against
              the current binding while the new tree is built. *)
           match f info root with
@@ -235,23 +214,13 @@ let commit ?delta t ~name f =
           | Ok (None, a) -> Unchanged (info, a)
           | Ok (Some (root', spine), a) ->
             let generation = Atomic.fetch_and_add t.generations 1 + 1 in
-            let schema', sizes', dropped = revalidated info root' spine sizes in
-            let elements =
-              match delta with
-              | Some delta -> info.elements + delta a
-              | None -> Node.element_count (Node.Element root')
-            in
+            let schema', dropped = revalidated info root' spine in
             let info' =
-              {
-                info with
-                elements;
-                generation;
-                schema = schema';
-              }
+              { info with elements = Node.elements root'; generation; schema = schema' }
             in
             locked t (fun () ->
                 Hashtbl.replace t.tbl name
-                  { root = root'; einfo = info'; sizes = sizes'; image });
+                  { root = root'; einfo = info'; cell = { cell with of_root = root' } });
             departed :=
               Some
                 ( Node.id root,

@@ -26,7 +26,7 @@ open Xut_xml
 type info = {
   name : string;
   file : string option;  (** origin path, when loaded from disk *)
-  elements : int;        (** element count, for listings *)
+  elements : int;        (** element count ({!Node.elements} of the root) *)
   generation : int;      (** monotone load stamp, unique per register *)
   schema : string option;
       (** the registered {!Xut_schema.Schema} the binding conforms to,
@@ -105,22 +105,21 @@ val load_file :
 val find : t -> string -> Node.element option
 val info : t -> string -> info option
 
-val snapshot : t -> string -> (Node.element * info * (int, int) Hashtbl.t option) option
-(** The full binding in one locked read: tree, info, and — when the
-    binding holds a schema — the per-element subtree-size table the
-    validation walk produced (element id -> elements at-and-below),
-    backing O(1) skipped-node accounting.  The table is immutable once
-    published (commits swap in a fresh copy). *)
+type image_cell
+(** Where a binding keeps its reply image ({!Serialize.Image}). *)
 
-val image : t -> string -> Serialize.Image.t option
-(** The binding's reply image ({!Serialize.Image}); [None] when the name
-    is not bound.  The first call builds it from the binding's current
-    root and publishes it with a compare-and-set, so racing domains all
-    get a valid image.  A {!commit} carries the image to the new root
-    (the ids it shares with the old root name the same bytes, and its
-    rebuilt spine simply misses); a re-{!register} starts without one,
-    and {!evict} drops it.  It costs one more copy of the document's
-    bytes per binding. *)
+val snapshot : t -> string -> (Node.element * info * image_cell) option
+(** The full binding in one locked read: tree, info, and the cell of its
+    reply image, for {!reply_image}. *)
+
+val reply_image : image_cell -> Serialize.Image.t
+(** The binding's reply image.  The first call builds it from the
+    snapshot's root and publishes it with a compare-and-set, so racing
+    domains all get a valid image.  A {!commit} carries the image to
+    the new root (the ids it shares with the old root name the same
+    bytes, and its rebuilt spine simply misses); a re-{!register}
+    starts without one, and {!evict} drops it.  It costs one more copy
+    of the document's bytes per binding. *)
 
 val evict : t -> string -> bool
 (** Remove a binding; [false] when the name was not bound.  On removal
@@ -156,7 +155,6 @@ type ('a, 'e) commit_result =
   | No_document     (** the name is not bound *)
 
 val commit :
-  ?delta:('a -> int) ->
   t ->
   name:string ->
   (info ->
@@ -167,10 +165,7 @@ val commit :
     under the store's writer lock but outside its reader lock — and, on
     [Ok (Some (root', spine), a)], swaps [root'] in under a fresh
     store-wide generation, keeping the old binding's [file] as
-    provenance.  [delta a], when given, is the swap's element-count
-    change (e.g. {!Xut_update.Apply.diff}'s [element_delta]), so the new
-    binding's [elements] costs nothing; without it the new tree is
-    counted in full.  The [Committed] event (old root's id, new generation,
+    provenance.  The [Committed] event (old root's id, new generation,
     and a {!repair_hint} when [f] supplied the rebuilt-spine map) fires
     after all locks are released.  [f] must not re-enter the store's
     write operations. *)

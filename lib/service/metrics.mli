@@ -138,7 +138,7 @@ val compose_fallbacks : t -> int
 (** {2 Schema pruning}
 
     Element subtrees the skip-set pruned without a visit and the exact
-    number of elements inside them (from the size table: work avoided,
+    number of elements inside them (the counts their roots store: work avoided,
     not done); requests rejected at admission because the NFA x schema
     product proved the query selects nothing; and products constructed
     rather than served from a per-plan memo. *)

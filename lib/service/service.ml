@@ -169,11 +169,11 @@ type reply =
 
 type read = { source : source; engine : Engine.algo option; query : string; reply : reply }
 
-(* What resolve found: a snapshot and its binding's size table, or a
-   file; and a transform plan, or a user query over a view chain's
+(* What resolve found: a snapshot and its binding's reply-image cell,
+   or a file; and a transform plan, or a user query over a view chain's
    levels (innermost first), composed or left to materialize. *)
 type input =
-  | Snapshot of (Xut_xml.Node.element * Doc_store.info * (int, int) Hashtbl.t option)
+  | Snapshot of (Xut_xml.Node.element * Doc_store.info * Doc_store.image_cell)
   | File_input of string
 
 type query =
@@ -218,24 +218,16 @@ let refuse code fmt = Printf.ksprintf (fun message -> Stdlib.Error (Error { code
    work, and otherwise the product's skip-set becomes a per-request
    oracle the engines consult to share whole subtrees without visiting
    them.  The oracle also does the accounting: each [true] answer is one
-   pruned subtree, whose exact element population comes from the
-   binding's size table (work {e avoided}, measured in O(1)). *)
+   pruned subtree, whose element count the subtree's root stores (work
+   {e avoided}, measured in O(1)).  It sums into the request's own
+   record, which [run_read] adds to the metrics once. *)
 
 type pruning = {
   product : Xut_schema.Schema.product;
   skip : Xut_xml.Node.element -> bool;  (* counting oracle for DOM engines *)
+  mutable skipped_subtrees : int;
+  mutable skipped_nodes : int;
 }
-
-(* The element count of the subtree at [e]: O(1) from the binding's size
-   table when it has one, a walk of the subtree otherwise. *)
-let size_of sizes e =
-  let whole () = Xut_xml.Node.element_count (Xut_xml.Node.Element e) in
-  match sizes with
-  | Some tbl ->
-    (match Hashtbl.find_opt tbl (Xut_xml.Node.id e) with
-    | Some n -> n
-    | None -> whole ())
-  | None -> whole ()
 
 (* The product of [nfa] with the schema named [schema] (memoized in
    [products]), or [None] when there is no (registered) schema. *)
@@ -249,20 +241,34 @@ let schema_product ~metrics schema products nfa =
 
 (* The product of [nfa] with the binding's schema, or [None] when the
    document has no (live) schema or the product can prune nothing. *)
-let pruning_for ~metrics (dinfo : Doc_store.info) sizes products nfa =
+let pruning_for ~metrics (dinfo : Doc_store.info) products nfa =
   match schema_product ~metrics dinfo.Doc_store.schema products nfa with
   | Some product
     when Xut_schema.Schema.skip_count product > 0 || Xut_schema.Schema.statically_empty product
     ->
-    let skip e =
-      if Xut_schema.Schema.skippable product (Xut_xml.Node.sym e) then begin
-        Metrics.add_skipped metrics ~subtrees:1 ~nodes:(size_of sizes e);
-        true
-      end
-      else false
+    let rec p =
+      {
+        product;
+        skip =
+          (fun e ->
+            Xut_schema.Schema.skippable product (Xut_xml.Node.sym e)
+            && begin
+                 p.skipped_subtrees <- p.skipped_subtrees + 1;
+                 p.skipped_nodes <- p.skipped_nodes + Xut_xml.Node.elements e;
+                 true
+               end);
+        skipped_subtrees = 0;
+        skipped_nodes = 0;
+      }
     in
-    Some { product; skip }
+    Some p
   | _ -> None
+
+(* The request's oracle skips, added to the metrics once. *)
+let count_skips ~metrics = function
+  | Some p when p.skipped_subtrees > 0 ->
+    Metrics.add_skipped metrics ~subtrees:p.skipped_subtrees ~nodes:p.skipped_nodes
+  | Some _ | None -> ()
 
 (* The SAX engine consumes the skip-set by symbol and reports exact skip
    counts in its run stats. *)
@@ -353,7 +359,7 @@ let count_value (v : Xut_xquery.Xq_value.t) =
     (fun n item ->
       match item with
       | Xut_xquery.Xq_value.N node -> n + Xut_xml.Node.element_count node
-      | Xut_xquery.Xq_value.D e -> n + Xut_xml.Node.element_count (Xut_xml.Node.Element e)
+      | Xut_xquery.Xq_value.D e -> n + Xut_xml.Node.elements e
       | _ -> n + 1)
     0 v
 
@@ -444,19 +450,16 @@ let resolve st r =
    tree.  View reads are never refused. *)
 let admit st r input query =
   match (input, query) with
-  | Snapshot (_, info, sizes), Plan plan -> (
-    match
-      pruning_for ~metrics:st.metrics info sizes plan.Plan_cache.products plan.Plan_cache.nfa
-    with
+  | Snapshot (_, info, _), Plan plan -> (
+    match pruning_for ~metrics:st.metrics info plan.Plan_cache.products plan.Plan_cache.nfa with
     | Some p when Xut_schema.Schema.statically_empty p.product ->
       Metrics.incr_statically_empty st.metrics;
       refuse Statically_empty "query selects nothing under schema %S (NFA x schema product is empty)"
         (Option.value ~default:"?" info.Doc_store.schema)
     | pruning -> Stdlib.Ok pruning)
-  | Snapshot (_, info, sizes), Composed ((inner : View_store.view) :: _, _)
+  | Snapshot (_, info, _), Composed ((inner : View_store.view) :: _, _)
     when r.engine = Some Engine.Td_bu ->
-    Stdlib.Ok
-      (pruning_for ~metrics:st.metrics info sizes inner.View_store.products inner.View_store.nfa)
+    Stdlib.Ok (pruning_for ~metrics:st.metrics info inner.View_store.products inner.View_store.nfa)
   | _ -> Stdlib.Ok None
 
 (* The input as a tree: the snapshot, or a one-off parse of the file. *)
@@ -477,8 +480,7 @@ let handler_of = function
 (* [plan]'s result over the input with [engine].  The walk engines run
    topDown with the skip-set and TD-BU's memoized oracle, and count a
    snapshot's result with {!Top_down.count} (the element count plus the
-   update's effect, deleted subtrees sized from the binding's table)
-   without building it. *)
+   update's effect, each term a stored count) without building it. *)
 let result_tree ?skip (plan : Plan_cache.plan) engine input =
   let nfa = plan.Plan_cache.nfa and update = plan.Plan_cache.query.Transform_ast.update in
   let root = root_of input in
@@ -486,10 +488,8 @@ let result_tree ?skip (plan : Plan_cache.plan) engine input =
   let build () = transform_with ?checkp ?skip nfa update engine root in
   let count () =
     match (engine, input) with
-    | (Engine.Gentop | Engine.Td_bu), Snapshot (_, info, sizes) ->
-      Top_down.count ?checkp ?skip ~size:(size_of sizes) ~elements:info.Doc_store.elements nfa
-        update root
-    | _ -> Xut_xml.Node.element_count (Xut_xml.Node.Element (build ()))
+    | (Engine.Gentop | Engine.Td_bu), Snapshot _ -> Top_down.count ?checkp ?skip nfa update root
+    | _ -> Xut_xml.Node.elements (build ())
   in
   Result_tree { build; count }
 
@@ -595,17 +595,19 @@ let run_read st r =
     let* input, query = resolve st r in
     let* pruning = admit st r input query in
     let image () =
-      match r.source with
-      | Stored (Doc doc) -> Doc_store.image st.store doc
-      | _ -> None
+      match input with
+      | Snapshot (_, _, cell) -> Some (Doc_store.reply_image cell)
+      | File_input _ -> None
     in
-    Stdlib.Ok
-      (match
-         respond ~metrics:st.metrics ~image r.reply (fun () ->
-             execute st r ~pruning input query)
-       with
+    let response =
+      match
+        respond ~metrics:st.metrics ~image r.reply (fun () -> execute st r ~pruning input query)
+      with
       | payload -> Ok payload
-      | exception e -> eval_error e)
+      | exception e -> eval_error e
+    in
+    count_skips ~metrics:st.metrics pruning;
+    Stdlib.Ok response
   in
   match outcome with Stdlib.Ok resp | Stdlib.Error resp -> resp
 
@@ -687,13 +689,11 @@ let handle_commit st ~doc ~query =
   | Stdlib.Error e -> e
   | Stdlib.Ok updates -> begin
     let result =
-      Doc_store.commit ~delta:snd st.store ~name:doc (fun _info root ->
+      Doc_store.commit st.store ~name:doc (fun _info root ->
           match Xut_update.Apply.run updates root with
-          | Stdlib.Ok (report, None) -> Stdlib.Ok (None, (report, 0))
+          | Stdlib.Ok (report, None) -> Stdlib.Ok (None, report)
           | Stdlib.Ok (report, Some (root', diff)) ->
-            Stdlib.Ok
-              ( Some (root', Some diff.Xut_update.Apply.spine),
-                (report, diff.Xut_update.Apply.element_delta) )
+            Stdlib.Ok (Some (root', Some diff.Xut_update.Apply.spine), report)
           | Stdlib.Error report -> Stdlib.Error (`Conflict report)
           | exception Xut_update.Apply.Invalid msg -> Stdlib.Error (`Invalid msg)
           | exception e -> Stdlib.Error (`Invalid (Printexc.to_string e)))
@@ -710,10 +710,10 @@ let handle_commit st ~doc ~query =
            })
     in
     match result with
-    | Doc_store.Swapped (info, (report, _)) ->
+    | Doc_store.Swapped (info, report) ->
       Metrics.commit_recorded st.metrics ~primitives:report.Xut_update.Apply.primitives;
       committed info report
-    | Doc_store.Unchanged (info, (report, _)) ->
+    | Doc_store.Unchanged (info, report) ->
       Metrics.commit_noop st.metrics;
       committed info report
     | Doc_store.Rejected (`Conflict report) ->

@@ -31,6 +31,7 @@ let select ?(mark = ignore) path root =
   else begin
     let unchecked = Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa) in
     let targets = ref [] and visits = ref 0 in
+    let here = Counter.local () and checkp = Core.Top_down.direct_checkp nfa in
     (* the last transition on a symbol no step names: under a [//] step,
        where most elements carry such names, it repeats node after node *)
     let unnamed = ref None in
@@ -40,7 +41,7 @@ let select ?(mark = ignore) path root =
         when (not (Selecting_nfa.names nfa sym)) && Selecting_nfa.set_equal states from_ ->
         to_
       | Some _ | None ->
-        let to_ = Selecting_nfa.next_unchecked nfa states sym in
+        let to_ = Selecting_nfa.next_unchecked nfa here states sym in
         if not (Selecting_nfa.names nfa sym) then unnamed := Some (states, to_);
         to_
     in
@@ -48,10 +49,7 @@ let select ?(mark = ignore) path root =
       incr visits;
       let states' =
         if unchecked then next_unchecked states (Node.sym e)
-        else
-          Selecting_nfa.next nfa
-            ~checkp:(fun s -> Core.Top_down.direct_checkp nfa s e)
-            states (Node.sym e)
+        else Selecting_nfa.next nfa here ~checkp e states (Node.sym e)
       in
       (not (Selecting_nfa.set_is_empty states'))
       &&
@@ -105,7 +103,7 @@ let stage updates root =
   check_document_element nz root;
   (report_of nz, nz)
 
-type diff = { spine : (int, Node.element) Hashtbl.t; element_delta : int }
+type diff = { spine : (int, Node.element) Hashtbl.t }
 
 (* One pass over the snapshot, as topDown's step over the pending
    table: an element that is neither a target nor a marked ancestor is
@@ -119,34 +117,22 @@ type diff = { spine : (int, Node.element) Hashtbl.t; element_delta : int }
    spine element is recorded in the diff as [fresh id -> the element it
    replaced] — the map downstream annotation repair walks; replacements
    and insertions are {e not} spine (their ids pair with nothing in the
-   old tree).  The element delta is counted over the departed and the
-   fresh subtrees only.  A commit allocates along the rebuilt spines
-   plus fresh content. *)
+   old tree).  A commit allocates along the rebuilt spines plus fresh
+   content. *)
 let materialize (nz : Pending.normalized) root =
   if nz.Pending.primitives = 0 then None
   else begin
     check_document_element nz root;
     let spine = Hashtbl.create 64 in
-    let delta = ref 0 in
     let rebuilt old_e new_e =
       Hashtbl.replace spine (Node.id new_e) old_e;
       Core.Top_down.Changed [ Node.Element new_e ]
     in
-    let refresh n =
-      let n' = Node.refresh_ids n in
-      delta := !delta + Node.element_count n';
-      n'
-    in
-    let departed e = delta := !delta - Node.element_count (Node.Element e) in
     let rec go e () =
       Counter.bump Core.Stats.nodes_visited;
       match Hashtbl.find_opt nz.Pending.table (Node.id e) with
-      | Some Pending.Dead ->
-        departed e;
-        Core.Top_down.Changed []
-      | Some (Pending.Swap r) ->
-        departed e;
-        Core.Top_down.Changed [ refresh r ]
+      | Some Pending.Dead -> Core.Top_down.Changed []
+      | Some (Pending.Swap r) -> Core.Top_down.Changed [ Node.refresh_ids r ]
       | Some (Pending.Edit { rename; firsts; lasts }) ->
         (* the node survives: its own subtree may still hold targets *)
         let kids =
@@ -156,7 +142,7 @@ let materialize (nz : Pending.normalized) root =
         let name = Option.value rename ~default:(Node.name e) in
         rebuilt e
           (Node.element ~attrs:(Node.attrs e) name
-             (List.map refresh firsts @ kids @ List.map refresh lasts))
+             (List.map Node.refresh_ids firsts @ kids @ List.map Node.refresh_ids lasts))
       | None when not (Hashtbl.mem nz.Pending.ancestors (Node.id e)) -> Core.Top_down.Same
       | None -> (
         match Core.Top_down.rebuild_children go () (Node.children e) with
@@ -165,7 +151,7 @@ let materialize (nz : Pending.normalized) root =
     in
     match go root () with
     | Core.Top_down.Same -> None
-    | Core.Top_down.Changed [ Node.Element e ] -> Some (e, { spine; element_delta = !delta })
+    | Core.Top_down.Changed [ Node.Element e ] -> Some (e, { spine })
     | Core.Top_down.Changed _ -> assert false (* [check_document_element] *)
   end
 

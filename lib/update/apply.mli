@@ -64,13 +64,7 @@ val stage : Core.Transform_ast.update list -> Node.element -> report * Pending.n
     replaces it with a non-element, so a dry run that reports no
     conflicts is one a commit accepts. *)
 
-type diff = {
-  spine : (int, Node.element) Hashtbl.t;
-  element_delta : int;
-      (** elements of the inserted and replacement copies minus those of
-          the deleted and replaced subtrees: the new tree's element
-          count is the old one's plus this *)
-}
+type diff = { spine : (int, Node.element) Hashtbl.t }
 (** The commit's touched-spine summary: each rebuilt spine element's
     {e fresh} id mapped to the pre-commit element it replaced.  Inserted
     and replacement subtrees are absent (nothing in the old tree pairs

@@ -10,26 +10,36 @@ and element = {
   sym : Sym.t;
   attrs : (string * string) list;
   children : t list;
+  elements : int;
 }
 
 let counter = Atomic.make 0
 
 let fresh_id () = Atomic.fetch_and_add counter 1 + 1
 
+(* 1 plus the counts of the element children *)
+let rec count_from acc = function
+  | [] -> acc
+  | Element e :: rest -> count_from (acc + e.elements) rest
+  | (Text _ | Comment _ | Pi _) :: rest -> count_from acc rest
+
 let element ?(attrs = []) name children =
-  { id = fresh_id (); name; sym = Sym.intern name; attrs; children }
+  { id = fresh_id (); name; sym = Sym.intern name; attrs; children;
+    elements = count_from 1 children }
 
 let elem ?attrs name children = Element (element ?attrs name children)
 let text s = Text s
 let comment s = Comment s
 let pi target content = Pi (target, content)
 
-let with_children e children = { e with id = fresh_id (); children }
+let with_children e children =
+  { e with id = fresh_id (); children; elements = count_from 1 children }
 
 let name e = e.name
 let sym e = e.sym
 let id e = e.id
 let children e = e.children
+let elements e = e.elements
 let attrs e = e.attrs
 let attr e k = List.assoc_opt k e.attrs
 
@@ -63,9 +73,7 @@ let rec size = function
   | Element e -> List.fold_left (fun acc c -> acc + size c) 1 e.children
   | Text _ | Comment _ | Pi _ -> 1
 
-let rec element_count = function
-  | Element e -> List.fold_left (fun acc c -> acc + element_count c) 1 e.children
-  | Text _ | Comment _ | Pi _ -> 0
+let element_count = function Element e -> e.elements | Text _ | Comment _ | Pi _ -> 0
 
 let rec depth = function
   | Element e -> 1 + List.fold_left (fun acc c -> max acc (depth c)) 0 e.children

@@ -20,6 +20,10 @@ and element = private {
   sym : Sym.t;  (** interned {!name} (see {!Sym}), assigned at build time *)
   attrs : (string * string) list;
   children : t list;
+  elements : int;
+      (** the number of elements at and below this one, itself included:
+          set by every constructor, so counting a subtree is a field
+          read *)
 }
 
 val elem : ?attrs:(string * string) list -> string -> t list -> t
@@ -33,7 +37,8 @@ val comment : string -> t
 val pi : string -> string -> t
 
 val with_children : element -> t list -> element
-(** Replace the child list, keeping name/attrs and allocating a fresh id. *)
+(** Replace the child list, keeping name/attrs and allocating a fresh id
+    (and counting the new children's elements). *)
 
 val name : element -> string
 
@@ -42,6 +47,11 @@ val sym : element -> Sym.t
 
 val id : element -> int
 val children : element -> t list
+
+val elements : element -> int
+(** The element's [elements] field: {!element_count} without boxing
+    the element as a {!t}. *)
+
 val attrs : element -> (string * string) list
 val attr : element -> string -> string option
 
@@ -60,6 +70,9 @@ val size : t -> int
 (** Number of nodes in the subtree (elements + texts + comments + PIs). *)
 
 val element_count : t -> int
+(** Number of elements in the subtree, in O(1): an element's
+    [elements], 0 for any other node. *)
+
 val depth : t -> int
 
 val fold_elements : ('a -> element -> 'a) -> 'a -> element -> 'a

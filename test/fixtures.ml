@@ -111,3 +111,23 @@ let stat m name =
 
 (* A process-wide counter's value, by its STATS name. *)
 let counter name = List.assoc name (Counter.values ())
+
+(* The element count of [e]'s subtree by a walk, ignoring the counts the
+   elements store. *)
+let rec recount (e : Node.element) =
+  List.fold_left
+    (fun acc -> function Node.Element c -> acc + recount c | _ -> acc)
+    1 (Node.children e)
+
+(* Does every element of [e]'s subtree store the count a walk gives? *)
+let counts_exact (e : Node.element) =
+  let rec walk e =
+    let n =
+      List.fold_left
+        (fun acc -> function Node.Element c -> acc + walk c | _ -> acc)
+        1 (Node.children e)
+    in
+    if n <> Node.elements e then raise Exit;
+    n
+  in
+  match walk e with _ -> true | exception Exit -> false

@@ -225,9 +225,10 @@ let test_memo_counts () =
   let nfa = nfa_of "//part[pname = \"keyboard\"]" in
   let s0 = Selecting_nfa.start nfa in
   let sym = Xut_xml.Sym.intern "part" in
+  let here = Xut_xml.Counter.local () in
   let hits0 = Fixtures.counter "nfa_memo_hits" and misses0 = Fixtures.counter "nfa_memo_misses" in
-  ignore (Selecting_nfa.next_unchecked nfa s0 sym);
-  ignore (Selecting_nfa.next_unchecked nfa s0 sym);
+  ignore (Selecting_nfa.next_unchecked nfa here s0 sym);
+  ignore (Selecting_nfa.next_unchecked nfa here s0 sym);
   let hits = Fixtures.counter "nfa_memo_hits" - hits0
   and misses = Fixtures.counter "nfa_memo_misses" - misses0 in
   Alcotest.(check bool) "second transition hits" true (hits >= 1);
@@ -241,19 +242,19 @@ let test_memo_hit_allocation () =
     let nfa = nfa_of path in
     let s0 = Selecting_nfa.start nfa in
     let sym = Xut_xml.Sym.intern label in
-    let checkp _ = true in
-    let s1 = Selecting_nfa.next nfa ~checkp s0 sym in
+    let checkp _ () = true and here = Xut_xml.Counter.local () in
+    let s1 = Selecting_nfa.next nfa here ~checkp () s0 sym in
     Alcotest.(check bool) (name ^ ": the step enters no qualifier state") false
       (Selecting_nfa.set_intersects s1 (Selecting_nfa.qual_states nfa));
-    ignore (Selecting_nfa.next_unchecked nfa s0 sym);
+    ignore (Selecting_nfa.next_unchecked nfa here s0 sym);
     let hits0 = Fixtures.counter "nfa_memo_hits" in
     let before = Gc.minor_words () in
     for _ = 1 to 1000 do
-      ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa s0 sym))
+      ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa here s0 sym))
     done;
     let mid = Gc.minor_words () in
     for _ = 1 to 1000 do
-      ignore (Sys.opaque_identity (Selecting_nfa.next nfa ~checkp s0 sym))
+      ignore (Sys.opaque_identity (Selecting_nfa.next nfa here ~checkp () s0 sym))
     done;
     let after = Gc.minor_words () in
     (* only Gc.minor_words' own boxed floats *)
@@ -276,12 +277,13 @@ let test_counts_across_domains () =
   let nfa = nfa_of "//part/supplier" in
   let s0 = Selecting_nfa.start nfa in
   let sym = Xut_xml.Sym.intern "part" in
-  ignore (Selecting_nfa.next_unchecked nfa s0 sym);
+  ignore (Selecting_nfa.next_unchecked nfa (Xut_xml.Counter.local ()) s0 sym);
   let interns0 = Fixtures.counter "sym_interns" and hits0 = Fixtures.counter "nfa_memo_hits" in
   let work () =
+    let here = Xut_xml.Counter.local () in
     for _ = 1 to n do
       ignore (Sys.opaque_identity (Xut_xml.Sym.intern "part"));
-      ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa s0 sym))
+      ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa here s0 sym))
     done
   in
   List.iter Domain.join [ Domain.spawn work; Domain.spawn work ];

@@ -453,7 +453,6 @@ let test_wide_document () =
         else Node.elem "c" [])
   in
   let root = Node.element "r" kids in
-  let elements = Node.element_count (Node.Element root) in
   let file = Filename.temp_file "xut_wide" ".xml" in
   Out_channel.with_open_bin file (fun oc ->
       Out_channel.output_string oc (Serialize.element_to_string root));
@@ -478,7 +477,7 @@ let test_wide_document () =
             (Serialize.element_to_string (Top_down.run nfa update root));
           Alcotest.(check int) (label ^ ": count")
             (Node.element_count (Node.Element expected))
-            (Top_down.count ~elements nfa update root);
+            (Top_down.count nfa update root);
           let buf = Buffer.create (String.length expected_s) in
           match
             Xut_service.Service.transform_stream svc ~doc:"w" ~engine:Engine.Td_bu ~query
@@ -577,7 +576,6 @@ let prop_count_equals_materialized =
     QCheck2.Gen.(pair gen_root gen_update)
     (fun (root, update) ->
       let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-      let elements = Node.element_count (Node.Element root) in
       let outcome count =
         match count () with n -> Ok n | exception Transform_ast.Invalid_update _ -> Error `Invalid
       in
@@ -586,10 +584,9 @@ let prop_count_equals_materialized =
             Node.element_count (Node.Element (Engine.transform Engine.Reference update root)))
       in
       let table = Xut_automata.Annotator.annotate nfa root in
-      outcome (fun () -> Top_down.count ~elements nfa update root) = expected
+      outcome (fun () -> Top_down.count nfa update root) = expected
       && outcome (fun () ->
-             Top_down.count ~checkp:(Xut_automata.Annotator.checkp table nfa) ~elements nfa
-               update root)
+             Top_down.count ~checkp:(Xut_automata.Annotator.checkp table nfa) nfa update root)
          = expected)
 
 (* ---- reply image: a blit gives the bytes of the walk ---- *)
@@ -863,6 +860,55 @@ let prop_xquery_print_parse =
         in
         eval_repr e = eval_repr e2)
 
+(* ---- stored element counts ---- *)
+
+(* Every way the library builds an element stores the count a walk
+   finds, at every element: the generator's constructors, a DOM parse
+   (through the SAX builder), [with_children], [refresh_ids], a topDown
+   result, a committed tree ([Apply.materialize]), twoPassSAX's rebuilt
+   tree and XQuery element constructors. *)
+let prop_counts_exact =
+  QCheck2.Test.make ~name:"stored element counts = recount, every constructor" ~count
+    QCheck2.Gen.(pair gen_root gen_update)
+    (fun (root, update) ->
+      let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+      let committed () =
+        match Xut_update.Apply.run [ update ] root with
+        | Ok (_, Some (root', _)) -> root'
+        | Ok (_, None) | Error _ -> root
+      in
+      let constructed () =
+        let env = Xut_xquery.Xq_eval.env ~context:root () in
+        match
+          Xut_xquery.Xq_eval.eval_expr env
+            (Xut_xquery.Xq_parser.parse_expr "<w>{ r/* }<v>{ r//a }</v></w>")
+        with
+        | [ Xut_xquery.Xq_value.N (Node.Element e) ] -> e
+        | _ -> failwith "expected one element"
+      in
+      let trees =
+        [ (fun () -> root);
+          (fun () -> Dom.parse_string (Serialize.element_to_string root));
+          (fun () -> Node.with_children root (List.rev (Node.children root)));
+          (fun () ->
+            match Node.refresh_ids (Node.Element root) with
+            | Node.Element e -> e
+            | Node.Text _ | Node.Comment _ | Node.Pi _ -> assert false);
+          (fun () -> Top_down.run nfa update root);
+          committed;
+          (fun () -> Sax_transform.transform update root);
+          constructed ]
+      in
+      List.for_all
+        (fun tree ->
+          match tree () with
+          | e -> Fixtures.counts_exact e
+          | exception
+              ( Transform_ast.Invalid_update _ | Xut_update.Apply.Invalid _
+              | Sax_transform.Unsupported_streaming _ ) ->
+            true)
+        trees)
+
 let suite =
   suite
   @ List.map QCheck_alcotest.to_alcotest
@@ -873,4 +919,5 @@ let suite =
   @ [ Alcotest.test_case "wide document: run, count, result stream" `Quick test_wide_document;
       Alcotest.test_case "buffered pass past its budget reads twice" `Quick test_buffered_overflow;
       Alcotest.test_case "qualified // steps: engines, TRANSFORM, COUNT, streams" `Quick
-        test_qualified_descendant ]
+        test_qualified_descendant;
+      QCheck_alcotest.to_alcotest prop_counts_exact ]

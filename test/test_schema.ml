@@ -34,10 +34,7 @@ let long_path =
 let test_validate_generated () =
   let root = Xut_xmark.Generator.generate ~factor:0.002 () in
   match Schema.validate (site ()) root with
-  | Ok sizes ->
-    let total = Xut_xml.Node.element_count (Xut_xml.Node.Element root) in
-    Alcotest.(check int) "root subtree size is the element count" total
-      (Hashtbl.find sizes (Xut_xml.Node.id root))
+  | Ok () -> ()
   | Error msg -> Alcotest.fail ("generated XMark must conform: " ^ msg)
 
 let test_validate_reject () =
@@ -101,14 +98,9 @@ let equivalent path_s root =
   let out1 = Core.Top_down.run ~checkp:(Annotator.checkp t1 nfa) ~skip nfa upd root in
   let g0 = Core.Top_down.run ~checkp:(Core.Top_down.direct_checkp nfa) nfa upd root in
   let g1 = Core.Top_down.run ~checkp:(Core.Top_down.direct_checkp nfa) ~skip nfa upd root in
-  let sizes = Result.get_ok (Schema.validate (site ()) root) in
-  let size e = Hashtbl.find sizes (Xut_xml.Node.id e) in
-  let elements = Xut_xml.Node.element_count (Xut_xml.Node.Element root) in
-  let n0 = Core.Top_down.count ~checkp:(Annotator.checkp t0 nfa) ~elements nfa upd root in
-  let n1 =
-    Core.Top_down.count ~checkp:(Annotator.checkp t1 nfa) ~skip ~size ~elements nfa upd root
-  in
-  let ng = Core.Top_down.count ~skip ~size ~elements nfa upd root in
+  let n0 = Core.Top_down.count ~checkp:(Annotator.checkp t0 nfa) nfa upd root in
+  let n1 = Core.Top_down.count ~checkp:(Annotator.checkp t1 nfa) ~skip nfa upd root in
+  let ng = Core.Top_down.count ~skip nfa upd root in
   let out_count = Xut_xml.Node.element_count (Xut_xml.Node.Element out0) in
   s out0 = s out1 && s g0 = s g1 && s out0 = s g0
   && out_count = Xut_xml.Node.element_count (Xut_xml.Node.Element out1)
@@ -432,32 +424,134 @@ let test_commit_schema_drop () =
           Alcotest.(check int) "counter unchanged" 1
             (Fixtures.stat (Service.metrics svc) "schema_bindings_dropped")))
 
-(* The size table a schema-bound COMMIT derives incrementally
-   ({!Schema.validate_commit}, from a rebuilt copy of the old table) is
-   the table a fresh validation of the new root builds. *)
-let test_commit_sizes_equal_fresh () =
+(* After each schema-bound COMMIT (revalidated incrementally by
+   {!Schema.validate_commit}), every element of the new root stores the
+   count a recount gives, the binding's [elements] is the root's, and
+   the binding keeps its schema, which a fresh validation confirms. *)
+let test_commit_counts_exact () =
   with_xmark_file (fun path ->
       with_service (fun svc ->
           ignore (load svc ~schema:Xut_xmark.Site_schema.bench_schema_name "d" path);
           let schema = Option.get (Schema.find Xut_xmark.Site_schema.bench_schema_name) in
-          let bindings tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
           List.iter
             (fun q ->
               (match Service.call svc (Service.Commit { doc = "d"; query = q }) with
               | Service.Ok (Service.Committed { primitives; _ }) when primitives > 0 -> ()
               | _ -> Alcotest.fail ("COMMIT: " ^ q));
               match Doc_store.snapshot (Service.store svc) "d" with
-              | Some (root, _, Some sizes) -> (
-                match Schema.validate schema root with
-                | Ok fresh ->
-                  Alcotest.(check (list (pair int int))) ("sizes after " ^ q) (bindings fresh)
-                    (bindings sizes)
-                | Error msg -> Alcotest.fail msg)
+              | Some (root, info, _) when info.Doc_store.schema <> None ->
+                Alcotest.(check bool) ("counts after " ^ q) true (Fixtures.counts_exact root);
+                Alcotest.(check int) ("binding elements after " ^ q)
+                  (Fixtures.recount root) info.Doc_store.elements;
+                Alcotest.(check bool) ("fresh validation after " ^ q) true
+                  (Schema.validate schema root = Ok ())
               | _ -> Alcotest.fail ("binding lost its schema after " ^ q))
             [ "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction";
               "delete $a//xut_bench_promo";
               "insert <xut_bench_promo>p</xut_bench_promo> as first into $a";
               "delete $a/site/regions//item/mailbox" ]))
+
+(* ---- schema-bound COUNT against the reference ---- *)
+
+(* The COMMITs a sequence draws from: the benchmark's marker insert and
+   delete, a delete the schema allows, and an insert that breaks the
+   schema, after which the binding drops it and pruning turns off. *)
+let differential_commits =
+  [| "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction";
+     "delete $a//xut_bench_promo";
+     "delete $a/site/regions//item/mailbox";
+     "insert <bogus/> into $a/site/people" |]
+
+let gen_differential =
+  QCheck2.Gen.(
+    pair bool
+      (list_size (int_range 1 10)
+         (oneof
+            [ map (fun i -> `Count i) (int_bound (List.length fig11 - 1));
+              map (fun i -> `Commit i) (int_bound (Array.length differential_commits - 1)) ])))
+
+let print_differential (schema, ops) =
+  String.concat "; "
+    ((if schema then "LOAD SCHEMA" else "LOAD")
+    :: List.map
+         (function
+           | `Count i -> Printf.sprintf "COUNT U%d" (i + 1)
+           | `Commit i -> "COMMIT " ^ differential_commits.(i))
+         ops)
+
+(* Random LOAD (with and without the schema), COMMIT and COUNT
+   sequences: every td-bu and gentop COUNT answers the element count of
+   the reference engine's result over a model tree the commits are
+   replayed on with the reference engine. *)
+let prop_schema_count_differential =
+  QCheck2.Test.make ~name:"schema-bound COUNT = reference count across commits" ~count:12
+    ~print:print_differential gen_differential (fun (schema, ops) ->
+      with_xmark_file (fun path ->
+          with_service (fun svc ->
+              let schema = if schema then Some Xut_xmark.Site_schema.bench_schema_name else None in
+              ignore (load svc ?schema "d" path);
+              let model = ref (Xut_xml.Dom.parse_file path) in
+              let reference update =
+                Core.Engine.transform Core.Engine.Reference update !model
+              in
+              List.for_all
+                (function
+                  | `Commit i ->
+                    let q = differential_commits.(i) in
+                    (match Service.call svc (Service.Commit { doc = "d"; query = q }) with
+                    | Service.Ok (Service.Committed _) -> ()
+                    | _ -> Alcotest.fail ("COMMIT: " ^ q));
+                    model := reference (Core.Transform_parser.parse_update q);
+                    true
+                  | `Count i ->
+                    let query = delete_q (List.nth fig11 i) in
+                    let expected =
+                      Fixtures.recount
+                        (reference (Core.Transform_parser.parse query).Core.Transform_ast.update)
+                    in
+                    List.for_all
+                      (fun engine ->
+                        match
+                          Service.call svc (Service.Count { target = Service.Doc "d"; engine; query })
+                        with
+                        | Service.Ok (Service.Element_count n) -> n = expected
+                        | Service.Error { code = Service.Statically_empty; _ } ->
+                          expected = Fixtures.recount !model
+                        | _ -> false)
+                      Core.Engine.[ Td_bu; Gentop ])
+                ops)))
+
+(* The counting walk allocates a small fixed number of words per call,
+   whatever it visits: U1-U10 over the schema-bound XMark f=0.01
+   document, with the skip-set and TD-BU's annotation oracle, all under
+   one bound (U5 visits 1121 elements, U1 257).  Each call measured 25
+   words (its closures and the reading's own float); the bound is that
+   plus a tenth. *)
+let count_words_bound = 28.
+let test_count_allocation () =
+  let root = Xut_xmark.Generator.generate ~factor:0.01 () in
+  Alcotest.(check bool) "conforms" true (Schema.validate (site ()) root = Ok ());
+  List.iteri
+    (fun i p ->
+      let nfa = nfa_of p in
+      let product = Schema.product (site ()) nfa in
+      let skip e = Schema.skippable product (Xut_xml.Node.sym e) in
+      let checkp = Annotator.checkp (Annotator.annotate ~skip nfa root) nfa in
+      let update = Core.Transform_ast.Delete (Xut_xpath.Parser.parse p) in
+      let count () = Core.Top_down.count ~checkp ~skip nfa update root in
+      ignore (count ());
+      let calls = 20 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (count ()))
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      Alcotest.(check bool)
+        (Printf.sprintf "U%d: %.1f words per call, at most %.0f" (i + 1) per_call
+           count_words_bound)
+        true
+        (per_call <= count_words_bound))
+    fig11
 
 let suite =
   [ Alcotest.test_case "validate: generated XMark conforms" `Quick test_validate_generated;
@@ -479,7 +573,9 @@ let suite =
       test_view_chain_equivalence;
     Alcotest.test_case "socket: statically-empty over the wire" `Quick
       test_socket_statically_empty;
-    Alcotest.test_case "service: COMMIT sizes = fresh validation" `Quick
-      test_commit_sizes_equal_fresh;
+    Alcotest.test_case "service: COMMIT counts = recount" `Quick test_commit_counts_exact;
     Alcotest.test_case "service: nonconforming COMMIT drops the binding loudly" `Quick
-      test_commit_schema_drop ]
+      test_commit_schema_drop;
+    QCheck_alcotest.to_alcotest prop_schema_count_differential;
+    Alcotest.test_case "Top_down.count allocates a fixed amount per call" `Quick
+      test_count_allocation ]

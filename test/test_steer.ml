@@ -259,9 +259,51 @@ let test_wide_qualifier () =
             (steered = outcome ~steered:false ~chunk run_buffered update path))
         [ 1; 7; 4096 ])
 
+(* Elements a steered run of [nfa]'s update consumes as bytes: those
+   below an element the update deletes, and below one whose state set
+   empties (copied whole).  The elements themselves run a transition. *)
+let steered_away nfa root =
+  let here = Counter.local () in
+  let rec go states e =
+    let states' = Xut_automata.Selecting_nfa.next_unchecked nfa here states (Node.sym e) in
+    if
+      Xut_automata.Selecting_nfa.accepts_set nfa states'
+      || Xut_automata.Selecting_nfa.set_is_empty states'
+    then Node.elements e - 1
+    else
+      List.fold_left
+        (fun acc -> function Node.Element c -> acc + go states' c | _ -> acc)
+        0 (Node.children e)
+  in
+  go (Xut_automata.Selecting_nfa.start nfa) root
+
+(* A steered run counts as visited only the elements pass 2 ran a
+   transition on: U4 over XMark f=0.01 visits every element unsteered,
+   and steered, that many less the ones it consumed as bytes. *)
+let test_steered_visits () =
+  let root = Xut_xmark.Generator.generate ~factor:0.01 () in
+  let update = Transform_parser.parse_update "delete $a/site/regions//item" in
+  let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+  with_temp_doc (Serialize.element_to_string root) (fun path ->
+      let visits ~steered =
+        let before = Fixtures.counter "nodes_visited" in
+        (match outcome ~steered ~chunk:65536 run_once update path with
+        | _, Ok _ -> ()
+        | _, Error e -> Alcotest.fail e);
+        Fixtures.counter "nodes_visited" - before
+      in
+      let unsteered = visits ~steered:false and steered = visits ~steered:true in
+      Alcotest.(check int) "unsteered: every element" (Node.elements root) unsteered;
+      Alcotest.(check bool) "steered: fewer than the file's elements" true
+        (steered < Node.elements root);
+      Alcotest.(check int) "steered = unsteered - consumed as bytes"
+        (unsteered - steered_away nfa root) steered)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_steered_equals_unsteered;
     QCheck_alcotest.to_alcotest prop_steered_errors;
     Alcotest.test_case "malformed inputs pinned under copy and skip" `Quick test_error_pins;
     Alcotest.test_case "a region overflows after a copied subtree" `Quick test_overflow_after_copy;
-    Alcotest.test_case "qualifiers past 62 LQ entries" `Quick test_wide_qualifier ]
+    Alcotest.test_case "qualifiers past 62 LQ entries" `Quick test_wide_qualifier;
+    Alcotest.test_case "steered runs count only the elements they visit" `Quick
+      test_steered_visits ]
