@@ -540,14 +540,14 @@ let start_checked t ~checkp x =
 
 (* ---- static simulation, set form (Compose Method, Section 4) ---------- *)
 
-let next_on_label_set t s sym = next_unchecked t (Xut_xml.Counter.local ()) s sym
+let next_on_label_set t here s sym = next_unchecked t here s sym
 
-let next_on_any_set t s = (transition t (Xut_xml.Counter.local ()) s (-1)).e_closed
+let next_on_any_set t here s = (transition t here s (-1)).e_closed
 
-let next_on_desc_set t s =
+let next_on_desc_set t here s =
   (* zero or more any-label transitions: saturate to the fixpoint *)
   let rec go cur =
-    let nxt = set_union cur (next_on_any_set t cur) in
+    let nxt = set_union cur (next_on_any_set t here cur) in
     if set_equal nxt cur then cur else go nxt
   in
   go (close_set t s)
@@ -582,9 +582,10 @@ let accepts t s =
 
 let next_on_label t s label = next_states_unchecked t s label
 
-let next_on_any t s = set_to_list (next_on_any_set t (set_of_list t s))
+let next_on_any t s = set_to_list (next_on_any_set t (Xut_xml.Counter.local ()) (set_of_list t s))
 
-let next_on_desc t s = set_to_list (next_on_desc_set t (set_of_list t s))
+let next_on_desc t s =
+  set_to_list (next_on_desc_set t (Xut_xml.Counter.local ()) (set_of_list t s))
 
 (* ---- reference implementation -----------------------------------------
 

@@ -155,9 +155,15 @@ val names : t -> Xut_xml.Sym.t -> bool
 val consistent_at_sym : t -> int -> Xut_xml.Sym.t -> bool
 (** {!consistent_at} on an interned label. *)
 
-val next_on_label_set : t -> set -> Xut_xml.Sym.t -> set
-val next_on_any_set : t -> set -> set
-val next_on_desc_set : t -> set -> set
+(** {2 Static simulation (Compose Method, Section 4)}
+
+    Transitions that ignore qualifiers, on one label, on any label, or
+    on zero or more any-label steps; memoized and counted in the
+    caller's cells, as {!next_unchecked}. *)
+
+val next_on_label_set : t -> Xut_xml.Counter.local -> set -> Xut_xml.Sym.t -> set
+val next_on_any_set : t -> Xut_xml.Counter.local -> set -> set
+val next_on_desc_set : t -> Xut_xml.Counter.local -> set -> set
 
 (** {2 Sorted-int-list views (historical API)} *)
 

@@ -48,15 +48,21 @@ let chunk_path (c : chunk) ~quals : Ast.path =
   let step = { Ast.nav; quals } in
   if c.desc then [ Ast.step Ast.Descendant; step ] else [ step ]
 
+(* The static simulation runs once per composition, not per node: each
+   step takes the calling domain's counter cells itself. *)
+let on_label nfa s l = Selecting_nfa.next_on_label_set nfa (Counter.local ()) s (Sym.intern l)
+let on_any nfa s = Selecting_nfa.next_on_any_set nfa (Counter.local ()) s
+let on_desc nfa s = Selecting_nfa.next_on_desc_set nfa (Counter.local ()) s
+
 let step_sim nfa s (c : chunk) =
-  let s = if c.desc then Selecting_nfa.next_on_desc_set nfa s else s in
+  let s = if c.desc then on_desc nfa s else s in
   match c.nav with
-  | Norm.N_label l -> Selecting_nfa.next_on_label_set nfa s (Sym.intern l)
-  | Norm.N_wild -> Selecting_nfa.next_on_any_set nfa s
+  | Norm.N_label l -> on_label nfa s l
+  | Norm.N_wild -> on_any nfa s
   | Norm.N_desc -> assert false
 
 (* States reachable at strict descendants of a node holding [s]. *)
-let below nfa s = Selecting_nfa.next_on_desc_set nfa (Selecting_nfa.next_on_any_set nfa s)
+let below nfa s = on_desc nfa (on_any nfa s)
 
 (* Can the update touch a strict descendant of a node holding [s]?
    (For insert, matching [s] itself also changes the subtree.) *)
@@ -72,8 +78,8 @@ let end_set nfa s (path : Ast.path) =
     (fun s ({ Ast.nav; _ } : Ast.step) ->
       match nav with
       | Ast.Self -> s
-      | Ast.Label l -> Selecting_nfa.next_on_label_set nfa s (Sym.intern l)
-      | Ast.Wildcard -> Selecting_nfa.next_on_any_set nfa s
+      | Ast.Label l -> on_label nfa s l
+      | Ast.Wildcard -> on_any nfa s
       | Ast.Descendant -> below nfa s)
     s path
 
@@ -102,9 +108,8 @@ let rec path_affected nfa update s (path : Ast.path) =
           match nav with
           | Ast.Self -> s
           | Ast.Label l ->
-            if widen then Selecting_nfa.next_on_any_set nfa s
-            else Selecting_nfa.next_on_label_set nfa s (Sym.intern l)
-          | Ast.Wildcard -> Selecting_nfa.next_on_any_set nfa s
+            if widen then on_any nfa s else on_label nfa s l
+          | Ast.Wildcard -> on_any nfa s
           | Ast.Descendant -> below nfa s
         in
         if Selecting_nfa.accepts_set nfa s' && nav <> Ast.Self then true
@@ -514,8 +519,7 @@ let compose update (uq : User_query.t) : (composed, string) result =
       let matched_possible s (chunk : chunk) =
         relabels update
         && Selecting_nfa.accepts_set nfa
-             (Selecting_nfa.next_on_any_set nfa
-                (if chunk.desc then Selecting_nfa.next_on_desc_set nfa s else s))
+             (on_any nfa (if chunk.desc then on_desc nfa s else s))
       in
       let rec downstream_need s = function
         | [] -> output_affected s
@@ -809,7 +813,7 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
       end;
       (* a child's user set lies within [next_on_any_set uc] on either
          path, matched or not: where that is empty nothing below emits *)
-      if not (Selecting_nfa.set_is_empty (Selecting_nfa.next_on_any_set unfa uc)) then
+      if not (Selecting_nfa.set_is_empty (Selecting_nfa.next_on_any_set unfa here uc)) then
         List.iter
           (fun ch -> match ch with Node.Element che -> visit uc ls' che | _ -> ())
           (Node.children ce)

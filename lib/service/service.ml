@@ -133,6 +133,20 @@ type stream_request = {
 
 let default_chunk_size = Xut_xml.Serialize.Sink.default_chunk_size
 
+type incoming = Plain of request | Stream of stream_request
+
+(* A reply on its way out.  A serialized tree, and each chunk of a
+   stream, is lent in the pooled buffer it was written into: whoever
+   delivers it reads the bytes there, and the buffer goes back to the
+   pool once the delivery returns. *)
+type delivery = Response of response | Tree_bytes of Buffer.t | Chunk of Buffer.t
+
+(* A delivery as a response a caller keeps: the one copy of a string
+   API.  (A chunk only ever reaches a stream's consumer.) *)
+let kept = function
+  | Response r -> r
+  | Tree_bytes b | Chunk b -> Ok (Tree (Buffer.contents b))
+
 (* ---------------- the read pipeline ----------------
 
    Every TRANSFORM, COUNT, result stream and TRANSFORM-STREAM is one
@@ -162,10 +176,10 @@ let default_chunk_size = Xut_xml.Serialize.Sink.default_chunk_size
 type source = Stored of target | File of string
 
 type reply =
-  | Serialized  (* one [Tree] string *)
+  | Serialized  (* one [Tree], lent *)
   | Counted  (* an [Element_count] *)
-  | Chunked of { emit : string -> unit; chunk_size : int }
-      (* chunks to [emit] as they fill, then the totals *)
+  | Chunked of { deliver : delivery -> unit; chunk_size : int }
+      (* each chunk lent to [deliver] as it fills, then the totals *)
 
 type read = { source : source; engine : Engine.algo option; query : string; reply : reply }
 
@@ -194,9 +208,8 @@ type output =
   | Events of (events_sink -> Sax_transform.run_stats)
   | Answer of Xut_xquery.Xq_value.t
 
-(* What a worker dequeues.  [Chunked]'s [emit] never crosses the wire
-   (transports decode their own stream framing and supply it). *)
-type job = Request of request | Read of read
+(* What a worker dequeues: the work, and who delivers its reply. *)
+type job = { work : incoming; deliver : delivery -> unit }
 
 type state = {
   store : Doc_store.t;
@@ -205,7 +218,7 @@ type state = {
   metrics : Metrics.t;
 }
 
-type t = { st : state; pool : (job, response) Worker_pool.t }
+type t = { st : state; pool : (job, unit) Worker_pool.t }
 
 let ( let* ) = Result.bind
 let refuse code fmt = Printf.ksprintf (fun message -> Stdlib.Error (Error { code; message })) fmt
@@ -313,14 +326,14 @@ let eval_error = function
   | e -> error Eval_error "%s" (Printexc.to_string e)
 
 (* A streamed reply: [body] writes the result into a fresh chunked sink
-   whose chunks go to [emit] as they fill; the reply carries only the
-   totals.  A failure aborts the sink and propagates. *)
-let stream_to ~metrics ~emit ~chunk_size body =
+   whose chunks are lent to [deliver] as they fill; the reply carries
+   only the totals.  A failure aborts the sink and propagates. *)
+let stream_to ~metrics ~deliver ~chunk_size body =
   Metrics.stream_started metrics;
   let sink =
-    Xut_xml.Serialize.Sink.create ~chunk_size (fun chunk ->
-        Metrics.stream_chunk metrics (String.length chunk);
-        emit chunk)
+    Xut_xml.Serialize.Sink.lending ~chunk_size (fun chunk ->
+        Metrics.stream_chunk metrics (Buffer.length chunk);
+        deliver (Chunk chunk))
   in
   (match body sink with
   | () -> ()
@@ -330,29 +343,24 @@ let stream_to ~metrics ~emit ~chunk_size body =
   let { Xut_xml.Serialize.Sink.bytes; chunks } = Xut_xml.Serialize.Sink.close sink in
   Stream_done { bytes; chunks }
 
-(* A view read's value, one line per result item, serialized, all into
-   one pooled buffer: the composed path and the materializing fallback
-   both reply through this, so the two are byte-identical by
-   construction. *)
-let render_value (v : Xut_xquery.Xq_value.t) =
-  let add_item buf = function
+(* A view read's value, one line per result item, serialized: the
+   composed path and the materializing fallback both reply through
+   this, so the two are byte-identical by construction. *)
+let add_value buf (v : Xut_xquery.Xq_value.t) =
+  let add_item = function
     | Xut_xquery.Xq_value.N n -> Xut_xml.Serialize.to_buffer buf n
     | Xut_xquery.Xq_value.D e -> Xut_xml.Serialize.to_buffer buf (Xut_xml.Node.Element e)
     | other -> Buffer.add_string buf (Xut_xquery.Xq_value.string_of_item other)
   in
-  let rec add_rest buf = function
-    | [] -> ()
-    | item :: rest ->
-      Buffer.add_char buf '\n';
-      add_item buf item;
-      add_rest buf rest
-  in
-  match v with
+  List.iteri
+    (fun i item ->
+      if i > 0 then Buffer.add_char buf '\n';
+      add_item item)
+    v
+
+let render_value = function
   | [] -> ""
-  | item :: rest ->
-    Xut_xml.Serialize.Pool.contents_of (fun buf ->
-        add_item buf item;
-        add_rest buf rest)
+  | v -> Xut_xml.Serialize.Pool.contents_of (fun buf -> add_value buf v)
 
 let count_value (v : Xut_xquery.Xq_value.t) =
   List.fold_left
@@ -558,37 +566,53 @@ let execute st r ~pruning input query =
         Metrics.incr_stream_fallbacks metrics;
         result_tree ?skip plan Engine.Gentop input))
 
-(* Reply: a serialized tree is one [element_to_string] into a pooled
-   buffer, copying the subtrees it shares with the stored document out
-   of the binding's reply [image]; a chunked reply runs [exec] inside a
-   fresh sink, so a failure after chunks have gone out is an [Error]
-   reply — transports turn that into a mid-stream error frame. *)
+(* [fill] writes a [Tree] reply into a pooled buffer, which is lent as
+   the reply; the worker releases it once the reply is delivered, or
+   here when [fill] fails. *)
+let lent_tree fill =
+  let buf = Xut_xml.Serialize.Pool.acquire () in
+  match fill buf with
+  | () -> Tree_bytes buf
+  | exception e ->
+    Xut_xml.Serialize.Pool.release buf;
+    raise e
+
+(* Reply: a serialized tree is written into a pooled buffer, copying the
+   subtrees it shares with the stored document out of the binding's
+   reply [image], and lent; a chunked reply runs [exec] inside a fresh
+   sink, so a failure after chunks have gone out is an [Error] reply —
+   transports turn that into a mid-stream error frame. *)
 let respond ~metrics ~image reply exec =
   match reply with
-  | Serialized ->
-    Tree
-      (match exec () with
-      | Result_tree t -> Xut_xml.Serialize.element_to_string ?image:(image ()) (t.build ())
-      | Events run ->
-        Xut_xml.Serialize.Pool.contents_of (fun buf ->
-            count_sax_skips ~metrics (run (Handler (Xut_xml.Serialize.event_sink buf))))
-      | Answer v -> render_value v)
+  | Serialized -> (
+    match exec () with
+    | Result_tree t ->
+      let result = Xut_xml.Node.Element (t.build ()) in
+      lent_tree (fun buf -> Xut_xml.Serialize.to_buffer ?image:(image ()) buf result)
+    | Events run ->
+      lent_tree (fun buf ->
+          count_sax_skips ~metrics (run (Handler (Xut_xml.Serialize.event_sink buf))))
+    | Answer v -> lent_tree (fun buf -> add_value buf v))
   | Counted ->
-    Element_count
-      (match exec () with
-      | Result_tree t -> t.count ()
-      | Events run ->
-        let n = ref 0 in
-        count_sax_skips ~metrics
-          (run (Handler (function Xut_xml.Sax.Start_element _ -> incr n | _ -> ())));
-        !n
-      | Answer v -> count_value v)
-  | Chunked { emit; chunk_size } ->
-    stream_to ~metrics ~emit ~chunk_size (fun sink ->
-        match exec () with
-        | Result_tree t -> Xut_xml.Serialize.Sink.element ?image:(image ()) sink (t.build ())
-        | Events run -> count_sax_skips ~metrics (run (Serializer sink))
-        | Answer v -> Xut_xml.Serialize.Sink.markup sink (render_value v))
+    Response
+      (Ok
+         (Element_count
+            (match exec () with
+            | Result_tree t -> t.count ()
+            | Events run ->
+              let n = ref 0 in
+              count_sax_skips ~metrics
+                (run (Handler (function Xut_xml.Sax.Start_element _ -> incr n | _ -> ())));
+              !n
+            | Answer v -> count_value v)))
+  | Chunked { deliver; chunk_size } ->
+    Response
+      (Ok
+         (stream_to ~metrics ~deliver ~chunk_size (fun sink ->
+              match exec () with
+              | Result_tree t -> Xut_xml.Serialize.Sink.element ?image:(image ()) sink (t.build ())
+              | Events run -> count_sax_skips ~metrics (run (Serializer sink))
+              | Answer v -> Xut_xml.Serialize.Sink.markup sink (render_value v))))
 
 let run_read st r =
   let outcome =
@@ -599,17 +623,17 @@ let run_read st r =
       | Snapshot (_, _, cell) -> Some (Doc_store.reply_image cell)
       | File_input _ -> None
     in
-    let response =
+    let delivery =
       match
         respond ~metrics:st.metrics ~image r.reply (fun () -> execute st r ~pruning input query)
       with
-      | payload -> Ok payload
-      | exception e -> eval_error e
+      | d -> d
+      | exception e -> Response (eval_error e)
     in
     count_skips ~metrics:st.metrics pruning;
-    Stdlib.Ok response
+    Stdlib.Ok delivery
   in
-  match outcome with Stdlib.Ok resp | Stdlib.Error resp -> resp
+  match outcome with Stdlib.Ok d -> d | Stdlib.Error resp -> Response resp
 
 (* ---------------- views, writes and the rest ---------------- *)
 
@@ -723,9 +747,25 @@ let handle_commit st ~doc ~query =
     | Doc_store.No_document -> error Unknown_document "no document %S (LOAD it first)" doc
   end
 
+let tree_read target engine query =
+  { source = Stored target; engine = Some engine; query; reply = Serialized }
+
+(* A delivered reply's lent buffer goes back to the pool. *)
+let release = function
+  | Tree_bytes b | Chunk b -> Xut_xml.Serialize.Pool.release b
+  | Response _ -> ()
+
+(* A reply the caller keeps: a lent tree is copied out and its buffer
+   released. *)
+let kept_released d =
+  let r = kept d in
+  release d;
+  r
+
 (* [depth] guards against nested batches; every arm returns a
    [response], so a worker can only die to a runtime error (and even
-   that the pool turns into an [Error] reply). *)
+   that becomes an [Error] reply).  A tree is copied out of its buffer
+   here: inside a batch, the batch's reply keeps it. *)
 let rec handle st ~depth = function
   | Load { name; file; schema } -> begin
     match Doc_store.load_file st.store ~name ?schema file with
@@ -745,9 +785,10 @@ let rec handle st ~depth = function
     if Doc_store.evict st.store name then Ok (Doc_unloaded { name })
     else error Unknown_document "no document %S" name
   | Transform { target; engine; query } ->
-    run_read st { source = Stored target; engine = Some engine; query; reply = Serialized }
+    kept_released (run_read st (tree_read target engine query))
   | Count { target; engine; query } ->
-    run_read st { source = Stored target; engine = Some engine; query; reply = Counted }
+    kept_released
+      (run_read st { source = Stored target; engine = Some engine; query; reply = Counted })
   | Apply { doc; query } -> handle_apply st ~doc ~query
   | Commit { doc; query } -> handle_commit st ~doc ~query
   | Defview { name; query } -> handle_defview st ~name ~query
@@ -779,10 +820,20 @@ let rec handle st ~depth = function
     if depth > 0 then error Bad_request "nested batch"
     else Ok (Batch_results (List.map (handle st ~depth:(depth + 1)) reqs))
 
+(* A top-level TRANSFORM's tree is lent to the deliverer. *)
+let serve st = function
+  | Transform { target; engine; query } -> run_read st (tree_read target engine query)
+  | req -> Response (handle st ~depth:0 req)
+
 let rec count_errors = function
   | Error _ -> 1
   | Ok (Batch_results rs) -> List.fold_left (fun n r -> n + count_errors r) 0 rs
   | Ok _ -> 0
+
+(* A stream request as a read whose chunks are lent to [deliver]. *)
+let stream_read ({ source; engine; query; chunk_size } : stream_request) deliver =
+  let source = match source with From_doc doc -> Stored (Doc doc) | From_file path -> File path in
+  { source; engine; query; reply = Chunked { deliver; chunk_size } }
 
 (* Cached plans (and, separately, composed plans) and requests waiting
    for a worker. *)
@@ -878,15 +929,28 @@ let create ?(domains = 1) () =
       | Doc_store.Committed -> ());
       Metrics.add_view_invalidations metrics !view_churn);
   let st = { store; cache; views; metrics } in
-  let handler job =
+  (* Every outcome is delivered, an escaped exception as an [Error]; an
+     exception out of the final delivery is dropped.  A lent buffer goes
+     back to the pool once its delivery has returned. *)
+  let handler { work; deliver } =
     Metrics.incr_requests metrics;
     let t0 = Unix.gettimeofday () in
-    let resp = match job with Request req -> handle st ~depth:0 req | Read r -> run_read st r in
+    let d =
+      try
+        match work with
+        | Plain req -> serve st req
+        | Stream sr -> run_read st (stream_read sr deliver)
+      with e -> Response (eval_error e)
+    in
     Metrics.record_latency metrics (Unix.gettimeofday () -. t0);
-    for _ = 1 to count_errors resp do
-      Metrics.incr_errors metrics
-    done;
-    resp
+    (match d with
+    | Response r ->
+      for _ = 1 to count_errors r do
+        Metrics.incr_errors metrics
+      done
+    | Tree_bytes _ | Chunk _ -> ());
+    (try deliver d with _ -> ());
+    release d
   in
   let pool =
     Worker_pool.create
@@ -896,34 +960,31 @@ let create ?(domains = 1) () =
   in
   { st; pool }
 
-(* The pool's own error channel ([('b, string) result]) only fires when
-   an exception escapes the handler — the handler catches everything it
-   expects, so this is the backstop mapping. *)
-let flatten = function
-  | Stdlib.Ok r -> r
-  | Stdlib.Error msg -> error Eval_error "%s" msg
-
 let shut_down () = error Overloaded "service is shut down"
 
-let submit_job t job reply =
-  match Worker_pool.submit t.pool job (fun r -> reply (flatten r)) with
+(* The handler delivers every reply itself, so the pool's own reply
+   channel carries nothing. *)
+let lend t work deliver =
+  match Worker_pool.submit t.pool { work; deliver } ignore with
   | () -> ()
-  | exception Invalid_argument _ -> reply (shut_down ())
+  | exception Invalid_argument _ -> ( try deliver (Response (shut_down ())) with _ -> ())
 
-let call_job t job =
-  match Worker_pool.call t.pool job with
-  | r -> flatten r
+(* The string API: each lent tree or chunk is copied out once, here. *)
+let copied emit reply = function
+  | Chunk b -> emit (Buffer.contents b)
+  | d -> reply (kept d)
+
+let submit t req reply = lend t (Plain req) (copied ignore reply)
+let submit_stream t sr emit reply = lend t (Stream sr) (copied emit reply)
+
+let call_job t work emit =
+  let got = ref None in
+  match Worker_pool.call t.pool { work; deliver = copied emit (fun r -> got := Some r) } with
+  | _ -> ( match !got with Some r -> r | None -> error Eval_error "no reply delivered")
   | exception Invalid_argument _ -> shut_down ()
 
-(* A stream request as a read whose chunks go to [emit]. *)
-let stream_read ({ source; engine; query; chunk_size } : stream_request) emit =
-  let source = match source with From_doc doc -> Stored (Doc doc) | From_file path -> File path in
-  Read { source; engine; query; reply = Chunked { emit; chunk_size } }
-
-let submit t req reply = submit_job t (Request req) reply
-let submit_stream t sr emit reply = submit_job t (stream_read sr emit) reply
-let call t req = call_job t (Request req)
-let call_stream t sr emit = call_job t (stream_read sr emit)
+let call t req = call_job t (Plain req) ignore
+let call_stream t sr emit = call_job t (Stream sr) emit
 
 let transform_stream t ~doc ~engine ~query ?(chunk_size = default_chunk_size) emit =
   call_stream t { source = From_doc doc; engine = Some engine; query; chunk_size } emit

@@ -133,7 +133,10 @@ type payload =
           [generation] is the store's monotone load stamp; [schema] the
           validated binding, echoed back when the load named one. *)
   | Doc_unloaded of { name : string }
-  | Tree of string         (** serialized result document of a [Transform] *)
+  | Tree of string
+      (** serialized result document of a [Transform] (or a view read's
+          items, one per line).  {!lend} hands it over as {!Tree_bytes}
+          instead, still in the buffer it was serialized into. *)
   | Element_count of int   (** reply to a [Count] *)
   | Applied of { doc : string; primitives : int; collapsed : int; conflicts : string list }
       (** Reply to an [Apply]: the pending-list report.  [conflicts]
@@ -211,10 +214,12 @@ val submit : t -> request -> (response -> unit) -> unit
     can not kill its worker: any outcome, including an escaped
     exception, arrives as a [response], and an exception out of [reply]
     is dropped.  After {!shutdown}, [reply] receives an [Overloaded]
-    error at once, before [submit] returns. *)
+    error at once, before [submit] returns.  A [Tree] reply is copied
+    out of its pooled buffer once, into the string [reply] gets; a
+    caller that only writes the bytes out uses {!lend}. *)
 
 val call : t -> request -> response
-(** Synchronous round trip. *)
+(** Synchronous round trip, with {!submit}'s one copy of a tree. *)
 
 (** {2 Streamed transforms}
 
@@ -272,10 +277,12 @@ type stream_request = {
 val submit_stream : t -> stream_request -> (string -> unit) -> (response -> unit) -> unit
 (** [submit_stream t sr emit reply] enqueues a streamed transform.
     [emit] runs on the worker domain, once per chunk, strictly before
-    [reply]; it must be quick or the worker stalls (transports write the
-    chunk frame here).  [reply] then gets the completion as {!submit}'s
-    does.  If [emit] raises, or the engine fails after chunks have gone
-    out, [reply] gets an [Error] — the mid-stream error case. *)
+    [reply]; it must be quick or the worker stalls.  Each chunk is
+    copied out of the sink's pooled buffer once, into the string [emit]
+    gets ({!lend} hands the buffer itself).  [reply] then gets the
+    completion as {!submit}'s does.  If [emit] raises, or the engine
+    fails after chunks have gone out, [reply] gets an [Error] — the
+    mid-stream error case. *)
 
 val call_stream : t -> stream_request -> (string -> unit) -> response
 (** Synchronous {!submit_stream}: [Ok (Stream_done _)] after the last
@@ -301,6 +308,36 @@ val transform_ingest :
   (string -> unit) ->
   response
 (** Synchronous streamed ingest ([engine = None]). *)
+
+(** {2 Lent replies}
+
+    The one path every reply takes, for a transport that writes the
+    bytes out and keeps none of them.  A serialized tree and each chunk
+    of a stream are handed over {e lent}: in the pooled buffer
+    ({!Xut_xml.Serialize.Pool}) they were written into, valid only until
+    the callback they are handed to returns; the buffer then goes back
+    to the pool, so a reply costs no copy of its bytes.  {!submit},
+    {!call}, {!submit_stream} and the synchronous stream calls are this
+    path with one copy made at their edge. *)
+
+type incoming = Plain of request | Stream of stream_request
+(** A plain request, or a streamed transform. *)
+
+type delivery =
+  | Response of response  (** a reply whole *)
+  | Tree_bytes of Buffer.t
+      (** [Ok (Tree s)], [s] being the buffer's contents: a [Transform]
+          reply outside a batch, lent *)
+  | Chunk of Buffer.t  (** one chunk of a streamed reply, lent *)
+
+val lend : t -> incoming -> (delivery -> unit) -> unit
+(** [lend t work deliver] enqueues [work] as {!submit} does.  On the
+    worker domain, a stream's chunks go to [deliver] one by one as
+    [Chunk]s (one that raises fails the stream, as a raising [emit]
+    does); then the reply — [Tree_bytes] for a tree, [Response] for
+    anything else, a stream's completion included — goes to [deliver]
+    exactly once, an exception out of that call being dropped.  After
+    {!shutdown}, [deliver] gets an [Overloaded] [Response] at once. *)
 
 val metrics : t -> Metrics.t
 val cache_stats : t -> Plan_cache.stats

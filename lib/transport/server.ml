@@ -11,6 +11,9 @@ let default_config =
 
 type conn = {
   fd : Unix.file_descr;
+  oc : out_channel;
+      (* every frame to the client goes out through this channel, under
+         [wmu]; closing it, once, closes [fd] *)
   wmu : Mutex.t;  (* serializes frame writes (responses interleave) *)
   mutable failed : bool;
       (* a frame write failed part-way: the byte stream is torn, so the
@@ -47,43 +50,49 @@ let rec read_exact fd buf off len =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Stalled
     | exception Unix.Unix_error (_, _, _) -> Eof
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let len = Bytes.length b in
+let error_response code message = Service.Error { code; message }
+
+(* A client turned away at once gets one frame, written straight to the
+   socket; the caller closes it. *)
+let turn_away t fd message =
+  let frame = Wire.Binary.response_frame ~id:0L (error_response Service.Overloaded message) in
+  Metrics.frame_out (Service.metrics t.svc) (String.length frame);
+  let b = Bytes.unsafe_of_string frame in
   let rec go off =
-    if off >= len then true
-    else
-      match Unix.write fd b off (len - off) with
+    if off < Bytes.length b then
+      match Unix.write fd b off (Bytes.length b - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (_, _, _) -> false
+      | exception Unix.Unix_error (_, _, _) -> ()
   in
   go 0
 
-(* A frame goes out as a head and a body, [head ^ body], in two writes:
-   a reply's payload string is written where it lies, never copied into
-   a frame. *)
-let write_parts fd head body = write_all fd head && write_all fd body
+(* The body of a frame that is all head: never written to. *)
+let no_body = Buffer.create 1
 
-let write_response fd ~id resp =
-  let head, body = Wire.Binary.response_parts ~id resp in
-  write_parts fd head body
-
-(* Count one whole frame, then write it; returns whether the client got
-   it.  Counted before the bytes go out: a client that has read the reply
-   must be able to rely on the counter already reflecting it. *)
-let send t fd head body =
-  Metrics.frame_out (Service.metrics t.svc) (String.length head + String.length body);
-  write_parts fd head body
-
-(* [send] under the connection's write lock, so the two parts of a frame
-   are never split by another frame.  The first failed write may have
-   left part of a frame on the wire, and no later frame could be parsed
-   after it, so it shuts the connection down: the reader sees EOF and
-   the client sees the torn frame end in EOF. *)
-let write_raw t conn head body =
+(* Write one frame on [conn]: [head], then [body]'s bytes where they lie
+   (a lent reply costs no copy), then flush; returns whether the client
+   got it.  The frame is counted before its bytes go out: a client that
+   has read the reply must be able to rely on the counter already
+   reflecting it.  Under the connection's write lock, so no other frame
+   splits it.  The first failed write may have left part of a frame on
+   the wire, and no later frame could be parsed after it, so it shuts
+   the connection down: the reader sees EOF and the client sees the
+   torn frame end in EOF. *)
+let write_frame t conn head body =
   Mutex.lock conn.wmu;
-  let ok = (not conn.failed) && send t conn.fd head body in
+  let ok =
+    (not conn.failed)
+    &&
+    (Metrics.frame_out (Service.metrics t.svc) (String.length head + Buffer.length body);
+     match
+       output_string conn.oc head;
+       Buffer.output_buffer conn.oc body;
+       flush conn.oc
+     with
+     | () -> true
+     | exception Sys_error _ -> false)
+  in
   if not (ok || conn.failed) then begin
     conn.failed <- true;
     try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
@@ -91,59 +100,58 @@ let write_raw t conn head body =
   Mutex.unlock conn.wmu;
   ok
 
-let write_frame t conn ~id resp =
-  let head, body = Wire.Binary.response_parts ~id resp in
-  write_raw t conn head body
-
-let error_response code message = Service.Error { code; message }
+let write_raw t conn frame = write_frame t conn frame no_body
+let write_response t conn ~id resp = write_raw t conn (Wire.Binary.response_frame ~id resp)
 
 (* ---- dispatch ---- *)
 
-(* Count a request in flight before it is submitted, and hand the pool a
-   reply function that runs [complete] on the worker domain, then
-   uncounts it: [conn_main] closes the socket only once every submitted
-   request's final frame has been written. *)
-let submit_tracked conn submit complete =
+(* The last frame of a stream. *)
+let stream_final ~id = function
+  | Service.Ok (Service.Stream_done { bytes; chunks }) ->
+    Wire.Binary.stream_end_frame ~id ~bytes ~chunks
+  | Service.Error { code; message } -> Wire.Binary.stream_error_frame ~id ~code message
+  | Service.Ok _ ->
+    Wire.Binary.stream_error_frame ~id ~code:Service.Eval_error
+      "stream produced a non-stream response"
+
+(* A request's replies, delivered on the worker that served it: each
+   chunk of a stream as a chunk frame (one the client did not get fails
+   the stream), then the final reply — the lent tree's frame, the
+   response frame, or a stream's STREAM_END / STREAM_ERROR — after which
+   the request is no longer in flight: [conn_main] closes the socket
+   only once every submitted request's final frame has been written. *)
+let deliver t conn ~id ~stream d =
+  let written =
+    try
+      match d with
+      | Service.Chunk chunk ->
+        write_frame t conn (Wire.Binary.stream_chunk_head ~id (Buffer.length chunk)) chunk
+      | Service.Tree_bytes tree ->
+        write_frame t conn (Wire.Binary.tree_head ~id (Buffer.length tree)) tree
+      | Service.Response resp ->
+        write_raw t conn ((if stream then stream_final else Wire.Binary.response_frame) ~id resp)
+    with _ -> false
+  in
+  match d with
+  | Service.Chunk _ -> if not written then failwith "client disconnected mid-stream"
+  | Service.Tree_bytes _ | Service.Response _ ->
+    Mutex.lock conn.cmu;
+    conn.in_flight <- conn.in_flight - 1;
+    if conn.in_flight = 0 then Condition.broadcast conn.drained;
+    Mutex.unlock conn.cmu
+
+(* Count the request in flight, then submit it; [Service.lend] blocks
+   when the pool queue is full, so backpressure lands on this
+   connection's reader, which stops consuming frames.  A streamed
+   transform's STREAM_BEGIN goes out before the request is queued, so it
+   precedes every chunk. *)
+let dispatch t conn ~id work =
+  let stream = match work with Wire.Stream _ -> true | Wire.Plain _ -> false in
+  if stream then ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id));
   Mutex.lock conn.cmu;
   conn.in_flight <- conn.in_flight + 1;
   Mutex.unlock conn.cmu;
-  submit (fun resp ->
-      Fun.protect
-        (fun () -> complete resp)
-        ~finally:(fun () ->
-          Mutex.lock conn.cmu;
-          conn.in_flight <- conn.in_flight - 1;
-          if conn.in_flight = 0 then Condition.broadcast conn.drained;
-          Mutex.unlock conn.cmu))
-
-(* submit blocks when the pool queue is full: backpressure lands on
-   this connection's reader, which stops consuming frames. *)
-let dispatch t conn ~id req =
-  submit_tracked conn (Service.submit t.svc req) (fun resp ->
-      ignore (write_frame t conn ~id resp))
-
-(* A streamed transform: STREAM_BEGIN goes out before the request is
-   queued (so it precedes every chunk), chunk frames are written from
-   the worker domain as the serializer sink fills, and the same worker
-   finishes the exchange with STREAM_END or — if the engine failed
-   after chunks went out — STREAM_ERROR. *)
-let dispatch_stream t conn ~id sr =
-  ignore (write_raw t conn (Wire.Binary.stream_begin_frame ~id) "");
-  let emit chunk =
-    if not (write_raw t conn (Wire.Binary.stream_chunk_head ~id chunk) chunk) then
-      failwith "client disconnected mid-stream"
-  in
-  submit_tracked conn (Service.submit_stream t.svc sr emit) (fun resp ->
-      let final =
-        match resp with
-        | Service.Ok (Service.Stream_done { bytes; chunks }) ->
-          Wire.Binary.stream_end_frame ~id ~bytes ~chunks
-        | Service.Error { code; message } -> Wire.Binary.stream_error_frame ~id ~code message
-        | Service.Ok _ ->
-          Wire.Binary.stream_error_frame ~id ~code:Service.Eval_error
-            "stream produced a non-stream response"
-      in
-      ignore (write_raw t conn final ""))
+  Service.lend t.svc work (deliver t conn ~id ~stream)
 
 (* ---- connection reader ---- *)
 
@@ -159,7 +167,7 @@ let serve_conn t conn =
         (* bad magic / version / oversized: after this the byte stream
            can't be re-synchronized, so answer and drop the connection *)
         Metrics.frame_malformed m;
-        ignore (write_frame t conn ~id:0L (error_response Service.Bad_request msg))
+        ignore (write_response t conn ~id:0L (error_response Service.Bad_request msg))
       | Ok { Wire.Binary.kind = Wire.Binary.Request; version; id; length } -> begin
         let payload = Bytes.create length in
         match read_exact conn.fd payload 0 length with
@@ -173,13 +181,10 @@ let serve_conn t conn =
             (* well-framed but undecodable: the framing is still in
                sync, so answer and keep serving this connection *)
             Metrics.frame_malformed m;
-            ignore (write_frame t conn ~id (error_response Service.Bad_request msg));
+            ignore (write_response t conn ~id (error_response Service.Bad_request msg));
             loop ()
-          | Ok (Wire.Plain req) ->
-            dispatch t conn ~id req;
-            loop ()
-          | Ok (Wire.Stream sr) ->
-            dispatch_stream t conn ~id sr;
+          | Ok work ->
+            dispatch t conn ~id work;
             loop ()
         end
       end
@@ -187,7 +192,7 @@ let serve_conn t conn =
         (* Response or Stream_* from a client: never valid *)
         Metrics.frame_malformed m;
         ignore
-          (write_frame t conn ~id
+          (write_response t conn ~id
              (error_response Service.Bad_request "clients must send request frames"))
     end
   in
@@ -201,7 +206,9 @@ let conn_main t key conn =
     Condition.wait conn.drained conn.cmu
   done;
   Mutex.unlock conn.cmu;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+  (* the socket's one close: an unflushed frame a failed write left in
+     the channel is dropped here, never written at exit *)
+  close_out_noerr conn.oc;
   Metrics.conn_closed (Service.metrics t.svc);
   Mutex.lock t.mu;
   Hashtbl.remove t.conns key;
@@ -235,12 +242,7 @@ let accept_loop t =
           Mutex.unlock t.mu;
           if active >= t.cfg.max_connections then begin
             Metrics.conn_rejected m;
-            ignore
-              (send t fd
-                 (Wire.Binary.response_frame ~id:0L
-                    (error_response Service.Overloaded
-                       (Printf.sprintf "connection limit reached (%d active)" active)))
-                 "");
+            turn_away t fd (Printf.sprintf "connection limit reached (%d active)" active);
             try Unix.close fd with Unix.Unix_error _ -> ()
           end
           else begin
@@ -252,6 +254,7 @@ let accept_loop t =
             let conn =
               {
                 fd;
+                oc = Unix.out_channel_of_descr fd;
                 wmu = Mutex.create ();
                 failed = false;
                 cmu = Mutex.create ();
@@ -268,12 +271,8 @@ let accept_loop t =
             | exception _ ->
               (* could not spawn a reader: give the client a BUSY *)
               Hashtbl.remove t.conns key;
-              ignore
-                (send t fd
-                   (Wire.Binary.response_frame ~id:0L
-                      (error_response Service.Overloaded "out of threads"))
-                   "");
-              (try Unix.close fd with Unix.Unix_error _ -> ());
+              turn_away t fd "out of threads";
+              close_out_noerr conn.oc;
               Metrics.conn_closed m);
             Mutex.unlock t.mu
           end
@@ -344,7 +343,7 @@ let start ?(config = default_config) ~service addr =
         Mutex.lock t.mu;
         let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
         Mutex.unlock t.mu;
-        List.iter (fun c -> List.iter (fun frame -> ignore (write_raw t c frame "")) frames) conns
+        List.iter (fun c -> List.iter (fun frame -> ignore (write_raw t c frame)) frames) conns
       end);
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   t

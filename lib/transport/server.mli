@@ -2,12 +2,18 @@
 
     One accept thread plus one reader thread per connection, and no
     other threads: each decoded request is dispatched through
-    [Service.submit] (the domain worker pool), and the worker that
+    {!Service.lend} (the domain worker pool), and the worker that
     served it writes the framed response back under the connection's
     write lock, as it already writes stream chunks and notices —
     responses may complete out of order, which is fine because frames
-    carry the request id.  A reply the client does not read therefore
-    holds its worker until the write times out (see below).
+    carry the request id.  A serialized tree and each stream chunk
+    arrive lent, in the pooled buffer they were written into: the
+    worker writes the frame's head ({!Wire.Binary.tree_head},
+    {!Wire.Binary.stream_chunk_head}) and then the buffer's bytes
+    through the connection's channel, with no copy of the reply, and
+    the buffer returns to the pool once the write is done (or has
+    failed).  A reply the client does not read therefore holds its
+    worker, and its buffer, until the write times out (see below).
 
     Robustness over features:
     - a per-connection read timeout closes idle or stalled clients;
@@ -55,13 +61,6 @@ val start : ?config:config -> service:Service.t -> Addr.t -> t
     Installs [Signal_ignore] on SIGPIPE (a dead client must surface as
     a write error, not kill the process).
     @raise Unix.Unix_error when the address cannot be bound. *)
-
-val write_response : Unix.file_descr -> id:int64 -> Service.response -> bool
-(** Write one response frame to [fd] as connections are answered: the
-    head of {!Wire.Binary.response_parts}, then its body (a tree's
-    string itself, not a copy), so the bytes equal
-    {!Wire.Binary.response_frame}.  [false] when a write failed.  No
-    lock and no metrics: the connection's writer adds both. *)
 
 val address : t -> Addr.t
 (** The bound address, with the actual port for TCP port 0. *)

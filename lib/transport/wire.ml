@@ -1,6 +1,6 @@
 open Xut_service
 
-type incoming = Plain of Service.request | Stream of Service.stream_request
+type incoming = Service.incoming = Plain of Service.request | Stream of Service.stream_request
 
 module Line = struct
   let split2 s =
@@ -651,29 +651,34 @@ module Binary = struct
   let notice_id = 0L
   let notice_frame n = frame ~kind:Notice ~id:notice_id (encode_notice n)
 
-  (* A Tree or Stats_dump reply is split around its string: the header,
-     tag byte and length go in the head, and the body is the string
-     itself, so the server writes the frame without re-encoding it.
-     Any other response is all head. *)
-  let string_response_head ~id tag s =
-    let n = String.length s in
-    let b = Bytes.create (header_size + string_prefix_size) in
+  (* A Tree or Stats_dump reply's frame is a head — the header, tag byte
+     and length — and then the string's bytes, so it is built, or
+     written, around the string without re-encoding it. *)
+  let string_head_size = header_size + string_prefix_size
+
+  let set_string_head b ~id tag n =
     set_header b
       { version = protocol_version; kind = Response; id; length = string_prefix_size + n };
     Bytes.set_uint8 b header_size tag;
-    Bytes.set_int32_be b (header_size + 1) (Int32.of_int n);
+    Bytes.set_int32_be b (header_size + 1) (Int32.of_int n)
+
+  let string_frame ~id tag s =
+    let n = String.length s in
+    let b = Bytes.create (string_head_size + n) in
+    set_string_head b ~id tag n;
+    Bytes.blit_string s 0 b string_head_size n;
     Bytes.unsafe_to_string b
 
-  let response_parts ~id resp =
-    match resp with
-    | Service.Ok (Service.Tree s) -> (string_response_head ~id tree_tag s, s)
-    | Service.Ok (Service.Stats_dump s) -> (string_response_head ~id stats_tag s, s)
-    | resp -> (frame ~kind:Response ~id (encode_response resp), "")
-
   let response_frame ~id resp =
-    match response_parts ~id resp with
-    | head, "" -> head
-    | head, body -> head ^ body
+    match resp with
+    | Service.Ok (Service.Tree s) -> string_frame ~id tree_tag s
+    | Service.Ok (Service.Stats_dump s) -> string_frame ~id stats_tag s
+    | resp -> frame ~kind:Response ~id (encode_response resp)
+
+  let tree_head ~id n =
+    let b = Bytes.create string_head_size in
+    set_string_head b ~id tree_tag n;
+    Bytes.unsafe_to_string b
 
   let stream_frame ~id sr = frame ~kind:Request ~id (encode_stream sr)
 
@@ -683,8 +688,8 @@ module Binary = struct
 
   let ingest_request_frame ~id ir = stream_frame ~id (of_ingest_request ir)
   let stream_begin_frame ~id = frame ~kind:Stream_begin ~id ""
-  let stream_chunk_head ~id chunk = frame_head ~kind:Stream_chunk ~id (String.length chunk)
-  let stream_chunk_frame ~id chunk = stream_chunk_head ~id chunk ^ chunk
+  let stream_chunk_head ~id n = frame_head ~kind:Stream_chunk ~id n
+  let stream_chunk_frame ~id chunk = stream_chunk_head ~id (String.length chunk) ^ chunk
 
   let stream_end_frame ~id ~bytes ~chunks =
     frame ~kind:Stream_end ~id (encode totals (bytes, chunks))

@@ -18,7 +18,7 @@
 
 open Xut_service
 
-type incoming = Plain of Service.request | Stream of Service.stream_request
+type incoming = Service.incoming = Plain of Service.request | Stream of Service.stream_request
 (** What either decoder reads: a plain request, or a streamed transform
     (a [TRANSFORM-STREAM] line, a tag-7 or tag-16 Request frame). *)
 
@@ -213,13 +213,12 @@ module Binary : sig
   val request_frame : id:int64 -> Service.request -> string
   val response_frame : id:int64 -> Service.response -> string
 
-  val response_parts : id:int64 -> Service.response -> string * string
-  (** [(head, body)] with [head ^ body = response_frame ~id r].
-      For a tree or stats-dump response, [body] is the response's
-      string itself and [head] the 16-byte header plus the 5-byte
-      tag/length prefix, so a writer sends the payload without copying
-      it; for every other response [body] is [""].
-      {!response_frame} is built from this. *)
+  val tree_head : id:int64 -> int -> string
+  (** [tree_head ~id n]: the head of the Response frame of a tree of [n]
+      bytes — the 16-byte header, tag 3 and the 4-byte length — so that
+      [tree_head ~id (String.length s) ^ s = response_frame ~id (Ok (Tree
+      s))].  A writer sends it, then the tree's bytes where they lie
+      ({!Service.Tree_bytes}). *)
 
   val stream_frame : id:int64 -> Service.stream_request -> string
   val stream_request_frame : id:int64 -> stream_request -> string
@@ -227,9 +226,11 @@ module Binary : sig
   val stream_begin_frame : id:int64 -> string
   val stream_chunk_frame : id:int64 -> string -> string
 
-  val stream_chunk_head : id:int64 -> string -> string
-  (** The 16-byte header of [stream_chunk_frame ~id chunk], which is
-      this head followed by [chunk]. *)
+  val stream_chunk_head : id:int64 -> int -> string
+  (** [stream_chunk_head ~id n]: the 16-byte header of the chunk frame
+      of [n] bytes, so that [stream_chunk_head ~id (String.length c) ^ c
+      = stream_chunk_frame ~id c]; a writer sends a lent chunk
+      ({!Service.Chunk}) after it. *)
 
   val stream_end_frame : id:int64 -> bytes:int -> chunks:int -> string
   val stream_error_frame : id:int64 -> code:Service.err_code -> string -> string

@@ -165,23 +165,25 @@ module Pool = struct
 
   let acquire () = Free_list.acquire pool
 
-  let release ?(shrink = false) b =
+  let release_shrunk ~shrink b =
     if shrink then Buffer.reset b else Buffer.clear b;
     Free_list.release pool b
+
+  let release b = release_shrunk ~shrink:(Buffer.length b > shrink_above) b
 
   let contents_of f =
     let b = acquire () in
     match f b with
     | () ->
       let s = Buffer.contents b in
-      release ~shrink:(Buffer.length b > shrink_above) b;
+      release b;
       s
     | exception e ->
-      release ~shrink:(Buffer.length b > shrink_above) b;
+      release b;
       raise e
 end
 
-(* Whole replies serialize into a pooled buffer, already grown by
+(* Whole strings serialize into a pooled buffer, already grown by
    earlier replies, and are copied out once. *)
 let to_string ?indent ?image node =
   Pool.contents_of (fun buf -> to_buffer ?indent ?image buf node)
@@ -213,9 +215,11 @@ module Sink = struct
     mutable live : bool;
   }
 
-  let create ?(chunk_size = default_chunk_size) emit =
+  let lending ?(chunk_size = default_chunk_size) emit =
     let w = Writer.create (Pool.acquire ()) ~chunk_size emit in
     { w; flush_now = (fun () -> Writer.flush w); live = true }
+
+  let create ?chunk_size emit = lending ?chunk_size (fun b -> emit (Buffer.contents b))
 
   let writer t = t.w
   let event t ev = Sax.write t.w ev
@@ -232,7 +236,7 @@ module Sink = struct
 
   let release t =
     t.live <- false;
-    Pool.release ~shrink:(t.w.peak_chunk > Pool.shrink_above) t.w.buf
+    Pool.release_shrunk ~shrink:(t.w.peak_chunk > Pool.shrink_above) t.w.buf
 
   let close t =
     if t.live then begin

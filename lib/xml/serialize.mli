@@ -33,7 +33,9 @@ val to_buffer : ?indent:int -> ?image:Image.t -> Buffer.t -> Node.t -> unit
 val to_string : ?indent:int -> ?image:Image.t -> Node.t -> string
 (** Serialized into a pooled buffer ({!Pool.contents_of}), so the one
     copy is the returned string.  The walk allocates nothing per node,
-    nor per copy from [image]. *)
+    nor per copy from [image].  A reply that is written out rather than
+    kept is serialized with {!to_buffer} into a {!Pool.acquire}d buffer
+    instead, and costs no copy at all. *)
 
 val element_to_string : ?indent:int -> ?image:Image.t -> Node.element -> string
 
@@ -47,17 +49,31 @@ val to_channel : ?indent:int -> out_channel -> Node.element -> unit
     Serialization scratch buffers, reused across requests so a serving
     hot loop does not re-grow a fresh [Buffer.t] per reply.  Domain-safe
     (a mutex-guarded free list), counted as [serialize_pool_hits] and
-    [serialize_pool_misses] ({!Counter}). *)
+    [serialize_pool_misses] ({!Counter}).
+
+    A pooled buffer can be lent: whoever acquired it hands it, filled,
+    to a reader that takes the bytes where they lie (writes them to a
+    socket, say), and releases it once that reader has returned.  A
+    reader must not keep the buffer, nor read it after returning. *)
 
 module Pool : sig
   val shrink_above : int
   (** 4 MiB: a buffer that held more than this has its storage freed
       before it returns to the pool. *)
 
+  val acquire : unit -> Buffer.t
+  (** An empty buffer: a pooled one, or a fresh one when the pool is
+      empty. *)
+
+  val release : Buffer.t -> unit
+  (** Return an acquired buffer, once nothing reads it any more: it is
+      cleared, and its storage freed when it holds more than
+      {!shrink_above}.  A pool that is full drops it. *)
+
   val contents_of : (Buffer.t -> unit) -> string
   (** [contents_of f] runs [f] on an acquired buffer and returns what
-      it wrote, releasing the buffer (shrunk above {!shrink_above})
-      even when [f] raises.  The whole-reply serializers use it. *)
+      it wrote, releasing the buffer even when [f] raises: for a caller
+      that keeps the bytes as a string. *)
 end
 
 (** {2 Chunked streaming sink}
@@ -79,11 +95,17 @@ module Sink : sig
   val default_chunk_size : int
   (** 64 KiB. *)
 
+  val lending : ?chunk_size:int -> (Buffer.t -> unit) -> t
+  (** [lending emit] acquires a pooled buffer and lends it to [emit]
+      each time it holds [chunk_size] (or more) bytes ({!Writer.flush}):
+      the chunk is the buffer's contents, valid only until [emit]
+      returns, after which the buffer is cleared and refilled.  Chunk
+      boundaries are arbitrary byte positions: concatenating the chunks
+      restores the document. *)
+
   val create : ?chunk_size:int -> (string -> unit) -> t
-  (** [create emit] acquires a pooled buffer and flushes every
-      [chunk_size] (or more) bytes to [emit].  Chunk boundaries are
-      arbitrary byte positions: concatenating the chunks restores the
-      document. *)
+  (** {!lending} for a consumer that wants strings: each chunk is copied
+      out once, into the string [emit] gets. *)
 
   val event : t -> Sax.event -> unit
   (** Serialize one SAX event ({!Sax.write} into {!writer}).

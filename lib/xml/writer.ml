@@ -72,7 +72,7 @@ type recording = {
 type t = {
   buf : Buffer.t;
   chunk_size : int;
-  emit : string -> unit;
+  emit : Buffer.t -> unit;
   mutable open_tag : bool;
   mutable bytes : int;
   mutable chunks : int;
@@ -132,12 +132,16 @@ let flush t =
   | None ->
     let len = Buffer.length t.buf in
     if len > 0 then begin
-      let s = Buffer.contents t.buf in
-      Buffer.clear t.buf;
       t.bytes <- t.bytes + len;
       t.chunks <- t.chunks + 1;
       if len > t.peak_chunk then t.peak_chunk <- len;
-      t.emit s
+      (* the chunk is lent: [emit] reads it where it lies, and the
+         buffer is cleared for the next one once [emit] returns *)
+      match t.emit t.buf with
+      | () -> Buffer.clear t.buf
+      | exception e ->
+        Buffer.clear t.buf;
+        raise e
     end
 
 let[@inline] maybe_flush t = if Buffer.length t.buf >= t.chunk_size then flush t

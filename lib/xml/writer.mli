@@ -9,12 +9,18 @@
 
     {2 The chunked writer}
 
-    A writer appends to a buffer and hands its contents to [emit] each
+    A writer appends to a buffer and lends that buffer to [emit] each
     time a whole event leaves [chunk_size] bytes or more in it, so chunk
-    boundaries fall only between events.  A start-tag is written up to
-    its attributes; its closing [>] is owed until the next write, which
-    decides between [>] and [/>] — that is what makes [<a></a>] come out
-    as [<a/>], as the tree walk writes it. *)
+    boundaries fall only between events.  The chunk is the buffer's
+    whole contents, and it is valid only until [emit] returns: the
+    writer then clears the buffer and writes the next chunk into it.  A
+    consumer that keeps a chunk copies it ([Buffer.contents]); one that
+    writes it out ([Buffer.output_buffer]) copies nothing.
+
+    A start-tag is written up to its attributes; its closing [>] is
+    owed until the next write, which decides between [>] and [/>] —
+    that is what makes [<a></a>] come out as [<a/>], as the tree walk
+    writes it. *)
 
 val add_escaped : Buffer.t -> attr:bool -> string -> unit
 (** The string escaped as text, or as a double-quoted attribute value. *)
@@ -32,7 +38,7 @@ val add_attrs : Buffer.t -> (string * string) list -> unit
 type t = private {
   buf : Buffer.t;
   chunk_size : int;
-  emit : string -> unit;
+  emit : Buffer.t -> unit;
   mutable open_tag : bool;  (** a start-tag's [>] is owed *)
   mutable bytes : int;  (** emitted so far *)
   mutable chunks : int;
@@ -42,11 +48,13 @@ type t = private {
 
 and recording
 
-val create : Buffer.t -> chunk_size:int -> (string -> unit) -> t
-(** A writer appending to [buf]; [chunk_size] is at least 1. *)
+val create : Buffer.t -> chunk_size:int -> (Buffer.t -> unit) -> t
+(** A writer appending to [buf] and lending it to [emit]; [chunk_size]
+    is at least 1. *)
 
 val flush : t -> unit
-(** Emit what the buffer holds, if anything, as one chunk. *)
+(** Lend what the buffer holds, if anything, to [emit] as one chunk,
+    then clear the buffer (also when [emit] raises). *)
 
 val maybe_flush : t -> unit
 (** {!flush} once the buffer holds [chunk_size] bytes.  Every write

@@ -2009,6 +2009,67 @@ let security_view_suite =
     Alcotest.test_case "single rule composes" `Quick test_policy_single_rule_composes;
     Alcotest.test_case "permitted audit" `Quick test_policy_permitted ]
 
+(* Doc TRANSFORM replies through the lending path make no copy of the
+   reply: twenty replies of U1 over XMark f=0.01 allocate, on the worker
+   domain that serializes them, fewer words directly in the major heap
+   (major words less promoted ones, between the first delivery and the
+   last) than one reply holds.  A copy of each reply, such as
+   [Buffer.contents] of the lent buffer, is twenty of them. *)
+let test_lent_reply_allocates_no_copy () =
+  let path = Filename.temp_file "xut_service_lent" ".xml" in
+  Xut_xmark.Generator.to_file ~factor:0.01 path;
+  let svc = Service.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Service.shutdown svc;
+      Sys.remove path)
+    (fun () ->
+      (match Service.call svc (Service.Load { name = "x"; file = path; schema = None }) with
+      | Service.Ok _ -> ()
+      | _ -> Alcotest.fail "LOAD");
+      let req =
+        Service.Transform
+          {
+            target = Service.Doc "x";
+            engine = Core.Engine.Td_bu;
+            query =
+              {|transform copy $a := doc("x") modify do delete $a/site/people/person return $a|};
+          }
+      in
+      let mu = Mutex.create () and delivered = Condition.create () in
+      (* the reply's length, and the worker's direct major words, read
+         as it delivers the reply *)
+      let lent () =
+        let got = ref None in
+        Service.lend svc (Service.Plain req) (fun d ->
+            let sample =
+              match d with
+              | Service.Tree_bytes b ->
+                let _, promoted, major = Gc.counters () in
+                Some (Buffer.length b, major -. promoted)
+              | _ -> Some (-1, 0.)
+            in
+            Mutex.protect mu (fun () ->
+                got := sample;
+                Condition.signal delivered));
+        Mutex.protect mu (fun () ->
+            while Option.is_none !got do
+              Condition.wait delivered mu
+            done;
+            Option.get !got)
+      in
+      let bytes, first = lent () in
+      if bytes < 0 then Alcotest.fail "the TRANSFORM reply was not lent";
+      let last = ref first in
+      for _ = 1 to 20 do
+        last := snd (lent ())
+      done;
+      let reply_words = float_of_int (bytes / (Sys.word_size / 8)) in
+      let direct = !last -. first in
+      if direct >= reply_words then
+        Alcotest.failf "20 lent replies allocated %.0f major words directly (one reply: %.0f)"
+          direct reply_words)
+
 let suite =
   [
     Alcotest.test_case "plan cache: miss then hit" `Quick test_cache_hit_miss;
@@ -2061,4 +2122,6 @@ let suite =
       test_root_delete_rejected_by_apply;
     Alcotest.test_case "service: a second document element is a parse error" `Quick
       test_second_document_element;
+    Alcotest.test_case "service: lent TRANSFORM replies make no copy" `Quick
+      test_lent_reply_allocates_no_copy;
   ]

@@ -1642,15 +1642,24 @@ let over_socketpair write read =
       try Unix.close b with Unix.Unix_error _ -> ())
     (fun () -> read b)
 
-(* What the server's reply writer puts on the wire for [resp]. *)
-let server_bytes ~id resp =
-  over_socketpair (fun fd -> Server.write_response fd ~id resp) raw_read_all
+(* The frame the server writes for [resp], as the parts it writes: a
+   tree is lent (the service hands it over as [Tree_bytes]), so it goes
+   out as {!Wire.Binary.tree_head} and then the buffer's bytes; any other
+   response is its frame.  The socket tests below check what the server
+   itself writes. *)
+let reply_parts ~id resp =
+  match resp with
+  | Service.Ok (Service.Tree s) -> [ Wire.Binary.tree_head ~id (String.length s); s ]
+  | resp -> [ Wire.Binary.response_frame ~id resp ]
 
-(* What a client reads back from the server's reply writer. *)
+let write_parts parts fd =
+  List.iter (raw_write fd) parts;
+  true
+
+(* What a client reads back from those parts. *)
 let client_reads ~id resp =
-  over_socketpair
-    (fun fd -> Server.write_response fd ~id resp)
-    (fun fd -> Client.recv (Client.of_fd ~timeout:5. fd))
+  over_socketpair (write_parts (reply_parts ~id resp)) (fun fd ->
+      Client.recv (Client.of_fd ~timeout:5. fd))
 
 (* Golden frames, written out by hand from DESIGN.md's "Frame layout":
    "XU", version, kind 2 (response), 8-byte id, 4-byte payload length;
@@ -1689,10 +1698,7 @@ let test_golden_frames () =
         if got <> golden then Alcotest.failf "%s: %s differs from the golden frame" name what
       in
       same "response_frame" (Wire.Binary.response_frame ~id resp);
-      same "response_parts"
-        (let head, body = Wire.Binary.response_parts ~id resp in
-         head ^ body);
-      same "the server's bytes" (server_bytes ~id resp);
+      same "the reply's parts" (String.concat "" (reply_parts ~id resp));
       match client_reads ~id resp with
       | id', resp' when id' = id && resp' = resp -> ()
       | _ -> Alcotest.failf "%s: the client read back a different response" name)
@@ -1701,7 +1707,7 @@ let test_golden_frames () =
   Alcotest.(check string) "stream_chunk_frame" golden_chunk
     (Wire.Binary.stream_chunk_frame ~id:5L "chunk");
   Alcotest.(check string) "stream_chunk_head ^ chunk" golden_chunk
-    (Wire.Binary.stream_chunk_head ~id:5L "chunk" ^ "chunk")
+    (Wire.Binary.stream_chunk_head ~id:5L 5 ^ "chunk")
 
 let prop_tree_reply_bytes =
   QCheck2.Test.make ~count:60
@@ -1709,7 +1715,7 @@ let prop_tree_reply_bytes =
     QCheck2.Gen.(pair Test_properties.gen_root (map Int64.of_int (int_range 1 (1 lsl 40))))
     (fun (doc, id) ->
       let resp = Service.Ok (Service.Tree (Xut_xml.Serialize.element_to_string doc)) in
-      server_bytes ~id resp = Wire.Binary.response_frame ~id resp
+      String.concat "" (reply_parts ~id resp) = Wire.Binary.response_frame ~id resp
       && client_reads ~id resp = (id, resp))
 
 (* The server dies part-way through a 3 MB tree reply: the client
@@ -2021,6 +2027,203 @@ let prop_decoders_total_mutated =
     ~name:"wire: decoders never raise on truncated, extended or flipped encodings"
     (QCheck.make ~print:String.escaped gen_mutated) decoders_total
 
+(* ---- lent replies over the socket ---- *)
+
+(* A file holding [text], removed after [f]. *)
+let with_file text f =
+  let path = Filename.temp_file "xut_transport_lent" ".xml" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* An XMark f=0.01 file (seed 1), removed after [f]. *)
+let with_xmark f =
+  let path = Filename.temp_file "xut_transport_xmark" ".xml" in
+  Xut_xmark.Generator.to_file ~factor:0.01 path;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* [<r><t>x…x</t></r>], [n] bytes: an identity transform's reply is the
+   document itself. *)
+let padded_doc n = "<r><t>" ^ String.make (n - 14) 'x' ^ "</t></r>"
+
+(* A document whose one [r/t] item, a view read's reply, is [n] bytes. *)
+let padded_item_doc n = "<r><t>" ^ String.make (n - 7) 'x' ^ "</t></r>"
+
+let identity doc =
+  Printf.sprintf {|transform copy $a := doc("%s") modify do delete $a//zz return $a|} doc
+
+let u1 doc =
+  Printf.sprintf {|transform copy $a := doc("%s") modify do delete $a/site/people/person return $a|}
+    doc
+
+let call_ok cli req what =
+  match Client.call cli req with
+  | Service.Ok _ -> ()
+  | Service.Error { message; _ } -> Alcotest.failf "%s: %s" what message
+
+(* Every engine's TRANSFORM of [query] (TD-BU and twoPassSAX for a
+   document, TD-BU for a view) read over the socket is Service.call's
+   string, and its length passes [size_ok]. *)
+let same_over_socket cli svc target query size_ok =
+  List.iter
+    (fun engine ->
+      let req = Service.Transform { target; engine; query } in
+      match (Client.call cli req, Service.call svc req) with
+      | Service.Ok (Service.Tree lent), Service.Ok (Service.Tree kept) ->
+        if lent <> kept then
+          Alcotest.failf "%s: the socket reply differs from Service.call" (Core.Engine.name engine);
+        if not (size_ok (String.length lent)) then
+          Alcotest.failf "%s: a reply of %d bytes" (Core.Engine.name engine) (String.length lent)
+      | _ -> Alcotest.fail "TRANSFORM over the socket and in process")
+    (match target with
+    | Service.Doc _ -> [ Core.Engine.Td_bu; Core.Engine.Two_pass_sax ]
+    | Service.View _ -> [ Core.Engine.Td_bu ])
+
+(* The lent reply a client reads is Service.call's string, for Doc, View
+   and twoPassSAX replies under one chunk, larger than the socket buffer
+   (U1 over XMark f=0.01), of exactly 64 KiB, and above the pool's
+   shrink threshold; STATS has the same lines (its numbers move between
+   two reads). *)
+let test_lent_replies_match_call () =
+  with_xmark (fun xmark ->
+      with_doc_file (fun small ->
+          with_server (fun svc sock ->
+              let cli = Client.connect ~timeout:60. (Addr.Unix_socket sock) in
+              Fun.protect
+                ~finally:(fun () -> Client.close cli)
+                (fun () ->
+                  let load name file =
+                    call_ok cli (Service.Load { name; file; schema = None }) "LOAD"
+                  and defview name base =
+                    call_ok cli (Service.Defview { name; query = identity base }) "DEFVIEW"
+                  in
+                  load "d" small;
+                  load "x" xmark;
+                  defview "vx" "x";
+                  let any _ = true in
+                  same_over_socket cli svc (Service.Doc "d") q_del_prices any;
+                  same_over_socket cli svc (Service.Doc "x") (u1 "x") (fun n -> n > 262144);
+                  same_over_socket cli svc (Service.View "vx") "for $x in site/people return $x"
+                    any;
+                  List.iter
+                    (fun n ->
+                      with_file (padded_doc n) (fun doc_file ->
+                          with_file (padded_item_doc n) (fun item_file ->
+                              let d = Printf.sprintf "p%d" n and i = Printf.sprintf "i%d" n in
+                              load d doc_file;
+                              load i item_file;
+                              defview ("v" ^ i) i;
+                              same_over_socket cli svc (Service.Doc d) (identity d) (( = ) n);
+                              same_over_socket cli svc
+                                (Service.View ("v" ^ i))
+                                "for $x in r/t return $x" (( = ) n))))
+                    [ 65536; Xut_xml.Serialize.Pool.shrink_above + 1 ];
+                  let masked = function
+                    | Service.Ok (Service.Stats_dump s) ->
+                      (* each run of digits and points as one # *)
+                      let b = Buffer.create (String.length s) in
+                      let digit c = (c >= '0' && c <= '9') || c = '.' in
+                      String.iteri
+                        (fun i c ->
+                          if not (digit c) then Buffer.add_char b c
+                          else if i = 0 || not (digit s.[i - 1]) then Buffer.add_char b '#')
+                        s;
+                      Buffer.contents b
+                    | _ -> Alcotest.fail "STATS"
+                  in
+                  Alcotest.(check string) "STATS lines over the socket = Service.call's"
+                    (masked (Service.call svc Service.Stats))
+                    (masked (Client.call cli Service.Stats))))))
+
+(* TRANSFORM-STREAM chunks and result-stream chunks over the socket are
+   the string-callback path's chunks, one for one, at chunk sizes 1, 61
+   and 65536. *)
+let test_lent_chunks_match_callback () =
+  with_xmark (fun xmark ->
+      with_doc_file (fun small ->
+          with_server (fun svc sock ->
+              let cli = Client.connect ~timeout:60. (Addr.Unix_socket sock) in
+              Fun.protect
+                ~finally:(fun () -> Client.close cli)
+                (fun () ->
+                  call_ok cli (Service.Load { name = "d"; file = small; schema = None }) "LOAD";
+                  call_ok cli (Service.Load { name = "x"; file = xmark; schema = None }) "LOAD";
+                  (* the chunks [run] hands its consumer, as many as its totals say *)
+                  let chunks run =
+                    let got = ref [] in
+                    (match run (fun c -> got := c :: !got) with
+                    | Service.Ok (Service.Stream_done { chunks; _ }) ->
+                      Alcotest.(check int) "chunk count" chunks (List.length !got)
+                    | _ -> Alcotest.fail "stream");
+                    List.rev !got
+                  in
+                  List.iter
+                    (fun (doc, query) ->
+                      List.iter
+                        (fun chunk_size ->
+                          let same what socket callback =
+                            if chunks socket <> chunks callback then
+                              Alcotest.failf "%s of %s, chunk size %d: the socket's chunks differ"
+                                what doc chunk_size
+                          in
+                          same "TRANSFORM-STREAM"
+                            (Client.transform_ingest cli ~source:(Wire.Binary.Ingest_doc doc)
+                               ~query ~chunk_size)
+                            (Service.transform_ingest svc ~source:(Service.From_doc doc) ~query
+                               ~chunk_size);
+                          same "a result stream"
+                            (Client.transform_stream cli ~doc ~engine:Core.Engine.Td_bu ~query
+                               ~chunk_size)
+                            (Service.transform_stream svc ~doc ~engine:Core.Engine.Td_bu ~query
+                               ~chunk_size))
+                        [ 1; 61; 65536 ])
+                    [ ("d", q_del_prices); ("x", u1 "x") ]))))
+
+(* Clients that close part-way through a lent reply: the worker's write
+   fails, and the buffer still goes back to the pool.  Forty torn
+   replies, more than the pool keeps, and not one acquire misses: a
+   buffer lost to a torn write would leave the pool empty.  The worker
+   survives, and another connection's next reply is Service.call's. *)
+let test_torn_lent_reply_returns_buffer () =
+  with_file (padded_doc (1 lsl 20)) (fun file ->
+      with_server (fun svc sock ->
+          let cli = Client.connect ~timeout:30. (Addr.Unix_socket sock) in
+          Fun.protect
+            ~finally:(fun () -> Client.close cli)
+            (fun () ->
+              call_ok cli (Service.Load { name = "p"; file; schema = None }) "LOAD";
+              let req =
+                Service.Transform
+                  { target = Service.Doc "p"; engine = Core.Engine.Td_bu; query = identity "p" }
+              in
+              let expected =
+                match Service.call svc req with
+                | Service.Ok (Service.Tree t) -> t
+                | _ -> Alcotest.fail "TRANSFORM in process"
+              in
+              call_ok cli req "warm-up TRANSFORM";
+              let misses = Fixtures.counter "serialize_pool_misses"
+              and hits = Fixtures.counter "serialize_pool_hits" in
+              for i = 1 to 40 do
+                let fd = raw_connect sock in
+                raw_write fd (Wire.Binary.request_frame ~id:(Int64.of_int i) req);
+                (* the reply has started: its header is here *)
+                let hdr = Bytes.create Wire.Binary.header_size in
+                let rec read off =
+                  if off < Wire.Binary.header_size then
+                    read (off + Unix.read fd hdr off (Wire.Binary.header_size - off))
+                in
+                read 0;
+                Unix.close fd
+              done;
+              (match Client.call cli req with
+              | Service.Ok (Service.Tree t) ->
+                if t <> expected then Alcotest.fail "the next reply differs from Service.call"
+              | _ -> Alcotest.fail "the worker died with a torn reply");
+              Alcotest.(check int) "no pool miss" 0
+                (Fixtures.counter "serialize_pool_misses" - misses);
+              Alcotest.(check bool) "every reply a pool hit" true
+                (Fixtures.counter "serialize_pool_hits" - hits >= 41))))
+
 let suite =
   [
     Alcotest.test_case "wire: line protocol" `Quick test_line_protocol;
@@ -2076,4 +2279,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tree_reply_bytes;
     Alcotest.test_case "client: tree reply torn mid-body" `Quick test_tree_reply_torn_mid_body;
     Alcotest.test_case "client: tree length mismatch" `Quick test_tree_length_mismatch;
+    Alcotest.test_case "socket: lent replies = Service.call at every size" `Quick
+      test_lent_replies_match_call;
+    Alcotest.test_case "socket: lent stream chunks = the string callback's" `Quick
+      test_lent_chunks_match_callback;
+    Alcotest.test_case "socket: a torn lent reply returns its buffer" `Quick
+      test_torn_lent_reply_returns_buffer;
   ]

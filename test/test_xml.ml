@@ -226,7 +226,9 @@ let test_recorder () =
   in
   let chunks write chunk_size =
     let out = ref [] in
-    let w = Writer.create (Buffer.create 16) ~chunk_size (fun c -> out := c :: !out) in
+    let w =
+      Writer.create (Buffer.create 16) ~chunk_size (fun c -> out := Buffer.contents c :: !out)
+    in
     Writer.start_element w "r" [];
     write w;
     Writer.end_element w "r";
