@@ -76,11 +76,12 @@ let transform_cmd =
     if stream then begin
       (* Constant-memory path: SAX parse straight through the selecting
          NFA into the chunked serializer, never building a tree.  The
-         tier is the service's TRANSFORM-STREAM FILE one: fused for a
-         qualifier-free plan, buffered (one parse, holding only the
-         subtrees a qualifier leaves undecided) otherwise, and a GENTOP
-         walk of the parsed tree for a context qualifier.  Output is
-         byte-identical either way. *)
+         tier is the service's TRANSFORM-STREAM FILE one: the
+         single-parse driver, fused for a qualifier-free plan (no region
+         opens) and buffered otherwise (one parse, holding only the
+         subtrees a qualifier leaves undecided), and a GENTOP walk of the
+         parsed tree for a context qualifier.  Output is byte-identical
+         either way. *)
       if pretty then begin
         Printf.eprintf "xut transform: --stream does not indent; drop --pretty\n";
         exit 2
@@ -95,13 +96,10 @@ let transform_cmd =
       (* the parse copies what the run keeps unread straight into the sink *)
       let steer = Xut_xml.Sax.steer (Xut_xml.Serialize.Sink.writer sink) in
       let source h = Xut_xml.Sax.parse_file ~steer doc h in
-      let tier = Sax_transform.tier ~file:true nfa in
       let rs =
         try
-          match tier with
-          | Sax_transform.Fused ->
-            Some (Sax_transform.run_once ~steer nfa update ~source ~sink:events)
-          | Sax_transform.Buffered ->
+          match Sax_transform.tier nfa with
+          | Sax_transform.Streamed ->
             Some (Sax_transform.run_buffered ~steer nfa update ~source ~sink:events)
           | Sax_transform.Materialized ->
             Xut_xml.Serialize.Sink.element sink (Top_down.run nfa update (load_doc doc));
@@ -120,7 +118,7 @@ let transform_cmd =
            Format.eprintf
              "engine=%s time=%.4fs alloc_kw=%.1f depth=%d truth=%d elements=%d regions=%d \
               parses=%d held=%d%s@."
-             (if tier = Sax_transform.Fused then "fusedSAX" else "bufferedSAX")
+             (if Sax_transform.one_pass nfa then "fusedSAX" else "bufferedSAX")
              dt alloc_kw rs.Sax_transform.max_stack_depth rs.Sax_transform.truth_entries
              rs.Sax_transform.elements_seen rs.Sax_transform.regions rs.Sax_transform.parses
              rs.Sax_transform.peak_held_bytes (counters_moved c0)
@@ -262,24 +260,20 @@ let xmark_cmd =
 
 (* ---------------- serve ---------------- *)
 
-(* A streamed reply on stdout: the chunks were printed raw as they
-   arrived ([print_string] is the consumer), and a completed payload
-   ends with a newline.  With [~completion] (the stdin protocol) the
-   newline always comes and [print_reply] then prints the terminal
-   response on its own line; without it ([xut client]) only an error is
-   printed. *)
-let print_stream_reply ~completion print_reply resp =
-  let finished =
-    match resp with
-    | Xut_service.Service.Ok (Xut_service.Service.Stream_done _) -> true
-    | _ -> false
-  in
-  if completion || finished then print_newline ();
-  if completion || not finished then print_reply resp
-
+(* One reply per request, printed on the worker as it is delivered: a
+   tree or a stream chunk straight from the pooled buffer it was
+   written into.  A stream's chunks are its raw payload, and its final
+   reply follows on a line of its own. *)
 let stdin_serve_loop svc =
-  let print_reply resp =
-    Printf.printf "%s\n%!" (Xut_transport.Wire.Line.render_response resp)
+  let deliver ~stream = function
+    | Xut_service.Service.Tree_bytes b ->
+      print_string "OK ";
+      Buffer.output_buffer stdout b;
+      print_newline ()
+    | Xut_service.Service.Chunk b -> Buffer.output_buffer stdout b
+    | Xut_service.Service.Response resp ->
+      if stream then print_newline ();
+      Printf.printf "%s\n%!" (Xut_transport.Wire.Line.render_response resp)
   in
   let rec loop () =
     match In_channel.input_line stdin with
@@ -288,10 +282,9 @@ let stdin_serve_loop svc =
     | Some line ->
       (match Xut_transport.Wire.Line.decode_incoming line with
       | Error msg -> Printf.printf "ERR %s\n%!" msg
-      | Ok (Xut_transport.Wire.Plain req) -> print_reply (Xut_service.Service.call svc req)
-      | Ok (Xut_transport.Wire.Stream sr) ->
-        print_stream_reply ~completion:true print_reply
-          (Xut_service.Service.call_stream svc sr print_string));
+      | Ok work ->
+        let stream = match work with Xut_service.Service.Stream _ -> true | Plain _ -> false in
+        Xut_service.Service.call_lent svc work (deliver ~stream));
       loop ()
   in
   loop ()
@@ -459,10 +452,14 @@ let client_cmd =
     in
     (* A streamed TRANSFORM (--stream) or a TRANSFORM-STREAM line writes
        raw result bytes to stdout as the chunk frames arrive, instead of
-       buffering the whole document in a response frame. *)
+       buffering the whole document in a response frame; a completed
+       payload ends with a newline, and only an error is printed. *)
     let stream_one sr =
-      print_stream_reply ~completion:false print_resp
-        (Xut_transport.Client.stream cli { sr with Xut_service.Service.chunk_size } print_string)
+      match
+        Xut_transport.Client.stream cli { sr with Xut_service.Service.chunk_size } print_string
+      with
+      | Xut_service.Service.Ok (Xut_service.Service.Stream_done _) -> print_newline ()
+      | resp -> print_resp resp
     in
     let run_one = function
       | Xut_transport.Wire.Stream sr -> stream_one sr

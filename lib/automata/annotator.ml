@@ -368,7 +368,7 @@ let rekey old_table ~spine =
    same inputs as its old counterpart takes over the old entry; and
    stale entries are scrubbed by replaying the old run's walk, which
    visits exactly the nodes it wrote and stops where it pruned. *)
-let repair ?(skip = fun _ -> false) ?footprint nfa ~old_table ~spine new_root =
+let repair ?footprint nfa ~old_table ~spine new_root =
   match Hashtbl.find_opt spine (Node.id new_root) with
   | None -> None (* degenerate diff: the document element was replaced *)
   | Some old_root ->
@@ -409,11 +409,11 @@ let repair ?(skip = fun _ -> false) ?footprint nfa ~old_table ~spine new_root =
           iter_kids (fun c -> scrub c states' (kid_seeds lq candidates c)) oe
         end
       in
-      (* Schema pruning reaches repair only through [fresh] (the same
-         entry point a from-scratch run uses), so pruned and unpruned
-         repairs produce the same table: skipped subtrees are exactly
-         those a fresh run writes nothing under. *)
-      let fresh e states seeds = annotate_subtree ~skip nfa here tbl recomputed e states seeds in
+      (* Fresh material is annotated unpruned: a skip-set changes what
+         a build visits, never what it writes (see [annotate]). *)
+      let fresh e states seeds =
+        annotate_subtree ~skip:(fun _ -> false) nfa here tbl recomputed e states seeds
+      in
       (* A shared node reached with the old and the new demand: its
          entries stand iff both runs enter it in the same configuration. *)
       let reuse e old_states states old_seeds seeds =

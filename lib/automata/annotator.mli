@@ -86,7 +86,6 @@ val commit_footprint : spine:(int, Node.element) Hashtbl.t -> Node.element -> co
     [repair] of that commit. *)
 
 val repair :
-  ?skip:(Node.element -> bool) ->
   ?footprint:commit_footprint Lazy.t ->
   Selecting_nfa.t ->
   old_table:table ->
@@ -97,7 +96,9 @@ val repair :
     spine element's id in the post-commit tree to the pre-commit element
     it replaced ({!Xut_update.Apply.materialize}'s diff).  Because
     entries are subtree-local and untouched subtrees keep their ids, the
-    result is entry-for-entry equal to [annotate nfa new_root].  The
+    result is entry-for-entry equal to [annotate nfa new_root], and so
+    to a build under any skip-set: repair takes none, and annotates
+    fresh material unpruned.  The
     cost is one copy of the old table plus O(spine nodes + their
     children + fresh material + the old entries it drops): a shared
     child of a spine node is passed over unvisited unless the demand

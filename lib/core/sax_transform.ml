@@ -362,8 +362,6 @@ module Pass2 = struct
     (* schema-skipped subtree being copied to the output verbatim: nothing
        below can match, so the events pass through with no transition run *)
     mutable verbatim : int;
-    mutable verbatim_subtrees : int;
-    mutable verbatim_elements : int;
     mutable depth : int;
     mutable max_depth : int;
     mutable seq : int;
@@ -386,9 +384,8 @@ module Pass2 = struct
     { nfa; here = Counter.local (); update; sskip; truth; sink; steer;
       root_matched = Selecting_nfa.selects_context nfa; start;
       fstates = Array.make initial_depth start; out_names = Array.make initial_depth "";
-      matched = Array.make initial_depth false; skip = 0; verbatim = 0;
-      verbatim_subtrees = 0; verbatim_elements = 0; depth = 0; max_depth = 0; seq = -1;
-      as_bytes = 0; produced_root = false }
+      matched = Array.make initial_depth false; skip = 0; verbatim = 0; depth = 0;
+      max_depth = 0; seq = -1; as_bytes = 0; produced_root = false }
 
   (* The qualifier check at the start-tag numbered [seq]. *)
   let checkp s p = Truth.get p.truth p.seq (Selecting_nfa.state_lq p.nfa s)
@@ -478,9 +475,7 @@ module Pass2 = struct
     if p.sskip sym then begin
       if p.depth = 0 then p.produced_root <- true;
       p.sink ev;
-      p.verbatim <- 1;
-      p.verbatim_subtrees <- p.verbatim_subtrees + 1;
-      p.verbatim_elements <- p.verbatim_elements + 1
+      p.verbatim <- 1
     end
     else admit p ev name attrs (Selecting_nfa.next p.nfa p.here ~checkp p (states p) sym)
 
@@ -491,7 +486,6 @@ module Pass2 = struct
     if p.skip > 0 then p.skip <- p.skip + 1
     else if p.verbatim > 0 then begin
       p.verbatim <- p.verbatim + 1;
-      p.verbatim_elements <- p.verbatim_elements + 1;
       p.sink ev
     end
     else enter p ev name attrs (if sym >= 0 then sym else Sym.intern name)
@@ -655,15 +649,10 @@ let drop_held h =
   h.nspans <- 0;
   Option.iter Writer.reset h.bytes
 
-(* A run with a schema skip-set is not steered: the skip-set comes with
-   a stored document, whose events are a tree replay with no parse to
-   steer. *)
-let drive ?steer ?skip nfa update ~source ~sink =
-  let steer = if Option.is_some skip then None else steer in
-  let skip = Option.value skip ~default:never in
+let drive ?steer nfa update ~source ~sink =
   let truth = Truth.create ~nlq:(Lq.length (Selecting_nfa.lq nfa)) in
-  let p1 = Pass1.create ~sskip:skip nfa truth in
-  let p2 = Pass2.create ?steer ~sskip:skip nfa update truth sink in
+  let p1 = Pass1.create ~sskip:never nfa truth in
+  let p2 = Pass2.create ?steer ~sskip:never nfa update truth sink in
   let quals = Selecting_nfa.qual_states nfa in
   let held =
     { events = [||]; syms = [||]; n = 0; spans = Array.make 3 0; nspans = 0; bytes = None }
@@ -731,7 +720,7 @@ let drive ?steer ?skip nfa update ~source ~sink =
       match ev with
       | Sax.Start_element (name, attrs) ->
         let sym = Sym.intern name in
-        if Pass2.walking p2 && not (skip sym) then begin
+        if Pass2.walking p2 then begin
           let parent = Pass2.states p2 in
           let states = Selecting_nfa.next_unchecked nfa p2.Pass2.here parent sym in
           if Selecting_nfa.set_intersects states quals then open_region ev name attrs sym parent
@@ -797,8 +786,8 @@ let drive ?steer ?skip nfa update ~source ~sink =
     max_stack_depth = max p1.Pass1.max_depth p2.Pass2.max_depth;
     truth_entries = !peak_truth;
     elements_seen = p2.Pass2.seq + 1;
-    skipped_subtrees = p2.Pass2.verbatim_subtrees;
-    skipped_elements = p2.Pass2.verbatim_elements;
+    skipped_subtrees = 0;
+    skipped_elements = 0;
     regions = !regions;
     parses;
     peak_held_bytes = !peak_held;
@@ -806,10 +795,10 @@ let drive ?steer ?skip nfa update ~source ~sink =
 
 (* A path that begins with [//.[q]] tests the document node, whose truth
    is known only at the end of the input: {!run}'s two reads. *)
-let run_buffered ?skip ?steer nfa update ~source ~sink =
+let run_buffered ?steer nfa update ~source ~sink =
   check_ctx_qual nfa;
-  if Selecting_nfa.checks_document nfa then run ?skip nfa update ~source ~sink
-  else drive ?steer ?skip nfa update ~source ~sink
+  if Selecting_nfa.checks_document nfa then run nfa update ~source ~sink
+  else drive ?steer nfa update ~source ~sink
 
 (* A plan is one-pass streamable iff the top-down run never needs the
    bottom-up truth table: no context qualifier and no qualifier-bearing
@@ -820,21 +809,17 @@ let one_pass nfa =
   (match Selecting_nfa.ctx_qual nfa with Ast.Q_true -> true | _ -> false)
   && Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa)
 
-let run_once ?skip ?steer nfa update ~source ~sink =
+let run_once ?steer nfa update ~source ~sink =
   if not (one_pass nfa) then
     raise
       (Unsupported_streaming
          "plan has qualifiers: one-pass streaming needs the bottom-up pass");
-  drive ?steer ?skip nfa update ~source ~sink
+  drive ?steer nfa update ~source ~sink
 
-type tier = Fused | Buffered | Materialized
+type tier = Streamed | Materialized
 
-let tier ~file nfa =
-  if one_pass nfa then Fused
-  else
-    match Selecting_nfa.ctx_qual nfa with
-    | Ast.Q_true when file -> Buffered
-    | _ -> Materialized
+let tier nfa =
+  match Selecting_nfa.ctx_qual nfa with Ast.Q_true -> Streamed | _ -> Materialized
 
 let transform update root =
   let nfa = Selecting_nfa.of_path (Transform_ast.path update) in

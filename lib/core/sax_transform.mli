@@ -48,9 +48,8 @@ open Xut_automata
     in place of its events, and the replay writes them into the sink's
     writer, flushing where the events would have.  The bytes, chunk
     boundaries, errors and run statistics are those of the unsteered
-    run.  What pass 1 reads inside a region, tree sources, {!run} and any
-    run given a [skip] set (a stored document's, whose events are a tree
-    replay) go through events.
+    run.  What pass 1 reads inside a region, tree sources and {!run} go
+    through events.
 
     {2 Allocation}
 
@@ -83,7 +82,9 @@ type run_stats = {
           for the single-parse drivers *)
   truth_entries : int;    (** peak size of Ld *)
   elements_seen : int;
-  skipped_subtrees : int;  (** subtrees the schema skip-set pruned in pass 1 *)
+  skipped_subtrees : int;
+      (** subtrees the schema skip-set pruned in pass 1 of {!run}; 0 for
+          the single-parse drivers, which take no skip-set *)
   skipped_elements : int;  (** elements inside those subtrees (exact count) *)
   regions : int;  (** undecided regions {!run_buffered} held (0 for the other drivers) *)
   parses : int;
@@ -136,7 +137,6 @@ val buffer_budget : int
     them as events or as bytes. *)
 
 val run_buffered :
-  ?skip:(Sym.t -> bool) ->
   ?steer:Sax.steer ->
   Selecting_nfa.t ->
   Transform_ast.update ->
@@ -156,9 +156,8 @@ val run_buffered :
     already written stays valid; no run reads the source more than
     twice.  A path that begins with [//.\[q\]] checks [q] at the document
     node, known only at the end of the input, and runs as {!run}.
-    [skip] is as for {!run}; [skipped_*] count the subtrees pass 2
-    copied verbatim.  [steer] is described above; a run past the budget
-    steers its second read too.
+    [steer] is described above; a run past the budget steers its second
+    read too.
     @raise Unsupported_streaming for a context qualifier.
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
@@ -172,7 +171,6 @@ val one_pass : Selecting_nfa.t -> bool
     automaton is empty. *)
 
 val run_once :
-  ?skip:(Sym.t -> bool) ->
   ?steer:Sax.steer ->
   Selecting_nfa.t ->
   Transform_ast.update ->
@@ -184,22 +182,23 @@ val run_once :
     exactly once, so it may be a non-replayable stream (a socket, a
     pipe).  This is {!run_buffered} behind a guard: a plan without
     qualifiers never opens a region.  Returned stats have
-    [truth_entries = 0], [regions = 0] and [parses = 1]; [skipped_*] count
-    the subtrees/elements copied verbatim under the schema skip-set.
+    [truth_entries = 0], [regions = 0] and [parses = 1].
     @raise Unsupported_streaming when [one_pass nfa] is [false].
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
 
 type tier =
-  | Fused  (** {!run_once}: {!one_pass} holds *)
-  | Buffered  (** {!run_buffered} over a file *)
-  | Materialized  (** a tree walk: no streaming tier applies *)
+  | Streamed
+      (** {!run_buffered}, which costs what {!run_once} does when
+          {!one_pass} holds *)
+  | Materialized  (** a tree walk: a context qualifier *)
 
-val tier : file:bool -> Selecting_nfa.t -> tier
-(** The streaming tier of a plan, as the service's TRANSFORM-STREAM and
-    [xut transform --stream] pick it.  [file] says the input is a file,
-    which a buffered run past its budget can read again; a stored
-    document with qualifiers is walked as a tree instead. *)
+val tier : Selecting_nfa.t -> tier
+(** The streaming tier of a plan over a file, as the service's
+    TRANSFORM-STREAM FILE and [xut transform --stream] pick it.  Only a
+    file is asked: it is the input that is not in memory, and a buffered
+    run past its budget can read it again.  A stored document is always
+    walked as a tree. *)
 
 val transform : Transform_ast.update -> Node.element -> Node.element
 (** Run the streaming algorithm over an in-memory tree (events replayed

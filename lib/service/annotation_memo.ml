@@ -75,7 +75,7 @@ let invalidate t ~root_id =
    IN PLACE — readers that picked up the pre-commit snapshot before the
    swap still resolve its table (immutable, never repaired in place);
    the LRU drops it once younger roots push it out. *)
-let repair ?skip ?footprint t nfa ~old_root_id ~spine new_root =
+let repair ?footprint t nfa ~old_root_id ~spine new_root =
   Mutex.lock t.mu;
   let old_entry = Hashtbl.find_opt t.docs old_root_id in
   Mutex.unlock t.mu;
@@ -84,7 +84,7 @@ let repair ?skip ?footprint t nfa ~old_root_id ~spine new_root =
   | Some { table = old_table; _ } -> begin
     (* Repair runs outside the lock, like [find]'s build: a racing
        reader of the old snapshot still hits the old entry meanwhile. *)
-    match Annotator.repair ?skip ?footprint nfa ~old_table ~spine new_root with
+    match Annotator.repair ?footprint nfa ~old_table ~spine new_root with
     | None ->
       (* degenerate diff (root replaced): fall back to eviction *)
       ignore (invalidate t ~root_id:old_root_id);

@@ -35,7 +35,6 @@ val invalidate : t -> root_id:int -> bool
 (** Drop the table for one document root, if present. *)
 
 val repair :
-  ?skip:(Xut_xml.Node.element -> bool) ->
   ?footprint:Annotator.commit_footprint Lazy.t ->
   t ->
   Selecting_nfa.t ->

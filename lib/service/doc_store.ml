@@ -18,7 +18,6 @@ type event = {
   generation : int;
   reason : reason;
   repair : repair_hint option;
-  schema : string option;
   schema_dropped : bool;
 }
 
@@ -115,7 +114,6 @@ let register t ~name ?file ?schema root =
           generation;
           reason = Replaced;
           repair = None;
-          schema;
           schema_dropped = false;
         }
     | None -> ());
@@ -170,7 +168,6 @@ let evict t name =
         generation = e.einfo.generation;
         reason = Unloaded;
         repair = None;
-        schema = e.einfo.schema;
         schema_dropped = false;
       };
     true
@@ -238,7 +235,6 @@ let commit t ~name f =
         generation = info'.generation;
         reason = Committed;
         repair;
-        schema = info'.schema;
         schema_dropped;
       }
   | _ -> ());

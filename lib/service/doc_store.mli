@@ -58,17 +58,11 @@ type event = {
   repair : repair_hint option;
       (** [Committed] swaps that supplied a diff; always [None] for
           [Unloaded]/[Replaced] *)
-  schema : string option;
-      (** the schema the {e surviving} binding conforms to, captured at
-          the swap (so listeners need no racy re-read): the new
-          binding's for [Committed]/[Replaced], the departed one's for
-          [Unloaded] *)
   schema_dropped : bool;
       (** [Committed] only: the commit's revalidation found the derived
           tree no longer conforms (or the schema name has been
-          unregistered), so the binding lost its schema — [schema] is
-          [None] and pruning is off for the document from this
-          generation on.  Surfaced so the drop is observable (a wire
+          unregistered), so the binding lost its schema and pruning is
+          off for the document from this generation on.  Surfaced so the drop is observable (a wire
           notice and a [schema_bindings_dropped] counter) instead of
           silent. *)
 }

@@ -141,7 +141,7 @@ type repair_totals = {
   rekeyed : int;
 }
 
-let repair ?(plan_skip = fun _ -> None) ?footprint t ~old_root_id ~spine new_root =
+let repair ?footprint t ~old_root_id ~spine new_root =
   let footprint =
     match footprint with
     | Some fp -> fp
@@ -150,8 +150,7 @@ let repair ?(plan_skip = fun _ -> None) ?footprint t ~old_root_id ~spine new_roo
   List.fold_left
     (fun acc plan ->
       match
-        Annotation_memo.repair ?skip:(plan_skip plan) ~footprint plan.annotations plan.nfa
-          ~old_root_id ~spine new_root
+        Annotation_memo.repair ~footprint plan.annotations plan.nfa ~old_root_id ~spine new_root
       with
       | `Absent -> acc
       | `Fallback -> { acc with fallbacks = acc.fallbacks + 1 }

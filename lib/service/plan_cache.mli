@@ -99,7 +99,6 @@ type repair_totals = {
 }
 
 val repair :
-  ?plan_skip:(plan -> (Xut_xml.Node.element -> bool) option) ->
   ?footprint:Xut_automata.Annotator.commit_footprint Lazy.t ->
   t ->
   old_root_id:int ->
@@ -113,11 +112,9 @@ val repair :
     {e kept} — readers already holding the pre-commit snapshot must
     still resolve its table — and ages out of the per-plan LRU
     ({!max_annotated_docs}) like any other entry.  Plans with no table
-    for the old root are untouched (nothing to keep warm).  [plan_skip]
-    supplies each plan's schema skip-set oracle (from {!product} against
-    the document's post-commit binding), pruning the fresh-subtree
-    annotation inside the repair without changing its result.
-    [footprint] is the commit's label footprint; when absent it is
+    for the old root are untouched (nothing to keep warm).  The repair
+    takes no skip-set: the table it derives is the one any skip-set
+    would build.  [footprint] is the commit's label footprint; when absent it is
     computed once, on the first plan that needs it, and shared by the
     rest. *)
 

@@ -120,8 +120,9 @@ and render_payload = function
 
 (* A streamed transform reads a stored document or a server-side file
    that is never materialized as a tree.  [engine = Some e] streams the
-   result of engine [e] over a stored document; [None] lets the service
-   pick the cheapest tier (fused, buffered, materialized). *)
+   result of engine [e] over a stored document; [None] walks a stored
+   document with GENTOP and lets the service pick a file's tier
+   (streamed or materialized). *)
 type stream_source = From_doc of string | From_file of string
 
 type stream_request = {
@@ -162,16 +163,18 @@ let kept = function
    - reply: that output serialized whole, counted, or streamed in
      chunks.
 
-   [engine = None] (TRANSFORM-STREAM) lets execute pick the tier, by
-   {!Sax_transform.tier}: a plan with no qualifiers anywhere never
-   consults the bottom-up truth table, so the top-down pass alone over
-   one forward read of the input is the whole transform — O(depth)
-   memory, end to end ([streams_fused]).  A file with a trivially-true
-   context qualifier runs the buffered pass: one read, holding only the
-   undecided regions ([streams_fused]), or two reads once a region
-   outgrows the budget ([stream_fallbacks]).  Everything else falls back
-   with byte-identical output ([stream_fallbacks]) and walks a tree with
-   GENTOP — the stored one, or a one-off parse of the file. *)
+   One rule picks the path: only a file is asked for a streaming tier.
+   A stored document is in memory, so [engine = None] (TRANSFORM-STREAM)
+   over it is the GENTOP result stream, skip-set and reply image
+   included: topDown shares every subtree the update cannot reach, where
+   a SAX replay of the tree would visit every element.  A file is not in
+   memory, and {!Sax_transform.tier} picks its path: with a
+   trivially-true context qualifier the single-parse driver runs, one
+   read holding only the undecided regions ([streams_fused]; a plan
+   without qualifiers opens none), or two reads once a region outgrows
+   the budget ([stream_fallbacks]).  A context qualifier falls back with
+   byte-identical output ([stream_fallbacks]) to a GENTOP walk of a
+   one-off parse of the file. *)
 
 type source = Stored of target | File of string
 
@@ -195,13 +198,13 @@ type query =
   | Composed of View_store.view list * Composition.composed
   | Materialized of View_store.view list * Xut_xquery.Xq_ast.expr
 
-(* Where a SAX tier writes its result: into a chunked sink, which a
+(* Where a SAX run writes its result: into a chunked sink, which a
    steered parse of a file can also write into straight from its window,
    or to an event handler. *)
 type events_sink = Serializer of Xut_xml.Serialize.Sink.t | Handler of (Xut_xml.Sax.event -> unit)
 
 (* What execute hands reply: a result tree, built on demand (the walk
-   engines count it without building it); a SAX tier writing the result;
+   engines count it without building it); a SAX run writing the result;
    or a view read's value. *)
 type output =
   | Result_tree of { build : unit -> Xut_xml.Node.element; count : unit -> int }
@@ -218,7 +221,7 @@ type state = {
   metrics : Metrics.t;
 }
 
-type t = { st : state; pool : (job, unit) Worker_pool.t }
+type t = { st : state; pool : job Worker_pool.t }
 
 let ( let* ) = Result.bind
 let refuse code fmt = Printf.ksprintf (fun message -> Stdlib.Error (Error { code; message })) fmt
@@ -283,7 +286,7 @@ let count_skips ~metrics = function
     Metrics.add_skipped metrics ~subtrees:p.skipped_subtrees ~nodes:p.skipped_nodes
   | Some _ | None -> ()
 
-(* The SAX engine consumes the skip-set by symbol and reports exact skip
+(* twoPassSAX consumes the skip-set by symbol and reports exact skip
    counts in its run stats. *)
 let sym_skip pruning =
   Option.map (fun p sym -> Xut_schema.Schema.skippable p.product sym) pruning
@@ -475,12 +478,6 @@ let root_of = function
   | Snapshot (root, _, _) -> root
   | File_input path -> Xut_xml.Dom.parse_file path
 
-(* The input's events: a replay of the snapshot, or a parse of the file. *)
-let events_of input h =
-  match input with
-  | Snapshot (root, _, _) -> Xut_xml.Sax.events_of_tree root h
-  | File_input path -> Xut_xml.Sax.parse_file path h
-
 let handler_of = function
   | Serializer s -> Xut_xml.Serialize.Sink.event s
   | Handler h -> h
@@ -501,30 +498,29 @@ let result_tree ?skip (plan : Plan_cache.plan) engine input =
   in
   Result_tree { build; count }
 
-(* [plan]'s result by [run]: one SAX pass ({!Sax_transform.run_once})
-   or the buffered pass ({!run_buffered}).  A file's parse into a
-   [Serializer] is steered (a tree replay has no parse to steer): it
-   skips what the run drops, and copies what the run keeps unread into
-   the sink's writer. *)
-let sax_events run ?skip (plan : Plan_cache.plan) input =
+(* [plan]'s result over the file at [path] by the single-parse driver
+   ({!Sax_transform.run_buffered}).  Its parse into a [Serializer] is
+   steered: it skips what the run drops, and copies what the run keeps
+   unread into the sink's writer.  The run counts as fused when it kept
+   to one read of the file, as a fallback when a region outgrew the
+   budget and the file was read twice; a run that fails counts as
+   neither. *)
+let streamed ~metrics (plan : Plan_cache.plan) path =
   let nfa = plan.Plan_cache.nfa and update = plan.Plan_cache.query.Transform_ast.update in
   Events
     (fun out ->
-      match (out, input) with
-      | Serializer s, File_input path ->
-        let steer = Xut_xml.Sax.steer (Xut_xml.Serialize.Sink.writer s) in
-        run ?skip ?steer:(Some steer) nfa update ~source:(Xut_xml.Sax.parse_file ~steer path)
-          ~sink:(Xut_xml.Serialize.Sink.event s)
-      | _ -> run ?skip ?steer:None nfa update ~source:(events_of input) ~sink:(handler_of out))
-
-(* The buffered tier counts as fused when it kept to one read of the
-   file, as a fallback when a region outgrew the budget and the file was
-   read twice; a run that fails counts as neither. *)
-let run_buffered ~metrics ?skip ?steer nfa update ~source ~sink =
-  let stats = Sax_transform.run_buffered ?skip ?steer nfa update ~source ~sink in
-  if stats.Sax_transform.parses = 1 then Metrics.incr_streams_fused metrics
-  else Metrics.incr_stream_fallbacks metrics;
-  stats
+      let steer =
+        match out with
+        | Serializer s -> Some (Xut_xml.Sax.steer (Xut_xml.Serialize.Sink.writer s))
+        | Handler _ -> None
+      in
+      let stats =
+        Sax_transform.run_buffered ?steer nfa update
+          ~source:(Xut_xml.Sax.parse_file ?steer path) ~sink:(handler_of out)
+      in
+      if stats.Sax_transform.parses = 1 then Metrics.incr_streams_fused metrics
+      else Metrics.incr_stream_fallbacks metrics;
+      stats)
 
 (* Execute: the engine and tier, as an [output].  twoPassSAX writes its
    result as events, the other engines build a result tree. *)
@@ -548,23 +544,20 @@ let execute st r ~pruning input query =
     Answer (Xut_xquery.Xq_eval.eval_expr (Xut_xquery.Xq_eval.env ~context ()) expr)
   | Plan plan -> (
     let nfa = plan.Plan_cache.nfa in
-    match r.engine with
-    | Some Engine.Two_pass_sax ->
+    match (input, r.engine) with
+    | File_input path, _ -> (
+      (* resolve refuses a file with an engine *)
+      match Sax_transform.tier nfa with
+      | Sax_transform.Streamed -> streamed ~metrics plan path
+      | Sax_transform.Materialized ->
+        Metrics.incr_stream_fallbacks metrics;
+        result_tree plan Engine.Gentop input)
+    | Snapshot (root, _, _), Some Engine.Two_pass_sax ->
       Events
         (fun out ->
           Sax_transform.run ?skip:(sym_skip pruning) nfa plan.Plan_cache.query.Transform_ast.update
-            ~source:(events_of input) ~sink:(handler_of out))
-    | Some engine -> result_tree ?skip plan engine input
-    | None -> (
-      let file = match input with File_input _ -> true | Snapshot _ -> false in
-      match Sax_transform.tier ~file nfa with
-      | Sax_transform.Fused ->
-        Metrics.incr_streams_fused metrics;
-        sax_events Sax_transform.run_once ?skip:(sym_skip pruning) plan input
-      | Sax_transform.Buffered -> sax_events (run_buffered ~metrics) plan input
-      | Sax_transform.Materialized ->
-        Metrics.incr_stream_fallbacks metrics;
-        result_tree ?skip plan Engine.Gentop input))
+            ~source:(Xut_xml.Sax.events_of_tree root) ~sink:(handler_of out))
+    | Snapshot _, engine -> result_tree ?skip plan (Option.value engine ~default:Engine.Gentop) input)
 
 (* [fill] writes a [Tree] reply into a pooled buffer, which is lent as
    the reply; the worker releases it once the reply is delivered, or
@@ -851,7 +844,9 @@ let create ?(domains = 1) () =
      its rebuilt-spine diff instead has every cached plan's table
      {e repaired} for the new root (the old root's table stays
      addressable for in-flight readers until the per-plan LRU drops it);
-     a fallback eviction counts as an invalidation like any other.
+     a fallback eviction counts as an invalidation like any other.  The
+     repair takes no skip-set: a skip-set changes what a build visits,
+     never the table it writes.
 
      The same event walks the view-dependency graph: every view whose
      chain passes through the document has its annotation memo repaired
@@ -861,18 +856,6 @@ let create ?(domains = 1) () =
      plans: they depend on the definitions, not on document content. *)
   Doc_store.subscribe store (fun ev ->
       if ev.Doc_store.schema_dropped then Metrics.incr_schema_bindings_dropped metrics;
-      (* The schema captured at the swap (if the new tree still
-         conforms): each repaired table's fresh-subtree annotation runs
-         under the owning plan's skip-set, exactly as a from-scratch
-         build would.  The oracle changes cost, never content, so the
-         repaired table equals the unpruned one — repair_fallbacks stays
-         0 with pruning on. *)
-      let skip_against nfa products =
-        match schema_product ~metrics ev.Doc_store.schema products nfa with
-        | Some product when Xut_schema.Schema.skip_count product > 0 ->
-          Some (fun e -> Xut_schema.Schema.skippable product (Xut_xml.Node.sym e))
-        | _ -> None
-      in
       (* one label footprint per commit, for the plans' and the views'
          repairs alike, computed only if a repair needs it *)
       let footprint =
@@ -885,11 +868,8 @@ let create ?(domains = 1) () =
       in
       (match ev.Doc_store.repair with
       | Some hint ->
-        let plan_skip (plan : Plan_cache.plan) =
-          skip_against plan.Plan_cache.nfa plan.Plan_cache.products
-        in
         let totals =
-          Plan_cache.repair ~plan_skip ?footprint cache ~old_root_id:ev.Doc_store.root_id
+          Plan_cache.repair ?footprint cache ~old_root_id:ev.Doc_store.root_id
             ~spine:hint.Doc_store.spine hint.Doc_store.new_root
         in
         Metrics.add_repairs metrics ~repaired:totals.Plan_cache.repaired
@@ -911,9 +891,7 @@ let create ?(domains = 1) () =
             match ev.Doc_store.repair with
             | Some hint -> (
               match
-                Annotation_memo.repair
-                  ?skip:(skip_against v.View_store.nfa v.View_store.products)
-                  ?footprint v.View_store.memo v.View_store.nfa
+                Annotation_memo.repair ?footprint v.View_store.memo v.View_store.nfa
                   ~old_root_id:ev.Doc_store.root_id ~spine:hint.Doc_store.spine
                   hint.Doc_store.new_root
               with
@@ -962,12 +940,15 @@ let create ?(domains = 1) () =
 
 let shut_down () = error Overloaded "service is shut down"
 
-(* The handler delivers every reply itself, so the pool's own reply
-   channel carries nothing. *)
-let lend t work deliver =
-  match Worker_pool.submit t.pool { work; deliver } ignore with
+(* [work] as a job of the pool, by [enqueue] ({!Worker_pool.submit} or
+   {!Worker_pool.call}); a shut-down pool's refusal is delivered too. *)
+let enqueued enqueue t work deliver =
+  match enqueue t.pool { work; deliver } with
   | () -> ()
   | exception Invalid_argument _ -> ( try deliver (Response (shut_down ())) with _ -> ())
+
+let lend t work deliver = enqueued Worker_pool.submit t work deliver
+let call_lent t work deliver = enqueued Worker_pool.call t work deliver
 
 (* The string API: each lent tree or chunk is copied out once, here. *)
 let copied emit reply = function
@@ -979,18 +960,16 @@ let submit_stream t sr emit reply = lend t (Stream sr) (copied emit reply)
 
 let call_job t work emit =
   let got = ref None in
-  match Worker_pool.call t.pool { work; deliver = copied emit (fun r -> got := Some r) } with
-  | _ -> ( match !got with Some r -> r | None -> error Eval_error "no reply delivered")
-  | exception Invalid_argument _ -> shut_down ()
+  call_lent t work (copied emit (fun r -> got := Some r));
+  match !got with Some r -> r | None -> error Eval_error "no reply delivered"
 
 let call t req = call_job t (Plain req) ignore
-let call_stream t sr emit = call_job t (Stream sr) emit
 
 let transform_stream t ~doc ~engine ~query ?(chunk_size = default_chunk_size) emit =
-  call_stream t { source = From_doc doc; engine = Some engine; query; chunk_size } emit
+  call_job t (Stream { source = From_doc doc; engine = Some engine; query; chunk_size }) emit
 
 let transform_ingest t ~source ~query ?(chunk_size = default_chunk_size) emit =
-  call_stream t { source; engine = None; query; chunk_size } emit
+  call_job t (Stream { source; engine = None; query; chunk_size }) emit
 
 let metrics t = t.st.metrics
 let cache_stats t = Plan_cache.stats t.st.cache

@@ -16,9 +16,9 @@
     - {b admit}: the NFA x schema product's pruning oracle, and the
       statically-empty check for a plan over a schema-bound document;
     - {b execute}: the engine and tier — topDown walk (GENTOP, TD-BU),
-      the other engines' own result trees, twoPassSAX, fused or
-      buffered SAX events, the composed view query or its materializing
-      fallback;
+      the other engines' own result trees, twoPassSAX, a file's
+      single-parse SAX events, the composed view query or its
+      materializing fallback;
     - {b reply}: the result serialized whole ([Tree]), counted
       ([Element_count]; the walk engines count without building the
       result) or streamed in chunks ([Stream_done]).
@@ -236,21 +236,21 @@ val call : t -> request -> response
       that tree is topDown's shared output: only the spine above each
       change is built, and shared subtrees are serialized whole.  An
       update the document element cannot take fails before any chunk.
-    - [engine = None] ([TRANSFORM-STREAM]) is the constant-memory
-      {e input} path: the source is driven through the SAX transform
-      straight into the sink, never materialized as a tree, when the
-      plan admits it.  The classifier is {!Core.Sax_transform.tier}:
-      plans with no qualifiers anywhere run fused in one forward pass
-      with O(depth) memory ({!Metrics.streams_fused}).  A [From_file]
-      plan with a trivial context qualifier runs the buffered pass
-      ({!Core.Sax_transform.run_buffered}): one read of the file,
-      holding only the subtrees whose selection waits on a qualifier
-      until their end-tags ({!Metrics.streams_fused}); a subtree past
-      the pass's byte budget switches it to two reads of the file
-      ({!Metrics.stream_fallbacks}), still with no tree.  Anything else
-      falls back with byte-identical output ({!Metrics.stream_fallbacks})
-      to a tree (the stored one, or a one-off parse of the file) and
-      streams only the output.
+    - [engine = None] ([TRANSFORM-STREAM]) asks for a streaming tier
+      only for a file, the input that is not in memory.  A [From_doc]
+      stream is the [engine = Some Gentop] one exactly, skip-set and
+      reply image included, and counts as no tier.  A [From_file] one
+      is the constant-memory {e input} path, classified by
+      {!Core.Sax_transform.tier}: with a trivial context qualifier the
+      file is driven through the single-parse SAX transform
+      ({!Core.Sax_transform.run_buffered}) straight into the sink,
+      never materialized as a tree — one read holding only the subtrees
+      whose selection waits on a qualifier until their end-tags (none
+      for a plan without qualifiers; {!Metrics.streams_fused}), or two
+      reads once such a subtree passes the byte budget
+      ({!Metrics.stream_fallbacks}).  A context qualifier falls back
+      with byte-identical output ({!Metrics.stream_fallbacks}) to a
+      GENTOP walk of a one-off parse of the file.
 
     A [From_doc] stream is resolved and admitted as a Doc [Transform]
     is (snapshot, plan lookup, schema pruning, the statically-empty
@@ -283,10 +283,6 @@ val submit_stream : t -> stream_request -> (string -> unit) -> (response -> unit
     completion as {!submit}'s does.  If [emit] raises, or the engine
     fails after chunks have gone out, [reply] gets an [Error] — the
     mid-stream error case. *)
-
-val call_stream : t -> stream_request -> (string -> unit) -> response
-(** Synchronous {!submit_stream}: [Ok (Stream_done _)] after the last
-    chunk, or an [Error]. *)
 
 val transform_stream :
   t ->
@@ -338,6 +334,9 @@ val lend : t -> incoming -> (delivery -> unit) -> unit
     anything else, a stream's completion included — goes to [deliver]
     exactly once, an exception out of that call being dropped.  After
     {!shutdown}, [deliver] gets an [Overloaded] [Response] at once. *)
+
+val call_lent : t -> incoming -> (delivery -> unit) -> unit
+(** Synchronous {!lend}: returns once the reply has been delivered. *)
 
 val metrics : t -> Metrics.t
 val cache_stats : t -> Plan_cache.stats

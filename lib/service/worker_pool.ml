@@ -1,10 +1,9 @@
-type ('a, 'b) cell = { arg : 'a; reply : ('b, string) result -> unit }
-
-type ('a, 'b) t = {
+type 'a t = {
+  f : 'a -> unit;
   mu : Mutex.t;
   not_empty : Condition.t;
   not_full : Condition.t;
-  queue : ('a, 'b) cell Queue.t;
+  queue : ('a * (unit -> unit)) Queue.t;  (* a job and what runs once it is done *)
   capacity : int;
   mutable closed : bool;
   mutable workers : unit Domain.t list;
@@ -12,7 +11,7 @@ type ('a, 'b) t = {
   on_dequeue : unit -> unit;
 }
 
-let worker_loop t f =
+let worker_loop t =
   let rec loop () =
     Mutex.lock t.mu;
     while Queue.is_empty t.queue && not t.closed do
@@ -24,20 +23,14 @@ let worker_loop t f =
       ()
     end
     else begin
-      let cell = Queue.pop t.queue in
+      let arg, finished = Queue.pop t.queue in
       t.on_dequeue ();
       Condition.signal t.not_full;
       Mutex.unlock t.mu;
-      (* Failure isolation: any exception from f becomes this request's
-         error reply, and one out of the reply itself is dropped; the
+      (* Failure isolation: an exception out of a job is dropped; the
          worker never dies. *)
-      let result =
-        match f cell.arg with
-        | v -> Ok v
-        | exception Failure msg -> Error msg
-        | exception e -> Error (Printexc.to_string e)
-      in
-      (try cell.reply result with _ -> ());
+      (try t.f arg with _ -> ());
+      finished ();
       loop ()
     end
   in
@@ -48,6 +41,7 @@ let create ?(on_enqueue = Fun.id) ?(on_dequeue = Fun.id) ~domains ~queue_capacit
   if queue_capacity < 1 then invalid_arg "Worker_pool.create: queue_capacity < 1";
   let t =
     {
+      f;
       mu = Mutex.create ();
       not_empty = Condition.create ();
       not_full = Condition.create ();
@@ -59,10 +53,10 @@ let create ?(on_enqueue = Fun.id) ?(on_dequeue = Fun.id) ~domains ~queue_capacit
       on_dequeue;
     }
   in
-  t.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> worker_loop t f));
+  t.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let submit t arg reply =
+let enqueue t job =
   Mutex.lock t.mu;
   while Queue.length t.queue >= t.capacity && not t.closed do
     Condition.wait t.not_full t.mu
@@ -71,24 +65,27 @@ let submit t arg reply =
     Mutex.unlock t.mu;
     invalid_arg "Worker_pool.submit: pool is shut down"
   end;
-  Queue.push { arg; reply } t.queue;
+  Queue.push job t.queue;
   t.on_enqueue ();
   Condition.signal t.not_empty;
   Mutex.unlock t.mu
 
+let submit t arg = enqueue t (arg, ignore)
+
 let call t arg =
-  let mu = Mutex.create () and served = Condition.create () and result = ref None in
-  submit t arg (fun r ->
-      Mutex.lock mu;
-      result := Some r;
-      Condition.signal served;
-      Mutex.unlock mu);
+  let mu = Mutex.create () and served = Condition.create () and finished = ref false in
+  enqueue t
+    ( arg,
+      fun () ->
+        Mutex.lock mu;
+        finished := true;
+        Condition.signal served;
+        Mutex.unlock mu );
   Mutex.lock mu;
-  while Option.is_none !result do
+  while not !finished do
     Condition.wait served mu
   done;
-  Mutex.unlock mu;
-  Option.get !result
+  Mutex.unlock mu
 
 let shutdown t =
   Mutex.lock t.mu;

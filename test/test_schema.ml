@@ -293,6 +293,73 @@ let test_result_streams_pruned () =
                 Core.Engine.[ Gentop; Td_bu; Two_pass_sax ])
             fig11))
 
+(* A stored-document TRANSFORM-STREAM is the GENTOP result stream.  Over
+   the schema-bound and the schemaless binding of one file, U1-U10 at
+   every chunk size, and four failing requests, answer with the same
+   chunks and the same reply, and move the visit and skip counters by
+   the same amounts: a SAX replay of the stored tree would visit every
+   element. *)
+let test_doc_stream_is_gentop () =
+  with_xmark_file ~factor:0.01 (fun path ->
+      with_service (fun svc ->
+          ignore (load svc ~schema:"xmark" "d" path);
+          ignore (load svc "plain" path);
+          let m = Service.metrics svc in
+          let moved () =
+            (Fixtures.counter "nodes_visited", Metrics.skipped_subtrees m, Metrics.skipped_nodes m)
+          in
+          (* a run's reply, its chunks (their bytes, and their lengths as
+             32-bit words) and the counters it moved *)
+          let outcome run =
+            let bytes = Buffer.create 4096 and lengths = Buffer.create 256 in
+            let v, s, n = moved () in
+            let reply =
+              run (fun chunk ->
+                  Buffer.add_string bytes chunk;
+                  Buffer.add_int32_le lengths (Int32.of_int (String.length chunk)))
+            in
+            let v', s', n' = moved () in
+            (reply, Buffer.contents bytes, Buffer.contents lengths, (v' - v, s' - s, n' - n))
+          in
+          let agree label doc query chunk_size =
+            let ingest, ibytes, ilengths, imoved =
+              outcome
+                (Service.transform_ingest svc ~source:(Service.From_doc doc) ~query ~chunk_size)
+            in
+            let gentop, gbytes, glengths, gmoved =
+              outcome
+                (Service.transform_stream svc ~doc ~engine:Core.Engine.Gentop ~query ~chunk_size)
+            in
+            Alcotest.(check (triple int int int))
+              (label ^ ": same visits and skips") gmoved imoved;
+            Alcotest.(check bool) (label ^ ": same reply") true (ingest = gentop);
+            Alcotest.(check bool) (label ^ ": same chunks") true
+              (ibytes = gbytes && ilengths = glengths);
+            ingest
+          in
+          List.iter
+            (fun doc ->
+              List.iteri
+                (fun i p ->
+                  List.iter
+                    (fun chunk_size ->
+                      let label = Printf.sprintf "%s U%d chunk %d" doc (i + 1) chunk_size in
+                      match agree label doc (delete_q ~doc p) chunk_size with
+                      | Service.Ok (Service.Stream_done _) -> ()
+                      | _ -> Alcotest.fail (label ^ ": expected Stream_done"))
+                    [ 1; 61; 65536 ])
+                fig11)
+            [ "d"; "plain" ];
+          List.iter
+            (fun (label, doc, query, code) ->
+              match agree label doc query 61 with
+              | Service.Error { code = c; _ } when c = code -> ()
+              | _ -> Alcotest.fail (label ^ ": expected " ^ Service.err_code_name code))
+            [ ("unknown document", "nope", delete_q "/site/people", Service.Unknown_document);
+              ("query parse error", "d", "nonsense", Service.Query_parse_error);
+              ("statically empty", "d", delete_q "/site/people//bidder", Service.Statically_empty);
+              ("root-deleting update", "plain", delete_q ~doc:"plain" "/site", Service.Eval_error) ]))
+
 let test_view_chain_equivalence () =
   with_xmark_file (fun path ->
       with_service (fun svc ->
@@ -569,6 +636,8 @@ let suite =
       test_skip_metrics_and_answers;
     Alcotest.test_case "service: result streams under pruning (U1-U10)" `Quick
       test_result_streams_pruned;
+    Alcotest.test_case "service: a stored-document stream is the GENTOP stream (U1-U10)" `Quick
+      test_doc_stream_is_gentop;
     Alcotest.test_case "service: composed views agree under pruning" `Quick
       test_view_chain_equivalence;
     Alcotest.test_case "socket: statically-empty over the wire" `Quick

@@ -499,48 +499,50 @@ let test_service_reload_replaces () =
 
 (* ---- worker pool and metrics ---- *)
 
+(* A job is an argument and where its result goes: the pool carries no
+   reply of its own. *)
 let test_pool_parallel_sum () =
-  let pool = Worker_pool.create ~domains:4 ~queue_capacity:8 (fun n -> n * n) in
-  let expect, all = Fixtures.replies () in
-  List.iter (fun i -> Worker_pool.submit pool i (expect ())) (List.init 100 Fun.id);
-  let total =
-    List.fold_left
-      (fun acc -> function
-        | Ok v -> acc + v
-        | Error e -> Alcotest.fail e)
-      0 (all ())
+  let pool =
+    Worker_pool.create ~domains:4 ~queue_capacity:8 (fun (n, deliver) -> deliver (n * n))
   in
+  let expect, all = Fixtures.replies () in
+  List.iter (fun i -> Worker_pool.submit pool (i, expect ())) (List.init 100 Fun.id);
+  let total = List.fold_left ( + ) 0 (all ()) in
   Worker_pool.shutdown pool;
   Alcotest.(check int) "all 100 squares served" 328350 total
 
 let test_pool_failure_isolation () =
   let pool =
-    Worker_pool.create ~domains:2 ~queue_capacity:4 (fun n ->
-        if n < 0 then failwith "negative" else n + 1)
+    Worker_pool.create ~domains:2 ~queue_capacity:4 (fun (n, deliver) ->
+        if n < 0 then failwith "negative" else deliver (n + 1))
   in
-  (match Worker_pool.call pool (-1) with
-  | Error msg -> Alcotest.(check string) "error message" "negative" msg
-  | Ok _ -> Alcotest.fail "expected an error");
-  (match Worker_pool.call pool 41 with
-  | Ok v -> Alcotest.(check int) "workers survive a raise" 42 v
-  | Error e -> Alcotest.fail e);
-  (* A raising reply is dropped.  One per worker: if a raise killed its
+  let got = ref None in
+  Worker_pool.call pool (-1, fun v -> got := Some v);
+  Alcotest.(check (option int)) "call returns once a raising job is done" None !got;
+  Worker_pool.call pool (41, fun v -> got := Some v);
+  Alcotest.(check (option int)) "workers survive a raise" (Some 42) !got;
+  (* A raising job is dropped.  One per worker: if a raise killed its
      worker, each of the two workers would take one and die, and the
-     requests after them would never be served. *)
+     jobs after them would never be served. *)
   let raised = Atomic.make 0 in
   for i = 1 to 2 do
-    Worker_pool.submit pool i (fun _ ->
-        Atomic.incr raised;
-        failwith "reply raised")
+    Worker_pool.submit pool
+      ( i,
+        fun _ ->
+          Atomic.incr raised;
+          failwith "delivery raised" )
   done;
   let expect, all = Fixtures.replies () in
-  List.iter (fun i -> Worker_pool.submit pool i (expect ())) [ 10; 20; 30 ];
+  List.iter (fun i -> Worker_pool.submit pool (i, expect ())) [ 10; 20; 30 ];
   (match all ~timeout:10. () with
-  | [ Ok 11; Ok 21; Ok 31 ] -> ()
-  | _ -> Alcotest.fail "workers survive a raising reply");
+  | [ 11; 21; 31 ] -> ()
+  | _ -> Alcotest.fail "workers survive a raising job");
   Worker_pool.shutdown pool;
-  Alcotest.(check int) "both raising replies ran" 2 (Atomic.get raised);
-  Worker_pool.shutdown pool (* idempotent *)
+  Alcotest.(check int) "both raising jobs ran" 2 (Atomic.get raised);
+  Worker_pool.shutdown pool (* idempotent *);
+  match Worker_pool.submit pool (1, ignore) with
+  | () -> Alcotest.fail "submit after shutdown must raise"
+  | exception Invalid_argument _ -> ()
 
 (* After shutdown every entry answers Overloaded, and the callback ones
    do so before they return. *)
@@ -642,10 +644,10 @@ let test_transform_ingest () =
             | Service.Error { message; _ } -> Alcotest.fail message
           in
           (* all test queries, both source shapes, byte-identical to the
-             materialized answer: qualifier-free shapes run fused; the
-             qualifier-carrying one falls back to a tree walk for the
-             stored doc and runs the buffered pass, within its budget
-             (so counted fused), for the file *)
+             materialized answer: the stored doc is walked with GENTOP
+             and counts as no tier; over the file the qualifier-free
+             shapes run fused and the qualifier-carrying one runs the
+             buffered pass, within its budget (so counted fused) *)
           List.iter
             (fun q ->
               let expected = reference_answer Core.Engine.Gentop q in
@@ -655,10 +657,10 @@ let test_transform_ingest () =
                 (ingest (Service.From_file path) q))
             queries;
           let m = Service.metrics svc in
-          Alcotest.(check int) "fused runs counted" 5 (Metrics.streams_fused m);
-          Alcotest.(check int) "fallbacks counted" 1 (Metrics.stream_fallbacks m);
-          (* every ingest is exactly one of fused/fallback *)
-          Alcotest.(check int) "fused + fallback = ingests" (2 * List.length queries)
+          Alcotest.(check int) "fused runs counted" 3 (Metrics.streams_fused m);
+          Alcotest.(check int) "fallbacks counted" 0 (Metrics.stream_fallbacks m);
+          (* every file ingest is exactly one of fused/fallback *)
+          Alcotest.(check int) "fused + fallback = file ingests" (List.length queries)
             (Metrics.streams_fused m + Metrics.stream_fallbacks m);
           (* a qualifier on the document element makes the whole file one
              undecided region: past the buffer budget the buffered pass
@@ -767,9 +769,10 @@ let test_second_document_element () =
 (* ---- a consumer failing mid-stream ---- *)
 
 (* [emit] raises on its second chunk.  Each streamed path — the td-bu
-   result stream, the fused stored-document ingest and the fused file
-   ingest — must answer [Eval_error], count exactly one error, and leave
-   the service serving plain requests byte-identically. *)
+   result stream, the stored-document ingest and the fused file ingest —
+   must answer [Eval_error], count exactly one error, and leave the
+   service serving plain requests byte-identically.  A failed run counts
+   as no tier. *)
 let test_stream_consumer_failure () =
   with_doc_file (fun path ->
       with_service (fun svc ->
@@ -800,13 +803,13 @@ let test_stream_consumer_failure () =
             [ ( "td-bu result stream",
                 Service.transform_stream svc ~doc:"d" ~engine:Core.Engine.Td_bu
                   ~query:q_del_prices ~chunk_size:32 );
-              ( "fused doc ingest",
+              ( "doc ingest",
                 Service.transform_ingest svc ~source:(Service.From_doc "d") ~query:q_del_prices
                   ~chunk_size:32 );
               ( "fused file ingest",
                 Service.transform_ingest svc ~source:(Service.From_file path)
                   ~query:q_del_prices ~chunk_size:32 ) ];
-          Alcotest.(check int) "both ingests ran fused" 2 (Metrics.streams_fused m)))
+          Alcotest.(check int) "no failed ingest ran fused" 0 (Metrics.streams_fused m)))
 
 (* ---- stored views ---- *)
 
@@ -1336,8 +1339,8 @@ let test_reply_image_lifecycle () =
 let matrix_transform ?(doc = "d") u =
   Printf.sprintf {|transform copy $a := doc("%s") modify do %s return $a|} doc u
 
-(* qualifier-free (fused ingest), qualifier-bearing (tree fallbacks) and
-   a rename *)
+(* qualifier-free (a fused file ingest), qualifier-bearing (a buffered
+   one) and a rename *)
 let matrix_queries =
   List.map matrix_transform
     [ "delete $a/site/regions//item/mailbox";
@@ -1654,10 +1657,11 @@ let test_golden_stats () =
                (Service.Transform
                   { target = Service.View "v"; engine = Core.Engine.Td_bu;
                     query = "for $x in site/people/person return $x/name" }));
-          (* the streamed paths: a td-bu result stream, then ingests that
-             take each tier — fused (qualifier-free, stored doc),
-             materialized (qualifier, stored doc), buffered (U7, file) —
-             and one the schema rejects at admission *)
+          (* the streamed paths: a td-bu result stream, then ingests —
+             two of the stored doc (qualifier-free and qualified, both
+             the GENTOP walk, counted as no tier), a buffered one of the
+             file (U7, counted fused) — and one the schema rejects at
+             admission *)
           let stream what run =
             match run ignore with
             | Service.Ok (Service.Stream_done _) -> ()
@@ -1667,9 +1671,9 @@ let test_golden_stats () =
           let u4 = transform "delete $a/site/regions//item" in
           stream "td-bu result stream"
             (Service.transform_stream svc ~doc:"d" ~engine:Core.Engine.Td_bu ~query:u4);
-          stream "fused doc ingest"
+          stream "qualifier-free doc ingest"
             (Service.transform_ingest svc ~source:(Service.From_doc "d") ~query:u4);
-          stream "materialized doc ingest"
+          stream "qualified doc ingest"
             (Service.transform_ingest svc ~source:(Service.From_doc "d")
                ~query:(transform "delete $a/site/people/person[profile/age > 20]"));
           stream "buffered file ingest"
@@ -1695,8 +1699,8 @@ let test_golden_stats () =
             ~varying:[ "latency_p50_ms"; "latency_p95_ms"; "latency_max_ms" ]
             [ ("requests", "13"); ("errors", "2"); ("cache_hits", "2"); ("cache_misses", "5");
               ("queue_depth_max", "1"); ("latency_count", "12"); ("streams", "4");
-              ("stream_chunks", "4"); ("stream_bytes", "163240"); ("streams_fused", "2");
-              ("stream_fallbacks", "1"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
+              ("stream_chunks", "4"); ("stream_bytes", "163240"); ("streams_fused", "1");
+              ("stream_fallbacks", "0"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
               ("repair_rekeyed", "1");
               ("view_defs", "1"); ("view_hits", "1"); ("composed_plans", "1");
               ("skipped_subtrees", "368"); ("skipped_nodes", "6038");

@@ -12,7 +12,6 @@ let with_temp_doc = Test_reader.with_temp_doc
 let chunk_sizes = Test_reader.pin_chunk_sizes
 
 type driver =
-  ?skip:(Sym.t -> bool) ->
   ?steer:Sax.steer ->
   Xut_automata.Selecting_nfa.t ->
   Transform_ast.update ->
@@ -30,7 +29,7 @@ let describe = function
 (* [driver] over the file [path], read in [chunk]-byte windows, into a
    sink flushing every [chunk] bytes, its parse steered when [steered]:
    the chunks it emitted, then its stats or the exception it raised. *)
-let outcome ~steered ~chunk ?keep_ws ?skip (driver : driver) update path =
+let outcome ~steered ~chunk ?keep_ws (driver : driver) update path =
   let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
   let chunks = ref [] in
   let sink = Serialize.Sink.create ~chunk_size:chunk (fun c -> chunks := c :: !chunks) in
@@ -40,7 +39,7 @@ let outcome ~steered ~chunk ?keep_ws ?skip (driver : driver) update path =
         Sax.parse_reader ?keep_ws ?steer (Reader.of_channel ~chunk_size:chunk ic) h)
   in
   let result =
-    match driver ?skip ?steer nfa update ~source ~sink:(Serialize.Sink.event sink) with
+    match driver ?steer nfa update ~source ~sink:(Serialize.Sink.event sink) with
     | stats ->
       ignore (Serialize.Sink.close sink);
       Ok stats
@@ -58,14 +57,14 @@ let drivers update =
 
 (* Whether steered and unsteered runs agree at every chunk size, failing
    with the first difference. *)
-let agree ?keep_ws ?skip ?(chunk_sizes = chunk_sizes) update text =
+let agree ?keep_ws ?(chunk_sizes = chunk_sizes) update text =
   with_temp_doc text (fun path ->
       List.for_all
         (fun (name, driver) ->
           List.for_all
             (fun chunk ->
-              let plain = outcome ~steered:false ~chunk ?keep_ws ?skip driver update path in
-              let steered = outcome ~steered:true ~chunk ?keep_ws ?skip driver update path in
+              let plain = outcome ~steered:false ~chunk ?keep_ws driver update path in
+              let steered = outcome ~steered:true ~chunk ?keep_ws driver update path in
               plain = steered
               || QCheck2.Test.fail_reportf "%s, chunk %d: %s unsteered, %s steered" name chunk
                    (match snd plain with Ok _ -> "ok" | Error e -> e)
@@ -126,23 +125,17 @@ let gen_doc =
   let* tail = oneofl [ ""; "\n"; "<!-- tail -->" ] in
   return (prolog ^ "<r>" ^ String.concat "" kids ^ "</r>" ^ tail)
 
-let skip_e = Sym.intern "e"
-
-(* A run given a skip-set is not steered, so with one the two runs must
-   still agree.  Half the plans carry a qualifier, so their regions hold
-   what pass 1 leaves unread as bytes. *)
+(* Half the plans carry a qualifier, so their regions hold what pass 1
+   leaves unread as bytes. *)
 let prop_steered_equals_unsteered =
   QCheck2.Test.make ~name:"steered run = unsteered run: chunks, stats, exception" ~count:150
-    ~print:(fun (text, update, keep_ws, skip) ->
-      Printf.sprintf "%s\n%s keep_ws=%b skip=%b" text (Transform_ast.update_to_string update)
-        keep_ws skip)
+    ~print:(fun (text, update, keep_ws) ->
+      Printf.sprintf "%s\n%s keep_ws=%b" text (Transform_ast.update_to_string update) keep_ws)
     QCheck2.Gen.(
-      quad gen_doc
+      triple gen_doc
         (oneof [ Test_properties.gen_update; Test_properties.gen_qualified_update ])
-        bool bool)
-    (fun (text, update, keep_ws, skip) ->
-      let skip = if skip then Some (fun s -> s = skip_e) else None in
-      agree ~keep_ws ?skip update text)
+        bool)
+    (fun (text, update, keep_ws) -> agree ~keep_ws update text)
 
 (* Malformed XMark-shaped input under plans that copy and skip most of
    the document: the error, and every chunk written before it, are the
