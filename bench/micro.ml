@@ -21,8 +21,8 @@ let tests () =
   let pretty_text = Xut_xml.Serialize.element_to_string ~indent:2 doc in
   let start = Xut_automata.Selecting_nfa.start nfa in
   let labels = [| "site"; "open_auctions"; "open_auction"; "bidder"; "increase"; "x" |] in
-  let syms = Array.map Xut_xml.Sym.intern labels in
   let here = Xut_xml.Counter.local () in
+  let syms = Array.map (Xut_xml.Sym.intern here) labels in
   let b = Xut_xpath.Lq.create_builder () in
   let qi =
     Xut_xpath.Lq.add_qual b

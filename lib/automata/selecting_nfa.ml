@@ -205,9 +205,10 @@ exception Unbounded
 
 let footprint_of_steps (steps : Norm.nstep list) =
   let labels = ref [] and compared = ref [] in
+  let cells = Xut_xml.Counter.local () in
   let add r l = if not (List.mem l !r) then r := l :: !r in
   let label l =
-    add labels (Sym.intern l);
+    add labels (Sym.intern cells l);
     l
   in
   (* [owner] is the label of the node the qualifier is evaluated at *)
@@ -221,7 +222,7 @@ let footprint_of_steps (steps : Norm.nstep list) =
     | Ast.Q_exists { spath; _ } -> ignore (path owner spath)
     | Ast.Q_cmp ({ spath; sattr }, _, _) ->
       let at = path owner spath in
-      if sattr = None then add compared (Sym.intern at)
+      if sattr = None then add compared (Sym.intern cells at)
   and path owner = function
     | [] -> owner
     | { Ast.nav; quals } :: rest ->
@@ -279,11 +280,12 @@ let of_norm (norm : Norm.t) =
   let n = Array.length states in
   let small = n <= small_limit in
   let nwords = (n + 63) / 64 in
+  let cells = Xut_xml.Counter.local () in
   let enter_sym =
     Array.map
       (fun s ->
         match s.kind with
-        | K_label l -> Sym.intern l
+        | K_label l -> Sym.intern cells l
         | K_wild -> -1
         | K_start | K_desc | K_desc_test -> -2)
       states
@@ -569,12 +571,13 @@ let consistent_at t i name =
 let start_set t = set_to_list t.start
 
 let next_states t ~checkp s label =
+  let cells = Xut_xml.Counter.local () in
   set_to_list
-    (next t (Xut_xml.Counter.local ()) ~checkp:(fun i () -> checkp i) () (set_of_list t s)
-       (Sym.intern label))
+    (next t cells ~checkp:(fun i () -> checkp i) () (set_of_list t s) (Sym.intern cells label))
 
 let next_states_unchecked t s label =
-  set_to_list (next_unchecked t (Xut_xml.Counter.local ()) (set_of_list t s) (Sym.intern label))
+  let cells = Xut_xml.Counter.local () in
+  set_to_list (next_unchecked t cells (set_of_list t s) (Sym.intern cells label))
 
 let accepts t s =
   let f = final t in

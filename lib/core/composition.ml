@@ -50,7 +50,9 @@ let chunk_path (c : chunk) ~quals : Ast.path =
 
 (* The static simulation runs once per composition, not per node: each
    step takes the calling domain's counter cells itself. *)
-let on_label nfa s l = Selecting_nfa.next_on_label_set nfa (Counter.local ()) s (Sym.intern l)
+let on_label nfa s l =
+  let here = Counter.local () in
+  Selecting_nfa.next_on_label_set nfa here s (Sym.intern here l)
 let on_any nfa s = Selecting_nfa.next_on_any_set nfa (Counter.local ()) s
 let on_desc nfa s = Selecting_nfa.next_on_desc_set nfa (Counter.local ()) s
 

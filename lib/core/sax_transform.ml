@@ -122,7 +122,7 @@ module Pass1 = struct
     here : Counter.local;
     lq : Lq.t;
     nlq : int;
-    sskip : Sym.t -> bool;
+    sskip : (Sym.t -> bool) option;  (* {!run}'s schema skip-set *)
     truth : Truth.t;
     memo : Annotator.demands;
     none : Annotator.demand;
@@ -169,7 +169,7 @@ module Pass1 = struct
 
   let seeds (d : Annotator.demand) = not (Lq.set_is_empty d.Annotator.seeds)
 
-  let create ~sskip nfa truth =
+  let create ?sskip nfa truth =
     let lq = Selecting_nfa.lq nfa in
     let base = Selecting_nfa.start nfa in
     let memo = Annotator.demands nfa in
@@ -242,7 +242,7 @@ module Pass1 = struct
       if p.schema_mode then p.skipped_elements <- p.skipped_elements + 1;
       false
     end
-    else if p.sskip sym then begin
+    else if match p.sskip with Some skip -> skip sym | None -> false then begin
       (* schema skip-set: seed-free below, so no truth entry the second
          pass could ask for originates here *)
       p.skip <- 1;
@@ -331,7 +331,7 @@ module Pass1 = struct
   let handle p = function
     | Sax.End_document -> end_document p
     | Sax.Start_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
-    | Sax.Start_element (name, attrs) -> ignore (start p (Sym.intern name) name attrs : bool)
+    | Sax.Start_element (name, attrs) -> ignore (start p (Sym.intern p.here name) name attrs : bool)
     | Sax.Characters t ->
       let d = p.depth - 1 in
       if p.skip = 0 && d >= p.bottom && p.demand.(d).Annotator.reads_text then
@@ -346,7 +346,7 @@ module Pass2 = struct
     nfa : Selecting_nfa.t;
     here : Counter.local;
     update : Transform_ast.update;
-    sskip : Sym.t -> bool;
+    sskip : (Sym.t -> bool) option;
     truth : Truth.t;
     sink : Sax.event -> unit;
     root_matched : bool;
@@ -375,7 +375,7 @@ module Pass2 = struct
 
   (* [truth] holds the document node's truths, if the path tests it,
      before the pass starts. *)
-  let create ?steer ~sskip nfa update truth sink =
+  let create ?steer ?sskip nfa update truth sink =
     let start =
       Selecting_nfa.start_checked nfa
         ~checkp:(fun s truth -> Truth.get truth (-1) (Selecting_nfa.state_lq nfa s))
@@ -472,7 +472,7 @@ module Pass2 = struct
 
   (* A start-tag while [walking], its number already counted. *)
   let enter p ev name attrs sym =
-    if p.sskip sym then begin
+    if match p.sskip with Some skip -> skip sym | None -> false then begin
       if p.depth = 0 then p.produced_root <- true;
       p.sink ev;
       p.verbatim <- 1
@@ -488,7 +488,7 @@ module Pass2 = struct
       p.verbatim <- p.verbatim + 1;
       p.sink ev
     end
-    else enter p ev name attrs (if sym >= 0 then sym else Sym.intern name)
+    else enter p ev name attrs (if sym >= 0 then sym else Sym.intern p.here name)
 
   (* An element pass 1 left unread, replayed from the bytes held for it:
      its start-tag and [starts] more, the deepest [depth] levels below
@@ -537,14 +537,12 @@ let check_ctx_qual nfa =
       (Unsupported_streaming
          ("context qualifier [" ^ Ast.qual_to_string q ^ "] cannot be checked in streaming mode"))
 
-let never _ = false
-
-let run ?(skip = never) nfa update ~source ~sink =
+let run ?skip nfa update ~source ~sink =
   check_ctx_qual nfa;
   let truth = Truth.create ~nlq:(Lq.length (Selecting_nfa.lq nfa)) in
-  let p1 = Pass1.create ~sskip:skip nfa truth in
+  let p1 = Pass1.create ?sskip:skip nfa truth in
   source (Pass1.handle p1);
-  let p2 = Pass2.create ~sskip:skip nfa update truth sink in
+  let p2 = Pass2.create ?sskip:skip nfa update truth sink in
   source (Pass2.handle p2);
   Counter.add Stats.nodes_visited (p2.Pass2.seq + 1);
   {
@@ -651,8 +649,8 @@ let drop_held h =
 
 let drive ?steer nfa update ~source ~sink =
   let truth = Truth.create ~nlq:(Lq.length (Selecting_nfa.lq nfa)) in
-  let p1 = Pass1.create ~sskip:never nfa truth in
-  let p2 = Pass2.create ?steer ~sskip:never nfa update truth sink in
+  let p1 = Pass1.create nfa truth in
+  let p2 = Pass2.create ?steer nfa update truth sink in
   let quals = Selecting_nfa.qual_states nfa in
   let held =
     { events = [||]; syms = [||]; n = 0; spans = Array.make 3 0; nspans = 0; bytes = None }
@@ -719,7 +717,7 @@ let drive ?steer nfa update ~source ~sink =
     | Outside -> (
       match ev with
       | Sax.Start_element (name, attrs) ->
-        let sym = Sym.intern name in
+        let sym = Sym.intern p2.Pass2.here name in
         if Pass2.walking p2 then begin
           let parent = Pass2.states p2 in
           let states = Selecting_nfa.next_unchecked nfa p2.Pass2.here parent sym in
@@ -738,7 +736,7 @@ let drive ?steer nfa update ~source ~sink =
       r.open_tag <- false;
       (match ev with
       | Sax.Start_element (name, attrs) -> (
-        let sym = Sym.intern name in
+        let sym = Sym.intern p2.Pass2.here name in
         let unread = Pass1.start p1 sym name attrs in
         match steer with
         | Some h when unread && Sax.offered h ->

@@ -26,13 +26,14 @@ let rec rx_syms acc = function
   | Star r | Opt r | Plus r -> rx_syms acc r
 
 let define ~name ~root decls =
+  let here = Counter.local () in
   let tbl : (Sym.t, (Sym.t, unit) Hashtbl.t) Hashtbl.t =
     Hashtbl.create (List.length decls * 2)
   in
   let dup =
     List.fold_left
       (fun dup (n, _) ->
-        let s = Sym.intern n in
+        let s = Sym.intern here n in
         if Hashtbl.mem tbl s then Some n
         else begin
           Hashtbl.replace tbl s (Hashtbl.create 4);
@@ -46,11 +47,11 @@ let define ~name ~root decls =
     let undeclared = ref None in
     List.iter
       (fun (n, rx) ->
-        let parent = Sym.intern n in
+        let parent = Sym.intern here n in
         let kids = Hashtbl.find tbl parent in
         List.iter
           (fun child ->
-            let cs = Sym.intern child in
+            let cs = Sym.intern here child in
             if not (Hashtbl.mem tbl cs) && !undeclared = None then
               undeclared := Some (child, n);
             Hashtbl.replace kids cs ())
@@ -62,7 +63,7 @@ let define ~name ~root decls =
         (Printf.sprintf "schema %s: %s (in the content of %s) is not declared" name child
            parent)
     | None ->
-      let root_sym = Sym.intern root in
+      let root_sym = Sym.intern here root in
       if not (Hashtbl.mem tbl root_sym) then
         Error (Printf.sprintf "schema %s: root %s is not declared" name root)
       else Ok { s_name = name; s_root = root_sym; s_children = tbl })

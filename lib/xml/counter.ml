@@ -41,6 +41,7 @@ let local () = Domain.DLS.get key
 let add i n = add_in (local ()) i n
 let bump i = add_in (local ()) i 1
 let bump_local c i = add_in c i 1
+let add_local c i n = add_in c i n
 
 let value i =
   List.fold_left

@@ -25,11 +25,13 @@ type local
 (** The calling domain's cells. *)
 
 val local : unit -> local
-(** For a walk that bumps on every step: {!bump_local} on the cells
-    taken once is {!bump} without the domain-local lookup.  Use them
-    only on the domain that took them. *)
+(** For a walk that bumps on every step: {!bump_local} and
+    {!add_local} on the cells taken once are {!bump} and {!add} without
+    the domain-local lookup.  Use them only on the domain that took
+    them. *)
 
 val bump_local : local -> t -> unit
+val add_local : local -> t -> int -> unit
 
 val value : t -> int
 (** The sum over every domain's cells. *)

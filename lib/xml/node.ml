@@ -24,7 +24,7 @@ let rec count_from acc = function
   | (Text _ | Comment _ | Pi _) :: rest -> count_from acc rest
 
 let element ?(attrs = []) name children =
-  { id = fresh_id (); name; sym = Sym.intern name; attrs; children;
+  { id = fresh_id (); name; sym = Sym.intern (Counter.local ()) name; attrs; children;
     elements = count_from 1 children }
 
 let elem ?attrs name children = Element (element ?attrs name children)

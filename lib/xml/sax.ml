@@ -42,9 +42,16 @@ let equal_event (a : event) (b : event) = a = b
    parser consume that element's rest (content and end tag) in another
    mode of the same loop: [Copy w] writes each token into the writer [w]
    as [write w] would write its events, [Skip] only checks and counts.
-   Neither makes an event, attribute list or string; the loop returns
-   when the element's end tag pops it, and the parse goes on from there
-   in [Events] mode. *)
+   Neither makes an event, attribute list or string, nor interns a name:
+   the names open below the steered element are held as bytes in [raw].
+   The loop returns when the element's end tag pops it, and the parse
+   goes on from there in [Events] mode.
+
+   Both modes first try each token as a canonical one (see "canonical
+   runs" below): markup already in the writer's form and whole in the
+   window is consumed with no writer call of its own, and copy mode
+   blits a run of it at once.  Any other token takes the token path
+   from its first byte, so errors are the token path's. *)
 
 type mode = Events | Copy of Writer.t | Skip
 
@@ -52,7 +59,15 @@ type st = {
   r : Reader.t;
   handler : event -> unit;
   keep_ws : bool;
-  mutable tags : string array;  (* the open elements, innermost at [depth - 1] *)
+  here : Counter.local;  (* the parsing domain's counter cells *)
+  (* the open elements, innermost at [depth - 1]: those opened in
+     [Events] mode in [tags]; in a steered rest, the ones below the
+     steered element in [raw], element [k] of the rest (at depth
+     [stop + k]) ending at [raw_ends.(k)] and starting where the one
+     before it ends *)
+  mutable tags : string array;
+  mutable raw : Bytes.t;
+  mutable raw_ends : int array;
   mutable depth : int;
   mutable rooted : bool;  (* the document element has started *)
   mutable doctype_seen : bool;
@@ -72,9 +87,17 @@ type st = {
   mutable offer_name : string;
   mutable offer_empty : bool;  (* a self-closed tag: its rest is empty *)
   mutable taken : bool;  (* the rest was steered *)
-  (* copy mode is writing the current text run straight to the writer *)
-  mutable direct : bool;
+  (* A canonical run in copy mode: its bytes from [run] are not yet in
+     the writer; [owed] when the last token was a start tag, whose '>'
+     is owed (at the run's end, or in the writer); the writer would
+     flush after an event that leaves [room] or more of the run's bytes
+     to write, an owed '>' not counted. *)
+  mutable run : int;
+  mutable owed : bool;
+  mutable room : int;
 }
+
+let blit_bytes = Counter.declare "sax_copy_blit_bytes"
 
 let rec attrs_bytes n = function
   | [] -> n
@@ -321,8 +344,6 @@ let other_markup st i =
 
 (* ---- the one loop ---- *)
 
-let[@inline] top st = if st.depth = 0 then "" else Array.unsafe_get st.tags (st.depth - 1)
-
 let[@inline] push st name =
   if st.depth = Array.length st.tags then begin
     let grown = Array.make (2 * st.depth) "" in
@@ -331,6 +352,56 @@ let[@inline] push st name =
   end;
   Array.unsafe_set st.tags st.depth name;
   st.depth <- st.depth + 1
+
+(* The open element names of a steered rest.  [raw_start st k] is where
+   the [k]th starts in [raw]. *)
+let[@inline] raw_start st k = if k = 0 then 0 else Array.unsafe_get st.raw_ends (k - 1)
+
+(* Put the name in [len] bytes of [b] from [p] in [raw], above the open
+   elements; a start tag in copy or skip mode then opens it by bumping
+   [depth], unless it is empty.  [raw] is made at the first steered
+   start tag, so a parse that does not steer allocates none. *)
+let stage st b p len =
+  let k = st.depth - st.stop in
+  let at = raw_start st k in
+  if at + len > Bytes.length st.raw then begin
+    let grown = Bytes.create (max 64 (2 * (at + len))) in
+    Bytes.blit st.raw 0 grown 0 at;
+    st.raw <- grown
+  end;
+  if k = Array.length st.raw_ends then begin
+    let grown = Array.make (max 16 (2 * k)) 0 in
+    Array.blit st.raw_ends 0 grown 0 k;
+    st.raw_ends <- grown
+  end;
+  Bytes.blit b p st.raw at len;
+  Array.unsafe_set st.raw_ends k (at + len)
+
+let rec equal_bytes a i b j len =
+  len = 0
+  || (Bytes.unsafe_get a i = Bytes.unsafe_get b j && equal_bytes a (i + 1) b (j + 1) (len - 1))
+
+(* Whether the innermost open element is named by [len] bytes of [b]
+   from [p]. *)
+let top_is st b p len =
+  let k = st.depth - 1 - st.stop in
+  if st.mode != Events && k >= 0 then
+    let at = raw_start st k in
+    Array.unsafe_get st.raw_ends k - at = len && equal_bytes st.raw at b p len
+  else
+    st.depth > 0
+    &&
+    let top = Array.unsafe_get st.tags (st.depth - 1) in
+    String.length top = len && equal_sub top b p 0
+
+(* The innermost open element's name, for an error message. *)
+let top_name st =
+  let k = st.depth - 1 - st.stop in
+  if st.mode != Events && k >= 0 then
+    let at = raw_start st k in
+    Bytes.sub_string st.raw at (st.raw_ends.(k) - at)
+  else if st.depth = 0 then ""
+  else st.tags.(st.depth - 1)
 
 (* Whether a text run ending at [i] is reported, given whether it is
    whitespace only; the caller copies the run only when it is, so dropped
@@ -350,14 +421,7 @@ let flush_text_slow st i =
     deliver st (Characters (Buffer.contents st.text));
   Buffer.clear st.text
 
-(* The end of a text run written straight to the writer: the event it
-   stands for is over. *)
-let end_direct st =
-  st.direct <- false;
-  match st.mode with Copy w -> Writer.maybe_flush w | Events | Skip -> ()
-
-let[@inline] flush_text st i =
-  if st.direct then end_direct st else if Buffer.length st.text > 0 then flush_text_slow st i
+let[@inline] flush_text st i = if Buffer.length st.text > 0 then flush_text_slow st i
 
 (* A text run from [i] up to the next '<' or '&' or the window's limit.
    One that ends at a '<' inside the window with nothing buffered before
@@ -366,31 +430,18 @@ let[@inline] flush_text st i =
 let text_run st i =
   let r = st.r in
   let b = r.buf and n = r.len in
-  match st.mode with
-  | Copy w when st.direct || (Buffer.length st.text = 0 && not (is_ws (Bytes.unsafe_get b i))) ->
-    (* a run that begins with a non-whitespace byte is wanted: copy mode
-       scans and escapes it into the writer in one pass, and ends the
-       event at the run's end ([end_direct]) *)
-    if not st.direct then begin
-      Writer.seal w;
-      st.direct <- true
-    end;
-    let j = Writer.copy_text w b i n in
-    if j < n && Bytes.unsafe_get b j = '\000' then error_at r j "NUL byte in character data";
-    j
-  | _ ->
-    let j = text_end b i n in
-    if j < n && Bytes.unsafe_get b j = '<' && Buffer.length st.text = 0 then begin
-      if st.mode != Skip && wanted st (is_ws (Bytes.unsafe_get b i) && ws_end b i j = j) j then
-        match st.mode with
-        | Copy w -> Writer.text_sub w (Bytes.unsafe_to_string b) i (j - i)
-        | _ -> st.handler (Characters (Bytes.sub_string b i (j - i)))
-    end
-    else begin
-      Buffer.add_subbytes st.text b i (j - i);
-      if j < n && Bytes.unsafe_get b j = '\000' then error_at r j "NUL byte in character data"
-    end;
-    j
+  let j = text_end b i n in
+  if j < n && Bytes.unsafe_get b j = '<' && Buffer.length st.text = 0 then begin
+    if st.mode != Skip && wanted st (is_ws (Bytes.unsafe_get b i) && ws_end b i j = j) j then
+      match st.mode with
+      | Copy w -> Writer.text_sub w (Bytes.unsafe_to_string b) i (j - i)
+      | _ -> st.handler (Characters (Bytes.sub_string b i (j - i)))
+  end
+  else begin
+    Buffer.add_subbytes st.text b i (j - i);
+    if j < n && Bytes.unsafe_get b j = '\000' then error_at r j "NUL byte in character data"
+  end;
+  j
 
 (* The rest of an attribute value from [i], its opening quote consumed,
    into [st.value] (in [Copy] mode, into the writer); the offset past the
@@ -478,7 +529,8 @@ let offer st name ev i ~empty =
 (* A start tag whose name starts at [i]; the offset past its '>' (past
    its rest, when the handler steers it).  Element names are interned
    from the window: a known name allocates nothing and every event
-   carries the shared interned string. *)
+   carries the shared interned string.  Copy and skip modes make no
+   event and intern nothing: the name goes to [raw]. *)
 let start_tag st i =
   let r = st.r in
   let a = r.retired + i in
@@ -488,9 +540,9 @@ let start_tag st i =
     if st.rooted then error_at r (p - 1) "a second document element";
     st.rooted <- true
   end;
-  let name = Sym.intern_sub r.buf p (e - p) in
   match st.mode with
   | Events ->
+    let name = Sym.intern_sub st.here r.buf p (e - p) in
     let i = if byte_at r e = '>' then e else attributes st e in
     let attrs =
       match st.attrs with
@@ -511,7 +563,9 @@ let start_tag st i =
       offer st name (Start_element (name, attrs)) i ~empty:false
     end
   | Copy _ | Skip ->
-    (match st.mode with Copy w -> Writer.open_start w name | _ -> ());
+    (* staged before the attributes, which may refill the window *)
+    stage st r.buf p (e - p);
+    (match st.mode with Copy w -> Writer.open_start w (Bytes.unsafe_to_string r.buf) p (e - p) | _ -> ());
     let i = if byte_at r e = '>' then e else attributes st e in
     let empty = byte_at r i = '/' in
     let i = if empty then expect_at r (i + 1) '>' else expect_at r i '>' in
@@ -520,36 +574,37 @@ let start_tag st i =
     (match st.mode with
     | Copy w ->
       Writer.close_start w;
-      if empty then Writer.end_element w name
+      (* the tag is still open: "/>" *)
+      if empty then Writer.end_element w ""
     | _ -> ());
-    if not empty then push st name;
+    if not empty then st.depth <- st.depth + 1;
     i
 
 let pop st =
   st.depth <- st.depth - 1;
-  let top = Array.unsafe_get st.tags st.depth in
+  let k = st.depth - st.stop in
   match st.mode with
-  | Events -> st.handler (End_element top)
-  | Copy w -> Writer.end_element w top
+  | Events -> st.handler (End_element (Array.unsafe_get st.tags st.depth))
+  | Copy w when k >= 0 ->
+    let at = raw_start st k in
+    Writer.end_element_sub w (Bytes.unsafe_to_string st.raw) at (Array.unsafe_get st.raw_ends k - at)
+  | Copy w -> Writer.end_element w (Array.unsafe_get st.tags st.depth)
   | Skip -> ()
 
 (* An end tag whose name starts at [i]; the offset past its '>'.  A name
-   that matches the innermost open element is compared in the window and
-   that element's own string is reported, so nothing is allocated. *)
+   that matches the innermost open element is compared in the window, so
+   nothing is allocated. *)
 let end_tag st i =
   let r = st.r in
-  let top = top st in
   let a = r.retired + i in
   let e = name_from r i in
   let p = a - r.retired in
-  let name =
-    if String.length top = e - p && equal_sub top r.buf p 0 then top
-    else Bytes.sub_string r.buf p (e - p)
-  in
+  let matched = top_is st r.buf p (e - p) in
+  let name = if matched then "" else Bytes.sub_string r.buf p (e - p) in
   let i = expect_at r (skip_ws r e) '>' in
   if st.depth = 0 then error_at r i (Printf.sprintf "closing tag </%s> with no open element" name);
-  if not (top == name || String.equal top name) then
-    error_at r i (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top name);
+  if not matched then
+    error_at r i (Printf.sprintf "mismatched tags: <%s> closed by </%s>" (top_name st) name);
   pop st;
   i
 
@@ -561,34 +616,181 @@ let[@inline] markup st i =
   | '?' | '!' -> other_markup st i
   | _ -> start_tag st i
 
-(* A reference inside a text run that copy mode writes straight to the
-   writer: its character, escaped. *)
-let direct_reference st =
+(* ---- canonical runs ----
+
+   In copy and skip modes a token already in the writer's form and whole
+   in the window is consumed with no writer call of its own:
+   - a start tag [<n>] or [<n/>] whose attributes are each [ k="v"], one
+     space before each, the value free of '&', '<', '>' and NUL;
+   - a text run that starts with a byte other than whitespace, holds no
+     '&', '>' or NUL, and ends at a '<';
+   - an end tag [</n>] of the innermost open element, unless a start tag
+     came just before it: the writer writes that pair as [<n/>].
+   Copy mode blits each run of such tokens into the writer at once
+   ([blit_run]).  Chunk boundaries stay where writing the events one by
+   one puts them: at each event's end the run is blitted and the writer
+   flushed if [Writer.maybe_flush] would flush there ([event_end]), so a
+   recorder (chunk size 0) gets one blit per event.  The scan stops at
+   the first byte of any other token, and of one that runs to the
+   window's limit; the token path takes it from there.  The byte-class
+   tables are where checks beyond today's would go. *)
+
+let stop_table chars = Bytes.init 256 (fun c -> if String.contains chars (Char.chr c) then '\001' else '\000')
+
+(* what ends a canonical text run or attribute value: itself ('<' or
+   '"'), or a byte that makes it not canonical *)
+let text_stops = stop_table "<&>\000"
+let value_stops = stop_table "\"&<>\000"
+
+let rec scan stops b i n =
+  if i < n && Bytes.unsafe_get stops (Char.code (Bytes.unsafe_get b i)) = '\000' then scan stops b (i + 1) n
+  else i
+
+(* The run from [st.run] up to [e] into copy mode's writer, its last byte
+   owed when [st.owed]; the next run starts at [e]. *)
+let blit_run st e =
   (match st.mode with
-  | Copy w -> Writer.add_escaped w.Writer.buf ~attr:false (Buffer.contents st.text)
-  | Events | Skip -> ());
-  Buffer.clear st.text
+  | Copy w when e > st.run ->
+    let len = e - st.run in
+    Writer.blit w st.r.buf st.run len ~open_tag:st.owed;
+    Counter.add_local st.here blit_bytes (if st.owed then len - 1 else len)
+  | _ -> ());
+  st.run <- e
+
+(* The start of a run at [i], in the writer's current state. *)
+let begin_run st i =
+  st.run <- i;
+  match st.mode with
+  | Copy w ->
+    st.owed <- w.open_tag;
+    st.room <- w.chunk_size - Buffer.length w.buf - Bool.to_int w.open_tag
+  | Events | Skip ->
+    st.owed <- false;
+    st.room <- max_int
+
+(* An event of the run ended at [e]: flush where the writer would. *)
+let[@inline] event_end st e =
+  if e - st.run - Bool.to_int st.owed >= st.room then begin
+    blit_run st e;
+    match st.mode with
+    | Copy w ->
+      Writer.flush w;
+      st.room <- w.chunk_size - Buffer.length w.buf - Bool.to_int st.owed
+    | Events | Skip -> ()
+  end
+
+(* The offset past a canonical start tag's attributes and '>' or "/>"
+   from [i], or -1. *)
+let rec attrs_end b i n =
+  if i >= n then -1
+  else
+    match Bytes.unsafe_get b i with
+    | '>' -> i + 1
+    | '/' -> if i + 1 < n && Bytes.unsafe_get b (i + 1) = '>' then i + 2 else -1
+    | ' ' when i + 1 < n && is_name_start (Bytes.unsafe_get b (i + 1)) ->
+      let e = name_end b (i + 2) n in
+      if e + 1 < n && Bytes.unsafe_get b e = '=' && Bytes.unsafe_get b (e + 1) = '"' then
+        let v = scan value_stops b (e + 2) n in
+        if v < n && Bytes.unsafe_get b v = '"' then attrs_end b (v + 1) n else -1
+      else -1
+    | _ -> -1
+
+(* Canonical tokens from [i] in the window [b], [n] bytes long; the
+   offset of the first byte that is not one, or past the end tag that
+   pops the steered element. *)
+let rec canonical st b n i =
+  if i >= n then i
+  else if Bytes.unsafe_get b i <> '<' then canonical_text st b n i
+  else if i + 1 >= n then i
+  else
+    let c = Bytes.unsafe_get b (i + 1) in
+    if c = '/' then canonical_end st b n i
+    else if is_name_start c then canonical_start st b n i
+    else i
+
+and canonical_text st b n i =
+  if is_ws (Bytes.unsafe_get b i) then i
+  else
+    let j = scan text_stops b i n in
+    if j < n && Bytes.unsafe_get b j = '<' then begin
+      st.owed <- false;
+      event_end st j;
+      canonical st b n j
+    end
+    else i
+
+and canonical_start st b n i =
+  let ne = name_end b (i + 2) n in
+  let e = attrs_end b ne n in
+  if e < 0 then i
+  else begin
+    st.starts <- st.starts + 1;
+    if st.depth >= st.peak then st.peak <- st.depth + 1;
+    let copying = st.mode != Skip in
+    if Bytes.unsafe_get b (e - 2) <> '/' then begin
+      stage st b (i + 1) (ne - i - 1);
+      st.depth <- st.depth + 1;
+      st.owed <- copying;
+      event_end st e
+    end
+    else begin
+      (* [<n/>] ends two events, as the writer writes it: the start tag
+         with its '>' owed (the '/' stands for it), then the close *)
+      st.owed <- copying;
+      event_end st (e - 1);
+      st.owed <- false;
+      if st.run <> e - 1 then event_end st e
+      else begin
+        (* the writer flushed the open tag: it writes the close itself *)
+        (match st.mode with
+        | Copy w ->
+          Writer.end_element w "";
+          st.room <- w.chunk_size - Buffer.length w.buf
+        | Events | Skip -> ());
+        st.run <- e
+      end
+    end;
+    canonical st b n e
+  end
+
+and canonical_end st b n i =
+  let ne = name_end b (i + 2) n in
+  if st.owed || ne >= n || Bytes.unsafe_get b ne <> '>' || not (top_is st b (i + 2) (ne - i - 2)) then i
+  else begin
+    st.depth <- st.depth - 1;
+    event_end st (ne + 1);
+    if st.depth < st.stop then ne + 1 else canonical st b n (ne + 1)
+  end
+
+(* Canonical tokens from [i], blitted; the offset after them. *)
+let canonical_run st i =
+  begin_run st i;
+  let j = canonical st st.r.buf st.r.len i in
+  blit_run st j;
+  j
 
 (* Content from [i] to the end of the input, or, steering, to the end
-   tag that pops the steered element (the offset past it). *)
+   tag that pops the steered element (the offset past it).  In copy and
+   skip modes each token is first tried as a canonical one. *)
 let rec content st i =
   let r = st.r in
   if i < r.len then
-    match Bytes.unsafe_get r.buf i with
-    | '<' ->
-      flush_text st i;
-      let i = markup st i in
-      if st.depth < st.stop then i else content st i
-    | '&' ->
-      if st.depth = 0 then error_at r i "reference outside the document element";
-      let i = reference r st.text i in
-      if st.direct then direct_reference st;
-      content st i
-    | _ -> content st (text_run st i)
+    let j = if st.mode == Events || Buffer.length st.text > 0 then i else canonical_run st i in
+    if j > i then if st.depth < st.stop then j else content st j
+    else
+      match Bytes.unsafe_get r.buf i with
+      | '<' ->
+        flush_text st i;
+        let i = markup st i in
+        if st.depth < st.stop then i else content st i
+      | '&' ->
+        if st.depth = 0 then error_at r i "reference outside the document element";
+        content st (reference r st.text i)
+      | _ -> content st (text_run st i)
   else if Reader.refill r i then content st 0
   else begin
     flush_text st 0;
-    if st.depth > 0 then error_at r 0 ("unclosed element <" ^ top st ^ ">");
+    if st.depth > 0 then error_at r 0 ("unclosed element <" ^ top_name st ^ ">");
     (* an element literal that ends before its element *)
     if st.stop > 0 then error_at r 0 "expected an element";
     i
@@ -637,10 +839,11 @@ let copy_rest_to h w =
 let rest_depth h = match h.parser with Some st -> st.peak | None -> 0
 
 let state ~keep_ws r handler =
-  { r; handler; keep_ws; tags = Array.make 64 ""; depth = 0; rooted = false; doctype_seen = false;
+  { r; handler; keep_ws; here = Counter.local (); tags = Array.make 16 ""; raw = Bytes.empty;
+    raw_ends = [||]; depth = 0; rooted = false; doctype_seen = false;
     text = Buffer.create 64; vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events; stop = 0;
-    starts = 0; peak = 0; offer = -1; offer_name = ""; offer_empty = false; taken = false;
-    direct = false }
+    starts = 0; peak = 0; offer = -1; offer_name = ""; offer_empty = false; taken = false; run = 0;
+    owed = false; room = 0 }
 
 let parse_events ~keep_ws ?steer r handler =
   handler Start_document;

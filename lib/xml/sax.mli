@@ -74,7 +74,25 @@ val markup_bytes : open_tag:bool -> event -> int
     [<a></a>] as [<a/>] — and {!skip_rest} only checks and counts.  Both
     are modes of the one lexer, so every parse error keeps its message
     and position.  The element's [End_element] is not delivered; the
-    parse goes on after it. *)
+    parse goes on after it.
+
+    Neither mode interns a name ({!Sym}): the names open below the
+    steered element are held as bytes.  Both consume {e canonical}
+    tokens — markup already in the writer's form and whole in the
+    reader's window — with no writer call per token: a start tag [<n>]
+    or [<n/>] whose attributes are each [ k="v"] (one space before each,
+    double quotes, no ['&'], ['<'], ['>'] or NUL in the value), a text
+    run that starts with a byte other than whitespace, holds no ['&'],
+    ['>'] or NUL and ends at a ['<'], and an end tag [</n>] of the open
+    element that does not follow its start tag directly.  {!copy_rest}
+    writes each run of them into the writer with one {!Writer.blit},
+    cut where writing the events one by one would have flushed, so the
+    chunks do not change (a recorder, with chunk size 0, takes one blit
+    per event); it counts the blitted bytes as [sax_copy_blit_bytes]
+    ({!Counter}).  Every other token — references, single quotes,
+    whitespace inside a tag, a comment, PI or CDATA section, [<a></a>],
+    a token that runs past the window, anything malformed — takes the
+    token path from its first byte. *)
 
 val steer : Writer.t -> steer
 (** A handle whose copies go to the writer, attached to each parse it is

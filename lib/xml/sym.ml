@@ -87,8 +87,8 @@ let insert s =
   Mutex.unlock mu;
   v
 
-let intern s =
-  Counter.bump intern_calls;
+let intern here s =
+  Counter.bump_local here intern_calls;
   match probe (Atomic.get table) s with
   | -1 -> insert s
   | v -> v
@@ -105,9 +105,9 @@ let rec probe_sub t h b off len i =
   if k == absent || (String.length k = len && equal_sub k b off len 0) then k
   else probe_sub t h b off len (i + 1)
 
-let intern_sub b off len =
+let intern_sub here b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Sym.intern_sub";
-  Counter.bump intern_calls;
+  Counter.bump_local here intern_calls;
   let k = probe_sub (Atomic.get table) (hash_sub b off len) b off len 0 in
   if k != absent then k
   else begin

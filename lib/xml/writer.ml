@@ -43,9 +43,6 @@ let escaped_length ~attr s =
   done;
   !n
 
-(* the bytes a text run copies as they are: not '&', '<', '>' or NUL *)
-let run_plain = Array.init 256 (fun c -> text_plain.(c) && c <> 0)
-
 (* Attribute lists are walked by direct recursion, never through
    [List.iter]: a partially applied walker is a closure per element. *)
 let rec add_attrs buf = function
@@ -152,10 +149,10 @@ let[@inline] seal t =
     t.open_tag <- false
   end
 
-let open_start t name =
+let open_start t s off len =
   seal t;
   Buffer.add_char t.buf '<';
-  Buffer.add_string t.buf name
+  Buffer.add_substring t.buf s off len
 
 let open_attribute t s off len =
   Buffer.add_char t.buf ' ';
@@ -171,7 +168,7 @@ let close_start t =
   maybe_flush t
 
 let start_element t name attrs =
-  open_start t name;
+  open_start t name 0 (String.length name);
   add_attrs t.buf attrs;
   close_start t
 
@@ -181,18 +178,6 @@ let text_sub t s off len =
   maybe_flush t
 
 let text t s = text_sub t s 0 (String.length s)
-
-let rec copy_text t b i n =
-  let j = ref i in
-  while !j < n && Array.unsafe_get run_plain (Char.code (Bytes.unsafe_get b !j)) do
-    incr j
-  done;
-  Buffer.add_subbytes t.buf b i (!j - i);
-  if !j < n && Bytes.unsafe_get b !j = '>' then begin
-    Buffer.add_string t.buf "&gt;";
-    copy_text t b (!j + 1) n
-  end
-  else !j
 
 let comment t s =
   seal t;
@@ -210,17 +195,26 @@ let pi t target content =
   Buffer.add_string t.buf "?>";
   maybe_flush t
 
-let end_element t name =
+let end_element_sub t s off len =
   if t.open_tag then begin
     Buffer.add_string t.buf "/>";
     t.open_tag <- false
   end
   else begin
     Buffer.add_string t.buf "</";
-    Buffer.add_string t.buf name;
+    Buffer.add_substring t.buf s off len;
     Buffer.add_char t.buf '>'
   end;
   maybe_flush t
+
+let end_element t name = end_element_sub t name 0 (String.length name)
+
+(* An owed '>' is paid before the bytes; with [open_tag] their own last
+   byte, a start-tag's '>', is owed instead of written. *)
+let blit t b off len ~open_tag =
+  seal t;
+  Buffer.add_subbytes t.buf b off (if open_tag then len - 1 else len);
+  t.open_tag <- open_tag
 
 let markup t s =
   seal t;

@@ -73,18 +73,21 @@ val pi : t -> string -> string -> unit
 val end_element : t -> string -> unit
 (** [/>] when the start-tag is still open, [</name>] otherwise. *)
 
+val end_element_sub : t -> string -> int -> int -> unit
+(** {!end_element} of the name held in [len] bytes of [s] from [off]. *)
+
 val markup : t -> string -> unit
 (** Content that is already serialized, written as it is. *)
 
 (** {2 An event in pieces, from a window}
 
-    [start_element] is {!open_start}, then {!open_attribute},
+    [start_element] is {!open_start} of its name, then {!open_attribute},
     {!attribute_value_sub} or {!attribute_value} and {!close_attribute}
     per attribute, then {!close_start}; {!text_sub} is [text] of a
     substring.  A failure between the pieces leaves a partial tag in the
     buffer, never in an emitted chunk. *)
 
-val open_start : t -> string -> unit
+val open_start : t -> string -> int -> int -> unit
 val open_attribute : t -> string -> int -> int -> unit
 val attribute_value : t -> string -> unit
 val attribute_value_sub : t -> string -> int -> int -> unit
@@ -92,12 +95,14 @@ val close_attribute : t -> unit
 val close_start : t -> unit
 val text_sub : t -> string -> int -> int -> unit
 
-val copy_text : t -> bytes -> int -> int -> int
-(** [copy_text t b i n] writes the text in [b] from [i], escaped, up to
-    the first ['<'], ['&'] or NUL byte, or [n], and returns that offset:
-    a lexer's scan of a text run and its escaping in one pass.  It
-    neither seals an open start-tag nor flushes: the caller seals before
-    the run's first piece and ends the event after its last. *)
+val blit : t -> bytes -> int -> int -> open_tag:bool -> unit
+(** [blit t b off len ~open_tag] writes [len] bytes of [b] from [off],
+    markup already in the writer's form, after the [>] a start-tag
+    still owes.  With [open_tag], the last of those bytes is the [>] of
+    a start-tag, and it is owed in turn instead of written: [blit] of
+    [<a>] then {!end_element} writes [<a/>].  It does not flush: the
+    caller ends each event inside the bytes where {!maybe_flush} would,
+    so the chunks are those of writing the events one by one. *)
 
 (** {2 Recording}
 

@@ -212,20 +212,22 @@ let test_sym_domains () =
   let names = List.init 64 (fun i -> Printf.sprintf "dsym%d" i) in
   let doms =
     List.init 4 (fun _ ->
-        Domain.spawn (fun () -> List.map (fun n -> (n, Xut_xml.Sym.intern n)) names))
+        Domain.spawn (fun () ->
+            let here = Xut_xml.Counter.local () in
+            List.map (fun n -> (n, Xut_xml.Sym.intern here n)) names))
   in
   let results = List.map Domain.join doms in
   List.iter
     (List.iter (fun (n, v) ->
-         Alcotest.(check int) ("stable across domains: " ^ n) (Xut_xml.Sym.intern n) v;
+         Alcotest.(check int) ("stable across domains: " ^ n) (Xut_xml.Sym.intern (Xut_xml.Counter.local ()) n) v;
          Alcotest.(check string) ("name roundtrip: " ^ n) n (Xut_xml.Sym.name v)))
     results
 
 let test_memo_counts () =
   let nfa = nfa_of "//part[pname = \"keyboard\"]" in
   let s0 = Selecting_nfa.start nfa in
-  let sym = Xut_xml.Sym.intern "part" in
   let here = Xut_xml.Counter.local () in
+  let sym = Xut_xml.Sym.intern here "part" in
   let hits0 = Fixtures.counter "nfa_memo_hits" and misses0 = Fixtures.counter "nfa_memo_misses" in
   ignore (Selecting_nfa.next_unchecked nfa here s0 sym);
   ignore (Selecting_nfa.next_unchecked nfa here s0 sym);
@@ -241,8 +243,8 @@ let test_memo_hit_allocation () =
   let check name path label =
     let nfa = nfa_of path in
     let s0 = Selecting_nfa.start nfa in
-    let sym = Xut_xml.Sym.intern label in
     let checkp _ () = true and here = Xut_xml.Counter.local () in
+    let sym = Xut_xml.Sym.intern here label in
     let s1 = Selecting_nfa.next nfa here ~checkp () s0 sym in
     Alcotest.(check bool) (name ^ ": the step enters no qualifier state") false
       (Selecting_nfa.set_intersects s1 (Selecting_nfa.qual_states nfa));
@@ -276,13 +278,13 @@ let test_counts_across_domains () =
   let n = 100_000 in
   let nfa = nfa_of "//part/supplier" in
   let s0 = Selecting_nfa.start nfa in
-  let sym = Xut_xml.Sym.intern "part" in
+  let sym = Xut_xml.Sym.intern (Xut_xml.Counter.local ()) "part" in
   ignore (Selecting_nfa.next_unchecked nfa (Xut_xml.Counter.local ()) s0 sym);
   let interns0 = Fixtures.counter "sym_interns" and hits0 = Fixtures.counter "nfa_memo_hits" in
   let work () =
     let here = Xut_xml.Counter.local () in
     for _ = 1 to n do
-      ignore (Sys.opaque_identity (Xut_xml.Sym.intern "part"));
+      ignore (Sys.opaque_identity (Xut_xml.Sym.intern here "part"));
       ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa here s0 sym))
     done
   in

@@ -331,23 +331,24 @@ let test_close_tag_in_place () =
 
 let test_intern_sub () =
   let b = Bytes.of_string "xx<sym-sub-test>yy" in
-  let s = Sym.intern_sub b 3 12 in
+  let here = Counter.local () in
+  let s = Sym.intern_sub here b 3 12 in
   Alcotest.(check string) "name" "sym-sub-test" s;
-  Alcotest.(check bool) "the interned string" true (s == Sym.name (Sym.intern "sym-sub-test"));
-  Alcotest.(check bool) "stable" true (Sym.intern_sub b 3 12 == s);
+  Alcotest.(check bool) "the interned string" true (s == Sym.name (Sym.intern here "sym-sub-test"));
+  Alcotest.(check bool) "stable" true (Sym.intern_sub here b 3 12 == s);
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (Sym.intern_sub b 3 12))
+    ignore (Sys.opaque_identity (Sym.intern_sub here b 3 12))
   done;
   (* only Gc.minor_words' own boxed floats *)
   Alcotest.(check bool) "a hit allocates nothing" true (Gc.minor_words () -. before < 100.);
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (Sym.intern s))
+    ignore (Sys.opaque_identity (Sym.intern here s))
   done;
   Alcotest.(check bool) "an intern hit allocates nothing" true (Gc.minor_words () -. before < 100.);
   Alcotest.check_raises "range" (Invalid_argument "Sym.intern_sub") (fun () ->
-      ignore (Sym.intern_sub b 10 20));
+      ignore (Sym.intern_sub here b 10 20));
   Sax.parse_string "<sym-sub-test><sym-sub-test/></sym-sub-test>" (function
     | Sax.Start_element (n, _) | Sax.End_element n ->
       Alcotest.(check bool) "event names are the interned string" true (n == s)
@@ -693,7 +694,14 @@ let malformed_pins =
        even one that decodes to whitespace *)
     ("<!DOCTYPE a>\n<!DOCTYPE b>\n<a/>", (2, 1, "misplaced DOCTYPE"));
     ("&#32;<a/>&#10;", (1, 1, "reference outside the document element"));
-    ("<a/>\n  &#10;", (2, 3, "reference outside the document element")) ]
+    ("<a/>\n  &#10;", (2, 3, "reference outside the document element"));
+    (* faults after canonical markup, which a steered copy or skip scans
+       as a run: the token path must still report them *)
+    ("<a>\n<b k=\"v\">t</b><c><d/>x</e>\n</a>", (2, 27, "mismatched tags: <c> closed by </e>"));
+    ("<a>\n<b k=\"v\">t</b><c>x\000y</c></a>", (2, 19, "NUL byte in character data"));
+    ("<a>\n<b k=\"v\">t</b><c k=\"x\000\"/></a>", (2, 22, "NUL byte in attribute value"));
+    ("<a>\n<b k=\"v\">t</b><c k=\"v\"", (2, 23, "expected '>', found '\\000'"));
+    ("<a>\n<b k=\"v\">t</b><c><d>u</d>", (2, 26, "unclosed element <c>")) ]
 
 let test_error_pins () =
   List.iter

@@ -64,7 +64,7 @@ let test_skip_set_contents () =
   let p = Schema.product (site ()) (nfa_of u7_path) in
   Alcotest.(check bool) "product not capped" false (Schema.capped p);
   Alcotest.(check bool) "U7 has a non-trivial skip-set" true (Schema.skip_count p > 0);
-  let skippable name = Schema.skippable p (Xut_xml.Sym.intern name) in
+  let skippable name = Schema.skippable p (Xut_xml.Sym.intern (Xut_xml.Counter.local ()) name) in
   List.iter
     (fun arm ->
       Alcotest.(check bool) (arm ^ " is skippable under U7") true (skippable arm))

@@ -1572,7 +1572,7 @@ let stats_keys =
     "statically_empty_rejections"; "schema_products"; "commits"; "commit_conflicts";
     "commit_noops"; "pending_primitives_count"; "pending_primitives_p50";
     "pending_primitives_p95"; "pending_primitives_max"; "sym_interns"; "reader_pool_hits";
-    "reader_pool_misses"; "serialize_pool_hits"; "serialize_pool_misses";
+    "reader_pool_misses"; "sax_copy_blit_bytes"; "serialize_pool_hits"; "serialize_pool_misses";
     "serialize_image_builds"; "serialize_image_blit_bytes"; "nfa_memo_hits"; "nfa_memo_misses";
     "nodes_visited"; "nodes_copied"; "nodes_shared"; "nfa_memo_hit_rate"; "sym_symbols" ]
 
@@ -1594,7 +1594,8 @@ let stats_lines dump =
    0), skipping the [varying] keys and the process-wide lines. *)
 let check_stats label ?(varying = []) lines expected =
   let process_wide =
-    [ "serialize_pool_"; "serialize_image_"; "nfa_memo_"; "sym_"; "reader_pool_"; "nodes_" ]
+    [ "serialize_pool_"; "serialize_image_"; "nfa_memo_"; "sym_"; "reader_pool_"; "sax_copy_";
+      "nodes_" ]
   in
   List.iter
     (fun key ->

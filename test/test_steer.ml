@@ -137,6 +137,68 @@ let prop_steered_equals_unsteered =
         bool)
     (fun (text, update, keep_ws) -> agree ~keep_ws update text)
 
+(* ---- canonical documents ----
+
+   Long documents already in the writer's form, which a steered copy or
+   skip takes as canonical runs, each with one token that is not, at a
+   random place: the run must stop at its first byte and the token path
+   take it, wherever the reader's window and the writer's flush points
+   fall. *)
+
+(* The tokens that end a canonical run, each a whole content item. *)
+let non_canonical =
+  [| "<b></b>"; "<c k='1'>t</c>"; "x&amp;y"; "x>y"; "<d >t</d >"; "<d k=\"1\" />";
+     "<e\nk=\"v\"/>"; "\r\n"; "<!-- c -->"; "<?p d?>"; "<![CDATA[x<y]]>" |]
+
+let gen_canonical_doc =
+  let open QCheck2.Gen in
+  let label = oneofa (Array.append Test_properties.labels [| "u"; "v" |]) in
+  let attr =
+    map2 (Printf.sprintf " %s=\"%s\"") (oneofl [ "id"; "k"; "x_y" ])
+      (oneofl [ ""; "A"; "10"; "a b"; "x'y"; "\t1" ])
+  in
+  let text =
+    map (String.concat "")
+      (list_size (int_range 1 3) (oneofl [ "A"; "10"; "3.5"; "x y"; "it's"; "a\nb"; "\"q\"" ]))
+  in
+  let element =
+    fix (fun self depth ->
+        let* name = label in
+        let* attrs = map (String.concat "") (list_size (int_range 0 2) attr) in
+        let* children =
+          list_size (int_range 0 4) (if depth = 0 then text else oneof [ self (depth - 1); text ])
+        in
+        if children = [] then return (Printf.sprintf "<%s%s/>" name attrs)
+        else return (Printf.sprintf "<%s%s>%s</%s>" name attrs (String.concat "" children) name))
+  in
+  let* kids = frequency [ (3, int_range 5 60); (1, int_range 1500 3000) ] in
+  let* body = map (String.concat "") (list_repeat kids (int_range 0 3 >>= element)) in
+  let doc = "<r>" ^ body ^ "</r>" in
+  (* after a '>' inside the document element: every '>' of canonical
+     markup ends a tag *)
+  let ends = List.filter (fun i -> doc.[i] = '>') (List.init (String.length doc - 4) Fun.id) in
+  let* at = oneofl ends in
+  let* token = oneofa non_canonical in
+  return (String.sub doc 0 (at + 1) ^ token ^ String.sub doc (at + 1) (String.length doc - at - 1))
+
+(* Plans that copy or skip nearly everything beside the property
+   suite's: copies of each child of the document element and of its
+   whole content, skips of each child. *)
+let gen_run_update =
+  QCheck2.Gen.(
+    oneof
+      [ Test_properties.gen_update; Test_properties.gen_qualified_update;
+        oneofl
+          (List.map Transform_parser.parse_update
+             [ "delete $a/r/zz"; "rename $a/zz as y"; "delete $a/r/*"; "delete $a/r/*/*" ]) ])
+
+let prop_canonical_runs =
+  QCheck2.Test.make ~name:"steered run = unsteered run: canonical runs, one token not" ~count:30
+    ~print:(fun (text, update, keep_ws) ->
+      Printf.sprintf "%s\n%s keep_ws=%b" text (Transform_ast.update_to_string update) keep_ws)
+    QCheck2.Gen.(triple gen_canonical_doc gen_run_update bool)
+    (fun (text, update, keep_ws) -> agree ~keep_ws update text)
+
 (* Malformed XMark-shaped input under plans that copy and skip most of
    the document: the error, and every chunk written before it, are the
    event path's. *)
@@ -292,11 +354,87 @@ let test_steered_visits () =
       Alcotest.(check int) "steered = unsteered - consumed as bytes"
         (unsteered - steered_away nfa root) steered)
 
+(* U4, U7 and a copy of everything over XMark f=0.01, whose markup is
+   canonical throughout: steered and unsteered runs write the same
+   chunks, and the copy writes nearly all of its bytes as blits. *)
+let test_xmark_runs () =
+  let text = Serialize.element_to_string (Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 ()) in
+  with_temp_doc text (fun path ->
+      List.iter
+        (fun (label, query) ->
+          let update = Transform_parser.parse_update query in
+          let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+          List.iter
+            (fun chunk ->
+              (* the chunks' lengths and their bytes, and the bytes blitted *)
+              let run ~steered =
+                let lengths = ref [] and bytes = Buffer.create (String.length text) in
+                let sink =
+                  Serialize.Sink.lending ~chunk_size:chunk (fun b ->
+                      lengths := Buffer.length b :: !lengths;
+                      Buffer.add_buffer bytes b)
+                in
+                let steer = if steered then Some (Sax.steer (Serialize.Sink.writer sink)) else None in
+                let blits = Fixtures.counter "sax_copy_blit_bytes" in
+                let stats =
+                  Sax_transform.run_buffered ?steer nfa update
+                    ~source:(fun h ->
+                      In_channel.with_open_bin path (fun ic ->
+                          Sax.parse_reader ?steer (Reader.of_channel ~chunk_size:chunk ic) h))
+                    ~sink:(Serialize.Sink.event sink)
+                in
+                ignore (Serialize.Sink.close sink);
+                ((!lengths, Buffer.contents bytes, stats), Fixtures.counter "sax_copy_blit_bytes" - blits)
+              in
+              let plain, unsteered_blits = run ~steered:false in
+              let steered, blits = run ~steered:true in
+              let name = Printf.sprintf "%s, chunk %d" label chunk in
+              Alcotest.(check bool) (name ^ ": chunks and stats = unsteered") true (plain = steered);
+              Alcotest.(check int) (name ^ ": unsteered blits nothing") 0 unsteered_blits;
+              if label = "copy-all" && chunk = 65536 then
+                let _, out, _ = steered in
+                if 100 * blits < 95 * String.length out then
+                  Alcotest.failf "copy-all blitted %d of %d bytes" blits (String.length out))
+            [ 1; 61; 4096; 65536 ])
+        [ ("U4", "delete $a/site/regions//item");
+          ("U7", Test_reader.u7);
+          ("copy-all", "delete $a/site/zz") ])
+
+(* Copy and skip modes intern no name: a steered copy and a steered skip
+   of 20 000 elements with distinct names leave the symbol table as it
+   was (an event parse of them interns every one, each insertion
+   rebuilding the table). *)
+let test_steered_interns () =
+  let names = 20_000 in
+  let text =
+    "<site><keep>"
+    ^ String.concat "" (List.init names (Printf.sprintf "<steer-sym-%d/>"))
+    ^ "</keep></site>"
+  in
+  (* the names the runs walk, and the plans' *)
+  let here = Counter.local () in
+  List.iter (fun n -> ignore (Sym.intern here n)) [ "site"; "keep"; "zz" ];
+  with_temp_doc text (fun path ->
+      List.iter
+        (fun (label, query, expected) ->
+          let update = Transform_parser.parse_update query in
+          let before = Sym.count () in
+          let chunks, result = outcome ~steered:true ~chunk:65536 run_once update path in
+          (match result with Ok _ -> () | Error e -> Alcotest.fail e);
+          Alcotest.(check int) (label ^ ": symbols") before (Sym.count ());
+          Alcotest.(check string) (label ^ ": bytes") expected (String.concat "" chunks))
+        [ ("copy", "delete $a/site/zz", text);
+          ("skip", "delete $a/site/keep", "<site/>") ])
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_steered_equals_unsteered;
+    QCheck_alcotest.to_alcotest prop_canonical_runs;
     QCheck_alcotest.to_alcotest prop_steered_errors;
     Alcotest.test_case "malformed inputs pinned under copy and skip" `Quick test_error_pins;
     Alcotest.test_case "a region overflows after a copied subtree" `Quick test_overflow_after_copy;
     Alcotest.test_case "qualifiers past 62 LQ entries" `Quick test_wide_qualifier;
     Alcotest.test_case "steered runs count only the elements they visit" `Quick
-      test_steered_visits ]
+      test_steered_visits;
+    Alcotest.test_case "XMark U4, U7 and copy-all: steered chunks = unsteered" `Quick
+      test_xmark_runs;
+    Alcotest.test_case "steered copy and skip intern no name" `Quick test_steered_interns ]
