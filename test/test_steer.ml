@@ -428,13 +428,13 @@ let test_steered_interns () =
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_steered_equals_unsteered;
-    QCheck_alcotest.to_alcotest prop_canonical_runs;
     QCheck_alcotest.to_alcotest prop_steered_errors;
     Alcotest.test_case "malformed inputs pinned under copy and skip" `Quick test_error_pins;
     Alcotest.test_case "a region overflows after a copied subtree" `Quick test_overflow_after_copy;
     Alcotest.test_case "qualifiers past 62 LQ entries" `Quick test_wide_qualifier;
     Alcotest.test_case "steered runs count only the elements they visit" `Quick
       test_steered_visits;
+    QCheck_alcotest.to_alcotest prop_canonical_runs;
     Alcotest.test_case "XMark U4, U7 and copy-all: steered chunks = unsteered" `Quick
       test_xmark_runs;
     Alcotest.test_case "steered copy and skip intern no name" `Quick test_steered_interns ]
