@@ -78,10 +78,10 @@ let transform_cmd =
          NFA into the chunked serializer, never building a tree.  The
          tier is the service's TRANSFORM-STREAM FILE one: the
          single-parse driver, fused for a qualifier-free plan (no region
-         opens) and buffered otherwise (one parse, holding only the
-         subtrees a qualifier leaves undecided), and a GENTOP walk of the
-         parsed tree for a context qualifier.  Output is byte-identical
-         either way. *)
+         opens) and buffered otherwise (one parse, re-reading the bytes
+         of each subtree a qualifier leaves undecided), and a GENTOP walk
+         of the parsed tree for a context qualifier or a FIFO.  Output is
+         byte-identical either way. *)
       if pretty then begin
         Printf.eprintf "xut transform: --stream does not indent; drop --pretty\n";
         exit 2
@@ -93,14 +93,16 @@ let transform_cmd =
       let w0 = Gc.minor_words () in
       let sink = Xut_xml.Serialize.Sink.create print_string in
       let events = Xut_xml.Serialize.Sink.event sink in
-      (* the parse copies what the run keeps unread straight into the sink *)
-      let steer = Xut_xml.Sax.steer (Xut_xml.Serialize.Sink.writer sink) in
-      let source h = Xut_xml.Sax.parse_file ~steer doc h in
+      let input = Xut_xml.Reader.file doc in
       let rs =
         try
-          match Sax_transform.tier nfa with
+          match Sax_transform.tier nfa input with
           | Sax_transform.Streamed ->
-            Some (Sax_transform.run_buffered ~steer nfa update ~source ~sink:events)
+            (* the parses copy what the run only copies straight into
+               the sink *)
+            Some
+              (Sax_transform.run_buffered ~copy_to:(Xut_xml.Serialize.Sink.writer sink) nfa update
+                 ~input ~sink:events)
           | Sax_transform.Materialized ->
             Xut_xml.Serialize.Sink.element sink (Top_down.run nfa update (load_doc doc));
             None
@@ -117,11 +119,11 @@ let transform_cmd =
          | Some rs ->
            Format.eprintf
              "engine=%s time=%.4fs alloc_kw=%.1f depth=%d truth=%d elements=%d regions=%d \
-              parses=%d held=%d%s@."
+              parses=%d reread=%d%s@."
              (if Sax_transform.one_pass nfa then "fusedSAX" else "bufferedSAX")
              dt alloc_kw rs.Sax_transform.max_stack_depth rs.Sax_transform.truth_entries
              rs.Sax_transform.elements_seen rs.Sax_transform.regions rs.Sax_transform.parses
-             rs.Sax_transform.peak_held_bytes (counters_moved c0)
+             rs.Sax_transform.reread_bytes (counters_moved c0)
          | None -> Format.eprintf "engine=gentop time=%.4fs%s@." dt (counters_moved c0));
       0
     end
@@ -565,6 +567,9 @@ let () =
       2
     | exception Xut_xml.Sax.Parse_error { line; col; msg } ->
       Printf.eprintf "xut: parse error at %d:%d: %s\n" line col msg;
+      2
+    | exception Sys_error msg ->
+      Printf.eprintf "xut: %s\n" msg;
       2
     | exception e ->
       Printf.eprintf "xut: internal error, uncaught exception:\n%s\n" (Printexc.to_string e);

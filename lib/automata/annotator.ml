@@ -49,14 +49,23 @@ let top_quals nfa states' =
 let seeds_at nfa states' seeds =
   match top_quals nfa states' with [] -> seeds | qs -> List.sort_uniq compare (seeds @ qs)
 
-(* ---- the SAX pass's demand at an element, memoized ----
+(* ---- the SAX pass's step into an element, memoized ----
 
    What bottomUp needs at an element follows from three things only: the
-   candidates its parent passes down, its unchecked state set and its
-   label.  A run meets few distinct triples, so it computes each once
-   ([seeds_at] and [expand], as the tree pass does per node); every later
-   element with the same triple reads the stored demand and allocates
-   nothing. *)
+   candidates its parent passes down, its parent's unchecked state set
+   and its label.  A plan meets few distinct triples, so it computes each
+   once (the transition, [seeds_at] and [expand], as the tree pass does
+   per node); every later element with the same triple, in any run of
+   the plan, reads the stored step with one probe and allocates nothing:
+   the memo is attached to the automaton.
+
+   It is shared by the domains that run one plan, as the transition
+   memo is: entries are immutable, so a racy read sees a whole
+   entry or the free slot; a store goes into the array the probe read,
+   and growing publishes a fresh array, so a store racing with it may be
+   lost, which costs one more computation later.  Probes are bounded by
+   the table's size, so a table that a lost count let fill up still
+   answers (by computing). *)
 
 type demand = {
   seeds : Lq.set;
@@ -65,42 +74,64 @@ type demand = {
   reads_text : bool;
 }
 
-type slot = { k_cands : Lq.set; k_states : Selecting_nfa.set; k_sym : Sym.t; demand : demand }
+type step = { states : Selecting_nfa.set; demand : demand; reaches : bool }
+
+type slot = { k_cands : Lq.set; k_parent : Selecting_nfa.set; k_sym : Sym.t; step : step }
 
 type demands = {
   d_nfa : Selecting_nfa.t;
   quals : Selecting_nfa.set;
   none : demand;
   free : slot;  (* physically, the empty slot *)
-  mutable slots : slot array;  (* open addressing, at most half full *)
+  mutable slots : slot array;  (* open addressing, grown at half full *)
   mutable count : int;
+  mutable computed : int;
 }
 
-let demands nfa =
+let create nfa =
   let lq = Selecting_nfa.lq nfa in
   let empty = Lq.set_of_list lq [] in
   let none = { seeds = empty; candidates = empty; own = [||]; reads_text = false } in
-  let free = { k_cands = empty; k_states = Selecting_nfa.start nfa; k_sym = -1; demand = none } in
+  let start = Selecting_nfa.start nfa in
+  let free =
+    { k_cands = empty; k_parent = start; k_sym = -1;
+      step = { states = start; demand = none; reaches = false } }
+  in
   { d_nfa = nfa; quals = Selecting_nfa.qual_states nfa; none; free; slots = Array.make 16 free;
-    count = 0 }
+    count = 0; computed = 0 }
+
+type Selecting_nfa.attached += Steps of demands
+
+let steps nfa =
+  match Selecting_nfa.attached nfa with
+  | Steps m -> m
+  | _ ->
+    let m = create nfa in
+    Selecting_nfa.attach nfa (Steps m);
+    m
 
 let no_demand m = m.none
+let computed m = m.computed
 
-let slot_hash cands states sym =
-  (Lq.set_hash cands * 31) lxor Selecting_nfa.set_hash states lxor (sym * 0x85ebca6b) land max_int
+let slot_hash cands parent sym =
+  (Lq.set_hash cands * 31) lxor Selecting_nfa.set_hash parent lxor (sym * 0x85ebca6b) land max_int
 
-(* the slot holding the triple, or the free slot where it would go *)
-let rec probe m cands states sym j =
-  let e = Array.unsafe_get m.slots j in
-  if e == m.free
-     || (e.k_sym = sym && Selecting_nfa.set_equal e.k_states states && Lq.set_equal e.k_cands cands)
-  then j
-  else probe m cands states sym ((j + 1) land (Array.length m.slots - 1))
+let holds e cands parent sym =
+  e.k_sym = sym && Selecting_nfa.set_equal e.k_parent parent && Lq.set_equal e.k_cands cands
 
-let slot_of m cands states sym =
-  probe m cands states sym (slot_hash cands states sym land (Array.length m.slots - 1))
+(* the slot of [slots] holding the triple, or the free slot where it
+   would go, or -1 after [n] probes *)
+let rec probe free slots cands parent sym j n =
+  if n = 0 then -1
+  else
+    let e = Array.unsafe_get slots j in
+    if e == free || holds e cands parent sym then j
+    else probe free slots cands parent sym ((j + 1) land (Array.length slots - 1)) (n - 1)
 
-let insert m e = m.slots.(slot_of m e.k_cands e.k_states e.k_sym) <- e
+let slot_of m slots cands parent sym =
+  probe m.free slots cands parent sym
+    (slot_hash cands parent sym land (Array.length slots - 1))
+    (Array.length slots)
 
 let compute m cands states name =
   let nfa = m.d_nfa in
@@ -126,23 +157,36 @@ let document_demand m ~name =
   let start = Selecting_nfa.start m.d_nfa in
   if Selecting_nfa.set_intersects start m.quals then compute m m.none.candidates start name else m.none
 
-let demand m cands states sym =
-  if Lq.set_is_empty cands && not (Selecting_nfa.set_intersects states m.quals) then m.none
+let grow m slots =
+  let bigger = Array.make (2 * Array.length slots) m.free in
+  Array.iter
+    (fun e ->
+      if e != m.free then
+        let j = slot_of m bigger e.k_cands e.k_parent e.k_sym in
+        if j >= 0 then bigger.(j) <- e)
+    slots;
+  m.slots <- bigger
+
+let step m here cands parent sym =
+  let slots = m.slots in
+  let j = slot_of m slots cands parent sym in
+  let e = if j >= 0 then Array.unsafe_get slots j else m.free in
+  if e != m.free && holds e cands parent sym then e.step
   else begin
-    let j = slot_of m cands states sym in
-    let e = m.slots.(j) in
-    if e != m.free then e.demand
-    else begin
-      let demand = compute m cands states (Sym.name sym) in
-      m.slots.(j) <- { k_cands = cands; k_states = states; k_sym = sym; demand };
+    let nfa = m.d_nfa in
+    let states = Selecting_nfa.next_unchecked nfa here parent sym in
+    let demand =
+      if Lq.set_is_empty cands && not (Selecting_nfa.set_intersects states m.quals) then m.none
+      else compute m cands states (Sym.name sym)
+    in
+    let step = { states; demand; reaches = Selecting_nfa.reaches_qual nfa states } in
+    m.computed <- m.computed + 1;
+    if j >= 0 then begin
+      slots.(j) <- { k_cands = cands; k_parent = parent; k_sym = sym; step };
       m.count <- m.count + 1;
-      if 2 * m.count > Array.length m.slots then begin
-        let old = m.slots in
-        m.slots <- Array.make (2 * Array.length old) m.free;
-        Array.iter (fun e -> if e != m.free then insert m e) old
-      end;
-      demand
-    end
+      if 2 * m.count > Array.length slots then grow m slots
+    end;
+    step
   end
 
 let kid_seeds lq candidates (c : Node.element) =

@@ -28,7 +28,7 @@ val top_quals : Selecting_nfa.t -> Selecting_nfa.set -> int list
     [states'] demands for itself, on top of those its parent passes
     down.  Shared with the SAX pass and the schema product. *)
 
-(** {2 The demand at an element, for the SAX pass} *)
+(** {2 The step into an element, for the SAX pass} *)
 
 type demand = private {
   seeds : Xut_xpath.Lq.set;
@@ -40,20 +40,38 @@ type demand = private {
   reads_text : bool;  (** whether an expression it evaluates compares its text *)
 }
 
-type demands
-(** A memo of demands, for one run. *)
+type step = private {
+  states : Selecting_nfa.set;  (** the element's unchecked state set *)
+  demand : demand;  (** what bottomUp evaluates at it *)
+  reaches : bool;
+      (** {!Selecting_nfa.reaches_qual} of [states]: a qualifier state is
+          reachable below it *)
+}
 
-val demands : Selecting_nfa.t -> demands
+type demands
+(** A memo of steps, kept with the automaton of a plan: every run of
+    the plan, on any domain, reads what an earlier one computed.
+    Domain-safe as the transition memo is (a racing store may be lost,
+    never torn). *)
+
+val steps : Selecting_nfa.t -> demands
+(** The automaton's memo, attached to it at the first call. *)
+
+val computed : demands -> int
+(** How many steps the memo has computed (a miss each). *)
 
 val no_demand : demands -> demand
 (** The demand of an element that evaluates nothing. *)
 
-val demand : demands -> Xut_xpath.Lq.set -> Selecting_nfa.set -> Sym.t -> demand
-(** [demand m candidates states sym]: what bottomUp evaluates at an
-    element labelled [sym] whose parent passes down [candidates] and
-    whose unchecked state set is [states]: the candidates its label does
-    not block and {!top_quals} of [states], then {!expand} of those.  Computed once per
-    distinct triple; a repeated triple allocates nothing. *)
+val step :
+  demands -> Counter.local -> Xut_xpath.Lq.set -> Selecting_nfa.set -> Sym.t -> step
+(** [step m here candidates parent sym]: an element labelled [sym] whose
+    parent passes down [candidates] and has the unchecked state set
+    [parent]: its states ({!Selecting_nfa.next_unchecked}, counted in
+    [here]), and what bottomUp evaluates there, the candidates its label
+    does not block and {!top_quals} of its states, then {!expand} of
+    those.  Computed once per distinct triple (a lost racing store
+    aside); a repeated triple takes one probe and allocates nothing. *)
 
 val document_demand : demands -> name:string -> demand
 (** The demand at the virtual document node, named [name]: the

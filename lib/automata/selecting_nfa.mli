@@ -77,6 +77,16 @@ val footprint : t -> footprint option
     nothing (no update edits an existing node's attributes), nor does
     the context qualifier (never tabled). *)
 
+type attached = ..
+(** A memo another module derives from the automaton and keeps with it
+    ({!Annotator.steps}), so every run of a plan reads it. *)
+
+type attached += Nothing
+
+val attached : t -> attached
+val attach : t -> attached -> unit
+(** Domains racing to attach may each attach their own; one stays. *)
+
 val selects_context : t -> bool
 (** True iff the path is empty (the final state is the start state, so
     the context node itself is selected). *)
@@ -146,6 +156,13 @@ val next :
 val next_unchecked : t -> Xut_xml.Counter.local -> set -> Xut_xml.Sym.t -> set
 (** Transition ignoring qualifiers (the over-approximation the bottom-up
     pass runs on, Fig. 9 lines 1–2), counted in [here].  Memoized. *)
+
+val reaches_qual : t -> set -> bool
+(** Whether a node strictly below one entered with the state set can
+    enter a state with a qualifier, transitions unchecked: when not, and
+    the node itself seeds nothing, the bottom-up pass has nothing to
+    evaluate in its subtree.  Memoized per set, in a table of its own
+    (not the transition memo); domain-safe as that memo is. *)
 
 val names : t -> Xut_xml.Sym.t -> bool
 (** Does a label step of the path name the symbol?  From one set, the

@@ -14,7 +14,7 @@ type run_stats = {
   skipped_elements : int;
   regions : int;
   parses : int;
-  peak_held_bytes : int;
+  reread_bytes : int;
 }
 
 (* Ld: truth of top-level qualifier [lq] at the element with document-order
@@ -123,6 +123,10 @@ module Pass1 = struct
     lq : Lq.t;
     nlq : int;
     sskip : (Sym.t -> bool) option;  (* {!run}'s schema skip-set *)
+    (* a subtree with nothing to evaluate is one no qualifier state is
+       reachable in (the buffered driver), or, for {!run}'s pass as the
+       paper runs it, one whose state set is empty *)
+    reach : bool;
     truth : Truth.t;
     memo : Annotator.demands;
     none : Annotator.demand;
@@ -146,8 +150,8 @@ module Pass1 = struct
     mutable seeded : seeded array;
     mutable skip : int;
     (* was the current skip episode opened by the schema oracle (as
-       opposed to an empty state set)?  Episodes never nest, so one flag
-       suffices. *)
+       opposed to a subtree with nothing to evaluate)?  Episodes never
+       nest, so one flag suffices. *)
     mutable schema_mode : bool;
     mutable skipped_subtrees : int;
     mutable skipped_elements : int;
@@ -169,14 +173,14 @@ module Pass1 = struct
 
   let seeds (d : Annotator.demand) = not (Lq.set_is_empty d.Annotator.seeds)
 
-  let create ?sskip nfa truth =
+  let create ?sskip ?(reach = false) nfa truth =
     let lq = Selecting_nfa.lq nfa in
     let base = Selecting_nfa.start nfa in
-    let memo = Annotator.demands nfa in
+    let memo = Annotator.steps nfa in
     let none = Annotator.no_demand memo in
     let doc = Annotator.document_demand memo ~name:document in
     let rec p =
-      { nfa; here = Counter.local (); lq; nlq = Lq.length lq; sskip; truth; memo; none;
+      { nfa; here = Counter.local (); lq; nlq = Lq.length lq; sskip; reach; truth; memo; none;
         scratch = Lq.scratch lq; current = [||]; csat = (fun i -> Array.unsafe_get p.current i); base; bottom = 0;
         states = Array.make initial_depth base; demand = Array.make initial_depth none;
         seeded = Array.make initial_depth unused; skip = 0; schema_mode = false;
@@ -195,28 +199,17 @@ module Pass1 = struct
       reserve p d
     end
 
-  (* The frames below depth [n] become seedless frames over [states]:
-     the elements above an undecided region, whose pass-2 states carry
-     no qualifier. *)
-  let set_seedless_below p states n =
-    reserve p n;
-    Array.blit states 0 p.states 0 n;
-    Array.fill p.demand 0 n p.none;
-    p.bottom <- 0
-
   (* A seeded frame at depth [d], its [csat] and text emptied. *)
-  let set_seeded p d name attrs =
+  let set_seeded p d =
     let f = p.seeded.(d) in
     if f == unused then
       p.seeded.(d) <-
-        { csat = Array.make p.nlq false; text = Buffer.create 16; first = ""; pieces = 0; attrs;
-          name; at = p.seq }
+        { csat = Array.make p.nlq false; text = Buffer.create 16; first = ""; pieces = 0; attrs = [];
+          name = ""; at = p.seq }
     else begin
       Array.fill f.csat 0 p.nlq false;
       f.first <- "";
       f.pieces <- 0;
-      f.attrs <- attrs;
-      f.name <- name;
       f.at <- p.seq
     end
 
@@ -233,57 +226,59 @@ module Pass1 = struct
 
   let text_of f = if f.pieces <= 1 then f.first else Buffer.contents f.text
 
-  (* A start-tag; whether it opened a skip episode for an empty state
-     set: neither the element nor anything below it is pass 1's. *)
-  let start p sym name attrs =
-    p.seq <- p.seq + 1;
-    if p.skip > 0 then begin
-      p.skip <- p.skip + 1;
-      if p.schema_mode then p.skipped_elements <- p.skipped_elements + 1;
-      false
-    end
-    else if match p.sskip with Some skip -> skip sym | None -> false then begin
-      (* schema skip-set: seed-free below, so no truth entry the second
-         pass could ask for originates here *)
-      p.skip <- 1;
-      p.schema_mode <- true;
-      p.skipped_subtrees <- p.skipped_subtrees + 1;
-      p.skipped_elements <- p.skipped_elements + 1;
-      false
-    end
+  (* The start-tag numbered [seq] of [sym], outside a skip episode: a
+     frame for it, unless neither it nor anything below it has something
+     to evaluate (it seeds nothing, and [reach] says so of its subtree);
+     whether it got one. *)
+  let enter p seq sym =
+    p.seq <- seq;
+    let d = p.depth in
+    let candidates =
+      if d > p.bottom then p.demand.(d - 1).Annotator.candidates
+      else if d = 0 then p.doc.Annotator.candidates
+      else p.none.Annotator.candidates
+    in
+    let step =
+      Annotator.step p.memo p.here candidates (if d = p.bottom then p.base else p.states.(d - 1)) sym
+    in
+    let states = step.Annotator.states and demand = step.Annotator.demand in
+    if
+      (not (seeds demand))
+      && if p.reach then not step.Annotator.reaches else Selecting_nfa.set_is_empty states
+    then false
     else begin
-      let d = p.depth in
-      let states =
-        Selecting_nfa.next_unchecked p.nfa p.here
-          (if d = p.bottom then p.base else p.states.(d - 1))
-          sym
-      in
-      let candidates =
-        if d > p.bottom then p.demand.(d - 1).Annotator.candidates
-        else if d = 0 then p.doc.Annotator.candidates
-        else p.none.Annotator.candidates
-      in
-      let demand = Annotator.demand p.memo candidates states sym in
-      if Selecting_nfa.set_is_empty states && not (seeds demand) then begin
-        p.skip <- 1;
-        true
-      end
-      else begin
-        reserve p d;
-        p.states.(d) <- states;
-        p.demand.(d) <- demand;
-        if seeds demand then set_seeded p d name attrs;
-        p.depth <- d + 1;
-        if p.depth > p.max_depth then p.max_depth <- p.depth;
-        false
-      end
+      reserve p d;
+      p.states.(d) <- states;
+      p.demand.(d) <- demand;
+      if seeds demand then set_seeded p d;
+      p.depth <- d + 1;
+      if p.depth > p.max_depth then p.max_depth <- p.depth;
+      true
     end
 
-  (* The element whose start-tag opened a skip episode was consumed whole
-     without events; its rest held [starts] start-tags. *)
-  let consumed p starts =
-    p.skip <- 0;
-    p.seq <- p.seq + starts
+  (* The event of the start-tag [enter] just gave a frame. *)
+  let label p name attrs =
+    let d = p.depth - 1 in
+    if seeds p.demand.(d) then begin
+      let f = p.seeded.(d) in
+      f.name <- name;
+      f.attrs <- attrs
+    end
+
+  (* A start-tag of a parse steered where [steerable]: [Skip] when pass 1
+     has nothing to do in its subtree, or, when the parse cannot skip it,
+     a skip episode over its events. *)
+  let decide p ~steerable seq sym =
+    if p.skip > 0 then begin
+      p.skip <- p.skip + 1;
+      Sax.Walk
+    end
+    else if enter p seq sym then Sax.Walk
+    else if steerable then Sax.Skip
+    else begin
+      p.skip <- 1;
+      Sax.Walk
+    end
 
   (* QualDP at a frame: its truths go to Ld, and what it satisfies to
      its parent's [csat] (a parent without seeds never reads it). *)
@@ -299,6 +294,10 @@ module Pass1 = struct
       for i = 0 to p.nlq - 1 do
         if Lq.holds p.scratch i then parent.(i) <- true
       done
+
+  let text p t =
+    let d = p.depth - 1 in
+    if p.skip = 0 && d >= p.bottom && p.demand.(d).Annotator.reads_text then add_text p.seeded.(d) t
 
   let end_ p =
     if p.skip > 0 then begin
@@ -328,20 +327,41 @@ module Pass1 = struct
     if seeds p.doc then
       evaluate p p.doc ~name:document ~attrs:[] ~text:"" ~csat:p.doc_csat ~at:(-1) [||]
 
+  (* {!run}'s pass over events, which may prune with the schema
+     skip-set. *)
   let handle p = function
     | Sax.End_document -> end_document p
     | Sax.Start_document | Sax.Comment_event _ | Sax.Pi_event _ -> ()
-    | Sax.Start_element (name, attrs) -> ignore (start p (Sym.intern p.here name) name attrs : bool)
-    | Sax.Characters t ->
-      let d = p.depth - 1 in
-      if p.skip = 0 && d >= p.bottom && p.demand.(d).Annotator.reads_text then
-        add_text p.seeded.(d) t
+    | Sax.Start_element (name, attrs) ->
+      let sym = Sym.intern p.here name in
+      if p.skip > 0 then begin
+        p.seq <- p.seq + 1;
+        p.skip <- p.skip + 1;
+        if p.schema_mode then p.skipped_elements <- p.skipped_elements + 1
+      end
+      else if match p.sskip with Some skip -> skip sym | None -> false then begin
+        (* schema skip-set: seed-free below, so no truth entry the second
+           pass could ask for originates here *)
+        p.seq <- p.seq + 1;
+        p.skip <- 1;
+        p.schema_mode <- true;
+        p.skipped_subtrees <- p.skipped_subtrees + 1;
+        p.skipped_elements <- p.skipped_elements + 1
+      end
+      else if enter p (p.seq + 1) sym then label p name attrs
+      else p.skip <- 1
+    | Sax.Characters t -> text p t
     | Sax.End_element _ -> end_ p
 end
 
 (* ---------------- pass 2: SAX topDown ---------------- *)
 
 module Pass2 = struct
+  (* What the event of the start-tag just decided does: nothing (inside
+     a dropped subtree), write itself (a subtree the schema skip-set
+     copies), write and push a frame, or fail. *)
+  type act = Quiet | Echo | Push | Fail of string
+
   type t = {
     nfa : Selecting_nfa.t;
     here : Counter.local;
@@ -365,35 +385,33 @@ module Pass2 = struct
     mutable depth : int;
     mutable max_depth : int;
     mutable seq : int;
-    (* elements a steered parse consumed as bytes (skipped, copied or
-       held), which no transition entered *)
-    mutable as_bytes : int;
+    (* start-tags decided: every one the pass was given, not those a
+       steered parse copied or skipped inside another *)
+    mutable visited : int;
     mutable produced_root : bool;
-    (* the parse's steering handle, when the run was given one *)
-    steer : Sax.steer option;
+    mutable act : act;
+    (* with [Push]: the frame's filtered states and selection *)
+    mutable next_states : Selecting_nfa.set;
+    mutable next_matched : bool;
   }
 
   (* [truth] holds the document node's truths, if the path tests it,
      before the pass starts. *)
-  let create ?steer ?sskip nfa update truth sink =
+  let create ?sskip nfa update truth sink =
     let start =
       Selecting_nfa.start_checked nfa
         ~checkp:(fun s truth -> Truth.get truth (-1) (Selecting_nfa.state_lq nfa s))
         truth
     in
-    { nfa; here = Counter.local (); update; sskip; truth; sink; steer;
+    { nfa; here = Counter.local (); update; sskip; truth; sink;
       root_matched = Selecting_nfa.selects_context nfa; start;
       fstates = Array.make initial_depth start; out_names = Array.make initial_depth "";
       matched = Array.make initial_depth false; skip = 0; verbatim = 0; depth = 0;
-      max_depth = 0; seq = -1; as_bytes = 0; produced_root = false }
+      max_depth = 0; seq = -1; visited = 0; produced_root = false; act = Quiet; next_states = start;
+      next_matched = false }
 
   (* The qualifier check at the start-tag numbered [seq]. *)
   let checkp s p = Truth.get p.truth p.seq (Selecting_nfa.state_lq p.nfa s)
-
-  (* Elements the parse consumed as bytes: counted, never entered. *)
-  let consumed p n =
-    p.seq <- p.seq + n;
-    p.as_bytes <- p.as_bytes + n
 
   (* Neither inside a deleted or replaced subtree nor copying one
      verbatim: the next start-tag runs a transition. *)
@@ -415,95 +433,94 @@ module Pass2 = struct
     p.depth <- d + 1;
     if p.depth > p.max_depth then p.max_depth <- p.depth
 
-  (* The handle through which the parse that gives pass 2 its current
-     start-tag can consume the element's rest: [Some] only for a live
-     start-tag of a steered parse, never for a held or replayed one. *)
-  let steerable p =
-    match p.steer with Some h when Sax.offered h -> p.steer | _ -> None
+  let count p seq =
+    p.seq <- seq;
+    p.visited <- p.visited + 1
 
-  (* Drop the rest of a deleted or replaced element: skipped in the parse
-     when it can be steered, otherwise counted through event by event. *)
-  let drop p =
-    match steerable p with
-    | Some h -> consumed p (Sax.skip_rest h)
-    | None -> p.skip <- 1
-
-  (* A start-tag [ev] = [Start_element (name, attrs)] while [walking], its
-     number already counted and its filtered states [fstates] known.  An
-     element written under its own name is written as [ev] itself.  One
-     that is unmatched with no state left can match nothing below it:
-     its rest is copied in the parse when it can be steered, its frame
-     never pushed (but counted in the peak depth). *)
-  let admit p ev name attrs fstates =
-    let sink = p.sink in
+  (* The start-tag numbered [seq] while [walking], its filtered states
+     [fstates] known: the answer to a parse steered where [steerable].
+     A deleted or replaced element is skipped (a replacement written in
+     its place), and one that is unmatched with no state left, which can
+     match nothing below it, is copied whole; without steering, a
+     deleted one is dropped event by event.  A failure waits for the
+     tag's event, so a malformed tag fails as the parse does. *)
+  let admit p ~steerable seq fstates =
+    count p seq;
     let at_root = p.depth = 0 in
     let matched = Selecting_nfa.accepts_set p.nfa fstates || (at_root && p.root_matched) in
     match p.update, matched with
-    | Transform_ast.Delete _, true ->
-      if at_root then
-        raise (Transform_ast.Invalid_update "update deletes the document element");
-      drop p
-    | Transform_ast.Replace (_, enew), true ->
-      (match enew, at_root with
-      | Node.Element _, _ | _, false -> ()
-      | (Node.Text _ | Node.Comment _ | Node.Pi _), true ->
-        raise
-          (Transform_ast.Invalid_update
-             "update replaces the document element with a non-element"));
-      if at_root then p.produced_root <- true;
-      Sax.events_of_node enew sink;
-      drop p
-    | Transform_ast.Rename (_, l), true ->
-      sink (Sax.Start_element (l, attrs));
-      push p fstates l matched
-    | Transform_ast.Insert_first (_, enew), true ->
-      sink ev;
-      Sax.events_of_node enew sink;
-      push p fstates name matched
-    | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Delete _
-      | Transform_ast.Replace _ | Transform_ast.Rename _), _ -> (
-      sink ev;
-      match if matched then None else steerable p with
-      | Some h when Selecting_nfa.set_is_empty fstates ->
+    | Transform_ast.Delete _, true when at_root ->
+      p.act <- Fail "update deletes the document element";
+      Sax.Walk
+    | Transform_ast.Replace (_, (Node.Text _ | Node.Comment _ | Node.Pi _)), true when at_root ->
+      p.act <- Fail "update replaces the document element with a non-element";
+      Sax.Walk
+    | (Transform_ast.Delete _ | Transform_ast.Replace _), true ->
+      (match p.update with
+      | Transform_ast.Replace (_, enew) ->
         if at_root then p.produced_root <- true;
-        consumed p (Sax.copy_rest h);
-        p.max_depth <- max p.max_depth (p.depth + 1 + Sax.rest_depth h)
-      | _ -> push p fstates name matched)
+        Sax.events_of_node enew p.sink
+      | _ -> ());
+      if steerable then Sax.Skip
+      else begin
+        p.skip <- 1;
+        p.act <- Quiet;
+        Sax.Walk
+      end
+    | _, false when steerable && Selecting_nfa.set_is_empty fstates ->
+      if at_root then p.produced_root <- true;
+      Sax.Copy
+    | _ ->
+      p.act <- Push;
+      p.next_states <- fstates;
+      p.next_matched <- matched;
+      Sax.Walk
 
-  (* A start-tag while [walking], its number already counted. *)
-  let enter p ev name attrs sym =
-    if match p.sskip with Some skip -> skip sym | None -> false then begin
+  (* The start-tag numbered [seq] of [sym]. *)
+  let decide p ~steerable seq sym =
+    if p.skip > 0 then begin
+      count p seq;
+      p.skip <- p.skip + 1;
+      p.act <- Quiet;
+      Sax.Walk
+    end
+    else if p.verbatim > 0 || match p.sskip with Some skip -> skip sym | None -> false then begin
+      count p seq;
       if p.depth = 0 then p.produced_root <- true;
-      p.sink ev;
-      p.verbatim <- 1
-    end
-    else admit p ev name attrs (Selecting_nfa.next p.nfa p.here ~checkp p (states p) sym)
-
-  (* A start-tag; [sym] is its name's symbol, or -1 when the caller has
-     not interned it (interned here only if a transition needs it). *)
-  let start p ev name attrs sym =
-    p.seq <- p.seq + 1;
-    if p.skip > 0 then p.skip <- p.skip + 1
-    else if p.verbatim > 0 then begin
       p.verbatim <- p.verbatim + 1;
-      p.sink ev
+      p.act <- Echo;
+      Sax.Walk
     end
-    else enter p ev name attrs (if sym >= 0 then sym else Sym.intern p.here name)
+    else begin
+      (* the qualifier checks read it *)
+      p.seq <- seq;
+      admit p ~steerable seq (Selecting_nfa.next p.nfa p.here ~checkp p (states p) sym)
+    end
 
-  (* An element pass 1 left unread, replayed from the bytes held for it:
-     its start-tag and [starts] more, the deepest [depth] levels below
-     it.  Its filtered states are a subset of the unchecked ones, which
-     are empty, so a walking pass copies it whole; whether the pass
-     walks, and so must write the bytes. *)
-  let unread p ~starts ~depth =
-    consumed p (1 + starts);
-    walking p
-    && begin
-         p.max_depth <- max p.max_depth (p.depth + 1 + depth);
-         true
-       end
+  (* The event [ev] of the start-tag just decided.  An element written
+     under its own name is written as [ev] itself. *)
+  let started p ev name attrs =
+    match p.act with
+    | Quiet -> ()
+    | Echo -> p.sink ev
+    | Fail msg -> raise (Transform_ast.Invalid_update msg)
+    | Push -> (
+      let fstates = p.next_states and matched = p.next_matched in
+      match p.update with
+      | Transform_ast.Rename (_, l) when matched ->
+        p.sink (Sax.Start_element (l, attrs));
+        push p fstates l matched
+      | Transform_ast.Insert_first (_, enew) when matched ->
+        p.sink ev;
+        Sax.events_of_node enew p.sink;
+        push p fstates name matched
+      | _ ->
+        p.sink ev;
+        push p fstates name matched)
 
-  let handle p = function
+  (* The events of a parse whose start-tags were decided. *)
+  let handle_decided p = function
+    | Sax.Start_element (name, attrs) as ev -> started p ev name attrs
     | Sax.Start_document -> p.sink Sax.Start_document
     | Sax.End_document ->
       if not p.produced_root then
@@ -511,7 +528,6 @@ module Pass2 = struct
       p.sink Sax.End_document
     | (Sax.Comment_event _ | Sax.Pi_event _ | Sax.Characters _) as ev ->
       if p.verbatim > 0 || (p.skip = 0 && p.depth > 0) then p.sink ev
-    | Sax.Start_element (name, attrs) as ev -> start p ev name attrs (-1)
     | Sax.End_element name as ev ->
       if p.skip > 0 then p.skip <- p.skip - 1
       else if p.verbatim > 0 then begin
@@ -527,6 +543,14 @@ module Pass2 = struct
         let out_name = p.out_names.(d) in
         p.sink (if String.equal out_name name then ev else Sax.End_element out_name)
       end
+
+  (* The events of an unsteered source: each start-tag is decided at its
+     event. *)
+  let handle p = function
+    | Sax.Start_element (name, attrs) as ev ->
+      ignore (decide p ~steerable:false (p.seq + 1) (Sym.intern p.here name) : Sax.decision);
+      started p ev name attrs
+    | ev -> handle_decided p ev
 end
 
 let check_ctx_qual nfa =
@@ -544,7 +568,7 @@ let run ?skip nfa update ~source ~sink =
   source (Pass1.handle p1);
   let p2 = Pass2.create ?sskip:skip nfa update truth sink in
   source (Pass2.handle p2);
-  Counter.add Stats.nodes_visited (p2.Pass2.seq + 1);
+  Counter.add Stats.nodes_visited p2.Pass2.visited;
   {
     max_stack_depth = p1.Pass1.max_depth;
     truth_entries = Truth.length truth;
@@ -553,271 +577,157 @@ let run ?skip nfa update ~source ~sink =
     skipped_elements = p1.Pass1.skipped_elements;
     regions = 0;
     parses = 2;
-    peak_held_bytes = 0;
+    reread_bytes = 0;
   }
-
-(* ---------------- the buffered one-pass driver ----------------
-
-   Pass 2 runs over the one parse.  At a start-tag whose unchecked
-   transition enters a qualifier-bearing state, the element's selection
-   waits on a truth pass 1 learns only at its end-tag: it opens an
-   undecided region.  The region's events are held in [held] while pass 1
-   runs over them alone, from pass 2's states at the region's parent.
-   Every qualifier of fragment X is downward, so at the region's end-tag
-   each truth pass 2 can ask for inside it is known; the held events then
-   replay through pass 2, whose state has not moved since the region
-   opened, and the region's truths are dropped.
-
-   A steered parse holds less.  A live start-tag inside a region that
-   pass 1 skips (an empty state set and no seeds) opens a subtree pass 2
-   is bound to copy, if it walks there at all: its filtered states are a
-   subset of the empty unchecked ones.  The parse copies that subtree
-   into [bytes], a recorder, and [held] keeps a [Start_document] in its
-   place (no region holds a real one), with its numbers in [spans].  The
-   replay writes the bytes where the events would have gone.
-
-   Past [buffer_budget] bytes of held markup (counted as the events'
-   [Sax.markup_bytes], whether they are held as events or as bytes) the
-   run turns into the two-parse algorithm from that point: the live
-   parse goes on as pass 1 alone (the region's frames over frames for
-   the elements above it) to the end of the input, and a second parse
-   skips to the region's first start-tag and resumes pass 2 there.
-   Everything already written stays valid.  A subtree being held as bytes
-   is dropped by the recorder as soon as it passes the budget, so the
-   copy never holds more than the budget either. *)
-
-let buffer_budget = 1 lsl 19
-
-type region =
-  | Outside
-  | Held of {
-      first : int;
-      mutable open_elements : int;
-      mutable bytes : int;
-      mutable open_tag : bool;  (* the last held event was a start-tag *)
-    }
-  | Overflowed of { first : int }  (* the seq of the region's first element *)
-
-(* What a region holds: its events, with the symbol of each start-tag
-   beside it, and the subtrees held as bytes.  Kept across the regions
-   of a run. *)
-type held = {
-  mutable events : Sax.event array;
-  mutable syms : Sym.t array;
-  mutable n : int;
-  (* per subtree held as bytes: its start-tags after the first, the
-     levels below it, and [Writer.recorded bytes] after it *)
-  mutable spans : int array;
-  mutable nspans : int;
-  mutable bytes : Writer.t option;  (* made at the first subtree *)
-}
-
-let hold h ev sym =
-  if h.n = Array.length h.events then begin
-    let size = max 256 (2 * h.n) in
-    let events = Array.make size Sax.End_document and syms = Array.make size 0 in
-    Array.blit h.events 0 events 0 h.n;
-    Array.blit h.syms 0 syms 0 h.n;
-    h.events <- events;
-    h.syms <- syms
-  end;
-  Array.unsafe_set h.events h.n ev;
-  Array.unsafe_set h.syms h.n sym;
-  h.n <- h.n + 1
-
-let recorder h =
-  match h.bytes with
-  | Some w -> w
-  | None ->
-    let w = Writer.recorder () in
-    h.bytes <- Some w;
-    w
-
-let hold_span h ~starts ~depth =
-  if 3 * (h.nspans + 1) > Array.length h.spans then h.spans <- grow h.spans 0;
-  let k = 3 * h.nspans in
-  h.spans.(k) <- starts;
-  h.spans.(k + 1) <- depth;
-  h.spans.(k + 2) <- Writer.recorded (recorder h);
-  h.nspans <- h.nspans + 1;
-  hold h Sax.Start_document 0
-
-let drop_held h =
-  h.n <- 0;
-  h.nspans <- 0;
-  Option.iter Writer.reset h.bytes
-
-let drive ?steer nfa update ~source ~sink =
-  let truth = Truth.create ~nlq:(Lq.length (Selecting_nfa.lq nfa)) in
-  let p1 = Pass1.create nfa truth in
-  let p2 = Pass2.create ?steer nfa update truth sink in
-  let quals = Selecting_nfa.qual_states nfa in
-  let held =
-    { events = [||]; syms = [||]; n = 0; spans = Array.make 3 0; nspans = 0; bytes = None }
-  in
-  let region = ref Outside in
-  let regions = ref 0 and peak_truth = ref 0 and peak_held = ref 0 in
-  let open_region ev name attrs sym parent =
-    incr regions;
-    region :=
-      Held
-        { first = p2.Pass2.seq + 1; open_elements = 1; bytes = Sax.markup_bytes ~open_tag:false ev;
-          open_tag = true };
-    p1.Pass1.base <- parent;
-    p1.Pass1.seq <- p2.Pass2.seq;
-    p1.Pass1.depth <- p2.Pass2.depth;
-    p1.Pass1.bottom <- p2.Pass2.depth;
-    hold held ev sym;
-    ignore (Pass1.start p1 sym name attrs : bool)
-  in
-  let close_region bytes =
-    region := Outside;
-    peak_truth := max !peak_truth (Truth.length truth);
-    peak_held := max !peak_held bytes;
-    let span = ref 0 in
-    for i = 0 to held.n - 1 do
-      match Array.unsafe_get held.events i with
-      | Sax.Start_element (name, attrs) as ev -> Pass2.start p2 ev name attrs held.syms.(i)
-      | Sax.Start_document ->
-        let k = 3 * !span in
-        if Pass2.unread p2 ~starts:held.spans.(k) ~depth:held.spans.(k + 1) then
-          Writer.replay (Sax.writer (Option.get steer)) (recorder held)
-            ~from:(if k = 0 then 0 else held.spans.(k - 1))
-            ~upto:held.spans.(k + 2);
-        incr span
-      | ev -> Pass2.handle p2 ev
-    done;
-    drop_held held;
-    Truth.clear truth
-  in
-  let overflow first =
-    region := Overflowed { first };
-    peak_held := max !peak_held buffer_budget;
-    drop_held held;
-    (* pass 1 goes on to the end of the input: the elements above the
-       region get seedless frames over pass 2's states, which no
-       qualifier filtered *)
-    Pass1.set_seedless_below p1 p2.Pass2.fstates p2.Pass2.depth
-  in
-  (* An element pass 1 skips, inside a region holding [held_bytes]: its
-     subtree as bytes, and their count, past the budget once the
-     recorder held more than the room left (it then holds nothing). *)
-  let hold_unread h ~held_bytes name attrs =
-    let w = recorder held in
-    let before = Buffer.length w.Writer.buf and room = buffer_budget - held_bytes in
-    Writer.limit w (before + room);
-    Writer.start_element w name attrs;
-    let starts = Sax.copy_rest_to h w in
-    Pass1.consumed p1 starts;
-    hold_span held ~starts ~depth:(Sax.rest_depth h);
-    if Writer.overflowed w then room + 1 else Buffer.length w.Writer.buf - before
-  in
-  let handle ev =
-    match !region with
-    | Outside -> (
-      match ev with
-      | Sax.Start_element (name, attrs) ->
-        let sym = Sym.intern p2.Pass2.here name in
-        if Pass2.walking p2 then begin
-          let parent = Pass2.states p2 in
-          let states = Selecting_nfa.next_unchecked nfa p2.Pass2.here parent sym in
-          if Selecting_nfa.set_intersects states quals then open_region ev name attrs sym parent
-          else begin
-            (* no qualifier-bearing state entered: the filtered
-               transition is the unchecked one *)
-            p2.Pass2.seq <- p2.Pass2.seq + 1;
-            Pass2.admit p2 ev name attrs states
-          end
-        end
-        else Pass2.start p2 ev name attrs sym
-      | ev -> Pass2.handle p2 ev)
-    | Held r ->
-      let open_tag = r.open_tag in
-      r.open_tag <- false;
-      (match ev with
-      | Sax.Start_element (name, attrs) -> (
-        let sym = Sym.intern p2.Pass2.here name in
-        let unread = Pass1.start p1 sym name attrs in
-        match steer with
-        | Some h when unread && Sax.offered h ->
-          r.bytes <- r.bytes + hold_unread h ~held_bytes:r.bytes name attrs
-        | _ ->
-          r.bytes <- r.bytes + Sax.markup_bytes ~open_tag ev;
-          r.open_elements <- r.open_elements + 1;
-          r.open_tag <- true;
-          hold held ev sym)
-      | Sax.End_element _ ->
-        r.bytes <- r.bytes + Sax.markup_bytes ~open_tag ev;
-        r.open_elements <- r.open_elements - 1;
-        Pass1.end_ p1;
-        hold held ev 0
-      | ev ->
-        r.bytes <- r.bytes + Sax.markup_bytes ~open_tag ev;
-        Pass1.handle p1 ev;
-        hold held ev 0);
-      if r.open_elements = 0 then close_region r.bytes
-      else if r.bytes > buffer_budget then overflow r.first
-    | Overflowed _ -> Pass1.handle p1 ev
-  in
-  source handle;
-  let parses =
-    match !region with
-    | Overflowed { first } ->
-      peak_truth := max !peak_truth (Truth.length truth);
-      let n = ref (-1) and resumed = ref false in
-      source (fun ev ->
-          if !resumed then Pass2.handle p2 ev
-          else
-            match ev with
-            | Sax.Start_element _ ->
-              incr n;
-              if !n = first then begin
-                resumed := true;
-                Pass2.handle p2 ev
-              end
-            | _ -> ());
-      2
-    | Outside | Held _ -> 1
-  in
-  Counter.add Stats.nodes_visited (p2.Pass2.seq + 1 - p2.Pass2.as_bytes);
-  {
-    max_stack_depth = max p1.Pass1.max_depth p2.Pass2.max_depth;
-    truth_entries = !peak_truth;
-    elements_seen = p2.Pass2.seq + 1;
-    skipped_subtrees = 0;
-    skipped_elements = 0;
-    regions = !regions;
-    parses;
-    peak_held_bytes = !peak_held;
-  }
-
-(* A path that begins with [//.[q]] tests the document node, whose truth
-   is known only at the end of the input: {!run}'s two reads. *)
-let run_buffered ?steer nfa update ~source ~sink =
-  check_ctx_qual nfa;
-  if Selecting_nfa.checks_document nfa then run nfa update ~source ~sink
-  else drive ?steer nfa update ~source ~sink
 
 (* A plan is one-pass streamable iff the top-down run never needs the
    bottom-up truth table: no context qualifier and no qualifier-bearing
-   NFA state.  Then the buffered driver never opens a region: pass 2
-   alone, over a single forward read of the input, is the whole
-   transform — O(depth) memory. *)
+   NFA state.  Then pass 2 alone, over a single forward read of the
+   input, is the whole transform — O(depth) memory. *)
 let one_pass nfa =
   (match Selecting_nfa.ctx_qual nfa with Ast.Q_true -> true | _ -> false)
   && Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa)
 
-let run_once ?steer nfa update ~source ~sink =
+let run_once nfa update ~source ~sink =
   if not (one_pass nfa) then
     raise
       (Unsupported_streaming
          "plan has qualifiers: one-pass streaming needs the bottom-up pass");
-  drive ?steer nfa update ~source ~sink
+  let p2 = Pass2.create nfa update (Truth.create ~nlq:1) sink in
+  source (Pass2.handle p2);
+  Counter.add Stats.nodes_visited p2.Pass2.visited;
+  { max_stack_depth = p2.Pass2.max_depth; truth_entries = 0; elements_seen = p2.Pass2.seq + 1;
+    skipped_subtrees = 0; skipped_elements = 0; regions = 0; parses = 1; reread_bytes = 0 }
+
+(* ---------------- the buffered one-pass driver ----------------
+
+   Pass 2 runs over the live parse, which asks it about each start-tag
+   at its name.  At a start-tag whose unchecked transition enters a
+   qualifier-bearing state, the element's selection waits on a truth
+   pass 1 learns only at its end-tag: it opens an undecided region, the
+   bytes from its '<' to past its end tag.  Inside it only pass 1 runs,
+   from pass 2's states at the region's parent, and the live parse skips
+   each subtree pass 1 has nothing to evaluate in.  Every qualifier of
+   fragment X is downward, so at the region's end-tag each truth pass 2
+   can ask for inside it is known: a second reader over the same input
+   re-reads the region's bytes, steered for pass 2 exactly as the live
+   parse is, and the region's truths are dropped.  The regions come in
+   input order, so the second reader only moves forward, and the run
+   holds no byte of any region.
+
+   The re-read must meet the same element: it must end exactly where
+   the live parse's region did, with as many start-tags; an input that
+   changed between the reads fails the run ([Sys_error]).  A malformed
+   region never reaches its re-read: the live parse met every byte of it
+   first, and failed there. *)
+
+let changed input ~from ~upto =
+  raise
+    (Sys_error
+       (Printf.sprintf "%s: bytes %d-%d changed between their two reads" (Reader.name input) from upto))
+
+let drive ?copy_to ?keep_ws nfa update ~input ~sink =
+  let steerable = Option.is_some copy_to in
+  let truth = Truth.create ~nlq:(Lq.length (Selecting_nfa.lq nfa)) in
+  let p1 = Pass1.create ~reach:true nfa truth in
+  let p2 = Pass2.create nfa update truth sink in
+  let quals = Selecting_nfa.qual_states nfa in
+  (* the undecided region: its elements the live parse has open (0
+     outside one), and its first start-tag's number and offset (-1 until
+     its event) *)
+  let inside = ref 0 and first = ref 0 and from = ref 0 in
+  let regions = ref 0 and peak_truth = ref 0 and reread = ref 0 in
+  let decide n sym =
+    if !inside > 0 then (
+      match Pass1.decide p1 ~steerable n sym with
+      | Sax.Walk ->
+        incr inside;
+        Sax.Walk
+      | d -> d)
+    else if Pass2.walking p2 then begin
+      let parent = Pass2.states p2 in
+      let states = Selecting_nfa.next_unchecked nfa p2.Pass2.here parent sym in
+      if Selecting_nfa.set_intersects states quals then begin
+        incr regions;
+        inside := 1;
+        first := n;
+        from := -1;
+        p1.Pass1.base <- parent;
+        p1.Pass1.depth <- p2.Pass2.depth;
+        p1.Pass1.bottom <- p2.Pass2.depth;
+        ignore (Pass1.enter p1 n sym : bool);
+        Sax.Walk
+      end
+      else
+        (* no qualifier-bearing state entered: the filtered transition
+           is the unchecked one *)
+        Pass2.admit p2 ~steerable n states
+    end
+    else Pass2.decide p2 ~steerable n sym
+  in
+  let live = Sax.steer ?copy_to decide in
+  (* the region's re-read, through [second], steered by [again] *)
+  let close_region (second, again) =
+    let upto = Sax.position live and starts = Sax.started live - !first in
+    peak_truth := max !peak_truth (Truth.length truth);
+    reread := !reread + upto - !from;
+    Reader.seek second ~from:!from ~upto;
+    (match Sax.parse_region ?keep_ws ~steer:again second (Pass2.handle_decided p2) with
+    | stop -> if stop <> upto || Sax.started again <> starts then changed input ~from:!from ~upto
+    | exception Sax.Parse_error _ -> changed input ~from:!from ~upto);
+    Truth.clear truth
+  in
+  let handle rereads = function
+    | ev when !inside = 0 -> Pass2.handle_decided p2 ev
+    | Sax.Start_element (name, attrs) ->
+      if !from < 0 then from := Sax.position live;
+      if p1.Pass1.skip = 0 then Pass1.label p1 name attrs
+    | Sax.Characters t -> Pass1.text p1 t
+    | Sax.End_element _ ->
+      Pass1.end_ p1;
+      decr inside;
+      if !inside = 0 then close_region (Option.get rereads)
+    | _ -> ()
+  in
+  Reader.with_input input (fun r ->
+      let parse rereads = Sax.parse_reader ?keep_ws ~steer:live r (handle rereads) in
+      if one_pass nfa then parse None
+      else
+        Reader.with_input input (fun second ->
+            let again = Sax.steer ?copy_to (fun n sym -> Pass2.decide p2 ~steerable (!first + n) sym) in
+            parse (Some (second, again))));
+  Counter.add Stats.nodes_visited p2.Pass2.visited;
+  {
+    max_stack_depth = max p1.Pass1.max_depth p2.Pass2.max_depth;
+    truth_entries = !peak_truth;
+    elements_seen = Sax.started live;
+    skipped_subtrees = 0;
+    skipped_elements = 0;
+    regions = !regions;
+    parses = 1;
+    reread_bytes = !reread;
+  }
+
+(* A path that begins with [//.[q]] tests the document node, whose truth
+   is known only at the end of the input: {!run}'s two reads. *)
+let run_buffered ?copy_to ?keep_ws nfa update ~input ~sink =
+  check_ctx_qual nfa;
+  if not (one_pass nfa || Reader.rereadable input) then
+    raise
+      (Unsupported_streaming
+         (Reader.name input ^ " cannot be read twice, which a plan with qualifiers needs"));
+  if Selecting_nfa.checks_document nfa then
+    run nfa update
+      ~source:(fun h -> Reader.with_input input (fun r -> Sax.parse_reader ?keep_ws r h))
+      ~sink
+  else drive ?copy_to ?keep_ws nfa update ~input ~sink
 
 type tier = Streamed | Materialized
 
-let tier nfa =
-  match Selecting_nfa.ctx_qual nfa with Ast.Q_true -> Streamed | _ -> Materialized
+let tier nfa input =
+  match Selecting_nfa.ctx_qual nfa with
+  | Ast.Q_true when one_pass nfa || Reader.rereadable input -> Streamed
+  | _ -> Materialized
 
 let transform update root =
   let nfa = Selecting_nfa.of_path (Transform_ast.path update) in

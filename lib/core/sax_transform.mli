@@ -19,53 +19,47 @@ open Xut_automata
     - {!run} is the paper's algorithm: pass 1 over the whole input, then
       pass 2 over a second read of it.  Memory is bounded by the
       document depth times the query size, plus [Ld].
-    - {!run_buffered} runs pass 2 over one read.  An element whose
-      selection waits on a qualifier opens an {e undecided region}: its
-      events are held while pass 1 runs over them alone, and replay
-      through pass 2 at its end-tag, when every truth inside it is known
-      (fragment X's qualifiers are downward).  Past {!buffer_budget}
-      bytes of held markup the run switches to two parses at that point.
-    - {!run_once} is the buffered driver for plans that never open a
-      region ({!one_pass}): pass 2 alone, O(depth) memory.
+    - {!run_buffered} runs pass 2 over one read of a re-readable input.
+      An element whose selection waits on a qualifier opens an
+      {e undecided region}: pass 1 alone runs over it, and at its
+      end-tag, when every truth inside it is known (fragment X's
+      qualifiers are downward), pass 2 re-reads the region's bytes from
+      the input through a second reader.  Nothing of a region is held.
+    - {!run_once} is pass 2 alone over one read of any source, for plans
+      that never open a region ({!one_pass}): O(depth) memory.
 
-    Each run adds the elements pass 2 saw to {!Stats.nodes_visited}.
+    Each run adds the start-tags pass 2 decided to
+    {!Stats.nodes_visited}: every element, unless a steered parse copied
+    or skipped it inside another.
 
     {2 Steered ingest}
 
-    Given the handle of the parse that feeds it ([?steer], the same
-    handle the source's parse was given, {!Sax.steer}), the single-parse
-    drivers steer that parse past what pass 2 would only drop or copy.
-    When pass 2 admits, outside an undecided region, an element whose
-    subtree is deleted or replaced, the parser skips the element's rest;
-    when the element is unmatched and its filtered state set is empty
-    (nothing below it can match), the parser writes the rest straight
-    into the handle's writer — which must be the writer [sink]
-    serializes into ({!Serialize.Sink.writer} of the sink whose
-    {!Serialize.Sink.event} is [sink]).  Inside an undecided region, an
-    element pass 1 skips (an empty unchecked state set and no seeds) is
-    one pass 2 can only copy or drop: the parser copies it whole into a
-    recorder ({!Xut_xml.Sax.copy_rest_to}), the region holds those bytes
-    in place of its events, and the replay writes them into the sink's
-    writer, flushing where the events would have.  The bytes, chunk
-    boundaries, errors and run statistics are those of the unsteered
-    run.  What pass 1 reads inside a region, tree sources and {!run} go
-    through events.
+    {!run_buffered}'s parses are steered ({!Sax.steer}): each asks the
+    run about each start-tag at its name.  Outside a region, pass 2
+    answers: a deleted or replaced element is skipped, and one that is
+    unmatched with no state left (nothing below it can match) is copied
+    into [copy_to], which must be the writer [sink] serializes into
+    ({!Serialize.Sink.writer} of the sink whose {!Serialize.Sink.event}
+    is [sink]).  Inside a region the live parse skips every subtree pass
+    1 has nothing to evaluate in ({!Selecting_nfa.reaches_qual}), and the
+    re-read is steered for pass 2 as the live parse is.  Without
+    [copy_to], every start-tag is walked as an event, and the bytes,
+    chunk boundaries and errors are those of the steered run.
 
     {2 Allocation}
 
     A run allocates the events it makes and their strings, and nothing
     per element beside them: both passes keep their frames in arrays
     indexed by depth, an element written under its own name is written
-    as the input's own event, and the buffered driver interns each
-    start-tag once.  Pass 1 allocates nothing at a seeded element
-    either: what it evaluates there is computed once per run for each
-    (parent candidates, state set, label) ({!Annotator.demand}), QualDP
+    as the input's own event, and a steered run interns each start-tag
+    once, in the parser.  Pass 1 allocates nothing at a seeded element
+    either: what it evaluates there is computed once per plan for each
+    (parent candidates, parent state set, label) ({!Annotator.step}), QualDP
     writes into a scratch the run owns ({!Xut_xpath.Lq.eval}), a seeded
     frame reuses its depth's [csat] array, and Ld is an int-keyed table
-    ({!Truth}).  A steered subtree makes no events at all, so a fused
-    run into a serializer allocates next to nothing beyond the start-tags
-    of the elements pass 2 walks, and a buffered one beyond the events
-    its regions' pass 1 reads. *)
+    ({!Truth}).  A steered subtree makes no events at all, so a steered
+    run into a serializer allocates next to nothing beyond the
+    start-tags of the elements its passes walk. *)
 
 exception Unsupported_streaming of string
 (** Raised for context qualifiers (paths starting with a qualified '.'),
@@ -86,15 +80,11 @@ type run_stats = {
       (** subtrees the schema skip-set pruned in pass 1 of {!run}; 0 for
           the single-parse drivers, which take no skip-set *)
   skipped_elements : int;  (** elements inside those subtrees (exact count) *)
-  regions : int;  (** undecided regions {!run_buffered} held (0 for the other drivers) *)
-  parses : int;
-      (** reads of the source: 2 for {!run} and for a buffered run past
-          the budget, 1 otherwise *)
-  peak_held_bytes : int;
-      (** the most markup an undecided region of {!run_buffered} held,
-          as events or as bytes, counted as {!Xut_xml.Sax.markup_bytes}
-          of its events: {!buffer_budget} once a region passed it, 0 for
-          the other drivers *)
+  regions : int;  (** undecided regions {!run_buffered} opened (0 for the other drivers) *)
+  parses : int;  (** whole reads of the source: 2 for {!run}, 1 otherwise *)
+  reread_bytes : int;
+      (** the bytes {!run_buffered}'s re-reads of its regions consumed
+          (0 for the other drivers) *)
 }
 
 (** Ld, the truth list: the truth of LQ expression [lq] at the element
@@ -130,35 +120,31 @@ val run :
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
 
-val buffer_budget : int
-(** Bytes of held markup past which {!run_buffered} stops holding a
-    region and reads the input a second time: 512 KiB, counted as
-    {!Xut_xml.Sax.markup_bytes} of the region's events, whether it holds
-    them as events or as bytes. *)
-
 val run_buffered :
-  ?steer:Sax.steer ->
+  ?copy_to:Writer.t ->
+  ?keep_ws:bool ->
   Selecting_nfa.t ->
   Transform_ast.update ->
-  source:source ->
+  input:Reader.input ->
   sink:(Sax.event -> unit) ->
   run_stats
 (** The buffered one-pass transform: output byte-identical to {!run}'s.
     At a start-tag whose unchecked transition enters a qualifier-bearing
-    state, an undecided region opens: its events are held and pass 1
-    runs over them alone, from pass 2's states at the region's parent;
-    at the region's end-tag the held events replay through pass 2 and
-    the region's truths are dropped.  Outside regions the cost is
-    {!run_once}'s.  The [source] is read once, unless a region's held
-    markup passes {!buffer_budget}: the live read then goes on as pass 1
-    to the end of the input, and a second read skips to the region's
-    first element and resumes pass 2 there ([parses = 2]).  Output
-    already written stays valid; no run reads the source more than
-    twice.  A path that begins with [//.\[q\]] checks [q] at the document
-    node, known only at the end of the input, and runs as {!run}.
-    [steer] is described above; a run past the budget steers its second
-    read too.
-    @raise Unsupported_streaming for a context qualifier.
+    state, an undecided region opens: pass 1 runs over it alone, from
+    pass 2's states at the region's parent, and at the region's end-tag
+    pass 2 re-reads it from the input and the region's truths are
+    dropped.  Outside regions the cost is {!run_once}'s.  The input is
+    read whole once ([parses = 1]), plus the regions' bytes
+    ([reread_bytes]); a plan that opens no region ({!one_pass}) opens no
+    second reader.  A path that begins with [//.\[q\]] checks [q] at
+    the document node, known only at the end of the input, and runs as
+    {!run}.  [copy_to] steers the parses (above); [keep_ws] is the
+    parses' ({!Sax.parse_reader}).
+    @raise Unsupported_streaming for a context qualifier, and for a plan
+    that is not {!one_pass} over an input that cannot be read twice
+    ({!Reader.rereadable}), before reading anything.
+    @raise Sys_error when a region's re-read does not meet the element
+    the live parse met (the file changed between the reads).
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
 
@@ -171,7 +157,6 @@ val one_pass : Selecting_nfa.t -> bool
     automaton is empty. *)
 
 val run_once :
-  ?steer:Sax.steer ->
   Selecting_nfa.t ->
   Transform_ast.update ->
   source:source ->
@@ -180,9 +165,9 @@ val run_once :
 (** Fused single-pass transform: pass 2 alone over one reading of the
     input, for plans where {!one_pass} holds.  The [source] is consumed
     exactly once, so it may be a non-replayable stream (a socket, a
-    pipe).  This is {!run_buffered} behind a guard: a plan without
-    qualifiers never opens a region.  Returned stats have
-    [truth_entries = 0], [regions = 0] and [parses = 1].
+    pipe).  It is given events, so it steers nothing: {!run_buffered}
+    is the steered form.  Returned stats have [truth_entries = 0],
+    [regions = 0] and [parses = 1].
     @raise Unsupported_streaming when [one_pass nfa] is [false].
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
@@ -191,14 +176,15 @@ type tier =
   | Streamed
       (** {!run_buffered}, which costs what {!run_once} does when
           {!one_pass} holds *)
-  | Materialized  (** a tree walk: a context qualifier *)
+  | Materialized
+      (** a tree walk: a context qualifier, or qualifiers over an input
+          that cannot be read twice (a FIFO) *)
 
-val tier : Selecting_nfa.t -> tier
-(** The streaming tier of a plan over a file, as the service's
+val tier : Selecting_nfa.t -> Reader.input -> tier
+(** The streaming tier of a plan over an input, as the service's
     TRANSFORM-STREAM FILE and [xut transform --stream] pick it.  Only a
-    file is asked: it is the input that is not in memory, and a buffered
-    run past its budget can read it again.  A stored document is always
-    walked as a tree. *)
+    file is asked: it is the input that is not in memory.  A stored
+    document is always walked as a tree. *)
 
 val transform : Transform_ast.update -> Node.element -> Node.element
 (** Run the streaming algorithm over an in-memory tree (events replayed

@@ -170,11 +170,13 @@ let kept = function
    a SAX replay of the tree would visit every element.  A file is not in
    memory, and {!Sax_transform.tier} picks its path: with a
    trivially-true context qualifier the single-parse driver runs, one
-   read holding only the undecided regions ([streams_fused]; a plan
-   without qualifiers opens none), or two reads once a region outgrows
-   the budget ([stream_fallbacks]).  A context qualifier falls back with
-   byte-identical output ([stream_fallbacks]) to a GENTOP walk of a
-   one-off parse of the file. *)
+   read of the file that re-reads each undecided region's bytes
+   ([streams_fused]; a plan without qualifiers opens none), or two
+   reads for a path that tests the document node ([stream_fallbacks]).
+   A context qualifier, or qualifiers over a file that cannot be read
+   twice (a FIFO), fall back with byte-identical output
+   ([stream_fallbacks]) to a GENTOP walk of a one-off parse of the
+   file. *)
 
 type source = Stored of target | File of string
 
@@ -499,24 +501,24 @@ let result_tree ?skip (plan : Plan_cache.plan) engine input =
   Result_tree { build; count }
 
 (* [plan]'s result over the file at [path] by the single-parse driver
-   ({!Sax_transform.run_buffered}).  Its parse into a [Serializer] is
-   steered: it skips what the run drops, and copies what the run keeps
-   unread into the sink's writer.  The run counts as fused when it kept
-   to one read of the file, as a fallback when a region outgrew the
-   budget and the file was read twice; a run that fails counts as
+   ({!Sax_transform.run_buffered}).  Its parses into a [Serializer] are
+   steered: they skip what the run drops, and copy what the run only
+   copies into the sink's writer.  The run counts as fused when it kept
+   to one read of the file, as a fallback when it read it twice (a path
+   that tests the document node); a run that fails counts as
    neither. *)
 let streamed ~metrics (plan : Plan_cache.plan) path =
   let nfa = plan.Plan_cache.nfa and update = plan.Plan_cache.query.Transform_ast.update in
   Events
     (fun out ->
-      let steer =
+      let copy_to =
         match out with
-        | Serializer s -> Some (Xut_xml.Sax.steer (Xut_xml.Serialize.Sink.writer s))
+        | Serializer s -> Some (Xut_xml.Serialize.Sink.writer s)
         | Handler _ -> None
       in
       let stats =
-        Sax_transform.run_buffered ?steer nfa update
-          ~source:(Xut_xml.Sax.parse_file ?steer path) ~sink:(handler_of out)
+        Sax_transform.run_buffered ?copy_to nfa update
+          ~input:(Xut_xml.Reader.file path) ~sink:(handler_of out)
       in
       if stats.Sax_transform.parses = 1 then Metrics.incr_streams_fused metrics
       else Metrics.incr_stream_fallbacks metrics;
@@ -547,7 +549,7 @@ let execute st r ~pruning input query =
     match (input, r.engine) with
     | File_input path, _ -> (
       (* resolve refuses a file with an engine *)
-      match Sax_transform.tier nfa with
+      match Sax_transform.tier nfa (Xut_xml.Reader.file path) with
       | Sax_transform.Streamed -> streamed ~metrics plan path
       | Sax_transform.Materialized ->
         Metrics.incr_stream_fallbacks metrics;

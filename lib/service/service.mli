@@ -244,12 +244,13 @@ val call : t -> request -> response
       {!Core.Sax_transform.tier}: with a trivial context qualifier the
       file is driven through the single-parse SAX transform
       ({!Core.Sax_transform.run_buffered}) straight into the sink,
-      never materialized as a tree — one read holding only the subtrees
-      whose selection waits on a qualifier until their end-tags (none
-      for a plan without qualifiers; {!Metrics.streams_fused}), or two
-      reads once such a subtree passes the byte budget
-      ({!Metrics.stream_fallbacks}).  A context qualifier falls back
-      with byte-identical output ({!Metrics.stream_fallbacks}) to a
+      never materialized as a tree — one read that re-reads the bytes of
+      each subtree whose selection waits on a qualifier at its end-tag
+      (none for a plan without qualifiers; {!Metrics.streams_fused}),
+      or two reads for a path that tests the document node
+      ({!Metrics.stream_fallbacks}).  A context qualifier, or
+      qualifiers over a file that cannot be read twice (a FIFO), fall
+      back with byte-identical output ({!Metrics.stream_fallbacks}) to a
       GENTOP walk of a one-off parse of the file.
 
     A [From_doc] stream is resolved and admitted as a Doc [Transform]

@@ -10,15 +10,17 @@ type t = {
   mutable finished : bool;
   chunk : int;
   read : bytes -> int -> int -> int;  (* [read buf off n]: bytes read, 0 = eof *)
+  move : int -> unit;  (* put the source at an input offset *)
+  mutable upto : int;
 }
 
 let default_chunk = 65536
 
-let make read buf =
+let make read move buf =
   { buf; len = 0; retired = 0; retired_lines = 0; retired_bol = 0; finished = false;
-    chunk = Bytes.length buf; read }
+    chunk = Bytes.length buf; read; move; upto = max_int }
 
-let of_string s =
+let of_string ?chunk_size s =
   let offset = ref 0 in
   let read buf off n =
     let n = min (String.length s - !offset) n in
@@ -26,11 +28,13 @@ let of_string s =
     offset := !offset + n;
     n
   in
-  make read (Bytes.create (min default_chunk (max 16 (String.length s))))
+  let chunk = Option.value chunk_size ~default:(min default_chunk (max 16 (String.length s))) in
+  make read (fun at -> offset := at) (Bytes.create chunk)
 
 let channel_read ic buf off n = input ic buf off n
 
-let of_channel ?(chunk_size = default_chunk) ic = make (channel_read ic) (Bytes.create chunk_size)
+let of_channel ?(chunk_size = default_chunk) ic =
+  make (channel_read ic) (seek_in ic) (Bytes.create chunk_size)
 
 (* Windows for [with_channel], reused across parses so a file ingest does
    not put a fresh 64 KiB block on the major heap.  A window that grew
@@ -43,7 +47,7 @@ let pool =
 
 let with_channel ic f =
   let b = Free_list.acquire pool in
-  match f (make (channel_read ic) b) with
+  match f (make (channel_read ic) (seek_in ic) b) with
   | v ->
     Free_list.release pool b;
     v
@@ -97,11 +101,41 @@ let refill t keep =
       Bytes.blit t.buf 0 grown 0 rest;
       t.buf <- grown
     end;
-    let n = t.read t.buf rest (min t.chunk (Bytes.length t.buf - rest)) in
+    let room = min t.chunk (Bytes.length t.buf - rest) in
+    let n = t.read t.buf rest (max 0 (min room (t.upto - t.retired - rest))) in
     t.len <- rest + n;
     if n = 0 then t.finished <- true;
     n > 0
   end
+
+let seek t ~from ~upto =
+  t.move from;
+  t.len <- 0;
+  t.retired <- from;
+  t.retired_lines <- 0;
+  t.retired_bol <- from;
+  t.finished <- false;
+  t.upto <- upto
+
+type input = File of string * int option | String of string * int option
+
+let file ?chunk_size path = File (path, chunk_size)
+let string ?chunk_size s = String (s, chunk_size)
+
+let name = function File (path, _) -> path | String _ -> "the input string"
+
+let rereadable = function
+  | String _ -> true
+  | File (path, _) -> ( try Sys.is_regular_file path with Sys_error _ -> true)
+
+let with_input input f =
+  match input with
+  | String (s, chunk_size) -> f (of_string ?chunk_size s)
+  | File (path, chunk_size) ->
+    In_channel.with_open_bin path (fun ic ->
+        match chunk_size with
+        | None -> with_channel ic f
+        | Some chunk_size -> f (of_channel ~chunk_size ic))
 
 let line t pos = t.retired_lines + newlines t.buf pos + 1
 

@@ -37,9 +37,13 @@ type t = private {
   mutable finished : bool;  (** the source is exhausted *)
   chunk : int;  (** the most a single read asks the source for *)
   read : bytes -> int -> int -> int;
+  move : int -> unit;
+  mutable upto : int;  (** the input offset the reader ends at ({!seek}) *)
 }
 
-val of_string : string -> t
+val of_string : ?chunk_size:int -> string -> t
+(** A reader over the string, with a window of [chunk_size] bytes (the
+    string's length, between 16 bytes and 64 KiB, by default). *)
 
 val of_channel : ?chunk_size:int -> in_channel -> t
 (** A reader with a fresh window of [chunk_size] bytes (64 KiB by
@@ -60,6 +64,40 @@ val refill : t -> int -> bool
     kept bytes fill it.  Returns whether any byte was read; [false]
     means end of input (the move still happens).
     @raise Invalid_argument unless [0 <= keep <= len]. *)
+
+val seek : t -> from:int -> upto:int -> unit
+(** [seek t ~from ~upto]: the window is dropped, and the reader goes on
+    to read the input's bytes [\[from, upto)] and no others, as if they
+    were all of it.  Positions ({!line}, {!col}) then count from
+    [from], as if it began line 1.
+    @raise Sys_error if the source cannot be positioned (a pipe). *)
+
+(** {2 Re-readable inputs}
+
+    An input that can be read from any offset, more than once: a file
+    or a string. *)
+
+type input
+
+val file : ?chunk_size:int -> string -> input
+val string : ?chunk_size:int -> string -> input
+(** [chunk_size] sets the window of every reader over the input, which
+    is otherwise a pooled 64 KiB one for a file ({!with_channel}) and
+    {!of_string}'s for a string. *)
+
+val name : input -> string
+(** The file's path, for messages. *)
+
+val rereadable : input -> bool
+(** Whether a second reader over the input reads the same bytes: a
+    string, or a regular file (not a FIFO or a device).  A path that
+    cannot be examined counts as re-readable: opening it reports why. *)
+
+val with_input : input -> (t -> 'a) -> 'a
+(** [with_input i f] runs [f] on a reader over the whole input, opened
+    for [f] alone: a file is closed, and a pooled window returned, when
+    [f] returns or raises.
+    @raise Sys_error if the file cannot be opened. *)
 
 val line : t -> int -> int
 val col : t -> int -> int

@@ -38,14 +38,18 @@ let equal_event (a : event) (b : event) = a = b
    element: known names are interned without a copy, and the open tags
    sit in an array that doubles when full.
 
-   Steering.  While the handler is given a start-tag, it may have the
-   parser consume that element's rest (content and end tag) in another
-   mode of the same loop: [Copy w] writes each token into the writer [w]
-   as [write w] would write its events, [Skip] only checks and counts.
-   Neither makes an event, attribute list or string, nor interns a name:
-   the names open below the steered element are held as bytes in [raw].
-   The loop returns when the element's end tag pops it, and the parse
-   goes on from there in [Events] mode.
+
+   Steering.  A parse given a steering handle asks the handle's hook
+   about each start tag it meets in [Events] mode, once it has interned
+   the tag's name and before it reads the attributes: [Walk] makes the
+   tag's event as an unsteered parse would; [Copy] and [Skip] consume the
+   whole element, its start tag included, in another mode of the same
+   loop: [Copying w] writes each token into the writer [w] as [write w]
+   would write its events, [Skipping] only checks and counts.  Neither
+   makes an event, attribute list or string, nor interns a name: the
+   names open in the steered element are held as bytes in [raw].  The
+   loop returns when the element's end tag pops it, and the parse goes
+   on from there in [Events] mode.
 
    Both modes first try each token as a canonical one (see "canonical
    runs" below): markup already in the writer's form and whole in the
@@ -53,22 +57,30 @@ let equal_event (a : event) (b : event) = a = b
    blits a run of it at once.  Any other token takes the token path
    from its first byte, so errors are the token path's. *)
 
-type mode = Events | Copy of Writer.t | Skip
+type decision = Walk | Copy | Skip
+
+type mode = Events | Copying of Writer.t | Skipping
 
 type st = {
   r : Reader.t;
-  handler : event -> unit;
+  mutable handler : event -> unit;
   keep_ws : bool;
   here : Counter.local;  (* the parsing domain's counter cells *)
+  (* the hook of a steered parse, and the mode its [Copy] answer takes
+     ([Events] when the handle has no writer) *)
+  steered : bool;
+  decide : int -> Sym.t -> decision;
+  copying : mode;
   (* the open elements, innermost at [depth - 1]: those opened in
-     [Events] mode in [tags]; in a steered rest, the ones below the
-     steered element in [raw], element [k] of the rest (at depth
-     [stop + k]) ending at [raw_ends.(k)] and starting where the one
-     before it ends *)
+     [Events] mode in [tags]; in a steered element, the ones from the
+     steered element down (at depth [base] and below) in [raw], element
+     [k] (at depth [base + k]) ending at [raw_ends.(k)] and starting
+     where the one before it ends *)
   mutable tags : string array;
   mutable raw : Bytes.t;
   mutable raw_ends : int array;
   mutable depth : int;
+  mutable base : int;
   mutable rooted : bool;  (* the document element has started *)
   mutable doctype_seen : bool;
   text : Buffer.t;  (* a text run that crossed a refill or holds a reference *)
@@ -76,43 +88,26 @@ type st = {
   mutable attrs : (string * string) list;  (* the open start tag's, reversed *)
   mutable value : string;  (* the attribute value just read *)
   mutable mode : mode;
-  (* a steered rest ends when [depth] falls below [stop]; 0 in [Events]
-     mode, where it never does *)
+  (* the loop returns once [depth] falls below [stop]: a steered
+     element's depth plus one, 1 for an element literal, 0 otherwise *)
   mutable stop : int;
-  mutable starts : int;  (* start tags in the steered rest *)
-  mutable peak : int;  (* the deepest level a start tag there reached *)
-  (* while the handler is given a start-tag: the offset past its '>', or
-     past its rest once that is steered; -1 otherwise *)
-  mutable offer : int;
-  mutable offer_name : string;
-  mutable offer_empty : bool;  (* a self-closed tag: its rest is empty *)
-  mutable taken : bool;  (* the rest was steered *)
+  mutable starts : int;  (* start tags met so far, in every mode *)
+  (* the input offset of the tag the hook is asked about ('<'), or past
+     the end tag whose event the handler is given ('>') *)
+  mutable mark : int;
   (* A canonical run in copy mode: its bytes from [run] are not yet in
      the writer; [owed] when the last token was a start tag, whose '>'
      is owed (at the run's end, or in the writer); the writer would
      flush after an event that leaves [room] or more of the run's bytes
-     to write, an owed '>' not counted. *)
+     to write, an owed '>' not counted.  [cut] when the scan stopped at
+     a token that runs past the window. *)
   mutable run : int;
   mutable owed : bool;
   mutable room : int;
+  mutable cut : bool;
 }
 
 let blit_bytes = Counter.declare "sax_copy_blit_bytes"
-
-let rec attrs_bytes n = function
-  | [] -> n
-  | (k, v) :: rest ->
-    attrs_bytes (n + String.length k + Writer.escaped_length ~attr:true v + 4) rest
-
-(* A start-tag counts its '>'; an end-tag that closes it as "/>" counts
-   the '/'. *)
-let markup_bytes ~open_tag = function
-  | Start_element (name, attrs) -> attrs_bytes (String.length name + 2) attrs
-  | End_element name -> if open_tag then 1 else String.length name + 3
-  | Characters t -> Writer.escaped_length ~attr:false t
-  | Comment_event t -> String.length t + 7
-  | Pi_event (target, data) -> String.length target + String.length data + 5
-  | Start_document | End_document -> 0
 
 (* Write one event's markup. *)
 let write w = function
@@ -126,7 +121,7 @@ let write w = function
 (* An event the lexer does not make on a hot path (a comment, a PI,
    CDATA, a text run assembled in [text]), in the current mode. *)
 let deliver st ev =
-  match st.mode with Events -> st.handler ev | Copy w -> write w ev | Skip -> ()
+  match st.mode with Events -> st.handler ev | Copying w -> write w ev | Skipping -> ()
 
 let error_at r i msg = raise (Parse_error { line = Reader.line r i; col = Reader.col r i; msg })
 
@@ -353,8 +348,8 @@ let[@inline] push st name =
   Array.unsafe_set st.tags st.depth name;
   st.depth <- st.depth + 1
 
-(* The open element names of a steered rest.  [raw_start st k] is where
-   the [k]th starts in [raw]. *)
+(* The open element names of a steered element.  [raw_start st k] is
+   where the [k]th starts in [raw]. *)
 let[@inline] raw_start st k = if k = 0 then 0 else Array.unsafe_get st.raw_ends (k - 1)
 
 (* Put the name in [len] bytes of [b] from [p] in [raw], above the open
@@ -362,7 +357,7 @@ let[@inline] raw_start st k = if k = 0 then 0 else Array.unsafe_get st.raw_ends 
    [depth], unless it is empty.  [raw] is made at the first steered
    start tag, so a parse that does not steer allocates none. *)
 let stage st b p len =
-  let k = st.depth - st.stop in
+  let k = st.depth - st.base in
   let at = raw_start st k in
   if at + len > Bytes.length st.raw then begin
     let grown = Bytes.create (max 64 (2 * (at + len))) in
@@ -384,7 +379,7 @@ let rec equal_bytes a i b j len =
 (* Whether the innermost open element is named by [len] bytes of [b]
    from [p]. *)
 let top_is st b p len =
-  let k = st.depth - 1 - st.stop in
+  let k = st.depth - 1 - st.base in
   if st.mode != Events && k >= 0 then
     let at = raw_start st k in
     Array.unsafe_get st.raw_ends k - at = len && equal_bytes st.raw at b p len
@@ -396,7 +391,7 @@ let top_is st b p len =
 
 (* The innermost open element's name, for an error message. *)
 let top_name st =
-  let k = st.depth - 1 - st.stop in
+  let k = st.depth - 1 - st.base in
   if st.mode != Events && k >= 0 then
     let at = raw_start st k in
     Bytes.sub_string st.raw at (st.raw_ends.(k) - at)
@@ -417,7 +412,7 @@ let[@inline] wanted st ws i =
 let rec is_ws_from buf i = i >= Buffer.length buf || (is_ws (Buffer.nth buf i) && is_ws_from buf (i + 1))
 
 let flush_text_slow st i =
-  if st.mode != Skip && wanted st (is_ws_from st.text 0) i then
+  if st.mode != Skipping && wanted st (is_ws_from st.text 0) i then
     deliver st (Characters (Buffer.contents st.text));
   Buffer.clear st.text
 
@@ -432,9 +427,9 @@ let text_run st i =
   let b = r.buf and n = r.len in
   let j = text_end b i n in
   if j < n && Bytes.unsafe_get b j = '<' && Buffer.length st.text = 0 then begin
-    if st.mode != Skip && wanted st (is_ws (Bytes.unsafe_get b i) && ws_end b i j = j) j then
+    if st.mode != Skipping && wanted st (is_ws (Bytes.unsafe_get b i) && ws_end b i j = j) j then
       match st.mode with
-      | Copy w -> Writer.text_sub w (Bytes.unsafe_to_string b) i (j - i)
+      | Copying w -> Writer.text_sub w (Bytes.unsafe_to_string b) i (j - i)
       | _ -> st.handler (Characters (Bytes.sub_string b i (j - i)))
   end
   else begin
@@ -444,7 +439,7 @@ let text_run st i =
   j
 
 (* The rest of an attribute value from [i], its opening quote consumed,
-   into [st.value] (in [Copy] mode, into the writer); the offset past the
+   into [st.value] (in copy mode, into the writer); the offset past the
    closing quote.  A value that ends inside the window it starts in, with
    no reference, is copied once from the window; any other is assembled
    in [st.vbuf]. *)
@@ -460,14 +455,14 @@ let rec value_rest st quote i =
         Buffer.add_subbytes st.vbuf b i (j - i);
         st.value <- Buffer.contents st.vbuf
       end
-    | Copy w ->
+    | Copying w ->
       if Buffer.length st.vbuf = 0 then
         Writer.attribute_value_sub w (Bytes.unsafe_to_string b) i (j - i)
       else begin
         Buffer.add_subbytes st.vbuf b i (j - i);
         Writer.attribute_value w (Buffer.contents st.vbuf)
       end
-    | Skip -> ());
+    | Skipping -> ());
     j + 1
   end
   else begin
@@ -480,9 +475,9 @@ let rec value_rest st quote i =
     else error_at r 0 "unterminated attribute value"
   end
 
-(* Attributes from [i] into [st.attrs] (in [Copy] mode, into the
-   writer); the offset of the first byte after them and the whitespace
-   that follows, which is not a name start. *)
+(* Attributes from [i] into [st.attrs] (in copy mode, into the writer);
+   the offset of the first byte after them and the whitespace that
+   follows, which is not a name start. *)
 let rec attributes st i =
   let r = st.r in
   let i = skip_ws r i in
@@ -495,10 +490,10 @@ let rec attributes st i =
     let k =
       match st.mode with
       | Events -> Bytes.sub_string r.buf p (e - p)
-      | Copy w ->
+      | Copying w ->
         Writer.open_attribute w (Bytes.unsafe_to_string r.buf) p (e - p);
         ""
-      | Skip -> ""
+      | Skipping -> ""
     in
     let i = skip_ws r (expect_at r (skip_ws r e) '=') in
     let quote = byte_at r i in
@@ -507,89 +502,68 @@ let rec attributes st i =
     let i = value_rest st quote (i + 1) in
     (match st.mode with
     | Events -> st.attrs <- (k, st.value) :: st.attrs
-    | Copy w -> Writer.close_attribute w
-    | Skip -> ());
+    | Copying w -> Writer.close_attribute w
+    | Skipping -> ());
     attributes st i
   end
   else i
 
-(* Give the handler the start-tag [ev] of [name], whose '>' ends before
-   [i]; the offset to go on from: [i], or past the element's rest if the
-   handler steered it. *)
-let offer st name ev i ~empty =
-  st.offer <- i;
-  st.offer_name <- name;
-  st.offer_empty <- empty;
-  st.taken <- false;
-  st.handler ev;
-  let i = st.offer in
-  st.offer <- -1;
+(* The start tag whose name the window holds from [p] to [e], in copy or
+   skip mode; the offset past its '>'. *)
+let steered_start st p e =
+  let r = st.r in
+  (* staged before the attributes, which may refill the window *)
+  stage st r.buf p (e - p);
+  (match st.mode with Copying w -> Writer.open_start w (Bytes.unsafe_to_string r.buf) p (e - p) | _ -> ());
+  let i = if byte_at r e = '>' then e else attributes st e in
+  let empty = byte_at r i = '/' in
+  let i = if empty then expect_at r (i + 1) '>' else expect_at r i '>' in
+  st.starts <- st.starts + 1;
+  (match st.mode with
+  | Copying w ->
+    Writer.close_start w;
+    (* the tag is still open: "/>" *)
+    if empty then Writer.end_element w ""
+  | _ -> ());
+  if not empty then st.depth <- st.depth + 1;
   i
 
-(* A start tag whose name starts at [i]; the offset past its '>' (past
-   its rest, when the handler steers it).  Element names are interned
-   from the window: a known name allocates nothing and every event
-   carries the shared interned string.  Copy and skip modes make no
-   event and intern nothing: the name goes to [raw]. *)
-let start_tag st i =
+(* The start tag of [name], its name ending at [e], delivered to the
+   handler as an event (and its end tag, when it is empty); the offset
+   past its '>'. *)
+let walk_start st name e =
   let r = st.r in
-  let a = r.retired + i in
-  let e = name_from r i in
-  let p = a - r.retired in
-  if st.depth = 0 then begin
-    if st.rooted then error_at r (p - 1) "a second document element";
-    st.rooted <- true
-  end;
-  match st.mode with
-  | Events ->
-    let name = Sym.intern_sub st.here r.buf p (e - p) in
-    let i = if byte_at r e = '>' then e else attributes st e in
-    let attrs =
-      match st.attrs with
-      | [] -> []
-      | l ->
-        st.attrs <- [];
-        List.rev l
-    in
-    if byte_at r i = '/' then begin
-      let i = expect_at r (i + 1) '>' in
-      let i = offer st name (Start_element (name, attrs)) i ~empty:true in
-      if not st.taken then st.handler (End_element name);
-      i
-    end
-    else begin
-      let i = expect_at r i '>' in
-      push st name;
-      offer st name (Start_element (name, attrs)) i ~empty:false
-    end
-  | Copy _ | Skip ->
-    (* staged before the attributes, which may refill the window *)
-    stage st r.buf p (e - p);
-    (match st.mode with Copy w -> Writer.open_start w (Bytes.unsafe_to_string r.buf) p (e - p) | _ -> ());
-    let i = if byte_at r e = '>' then e else attributes st e in
-    let empty = byte_at r i = '/' in
-    let i = if empty then expect_at r (i + 1) '>' else expect_at r i '>' in
-    st.starts <- st.starts + 1;
-    if st.depth >= st.peak then st.peak <- st.depth + 1;
-    (match st.mode with
-    | Copy w ->
-      Writer.close_start w;
-      (* the tag is still open: "/>" *)
-      if empty then Writer.end_element w ""
-    | _ -> ());
-    if not empty then st.depth <- st.depth + 1;
+  let i = if byte_at r e = '>' then e else attributes st e in
+  let attrs =
+    match st.attrs with
+    | [] -> []
+    | l ->
+      st.attrs <- [];
+      List.rev l
+  in
+  if byte_at r i = '/' then begin
+    let i = expect_at r (i + 1) '>' in
+    st.handler (Start_element (name, attrs));
+    st.mark <- r.retired + i;
+    st.handler (End_element name);
     i
+  end
+  else begin
+    let i = expect_at r i '>' in
+    push st name;
+    st.handler (Start_element (name, attrs));
+    i
+  end
 
 let pop st =
   st.depth <- st.depth - 1;
-  let k = st.depth - st.stop in
   match st.mode with
   | Events -> st.handler (End_element (Array.unsafe_get st.tags st.depth))
-  | Copy w when k >= 0 ->
+  | Copying w ->
+    let k = st.depth - st.base in
     let at = raw_start st k in
     Writer.end_element_sub w (Bytes.unsafe_to_string st.raw) at (Array.unsafe_get st.raw_ends k - at)
-  | Copy w -> Writer.end_element w (Array.unsafe_get st.tags st.depth)
-  | Skip -> ()
+  | Skipping -> ()
 
 (* An end tag whose name starts at [i]; the offset past its '>'.  A name
    that matches the innermost open element is compared in the window, so
@@ -605,16 +579,9 @@ let end_tag st i =
   if st.depth = 0 then error_at r i (Printf.sprintf "closing tag </%s> with no open element" name);
   if not matched then
     error_at r i (Printf.sprintf "mismatched tags: <%s> closed by </%s>" (top_name st) name);
+  st.mark <- r.retired + i;
   pop st;
   i
-
-(* Markup whose '<' is at [i]; the offset past it. *)
-let[@inline] markup st i =
-  let i = avail st.r (i + 1) (i + 1) in
-  match byte_at st.r i with
-  | '/' -> end_tag st (i + 1)
-  | '?' | '!' -> other_markup st i
-  | _ -> start_tag st i
 
 (* ---- canonical runs ----
 
@@ -622,17 +589,19 @@ let[@inline] markup st i =
    in the window is consumed with no writer call of its own:
    - a start tag [<n>] or [<n/>] whose attributes are each [ k="v"], one
      space before each, the value free of '&', '<', '>' and NUL;
-   - a text run that starts with a byte other than whitespace, holds no
-     '&', '>' or NUL, and ends at a '<';
+   - a text run that holds no '&', '>' or NUL and ends at a '<', unless
+     it is whitespace only: outside [keep_ws] that run is dropped, as the
+     event path drops it, and under [keep_ws] it takes the token path;
    - an end tag [</n>] of the innermost open element, unless a start tag
      came just before it: the writer writes that pair as [<n/>].
    Copy mode blits each run of such tokens into the writer at once
    ([blit_run]).  Chunk boundaries stay where writing the events one by
    one puts them: at each event's end the run is blitted and the writer
-   flushed if [Writer.maybe_flush] would flush there ([event_end]), so a
-   recorder (chunk size 0) gets one blit per event.  The scan stops at
-   the first byte of any other token, and of one that runs to the
-   window's limit; the token path takes it from there.  The byte-class
+   flushed if [Writer.maybe_flush] would flush there ([event_end]).  The
+   scan stops at the first byte of any other token, and of one that runs
+   to the window's limit ([cut]); [content] then refills the window
+   keeping that token, which the next scan takes whole, unless it filled
+   the window: the token path takes it from there.  The byte-class
    tables are where checks beyond today's would go. *)
 
 let stop_table chars = Bytes.init 256 (fun c -> if String.contains chars (Char.chr c) then '\001' else '\000')
@@ -650,7 +619,7 @@ let rec scan stops b i n =
    owed when [st.owed]; the next run starts at [e]. *)
 let blit_run st e =
   (match st.mode with
-  | Copy w when e > st.run ->
+  | Copying w when e > st.run ->
     let len = e - st.run in
     Writer.blit w st.r.buf st.run len ~open_tag:st.owed;
     Counter.add_local st.here blit_bytes (if st.owed then len - 1 else len)
@@ -661,10 +630,10 @@ let blit_run st e =
 let begin_run st i =
   st.run <- i;
   match st.mode with
-  | Copy w ->
+  | Copying w ->
     st.owed <- w.open_tag;
     st.room <- w.chunk_size - Buffer.length w.buf - Bool.to_int w.open_tag
-  | Events | Skip ->
+  | Events | Skipping ->
     st.owed <- false;
     st.room <- max_int
 
@@ -673,27 +642,35 @@ let[@inline] event_end st e =
   if e - st.run - Bool.to_int st.owed >= st.room then begin
     blit_run st e;
     match st.mode with
-    | Copy w ->
+    | Copying w ->
       Writer.flush w;
       st.room <- w.chunk_size - Buffer.length w.buf - Bool.to_int st.owed
-    | Events | Skip -> ()
+    | Events | Skipping -> ()
   end
 
 (* The offset past a canonical start tag's attributes and '>' or "/>"
-   from [i], or -1. *)
+   from [i]; -1 when they are not canonical, -2 when they run past the
+   window. *)
 let rec attrs_end b i n =
-  if i >= n then -1
+  if i >= n then -2
   else
     match Bytes.unsafe_get b i with
     | '>' -> i + 1
-    | '/' -> if i + 1 < n && Bytes.unsafe_get b (i + 1) = '>' then i + 2 else -1
-    | ' ' when i + 1 < n && is_name_start (Bytes.unsafe_get b (i + 1)) ->
+    | '/' -> if i + 1 >= n then -2 else if Bytes.unsafe_get b (i + 1) = '>' then i + 2 else -1
+    | ' ' when i + 1 >= n -> -2
+    | ' ' when is_name_start (Bytes.unsafe_get b (i + 1)) ->
       let e = name_end b (i + 2) n in
-      if e + 1 < n && Bytes.unsafe_get b e = '=' && Bytes.unsafe_get b (e + 1) = '"' then
+      if e + 1 >= n then -2
+      else if Bytes.unsafe_get b e = '=' && Bytes.unsafe_get b (e + 1) = '"' then
         let v = scan value_stops b (e + 2) n in
-        if v < n && Bytes.unsafe_get b v = '"' then attrs_end b (v + 1) n else -1
+        if v >= n then -2 else if Bytes.unsafe_get b v = '"' then attrs_end b (v + 1) n else -1
       else -1
     | _ -> -1
+
+(* [i], noting that the token there runs past the window. *)
+let cut_at st i =
+  st.cut <- true;
+  i
 
 (* Canonical tokens from [i] in the window [b], [n] bytes long; the
    offset of the first byte that is not one, or past the end tag that
@@ -701,7 +678,7 @@ let rec attrs_end b i n =
 let rec canonical st b n i =
   if i >= n then i
   else if Bytes.unsafe_get b i <> '<' then canonical_text st b n i
-  else if i + 1 >= n then i
+  else if i + 1 >= n then cut_at st i
   else
     let c = Bytes.unsafe_get b (i + 1) in
     if c = '/' then canonical_end st b n i
@@ -709,24 +686,33 @@ let rec canonical st b n i =
     else i
 
 and canonical_text st b n i =
-  if is_ws (Bytes.unsafe_get b i) then i
-  else
-    let j = scan text_stops b i n in
-    if j < n && Bytes.unsafe_get b j = '<' then begin
-      st.owed <- false;
-      event_end st j;
+  let j = if is_ws (Bytes.unsafe_get b i) then ws_end b i n else i in
+  if j >= n then cut_at st i
+  else if j > i && Bytes.unsafe_get b j = '<' then
+    if st.keep_ws then i
+    else begin
+      (* whitespace only: no event, no bytes *)
+      blit_run st i;
+      begin_run st j;
       canonical st b n j
+    end
+  else
+    let k = scan text_stops b j n in
+    if k >= n then cut_at st i
+    else if Bytes.unsafe_get b k = '<' then begin
+      st.owed <- false;
+      event_end st k;
+      canonical st b n k
     end
     else i
 
 and canonical_start st b n i =
   let ne = name_end b (i + 2) n in
   let e = attrs_end b ne n in
-  if e < 0 then i
+  if e < 0 then if e = -2 then cut_at st i else i
   else begin
     st.starts <- st.starts + 1;
-    if st.depth >= st.peak then st.peak <- st.depth + 1;
-    let copying = st.mode != Skip in
+    let copying = st.mode != Skipping in
     if Bytes.unsafe_get b (e - 2) <> '/' then begin
       stage st b (i + 1) (ne - i - 1);
       st.depth <- st.depth + 1;
@@ -743,19 +729,21 @@ and canonical_start st b n i =
       else begin
         (* the writer flushed the open tag: it writes the close itself *)
         (match st.mode with
-        | Copy w ->
+        | Copying w ->
           Writer.end_element w "";
           st.room <- w.chunk_size - Buffer.length w.buf
-        | Events | Skip -> ());
+        | Events | Skipping -> ());
         st.run <- e
       end
     end;
-    canonical st b n e
+    (* an empty steered element ends at its own tag *)
+    if st.depth < st.stop then e else canonical st b n e
   end
 
 and canonical_end st b n i =
   let ne = name_end b (i + 2) n in
-  if st.owed || ne >= n || Bytes.unsafe_get b ne <> '>' || not (top_is st b (i + 2) (ne - i - 2)) then i
+  if ne >= n then cut_at st i
+  else if st.owed || Bytes.unsafe_get b ne <> '>' || not (top_is st b (i + 2) (ne - i - 2)) then i
   else begin
     st.depth <- st.depth - 1;
     event_end st (ne + 1);
@@ -765,28 +753,28 @@ and canonical_end st b n i =
 (* Canonical tokens from [i], blitted; the offset after them. *)
 let canonical_run st i =
   begin_run st i;
+  st.cut <- false;
   let j = canonical st st.r.buf st.r.len i in
   blit_run st j;
   j
 
-(* Content from [i] to the end of the input, or, steering, to the end
-   tag that pops the steered element (the offset past it).  In copy and
-   skip modes each token is first tried as a canonical one. *)
+(* Content from [i] to the end of the input, or to the end tag that
+   brings [depth] below [stop] (the offset past it).  In copy and skip
+   modes each token is first tried as a canonical one. *)
 let rec content st i =
   let r = st.r in
   if i < r.len then
-    let j = if st.mode == Events || Buffer.length st.text > 0 then i else canonical_run st i in
-    if j > i then if st.depth < st.stop then j else content st j
+    if st.mode == Events || Buffer.length st.text > 0 then token st i
     else
-      match Bytes.unsafe_get r.buf i with
-      | '<' ->
-        flush_text st i;
-        let i = markup st i in
-        if st.depth < st.stop then i else content st i
-      | '&' ->
-        if st.depth = 0 then error_at r i "reference outside the document element";
-        content st (reference r st.text i)
-      | _ -> content st (text_run st i)
+      let j = canonical_run st i in
+      if j > i && st.depth < st.stop then j
+      else if st.cut && j > 0 then begin
+        (* the token at [j] runs past the window: the next one holds it *)
+        ignore (Reader.refill r j : bool);
+        content st 0
+      end
+      else if j > i then content st j
+      else token st i
   else if Reader.refill r i then content st 0
   else begin
     flush_text st 0;
@@ -796,67 +784,110 @@ let rec content st i =
     i
   end
 
+(* The token at [i], taken by the token path. *)
+and token st i =
+  let r = st.r in
+  match Bytes.unsafe_get r.buf i with
+  | '<' ->
+    flush_text st i;
+    let i = markup st i in
+    if st.depth < st.stop then i else content st i
+  | '&' ->
+    if st.depth = 0 then error_at r i "reference outside the document element";
+    content st (reference r st.text i)
+  | _ -> content st (text_run st i)
+
+(* Markup whose '<' is at [i]; the offset past it. *)
+and markup st i =
+  let i = avail st.r (i + 1) (i + 1) in
+  match byte_at st.r i with
+  | '/' -> end_tag st (i + 1)
+  | '?' | '!' -> other_markup st i
+  | _ -> start_tag st i
+
+(* A start tag whose name starts at [i]; the offset past its '>' (past
+   its element, when the hook steers it).  Element names are interned
+   from the window: a known name allocates nothing and every event
+   carries the shared interned string.  Copy and skip modes make no
+   event and intern nothing: the name goes to [raw]. *)
+and start_tag st i =
+  let r = st.r in
+  let a = r.retired + i in
+  let e = name_from r i in
+  let p = a - r.retired in
+  match st.mode with
+  | Copying _ | Skipping -> steered_start st p e
+  | Events -> (
+    if st.depth = 0 then begin
+      if st.rooted then error_at r (p - 1) "a second document element";
+      st.rooted <- true
+    end;
+    let sym = Sym.intern_sub st.here r.buf p (e - p) in
+    let n = st.starts in
+    st.starts <- n + 1;
+    match
+      if st.steered then begin
+        st.mark <- a - 1;
+        st.decide n sym
+      end
+      else Walk
+    with
+    | Walk -> walk_start st (Sym.name sym) e
+    | Copy when st.copying == Events -> invalid_arg "Sax: Copy without a writer"
+    | Copy -> steer_element st st.copying p e
+    | Skip -> steer_element st Skipping p e)
+
+(* The element whose name the window holds from [p] to [e], consumed in
+   [mode], its start tag included; the offset past it.  Its '<' is at
+   [p - 1], unless a refill moved the name to the window's start: the
+   token path then takes the tag from its name. *)
+and steer_element st mode p e =
+  let stop = st.stop and base = st.base in
+  st.mode <- mode;
+  st.base <- st.depth;
+  st.stop <- st.depth + 1;
+  (* the tag is counted again in [mode] *)
+  st.starts <- st.starts - 1;
+  let i =
+    if p > 0 then content st (p - 1)
+    else
+      let i = steered_start st p e in
+      if st.depth < st.stop then i else content st i
+  in
+  st.mode <- Events;
+  st.stop <- stop;
+  st.base <- base;
+  i
+
 (* ---- steering ---- *)
 
-(* [copy] is [Copy w] for the handle's writer, built once; [hold] the
-   [Copy] of the last writer [copy_rest_to] was given *)
-type steer = { w : Writer.t; copy : mode; mutable hold : mode; mutable parser : st option }
+type steer = { copy_to : mode; hook : int -> Sym.t -> decision; mutable parser : st option }
 
-let steer w = { w; copy = Copy w; hold = Skip; parser = None }
-let writer h = h.w
+let steer ?copy_to hook =
+  { copy_to = (match copy_to with Some w -> Copying w | None -> Events); hook; parser = None }
 
-let offered h = match h.parser with Some st -> st.offer >= 0 && not st.taken | None -> false
+let started h = match h.parser with Some st -> st.starts | None -> 0
+let position h = match h.parser with Some st -> st.mark | None -> 0
 
-(* The rest of the offered element in [mode]: its start tags, counted,
-   and in [peak] the levels they reach below it. *)
-let take h mode =
-  match h.parser with
-  | Some st when st.offer >= 0 && not st.taken ->
-    st.taken <- true;
-    st.starts <- 0;
-    let level = st.depth in
-    st.peak <- level;
-    if st.offer_empty then (match mode with Copy w -> Writer.end_element w st.offer_name | _ -> ())
-    else begin
-      st.mode <- mode;
-      st.stop <- level;
-      st.offer <- content st st.offer;
-      st.mode <- Events;
-      st.stop <- 0
-    end;
-    st.peak <- st.peak - level;
-    st.starts
-  | _ -> invalid_arg "Sax: no start tag is offered"
+let no_hook _ _ = Walk
 
-let copy_rest h = take h h.copy
-let skip_rest h = take h Skip
-
-let copy_rest_to h w =
-  let mode = match h.hold with Copy w' when w' == w -> h.hold | _ -> Copy w in
-  h.hold <- mode;
-  take h mode
-
-let rest_depth h = match h.parser with Some st -> st.peak | None -> 0
-
-let state ~keep_ws r handler =
-  { r; handler; keep_ws; here = Counter.local (); tags = Array.make 16 ""; raw = Bytes.empty;
-    raw_ends = [||]; depth = 0; rooted = false; doctype_seen = false;
-    text = Buffer.create 64; vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events; stop = 0;
-    starts = 0; peak = 0; offer = -1; offer_name = ""; offer_empty = false; taken = false; run = 0;
-    owed = false; room = 0 }
+let state ~keep_ws ?steer r handler =
+  let steered, decide, copying =
+    match steer with Some h -> (true, h.hook, h.copy_to) | None -> (false, no_hook, Events)
+  in
+  let st =
+    { r; handler; keep_ws; here = Counter.local (); steered; decide; copying; tags = Array.make 16 "";
+      raw = Bytes.empty; raw_ends = [||]; depth = 0; base = 0; rooted = false; doctype_seen = false;
+      text = Buffer.create 64; vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events;
+      stop = 0; starts = 0; mark = 0; run = 0; owed = false; room = 0; cut = false }
+  in
+  Option.iter (fun h -> h.parser <- Some st) steer;
+  st
 
 let parse_events ~keep_ws ?steer r handler =
   handler Start_document;
-  let st = state ~keep_ws r handler in
-  let run () =
-    ignore (content st 0 : int);
-    handler End_document
-  in
-  match steer with
-  | None -> run ()
-  | Some h ->
-    h.parser <- Some st;
-    Fun.protect ~finally:(fun () -> h.parser <- None) run
+  ignore (content (state ~keep_ws ?steer r handler) 0 : int);
+  handler End_document
 
 let parse_reader ?(keep_ws = false) ?steer r handler = parse_events ~keep_ws ?steer r handler
 
@@ -865,18 +896,29 @@ let parse_string ?keep_ws ?steer src handler =
 
 (* The window comes from the reader's pool and goes back to it however
    the parse ends. *)
-let parse_channel ?keep_ws ?steer ic handler =
-  Reader.with_channel ic (fun r -> parse_reader ?keep_ws ?steer r handler)
-
 let parse_file ?keep_ws ?steer path handler =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_channel ?keep_ws ?steer ic handler)
+  Reader.with_input (Reader.file path) (fun r -> parse_reader ?keep_ws ?steer r handler)
+
+(* The one loop with [stop = 1] returns after the element's end tag, or
+   after a comment or PI before it. *)
+let parse_region ?(keep_ws = false) ~steer r handler =
+  let st =
+    match steer.parser with
+    | Some st when st.r == r && st.keep_ws = keep_ws ->
+      st.handler <- handler;
+      st.depth <- 0;
+      st.rooted <- false;
+      st.starts <- 0;
+      st.attrs <- [];
+      Buffer.clear st.text;
+      st
+    | _ -> state ~keep_ws ~steer r handler
+  in
+  st.stop <- 1;
+  r.retired + content st 0
 
 (* The one loop with [stop = 1], run until the first element has
-   started: it returns after each markup at depth 0 (a comment or PI
-   before the element) and after the end tag that closes the element. *)
+   started. *)
 let parse_element src i handler =
   let st = state ~keep_ws:false (Reader.of_string (String.sub src i (String.length src - i))) handler in
   st.stop <- 1;

@@ -57,73 +57,71 @@ val write : Writer.t -> event -> unit
 (** Write one event's markup ([Start_document]/[End_document] write
     nothing). *)
 
-val markup_bytes : open_tag:bool -> event -> int
-(** The bytes {!write} writes for the event into a writer whose
-    start-tag is open or not ([Writer.t.open_tag]), counting a
-    start-tag's closing [>] with the start-tag: over a whole element's
-    events, its serialized size. *)
-
 (** {2:steering Steering}
 
-    A parse given a steering handle lets its handler, while it is given
-    a start-tag, have the parser consume that element's rest (its
-    content and end tag) without making events: {!copy_rest} writes each
-    token into the handle's writer exactly as {!write} of its events
-    would — the same bytes and the same chunk boundaries, whitespace-only
-    runs dropped unless [keep_ws], references and CDATA re-escaped,
-    [<a></a>] as [<a/>] — and {!skip_rest} only checks and counts.  Both
-    are modes of the one lexer, so every parse error keeps its message
-    and position.  The element's [End_element] is not delivered; the
-    parse goes on after it.
+    A parse given a steering handle asks the handle's hook about each
+    start tag it meets outside a steered element, once it holds the
+    tag's symbol ({!Sym}) and before it reads the tag's attributes or
+    makes its event.  The hook is given the tag's number in the parse
+    (0 for the first start tag; every start tag counts, steered ones
+    too) and its symbol, and answers:
+    - [Walk]: the tag's event is made, as an unsteered parse makes it;
+    - [Copy]: the element, its start tag, content and end tag, is
+      written into the handle's writer exactly as {!write} of its events
+      would write it — the same bytes and the same chunk boundaries,
+      whitespace-only runs dropped unless [keep_ws], references and
+      CDATA re-escaped, [<a></a>] as [<a/>] — with no event;
+    - [Skip]: the element is consumed, checked as the event path checks
+      it, with no event.
+    Copy and skip are modes of the one lexer, so every parse error keeps
+    its message and position, and neither interns a name: the names open
+    in a steered element are held as bytes.
 
-    Neither mode interns a name ({!Sym}): the names open below the
-    steered element are held as bytes.  Both consume {e canonical}
-    tokens — markup already in the writer's form and whole in the
-    reader's window — with no writer call per token: a start tag [<n>]
-    or [<n/>] whose attributes are each [ k="v"] (one space before each,
-    double quotes, no ['&'], ['<'], ['>'] or NUL in the value), a text
-    run that starts with a byte other than whitespace, holds no ['&'],
-    ['>'] or NUL and ends at a ['<'], and an end tag [</n>] of the open
-    element that does not follow its start tag directly.  {!copy_rest}
-    writes each run of them into the writer with one {!Writer.blit},
-    cut where writing the events one by one would have flushed, so the
-    chunks do not change (a recorder, with chunk size 0, takes one blit
-    per event); it counts the blitted bytes as [sax_copy_blit_bytes]
-    ({!Counter}).  Every other token — references, single quotes,
-    whitespace inside a tag, a comment, PI or CDATA section, [<a></a>],
-    a token that runs past the window, anything malformed — takes the
-    token path from its first byte. *)
+    Both modes consume {e canonical} tokens — markup already in the
+    writer's form and whole in the reader's window — with no writer call
+    per token: a start tag [<n>] or [<n/>] whose attributes are each
+    [ k="v"] (one space before each, double quotes, no ['&'], ['<'],
+    ['>'] or NUL in the value), a text run that holds no ['&'], ['>'] or
+    NUL and ends at a ['<'] (one that is whitespace only is dropped
+    there, unless [keep_ws]), and an end tag [</n>] of the open element
+    that does not follow its start tag directly.  A canonical token that
+    runs past the window is made whole by a refill that keeps it, unless
+    it fills the window.  Copy writes each run of canonical tokens into
+    the writer with one {!Writer.blit}, cut where writing the events one
+    by one would have flushed, so the chunks do not change; it counts
+    the blitted bytes as [sax_copy_blit_bytes] ({!Counter}).  Every
+    other token — references, single quotes, whitespace inside a tag, a
+    comment, PI or CDATA section, [<a></a>], anything malformed — takes
+    the token path from its first byte. *)
 
-val steer : Writer.t -> steer
-(** A handle whose copies go to the writer, attached to each parse it is
-    given to while that parse runs. *)
+type decision = Walk | Copy | Skip
 
-val writer : steer -> Writer.t
-(** The writer {!copy_rest} writes into. *)
+val steer : ?copy_to:Writer.t -> (int -> Sym.t -> decision) -> steer
+(** A handle with its hook; [Copy] writes into [copy_to].  The handle is
+    attached to each parse it is given to, from its start.
+    @raise Invalid_argument from the parse if the hook answers [Copy]
+    and there is no [copy_to]. *)
 
-val offered : steer -> bool
-(** The parse attached to the handle is giving its handler a start-tag
-    (live, not a replay) whose rest is not yet steered. *)
+val started : steer -> int
+(** Start tags the parse attached to the handle has met so far, steered
+    ones and the one the hook is being asked about included; after the
+    parse, all of them. *)
 
-val copy_rest : steer -> int
-(** Write the rest of the offered element into the handle's writer; the
-    number of start tags in it.
-    @raise Invalid_argument unless {!offered}.
-    @raise Parse_error as the event path would, at the same place. *)
+val position : steer -> int
+(** The input offset, in the attached parse, of the ['<'] of the start
+    tag the hook is being asked about, and, while the handler is given
+    an [End_element], the offset past that end tag's ['>']. *)
 
-val skip_rest : steer -> int
-(** Consume the rest of the offered element, checking it as the event
-    path would; the number of start tags in it.
-    @raise Invalid_argument unless {!offered}. *)
-
-val copy_rest_to : steer -> Writer.t -> int
-(** {!copy_rest} into another writer, which holds the offered element's
-    start-tag, still open.
-    @raise Invalid_argument unless {!offered}. *)
-
-val rest_depth : steer -> int
-(** After {!copy_rest} or {!skip_rest}: how many levels below the
-    element its deepest start tag sat (0 when it had none). *)
+val parse_region : ?keep_ws:bool -> steer:steer -> Reader.t -> (event -> unit) -> int
+(** [parse_region ~steer r handler] parses the element that starts at
+    [r]'s first byte, steered as {!parse_reader} is, with no document
+    events, and returns the input offset past its end tag.  A comment or
+    PI before the element ends the call there.  Nothing after the end
+    tag is read.  A handle used for consecutive regions of one reader
+    keeps its parser's buffers, and {!started} then counts the current
+    region's start tags only.
+    @raise Parse_error on malformed input, or input that ends before the
+    element does. *)
 
 val events_of_node : Node.t -> (event -> unit) -> unit
 (** Replay the subtree at a node as SAX events, in document order,

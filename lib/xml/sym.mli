@@ -25,15 +25,14 @@ val intern : Counter.local -> string -> t
 (** [intern here s] returns the symbol of [s], allocating a fresh one on first
     sight.  Lock-free when [s] is already known. *)
 
-val intern_sub : Counter.local -> bytes -> int -> int -> string
+val intern_sub : Counter.local -> bytes -> int -> int -> t
 (** [intern_sub here b off len] interns the name held in bytes
-    [off .. off + len - 1] of [b] and returns its canonical string, the
-    one {!name} returns for its symbol.  Every call for the same name
-    returns the same physical string, so a parser can hand it out as
-    the element name instead of copying the bytes.  When the name is
-    already known the lookup allocates nothing (no string, no option,
-    no closure) and takes no lock; only a first sighting copies the
-    bytes and inserts them as {!intern} does.
+    [off .. off + len - 1] of [b].  {!name} of the symbol is the name's
+    canonical string, the same physical string for every call, so a
+    parser can hand it out as the element name instead of copying the
+    bytes.  When the name is already known the lookup allocates nothing
+    (no string, no option, no closure) and takes no lock; only a first
+    sighting copies the bytes and inserts them as {!intern} does.
     @raise Invalid_argument if the range is not inside [b]. *)
 
 val name : t -> string

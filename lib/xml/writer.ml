@@ -55,17 +55,6 @@ let rec add_attrs buf = function
     Buffer.add_char buf '"';
     add_attrs buf rest
 
-(* What a recorder keeps beside its buffer: the offset each event ended
-   at, the buffer length past which it holds nothing more, and a copy of
-   its bytes for [replay]. *)
-type recording = {
-  mutable ends : int array;
-  mutable nends : int;
-  mutable limit : int;
-  mutable over : bool;
-  mutable copy : bytes;
-}
-
 type t = {
   buf : Buffer.t;
   chunk_size : int;
@@ -74,72 +63,26 @@ type t = {
   mutable bytes : int;
   mutable chunks : int;
   mutable peak_chunk : int;
-  recording : recording option;
 }
 
 let create buf ~chunk_size emit =
   { buf; chunk_size = max 1 chunk_size; emit; open_tag = false; bytes = 0; chunks = 0;
-    peak_chunk = 0; recording = None }
-
-(* A recorder's [chunk_size] is 0, so every event end reaches [flush],
-   which notes the offset instead of emitting. *)
-let recorder () =
-  { buf = Buffer.create 4096; chunk_size = 0; emit = ignore; open_tag = false; bytes = 0;
-    chunks = 0; peak_chunk = 0;
-    recording =
-      Some { ends = Array.make 256 0; nends = 0; limit = max_int; over = false; copy = Bytes.empty } }
-
-let recording t =
-  match t.recording with Some r -> r | None -> invalid_arg "Writer: not a recorder"
-
-(* Past its limit a recorder drops what it holds, and from then on each
-   event as it ends. *)
-let note_end t r =
-  if r.over || Buffer.length t.buf > r.limit then begin
-    r.over <- true;
-    Buffer.clear t.buf
-  end
-  else begin
-    if r.nends = Array.length r.ends then begin
-      let grown = Array.make (2 * r.nends) 0 in
-      Array.blit r.ends 0 grown 0 r.nends;
-      r.ends <- grown
-    end;
-    Array.unsafe_set r.ends r.nends (Buffer.length t.buf);
-    r.nends <- r.nends + 1
-  end
-
-let recorded t = (recording t).nends
-
-let limit t n = (recording t).limit <- n
-
-let overflowed t = (recording t).over
-
-let reset t =
-  let r = recording t in
-  Buffer.clear t.buf;
-  t.open_tag <- false;
-  r.nends <- 0;
-  r.limit <- max_int;
-  r.over <- false
+    peak_chunk = 0 }
 
 let flush t =
-  match t.recording with
-  | Some r -> note_end t r
-  | None ->
-    let len = Buffer.length t.buf in
-    if len > 0 then begin
-      t.bytes <- t.bytes + len;
-      t.chunks <- t.chunks + 1;
-      if len > t.peak_chunk then t.peak_chunk <- len;
-      (* the chunk is lent: [emit] reads it where it lies, and the
-         buffer is cleared for the next one once [emit] returns *)
-      match t.emit t.buf with
-      | () -> Buffer.clear t.buf
-      | exception e ->
-        Buffer.clear t.buf;
-        raise e
-    end
+  let len = Buffer.length t.buf in
+  if len > 0 then begin
+    t.bytes <- t.bytes + len;
+    t.chunks <- t.chunks + 1;
+    if len > t.peak_chunk then t.peak_chunk <- len;
+    (* the chunk is lent: [emit] reads it where it lies, and the
+       buffer is cleared for the next one once [emit] returns *)
+    match t.emit t.buf with
+    | () -> Buffer.clear t.buf
+    | exception e ->
+      Buffer.clear t.buf;
+      raise e
+  end
 
 let[@inline] maybe_flush t = if Buffer.length t.buf >= t.chunk_size then flush t
 
@@ -220,22 +163,3 @@ let markup t s =
   seal t;
   Buffer.add_string t.buf s;
   maybe_flush t
-
-(* The recorded bytes are copied out of the recorder's buffer into
-   [copy], which the next replay reuses. *)
-let replay t w ~from ~upto =
-  let r = recording w in
-  if upto > from then begin
-    let start = if from = 0 then 0 else r.ends.(from - 1) in
-    let len = r.ends.(upto - 1) - start in
-    if Bytes.length r.copy < len then r.copy <- Bytes.create (max len (2 * Bytes.length r.copy));
-    Buffer.blit w.buf start r.copy 0 len;
-    seal t;
-    let at = ref 0 in
-    for k = from to upto - 1 do
-      let e = r.ends.(k) - start in
-      Buffer.add_subbytes t.buf r.copy !at (e - !at);
-      maybe_flush t;
-      at := e
-    done
-  end

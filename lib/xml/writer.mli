@@ -43,10 +43,7 @@ type t = private {
   mutable bytes : int;  (** emitted so far *)
   mutable chunks : int;
   mutable peak_chunk : int;  (** the longest chunk emitted *)
-  recording : recording option;  (** a recorder's state *)
 }
-
-and recording
 
 val create : Buffer.t -> chunk_size:int -> (Buffer.t -> unit) -> t
 (** A writer appending to [buf] and lending it to [emit]; [chunk_size]
@@ -103,36 +100,3 @@ val blit : t -> bytes -> int -> int -> open_tag:bool -> unit
     [<a>] then {!end_element} writes [<a/>].  It does not flush: the
     caller ends each event inside the bytes where {!maybe_flush} would,
     so the chunks are those of writing the events one by one. *)
-
-(** {2 Recording}
-
-    A recorder keeps what is written to it and emits nothing: instead of
-    flushing, it notes the offset at which each event ends.  {!replay}
-    then writes recorded events into another writer as writing them
-    there would have: the same bytes, and a {!maybe_flush} at each
-    event's end, so the chunk boundaries fall where they would have
-    fallen.  A recorder given a {!limit} holds at most that many bytes
-    and one event more: at the first event that ends past it, it drops
-    everything and records nothing more until {!reset}. *)
-
-val recorder : unit -> t
-(** An empty recorder, with no limit. *)
-
-val limit : t -> int -> unit
-(** [limit r n]: from now on, an event that ends with more than [n]
-    bytes in [r]'s buffer makes [r] {!overflowed}. *)
-
-val overflowed : t -> bool
-
-val recorded : t -> int
-(** The number of events a recorder has recorded. *)
-
-val reset : t -> unit
-(** Drop what a recorder holds and its limit. *)
-
-val replay : t -> t -> from:int -> upto:int -> unit
-(** [replay t r ~from ~upto] writes the events [from .. upto - 1] that
-    recorder [r] recorded into [t], first sealing [t]'s open start-tag.
-    The first of them must have been written into [r] with no start-tag
-    open there, and the last must leave none open.
-    @raise Invalid_argument if [r] is not a recorder. *)

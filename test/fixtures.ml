@@ -131,3 +131,45 @@ let counts_exact (e : Node.element) =
     n
   in
   match walk e with _ -> true | exception Exit -> false
+
+(* [f fifo] with a FIFO that serves [text] to each reader that opens it
+   while [f] runs, one reader after another, and the number of readers
+   served: a run that opens it twice reads the text twice instead of
+   waiting forever for a writer.  After serving a reader the feeder
+   waits for it to close (an open for writing then finds no reader)
+   before it serves again, so no reader is sent the text twice.  A
+   reader that closes early fails the write (EPIPE), not the test
+   process. *)
+let with_fifo text f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let fifo = Filename.temp_file "xut_fifo" "" in
+  Sys.remove fifo;
+  Unix.mkfifo fifo 0o600;
+  let stop = Atomic.make false and served = Atomic.make 0 in
+  let rec feed ~draining =
+    if not (Atomic.get stop) then
+      match Unix.openfile fifo [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+      | fd when draining ->
+        Unix.close fd;
+        Thread.delay 0.001;
+        feed ~draining
+      | fd ->
+        Unix.clear_nonblock fd;
+        let oc = Unix.out_channel_of_descr fd in
+        (try Out_channel.output_string oc text with Sys_error _ -> ());
+        (try Out_channel.close oc with Sys_error _ -> ());
+        Atomic.incr served;
+        feed ~draining:true
+      | exception Unix.Unix_error (Unix.ENXIO, _, _) ->
+        Thread.delay 0.001;
+        feed ~draining:false
+  in
+  let feeder = Thread.create (fun () -> feed ~draining:false) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join feeder;
+      Sys.remove fifo)
+    (fun () ->
+      let r = f fifo in
+      (r, Atomic.get served))

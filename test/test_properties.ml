@@ -281,13 +281,15 @@ let gen_root_unread : Node.element QCheck2.Gen.t =
   let* kids = list_size (int_range 1 4) tree in
   return (Node.element "r" (coalesce_text kids))
 
-(* The run over a parse of [text], steered into the sink: what pass 1
-   leaves unread in a region is held as bytes. *)
-let steered_to_string ?(chunk_size = 7) run text =
+(* The buffered run over [text], steered into the sink: what the run
+   only copies or drops, the parses copy or skip. *)
+let steered_to_string ?(chunk_size = 7) nfa update text =
   let buf = Buffer.create 64 in
   let sink = Serialize.Sink.create ~chunk_size (Buffer.add_string buf) in
-  let steer = Sax.steer (Serialize.Sink.writer sink) in
-  match run ~steer ~source:(Sax.parse_string ~steer text) ~sink:(Serialize.Sink.event sink) with
+  match
+    Sax_transform.run_buffered ~copy_to:(Serialize.Sink.writer sink) nfa update
+      ~input:(Reader.string text) ~sink:(Serialize.Sink.event sink)
+  with
   | (_ : Sax_transform.run_stats) ->
     ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
     Ok (Buffer.contents buf)
@@ -300,83 +302,80 @@ let prop_buffered_equals_two_pass =
     QCheck2.Gen.(pair (oneof [ gen_root; gen_root_unread ]) gen_qualified_update)
     (fun (root, update) ->
       let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-      let source = Sax.events_of_tree root in
+      let source = Sax.events_of_tree root and text = Serialize.element_to_string root in
       let expected =
         match Engine.transform Engine.Gentop update root with
         | exception Transform_ast.Invalid_update _ -> Error `Invalid
         | out -> Ok (Serialize.element_to_string out)
       in
-      (* these documents are far below the buffer budget: one read, but
-         for a path that begins with [//.[q]], whose truth at the document
-         node is known only at the end of the input: two *)
+      (* one read, but for a path that begins with [//.[q]], whose truth
+         at the document node is known only at the end of the input:
+         two *)
       let reads = if Xut_automata.Selecting_nfa.checks_document nfa then 2 else 1 in
       let parses = ref reads in
       stream_to_string (fun events -> ignore (Sax_transform.run nfa update ~source ~sink:events))
       = expected
       && stream_to_string (fun events ->
              parses :=
-               (Sax_transform.run_buffered nfa update ~source ~sink:events).Sax_transform.parses)
+               (Sax_transform.run_buffered nfa update ~input:(Reader.string text) ~sink:events)
+                 .Sax_transform.parses)
          = expected
       && !parses = reads
-      && steered_to_string
-           (fun ~steer -> Sax_transform.run_buffered ~steer nfa update)
-           (Serialize.element_to_string root)
-         = expected)
+      && steered_to_string nfa update text = expected)
 
-(* Regions past the buffer budget: a root-level qualifier makes the whole
-   document one region, and a qualifier on [g] makes each [g] one, the
-   middle one too large, with regions before and after it, once under
-   the document element and once four levels below it.  Both runs
-   switch to two reads of the source at the oversized region, say so in
-   their stats, and write what the two-parse [run] writes. *)
+(* Regions larger than the 512 KiB a region could once hold: a
+   root-level qualifier makes the whole document one region, and a
+   qualifier on [g] makes each [g] one, the middle one that large, with
+   regions before and after it, once under the document element and
+   once four levels below it.  Each region is re-read from the input, in
+   one read of the whole, and the run writes what the two-parse [run]
+   writes. *)
 let test_buffered_overflow () =
   let filler n = List.init n (fun i -> Node.elem "a" [ Node.text (Printf.sprintf "item-%08d" i) ]) in
   (* [n] filler children take this many bytes of markup, at least *)
   let fill_bytes n = n * String.length "<a>item-00000000</a>" in
-  let n = 1 + (Sax_transform.buffer_budget / fill_bytes 1) in
-  Alcotest.(check bool) "the filler outgrows the budget" true
-    (fill_bytes n > Sax_transform.buffer_budget);
+  let n = 1 + ((1 lsl 19) / fill_bytes 1) in
   let small i = Node.elem ~attrs:[ ("id", string_of_int i) ] "g" (filler 2) in
   let cases =
     [ ("root-level qualifier", Node.element "r" (filler n), "r[a]/a", 1);
-      ( "oversized middle region",
+      ( "large middle region",
         Node.element "r"
           ([ small 1; Node.elem "g" [ Node.text "bare" ]; small 2 ]
           @ [ Node.elem "g" (filler n) ]
           @ [ small 3; Node.elem "h" [ small 4 ]; small 5 ]),
         "r/g[a]/a",
-        4 );
-      (* the handoff puts pass 2's frames for r, s, t and u under pass 1's *)
-      ( "oversized region four levels down",
+        6 );
+      ( "large region four levels down",
         Node.element "r"
           [ Node.elem "s"
               [ small 6;
                 Node.elem "t" [ Node.elem "u" [ small 7; Node.elem "g" (filler n); small 8 ] ];
                 small 9 ] ],
         "r/s/t/u/g[a]/a",
-        2 ) ]
+        3 ) ]
   in
   List.iter
     (fun (label, root, path, regions) ->
       let update = Transform_ast.Rename (Parser.parse path, "b") in
       let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-      let source = Sax.events_of_tree root in
-      let out run =
-        let buf = Buffer.create (2 * Sax_transform.buffer_budget) in
-        let stats = run nfa update ~source ~sink:(Serialize.event_sink buf) in
-        (Buffer.contents buf, stats)
+      let text = Serialize.element_to_string root in
+      let expected = Buffer.create (String.length text) in
+      ignore (Sax_transform.run nfa update ~source:(Sax.events_of_tree root) ~sink:(Serialize.event_sink expected));
+      let buffered = Buffer.create (String.length text) in
+      let stats =
+        Sax_transform.run_buffered nfa update ~input:(Reader.string text)
+          ~sink:(Serialize.event_sink buffered)
       in
-      let expected, _ = out (fun nfa u ~source ~sink -> Sax_transform.run nfa u ~source ~sink) in
-      let buffered, stats =
-        out (fun nfa u ~source ~sink -> Sax_transform.run_buffered nfa u ~source ~sink)
-      in
-      Alcotest.(check int) (label ^ ": two reads") 2 stats.Sax_transform.parses;
+      Alcotest.(check int) (label ^ ": one read") 1 stats.Sax_transform.parses;
       Alcotest.(check int) (label ^ ": regions opened") regions stats.Sax_transform.regions;
+      Alcotest.(check bool) (label ^ ": a region past 512 KiB re-read") true
+        (stats.Sax_transform.reread_bytes > 1 lsl 19);
       Alcotest.(check int) (label ^ ": every element seen")
         (Node.element_count (Node.Element root)) stats.Sax_transform.elements_seen;
-      Alcotest.(check bool) (label ^ ": buffered = run") true (String.equal expected buffered);
+      Alcotest.(check bool) (label ^ ": buffered = run") true
+        (Buffer.contents expected = Buffer.contents buffered);
       Alcotest.(check bool) (label ^ ": run = GENTOP") true
-        (String.equal expected
+        (String.equal (Buffer.contents expected)
            (Serialize.element_to_string (Engine.transform Engine.Gentop update root))))
     cases
 
@@ -917,7 +916,7 @@ let suite =
         prop_run_shares_input;
         prop_image_serialization ]
   @ [ Alcotest.test_case "wide document: run, count, result stream" `Quick test_wide_document;
-      Alcotest.test_case "buffered pass past its budget reads twice" `Quick test_buffered_overflow;
+      Alcotest.test_case "buffered pass re-reads regions past 512 KiB" `Quick test_buffered_overflow;
       Alcotest.test_case "qualified // steps: engines, TRANSFORM, COUNT, streams" `Quick
         test_qualified_descendant;
       QCheck_alcotest.to_alcotest prop_counts_exact ]

@@ -11,66 +11,53 @@ let with_temp_doc = Test_reader.with_temp_doc
    ordinary. *)
 let chunk_sizes = Test_reader.pin_chunk_sizes
 
-type driver =
-  ?steer:Sax.steer ->
-  Xut_automata.Selecting_nfa.t ->
-  Transform_ast.update ->
-  source:Sax_transform.source ->
-  sink:(Sax.event -> unit) ->
-  Sax_transform.run_stats
-
-let run_once : driver = Sax_transform.run_once
-let run_buffered : driver = Sax_transform.run_buffered
-
 let describe = function
   | Sax.Parse_error { line; col; msg } -> Printf.sprintf "%d:%d: %s" line col msg
   | e -> Printexc.to_string e
 
-(* [driver] over the file [path], read in [chunk]-byte windows, into a
-   sink flushing every [chunk] bytes, its parse steered when [steered]:
-   the chunks it emitted, then its stats or the exception it raised. *)
-let outcome ~steered ~chunk ?keep_ws (driver : driver) update path =
+(* The run's stats but its peak depth: pass 2 keeps no frame for what a
+   steered parse copies, so the peaks differ. *)
+let comparable stats = { stats with Sax_transform.max_stack_depth = 0 }
+
+(* The buffered driver over [input], into a sink flushing every [chunk]
+   bytes, its parses steered when [steered]: the chunks it emitted, then
+   its stats or the exception it raised. *)
+let outcome_of ~steered ~chunk ?keep_ws update input =
   let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
   let chunks = ref [] in
   let sink = Serialize.Sink.create ~chunk_size:chunk (fun c -> chunks := c :: !chunks) in
-  let steer = if steered then Some (Sax.steer (Serialize.Sink.writer sink)) else None in
-  let source h =
-    In_channel.with_open_bin path (fun ic ->
-        Sax.parse_reader ?keep_ws ?steer (Reader.of_channel ~chunk_size:chunk ic) h)
-  in
+  let copy_to = if steered then Some (Serialize.Sink.writer sink) else None in
   let result =
-    match driver ?steer nfa update ~source ~sink:(Serialize.Sink.event sink) with
+    match
+      Sax_transform.run_buffered ?copy_to ?keep_ws nfa update ~input
+        ~sink:(Serialize.Sink.event sink)
+    with
     | stats ->
       ignore (Serialize.Sink.close sink);
-      Ok stats
+      Ok (comparable stats)
     | exception e ->
       Serialize.Sink.abort sink;
       Error (describe e)
   in
   (List.rev !chunks, result)
 
-(* The drivers a plan can run under. *)
-let drivers update =
-  let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
-  if Sax_transform.one_pass nfa then [ ("run_once", run_once); ("run_buffered", run_buffered) ]
-  else [ ("run_buffered", run_buffered) ]
+(* The same over the file [path], read in [chunk]-byte windows. *)
+let outcome ~steered ~chunk ?keep_ws update path =
+  outcome_of ~steered ~chunk ?keep_ws update (Reader.file ~chunk_size:chunk path)
 
 (* Whether steered and unsteered runs agree at every chunk size, failing
    with the first difference. *)
 let agree ?keep_ws ?(chunk_sizes = chunk_sizes) update text =
   with_temp_doc text (fun path ->
       List.for_all
-        (fun (name, driver) ->
-          List.for_all
-            (fun chunk ->
-              let plain = outcome ~steered:false ~chunk ?keep_ws driver update path in
-              let steered = outcome ~steered:true ~chunk ?keep_ws driver update path in
-              plain = steered
-              || QCheck2.Test.fail_reportf "%s, chunk %d: %s unsteered, %s steered" name chunk
-                   (match snd plain with Ok _ -> "ok" | Error e -> e)
-                   (match snd steered with Ok _ -> "ok" | Error e -> e))
-            chunk_sizes)
-        (drivers update))
+        (fun chunk ->
+          let plain = outcome ~steered:false ~chunk ?keep_ws update path in
+          let steered = outcome ~steered:true ~chunk ?keep_ws update path in
+          plain = steered
+          || QCheck2.Test.fail_reportf "chunk %d: %s unsteered, %s steered" chunk
+               (match snd plain with Ok _ -> "ok" | Error e -> e)
+               (match snd steered with Ok _ -> "ok" | Error e -> e))
+        chunk_sizes)
 
 (* ---- generated documents with non-canonical markup ---- *)
 
@@ -236,20 +223,20 @@ let test_error_pins () =
                     Printf.sprintf "%s under %s, chunk %d" (String.escaped text)
                       (Transform_ast.update_to_string update) chunk
                   in
-                  let steered = outcome ~steered:true ~chunk run_once update path in
+                  let steered = outcome ~steered:true ~chunk update path in
                   Alcotest.(check bool) label true (snd steered = pinned);
                   Alcotest.(check bool) (label ^ ": chunks") true
-                    (fst steered = fst (outcome ~steered:false ~chunk run_once update path)))
+                    (fst steered = fst (outcome ~steered:false ~chunk update path)))
                 chunk_sizes)
             updates))
     Test_reader.malformed_pins
 
-(* Regions that outgrow the buffer budget: one after a copied subtree,
-   one whose subtree pass 1 leaves unread alone passes it (held as bytes
-   up to the budget, then dropped), with a region held as bytes before
-   it.  The run reads the file twice, its second read steered too, and
-   its bytes are twoPassSAX's. *)
-let test_overflow_after_copy () =
+(* Regions larger than the 512 KiB a region could once hold: one after a
+   copied subtree, one holding a subtree pass 1 skips that alone is that
+   large, after a region holding a smaller one.  The run reads the file
+   once and re-reads each region, steered as the live parse is, and its
+   bytes are twoPassSAX's. *)
+let test_large_regions () =
   let copied = "<c><x a='1 &amp; 2'>t &lt; u</x><y></y><!-- n --></c>" in
   let filler = String.concat "" (List.init 60_000 (fun i -> Printf.sprintf "<z>%d</z>" i)) in
   let unread = String.concat "" (List.init 60_000 (fun i -> Printf.sprintf "<w n='%d'/>" i)) in
@@ -264,22 +251,22 @@ let test_overflow_after_copy () =
       with_temp_doc text (fun path ->
           List.iter
             (fun chunk ->
-              let chunks, result = outcome ~steered:true ~chunk run_buffered update path in
+              let chunks, result = outcome ~steered:true ~chunk update path in
               (match result with
               | Ok stats ->
-                Alcotest.(check (pair int int)) (label ^ ": regions, two reads") (regions, 2)
+                Alcotest.(check (pair int int)) (label ^ ": regions, one read") (regions, 1)
                   (stats.Sax_transform.regions, stats.Sax_transform.parses)
               | Error e -> Alcotest.fail e);
               Alcotest.(check string) (Printf.sprintf "%s: bytes = run's (chunk %d)" label chunk)
                 (Buffer.contents expected) (String.concat "" chunks);
               Alcotest.(check bool) (label ^ ": chunks = unsteered") true
-                ((chunks, result) = outcome ~steered:false ~chunk run_buffered update path))
+                ((chunks, result) = outcome ~steered:false ~chunk update path))
             [ 7; 4096; 65536 ]))
     [ ( "after a copied subtree",
         Printf.sprintf "<r>%s<q>%s<k/></q>%s</r>" copied filler copied,
         "delete $a/r/q[k]/z",
         1 );
-      ( "an unread subtree past the budget",
+      ( "a skipped subtree past 512 KiB",
         Printf.sprintf "<r><q><k/><u>%s</u><z/></q><q><u>%s</u><k/><z/></q>%s</r>" copied unread
           copied,
         "delete $a/r/q[k]/z",
@@ -307,11 +294,11 @@ let test_wide_qualifier () =
   with_temp_doc text (fun path ->
       List.iter
         (fun chunk ->
-          let steered = outcome ~steered:true ~chunk run_buffered update path in
+          let steered = outcome ~steered:true ~chunk update path in
           Alcotest.(check string) (Printf.sprintf "bytes = GENTOP's (chunk %d)" chunk) expected
             (String.concat "" (fst steered));
           Alcotest.(check bool) "steered = unsteered" true
-            (steered = outcome ~steered:false ~chunk run_buffered update path))
+            (steered = outcome ~steered:false ~chunk update path))
         [ 1; 7; 4096 ])
 
 (* Elements a steered run of [nfa]'s update consumes as bytes: those
@@ -342,7 +329,7 @@ let test_steered_visits () =
   with_temp_doc (Serialize.element_to_string root) (fun path ->
       let visits ~steered =
         let before = Fixtures.counter "nodes_visited" in
-        (match outcome ~steered ~chunk:65536 run_once update path with
+        (match outcome ~steered ~chunk:65536 update path with
         | _, Ok _ -> ()
         | _, Error e -> Alcotest.fail e);
         Fixtures.counter "nodes_visited" - before
@@ -355,10 +342,13 @@ let test_steered_visits () =
         (unsteered - steered_away nfa root) steered)
 
 (* U4, U7 and a copy of everything over XMark f=0.01, whose markup is
-   canonical throughout: steered and unsteered runs write the same
-   chunks, and the copy writes nearly all of its bytes as blits. *)
+   canonical throughout, one line and indented: steered and unsteered
+   runs write the same chunks, and the copy writes nearly all of its
+   bytes as blits (the indentation, which the event path drops, is
+   dropped inside the canonical runs). *)
 let test_xmark_runs () =
-  let text = Serialize.element_to_string (Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 ()) in
+  let doc = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
+  List.iter (fun text ->
   with_temp_doc text (fun path ->
       List.iter
         (fun (label, query) ->
@@ -374,17 +364,15 @@ let test_xmark_runs () =
                       lengths := Buffer.length b :: !lengths;
                       Buffer.add_buffer bytes b)
                 in
-                let steer = if steered then Some (Sax.steer (Serialize.Sink.writer sink)) else None in
+                let copy_to = if steered then Some (Serialize.Sink.writer sink) else None in
                 let blits = Fixtures.counter "sax_copy_blit_bytes" in
                 let stats =
-                  Sax_transform.run_buffered ?steer nfa update
-                    ~source:(fun h ->
-                      In_channel.with_open_bin path (fun ic ->
-                          Sax.parse_reader ?steer (Reader.of_channel ~chunk_size:chunk ic) h))
-                    ~sink:(Serialize.Sink.event sink)
+                  Sax_transform.run_buffered ?copy_to nfa update
+                    ~input:(Reader.file ~chunk_size:chunk path) ~sink:(Serialize.Sink.event sink)
                 in
                 ignore (Serialize.Sink.close sink);
-                ((!lengths, Buffer.contents bytes, stats), Fixtures.counter "sax_copy_blit_bytes" - blits)
+                ( (!lengths, Buffer.contents bytes, comparable stats),
+                  Fixtures.counter "sax_copy_blit_bytes" - blits )
               in
               let plain, unsteered_blits = run ~steered:false in
               let steered, blits = run ~steered:true in
@@ -398,7 +386,8 @@ let test_xmark_runs () =
             [ 1; 61; 4096; 65536 ])
         [ ("U4", "delete $a/site/regions//item");
           ("U7", Test_reader.u7);
-          ("copy-all", "delete $a/site/zz") ])
+          ("copy-all", "delete $a/site/zz") ]))
+    [ Serialize.element_to_string doc; Serialize.element_to_string ~indent:2 doc ]
 
 (* Copy and skip modes intern no name: a steered copy and a steered skip
    of 20 000 elements with distinct names leave the symbol table as it
@@ -419,22 +408,186 @@ let test_steered_interns () =
         (fun (label, query, expected) ->
           let update = Transform_parser.parse_update query in
           let before = Sym.count () in
-          let chunks, result = outcome ~steered:true ~chunk:65536 run_once update path in
+          let chunks, result = outcome ~steered:true ~chunk:65536 update path in
           (match result with Ok _ -> () | Error e -> Alcotest.fail e);
           Alcotest.(check int) (label ^ ": symbols") before (Sym.count ());
           Alcotest.(check string) (label ^ ": bytes") expected (String.concat "" chunks))
         [ ("copy", "delete $a/site/zz", text);
           ("skip", "delete $a/site/keep", "<site/>") ])
 
+(* ---- the ingest half of the oracle ----
+
+   Documents of a few hundred of the property suite's subtrees under one
+   document element, up to a few hundred KiB: many regions for its
+   qualified paths, each of them many windows long at the small chunk
+   sizes, and the whole several windows long at 4096 bytes and, for the
+   largest, at 65536. *)
+let gen_large_root =
+  QCheck2.Gen.(
+    let* parts = frequency [ (4, int_range 20 80); (1, int_range 400 900) ] in
+    let* roots = list_repeat parts Test_properties.gen_root in
+    return (Node.element "r" (List.concat_map Node.children roots)))
+
+(* The buffered run over the file and over the string, steered and not,
+   at every chunk size, against twoPassSAX and GENTOP. *)
+let prop_large_documents =
+  QCheck2.Test.make
+    ~name:"buffered = twoPassSAX = GENTOP, steered = unsteered: large documents, every chunk size"
+    ~count:12
+    ~print:(fun (_, update) -> Transform_ast.update_to_string update)
+    QCheck2.Gen.(pair gen_large_root Test_properties.gen_qualified_update)
+    (fun (root, update) ->
+      let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+      let text = Serialize.element_to_string root in
+      let expected =
+        match Engine.transform Engine.Gentop update root with
+        | out -> Some (Serialize.element_to_string out)
+        | exception Transform_ast.Invalid_update _ -> None
+      in
+      let two_pass =
+        let buf = Buffer.create (String.length text) in
+        match
+          Sax_transform.run nfa update ~source:(Sax.events_of_tree root)
+            ~sink:(Serialize.event_sink buf)
+        with
+        | _ -> Some (Buffer.contents buf)
+        | exception Transform_ast.Invalid_update _ -> None
+      in
+      (two_pass = expected || QCheck2.Test.fail_report "twoPassSAX <> GENTOP")
+      && with_temp_doc text (fun path ->
+          List.for_all
+            (fun chunk ->
+              List.for_all
+                (fun (kind, input) ->
+                  let steered = outcome_of ~steered:true ~chunk update input in
+                  let plain = outcome_of ~steered:false ~chunk update input in
+                  let bytes =
+                    match snd steered with Ok _ -> Some (String.concat "" (fst steered)) | Error _ -> None
+                  in
+                  (steered = plain && bytes = expected)
+                  || QCheck2.Test.fail_reportf "%s, chunk %d: %s" kind chunk
+                       (if steered <> plain then "steered <> unsteered" else "buffered <> GENTOP"))
+                [ ("file", Reader.file ~chunk_size:chunk path);
+                  ("string", Reader.string ~chunk_size:chunk text) ])
+            chunk_sizes))
+
+(* A region that starts before the end of a reader window and ends after
+   it, at the ordinary window sizes, the pooled one included: its
+   re-read crosses the refill the live parse crossed. *)
+let test_region_across_refill () =
+  let filler n = String.concat "" (List.init n (Printf.sprintf "<a>%06d</a>")) in
+  let region i = Printf.sprintf "<g id=\"%d\"><k/><z>%s</z>%s</g>" i (filler 30) (filler 300) in
+  (* <a>nnnnnn</a> is 13 bytes: the second region starts 1 000 bytes
+     before offset 65536 and runs 4 KiB past it *)
+  let text = "<r>" ^ region 0 ^ filler ((65536 - 1000 - 3 - String.length (region 0)) / 13) ^ region 1 ^ region 2 ^ "</r>" in
+  let update = Transform_parser.parse_update "delete $a/r/g[k]/z" in
+  let expected =
+    Serialize.element_to_string (Engine.transform Engine.Gentop update (Dom.parse_string text))
+  in
+  with_temp_doc text (fun path ->
+      List.iter
+        (fun (label, input, plain_input) ->
+          let chunks, result = outcome_of ~steered:true ~chunk:4096 update input in
+          (match result with
+          | Ok stats -> Alcotest.(check int) (label ^ ": regions") 3 stats.Sax_transform.regions
+          | Error e -> Alcotest.fail e);
+          Alcotest.(check string) (label ^ ": bytes = GENTOP's") expected (String.concat "" chunks);
+          Alcotest.(check bool) (label ^ ": steered = unsteered") true
+            ((chunks, result) = outcome_of ~steered:false ~chunk:4096 update plain_input))
+        [ ("pooled file", Reader.file path, Reader.file path);
+          ("4096-byte file", Reader.file ~chunk_size:4096 path, Reader.file ~chunk_size:4096 path);
+          ("65536-byte string", Reader.string ~chunk_size:65536 text, Reader.string ~chunk_size:65536 text) ])
+
+(* [site[people]] on the benchmark's stream-ingest document (XMark
+   f=0.02, seed 1): the whole document is one region, larger than the
+   512 KiB a region could once hold, re-read once, and the bytes are
+   GENTOP's. *)
+let test_site_region () =
+  let doc = Xut_xmark.Generator.generate ~seed:1L ~factor:0.02 () in
+  let text = Serialize.element_to_string doc in
+  let update = Transform_parser.parse_update "delete $a/site[people]/regions" in
+  let expected = Serialize.element_to_string (Engine.transform Engine.Gentop update doc) in
+  with_temp_doc text (fun path ->
+      let chunks, result = outcome_of ~steered:true ~chunk:65536 update (Reader.file path) in
+      match result with
+      | Ok stats ->
+        Alcotest.(check (triple int int int)) "regions, parses, bytes re-read"
+          (1, 1, String.length text)
+          (stats.Sax_transform.regions, stats.Sax_transform.parses, stats.Sax_transform.reread_bytes);
+        Alcotest.(check bool) "past 512 KiB" true (String.length text > 524288);
+        Alcotest.(check bool) "bytes = GENTOP's" true (String.concat "" chunks = expected)
+      | Error e -> Alcotest.fail e)
+
+(* An input the re-read cannot trust: a file rewritten while the live
+   parse reads it (after its reader took the whole of it in), so a
+   region's re-read ends early, meets one more element, or runs out of
+   input, fails with [Sys_error]; unchanged, the same run succeeds.  A
+   FIFO cannot be read twice: a plan with qualifiers is refused before
+   anything is read, and its tier is the materialized one. *)
+let test_reread_errors () =
+  let text = "<r><g><k/><z>1</z></g><g><z>2</z></g></r>" in
+  let update = Transform_parser.parse_update "delete $a/r/g[k]/z" in
+  let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
+  with_temp_doc text (fun path ->
+      let write s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s) in
+      let run changed =
+        write text;
+        let out = Buffer.create 64 in
+        let written = Serialize.event_sink out in
+        let sink ev =
+          (match ev with Sax.Start_element ("r", _) -> Option.iter write changed | _ -> ());
+          written ev
+        in
+        match Sax_transform.run_buffered nfa update ~input:(Reader.file path) ~sink with
+        | _ -> Ok (Buffer.contents out)
+        | exception Sys_error msg -> Error msg
+      in
+      Alcotest.(check (result string string)) "unchanged" (Ok "<r><g><k/></g><g><z>2</z></g></r>")
+        (run None);
+      List.iter
+        (fun (label, changed) ->
+          Alcotest.(check int) (label ^ ": same length") (String.length text) (String.length changed);
+          match run (Some changed) with
+          | Ok out -> Alcotest.failf "%s: wrote %s" label out
+          | Error msg ->
+            Alcotest.(check string) label (path ^ ": bytes 3-22 changed between their two reads") msg)
+        [ ("ends early", "<r><g><k/></g><!--x--><g><z>2</z></g></r>");
+          ("one more element", "<r><g><k/><z/><y/></g><g><z>2</z></g></r>") ];
+      match run (Some "<r><g><k/><z>1</z>") with
+      | Error msg ->
+        Alcotest.(check string) "cut short" (path ^ ": bytes 3-22 changed between their two reads") msg
+      | Ok out -> Alcotest.failf "cut short: wrote %s" out);
+  let refused, readers =
+    Fixtures.with_fifo text (fun fifo ->
+        let input = Reader.file fifo in
+        Alcotest.(check bool) "FIFO: qualifiers materialize" true
+          (Sax_transform.tier nfa input = Sax_transform.Materialized);
+        let fused =
+          Xut_automata.Selecting_nfa.of_path
+            (Transform_ast.path (Transform_parser.parse_update "delete $a/r/g"))
+        in
+        Alcotest.(check bool) "FIFO: a plan without qualifiers streams" true
+          (Sax_transform.tier fused input = Sax_transform.Streamed);
+        match Sax_transform.run_buffered nfa update ~input ~sink:ignore with
+        | _ -> false
+        | exception Sax_transform.Unsupported_streaming _ -> true)
+  in
+  Alcotest.(check (pair bool int)) "FIFO: refused before a read" (true, 0) (refused, readers)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_steered_equals_unsteered;
     QCheck_alcotest.to_alcotest prop_steered_errors;
     Alcotest.test_case "malformed inputs pinned under copy and skip" `Quick test_error_pins;
-    Alcotest.test_case "a region overflows after a copied subtree" `Quick test_overflow_after_copy;
+    Alcotest.test_case "large regions after a copied subtree are re-read" `Quick test_large_regions;
     Alcotest.test_case "qualifiers past 62 LQ entries" `Quick test_wide_qualifier;
     Alcotest.test_case "steered runs count only the elements they visit" `Quick
       test_steered_visits;
     QCheck_alcotest.to_alcotest prop_canonical_runs;
     Alcotest.test_case "XMark U4, U7 and copy-all: steered chunks = unsteered" `Quick
       test_xmark_runs;
-    Alcotest.test_case "steered copy and skip intern no name" `Quick test_steered_interns ]
+    Alcotest.test_case "steered copy and skip intern no name" `Quick test_steered_interns;
+    QCheck_alcotest.to_alcotest prop_large_documents;
+    Alcotest.test_case "a region across a window refill" `Quick test_region_across_refill;
+    Alcotest.test_case "site[people] on XMark f=0.02: one region past 512 KiB" `Quick
+      test_site_region;
+    Alcotest.test_case "re-read errors: a changed file, a FIFO" `Quick test_reread_errors ]

@@ -213,53 +213,6 @@ let test_event_sink () =
   check_str "empty elements" (Serialize.element_to_string (Dom.parse_string src))
     (Buffer.contents buf)
 
-(* A recorder replayed into a chunked writer writes what writing the
-   events there would have, in the same chunks, at every chunk size;
-   [Sax.markup_bytes] of the events is what the recorder holds; and past
-   its limit a recorder drops what it holds and records nothing more. *)
-let test_recorder () =
-  let events =
-    [ Sax.Start_element ("a", [ ("k", "x\"&y") ]); Sax.Characters "t < u & v > w";
-      Sax.Start_element ("b", []); Sax.End_element "b"; Sax.Comment_event " c ";
-      Sax.Pi_event ("p", "d"); Sax.Start_element ("c", []); Sax.Characters "";
-      Sax.End_element "c"; Sax.End_element "a" ]
-  in
-  let chunks write chunk_size =
-    let out = ref [] in
-    let w =
-      Writer.create (Buffer.create 16) ~chunk_size (fun c -> out := Buffer.contents c :: !out)
-    in
-    Writer.start_element w "r" [];
-    write w;
-    Writer.end_element w "r";
-    Writer.flush w;
-    List.rev !out
-  in
-  let r = Writer.recorder () in
-  List.iter (Sax.write r) events;
-  List.iter
-    (fun chunk_size ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "replayed chunks (size %d)" chunk_size)
-        (chunks (fun w -> List.iter (Sax.write w) events) chunk_size)
-        (chunks (fun w -> Writer.replay w r ~from:0 ~upto:(Writer.recorded r)) chunk_size))
-    [ 1; 2; 3; 5; 8; 13; 64 ];
-  let counted, _ =
-    List.fold_left
-      (fun (n, open_tag) ev ->
-        ( n + Sax.markup_bytes ~open_tag ev,
-          match ev with Sax.Start_element _ -> true | _ -> false ))
-      (0, false) events
-  in
-  Alcotest.(check int) "markup_bytes = bytes held" (Buffer.length r.Writer.buf) counted;
-  Writer.reset r;
-  Writer.limit r 20;
-  List.iter (Sax.write r) events;
-  Alcotest.(check bool) "past the limit" true (Writer.overflowed r);
-  Alcotest.(check int) "holds nothing" 0 (Buffer.length r.Writer.buf);
-  Writer.reset r;
-  Alcotest.(check (pair bool int)) "reset" (false, 0) (Writer.overflowed r, Writer.recorded r)
-
 let suite =
   [ Alcotest.test_case "parse simple" `Quick test_parse_simple;
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -278,7 +231,6 @@ let suite =
     Alcotest.test_case "node ops" `Quick test_node_ops;
     Alcotest.test_case "refresh ids" `Quick test_refresh_ids;
     Alcotest.test_case "event sink" `Quick test_event_sink;
-    Alcotest.test_case "recorder: replay, markup_bytes, limit" `Quick test_recorder;
     Alcotest.test_case "indent layout" `Quick test_indent_layout;
     Alcotest.test_case "serializer allocates O(1) minor words" `Quick
       test_serializer_allocation ]
