@@ -56,16 +56,15 @@ let seeds_at nfa states' seeds =
    and its label.  A plan meets few distinct triples, so it computes each
    once (the transition, [seeds_at] and [expand], as the tree pass does
    per node); every later element with the same triple, in any run of
-   the plan, reads the stored step with one probe and allocates nothing:
-   the memo is attached to the automaton.
+   the plan, reads the stored step and allocates nothing: the memo is
+   attached to the automaton.
 
-   It is shared by the domains that run one plan, as the transition
-   memo is: entries are immutable, so a racy read sees a whole
-   entry or the free slot; a store goes into the array the probe read,
-   and growing publishes a fresh array, so a store racing with it may be
-   lost, which costs one more computation later.  Probes are bounded by
-   the table's size, so a table that a lost count let fill up still
-   answers (by computing). *)
+   It is bounded and shared as the transition memo is: a fixed table,
+   a triple probed in [step_probes] slots from its hash, a full window
+   overwriting its first slot, so input that brings many names costs
+   recomputation, never memory.  Entries are immutable, so a racy read
+   sees a whole entry or the free slot, and a store racing with another
+   may be lost, which costs one more computation later. *)
 
 type demand = {
   seeds : Lq.set;
@@ -76,6 +75,9 @@ type demand = {
 
 type step = { states : Selecting_nfa.set; demand : demand; reaches : bool }
 
+let step_slots = 512 (* power of two *)
+let step_probes = 3
+
 type slot = { k_cands : Lq.set; k_parent : Selecting_nfa.set; k_sym : Sym.t; step : step }
 
 type demands = {
@@ -83,8 +85,7 @@ type demands = {
   quals : Selecting_nfa.set;
   none : demand;
   free : slot;  (* physically, the empty slot *)
-  mutable slots : slot array;  (* open addressing, grown at half full *)
-  mutable count : int;
+  slots : slot array;
   mutable computed : int;
 }
 
@@ -97,8 +98,8 @@ let create nfa =
     { k_cands = empty; k_parent = start; k_sym = -1;
       step = { states = start; demand = none; reaches = false } }
   in
-  { d_nfa = nfa; quals = Selecting_nfa.qual_states nfa; none; free; slots = Array.make 16 free;
-    count = 0; computed = 0 }
+  { d_nfa = nfa; quals = Selecting_nfa.qual_states nfa; none; free;
+    slots = Array.make step_slots free; computed = 0 }
 
 type Selecting_nfa.attached += Steps of demands
 
@@ -119,19 +120,14 @@ let slot_hash cands parent sym =
 let holds e cands parent sym =
   e.k_sym = sym && Selecting_nfa.set_equal e.k_parent parent && Lq.set_equal e.k_cands cands
 
-(* the slot of [slots] holding the triple, or the free slot where it
-   would go, or -1 after [n] probes *)
-let rec probe free slots cands parent sym j n =
-  if n = 0 then -1
+(* the slot holding the triple, or the first free one in its window, or
+   -1; a top-level loop, so a hit allocates nothing *)
+let rec probe m h cands parent sym i =
+  if i >= step_probes then -1
   else
-    let e = Array.unsafe_get slots j in
-    if e == free || holds e cands parent sym then j
-    else probe free slots cands parent sym ((j + 1) land (Array.length slots - 1)) (n - 1)
-
-let slot_of m slots cands parent sym =
-  probe m.free slots cands parent sym
-    (slot_hash cands parent sym land (Array.length slots - 1))
-    (Array.length slots)
+    let j = (h + i) land (step_slots - 1) in
+    let e = Array.unsafe_get m.slots j in
+    if e == m.free || holds e cands parent sym then j else probe m h cands parent sym (i + 1)
 
 let compute m cands states name =
   let nfa = m.d_nfa in
@@ -157,21 +153,11 @@ let document_demand m ~name =
   let start = Selecting_nfa.start m.d_nfa in
   if Selecting_nfa.set_intersects start m.quals then compute m m.none.candidates start name else m.none
 
-let grow m slots =
-  let bigger = Array.make (2 * Array.length slots) m.free in
-  Array.iter
-    (fun e ->
-      if e != m.free then
-        let j = slot_of m bigger e.k_cands e.k_parent e.k_sym in
-        if j >= 0 then bigger.(j) <- e)
-    slots;
-  m.slots <- bigger
-
 let step m here cands parent sym =
-  let slots = m.slots in
-  let j = slot_of m slots cands parent sym in
-  let e = if j >= 0 then Array.unsafe_get slots j else m.free in
-  if e != m.free && holds e cands parent sym then e.step
+  let h = slot_hash cands parent sym in
+  let j = probe m h cands parent sym 0 in
+  let e = if j >= 0 then Array.unsafe_get m.slots j else m.free in
+  if e != m.free then e.step
   else begin
     let nfa = m.d_nfa in
     let states = Selecting_nfa.next_unchecked nfa here parent sym in
@@ -179,13 +165,12 @@ let step m here cands parent sym =
       if Lq.set_is_empty cands && not (Selecting_nfa.set_intersects states m.quals) then m.none
       else compute m cands states (Sym.name sym)
     in
-    let step = { states; demand; reaches = Selecting_nfa.reaches_qual nfa states } in
+    (* a qualifier state strictly below: one or more any-label steps *)
+    let below = Selecting_nfa.(next_on_desc_set nfa here (next_on_any_set nfa here states)) in
+    let step = { states; demand; reaches = Selecting_nfa.set_intersects below m.quals } in
     m.computed <- m.computed + 1;
-    if j >= 0 then begin
-      slots.(j) <- { k_cands = cands; k_parent = parent; k_sym = sym; step };
-      m.count <- m.count + 1;
-      if 2 * m.count > Array.length slots then grow m slots
-    end;
+    m.slots.(if j >= 0 then j else h land (step_slots - 1)) <-
+      { k_cands = cands; k_parent = parent; k_sym = sym; step };
     step
   end
 

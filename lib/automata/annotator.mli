@@ -44,15 +44,17 @@ type step = private {
   states : Selecting_nfa.set;  (** the element's unchecked state set *)
   demand : demand;  (** what bottomUp evaluates at it *)
   reaches : bool;
-      (** {!Selecting_nfa.reaches_qual} of [states]: a qualifier state is
-          reachable below it *)
+      (** whether a node strictly below it can enter a qualifier state,
+          transitions unchecked: when not, and it seeds nothing, bottomUp
+          has nothing to evaluate in its subtree *)
 }
 
 type demands
 (** A memo of steps, kept with the automaton of a plan: every run of
     the plan, on any domain, reads what an earlier one computed.
-    Domain-safe as the transition memo is (a racing store may be lost,
-    never torn). *)
+    Bounded and domain-safe as the transition memo is: a fixed table
+    whose full probe window overwrites an entry, and a racing store may
+    be lost, never torn. *)
 
 val steps : Selecting_nfa.t -> demands
 (** The automaton's memo, attached to it at the first call. *)
@@ -70,8 +72,8 @@ val step :
     [parent]: its states ({!Selecting_nfa.next_unchecked}, counted in
     [here]), and what bottomUp evaluates there, the candidates its label
     does not block and {!top_quals} of its states, then {!expand} of
-    those.  Computed once per distinct triple (a lost racing store
-    aside); a repeated triple takes one probe and allocates nothing. *)
+    those.  Computed once per distinct triple while its entry stays in
+    the table; a repeated triple it finds allocates nothing. *)
 
 val document_demand : demands -> name:string -> demand
 (** The demand at the virtual document node, named [name]: the

@@ -160,13 +160,6 @@ let memo_hash key sym = set_hash key lxor (sym * 0x85ebca6b) land max_int
 type attached = ..
 type attached += Nothing
 
-(* An entry of the reach memo (see [reaches_qual]), published as the
-   transition memo's are. *)
-type reach_entry = { r_key : set; r_reach : bool }
-
-let no_reach = { r_key = Bits 0; r_reach = false }
-let reach_slots = 64 (* power of two *)
-
 type t = {
   states : state array;
   lq : Lq.t;
@@ -192,7 +185,6 @@ type t = {
   quals : set;             (* states with a non-trivial qualifier *)
   start : set;
   mutable memo : memo_entry array;
-  mutable reach : reach_entry array;
   mutable attached : attached;
   named : Bytes.t;  (* bitmap over symbols: those a label state is entered by *)
   footprint : footprint option;
@@ -356,7 +348,7 @@ let of_norm (norm : Norm.t) =
   in
   { states; lq = Lq.freeze b; ctx_qual; true_idx; n; small; nwords; enter_sym; self_loop;
     eps_bits; eps_wide; eps_nq_bits; eps_nq_wide; eps_stop; quals; start;
-    memo = [||]; reach = [||]; attached = Nothing;
+    memo = [||]; attached = Nothing;
     named = named_of enter_sym; footprint = footprint_of_steps norm.steps }
 
 let of_path p = of_norm (Norm.steps p)
@@ -543,29 +535,6 @@ let next t here ~checkp x s sym =
       match e.e_closed_nq with
       | Bits _ -> mismatch ()
       | Wide nq -> close_checked_wide t ~checkp x nq qw)
-
-(* The states a node strictly below one entered with [s] can be in:
-   one or more any-label steps, qualifiers unchecked. *)
-let below t s =
-  let step s = close_set t (raw_targets t s (-1)) in
-  let rec go acc =
-    let next = set_union acc (step acc) in
-    if set_equal next acc then acc else go next
-  in
-  go (step s)
-
-(* A direct-mapped table, apart from the transition memo so the walks
-   that never ask pay nothing for it. *)
-let reaches_qual t s =
-  let h = set_hash s land (reach_slots - 1) in
-  let e = if Array.length t.reach = 0 then no_reach else Array.unsafe_get t.reach h in
-  if e != no_reach && set_equal e.r_key s then e.r_reach
-  else begin
-    let reach = set_intersects (below t s) t.quals in
-    if Array.length t.reach = 0 then t.reach <- Array.make reach_slots no_reach;
-    t.reach.(h) <- { r_key = s; r_reach = reach };
-    reach
-  end
 
 let checks_document t = t.eps_stop.(0) >= 0
 

@@ -157,13 +157,6 @@ val next_unchecked : t -> Xut_xml.Counter.local -> set -> Xut_xml.Sym.t -> set
 (** Transition ignoring qualifiers (the over-approximation the bottom-up
     pass runs on, Fig. 9 lines 1–2), counted in [here].  Memoized. *)
 
-val reaches_qual : t -> set -> bool
-(** Whether a node strictly below one entered with the state set can
-    enter a state with a qualifier, transitions unchecked: when not, and
-    the node itself seeds nothing, the bottom-up pass has nothing to
-    evaluate in its subtree.  Memoized per set, in a table of its own
-    (not the transition memo); domain-safe as that memo is. *)
-
 val names : t -> Xut_xml.Sym.t -> bool
 (** Does a label step of the path name the symbol?  From one set, the
     {!next_unchecked} transitions on all the symbols it does not name

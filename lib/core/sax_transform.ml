@@ -616,10 +616,13 @@ let run_once nfa update ~source ~sink =
    holds no byte of any region.
 
    The re-read must meet the same element: it must end exactly where
-   the live parse's region did, with as many start-tags; an input that
-   changed between the reads fails the run ([Sys_error]).  A malformed
-   region never reaches its re-read: the live parse met every byte of it
-   first, and failed there. *)
+   the live parse's region did, with as many start-tags, and the same
+   bytes, compared where both readers' windows still hold the region
+   (most regions are smaller than a window), else through the file's
+   version (inode, size, modification times) once the re-read is done;
+   an input that changed between the reads fails the run ([Sys_error]).
+   A malformed region never reaches its re-read: the live parse met
+   every byte of it first, and failed there. *)
 
 let changed input ~from ~upto =
   raise
@@ -666,8 +669,10 @@ let drive ?copy_to ?keep_ws nfa update ~input ~sink =
     else Pass2.decide p2 ~steerable n sym
   in
   let live = Sax.steer ?copy_to decide in
-  (* the region's re-read, through [second], steered by [again] *)
-  let close_region (second, again) =
+  (* the region's re-read, through [second], steered by [again], of the
+     input the live parse reads through [r], found as [version] when it
+     opened it *)
+  let close_region (r, second, again, version) =
     let upto = Sax.position live and starts = Sax.started live - !first in
     peak_truth := max !peak_truth (Truth.length truth);
     reread := !reread + upto - !from;
@@ -675,6 +680,15 @@ let drive ?copy_to ?keep_ws nfa update ~input ~sink =
     (match Sax.parse_region ?keep_ws ~steer:again second (Pass2.handle_decided p2) with
     | stop -> if stop <> upto || Sax.started again <> starts then changed input ~from:!from ~upto
     | exception Sax.Parse_error _ -> changed input ~from:!from ~upto);
+    if
+      not
+        (if Reader.holds r ~from:!from ~upto && Reader.holds second ~from:!from ~upto then
+           Reader.same_bytes r second ~from:!from ~upto
+         else Reader.same_version version (Reader.version second))
+    then changed input ~from:!from ~upto;
+    (* what pass 2 copied there is as deep as the frames it would have
+       held for it *)
+    p2.Pass2.max_depth <- max p2.Pass2.max_depth (p2.Pass2.depth + Sax.copied_depth again);
     Truth.clear truth
   in
   let handle rereads = function
@@ -693,12 +707,13 @@ let drive ?copy_to ?keep_ws nfa update ~input ~sink =
       let parse rereads = Sax.parse_reader ?keep_ws ~steer:live r (handle rereads) in
       if one_pass nfa then parse None
       else
+        let version = Reader.version r in
         Reader.with_input input (fun second ->
             let again = Sax.steer ?copy_to (fun n sym -> Pass2.decide p2 ~steerable (!first + n) sym) in
-            parse (Some (second, again))));
+            parse (Some (r, second, again, version))));
   Counter.add Stats.nodes_visited p2.Pass2.visited;
   {
-    max_stack_depth = max p1.Pass1.max_depth p2.Pass2.max_depth;
+    max_stack_depth = max (max p1.Pass1.max_depth p2.Pass2.max_depth) (Sax.copied_depth live);
     truth_entries = !peak_truth;
     elements_seen = Sax.started live;
     skipped_subtrees = 0;

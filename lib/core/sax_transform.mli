@@ -143,8 +143,13 @@ val run_buffered :
     @raise Unsupported_streaming for a context qualifier, and for a plan
     that is not {!one_pass} over an input that cannot be read twice
     ({!Reader.rereadable}), before reading anything.
-    @raise Sys_error when a region's re-read does not meet the element
-    the live parse met (the file changed between the reads).
+    @raise Sys_error when the file changed between a region's two
+    reads: the re-read does not meet the element the live parse met,
+    or, where both readers' windows still hold the region, not the same
+    bytes, or, where they do not, the file's {!Reader.version} after the
+    re-read is not the one the live parse opened (there a same-size
+    rewrite within one tick of a coarse file-system clock is not
+    seen).
     @raise Transform_ast.Invalid_update when the update deletes the
     document element. *)
 

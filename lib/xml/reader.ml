@@ -12,13 +12,14 @@ type t = {
   read : bytes -> int -> int -> int;  (* [read buf off n]: bytes read, 0 = eof *)
   move : int -> unit;  (* put the source at an input offset *)
   mutable upto : int;
+  descr : Unix.file_descr option;  (* a channel's, for [version] *)
 }
 
 let default_chunk = 65536
 
-let make read move buf =
+let make ?descr read move buf =
   { buf; len = 0; retired = 0; retired_lines = 0; retired_bol = 0; finished = false;
-    chunk = Bytes.length buf; read; move; upto = max_int }
+    chunk = Bytes.length buf; read; move; upto = max_int; descr }
 
 let of_string ?chunk_size s =
   let offset = ref 0 in
@@ -34,7 +35,7 @@ let of_string ?chunk_size s =
 let channel_read ic buf off n = input ic buf off n
 
 let of_channel ?(chunk_size = default_chunk) ic =
-  make (channel_read ic) (seek_in ic) (Bytes.create chunk_size)
+  make ~descr:(Unix.descr_of_in_channel ic) (channel_read ic) (seek_in ic) (Bytes.create chunk_size)
 
 (* Windows for [with_channel], reused across parses so a file ingest does
    not put a fresh 64 KiB block on the major heap.  A window that grew
@@ -47,7 +48,7 @@ let pool =
 
 let with_channel ic f =
   let b = Free_list.acquire pool in
-  match f (make (channel_read ic) (seek_in ic) b) with
+  match f (make ~descr:(Unix.descr_of_in_channel ic) (channel_read ic) (seek_in ic) b) with
   | v ->
     Free_list.release pool b;
     v
@@ -116,6 +117,31 @@ let seek t ~from ~upto =
   t.retired_bol <- from;
   t.finished <- false;
   t.upto <- upto
+
+type version = Unix.stats option
+
+let version t = Option.map Unix.fstat t.descr
+
+(* Reading the file updates its access time only. *)
+let same_version a b =
+  match a, b with
+  | None, None -> true
+  | Some (a : Unix.stats), Some (b : Unix.stats) ->
+    a.st_dev = b.st_dev && a.st_ino = b.st_ino && a.st_size = b.st_size
+    && Float.equal a.st_mtime b.st_mtime && Float.equal a.st_ctime b.st_ctime
+  | _ -> false
+
+let holds t ~from ~upto = from >= t.retired && upto - t.retired <= t.len
+
+(* eight bytes at a time, then the tail; a top-level loop, so comparing
+   allocates nothing *)
+let rec equal_from a i b j n =
+  if n >= 8 then Int64.equal (get64u a i) (get64u b j) && equal_from a (i + 8) b (j + 8) (n - 8)
+  else n = 0 || (Bytes.unsafe_get a i = Bytes.unsafe_get b j && equal_from a (i + 1) b (j + 1) (n - 1))
+
+let same_bytes a b ~from ~upto =
+  if not (holds a ~from ~upto && holds b ~from ~upto) then invalid_arg "Reader.same_bytes";
+  equal_from a.buf (from - a.retired) b.buf (from - b.retired) (upto - from)
 
 type input = File of string * int option | String of string * int option
 

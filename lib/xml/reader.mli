@@ -39,6 +39,7 @@ type t = private {
   read : bytes -> int -> int -> int;
   move : int -> unit;
   mutable upto : int;  (** the input offset the reader ends at ({!seek}) *)
+  descr : Unix.file_descr option;  (** a channel reader's descriptor *)
 }
 
 val of_string : ?chunk_size:int -> string -> t
@@ -71,6 +72,26 @@ val seek : t -> from:int -> upto:int -> unit
     were all of it.  Positions ({!line}, {!col}) then count from
     [from], as if it began line 1.
     @raise Sys_error if the source cannot be positioned (a pipe). *)
+
+val holds : t -> from:int -> upto:int -> bool
+(** Whether the window still holds the input bytes [\[from, upto)]. *)
+
+val same_bytes : t -> t -> from:int -> upto:int -> bool
+(** Whether two readers' windows hold the same input bytes
+    [\[from, upto)]; allocates nothing.
+    @raise Invalid_argument unless both {!holds} them. *)
+
+type version
+
+val version : t -> version
+(** The source as the reader's own descriptor finds it now: a channel's
+    device, inode, size, and modification and status-change times (one
+    [fstat]); for a string, a constant. *)
+
+val same_version : version -> version -> bool
+(** Whether nothing but reading happened to the source between the two
+    versions, as far as the file system's timestamps tell: a rewrite
+    within one tick of a coarse clock that keeps the size is not seen. *)
 
 (** {2 Re-readable inputs}
 

@@ -92,6 +92,7 @@ type st = {
      element's depth plus one, 1 for an element literal, 0 otherwise *)
   mutable stop : int;
   mutable starts : int;  (* start tags met so far, in every mode *)
+  mutable peak : int;  (* the deepest level a start tag reached in copy mode *)
   (* the input offset of the tag the hook is asked about ('<'), or past
      the end tag whose event the handler is given ('>') *)
   mutable mark : int;
@@ -521,6 +522,7 @@ let steered_start st p e =
   st.starts <- st.starts + 1;
   (match st.mode with
   | Copying w ->
+    if st.depth >= st.peak then st.peak <- st.depth + 1;
     Writer.close_start w;
     (* the tag is still open: "/>" *)
     if empty then Writer.end_element w ""
@@ -713,6 +715,7 @@ and canonical_start st b n i =
   else begin
     st.starts <- st.starts + 1;
     let copying = st.mode != Skipping in
+    if copying && st.depth >= st.peak then st.peak <- st.depth + 1;
     if Bytes.unsafe_get b (e - 2) <> '/' then begin
       stage st b (i + 1) (ne - i - 1);
       st.depth <- st.depth + 1;
@@ -868,6 +871,7 @@ let steer ?copy_to hook =
 
 let started h = match h.parser with Some st -> st.starts | None -> 0
 let position h = match h.parser with Some st -> st.mark | None -> 0
+let copied_depth h = match h.parser with Some st -> st.peak | None -> 0
 
 let no_hook _ _ = Walk
 
@@ -879,7 +883,7 @@ let state ~keep_ws ?steer r handler =
     { r; handler; keep_ws; here = Counter.local (); steered; decide; copying; tags = Array.make 16 "";
       raw = Bytes.empty; raw_ends = [||]; depth = 0; base = 0; rooted = false; doctype_seen = false;
       text = Buffer.create 64; vbuf = Buffer.create 64; attrs = []; value = ""; mode = Events;
-      stop = 0; starts = 0; mark = 0; run = 0; owed = false; room = 0; cut = false }
+      stop = 0; starts = 0; peak = 0; mark = 0; run = 0; owed = false; room = 0; cut = false }
   in
   Option.iter (fun h -> h.parser <- Some st) steer;
   st
@@ -909,6 +913,7 @@ let parse_region ?(keep_ws = false) ~steer r handler =
       st.depth <- 0;
       st.rooted <- false;
       st.starts <- 0;
+      st.peak <- 0;
       st.attrs <- [];
       Buffer.clear st.text;
       st

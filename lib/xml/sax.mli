@@ -112,14 +112,20 @@ val position : steer -> int
     tag the hook is being asked about, and, while the handler is given
     an [End_element], the offset past that end tag's ['>']. *)
 
+val copied_depth : steer -> int
+(** The deepest level a start tag the attached parse copied reached,
+    counting the parse's outermost element as level 1: the depth of
+    open elements an event path would have held there.  0 while the
+    parse has copied nothing. *)
+
 val parse_region : ?keep_ws:bool -> steer:steer -> Reader.t -> (event -> unit) -> int
 (** [parse_region ~steer r handler] parses the element that starts at
     [r]'s first byte, steered as {!parse_reader} is, with no document
     events, and returns the input offset past its end tag.  A comment or
     PI before the element ends the call there.  Nothing after the end
     tag is read.  A handle used for consecutive regions of one reader
-    keeps its parser's buffers, and {!started} then counts the current
-    region's start tags only.
+    keeps its parser's buffers, and {!started} and {!copied_depth} then
+    count the current region's start tags only.
     @raise Parse_error on malformed input, or input that ends before the
     element does. *)
 

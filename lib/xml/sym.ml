@@ -27,25 +27,15 @@ let mu = Mutex.create ()
 
 let intern_calls = Counter.declare "sym_interns"
 
-(* A multiply-xorshift over [b.[off .. off+len-1]] read eight bytes at a
-   time (the last word zero-padded): the same hash on every domain and
-   snapshot, and no allocation.  Top-level loops, so hashing builds no
-   closure. *)
-external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
-
-let[@inline] mix h w =
-  let h = (h lxor w) * 0x2127599bf4325c37 in
-  h lxor (h lsr 29)
-
-let rec tail_word b i stop w shift =
-  if i < stop then tail_word b (i + 1) stop (w lor (Char.code (Bytes.unsafe_get b i) lsl shift)) (shift + 8)
-  else w
-
-let rec hash_words b i stop h =
-  if i + 8 <= stop then hash_words b (i + 8) stop (mix h (Int64.to_int (get64u b i)))
-  else mix h (tail_word b i stop 0 0)
-
-let hash_sub b off len = hash_words b off (off + len) len land max_int
+(* FNV-1a over [b.[off .. off+len-1]]: names are short ASCII, and we
+   need the same hash on every domain and snapshot.  The loop keeps its
+   accumulator in a register, so hashing allocates nothing. *)
+let hash_sub b off len =
+  let h = ref 0x811c9dc5 in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land max_int
+  done;
+  !h
 
 let hash s = hash_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
@@ -107,9 +97,7 @@ let intern here s =
    probe loop is a top-level function, so a hit builds neither a string
    nor a closure. *)
 let rec equal_sub k b off len i =
-  if i + 8 <= len then
-    Int64.equal (get64u (Bytes.unsafe_of_string k) i) (get64u b (off + i)) && equal_sub k b off len (i + 8)
-  else i >= len || (String.unsafe_get k i = Bytes.unsafe_get b (off + i) && equal_sub k b off len (i + 1))
+  i >= len || (String.unsafe_get k i = Bytes.unsafe_get b (off + i) && equal_sub k b off len (i + 1))
 
 (* the slot holding the name, or -1 *)
 let rec probe_sub t h b off len i =
