@@ -36,10 +36,12 @@ let tests () =
            Array.fold_left
              (fun s l -> Xut_automata.Selecting_nfa.next nfa here ~checkp:(fun _ () -> true) () s l)
              start syms));
-    Test.make ~name:"QualDP at one node"
-      (Staged.stage (fun () ->
-           Xut_xpath.Lq.eval_at lq ~name:"open_auction" ~attrs:[ ("id", "x") ] ~text:"12"
-             ~csat:(fun _ -> false) ~wanted:[ qi ]));
+    (let sc = Xut_xpath.Lq.scratch lq and wanted = Xut_xpath.Lq.set_of_list lq [ qi ] in
+     Test.make ~name:"QualDP at one node"
+       (Staged.stage (fun () ->
+            Xut_xpath.Lq.eval lq sc ~name:"open_auction" ~attrs:[ ("id", "x") ] ~text:"12"
+              ~csat:(fun _ -> false) ~wanted;
+            Xut_xpath.Lq.holds sc qi)));
     Test.make ~name:"SAX parse (50 KB doc)"
       (Staged.stage (fun () -> Xut_xml.Sax.parse_string doc_text (fun _ -> ())));
     Test.make ~name:"SAX parse (50 KB doc, pretty)"

@@ -34,30 +34,15 @@ let expand lq ~name seeds =
 
 let has_any_qual nfa = not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa))
 
-(* [set_intersects] first: the intersection itself is a fresh set, which
-   a node without qualifier states should not pay for. *)
-let top_quals nfa states' =
-  let quals = Selecting_nfa.qual_states nfa in
-  if not (Selecting_nfa.set_intersects states' quals) then []
-  else
-    Selecting_nfa.set_fold
-      (fun s acc -> Selecting_nfa.state_lq nfa s :: acc)
-      (Selecting_nfa.set_inter states' quals) []
-
-(* The seeds to evaluate at a node: the parent's (sorted and unique, as
-   [expand]'s candidates are) plus its own states' qualifiers. *)
-let seeds_at nfa states' seeds =
-  match top_quals nfa states' with [] -> seeds | qs -> List.sort_uniq compare (seeds @ qs)
-
-(* ---- the SAX pass's step into an element, memoized ----
+(* ---- the step into an element, memoized ----
 
    What bottomUp needs at an element follows from three things only: the
    candidates its parent passes down, its parent's unchecked state set
    and its label.  A plan meets few distinct triples, so it computes each
-   once (the transition, [seeds_at] and [expand], as the tree pass does
-   per node); every later element with the same triple, in any run of
-   the plan, reads the stored step and allocates nothing: the memo is
-   attached to the automaton.
+   once (the transition and [compute]); every later element
+   with the same triple, in any pass and any run of the plan, reads the
+   stored step and allocates nothing: the memo is attached to the
+   automaton.
 
    It is bounded and shared as the transition memo is: a fixed table,
    a triple probed in [step_probes] slots from its hash, a full window
@@ -129,16 +114,20 @@ let rec probe m h cands parent sym i =
     let e = Array.unsafe_get m.slots j in
     if e == m.free || holds e cands parent sym then j else probe m h cands parent sym (i + 1)
 
+(* The demand at an element in [states] named [name]: the candidates
+   its name does not block and its own states' qualifiers, then
+   [expand] of those. *)
 let compute m cands states name =
   let nfa = m.d_nfa in
   let lq = Selecting_nfa.lq nfa in
-  let rec unblocked i acc =
-    if i < 0 then acc
-    else
-      unblocked (i - 1)
-        (if Lq.set_mem cands i && not (Lq.label_blocked lq i name) then i :: acc else acc)
+  let own =
+    List.sort_uniq compare
+      (Selecting_nfa.set_fold
+         (fun s acc -> Selecting_nfa.state_lq nfa s :: acc)
+         (Selecting_nfa.set_inter states m.quals) [])
   in
-  match seeds_at nfa states (unblocked (Lq.length lq - 1) []) with
+  let inherited i = Lq.set_mem cands i && not (Lq.label_blocked lq i name) in
+  match List.sort_uniq compare (List.filter inherited (List.init (Lq.length lq) Fun.id) @ own) with
   | [] -> m.none
   | seeds ->
     let active, candidates = expand lq ~name seeds in
@@ -147,7 +136,7 @@ let compute m cands states name =
       (fun i a -> if a then match Lq.expr lq i with Lq.Text_cmp _ -> reads_text := true | _ -> ())
       active;
     { seeds = Lq.set_of_list lq seeds; candidates = Lq.set_of_list lq candidates;
-      own = Array.of_list (List.sort_uniq compare (top_quals nfa states)); reads_text = !reads_text }
+      own = Array.of_list own; reads_text = !reads_text }
 
 let document_demand m ~name =
   let start = Selecting_nfa.start m.d_nfa in
@@ -174,9 +163,6 @@ let step m here cands parent sym =
     step
   end
 
-let kid_seeds lq candidates (c : Node.element) =
-  List.filter (fun p -> not (Lq.label_blocked lq p (Node.name c))) candidates
-
 let iter_kids f (e : Node.element) =
   List.iter
     (function Node.Element c -> f c | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
@@ -184,55 +170,84 @@ let iter_kids f (e : Node.element) =
 
 let entry tbl id = Hashtbl.find_opt tbl.sat id
 
-(* [e]'s entry, from its children's entries already in [tbl]. *)
-let record tbl (e : Node.element) all_seeds =
-  let csat i =
-    List.exists
-      (function
-        | Node.Element c -> (
-          match entry tbl (Node.id c) with Some arr -> arr.(i) | None -> false)
-        | Node.Text _ | Node.Comment _ | Node.Pi _ -> false)
-      (Node.children e)
-  in
-  Hashtbl.replace tbl.sat (Node.id e)
-    (Lq.eval_at tbl.lq ~name:(Node.name e) ~attrs:(Node.attrs e) ~text:(Node.text_content e)
-       ~csat ~wanted:all_seeds)
+let seeded d = not (Lq.set_is_empty d.seeds)
 
-(* The bottomUp recursion, writing entries into [tbl].  [states] is the
-   state set before consuming [e]'s symbol and [seeds] the LQ indices the
-   parent demands here; both are functions of the ancestor names only, so
-   an entry depends on nothing but the node's subtree and its demand —
-   the subtree-locality that [repair] exploits.  [written] counts the
-   entries produced (instrumentation for the repair metrics). *)
-let rec annotate_subtree ~skip nfa here tbl written (e : Node.element)
-    (states : Selecting_nfa.set) (seeds : int list) : unit =
-  if skip e then ()
-    (* schema skip-set: every configuration at or below this symbol is
-       seed-free, so the unpruned pass would write no entries here either
-       — the table is identical with or without the visit *)
-  else begin
-  let lq = tbl.lq in
-  let states' = Selecting_nfa.next_unchecked nfa here states (Node.sym e) in
-  let all_seeds = seeds_at nfa states' seeds in
-  if Selecting_nfa.set_is_empty states' && all_seeds = [] then ()
-  else begin
-    let candidates =
-      if all_seeds = [] then [] else snd (expand lq ~name:(Node.name e) all_seeds)
-    in
-    iter_kids
-      (fun c -> annotate_subtree ~skip nfa here tbl written c states' (kid_seeds lq candidates c))
-      e;
-    if all_seeds <> [] then begin
-      record tbl e all_seeds;
-      incr written
+(* bottomUp prunes an element entered with no states and no seeds *)
+let live s = seeded s.demand || not (Selecting_nfa.set_is_empty s.states)
+
+(* One walk's state: the plan's step memo, the walk's counter cells and
+   one QualDP scratch.  [csat] reads the entries of [kids], the children
+   of the element [record] evaluates, so one closure serves the walk. *)
+type run = {
+  m : demands;
+  here : Counter.local;
+  tbl : table;
+  sc : Lq.scratch;
+  skip : Node.element -> bool;
+      (* a schema skip-set oracle: every configuration at or below a
+         [true] element is seed-free, so the unpruned pass would write
+         no entries there either *)
+  mutable kids : Node.t list;
+  csat : int -> bool;
+  mutable written : int;
+}
+
+let rec csat r i = function
+  | Node.Element c :: rest ->
+    (match Hashtbl.find r.tbl.sat (Node.id c) with
+    | arr -> arr.(i)
+    | exception Not_found -> false)
+    || csat r i rest
+  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> csat r i rest
+  | [] -> false
+
+let run ~skip nfa tbl =
+  let m = steps nfa and here = Counter.local () and sc = Lq.scratch tbl.lq in
+  let rec r =
+    { m; here; tbl; sc; skip; kids = []; csat = (fun i -> csat r i r.kids); written = 0 }
+  in
+  r
+
+let step_into r cands parent (e : Node.element) = step r.m r.here cands parent (Node.sym e)
+
+(* [e]'s entry, from its children's entries already in the table. *)
+let record r (e : Node.element) d =
+  r.kids <- Node.children e;
+  Lq.eval r.tbl.lq r.sc ~name:(Node.name e) ~attrs:(Node.attrs e)
+    ~text:(if d.reads_text then Node.text_content e else "")
+    ~csat:r.csat ~wanted:d.seeds;
+  Hashtbl.replace r.tbl.sat (Node.id e) (Array.init (Lq.length r.tbl.lq) (Lq.holds r.sc));
+  r.written <- r.written + 1
+
+(* The bottomUp recursion, writing entries into the table.  [cands] are
+   the candidates [e]'s parent passes down and [parent] its state set;
+   both are functions of the ancestor names only, so an entry depends on
+   nothing but the node's subtree and its demand — the
+   subtree-locality that [repair] exploits. *)
+let rec annotate_subtree r (e : Node.element) cands parent =
+  if not (r.skip e) then begin
+    let s = step_into r cands parent e in
+    if live s then begin
+      annotate_kids r s.demand.candidates s.states (Node.children e);
+      if seeded s.demand then record r e s.demand
     end
   end
-  end
 
-let annotate ?(skip = fun _ -> false) nfa root =
+and annotate_kids r cands parent = function
+  | Node.Element c :: rest ->
+    annotate_subtree r c cands parent;
+    annotate_kids r cands parent rest
+  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> annotate_kids r cands parent rest
+  | [] -> ()
+
+let never _ = false
+
+let annotate ?(skip = never) nfa root =
   let tbl = { sat = Hashtbl.create 1024; lq = Selecting_nfa.lq nfa } in
-  if has_any_qual nfa then
-    annotate_subtree ~skip nfa (Counter.local ()) tbl (ref 0) root (Selecting_nfa.start nfa) [];
+  if has_any_qual nfa then begin
+    let r = run ~skip nfa tbl in
+    annotate_subtree r root r.m.none.candidates (Selecting_nfa.start nfa)
+  end;
   tbl
 
 type repair_stats = { recomputed : int; reused : int; dropped : int; rekeyed : bool }
@@ -416,92 +431,76 @@ let repair ?footprint nfa ~old_table ~spine new_root =
          runtime answers a young initial value for an array too large
          for the minor heap (over 256 buckets) with a forced minor
          collection. *)
-      let tbl = { sat = Hashtbl.rebuild old_table.sat; lq } in
-      let here = Counter.local () in
-      let recomputed = ref 0 and dropped = ref 0 in
+      let r = run ~skip:never nfa { sat = Hashtbl.rebuild old_table.sat; lq } in
+      let dropped = ref 0 in
       let drop id =
-        if Hashtbl.mem tbl.sat id then begin
-          Hashtbl.remove tbl.sat id;
+        if Hashtbl.mem r.tbl.sat id then begin
+          Hashtbl.remove r.tbl.sat id;
           incr dropped
         end
       in
-      (* The old run's walk over an old subtree it reached with demand
-         (states, seeds), dropping what it wrote. *)
-      let rec scrub oe states seeds =
-        let states' = Selecting_nfa.next_unchecked nfa here states (Node.sym oe) in
-        let all_seeds = seeds_at nfa states' seeds in
-        if not (Selecting_nfa.set_is_empty states' && all_seeds = []) then begin
+      (* The old run's walk over an old subtree it reached with the
+         candidates [cands] from a parent in states [parent], dropping
+         what it wrote. *)
+      let rec scrub cands parent oe =
+        let s = step_into r cands parent oe in
+        if live s then begin
           drop (Node.id oe);
-          let candidates =
-            if all_seeds = [] then [] else snd (expand lq ~name:(Node.name oe) all_seeds)
-          in
-          iter_kids (fun c -> scrub c states' (kid_seeds lq candidates c)) oe
+          iter_kids (scrub s.demand.candidates s.states) oe
         end
       in
       (* Fresh material is annotated unpruned: a skip-set changes what
          a build visits, never what it writes (see [annotate]). *)
-      let fresh e states seeds =
-        annotate_subtree ~skip:(fun _ -> false) nfa here tbl recomputed e states seeds
-      in
-      (* A shared node reached with the old and the new demand: its
+      let fresh cands parent e = annotate_subtree r e cands parent in
+      (* A shared node reached from the old and the new parent: its
          entries stand iff both runs enter it in the same configuration. *)
-      let reuse e old_states states old_seeds seeds =
-        let states' = Selecting_nfa.next_unchecked nfa here states (Node.sym e) in
-        let old_states' = Selecting_nfa.next_unchecked nfa here old_states (Node.sym e) in
+      let reuse (old_cands, old_parent) (cands, parent) e =
+        let s = step_into r cands parent e and os = step_into r old_cands old_parent e in
         if
           not
-            (Selecting_nfa.set_equal states' old_states'
-            && seeds_at nfa states' seeds = seeds_at nfa old_states' old_seeds)
+            (Selecting_nfa.set_equal s.states os.states
+            && Lq.set_equal s.demand.seeds os.demand.seeds)
         then begin
-          scrub e old_states old_seeds;
-          fresh e states seeds
+          scrub old_cands old_parent e;
+          fresh cands parent e
         end
       in
       (* [oe] is an old spine element and [e] its fresh rebuild; the two
-         (states, seeds) pairs are the demands the old and new runs
-         propagate to them, which diverge only below a renamed spine
+         (candidates, parent states) pairs are what the old and new runs
+         pass down to them, which diverge only below a renamed spine
          node. *)
-      let rec pair oe e old_states states old_seeds seeds =
+      let rec pair (old_cands, old_parent) (cands, parent) oe e =
         drop (Node.id oe) (* [oe]'s id left the tree with it *);
-        let same_name = String.equal (Node.name oe) (Node.name e) in
-        let states' = Selecting_nfa.next_unchecked nfa here states (Node.sym e) in
-        let old_states' = Selecting_nfa.next_unchecked nfa here old_states (Node.sym oe) in
-        let all_seeds = seeds_at nfa states' seeds in
-        let old_all_seeds = seeds_at nfa old_states' old_seeds in
-        let old_pruned = Selecting_nfa.set_is_empty old_states' && old_all_seeds = [] in
-        let candidates =
-          if all_seeds = [] then [] else snd (expand lq ~name:(Node.name e) all_seeds)
-        in
-        let old_candidates =
-          if same_name && old_all_seeds = all_seeds then candidates
-          else if old_all_seeds = [] then []
-          else snd (expand lq ~name:(Node.name oe) old_all_seeds)
-        in
-        let departed oc = scrub oc old_states' (kid_seeds lq old_candidates oc) in
-        if Selecting_nfa.set_is_empty states' && all_seeds = [] then begin
+        let os = step_into r old_cands old_parent oe and s = step_into r cands parent e in
+        let od = os.demand and d = s.demand in
+        let departed = scrub od.candidates os.states in
+        if not (live s) then begin
           (* The fresh run prunes here: whatever the old run wrote below
              [oe] must go (shared children included — they are in the
              new tree, unneeded); if it pruned here too, it wrote
              nothing. *)
-          if not old_pruned then iter_kids departed oe
+          if live os then iter_kids departed oe
         end
         else begin
-          (* Every child's demand is a function of (states', candidates)
+          let old_down = (od.candidates, os.states) and down = (d.candidates, s.states) in
+          (* Every child's demand is a function of (candidates, states)
              and its own label, so when both match the old side's, the
              shared children's entries all stand. *)
           let cut_off =
-            Selecting_nfa.set_equal states' old_states' && candidates = old_candidates
+            Selecting_nfa.set_equal s.states os.states
+            && Lq.set_equal d.candidates od.candidates
           in
           (* [e] evaluates exactly as [oe] did — same seeds, label,
              attributes and text — until some child's entry changes *)
           let same_eval =
             ref
-              (same_name && old_all_seeds = all_seeds
+              (Node.sym oe = Node.sym e
+              && Lq.set_equal od.seeds d.seeds
               && Node.attrs oe == Node.attrs e
               && same_text (Node.children oe) (Node.children e))
           in
           let changed old_id id =
-            if entry old_table old_id <> entry tbl id then same_eval := false
+            if entry old_table old_id <> entry r.tbl id then same_eval := false
           in
           align spine oe e
             ~departed:(fun oc ->
@@ -509,31 +508,30 @@ let repair ?footprint nfa ~old_table ~spine new_root =
               if Hashtbl.mem old_table.sat (Node.id oc) then same_eval := false)
             ~shared:(fun c ->
               if not cut_off then begin
-                reuse c old_states' states' (kid_seeds lq old_candidates c)
-                  (kid_seeds lq candidates c);
+                reuse old_down down c;
                 changed (Node.id c) (Node.id c)
               end)
             ~rebuilt:(fun oc c ->
-              pair oc c old_states' states' (kid_seeds lq old_candidates oc)
-                (kid_seeds lq candidates c);
+              pair old_down down oc c;
               changed (Node.id oc) (Node.id c))
             ~fresh:(fun c ->
-              fresh c states' (kid_seeds lq candidates c);
-              if Hashtbl.mem tbl.sat (Node.id c) then same_eval := false);
-          if all_seeds <> [] then begin
-            (match entry old_table (Node.id oe) with
-            | Some sat when !same_eval -> Hashtbl.replace tbl.sat (Node.id e) sat
-            | _ -> record tbl e all_seeds);
-            incr recomputed
-          end
+              fresh d.candidates s.states c;
+              if Hashtbl.mem r.tbl.sat (Node.id c) then same_eval := false);
+          if seeded d then
+            match entry old_table (Node.id oe) with
+            | Some sat when !same_eval ->
+              Hashtbl.replace r.tbl.sat (Node.id e) sat;
+              r.written <- r.written + 1
+            | _ -> record r e d
         end
       in
-      pair old_root new_root (Selecting_nfa.start nfa) (Selecting_nfa.start nfa) [] [];
+      let start = (r.m.none.candidates, Selecting_nfa.start nfa) in
+      pair start start old_root new_root;
       Some
-        ( tbl,
+        ( r.tbl,
           {
-            recomputed = !recomputed;
-            reused = Hashtbl.length tbl.sat - !recomputed;
+            recomputed = r.written;
+            reused = Hashtbl.length r.tbl.sat - r.written;
             dropped = !dropped;
             rekeyed = false;
           } )

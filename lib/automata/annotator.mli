@@ -5,30 +5,21 @@ open Xut_xml
 
     One post-order traversal evaluates, at every node the filtering
     machinery keeps alive, the truth of the LQ sub-qualifiers that are
-    needed there ({!Lq.eval_at} is QualDP of Fig. 7), and records them in
+    needed there ({!Lq.eval} is QualDP of Fig. 7), and records them in
     a side table keyed by element id.  Subtrees that no selecting-NFA
     state and no propagated qualifier need can be pruned without a visit
     — the role of the paper's filtering NFA (see DESIGN.md).
+
+    Every pass enters an element through {!step}: the tree walk, its
+    commit-time {!repair}, the SAX pass (Section 6) and the schema
+    product all read what bottomUp does there from one memo.
 
     The table then makes [checkp] O(1) for the Top Down method, giving
     the linear-time twoPass (TD-BU) evaluation. *)
 
 type table
 
-val expand : Xut_xpath.Lq.t -> name:string -> int list -> bool array * int list
-(** [expand lq ~name seeds] = the expressions to evaluate at a node named
-    [name] given the demanded [seeds] (closed under sub-expressions, with
-    short-circuiting on label guards), together with the sorted list of
-    child-seed candidates (the [*/p] and [//p] expressions reachable).
-    Shared with the SAX variant of the pass (Section 6). *)
-
-val top_quals : Selecting_nfa.t -> Selecting_nfa.set -> int list
-(** [top_quals nfa states'] = the LQ indices of the qualifiers of the
-    states in [states'] that carry one: the seeds a node entered with
-    [states'] demands for itself, on top of those its parent passes
-    down.  Shared with the SAX pass and the schema product. *)
-
-(** {2 The step into an element, for the SAX pass} *)
+(** {2 The step into an element} *)
 
 type demand = private {
   seeds : Xut_xpath.Lq.set;
@@ -70,14 +61,18 @@ val step :
 (** [step m here candidates parent sym]: an element labelled [sym] whose
     parent passes down [candidates] and has the unchecked state set
     [parent]: its states ({!Selecting_nfa.next_unchecked}, counted in
-    [here]), and what bottomUp evaluates there, the candidates its label
-    does not block and {!top_quals} of its states, then {!expand} of
-    those.  Computed once per distinct triple while its entry stays in
-    the table; a repeated triple it finds allocates nothing. *)
+    [here]), and what bottomUp evaluates there: the candidates its label
+    does not block and the qualifiers of its states, closed under
+    sub-expressions with short-circuiting on label guards, and the
+    [*/p] and [//p] expressions its children inherit.  Computed once per
+    distinct triple while its entry stays in the table; a repeated
+    triple it finds allocates nothing. *)
 
 val document_demand : demands -> name:string -> demand
 (** The demand at the virtual document node, named [name]: the
     qualifiers its start set carries. *)
+
+(** {2 The tree pass} *)
 
 val annotate : ?skip:(Node.element -> bool) -> Selecting_nfa.t -> Node.element -> table
 (** Run the pass from the document element, with the start set of the

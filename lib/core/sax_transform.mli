@@ -41,8 +41,9 @@ open Xut_automata
     into [copy_to], which must be the writer [sink] serializes into
     ({!Serialize.Sink.writer} of the sink whose {!Serialize.Sink.event}
     is [sink]).  Inside a region the live parse skips every subtree pass
-    1 has nothing to evaluate in ({!Selecting_nfa.reaches_qual}), and the
-    re-read is steered for pass 2 as the live parse is.  Without
+    1 has nothing to evaluate in (the [reaches] bit of
+    {!Annotator.step}), and the re-read is steered for pass 2 as the
+    live parse is.  Without
     [copy_to], every start-tag is walked as an event, and the bytes,
     chunk boundaries and errors are those of the steered run.
 

@@ -165,14 +165,13 @@ let validate_commit t ~spine new_root =
 
 (* ---------------- the product ---------------- *)
 
-(* A configuration is everything {!Annotator.annotate_subtree}'s
-   recursion depends on at a node: the symbol, the NFA state set before
-   consuming it, and the LQ seeds the parent demands.  The exploration
-   below walks the schema graph with exactly the annotator's transition
-   (so a conforming document can only ever realize explored
+(* A configuration is the key of {!Annotator.step}: the symbol, the
+   parent's NFA state set and the candidate seeds the parent passes
+   down.  The exploration below walks the schema graph through that very
+   step (so a conforming document can only ever realize explored
    configurations), then closes "contributes" under reachability. *)
 
-type cfg = Sym.t * int list * int list
+type cfg = Sym.t * Selecting_nfa.set * Xut_xpath.Lq.set
 
 type cnode = {
   n_accepting : bool;
@@ -191,44 +190,31 @@ type product = {
 let config_cap = 4096
 
 let product t nfa =
-  let lq = Selecting_nfa.lq nfa in
+  let steps = Annotator.steps nfa in
   let nodes : (cfg, cnode) Hashtbl.t = Hashtbl.create 256 in
   let queue = Queue.create () in
-  let enqueue key states = Queue.push (key, states) queue in
-  let start = Selecting_nfa.start nfa in
-  enqueue (t.s_root, Selecting_nfa.set_to_list start, []) start;
+  Queue.push (t.s_root, Selecting_nfa.start nfa, (Annotator.no_demand steps).candidates) queue;
   let capped = ref false in
   let here = Counter.local () in
   while not (Queue.is_empty queue) && not !capped do
-    let ((sym, _, seeds) as key), states = Queue.pop queue in
+    let ((sym, parent, cands) as key) = Queue.pop queue in
     if not (Hashtbl.mem nodes key) then begin
       if Hashtbl.length nodes >= config_cap then capped := true
       else begin
-        let states' = Selecting_nfa.next_unchecked nfa here states sym in
-        let all_seeds = List.sort_uniq compare (seeds @ Annotator.top_quals nfa states') in
-        let dead = Selecting_nfa.set_is_empty states' && all_seeds = [] in
-        let accepting = (not dead) && Selecting_nfa.accepts_set nfa states' in
-        let hot = accepting || all_seeds <> [] in
+        let { Annotator.states; demand; _ } = Annotator.step steps here cands parent sym in
+        let seeded = not (Xut_xpath.Lq.set_is_empty demand.seeds) in
+        let dead = Selecting_nfa.set_is_empty states && not seeded in
+        let accepting = (not dead) && Selecting_nfa.accepts_set nfa states in
+        let hot = accepting || seeded in
         let kids =
           if dead then []
-          else begin
-            let candidates =
-              if all_seeds = [] then []
-              else snd (Annotator.expand lq ~name:(Sym.name sym) all_seeds)
-            in
-            let states'_l = Selecting_nfa.set_to_list states' in
+          else
             List.map
               (fun child ->
-                let kid_seeds =
-                  List.filter
-                    (fun p -> not (Xut_xpath.Lq.label_blocked lq p (Sym.name child)))
-                    candidates
-                in
-                let kkey = (child, states'_l, kid_seeds) in
-                if not (Hashtbl.mem nodes kkey) then enqueue kkey states';
+                let kkey = (child, states, demand.candidates) in
+                if not (Hashtbl.mem nodes kkey) then Queue.push kkey queue;
                 kkey)
               (child_syms t sym)
-          end
         in
         Hashtbl.replace nodes key
           { n_accepting = accepting; n_hot = hot; n_kids = kids; n_contrib = hot }

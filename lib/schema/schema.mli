@@ -18,17 +18,14 @@ open Xut_automata
 
     {!product} intersects a schema with a per-plan
     {!Xut_automata.Selecting_nfa}: a breadth-first exploration of
-    configurations [(symbol, NFA state set, demanded LQ seeds)] that
-    mirrors, step for step, the recursion of
-    {!Xut_automata.Annotator.annotate} — [next_unchecked] over the
-    symbol, qualifier seeds propagated through
-    {!Xut_automata.Annotator.expand} with [label_blocked]
-    short-circuiting — but walks the schema graph instead of a concrete
-    tree.  Because a conforming document only realizes parent/child
-    edges the schema has, every (state set, seed set) the runtime passes
-    can reach at a node is a subset of some explored configuration for
-    that node's symbol, and both the transition function and acceptance
-    are monotone in set inclusion.  Hence:
+    configurations keyed as {!Xut_automata.Annotator.step} keys its
+    memo, [(symbol, parent's NFA state set, parent's candidate seeds)],
+    each entered through that same step, the one
+    {!Xut_automata.Annotator.annotate} takes at every element — but
+    walking the schema graph instead of a concrete tree.  Because a
+    conforming document only realizes parent/child edges the schema has,
+    every configuration the runtime can reach at a node is an explored
+    configuration of that node's symbol.  Hence:
 
     - if no explored configuration accepts (and the path does not select
       the context node), the query selects nothing in {e any} conforming

@@ -189,9 +189,3 @@ let eval t sc ~name ~attrs ~text ~csat ~wanted =
   done
 
 let holds sc i = Array.unsafe_get sc.stamp i = sc.gen && Array.unsafe_get sc.value i
-
-let eval_at t ~name ~attrs ~text ~csat ~wanted =
-  let sc = scratch t in
-  sc.gen <- 1;
-  List.iter (fun i -> ignore (sat t sc ~name ~attrs ~text ~csat i : bool)) wanted;
-  sc.value

@@ -82,13 +82,3 @@ val eval :
 val holds : scratch -> int -> bool
 (** Expression [i]'s value in the last {!eval}: [false] when it was not
     demanded. *)
-
-val eval_at :
-  t ->
-  name:string ->
-  attrs:(string * string) list ->
-  text:string ->
-  csat:(int -> bool) ->
-  wanted:int list ->
-  bool array
-(** {!eval} into a fresh array: entries not demanded remain [false]. *)

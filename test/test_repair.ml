@@ -268,7 +268,9 @@ let marker_out = "delete $a//xut_bench_promo"
    marker insert/delete pair of the mixed read/write workload (a spine
    through every open_auction, shared siblings below each), a rename of
    one open_auction, and renames of open_auctions away and back, which
-   change the demand above shared children. *)
+   change the demand above shared children, and one of an open_auction
+   back together with an edit below it, which changes the demand above
+   a rebuilt child. *)
 let test_repair_xmark_commits () =
   let root0 = Xut_xmark.Generator.generate ~seed:1L ~factor:0.002 () in
   let nfas =
@@ -286,7 +288,12 @@ let test_repair_xmark_commits () =
       marker_out;
       (* entries of every open_auction change under U7, U8 and U10 *)
       "delete $a/site/open_auctions/open_auction/initial";
-      "insert <bidder><increase>99</increase></bidder> into $a/site/open_auctions/open_auction" ]
+      "insert <bidder><increase>99</increase></bidder> into $a/site/open_auctions/open_auction";
+      (* a rename back onto a plan label with an edit below it: the
+         rebuilt initial inherits what the renamed node passes down now,
+         not what it passed down before *)
+      {|(rename $a/site/open_auctions/open_auctionx as open_auction,
+         insert <xut_bench_promo>r</xut_bench_promo> into $a/site/open_auctions/open_auctionx/initial)|} ]
   in
   let root = ref root0 and tables = ref (List.map (fun nfa -> Annotator.annotate nfa root0) nfas) in
   List.iteri

@@ -22,6 +22,20 @@ let u7_path =
   "/site/open_auctions/open_auction[bidder/increase > 5]/annotation[happiness < 20]\
    /description//text"
 
+(* Fig. 11, U1-U10. *)
+let fig11 =
+  [ "/site/people/person";
+    "/site/people/person[@id = \"person10\"]";
+    "/site/people/person[profile/age > 20]";
+    "/site/regions//item";
+    "/site//description";
+    "/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist\
+     /listitem/text/emph/keyword";
+    u7_path;
+    "/site/open_auctions/open_auction[initial > 10 and reserve > 50]/bidder";
+    "/site/regions//item[location = \"United States\"]";
+    "/site//open_auctions/open_auction[not(@id = \"open_auction2\")]/bidder[increase > 10]" ]
+
 (* A path long enough to overflow the 62-state bitset representation,
    staying inside the schema (description -> parlist <-> listitem). *)
 let long_path =
@@ -71,7 +85,17 @@ let test_skip_set_contents () =
     [ "regions"; "people"; "categories"; "catgraph"; "closed_auctions" ];
   Alcotest.(check bool) "open_auctions is not skippable under U7" false
     (skippable "open_auctions");
-  Alcotest.(check bool) "site itself is never skippable here" false (skippable "site")
+  Alcotest.(check bool) "site itself is never skippable here" false (skippable "site");
+  (* the whole skip-set's size for each of U1-U10: the exploration
+     neither misses a configuration nor runs into [config_cap] *)
+  List.iteri
+    (fun i (path, skips) ->
+      let p = Schema.product (site ()) (nfa_of path) in
+      let label = Printf.sprintf "U%d" (i + 1) in
+      Alcotest.(check int) (label ^ " skip count") skips (Schema.skip_count p);
+      Alcotest.(check bool) (label ^ " not capped") false (Schema.capped p);
+      Alcotest.(check bool) (label ^ " not statically empty") false (Schema.statically_empty p))
+    (List.combine fig11 [ 13; 13; 16; 23; 55; 15; 21; 17; 22; 67 ])
 
 let test_long_path_exceeds_bitset () =
   let nfa = nfa_of long_path in
@@ -239,20 +263,6 @@ let test_skip_metrics_and_answers () =
           Alcotest.(check bool) "skipped nodes counted via size table" true
             (Metrics.skipped_nodes m > Metrics.skipped_subtrees m);
           Alcotest.(check bool) "a product was built" true (Fixtures.stat m "schema_products" > 0)))
-
-(* Fig. 11, U1-U10. *)
-let fig11 =
-  [ "/site/people/person";
-    "/site/people/person[@id = \"person10\"]";
-    "/site/people/person[profile/age > 20]";
-    "/site/regions//item";
-    "/site//description";
-    "/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist\
-     /listitem/text/emph/keyword";
-    u7_path;
-    "/site/open_auctions/open_auction[initial > 10 and reserve > 50]/bidder";
-    "/site/regions//item[location = \"United States\"]";
-    "/site//open_auctions/open_auction[not(@id = \"open_auction2\")]/bidder[increase > 10]" ]
 
 (* Result streams under pruning: each streamed engine over the
    schema-bound doc prunes something and sends the same bytes as a

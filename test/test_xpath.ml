@@ -168,6 +168,7 @@ let test_qualdp_matches_direct () =
       let lq = Lq.freeze b in
       (* bottom-up over the whole tree, no pruning: csat from children *)
       let tbl = Hashtbl.create 64 in
+      let sc = Lq.scratch lq and wanted = Lq.set_of_list lq (List.init (Lq.length lq) Fun.id) in
       let rec go e =
         List.iter go (Xut_xml.Node.child_elements e);
         let csat i =
@@ -177,12 +178,9 @@ let test_qualdp_matches_direct () =
               | None -> false)
             (Xut_xml.Node.child_elements e)
         in
-        let sat =
-          Lq.eval_at lq ~name:(Xut_xml.Node.name e) ~attrs:(Xut_xml.Node.attrs e)
-            ~text:(Xut_xml.Node.text_content e) ~csat
-            ~wanted:(List.init (Lq.length lq) Fun.id)
-        in
-        Hashtbl.replace tbl (Xut_xml.Node.id e) sat
+        Lq.eval lq sc ~name:(Xut_xml.Node.name e) ~attrs:(Xut_xml.Node.attrs e)
+          ~text:(Xut_xml.Node.text_content e) ~csat ~wanted;
+        Hashtbl.replace tbl (Xut_xml.Node.id e) (Array.init (Lq.length lq) (Lq.holds sc))
       in
       go d;
       Xut_xml.Node.iter_elements
