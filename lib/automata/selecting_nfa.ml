@@ -188,6 +188,9 @@ type t = {
   mutable attached : attached;
   named : Bytes.t;  (* bitmap over symbols: those a label state is entered by *)
   footprint : footprint option;
+  label_mask : int;
+      (* the label bit every selected node carries: the final state's
+         label, or all ones when the final state is not a label state *)
 }
 
 and footprint = { labels : Sym.t list; compared : Sym.t list }
@@ -349,7 +352,11 @@ let of_norm (norm : Norm.t) =
   { states; lq = Lq.freeze b; ctx_qual; true_idx; n; small; nwords; enter_sym; self_loop;
     eps_bits; eps_wide; eps_nq_bits; eps_nq_wide; eps_stop; quals; start;
     memo = [||]; attached = Nothing;
-    named = named_of enter_sym; footprint = footprint_of_steps norm.steps }
+    named = named_of enter_sym; footprint = footprint_of_steps norm.steps;
+    label_mask =
+      (match states.(n - 1).kind with
+      | K_label _ -> Xut_xml.Node.label_bit enter_sym.(n - 1)
+      | K_start | K_wild | K_desc | K_desc_test -> -1) }
 
 let of_path p = of_norm (Norm.steps p)
 
@@ -362,6 +369,7 @@ let state_lq t i = t.states.(i).lq_idx
 let has_qual t i = t.states.(i).lq_idx <> t.true_idx
 let ctx_qual t = t.ctx_qual
 let footprint t = t.footprint
+let label_mask t = t.label_mask
 let attached t = t.attached
 let attach t a = t.attached <- a
 let selects_context t = t.n = 1

@@ -77,6 +77,17 @@ val footprint : t -> footprint option
     nothing (no update edits an existing node's attributes), nor does
     the context qualifier (never tabled). *)
 
+val label_mask : t -> int
+(** The label bits a subtree must meet to hold a selected node.  When
+    the final state is a label state, every node the automaton selects
+    carries that label, so the mask is its {!Xut_xml.Node.label_bit};
+    otherwise (a wildcard, [//] or empty final step) it is all ones.
+    An element [e] with [Node.labels e land label_mask t = 0] has no
+    selected node at or below it: the summary's clear bits are exact,
+    whatever the document's schema.  The tree walks ([Top_down]'s run
+    and count, [Apply.select]) share such a subtree without a
+    transition.  Computed once by {!of_path}. *)
+
 type attached = ..
 (** A memo another module derives from the automaton and keeps with it
     ({!Annotator.steps}), so every run of a plan reads it. *)

@@ -42,11 +42,13 @@ let rebuild_children go states children =
    non-empty — shared with [transform_at], which settles it differently. *)
 let make_go ~checkp ?(skip = fun _ -> false) nfa update =
   (* the walk counts at every element: this domain's cells, taken once *)
-  let here = Counter.local () in
+  let here = Counter.local () and mask = Selecting_nfa.label_mask nfa in
   let rec go (e : Node.element) states =
-    if skip e then begin
-      (* schema skip-set: no configuration at or below this symbol can
-         accept, so the subtree is shared without running a transition *)
+    if Node.labels e land mask = 0 || skip e then begin
+      (* no node at or below [e] carries the label every selected node
+         carries (its label summary), or the schema skip-set says no
+         configuration at or below this symbol can accept: the subtree
+         is shared without running a transition *)
       Counter.bump_local here Stats.nodes_shared;
       Same
     end
@@ -95,10 +97,11 @@ let run ?checkp ?skip nfa update root =
 
    The same walk once more, returning only the result's element count:
    the input's count plus the update's effect, summed where [make_go]
-   would rebuild.  Shared subtrees (skipped or with an empty state set)
-   add nothing and are never entered; a deleted or replaced subtree
-   costs one read of its stored count.  The walk is one [let rec] over
-   elements and sibling lists, so it allocates nothing per element. *)
+   would rebuild.  Shared subtrees (pruned by label summary, skipped, or
+   with an empty state set) add nothing and are never entered; a deleted
+   or replaced subtree costs one read of its stored count.  The walk is
+   one [let rec] over elements and sibling lists, so it allocates
+   nothing per element. *)
 
 (* the elements an update adds at each match *)
 let added = function
@@ -109,9 +112,9 @@ let added = function
 
 let count ?checkp ?(skip = fun _ -> false) nfa update root =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  let here = Counter.local () in
+  let here = Counter.local () and mask = Selecting_nfa.label_mask nfa in
   let rec go (e : Node.element) states =
-    if skip e then begin
+    if Node.labels e land mask = 0 || skip e then begin
       Counter.bump_local here Stats.nodes_shared;
       0
     end
@@ -159,7 +162,7 @@ let count ?checkp ?(skip = fun _ -> false) nfa update root =
     | Transform_ast.Insert _ | Transform_ast.Insert_first _ -> elements + added update
     | Transform_ast.Delete _ | Transform_ast.Rename _ -> elements
   end
-  else if skip root then begin
+  else if Node.labels root land mask = 0 || skip root then begin
     Counter.bump_local here Stats.nodes_shared;
     elements
   end

@@ -6,13 +6,18 @@ open Xut_automata
     A single top-down pass runs the selecting NFA while rebuilding the
     tree; subtrees where the state set empties are returned {e shared},
     without inspection — the pruning that separates this method from the
-    Naive one.  Only the spine above each change is rebuilt: a node none
-    of whose children changed is returned physically, with nothing
-    allocated, so an update that selects nothing returns the input
-    root itself.  Qualifier checking is pluggable: the default consults the
-    direct evaluator at each node (the GENTOP configuration, where the
-    "host engine" evaluates qualifiers natively); the Two-pass method
-    passes the O(1) oracle from {!Xut_automata.Annotator} instead. *)
+    Naive one.  So is, before any transition, every subtree whose label
+    summary ({!Xut_xml.Node.labels}) misses the automaton's
+    {!Xut_automata.Selecting_nfa.label_mask}: no node in it carries the
+    label every selected node carries, so a [//] walk skips what cannot
+    hold a target, with or without a schema.  Only the spine above each
+    change is rebuilt: a node none of whose children changed is returned
+    physically, with nothing allocated, so an update that selects
+    nothing returns the input root itself.  Qualifier checking is
+    pluggable: the default consults the direct evaluator at each node
+    (the GENTOP configuration, where the "host engine" evaluates
+    qualifiers natively); the Two-pass method passes the O(1) oracle
+    from {!Xut_automata.Annotator} instead. *)
 
 (** What the walk makes of one node: the node itself, shared as it is,
     or the forest that takes its place (empty when it is deleted). *)
@@ -45,7 +50,9 @@ val run :
     [skip], when given, is a schema skip-set oracle
     ({!Xut_schema.Schema.skippable} over a validated document): a [true]
     answer promises no node at or below the argument can be selected, so
-    the subtree is shared without running any transition.
+    the subtree is shared without running any transition.  The service
+    no longer passes one (the label summaries prune the same subtrees
+    from the data); perfbench's replay still does.
     @raise Transform_ast.Invalid_update as {!Semantics.apply}. *)
 
 val transform : Transform_ast.update -> Node.element -> Node.element
@@ -80,7 +87,8 @@ val count :
     building the result.  The answer is the input's count
     ({!Node.elements}) plus Δ, where Δ sums, over the nodes the walk
     reaches:
-    - a skipped subtree or one whose state set empties: 0 (never entered);
+    - a subtree pruned by its label summary, a skipped one, or one whose
+      state set empties: 0 (never entered);
     - a matched [Delete] of [e]: [-elements e];
     - a matched [Replace] of [e] by [enew]: [element_count enew - elements e];
     - a matched [Insert]/[Insert_first] of [enew]: the children's Δ plus

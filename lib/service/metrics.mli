@@ -138,10 +138,13 @@ val compose_fallbacks : t -> int
 (** {2 Schema pruning}
 
     Element subtrees the skip-set pruned without a visit and the exact
-    number of elements inside them (the counts their roots store: work avoided,
-    not done); requests rejected at admission because the NFA x schema
-    product proved the query selects nothing; and products constructed
-    rather than served from a per-plan memo. *)
+    number of elements inside them (the counts their roots store: work
+    avoided, not done), in TD-BU's cold annotation pass and in
+    twoPassSAX (the topDown walks prune by label summary instead and
+    count those subtrees only as [nodes_shared]); requests rejected at
+    admission because the NFA x schema product proved the query selects
+    nothing; and products constructed rather than served from a
+    per-plan memo. *)
 
 val add_skipped : t -> subtrees:int -> nodes:int -> unit
 val incr_statically_empty : t -> unit

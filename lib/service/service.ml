@@ -234,15 +234,17 @@ let refuse code fmt = Printf.ksprintf (fun message -> Stdlib.Error (Error { code
    multiplied with it ({!Xut_schema.Schema.product}, memoized per plan):
    a statically-empty product rejects the request before any document
    work, and otherwise the product's skip-set becomes a per-request
-   oracle the engines consult to share whole subtrees without visiting
-   them.  The oracle also does the accounting: each [true] answer is one
-   pruned subtree, whose element count the subtree's root stores (work
-   {e avoided}, measured in O(1)).  It sums into the request's own
-   record, which [run_read] adds to the metrics once. *)
+   oracle that TD-BU's cold annotation pass and twoPassSAX consult to
+   share whole subtrees without visiting them (the topDown walks prune
+   by label summary instead).  The oracle also does the accounting:
+   each [true] answer is one pruned subtree, whose element count the
+   subtree's root stores (work {e avoided}, measured in O(1)).  It sums
+   into the request's own record, which [run_read] adds to the metrics
+   once. *)
 
 type pruning = {
   product : Xut_schema.Schema.product;
-  skip : Xut_xml.Node.element -> bool;  (* counting oracle for DOM engines *)
+  skip : Xut_xml.Node.element -> bool;  (* counting oracle for the tree annotator *)
   mutable skipped_subtrees : int;
   mutable skipped_nodes : int;
 }
@@ -310,9 +312,9 @@ let memo_checkp ?skip memo nfa (engine : Engine.algo) root =
 (* Engines that consume the selecting NFA take the precompiled [nfa]
    and the optional oracles.  The others (Naive, snapshot copy,
    reference, SAX) only need the parsed AST. *)
-let transform_with ?checkp ?skip nfa update (engine : Engine.algo) root =
+let transform_with ?checkp nfa update (engine : Engine.algo) root =
   match engine with
-  | Engine.Gentop | Engine.Td_bu -> Top_down.run ?checkp ?skip nfa update root
+  | Engine.Gentop | Engine.Td_bu -> Top_down.run ?checkp nfa update root
   | other -> Engine.transform other update root
 
 (* [parse query], a failure as the [Query_parse_error] reply. *)
@@ -485,17 +487,19 @@ let handler_of = function
   | Handler h -> h
 
 (* [plan]'s result over the input with [engine].  The walk engines run
-   topDown with the skip-set and TD-BU's memoized oracle, and count a
-   snapshot's result with {!Top_down.count} (the element count plus the
-   update's effect, each term a stored count) without building it. *)
+   topDown with TD-BU's memoized oracle, whose cold annotation takes the
+   skip-set, and count a snapshot's result with {!Top_down.count} (the
+   element count plus the update's effect, each term a stored count)
+   without building it.  The walks themselves take no skip-set: the
+   label summaries prune from the data what it would prune. *)
 let result_tree ?skip (plan : Plan_cache.plan) engine input =
   let nfa = plan.Plan_cache.nfa and update = plan.Plan_cache.query.Transform_ast.update in
   let root = root_of input in
   let checkp = memo_checkp ?skip plan.Plan_cache.annotations nfa engine root in
-  let build () = transform_with ?checkp ?skip nfa update engine root in
+  let build () = transform_with ?checkp nfa update engine root in
   let count () =
     match (engine, input) with
-    | (Engine.Gentop | Engine.Td_bu), Snapshot _ -> Top_down.count ?checkp ?skip nfa update root
+    | (Engine.Gentop | Engine.Td_bu), Snapshot _ -> Top_down.count ?checkp nfa update root
     | _ -> Xut_xml.Node.elements (build ())
   in
   Result_tree { build; count }

@@ -238,9 +238,9 @@ val call : t -> request -> response
       update the document element cannot take fails before any chunk.
     - [engine = None] ([TRANSFORM-STREAM]) asks for a streaming tier
       only for a file, the input that is not in memory.  A [From_doc]
-      stream is the [engine = Some Gentop] one exactly, skip-set and
-      reply image included, and counts as no tier.  A [From_file] one
-      is the constant-memory {e input} path, classified by
+      stream is the [engine = Some Gentop] one exactly, label-summary
+      pruning and reply image included, and counts as no tier.  A
+      [From_file] one is the constant-memory {e input} path, classified by
       {!Core.Sax_transform.tier}: with a trivial context qualifier the
       file is driven through the single-parse SAX transform
       ({!Core.Sax_transform.run_buffered}) straight into the sink,

@@ -18,12 +18,13 @@ let op_of_update = function
   | Core.Transform_ast.Rename (_, l) -> Pending.Rename l
 
 (* topDown's selection (Sec. 3.3) without the rebuild: the walk stops
-   wherever the state set empties, and collects the selected nodes in
-   document order.  [go] answers whether a target lies at or below [e];
-   [mark] receives the id of each element with a target strictly below
-   it, so marking allocates nothing per node: the walk allocates per
-   target, per marked ancestor, and when the transition it reuses
-   changes. *)
+   wherever the state set empties, or before any transition where the
+   element's label summary misses the label every selected node
+   carries, and collects the selected nodes in document order.  [go]
+   answers whether a target lies at or below [e]; [mark] receives the id
+   of each element with a target strictly below it, so marking
+   allocates nothing per node: the walk allocates per target, per
+   marked ancestor, and when the transition it reuses changes. *)
 let select ?(mark = ignore) path root =
   let nfa = Selecting_nfa.of_path path in
   if not (Core.Semantics.ctx_holds nfa root) then []
@@ -45,7 +46,14 @@ let select ?(mark = ignore) path root =
         if not (Selecting_nfa.names nfa sym) then unnamed := Some (states, to_);
         to_
     in
+    let mask = Selecting_nfa.label_mask nfa in
     let rec go states (e : Node.element) =
+      if Node.labels e land mask = 0 then begin
+        Counter.bump_local here Core.Stats.nodes_shared;
+        false
+      end
+      else visit states e
+    and visit states e =
       incr visits;
       let states' =
         if unchecked then next_unchecked states (Node.sym e)

@@ -17,11 +17,14 @@ open Xut_xml
 
     Both halves cost the spine, not the document.  Each update's path is
     resolved by a walk of its selecting NFA ({!select}), which stops
-    wherever the state set empties and marks every proper ancestor of a
-    target; the rebuild then answers [Same] at any element that is
-    neither a target nor marked, without descending.  What stays
-    O(document) is the selection itself when a path's states never
-    empty, as under a [//x] step.
+    wherever the state set empties, and before any transition at an
+    element whose label summary ({!Xut_xml.Node.labels}) misses the
+    path's {!Xut_automata.Selecting_nfa.label_mask}, and marks every
+    proper ancestor of a target; the rebuild then answers [Same] at any
+    element that is neither a target nor marked, without descending.
+    So a [//x] step enters only the subtrees that hold an [x] (or a name
+    sharing its summary bit), with or without a schema; what stays
+    O(document) is a path whose final step is a wildcard or [//].
 
     Snapshot semantics: with several updates in one [modify do (...)],
     every path is resolved against the {e original} tree — unlike a
@@ -49,11 +52,13 @@ val select : ?mark:(int -> unit) -> Xut_xpath.Ast.path -> Node.element -> Node.e
     order: the same list as [Xut_xpath.Eval.select_doc] (the reference
     semantics), found by a walk of the path's selecting NFA as
     {!Core.Top_down.run} walks — the context qualifier checked on the
-    document node, and no descent below an element whose state set is
-    empty.  [mark] is called once with the id of each element that has
-    a selected node strictly below it.  Marking allocates nothing per
-    element, and the walk counts one {!Core.Stats.nodes_visited} per element it
-    enters. *)
+    document node, no descent below an element whose state set is
+    empty, and none into an element whose label summary misses the
+    path's label mask.  [mark] is called once with the id of each
+    element that has a selected node strictly below it.  Marking
+    allocates nothing per element, and the walk counts one
+    {!Core.Stats.nodes_visited} per element it enters and one
+    {!Core.Stats.nodes_shared} per subtree its label summary prunes. *)
 
 val stage : Core.Transform_ast.update list -> Node.element -> report * Pending.normalized
 (** Resolve every update with {!select} against the one snapshot (the

@@ -11,21 +11,27 @@ and element = {
   attrs : (string * string) list;
   children : t list;
   elements : int;
+  labels : int;
 }
 
 let counter = Atomic.make 0
 
 let fresh_id () = Atomic.fetch_and_add counter 1 + 1
 
-(* 1 plus the counts of the element children *)
-let rec count_from acc = function
-  | [] -> acc
-  | Element e :: rest -> count_from (acc + e.elements) rest
-  | (Text _ | Comment _ | Pi _) :: rest -> count_from acc rest
+let label_bit sym = 1 lsl (sym mod 63)
+
+(* The element record, its counts summed in one pass over [children]:
+   [elements] is 1 plus the children's, [labels] its own label's bit or-ed
+   with the children's *)
+let rec summed id name sym attrs children elements labels = function
+  | [] -> { id; name; sym; attrs; children; elements; labels }
+  | Element c :: rest ->
+    summed id name sym attrs children (elements + c.elements) (labels lor c.labels) rest
+  | (Text _ | Comment _ | Pi _) :: rest -> summed id name sym attrs children elements labels rest
 
 let element ?(attrs = []) name children =
-  { id = fresh_id (); name; sym = Sym.intern (Counter.local ()) name; attrs; children;
-    elements = count_from 1 children }
+  let sym = Sym.intern (Counter.local ()) name in
+  summed (fresh_id ()) name sym attrs children 1 (label_bit sym) children
 
 let elem ?attrs name children = Element (element ?attrs name children)
 let text s = Text s
@@ -33,13 +39,14 @@ let comment s = Comment s
 let pi target content = Pi (target, content)
 
 let with_children e children =
-  { e with id = fresh_id (); children; elements = count_from 1 children }
+  summed (fresh_id ()) e.name e.sym e.attrs children 1 (label_bit e.sym) children
 
 let name e = e.name
 let sym e = e.sym
 let id e = e.id
 let children e = e.children
 let elements e = e.elements
+let labels e = e.labels
 let attrs e = e.attrs
 let attr e k = List.assoc_opt k e.attrs
 

@@ -24,6 +24,15 @@ and element = private {
       (** the number of elements at and below this one, itself included:
           set by every constructor, so counting a subtree is a field
           read *)
+  labels : int;
+      (** the label summary: the {!label_bit} of every element name at
+          and below this one, itself included, or-ed together.  Set by
+          every constructor in the same pass that sums [elements].  The
+          63 bits are shared modulo 63, so a clear bit is exact (no
+          element of the subtree carries a name of that bit) and a set
+          bit only says "maybe".  A walk that can select only elements
+          of one name skips any subtree whose summary misses that name's
+          bit ({!Xut_automata.Selecting_nfa.label_mask}) *)
 }
 
 val elem : ?attrs:(string * string) list -> string -> t list -> t
@@ -38,7 +47,10 @@ val pi : string -> string -> t
 
 val with_children : element -> t list -> element
 (** Replace the child list, keeping name/attrs and allocating a fresh id
-    (and counting the new children's elements). *)
+    (and summing the new children's elements and labels). *)
+
+val label_bit : Sym.t -> int
+(** [1 lsl (sym mod 63)]: the bit a name sets in {!labels}. *)
 
 val name : element -> string
 
@@ -51,6 +63,9 @@ val children : element -> t list
 val elements : element -> int
 (** The element's [elements] field: {!element_count} without boxing
     the element as a {!t}. *)
+
+val labels : element -> int
+(** The element's [labels] field: its subtree's label summary. *)
 
 val attrs : element -> (string * string) list
 val attr : element -> string -> string option
@@ -85,7 +100,8 @@ val descendant_or_self : element -> element list
 
 val refresh_ids : t -> t
 (** Deep copy with fresh ids for every element (used by the
-    copy-and-update baseline to model a full snapshot). *)
+    copy-and-update baseline to model a full snapshot); counts and
+    summaries are kept. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer (single line, ids omitted). *)

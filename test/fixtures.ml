@@ -119,16 +119,22 @@ let rec recount (e : Node.element) =
     (fun acc -> function Node.Element c -> acc + recount c | _ -> acc)
     1 (Node.children e)
 
-(* Does every element of [e]'s subtree store the count a walk gives? *)
+(* Does every element of [e]'s subtree store the count and the label
+   summary a walk gives? *)
 let counts_exact (e : Node.element) =
   let rec walk e =
-    let n =
+    let n, labels =
       List.fold_left
-        (fun acc -> function Node.Element c -> acc + walk c | _ -> acc)
-        1 (Node.children e)
+        (fun (n, labels) -> function
+          | Node.Element c ->
+            let n', labels' = walk c in
+            (n + n', labels lor labels')
+          | _ -> (n, labels))
+        (1, 1 lsl (Node.sym e mod 63))
+        (Node.children e)
     in
-    if n <> Node.elements e then raise Exit;
-    n
+    if n <> Node.elements e || labels <> Node.labels e then raise Exit;
+    (n, labels)
   in
   match walk e with _ -> true | exception Exit -> false
 

@@ -861,15 +861,63 @@ let prop_xquery_print_parse =
 
 (* ---- stored element counts ---- *)
 
-(* Every way the library builds an element stores the count a walk
-   finds, at every element: the generator's constructors, a DOM parse
-   (through the SAX builder), [with_children], [refresh_ids], a topDown
-   result, a committed tree ([Apply.materialize]), twoPassSAX's rebuilt
-   tree and XQuery element constructors. *)
+(* Two names whose symbols share a summary bit (equal mod 63), A fresh
+   and B the name of A's symbol minus 63, in
+   [<r><p><A/></p><q><B/></q><s><C/></s></r>], where r, p, q, s and C
+   are fresh names after A, so no bit of theirs is A's: a walk for
+   either name enters the other's subtree (the shared bit is set there)
+   and prunes only s, and every answer is the reference's. *)
+let shared_bit_case =
+  lazy
+    (let here = Counter.local () and k = ref 0 in
+     let fresh () =
+       incr k;
+       let name = Printf.sprintf "xut_shared_bit_%d" !k in
+       (name, Sym.intern here name)
+     in
+     let rec past_one_word () =
+       match fresh () with (_, sym) as a when sym >= 63 -> a | _ -> past_one_word ()
+     in
+     let a, sym_a = past_one_word () in
+     let b = Sym.name (sym_a - 63) in
+     let name () = fst (fresh ()) in
+     let r = name () and p = name () and q = name () and s = name () and c = name () in
+     let leaf l = Node.elem l [] in
+     let root =
+       Node.element r
+         [ Node.elem p [ leaf a ]; Node.elem q [ leaf b ]; Node.elem s [ leaf c ] ]
+     in
+     Alcotest.(check bool) "A and B share a bit" true
+       (Node.label_bit sym_a = Node.label_bit (Sym.intern here b));
+     List.iter
+       (fun x ->
+         let path = Ast.[ step (Label r); step Descendant; step (Label x) ] in
+         let nfa = Xut_automata.Selecting_nfa.of_path path in
+         let update = Transform_ast.Delete path in
+         let v0 = Counter.value Stats.nodes_visited and s0 = Counter.value Stats.nodes_shared in
+         let n = Top_down.count nfa update root in
+         Alcotest.(check (pair int int)) (x ^ ": visits r, p, A, q, B; shares s") (5, 1)
+           (Counter.value Stats.nodes_visited - v0, Counter.value Stats.nodes_shared - s0);
+         let expected = Engine.transform Engine.Reference update root in
+         Alcotest.(check int) (x ^ ": count = reference") (Node.elements expected) n;
+         Alcotest.(check string) (x ^ ": run = reference") (Serialize.element_to_string expected)
+           (Serialize.element_to_string (Top_down.run nfa update root));
+         Alcotest.(check (list int)) (x ^ ": resolve = Eval.select_doc")
+           (List.map Node.id (Eval.select_doc root path))
+           (List.map Node.id (Xut_update.Apply.select path root)))
+       [ a; b ])
+
+(* Every way the library builds an element stores the count and the
+   label summary a walk finds, at every element: the generator's
+   constructors, a DOM parse (through the SAX builder), [with_children],
+   [refresh_ids], a topDown result, a committed tree
+   ([Apply.materialize]), twoPassSAX's rebuilt tree and XQuery element
+   constructors.  Each case also forces [shared_bit_case]. *)
 let prop_counts_exact =
   QCheck2.Test.make ~name:"stored element counts = recount, every constructor" ~count
     QCheck2.Gen.(pair gen_root gen_update)
     (fun (root, update) ->
+      Lazy.force shared_bit_case;
       let nfa = Xut_automata.Selecting_nfa.of_path (Transform_ast.path update) in
       let committed () =
         match Xut_update.Apply.run [ update ] root with

@@ -56,18 +56,46 @@ let prop_repair_equals_annotate =
 
 (* ---- commits compounding on one document ---- *)
 
+(* One pending list: [rename X as Y] with Y a document label, beside an
+   edit strictly below X.  Both paths resolve against the tree before
+   the commit, so the edit's spine runs through the renamed node, where
+   what the run passes down to the rebuilt children changes; the rename
+   also changes the renamed node's own bit in its label summary and in
+   every ancestor's. *)
+let gen_rename_and_edit =
+  let open QCheck2.Gen in
+  let open Xut_xpath.Ast in
+  let* x = map (fun p -> step (Label "r") :: p) (Test_properties.gen_path_simple 2) in
+  let* y = Test_properties.gen_label in
+  let* below = Test_properties.gen_path_simple 2 in
+  let* edit = Test_properties.gen_update_on (return (x @ below)) in
+  return [ Core.Transform_ast.Rename (x, y); edit ]
+
+(* Commits: a single random update, or as often a rename-plus-edit
+   pair. *)
+let gen_commit =
+  QCheck2.Gen.(
+    frequency [ (1, map (fun u -> [ u ]) Test_properties.gen_update); (1, gen_rename_and_edit) ])
+
+(* Plans from the document element with one qualifier, so what a
+   renamed node passes down to its children is something a table
+   holds. *)
+let gen_qualified_plan =
+  QCheck2.Gen.(
+    Test_properties.gen_path_simple 3
+    >>= fun p -> Test_properties.gen_qualified (Xut_xpath.Ast.step (Xut_xpath.Ast.Label "r") :: p))
+
 let prop_repair_compounds =
-  QCheck2.Test.make ~name:"repair compounds across successive commits" ~count:60
+  QCheck2.Test.make ~name:"repair compounds across successive commits" ~count:400
     QCheck2.Gen.(
-      triple Test_properties.gen_root Test_properties.gen_path
-        (list_size (int_range 4 10) Test_properties.gen_update))
-    (fun (root0, path, us) ->
+      triple Test_properties.gen_root gen_qualified_plan (list_size (int_range 4 10) gen_commit))
+    (fun (root0, path, commits) ->
       let nfa = Selecting_nfa.of_path path in
       let root = ref root0 in
       let table = ref (Annotator.annotate nfa root0) in
       List.for_all
-        (fun u ->
-          match Apply.run [ u ] !root with
+        (fun us ->
+          match Apply.run us !root with
           | Error _ | Ok (_, None) -> true
           | exception Apply.Invalid _ -> true
           | Ok (_, Some (root', diff)) when not (Hashtbl.mem diff.Apply.spine (Node.id root'))
@@ -89,7 +117,7 @@ let prop_repair_compounds =
               table := repaired;
               ok
           end)
-        us)
+        commits)
 
 (* ---- commits a plan cannot observe: the re-key ---- *)
 

@@ -1713,7 +1713,7 @@ let test_golden_stats () =
               ("stream_fallbacks", "0"); ("annotation_repairs", "1"); ("repair_reused_nodes", "94");
               ("repair_rekeyed", "1");
               ("view_defs", "1"); ("view_hits", "1"); ("composed_plans", "1");
-              ("skipped_subtrees", "368"); ("skipped_nodes", "6038");
+              ("skipped_subtrees", "256"); ("skipped_nodes", "1448");
               ("statically_empty_rejections", "2"); ("schema_products", "5"); ("commits", "1");
               ("commit_noops", "1"); ("pending_primitives_count", "1");
               ("pending_primitives_p50", "4"); ("pending_primitives_p95", "4");

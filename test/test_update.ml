@@ -501,6 +501,46 @@ let test_commit_visits_bounded_by_spine () =
            root there_and_back))
     [ 0.01; 0.04 ]
 
+(* Label summaries prune [//] walks without a schema: on XMark f=0.01
+   (seed 1), topDown's count of U5 and of U10, and the marker delete's
+   resolve after the marker insert, enter exactly these many elements.
+   When only an empty state set stopped them they entered 9599, 14208
+   and 14876: every element under the [//].  U5 stays at 1121, the
+   elements with a description at or below them, which a schema-bound
+   walk also enters.  A name of the document that shared the selected
+   label's summary bit would raise a pin. *)
+let test_summaries_prune_visits () =
+  let root = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
+  let visits what pin f =
+    let v0 = Counter.value Core.Stats.nodes_visited in
+    let r = f () in
+    Alcotest.(check int) (what ^ ": visits") pin (Counter.value Core.Stats.nodes_visited - v0);
+    r
+  in
+  let count p pin =
+    let path = Xut_xpath.Parser.parse p in
+    let nfa = Xut_automata.Selecting_nfa.of_path path in
+    let update = Core.Transform_ast.Delete path in
+    let n = visits p pin (fun () -> Core.Top_down.count nfa update root) in
+    Alcotest.(check int) (p ^ ": = reference")
+      (Node.elements (Core.Engine.transform Core.Engine.Reference update root)) n
+  in
+  count "/site//description" 1121;
+  count "/site//open_auctions/open_auction[not(@id = \"open_auction2\")]/bidder[increase > 10]" 310;
+  let marked =
+    match
+      Apply.run
+        (updates "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction")
+        root
+    with
+    | Ok (_, Some (root', _)) -> root'
+    | _ -> Alcotest.fail "marker insert"
+  in
+  let path = Core.Transform_ast.path (List.hd (updates "delete $a//xut_bench_promo")) in
+  let got = visits "marker delete's resolve" 467 (fun () -> Apply.select path marked) in
+  Alcotest.(check (list int)) "resolve = Eval.select_doc"
+    (List.map Node.id (Xut_xpath.Eval.select_doc marked path)) (List.map Node.id got)
+
 (* The write path's selection is the selecting NFA's walk, and the
    reference semantics is [Eval.select_doc]: the same ids in the same
    order over random documents and paths with '.' steps and context
@@ -563,5 +603,7 @@ let suite =
       test_materialize_alloc_bounded_by_spine;
     Alcotest.test_case "one-target commit visits its spine" `Quick
       test_commit_visits_bounded_by_spine;
+    Alcotest.test_case "label summaries prune // walks (exact visits)" `Quick
+      test_summaries_prune_visits;
     QCheck_alcotest.to_alcotest prop_select_matches_eval;
   ]
