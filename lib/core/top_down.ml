@@ -97,8 +97,8 @@ let run ?checkp ?skip nfa update root =
 
    The same walk once more, returning only the result's element count:
    the input's count plus the update's effect, summed where [make_go]
-   would rebuild.  Shared subtrees (pruned by label summary, skipped, or
-   with an empty state set) add nothing and are never entered; a deleted
+   would rebuild.  Shared subtrees (pruned by label summary or with an
+   empty state set) add nothing and are never entered; a deleted
    or replaced subtree costs one read of its stored count.  The walk is
    one [let rec] over elements and sibling lists, so it allocates
    nothing per element. *)
@@ -110,11 +110,11 @@ let added = function
     Node.element_count enew
   | Transform_ast.Delete _ | Transform_ast.Rename _ -> 0
 
-let count ?checkp ?(skip = fun _ -> false) nfa update root =
+let count ?checkp nfa update root =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
   let here = Counter.local () and mask = Selecting_nfa.label_mask nfa in
   let rec go (e : Node.element) states =
-    if Node.labels e land mask = 0 || skip e then begin
+    if Node.labels e land mask = 0 then begin
       Counter.bump_local here Stats.nodes_shared;
       0
     end
@@ -162,7 +162,7 @@ let count ?checkp ?(skip = fun _ -> false) nfa update root =
     | Transform_ast.Insert _ | Transform_ast.Insert_first _ -> elements + added update
     | Transform_ast.Delete _ | Transform_ast.Rename _ -> elements
   end
-  else if Node.labels root land mask = 0 || skip root then begin
+  else if Node.labels root land mask = 0 then begin
     Counter.bump_local here Stats.nodes_shared;
     elements
   end

@@ -51,8 +51,10 @@ val run :
     ({!Xut_schema.Schema.skippable} over a validated document): a [true]
     answer promises no node at or below the argument can be selected, so
     the subtree is shared without running any transition.  The service
-    no longer passes one (the label summaries prune the same subtrees
-    from the data); perfbench's replay still does.
+    no longer passes one: the label summaries prune from the data a
+    subset of what it prunes (a subtree without the final label, but not
+    one that holds the label only where the path cannot reach it).
+    perfbench's replay still passes one.
     @raise Transform_ast.Invalid_update as {!Semantics.apply}. *)
 
 val transform : Transform_ast.update -> Node.element -> Node.element
@@ -78,7 +80,6 @@ val stream :
 
 val count :
   ?checkp:checkp ->
-  ?skip:(Node.element -> bool) ->
   Selecting_nfa.t ->
   Transform_ast.update ->
   Node.element ->
@@ -87,8 +88,8 @@ val count :
     building the result.  The answer is the input's count
     ({!Node.elements}) plus Δ, where Δ sums, over the nodes the walk
     reaches:
-    - a subtree pruned by its label summary, a skipped one, or one whose
-      state set empties: 0 (never entered);
+    - a subtree pruned by its label summary, or one whose state set
+      empties: 0 (never entered);
     - a matched [Delete] of [e]: [-elements e];
     - a matched [Replace] of [e] by [enew]: [element_count enew - elements e];
     - a matched [Insert]/[Insert_first] of [enew]: the children's Δ plus
@@ -97,8 +98,9 @@ val count :
 
     Every term is O(1), since each element stores its count, so the walk
     costs the nodes it visits and allocates nothing per element (beyond
-    what [checkp] allocates).  [checkp] and [skip] are as for {!run},
-    consulted at exactly the same nodes.
+    what [checkp] allocates).  [checkp] is as for {!run}, consulted at
+    exactly the same nodes as a {!run} without [skip]; [count] takes no
+    skip-set.
     @raise Transform_ast.Invalid_update exactly where {!run} does: the
     document element deleted or replaced by a non-element. *)
 

@@ -490,8 +490,10 @@ let handler_of = function
    topDown with TD-BU's memoized oracle, whose cold annotation takes the
    skip-set, and count a snapshot's result with {!Top_down.count} (the
    element count plus the update's effect, each term a stored count)
-   without building it.  The walks themselves take no skip-set: the
-   label summaries prune from the data what it would prune. *)
+   without building it.  The walks themselves take no skip-set: they
+   prune by label summary, which rules out a subtree without the final
+   label but, unlike the skip-set, not one that holds the label only
+   where the path cannot reach it. *)
 let result_tree ?skip (plan : Plan_cache.plan) engine input =
   let nfa = plan.Plan_cache.nfa and update = plan.Plan_cache.query.Transform_ast.update in
   let root = root_of input in

@@ -77,18 +77,23 @@ let gen_commit =
   QCheck2.Gen.(
     frequency [ (1, map (fun u -> [ u ]) Test_properties.gen_update); (1, gen_rename_and_edit) ])
 
-(* Plans from the document element with one qualifier, so what a
-   renamed node passes down to its children is something a table
-   holds. *)
-let gen_qualified_plan =
+(* Plans: the random paths of [Test_properties.gen_path] (unqualified
+   ones, and ones that start with [//] or [*]), or as often a plan from
+   the document element with one qualifier, so what a renamed node
+   passes down to its children is something a table holds. *)
+let gen_compound_plan =
   QCheck2.Gen.(
-    Test_properties.gen_path_simple 3
-    >>= fun p -> Test_properties.gen_qualified (Xut_xpath.Ast.step (Xut_xpath.Ast.Label "r") :: p))
+    frequency
+      [ (1, Test_properties.gen_path);
+        ( 1,
+          Test_properties.gen_path_simple 3
+          >>= fun p ->
+          Test_properties.gen_qualified (Xut_xpath.Ast.step (Xut_xpath.Ast.Label "r") :: p) ) ])
 
 let prop_repair_compounds =
   QCheck2.Test.make ~name:"repair compounds across successive commits" ~count:400
     QCheck2.Gen.(
-      triple Test_properties.gen_root gen_qualified_plan (list_size (int_range 4 10) gen_commit))
+      triple Test_properties.gen_root gen_compound_plan (list_size (int_range 4 10) gen_commit))
     (fun (root0, path, commits) ->
       let nfa = Selecting_nfa.of_path path in
       let root = ref root0 in

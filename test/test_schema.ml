@@ -106,9 +106,10 @@ let test_long_path_exceeds_bitset () =
 (* The soundness claim, checked both on the TD-BU oracle path (skip
    threaded through the annotator AND the top-down walk) and on the
    GENTOP direct path: with the skip oracle the output tree serializes
-   identically, so COUNT agrees too — and the counting walk, pruned and
-   sizing deleted subtrees from the validation's size table, gives the
-   same count as the unpruned walk and as the materialized result. *)
+   identically.  The counting walk takes no skip-set, as the service
+   runs it: over the oracle of an annotation built under the skip-set
+   and over the direct one, it gives the same count as over the
+   unpruned annotation and as the materialized result. *)
 let equivalent path_s root =
   let q = Core.Transform_parser.parse (delete_q path_s) in
   let upd = q.Core.Transform_ast.update in
@@ -123,8 +124,8 @@ let equivalent path_s root =
   let g0 = Core.Top_down.run ~checkp:(Core.Top_down.direct_checkp nfa) nfa upd root in
   let g1 = Core.Top_down.run ~checkp:(Core.Top_down.direct_checkp nfa) ~skip nfa upd root in
   let n0 = Core.Top_down.count ~checkp:(Annotator.checkp t0 nfa) nfa upd root in
-  let n1 = Core.Top_down.count ~checkp:(Annotator.checkp t1 nfa) ~skip nfa upd root in
-  let ng = Core.Top_down.count ~skip nfa upd root in
+  let n1 = Core.Top_down.count ~checkp:(Annotator.checkp t1 nfa) nfa upd root in
+  let ng = Core.Top_down.count nfa upd root in
   let out_count = Xut_xml.Node.element_count (Xut_xml.Node.Element out0) in
   s out0 = s out1 && s g0 = s g1 && s out0 = s g0
   && out_count = Xut_xml.Node.element_count (Xut_xml.Node.Element out1)
@@ -612,10 +613,11 @@ let prop_schema_count_differential =
 
 (* The counting walk allocates a small fixed number of words per call,
    whatever it visits: U1-U10 over the schema-bound XMark f=0.01
-   document, with the skip-set and TD-BU's annotation oracle, all under
-   one bound (U5 visits 1121 elements, U1 257).  Each call measured 25
-   words (its closures and the reading's own float); the bound is that
-   plus a tenth. *)
+   document, as the service counts them (TD-BU's annotation oracle,
+   built under the skip-set, and no skip-set in the walk), all under one
+   bound (U5 visits 1121 elements, U1 257).  Each call measured 25 words
+   when the walk also took the skip-set, 23 without it (its closures and
+   the reading's own float); the bound is 25 plus a tenth. *)
 let count_words_bound = 28.
 let test_count_allocation () =
   let root = Xut_xmark.Generator.generate ~factor:0.01 () in
@@ -627,7 +629,7 @@ let test_count_allocation () =
       let skip e = Schema.skippable product (Xut_xml.Node.sym e) in
       let checkp = Annotator.checkp (Annotator.annotate ~skip nfa root) nfa in
       let update = Core.Transform_ast.Delete (Xut_xpath.Parser.parse p) in
-      let count () = Core.Top_down.count ~checkp ~skip nfa update root in
+      let count () = Core.Top_down.count ~checkp nfa update root in
       ignore (count ());
       let calls = 20 in
       let before = Gc.minor_words () in
