@@ -2,7 +2,7 @@
    nextStates transitions, QualDP evaluation, SAX parsing throughput —
    plus an end-to-end ns-per-node measurement for TD-BU on XMark with
    the qualifier-heavy query subset (the hot path the bitset NFA and
-   transition memo target).
+   the plan's lazy DFA target).
 
    With [~json] the results are also written as a machine-readable JSON
    file (one object per measurement), seeding the BENCH trajectory. *)
@@ -19,7 +19,8 @@ let tests () =
   let doc_text = Xut_xml.Serialize.element_to_string doc in
   (* the same document indented: newlines and indentation runs between tags *)
   let pretty_text = Xut_xml.Serialize.element_to_string ~indent:2 doc in
-  let start = Xut_automata.Selecting_nfa.start nfa in
+  let dfa = Xut_automata.Dfa.of_nfa nfa in
+  let start = Xut_automata.Dfa.start dfa in
   let labels = [| "site"; "open_auctions"; "open_auction"; "bidder"; "increase"; "x" |] in
   let here = Xut_xml.Counter.local () in
   let syms = Array.map (Xut_xml.Sym.intern here) labels in
@@ -34,7 +35,7 @@ let tests () =
     Test.make ~name:"nextStates (6 transitions)"
       (Staged.stage (fun () ->
            Array.fold_left
-             (fun s l -> Xut_automata.Selecting_nfa.next nfa here ~checkp:(fun _ () -> true) () s l)
+             (fun s l -> Xut_automata.Dfa.next dfa here ~checkp:(fun _ () -> true) () s l)
              start syms));
     (let sc = Xut_xpath.Lq.scratch lq and wanted = Xut_xpath.Lq.set_of_list lq [ qi ] in
      Test.make ~name:"QualDP at one node"

@@ -3,165 +3,7 @@ open Xut_xpath
 
 type table = { sat : (int, bool array) Hashtbl.t; lq : Lq.t }
 
-(* Expressions to evaluate at a node ("active" set), expanded from the
-   seeds with short-circuiting on label guards, plus the seeds each child
-   must evaluate (the Child/Desc sub-expressions reachable here). *)
-let expand lq ~name seeds =
-  let n = Lq.length lq in
-  let active = Array.make n false in
-  let child_candidates = ref [] in
-  let rec activate i =
-    if not active.(i) then begin
-      active.(i) <- true;
-      match Lq.expr lq i with
-      | Lq.Seq (a, b) ->
-        activate a;
-        if not (Lq.label_blocked lq a name) then activate b
-      | Lq.And_ (a, b) | Lq.Or_ (a, b) ->
-        activate a;
-        activate b
-      | Lq.Not_ a -> activate a
-      | Lq.Child p -> child_candidates := p :: !child_candidates
-      | Lq.Desc p ->
-        (* //p holds here iff p holds here or //p holds at a child *)
-        activate p;
-        child_candidates := i :: !child_candidates
-      | Lq.True_ | Lq.Label_is _ | Lq.Text_cmp _ | Lq.Attr_cmp _ | Lq.Attr_exists _ -> ()
-    end
-  in
-  List.iter activate seeds;
-  (active, List.sort_uniq compare !child_candidates)
-
 let has_any_qual nfa = not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa))
-
-(* ---- the step into an element, memoized ----
-
-   What bottomUp needs at an element follows from three things only: the
-   candidates its parent passes down, its parent's unchecked state set
-   and its label.  A plan meets few distinct triples, so it computes each
-   once (the transition and [compute]); every later element
-   with the same triple, in any pass and any run of the plan, reads the
-   stored step and allocates nothing: the memo is attached to the
-   automaton.
-
-   It is bounded and shared as the transition memo is: a fixed table,
-   a triple probed in [step_probes] slots from its hash, a full window
-   overwriting its first slot, so input that brings many names costs
-   recomputation, never memory.  Entries are immutable, so a racy read
-   sees a whole entry or the free slot, and a store racing with another
-   may be lost, which costs one more computation later. *)
-
-type demand = {
-  seeds : Lq.set;
-  candidates : Lq.set;
-  own : int array;
-  reads_text : bool;
-}
-
-type step = { states : Selecting_nfa.set; demand : demand; reaches : bool }
-
-let step_slots = 512 (* power of two *)
-let step_probes = 3
-
-type slot = { k_cands : Lq.set; k_parent : Selecting_nfa.set; k_sym : Sym.t; step : step }
-
-type demands = {
-  d_nfa : Selecting_nfa.t;
-  quals : Selecting_nfa.set;
-  none : demand;
-  free : slot;  (* physically, the empty slot *)
-  slots : slot array;
-  mutable computed : int;
-}
-
-let create nfa =
-  let lq = Selecting_nfa.lq nfa in
-  let empty = Lq.set_of_list lq [] in
-  let none = { seeds = empty; candidates = empty; own = [||]; reads_text = false } in
-  let start = Selecting_nfa.start nfa in
-  let free =
-    { k_cands = empty; k_parent = start; k_sym = -1;
-      step = { states = start; demand = none; reaches = false } }
-  in
-  { d_nfa = nfa; quals = Selecting_nfa.qual_states nfa; none; free;
-    slots = Array.make step_slots free; computed = 0 }
-
-type Selecting_nfa.attached += Steps of demands
-
-let steps nfa =
-  match Selecting_nfa.attached nfa with
-  | Steps m -> m
-  | _ ->
-    let m = create nfa in
-    Selecting_nfa.attach nfa (Steps m);
-    m
-
-let no_demand m = m.none
-let computed m = m.computed
-
-let slot_hash cands parent sym =
-  (Lq.set_hash cands * 31) lxor Selecting_nfa.set_hash parent lxor (sym * 0x85ebca6b) land max_int
-
-let holds e cands parent sym =
-  e.k_sym = sym && Selecting_nfa.set_equal e.k_parent parent && Lq.set_equal e.k_cands cands
-
-(* the slot holding the triple, or the first free one in its window, or
-   -1; a top-level loop, so a hit allocates nothing *)
-let rec probe m h cands parent sym i =
-  if i >= step_probes then -1
-  else
-    let j = (h + i) land (step_slots - 1) in
-    let e = Array.unsafe_get m.slots j in
-    if e == m.free || holds e cands parent sym then j else probe m h cands parent sym (i + 1)
-
-(* The demand at an element in [states] named [name]: the candidates
-   its name does not block and its own states' qualifiers, then
-   [expand] of those. *)
-let compute m cands states name =
-  let nfa = m.d_nfa in
-  let lq = Selecting_nfa.lq nfa in
-  let own =
-    List.sort_uniq compare
-      (Selecting_nfa.set_fold
-         (fun s acc -> Selecting_nfa.state_lq nfa s :: acc)
-         (Selecting_nfa.set_inter states m.quals) [])
-  in
-  let inherited i = Lq.set_mem cands i && not (Lq.label_blocked lq i name) in
-  match List.sort_uniq compare (List.filter inherited (List.init (Lq.length lq) Fun.id) @ own) with
-  | [] -> m.none
-  | seeds ->
-    let active, candidates = expand lq ~name seeds in
-    let reads_text = ref false in
-    Array.iteri
-      (fun i a -> if a then match Lq.expr lq i with Lq.Text_cmp _ -> reads_text := true | _ -> ())
-      active;
-    { seeds = Lq.set_of_list lq seeds; candidates = Lq.set_of_list lq candidates;
-      own = Array.of_list own; reads_text = !reads_text }
-
-let document_demand m ~name =
-  let start = Selecting_nfa.start m.d_nfa in
-  if Selecting_nfa.set_intersects start m.quals then compute m m.none.candidates start name else m.none
-
-let step m here cands parent sym =
-  let h = slot_hash cands parent sym in
-  let j = probe m h cands parent sym 0 in
-  let e = if j >= 0 then Array.unsafe_get m.slots j else m.free in
-  if e != m.free then e.step
-  else begin
-    let nfa = m.d_nfa in
-    let states = Selecting_nfa.next_unchecked nfa here parent sym in
-    let demand =
-      if Lq.set_is_empty cands && not (Selecting_nfa.set_intersects states m.quals) then m.none
-      else compute m cands states (Sym.name sym)
-    in
-    (* a qualifier state strictly below: one or more any-label steps *)
-    let below = Selecting_nfa.(next_on_desc_set nfa here (next_on_any_set nfa here states)) in
-    let step = { states; demand; reaches = Selecting_nfa.set_intersects below m.quals } in
-    m.computed <- m.computed + 1;
-    m.slots.(if j >= 0 then j else h land (step_slots - 1)) <-
-      { k_cands = cands; k_parent = parent; k_sym = sym; step };
-    step
-  end
 
 let iter_kids f (e : Node.element) =
   List.iter
@@ -170,16 +12,16 @@ let iter_kids f (e : Node.element) =
 
 let entry tbl id = Hashtbl.find_opt tbl.sat id
 
-let seeded d = not (Lq.set_is_empty d.seeds)
+let seeded (d : Dfa.demand) = not (Lq.set_is_empty d.seeds)
 
 (* bottomUp prunes an element entered with no states and no seeds *)
-let live s = seeded s.demand || not (Selecting_nfa.set_is_empty s.states)
+let live (s : Dfa.step) = seeded s.demand || not s.child.empty
 
-(* One walk's state: the plan's step memo, the walk's counter cells and
+(* One walk's state: the plan's DFA, the walk's counter cells and
    one QualDP scratch.  [csat] reads the entries of [kids], the children
    of the element [record] evaluates, so one closure serves the walk. *)
 type run = {
-  m : demands;
+  dfa : Dfa.t;
   here : Counter.local;
   tbl : table;
   sc : Lq.scratch;
@@ -202,16 +44,16 @@ let rec csat r i = function
   | [] -> false
 
 let run ~skip nfa tbl =
-  let m = steps nfa and here = Counter.local () and sc = Lq.scratch tbl.lq in
+  let dfa = Dfa.of_nfa nfa and here = Counter.local () and sc = Lq.scratch tbl.lq in
   let rec r =
-    { m; here; tbl; sc; skip; kids = []; csat = (fun i -> csat r i r.kids); written = 0 }
+    { dfa; here; tbl; sc; skip; kids = []; csat = (fun i -> csat r i r.kids); written = 0 }
   in
   r
 
-let step_into r cands parent (e : Node.element) = step r.m r.here cands parent (Node.sym e)
+let step_into r c (e : Node.element) = Dfa.step r.dfa r.here c (Node.sym e)
 
 (* [e]'s entry, from its children's entries already in the table. *)
-let record r (e : Node.element) d =
+let record r (e : Node.element) (d : Dfa.demand) =
   r.kids <- Node.children e;
   Lq.eval r.tbl.lq r.sc ~name:(Node.name e) ~attrs:(Node.attrs e)
     ~text:(if d.reads_text then Node.text_content e else "")
@@ -219,25 +61,25 @@ let record r (e : Node.element) d =
   Hashtbl.replace r.tbl.sat (Node.id e) (Array.init (Lq.length r.tbl.lq) (Lq.holds r.sc));
   r.written <- r.written + 1
 
-(* The bottomUp recursion, writing entries into the table.  [cands] are
-   the candidates [e]'s parent passes down and [parent] its state set;
-   both are functions of the ancestor names only, so an entry depends on
-   nothing but the node's subtree and its demand — the
+(* The bottomUp recursion, writing entries into the table.  [parent]
+   is the configuration of [e]'s parent, its states and the candidates
+   it passes down: a function of the ancestor names only, so an entry
+   depends on nothing but the node's subtree and its demand — the
    subtree-locality that [repair] exploits. *)
-let rec annotate_subtree r (e : Node.element) cands parent =
+let rec annotate_subtree r (e : Node.element) parent =
   if not (r.skip e) then begin
-    let s = step_into r cands parent e in
+    let s = step_into r parent e in
     if live s then begin
-      annotate_kids r s.demand.candidates s.states (Node.children e);
+      annotate_kids r s.child (Node.children e);
       if seeded s.demand then record r e s.demand
     end
   end
 
-and annotate_kids r cands parent = function
+and annotate_kids r parent = function
   | Node.Element c :: rest ->
-    annotate_subtree r c cands parent;
-    annotate_kids r cands parent rest
-  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> annotate_kids r cands parent rest
+    annotate_subtree r c parent;
+    annotate_kids r parent rest
+  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> annotate_kids r parent rest
   | [] -> ()
 
 let never _ = false
@@ -246,7 +88,7 @@ let annotate ?(skip = never) nfa root =
   let tbl = { sat = Hashtbl.create 1024; lq = Selecting_nfa.lq nfa } in
   if has_any_qual nfa then begin
     let r = run ~skip nfa tbl in
-    annotate_subtree r root r.m.none.candidates (Selecting_nfa.start nfa)
+    annotate_subtree r root (Dfa.start r.dfa)
   end;
   tbl
 
@@ -439,41 +281,34 @@ let repair ?footprint nfa ~old_table ~spine new_root =
           incr dropped
         end
       in
-      (* The old run's walk over an old subtree it reached with the
-         candidates [cands] from a parent in states [parent], dropping
-         what it wrote. *)
-      let rec scrub cands parent oe =
-        let s = step_into r cands parent oe in
+      (* The old run's walk over an old subtree it reached from a
+         parent in configuration [parent], dropping what it wrote. *)
+      let rec scrub parent oe =
+        let s = step_into r parent oe in
         if live s then begin
           drop (Node.id oe);
-          iter_kids (scrub s.demand.candidates s.states) oe
+          iter_kids (scrub s.child) oe
         end
       in
       (* Fresh material is annotated unpruned: a skip-set changes what
          a build visits, never what it writes (see [annotate]). *)
-      let fresh cands parent e = annotate_subtree r e cands parent in
+      let fresh parent e = annotate_subtree r e parent in
       (* A shared node reached from the old and the new parent: its
          entries stand iff both runs enter it in the same configuration. *)
-      let reuse (old_cands, old_parent) (cands, parent) e =
-        let s = step_into r cands parent e and os = step_into r old_cands old_parent e in
-        if
-          not
-            (Selecting_nfa.set_equal s.states os.states
-            && Lq.set_equal s.demand.seeds os.demand.seeds)
-        then begin
-          scrub old_cands old_parent e;
-          fresh cands parent e
+      let reuse old_parent parent e =
+        if not (Dfa.same_entry (step_into r parent e) (step_into r old_parent e)) then begin
+          scrub old_parent e;
+          fresh parent e
         end
       in
       (* [oe] is an old spine element and [e] its fresh rebuild; the two
-         (candidates, parent states) pairs are what the old and new runs
-         pass down to them, which diverge only below a renamed spine
-         node. *)
-      let rec pair (old_cands, old_parent) (cands, parent) oe e =
+         parent configurations are what the old and new runs pass down
+         to them, which diverge only below a renamed spine node. *)
+      let rec pair old_parent parent oe e =
         drop (Node.id oe) (* [oe]'s id left the tree with it *);
-        let os = step_into r old_cands old_parent oe and s = step_into r cands parent e in
+        let os = step_into r old_parent oe and s = step_into r parent e in
         let od = os.demand and d = s.demand in
-        let departed = scrub od.candidates os.states in
+        let departed = scrub os.child in
         if not (live s) then begin
           (* The fresh run prunes here: whatever the old run wrote below
              [oe] must go (shared children included — they are in the
@@ -482,20 +317,18 @@ let repair ?footprint nfa ~old_table ~spine new_root =
           if live os then iter_kids departed oe
         end
         else begin
-          let old_down = (od.candidates, os.states) and down = (d.candidates, s.states) in
-          (* Every child's demand is a function of (candidates, states)
-             and its own label, so when both match the old side's, the
-             shared children's entries all stand. *)
-          let cut_off =
-            Selecting_nfa.set_equal s.states os.states
-            && Lq.set_equal d.candidates od.candidates
-          in
+          let old_down = os.child and down = s.child in
+          (* Every child's demand is a function of its parent's
+             configuration and its own label, so when the two
+             configurations are the same, the shared children's entries
+             all stand. *)
+          let cut_off = Dfa.same down old_down in
           (* [e] evaluates exactly as [oe] did — same seeds, label,
              attributes and text — until some child's entry changes *)
           let same_eval =
             ref
               (Node.sym oe = Node.sym e
-              && Lq.set_equal od.seeds d.seeds
+              && Dfa.same_seeds od d
               && Node.attrs oe == Node.attrs e
               && same_text (Node.children oe) (Node.children e))
           in
@@ -515,7 +348,7 @@ let repair ?footprint nfa ~old_table ~spine new_root =
               pair old_down down oc c;
               changed (Node.id oc) (Node.id c))
             ~fresh:(fun c ->
-              fresh d.candidates s.states c;
+              fresh down c;
               if Hashtbl.mem r.tbl.sat (Node.id c) then same_eval := false);
           if seeded d then
             match entry old_table (Node.id oe) with
@@ -525,7 +358,7 @@ let repair ?footprint nfa ~old_table ~spine new_root =
             | _ -> record r e d
         end
       in
-      let start = (r.m.none.candidates, Selecting_nfa.start nfa) in
+      let start = Dfa.start r.dfa in
       pair start start old_root new_root;
       Some
         ( r.tbl,

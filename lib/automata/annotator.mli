@@ -10,67 +10,15 @@ open Xut_xml
     state and no propagated qualifier need can be pruned without a visit
     — the role of the paper's filtering NFA (see DESIGN.md).
 
-    Every pass enters an element through {!step}: the tree walk, its
-    commit-time {!repair}, the SAX pass (Section 6) and the schema
-    product all read what bottomUp does there from one memo.
+    Every pass enters an element through {!Dfa.step}: the tree walk,
+    its commit-time {!repair}, the SAX pass (Section 6) and the schema
+    product all read what bottomUp does there from the plan's lazy
+    DFA.
 
     The table then makes [checkp] O(1) for the Top Down method, giving
     the linear-time twoPass (TD-BU) evaluation. *)
 
 type table
-
-(** {2 The step into an element} *)
-
-type demand = private {
-  seeds : Xut_xpath.Lq.set;
-      (** the expressions to evaluate at the element (empty: none) *)
-  candidates : Xut_xpath.Lq.set;  (** its children's candidate seeds *)
-  own : int array;
-      (** the LQ indices of the qualifiers its own states carry, whose
-          truths the selecting NFA reads *)
-  reads_text : bool;  (** whether an expression it evaluates compares its text *)
-}
-
-type step = private {
-  states : Selecting_nfa.set;  (** the element's unchecked state set *)
-  demand : demand;  (** what bottomUp evaluates at it *)
-  reaches : bool;
-      (** whether a node strictly below it can enter a qualifier state,
-          transitions unchecked: when not, and it seeds nothing, bottomUp
-          has nothing to evaluate in its subtree *)
-}
-
-type demands
-(** A memo of steps, kept with the automaton of a plan: every run of
-    the plan, on any domain, reads what an earlier one computed.
-    Bounded and domain-safe as the transition memo is: a fixed table
-    whose full probe window overwrites an entry, and a racing store may
-    be lost, never torn. *)
-
-val steps : Selecting_nfa.t -> demands
-(** The automaton's memo, attached to it at the first call. *)
-
-val computed : demands -> int
-(** How many steps the memo has computed (a miss each). *)
-
-val no_demand : demands -> demand
-(** The demand of an element that evaluates nothing. *)
-
-val step :
-  demands -> Counter.local -> Xut_xpath.Lq.set -> Selecting_nfa.set -> Sym.t -> step
-(** [step m here candidates parent sym]: an element labelled [sym] whose
-    parent passes down [candidates] and has the unchecked state set
-    [parent]: its states ({!Selecting_nfa.next_unchecked}, counted in
-    [here]), and what bottomUp evaluates there: the candidates its label
-    does not block and the qualifiers of its states, closed under
-    sub-expressions with short-circuiting on label guards, and the
-    [*/p] and [//p] expressions its children inherit.  Computed once per
-    distinct triple while its entry stays in the table; a repeated
-    triple it finds allocates nothing. *)
-
-val document_demand : demands -> name:string -> demand
-(** The demand at the virtual document node, named [name]: the
-    qualifiers its start set carries. *)
 
 (** {2 The tree pass} *)
 
@@ -143,7 +91,7 @@ val sat : table -> Node.element -> int -> bool
 
 val checkp : table -> Selecting_nfa.t -> int -> Node.element -> bool
 (** [checkp tbl nfa s n]: constant-time qualifier check for NFA state
-    [s] at node [n], for use with {!Selecting_nfa.next_states}. *)
+    [s] at node [n], for use with {!Dfa.next}. *)
 
 val annotated_count : table -> int
 (** Number of elements that were actually visited and annotated

@@ -113,49 +113,7 @@ let set_fold f s acc =
     done;
     !acc
 
-let set_iter f s = set_fold (fun i () -> f i) s ()
-
 let set_to_list s = List.rev (set_fold (fun i acc -> i :: acc) s [])
-
-(* ---- transition memo ---------------------------------------------------
-
-   Per-automaton open-address table from [(state set, symbol)] to the
-   transition's precomputed pieces.  Entries are immutable records, so a
-   racy slot read either misses or returns a fully-initialised entry
-   (OCaml's memory model guarantees immutable fields are only observed
-   initialised); concurrent domains sharing one compiled plan race only
-   on which equivalent entry wins a slot.  The table is [||] until the
-   first store: keeps [of_norm] cheap for throwaway automata.  Two
-   domains racing on the first store may each install an array and one
-   install wins, dropping the other's entry — harmless for a memo. *)
-
-type memo_entry = {
-  e_sym : int;
-  e_key : set;
-  e_raw : set;        (* targets before closure and qualifier filtering *)
-  e_qual_raw : set;
-      (* the states to check: raw states with a non-trivial qualifier,
-         and the test states where the checked closures of the others
-         stop *)
-  e_closed : set;     (* closure (raw): the unchecked transition result *)
-  e_closed_nq : set;  (* checked closure (raw minus qualifier states) *)
-}
-
-(* the empty slot (compared physically): slots hold entries directly, so
-   neither a probe nor a store wraps one in an option *)
-let no_entry =
-  let z = Bits 0 in
-  { e_sym = -3; e_key = z; e_raw = z; e_qual_raw = z; e_closed = z; e_closed_nq = z }
-
-let memo_slots = 512 (* power of two *)
-let memo_probes = 3
-
-let memo_hits = Xut_xml.Counter.declare "nfa_memo_hits"
-let memo_misses = Xut_xml.Counter.declare "nfa_memo_misses"
-
-let set_hash = function Bits b -> b * 0x9e3779b9 | Wide w -> Hashtbl.hash w
-
-let memo_hash key sym = set_hash key lxor (sym * 0x85ebca6b) land max_int
 
 type attached = ..
 type attached += Nothing
@@ -184,9 +142,8 @@ type t = {
   eps_stop : int array;
   quals : set;             (* states with a non-trivial qualifier *)
   start : set;
-  mutable memo : memo_entry array;
-  mutable attached : attached;
-  named : Bytes.t;  (* bitmap over symbols: those a label state is entered by *)
+  attached : attached Atomic.t;
+  named : Sym.t list;  (* the labels its label states and qualifiers name *)
   footprint : footprint option;
   label_mask : int;
       (* the label bit every selected node carries: the final state's
@@ -208,10 +165,11 @@ and footprint = { labels : Sym.t list; compared : Sym.t list }
    recorded: no update edits an existing node's attributes.  The context
    qualifier is checked on the document node and never tabled. *)
 
-exception Unbounded
-
+(* The footprint, and every label a qualifier names (each interned
+   once, whether or not the footprint is bounded): with the labels of
+   the label states, the plan's alphabet. *)
 let footprint_of_steps (steps : Norm.nstep list) =
-  let labels = ref [] and compared = ref [] in
+  let labels = ref [] and compared = ref [] and bounded = ref true in
   let cells = Xut_xml.Counter.local () in
   let add r l = if not (List.mem l !r) then r := l :: !r in
   let label l =
@@ -229,7 +187,7 @@ let footprint_of_steps (steps : Norm.nstep list) =
     | Ast.Q_exists { spath; _ } -> ignore (path owner spath)
     | Ast.Q_cmp ({ spath; sattr }, _, _) ->
       let at = path owner spath in
-      if sattr = None then add compared (Sym.intern cells at)
+      if sattr = None && !bounded then add compared (Sym.intern cells at)
   and path owner = function
     | [] -> owner
     | { Ast.nav; quals } :: rest ->
@@ -237,27 +195,22 @@ let footprint_of_steps (steps : Norm.nstep list) =
         match nav with
         | Ast.Self -> owner
         | Ast.Label l -> label l
-        | Ast.Wildcard | Ast.Descendant -> raise Unbounded
+        | Ast.Wildcard | Ast.Descendant ->
+          bounded := false;
+          owner
       in
       List.iter (qual here) quals;
       path here rest
   in
-  match
-    List.iter
-      (fun (s : Norm.nstep) ->
-        match s.nav with
-        | Norm.N_label l -> List.iter (qual (label l)) s.quals
-        | Norm.N_wild -> raise Unbounded
-        | Norm.N_desc -> if s.quals <> [] then raise Unbounded)
-      steps
-  with
-  | () -> Some { labels = !labels; compared = !compared }
-  | exception Unbounded -> None
-
-let named_of enter_sym =
-  let b = Bytes.make ((Array.fold_left max 0 enter_sym / 8) + 1) '\000' in
-  Array.iter (fun sym -> if sym >= 0 then wset b sym) enter_sym;
-  b
+  List.iter
+    (fun (s : Norm.nstep) ->
+      match s.nav with
+      | Norm.N_label l -> List.iter (qual (label l)) s.quals
+      | Norm.N_wild | Norm.N_desc ->
+        if s.nav = Norm.N_wild || s.quals <> [] then bounded := false;
+        List.iter (qual "") s.quals)
+    steps;
+  ((if !bounded then Some { labels = !labels; compared = !compared } else None), !labels)
 
 let of_norm (norm : Norm.t) =
   let b = Lq.create_builder () in
@@ -346,13 +299,14 @@ let of_norm (norm : Norm.t) =
     end
   in
   let quals = mask_of (fun _ s -> s.lq_idx <> true_idx) in
+  let footprint, qual_labels = footprint_of_steps norm.steps in
+  let named = Array.fold_left (fun l sym -> if sym >= 0 then sym :: l else l) qual_labels enter_sym in
   let start =
     if small then Bits eps_bits.(0) else Wide (Bytes.copy eps_wide.(0))
   in
   { states; lq = Lq.freeze b; ctx_qual; true_idx; n; small; nwords; enter_sym; self_loop;
     eps_bits; eps_wide; eps_nq_bits; eps_nq_wide; eps_stop; quals; start;
-    memo = [||]; attached = Nothing;
-    named = named_of enter_sym; footprint = footprint_of_steps norm.steps;
+    attached = Atomic.make Nothing; named; footprint;
     label_mask =
       (match states.(n - 1).kind with
       | K_label _ -> Xut_xml.Node.label_bit enter_sym.(n - 1)
@@ -370,8 +324,10 @@ let has_qual t i = t.states.(i).lq_idx <> t.true_idx
 let ctx_qual t = t.ctx_qual
 let footprint t = t.footprint
 let label_mask t = t.label_mask
-let attached t = t.attached
-let attach t a = t.attached <- a
+let attached t = Atomic.get t.attached
+
+let attach t a =
+  if Atomic.compare_and_set t.attached Nothing a then a else Atomic.get t.attached
 let selects_context t = t.n = 1
 
 let start t = t.start
@@ -476,73 +432,43 @@ let close_checked_wide t ~checkp x acc pending =
   done;
   Wide acc
 
-(* the entry for [(s, sym)] among the [memo_probes] slots from [h], or
-   [no_entry]; a top-level loop, so a hit allocates nothing *)
-let rec memo_find slots h s sym i =
-  if i >= memo_probes then no_entry
-  else
-    let e = Array.unsafe_get slots ((h + i) land (memo_slots - 1)) in
-    if e.e_sym = sym && set_equal e.e_key s then e else memo_find slots h s sym (i + 1)
+(* ---- transitions ------------------------------------------------------
 
-(* memoized transition pieces for [(s, sym)], the hit or miss counted in
-   the caller's cells [here] *)
-let transition t here s sym =
-  let h = memo_hash s sym in
-  let slots = t.memo in
-  let e = if Array.length slots = 0 then no_entry else memo_find slots h s sym 0 in
-  if e != no_entry then begin
-    Xut_xml.Counter.bump_local here memo_hits;
-    e
-  end
-  else begin
-    Xut_xml.Counter.bump_local here memo_misses;
-    let raw = raw_targets t s sym in
-    let unqualified = set_diff raw t.quals in
-    let e =
-      { e_sym = sym; e_key = s; e_raw = raw;
-        e_qual_raw = set_union (set_inter raw t.quals) (set_of_list t (stops_of t unqualified));
-        e_closed = close_set t raw; e_closed_nq = close_nq_set t unqualified }
-    in
-    let slots =
-      if Array.length t.memo = 0 then begin
-        let a = Array.make memo_slots no_entry in
-        t.memo <- a;
-        a
-      end
-      else t.memo
-    in
-    let rec store i =
-      if i >= memo_probes then slots.(h land (memo_slots - 1)) <- e
-      else if slots.(j_of i) == no_entry then slots.(j_of i) <- e
-      else store (i + 1)
-    and j_of i = (h + i) land (memo_slots - 1) in
-    store 0;
-    e
-  end
+   Computed, never stored: {!Dfa} keeps the transitions a plan takes. *)
 
-let next_unchecked t here s sym = (transition t here s sym).e_closed
+type transition = { closed : set; checks : set; closed_nq : set }
 
-let names t sym = sym lsr 3 < Bytes.length t.named && wmem t.named sym
+let transition t s sym =
+  let raw = raw_targets t s sym in
+  let unqualified = set_diff raw t.quals in
+  { closed = close_set t raw;
+    checks = set_union (set_inter raw t.quals) (set_of_list t (stops_of t unqualified));
+    closed_nq = close_nq_set t unqualified }
+
+let next_unchecked t s sym = close_set t (raw_targets t s sym)
 
 (* With no test state every [eps_stop] is -1, so the checked closure
    is the plain one and nothing joins [pending].  A result where no
-   qualifier held, or every one did, is the memo entry's own set, so
-   such a step allocates nothing either. *)
-let next t here ~checkp x s sym =
-  let e = transition t here s sym in
-  if set_is_empty e.e_qual_raw then e.e_closed
-  else
-    match e.e_qual_raw with
-    | Bits qb -> (
-      match e.e_closed_nq, e.e_closed with
-      | Bits nq, Bits all ->
-        let b = close_checked_bits t ~checkp x nq qb in
-        if b = nq then e.e_closed_nq else if b = all then e.e_closed else Bits b
-      | (Bits _ | Wide _), _ -> mismatch ())
-    | Wide qw -> (
-      match e.e_closed_nq with
-      | Bits _ -> mismatch ()
-      | Wide nq -> close_checked_wide t ~checkp x nq qw)
+   qualifier held, or every one did, is one of the transition's own
+   sets, so such a step allocates nothing either. *)
+let checked t tr ~checkp x =
+  match tr.checks with
+  | Bits 0 -> tr.closed
+  | Bits qb -> (
+    match tr.closed_nq, tr.closed with
+    | Bits nq, Bits all ->
+      let b = close_checked_bits t ~checkp x nq qb in
+      if b = nq then tr.closed_nq else if b = all then tr.closed else Bits b
+    | (Bits _ | Wide _), _ -> mismatch ())
+  | Wide qw when wide_is_empty qw -> tr.closed
+  | Wide qw -> (
+    match tr.closed_nq with
+    | Bits _ -> mismatch ()
+    | Wide nq -> close_checked_wide t ~checkp x nq qw)
+
+let next t ~checkp x s sym = checked t (transition t s sym) ~checkp x
+
+let named t = t.named
 
 let checks_document t = t.eps_stop.(0) >= 0
 
@@ -554,55 +480,19 @@ let start_checked t ~checkp x =
     | Wide acc, Wide pending -> close_checked_wide t ~checkp x acc pending
     | (Bits _ | Wide _), _ -> mismatch ()
 
-(* ---- static simulation, set form (Compose Method, Section 4) ---------- *)
+(* ---- static simulation (Compose Method, Section 4) -------------------- *)
 
-let next_on_label_set t here s sym = next_unchecked t here s sym
+let next_on_any_set t s = next_unchecked t s (-1)
 
-let next_on_any_set t here s = (transition t here s (-1)).e_closed
-
-let next_on_desc_set t here s =
+let next_on_desc_set t s =
   (* zero or more any-label transitions: saturate to the fixpoint *)
   let rec go cur =
-    let nxt = set_union cur (next_on_any_set t here cur) in
+    let nxt = set_union cur (next_on_any_set t cur) in
     if set_equal nxt cur then cur else go nxt
   in
   go (close_set t s)
 
 let consistent_at_sym t i sym = t.enter_sym.(i) < 0 || t.enter_sym.(i) = sym
-
-let consistent_at t i name =
-  match t.states.(i).kind with
-  | K_label l -> String.equal l name
-  | K_start | K_wild | K_desc | K_desc_test -> true
-
-(* ---- sorted-int-list views --------------------------------------------
-
-   The historical API: state sets as sorted [int list]s, labels as
-   strings.  Thin conversions over the bitset core, kept for the compiled
-   XQuery generator, the tests, and external callers; the engines use the
-   set form above. *)
-
-let start_set t = set_to_list t.start
-
-let next_states t ~checkp s label =
-  let cells = Xut_xml.Counter.local () in
-  set_to_list
-    (next t cells ~checkp:(fun i () -> checkp i) () (set_of_list t s) (Sym.intern cells label))
-
-let next_states_unchecked t s label =
-  let cells = Xut_xml.Counter.local () in
-  set_to_list (next_unchecked t cells (set_of_list t s) (Sym.intern cells label))
-
-let accepts t s =
-  let f = final t in
-  List.exists (fun i -> i = f) s
-
-let next_on_label t s label = next_states_unchecked t s label
-
-let next_on_any t s = set_to_list (next_on_any_set t (Xut_xml.Counter.local ()) (set_of_list t s))
-
-let next_on_desc t s =
-  set_to_list (next_on_desc_set t (Xut_xml.Counter.local ()) (set_of_list t s))
 
 (* ---- reference implementation -----------------------------------------
 

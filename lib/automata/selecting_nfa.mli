@@ -18,16 +18,13 @@ open Xut_xpath
     State sets are bitsets ({!type:set}): a single immediate [int] when the
     automaton has at most 62 states (the common case — one state per
     normalized step), a [Bytes]-backed bitset above.  Epsilon closures are
-    precomputed per state when the automaton is built, labels are compared
-    as interned symbols ({!Xut_xml.Sym}), and each automaton carries a
-    lock-free memo table from [(state set, symbol)] to the transition
-    result, so plans cached across service requests keep their warmed
-    transitions.  Every transition counts as [nfa_memo_hits] or
-    [nfa_memo_misses] ({!Xut_xml.Counter}), in cells the caller takes
-    once per walk ({!Xut_xml.Counter.local}), so a transition makes no
-    domain-local lookup.  The historical
-    sorted-[int list] API is retained as thin views over the bitset
-    core.
+    precomputed per state when the automaton is built, and labels are
+    compared as interned symbols ({!Xut_xml.Sym}).  The functions below
+    compute a transition each time they are called: the walks step
+    through the plan's lazy DFA ({!Dfa}), which keeps each transition it
+    takes, and reach this module only on a DFA miss.  The automaton fixes
+    the DFA's alphabet when it is built: one letter per label its states
+    and qualifiers name ({!named}), one for every other symbol.
 
     The same structure doubles as the filtering NFA of Section 5: the LQ
     list built from all qualifiers is embedded ({!lq}), and each state
@@ -89,14 +86,17 @@ val label_mask : t -> int
     transition.  Computed once by {!of_path}. *)
 
 type attached = ..
-(** A memo another module derives from the automaton and keeps with it
-    ({!Annotator.steps}), so every run of a plan reads it. *)
+(* What another module derives from the automaton and keeps with it
+   ({!Dfa.of_nfa}), so every run of a plan reads it. *)
 
 type attached += Nothing
 
 val attached : t -> attached
-val attach : t -> attached -> unit
-(** Domains racing to attach may each attach their own; one stays. *)
+
+val attach : t -> attached -> attached
+(** [attach t a] attaches [a] unless something is attached already, and
+    answers what stays attached: domains racing to attach all get the
+    same one. *)
 
 val selects_context : t -> bool
 (** True iff the path is empty (the final state is the start state, so
@@ -134,13 +134,8 @@ val set_inter : set -> set -> set
 val set_intersects : set -> set -> bool
 (** [not (set_is_empty (set_inter a b))], without allocating. *)
 
-val set_hash : set -> int
-(** Equal sets hash equal; allocates nothing. *)
-
 val set_fold : (int -> 'a -> 'a) -> set -> 'a -> 'a
 (** Folds in ascending state order. *)
-
-val set_iter : (int -> unit) -> set -> unit
 
 val accepts_set : t -> set -> bool
 (** Does the set contain the final state? *)
@@ -150,69 +145,56 @@ val qual_states : t -> set
     being empty is the one-instruction fast path that skips all
     per-node qualifier bookkeeping. *)
 
-val next :
-  t -> Xut_xml.Counter.local -> checkp:(int -> 'a -> bool) -> 'a -> set -> Xut_xml.Sym.t -> set
-(** [next t here ~checkp x s sym]: [nextStates] of Fig. 4 on the bitset
-    representation.  [checkp s x] must say whether the qualifier of
-    state [s] holds at the node being entered; [x] is that node, or
-    whatever the caller keeps beside it, so a walk passes one checker
-    for the whole run instead of a closure per node.  States whose
-    qualifier fails are dropped before the closure, and the closure
-    enters a test state only where its qualifier holds.  The
-    qualifier-independent parts of the transition are memoized per
-    automaton and counted in the caller's cells [here]; a memo hit
-    allocates nothing, so a transition allocates only the result set of
-    a step that enters qualifier states. *)
+type transition = private {
+  closed : set;  (** the targets and their closure, qualifiers unchecked *)
+  checks : set;
+      (** the states whose qualifier a checked step tests: the targets
+          with a non-trivial qualifier, and the test states where the
+          checked closures of the others stop (empty: none) *)
+  closed_nq : set;  (** the checked closure of the other targets *)
+}
 
-val next_unchecked : t -> Xut_xml.Counter.local -> set -> Xut_xml.Sym.t -> set
+val transition : t -> set -> Xut_xml.Sym.t -> transition
+(** The transition from [s] on a node labelled [sym], in pieces. *)
+
+val checked : t -> transition -> checkp:(int -> 'a -> bool) -> 'a -> set
+(** [checked t tr ~checkp x]: [nextStates] of Fig. 4 from the pieces.
+    [checkp s x] must say whether the qualifier of state [s] holds at the
+    node being entered; [x] is that node, or whatever the caller keeps
+    beside it, so a walk passes one checker for the whole run instead of
+    a closure per node.  States whose qualifier fails are dropped before
+    the closure, and the closure enters a test state only where its
+    qualifier holds.  Allocates only a result that is neither [closed]
+    nor [closed_nq]. *)
+
+val next : t -> checkp:(int -> 'a -> bool) -> 'a -> set -> Xut_xml.Sym.t -> set
+(** [checked] of [transition]. *)
+
+val next_unchecked : t -> set -> Xut_xml.Sym.t -> set
 (** Transition ignoring qualifiers (the over-approximation the bottom-up
-    pass runs on, Fig. 9 lines 1–2), counted in [here].  Memoized. *)
+    pass runs on, Fig. 9 lines 1–2): [closed]. *)
 
-val names : t -> Xut_xml.Sym.t -> bool
-(** Does a label step of the path name the symbol?  From one set, the
-    {!next_unchecked} transitions on all the symbols it does not name
-    agree, so a walk may reuse the last one. *)
+val named : t -> Xut_xml.Sym.t list
+(** The labels its label states and its qualifiers name, interned when
+    the automaton is built.  From one set, the transitions on any two
+    symbols it does not name agree, and so does everything the bottom-up
+    pass derives from a label ({!Xut_xpath.Lq.label_blocked}): the
+    plan's DFA gives them one letter. *)
 
 val consistent_at_sym : t -> int -> Xut_xml.Sym.t -> bool
-(** {!consistent_at} on an interned label. *)
+(** Could state [s] be the current state at a node labelled [sym]?  A
+    label state requires the matching label; start, wildcard and
+    descendant states fit any node.  Settles statically computed
+    (delta') sets against a concrete node. *)
 
 (** {2 Static simulation (Compose Method, Section 4)}
 
-    Transitions that ignore qualifiers, on one label, on any label, or
-    on zero or more any-label steps; memoized and counted in the
-    caller's cells, as {!next_unchecked}. *)
+    Transitions that ignore qualifiers, on any label, or on zero or more
+    any-label steps, computed.  [delta'] on one label is
+    {!next_unchecked}. *)
 
-val next_on_label_set : t -> Xut_xml.Counter.local -> set -> Xut_xml.Sym.t -> set
-val next_on_any_set : t -> Xut_xml.Counter.local -> set -> set
-val next_on_desc_set : t -> Xut_xml.Counter.local -> set -> set
-
-(** {2 Sorted-int-list views (historical API)} *)
-
-val start_set : t -> int list
-(** Epsilon-closure of the start state, as a sorted list. *)
-
-val next_states : t -> checkp:(int -> bool) -> int list -> string -> int list
-val next_states_unchecked : t -> int list -> string -> int list
-
-val accepts : t -> int list -> bool
-
-val consistent_at : t -> int -> string -> bool
-(** Could state [s] be the current state at a node named [name]?  A
-    label state requires the matching name; start, wildcard and
-    descendant states fit any node.  Used to settle statically computed
-    (delta') sets against a concrete node. *)
-
-(** {2 Static simulation for the Compose Method (Section 4)} *)
-
-val next_on_label : t -> int list -> string -> int list
-(** [delta'] on a concrete label, unchecked, with closure. *)
-
-val next_on_any : t -> int list -> int list
-(** [delta'(S, * )]: states reachable by consuming one node of any label. *)
-
-val next_on_desc : t -> int list -> int list
-(** [delta'(S, //)]: states reachable by an unbounded sequence of any-label
-    transitions (zero or more). *)
+val next_on_any_set : t -> set -> set
+val next_on_desc_set : t -> set -> set
 
 (** {2 Reference implementation}
 

@@ -48,23 +48,19 @@ let chunk_path (c : chunk) ~quals : Ast.path =
   let step = { Ast.nav; quals } in
   if c.desc then [ Ast.step Ast.Descendant; step ] else [ step ]
 
-(* The static simulation runs once per composition, not per node: each
-   step takes the calling domain's counter cells itself. *)
-let on_label nfa s l =
-  let here = Counter.local () in
-  Selecting_nfa.next_on_label_set nfa here s (Sym.intern here l)
-let on_any nfa s = Selecting_nfa.next_on_any_set nfa (Counter.local ()) s
-let on_desc nfa s = Selecting_nfa.next_on_desc_set nfa (Counter.local ()) s
+(* The static simulation runs once per composition, not per node, on
+   sets it computes: it takes no DFA step. *)
+let on_label nfa s l = Selecting_nfa.next_unchecked nfa s (Sym.intern (Counter.local ()) l)
 
 let step_sim nfa s (c : chunk) =
-  let s = if c.desc then on_desc nfa s else s in
+  let s = if c.desc then Selecting_nfa.next_on_desc_set nfa s else s in
   match c.nav with
   | Norm.N_label l -> on_label nfa s l
-  | Norm.N_wild -> on_any nfa s
+  | Norm.N_wild -> Selecting_nfa.next_on_any_set nfa s
   | Norm.N_desc -> assert false
 
 (* States reachable at strict descendants of a node holding [s]. *)
-let below nfa s = on_desc nfa (on_any nfa s)
+let below nfa s = Selecting_nfa.next_on_desc_set nfa (Selecting_nfa.next_on_any_set nfa s)
 
 (* Can the update touch a strict descendant of a node holding [s]?
    (For insert, matching [s] itself also changes the subtree.) *)
@@ -81,7 +77,7 @@ let end_set nfa s (path : Ast.path) =
       match nav with
       | Ast.Self -> s
       | Ast.Label l -> on_label nfa s l
-      | Ast.Wildcard -> on_any nfa s
+      | Ast.Wildcard -> Selecting_nfa.next_on_any_set nfa s
       | Ast.Descendant -> below nfa s)
     s path
 
@@ -110,8 +106,8 @@ let rec path_affected nfa update s (path : Ast.path) =
           match nav with
           | Ast.Self -> s
           | Ast.Label l ->
-            if widen then on_any nfa s else on_label nfa s l
-          | Ast.Wildcard -> on_any nfa s
+            if widen then Selecting_nfa.next_on_any_set nfa s else on_label nfa s l
+          | Ast.Wildcard -> Selecting_nfa.next_on_any_set nfa s
           | Ast.Descendant -> below nfa s
         in
         if Selecting_nfa.accepts_set nfa s' && nav <> Ast.Self then true
@@ -181,7 +177,7 @@ type runtime = {
      annotation table), when the caller has one.  Only ever consulted on
      nodes of the original stored tree. *)
   oracle : Top_down.checkp option;
-  state_tbl : (int, Selecting_nfa.set) Hashtbl.t;
+  state_tbl : (int, Dfa.config) Hashtbl.t;
   (* transforming the same node twice must yield the same physical
      result, so that duplicate bindings reached along different '//'
      routes stay identity-equal (and get deduplicated) *)
@@ -229,22 +225,21 @@ let scan_const_tree (c : chunk) (quals_ok : Node.element -> bool) (root : Node.e
   in
   go root
 
-(* The user NFA [unfa] alone over constant (already transformed) content:
-   [user_const] walks the children of [nd], whose set is [uc];
-   [user_enter_const] first steps into [nd] itself. *)
-let rec user_const here unfa emit uc nd =
+(* The user NFA's DFA [udfa] alone over constant (already transformed)
+   content: [user_const] walks the children of [nd], whose configuration
+   is [uc]; [user_enter_const] first steps into [nd] itself. *)
+let rec user_const here udfa emit uc nd =
   match nd with
-  | Node.Element e -> List.iter (user_enter_const here unfa emit uc) (Node.children e)
+  | Node.Element e -> List.iter (user_enter_const here udfa emit uc) (Node.children e)
   | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
 
-and user_enter_const here unfa emit uc nd =
+and user_enter_const here udfa emit uc nd =
   match nd with
   | Node.Element te ->
-    let uct =
-      Selecting_nfa.next unfa here ~checkp:(Top_down.direct_checkp unfa) te uc (Node.sym te)
-    in
-    if Selecting_nfa.accepts_set unfa uct then emit nd;
-    if not (Selecting_nfa.set_is_empty uct) then user_const here unfa emit uct nd
+    let checkp = Top_down.direct_checkp (Dfa.nfa udfa) in
+    let (uct : Dfa.config) = Dfa.next udfa here ~checkp te uc (Node.sym te) in
+    if uct.accepts then emit nd;
+    if not uct.empty then user_const here udfa emit uct nd
   | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
 
 (* Where a nav native finds the exact state set of its anchor: a static
@@ -252,8 +247,17 @@ and user_enter_const here unfa emit uc nd =
    at run time) or the table filled by an upstream native. *)
 type anchor_source = Src_hint of Selecting_nfa.set | Src_table
 
+(* The exact configuration at the anchor [e], or [None] where no state
+   lives there, or [e] is already transformed: pure navigation below. *)
+let anchored rt src e =
+  match src with
+  | Src_hint states ->
+    let alive = Top_down.settle ~checkp:(checkp_direct rt) rt.nfa states e in
+    if Selecting_nfa.set_is_empty alive then None else Some (Dfa.config (Dfa.of_nfa rt.nfa) alive)
+  | Src_table -> Hashtbl.find_opt rt.state_tbl (Node.id e)
+
 let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : Xq_value.t =
-  let here = Counter.local () and checkp = checkp_direct rt in
+  let here = Counter.local () and checkp = checkp_direct rt and dfa = Dfa.of_nfa rt.nfa in
   let out = ref [] in
   let emit n = out := Xq_value.N n :: !out in
   let const_quals_ok child = List.for_all (fun q -> Eval.check_qual child q) c.quals in
@@ -275,10 +279,10 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
       in
       any e
   in
-  (* visit a child [child] whose parent holds exact set [s] *)
+  (* visit a child [child] whose parent holds exact configuration [s] *)
   let rec visit s child =
-    let sc = Selecting_nfa.next rt.nfa here ~checkp child s (Node.sym child) in
-    let matched = Selecting_nfa.accepts_set rt.nfa sc in
+    let (sc : Dfa.config) = Dfa.next dfa here ~checkp child s (Node.sym child) in
+    let matched = sc.accepts in
     let is_candidate = chunk_matches c (Node.name child) in
     match rt.update, matched with
     | Transform_ast.Delete _, true -> ()  (* the region is gone *)
@@ -286,8 +290,8 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
       (* the binding keeps its name; materialize its transformed view
          only when something is actually emitted from it — qualifiers
          the update cannot affect filter first *)
-      let lazy_ts = lazy (transformed_view rt sc child) in
-      if is_candidate && quals_hold rt sc c.quals lazy_ts child then
+      let lazy_ts = lazy (transformed_view rt sc.states child) in
+      if is_candidate && quals_hold rt sc.states c.quals lazy_ts child then
         List.iter
           (fun t -> match t with Node.Element _ -> emit t | _ -> ())
           (Lazy.force lazy_ts);
@@ -300,7 +304,7 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
     | (Transform_ast.Replace _ | Transform_ast.Rename _), true ->
       (* labels change: candidacy and qualifiers are judged on the
          transformed view, which replaces the original subtree *)
-      let ts = transformed_view rt sc child in
+      let ts = transformed_view rt sc.states child in
       List.iter
         (fun t ->
           match t with
@@ -311,31 +315,23 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
       if c.desc then scan_forest ts
     | (Transform_ast.Delete _ | Transform_ast.Insert _ | Transform_ast.Insert_first _
       | Transform_ast.Replace _ | Transform_ast.Rename _), false ->
-      if is_candidate && quals_hold rt sc c.quals (lazy (transformed_view rt sc child)) child
+      if
+        is_candidate
+        && quals_hold rt sc.states c.quals (lazy (transformed_view rt sc.states child)) child
       then begin
-        if Selecting_nfa.accepts_set rt.nfa (below rt.nfa sc) || not (Selecting_nfa.set_is_empty sc)
-        then Hashtbl.replace rt.state_tbl (Node.id child) sc;
+        if not sc.empty then Hashtbl.replace rt.state_tbl (Node.id child) sc;
         emit (Node.Element child)
       end;
-      if c.desc && not (Selecting_nfa.set_is_empty sc) then
+      if c.desc && not sc.empty then
         List.iter (visit sc) (Node.child_elements child)
       else if c.desc then scan child
   in
   (match anchor with
-  | Xq_value.D root -> visit (Selecting_nfa.start rt.nfa) root
+  | Xq_value.D root -> visit (Dfa.start dfa) root
   | Xq_value.N (Node.Element e) -> (
-    match src with
-    | Src_hint states ->
-      let alive = Top_down.settle ~checkp:(checkp_direct rt) rt.nfa states e in
-      (* without live states below the anchor it is pure navigation *)
-      if Selecting_nfa.set_is_empty alive then scan e
-      else List.iter (visit alive) (Node.child_elements e)
-    | Src_table -> (
-      match Hashtbl.find_opt rt.state_tbl (Node.id e) with
-      | Some s -> List.iter (visit s) (Node.child_elements e)
-      | None ->
-        (* already transformed (or out of reach): pure navigation *)
-        scan e))
+    match anchored rt src e with
+    | Some s -> List.iter (visit s) (Node.child_elements e)
+    | None -> scan e)
   | Xq_value.N _ | Xq_value.A _ | Xq_value.S _ | Xq_value.F _ | Xq_value.B _ ->
     raise (Xq_value.Type_error "navigation over a non-element"));
   List.rev !out
@@ -345,79 +341,73 @@ let nav_chunk rt (c : chunk) ~(src : anchor_source) (anchor : Xq_value.item) : X
    reach the same node along several routes, in non-document order).
    Instead, one native runs the {e product} of the user-suffix NFA and
    the update NFA in a single pre-order walk: bindings come out exactly
-   once, in document order, transformed where the update touches them. *)
-let pipe_chunks rt (chunks : chunk list) (start_states : Selecting_nfa.set option)
-    (root_children : Node.t list) emit =
-  let suffix_path = List.concat_map (fun c -> chunk_path c ~quals:c.quals) chunks in
-  let unfa = Selecting_nfa.of_path suffix_path in
+   once, in document order, transformed where the update touches them.
+   [unfa] is the suffix's NFA, compiled with the plan, so its DFA
+   outlives a read. *)
+let pipe_chunks rt unfa (start_states : Dfa.config option) (root_children : Node.t list) emit =
+  let udfa = Dfa.of_nfa unfa and dfa = Dfa.of_nfa rt.nfa in
   let here = Counter.local () and checkp = checkp_direct rt in
-  let rec walk ustates sstates (children : Node.t list) =
+  let rec walk ustates (sstates : Dfa.config option) (children : Node.t list) =
     List.iter
       (fun child ->
         match child with
         | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
         | Node.Element ce -> (
           let sc =
-            match sstates with
-            | None -> None
-            | Some s ->
-              Some (Selecting_nfa.next rt.nfa here ~checkp ce s (Node.sym ce))
+            match sstates with None -> None | Some s -> Some (Dfa.next dfa here ~checkp ce s (Node.sym ce))
           in
-          let matched =
-            match sc with Some s -> Selecting_nfa.accepts_set rt.nfa s | None -> false
-          in
+          let matched = match sc with Some s -> s.accepts | None -> false in
           match rt.update, matched with
           | Transform_ast.Delete _, true -> ()  (* region gone: no bindings inside *)
           | (Transform_ast.Replace _ | Transform_ast.Rename _), true ->
             (* the node's label changes: run the user NFA against the
                transformed view (which is all that exists on Qt(T)) *)
             List.iter
-              (user_enter_const here unfa emit ustates)
-              (transformed_view rt (Option.get sc) ce)
+              (user_enter_const here udfa emit ustates)
+              (transformed_view rt (Option.get sc).states ce)
           | _ ->
             let user_checkp s ce =
               let q = Selecting_nfa.state_qual unfa s in
               let affected =
                 match sc with
-                | Some states -> qual_affected rt.nfa rt.update states q
+                | Some s -> qual_affected rt.nfa rt.update s.states q
                 | None -> false
               in
               if affected then
-                match transformed_view rt (Option.get sc) ce with
+                match transformed_view rt (Option.get sc).states ce with
                 | [ Node.Element t ] -> Eval.check_qual t q
                 | _ -> false
               else Eval.check_qual ce q
             in
-            let uc = Selecting_nfa.next unfa here ~checkp:user_checkp ce ustates (Node.sym ce) in
+            let (uc : Dfa.config) = Dfa.next udfa here ~checkp:user_checkp ce ustates (Node.sym ce) in
             if matched then begin
               (* insert (delete and relabeling were handled above): the
                  content changes but the node keeps its place *)
-              if not (Selecting_nfa.set_is_empty uc) then begin
-                let ts = transformed_view rt (Option.get sc) ce in
-                if Selecting_nfa.accepts_set unfa uc then List.iter emit ts;
-                List.iter (user_const here unfa emit uc) ts
+              if not uc.empty then begin
+                let ts = transformed_view rt (Option.get sc).states ce in
+                if uc.accepts then List.iter emit ts;
+                List.iter (user_const here udfa emit uc) ts
               end
             end
             else begin
-              if Selecting_nfa.accepts_set unfa uc then begin
+              if uc.accepts then begin
                 (match sc with
-                | Some s when not (Selecting_nfa.set_is_empty s) ->
-                  Hashtbl.replace rt.state_tbl (Node.id ce) s
+                | Some s when not s.empty -> Hashtbl.replace rt.state_tbl (Node.id ce) s
                 | _ -> ());
                 emit (Node.Element ce)
               end;
-              if not (Selecting_nfa.set_is_empty uc) then walk uc sc (Node.children ce)
+              if not uc.empty then walk uc sc (Node.children ce)
             end))
       children
   in
-  walk (Selecting_nfa.start unfa) start_states root_children
+  walk (Dfa.start udfa) start_states root_children
 
 (* What a native does, as pure data: instantiating a fresh runtime per
    evaluation rebuilds the closures from these specs, with names fixed at
    compose time (they are burned into the expression). *)
 type spec =
   | Nav of chunk * anchor_source
-  | Pipe of chunk list * anchor_source
+  | Pipe of Selecting_nfa.t * anchor_source  (* the suffix's NFA *)
   | Fin of anchor_source
 
 let native_of_spec rt name = function
@@ -426,25 +416,15 @@ let native_of_spec rt name = function
     | [ [ anchor ] ] -> nav_chunk rt chunk ~src anchor
     | [ [] ] -> []
     | _ -> raise (Xq_value.Type_error (name ^ ": expected a single node")))
-  | Pipe (chunks, src) -> (
+  | Pipe (unfa, src) -> (
     function
     | [ [ anchor ] ] ->
       let out = ref [] in
       let emit n = out := Xq_value.N n :: !out in
       (match anchor with
       | Xq_value.D root ->
-        pipe_chunks rt chunks
-          (Some (Selecting_nfa.start rt.nfa))
-          [ Node.Element root ] emit
-      | Xq_value.N (Node.Element e) ->
-        let states =
-          match src with
-          | Src_hint s ->
-            let alive = Top_down.settle ~checkp:(checkp_direct rt) rt.nfa s e in
-            if Selecting_nfa.set_is_empty alive then None else Some alive
-          | Src_table -> Hashtbl.find_opt rt.state_tbl (Node.id e)
-        in
-        pipe_chunks rt chunks states (Node.children e) emit
+        pipe_chunks rt unfa (Some (Dfa.start (Dfa.of_nfa rt.nfa))) [ Node.Element root ] emit
+      | Xq_value.N (Node.Element e) -> pipe_chunks rt unfa (anchored rt src e) (Node.children e) emit
       | _ -> raise (Xq_value.Type_error (name ^ ": expected a node")));
       List.rev !out
     | [ [] ] -> []
@@ -455,7 +435,7 @@ let native_of_spec rt name = function
       let states =
         match src with
         | Src_hint s -> Some s
-        | Src_table -> Hashtbl.find_opt rt.state_tbl (Node.id e)
+        | Src_table -> Option.map (fun (c : Dfa.config) -> c.states) (Hashtbl.find_opt rt.state_tbl (Node.id e))
       in
       match states with
       | Some s -> List.map (fun n -> Xq_value.N n) (transformed_view rt s e)
@@ -510,7 +490,10 @@ let compose update (uq : User_query.t) : (composed, string) result =
         name
       in
       let register_nav chunk ~src = register (fresh_var "xut:nav") (Nav (chunk, src)) in
-      let register_pipe chunks ~src = register (fresh_var "xut:pipe") (Pipe (chunks, src)) in
+      let register_pipe chunks ~src =
+        let suffix = List.concat_map (fun c -> chunk_path c ~quals:c.quals) chunks in
+        register (fresh_var "xut:pipe") (Pipe (Selecting_nfa.of_path suffix, src))
+      in
       let register_fin ~src = register (fresh_var "xut:fin") (Fin src) in
       let output_affected = output_affected nfa update uq in
       (* does anything from this point on require the exact state
@@ -520,8 +503,8 @@ let compose update (uq : User_query.t) : (composed, string) result =
          label transition is blind to it, so widen to any-label *)
       let matched_possible s (chunk : chunk) =
         relabels update
-        && Selecting_nfa.accepts_set nfa
-             (on_any nfa (if chunk.desc then on_desc nfa s else s))
+        && Selecting_nfa.(
+             accepts_set nfa (next_on_any_set nfa (if chunk.desc then next_on_desc_set nfa s else s)))
       in
       let rec downstream_need s = function
         | [] -> output_affected s
@@ -694,9 +677,9 @@ let stack_masks (levels : level array) unfa (uq : User_query.t) =
   }
 
 (* does level [j]'s set [ls.(j)] meet [masks.(j)] for some [j]? *)
-let rec meets_any (masks : Selecting_nfa.set array) (ls : Selecting_nfa.set array) j =
+let rec meets_any (masks : Selecting_nfa.set array) (ls : Dfa.config array) j =
   j < Array.length masks
-  && (Selecting_nfa.set_intersects ls.(j) masks.(j) || meets_any masks ls (j + 1))
+  && (Selecting_nfa.set_intersects ls.(j).states masks.(j) || meets_any masks ls (j + 1))
 
 type stack_rt = {
   levels : level array;  (* innermost (applied first) at index 0 *)
@@ -711,19 +694,20 @@ type stack_rt = {
 let stack_walk rt (root : Node.element) : Xq_value.t =
   let n = Array.length rt.levels in
   let unfa = rt.sunfa in
+  let udfa = Dfa.of_nfa unfa and ldfas = Array.map (fun l -> Dfa.of_nfa l.lnfa) rt.levels in
   let here = Counter.local () in
   let out = ref [] in
   let emit nd = out := Xq_value.N nd :: !out in
   (* level [j]'s topDown over a node of V_{j-1}; only level 0 walks base
      nodes, so only it may consult the annotation oracle *)
-  let transform_level j states e =
-    let { lnfa; lupd } = rt.levels.(j) in
+  let transform_level j (c : Dfa.config) e =
+    let { lnfa; lupd } = rt.levels.(j) and states = c.states in
     if j = 0 then Top_down.transform_at ?checkp:rt.soracle lnfa lupd ~states e
     else Top_down.transform_at lnfa lupd ~states e
   in
   (* the V_{upto-1} image of [ce], given no level below [upto] matches at
      it (one element: labels and identity preserved level by level) *)
-  let rec through_view (ls : Selecting_nfa.set array) ce upto =
+  let rec through_view (ls : Dfa.config array) ce upto =
     if upto = 0 then [ Node.Element ce ]
     else begin
       let key = (Node.id ce, upto) in
@@ -747,16 +731,13 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
       (fun nd ->
         match nd with
         | Node.Element te ->
-          let { lnfa; lupd = _ } = rt.levels.(j) in
-          let s =
-            Selecting_nfa.next lnfa here ~checkp:(Top_down.direct_checkp lnfa) te pls (Node.sym te)
-          in
-          transform_level j s te
+          let checkp = Top_down.direct_checkp rt.levels.(j).lnfa in
+          transform_level j (Dfa.next ldfas.(j) here ~checkp te pls (Node.sym te)) te
         | other -> [ other ])
       f
   in
   let { out_masks; level_quals; user_quals } = rt.smasks in
-  let rec visit (us : Selecting_nfa.set) (ls : Selecting_nfa.set array) (ce : Node.element) =
+  let rec visit (us : Dfa.config) (ls : Dfa.config array) (ce : Node.element) =
     (* transition every level innermost-first; the first match resolves
        the subtree *)
     let ls' = Array.copy ls in
@@ -774,9 +755,9 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
              match rt.soracle with Some f -> f st ce | None -> Eval.check_qual ce q
            else Eval.check_qual ce q
          in
-         let si = Selecting_nfa.next lnfa here ~checkp ce ls.(i) (Node.sym ce) in
+         let si = Dfa.next ldfas.(i) here ~checkp ce ls.(i) (Node.sym ce) in
          ls'.(i) <- si;
-         if Selecting_nfa.accepts_set lnfa si then begin
+         if si.accepts then begin
            matched := i;
            raise Exit
          end
@@ -792,7 +773,7 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
         | other -> other
       in
       let rec outer j f = if j >= n then f else outer (j + 1) (resolve_level j ls.(j) f) in
-      List.iter (user_enter_const here unfa emit us) (outer (i + 1) f0)
+      List.iter (user_enter_const here udfa emit us) (outer (i + 1) f0)
     end
     else begin
       (* unmatched everywhere: the node survives with its label; user
@@ -805,8 +786,8 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
           | _ -> false
         else Eval.check_qual ce q
       in
-      let uc = Selecting_nfa.next unfa here ~checkp:user_checkp ce us (Node.sym ce) in
-      if Selecting_nfa.accepts_set unfa uc then begin
+      let (uc : Dfa.config) = Dfa.next udfa here ~checkp:user_checkp ce us (Node.sym ce) in
+      if uc.accepts then begin
         if meets_any out_masks ls' 0 then
           match through_view ls' ce n with
           | [ Node.Element t ] -> emit (Node.Element t)
@@ -815,15 +796,13 @@ let stack_walk rt (root : Node.element) : Xq_value.t =
       end;
       (* a child's user set lies within [next_on_any_set uc] on either
          path, matched or not: where that is empty nothing below emits *)
-      if not (Selecting_nfa.set_is_empty (Selecting_nfa.next_on_any_set unfa here uc)) then
+      if uc.moves then
         List.iter
           (fun ch -> match ch with Node.Element che -> visit uc ls' che | _ -> ())
           (Node.children ce)
     end
   in
-  visit (Selecting_nfa.start unfa)
-    (Array.init n (fun i -> Selecting_nfa.start rt.levels.(i).lnfa))
-    root;
+  visit (Dfa.start udfa) (Array.map Dfa.start ldfas) root;
   List.rev !out
 
 let compose_stack updates (uq : User_query.t) : (composed, string) result =

@@ -118,7 +118,6 @@ module Pass1 = struct
   }
 
   type t = {
-    nfa : Selecting_nfa.t;
     here : Counter.local;
     lq : Lq.t;
     nlq : int;
@@ -128,25 +127,24 @@ module Pass1 = struct
        paper runs it, one whose state set is empty *)
     reach : bool;
     truth : Truth.t;
-    memo : Annotator.demands;
-    none : Annotator.demand;
+    dfa : Dfa.t;
     scratch : Lq.scratch;
     (* the [csat] of the frame being evaluated, read through [csat], a
        closure built once per run *)
     mutable current : bool array;
     csat : int -> bool;
-    (* the unfiltered states of the parent of the bottom frame: the start
-       set for a whole-document pass, the saved pass-2 states inside an
-       undecided region *)
-    mutable base : Selecting_nfa.set;
+    (* the configuration of the parent of the bottom frame: the start
+       set and the document node's candidates for a whole-document pass,
+       the saved pass-2 configuration inside an undecided region *)
+    mutable base : Dfa.config;
     (* the depth of the bottom frame: 0, or pass 2's depth at the parent
        of an undecided region; the slots below it are not pass 1's *)
     mutable bottom : int;
-    (* the frame at depth [d]: its unfiltered NFA states after its
-       start-tag, what bottomUp evaluates there ([none] for a seedless
-       frame), and, when that is something, [seeded.(d)] *)
-    mutable states : Selecting_nfa.set array;
-    mutable demand : Annotator.demand array;
+    (* the frame at depth [d]: the DFA step that entered it, which holds
+       its unfiltered configuration and what bottomUp evaluates there
+       ([none] for a seedless frame), and, when that is something,
+       [seeded.(d)] *)
+    mutable frames : Dfa.step array;
     mutable seeded : seeded array;
     mutable skip : int;
     (* was the current skip episode opened by the schema oracle (as
@@ -161,7 +159,7 @@ module Pass1 = struct
     (* the virtual document node's demand, for a path that begins with
        [//.[q]], and what the document element satisfies.  Its truths go
        to seq -1. *)
-    doc : Annotator.demand;
+    doc : Dfa.demand;
     doc_csat : bool array;
   }
 
@@ -171,18 +169,22 @@ module Pass1 = struct
   let unused =
     { csat = [||]; text = Buffer.create 0; first = ""; pieces = 0; attrs = []; name = ""; at = -1 }
 
-  let seeds (d : Annotator.demand) = not (Lq.set_is_empty d.Annotator.seeds)
+  let seeds (d : Dfa.demand) = not (Lq.set_is_empty d.seeds)
+
+  (* The configuration at the document node over [states]: the
+     candidates the document node passes down with them. *)
+  let at_document dfa (doc : Dfa.demand) (states : Dfa.config) =
+    if seeds doc then Dfa.config dfa ~cands:doc.candidates states.states else states
 
   let create ?sskip ?(reach = false) nfa truth =
     let lq = Selecting_nfa.lq nfa in
-    let base = Selecting_nfa.start nfa in
-    let memo = Annotator.steps nfa in
-    let none = Annotator.no_demand memo in
-    let doc = Annotator.document_demand memo ~name:document in
+    let dfa = Dfa.of_nfa nfa in
+    let doc = Dfa.document_demand dfa ~name:document in
+    let base = at_document dfa doc (Dfa.start dfa) in
     let rec p =
-      { nfa; here = Counter.local (); lq; nlq = Lq.length lq; sskip; reach; truth; memo; none;
+      { here = Counter.local (); lq; nlq = Lq.length lq; sskip; reach; truth; dfa;
         scratch = Lq.scratch lq; current = [||]; csat = (fun i -> Array.unsafe_get p.current i); base; bottom = 0;
-        states = Array.make initial_depth base; demand = Array.make initial_depth none;
+        frames = Array.make initial_depth (Dfa.unused dfa);
         seeded = Array.make initial_depth unused; skip = 0; schema_mode = false;
         skipped_subtrees = 0; skipped_elements = 0; seq = -1; depth = 0; max_depth = 0; doc;
         doc_csat = Array.make (if seeds doc then Lq.length lq else 0) false }
@@ -192,9 +194,8 @@ module Pass1 = struct
   (* Room for a frame at depth [d].  Inside a region the first frame
      sits at [bottom], which may be past the arrays' end. *)
   let rec reserve p d =
-    if d >= Array.length p.states then begin
-      p.states <- grow p.states p.base;
-      p.demand <- grow p.demand p.none;
+    if d >= Array.length p.frames then begin
+      p.frames <- grow p.frames (Dfa.unused p.dfa);
       p.seeded <- grow p.seeded unused;
       reserve p d
     end
@@ -233,23 +234,12 @@ module Pass1 = struct
   let enter p seq sym =
     p.seq <- seq;
     let d = p.depth in
-    let candidates =
-      if d > p.bottom then p.demand.(d - 1).Annotator.candidates
-      else if d = 0 then p.doc.Annotator.candidates
-      else p.none.Annotator.candidates
-    in
-    let step =
-      Annotator.step p.memo p.here candidates (if d = p.bottom then p.base else p.states.(d - 1)) sym
-    in
-    let states = step.Annotator.states and demand = step.Annotator.demand in
-    if
-      (not (seeds demand))
-      && if p.reach then not step.Annotator.reaches else Selecting_nfa.set_is_empty states
-    then false
+    let step = Dfa.step p.dfa p.here (if d > p.bottom then p.frames.(d - 1).child else p.base) sym in
+    let demand = step.demand in
+    if (not (seeds demand)) && if p.reach then not step.reaches else step.child.empty then false
     else begin
       reserve p d;
-      p.states.(d) <- states;
-      p.demand.(d) <- demand;
+      p.frames.(d) <- step;
       if seeds demand then set_seeded p d;
       p.depth <- d + 1;
       if p.depth > p.max_depth then p.max_depth <- p.depth;
@@ -259,7 +249,7 @@ module Pass1 = struct
   (* The event of the start-tag [enter] just gave a frame. *)
   let label p name attrs =
     let d = p.depth - 1 in
-    if seeds p.demand.(d) then begin
+    if seeds p.frames.(d).demand then begin
       let f = p.seeded.(d) in
       f.name <- name;
       f.attrs <- attrs
@@ -282,10 +272,10 @@ module Pass1 = struct
 
   (* QualDP at a frame: its truths go to Ld, and what it satisfies to
      its parent's [csat] (a parent without seeds never reads it). *)
-  let evaluate p (demand : Annotator.demand) ~name ~attrs ~text ~csat ~at parent =
+  let evaluate p (demand : Dfa.demand) ~name ~attrs ~text ~csat ~at parent =
     p.current <- csat;
-    Lq.eval p.lq p.scratch ~name ~attrs ~text ~csat:p.csat ~wanted:demand.Annotator.seeds;
-    let own = demand.Annotator.own in
+    Lq.eval p.lq p.scratch ~name ~attrs ~text ~csat:p.csat ~wanted:demand.seeds;
+    let own = demand.own in
     for k = 0 to Array.length own - 1 do
       let i = own.(k) in
       Truth.set p.truth at i (Lq.holds p.scratch i)
@@ -297,7 +287,7 @@ module Pass1 = struct
 
   let text p t =
     let d = p.depth - 1 in
-    if p.skip = 0 && d >= p.bottom && p.demand.(d).Annotator.reads_text then add_text p.seeded.(d) t
+    if p.skip = 0 && d >= p.bottom && p.frames.(d).demand.reads_text then add_text p.seeded.(d) t
 
   let end_ p =
     if p.skip > 0 then begin
@@ -307,16 +297,16 @@ module Pass1 = struct
     else if p.depth > p.bottom then begin
       let d = p.depth - 1 in
       p.depth <- d;
-      let demand = p.demand.(d) in
+      let demand = p.frames.(d).demand in
       if seeds demand then begin
         let f = p.seeded.(d) in
         let parent =
-          if d > p.bottom then if seeds p.demand.(d - 1) then p.seeded.(d - 1).csat else [||]
+          if d > p.bottom then if seeds p.frames.(d - 1).demand then p.seeded.(d - 1).csat else [||]
           else if d = 0 then p.doc_csat
           else [||]
         in
         evaluate p demand ~name:f.name ~attrs:f.attrs
-          ~text:(if demand.Annotator.reads_text then text_of f else "")
+          ~text:(if demand.reads_text then text_of f else "")
           ~csat:f.csat ~at:f.at parent
       end
     end
@@ -364,20 +354,19 @@ module Pass2 = struct
 
   type t = {
     nfa : Selecting_nfa.t;
+    dfa : Dfa.t;
     here : Counter.local;
     update : Transform_ast.update;
     sskip : (Sym.t -> bool) option;
     truth : Truth.t;
     sink : Sax.event -> unit;
     root_matched : bool;
-    (* the states at the document node *)
-    start : Selecting_nfa.set;
+    (* the configuration at the document node *)
+    start : Dfa.config;
     (* the frame at depth [d], in slot [d] of each array: its filtered
-       states, the name its end-tag is written with, and whether the
-       update selected it *)
-    mutable fstates : Selecting_nfa.set array;
+       configuration and the name its end-tag is written with *)
+    mutable fstates : Dfa.config array;
     mutable out_names : string array;
-    mutable matched : bool array;
     mutable skip : int;
     (* schema-skipped subtree being copied to the output verbatim: nothing
        below can match, so the events pass through with no transition run *)
@@ -390,25 +379,24 @@ module Pass2 = struct
     mutable visited : int;
     mutable produced_root : bool;
     mutable act : act;
-    (* with [Push]: the frame's filtered states and selection *)
-    mutable next_states : Selecting_nfa.set;
-    mutable next_matched : bool;
+    (* with [Push]: the frame's filtered configuration *)
+    mutable next_states : Dfa.config;
   }
 
   (* [truth] holds the document node's truths, if the path tests it,
      before the pass starts. *)
   let create ?sskip nfa update truth sink =
+    let dfa = Dfa.of_nfa nfa in
     let start =
-      Selecting_nfa.start_checked nfa
+      Dfa.start_checked dfa
         ~checkp:(fun s truth -> Truth.get truth (-1) (Selecting_nfa.state_lq nfa s))
         truth
     in
-    { nfa; here = Counter.local (); update; sskip; truth; sink;
+    { nfa; dfa; here = Counter.local (); update; sskip; truth; sink;
       root_matched = Selecting_nfa.selects_context nfa; start;
       fstates = Array.make initial_depth start; out_names = Array.make initial_depth "";
-      matched = Array.make initial_depth false; skip = 0; verbatim = 0; depth = 0;
-      max_depth = 0; seq = -1; visited = 0; produced_root = false; act = Quiet; next_states = start;
-      next_matched = false }
+      skip = 0; verbatim = 0; depth = 0; max_depth = 0; seq = -1; visited = 0;
+      produced_root = false; act = Quiet; next_states = start }
 
   (* The qualifier check at the start-tag numbered [seq]. *)
   let checkp s p = Truth.get p.truth p.seq (Selecting_nfa.state_lq p.nfa s)
@@ -419,17 +407,18 @@ module Pass2 = struct
 
   let states p = if p.depth = 0 then p.start else p.fstates.(p.depth - 1)
 
-  let push p fstates out_name matched =
+  (* Did the update select the element at depth [d] in [fstates]? *)
+  let matched p d (fstates : Dfa.config) = fstates.accepts || (d = 0 && p.root_matched)
+
+  let push p fstates out_name =
     let d = p.depth in
     if d = 0 then p.produced_root <- true;
     if d = Array.length p.fstates then begin
       p.fstates <- grow p.fstates fstates;
-      p.out_names <- grow p.out_names "";
-      p.matched <- grow p.matched false
+      p.out_names <- grow p.out_names ""
     end;
     p.fstates.(d) <- fstates;
     p.out_names.(d) <- out_name;
-    p.matched.(d) <- matched;
     p.depth <- d + 1;
     if p.depth > p.max_depth then p.max_depth <- p.depth
 
@@ -444,11 +433,10 @@ module Pass2 = struct
      match nothing below it, is copied whole; without steering, a
      deleted one is dropped event by event.  A failure waits for the
      tag's event, so a malformed tag fails as the parse does. *)
-  let admit p ~steerable seq fstates =
+  let admit p ~steerable seq (fstates : Dfa.config) =
     count p seq;
     let at_root = p.depth = 0 in
-    let matched = Selecting_nfa.accepts_set p.nfa fstates || (at_root && p.root_matched) in
-    match p.update, matched with
+    match p.update, matched p p.depth fstates with
     | Transform_ast.Delete _, true when at_root ->
       p.act <- Fail "update deletes the document element";
       Sax.Walk
@@ -467,13 +455,12 @@ module Pass2 = struct
         p.act <- Quiet;
         Sax.Walk
       end
-    | _, false when steerable && Selecting_nfa.set_is_empty fstates ->
+    | _, false when steerable && fstates.empty ->
       if at_root then p.produced_root <- true;
       Sax.Copy
     | _ ->
       p.act <- Push;
       p.next_states <- fstates;
-      p.next_matched <- matched;
       Sax.Walk
 
   (* The start-tag numbered [seq] of [sym]. *)
@@ -494,7 +481,7 @@ module Pass2 = struct
     else begin
       (* the qualifier checks read it *)
       p.seq <- seq;
-      admit p ~steerable seq (Selecting_nfa.next p.nfa p.here ~checkp p (states p) sym)
+      admit p ~steerable seq (Dfa.next p.dfa p.here ~checkp p (states p) sym)
     end
 
   (* The event [ev] of the start-tag just decided.  An element written
@@ -505,18 +492,18 @@ module Pass2 = struct
     | Echo -> p.sink ev
     | Fail msg -> raise (Transform_ast.Invalid_update msg)
     | Push -> (
-      let fstates = p.next_states and matched = p.next_matched in
+      let fstates = p.next_states in
       match p.update with
-      | Transform_ast.Rename (_, l) when matched ->
+      | Transform_ast.Rename (_, l) when matched p p.depth fstates ->
         p.sink (Sax.Start_element (l, attrs));
-        push p fstates l matched
-      | Transform_ast.Insert_first (_, enew) when matched ->
+        push p fstates l
+      | Transform_ast.Insert_first (_, enew) when matched p p.depth fstates ->
         p.sink ev;
         Sax.events_of_node enew p.sink;
-        push p fstates name matched
+        push p fstates name
       | _ ->
         p.sink ev;
-        push p fstates name matched)
+        push p fstates name)
 
   (* The events of a parse whose start-tags were decided. *)
   let handle_decided p = function
@@ -538,7 +525,7 @@ module Pass2 = struct
         let d = p.depth - 1 in
         p.depth <- d;
         (match p.update with
-        | Transform_ast.Insert (_, enew) when p.matched.(d) -> Sax.events_of_node enew p.sink
+        | Transform_ast.Insert (_, enew) when matched p d p.fstates.(d) -> Sax.events_of_node enew p.sink
         | _ -> ());
         let out_name = p.out_names.(d) in
         p.sink (if String.equal out_name name then ev else Sax.End_element out_name)
@@ -649,13 +636,14 @@ let drive ?copy_to ?keep_ws nfa update ~input ~sink =
       | d -> d)
     else if Pass2.walking p2 then begin
       let parent = Pass2.states p2 in
-      let states = Selecting_nfa.next_unchecked nfa p2.Pass2.here parent sym in
-      if Selecting_nfa.set_intersects states quals then begin
+      let s = Dfa.step p2.Pass2.dfa p2.Pass2.here parent sym in
+      if Selecting_nfa.set_intersects s.child.states quals then begin
         incr regions;
         inside := 1;
         first := n;
         from := -1;
-        p1.Pass1.base <- parent;
+        p1.Pass1.base <-
+          (if p2.Pass2.depth = 0 then Pass1.at_document p1.Pass1.dfa p1.Pass1.doc parent else parent);
         p1.Pass1.depth <- p2.Pass2.depth;
         p1.Pass1.bottom <- p2.Pass2.depth;
         ignore (Pass1.enter p1 n sym : bool);
@@ -664,7 +652,7 @@ let drive ?copy_to ?keep_ws nfa update ~input ~sink =
       else
         (* no qualifier-bearing state entered: the filtered transition
            is the unchecked one *)
-        Pass2.admit p2 ~steerable n states
+        Pass2.admit p2 ~steerable n s.plain
     end
     else Pass2.decide p2 ~steerable n sym
   in

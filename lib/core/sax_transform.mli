@@ -42,7 +42,7 @@ open Xut_automata
     ({!Serialize.Sink.writer} of the sink whose {!Serialize.Sink.event}
     is [sink]).  Inside a region the live parse skips every subtree pass
     1 has nothing to evaluate in (the [reaches] bit of
-    {!Annotator.step}), and the re-read is steered for pass 2 as the
+    {!Xut_automata.Dfa.step}), and the re-read is steered for pass 2 as the
     live parse is.  Without
     [copy_to], every start-tag is walked as an event, and the bytes,
     chunk boundaries and errors are those of the steered run.
@@ -55,7 +55,8 @@ open Xut_automata
     as the input's own event, and a steered run interns each start-tag
     once, in the parser.  Pass 1 allocates nothing at a seeded element
     either: what it evaluates there is computed once per plan for each
-    (parent candidates, parent state set, label) ({!Annotator.step}), QualDP
+    (parent configuration, label), one step of the plan's lazy DFA
+    ({!Xut_automata.Dfa.step}), QualDP
     writes into a scratch the run owns ({!Xut_xpath.Lq.eval}), a seeded
     frame reuses its depth's [csat] array, and Ld is an int-keyed table
     ({!Truth}).  A steered subtree makes no events at all, so a steered

@@ -46,9 +46,10 @@ let ctx_holds nfa root =
 
 let start nfa root =
   let module Nfa = Xut_automata.Selecting_nfa in
-  if not (Nfa.checks_document nfa) then Nfa.start nfa
+  let dfa = Xut_automata.Dfa.of_nfa nfa in
+  if not (Nfa.checks_document nfa) then Xut_automata.Dfa.start dfa
   else
-    Nfa.start_checked nfa
+    Xut_automata.Dfa.start_checked dfa
       ~checkp:(fun s doc -> Eval.check_qual doc (Nfa.state_qual nfa s))
       (document root)
 

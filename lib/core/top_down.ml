@@ -42,8 +42,8 @@ let rebuild_children go states children =
    non-empty — shared with [transform_at], which settles it differently. *)
 let make_go ~checkp ?(skip = fun _ -> false) nfa update =
   (* the walk counts at every element: this domain's cells, taken once *)
-  let here = Counter.local () and mask = Selecting_nfa.label_mask nfa in
-  let rec go (e : Node.element) states =
+  let here = Counter.local () and mask = Selecting_nfa.label_mask nfa and dfa = Dfa.of_nfa nfa in
+  let rec go (e : Node.element) (c : Dfa.config) =
     if Node.labels e land mask = 0 || skip e then begin
       (* no node at or below [e] carries the label every selected node
          carries (its label summary), or the schema skip-set says no
@@ -54,27 +54,27 @@ let make_go ~checkp ?(skip = fun _ -> false) nfa update =
     end
     else begin
       Counter.bump_local here Stats.nodes_visited;
-      let states' = Selecting_nfa.next nfa here ~checkp e states (Node.sym e) in
-      if Selecting_nfa.set_is_empty states' then begin
+      let c' = Dfa.next dfa here ~checkp e c (Node.sym e) in
+      if c'.empty then begin
         Counter.bump_local here Stats.nodes_shared;
         Same
       end
-      else at e states'
+      else at e c'
     end
-  and at e states' =
-    match update, Selecting_nfa.accepts_set nfa states' with
+  and at e (c' : Dfa.config) =
+    match update, c'.accepts with
     | Transform_ast.Delete _, true -> Changed []
     | Transform_ast.Replace (_, enew), true ->
       Counter.bump_local here Stats.nodes_copied;
       Changed [ Node.refresh_ids enew ]
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _), true ->
       let kids =
-        Option.value (rebuild_children go states' (Node.children e)) ~default:(Node.children e)
+        Option.value (rebuild_children go c' (Node.children e)) ~default:(Node.children e)
       in
       Changed (Semantics.apply_matched update e ~kids)
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
       | Transform_ast.Delete _ | Transform_ast.Replace _), false -> (
-      match rebuild_children go states' (Node.children e) with
+      match rebuild_children go c' (Node.children e) with
       | None -> Same
       | Some kids ->
         Counter.bump_local here Stats.nodes_copied;
@@ -112,34 +112,34 @@ let added = function
 
 let count ?checkp nfa update root =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  let here = Counter.local () and mask = Selecting_nfa.label_mask nfa in
-  let rec go (e : Node.element) states =
+  let here = Counter.local () and mask = Selecting_nfa.label_mask nfa and dfa = Dfa.of_nfa nfa in
+  let rec go (e : Node.element) (c : Dfa.config) =
     if Node.labels e land mask = 0 then begin
       Counter.bump_local here Stats.nodes_shared;
       0
     end
     else begin
       Counter.bump_local here Stats.nodes_visited;
-      let states' = Selecting_nfa.next nfa here ~checkp e states (Node.sym e) in
-      if Selecting_nfa.set_is_empty states' then begin
+      let c' = Dfa.next dfa here ~checkp e c (Node.sym e) in
+      if c'.empty then begin
         Counter.bump_local here Stats.nodes_shared;
         0
       end
-      else delta e states'
+      else delta e c'
     end
-  and delta e states' =
-    match update, Selecting_nfa.accepts_set nfa states' with
+  and delta e (c' : Dfa.config) =
+    match update, c'.accepts with
     | Transform_ast.Delete _, true -> -Node.elements e
     | Transform_ast.Replace _, true -> added update - Node.elements e
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _), true ->
-      kids 0 states' (Node.children e) + added update
+      kids 0 c' (Node.children e) + added update
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
       | Transform_ast.Delete _ | Transform_ast.Replace _), _ ->
-      kids 0 states' (Node.children e)
-  and kids acc states' = function
+      kids 0 c' (Node.children e)
+  and kids acc c' = function
     | [] -> acc
-    | Node.Element c :: rest -> kids (acc + go c states') states' rest
-    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids acc states' rest
+    | Node.Element e :: rest -> kids (acc + go e c') c' rest
+    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids acc c' rest
   in
   (* the structural checks [run] applies to the document element *)
   let check_root () =
@@ -168,16 +168,14 @@ let count ?checkp nfa update root =
   end
   else begin
     Counter.bump_local here Stats.nodes_visited;
-    let states' =
-      Selecting_nfa.next nfa here ~checkp root (Semantics.start nfa root) (Node.sym root)
-    in
-    if Selecting_nfa.set_is_empty states' then begin
+    let c' = Dfa.next dfa here ~checkp root (Semantics.start nfa root) (Node.sym root) in
+    if c'.empty then begin
       Counter.bump_local here Stats.nodes_shared;
       elements
     end
     else begin
-      if Selecting_nfa.accepts_set nfa states' then check_root ();
-      elements + delta root states'
+      if c'.accepts then check_root ();
+      elements + delta root c'
     end
   end
 
@@ -194,10 +192,10 @@ let settle ~checkp nfa states (e : Node.element) =
 
 let transform_at ?checkp nfa update ~states (e : Node.element) : Node.t list =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  let alive = settle ~checkp nfa states e in
-  let _, at = make_go ~checkp nfa update in
-  if Selecting_nfa.set_is_empty alive then [ Node.Element e ]
-  else match at e alive with Same -> [ Node.Element e ] | Changed out -> out
+  let alive = Dfa.config (Dfa.of_nfa nfa) (settle ~checkp nfa states e) in
+  match if alive.empty then Same else snd (make_go ~checkp nfa update) e alive with
+  | Same -> [ Node.Element e ]
+  | Changed out -> out
 
 let transform update root =
   let nfa = Selecting_nfa.of_path (Transform_ast.path update) in

@@ -239,7 +239,7 @@ let main_body nfa (q : Transform_ast.t) ~annotate =
          Xq_ast.Call
            ( "local:apply",
              [ (if annotate then Xq_ast.Call ("local:annot", [ Xq_ast.Var "n" ]) else Xq_ast.Var "n");
-               state_seq (Selecting_nfa.start_set nfa)
+               state_seq (Selecting_nfa.set_to_list (Selecting_nfa.start nfa))
              ] ) ))
 
 let compile (q : Transform_ast.t) =

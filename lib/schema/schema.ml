@@ -165,13 +165,16 @@ let validate_commit t ~spine new_root =
 
 (* ---------------- the product ---------------- *)
 
-(* A configuration is the key of {!Annotator.step}: the symbol, the
-   parent's NFA state set and the candidate seeds the parent passes
-   down.  The exploration below walks the schema graph through that very
-   step (so a conforming document can only ever realize explored
-   configurations), then closes "contributes" under reachability. *)
+(* A node of the product is a symbol and the DFA configuration of its
+   parent ({!Dfa.step}'s arguments): the parent's NFA state set and the
+   candidate seeds it passes down, as an id.  The exploration below
+   walks the schema graph through that very step (so a conforming
+   document can only ever realize explored configurations), then closes
+   "contributes" under reachability.  A configuration past the DFA's id
+   cap has no id to key by: the product gives up there, as at its own
+   cap. *)
 
-type cfg = Sym.t * Selecting_nfa.set * Xut_xpath.Lq.set
+type cfg = Sym.t * int
 
 type cnode = {
   n_accepting : bool;
@@ -190,29 +193,30 @@ type product = {
 let config_cap = 4096
 
 let product t nfa =
-  let steps = Annotator.steps nfa in
+  let dfa = Dfa.of_nfa nfa in
   let nodes : (cfg, cnode) Hashtbl.t = Hashtbl.create 256 in
   let queue = Queue.create () in
-  Queue.push (t.s_root, Selecting_nfa.start nfa, (Annotator.no_demand steps).candidates) queue;
+  Queue.push (t.s_root, Dfa.start dfa) queue;
   let capped = ref false in
   let here = Counter.local () in
   while not (Queue.is_empty queue) && not !capped do
-    let ((sym, parent, cands) as key) = Queue.pop queue in
+    let sym, (parent : Dfa.config) = Queue.pop queue in
+    let key = (sym, parent.id) in
     if not (Hashtbl.mem nodes key) then begin
-      if Hashtbl.length nodes >= config_cap then capped := true
+      if Hashtbl.length nodes >= config_cap || parent.id < 0 then capped := true
       else begin
-        let { Annotator.states; demand; _ } = Annotator.step steps here cands parent sym in
+        let { Dfa.child; demand; _ } = Dfa.step dfa here parent sym in
         let seeded = not (Xut_xpath.Lq.set_is_empty demand.seeds) in
-        let dead = Selecting_nfa.set_is_empty states && not seeded in
-        let accepting = (not dead) && Selecting_nfa.accepts_set nfa states in
+        let dead = child.empty && not seeded in
+        let accepting = (not dead) && child.accepts in
         let hot = accepting || seeded in
         let kids =
           if dead then []
           else
             List.map
-              (fun child ->
-                let kkey = (child, states, demand.candidates) in
-                if not (Hashtbl.mem nodes kkey) then Queue.push kkey queue;
+              (fun kid ->
+                let kkey = (kid, child.id) in
+                if not (Hashtbl.mem nodes kkey) then Queue.push (kid, child) queue;
                 kkey)
               (child_syms t sym)
         in
@@ -249,7 +253,7 @@ let product t nfa =
     let skip = Array.make (Sym.count ()) false in
     let reached = Hashtbl.create 64 in
     Hashtbl.iter
-      (fun (sym, _, _) n ->
+      (fun (sym, _) n ->
         let all_cold =
           (match Hashtbl.find_opt reached sym with Some b -> b | None -> true)
           && not n.n_contrib

@@ -18,9 +18,10 @@ open Xut_automata
 
     {!product} intersects a schema with a per-plan
     {!Xut_automata.Selecting_nfa}: a breadth-first exploration of
-    configurations keyed as {!Xut_automata.Annotator.step} keys its
-    memo, [(symbol, parent's NFA state set, parent's candidate seeds)],
-    each entered through that same step, the one
+    configurations keyed by [(symbol, parent's DFA configuration)] — the
+    configuration's id standing for the parent's NFA state set and
+    candidate seeds ({!Xut_automata.Dfa}) — each entered through
+    {!Xut_automata.Dfa.step}, the one
     {!Xut_automata.Annotator.annotate} takes at every element — but
     walking the schema graph instead of a concrete tree.  Because a
     conforming document only realizes parent/child edges the schema has,

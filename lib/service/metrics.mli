@@ -7,7 +7,7 @@
       tracks live state ([queue_depth], [conns_active]);
     - a {e derived line}: rendered at dump time from one of the two
       power-of-two histograms (request latency, pending-list length), the
-      queue high-water mark, the transition-memo counters or the symbol
+      queue high-water mark, the lazy-DFA step counters or the symbol
       table;
     - the process-wide counters ({!Xut_xml.Counter}), all in one
       declaration: they are shared by every service in the process and
@@ -169,7 +169,8 @@ val commit_noops : t -> int
 (** {2 Process-wide counters} *)
 
 val nfa_memo_stats : unit -> int * int
-(** Selecting-NFA transition-memo [(hits, misses)]. *)
+(** The lazy DFAs' [(hits, misses)]: steps found in a plan's DFA, and
+    steps computed from its selecting NFA ({!Xut_automata.Dfa}). *)
 
 val serialize_pool_stats : unit -> int * int
 (** [(hits, misses)] of the serializer buffer pool

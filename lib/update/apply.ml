@@ -24,54 +24,37 @@ let op_of_update = function
    answers whether a target lies at or below [e]; [mark] receives the id
    of each element with a target strictly below it, so marking
    allocates nothing per node: the walk allocates per target, per
-   marked ancestor, and when the transition it reuses changes. *)
+   marked ancestor, and where its DFA computes a step. *)
 let select ?(mark = ignore) path root =
   let nfa = Selecting_nfa.of_path path in
   if not (Core.Semantics.ctx_holds nfa root) then []
   else if Selecting_nfa.selects_context nfa then [ root ]
   else begin
-    let unchecked = Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa) in
     let targets = ref [] and visits = ref 0 in
     let here = Counter.local () and checkp = Core.Top_down.direct_checkp nfa in
-    (* the last transition on a symbol no step names: under a [//] step,
-       where most elements carry such names, it repeats node after node *)
-    let unnamed = ref None in
-    let next_unchecked states sym =
-      match !unnamed with
-      | Some (from_, to_)
-        when (not (Selecting_nfa.names nfa sym)) && Selecting_nfa.set_equal states from_ ->
-        to_
-      | Some _ | None ->
-        let to_ = Selecting_nfa.next_unchecked nfa here states sym in
-        if not (Selecting_nfa.names nfa sym) then unnamed := Some (states, to_);
-        to_
-    in
-    let mask = Selecting_nfa.label_mask nfa in
-    let rec go states (e : Node.element) =
+    let dfa = Dfa.of_nfa nfa and mask = Selecting_nfa.label_mask nfa in
+    let rec go c (e : Node.element) =
       if Node.labels e land mask = 0 then begin
         Counter.bump_local here Core.Stats.nodes_shared;
         false
       end
-      else visit states e
-    and visit states e =
+      else visit c e
+    and visit c e =
       incr visits;
-      let states' =
-        if unchecked then next_unchecked states (Node.sym e)
-        else Selecting_nfa.next nfa here ~checkp e states (Node.sym e)
-      in
-      (not (Selecting_nfa.set_is_empty states'))
+      let c' = Dfa.next dfa here ~checkp e c (Node.sym e) in
+      (not c'.empty)
       &&
-      let here = Selecting_nfa.accepts_set nfa states' in
+      let here = c'.accepts in
       if here then targets := e :: !targets;
-      let below = kids states' false (Node.children e) in
+      let below = kids c' false (Node.children e) in
       if below then mark (Node.id e);
       here || below
-    and kids states found = function
+    and kids c found = function
       | [] -> found
-      | Node.Element c :: rest ->
-        let f = go states c in
-        kids states (f || found) rest
-      | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids states found rest
+      | Node.Element e :: rest ->
+        let f = go c e in
+        kids c (f || found) rest
+      | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids c found rest
     in
     ignore (go (Core.Semantics.start nfa root) root);
     Counter.add Core.Stats.nodes_visited !visits;

@@ -141,8 +141,6 @@ let set_equal a b =
   | Wide x, Wide y -> Bytes.equal x y
   | (Bits _ | Wide _), _ -> false
 
-let set_hash = function Bits b -> b * 0x9e3779b9 land max_int | Wide w -> Hashtbl.hash w
-
 (* ---- QualDP ---- *)
 
 type scratch = { value : bool array; stamp : int array; mutable gen : int }

@@ -53,7 +53,6 @@ val set_of_list : t -> int list -> set
 val set_mem : set -> int -> bool
 val set_is_empty : set -> bool
 val set_equal : set -> set -> bool
-val set_hash : set -> int
 
 (** {2 QualDP} *)
 

@@ -2,6 +2,19 @@ open Xut_xpath
 open Xut_automata
 
 let nfa_of s = Selecting_nfa.of_path (Parser.parse s)
+let sym l = Xut_xml.Sym.intern (Xut_xml.Counter.local ()) l
+
+(* The set form on sorted lists and label names, to compare with
+   {!Selecting_nfa.Reference}. *)
+let start_list nfa = Selecting_nfa.(set_to_list (start nfa))
+
+let next_list nfa ~checkp s l =
+  Selecting_nfa.(set_to_list (next nfa ~checkp:(fun i () -> checkp i) () (set_of_list nfa s) (sym l)))
+
+let unchecked_list nfa s l = Selecting_nfa.(set_to_list (next_unchecked nfa (set_of_list nfa s) (sym l)))
+let any_list nfa s = Selecting_nfa.(set_to_list (next_on_any_set nfa (set_of_list nfa s)))
+let desc_list nfa s = Selecting_nfa.(set_to_list (next_on_desc_set nfa (set_of_list nfa s)))
+let accepts nfa s = Selecting_nfa.(accepts_set nfa (set_of_list nfa s))
 
 (* Nodes selected via the NFA during a top-down walk must equal the direct
    evaluator's answer. *)
@@ -15,15 +28,13 @@ let nfa_select ?(checkp = `Direct) nfa root =
   in
   let acc = ref [] in
   let rec go e states =
-    let states' =
-      Selecting_nfa.next_states nfa ~checkp:(fun s -> cp s e) states (Xut_xml.Node.name e)
-    in
-    if states' <> [] then begin
-      if Selecting_nfa.accepts nfa states' then acc := e :: !acc;
+    let states' = Selecting_nfa.next nfa ~checkp:cp e states (Xut_xml.Node.sym e) in
+    if not (Selecting_nfa.set_is_empty states') then begin
+      if Selecting_nfa.accepts_set nfa states' then acc := e :: !acc;
       List.iter (fun c -> go c states') (Xut_xml.Node.child_elements e)
     end
   in
-  go root (Selecting_nfa.start_set nfa);
+  go root (Selecting_nfa.start nfa);
   List.rev !acc
 
 let queries =
@@ -66,26 +77,26 @@ let test_structure_example_3_1 () =
   Alcotest.(check bool) "s3 is //" true (Selecting_nfa.kind nfa 3 = Selecting_nfa.K_desc);
   Alcotest.(check int) "final" 4 (Selecting_nfa.final nfa);
   (* the epsilon-closure of the start state contains the first // state *)
-  Alcotest.(check (list int)) "start closure" [ 0; 1 ] (Selecting_nfa.start_set nfa)
+  Alcotest.(check (list int)) "start closure" [ 0; 1 ] (start_list nfa)
 
 let test_next_states_desc_loop () =
   let nfa = nfa_of "//part" in
   (* states: 0 start, 1 desc, 2 part *)
-  let s0 = Selecting_nfa.start_set nfa in
+  let s0 = start_list nfa in
   Alcotest.(check (list int)) "closure(start)" [ 0; 1 ] s0;
-  let s1 = Selecting_nfa.next_states nfa ~checkp:(fun _ -> true) s0 "db" in
+  let s1 = next_list nfa ~checkp:(fun _ -> true) s0 "db" in
   Alcotest.(check (list int)) "after db: desc survives" [ 1 ] s1;
-  let s2 = Selecting_nfa.next_states nfa ~checkp:(fun _ -> true) s1 "part" in
+  let s2 = next_list nfa ~checkp:(fun _ -> true) s1 "part" in
   Alcotest.(check (list int)) "after part: desc + final" [ 1; 2 ] s2;
-  Alcotest.(check bool) "accepts" true (Selecting_nfa.accepts nfa s2)
+  Alcotest.(check bool) "accepts" true (accepts nfa s2)
 
 let test_qualifier_blocks_transition () =
   let nfa = nfa_of "db/part[pname = \"keyboard\"]/supplier" in
-  let s0 = Selecting_nfa.start_set nfa in
-  let s1 = Selecting_nfa.next_states nfa ~checkp:(fun _ -> true) s0 "db" in
-  let blocked = Selecting_nfa.next_states nfa ~checkp:(fun _ -> false) s1 "part" in
+  let s0 = start_list nfa in
+  let s1 = next_list nfa ~checkp:(fun _ -> true) s0 "db" in
+  let blocked = next_list nfa ~checkp:(fun _ -> false) s1 "part" in
   Alcotest.(check (list int)) "qualifier false kills the state" [] blocked;
-  let open_ = Selecting_nfa.next_states nfa ~checkp:(fun _ -> true) s1 "part" in
+  let open_ = next_list nfa ~checkp:(fun _ -> true) s1 "part" in
   Alcotest.(check (list int)) "qualifier true keeps it" [ 2 ] open_
 
 let test_static_simulation () =
@@ -93,17 +104,17 @@ let test_static_simulation () =
      Mp of //supplier[country=A]; initial {0,1}; after 'part' -> {1};
      after 'supplier' -> {1, final}. *)
   let nfa = nfa_of "//supplier[country = \"A\"]" in
-  let s0 = Selecting_nfa.start_set nfa in
-  let s1 = Selecting_nfa.next_on_label nfa s0 "part" in
+  let s0 = start_list nfa in
+  let s1 = unchecked_list nfa s0 "part" in
   Alcotest.(check (list int)) "S1" [ 1 ] s1;
-  let s2 = Selecting_nfa.next_on_label nfa s1 "supplier" in
+  let s2 = unchecked_list nfa s1 "supplier" in
   Alcotest.(check (list int)) "S2" [ 1; 2 ] s2;
-  Alcotest.(check bool) "final in S2" true (Selecting_nfa.accepts nfa s2);
+  Alcotest.(check bool) "final in S2" true (accepts nfa s2);
   (* any-label transition *)
-  let any = Selecting_nfa.next_on_any nfa s0 in
+  let any = any_list nfa s0 in
   Alcotest.(check (list int)) "any from start" [ 1; 2 ] any;
   (* desc transition saturates *)
-  let desc = Selecting_nfa.next_on_desc nfa [ 0 ] in
+  let desc = desc_list nfa [ 0 ] in
   Alcotest.(check (list int)) "desc from start" [ 0; 1; 2 ] desc
 
 let test_empty_path () =
@@ -178,22 +189,23 @@ let prop_bitset_equals_reference ~name ~min_steps ~max_steps ~wide =
            implementations *)
         let checkp s = (s * 31 + salt) land 7 <> 0 in
         let agree cur lbl =
-          Selecting_nfa.next_states_unchecked nfa cur lbl
-          = Selecting_nfa.Reference.next_states_unchecked nfa cur lbl
-          && Selecting_nfa.next_states nfa ~checkp cur lbl
-             = Selecting_nfa.Reference.next_states nfa ~checkp cur lbl
-          && Selecting_nfa.next_on_label nfa cur lbl
-             = Selecting_nfa.Reference.next_on_label nfa cur lbl
-          && Selecting_nfa.next_on_any nfa cur = Selecting_nfa.Reference.next_on_any nfa cur
-          && Selecting_nfa.next_on_desc nfa cur = Selecting_nfa.Reference.next_on_desc nfa cur
-          && Selecting_nfa.accepts nfa cur = Selecting_nfa.Reference.accepts nfa cur
+          unchecked_list nfa cur lbl = Selecting_nfa.Reference.next_states_unchecked nfa cur lbl
+          && next_list nfa ~checkp cur lbl = Selecting_nfa.Reference.next_states nfa ~checkp cur lbl
+          && unchecked_list nfa cur lbl = Selecting_nfa.Reference.next_on_label nfa cur lbl
+          && any_list nfa cur = Selecting_nfa.Reference.next_on_any nfa cur
+          && desc_list nfa cur = Selecting_nfa.Reference.next_on_desc nfa cur
+          && accepts nfa cur = Selecting_nfa.Reference.accepts nfa cur
         in
-        let ok = ref (Selecting_nfa.start_set nfa = Selecting_nfa.Reference.start_set nfa) in
-        let cur = ref (Selecting_nfa.start_set nfa) in
+        (* the plan's DFA walks the same run, and must hold the same sets *)
+        let dfa = Dfa.of_nfa nfa and here = Xut_xml.Counter.local () in
+        let ok = ref (start_list nfa = Selecting_nfa.Reference.start_set nfa) in
+        let cur = ref (start_list nfa) and c = ref (Dfa.start dfa) in
         List.iter
           (fun lbl ->
             if not (agree !cur lbl) then ok := false;
-            cur := Selecting_nfa.next_states nfa ~checkp !cur lbl)
+            cur := next_list nfa ~checkp !cur lbl;
+            c := Dfa.next dfa here ~checkp:(fun i () -> checkp i) () !c (sym lbl);
+            if Selecting_nfa.set_to_list (!c).Dfa.states <> !cur then ok := false)
           run;
         !ok
       end)
@@ -225,43 +237,41 @@ let test_sym_domains () =
 
 let test_memo_counts () =
   let nfa = nfa_of "//part[pname = \"keyboard\"]" in
-  let s0 = Selecting_nfa.start nfa in
+  let dfa = Dfa.of_nfa nfa in
   let here = Xut_xml.Counter.local () in
   let sym = Xut_xml.Sym.intern here "part" in
   let hits0 = Fixtures.counter "nfa_memo_hits" and misses0 = Fixtures.counter "nfa_memo_misses" in
-  ignore (Selecting_nfa.next_unchecked nfa here s0 sym);
-  ignore (Selecting_nfa.next_unchecked nfa here s0 sym);
-  let hits = Fixtures.counter "nfa_memo_hits" - hits0
-  and misses = Fixtures.counter "nfa_memo_misses" - misses0 in
-  Alcotest.(check bool) "second transition hits" true (hits >= 1);
-  Alcotest.(check bool) "first transition misses" true (misses >= 1)
+  ignore (Dfa.step dfa here (Dfa.start dfa) sym);
+  ignore (Dfa.step dfa here (Dfa.start dfa) sym);
+  Alcotest.(check int) "second step hits" 1 (Fixtures.counter "nfa_memo_hits" - hits0);
+  Alcotest.(check int) "first step misses" 1 (Fixtures.counter "nfa_memo_misses" - misses0);
+  Alcotest.(check int) "one step computed" 1 (Dfa.computed dfa)
 
-(* A memo hit allocates nothing: 1000 warm unchecked transitions, and
+(* A DFA step found allocates nothing: 1000 warm unchecked steps, and
    1000 checked ones whose targets carry no qualifier state, on both set
    representations.  The hit counter still counts every one of them. *)
 let test_memo_hit_allocation () =
   let check name path label =
     let nfa = nfa_of path in
-    let s0 = Selecting_nfa.start nfa in
+    let dfa = Dfa.of_nfa nfa in
+    let s0 = Dfa.start dfa in
     let checkp _ () = true and here = Xut_xml.Counter.local () in
     let sym = Xut_xml.Sym.intern here label in
-    let s1 = Selecting_nfa.next nfa here ~checkp () s0 sym in
+    let s1 = Dfa.next dfa here ~checkp () s0 sym in
     Alcotest.(check bool) (name ^ ": the step enters no qualifier state") false
-      (Selecting_nfa.set_intersects s1 (Selecting_nfa.qual_states nfa));
-    ignore (Selecting_nfa.next_unchecked nfa here s0 sym);
+      (Selecting_nfa.set_intersects s1.states (Selecting_nfa.qual_states nfa));
     let hits0 = Fixtures.counter "nfa_memo_hits" in
     let before = Gc.minor_words () in
     for _ = 1 to 1000 do
-      ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa here s0 sym))
+      ignore (Sys.opaque_identity (Dfa.step dfa here s0 sym))
     done;
     let mid = Gc.minor_words () in
     for _ = 1 to 1000 do
-      ignore (Sys.opaque_identity (Selecting_nfa.next nfa here ~checkp () s0 sym))
+      ignore (Sys.opaque_identity (Dfa.next dfa here ~checkp () s0 sym))
     done;
     let after = Gc.minor_words () in
     (* only Gc.minor_words' own boxed floats *)
-    Alcotest.(check bool) (name ^ ": next_unchecked hits allocate nothing") true
-      (mid -. before < 100.);
+    Alcotest.(check bool) (name ^ ": step hits allocate nothing") true (mid -. before < 100.);
     Alcotest.(check bool) (name ^ ": next hits allocate nothing") true (after -. mid < 100.);
     Alcotest.(check int) (name ^ ": hits counted") 2000 (Fixtures.counter "nfa_memo_hits" - hits0)
   in
@@ -273,24 +283,110 @@ let test_memo_hit_allocation () =
 
 (* Each domain bumps its own cells, so the sums are exact however the
    domains interleave: two domains, each making [n] interns and [n] warm
-   memo hits on one shared automaton, add exactly [2n] to each. *)
+   DFA steps on one shared automaton, add exactly [2n] to each. *)
 let test_counts_across_domains () =
   let n = 100_000 in
-  let nfa = nfa_of "//part/supplier" in
-  let s0 = Selecting_nfa.start nfa in
+  let dfa = Dfa.of_nfa (nfa_of "//part/supplier") in
+  let s0 = Dfa.start dfa in
   let sym = Xut_xml.Sym.intern (Xut_xml.Counter.local ()) "part" in
-  ignore (Selecting_nfa.next_unchecked nfa (Xut_xml.Counter.local ()) s0 sym);
+  ignore (Dfa.step dfa (Xut_xml.Counter.local ()) s0 sym);
   let interns0 = Fixtures.counter "sym_interns" and hits0 = Fixtures.counter "nfa_memo_hits" in
   let work () =
     let here = Xut_xml.Counter.local () in
     for _ = 1 to n do
       ignore (Sys.opaque_identity (Xut_xml.Sym.intern here "part"));
-      ignore (Sys.opaque_identity (Selecting_nfa.next_unchecked nfa here s0 sym))
+      ignore (Sys.opaque_identity (Dfa.step dfa here s0 sym))
     done
   in
   List.iter Domain.join [ Domain.spawn work; Domain.spawn work ];
   Alcotest.(check int) "sym_interns" (2 * n) (Fixtures.counter "sym_interns" - interns0);
   Alcotest.(check int) "nfa_memo_hits" (2 * n) (Fixtures.counter "nfa_memo_hits" - hits0)
+
+(* A fresh plan's DFA starts with room for a few configurations: the
+   first COUNT of a freshly compiled unqualified plan allocates nothing
+   directly in the major heap (words allocated there minus words
+   promoted into it). *)
+let test_first_count_major () =
+  let root = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
+  let path = Parser.parse "/site/people/person" in
+  let nfa = Selecting_nfa.of_path path in
+  let update = Core.Transform_ast.Delete path in
+  let _, promoted0, major0 = Gc.counters () in
+  let n = Core.Top_down.count nfa update root in
+  let _, promoted1, major1 = Gc.counters () in
+  Alcotest.(check int) "count" (Xut_xml.Node.elements (Core.Semantics.apply update root)) n;
+  Alcotest.(check (float 0.)) "words allocated directly in the major heap" 0.
+    (major1 -. major0 -. (promoted1 -. promoted0))
+
+(* Every distinct configuration holds exactly one id, and ids are dense. *)
+let check_interned dfa =
+  let configs = Dfa.configs dfa in
+  Alcotest.(check (list int)) "ids are 0 .. size - 1"
+    (List.init (Dfa.size dfa) Fun.id)
+    (List.map (fun (c : Dfa.config) -> c.id) configs);
+  let keys = List.map (fun (c : Dfa.config) -> (c.states, c.cands)) configs in
+  Alcotest.(check int) "no configuration holds two ids" (List.length keys)
+    (List.length (List.sort_uniq compare keys))
+
+(* Four domains walk one freshly compiled qualified plan over one
+   document at once, each annotating and counting: every count equals
+   the count of a single domain on a plan of its own, and afterwards the
+   shared DFA holds each configuration once. *)
+let test_dfa_domains () =
+  let root = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
+  let p =
+    "/site//open_auctions/open_auction[not(@id = \"open_auction2\")]/bidder[increase > 10]"
+  in
+  let update = Core.Transform_ast.Delete (Parser.parse p) in
+  let count nfa =
+    let checkp = Annotator.checkp (Annotator.annotate nfa root) nfa in
+    Core.Top_down.count ~checkp nfa update root
+  in
+  let expected = count (nfa_of p) in
+  let shared = nfa_of p in
+  let counts =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn (fun () -> count shared)))
+  in
+  Alcotest.(check (list int)) "every domain's count" [ expected; expected; expected; expected ]
+    counts;
+  check_interned (Dfa.of_nfa shared)
+
+(* A plan that meets more configurations than the DFA gives ids:
+   [//a] with ten wildcard steps after it holds, at each node, which of
+   its last eleven ancestors-or-self are [a]s, and a full binary tree of
+   [a]s and [b]s twelve deep meets all 2048 such histories.  Past the
+   cap every step is computed; every engine still equals the reference,
+   and the selection the evaluator's. *)
+let test_dfa_cap () =
+  let open Xut_xml in
+  let rec tree depth label =
+    Node.elem label
+      (if depth = 0 then [] else [ tree (depth - 1) "a"; tree (depth - 1) "b" ])
+  in
+  let root = match tree 12 "r" with Node.Element e -> e | _ -> assert false in
+  let stars = String.concat "" (List.init 10 (fun _ -> "/*")) in
+  List.iter
+    (fun p ->
+      let path = Parser.parse p in
+      let update = Core.Transform_ast.Insert (path, Node.elem "m" []) in
+      let expected = Core.Engine.transform Core.Engine.Reference update root in
+      List.iter
+        (fun algo ->
+          Alcotest.(check bool)
+            (p ^ ": " ^ Core.Engine.name algo ^ " = reference")
+            true
+            (Node.equal_element expected (Core.Engine.transform algo update root)))
+        Core.Engine.all;
+      let ids l = List.map Node.id l in
+      Alcotest.(check (list int)) (p ^ ": selection = evaluator")
+        (ids (Eval.select_doc root path))
+        (ids (Xut_update.Apply.select path root));
+      let nfa = Selecting_nfa.of_path path in
+      ignore (Core.Top_down.count nfa update root : int);
+      let dfa = Dfa.of_nfa nfa in
+      Alcotest.(check int) (p ^ ": the DFA is full") Dfa.id_cap (Dfa.size dfa);
+      check_interned dfa)
+    [ "//a" ^ stars; "//a[b]" ^ stars ]
 
 (* A bump allocates nothing (only Gc.minor_words' own boxed floats). *)
 let test_bump_allocation () =
@@ -320,4 +416,7 @@ let suite =
     Alcotest.test_case "transition memo counts" `Quick test_memo_counts;
     Alcotest.test_case "memo hits allocate nothing" `Quick test_memo_hit_allocation;
     Alcotest.test_case "counts exact across 2 domains" `Quick test_counts_across_domains;
+    Alcotest.test_case "first count allocates nothing major" `Quick test_first_count_major;
+    Alcotest.test_case "DFA shared by 4 domains" `Quick test_dfa_domains;
+    Alcotest.test_case "DFA past its id cap" `Quick test_dfa_cap;
     Alcotest.test_case "counter bumps allocate nothing" `Quick test_bump_allocation ]

@@ -569,8 +569,8 @@ let test_stack_feeding_chains () =
     chains
 
 (* The served shape of a view read: two stored deletes under the user
-   FLWOR, run with the level-0 annotation oracle.  Once the plan's
-   transition memos are warm, a read allocates in proportion to its
+   FLWOR, run with the level-0 annotation oracle.  Once the plans'
+   lazy DFAs are warm, a read allocates in proportion to its
    answer, not to the document. *)
 let test_stack_read_allocation () =
   let doc = Xut_xmark.Generator.generate ~factor:0.002 () in
@@ -597,6 +597,26 @@ let test_stack_read_allocation () =
     (Printf.sprintf "%.0f words per result item (at most 300)" per_item)
     true (per_item <= 300.)
 
+(* A composed plan whose user path has steps after a '//' runs the
+   suffix's NFA in one native walk; the NFA is compiled with the plan,
+   so a second read of the plan finds every step its first read took. *)
+let test_pipe_keeps_dfa () =
+  let doc = Xut_xmark.Generator.generate ~factor:0.002 () in
+  let update = Transform_ast.Delete (parse_path "site/regions/africa/item/description") in
+  let uq = User_query.parse "for $x in site//item/name return $x" in
+  let c =
+    match Composition.compose update uq with
+    | Ok c -> c
+    | Error m -> Alcotest.fail ("did not compose: " ^ m)
+  in
+  Alcotest.(check (list string)) "compose = naive"
+    (value_repr (Composition.naive update uq ~doc))
+    (value_repr (Composition.run_composed c ~doc));
+  let misses = Fixtures.counter "nfa_memo_misses" in
+  ignore (Composition.run_composed c ~doc);
+  Alcotest.(check int) "steps computed by the second read" 0
+    (Fixtures.counter "nfa_memo_misses" - misses)
+
 let suite =
   suite
   @ [ Alcotest.test_case "stack: earlier levels feed later qualifiers" `Quick
@@ -604,4 +624,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_stack_random_xmark;
       QCheck_alcotest.to_alcotest prop_compose_random_xmark;
       Alcotest.test_case "stack: view read allocates per answer" `Quick test_stack_read_allocation;
-      Alcotest.test_case "qualified // steps compose or fall back" `Quick test_qualified_descendant ]
+      Alcotest.test_case "qualified // steps compose or fall back" `Quick test_qualified_descendant;
+      Alcotest.test_case "a // suffix keeps its DFA across reads" `Quick test_pipe_keeps_dfa ]

@@ -69,12 +69,13 @@ let test_nfa_misc () =
   let nfa = Xut_automata.Selecting_nfa.of_path (Parser.parse "a//b[c]") in
   Alcotest.(check bool) "to_string mentions final" true
     (String.length (Xut_automata.Selecting_nfa.to_string nfa) > 0);
+  let sym = Xut_xml.Sym.intern (Xut_xml.Counter.local ()) in
   Alcotest.(check bool) "label state consistent" true
-    (Xut_automata.Selecting_nfa.consistent_at nfa 1 "a");
+    (Xut_automata.Selecting_nfa.consistent_at_sym nfa 1 (sym "a"));
   Alcotest.(check bool) "label state inconsistent" false
-    (Xut_automata.Selecting_nfa.consistent_at nfa 1 "b");
+    (Xut_automata.Selecting_nfa.consistent_at_sym nfa 1 (sym "b"));
   Alcotest.(check bool) "desc state fits anything" true
-    (Xut_automata.Selecting_nfa.consistent_at nfa 2 "zzz")
+    (Xut_automata.Selecting_nfa.consistent_at_sym nfa 2 (sym "zzz"))
 
 (* --- engine dispatch ----------------------------------------------------- *)
 

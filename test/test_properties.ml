@@ -175,15 +175,13 @@ let prop_nfa_equals_eval =
       let acc = ref [] in
       let cp s n = Eval.check_qual n (Xut_automata.Selecting_nfa.state_qual nfa s) in
       let rec go e states =
-        let states' =
-          Xut_automata.Selecting_nfa.next_states nfa ~checkp:(fun s -> cp s e) states (Node.name e)
-        in
-        if states' <> [] then begin
-          if Xut_automata.Selecting_nfa.accepts nfa states' then acc := Node.id e :: !acc;
+        let states' = Xut_automata.Selecting_nfa.next nfa ~checkp:cp e states (Node.sym e) in
+        if not (Xut_automata.Selecting_nfa.set_is_empty states') then begin
+          if Xut_automata.Selecting_nfa.accepts_set nfa states' then acc := Node.id e :: !acc;
           List.iter (fun c -> go c states') (Node.child_elements e)
         end
       in
-      go root (Xut_automata.Selecting_nfa.set_to_list (Semantics.start nfa root));
+      go root (Semantics.start nfa root).Xut_automata.Dfa.states;
       List.sort compare !acc = expected)
 
 let prop_annotator_equals_direct =

@@ -540,7 +540,7 @@ let test_buffered_interns () =
    sink, on a warm plan.  Every open_auction is one region, re-read
    once: the re-reads consume exactly the bytes of the open_auctions.
    U7 allocates under 35 kw (72 kw when regions were held as events;
-   measured 25 kw), and computes no step the memo its automaton keeps
+   measured 25 kw), and computes no step the DFA its automaton keeps
    already holds;
    U4 under 2 kw (measured 0.6 kw), and interns only the 448 start-tags
    it walks; the copy at most 609 words (measured 603: text runs that
@@ -559,7 +559,7 @@ let test_u7_ingest () =
       let run q =
         let update = Core.Transform_parser.parse_update q in
         let nfa = Xut_automata.Selecting_nfa.of_path (Core.Transform_ast.path update) in
-        let steps = Xut_automata.Annotator.steps nfa in
+        let dfa = Xut_automata.Dfa.of_nfa nfa in
         let once () =
           let sink = Serialize.Sink.create ignore in
           let stats =
@@ -570,11 +570,11 @@ let test_u7_ingest () =
           stats
         in
         ignore (once ());
-        let computed = Xut_automata.Annotator.computed steps in
+        let computed = Xut_automata.Dfa.computed dfa in
         let n0 = Fixtures.counter "sym_interns" in
         let stats, words = minor_words once in
         Alcotest.(check int) (q ^ ": steps computed again") computed
-          (Xut_automata.Annotator.computed steps);
+          (Xut_automata.Dfa.computed dfa);
         (stats, words, Fixtures.counter "sym_interns" - n0)
       in
       let stats, words, _ = run u7 in

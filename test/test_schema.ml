@@ -611,6 +611,57 @@ let prop_schema_count_differential =
                       Core.Engine.[ Td_bu; Gentop ])
                 ops)))
 
+(* A schema whose root declares more children than the product explores
+   configurations: the product gives up ([capped], nothing skipped, not
+   statically empty), and a schema-bound COUNT and TRANSFORM of a
+   qualified plan under it still equal the reference engine's. *)
+let test_product_cap () =
+  let kids = List.init 4200 (Printf.sprintf "w%d") in
+  let schema =
+    match
+      Schema.define ~name:"wide-root" ~root:"wide"
+        (("wide", Schema.Star (Schema.Alt (List.map (fun k -> Schema.Elem k) kids)))
+        :: List.map (fun k -> (k, Schema.Empty)) kids)
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  Schema.register schema;
+  let path = "/wide/w7[@a = \"1\"]" in
+  let p = Schema.product schema (nfa_of path) in
+  Alcotest.(check bool) "capped" true (Schema.capped p);
+  Alcotest.(check int) "nothing skipped" 0 (Schema.skip_count p);
+  Alcotest.(check bool) "not statically empty" false (Schema.statically_empty p);
+  let file = Filename.temp_file "xut_wide" ".xml" in
+  Out_channel.with_open_bin file (fun oc ->
+      Out_channel.output_string oc {|<wide><w7 a="1"/><w7/><w3><!-- c --></w3><w7 a="1">t</w7></wide>|});
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      with_service (fun svc ->
+          ignore (load svc ~schema:"wide-root" "d" file);
+          let root = Xut_xml.Dom.parse_file file in
+          let update = Core.Transform_ast.Delete (Xut_xpath.Parser.parse path) in
+          let expected = Core.Engine.transform Core.Engine.Reference update root in
+          (match
+             Service.call svc
+               (Service.Count { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = delete_q path })
+           with
+          | Service.Ok (Service.Element_count n) ->
+            Alcotest.(check int) "COUNT" (Xut_xml.Node.elements expected) n
+          | _ -> Alcotest.fail "COUNT");
+          List.iter
+            (fun engine ->
+              match
+                Service.call svc
+                  (Service.Transform { target = Service.Doc "d"; engine; query = delete_q path })
+              with
+              | Service.Ok (Service.Tree s) ->
+                Alcotest.(check string) ("TRANSFORM " ^ Core.Engine.name engine)
+                  (Xut_xml.Serialize.element_to_string expected) s
+              | _ -> Alcotest.fail "TRANSFORM")
+            Core.Engine.[ Td_bu; Gentop; Two_pass_sax ]))
+
 (* The counting walk allocates a small fixed number of words per call,
    whatever it visits: U1-U10 over the schema-bound XMark f=0.01
    document, as the service counts them (TD-BU's annotation oracle,
@@ -619,6 +670,7 @@ let prop_schema_count_differential =
    when the walk also took the skip-set, 23 without it (its closures and
    the reading's own float); the bound is 25 plus a tenth. *)
 let count_words_bound = 28.
+
 let test_count_allocation () =
   let root = Xut_xmark.Generator.generate ~factor:0.01 () in
   Alcotest.(check bool) "conforms" true (Schema.validate (site ()) root = Ok ());
@@ -653,6 +705,7 @@ let suite =
     Alcotest.test_case "product: > 62-state NFA" `Quick test_long_path_exceeds_bitset;
     Alcotest.test_case "pruned == unpruned (fixed paths)" `Quick test_pruned_equals_unpruned;
     prop_pruned_equals_unpruned;
+    Alcotest.test_case "product: past the configuration cap" `Quick test_product_cap;
     Alcotest.test_case "service: LOAD ... SCHEMA" `Quick test_load_with_schema;
     Alcotest.test_case "service: statically-empty admission" `Quick
       test_statically_empty_rejection;

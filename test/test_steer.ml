@@ -301,9 +301,8 @@ let test_wide_qualifier () =
    below an element the update deletes, and below one whose state set
    empties (copied whole).  The elements themselves run a transition. *)
 let steered_away nfa root =
-  let here = Counter.local () in
   let rec go states e =
-    let states' = Xut_automata.Selecting_nfa.next_unchecked nfa here states (Node.sym e) in
+    let states' = Xut_automata.Selecting_nfa.next_unchecked nfa states (Node.sym e) in
     if
       Xut_automata.Selecting_nfa.accepts_set nfa states'
       || Xut_automata.Selecting_nfa.set_is_empty states'
