@@ -106,6 +106,29 @@ let result_stream_ns_per_node root ~reps =
         Xut_xml.Serialize.Sink.element sink (Core.Top_down.run ~checkp nfa update root);
         ignore (Sys.opaque_identity (Xut_xml.Serialize.Sink.close sink)))
 
+(* A warm TD-BU COUNT: the walk of [Top_down.count] over U1-U10, with the
+   memoized annotation built outside the clock, as the service counts a
+   stored document.  One count takes microseconds, so each timed run is
+   [inner] of them; the row is ns per document element per count. *)
+let count_ns_per_node root ~reps =
+  let nodes = Xut_xml.Node.element_count (Xut_xml.Node.Element root) and inner = 200 in
+  List.map
+    (fun u ->
+      let update = Workloads.delete_of u in
+      let nfa = Xut_automata.Selecting_nfa.of_path (Xut_xpath.Parser.parse u.Workloads.path) in
+      let checkp =
+        Xut_automata.Annotator.checkp (Xut_automata.Annotator.annotate nfa root) nfa
+      in
+      let run () =
+        for _ = 1 to inner do
+          ignore (Sys.opaque_identity (Core.Top_down.count ~checkp nfa update root))
+        done
+      in
+      run ();
+      let dt = Timing.measure ~reps run in
+      (u.Workloads.name, dt *. 1e9 /. float_of_int (inner * nodes)))
+    Workloads.all
+
 (* ---- composed view read: a depth-2 view chain over XMark ---------------
 
    The served shape of a stored-view read: two stored deletes composed
@@ -214,7 +237,7 @@ let ns_rows oc key rows =
     rows;
   Printf.fprintf oc "  },\n"
 
-let write_json path ~factor ~micro ~tdbu ~stream ~annot ~view =
+let write_json path ~factor ~micro ~tdbu ~stream ~count ~annot ~view =
   Out_channel.with_open_text path (fun oc ->
       output_string oc "{\n";
       Printf.fprintf oc "  \"bench\": \"micro\",\n";
@@ -233,6 +256,7 @@ let write_json path ~factor ~micro ~tdbu ~stream ~annot ~view =
       Printf.fprintf oc "  },\n";
       ns_rows oc "tdbu_ns_per_node" tdbu;
       ns_rows oc "result_stream_ns_per_node" stream;
+      ns_rows oc "count_ns_per_node" count;
       (let results, us, kw = view in
        Printf.fprintf oc
          "  \"composed_view_read\": { \"chain\": \"%s\", \"query\": \"%s\", \"results\": %d, \
@@ -283,8 +307,8 @@ let run ?json ?(quick = false) ?(tdbu_only = false) () =
   let factor = if quick then 0.0005 else 0.002 in
   let reps = if quick then 3 else 5 in
   let root = Xut_xmark.Generator.generate ~factor () in
-  let print_rows title rows =
-    Printf.printf "\n== %s (XMark f=%g, qualifier-heavy queries) ==\n" title factor;
+  let print_rows ?(queries = "qualifier-heavy queries") title rows =
+    Printf.printf "\n== %s (XMark f=%g, %s) ==\n" title factor queries;
     List.iter (fun (name, ns) -> Printf.printf "  %-6s %10.2f ns/node\n" name ns) rows;
     let mean =
       List.fold_left (fun acc (_, ns) -> acc +. ns) 0. rows
@@ -296,6 +320,8 @@ let run ?json ?(quick = false) ?(tdbu_only = false) () =
   print_rows "TD-BU ns/node" tdbu;
   let stream = result_stream_ns_per_node root ~reps in
   print_rows "TD-BU result stream ns/node, warm annotation" stream;
+  let count = count_ns_per_node root ~reps in
+  print_rows ~queries:"U1-U10" "TD-BU COUNT walk ns/node, warm annotation" count;
   let view = composed_view_read root ~reps:(10 * reps) in
   (let results, us, kw = view in
    Printf.printf
@@ -312,5 +338,6 @@ let run ?json ?(quick = false) ?(tdbu_only = false) () =
         (if on > 0. then off /. on else 0.))
     annot;
   match json with
-  | Some path -> write_json path ~factor ~micro:(List.rev !micro_results) ~tdbu ~stream ~annot ~view
+  | Some path ->
+    write_json path ~factor ~micro:(List.rev !micro_results) ~tdbu ~stream ~count ~annot ~view
   | None -> ()

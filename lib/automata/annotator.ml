@@ -1,7 +1,140 @@
 open Xut_xml
 open Xut_xpath
 
-type table = { sat : (int, bool array) Hashtbl.t; lq : Lq.t }
+(* ---- the table ----
+
+   Open addressing over element ids with linear probing, as
+   [Sax_transform.Truth]: slot [s] holds an id in [keys.(s)] ([absent]
+   where free) and that element's entry in [vals], [words] ints from
+   [s * words]: the LQ expressions true there as a bitset, [word_bits] to
+   a word, so a list of up to 62 expressions (every Fig. 11 plan) takes
+   one word.  The arrays are at most half full.  A table is written only
+   while it is built or repaired, by the one domain doing it, and read
+   only once published: a lookup is one probe and one bit test, and a
+   copy is two array copies. *)
+
+type table = {
+  lq : Lq.t;
+  words : int;  (* per entry *)
+  mutable keys : int array;
+  mutable vals : int array;
+  mutable count : int;
+}
+
+let absent = -1 (* element ids are positive *)
+let word_bits = 62
+
+(* A new table starts on one free slot and no words, shared by every
+   new table: the first [claim] grows it before it writes. *)
+let no_keys = [| absent |]
+
+let create lq =
+  { lq; words = max 1 ((Lq.length lq + word_bits - 1) / word_bits); keys = no_keys; vals = [||];
+    count = 0 }
+
+let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
+
+let home keys id =
+  let h = id * 0x9e3779b97f4a7c1 in
+  (h lxor (h lsr 29)) land (Array.length keys - 1)
+
+(* [id]'s slot, or the free slot that ends its probe *)
+let rec probe keys id j =
+  let k = Array.unsafe_get keys j in
+  if k = id || k = absent then j else probe keys id ((j + 1) land (Array.length keys - 1))
+
+let slot keys id = probe keys id (home keys id)
+
+(* [id]'s slot, or -1 *)
+let find t id =
+  let s = slot t.keys id in
+  if Array.unsafe_get t.keys s = id then s else -1
+
+let mem t id = find t id >= 0
+
+(* the [w] words of slot [si] of [src] into slot [di] of [dst] *)
+let move w src si dst di =
+  for k = 0 to w - 1 do
+    Array.unsafe_set dst ((di * w) + k) (Array.unsafe_get src ((si * w) + k))
+  done
+
+let grow t =
+  let keys = t.keys and vals = t.vals in
+  let n = max 64 (2 * Array.length keys) in
+  t.keys <- Array.make n absent;
+  t.vals <- Array.make (n * t.words) 0;
+  Array.iteri
+    (fun j id ->
+      if id <> absent then begin
+        let s = slot t.keys id in
+        t.keys.(s) <- id;
+        move t.words vals j t.vals s
+      end)
+    keys
+
+(* [id]'s slot, taken if it was free, its entry cleared *)
+let claim t id =
+  if 2 * (t.count + 1) > Array.length t.keys then grow t;
+  let s = slot t.keys id in
+  if t.keys.(s) <> id then begin
+    t.keys.(s) <- id;
+    t.count <- t.count + 1
+  end;
+  for k = s * t.words to ((s + 1) * t.words) - 1 do
+    t.vals.(k) <- 0
+  done;
+  s
+
+(* Remove [id]'s entry, if any: the entries after it in its run move
+   back into the hole when their probe passes over it (backward-shift
+   deletion), so no tombstones are left. *)
+let remove t id =
+  let s = find t id in
+  s >= 0
+  &&
+  let keys = t.keys and w = t.words and mask = Array.length t.keys - 1 in
+  let rec shift hole j =
+    let j = (j + 1) land mask in
+    let k = keys.(j) in
+    if k = absent then hole
+    else
+      let h = home keys k in
+      (* [k] may fill the hole unless its home lies cyclically in (hole, j] *)
+      if if hole <= j then h <= hole || h > j else h <= hole && h > j then begin
+        keys.(hole) <- k;
+        move w t.vals j t.vals hole;
+        shift j j
+      end
+      else shift hole j
+  in
+  keys.(shift s s) <- absent;
+  t.count <- t.count - 1;
+  true
+
+(* Expression [i] at the entry in slot [s] (-1: none) *)
+let bit t s i =
+  s >= 0
+  && Array.unsafe_get t.vals ((s * t.words) + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0
+
+(* The entries of [a] at [ida] and [b] at [idb] are both absent, or
+   equal. *)
+let same_entry a ida b idb =
+  let sa = find a ida and sb = find b idb in
+  if sa < 0 || sb < 0 then sa = sb
+  else
+    let rec eq k =
+      k = a.words || (a.vals.((sa * a.words) + k) = b.vals.((sb * b.words) + k) && eq (k + 1))
+    in
+    eq 0
+
+(* Copy [src]'s entry at [ids] to [dst] at [id]; [false] when there is none. *)
+let take_entry ~src ids dst id =
+  let ss = find src ids in
+  ss >= 0
+  &&
+  let s = claim dst id (* may grow [dst]: taken before its arrays are read *) in
+  move dst.words src.vals ss dst.vals s;
+  true
 
 let has_any_qual nfa = not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa))
 
@@ -9,8 +142,6 @@ let iter_kids f (e : Node.element) =
   List.iter
     (function Node.Element c -> f c | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
     (Node.children e)
-
-let entry tbl id = Hashtbl.find_opt tbl.sat id
 
 let seeded (d : Dfa.demand) = not (Lq.set_is_empty d.seeds)
 
@@ -35,11 +166,7 @@ type run = {
 }
 
 let rec csat r i = function
-  | Node.Element c :: rest ->
-    (match Hashtbl.find r.tbl.sat (Node.id c) with
-    | arr -> arr.(i)
-    | exception Not_found -> false)
-    || csat r i rest
+  | Node.Element c :: rest -> bit r.tbl (find r.tbl c.Node.id) i || csat r i rest
   | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> csat r i rest
   | [] -> false
 
@@ -50,15 +177,22 @@ let run ~skip nfa tbl =
   in
   r
 
-let step_into r c (e : Node.element) = Dfa.step r.dfa r.here c (Node.sym e)
+let step_into r c (e : Node.element) = Dfa.step r.dfa r.here c e.Node.sym
 
 (* [e]'s entry, from its children's entries already in the table. *)
 let record r (e : Node.element) (d : Dfa.demand) =
-  r.kids <- Node.children e;
-  Lq.eval r.tbl.lq r.sc ~name:(Node.name e) ~attrs:(Node.attrs e)
+  r.kids <- e.Node.children;
+  let t = r.tbl in
+  Lq.eval t.lq r.sc ~name:e.Node.name ~attrs:e.Node.attrs
     ~text:(if d.reads_text then Node.text_content e else "")
     ~csat:r.csat ~wanted:d.seeds;
-  Hashtbl.replace r.tbl.sat (Node.id e) (Array.init (Lq.length r.tbl.lq) (Lq.holds r.sc));
+  let base = claim t e.Node.id * t.words in
+  for i = 0 to Lq.length t.lq - 1 do
+    if Lq.holds r.sc i then begin
+      let j = base + (i / word_bits) in
+      t.vals.(j) <- t.vals.(j) lor (1 lsl (i mod word_bits))
+    end
+  done;
   r.written <- r.written + 1
 
 (* The bottomUp recursion, writing entries into the table.  [parent]
@@ -70,7 +204,7 @@ let rec annotate_subtree r (e : Node.element) parent =
   if not (r.skip e) then begin
     let s = step_into r parent e in
     if live s then begin
-      annotate_kids r s.child (Node.children e);
+      annotate_kids r s.child e.Node.children;
       if seeded s.demand then record r e s.demand
     end
   end
@@ -85,7 +219,7 @@ and annotate_kids r parent = function
 let never _ = false
 
 let annotate ?(skip = never) nfa root =
-  let tbl = { sat = Hashtbl.create 1024; lq = Selecting_nfa.lq nfa } in
+  let tbl = create (Selecting_nfa.lq nfa) in
   if has_any_qual nfa then begin
     let r = run ~skip nfa tbl in
     annotate_subtree r root (Dfa.start r.dfa)
@@ -228,24 +362,19 @@ let independent nfa fp =
 (* The old table with each spine entry moved from its old id to its
    fresh one: the whole repair of an independent plan. *)
 let rekey old_table ~spine =
-  let sat = Hashtbl.rebuild old_table.sat in
+  let t = copy old_table in
   Hashtbl.iter
     (fun fresh_id oe ->
-      match Hashtbl.find_opt old_table.sat (Node.id oe) with
-      | Some arr ->
-        Hashtbl.remove sat (Node.id oe);
-        Hashtbl.replace sat fresh_id arr
-      | None -> ())
+      if remove t oe.Node.id then ignore (take_entry ~src:old_table oe.Node.id t fresh_id : bool))
     spine;
-  ( { sat; lq = old_table.lq },
-    { recomputed = 0; reused = Hashtbl.length sat; dropped = 0; rekeyed = true } )
+  (t, { recomputed = 0; reused = t.count; dropped = 0; rekeyed = true })
 
 (* Incremental repair after a commit: the new tree shares every untouched
    subtree with the old one (same element ids), and entries are
    subtree-local, so the old entries for shared subtrees are still valid
    wherever the demand reaching them is unchanged.  We copy the old table
-   (a flat id -> array copy, no tree traversal and no qualifier
-   evaluation), then walk the rebuilt spine pairing each fresh element
+   (its two arrays, no tree traversal and no qualifier evaluation), then
+   walk the rebuilt spine pairing each fresh element
    with its old counterpart.  Work stays on the spine and its direct
    children: a shared child under a spine pair that propagates the same
    demand as its old counterpart is cut off without a look; fresh
@@ -263,24 +392,12 @@ let repair ?footprint nfa ~old_table ~spine new_root =
       match footprint with Some fp -> fp | None -> lazy (commit_footprint ~spine new_root)
     in
     if not (has_any_qual nfa) then
-      Some
-        ( { sat = Hashtbl.create 16; lq },
-          { recomputed = 0; reused = 0; dropped = 0; rekeyed = false } )
+      Some (create lq, { recomputed = 0; reused = 0; dropped = 0; rekeyed = false })
     else if independent nfa footprint then Some (rekey old_table ~spine)
     else begin
-      (* [rebuild], not [copy]: [copy]'s [Array.map] seeds the new
-         bucket array with the copy of bucket 0, a young block, and the
-         runtime answers a young initial value for an array too large
-         for the minor heap (over 256 buckets) with a forced minor
-         collection. *)
-      let r = run ~skip:never nfa { sat = Hashtbl.rebuild old_table.sat; lq } in
+      let r = run ~skip:never nfa (copy old_table) in
       let dropped = ref 0 in
-      let drop id =
-        if Hashtbl.mem r.tbl.sat id then begin
-          Hashtbl.remove r.tbl.sat id;
-          incr dropped
-        end
-      in
+      let drop id = if remove r.tbl id then incr dropped in
       (* The old run's walk over an old subtree it reached from a
          parent in configuration [parent], dropping what it wrote. *)
       let rec scrub parent oe =
@@ -333,12 +450,12 @@ let repair ?footprint nfa ~old_table ~spine new_root =
               && same_text (Node.children oe) (Node.children e))
           in
           let changed old_id id =
-            if entry old_table old_id <> entry r.tbl id then same_eval := false
+            if not (same_entry old_table old_id r.tbl id) then same_eval := false
           in
           align spine oe e
             ~departed:(fun oc ->
               departed oc;
-              if Hashtbl.mem old_table.sat (Node.id oc) then same_eval := false)
+              if mem old_table oc.Node.id then same_eval := false)
             ~shared:(fun c ->
               if not cut_off then begin
                 reuse old_down down c;
@@ -349,13 +466,11 @@ let repair ?footprint nfa ~old_table ~spine new_root =
               changed (Node.id oc) (Node.id c))
             ~fresh:(fun c ->
               fresh down c;
-              if Hashtbl.mem r.tbl.sat (Node.id c) then same_eval := false);
+              if mem r.tbl c.Node.id then same_eval := false);
           if seeded d then
-            match entry old_table (Node.id oe) with
-            | Some sat when !same_eval ->
-              Hashtbl.replace r.tbl.sat (Node.id e) sat;
+            if !same_eval && take_entry ~src:old_table oe.Node.id r.tbl e.Node.id then
               r.written <- r.written + 1
-            | _ -> record r e d
+            else record r e d
         end
       in
       let start = Dfa.start r.dfa in
@@ -364,17 +479,21 @@ let repair ?footprint nfa ~old_table ~spine new_root =
         ( r.tbl,
           {
             recomputed = r.written;
-            reused = Hashtbl.length r.tbl.sat - r.written;
+            reused = r.tbl.count - r.written;
             dropped = !dropped;
             rekeyed = false;
           } )
     end
 
-(* [Hashtbl.find], not [entry]: a lookup per qualifier check, so no
-   [Some] per lookup *)
-let sat tbl n i =
-  match Hashtbl.find tbl.sat (Node.id n) with arr -> arr.(i) | exception Not_found -> false
+let sat tbl (n : Node.element) i = bit tbl (find tbl n.Node.id) i
 
-let checkp tbl nfa s n = sat tbl n (Selecting_nfa.state_lq nfa s)
+let checkp tbl nfa =
+  let lqs = Selecting_nfa.state_lqs nfa in
+  fun s (n : Node.element) -> bit tbl (find tbl n.Node.id) lqs.(s)
 
-let annotated_count tbl = Hashtbl.length tbl.sat
+let annotated_count tbl = tbl.count
+
+let wrapped tbl =
+  let n = ref 0 in
+  Array.iteri (fun j id -> if id <> absent && home tbl.keys id > j then incr n) tbl.keys;
+  !n

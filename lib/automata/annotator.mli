@@ -19,6 +19,18 @@ open Xut_xml
     the linear-time twoPass (TD-BU) evaluation. *)
 
 type table
+(** The truths, by element id: open addressing with linear probing over
+    one key array and one value array, at most half full.  An element's
+    value is the set of LQ expressions true at it, as a bitset of 62 to
+    a word ({!Xut_xpath.Lq.set}'s immediate form), so for lists of up to
+    62 expressions (every Fig. 11 plan) one word, stored unboxed; a
+    longer list takes as many words as it needs.  [checkp] and [sat]
+    are one probe and one bit test, with no hashing of a boxed key, no
+    polymorphic compare and no exception; [annotate] writes each entry
+    into the value array, allocating nothing per entry; a repair or a
+    re-key starts from a copy of the two arrays.  A table is written only
+    while it is built or repaired, by the domain doing it, and only read
+    once it is returned. *)
 
 (** {2 The tree pass} *)
 
@@ -91,8 +103,15 @@ val sat : table -> Node.element -> int -> bool
 
 val checkp : table -> Selecting_nfa.t -> int -> Node.element -> bool
 (** [checkp tbl nfa s n]: constant-time qualifier check for NFA state
-    [s] at node [n], for use with {!Dfa.next}. *)
+    [s] at node [n], for use with {!Dfa.next}.  [checkp tbl nfa] is the
+    checker a walk takes once: each call is one probe and one bit
+    test. *)
 
 val annotated_count : table -> int
 (** Number of elements that were actually visited and annotated
     (instrumentation: shows the pruning at work). *)
+
+val wrapped : table -> int
+(** Entries stored in a slot before their home slot, whose probe ran
+    past the end of the array and wrapped to its start (instrumentation,
+    for the tests of the probe). *)

@@ -120,6 +120,7 @@ type attached += Nothing
 
 type t = {
   states : state array;
+  lqs : int array;  (* each state's [lq_idx] *)
   lq : Lq.t;
   ctx_qual : Ast.qual;
   true_idx : int;  (* LQ index of the constant true *)
@@ -304,8 +305,8 @@ let of_norm (norm : Norm.t) =
   let start =
     if small then Bits eps_bits.(0) else Wide (Bytes.copy eps_wide.(0))
   in
-  { states; lq = Lq.freeze b; ctx_qual; true_idx; n; small; nwords; enter_sym; self_loop;
-    eps_bits; eps_wide; eps_nq_bits; eps_nq_wide; eps_stop; quals; start;
+  { states; lqs = Array.map (fun s -> s.lq_idx) states; lq = Lq.freeze b; ctx_qual; true_idx; n;
+    small; nwords; enter_sym; self_loop; eps_bits; eps_wide; eps_nq_bits; eps_nq_wide; eps_stop; quals; start;
     attached = Atomic.make Nothing; named; footprint;
     label_mask =
       (match states.(n - 1).kind with
@@ -319,7 +320,8 @@ let final t = t.n - 1
 let lq t = t.lq
 let kind t i = t.states.(i).kind
 let state_qual t i = t.states.(i).qual
-let state_lq t i = t.states.(i).lq_idx
+let state_lq t i = t.lqs.(i)
+let state_lqs t = t.lqs
 let has_qual t i = t.states.(i).lq_idx <> t.true_idx
 let ctx_qual t = t.ctx_qual
 let footprint t = t.footprint

@@ -51,6 +51,10 @@ val state_qual : t -> int -> Ast.qual
 val state_lq : t -> int -> int
 (** LQ index of {!state_qual}. *)
 
+val state_lqs : t -> int array
+(** Every state's {!state_lq}, by state: the automaton's own array, to
+    be read only. *)
+
 val has_qual : t -> int -> bool
 (** Whether the state's qualifier is non-trivial. *)
 

@@ -37,47 +37,76 @@ let rebuild_children go states children =
   | Some (i, out, rest) ->
     Some (finish go states (List.rev_append out (rev_prefix i children [])) rest)
 
+(* One walk's state.  Its counts are kept in its own fields and added
+   to this domain's cells once, when the walk returns or raises
+   ([counted]), so a visit costs a field increment. *)
+type walk = {
+  dfa : Dfa.t;
+  here : Counter.local;
+  checkp : checkp;
+  mask : int;
+  update : Transform_ast.update;
+  mutable visited : int;
+  mutable shared : int;
+  mutable copied : int;
+}
+
+let walk ~checkp nfa update =
+  { dfa = Dfa.of_nfa nfa; here = Counter.local (); checkp; mask = Selecting_nfa.label_mask nfa;
+    update; visited = 0; shared = 0; copied = 0 }
+
+let add_counts w =
+  Counter.add_local w.here Stats.nodes_visited w.visited;
+  Counter.add_local w.here Stats.nodes_shared w.shared;
+  Counter.add_local w.here Stats.nodes_copied w.copied
+
+(* [f a b], the walk [w]'s counts added however it ends *)
+let counted w f a b =
+  match f a b with
+  | v ->
+    add_counts w;
+    v
+  | exception e ->
+    add_counts w;
+    raise e
+
 (* [go e states] is the walk at [e] reached with [states]; [at e states']
    the work at [e] once its own state set [states'] is settled and
    non-empty — shared with [transform_at], which settles it differently. *)
-let make_go ~checkp ?(skip = fun _ -> false) nfa update =
-  (* the walk counts at every element: this domain's cells, taken once *)
-  let here = Counter.local () and mask = Selecting_nfa.label_mask nfa and dfa = Dfa.of_nfa nfa in
+let make_go ?(skip = fun _ -> false) w =
   let rec go (e : Node.element) (c : Dfa.config) =
-    if Node.labels e land mask = 0 || skip e then begin
+    if e.Node.labels land w.mask = 0 || skip e then begin
       (* no node at or below [e] carries the label every selected node
          carries (its label summary), or the schema skip-set says no
          configuration at or below this symbol can accept: the subtree
          is shared without running a transition *)
-      Counter.bump_local here Stats.nodes_shared;
+      w.shared <- w.shared + 1;
       Same
     end
     else begin
-      Counter.bump_local here Stats.nodes_visited;
-      let c' = Dfa.next dfa here ~checkp e c (Node.sym e) in
+      w.visited <- w.visited + 1;
+      let c' = Dfa.next w.dfa w.here ~checkp:w.checkp e c e.Node.sym in
       if c'.empty then begin
-        Counter.bump_local here Stats.nodes_shared;
+        w.shared <- w.shared + 1;
         Same
       end
       else at e c'
     end
   and at e (c' : Dfa.config) =
-    match update, c'.accepts with
+    match w.update, c'.accepts with
     | Transform_ast.Delete _, true -> Changed []
     | Transform_ast.Replace (_, enew), true ->
-      Counter.bump_local here Stats.nodes_copied;
+      w.copied <- w.copied + 1;
       Changed [ Node.refresh_ids enew ]
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _), true ->
-      let kids =
-        Option.value (rebuild_children go c' (Node.children e)) ~default:(Node.children e)
-      in
-      Changed (Semantics.apply_matched update e ~kids)
+      let kids = Option.value (rebuild_children go c' e.Node.children) ~default:e.Node.children in
+      Changed (Semantics.apply_matched w.update e ~kids)
     | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
       | Transform_ast.Delete _ | Transform_ast.Replace _), false -> (
-      match rebuild_children go c' (Node.children e) with
+      match rebuild_children go c' e.Node.children with
       | None -> Same
       | Some kids ->
-        Counter.bump_local here Stats.nodes_copied;
+        w.copied <- w.copied + 1;
         Changed [ Node.Element (Node.with_children e kids) ])
   in
   (go, at)
@@ -87,8 +116,9 @@ let run ?checkp ?skip nfa update root =
   if not (Semantics.ctx_holds nfa root) then root
   else if Selecting_nfa.selects_context nfa then Semantics.apply_at_root update root
   else begin
-    let go, _ = make_go ~checkp ?skip nfa update in
-    match go root (Semantics.start nfa root) with
+    let w = walk ~checkp nfa update in
+    let go, _ = make_go ?skip w in
+    match counted w go root (Semantics.start nfa root) with
     | Same -> root
     | Changed out -> Semantics.document_element out
   end
@@ -100,8 +130,8 @@ let run ?checkp ?skip nfa update root =
    would rebuild.  Shared subtrees (pruned by label summary or with an
    empty state set) add nothing and are never entered; a deleted
    or replaced subtree costs one read of its stored count.  The walk is
-   one [let rec] over elements and sibling lists, so it allocates
-   nothing per element. *)
+   top-level functions over the walk's record, so it allocates nothing
+   per element. *)
 
 (* the elements an update adds at each match *)
 let added = function
@@ -110,74 +140,70 @@ let added = function
     Node.element_count enew
   | Transform_ast.Delete _ | Transform_ast.Rename _ -> 0
 
-let count ?checkp nfa update root =
-  let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  let here = Counter.local () and mask = Selecting_nfa.label_mask nfa and dfa = Dfa.of_nfa nfa in
-  let rec go (e : Node.element) (c : Dfa.config) =
-    if Node.labels e land mask = 0 then begin
-      Counter.bump_local here Stats.nodes_shared;
+(* the structural checks [run] applies to the document element *)
+let check_root = function
+  | Transform_ast.Delete _ ->
+    raise (Transform_ast.Invalid_update "update deletes the document element")
+  | Transform_ast.Replace (_, (Node.Text _ | Node.Comment _ | Node.Pi _)) ->
+    raise (Transform_ast.Invalid_update "update replaces the document element with a non-element")
+  | Transform_ast.Replace (_, Node.Element _) | Transform_ast.Insert _
+  | Transform_ast.Insert_first _ | Transform_ast.Rename _ ->
+    ()
+
+(* [e]'s Δ, reached with [c]; at the document element ([root]) a match
+   is first checked as [run] checks it *)
+let rec count_go w ~root (e : Node.element) (c : Dfa.config) =
+  if e.Node.labels land w.mask = 0 then begin
+    w.shared <- w.shared + 1;
+    0
+  end
+  else begin
+    w.visited <- w.visited + 1;
+    let c' = Dfa.next w.dfa w.here ~checkp:w.checkp e c e.Node.sym in
+    if c'.empty then begin
+      w.shared <- w.shared + 1;
       0
     end
     else begin
-      Counter.bump_local here Stats.nodes_visited;
-      let c' = Dfa.next dfa here ~checkp e c (Node.sym e) in
-      if c'.empty then begin
-        Counter.bump_local here Stats.nodes_shared;
-        0
-      end
-      else delta e c'
+      if root && c'.accepts then check_root w.update;
+      delta w e c'
     end
-  and delta e (c' : Dfa.config) =
-    match update, c'.accepts with
-    | Transform_ast.Delete _, true -> -Node.elements e
-    | Transform_ast.Replace _, true -> added update - Node.elements e
-    | (Transform_ast.Insert _ | Transform_ast.Insert_first _), true ->
-      kids 0 c' (Node.children e) + added update
-    | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
-      | Transform_ast.Delete _ | Transform_ast.Replace _), _ ->
-      kids 0 c' (Node.children e)
-  and kids acc c' = function
-    | [] -> acc
-    | Node.Element e :: rest -> kids (acc + go e c') c' rest
-    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids acc c' rest
-  in
-  (* the structural checks [run] applies to the document element *)
-  let check_root () =
-    match update with
-    | Transform_ast.Delete _ ->
-      raise (Transform_ast.Invalid_update "update deletes the document element")
-    | Transform_ast.Replace (_, (Node.Text _ | Node.Comment _ | Node.Pi _)) ->
-      raise
-        (Transform_ast.Invalid_update "update replaces the document element with a non-element")
-    | Transform_ast.Replace (_, Node.Element _) | Transform_ast.Insert _
-    | Transform_ast.Insert_first _ | Transform_ast.Rename _ ->
-      ()
-  in
-  let elements = Node.elements root in
+  end
+
+and delta w (e : Node.element) (c' : Dfa.config) =
+  match w.update, c'.accepts with
+  | Transform_ast.Delete _, true -> -e.Node.elements
+  | Transform_ast.Replace _, true -> added w.update - e.Node.elements
+  | (Transform_ast.Insert _ | Transform_ast.Insert_first _), true ->
+    kids w 0 c' e.Node.children + added w.update
+  | (Transform_ast.Insert _ | Transform_ast.Insert_first _ | Transform_ast.Rename _
+    | Transform_ast.Delete _ | Transform_ast.Replace _), _ ->
+    kids w 0 c' e.Node.children
+
+and kids w acc c' = function
+  | [] -> acc
+  | Node.Element e :: rest when e.Node.labels land w.mask = 0 ->
+    (* [count_go]'s first test, made here: most children of a selective
+       walk are shared on it *)
+    w.shared <- w.shared + 1;
+    kids w acc c' rest
+  | Node.Element e :: rest -> kids w (acc + count_go w ~root:false e c') c' rest
+  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids w acc c' rest
+
+let count ?checkp nfa update root =
+  let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
+  let elements = root.Node.elements in
   if not (Semantics.ctx_holds nfa root) then elements
   else if Selecting_nfa.selects_context nfa then begin
-    check_root ();
+    check_root update;
     match update with
     | Transform_ast.Replace _ -> added update
     | Transform_ast.Insert _ | Transform_ast.Insert_first _ -> elements + added update
     | Transform_ast.Delete _ | Transform_ast.Rename _ -> elements
   end
-  else if Node.labels root land mask = 0 then begin
-    Counter.bump_local here Stats.nodes_shared;
-    elements
-  end
-  else begin
-    Counter.bump_local here Stats.nodes_visited;
-    let c' = Dfa.next dfa here ~checkp root (Semantics.start nfa root) (Node.sym root) in
-    if c'.empty then begin
-      Counter.bump_local here Stats.nodes_shared;
-      elements
-    end
-    else begin
-      if c'.accepts then check_root ();
-      elements + delta root c'
-    end
-  end
+  else
+    let w = walk ~checkp nfa update in
+    elements + counted w (count_go w ~root:true) root (Semantics.start nfa root)
 
 let settle ~checkp nfa states (e : Node.element) =
   Selecting_nfa.set_of_list nfa
@@ -192,8 +218,9 @@ let settle ~checkp nfa states (e : Node.element) =
 
 let transform_at ?checkp nfa update ~states (e : Node.element) : Node.t list =
   let checkp = match checkp with Some f -> f | None -> direct_checkp nfa in
-  let alive = Dfa.config (Dfa.of_nfa nfa) (settle ~checkp nfa states e) in
-  match if alive.empty then Same else snd (make_go ~checkp nfa update) e alive with
+  let w = walk ~checkp nfa update in
+  let alive = Dfa.config w.dfa (settle ~checkp nfa states e) in
+  match if alive.empty then Same else counted w (snd (make_go w)) e alive with
   | Same -> [ Node.Element e ]
   | Changed out -> out
 

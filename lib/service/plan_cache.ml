@@ -43,6 +43,7 @@ type t = {
   mu : Mutex.t;
   tbl : (string, plan entry) Hashtbl.t;
   ctbl : (string, composed entry) Hashtbl.t;
+  wtbl : (string, Xut_update.Apply.plan entry) Hashtbl.t;
   mutable clock : int;
   mutable evictions : int;
 }
@@ -54,6 +55,7 @@ let create ~capacity =
     mu = Mutex.create ();
     tbl = Hashtbl.create (max 16 capacity);
     ctbl = Hashtbl.create (max 16 capacity);
+    wtbl = Hashtbl.create 16;
     clock = 0;
     evictions = 0;
   }
@@ -103,6 +105,11 @@ let find_or_add t tbl key make =
         (value, Miss))
 
 let find_or_compile t source = find_or_add t t.tbl source (fun () -> compile source)
+
+let write_plan t text =
+  fst
+    (find_or_add t t.wtbl text (fun () ->
+         Xut_update.Apply.plan (Core.Transform_parser.parse_updates text)))
 
 (* [key] must capture everything the compose output depends on — the
    serving layer uses the chain signature (base name plus every view's

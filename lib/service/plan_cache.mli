@@ -60,6 +60,14 @@ val find_or_compile : t -> string -> plan * outcome
     it, evicting the least recently used entry when full.  Raises as
     {!compile} on bad input; failures are not cached. *)
 
+val write_plan : t -> string -> Xut_update.Apply.plan
+(** The compiled plan of an APPLY or COMMIT text
+    ({!Core.Transform_parser.parse_updates}, then {!Xut_update.Apply.plan}),
+    kept under the text in an LRU table of its own, of the same
+    capacity: a repeated write parses nothing and steps on the DFAs its
+    last run warmed.  Raises as the parser on bad input; failures are
+    not cached.  Not counted in {!stats}. *)
+
 val find_or_compose :
   t ->
   key:string ->

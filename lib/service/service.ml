@@ -683,18 +683,20 @@ let view_infos views =
 (* The write path.  Both [APPLY] and [COMMIT] evaluate the query's
    updates into a pending list with snapshot semantics
    ({!Xut_update.Apply}); APPLY stops at the dry-run report, COMMIT
-   materializes and swaps under {!Doc_store.commit}. *)
+   materializes and swaps under {!Doc_store.commit}.  The parsed updates
+   and their NFAs come from the plan cache ({!Plan_cache.write_plan}),
+   so a repeated write compiles nothing. *)
 let conflict_strings report =
   List.map Xut_update.Pending.render_conflict report.Xut_update.Apply.conflicts
 
 let handle_apply st ~doc ~query =
-  match parsed Transform_parser.parse_updates query with
+  match parsed (Plan_cache.write_plan st.cache) query with
   | Stdlib.Error e -> e
-  | Stdlib.Ok updates -> begin
+  | Stdlib.Ok plan -> begin
     match Doc_store.find st.store doc with
     | None -> error Unknown_document "no document %S (LOAD it first)" doc
     | Some root -> begin
-      match Xut_update.Apply.stage updates root with
+      match Xut_update.Apply.stage plan root with
       | report, _ ->
         Ok
           (Applied
@@ -710,12 +712,12 @@ let handle_apply st ~doc ~query =
   end
 
 let handle_commit st ~doc ~query =
-  match parsed Transform_parser.parse_updates query with
+  match parsed (Plan_cache.write_plan st.cache) query with
   | Stdlib.Error e -> e
-  | Stdlib.Ok updates -> begin
+  | Stdlib.Ok plan -> begin
     let result =
       Doc_store.commit st.store ~name:doc (fun _info root ->
-          match Xut_update.Apply.run updates root with
+          match Xut_update.Apply.run_plan plan root with
           | Stdlib.Ok (report, None) -> Stdlib.Ok (None, report)
           | Stdlib.Ok (report, Some (root', diff)) ->
             Stdlib.Ok (Some (root', Some diff.Xut_update.Apply.spine), report)

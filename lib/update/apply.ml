@@ -24,30 +24,30 @@ let op_of_update = function
    answers whether a target lies at or below [e]; [mark] receives the id
    of each element with a target strictly below it, so marking
    allocates nothing per node: the walk allocates per target, per
-   marked ancestor, and where its DFA computes a step. *)
-let select ?(mark = ignore) path root =
-  let nfa = Selecting_nfa.of_path path in
+   marked ancestor, and where its DFA computes a step.  It counts in
+   locals and adds them to the domain's cells once, however it ends. *)
+let select_nfa ?(mark = ignore) nfa root =
   if not (Core.Semantics.ctx_holds nfa root) then []
   else if Selecting_nfa.selects_context nfa then [ root ]
   else begin
-    let targets = ref [] and visits = ref 0 in
+    let targets = ref [] and visits = ref 0 and shares = ref 0 in
     let here = Counter.local () and checkp = Core.Top_down.direct_checkp nfa in
     let dfa = Dfa.of_nfa nfa and mask = Selecting_nfa.label_mask nfa in
     let rec go c (e : Node.element) =
-      if Node.labels e land mask = 0 then begin
-        Counter.bump_local here Core.Stats.nodes_shared;
+      if e.Node.labels land mask = 0 then begin
+        incr shares;
         false
       end
       else visit c e
     and visit c e =
       incr visits;
-      let c' = Dfa.next dfa here ~checkp e c (Node.sym e) in
+      let c' = Dfa.next dfa here ~checkp e c e.Node.sym in
       (not c'.empty)
       &&
       let here = c'.accepts in
       if here then targets := e :: !targets;
-      let below = kids c' false (Node.children e) in
-      if below then mark (Node.id e);
+      let below = kids c' false e.Node.children in
+      if below then mark e.Node.id;
       here || below
     and kids c found = function
       | [] -> found
@@ -56,20 +56,35 @@ let select ?(mark = ignore) path root =
         kids c (f || found) rest
       | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> kids c found rest
     in
-    ignore (go (Core.Semantics.start nfa root) root);
-    Counter.add Core.Stats.nodes_visited !visits;
-    List.rev !targets
+    let add () =
+      Counter.add_local here Core.Stats.nodes_visited !visits;
+      Counter.add_local here Core.Stats.nodes_shared !shares
+    in
+    match go (Core.Semantics.start nfa root) root with
+    | _ ->
+      add ();
+      List.rev !targets
+    | exception e ->
+      add ();
+      raise e
   end
 
-let resolve updates root =
+let select ?mark path root = select_nfa ?mark (Selecting_nfa.of_path path) root
+
+type plan = (Core.Transform_ast.update * Selecting_nfa.t) list
+
+let plan updates =
+  List.map (fun u -> (u, Selecting_nfa.of_path (Core.Transform_ast.path u))) updates
+
+let resolve (plan : plan) root =
   let p = Pending.create () in
   List.iter
-    (fun u ->
+    (fun (u, nfa) ->
       let op = op_of_update u in
       List.iter
         (fun e -> Pending.add p ~target:(Node.id e) op)
-        (select ~mark:(Pending.mark_ancestor p) (Core.Transform_ast.path u) root))
-    updates;
+        (select_nfa ~mark:(Pending.mark_ancestor p) nfa root))
+    plan;
   p
 
 let report_of (nz : Pending.normalized) =
@@ -89,8 +104,8 @@ let check_document_element (nz : Pending.normalized) root =
     raise (Invalid "update replaces the document element with a non-element")
   | Some (Pending.Swap (Node.Element _) | Pending.Edit _) | None -> ()
 
-let stage updates root =
-  let nz = Pending.normalize (resolve updates root) in
+let stage plan root =
+  let nz = Pending.normalize (resolve plan root) in
   check_document_element nz root;
   (report_of nz, nz)
 
@@ -146,6 +161,8 @@ let materialize (nz : Pending.normalized) root =
     | Core.Top_down.Changed _ -> assert false (* [check_document_element] *)
   end
 
-let run updates root =
-  let report, nz = stage updates root in
+let run_plan plan root =
+  let report, nz = stage plan root in
   if report.conflicts <> [] then Error report else Ok (report, materialize nz root)
+
+let run updates root = run_plan (plan updates) root

@@ -58,9 +58,19 @@ val select : ?mark:(int -> unit) -> Xut_xpath.Ast.path -> Node.element -> Node.e
     element that has a selected node strictly below it.  Marking
     allocates nothing per element, and the walk counts one
     {!Core.Stats.nodes_visited} per element it enters and one
-    {!Core.Stats.nodes_shared} per subtree its label summary prunes. *)
+    {!Core.Stats.nodes_shared} per subtree its label summary prunes,
+    adding them to the domain's counters once, when it returns or
+    raises. *)
 
-val stage : Core.Transform_ast.update list -> Node.element -> report * Pending.normalized
+type plan
+(** A list of updates, each with the selecting NFA of its path: what a
+    write compiles once.  The NFAs carry their lazy DFAs, so a plan kept
+    across requests (the serving layer's plan cache keeps one per write
+    text) steps on a warm automaton each time. *)
+
+val plan : Core.Transform_ast.update list -> plan
+
+val stage : plan -> Node.element -> report * Pending.normalized
 (** Resolve every update with {!select} against the one snapshot (the
     targets' ancestors marked in the list), then {!Pending.normalize}:
     the dry-run ([APPLY]) entry point.  No tree is built.
@@ -97,7 +107,12 @@ val run :
   Core.Transform_ast.update list ->
   Node.element ->
   (report * (Node.element * diff) option, report) result
-(** [stage] then, when conflict-free, [materialize].  [Error report]
-    when the list has conflicts (the tree is untouched).
+(** [stage] of the updates' {!plan} then, when conflict-free,
+    [materialize].  [Error report] when the list has conflicts (the tree
+    is untouched).
 
     @raise Invalid as {!materialize}. *)
+
+val run_plan :
+  plan -> Node.element -> (report * (Node.element * diff) option, report) result
+(** {!run} on a compiled plan: the serving layer's COMMIT. *)

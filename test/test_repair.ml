@@ -181,25 +181,53 @@ let gen_biased_update =
       (1, return (Core.Transform_ast.Delete [ step Descendant; step (Label "x") ]));
       (1, Test_properties.gen_update) ]
 
+(* Every (qualifier state, element) pair the table answers for: the
+   states the unchecked run holds at each element, as bottomUp enters
+   it, that carry a qualifier.  There [Annotator.checkp] must be
+   [Top_down.direct_checkp]; [pairs] counts the pairs compared. *)
+let checkp_agrees ?(pairs = ref 0) nfa table root =
+  let checkp = Annotator.checkp table nfa and direct = Core.Top_down.direct_checkp nfa in
+  let quals = Selecting_nfa.qual_states nfa in
+  let rec walk states (e : Node.element) =
+    let states = Selecting_nfa.next_unchecked nfa states (Node.sym e) in
+    Selecting_nfa.set_fold
+      (fun s ok ->
+        incr pairs;
+        ok && checkp s e = direct s e)
+      (Selecting_nfa.set_inter states quals)
+      true
+    && List.for_all
+         (function Node.Element c -> walk states c | Node.Text _ | Node.Comment _ | Node.Pi _ -> true)
+         (Node.children e)
+  in
+  walk (Selecting_nfa.start nfa) root
+
 (* Commit [us] one at a time from [root], repairing each commit's table
-   from the previous one: [Some rekeyed] (how many repairs re-keyed)
-   when every repaired table equals a from-scratch annotation. *)
-let rekey_chain (root, path, us) =
+   from the previous one: [Some (rekeyed, evaluated)], how many repairs
+   re-keyed and how many re-evaluated, when [check nfa table root] holds
+   of the first table and of every repaired one; by default, that it
+   equals a from-scratch annotation. *)
+let rekey_chain
+    ?(check = fun nfa table root -> tables_equivalent nfa table (Annotator.annotate nfa root) root)
+    (root, path, us) =
   let nfa = Selecting_nfa.of_path path in
-  let rec go root table rekeyed = function
-    | [] -> Some rekeyed
+  let rec go root table (rekeyed, evaluated) = function
+    | [] -> Some (rekeyed, evaluated)
     | u :: us -> (
       match Apply.run [ u ] root with
-      | Error _ | Ok (_, None) | (exception Apply.Invalid _) -> go root table rekeyed us
+      | Error _ | Ok (_, None) | (exception Apply.Invalid _) -> go root table (rekeyed, evaluated) us
       | Ok (_, Some (root', diff)) -> (
         match Annotator.repair nfa ~old_table:table ~spine:diff.Apply.spine root' with
-        | None -> go root' (Annotator.annotate nfa root') rekeyed us
+        | None -> go root' (Annotator.annotate nfa root') (rekeyed, evaluated) us
         | Some (repaired, st) ->
-          if tables_equivalent nfa repaired (Annotator.annotate nfa root') root' then
-            go root' repaired (if st.Annotator.rekeyed then rekeyed + 1 else rekeyed) us
+          if check nfa repaired root' then
+            go root' repaired
+              (if st.Annotator.rekeyed then (rekeyed + 1, evaluated) else (rekeyed, evaluated + 1))
+              us
           else None))
   in
-  go root (Annotator.annotate nfa root) 0 us
+  let table = Annotator.annotate nfa root in
+  if check nfa table root then go root table (0, 0) us else None
 
 let gen_rekey_chain =
   QCheck2.Gen.(
@@ -220,7 +248,7 @@ let test_rekey_coverage () =
   List.iter
     (fun case ->
       match rekey_chain case with
-      | Some n -> rekeyed := !rekeyed + n
+      | Some (n, _) -> rekeyed := !rekeyed + n
       | None -> Alcotest.fail "a re-keyed or repaired table differs from annotate")
     (QCheck2.Gen.generate ~rand ~n:1000 gen_rekey_chain);
   Alcotest.(check bool) (Printf.sprintf "%d re-keyed repairs >= 400" !rekeyed) true (!rekeyed >= 400)
@@ -621,6 +649,116 @@ let test_service_fallback_on_root_swap () =
           Alcotest.(check string) "reads see the swapped tree" "<root><m1><v>9</v></m1></root>"
             (read ())))
 
+(* ---- the truth table against the direct evaluator ---- *)
+
+(* [gen_path] plans over random documents, each with a chain of commits
+   biased towards ones the plan cannot observe, so both kinds of repair
+   are taken; [rekey_chain ~check:checkp_agrees] checks every table. *)
+let gen_truth_chain =
+  QCheck2.Gen.(
+    triple Test_properties.gen_root Test_properties.gen_path
+      (list_size (int_range 1 4) gen_biased_update))
+
+let prop_checkp_equals_direct =
+  QCheck2.Test.make ~name:"table checkp = direct checkp (annotate, repair, re-key)" ~count:500
+    gen_truth_chain
+    (fun case -> Option.is_some (rekey_chain ~check:checkp_agrees case))
+
+(* The property compares pairs, through both kinds of repair: on a fixed
+   seed every chain holds, and each kind is taken. *)
+let test_checkp_coverage () =
+  let rand = Random.State.make [| 53 |] and pairs = ref 0 in
+  let rekeyed, evaluated =
+    List.fold_left
+      (fun (r, e) case ->
+        match rekey_chain ~check:(checkp_agrees ~pairs) case with
+        | Some (r', e') -> (r + r', e + e')
+        | None -> Alcotest.fail "a table's checkp differs from the direct evaluator")
+      (0, 0)
+      (QCheck2.Gen.generate ~rand ~n:600 gen_truth_chain)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pairs, %d re-keyed and %d re-evaluated repairs" !pairs rekeyed evaluated)
+    true
+    (!pairs > 1000 && rekeyed > 0 && evaluated > 0)
+
+(* A plan of more than 62 LQ expressions stores each entry in several
+   words.  The chain document's level [d] holds [<c>d</c>]; step [i] of
+   the path asks [c = "i"], true on the chain, or, every third step,
+   [c = "x"], false, so the truths are a mix of both. *)
+let test_checkp_wide_entries () =
+  let root =
+    let rec build d =
+      let name = if d mod 2 = 0 then "a" else "b" in
+      let kids = [ Node.elem "c" [ Node.text (string_of_int d) ] ] in
+      let kids = if d + 1 < chain_depth then kids @ [ Node.Element (build (d + 1)) ] else kids in
+      Node.element name kids
+    in
+    build 0
+  in
+  let path =
+    String.concat "/"
+      (List.init 40 (fun i ->
+           Printf.sprintf "%s[c = \"%s\"]" (if i mod 2 = 0 then "a" else "b")
+             (if i mod 3 = 0 then "x" else string_of_int i)))
+  in
+  let nfa = Selecting_nfa.of_path (Xut_xpath.Parser.parse path) in
+  Alcotest.(check bool) "more than 62 LQ expressions" true
+    (Xut_xpath.Lq.length (Selecting_nfa.lq nfa) > 62);
+  let table = Annotator.annotate nfa root and pairs = ref 0 in
+  Alcotest.(check bool) "checkp = direct" true (checkp_agrees ~pairs nfa table root);
+  Alcotest.(check bool) (Printf.sprintf "%d pairs" !pairs) true (!pairs >= 40);
+  (* a repair re-evaluates the spine and carries the rest *)
+  let root', diff =
+    match Apply.run (updates "insert <c>0</c> into $a/a/b/a") root with
+    | Ok (_, Some (root', diff)) -> (root', diff)
+    | _ -> Alcotest.fail "commit"
+  in
+  match Annotator.repair nfa ~old_table:table ~spine:diff.Apply.spine root' with
+  | Some (repaired, _) ->
+    Alcotest.(check bool) "repaired checkp = direct" true (checkp_agrees nfa repaired root');
+    Alcotest.(check bool) "repaired = annotate" true
+      (tables_equivalent nfa repaired (Annotator.annotate nfa root') root')
+  | None -> Alcotest.fail "repair"
+
+(* A table large enough to grow many times, with entries whose probe
+   wraps past the end of the array; a commit then drops every other
+   entry, shifting the runs back across the wrap.  Slots follow element
+   ids, which depend on what was built before, so fresh documents are
+   drawn until one table wraps. *)
+let test_checkp_wrapping_probe () =
+  let nfa = Selecting_nfa.of_path (Xut_xpath.Parser.parse "r/a[c = \"1\"]/d") in
+  let rand = Random.State.make [| 7 |] in
+  let doc () =
+    Node.element "r"
+      (List.init 600 (fun i ->
+           (* a random number of fillers spreads the ids irregularly *)
+           let fill = List.init (Random.State.int rand 4) (fun _ -> Node.elem "z" []) in
+           Node.elem "a" (fill @ [ Node.elem "c" [ Node.text (string_of_int (i mod 2)) ] ])))
+  in
+  let rec draw k =
+    let root = doc () in
+    let table = Annotator.annotate nfa root in
+    if Annotator.wrapped table > 0 then (root, table)
+    else if k = 0 then Alcotest.fail "no table wrapped"
+    else draw (k - 1)
+  in
+  let root, table = draw 50 in
+  Alcotest.(check int) "an entry per a and per c" 1200 (Annotator.annotated_count table);
+  Alcotest.(check bool) "checkp = direct" true (checkp_agrees nfa table root);
+  let root', diff =
+    match Apply.run (updates "delete $a/r/a[c = \"0\"]") root with
+    | Ok (_, Some (root', diff)) -> (root', diff)
+    | _ -> Alcotest.fail "commit"
+  in
+  match Annotator.repair nfa ~old_table:table ~spine:diff.Apply.spine root' with
+  | Some (repaired, st) ->
+    Alcotest.(check int) "every other entry dropped" 600 st.Annotator.dropped;
+    Alcotest.(check bool) "repaired checkp = direct" true (checkp_agrees nfa repaired root');
+    Alcotest.(check bool) "repaired = annotate" true
+      (tables_equivalent nfa repaired (Annotator.annotate nfa root') root')
+  | None -> Alcotest.fail "repair"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_repair_equals_annotate;
@@ -639,4 +777,8 @@ let suite =
     Alcotest.test_case "repair work bounded by the spine" `Quick test_repair_bounded_by_spine;
     Alcotest.test_case "repair re-evaluates a text edit" `Quick test_repair_text_edit;
     Alcotest.test_case "marker insert repair allocation" `Quick test_plan_cache_repair_marker_alloc;
+    QCheck_alcotest.to_alcotest prop_checkp_equals_direct;
+    Alcotest.test_case "table checkp coverage on a fixed seed" `Quick test_checkp_coverage;
+    Alcotest.test_case "table checkp over >62 LQ expressions" `Quick test_checkp_wide_entries;
+    Alcotest.test_case "table checkp across a wrapping probe" `Quick test_checkp_wrapping_probe;
   ]

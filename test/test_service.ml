@@ -2084,6 +2084,35 @@ let test_lent_reply_allocates_no_copy () =
         Alcotest.failf "20 lent replies allocated %.0f major words directly (one reply: %.0f)"
           direct reply_words)
 
+(* A COMMIT text is compiled once: the plan cache keeps its parsed
+   updates and their NFAs, so a repeated marker pair (the write pair of
+   perfbench's mixed_rw workload) steps on the DFAs the first pair warmed
+   and computes no step. *)
+let test_repeated_commit_compiles_nothing () =
+  let path = Filename.temp_file "xut_service_commit" ".xml" in
+  Xut_xmark.Generator.to_file ~seed:1L ~factor:0.002 path;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_service (fun svc ->
+          (match Service.call svc (Service.Load { name = "d"; file = path; schema = None }) with
+          | Service.Ok (Service.Doc_loaded _) -> ()
+          | _ -> Alcotest.fail "LOAD");
+          let commit u =
+            match Service.call svc (Service.Commit { doc = "d"; query = u }) with
+            | Service.Ok (Service.Committed { primitives; _ }) when primitives > 0 -> ()
+            | _ -> Alcotest.fail ("COMMIT " ^ u)
+          in
+          let pair () =
+            let misses = Fixtures.counter "nfa_memo_misses" in
+            commit "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction";
+            commit "delete $a//xut_bench_promo";
+            Fixtures.counter "nfa_memo_misses" - misses
+          in
+          Alcotest.(check bool) "the first pair computes steps" true (pair () > 0);
+          Alcotest.(check int) "a repeated pair computes none" 0 (pair ());
+          Alcotest.(check int) "and a third" 0 (pair ())))
+
 let suite =
   [
     Alcotest.test_case "plan cache: miss then hit" `Quick test_cache_hit_miss;
@@ -2138,4 +2167,6 @@ let suite =
       test_second_document_element;
     Alcotest.test_case "service: lent TRANSFORM replies make no copy" `Quick
       test_lent_reply_allocates_no_copy;
+    Alcotest.test_case "service: a repeated COMMIT compiles nothing" `Quick
+      test_repeated_commit_compiles_nothing;
   ]

@@ -447,7 +447,7 @@ let test_qcheck_commit_vs_transform =
    cell per visited element exceeds the bound many times over. *)
 let test_materialize_alloc_bounded_by_spine () =
   let commit root q =
-    let report, nz = Apply.stage (updates q) root in
+    let report, nz = Apply.stage (Apply.plan (updates q)) root in
     Alcotest.(check int) (q ^ ": no conflicts") 0 (List.length report.Apply.conflicts);
     let before = Gc.minor_words () in
     let result = Apply.materialize nz root in
@@ -502,9 +502,9 @@ let test_commit_visits_bounded_by_spine () =
     [ 0.01; 0.04 ]
 
 (* Label summaries prune [//] walks without a schema: on XMark f=0.01
-   (seed 1), topDown's count of U5 and of U10, and the marker delete's
-   resolve after the marker insert, enter exactly the elements whose
-   summary holds the final label's bit.  Under each [//] the state set
+   (seed 1), topDown's count and run of U5 and of U10, and the marker
+   delete's resolve after the marker insert, enter exactly the elements
+   whose summary holds the final label's bit.  Under each [//] the state set
    never empties, so that recount from the tree is the whole walk.
    Symbol ids are process-wide, so whether another name of the document
    shares that bit depends on what was interned first; only when none
@@ -535,8 +535,10 @@ let test_summaries_prune_visits () =
     let nfa = Xut_automata.Selecting_nfa.of_path path in
     let update = Core.Transform_ast.Delete path in
     let n = visits p path pin (fun () -> Core.Top_down.count nfa update root) root in
-    Alcotest.(check int) (p ^ ": = reference")
-      (Node.elements (Core.Engine.transform Core.Engine.Reference update root)) n
+    let expected = Core.Engine.transform Core.Engine.Reference update root in
+    Alcotest.(check int) (p ^ ": = reference") (Node.elements expected) n;
+    let out = visits (p ^ " (run)") path pin (fun () -> Core.Top_down.run nfa update root) root in
+    Alcotest.(check bool) (p ^ ": run = reference") true (Node.equal_element expected out)
   in
   count "/site//description" 1121;
   count "/site//open_auctions/open_auction[not(@id = \"open_auction2\")]/bidder[increase > 10]" 310;
@@ -555,6 +557,53 @@ let test_summaries_prune_visits () =
   in
   Alcotest.(check (list int)) "resolve = Eval.select_doc"
     (List.map Node.id (Xut_xpath.Eval.select_doc marked path)) (List.map Node.id got)
+
+(* A walk adds its counts to the domain's cells once, when it ends, so
+   one that raises must add them on its way out: [count] and [run] of a
+   root delete visit the document element and then raise, and a walk
+   whose qualifier oracle fails part way adds the visits it made before
+   the failure (some, and no more than the whole walk makes). *)
+let test_raising_walks_count_visits () =
+  let root = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
+  let visited f =
+    let v0 = Counter.value Core.Stats.nodes_visited in
+    (match f () with
+    | _ -> Alcotest.fail "the walk returned"
+    | exception (Core.Transform_ast.Invalid_update _ | Exit) -> ());
+    Counter.value Core.Stats.nodes_visited - v0
+  in
+  let path = Xut_xpath.Parser.parse "/site" in
+  let nfa = Xut_automata.Selecting_nfa.of_path path in
+  let update = Core.Transform_ast.Delete path in
+  Alcotest.(check int) "count of a root delete" 1
+    (visited (fun () -> Core.Top_down.count nfa update root));
+  Alcotest.(check int) "run of a root delete" 1
+    (visited (fun () -> ignore (Core.Top_down.run nfa update root)));
+  let path =
+    Xut_xpath.Parser.parse
+      "/site//open_auctions/open_auction[not(@id = \"open_auction2\")]/bidder[increase > 10]"
+  in
+  let nfa = Xut_automata.Selecting_nfa.of_path path in
+  let update = Core.Transform_ast.Delete path in
+  let v0 = Counter.value Core.Stats.nodes_visited in
+  ignore (Core.Top_down.count nfa update root);
+  let whole = Counter.value Core.Stats.nodes_visited - v0 in
+  let failing () =
+    let checks = ref 0 in
+    fun s n ->
+      incr checks;
+      if !checks = 40 then raise Exit;
+      Core.Top_down.direct_checkp nfa s n
+  in
+  List.iter
+    (fun (what, f) ->
+      let v = visited f in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s failing part way: 0 < %d < %d" what v whole)
+        true
+        (v > 0 && v < whole))
+    [ ("count", fun () -> ignore (Core.Top_down.count ~checkp:(failing ()) nfa update root));
+      ("run", fun () -> ignore (Core.Top_down.run ~checkp:(failing ()) nfa update root)) ]
 
 (* The write path's selection is the selecting NFA's walk, and the
    reference semantics is [Eval.select_doc]: the same ids in the same
@@ -621,4 +670,5 @@ let suite =
     Alcotest.test_case "label summaries prune // walks (exact visits)" `Quick
       test_summaries_prune_visits;
     QCheck_alcotest.to_alcotest prop_select_matches_eval;
+    Alcotest.test_case "raising walks count their visits" `Quick test_raising_walks_count_visits;
   ]
