@@ -201,6 +201,68 @@ let annotator_ab root ~reps =
         on *. 1e9 /. float_of_int nodes ))
     annotator_queries
 
+(* ---- the write path: what one COMMIT costs --------------------------------
+
+   The mixed read/write workload's marker insert on XMark f=0.01 (seed
+   1): [Apply] of the compiled write plan, the commit's label
+   footprint, each Fig. 11 plan's annotation repair from its warm table
+   (the qualified ones re-key), the first reply image's build, and one
+   serialization of the committed root with that image, as every reply
+   after the commit makes it.  Each row is the median of [reps] batches,
+   in microseconds per call (a batch repeats the call for about 100 us,
+   so the clock's microsecond grain does not round a call of a few),
+   and the minor words of one call. *)
+
+let marker_in =
+  "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction"
+
+let write_path ~reps =
+  let module Annotator = Xut_automata.Annotator in
+  let module Apply = Xut_update.Apply in
+  let module Serialize = Xut_xml.Serialize in
+  let root = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
+  let plan = Apply.plan (Core.Transform_parser.parse_updates marker_in) in
+  let root', spine =
+    match Apply.run_plan plan root with
+    | Ok (_, Some (root', diff)) -> (root', diff.Apply.spine)
+    | _ -> failwith "write path: the marker insert did not commit"
+  in
+  (* (name, us per call, minor words per call) *)
+  let row name f =
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    let inner = max 1 (int_of_float (1e-4 /. max 1e-7 (Unix.gettimeofday () -. t0))) in
+    let us =
+      Timing.measure ~reps (fun () ->
+          for _ = 1 to inner do
+            ignore (Sys.opaque_identity (f ()))
+          done)
+      *. 1e6 /. float_of_int inner
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    (name, us, Gc.minor_words () -. w0)
+  in
+  let fp = Lazy.from_val (Annotator.commit_footprint ~spine root') in
+  let repairs =
+    List.map
+      (fun u ->
+        let nfa = Xut_automata.Selecting_nfa.of_path (Xut_xpath.Parser.parse u.Workloads.path) in
+        let old_table = Annotator.annotate nfa root in
+        row ("repair " ^ u.Workloads.name) (fun () ->
+            Annotator.repair ~footprint:fp nfa ~old_table ~spine root'))
+      Workloads.all
+  in
+  let image = Serialize.Image.of_element root in
+  [ row "apply" (fun () -> Apply.run_plan plan root);
+    row "footprint" (fun () -> Annotator.commit_footprint ~spine root') ]
+  @ repairs
+  @ [ row "image build" (fun () -> Serialize.Image.of_element root);
+      row "serialize committed root" (fun () ->
+          let buf = Serialize.Pool.acquire () in
+          Serialize.to_buffer ~image buf (Xut_xml.Node.Element root');
+          Serialize.Pool.release buf) ]
+
 (* ---- JSON output ------------------------------------------------------- *)
 
 let json_escape s =
@@ -237,7 +299,7 @@ let ns_rows oc key rows =
     rows;
   Printf.fprintf oc "  },\n"
 
-let write_json path ~factor ~micro ~tdbu ~stream ~count ~annot ~view =
+let write_json path ~factor ~micro ~tdbu ~stream ~count ~annot ~view ~writes =
   Out_channel.with_open_text path (fun oc ->
       output_string oc "{\n";
       Printf.fprintf oc "  \"bench\": \"micro\",\n";
@@ -257,6 +319,14 @@ let write_json path ~factor ~micro ~tdbu ~stream ~count ~annot ~view =
       ns_rows oc "tdbu_ns_per_node" tdbu;
       ns_rows oc "result_stream_ns_per_node" stream;
       ns_rows oc "count_ns_per_node" count;
+      Printf.fprintf oc "  \"write_path_f0.01\": {\n";
+      List.iteri
+        (fun i (name, us, words) ->
+          Printf.fprintf oc "    \"%s\": { \"us\": %.2f, \"minor_words\": %.0f }%s\n"
+            (json_escape name) us words
+            (if i = List.length writes - 1 then "" else ","))
+        writes;
+      Printf.fprintf oc "  },\n";
       (let results, us, kw = view in
        Printf.fprintf oc
          "  \"composed_view_read\": { \"chain\": \"%s\", \"query\": \"%s\", \"results\": %d, \
@@ -337,7 +407,13 @@ let run ?json ?(quick = false) ?(tdbu_only = false) () =
         label skips off on
         (if on > 0. then off /. on else 0.))
     annot;
+  Printf.printf "\n== Write path: one marker COMMIT (XMark f=0.01, medians) ==\n";
+  let writes = write_path ~reps:(if quick then 41 else 101) in
+  List.iter
+    (fun (name, us, words) -> Printf.printf "  %-26s %10.1f us  %8.0f minor words\n" name us words)
+    writes;
   match json with
   | Some path ->
     write_json path ~factor ~micro:(List.rev !micro_results) ~tdbu ~stream ~count ~annot ~view
+      ~writes
   | None -> ()

@@ -11,18 +11,36 @@ open Xut_xpath
    one word.  The arrays are at most half full.  A table is written only
    while it is built or repaired, by the one domain doing it, and read
    only once published: a lookup is one probe and one bit test, and a
-   copy is two array copies. *)
+   copy is two array copies.
+
+   A re-key's table is an overlay: its own arrays hold only the moved
+   spine entries, under their fresh ids, and every other lookup goes to
+   the table [below], shared and never written again.  Fresh ids are
+   allocated after every element of the old tree, so an id at or above
+   the overlay's [floor] (its least fresh id) is the overlay's to
+   answer, present or not, and one below it is [below]'s: a lookup
+   takes one comparison per overlay it passes, and still one probe.
+   [gone] lists the old ids whose entries moved up, for [flatten]. *)
 
 type table = {
   lq : Lq.t;
   words : int;  (* per entry *)
   mutable keys : int array;
   mutable vals : int array;
-  mutable count : int;
+  mutable count : int;  (* entries in [keys] *)
+  under : under;
 }
+
+and under =
+  | Flat
+  | Over of { floor : int; below : table; depth : int; gone : int array (* [absent]-padded *) }
 
 let absent = -1 (* element ids are positive *)
 let word_bits = 62
+
+(* Overlays a chain may stack before a re-key flattens it: a lookup
+   passes at most this many comparisons before its probe. *)
+let max_overlay_depth = 8
 
 (* A new table starts on one free slot and no words, shared by every
    new table: the first [claim] grows it before it writes. *)
@@ -30,9 +48,10 @@ let no_keys = [| absent |]
 
 let create lq =
   { lq; words = max 1 ((Lq.length lq + word_bits - 1) / word_bits); keys = no_keys; vals = [||];
-    count = 0 }
+    count = 0; under = Flat }
 
-let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
+(* A flat table of [t]'s own entries *)
+let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals; under = Flat }
 
 let home keys id =
   let h = id * 0x9e3779b97f4a7c1 in
@@ -45,12 +64,19 @@ let rec probe keys id j =
 
 let slot keys id = probe keys id (home keys id)
 
-(* [id]'s slot, or -1 *)
+(* [id]'s slot in [t]'s own arrays, or -1 *)
 let find t id =
   let s = slot t.keys id in
   if Array.unsafe_get t.keys s = id then s else -1
 
-let mem t id = find t id >= 0
+(* The table along [t]'s chain whose own arrays answer for [id]: [t]
+   itself unless it is an overlay and [id] lies below its floor. *)
+let rec holder t id =
+  match t.under with Over o when id < o.floor -> holder o.below id | Flat | Over _ -> t
+
+let mem t id =
+  let h = holder t id in
+  find h id >= 0
 
 (* the [w] words of slot [si] of [src] into slot [di] of [dst] *)
 let move w src si dst di =
@@ -58,9 +84,10 @@ let move w src si dst di =
     Array.unsafe_set dst ((di * w) + k) (Array.unsafe_get src ((si * w) + k))
   done
 
-let grow t =
+(* [t]'s arrays replaced by free ones of [n] slots, [n] a power of two,
+   its entries moved over *)
+let resize t n =
   let keys = t.keys and vals = t.vals in
-  let n = max 64 (2 * Array.length keys) in
   t.keys <- Array.make n absent;
   t.vals <- Array.make (n * t.words) 0;
   Array.iteri
@@ -71,6 +98,8 @@ let grow t =
         move t.words vals j t.vals s
       end)
     keys
+
+let grow t = resize t (max 64 (2 * Array.length t.keys))
 
 (* [id]'s slot, taken if it was free, its entry cleared *)
 let claim t id =
@@ -85,9 +114,9 @@ let claim t id =
   done;
   s
 
-(* Remove [id]'s entry, if any: the entries after it in its run move
-   back into the hole when their probe passes over it (backward-shift
-   deletion), so no tombstones are left. *)
+(* Remove [id]'s entry from a flat table, if any: the entries after it
+   in its run move back into the hole when their probe passes over it
+   (backward-shift deletion), so no tombstones are left. *)
 let remove t id =
   let s = find t id in
   s >= 0
@@ -111,14 +140,21 @@ let remove t id =
   t.count <- t.count - 1;
   true
 
-(* Expression [i] at the entry in slot [s] (-1: none) *)
+(* Expression [i] at the entry in slot [s] of [t]'s own arrays (-1:
+   none) *)
 let bit t s i =
   s >= 0
   && Array.unsafe_get t.vals ((s * t.words) + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0
 
+(* Expression [i] at [id], through the chain *)
+let bit_at t id i =
+  let h = holder t id in
+  bit h (find h id) i
+
 (* The entries of [a] at [ida] and [b] at [idb] are both absent, or
    equal. *)
 let same_entry a ida b idb =
+  let a = holder a ida and b = holder b idb in
   let sa = find a ida and sb = find b idb in
   if sa < 0 || sb < 0 then sa = sb
   else
@@ -127,8 +163,10 @@ let same_entry a ida b idb =
     in
     eq 0
 
-(* Copy [src]'s entry at [ids] to [dst] at [id]; [false] when there is none. *)
+(* Copy [src]'s entry at [ids] to [dst]'s own arrays at [id]; [false]
+   when there is none. *)
 let take_entry ~src ids dst id =
+  let src = holder src ids in
   let ss = find src ids in
   ss >= 0
   &&
@@ -136,12 +174,29 @@ let take_entry ~src ids dst id =
   move dst.words src.vals ss dst.vals s;
   true
 
+(* One flat table of the entries [t] answers for: its base's arrays
+   copied, then each overlay's moves replayed, from the bottom up. *)
+let rec flatten t =
+  match t.under with
+  | Flat -> copy t
+  | Over o ->
+    let f = flatten o.below in
+    Array.iter (fun id -> if id <> absent then ignore (remove f id : bool)) o.gone;
+    Array.iteri
+      (fun s id ->
+        if id <> absent then begin
+          let d = claim f id (* may grow [f]: taken before its arrays are read *) in
+          move f.words t.vals s f.vals d
+        end)
+      t.keys;
+    f
+
 let has_any_qual nfa = not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa))
 
-let iter_kids f (e : Node.element) =
-  List.iter
-    (function Node.Element c -> f c | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-    (Node.children e)
+let iter_elements f =
+  List.iter (function Node.Element c -> f c | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+
+let iter_kids f (e : Node.element) = iter_elements f (Node.children e)
 
 let seeded (d : Dfa.demand) = not (Lq.set_is_empty d.seeds)
 
@@ -228,6 +283,12 @@ let annotate ?(skip = never) nfa root =
 
 type repair_stats = { recomputed : int; reused : int; dropped : int; rekeyed : bool }
 
+(* An overlay holds one entry for each entry it took from below *)
+let rec annotated_count t =
+  match t.under with
+  | Flat -> t.count
+  | Over o -> annotated_count o.below
+
 (* Same text children, physically, in the same order: the two elements'
    [Node.text_content] agree. *)
 let rec same_text a b =
@@ -246,9 +307,11 @@ let rec same_text a b =
    children passed over are [departed].  Matching the head of the old
    list settles every shared or rebuilt child of an insert; an index of
    the remaining old ids is built only when a child does not match it
-   (fresh content, or a deletion before it). *)
-let align spine (oe : Node.element) (e : Node.element) ~shared ~rebuilt ~fresh ~departed =
-  let olds = ref (Node.children oe) in
+   (fresh content, or a deletion before it).  [align_lists] sorts the
+   suffixes [news] and [olds] of the two child lists, whose prefixes
+   matched. *)
+let align_lists spine olds news ~shared ~rebuilt ~fresh ~departed =
+  let olds = ref olds in
   let rec at_head id =
     match !olds with
     | Node.Element oc :: _ -> Node.id oc = id
@@ -289,7 +352,7 @@ let align spine (oe : Node.element) (e : Node.element) ~shared ~rebuilt ~fresh ~
         end
       | Node.Text _ | Node.Comment _ | Node.Pi _ -> take id)
   in
-  iter_kids
+  iter_elements
     (fun c ->
       let id = Node.id c in
       if at_head id then begin
@@ -307,37 +370,75 @@ let align spine (oe : Node.element) (e : Node.element) ~shared ~rebuilt ~fresh ~
             shared c
           end
           else fresh c)
-    e;
+    news;
   List.iter
     (function Node.Element oc -> departed oc | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
     !olds
 
+let align spine (oe : Node.element) (e : Node.element) =
+  align_lists spine (Node.children oe) (Node.children e)
+
 (* What one commit touched, by label, from its diff: the labels of the
    inserted, replacement and departed material and both names of each
    rename ([touched]), and the labels of the rebuilt spine
-   ([spine_labels]).  One [align] pass over the spine pairs; shared
-   children are passed over, material is walked whole. *)
-type commit_footprint = {
-  touched : (Sym.t, unit) Hashtbl.t;
-  spine_labels : (Sym.t, unit) Hashtbl.t;
-}
+   ([spine_labels]), each a bitset over symbols, 63 to a word.  One
+   pass over the spine pairs' child lists; shared children are passed
+   over, material is walked whole. *)
+type commit_footprint = { touched : int array; spine_labels : int array }
+
+let label_set () = Array.make ((Sym.count () / 63) + 1) 0
+
+let add_label set sym =
+  let w = sym / 63 in
+  set.(w) <- set.(w) lor (1 lsl (sym mod 63))
+
+(* Symbols interned after the set was made are in no commit's trees *)
+let has set sym =
+  let w = sym / 63 in
+  w < Array.length set && Array.unsafe_get set w land (1 lsl (sym mod 63)) <> 0
 
 let commit_footprint ~spine new_root =
-  let fp = { touched = Hashtbl.create 16; spine_labels = Hashtbl.create 16 } in
-  let add tbl (e : Node.element) = Hashtbl.replace tbl (Node.sym e) () in
-  let material e = Node.iter_elements (add fp.touched) e in
+  let touched = label_set () and spine_labels = label_set () in
+  let add set (e : Node.element) = add_label set e.Node.sym in
+  let rec material (e : Node.element) =
+    add touched e;
+    materials e.Node.children
+  and materials = function
+    | Node.Element c :: rest ->
+      material c;
+      materials rest
+    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> materials rest
+    | [] -> ()
+  in
   let rec pair oe e =
-    add fp.spine_labels e;
+    add spine_labels e;
     if Node.sym oe <> Node.sym e then begin
-      add fp.touched oe;
-      add fp.touched e
+      add touched oe;
+      add touched e
     end;
-    align spine oe e ~shared:ignore ~rebuilt:pair ~fresh:material ~departed:material
+    kids (Node.children oe) (Node.children e)
+  (* The two child lists in step while each new child is the old one
+     (shared) or its rebuild, as under a node that only gained or lost
+     children at its end; [align_lists] sorts any other rest. *)
+  and kids olds news =
+    match (olds, news) with
+    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: olds, _ -> kids olds news
+    | _, (Node.Text _ | Node.Comment _ | Node.Pi _) :: news -> kids olds news
+    | Node.Element o :: olds', Node.Element n :: news' when o.Node.id = n.Node.id ->
+      kids olds' news'
+    | Node.Element o :: olds', Node.Element n :: news'
+      when match Hashtbl.find_opt spine n.Node.id with Some o' -> o' == o | None -> false ->
+      pair o n;
+      kids olds' news'
+    | [], news -> materials news (* nothing left to share or rebuild: fresh *)
+    | olds, [] -> materials olds (* departed *)
+    | _ ->
+      align_lists spine olds news ~shared:ignore ~rebuilt:pair ~fresh:material ~departed:material
   in
   (match Hashtbl.find_opt spine (Node.id new_root) with
   | Some old_root -> pair old_root new_root
   | None -> material new_root);
-  fp
+  { touched; spine_labels }
 
 (* A plan cannot observe the commit when no label it tables entries at
    was inserted, removed or renamed, and no label it compares text at
@@ -355,19 +456,68 @@ let independent nfa fp =
   | None -> false
   | Some { Selecting_nfa.labels; compared } ->
     let fp = Lazy.force fp in
-    not
-      (List.exists (Hashtbl.mem fp.touched) labels
-      || List.exists (Hashtbl.mem fp.spine_labels) compared)
+    not (List.exists (has fp.touched) labels || List.exists (has fp.spine_labels) compared)
 
 (* The old table with each spine entry moved from its old id to its
-   fresh one: the whole repair of an independent plan. *)
-let rekey old_table ~spine =
-  let t = copy old_table in
-  Hashtbl.iter
-    (fun fresh_id oe ->
-      if remove t oe.Node.id then ignore (take_entry ~src:old_table oe.Node.id t fresh_id : bool))
-    spine;
-  (t, { recomputed = 0; reused = t.count; dropped = 0; rekeyed = true })
+   fresh one: the whole repair of an independent plan.  The moved
+   entries make an overlay on the old table (see the table's comment);
+   past [max_overlay_depth] overlays the chain is flattened into one
+   flat table, the entries moved in place. *)
+let rekey nfa old ~spine =
+  (* only an element of a plan label holds an entry *)
+  let labels = label_set () in
+  (match Selecting_nfa.footprint nfa with
+  | Some fp -> List.iter (add_label labels) fp.Selecting_nfa.labels
+  | None -> Array.fill labels 0 (Array.length labels) (-1));
+  let tabled (oe : Node.element) = has labels oe.Node.sym in
+  let depth = match old.under with Flat -> 1 | Over o -> o.depth + 1 in
+  let t =
+    if depth > max_overlay_depth then begin
+      let t = flatten old in
+      Hashtbl.iter
+        (fun fresh_id oe ->
+          if tabled oe && remove t oe.Node.id then
+            ignore (take_entry ~src:old oe.Node.id t fresh_id : bool))
+        spine;
+      t
+    end
+    else begin
+      (* allocated at the first entry that moves, sized once: at most
+         one entry per spine element *)
+      let t = create old.lq and gone = ref [||] and moved = ref 0 and floor = ref max_int in
+      Hashtbl.iter
+        (fun fresh_id oe ->
+          if fresh_id < !floor then floor := fresh_id;
+          if tabled oe then begin
+            let id = oe.Node.id in
+            let src = holder old id in
+            let si = find src id in
+            if si >= 0 then begin
+              if !moved = 0 then begin
+                let n = Hashtbl.length spine and slots = ref 64 in
+                while !slots < 2 * (n + 1) do
+                  slots := 2 * !slots
+                done;
+                resize t !slots;
+                gone := Array.make n absent
+              end;
+              (* sized for the whole spine: no growth, and every word
+                 of the entry is written *)
+              let di = slot t.keys fresh_id in
+              t.keys.(di) <- fresh_id;
+              t.count <- t.count + 1;
+              move t.words src.vals si t.vals di;
+              !gone.(!moved) <- id;
+              incr moved
+            end
+          end)
+        spine;
+      (* no spine element held an entry: every entry is where it was *)
+      if t.count = 0 then old
+      else { t with under = Over { floor = !floor; below = old; depth; gone = !gone } }
+    end
+  in
+  (t, { recomputed = 0; reused = annotated_count t; dropped = 0; rekeyed = true })
 
 (* Incremental repair after a commit: the new tree shares every untouched
    subtree with the old one (same element ids), and entries are
@@ -393,9 +543,9 @@ let repair ?footprint nfa ~old_table ~spine new_root =
     in
     if not (has_any_qual nfa) then
       Some (create lq, { recomputed = 0; reused = 0; dropped = 0; rekeyed = false })
-    else if independent nfa footprint then Some (rekey old_table ~spine)
+    else if independent nfa footprint then Some (rekey nfa old_table ~spine)
     else begin
-      let r = run ~skip:never nfa (copy old_table) in
+      let r = run ~skip:never nfa (flatten old_table) in
       let dropped = ref 0 in
       let drop id = if remove r.tbl id then incr dropped in
       (* The old run's walk over an old subtree it reached from a
@@ -485,13 +635,16 @@ let repair ?footprint nfa ~old_table ~spine new_root =
           } )
     end
 
-let sat tbl (n : Node.element) i = bit tbl (find tbl n.Node.id) i
+let sat tbl (n : Node.element) i = bit_at tbl n.Node.id i
 
+(* A flat table's checker probes its own arrays directly *)
 let checkp tbl nfa =
   let lqs = Selecting_nfa.state_lqs nfa in
-  fun s (n : Node.element) -> bit tbl (find tbl n.Node.id) lqs.(s)
+  match tbl.under with
+  | Flat -> fun s (n : Node.element) -> bit tbl (find tbl n.Node.id) lqs.(s)
+  | Over _ -> fun s (n : Node.element) -> bit_at tbl n.Node.id lqs.(s)
 
-let annotated_count tbl = tbl.count
+let overlay_depth tbl = match tbl.under with Flat -> 0 | Over o -> o.depth
 
 let wrapped tbl =
   let n = ref 0 in

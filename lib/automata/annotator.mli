@@ -27,10 +27,22 @@ type table
     longer list takes as many words as it needs.  [checkp] and [sat]
     are one probe and one bit test, with no hashing of a boxed key, no
     polymorphic compare and no exception; [annotate] writes each entry
-    into the value array, allocating nothing per entry; a repair or a
-    re-key starts from a copy of the two arrays.  A table is written only
-    while it is built or repaired, by the domain doing it, and only read
-    once it is returned. *)
+    into the value array, allocating nothing per entry.
+
+    A re-key's table ({!repair}) is an {e overlay}: small arrays of the
+    moved spine entries only, under their fresh ids, above the old
+    table, which it shares and never writes.  A fresh id is allocated
+    after every element of the old tree, so an id at or above the
+    overlay's least fresh id is answered by the overlay and any other
+    by the table below: a lookup passes one integer comparison per
+    overlay and still makes one probe, and a table with no overlay
+    (every {!annotate}d one) makes its probe directly.  A re-key over a
+    chain of {!max_overlay_depth} overlays flattens the chain into one
+    table first, and a full repair always starts from a flat copy.
+    Entries are defined for the elements of the tree the table was
+    built or repaired for.  A table is written only while it is built
+    or repaired, by the domain doing it, and only read once it is
+    returned. *)
 
 (** {2 The tree pass} *)
 
@@ -52,7 +64,8 @@ type repair_stats = {
 type commit_footprint
 (** What one commit touched, by label: the labels of its inserted,
     replacement and departed material, both names of each rename, and
-    the labels of its rebuilt spine. *)
+    the labels of its rebuilt spine, as two bitsets over symbols, so
+    testing a plan's labels against them is a bit test per label. *)
 
 val commit_footprint : spine:(int, Node.element) Hashtbl.t -> Node.element -> commit_footprint
 (** [commit_footprint ~spine new_root], from the diff alone: one walk of
@@ -74,7 +87,7 @@ val repair :
     result is entry-for-entry equal to [annotate nfa new_root], and so
     to a build under any skip-set: repair takes none, and annotates
     fresh material unpruned.  The
-    cost is one copy of the old table plus O(spine nodes + their
+    cost is one flat copy of the old table plus O(spine nodes + their
     children + fresh material + the old entries it drops): a shared
     child of a spine node is passed over unvisited unless the demand
     reaching it changed (e.g. a rename above it), in which case its
@@ -86,7 +99,8 @@ val repair :
     inserted, removed or renamed, and no label it compares text at lies
     on the rebuilt spine, every entry stands as it was: the result is
     the old table with each spine entry moved from its old id to its
-    fresh id, with no evaluation ([rekeyed = true]).  [footprint] is
+    fresh id, with no evaluation ([rekeyed = true]): an overlay of the
+    moved entries over the old table, copying nothing else.  [footprint] is
     the commit's {!commit_footprint}, forced only for plans with
     qualifiers; a lazy value shared across one commit's repairs computes
     it once, and it is computed from [spine] when absent.
@@ -110,6 +124,15 @@ val checkp : table -> Selecting_nfa.t -> int -> Node.element -> bool
 val annotated_count : table -> int
 (** Number of elements that were actually visited and annotated
     (instrumentation: shows the pruning at work). *)
+
+val overlay_depth : table -> int
+(** Overlays stacked in the table's chain: 0 for a flat table, at most
+    {!max_overlay_depth} (instrumentation, for the tests of the
+    re-key). *)
+
+val max_overlay_depth : int
+(** 8: the overlays a chain of re-keys stacks before the next re-key
+    flattens it. *)
 
 val wrapped : table -> int
 (** Entries stored in a slot before their home slot, whose probe ran

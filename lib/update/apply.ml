@@ -145,10 +145,12 @@ let materialize (nz : Pending.normalized) root =
           Option.value (Core.Top_down.rebuild_children go () (Node.children e))
             ~default:(Node.children e)
         in
-        let name = Option.value rename ~default:(Node.name e) in
+        let kids = List.map Node.refresh_ids firsts @ kids @ List.map Node.refresh_ids lasts in
+        (* a kept name keeps its symbol: nothing is interned again *)
         rebuilt e
-          (Node.element ~attrs:(Node.attrs e) name
-             (List.map Node.refresh_ids firsts @ kids @ List.map Node.refresh_ids lasts))
+          (match rename with
+          | Some name -> Node.element ~attrs:(Node.attrs e) name kids
+          | None -> Node.element_of_sym ~attrs:(Node.attrs e) (Node.sym e) kids)
       | None when not (Hashtbl.mem nz.Pending.ancestors (Node.id e)) -> Core.Top_down.Same
       | None -> (
         match Core.Top_down.rebuild_children go () (Node.children e) with

@@ -1,12 +1,30 @@
 exception No_document_element
 
 module Builder = struct
-  (* Stack of open elements, children accumulated in reverse. *)
-  type frame = { name : string; attrs : (string * string) list; mutable rev_children : Node.t list }
+  (* Stack of open elements, children accumulated in reverse.  [sym] is
+     the name's symbol when the parser handed it over, else -1. *)
+  type frame = {
+    name : string;
+    sym : Sym.t;
+    attrs : (string * string) list;
+    mutable rev_children : Node.t list;
+  }
 
-  type t = { mutable stack : frame list; mutable root : Node.element option }
+  type t = {
+    mutable stack : frame list;
+    mutable root : Node.element option;
+    mutable next_sym : Sym.t;  (* the symbol of the start tag whose event comes next, or -1 *)
+  }
 
-  let create () = { stack = []; root = None }
+  let create () = { stack = []; root = None; next_sym = -1 }
+
+  (* A steering hook that walks every start tag and keeps its symbol
+     for the event that follows, so the element is built without
+     interning its name again *)
+  let steer b =
+    Sax.steer (fun _ sym ->
+        b.next_sym <- sym;
+        Sax.Walk)
 
   let add_child b node =
     match b.stack with
@@ -20,7 +38,8 @@ module Builder = struct
   let handle b = function
     | Sax.Start_document | Sax.End_document -> ()
     | Sax.Start_element (name, attrs) ->
-      b.stack <- { name; attrs; rev_children = [] } :: b.stack
+      b.stack <- { name; sym = b.next_sym; attrs; rev_children = [] } :: b.stack;
+      b.next_sym <- -1
     | Sax.Characters s -> add_child b (Node.Text s)
     | Sax.Comment_event s -> add_child b (Node.Comment s)
     | Sax.Pi_event (t, c) -> add_child b (Node.Pi (t, c))
@@ -28,7 +47,11 @@ module Builder = struct
       match b.stack with
       | top :: rest ->
         b.stack <- rest;
-        let e = Node.element ~attrs:top.attrs top.name (List.rev top.rev_children) in
+        let children = List.rev top.rev_children in
+        let e =
+          if top.sym >= 0 then Node.element_of_sym ~attrs:top.attrs top.sym children
+          else Node.element ~attrs:top.attrs top.name children
+        in
         add_child b (Node.Element e)
       | [] -> invalid_arg "Dom.Builder: end element with empty stack")
 
@@ -43,7 +66,7 @@ end
 
 let parse_string ?keep_ws src =
   let b = Builder.create () in
-  Sax.parse_string ?keep_ws src (Builder.handler b);
+  Sax.parse_string ?keep_ws ~steer:(Builder.steer b) src (Builder.handler b);
   Builder.result b
 
 let parse_element src i =
@@ -53,5 +76,5 @@ let parse_element src i =
 
 let parse_file ?keep_ws path =
   let b = Builder.create () in
-  Sax.parse_file ?keep_ws path (Builder.handler b);
+  Sax.parse_file ?keep_ws ~steer:(Builder.steer b) path (Builder.handler b);
   Builder.result b

@@ -33,6 +33,9 @@ let element ?(attrs = []) name children =
   let sym = Sym.intern (Counter.local ()) name in
   summed (fresh_id ()) name sym attrs children 1 (label_bit sym) children
 
+let element_of_sym ?(attrs = []) sym children =
+  summed (fresh_id ()) (Sym.name sym) sym attrs children 1 (label_bit sym) children
+
 let elem ?attrs name children = Element (element ?attrs name children)
 let text s = Text s
 let comment s = Comment s

@@ -41,6 +41,11 @@ val elem : ?attrs:(string * string) list -> string -> t list -> t
 val element : ?attrs:(string * string) list -> string -> t list -> element
 (** Like {!elem} but returns the record, for document roots. *)
 
+val element_of_sym : ?attrs:(string * string) list -> Sym.t -> t list -> element
+(** Like {!element}, for a builder that already holds the name's symbol
+    (a parser interns each start tag's name): the name is
+    {!Sym.name} of it, and nothing is interned again. *)
+
 val text : string -> t
 val comment : string -> t
 val pi : string -> string -> t

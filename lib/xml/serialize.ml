@@ -25,30 +25,59 @@ let add_end_tag buf e =
 
 (* ---------------- reply image ---------------- *)
 
-module Ids = Hashtbl.Make (struct
-  type t = int
+(* [bytes] is one element's unindented serialization, and [keys]/[spans]
+   index every element in it: open addressing over element ids with
+   linear probing, as [Annotator.table] lays it out, at most half full.
+   Slot [s] holds an id in [keys.(s)] ([absent] where free) and that
+   element's bytes in [spans.(s)]: their offset times [2^31] plus their
+   length, so an image indexes at most [2^31] bytes.  An id names one
+   immutable subtree, and serialization without indentation does not
+   depend on context, so those bytes are that element's serialization
+   in any tree that holds it.
 
-  let equal = Int.equal
+   Every indexed id lies in [lo, hi], so any other id misses without a
+   probe: the ids of a commit's rebuilt spine and of every reply's fresh
+   elements are younger than the imaged tree's.  An id's home slot is
+   its offset from [base], the id the tree's first element would have if
+   its ids were consecutive: a parsed tree's are, in the post-order the
+   image is built in, so the build writes the arrays in order and the
+   siblings a reply looks up lie close together. *)
+type image = { bytes : string; keys : int array; spans : int array; base : int; lo : int; hi : int }
 
-  (* ids are sequential: the identity spreads them over the buckets *)
-  let hash id = id land max_int
-end)
+let absent = -1 (* element ids are positive *)
+let span_bits = 31
 
-(* [index] maps an element id to the (offset, length) of its bytes in
-   [bytes].  An id names one immutable subtree, and serialization
-   without indentation does not depend on context, so those bytes are
-   that element's serialization in any tree that holds it. *)
-type image = { bytes : string; index : (int * int) Ids.t }
+let no_image =
+  { bytes = ""; keys = [| absent |]; spans = [| 0 |]; base = 0; lo = max_int; hi = min_int }
 
-let no_image = { bytes = ""; index = Ids.create 1 }
 let pool_hits = Counter.declare "serialize_pool_hits"
 let pool_misses = Counter.declare "serialize_pool_misses"
 let image_builds = Counter.declare "serialize_image_builds"
 let image_blit_bytes = Counter.declare "serialize_image_blit_bytes"
 
-(* [mem] before [find]: a miss raises nothing and a hit allocates no
-   option; without an image (an empty index) it is one field read *)
-let indexed image id = Ids.length image.index > 0 && Ids.mem image.index id
+(* [id]'s slot, or the free slot that ends its probe *)
+let rec probe keys id j =
+  let k = Array.unsafe_get keys j in
+  if k = id || k = absent then j else probe keys id ((j + 1) land (Array.length keys - 1))
+
+let home keys ~base id = (id - base) land (Array.length keys - 1)
+
+(* The slot of [node] in [image] if it is an element the image
+   indexes, else -1 *)
+let indexed image = function
+  | Node.Element e ->
+    let id = e.Node.id in
+    if id < image.lo || id > image.hi then -1
+    else
+      let s = probe image.keys id (home image.keys ~base:image.base id) in
+      if Array.unsafe_get image.keys s = id then s else -1
+  | Node.Text _ | Node.Comment _ | Node.Pi _ -> -1
+
+let span_start image s = Array.unsafe_get image.spans s lsr span_bits
+
+let span_stop image s =
+  let v = Array.unsafe_get image.spans s in
+  (v lsr span_bits) + (v land ((1 lsl span_bits) - 1))
 
 (* [len] bytes of [s] from [off], split so that [buf] is flushed each
    time it reaches [limit], as the tree walk would have flushed it. *)
@@ -61,14 +90,27 @@ let rec add_blit buf ~limit ~flush s off len =
     add_blit buf ~limit ~flush s (off + room) (len - room)
   end
 
+(* The image's bytes from [off] to [stop] *)
+let add_span buf ~image ~limit ~flush off stop =
+  Counter.add image_blit_bytes (stop - off);
+  add_blit buf ~limit ~flush image.bytes off (stop - off)
+
 (* The one tree walk, behind [to_buffer], [to_string] and [Sink.node].
    It allocates nothing per node.  An element the [image] indexes is
-   copied out of it whole.  Between children it calls [flush] once [buf]
-   holds [limit] bytes: the streaming sink's chunking.  Whole-reply
-   callers pass [max_int], so they never flush; nor does indented
-   output, which only whole replies ask for, and which is walked with
-   [no_image]. *)
+   copied out of it whole, and so is each maximal run of consecutive
+   siblings it indexes whose bytes lie end to end in it: under a rebuilt
+   element whose children the rebuild kept, one blit covers them.  Between
+   children it calls [flush] once [buf] holds [limit] bytes: the
+   streaming sink's chunking.  Whole-reply callers pass [max_int], so
+   they never flush; nor does indented output, which only whole replies
+   ask for, and which is walked with [no_image]. *)
 let rec add_node buf ~image ~limit ~flush ~indent ~level node =
+  let s = indexed image node in
+  if s >= 0 then add_span buf ~image ~limit ~flush (span_start image s) (span_stop image s)
+  else add_walked buf ~image ~limit ~flush ~indent ~level node
+
+(* [node] itself, its children through [add_children] *)
+and add_walked buf ~image ~limit ~flush ~indent ~level node =
   match node with
   | Node.Text s -> Writer.add_escaped buf ~attr:false s
   | Node.Comment s ->
@@ -82,40 +124,55 @@ let rec add_node buf ~image ~limit ~flush ~indent ~level node =
     Buffer.add_string buf c;
     Buffer.add_string buf "?>"
   | Node.Element e -> (
-    if indexed image e.Node.id then begin
-      let off, len = Ids.find image.index e.Node.id in
-      Counter.add image_blit_bytes len;
-      add_blit buf ~limit ~flush image.bytes off len
-    end
-    else (
-      add_start_tag buf e;
-      match e.Node.children with
-      | [] -> Buffer.add_string buf "/>"
-      | cs ->
-        Buffer.add_char buf '>';
-        (match indent with
-        | Some n when not (has_text_child cs) ->
-          (* element-only content: one child per line; mixed content is
-             kept inline, unindented *)
-          add_lines buf ~indent n (level + 1) cs;
-          Buffer.add_char buf '\n';
-          add_spaces buf (level * n)
-        | _ -> add_children buf ~image ~limit ~flush cs);
-        add_end_tag buf e))
+    add_start_tag buf e;
+    match e.Node.children with
+    | [] -> Buffer.add_string buf "/>"
+    | cs ->
+      Buffer.add_char buf '>';
+      (match indent with
+      | Some n when not (has_text_child cs) ->
+        (* element-only content: one child per line; mixed content is
+           kept inline, unindented *)
+        add_lines buf ~indent n (level + 1) cs;
+        Buffer.add_char buf '\n';
+        add_spaces buf (level * n)
+      | _ -> add_children buf ~image ~limit ~flush cs);
+      add_end_tag buf e)
 
 and add_children buf ~image ~limit ~flush = function
   | [] -> ()
-  | c :: rest ->
-    add_node buf ~image ~limit ~flush ~indent:None ~level:0 c;
+  | c :: rest -> add_child buf ~image ~limit ~flush (indexed image c) c rest
+
+(* [c], whose slot in [image] is [s] (-1: none), then [rest] *)
+and add_child buf ~image ~limit ~flush s c rest =
+  if s >= 0 then add_run buf ~image ~limit ~flush (span_start image s) (span_stop image s) rest
+  else begin
+    add_walked buf ~image ~limit ~flush ~indent:None ~level:0 c;
     if Buffer.length buf >= limit then flush ();
     add_children buf ~image ~limit ~flush rest
+  end
+
+(* A run of the image's bytes from [off] to [stop]: extended while the
+   next sibling's bytes start at [stop], and blitted whole once they do
+   not. *)
+and add_run buf ~image ~limit ~flush off stop = function
+  | [] -> add_span buf ~image ~limit ~flush off stop
+  | c :: rest ->
+    let s = indexed image c in
+    if s >= 0 && span_start image s = stop then
+      add_run buf ~image ~limit ~flush off (span_stop image s) rest
+    else begin
+      add_span buf ~image ~limit ~flush off stop;
+      if Buffer.length buf >= limit then flush ();
+      add_child buf ~image ~limit ~flush s c rest
+    end
 
 and add_lines buf ~indent n level = function
   | [] -> ()
   | c :: rest ->
     Buffer.add_char buf '\n';
     add_spaces buf (level * n);
-    add_node buf ~image:no_image ~limit:max_int ~flush:no_flush ~indent ~level c;
+    add_walked buf ~image:no_image ~limit:max_int ~flush:no_flush ~indent ~level c;
     add_lines buf ~indent n level rest
 
 let to_buffer ?indent ?(image = no_image) buf node =
@@ -125,13 +182,18 @@ let to_buffer ?indent ?(image = no_image) buf node =
 module Image = struct
   type t = image
 
-  (* smaller subtrees cost about as much to walk as to look up *)
-  let min_indexed = 64
-
-  (* [add_node]'s unindented walk, recording where each element's bytes
-     start and end *)
+  (* [add_walked]'s unindented walk, recording where each element's
+     bytes start and end; the table is sized once, from the root's
+     element count.  An image whose bytes pass what a span can hold
+     indexes nothing. *)
   let of_element root =
-    let buf = Buffer.create 65536 and index = Ids.create 1024 in
+    let n = ref 2 in
+    while !n < 2 * Node.elements root do
+      n := 2 * !n
+    done;
+    let buf = Buffer.create 65536 and keys = Array.make !n absent and spans = Array.make !n 0 in
+    let base = Node.id root - Node.elements root + 1 in
+    let lo = ref max_int and hi = ref min_int in
     let rec walk = function
       | Node.Element e ->
         let start = Buffer.length buf in
@@ -142,13 +204,19 @@ module Image = struct
           Buffer.add_char buf '>';
           List.iter walk cs;
           add_end_tag buf e);
-        let len = Buffer.length buf - start in
-        if len >= min_indexed then Ids.replace index e.Node.id (start, len)
+        let id = e.Node.id in
+        if id < !lo then lo := id;
+        if id > !hi then hi := id;
+        let s = probe keys id (home keys ~base id) in
+        keys.(s) <- id;
+        spans.(s) <- (start lsl span_bits) lor (Buffer.length buf - start)
       | leaf -> to_buffer buf leaf
     in
     walk (Node.Element root);
     Counter.bump image_builds;
-    { bytes = Buffer.contents buf; index }
+    let bytes = Buffer.contents buf in
+    if String.length bytes >= 1 lsl span_bits then { no_image with bytes }
+    else { bytes; keys; spans; base; lo = !lo; hi = !hi }
 end
 
 (* ---------------- buffer pool ---------------- *)

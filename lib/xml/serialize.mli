@@ -10,16 +10,19 @@ module Image : sig
 
   val of_element : Node.element -> t
   (** The unindented serialization of the element (the bytes of
-      {!element_to_string}) and an index from the id of every element
-      whose serialization is at least 64 bytes long (a constant) to the
-      (offset, length) of its bytes.  Element ids are unique and elements immutable
-      ({!Node.element} and {!Node.with_children} give every new or
-      rebuilt element a fresh id), and unindented serialization does not depend
-      on the context, so an indexed id names exactly those bytes in any
-      tree that holds the element: an image stays valid for every tree
-      derived from this one, and for any other tree (where nothing
-      matches).  Counts [serialize_image_builds]; the serializers count
-      the bytes they copy out of an image as [serialize_image_blit_bytes]
+      {!element_to_string}) and an index from the id of every element in
+      it to the (offset, length) of its bytes: an open-addressing id
+      table, sized once from the element count, with no block allocated
+      per entry.  Element ids
+      are unique and elements immutable ({!Node.element} and
+      {!Node.with_children} give every new or rebuilt element a fresh
+      id), and unindented serialization does not depend on the context,
+      so an indexed id names exactly those bytes in any tree that holds
+      the element: an image stays valid for every tree derived from this
+      one, and for any other tree (where nothing matches).  An image of
+      2 GiB or more indexes nothing.
+      Counts [serialize_image_builds]; the serializers count the bytes
+      they copy out of an image as [serialize_image_blit_bytes]
       ({!Counter}). *)
 end
 
@@ -27,8 +30,11 @@ val to_buffer : ?indent:int -> ?image:Image.t -> Buffer.t -> Node.t -> unit
 (** Append the serialization of the node.  With [indent], children are
     placed on their own lines indented by [indent] spaces per level
     (mixed content is kept inline).  Without [indent], an element that
-    [image] indexes is copied from it whole (a blit) instead of walked;
-    the bytes are the same.  Indented output never consults [image]. *)
+    [image] indexes is copied from it whole (a blit) instead of walked,
+    and so is each maximal run of consecutive siblings it indexes whose
+    bytes lie end to end in it (the kept children of a node a commit
+    rebuilt): one blit per run.
+    The bytes are the same.  Indented output never consults [image]. *)
 
 val to_string : ?indent:int -> ?image:Image.t -> Node.t -> string
 (** Serialized into a pooled buffer ({!Pool.contents_of}), so the one

@@ -600,13 +600,32 @@ let commit_generations root updates =
          | exception Xut_update.Apply.Invalid _ -> gens)
        [ root ] updates)
 
-(* Every generation, and what the last update as a TRANSFORM makes of
-   it, serialized with an image of the original tree, of an
-   intermediate generation and of an unrelated tree (no hits): as a
-   whole reply and through sinks whose chunks split the blits. *)
+(* Updates that also insert mixed content, comments and PIs. *)
+let gen_image_update =
+  let open QCheck2.Gen in
+  let mixed =
+    Node.elem ~attrs:[ ("k", "a & b") ] "m"
+      [ Node.text "t<"; Node.Comment " c "; Node.elem "n" []; Node.Pi ("p", "q"); Node.text "u" ]
+  in
+  frequency
+    [ (3, gen_update);
+      (1, map (fun p -> Transform_ast.Insert (p, mixed)) gen_path);
+      (1, map (fun p -> Transform_ast.Insert_first (p, mixed)) gen_path) ]
+
+(* Every generation, 1 to 6 commits from the root, and what the last
+   update as a TRANSFORM makes of it, serialized with an image of the
+   original tree (carried across every commit, as a binding carries
+   it), of an intermediate generation and of an unrelated tree (no
+   hits): as a whole reply and through sinks whose chunks split the
+   blits.  The roots hold mixed content, attributes, comments and
+   PIs. *)
 let prop_image_serialization =
   QCheck2.Test.make ~name:"serialization with a reply image = without" ~count:1000
-    QCheck2.Gen.(triple gen_root (list_size (int_range 1 4) gen_update) gen_root)
+    QCheck2.Gen.(
+      triple
+        (oneof [ gen_root; gen_root_unread ])
+        (list_size (int_range 1 6) gen_image_update)
+        gen_root)
     (fun (root, updates, unrelated) ->
       let gens = commit_generations root updates in
       let read = List.nth updates (List.length updates - 1) in

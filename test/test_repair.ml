@@ -377,6 +377,97 @@ let test_repair_xmark_commits () =
       | _ -> Alcotest.failf "commit %d (%s) did not materialize" i q)
     commits
 
+(* ---- re-key chains: overlays over a shared table ---- *)
+
+(* Every answer a table gives about [root]: [sat] of every LQ
+   expression and [checkp] of every qualified NFA state at every
+   element, and the entry count, as a fresh annotation of [root] gives
+   them. *)
+let answers_agree nfa got root =
+  let expected = Annotator.annotate nfa root in
+  let n = Xut_xpath.Lq.length (Selecting_nfa.lq nfa) in
+  let quals = Selecting_nfa.qual_states nfa in
+  let got_checkp = Annotator.checkp got nfa and checkp = Annotator.checkp expected nfa in
+  Annotator.annotated_count got = Annotator.annotated_count expected
+  && Node.fold_elements
+       (fun ok e ->
+         ok
+         && List.for_all
+              (fun i -> Annotator.sat got e i = Annotator.sat expected e i)
+              (List.init n Fun.id)
+         && Selecting_nfa.set_fold (fun s ok -> ok && got_checkp s e = checkp s e) quals true)
+       true root
+
+(* The plans of a re-key chain: every Fig. 11 plan, and the innermost
+   level of both view chains of the mixed read/write workload. *)
+let chain_plans =
+  List.map
+    (fun p -> (p, (Plan_cache.compile (Test_schema.delete_q p)).Plan_cache.nfa))
+    (Test_schema.fig11 @ [ "/site/regions//item/mailbox"; "/site/people/person/watches" ])
+
+(* [commits] alternating marker inserts and deletes from [root], every
+   plan's table repaired from the one before with the commit's one
+   footprint: no plan can observe the marker, so every plan with
+   qualifiers re-keys; after each commit every table answers as a fresh
+   annotation does, and its overlays stay within their bound.  Returns
+   each commit's overlay depths, by plan. *)
+let rekey_marker_chain root ~commits =
+  let tables = ref (List.map (fun (_, nfa) -> Annotator.annotate nfa root) chain_plans) in
+  let root = ref root in
+  List.init commits (fun i ->
+      let commit = if i mod 2 = 0 then marker_in else marker_out in
+      match Apply.run (updates commit) !root with
+      | Ok (_, Some (root', diff)) ->
+        let spine = diff.Apply.spine in
+        let footprint = lazy (Annotator.commit_footprint ~spine root') in
+        tables :=
+          List.map2
+            (fun (p, nfa) table ->
+              match Annotator.repair ~footprint nfa ~old_table:table ~spine root' with
+              | None -> Alcotest.failf "commit %d: repair unexpectedly degenerate" i
+              | Some (repaired, st) ->
+                let what = Printf.sprintf "commit %d (%s), %s" i commit p in
+                Alcotest.(check bool) (what ^ ": re-keyed iff qualified")
+                  (not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa)))
+                  st.Annotator.rekeyed;
+                Alcotest.(check bool) (what ^ ": overlays within their bound") true
+                  (Annotator.overlay_depth repaired <= Annotator.max_overlay_depth);
+                Alcotest.(check bool) (what ^ ": answers = a fresh annotation") true
+                  (answers_agree nfa repaired root');
+                repaired)
+            chain_plans !tables;
+        root := root';
+        List.map Annotator.overlay_depth !tables
+      | _ -> Alcotest.failf "commit %d (%s) did not materialize" i commit)
+
+let depths_of p depths =
+  let rec index i = function
+    | (q, _) :: rest -> if q = p then i else index (i + 1) rest
+    | [] -> invalid_arg p
+  in
+  List.map (fun ds -> List.nth ds (index 0 chain_plans)) depths
+
+(* Six marker commits on XMark f=0.01: U7 moves an entry per rebuilt
+   open_auction, so its table stacks one overlay per commit. *)
+let test_rekey_overlay_chain () =
+  let depths =
+    rekey_marker_chain (Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 ()) ~commits:6
+  in
+  Alcotest.(check (list int)) "U7's overlays stack" [ 1; 2; 3; 4; 5; 6 ]
+    (depths_of Test_schema.u7_path depths)
+
+(* Past its bound a chain is flattened: the next re-key starts a flat
+   table, and the answers stay exact across the flattening. *)
+let test_rekey_overlay_flattens () =
+  let bound = Annotator.max_overlay_depth in
+  let depths =
+    rekey_marker_chain (Xut_xmark.Generator.generate ~seed:1L ~factor:0.002 ())
+      ~commits:((2 * bound) + 3)
+  in
+  Alcotest.(check (list int)) "U7's overlays flatten past the bound"
+    (List.init ((2 * bound) + 3) (fun i -> (i + 1) mod (bound + 1)))
+    (depths_of Test_schema.u7_path depths)
+
 (* ---- repair work is bounded by the spine ---- *)
 
 (* 10 people and 1000 open_auctions of 101 elements each. *)
@@ -436,8 +527,9 @@ let test_repair_bounded_by_spine () =
 (* The marker insert of the mixed read/write workload on XMark f=0.01,
    repaired across the ten warm Fig. 11 plans: no plan can observe an
    inserted [xut_bench_promo], so each re-keys its table, and the whole
-   repair allocates little more than the table copies (100.5 kw when
-   U7, U8 and U10 re-evaluated their 120 rebuilt open_auction entries). *)
+   repair allocates little: the footprint and an overlay of the moved
+   entries per plan (100.5 kw when U7, U8 and U10 re-evaluated their
+   120 rebuilt open_auction entries). *)
 let test_plan_cache_repair_marker_alloc () =
   let root = Xut_xmark.Generator.generate ~seed:1L ~factor:0.01 () in
   let cache = Plan_cache.create ~capacity:16 in
@@ -781,4 +873,6 @@ let suite =
     Alcotest.test_case "table checkp coverage on a fixed seed" `Quick test_checkp_coverage;
     Alcotest.test_case "table checkp over >62 LQ expressions" `Quick test_checkp_wide_entries;
     Alcotest.test_case "table checkp across a wrapping probe" `Quick test_checkp_wrapping_probe;
+    Alcotest.test_case "re-key chains answer as annotate" `Quick test_rekey_overlay_chain;
+    Alcotest.test_case "re-key chains flatten past their bound" `Quick test_rekey_overlay_flattens;
   ]

@@ -1338,6 +1338,55 @@ let test_reply_image_lifecycle () =
           Alcotest.(check bool) "replies blit after a commit" true (blits1 > blits0);
           Alcotest.(check bool) "replies blit after a reload" true (blits2 > blits1)))
 
+(* After two COMMITs (the mixed read/write workload's marker pair) the
+   image built at the first read still serves a Doc TRANSFORM of the
+   twice-committed root: every element the commits kept is copied out
+   of it, each run of kept siblings as one blit, so at least 90% of the
+   reply's bytes are blits; the rest is the rebuilt spine's tags. *)
+let test_reply_image_blit_share () =
+  let path = Filename.temp_file "xut_service_share" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Xut_xmark.Generator.to_file ~seed:1L ~factor:0.01 path;
+      with_service (fun svc ->
+          let transform u = {|transform copy $a := doc("d") modify do |} ^ u ^ {| return $a|} in
+          (match Service.call svc (Service.Load { name = "d"; file = path; schema = None }) with
+          | Service.Ok (Service.Doc_loaded _) -> ()
+          | _ -> Alcotest.fail "LOAD");
+          let q = transform {|delete $a/site/people/person[@id = "person0"]/name|} in
+          let read () =
+            match
+              Service.call svc
+                (Service.Transform { target = Service.Doc "d"; engine = Core.Engine.Td_bu; query = q })
+            with
+            | Service.Ok (Service.Tree s) -> s
+            | _ -> Alcotest.fail "TRANSFORM"
+          in
+          ignore (read () : string) (* builds the image *);
+          let state = ref (Xut_xml.Dom.parse_file path) in
+          List.iter
+            (fun u ->
+              (match Service.call svc (Service.Commit { doc = "d"; query = u }) with
+              | Service.Ok (Service.Committed { primitives; _ }) when primitives > 0 -> ()
+              | _ -> Alcotest.fail ("COMMIT " ^ u));
+              state :=
+                Core.Engine.run Core.Engine.Reference (Core.Transform_parser.parse (transform u))
+                  ~doc:!state)
+            [ "insert <xut_bench_promo>p</xut_bench_promo> into $a/site/open_auctions/open_auction";
+              "delete $a//xut_bench_promo" ];
+          let before = Fixtures.counter "serialize_image_blit_bytes" in
+          let reply = read () in
+          let blitted = Fixtures.counter "serialize_image_blit_bytes" - before in
+          Alcotest.(check string) "reply = reference"
+            (Xut_xml.Serialize.element_to_string
+               (Core.Engine.run Core.Engine.Reference (Core.Transform_parser.parse q) ~doc:!state))
+            reply;
+          Alcotest.(check bool)
+            (Printf.sprintf "%d of %d reply bytes blitted" blitted (String.length reply))
+            true
+            (10 * blitted >= 9 * String.length reply)))
+
 (* ---- the read matrix ----
 
    Every read reply (Tree, Count, result stream, TRANSFORM-STREAM) over
@@ -2169,4 +2218,6 @@ let suite =
       test_lent_reply_allocates_no_copy;
     Alcotest.test_case "service: a repeated COMMIT compiles nothing" `Quick
       test_repeated_commit_compiles_nothing;
+    Alcotest.test_case "service: replies after two COMMITs are mostly blits" `Quick
+      test_reply_image_blit_share;
   ]

@@ -143,7 +143,9 @@ let test_indent_layout () =
    that builds a closure per element allocates ~10 words per element:
    ~35 kw and ~340 kw here.  Copying from a reply image allocates
    nothing per blit either: the tree with the two top levels rebuilt
-   (about 1000 blits at f=0.02) stays under the same bound. *)
+   (about 1000 blits at f=0.02) stays under the same bound, and so does
+   the tree a COMMIT of the marker under every open auction leaves,
+   whose kept siblings are copied a run at a time. *)
 let test_serializer_allocation () =
   let minor_words f =
     let w0 = Gc.minor_words () in
@@ -170,21 +172,59 @@ let test_serializer_allocation () =
         | Node.Element c -> Node.Element (Node.with_children c (Node.children c))
         | n -> n
       in
-      let derived = Node.with_children doc (List.map rebuilt (Node.children doc)) in
-      let expected = Serialize.element_to_string derived in
-      let out = ref "" in
-      let words = minor_words (fun () -> out := Serialize.element_to_string ~image derived) in
-      check_str "blitted = walked" expected !out;
-      if words >= bound then
-        Alcotest.failf "element_to_string ~image at f=%g: %.0f minor words (bound %.0f)" factor
-          words bound;
-      let sink = Serialize.Sink.create ignore in
-      let words = minor_words (fun () -> Serialize.Sink.element ~image sink derived) in
-      ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
-      if words >= bound then
-        Alcotest.failf "Sink.element ~image at f=%g: %.0f minor words (bound %.0f)" factor words
-          bound)
+      let committed =
+        match
+          Xut_update.Apply.run
+            (Core.Transform_parser.parse_updates
+               "insert <m>p</m> into $a/site/open_auctions/open_auction")
+            doc
+        with
+        | Ok (_, Some (root, _)) -> root
+        | _ -> Alcotest.fail "the marker insert did not commit"
+      in
+      List.iter
+        (fun (what, derived) ->
+          let expected = Serialize.element_to_string derived in
+          let out = ref "" in
+          let words = minor_words (fun () -> out := Serialize.element_to_string ~image derived) in
+          check_str (what ^ ": blitted = walked") expected !out;
+          if words >= bound then
+            Alcotest.failf "%s: element_to_string ~image at f=%g: %.0f minor words (bound %.0f)"
+              what factor words bound;
+          let sink = Serialize.Sink.create ignore in
+          let words = minor_words (fun () -> Serialize.Sink.element ~image sink derived) in
+          ignore (Serialize.Sink.close sink : Serialize.Sink.totals);
+          if words >= bound then
+            Alcotest.failf "%s: Sink.element ~image at f=%g: %.0f minor words (bound %.0f)" what
+              factor words bound)
+        [ ("rebuilt", Node.with_children doc (List.map rebuilt (Node.children doc)));
+          ("committed", committed) ])
     [ 0.002; 0.02 ]
+
+(* An element held in two places is one id at two offsets: serializing
+   with an image of such a tree still gives the walk's bytes. *)
+let test_image_of_shared_element () =
+  let shared = Node.elem "s" [ Node.text "t" ] in
+  let root = Node.element "r" [ Node.elem "a" [ shared; Node.elem "b" [] ]; shared ] in
+  let image = Serialize.Image.of_element root in
+  let derived = Node.with_children root (Node.children root @ [ Node.elem "c" [] ]) in
+  List.iter
+    (fun e ->
+      check_str "with the image" (Serialize.element_to_string e)
+        (Serialize.element_to_string ~image e))
+    [ root; derived ]
+
+(* A parsed element carries the symbol the parser interned at its start
+   tag: one intern per element, not two. *)
+let test_parse_interns_once () =
+  let src = "<r><a x=\"1\"><b/>t<b/></a><c/></r>" in
+  let before = Fixtures.counter "sym_interns" in
+  let e = Dom.parse_string src in
+  Alcotest.(check int) "one intern per element" 5 (Fixtures.counter "sym_interns" - before);
+  Node.iter_elements
+    (fun e ->
+      Alcotest.(check string) "symbol names the element" (Node.name e) (Sym.name (Node.sym e)))
+    e
 
 let test_node_ops () =
   let e = Dom.parse_string Fixtures.parts_doc_text in
@@ -233,4 +273,7 @@ let suite =
     Alcotest.test_case "event sink" `Quick test_event_sink;
     Alcotest.test_case "indent layout" `Quick test_indent_layout;
     Alcotest.test_case "serializer allocates O(1) minor words" `Quick
-      test_serializer_allocation ]
+      test_serializer_allocation;
+    Alcotest.test_case "image of a tree holding an element twice" `Quick
+      test_image_of_shared_element;
+    Alcotest.test_case "a parse interns each name once" `Quick test_parse_interns_once ]
