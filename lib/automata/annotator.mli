@@ -100,7 +100,8 @@ val repair :
     on the rebuilt spine, every entry stands as it was: the result is
     the old table with each spine entry moved from its old id to its
     fresh id, with no evaluation ([rekeyed = true]): an overlay of the
-    moved entries over the old table, copying nothing else.  [footprint] is
+    moved entries over the old table, copying nothing else, or the old
+    table itself when no spine element held an entry.  [footprint] is
     the commit's {!commit_footprint}, forced only for plans with
     qualifiers; a lazy value shared across one commit's repairs computes
     it once, and it is computed from [spine] when absent.

@@ -27,8 +27,8 @@ let add_end_tag buf e =
 
 (* [bytes] is one element's unindented serialization, and [keys]/[spans]
    index every element in it: open addressing over element ids with
-   linear probing, as [Annotator.table] lays it out, at most half full.
-   Slot [s] holds an id in [keys.(s)] ([absent] where free) and that
+   linear probing, as [Annotator.table] lays it out (see [Image] for its
+   size).  Slot [s] holds an id in [keys.(s)] ([absent] where free) and that
    element's bytes in [spans.(s)]: their offset times [2^31] plus their
    length, so an image indexes at most [2^31] bytes.  An id names one
    immutable subtree, and serialization without indentation does not
@@ -182,17 +182,39 @@ let to_buffer ?indent ?(image = no_image) buf node =
 module Image = struct
   type t = image
 
-  (* [add_walked]'s unindented walk, recording where each element's
-     bytes start and end; the table is sized once, from the root's
-     element count.  An image whose bytes pass what a span can hold
-     indexes nothing. *)
-  let of_element root =
-    let n = ref 2 in
-    while !n < 2 * Node.elements root do
-      n := 2 * !n
+  (* The least power of two above [n] *)
+  let slots_above n =
+    let s = ref 2 in
+    while !s <= n do
+      s := 2 * !s
     done;
-    let buf = Buffer.create 65536 and keys = Array.make !n absent and spans = Array.make !n 0 in
-    let base = Node.id root - Node.elements root + 1 in
+    !s
+
+  (* [keys]/[spans] moved into free arrays of [n] slots, homed from
+     [base] *)
+  let rehash keys spans n ~base =
+    let keys' = Array.make n absent and spans' = Array.make n 0 in
+    Array.iteri
+      (fun j id ->
+        if id <> absent then begin
+          let s = probe keys' id (home keys' ~base id) in
+          keys'.(s) <- id;
+          spans'.(s) <- spans.(j)
+        end)
+      keys;
+    (keys', spans')
+
+  (* [add_walked]'s unindented walk, recording where each element's
+     bytes start and end, into a table of the least power of two above
+     the root's element count.  A tree whose ids are consecutive, as a
+     parsed tree's are, fills it with no two ids on one home slot; any
+     other is then moved to a table at most half full.  An image whose
+     bytes pass what a span can hold indexes nothing. *)
+  let of_element root =
+    let elements = Node.elements root in
+    let n = slots_above elements in
+    let buf = Buffer.create 65536 and keys = Array.make n absent and spans = Array.make n 0 in
+    let base = Node.id root - elements + 1 in
     let lo = ref max_int and hi = ref min_int in
     let rec walk = function
       | Node.Element e ->
@@ -216,7 +238,10 @@ module Image = struct
     Counter.bump image_builds;
     let bytes = Buffer.contents buf in
     if String.length bytes >= 1 lsl span_bits then { no_image with bytes }
-    else { bytes; keys; spans; base; lo = !lo; hi = !hi }
+    else if !hi - !lo < n then { bytes; keys; spans; base; lo = !lo; hi = !hi }
+    else
+      let keys, spans = rehash keys spans (slots_above (2 * elements)) ~base:!lo in
+      { bytes; keys; spans; base = !lo; lo = !lo; hi = !hi }
 end
 
 (* ---------------- buffer pool ---------------- *)
