@@ -214,6 +214,22 @@ let test_image_of_shared_element () =
         (Serialize.element_to_string ~image e))
     [ root; derived ]
 
+(* A tree whose ids are not consecutive (other elements were built
+   between its own) still has every element indexed: a rebuilt root's
+   kept children are copied as one run. *)
+let test_image_of_spread_ids () =
+  let a = Node.elem "a" [ Node.text "x" ] in
+  ignore (List.init 100 (fun _ -> Node.elem "gap" []) : Node.t list);
+  let b = Node.elem "b" [] in
+  let root = Node.element "r" [ a; b ] in
+  let image = Serialize.Image.of_element root in
+  let derived = Node.with_children root [ a; b; Node.elem "c" [] ] in
+  let before = Fixtures.counter "serialize_image_blit_bytes" in
+  check_str "with the image" (Serialize.element_to_string derived)
+    (Serialize.element_to_string ~image derived);
+  Alcotest.(check int) "the kept children in one run" (String.length "<a>x</a><b/>")
+    (Fixtures.counter "serialize_image_blit_bytes" - before)
+
 (* A parsed element carries the symbol the parser interned at its start
    tag: one intern per element, not two. *)
 let test_parse_interns_once () =
@@ -276,4 +292,5 @@ let suite =
       test_serializer_allocation;
     Alcotest.test_case "image of a tree holding an element twice" `Quick
       test_image_of_shared_element;
-    Alcotest.test_case "a parse interns each name once" `Quick test_parse_interns_once ]
+    Alcotest.test_case "a parse interns each name once" `Quick test_parse_interns_once;
+    Alcotest.test_case "image of a tree with spread ids" `Quick test_image_of_spread_ids ]
