@@ -465,11 +465,14 @@ let independent nfa fp =
    flat table, the entries moved in place. *)
 let rekey nfa old ~spine =
   (* only an element of a plan label holds an entry *)
-  let labels = label_set () in
-  (match Selecting_nfa.footprint nfa with
-  | Some fp -> List.iter (add_label labels) fp.Selecting_nfa.labels
-  | None -> Array.fill labels 0 (Array.length labels) (-1));
-  let tabled (oe : Node.element) = has labels oe.Node.sym in
+  let tabled =
+    match Selecting_nfa.footprint nfa with
+    | Some fp ->
+      let labels = label_set () in
+      List.iter (add_label labels) fp.Selecting_nfa.labels;
+      fun (oe : Node.element) -> has labels oe.Node.sym
+    | None -> fun _ -> true
+  in
   let depth = match old.under with Flat -> 1 | Over o -> o.depth + 1 in
   let t =
     if depth > max_overlay_depth then begin
