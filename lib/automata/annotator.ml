@@ -64,10 +64,17 @@ let rec probe keys id j =
 
 let slot keys id = probe keys id (home keys id)
 
-(* [id]'s slot in [t]'s own arrays, or -1 *)
+(* [id]'s slot in [t]'s own arrays, or -1; most lookups end at the
+   home slot, without a call to [probe] *)
 let find t id =
-  let s = slot t.keys id in
-  if Array.unsafe_get t.keys s = id then s else -1
+  let keys = t.keys in
+  let h = home keys id in
+  let k = Array.unsafe_get keys h in
+  if k = id then h
+  else if k = absent then -1
+  else
+    let s = probe keys id h in
+    if Array.unsafe_get keys s = id then s else -1
 
 (* The table along [t]'s chain whose own arrays answer for [id]: [t]
    itself unless it is an overlay and [id] lies below its floor. *)

@@ -69,8 +69,12 @@ let indexed image = function
     let id = e.Node.id in
     if id < image.lo || id > image.hi then -1
     else
-      let s = probe image.keys id (home image.keys ~base:image.base id) in
-      if Array.unsafe_get image.keys s = id then s else -1
+      let h = home image.keys ~base:image.base id in
+      (* a parsed tree's id is at its home slot: no probe call *)
+      if Array.unsafe_get image.keys h = id then h
+      else
+        let s = probe image.keys id h in
+        if Array.unsafe_get image.keys s = id then s else -1
   | Node.Text _ | Node.Comment _ | Node.Pi _ -> -1
 
 let span_start image s = Array.unsafe_get image.spans s lsr span_bits
