@@ -3,15 +3,13 @@ open Xut_xpath
 
 (* ---- the table ----
 
-   Open addressing over element ids with linear probing, as
-   [Sax_transform.Truth]: slot [s] holds an id in [keys.(s)] ([absent]
-   where free) and that element's entry in [vals], [words] ints from
-   [s * words]: the LQ expressions true there as a bitset, [word_bits] to
-   a word, so a list of up to 62 expressions (every Fig. 11 plan) takes
-   one word.  The arrays are at most half full.  A table is written only
-   while it is built or repaired, by the one domain doing it, and read
-   only once published: a lookup is one probe and one bit test, and a
-   copy is two array copies.
+   An [Id_table] over element ids: slot [s] holds an element's entry,
+   [words] ints from [s * words]: the LQ expressions true there as a
+   bitset, [word_bits] to a word, so a list of up to 62 expressions
+   (every Fig. 11 plan) takes one word.  A table is written only while
+   it is built or repaired, by the one domain doing it, and read only
+   once published: a lookup is one probe and one bit test, and a copy is
+   two array copies.
 
    A re-key's table is an overlay: its own arrays hold only the moved
    spine entries, under their fresh ids, and every other lookup goes to
@@ -22,59 +20,32 @@ open Xut_xpath
    takes one comparison per overlay it passes, and still one probe.
    [gone] lists the old ids whose entries moved up, for [flatten]. *)
 
-type table = {
-  lq : Lq.t;
-  words : int;  (* per entry *)
-  mutable keys : int array;
-  mutable vals : int array;
-  mutable count : int;  (* entries in [keys] *)
-  under : under;
-}
+type table = { lq : Lq.t; ids : Id_table.t; under : under }
 
 and under =
   | Flat
-  | Over of { floor : int; below : table; depth : int; gone : int array (* [absent]-padded *) }
+  | Over of {
+      floor : int;
+      below : table;
+      depth : int;
+      gone : int array; (* [Id_table.absent]-padded *)
+    }
 
-let absent = -1 (* element ids are positive *)
 let word_bits = 62
 
 (* Overlays a chain may stack before a re-key flattens it: a lookup
    passes at most this many comparisons before its probe. *)
 let max_overlay_depth = 8
 
-(* A new table starts on one free slot and no words, shared by every
-   new table: the first [claim] grows it before it writes. *)
-let no_keys = [| absent |]
-
 let create lq =
-  { lq; words = max 1 ((Lq.length lq + word_bits - 1) / word_bits); keys = no_keys; vals = [||];
-    count = 0; under = Flat }
+  { lq; ids = Id_table.create ~words:(max 1 ((Lq.length lq + word_bits - 1) / word_bits)) 1;
+    under = Flat }
 
 (* A flat table of [t]'s own entries *)
-let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals; under = Flat }
+let copy t = { t with ids = Id_table.copy t.ids; under = Flat }
 
-let home keys id =
-  let h = id * 0x9e3779b97f4a7c1 in
-  (h lxor (h lsr 29)) land (Array.length keys - 1)
-
-(* [id]'s slot, or the free slot that ends its probe *)
-let rec probe keys id j =
-  let k = Array.unsafe_get keys j in
-  if k = id || k = absent then j else probe keys id ((j + 1) land (Array.length keys - 1))
-
-let slot keys id = probe keys id (home keys id)
-
-(* [id]'s slot in [t]'s own arrays, or -1; most lookups end at the
-   home slot, without a call to [probe] *)
-let find t id =
-  let keys = t.keys in
-  let h = home keys id in
-  let k = Array.unsafe_get keys h in
-  if k = id then h
-  else if k = absent then -1
-  else
-    let s = probe keys id h in
-    if Array.unsafe_get keys s = id then s else -1
+(* [id]'s slot in [t]'s own arrays, or -1 *)
+let find t id = Id_table.find t.ids id
 
 (* The table along [t]'s chain whose own arrays answer for [id]: [t]
    itself unless it is an overlay and [id] lies below its floor. *)
@@ -85,73 +56,14 @@ let mem t id =
   let h = holder t id in
   find h id >= 0
 
-(* the [w] words of slot [si] of [src] into slot [di] of [dst] *)
-let move w src si dst di =
-  for k = 0 to w - 1 do
-    Array.unsafe_set dst ((di * w) + k) (Array.unsafe_get src ((si * w) + k))
-  done
-
-(* [t]'s arrays replaced by free ones of [n] slots, [n] a power of two,
-   its entries moved over *)
-let resize t n =
-  let keys = t.keys and vals = t.vals in
-  t.keys <- Array.make n absent;
-  t.vals <- Array.make (n * t.words) 0;
-  Array.iteri
-    (fun j id ->
-      if id <> absent then begin
-        let s = slot t.keys id in
-        t.keys.(s) <- id;
-        move t.words vals j t.vals s
-      end)
-    keys
-
-let grow t = resize t (max 64 (2 * Array.length t.keys))
-
-(* [id]'s slot, taken if it was free, its entry cleared *)
-let claim t id =
-  if 2 * (t.count + 1) > Array.length t.keys then grow t;
-  let s = slot t.keys id in
-  if t.keys.(s) <> id then begin
-    t.keys.(s) <- id;
-    t.count <- t.count + 1
-  end;
-  for k = s * t.words to ((s + 1) * t.words) - 1 do
-    t.vals.(k) <- 0
-  done;
-  s
-
-(* Remove [id]'s entry from a flat table, if any: the entries after it
-   in its run move back into the hole when their probe passes over it
-   (backward-shift deletion), so no tombstones are left. *)
-let remove t id =
-  let s = find t id in
-  s >= 0
-  &&
-  let keys = t.keys and w = t.words and mask = Array.length t.keys - 1 in
-  let rec shift hole j =
-    let j = (j + 1) land mask in
-    let k = keys.(j) in
-    if k = absent then hole
-    else
-      let h = home keys k in
-      (* [k] may fill the hole unless its home lies cyclically in (hole, j] *)
-      if if hole <= j then h <= hole || h > j else h <= hole && h > j then begin
-        keys.(hole) <- k;
-        move w t.vals j t.vals hole;
-        shift j j
-      end
-      else shift hole j
-  in
-  keys.(shift s s) <- absent;
-  t.count <- t.count - 1;
-  true
+let remove t id = Id_table.remove t.ids id
 
 (* Expression [i] at the entry in slot [s] of [t]'s own arrays (-1:
    none) *)
 let bit t s i =
+  let ids = t.ids in
   s >= 0
-  && Array.unsafe_get t.vals ((s * t.words) + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0
+  && Array.unsafe_get ids.vals ((s * ids.words) + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0
 
 (* Expression [i] at [id], through the chain *)
 let bit_at t id i =
@@ -161,8 +73,8 @@ let bit_at t id i =
 (* The entries of [a] at [ida] and [b] at [idb] are both absent, or
    equal. *)
 let same_entry a ida b idb =
-  let a = holder a ida and b = holder b idb in
-  let sa = find a ida and sb = find b idb in
+  let a = (holder a ida).ids and b = (holder b idb).ids in
+  let sa = Id_table.find a ida and sb = Id_table.find b idb in
   if sa < 0 || sb < 0 then sa = sb
   else
     let rec eq k =
@@ -177,8 +89,8 @@ let take_entry ~src ids dst id =
   let ss = find src ids in
   ss >= 0
   &&
-  let s = claim dst id (* may grow [dst]: taken before its arrays are read *) in
-  move dst.words src.vals ss dst.vals s;
+  let s = Id_table.claim dst.ids id (* may grow [dst]: taken before its arrays are read *) in
+  Id_table.copy_entry ~src:src.ids ss dst.ids s;
   true
 
 (* One flat table of the entries [t] answers for: its base's arrays
@@ -188,22 +100,20 @@ let rec flatten t =
   | Flat -> copy t
   | Over o ->
     let f = flatten o.below in
-    Array.iter (fun id -> if id <> absent then ignore (remove f id : bool)) o.gone;
-    Array.iteri
-      (fun s id ->
-        if id <> absent then begin
-          let d = claim f id (* may grow [f]: taken before its arrays are read *) in
-          move f.words t.vals s f.vals d
-        end)
-      t.keys;
+    Array.iter (fun id -> if id <> Id_table.absent then ignore (remove f id : bool)) o.gone;
+    Id_table.iter
+      (fun id s ->
+        let d = Id_table.claim f.ids id (* may grow [f]: taken before its arrays are read *) in
+        Id_table.copy_entry ~src:t.ids s f.ids d)
+      t.ids;
     f
 
 let has_any_qual nfa = not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa))
 
-let iter_elements f =
-  List.iter (function Node.Element c -> f c | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-
-let iter_kids f (e : Node.element) = iter_elements f (Node.children e)
+let iter_kids f (e : Node.element) =
+  List.iter
+    (function Node.Element c -> f c | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+    (Node.children e)
 
 let seeded (d : Dfa.demand) = not (Lq.set_is_empty d.seeds)
 
@@ -248,11 +158,12 @@ let record r (e : Node.element) (d : Dfa.demand) =
   Lq.eval t.lq r.sc ~name:e.Node.name ~attrs:e.Node.attrs
     ~text:(if d.reads_text then Node.text_content e else "")
     ~csat:r.csat ~wanted:d.seeds;
-  let base = claim t e.Node.id * t.words in
+  let ids = t.ids in
+  let base = Id_table.claim ids e.Node.id * ids.words in
   for i = 0 to Lq.length t.lq - 1 do
     if Lq.holds r.sc i then begin
       let j = base + (i / word_bits) in
-      t.vals.(j) <- t.vals.(j) lor (1 lsl (i mod word_bits))
+      ids.vals.(j) <- ids.vals.(j) lor (1 lsl (i mod word_bits))
     end
   done;
   r.written <- r.written + 1
@@ -293,7 +204,7 @@ type repair_stats = { recomputed : int; reused : int; dropped : int; rekeyed : b
 (* An overlay holds one entry for each entry it took from below *)
 let rec annotated_count t =
   match t.under with
-  | Flat -> t.count
+  | Flat -> Id_table.length t.ids
   | Over o -> annotated_count o.below
 
 (* Same text children, physically, in the same order: the two elements'
@@ -307,6 +218,30 @@ let rec same_text a b =
   | [], [] -> true
   | Node.Text _ :: _, [] | [], Node.Text _ :: _ -> false
 
+let unindex ix id = match ix with Some ix -> Hashtbl.remove ix id | None -> ()
+
+(* [olds] past the element [id], which it holds, each element passed
+   over [departed] and every element taken out of the index [ix] *)
+let rec take_through ~departed ix id = function
+  | [] -> []
+  | Node.Element oc :: rest ->
+    unindex ix oc.Node.id;
+    if oc.Node.id = id then rest
+    else begin
+      departed oc;
+      take_through ~departed ix id rest
+    end
+  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> take_through ~departed ix id rest
+
+let index_ids olds =
+  let ix = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Node.Element oc -> Hashtbl.replace ix oc.Node.id ()
+      | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+    olds;
+  ix
+
 (* Sort [e]'s children against [oe]'s in one ordered pass.
    [Apply.materialize] keeps the old order: each new child is the old
    child itself ([shared]), a rebuild of the old child the spine map
@@ -314,83 +249,59 @@ let rec same_text a b =
    children passed over are [departed].  Matching the head of the old
    list settles every shared or rebuilt child of an insert; an index of
    the remaining old ids is built only when a child does not match it
-   (fresh content, or a deletion before it).  [align_lists] sorts the
-   suffixes [news] and [olds] of the two child lists, whose prefixes
-   matched. *)
-let align_lists spine olds news ~shared ~rebuilt ~fresh ~departed =
-  let olds = ref olds in
-  let rec at_head id =
-    match !olds with
-    | Node.Element oc :: _ -> Node.id oc = id
-    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest ->
-      olds := rest;
-      at_head id
-    | [] -> false
-  in
-  (* ids of the old children not yet consumed, built on first need *)
-  let index = ref None in
-  let old_ids () =
-    match !index with
-    | Some ix -> ix
-    | None ->
-      let ix = Hashtbl.create 16 in
-      List.iter
-        (function
-          | Node.Element oc -> Hashtbl.replace ix (Node.id oc) ()
-          | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-        !olds;
-      index := Some ix;
-      ix
-  in
-  let remaining id = at_head id || (!olds <> [] && Hashtbl.mem (old_ids ()) id) in
-  (* consume old children up to and including [id], which [remaining]
-     vouched for *)
-  let rec take id =
-    match !olds with
-    | [] -> ()
-    | n :: rest -> (
-      olds := rest;
-      match n with
-      | Node.Element oc ->
-        (match !index with Some ix -> Hashtbl.remove ix (Node.id oc) | None -> ());
-        if Node.id oc <> id then begin
-          departed oc;
-          take id
-        end
-      | Node.Text _ | Node.Comment _ | Node.Pi _ -> take id)
-  in
-  iter_elements
-    (fun c ->
-      let id = Node.id c in
-      if at_head id then begin
-        take id;
-        shared c
-      end
-      else
-        match Hashtbl.find_opt spine id with
-        | Some oc when remaining (Node.id oc) ->
-          take (Node.id oc);
-          rebuilt oc c
+   (fresh content, or a deletion before it).
+   [olds] are the old children not yet consumed, and [ix] their ids,
+   once a child missed the head. *)
+let rec align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news =
+  match (olds, news) with
+  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: olds, news
+  | olds, (Node.Text _ | Node.Comment _ | Node.Pi _) :: news ->
+    align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news
+  | Node.Element o :: rest, Node.Element c :: news when o.Node.id = c.Node.id ->
+    unindex ix o.Node.id;
+    shared c;
+    align_from spine ~shared ~rebuilt ~fresh ~departed rest ix news
+  | Node.Element o :: rest, Node.Element c :: news -> (
+    let found = Hashtbl.find_opt spine c.Node.id in
+    match found with
+    | Some oc when oc.Node.id = o.Node.id ->
+      unindex ix o.Node.id;
+      rebuilt oc c;
+      align_from spine ~shared ~rebuilt ~fresh ~departed rest ix news
+    | _ ->
+      let ix = match ix with Some _ -> ix | None -> Some (index_ids olds) in
+      let olds =
+        match found with
+        | Some oc when Hashtbl.mem (Option.get ix) oc.Node.id ->
+          let olds = take_through ~departed ix oc.Node.id olds in
+          rebuilt oc c;
+          olds
+        | _ when Hashtbl.mem (Option.get ix) c.Node.id ->
+          let olds = take_through ~departed ix c.Node.id olds in
+          shared c;
+          olds
         | _ ->
-          if remaining id then begin
-            take id;
-            shared c
-          end
-          else fresh c)
-    news;
-  List.iter
-    (function Node.Element oc -> departed oc | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-    !olds
+          fresh c;
+          olds
+      in
+      align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news)
+  | [], Node.Element c :: news ->
+    fresh c;
+    align_from spine ~shared ~rebuilt ~fresh ~departed [] ix news
+  | olds, [] ->
+    List.iter
+      (function Node.Element oc -> departed oc | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
+      olds
 
-let align spine (oe : Node.element) (e : Node.element) =
-  align_lists spine (Node.children oe) (Node.children e)
+let align spine (oe : Node.element) (e : Node.element) ~shared ~rebuilt ~fresh ~departed =
+  align_from spine ~shared ~rebuilt ~fresh ~departed oe.Node.children None e.Node.children
 
 (* What one commit touched, by label, from its diff: the labels of the
    inserted, replacement and departed material and both names of each
    rename ([touched]), and the labels of the rebuilt spine
    ([spine_labels]), each a bitset over symbols, 63 to a word.  One
-   pass over the spine pairs' child lists; shared children are passed
-   over, material is walked whole. *)
+   pass over the spine pairs' child lists ([align]); shared children
+   are passed over, material is walked whole. *)
 type commit_footprint = { touched : int array; spine_labels : int array }
 
 let label_set () = Array.make ((Sym.count () / 63) + 1) 0
@@ -423,24 +334,7 @@ let commit_footprint ~spine new_root =
       add touched oe;
       add touched e
     end;
-    kids (Node.children oe) (Node.children e)
-  (* The two child lists in step while each new child is the old one
-     (shared) or its rebuild, as under a node that only gained or lost
-     children at its end; [align_lists] sorts any other rest. *)
-  and kids olds news =
-    match (olds, news) with
-    | (Node.Text _ | Node.Comment _ | Node.Pi _) :: olds, _ -> kids olds news
-    | _, (Node.Text _ | Node.Comment _ | Node.Pi _) :: news -> kids olds news
-    | Node.Element o :: olds', Node.Element n :: news' when o.Node.id = n.Node.id ->
-      kids olds' news'
-    | Node.Element o :: olds', Node.Element n :: news'
-      when match Hashtbl.find_opt spine n.Node.id with Some o' -> o' == o | None -> false ->
-      pair o n;
-      kids olds' news'
-    | [], news -> materials news (* nothing left to share or rebuild: fresh *)
-    | olds, [] -> materials olds (* departed *)
-    | _ ->
-      align_lists spine olds news ~shared:ignore ~rebuilt:pair ~fresh:material ~departed:material
+    align spine oe e ~shared:ignore ~rebuilt:pair ~fresh:material ~departed:material
   in
   (match Hashtbl.find_opt spine (Node.id new_root) with
   | Some old_root -> pair old_root new_root
@@ -508,22 +402,19 @@ let rekey nfa old ~spine =
                 while !slots < 2 * (n + 1) do
                   slots := 2 * !slots
                 done;
-                resize t !slots;
-                gone := Array.make n absent
+                Id_table.resize t.ids !slots;
+                gone := Array.make n Id_table.absent
               end;
               (* sized for the whole spine: no growth, and every word
                  of the entry is written *)
-              let di = slot t.keys fresh_id in
-              t.keys.(di) <- fresh_id;
-              t.count <- t.count + 1;
-              move t.words src.vals si t.vals di;
+              Id_table.copy_entry ~src:src.ids si t.ids (Id_table.place t.ids fresh_id);
               !gone.(!moved) <- id;
               incr moved
             end
           end)
         spine;
       (* no spine element held an entry: every entry is where it was *)
-      if t.count = 0 then old
+      if Id_table.length t.ids = 0 then old
       else { t with under = Over { floor = !floor; below = old; depth; gone = !gone } }
     end
   in
@@ -639,7 +530,7 @@ let repair ?footprint nfa ~old_table ~spine new_root =
         ( r.tbl,
           {
             recomputed = r.written;
-            reused = r.tbl.count - r.written;
+            reused = Id_table.length r.tbl.ids - r.written;
             dropped = !dropped;
             rekeyed = false;
           } )
@@ -656,7 +547,4 @@ let checkp tbl nfa =
 
 let overlay_depth tbl = match tbl.under with Flat -> 0 | Over o -> o.depth
 
-let wrapped tbl =
-  let n = ref 0 in
-  Array.iteri (fun j id -> if id <> absent && home tbl.keys id > j then incr n) tbl.keys;
-  !n
+let wrapped tbl = Id_table.wrapped tbl.ids

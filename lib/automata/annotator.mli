@@ -19,8 +19,8 @@ open Xut_xml
     the linear-time twoPass (TD-BU) evaluation. *)
 
 type table
-(** The truths, by element id: open addressing with linear probing over
-    one key array and one value array, at most half full.  An element's
+(** The truths, by element id, in an {!Xut_xml.Id_table} (open
+    addressing with linear probing, at most half full).  An element's
     value is the set of LQ expressions true at it, as a bitset of 62 to
     a word ({!Xut_xpath.Lq.set}'s immediate form), so for lists of up to
     62 expressions (every Fig. 11 plan) one word, stored unboxed; a
@@ -136,6 +136,5 @@ val max_overlay_depth : int
     flattens it. *)
 
 val wrapped : table -> int
-(** Entries stored in a slot before their home slot, whose probe ran
-    past the end of the array and wrapped to its start (instrumentation,
-    for the tests of the probe). *)
+(** {!Xut_xml.Id_table.wrapped} of the table's own entries
+    (instrumentation, for the tests of the probe). *)

@@ -19,74 +19,42 @@ type run_stats = {
 
 (* Ld: truth of top-level qualifier [lq] at the element with document-order
    number [seq].  Both passes number start-tags identically, so (seq, lq)
-   is a faithful replacement for the paper's cursor ids.  An
-   open-addressing table over the int key [seq * nlq + lq] (seq is -1 at
-   the document node, so keys start at [-nlq]): [set] and [get] allocate
-   nothing, and [clear] resets only the slots in use, listed in [used]. *)
+   is a faithful replacement for the paper's cursor ids.  An [Id_table]
+   of keys alone: a pair set to [v] is held as the key
+   [2 * (seq * nlq + lq) + v] (seq is -1 at the document node, so keys
+   start at [-2 * nlq]).  [set] and [get] allocate nothing, and [clear]
+   removes only the keys in [used], every key added since the last
+   clear. *)
 module Truth = struct
-  type t = {
-    nlq : int;
-    mutable keys : int array;  (* [absent] where free *)
-    mutable values : Bytes.t;
-    mutable used : int array;  (* the taken slots, [count] of them *)
-    mutable count : int;
-  }
-
-  let absent = min_int
+  type t = { nlq : int; ids : Id_table.t; mutable used : int array; mutable added : int }
 
   let create ~nlq =
-    { nlq = max 1 nlq; keys = Array.make 16 absent; values = Bytes.make 16 '\000';
-      used = Array.make 16 0; count = 0 }
+    { nlq = max 1 nlq; ids = Id_table.create ~words:0 16; used = Array.make 16 0; added = 0 }
 
-  let rec slot keys key j =
-    let k = Array.unsafe_get keys j in
-    if k = key || k = absent then j else slot keys key ((j + 1) land (Array.length keys - 1))
-
-  let find t key =
-    let h = key * 0x9e3779b97f4a7c1 in
-    slot t.keys key ((h lxor (h lsr 29)) land (Array.length t.keys - 1))
-
-  let grow t =
-    let keys = t.keys and values = t.values in
-    t.keys <- Array.make (2 * Array.length keys) absent;
-    t.values <- Bytes.make (2 * Array.length keys) '\000';
-    t.used <- Array.make (2 * Array.length keys) 0;
-    t.count <- 0;
-    for j = 0 to Array.length keys - 1 do
-      let key = keys.(j) in
-      if key <> absent then begin
-        let s = find t key in
-        t.keys.(s) <- key;
-        Bytes.unsafe_set t.values s (Bytes.unsafe_get values j);
-        t.used.(t.count) <- s;
-        t.count <- t.count + 1
-      end
-    done
+  let key t seq lq v = (2 * ((seq * t.nlq) + lq)) + Bool.to_int v
 
   let set t seq lq v =
-    let key = (seq * t.nlq) + lq in
-    let s = find t key in
-    if t.keys.(s) = key then Bytes.unsafe_set t.values s (if v then '\001' else '\000')
-    else begin
-      t.keys.(s) <- key;
-      Bytes.unsafe_set t.values s (if v then '\001' else '\000');
-      t.used.(t.count) <- s;
-      t.count <- t.count + 1;
-      if 2 * t.count > Array.length t.keys then grow t
+    ignore (Id_table.remove t.ids (key t seq lq (not v)) : bool);
+    let k = key t seq lq v in
+    if Id_table.find t.ids k < 0 then begin
+      if t.added = Array.length t.used then begin
+        let used = Array.make (2 * t.added) 0 in
+        Array.blit t.used 0 used 0 t.added;
+        t.used <- used
+      end;
+      t.used.(t.added) <- k;
+      t.added <- t.added + 1;
+      ignore (Id_table.claim t.ids k : int)
     end
 
-  let get t seq lq =
-    let key = (seq * t.nlq) + lq in
-    let s = find t key in
-    t.keys.(s) = key && Bytes.unsafe_get t.values s <> '\000'
-
-  let length t = t.count
+  let get t seq lq = Id_table.find t.ids (key t seq lq true) >= 0
+  let length t = Id_table.length t.ids
 
   let clear t =
-    for i = 0 to t.count - 1 do
-      t.keys.(t.used.(i)) <- absent
+    for i = 0 to t.added - 1 do
+      ignore (Id_table.remove t.ids t.used.(i) : bool)
     done;
-    t.count <- 0
+    t.added <- 0
 end
 
 (* Both passes keep their open-element frames in parallel arrays indexed

@@ -91,7 +91,7 @@ type run_stats = {
 
 (** Ld, the truth list: the truth of LQ expression [lq] at the element
     numbered [seq] (-1 for the document node), for a list of [nlq]
-    expressions.  An open-addressing table over int keys: {!Truth.set}
+    expressions.  An {!Xut_xml.Id_table} keyed by [seq]: {!Truth.set}
     and {!Truth.get} allocate nothing. *)
 module Truth : sig
   type t
@@ -102,7 +102,7 @@ module Truth : sig
   (** [false] for an entry never set. *)
 
   val length : t -> int
-  (** Entries set since the last {!clear}. *)
+  (** The (seq, lq) pairs set since the last {!clear}. *)
 
   val clear : t -> unit
 end

@@ -25,62 +25,40 @@ let add_end_tag buf e =
 
 (* ---------------- reply image ---------------- *)
 
-(* [bytes] is one element's unindented serialization, and [keys]/[spans]
-   index every element in it: open addressing over element ids with
-   linear probing, as [Annotator.table] lays it out (see [Image] for its
-   size).  Slot [s] holds an id in [keys.(s)] ([absent] where free) and that
-   element's bytes in [spans.(s)]: their offset times [2^31] plus their
-   length, so an image indexes at most [2^31] bytes.  An id names one
-   immutable subtree, and serialization without indentation does not
-   depend on context, so those bytes are that element's serialization
-   in any tree that holds it.
+(* [bytes] is one element's unindented serialization, and [ids] indexes
+   every element in it ([Id_table], one word per slot): an element's
+   bytes are its entry, their offset times [2^31] plus their length, so
+   an image indexes at most [2^31] bytes.  An id names one immutable
+   subtree, and serialization without indentation does not depend on
+   context, so those bytes are that element's serialization in any tree
+   that holds it.
 
    Every indexed id lies in [lo, hi], so any other id misses without a
    probe: the ids of a commit's rebuilt spine and of every reply's fresh
-   elements are younger than the imaged tree's.  An id's home slot is
-   its offset from [base], the id the tree's first element would have if
-   its ids were consecutive: a parsed tree's are, in the post-order the
-   image is built in, so the build writes the arrays in order and the
-   siblings a reply looks up lie close together. *)
-type image = { bytes : string; keys : int array; spans : int array; base : int; lo : int; hi : int }
+   elements are younger than the imaged tree's.  (See [Image] for how
+   the table is homed.) *)
+type image = { bytes : string; ids : Id_table.t; lo : int; hi : int }
 
-let absent = -1 (* element ids are positive *)
 let span_bits = 31
-
-let no_image =
-  { bytes = ""; keys = [| absent |]; spans = [| 0 |]; base = 0; lo = max_int; hi = min_int }
+let no_image = { bytes = ""; ids = Id_table.create ~words:1 1; lo = max_int; hi = min_int }
 
 let pool_hits = Counter.declare "serialize_pool_hits"
 let pool_misses = Counter.declare "serialize_pool_misses"
 let image_builds = Counter.declare "serialize_image_builds"
 let image_blit_bytes = Counter.declare "serialize_image_blit_bytes"
 
-(* [id]'s slot, or the free slot that ends its probe *)
-let rec probe keys id j =
-  let k = Array.unsafe_get keys j in
-  if k = id || k = absent then j else probe keys id ((j + 1) land (Array.length keys - 1))
-
-let home keys ~base id = (id - base) land (Array.length keys - 1)
-
 (* The slot of [node] in [image] if it is an element the image
    indexes, else -1 *)
 let indexed image = function
   | Node.Element e ->
     let id = e.Node.id in
-    if id < image.lo || id > image.hi then -1
-    else
-      let h = home image.keys ~base:image.base id in
-      (* a parsed tree's id is at its home slot: no probe call *)
-      if Array.unsafe_get image.keys h = id then h
-      else
-        let s = probe image.keys id h in
-        if Array.unsafe_get image.keys s = id then s else -1
+    if id < image.lo || id > image.hi then -1 else Id_table.find image.ids id
   | Node.Text _ | Node.Comment _ | Node.Pi _ -> -1
 
-let span_start image s = Array.unsafe_get image.spans s lsr span_bits
+let span_start image s = Array.unsafe_get image.ids.vals s lsr span_bits
 
 let span_stop image s =
-  let v = Array.unsafe_get image.spans s in
+  let v = Array.unsafe_get image.ids.vals s in
   (v lsr span_bits) + (v land ((1 lsl span_bits) - 1))
 
 (* [len] bytes of [s] from [off], split so that [buf] is flushed each
@@ -194,31 +172,22 @@ module Image = struct
     done;
     !s
 
-  (* [keys]/[spans] moved into free arrays of [n] slots, homed from
-     [base] *)
-  let rehash keys spans n ~base =
-    let keys' = Array.make n absent and spans' = Array.make n 0 in
-    Array.iteri
-      (fun j id ->
-        if id <> absent then begin
-          let s = probe keys' id (home keys' ~base id) in
-          keys'.(s) <- id;
-          spans'.(s) <- spans.(j)
-        end)
-      keys;
-    (keys', spans')
-
   (* [add_walked]'s unindented walk, recording where each element's
-     bytes start and end, into a table of the least power of two above
-     the root's element count.  A tree whose ids are consecutive, as a
-     parsed tree's are, fills it with no two ids on one home slot; any
-     other is then moved to a table at most half full.  An image whose
-     bytes pass what a span can hold indexes nothing. *)
+     bytes start and end.  The table has the least power of two of
+     slots above the root's element count, each id homed at its offset
+     from [base], the id the first element would have if the tree's
+     ids were consecutive: a parsed tree's are, in the post-order of
+     the walk, so the walk writes the table in order, one id to a slot,
+     and the siblings a reply looks up lie side by side.  The first id
+     outside that window (the old ids under a committed root, say)
+     moves the table to hashed homes, at most half full, where ids far
+     apart cannot pile into one run.  An image whose bytes pass what a
+     span can hold indexes nothing. *)
   let of_element root =
     let elements = Node.elements root in
     let n = slots_above elements in
-    let buf = Buffer.create 65536 and keys = Array.make n absent and spans = Array.make n 0 in
     let base = Node.id root - elements + 1 in
+    let buf = Buffer.create 65536 and ids = Id_table.create ~base ~words:1 n in
     let lo = ref max_int and hi = ref min_int in
     let rec walk = function
       | Node.Element e ->
@@ -233,19 +202,18 @@ module Image = struct
         let id = e.Node.id in
         if id < !lo then lo := id;
         if id > !hi then hi := id;
-        let s = probe keys id (home keys ~base id) in
-        keys.(s) <- id;
-        spans.(s) <- (start lsl span_bits) lor (Buffer.length buf - start)
+        if ids.base <> Id_table.hashed && (id < base || id - base >= n) then
+          Id_table.resize ids ~base:Id_table.hashed (slots_above (2 * elements));
+        ids.vals.(Id_table.place ids id) <- (start lsl span_bits) lor (Buffer.length buf - start)
       | leaf -> to_buffer buf leaf
     in
     walk (Node.Element root);
     Counter.bump image_builds;
     let bytes = Buffer.contents buf in
     if String.length bytes >= 1 lsl span_bits then { no_image with bytes }
-    else if !hi - !lo < n then { bytes; keys; spans; base; lo = !lo; hi = !hi }
-    else
-      let keys, spans = rehash keys spans (slots_above (2 * elements)) ~base:!lo in
-      { bytes; keys; spans; base = !lo; lo = !lo; hi = !hi }
+    else { bytes; ids; lo = !lo; hi = !hi }
+
+  let longest_probe image = Id_table.longest_probe image.ids
 end
 
 (* ---------------- buffer pool ---------------- *)

@@ -11,9 +11,10 @@ module Image : sig
   val of_element : Node.element -> t
   (** The unindented serialization of the element (the bytes of
       {!element_to_string}) and an index from the id of every element in
-      it to the (offset, length) of its bytes: an open-addressing id
-      table, sized once from the element count, with no block allocated
-      per entry.  Element ids
+      it to the (offset, length) of its bytes: an {!Id_table} sized
+      once from the element count, each id homed at its offset from the
+      root's, or by a hash once the ids spread wider than the table
+      (the old ids under a committed root).  Element ids
       are unique and elements immutable ({!Node.element} and
       {!Node.with_children} give every new or rebuilt element a fresh
       id), and unindented serialization does not depend on the context,
@@ -24,6 +25,10 @@ module Image : sig
       Counts [serialize_image_builds]; the serializers count the bytes
       they copy out of an image as [serialize_image_blit_bytes]
       ({!Counter}). *)
+
+  val longest_probe : t -> int
+  (** {!Id_table.longest_probe} of the index (instrumentation, for the
+      tests of its homing). *)
 end
 
 val to_buffer : ?indent:int -> ?image:Image.t -> Buffer.t -> Node.t -> unit

@@ -403,6 +403,44 @@ let prop_truth_table =
           && Sax_transform.Truth.length t = Hashtbl.length model)
         ops)
 
+(* [Id_table] against a [Hashtbl] model: random claims, removes and
+   lookups of keys spread wider than the table, in a table homed by hash
+   or by offset from a base (some keys below it, homed at the end),
+   with two words per entry; a resize, to a fixed size, may switch the
+   homing.  Removes
+   exercise the backward shift over runs that wrap past the array's
+   end. *)
+let prop_id_table =
+  let open QCheck2.Gen in
+  let op = triple (int_range 0 9) (int_range (-40) 100) (int_range 0 1000) in
+  QCheck2.Test.make ~name:"Id_table = Hashtbl model under claim, remove, find, resize" ~count:200
+    (pair bool (list_size (int_range 0 2000) op))
+    (fun (by_offset, ops) ->
+      let t = Id_table.create ?base:(if by_offset then Some 0 else None) ~words:2 16
+      and model = Hashtbl.create 16 in
+      let value key =
+        let s = Id_table.find t key in
+        if s < 0 then None else Some (t.Id_table.vals.(2 * s), t.Id_table.vals.((2 * s) + 1))
+      in
+      List.for_all
+        (fun (kind, key, v) ->
+          (if kind <= 4 then begin
+             let s = Id_table.claim t key in
+             t.Id_table.vals.(2 * s) <- v;
+             t.Id_table.vals.((2 * s) + 1) <- -v;
+             Hashtbl.replace model key (v, -v)
+           end
+           else if kind <= 7 then begin
+             Alcotest.(check bool) "removed iff held" (Hashtbl.mem model key) (Id_table.remove t key);
+             Hashtbl.remove model key
+           end
+           else if kind = 8 && v mod 10 = 0 then
+             (* 512 slots hold the 141 keys at most half full *)
+             Id_table.resize t ?base:(if v mod 20 = 0 then Some Id_table.hashed else None) 512);
+          value key = Hashtbl.find_opt model key && Id_table.length t = Hashtbl.length model)
+        ops
+      && Hashtbl.fold (fun k kv ok -> ok && value k = Some kv) model true)
+
 (* ---- topDown shares its input: only the spine above a match is new ---- *)
 
 (* Every element of [run]'s output that carries an input id is that input
@@ -984,4 +1022,5 @@ let suite =
       Alcotest.test_case "buffered pass re-reads regions past 512 KiB" `Quick test_buffered_overflow;
       Alcotest.test_case "qualified // steps: engines, TRANSFORM, COUNT, streams" `Quick
         test_qualified_descendant;
-      QCheck_alcotest.to_alcotest prop_counts_exact ]
+      QCheck_alcotest.to_alcotest prop_counts_exact;
+      QCheck_alcotest.to_alcotest prop_id_table ]

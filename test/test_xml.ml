@@ -230,6 +230,44 @@ let test_image_of_spread_ids () =
   Alcotest.(check int) "the kept children in one run" (String.length "<a>x</a><b/>")
     (Fixtures.counter "serialize_image_blit_bytes" - before)
 
+(* A committed root whose spine ids lie far past the parsed block it
+   keeps (more ids than its image has slots were allocated between the
+   LOAD and the COMMIT): its image homes ids by a hash, so no id's probe
+   runs along the block, and replies from it and from the next commit
+   keep the walk's bytes.  The LOAD root's image, consecutive ids, holds
+   every id at home. *)
+let test_image_of_far_spine () =
+  let group = "<g>" ^ String.concat "" (List.init 50 (fun i -> Printf.sprintf "<x>%d</x>" i)) ^ "</g>" in
+  let root = Dom.parse_string ("<r>" ^ String.concat "" (List.init 40 (fun _ -> group)) ^ "</r>") in
+  check_int "LOAD image: every id at home" 0 (Serialize.Image.longest_probe (Serialize.Image.of_element root));
+  ignore (List.init 5000 (fun _ -> Node.elem "gap" []) : Node.t list);
+  (* a marker appended to every other group, other elements built
+     between the rebuilds: 21 spine ids spread over thousands *)
+  let commit root =
+    Node.with_children root
+      (List.mapi
+         (fun i c ->
+           match c with
+           | Node.Element g when i mod 2 = 0 ->
+             ignore (List.init 150 (fun _ -> Node.elem "gap" []) : Node.t list);
+             Node.Element (Node.with_children g (Node.children g @ [ Node.elem "m" [] ]))
+           | c -> c)
+         (Node.children root))
+  in
+  let committed = commit root in
+  let image = Serialize.Image.of_element committed in
+  let probe = Serialize.Image.longest_probe image in
+  if probe > 32 then Alcotest.failf "committed image: a probe runs %d slots past its home" probe;
+  List.iter
+    (fun e ->
+      let before = Fixtures.counter "serialize_image_blit_bytes" in
+      let bytes = Serialize.element_to_string ~image e in
+      check_str "with the image" (Serialize.element_to_string e) bytes;
+      let blitted = Fixtures.counter "serialize_image_blit_bytes" - before in
+      if 10 * blitted < 9 * String.length bytes then
+        Alcotest.failf "%d of %d bytes blitted" blitted (String.length bytes))
+    [ committed; commit committed ]
+
 (* A parsed element carries the symbol the parser interned at its start
    tag: one intern per element, not two. *)
 let test_parse_interns_once () =
@@ -293,4 +331,5 @@ let suite =
     Alcotest.test_case "image of a tree holding an element twice" `Quick
       test_image_of_shared_element;
     Alcotest.test_case "a parse interns each name once" `Quick test_parse_interns_once;
-    Alcotest.test_case "image of a tree with spread ids" `Quick test_image_of_spread_ids ]
+    Alcotest.test_case "image of a tree with spread ids" `Quick test_image_of_spread_ids;
+    Alcotest.test_case "image of a committed root far past its block" `Quick test_image_of_far_spine ]
