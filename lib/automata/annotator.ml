@@ -52,10 +52,6 @@ let find t id = Id_table.find t.ids id
 let rec holder t id =
   match t.under with Over o when id < o.floor -> holder o.below id | Flat | Over _ -> t
 
-let mem t id =
-  let h = holder t id in
-  find h id >= 0
-
 let remove t id = Id_table.remove t.ids id
 
 (* Expression [i] at the entry in slot [s] of [t]'s own arrays (-1:
@@ -69,18 +65,6 @@ let bit t s i =
 let bit_at t id i =
   let h = holder t id in
   bit h (find h id) i
-
-(* The entries of [a] at [ida] and [b] at [idb] are both absent, or
-   equal. *)
-let same_entry a ida b idb =
-  let a = (holder a ida).ids and b = (holder b idb).ids in
-  let sa = Id_table.find a ida and sb = Id_table.find b idb in
-  if sa < 0 || sb < 0 then sa = sb
-  else
-    let rec eq k =
-      k = a.words || (a.vals.((sa * a.words) + k) = b.vals.((sb * b.words) + k) && eq (k + 1))
-    in
-    eq 0
 
 (* Copy [src]'s entry at [ids] to [dst]'s own arrays at [id]; [false]
    when there is none. *)
@@ -110,11 +94,6 @@ let rec flatten t =
 
 let has_any_qual nfa = not (Selecting_nfa.set_is_empty (Selecting_nfa.qual_states nfa))
 
-let iter_kids f (e : Node.element) =
-  List.iter
-    (function Node.Element c -> f c | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-    (Node.children e)
-
 let seeded (d : Dfa.demand) = not (Lq.set_is_empty d.seeds)
 
 (* bottomUp prunes an element entered with no states and no seeds *)
@@ -134,7 +113,6 @@ type run = {
          no entries there either *)
   mutable kids : Node.t list;
   csat : int -> bool;
-  mutable written : int;
 }
 
 let rec csat r i = function
@@ -145,11 +123,9 @@ let rec csat r i = function
 let run ~skip nfa tbl =
   let dfa = Dfa.of_nfa nfa and here = Counter.local () and sc = Lq.scratch tbl.lq in
   let rec r =
-    { dfa; here; tbl; sc; skip; kids = []; csat = (fun i -> csat r i r.kids); written = 0 }
+    { dfa; here; tbl; sc; skip; kids = []; csat = (fun i -> csat r i r.kids) }
   in
   r
-
-let step_into r c (e : Node.element) = Dfa.step r.dfa r.here c e.Node.sym
 
 (* [e]'s entry, from its children's entries already in the table. *)
 let record r (e : Node.element) (d : Dfa.demand) =
@@ -165,17 +141,16 @@ let record r (e : Node.element) (d : Dfa.demand) =
       let j = base + (i / word_bits) in
       ids.vals.(j) <- ids.vals.(j) lor (1 lsl (i mod word_bits))
     end
-  done;
-  r.written <- r.written + 1
+  done
 
 (* The bottomUp recursion, writing entries into the table.  [parent]
    is the configuration of [e]'s parent, its states and the candidates
    it passes down: a function of the ancestor names only, so an entry
    depends on nothing but the node's subtree and its demand — the
-   subtree-locality that [repair] exploits. *)
+   subtree-locality that [repair]'s re-key relies on. *)
 let rec annotate_subtree r (e : Node.element) parent =
   if not (r.skip e) then begin
-    let s = step_into r parent e in
+    let s = Dfa.step r.dfa r.here parent e.Node.sym in
     if live s then begin
       annotate_kids r s.child e.Node.children;
       if seeded s.demand then record r e s.demand
@@ -199,7 +174,7 @@ let annotate ?(skip = never) nfa root =
   end;
   tbl
 
-type repair_stats = { recomputed : int; reused : int; dropped : int; rekeyed : bool }
+type repair_stats = { recomputed : int; reused : int; rekeyed : bool }
 
 (* An overlay holds one entry for each entry it took from below *)
 let rec annotated_count t =
@@ -207,100 +182,11 @@ let rec annotated_count t =
   | Flat -> Id_table.length t.ids
   | Over o -> annotated_count o.below
 
-(* Same text children, physically, in the same order: the two elements'
-   [Node.text_content] agree. *)
-let rec same_text a b =
-  match (a, b) with
-  | (Node.Element _ | Node.Comment _ | Node.Pi _) :: a, b
-  | a, (Node.Element _ | Node.Comment _ | Node.Pi _) :: b ->
-    same_text a b
-  | Node.Text x :: a, Node.Text y :: b -> x == y && same_text a b
-  | [], [] -> true
-  | Node.Text _ :: _, [] | [], Node.Text _ :: _ -> false
-
-let unindex ix id = match ix with Some ix -> Hashtbl.remove ix id | None -> ()
-
-(* [olds] past the element [id], which it holds, each element passed
-   over [departed] and every element taken out of the index [ix] *)
-let rec take_through ~departed ix id = function
-  | [] -> []
-  | Node.Element oc :: rest ->
-    unindex ix oc.Node.id;
-    if oc.Node.id = id then rest
-    else begin
-      departed oc;
-      take_through ~departed ix id rest
-    end
-  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: rest -> take_through ~departed ix id rest
-
-let index_ids olds =
-  let ix = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Node.Element oc -> Hashtbl.replace ix oc.Node.id ()
-      | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-    olds;
-  ix
-
-(* Sort [e]'s children against [oe]'s in one ordered pass.
-   [Apply.materialize] keeps the old order: each new child is the old
-   child itself ([shared]), a rebuild of the old child the spine map
-   names ([rebuilt]), or inserted/replacement content ([fresh]); old
-   children passed over are [departed].  Matching the head of the old
-   list settles every shared or rebuilt child of an insert; an index of
-   the remaining old ids is built only when a child does not match it
-   (fresh content, or a deletion before it).
-   [olds] are the old children not yet consumed, and [ix] their ids,
-   once a child missed the head. *)
-let rec align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news =
-  match (olds, news) with
-  | (Node.Text _ | Node.Comment _ | Node.Pi _) :: olds, news
-  | olds, (Node.Text _ | Node.Comment _ | Node.Pi _) :: news ->
-    align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news
-  | Node.Element o :: rest, Node.Element c :: news when o.Node.id = c.Node.id ->
-    unindex ix o.Node.id;
-    shared c;
-    align_from spine ~shared ~rebuilt ~fresh ~departed rest ix news
-  | Node.Element o :: rest, Node.Element c :: news -> (
-    let found = Hashtbl.find_opt spine c.Node.id in
-    match found with
-    | Some oc when oc.Node.id = o.Node.id ->
-      unindex ix o.Node.id;
-      rebuilt oc c;
-      align_from spine ~shared ~rebuilt ~fresh ~departed rest ix news
-    | _ ->
-      let ix = match ix with Some _ -> ix | None -> Some (index_ids olds) in
-      let olds =
-        match found with
-        | Some oc when Hashtbl.mem (Option.get ix) oc.Node.id ->
-          let olds = take_through ~departed ix oc.Node.id olds in
-          rebuilt oc c;
-          olds
-        | _ when Hashtbl.mem (Option.get ix) c.Node.id ->
-          let olds = take_through ~departed ix c.Node.id olds in
-          shared c;
-          olds
-        | _ ->
-          fresh c;
-          olds
-      in
-      align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news)
-  | [], Node.Element c :: news ->
-    fresh c;
-    align_from spine ~shared ~rebuilt ~fresh ~departed [] ix news
-  | olds, [] ->
-    List.iter
-      (function Node.Element oc -> departed oc | Node.Text _ | Node.Comment _ | Node.Pi _ -> ())
-      olds
-
-let align spine (oe : Node.element) (e : Node.element) ~shared ~rebuilt ~fresh ~departed =
-  align_from spine ~shared ~rebuilt ~fresh ~departed oe.Node.children None e.Node.children
-
 (* What one commit touched, by label, from its diff: the labels of the
    inserted, replacement and departed material and both names of each
    rename ([touched]), and the labels of the rebuilt spine
    ([spine_labels]), each a bitset over symbols, 63 to a word.  One
-   pass over the spine pairs' child lists ([align]); shared children
+   pass over the spine pairs' child lists ([Node.align]); shared children
    are passed over, material is walked whole. *)
 type commit_footprint = { touched : int array; spine_labels : int array }
 
@@ -334,7 +220,7 @@ let commit_footprint ~spine new_root =
       add touched oe;
       add touched e
     end;
-    align spine oe e ~shared:ignore ~rebuilt:pair ~fresh:material ~departed:material
+    Node.align spine oe e ~shared:ignore ~rebuilt:pair ~fresh:material ~departed:material
   in
   (match Hashtbl.find_opt spine (Node.id new_root) with
   | Some old_root -> pair old_root new_root
@@ -418,123 +304,25 @@ let rekey nfa old ~spine =
       else { t with under = Over { floor = !floor; below = old; depth; gone = !gone } }
     end
   in
-  (t, { recomputed = 0; reused = annotated_count t; dropped = 0; rekeyed = true })
+  (t, { recomputed = 0; reused = annotated_count t; rekeyed = true })
 
-(* Incremental repair after a commit: the new tree shares every untouched
-   subtree with the old one (same element ids), and entries are
-   subtree-local, so the old entries for shared subtrees are still valid
-   wherever the demand reaching them is unchanged.  We copy the old table
-   (its two arrays, no tree traversal and no qualifier evaluation), then
-   walk the rebuilt spine pairing each fresh element
-   with its old counterpart.  Work stays on the spine and its direct
-   children: a shared child under a spine pair that propagates the same
-   demand as its old counterpart is cut off without a look; fresh
-   elements are annotated; a shared subtree whose demand changed (a
-   rename above it) is re-annotated; a spine element evaluated from the
-   same inputs as its old counterpart takes over the old entry; and
-   stale entries are scrubbed by replaying the old run's walk, which
-   visits exactly the nodes it wrote and stops where it pruned. *)
+(* A table for the committed tree: the old one re-keyed when the plan
+   cannot observe the commit, and otherwise the new root annotated
+   afresh, with no skip-set (a skip-set changes what a build visits,
+   never what it writes). *)
 let repair ?footprint nfa ~old_table ~spine new_root =
-  match Hashtbl.find_opt spine (Node.id new_root) with
-  | None -> None (* degenerate diff: the document element was replaced *)
-  | Some old_root ->
-    let lq = Selecting_nfa.lq nfa in
+  if not (Hashtbl.mem spine (Node.id new_root)) then
+    None (* degenerate diff: the document element was replaced *)
+  else if not (has_any_qual nfa) then
+    Some (create (Selecting_nfa.lq nfa), { recomputed = 0; reused = 0; rekeyed = false })
+  else
     let footprint =
       match footprint with Some fp -> fp | None -> lazy (commit_footprint ~spine new_root)
     in
-    if not (has_any_qual nfa) then
-      Some (create lq, { recomputed = 0; reused = 0; dropped = 0; rekeyed = false })
-    else if independent nfa footprint then Some (rekey nfa old_table ~spine)
-    else begin
-      let r = run ~skip:never nfa (flatten old_table) in
-      let dropped = ref 0 in
-      let drop id = if remove r.tbl id then incr dropped in
-      (* The old run's walk over an old subtree it reached from a
-         parent in configuration [parent], dropping what it wrote. *)
-      let rec scrub parent oe =
-        let s = step_into r parent oe in
-        if live s then begin
-          drop (Node.id oe);
-          iter_kids (scrub s.child) oe
-        end
-      in
-      (* Fresh material is annotated unpruned: a skip-set changes what
-         a build visits, never what it writes (see [annotate]). *)
-      let fresh parent e = annotate_subtree r e parent in
-      (* A shared node reached from the old and the new parent: its
-         entries stand iff both runs enter it in the same configuration. *)
-      let reuse old_parent parent e =
-        if not (Dfa.same_entry (step_into r parent e) (step_into r old_parent e)) then begin
-          scrub old_parent e;
-          fresh parent e
-        end
-      in
-      (* [oe] is an old spine element and [e] its fresh rebuild; the two
-         parent configurations are what the old and new runs pass down
-         to them, which diverge only below a renamed spine node. *)
-      let rec pair old_parent parent oe e =
-        drop (Node.id oe) (* [oe]'s id left the tree with it *);
-        let os = step_into r old_parent oe and s = step_into r parent e in
-        let od = os.demand and d = s.demand in
-        let departed = scrub os.child in
-        if not (live s) then begin
-          (* The fresh run prunes here: whatever the old run wrote below
-             [oe] must go (shared children included — they are in the
-             new tree, unneeded); if it pruned here too, it wrote
-             nothing. *)
-          if live os then iter_kids departed oe
-        end
-        else begin
-          let old_down = os.child and down = s.child in
-          (* Every child's demand is a function of its parent's
-             configuration and its own label, so when the two
-             configurations are the same, the shared children's entries
-             all stand. *)
-          let cut_off = Dfa.same down old_down in
-          (* [e] evaluates exactly as [oe] did — same seeds, label,
-             attributes and text — until some child's entry changes *)
-          let same_eval =
-            ref
-              (Node.sym oe = Node.sym e
-              && Dfa.same_seeds od d
-              && Node.attrs oe == Node.attrs e
-              && same_text (Node.children oe) (Node.children e))
-          in
-          let changed old_id id =
-            if not (same_entry old_table old_id r.tbl id) then same_eval := false
-          in
-          align spine oe e
-            ~departed:(fun oc ->
-              departed oc;
-              if mem old_table oc.Node.id then same_eval := false)
-            ~shared:(fun c ->
-              if not cut_off then begin
-                reuse old_down down c;
-                changed (Node.id c) (Node.id c)
-              end)
-            ~rebuilt:(fun oc c ->
-              pair old_down down oc c;
-              changed (Node.id oc) (Node.id c))
-            ~fresh:(fun c ->
-              fresh down c;
-              if mem r.tbl c.Node.id then same_eval := false);
-          if seeded d then
-            if !same_eval && take_entry ~src:old_table oe.Node.id r.tbl e.Node.id then
-              r.written <- r.written + 1
-            else record r e d
-        end
-      in
-      let start = Dfa.start r.dfa in
-      pair start start old_root new_root;
-      Some
-        ( r.tbl,
-          {
-            recomputed = r.written;
-            reused = Id_table.length r.tbl.ids - r.written;
-            dropped = !dropped;
-            rekeyed = false;
-          } )
-    end
+    if independent nfa footprint then Some (rekey nfa old_table ~spine)
+    else
+      let t = annotate nfa new_root in
+      Some (t, { recomputed = annotated_count t; reused = 0; rekeyed = false })
 
 let sat tbl (n : Node.element) i = bit_at tbl n.Node.id i
 

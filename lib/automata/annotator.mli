@@ -11,9 +11,8 @@ open Xut_xml
     — the role of the paper's filtering NFA (see DESIGN.md).
 
     Every pass enters an element through {!Dfa.step}: the tree walk,
-    its commit-time {!repair}, the SAX pass (Section 6) and the schema
-    product all read what bottomUp does there from the plan's lazy
-    DFA.
+    the SAX pass (Section 6) and the schema product all read what
+    bottomUp does there from the plan's lazy DFA.
 
     The table then makes [checkp] O(1) for the Top Down method, giving
     the linear-time twoPass (TD-BU) evaluation. *)
@@ -38,8 +37,7 @@ type table
     overlay and still makes one probe, and a table with no overlay
     (every {!annotate}d one) makes its probe directly.  A re-key over a
     chain of {!max_overlay_depth} overlays flattens the chain into one
-    table first, and a full repair always starts from a flat copy.
-    Entries are defined for the elements of the tree the table was
+    table first.  Entries are defined for the elements of the tree the table was
     built or repaired for.  A table is written only while it is built
     or repaired, by the domain doing it, and only read once it is
     returned. *)
@@ -55,9 +53,8 @@ val annotate : ?skip:(Node.element -> bool) -> Selecting_nfa.t -> Node.element -
     is identical with or without the oracle, just cheaper to build. *)
 
 type repair_stats = {
-  recomputed : int;  (** entries written for fresh ids (spine + new material) *)
-  reused : int;      (** entries carried over from the old table *)
-  dropped : int;     (** stale old entries removed (departed subtrees) *)
+  recomputed : int;  (** entries a commit-time {!annotate} wrote *)
+  reused : int;      (** entries a re-key carried over from the old table *)
   rekeyed : bool;    (** the plan could not observe the commit: re-keyed *)
 }
 
@@ -69,7 +66,7 @@ type commit_footprint
 
 val commit_footprint : spine:(int, Node.element) Hashtbl.t -> Node.element -> commit_footprint
 (** [commit_footprint ~spine new_root], from the diff alone: one walk of
-    the spine pairs ([repair]'s child alignment) plus the inserted and
+    the spine pairs ({!Xut_xml.Node.align}) plus the inserted and
     departed material.  Compute it once per commit and hand it to every
     [repair] of that commit. *)
 
@@ -80,31 +77,28 @@ val repair :
   spine:(int, Node.element) Hashtbl.t ->
   Node.element ->
   (table * repair_stats) option
-(** Incremental maintenance across a commit.  [spine] maps each fresh
-    spine element's id in the post-commit tree to the pre-commit element
-    it replaced ({!Xut_update.Apply.materialize}'s diff).  Because
-    entries are subtree-local and untouched subtrees keep their ids, the
-    result is entry-for-entry equal to [annotate nfa new_root], and so
-    to a build under any skip-set: repair takes none, and annotates
-    fresh material unpruned.  The
-    cost is one flat copy of the old table plus O(spine nodes + their
-    children + fresh material + the old entries it drops): a shared
-    child of a spine node is passed over unvisited unless the demand
-    reaching it changed (e.g. a rename above it), in which case its
-    subtree is re-annotated, and stale entries are found by replaying
-    the old run's walk only where that run wrote.
+(** The table of the committed tree [new_root], carried across a
+    commit.  [spine] maps each fresh spine element's id in the
+    post-commit tree to the pre-commit element it replaced
+    ({!Xut_update.Apply.materialize}'s diff).  The result answers
+    [sat] and [checkp] entry for entry as [annotate nfa new_root] does,
+    and so as a build under any skip-set.
 
     The first test decides whether the plan can observe the commit at
     all.  When no label of the plan's {!Selecting_nfa.footprint} was
     inserted, removed or renamed, and no label it compares text at lies
-    on the rebuilt spine, every entry stands as it was: the result is
-    the old table with each spine entry moved from its old id to its
-    fresh id, with no evaluation ([rekeyed = true]): an overlay of the
-    moved entries over the old table, copying nothing else, or the old
-    table itself when no spine element held an entry.  [footprint] is
-    the commit's {!commit_footprint}, forced only for plans with
-    qualifiers; a lazy value shared across one commit's repairs computes
-    it once, and it is computed from [spine] when absent.
+    on the rebuilt spine, every entry stands as it was: entries are
+    subtree-local, and untouched subtrees keep their ids.  The result
+    is then the old table with each spine entry moved from its old id
+    to its fresh id, with no evaluation ([rekeyed = true]): an overlay
+    of the moved entries over the old table, copying nothing else, or
+    the old table itself when no spine element held an entry.  A plan
+    that can observe the commit gets [annotate nfa new_root], with no
+    skip-set, and a plan with no qualifiers the empty table.
+    [footprint] is the commit's {!commit_footprint}, forced only for
+    plans with qualifiers; a lazy value shared across one commit's
+    repairs computes it once, and it is computed from [spine] when
+    absent.
 
     [None] when the diff is degenerate — the new root
     is not a rebuild of the old one (document element replaced) — and

@@ -272,13 +272,6 @@ let next t here ~checkp x c sym =
       let c = find_checked t states e.checked in
       if c != t.absent.child then c else add_checked t e states
 
-let same a b =
-  a == b
-  || a.id < 0 && b.id < 0 && Nfa.set_equal a.states b.states && Lq.set_equal a.cands b.cands
-
-let same_seeds a b = a == b || Lq.set_equal a.seeds b.seeds
-let same_entry s s' = s == s' || (same s.child s'.child && same_seeds s.demand s'.demand)
-
 let computed t = Mutex.protect t.mu (fun () -> t.computed)
 let size t = Mutex.protect t.mu (fun () -> t.size)
 let configs t =

@@ -112,16 +112,6 @@ val next : t -> Counter.local -> checkp:(int -> 'a -> bool) -> 'a -> config -> S
     outcome has been met, unless some checked qualifiers hold and some
     do not. *)
 
-val same : config -> config -> bool
-(** Equal configurations: physical equality, or equal sets for two past
-    the cap. *)
-
-val same_seeds : demand -> demand -> bool
-
-val same_entry : step -> step -> bool
-(** The two steps write the same entry at an element: same
-    configuration and same seeds. *)
-
 val computed : t -> int
 (** Steps computed so far (a miss each). *)
 

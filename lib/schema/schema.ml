@@ -128,40 +128,30 @@ let validate t root =
 
 (* Incremental re-validation across a commit: shared subtrees kept their
    ids and were conforming before, and conformance is local to a parent
-   and its direct children, so only rebuilt spine nodes (their child
-   edges may have changed) and freshly inserted material need checking. *)
+   and its direct children, so only the child edges of rebuilt spine
+   nodes and freshly inserted material need checking ([Node.align] sorts
+   each spine node's children). *)
 let validate_commit t ~spine new_root =
-  if not (Hashtbl.mem spine (Node.id new_root)) then
-    (* degenerate diff: the document element itself was replaced *)
-    validate t new_root
-  else if Node.sym new_root <> t.s_root then not_root t new_root
-  else begin
-    (* [oe]/[e]: an old spine element and its fresh rebuild.  A commit
-       keeps the old children's order, so one ordered pass over both
-       child lists sorts each new child: the old child itself (shared),
-       a rebuild the spine map pairs with an old child, or fresh. *)
-    let rec pair oe e = kids e (Node.child_elements oe) (Node.child_elements e)
-    and kids e old = function
-      | [] -> ()
-      | c :: rest -> (
+  match Hashtbl.find_opt spine (Node.id new_root) with
+  | None -> validate t new_root (* degenerate diff: the document element itself was replaced *)
+  | Some _ when Node.sym new_root <> t.s_root -> not_root t new_root
+  | Some old_root -> (
+    let rec pair oe e =
+      let edge c =
         if not (allowed t ~parent:(Node.sym e) (Node.sym c)) then
-          raise (nonconforming t ~parent:e c);
-        match old with
-        | oc :: old' when oc == c -> kids e old' rest
-        | _ -> (
-          match Hashtbl.find_opt spine (Node.id c) with
-          | Some oc ->
-            pair oc c;
-            kids e (after oc old) rest
-          | None ->
-            check_subtree t c;
-            kids e old rest))
-    (* the old children past [oc] *)
-    and after oc = function [] -> [] | x :: rest -> if x == oc then rest else after oc rest in
-    match pair (Hashtbl.find spine (Node.id new_root)) new_root with
+          raise (nonconforming t ~parent:e c)
+      in
+      Node.align spine oe e ~shared:edge ~departed:ignore
+        ~rebuilt:(fun oc c ->
+          edge c;
+          pair oc c)
+        ~fresh:(fun c ->
+          edge c;
+          check_subtree t c)
+    in
+    match pair old_root new_root with
     | () -> Ok ()
-    | exception Nonconforming msg -> Error msg
-  end
+    | exception Nonconforming msg -> Error msg)
 
 (* ---------------- the product ---------------- *)
 

@@ -40,7 +40,7 @@ open Xut_automata
       seeds anywhere below means the unpruned pass writes no entries
       there) nor the transform output (no acceptance below means the
       subtree is returned shared either way), which is what keeps
-      incremental repair and the memoized tables exact. *)
+      commit-time repair and the memoized tables exact. *)
 
 type rx =
   | Empty          (** no element children (text-only or empty content) *)

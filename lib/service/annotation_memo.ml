@@ -69,9 +69,9 @@ let invalidate t ~root_id =
   Mutex.unlock t.mu;
   present
 
-(* Incremental maintenance across a commit: rebuild the table for the
-   new root from the old root's table and the rebuilt-spine map, instead
-   of letting the commit evict it.  The old entry is deliberately LEFT
+(* Maintenance across a commit: the new root's table from the old
+   root's table and the rebuilt-spine map, instead of letting the commit
+   evict it.  The old entry is deliberately LEFT
    IN PLACE — readers that picked up the pre-commit snapshot before the
    swap still resolve its table (immutable, never repaired in place);
    the LRU drops it once younger roots push it out. *)

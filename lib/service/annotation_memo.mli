@@ -42,9 +42,9 @@ val repair :
   spine:(int, Xut_xml.Node.element) Hashtbl.t ->
   Xut_xml.Node.element ->
   [ `Absent | `Fallback | `Repaired of Annotator.repair_stats ]
-(** Commit-time incremental maintenance: derive the new root's table
-    from the departing root's via {!Xut_automata.Annotator.repair} and
-    memoize it.  [`Absent] when nothing was cached for the old root;
+(** Commit-time maintenance: carry the departing root's table to the
+    new root via {!Xut_automata.Annotator.repair} (a re-key, or a fresh
+    annotation when the plan can observe the commit) and memoize it.  [`Absent] when nothing was cached for the old root;
     [`Fallback] when the diff is degenerate (document element replaced)
     and the old entry was evicted instead.  On success the old root's
     entry is {e kept} for in-flight readers of the pre-commit snapshot

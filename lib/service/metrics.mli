@@ -101,10 +101,12 @@ val stream_fallbacks : t -> int
     was unloaded or replaced, or a repair fell back.  Per-plan tables
     carried across a commit by {!Plan_cache.repair}
     ([annotation_repairs]), evicted because the diff was degenerate
-    ([repair_fallbacks]), and the summed entries the repairs recomputed
-    versus carried over — the incrementality the repair buys over full
-    re-annotation.  [repair_rekeyed] counts the repairs whose plan
-    could not observe the commit, so the table was only re-keyed. *)
+    ([repair_fallbacks]), the summed entries written by the commit-time
+    annotations of plans that could observe the commit
+    ([repair_recomputed_nodes]) and the summed entries the re-keys
+    carried over ([repair_reused_nodes]).  [repair_rekeyed] counts the
+    repairs whose plan could not observe the commit, so the table was
+    only re-keyed. *)
 
 val incr_schema_bindings_dropped : t -> unit
 val add_doc_invalidations : t -> int -> unit

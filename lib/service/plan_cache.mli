@@ -99,10 +99,10 @@ val invalidate : t -> root_id:int -> int
     plans themselves or other documents' tables. *)
 
 type repair_totals = {
-  repaired : int;          (** plan tables repaired incrementally *)
+  repaired : int;          (** plan tables carried to the new root *)
   fallbacks : int;         (** plan tables evicted (degenerate diff) *)
-  recomputed_nodes : int;  (** entries evaluated afresh, summed *)
-  reused_nodes : int;      (** entries carried over, summed *)
+  recomputed_nodes : int;  (** entries a commit-time annotation wrote, summed *)
+  reused_nodes : int;      (** entries a re-key carried over, summed *)
   rekeyed : int;           (** repairs the commit could not reach: re-keyed *)
 }
 

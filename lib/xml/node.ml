@@ -105,6 +105,75 @@ let rec refresh_ids = function
     Element { e with id = fresh_id (); children = List.map refresh_ids e.children }
   | (Text _ | Comment _ | Pi _) as n -> n
 
+(* ---- a commit's spine pairs ----
+
+   [align] sorts [e]'s children against [oe]'s in one ordered pass.
+   [olds] are the old children not yet consumed, and [ix] their ids,
+   once a child missed the head of [olds]. *)
+
+let unindex ix id = match ix with Some ix -> Hashtbl.remove ix id | None -> ()
+
+(* [olds] past the element [id], which it holds, each element passed
+   over [departed] and every element taken out of the index [ix] *)
+let rec take_through ~departed ix id = function
+  | [] -> []
+  | Element oc :: rest ->
+    unindex ix oc.id;
+    if oc.id = id then rest
+    else begin
+      departed oc;
+      take_through ~departed ix id rest
+    end
+  | (Text _ | Comment _ | Pi _) :: rest -> take_through ~departed ix id rest
+
+let index_ids olds =
+  let ix = Hashtbl.create 16 in
+  List.iter
+    (function Element oc -> Hashtbl.replace ix oc.id () | Text _ | Comment _ | Pi _ -> ())
+    olds;
+  ix
+
+let rec align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news =
+  match (olds, news) with
+  | (Text _ | Comment _ | Pi _) :: olds, news | olds, (Text _ | Comment _ | Pi _) :: news ->
+    align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news
+  | Element o :: rest, Element c :: news when o.id = c.id ->
+    unindex ix o.id;
+    shared c;
+    align_from spine ~shared ~rebuilt ~fresh ~departed rest ix news
+  | Element o :: rest, Element c :: news -> (
+    let found = Hashtbl.find_opt spine c.id in
+    match found with
+    | Some oc when oc.id = o.id ->
+      unindex ix o.id;
+      rebuilt oc c;
+      align_from spine ~shared ~rebuilt ~fresh ~departed rest ix news
+    | _ ->
+      let ix = match ix with Some _ -> ix | None -> Some (index_ids olds) in
+      let olds =
+        match found with
+        | Some oc when Hashtbl.mem (Option.get ix) oc.id ->
+          let olds = take_through ~departed ix oc.id olds in
+          rebuilt oc c;
+          olds
+        | _ when Hashtbl.mem (Option.get ix) c.id ->
+          let olds = take_through ~departed ix c.id olds in
+          shared c;
+          olds
+        | _ ->
+          fresh c;
+          olds
+      in
+      align_from spine ~shared ~rebuilt ~fresh ~departed olds ix news)
+  | [], Element c :: news ->
+    fresh c;
+    align_from spine ~shared ~rebuilt ~fresh ~departed [] ix news
+  | olds, [] ->
+    List.iter (function Element oc -> departed oc | Text _ | Comment _ | Pi _ -> ()) olds
+
+let align spine oe e ~shared ~rebuilt ~fresh ~departed =
+  align_from spine ~shared ~rebuilt ~fresh ~departed oe.children None e.children
+
 let rec pp ppf = function
   | Element e -> pp_element ppf e
   | Text s -> Format.fprintf ppf "%S" s

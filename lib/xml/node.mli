@@ -108,6 +108,28 @@ val refresh_ids : t -> t
     copy-and-update baseline to model a full snapshot); counts and
     summaries are kept. *)
 
+val align :
+  (int, element) Hashtbl.t ->
+  element ->
+  element ->
+  shared:(element -> unit) ->
+  rebuilt:(element -> element -> unit) ->
+  fresh:(element -> unit) ->
+  departed:(element -> unit) ->
+  unit
+(** [align spine oe e ~shared ~rebuilt ~fresh ~departed] sorts the
+    children of [e], a commit's rebuild of [oe], against [oe]'s in one
+    ordered pass.  [spine] maps each rebuilt element's fresh id to the
+    old element it replaced (the commit's diff).  A commit keeps the old
+    children's order, so each new child is the old child itself
+    ([shared]), a rebuild of the old child the spine map names
+    ([rebuilt], old first), or inserted or replacement content
+    ([fresh]); old elements passed over are [departed].  Matching the
+    head of the old list settles every shared or rebuilt child of an
+    insert without allocating; an index of the remaining old ids is
+    built only when a child misses the head (fresh content, or a
+    deletion before it). *)
+
 val pp : Format.formatter -> t -> unit
 (** Debug printer (single line, ids omitted). *)
 

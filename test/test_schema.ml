@@ -61,6 +61,30 @@ let test_validate_reject () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong document element must be rejected"
 
+(* Re-validation after a commit checks fresh material and the child
+   edges of the rebuilt spine only: a shared subtree is taken as valid,
+   even one after a deleted sibling.  Here the shared [b] breaks the
+   schema, which a full validation reports and [validate_commit] must
+   not look at. *)
+let test_validate_commit_skips_shared () =
+  let schema =
+    match
+      Schema.define ~name:"rab" ~root:"r"
+        [ ("r", Schema.Seq [ Schema.Elem "a"; Schema.Elem "b" ]); ("a", Schema.Empty);
+          ("b", Schema.Empty); ("c", Schema.Empty) ]
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  let root = Xut_xml.Dom.parse_string "<r><a/><b><c/></b></r>" in
+  match Xut_update.Apply.run (Core.Transform_parser.parse_updates "delete $a/r/a") root with
+  | Ok (_, Some (root', diff)) ->
+    Alcotest.(check bool) "validate: the shared b is nonconforming" true
+      (Result.is_error (Schema.validate schema root'));
+    Alcotest.(check bool) "validate_commit: shared subtrees are not re-checked" true
+      (Schema.validate_commit schema ~spine:diff.Xut_update.Apply.spine root' = Ok ())
+  | _ -> Alcotest.fail "delete did not materialize"
+
 (* ---- the product ---- *)
 
 let test_statically_empty_verdict () =
@@ -699,6 +723,8 @@ let test_count_allocation () =
 let suite =
   [ Alcotest.test_case "validate: generated XMark conforms" `Quick test_validate_generated;
     Alcotest.test_case "validate: nonconforming trees rejected" `Quick test_validate_reject;
+    Alcotest.test_case "validate_commit: shared subtrees unchecked" `Quick
+      test_validate_commit_skips_shared;
     Alcotest.test_case "product: statically-empty verdict" `Quick
       test_statically_empty_verdict;
     Alcotest.test_case "product: skip-set contents (U7)" `Quick test_skip_set_contents;
